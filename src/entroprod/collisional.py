@@ -17,6 +17,12 @@ Three tiers of entropy production per stroke:
   general      I(S:A) + S(rho_A'||rho_A)          any ancilla
   thermal      dS_S + beta Q_A                     thermal ancilla
   fixed point  S(rho||rho_th) - S(rho'||rho_th)    thermal operation
+
+Limit cycles are read from the channel Phi of one full cycle, built from
+the strokes' Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`):
+the state is the null vector of Phi - 1.  A unit-modulus eigenvalue of Phi
+other than 1 (no contraction) is an error, and so is, in `limit_cycle`, a
+degenerate eigenvalue 1 (a steady space of dimension > 1).
 """
 
 from __future__ import annotations
@@ -27,25 +33,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    HERMITICITY_TOL,
     DensityOperator,
     HermitianOperator,
-    HilbertDims,
     UnitaryOperator,
-    _clamp_probs,
     _mat,
     _ptrace_matrix,
+    add_lindblad_term,
+    ancilla_kraus,
     classical_kl,
+    kraus_superop,
     relative_entropy,
     shannon_entropy,
     tensor,
     thermal_state,
     trace_distance,
+    unvec,
+    vec,
     von_neumann_entropy,
 )
 from .episodes import Episode, balance, evolve, is_strict_energy_conserving
 
+# One more cycle may move a fixed point by less than this (trace distance).
 FIXED_POINT_TOL = 1e-12
-FIXED_POINT_CAP = 100_000
+# Eigenvalues of a cycle channel this close to 1 count as 1, and any other
+# eigenvalue this close to the unit circle means the cycle does not contract.
+UNIT_CIRCLE_TOL = 1e-9
 
 
 class CollisionalError(ValueError):
@@ -126,20 +139,6 @@ class StrokeRecord:
                 float("nan") if self.sigma_fixed_point is None else self.sigma_fixed_point)
 
 
-STROKE_CSV_HEADER = "stroke,Q_A,W_u,W_onoff,Sigma_g,Sigma_t,Sigma_f"
-
-
-def stroke_records_to_csv(records, path):
-    """Stream stroke records to CSV with the standard column layout."""
-    lines = [STROKE_CSV_HEADER]
-    for n, rec in enumerate(records):
-        row = rec.as_row()
-        lines.append(",".join([str(n)] + [format(x, ".17g") for x in row]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
 def _apply_collision(rho_s, stroke: AncillaStroke, h_sys):
     ep = Episode(h_sys, stroke.hamiltonian, stroke.unitary, rho_s, stroke.rho)
     ev = evolve(ep)
@@ -208,72 +207,50 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
 # Limit cycles
 # ---------------------------------------------------------------------------
 
-def _composite_channel_matrix(spec: CollisionSpec) -> np.ndarray:
-    """Matrix of one full alphabet pass on vectorized states (column stacking)."""
+def _cycle_channel(spec: CollisionSpec) -> np.ndarray:
+    """Superoperator of one full alphabet pass (column stacking)."""
     d = spec.dim_system
     chan = np.eye(d * d, dtype=complex)
-    for n in range(len(spec.alphabet)):
-        stroke = spec.stroke(n)
-        da = stroke.rho.dim
-        u = stroke.unitary.matrix
-        step = np.zeros((d * d, d * d), dtype=complex)
-        for j in range(d):
-            for i in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                big = u @ tensor([e, stroke.rho]) @ u.conj().T
-                out = _ptrace_matrix(big, (d, da), [0])
-                step[:, j * d + i] = out.flatten(order="F")
+    for n, stroke in enumerate(spec.alphabet):
+        kraus = ancilla_kraus(stroke.unitary, stroke.rho)
         u_sys = spec.u_at(n)
         if u_sys is not None:
-            m = u_sys.matrix
-            step = np.kron(m.conj(), m) @ step
-        chan = step @ chan
+            kraus = u_sys.matrix @ kraus
+        chan = kraus_superop(kraus) @ chan
     return chan
 
 
-def _one_pass(spec: CollisionSpec, rho: DensityOperator) -> DensityOperator:
-    states, _ = run(spec, rho, len(spec.alphabet))
-    return states[-1]
-
-
-def limit_cycle(spec: CollisionSpec, rho0: DensityOperator | None = None,
-                tol: float = FIXED_POINT_TOL, cap: int = FIXED_POINT_CAP,
-                agreement_tol: float = 1e-8) -> DensityOperator:
-    """Fixed point of the full-alphabet composite map.
-
-    Power iteration to trace distance `tol`, cross-checked against the
-    eigenvector of the vectorized channel at eigenvalue 1.  Disagreement
-    beyond `agreement_tol` (a degenerate steady space) and non-convergence
-    (e.g. a unitary-only alphabet) are hard errors.
-    """
-    d = spec.dim_system
-    rho = rho0 or DensityOperator.from_matrix(np.eye(d) / d)
-    converged = False
-    for it in range(cap):
-        nxt = _one_pass(spec, rho)
-        if trace_distance(nxt, rho) < tol:
-            rho = nxt
-            converged = True
-            break
-        rho = nxt
-    if not converged:
-        raise CollisionalError(
-            f"composite map did not contract within {cap} passes")
-    chan = _composite_channel_matrix(spec)
-    vals, vecs = np.linalg.eig(chan)
-    idx = int(np.argmin(np.abs(vals - 1.0)))
-    if abs(vals[idx] - 1.0) > 1e-9:
-        raise CollisionalError("vectorized channel has no eigenvalue 1")
-    m = vecs[:, idx].reshape(d, d, order="F")
-    m = (m + m.conj().T) / 2.0
-    m = m / np.trace(m)
-    rho_eig = DensityOperator.from_matrix(m)
-    if trace_distance(rho, rho_eig) > agreement_tol:
-        raise CollisionalError(
-            "power iteration and channel eigenvector disagree: "
-            "degenerate steady space")
+def _fixed_point(chan: np.ndarray, rho0: DensityOperator,
+                 unique: bool) -> DensityOperator:
+    """Projection of rho0 onto ker(chan - 1) along range(chan - 1), i.e.
+    the limit of repeated application (eigenvalue 1 of a channel is
+    semisimple), from the singular vectors of chan - 1 at zero."""
+    vals = np.linalg.eigvals(chan)
+    at_one = np.abs(vals - 1.0) <= UNIT_CIRCLE_TOL
+    if np.any(~at_one & (np.abs(vals) >= 1.0 - UNIT_CIRCLE_TOL)):
+        raise CollisionalError("cycle channel has a unit-modulus eigenvalue "
+                               "other than 1: the map does not contract")
+    n_fixed = int(at_one.sum())
+    if unique and n_fixed != 1:
+        raise CollisionalError(f"eigenvalue 1 of the cycle channel has "
+                               f"multiplicity {n_fixed}: degenerate steady space")
+    u, _, vh = np.linalg.svd(chan - np.eye(chan.shape[0]))
+    right = vh[vh.shape[0] - n_fixed:].conj().T
+    left = u[:, u.shape[1] - n_fixed:].conj().T
+    m = unvec(right @ np.linalg.solve(left @ right, left @ vec(rho0.matrix)))
+    rho = DensityOperator((m + m.conj().T) / 2.0, rho0.dims)
+    step = trace_distance(unvec(chan @ vec(rho.matrix)), rho)
+    if step >= FIXED_POINT_TOL:
+        raise CollisionalError(f"one more cycle moves the fixed point by {step:.3e}")
     return rho
+
+
+def limit_cycle(spec: CollisionSpec) -> DensityOperator:
+    """Fixed point of the full-alphabet composite map, read from the null
+    space of its channel (see the module docstring for the errors), and
+    checked to move by less than FIXED_POINT_TOL under one more pass."""
+    d = spec.dim_system
+    return _fixed_point(_cycle_channel(spec), DensityOperator.maximally_mixed(d), unique=True)
 
 
 # ---------------------------------------------------------------------------
@@ -288,24 +265,16 @@ class DissipatorPieces:
     detailed_balance: tuple | None       # gamma+/gamma- ratios per pair
 
 
-def _dissipator_matrix(apply_fn, d):
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            out[:, j * d + i] = apply_fn(e).flatten(order="F")
-    return out
-
-
 def continuous_limit(v_int, rho_ancilla: DensityOperator, tau: float,
                      pairs=None, h_ancilla=None, beta=None,
                      lamb_tol: float = 1e-9) -> DissipatorPieces:
     """Dissipator of the tau -> 0 collision limit with the V/sqrt(tau)
     scaling:  D(rho) = -1/2 Tr_A [V, [V, rho x rho_A]].
 
-    Requires a vanishing induced shift Tr_A(V rho_A); a violation beyond
-    lamb_tol is an error.  When `pairs` = [(L_k, A_k, g_k), ...] describes
+    For Hermitian V this is sum_{mu nu} D[sqrt(q_nu) V_{mu nu}] with
+    V_{mu nu} = <mu|V|nu> in the eigenbasis of rho_A = sum q_nu |nu><nu|,
+    which is how the superoperator is assembled.  Requires a vanishing
+    induced shift Tr_A(V rho_A); a violation beyond lamb_tol is an error.  When `pairs` = [(L_k, A_k, g_k), ...] describes
     V = sum_k g_k (L_k^dag A_k + L_k A_k^dag), the familiar two-rate form
     D = sum_k gamma_k^- D[L_k] + gamma_k^+ D[L_k^dag] applies with the
     emission rate gamma_k^- = g_k^2 <A_k A_k^dag> and the absorption rate
@@ -313,6 +282,8 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, tau: float,
     A_k the reported ratio gamma^+/gamma^- equals e^{-beta omega_k}.
     """
     v = _mat(v_int)
+    if np.abs(v - v.conj().T).max() > HERMITICITY_TOL * max(1.0, np.abs(v).max()):
+        raise CollisionalError("interaction V must be Hermitian")
     ra = rho_ancilla.matrix
     da = rho_ancilla.dim
     d = v.shape[0] // da
@@ -322,13 +293,9 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, tau: float,
         raise CollisionalError(
             f"ancilla-induced shift Tr_A(V rho_A) = {shift_norm:.3e} is not zero")
 
-    def apply(rho_s):
-        big = tensor([rho_s, ra])
-        inner = v @ big - big @ v
-        outer = v @ inner - inner @ v
-        return -0.5 * _ptrace_matrix(outer, (d, da), [0])
-
-    superop = _dissipator_matrix(apply, d)
+    superop = np.zeros((d * d, d * d), dtype=complex)
+    for k in ancilla_kraus(v, rho_ancilla):
+        add_lindblad_term(superop, k, k)
     rates = None
     db = None
     if pairs is not None:
@@ -386,7 +353,6 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
                                        "instantaneous (identity) work strokes")
     # common eigenbasis from the first Hamiltonian
     evals0, basis = np.linalg.eigh(hs[0].matrix)
-    d = spec.dim_system
     rho = rho0
     records = []
     for n in range(n_strokes):
@@ -400,17 +366,11 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
             raise CollisionalError(
                 f"stroke {n} is not a thermal operation (residual {res:.3e})")
         e_sys = np.real(np.diag(basis.conj().T @ h_now.matrix @ basis))
-        q_anc, anc_basis = np.linalg.eigh(stroke.rho.matrix)
-        q_anc = _clamp_probs(q_anc)
-        da = stroke.rho.dim
-        u = stroke.unitary.matrix
-        full = np.kron(basis, anc_basis)
-        amp = full.conj().T @ u @ full
-        amp = amp.reshape(d, da, d, da)       # [i, mu, j, nu]
-        w = np.abs(amp) ** 2
-        m_n = np.einsum("imjn,n->ij", w, q_anc)
+        # Kraus operators sqrt(q_nu) <mu|U|nu> in the system eigenbasis
+        kraus = basis.conj().T @ ancilla_kraus(stroke.unitary, stroke.rho) @ basis
+        m_n = np.sum(np.abs(kraus) ** 2, axis=0)
         # coherence multipliers: rho'_ij = c_ij rho_ij for i != j
-        c = np.einsum("imin,jmjn,n->ij", amp, amp.conj(), q_anc)
+        c = np.einsum("kii,kjj->ij", kraus, kraus.conj())
         p_before = np.real(np.diag(basis.conj().T @ rho.matrix @ basis))
         ep, ev = _apply_collision(rho, stroke, h_now)
         rho_next = ev.rho_system
@@ -555,43 +515,37 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
                 h_hot: HermitianOperator | None = None,
                 h_cold: HermitianOperator | None = None,
                 rho0: DensityOperator | None = None,
-                at_limit_cycle: bool = True,
-                tol: float = FIXED_POINT_TOL, cap: int = FIXED_POINT_CAP) -> FourStrokeResult:
+                at_limit_cycle: bool = True) -> FourStrokeResult:
     """Unitary/hot/unitary/cold stroke cycle with arbitrary bath states.
 
     Per cycle Sigma = Sigma_H + Sigma_C = dS_S + Phi_H + Phi_C; at the
     limit cycle dS_S = 0 so the net production equals the net flux even
     though Sigma_i != Phi_i individually.
+
+    The balances are taken on the cycle started from rho0 (default:
+    maximally mixed), or with at_limit_cycle on the limit cycle rho0 flows
+    to: its projection onto the fixed points of the cycle's channel, so an
+    all-identity cycle keeps rho0.  A cycle that never settles raises
+    CollisionalError (see the module docstring).
     """
-    d = h_system.dim
-    h_h = h_hot or HermitianOperator.from_matrix(np.zeros((d, d)), h_system.dims)
-    h_c = h_cold or HermitianOperator.from_matrix(np.zeros((d, d)), h_system.dims)
-
-    def cycle(rho):
-        m1 = _mat(v1) @ rho.matrix @ _mat(v1).conj().T
-        ep_h = Episode(h_system, h_h, u_sh, DensityOperator(m1, rho.dims), rho_hot)
-        ev_h = evolve(ep_h)
-        bal_h = balance(ep_h, ev_h)
-        m2 = _mat(v2) @ ev_h.rho_system.matrix @ _mat(v2).conj().T
-        ep_c = Episode(h_system, h_c, u_sc, DensityOperator(m2, rho.dims), rho_cold)
-        ev_c = evolve(ep_c)
-        bal_c = balance(ep_c, ev_c)
-        return ev_c.rho_system, bal_h, bal_c
-
-    rho = rho0 or DensityOperator.from_matrix(np.eye(d) / d, h_system.dims)
+    h_h = h_hot or HermitianOperator.from_matrix(np.zeros_like(rho_hot.matrix), rho_hot.dims)
+    h_c = h_cold or HermitianOperator.from_matrix(np.zeros_like(rho_cold.matrix), rho_cold.dims)
+    rho = rho0 or DensityOperator.maximally_mixed(h_system.dims)
     if at_limit_cycle:
-        converged = False
-        for _ in range(cap):
-            nxt, _, _ = cycle(rho)
-            if trace_distance(nxt, rho) < tol:
-                converged = True
-                rho = nxt
-                break
-            rho = nxt
-        if not converged:
-            raise CollisionalError("four-stroke map did not reach a limit cycle")
-    rho_out, bal_h, bal_c = cycle(rho)
-    ds = von_neumann_entropy(rho_out) - von_neumann_entropy(rho)
+        kraus_h = ancilla_kraus(u_sh, rho_hot) @ _mat(v1)
+        kraus_c = ancilla_kraus(u_sc, rho_cold) @ _mat(v2)
+        chan = kraus_superop(kraus_c) @ kraus_superop(kraus_h)
+        rho = _fixed_point(chan, rho, unique=False)
+
+    m1 = _mat(v1) @ rho.matrix @ _mat(v1).conj().T
+    ep_h = Episode(h_system, h_h, u_sh, DensityOperator(m1, rho.dims), rho_hot)
+    ev_h = evolve(ep_h)
+    bal_h = balance(ep_h, ev_h)
+    m2 = _mat(v2) @ ev_h.rho_system.matrix @ _mat(v2).conj().T
+    ep_c = Episode(h_system, h_c, u_sc, DensityOperator(m2, rho.dims), rho_cold)
+    ev_c = evolve(ep_c)
+    bal_c = balance(ep_c, ev_c)
+    ds = von_neumann_entropy(ev_c.rho_system) - von_neumann_entropy(rho)
     return FourStrokeResult(
         limit_cycle=rho,
         sigma_hot=bal_h.sigma,

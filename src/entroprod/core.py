@@ -83,6 +83,9 @@ def _frozen_matrix(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise CoreError(f"expected a square matrix, got shape {m.shape}")
+    # Every later check has the form `err > tol`, which is False for NaN.
+    if not np.isfinite(m).all():
+        raise CoreError("matrix has NaN or infinite entries")
     m.setflags(write=False)
     return m
 
@@ -155,7 +158,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dims):
-        d = _as_dims(dims, None) if isinstance(dims, HilbertDims) else HilbertDims(tuple(np.atleast_1d(dims)))
+        d = dims if isinstance(dims, HilbertDims) else HilbertDims(tuple(np.atleast_1d(dims)))
         n = d.total
         return cls(np.eye(n) / n, d)
 
@@ -295,6 +298,59 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
+# Superoperators: every one in the package acts on COLUMN-STACKED matrices,
+# vec(A X B) = (B^T kron A) vec(X), and is assembled from these terms.
+# ---------------------------------------------------------------------------
+
+def vec(matrix) -> np.ndarray:
+    """Column-stacked copy of a square matrix."""
+    return np.asarray(matrix).flatten(order="F")
+
+
+def unvec(vector) -> np.ndarray:
+    """Inverse of `vec`: the d x d matrix of a length-d^2 vector."""
+    v = np.asarray(vector)
+    d = math.isqrt(v.size)
+    return v.reshape(d, d, order="F")
+
+
+def kraus_superop(kraus) -> np.ndarray:
+    """Matrix of rho -> sum_k K_k rho K_k^dag, i.e. sum_k conj(K_k) kron K_k."""
+    return sum(np.kron(k.conj(), k) for k in kraus)
+
+
+def add_lindblad_term(superop, a, b, rate=1.0):
+    """Add rate * (a rho b^dag - 1/2 {b^dag a, rho}) to `superop` in place.
+
+    a = b = L gives the dissipator D[L]; a != b gives one cross term of a
+    Kossakowski matrix.
+    """
+    eye = np.eye(a.shape[0])
+    bda = b.conj().T @ a
+    superop += rate * np.kron(b.conj(), a)
+    superop -= (0.5 * rate) * np.kron(eye, bda)
+    superop -= (0.5 * rate) * np.kron(bda.T, eye)
+
+
+def ancilla_kraus(op, rho_ancilla) -> np.ndarray:
+    """Stack of the system operators sqrt(q_nu) <mu|X|nu> of X on S (x) A,
+    in the eigenbasis of rho_A = sum q_nu |nu><nu|, dropping q_nu = 0.
+
+    For a unitary U they are the Kraus operators of Tr_A[U (. x rho_A) U^dag].
+    """
+    x = _mat(op)
+    q, basis = np.linalg.eigh(_mat(rho_ancilla))
+    q = _clamp_probs(q)
+    da = q.size
+    ds = x.shape[0] // da
+    full = np.kron(np.eye(ds), basis)
+    amp = (full.conj().T @ x @ full).reshape(ds, da, ds, da)     # [i, mu, j, nu]
+    keep = q > 0.0
+    terms = amp[:, :, :, keep] * np.sqrt(q[keep])
+    return terms.transpose(3, 1, 0, 2).reshape(-1, ds, ds)
+
+
+# ---------------------------------------------------------------------------
 # Entropies and divergences
 # ---------------------------------------------------------------------------
 
@@ -377,13 +433,10 @@ def mutual_information(rho: DensityOperator, part_a) -> float:
 
 
 def _psd_power(vals, vecs, power):
+    # zero eigenvalues stay zero: a pseudo-power on the support
     nz = vals > SUPPORT_EIG_CUT
     pw = np.zeros_like(vals)
     pw[nz] = vals[nz] ** power
-    if power < 0 or (0 < power < 1):
-        pass  # zero eigenvalues stay zero: pseudo-power on the support
-    elif power == 0:
-        pw = nz.astype(float)
     return (vecs * pw) @ vecs.conj().T
 
 

@@ -1,12 +1,13 @@
 """Continuous-time master equations and Liouvillian spectral analysis.
 
-Generators are built in vectorized form with COLUMN STACKING
-(vec(A X B) = (B^T kron A) vec(X)); the trace functional is then the
-left null vector vec(1)^dag, which every generator here satisfies by
-construction.  Besides the generic builder, the module carries the
-driven-dissipative Kerr model, the dissipative macrospin, the squeezed
-thermal bath, a fixed-step RK4 integrator, steady states, spectral gaps
-and the Spohn heat/work/entropy rates.
+Generators are built in vectorized form from the Lindblad terms of
+`core.add_lindblad_term`, in the column-stacking convention that `core`
+fixes for every superoperator (`core.vec`, `core.unvec`); the trace
+functional is then the left null vector vec(1)^dag, which every generator
+here satisfies by construction.  Besides the generic builder, the module
+carries the driven-dissipative Kerr model, the dissipative macrospin, the
+squeezed thermal bath, a fixed-step RK4 integrator, steady states,
+spectral gaps and the Spohn heat/work/entropy rates.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     _mat,
+    add_lindblad_term,
     logm_psd,
     relative_entropy,
     thermal_state,
+    unvec,
+    vec,
 )
 
 DIM_CAP = 128
@@ -104,15 +108,6 @@ class LindbladModel:
         return cls(h, jumps, cross)
 
 
-def _dissipator_term(l_op, superop, rate=1.0):
-    d = l_op.shape[0]
-    eye = np.eye(d)
-    ldl = l_op.conj().T @ l_op
-    superop += rate * (np.kron(l_op.conj(), l_op)
-                       - 0.5 * np.kron(eye, ldl)
-                       - 0.5 * np.kron(ldl.T, eye))
-
-
 def build(model: LindbladModel) -> np.ndarray:
     """Vectorized generator; the identity is a left null vector to 1e-12."""
     d = model.dim
@@ -120,17 +115,13 @@ def build(model: LindbladModel) -> np.ndarray:
     eye = np.eye(d)
     superop = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for l_op, rate in model.jumps:
-        _dissipator_term(l_op, superop, rate)
+        add_lindblad_term(superop, l_op, l_op, rate)
     if model.cross is not None:
         ops, c = model.cross
         for k, fk in enumerate(ops):
             for l, fl in enumerate(ops):
-                if c[k, l] == 0:
-                    continue
-                fdlk = fl.conj().T @ fk
-                superop += c[k, l] * (np.kron(fl.conj(), fk)
-                                      - 0.5 * np.kron(eye, fdlk)
-                                      - 0.5 * np.kron(fdlk.T, eye))
+                if c[k, l] != 0:
+                    add_lindblad_term(superop, fk, fl, c[k, l])
     return superop
 
 
@@ -140,14 +131,12 @@ def dissipator_only(model: LindbladModel) -> np.ndarray:
 
 
 def apply_superop(superop, rho) -> np.ndarray:
-    d = int(round(math.sqrt(superop.shape[0])))
-    out = superop @ _mat(rho).flatten(order="F")
-    return out.reshape(d, d, order="F")
+    return unvec(superop @ vec(_mat(rho)))
 
 
 def trace_preservation_residual(superop) -> float:
-    d = int(round(math.sqrt(superop.shape[0])))
-    left = np.eye(d).flatten(order="F").conj() @ superop
+    d = math.isqrt(superop.shape[0])
+    left = vec(np.eye(d)).conj() @ superop
     return float(np.abs(left).max())
 
 
@@ -177,8 +166,7 @@ def integrate(model: LindbladModel, rho0: DensityOperator, t_grid,
     cap = 0.05 / max(norm, 1e-12)
     if max_step is not None:
         cap = min(cap, max_step)
-    vec = rho0.matrix.flatten(order="F").astype(complex)
-    d = rho0.dim
+    v = vec(rho0.matrix)
     states = [rho0]
     drift = 0.0
     neg = 0.0
@@ -191,18 +179,17 @@ def integrate(model: LindbladModel, rho0: DensityOperator, t_grid,
         n_sub = max(1, int(math.ceil(span / cap)))
         h = span / n_sub
         for _ in range(n_sub):
-            k1 = rhs(vec)
-            k2 = rhs(vec + 0.5 * h * k1)
-            k3 = rhs(vec + 0.5 * h * k2)
-            k4 = rhs(vec + h * k3)
-            vec = vec + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            m = vec.reshape(d, d, order="F")
-            tr = float(np.real(np.trace(m)))
+            k1 = rhs(v)
+            k2 = rhs(v + 0.5 * h * k1)
+            k3 = rhs(v + 0.5 * h * k2)
+            k4 = rhs(v + h * k3)
+            v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            tr = float(np.real(np.trace(unvec(v))))
             drift = max(drift, abs(tr - 1.0))
-            vec = vec / tr
-            if np.abs(vec).max() > 1e6:
+            v = v / tr
+            if np.abs(v).max() > 1e6:
                 raise LindbladError("integration blew up: step instability")
-        m = vec.reshape(d, d, order="F")
+        m = unvec(v)
         m = (m + m.conj().T) / 2.0
         low = float(np.linalg.eigvalsh(m).min())
         neg = min(neg, low)
@@ -210,7 +197,7 @@ def integrate(model: LindbladModel, rho0: DensityOperator, t_grid,
             raise LindbladError(f"positivity drift {low:.3e} beyond 1e-8")
         states.append(DensityOperator.from_matrix(
             m / np.trace(m), rho0.dims))
-        vec = states[-1].matrix.flatten(order="F")
+        v = vec(states[-1].matrix)
     return IntegrationResult(t_grid, tuple(states), drift, -neg)
 
 
@@ -239,8 +226,7 @@ def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperato
     if null.sum() > 1:
         raise LindbladError(f"degenerate steady space (dim {int(null.sum())})")
     idx = int(np.argmin(np.abs(vals)))
-    d = model.dim
-    m = vecs[:, idx].reshape(d, d, order="F")
+    m = unvec(vecs[:, idx])
     m = (m + m.conj().T) / 2.0
     m = m / np.trace(m)
     low = float(np.linalg.eigvalsh(m).min())
@@ -248,7 +234,7 @@ def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperato
         raise LindbladError(f"steady-state candidate not PSD ({low:.3e})")
     m = _project_psd(m)
     rho = DensityOperator.from_matrix(m)
-    resid = float(np.abs(superop @ rho.matrix.flatten(order="F")).max())
+    resid = float(np.abs(superop @ vec(rho.matrix)).max())
     if resid > 1e-8:
         raise LindbladError(f"steady-state residual {resid:.3e}")
     return rho

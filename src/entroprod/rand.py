@@ -39,12 +39,6 @@ def random_density(dim: int, rng, rank=None, dims=None) -> DensityOperator:
     return DensityOperator.from_matrix(m, dims)
 
 
-def random_pure(dim: int, rng, dims=None) -> DensityOperator:
-    rng = rng_from(rng)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return DensityOperator.pure(v, dims)
-
-
 def random_probability(dim: int, rng) -> np.ndarray:
     rng = rng_from(rng)
     p = rng.random(dim)

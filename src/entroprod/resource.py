@@ -212,7 +212,6 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
         val = q[supp].sum()
         return -math.log(val) if val > 0 else math.inf
     if alpha == math.inf:
-        ratios = [pi / qi for pi, qi in zip(p, q) if pi > 0 or qi > 0]
         if any(qi <= 0 < pi for pi, qi in zip(p, q)):
             return math.inf
         return math.log(max(pi / qi for pi, qi in zip(p, q) if qi > 0))

@@ -16,7 +16,7 @@ from entroprod.core import (
     thermal_state,
     trace_distance,
 )
-from entroprod.rand import random_density
+from entroprod.rand import random_density, random_unitary
 
 RNG = np.random.default_rng(314)
 OMEGA = 1.0
@@ -105,7 +105,31 @@ def test_limit_cycle_unitary_alphabet_errors():
                               UnitaryOperator.from_matrix(np.eye(4), (2, 2)))
     spec = cm.CollisionSpec((stroke,), (H_QUBIT,), (u_sys,))
     with pytest.raises(cm.CollisionalError):
-        cm.limit_cycle(spec, rho0=DensityOperator.pure([1, 0]), cap=500)
+        cm.limit_cycle(spec)
+
+
+def test_limit_cycle_weak_coupling_is_gibbs():
+    # g = 0.1 contracts by only ~1 % per pass; the fixed point is exact anyway
+    spec = cm.CollisionSpec((thermal_stroke(1.0, g=0.1),), (H_QUBIT,))
+    assert trace_distance(cm.limit_cycle(spec), thermal_state(H_QUBIT, 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("ancilla", [DensityOperator.pure([0, 1]),
+                                     thermal_state(H_QUBIT, 0.7)])
+def test_stroke_channel_matches_run(ancilla):
+    # the Kraus-built channel against one `run` step (partial traces) on
+    # d^2 random states, which span the operators of a qutrit
+    rng = np.random.default_rng(11)
+    h3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.5]))
+    stroke = cm.AncillaStroke(ancilla, H_QUBIT, random_unitary(6, rng, dims=(3, 2)))
+    spec = cm.CollisionSpec((stroke,), (h3,), (random_unitary(3, rng),))
+    chan = cm._cycle_channel(spec)
+    starts = [random_density(3, rng) for _ in range(9)]
+    assert np.linalg.matrix_rank(np.array([core.vec(r.matrix) for r in starts])) == 9
+    for rho in starts:
+        states, _ = cm.run(spec, rho, 1)
+        assert np.abs(core.unvec(chan @ core.vec(rho.matrix))
+                      - states[-1].matrix).max() < 1e-12
 
 
 def test_continuous_limit_detailed_balance():
@@ -283,6 +307,23 @@ def test_four_stroke_identity_zero():
                          h_hot=H_QUBIT, h_cold=H_QUBIT)
     assert abs(out.sigma_total) < 1e-10
     assert abs(out.flux_hot) < 1e-12 and abs(out.flux_cold) < 1e-12
+
+
+def test_four_stroke_identity_cycle_keeps_rho0():
+    _, _, _, _, rho_h, rho_c, h_sys = four_stroke_setup()
+    ident3 = UnitaryOperator.from_matrix(np.eye(3))
+    ident6 = UnitaryOperator.from_matrix(np.eye(6), (3, 2))
+    rho0 = random_density(3, np.random.default_rng(12))
+    out = cm.four_stroke(ident3, ident3, ident6, ident6, rho_h, rho_c, h_sys,
+                         rho0=rho0)
+    assert np.abs(out.limit_cycle.matrix - rho0.matrix).max() < 1e-12
+
+
+def test_four_stroke_pure_rotation_errors():
+    v1, _, _, _, rho_h, rho_c, h_sys = four_stroke_setup()
+    ident6 = UnitaryOperator.from_matrix(np.eye(6), (3, 2))
+    with pytest.raises(cm.CollisionalError):
+        cm.four_stroke(v1, v1, ident6, ident6, rho_h, rho_c, h_sys)
 
 
 def test_four_stroke_thermal_clausius_form():

@@ -193,6 +193,9 @@ def test_thermal_state_limits():
     h = random_hermitian(4, RNG)
     uniform = core.thermal_state(h, 0.0)
     assert np.abs(uniform.matrix - np.eye(4) / 4).max() < 1e-12
+    for dims in (4, (2, 2), HilbertDims((2, 2))):
+        mixed = DensityOperator.maximally_mixed(dims)
+        assert np.abs(mixed.matrix - uniform.matrix).max() < 1e-12
     eps_gap = 1.3
     qubit = core.thermal_state(np.diag([0.0, eps_gap]), 2.0)
     f = 1.0 / (math.exp(2.0 * eps_gap) + 1.0)
@@ -274,6 +277,21 @@ def test_constructors_reject_invalid():
         HermitianOperator.from_matrix(np.array([[0, 1], [2, 0]]))
     with pytest.raises(CoreError):
         HilbertDims(())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls", [DensityOperator, HermitianOperator, UnitaryOperator])
+def test_constructors_reject_nonfinite(cls, bad):
+    m = np.eye(2, dtype=complex) / (2.0 if cls is DensityOperator else 1.0)
+    m[1, 1] = bad
+    with pytest.raises(CoreError):
+        cls.from_matrix(m)
+
+
+def test_vec_is_column_stacking():
+    a, x, b = np.random.default_rng(3).normal(size=(3, 3, 3))
+    assert np.abs(core.unvec(np.kron(b.T, a) @ core.vec(x)) - a @ x @ b).max() < 1e-12
+    assert np.array_equal(core.vec(x), x.T.ravel())
 
 
 def test_json_roundtrip():
