@@ -13,6 +13,10 @@ expression, which underestimates) is the physical entropy production.
 The module also carries full counting statistics with a tilted generator,
 Onsager quadratic forms, the two-temperature single-flip Ising lattice and
 a 1-d Fokker-Planck solver with a flux-exact discretization.
+
+The Ising generators are dense 2^N x 2^N arrays, so the lattice is capped
+at 12 sites: each such array is then 128 MiB, and building and validating
+one holds about seven of them at once.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ class RateMatrix:
         w = np.asarray(self.w, dtype=float)
         if w.shape[0] != w.shape[1]:
             raise ClassicalError("rate matrix must be square")
+        if not np.isfinite(w).all():
+            raise ClassicalError("rates must be finite")
         off = w - np.diag(np.diag(w))
         if off.min() < -1e-12:
             raise ClassicalError(f"negative off-diagonal rate {off.min():.3e}")
@@ -55,6 +61,8 @@ class RateMatrix:
         object.__setattr__(self, "w", w)
         if self.reservoirs is not None:
             parts = tuple(np.asarray(p, dtype=float) for p in self.reservoirs)
+            if not all(np.isfinite(p).all() for p in parts):
+                raise ClassicalError("reservoir rates must be finite")
             total = sum(parts)
             if np.abs(total - w).max() > 1e-9 * max(1.0, np.abs(w).max()):
                 raise ClassicalError("reservoir parts do not sum to the full generator")
@@ -67,23 +75,22 @@ class RateMatrix:
     @classmethod
     def from_offdiagonal(cls, rates, reservoirs=None):
         """Build from off-diagonal rates (diagonal filled automatically)."""
-        w = np.asarray(rates, dtype=float).copy()
-        np.fill_diagonal(w, 0.0)
-        np.fill_diagonal(w, -w.sum(axis=0))
-        parts = None
-        if reservoirs is not None:
-            parts = []
-            for p in reservoirs:
-                p = np.asarray(p, dtype=float).copy()
-                np.fill_diagonal(p, 0.0)
-                np.fill_diagonal(p, -p.sum(axis=0))
-                parts.append(p)
-            parts = tuple(parts)
-        return cls(w, parts)
+        parts = None if reservoirs is None else tuple(
+            _fill_diagonal(np.array(p, dtype=float)) for p in reservoirs)
+        return cls(_fill_diagonal(np.array(rates, dtype=float)), parts)
+
+
+def _fill_diagonal(m):
+    """Set the diagonal of m in place so that its columns sum to zero."""
+    np.fill_diagonal(m, 0.0)
+    np.fill_diagonal(m, -m.sum(axis=0))
+    return m
 
 
 def _check_probability(p):
     p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ClassicalError("probabilities must be finite")
     if p.min() < -1e-12:
         raise ClassicalError(f"negative probability {p.min():.3e}")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -114,28 +121,26 @@ def stationary_distribution(rates: RateMatrix) -> np.ndarray:
 # Schnakenberg entropy production
 # ---------------------------------------------------------------------------
 
-def _pair_terms(w, p):
-    """Yield (i, j, J_ij, X_ij) over i < j with the 0 ln 0 conventions."""
-    d = w.shape[0]
-    for i in range(d):
-        for j in range(i + 1, d):
-            wij, wji = w[i, j], w[j, i]
-            if wij == 0.0 and wji == 0.0:
-                continue
-            if (wij == 0.0) != (wji == 0.0):
-                raise ClassicalError(
-                    f"one-way transition between states {j} and {i}: "
-                    "entropy production is ill-defined")
-            x = wij * p[j]
-            y = wji * p[i]
-            if x == 0.0 and y == 0.0:
-                yield i, j, 0.0, 0.0
-                continue
-            if x == 0.0 or y == 0.0:
-                # a zero probability with nonzero inflow: divergent force
-                yield i, j, x - y, math.inf if x > y else -math.inf
-                continue
-            yield i, j, x - y, math.log(x / y)
+def _edge_terms(w, p):
+    """Arrays (i, j, J_ij, X_ij) over the i < j edges of w, with the 0 ln 0
+    conventions: X = 0 when both flows vanish, +-inf when only one does."""
+    nonzero = w != 0.0
+    forward = np.triu(nonzero, 1)
+    one_way = forward != np.triu(nonzero.T, 1)
+    if one_way.any():
+        i, j = np.argwhere(one_way)[0]
+        raise ClassicalError(
+            f"one-way transition between states {j} and {i}: "
+            "entropy production is ill-defined")
+    i, j = np.nonzero(forward)
+    x = w[i, j] * p[j]
+    y = w[j, i] * p[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        forces = np.log(x / y)
+    # no flow either way carries no force; a zero probability with
+    # nonzero inflow keeps its divergent one
+    forces[(x == 0.0) & (y == 0.0)] = 0.0
+    return i, j, x - y, forces
 
 
 @dataclass(frozen=True)
@@ -152,22 +157,13 @@ def schnakenberg(rates: RateMatrix, p) -> SchnakenbergRates:
     flux is linear in p; dS/dt = Sigma_rate - Phi_rate exactly."""
     p = _check_probability(p)
     w = rates.w
-    d = rates.dim
-    currents = np.zeros((d, d))
-    forces = np.zeros((d, d))
-    sigma = 0.0
-    flux = 0.0
-    for i, j, jj, xx in _pair_terms(w, p):
-        currents[i, j] = jj
-        currents[j, i] = -jj
-        forces[i, j] = xx
-        forces[j, i] = -xx
-        if not math.isfinite(xx):
-            sigma = math.inf
-        else:
-            sigma += jj * xx
-            if w[i, j] > 0:
-                flux += jj * math.log(w[i, j] / w[j, i])
+    i, j, jj, xx = _edge_terms(w, p)
+    currents, forces = np.zeros((2,) + w.shape)
+    currents[i, j], forces[i, j] = jj, xx
+    currents, forces = currents - currents.T, forces - forces.T
+    sigma = float(np.sum(jj * xx))
+    finite = np.isfinite(xx)
+    flux = float(np.sum(jj[finite] * np.log(w[i, j] / w[j, i])[finite]))
     ds = sigma - flux if math.isfinite(sigma) else math.inf
     return SchnakenbergRates(sigma, flux, ds, currents, forces)
 
@@ -184,11 +180,8 @@ def multibath_sigma(rates: RateMatrix, p):
     p = _check_probability(p)
     sigma_correct = 0.0
     for part in rates.reservoirs:
-        for _, _, jj, xx in _pair_terms(part, p):
-            if not math.isfinite(xx):
-                sigma_correct = math.inf
-                break
-            sigma_correct += jj * xx
+        _, _, jj, xx = _edge_terms(part, p)
+        sigma_correct += float(np.sum(jj * xx))
     sigma_lumped = schnakenberg(RateMatrix(rates.w), p).sigma_rate
     return sigma_correct, sigma_lumped
 
@@ -205,13 +198,8 @@ def kl_divergence_rate(rates: RateMatrix, p, p_stationary, dt=1e-6):
 
 
 def is_detailed_balanced(rates: RateMatrix, p_stationary, tol=1e-10) -> bool:
-    w = rates.w
-    d = rates.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(w[i, j] * p_stationary[j] - w[j, i] * p_stationary[i]) > tol:
-                return False
-    return True
+    flow = rates.w * np.asarray(p_stationary, dtype=float)
+    return bool(np.all(np.abs(flow - flow.T) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +293,30 @@ def onsager_sigma(l_matrix, affinities):
 # Two-temperature Glauber-Ising lattice (exact, small N)
 # ---------------------------------------------------------------------------
 
+def _flip_rates(n_sites, coupling, adjacency, beta, mu):
+    """(2^N, N) array of w_i(s) = (1/2) {1 - s_i tanh[beta_i (J sum_delta
+    s_(i+delta) + mu_i / 2)]}; bit i of the state index is spin i."""
+    if n_sites > 12:
+        raise ClassicalError("lattice cap is 12 sites: the dense 2^N x 2^N "
+                             "generator is 128 MiB at N = 12, 4 times that per added site")
+    adjacency = [list(neigh) for neigh in adjacency]
+    if len(adjacency) != n_sites:
+        raise ClassicalError("adjacency list must cover every site")
+    spins = 2.0 * ((np.arange(1 << n_sites)[:, None] >> np.arange(n_sites)) & 1) - 1.0
+    local = np.stack([spins[:, neigh].sum(axis=1) for neigh in adjacency], axis=1)
+    return 0.5 * (1.0 - spins * np.tanh(beta * (coupling * local + mu / 2.0)))
+
+
+def _flip_generator(rates, sites):
+    """Dense generator of the single flips of `sites`, diagonal filled."""
+    d = rates.shape[0]
+    states = np.arange(d)[:, None]
+    sites = np.asarray(sites, dtype=int)
+    part = np.zeros((d, d))
+    part[states ^ (1 << sites), states] = rates[:, sites]
+    return _fill_diagonal(part)
+
+
 def glauber_ising(n_sites: int, coupling: float, temperature, mu,
                   adjacency) -> RateMatrix:
     """Single-spin-flip lattice with per-site reservoirs.
@@ -312,39 +324,17 @@ def glauber_ising(n_sites: int, coupling: float, temperature, mu,
     Rates w_i(s) = (1/2) {1 - s_i tanh[beta_i (J sum_delta s_(i+delta)
     + mu_i / 2)]}; sites sharing (T_i, mu_i) share a reservoir, giving the
     per-reservoir decomposition needed for the physical entropy production.
+    At most 12 sites: the generator and each reservoir part are dense
+    2^N x 2^N arrays.
     """
-    if n_sites > 16:
-        raise ClassicalError("lattice cap is 16 sites (2^16 states)")
     temperature = np.broadcast_to(np.asarray(temperature, dtype=float), (n_sites,))
     mu = np.broadcast_to(np.asarray(mu, dtype=float), (n_sites,))
-    adjacency = [tuple(neigh) for neigh in adjacency]
-    if len(adjacency) != n_sites:
-        raise ClassicalError("adjacency list must cover every site")
-    d = 1 << n_sites
-    classes = {}
-    for site in range(n_sites):
-        key = (float(temperature[site]), float(mu[site]))
-        classes.setdefault(key, []).append(site)
-    keys = sorted(classes)
-    parts = [np.zeros((d, d)) for _ in keys]
-
-    def spin(state, k):
-        return 1.0 if (state >> k) & 1 else -1.0
-
-    for state in range(d):
-        spins = [spin(state, k) for k in range(n_sites)]
-        for site in range(n_sites):
-            local = coupling * sum(spins[n] for n in adjacency[site])
-            beta_i = 1.0 / temperature[site]
-            rate = 0.5 * (1.0 - spins[site] * math.tanh(
-                beta_i * (local + mu[site] / 2.0)))
-            target = state ^ (1 << site)
-            k = keys.index((float(temperature[site]), float(mu[site])))
-            parts[k][target, state] += rate
-    for part in parts:
-        np.fill_diagonal(part, -part.sum(axis=0))
-    total = sum(parts)
-    return RateMatrix(total, tuple(parts))
+    rates = _flip_rates(n_sites, coupling, adjacency, 1.0 / temperature, mu)
+    keys = list(zip(temperature.tolist(), mu.tolist()))
+    parts = tuple(
+        _flip_generator(rates, [site for site, k in enumerate(keys) if k == key])
+        for key in sorted(set(keys)))
+    return RateMatrix(sum(parts), parts)
 
 
 def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
@@ -357,32 +347,13 @@ def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
     no entropy is produced at stationarity; two competing values cannot
     share a Gibbs state, which makes the steady state a genuine NESS with
     strictly positive per-reservoir entropy production whenever
-    mu_a != mu_b.
+    mu_a != mu_b.  At most 12 sites, as for `glauber_ising`.
     """
-    if n_sites > 16:
-        raise ClassicalError("lattice cap is 16 sites (2^16 states)")
-    adjacency = [tuple(neigh) for neigh in adjacency]
-    if len(adjacency) != n_sites:
-        raise ClassicalError("adjacency list must cover every site")
-    d = 1 << n_sites
-    beta = 1.0 / temperature
-    parts = [np.zeros((d, d)), np.zeros((d, d))]
-
-    def spin(state, k):
-        return 1.0 if (state >> k) & 1 else -1.0
-
-    for state in range(d):
-        spins = [spin(state, k) for k in range(n_sites)]
-        for site in range(n_sites):
-            local = coupling * sum(spins[n] for n in adjacency[site])
-            target = state ^ (1 << site)
-            for k, mu in enumerate((mu_a, mu_b)):
-                rate = 0.5 * (1.0 - spins[site] * math.tanh(
-                    beta * (local + mu / 2.0)))
-                parts[k][target, state] += rate
-    for part in parts:
-        np.fill_diagonal(part, -part.sum(axis=0))
-    return RateMatrix(sum(parts), tuple(parts))
+    parts = tuple(
+        _flip_generator(_flip_rates(n_sites, coupling, adjacency, 1.0 / temperature, mu),
+                        range(n_sites))
+        for mu in (mu_a, mu_b))
+    return RateMatrix(sum(parts), parts)
 
 
 def ring_adjacency(n_sites: int):
@@ -407,31 +378,29 @@ class FokkerPlanckResult:
     mass: float
 
 
+def _chang_cooper_faces(force, dx, diffusion):
+    """Face forces f_(k+1/2) and the exponential-fitting weights delta_k
+    of the face values P_face = delta P_(k+1) + (1 - delta) P_k, which
+    zero the face flux J = f P_face - D (P_(k+1) - P_k)/dx exactly on the
+    discrete Boltzmann profile."""
+    f_face = 0.5 * (force[:-1] + force[1:])
+    w = f_face * dx / diffusion
+    small = np.abs(w) < 1e-12
+    w = np.where(small, 1.0, w)
+    return f_face, np.where(small, 0.5, 1.0 / w - 1.0 / np.expm1(w))
+
+
 def _chang_cooper_generator(x, force, diffusion):
     """Flux-form discrete generator with the exponential-fitting weights
     that make the discrete Boltzmann distribution exactly stationary;
     reflecting boundaries."""
-    n = len(x)
     dx = x[1] - x[0]
-    gen = np.zeros((n, n))
-    for k in range(n - 1):
-        f_face = 0.5 * (force[k] + force[k + 1])
-        w = f_face * dx / diffusion
-        if abs(w) < 1e-12:
-            delta = 0.5
-        else:
-            delta = 1.0 / w - 1.0 / math.expm1(w)
-        # J_{k+1/2} = f P_face - D (P_{k+1} - P_k)/dx with the
-        # exponentially fitted face value P_face = delta P_{k+1}
-        # + (1 - delta) P_k, which zeroes J exactly on the discrete
-        # Boltzmann profile.
-        c_k = f_face * (1.0 - delta) + diffusion / dx
-        c_k1 = f_face * delta - diffusion / dx
-        gen[k, k] -= c_k / dx
-        gen[k, k + 1] -= c_k1 / dx
-        gen[k + 1, k] += c_k / dx
-        gen[k + 1, k + 1] += c_k1 / dx
-    return gen
+    f_face, delta = _chang_cooper_faces(force, dx, diffusion)
+    # through face k, cell k loses and cell k + 1 gains c_k P_k + c_k1 P_(k+1)
+    c_k = (f_face * (1.0 - delta) + diffusion / dx) / dx
+    c_k1 = (f_face * delta - diffusion / dx) / dx
+    return (np.diag(np.append(0.0, c_k1) - np.append(c_k, 0.0))
+            + np.diag(-c_k1, 1) + np.diag(c_k, -1))
 
 
 def fokker_planck_1d(potential, temperature: float, x_grid, p0, t: float,
@@ -461,18 +430,13 @@ def fokker_planck_1d(potential, temperature: float, x_grid, p0, t: float,
     p_th = np.exp(-(v - v.min()) / temperature)
     p_th = p_th / (p_th.sum() * dx)
 
+    f_face, delta = _chang_cooper_faces(force, dx, diffusion)
+
     def sigma_current(pp):
-        total = 0.0
-        for k in range(len(x) - 1):
-            f_face = 0.5 * (force[k] + force[k + 1])
-            w = f_face * dx / diffusion
-            delta = 0.5 if abs(w) < 1e-12 else 1.0 / w - 1.0 / math.expm1(w)
-            p_face = delta * pp[k + 1] + (1.0 - delta) * pp[k]
-            grad = (pp[k + 1] - pp[k]) / dx
-            j = f_face * p_face - diffusion * grad
-            if p_face > 1e-280:
-                total += j * j / p_face * dx
-        return total / diffusion
+        p_face = delta * pp[1:] + (1.0 - delta) * pp[:-1]
+        j = f_face * p_face - diffusion * ((pp[1:] - pp[:-1]) / dx)
+        keep = p_face > 1e-280
+        return float(np.sum(j[keep] * j[keep] / p_face[keep] * dx)) / diffusion
 
     def kl(pp):
         mask = pp > 1e-280

@@ -90,7 +90,6 @@ class CollisionSpec:
     alphabet: tuple[AncillaStroke, ...]
     h_system: tuple[HermitianOperator, ...]
     system_unitaries: tuple[UnitaryOperator, ...] | None = None
-    tau: float = 1.0
 
     def __post_init__(self):
         if len(self.alphabet) == 0:
@@ -265,9 +264,8 @@ class DissipatorPieces:
     detailed_balance: tuple | None       # gamma+/gamma- ratios per pair
 
 
-def continuous_limit(v_int, rho_ancilla: DensityOperator, tau: float,
-                     pairs=None, h_ancilla=None, beta=None,
-                     lamb_tol: float = 1e-9) -> DissipatorPieces:
+def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None,
+                     beta=None, lamb_tol: float = 1e-9) -> DissipatorPieces:
     """Dissipator of the tau -> 0 collision limit with the V/sqrt(tau)
     scaling:  D(rho) = -1/2 Tr_A [V, [V, rho x rho_A]].
 

@@ -250,12 +250,10 @@ def _clamp_probs(vals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tensor(ops):
-    """Kronecker product of a list of operators, dims concatenated in order.
+    """Kronecker product of a list of operators, in the order given.
 
-    Accepts wrapped operators or bare arrays; returns a bare array when all
-    inputs are bare, otherwise (matrix, dims) is wrapped in nothing and the
-    caller decides.  For convenience this returns the raw ndarray; use
-    `tensor_dims` for the factor bookkeeping.
+    Accepts wrapped operators or bare arrays and always returns the bare
+    ndarray; `tensor_dims` gives the matching factor bookkeeping.
     """
     ops = list(ops)
     if not ops:
@@ -498,14 +496,11 @@ def classical_kl(p, q) -> float:
     q = _clamp_probs(np.asarray(q, dtype=float))
     if p.shape != q.shape:
         raise CoreError("KL divergence needs equally sized vectors")
-    out = 0.0
-    for pi, qi in zip(p, q):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return math.inf
-        out += pi * math.log(pi / qi)
-    return out
+    supp = p > 0.0
+    p, q = p[supp], q[supp]
+    if (q <= 0.0).any():
+        return math.inf
+    return float(p @ np.log(p / q))
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:

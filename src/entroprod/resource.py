@@ -26,6 +26,7 @@ from .core import (
     HermitianOperator,
     _clamp_probs,
     _mat,
+    classical_kl,
     dephase,
     relative_entropy,
     renyi_divergence,
@@ -56,6 +57,8 @@ class EnergyPopulations:
         p = np.asarray(self.probabilities, dtype=float)
         if e.shape != p.shape or e.ndim != 1:
             raise ResourceError("energies/probabilities must be matching 1-d arrays")
+        if not np.all(np.isfinite(p)):
+            raise ResourceError("probabilities must be finite")
         if p.min() < -1e-12:
             raise ResourceError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -211,29 +214,15 @@ def classical_renyi_divergence(p, q, alpha: float) -> float:
     if alpha == 0.0:
         val = q[supp].sum()
         return -math.log(val) if val > 0 else math.inf
-    if alpha == math.inf:
-        if any(qi <= 0 < pi for pi, qi in zip(p, q)):
-            return math.inf
-        return math.log(max(pi / qi for pi, qi in zip(p, q) if qi > 0))
     if alpha == 1.0:
-        out = 0.0
-        for pi, qi in zip(p, q):
-            if pi <= 0:
-                continue
-            if qi <= 0:
-                return math.inf
-            out += pi * math.log(pi / qi)
-        return out
-    mask = (p > 0) | (q > 0)
-    if alpha > 1 and np.any((q <= 0) & (p > 0)):
+        return classical_kl(p, q)
+    if alpha > 1 and ((q <= 0) & (p > 0)).any():
         return math.inf
-    total = 0.0
-    for pi, qi in zip(p[mask], q[mask]):
-        if pi <= 0:
-            continue
-        if qi <= 0:
-            continue
-        total += pi ** alpha * qi ** (1.0 - alpha)
+    if alpha == math.inf:
+        pos = q > 0
+        return math.log((p[pos] / q[pos]).max())
+    both = (p > 0) & (q > 0)
+    total = float(p[both] ** alpha @ q[both] ** (1.0 - alpha))
     if total <= 0:
         return math.inf
     return math.log(total) / (alpha - 1.0)

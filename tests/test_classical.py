@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entroprod import classical as cl
+from entroprod import classical as cl, resource as rs
 from entroprod.rand import random_probability
 
 RNG = np.random.default_rng(2021)
@@ -93,6 +93,38 @@ def test_schnakenberg_one_way_transition_error():
     with pytest.raises(cl.ClassicalError) as err:
         cl.schnakenberg(w, np.array([0.5, 0.5]))
     assert "one-way" in str(err.value)
+
+
+def test_schnakenberg_zero_probability_with_inflow():
+    w = cl.RateMatrix.from_offdiagonal([[0.0, 1.0, 0.5], [2.0, 0.0, 1.5], [0.7, 0.3, 0.0]])
+    s = cl.schnakenberg(w, np.array([0.4, 0.6, 0.0]))
+    assert s.sigma_rate == s.entropy_rate == math.inf
+    # the flows into the empty state 2 have divergent forces
+    assert (s.forces[2, :2] == math.inf).all() and (s.currents[2, :2] > 0).all()
+    assert np.array_equal(s.forces, -s.forces.T)
+    assert math.isfinite(s.flux_rate)
+
+
+def driven_three_state_ring(beta_h, beta_c):
+    """Hot bath on the edges 0-1 and 1-2, cold bath on 0-2."""
+    energies = [0.0, 1.0, 2.0]
+
+    def bath(beta, edges):
+        g = np.zeros((3, 3))
+        for i, j in edges:
+            g[i, j] = math.exp(-beta * (energies[i] - energies[j]) / 2)
+            g[j, i] = 1.0 / g[i, j]
+        return g
+
+    g_h, g_c = bath(beta_h, [(0, 1), (1, 2)]), bath(beta_c, [(0, 2)])
+    return cl.RateMatrix.from_offdiagonal(g_h + g_c, reservoirs=(g_h, g_c))
+
+
+def test_is_detailed_balanced_driven_two_bath():
+    driven = driven_three_state_ring(0.5, 2.0)
+    assert not cl.is_detailed_balanced(driven, cl.stationary_distribution(driven))
+    equal = driven_three_state_ring(1.0, 1.0)
+    assert cl.is_detailed_balanced(equal, cl.stationary_distribution(equal))
 
 
 def two_bath_two_level(beta_h=0.5, beta_c=2.0, eps=1.0):
@@ -234,6 +266,65 @@ def test_glauber_sigma_continuous_in_temperature():
 def test_glauber_size_cap():
     with pytest.raises(cl.ClassicalError):
         cl.glauber_ising(17, 1.0, 1.0, [0.0] * 17, cl.ring_adjacency(17))
+
+
+def test_glauber_cap_is_twelve_sites():
+    # checked before anything is allocated, so the cap itself is never built
+    with pytest.raises(cl.ClassicalError):
+        cl.glauber_ising(13, 1.0, 1.0, 0.0, cl.ring_adjacency(13))
+    with pytest.raises(cl.ClassicalError):
+        cl.glauber_ising_competing(13, 1.0, 1.0, 0.5, -0.5, cl.ring_adjacency(13))
+
+
+def test_glauber_one_part_per_temperature_and_mu():
+    n, coupling = 4, 0.7
+    temps, mu = [1.5, 2.0, 1.5, 2.0], cl.checkerboard_mu(4, 0.6)
+    adj = cl.ring_adjacency(n)
+    w = cl.glauber_ising(n, coupling, temps, mu, adj)
+    classes = sorted(set(zip(temps, mu)))
+    assert len(w.reservoirs) == len(classes) == 2
+    for (t_val, mu_val), part in zip(classes, w.reservoirs):
+        sites = [k for k in range(n) if (temps[k], mu[k]) == (t_val, mu_val)]
+        want = np.zeros((1 << n, 1 << n))
+        for state in range(1 << n):
+            spin = [1.0 if (state >> k) & 1 else -1.0 for k in range(n)]
+            for k in sites:
+                field = coupling * sum(spin[m] for m in adj[k]) + mu_val / 2
+                want[state ^ (1 << k), state] = 0.5 * (1 - spin[k] * math.tanh(field / t_val))
+        np.fill_diagonal(want, -want.sum(axis=0))
+        assert np.abs(part - want).max() < 1e-14
+    assert np.abs(sum(w.reservoirs) - w.w).max() < 1e-14
+
+
+def test_multibath_matches_pair_loop():
+    n = 6
+    w = cl.glauber_ising_competing(n, 1.0, 1.8, 0.7, -0.7, cl.ring_adjacency(n))
+    p = cl.stationary_distribution(w)
+    want = 0.0
+    for part in w.reservoirs:
+        for i in range(1 << n):
+            for j in range(i + 1, 1 << n):
+                if part[i, j] > 0:
+                    x, y = part[i, j] * p[j], part[j, i] * p[i]
+                    want += (x - y) * math.log(x / y)
+    sigma, _ = cl.multibath_sigma(w, p)
+    assert want > 1e-3
+    assert abs(sigma - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validators_reject_nonfinite(bad):
+    w = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    w_bad = w.copy()
+    w_bad[0, 1] = bad
+    with pytest.raises(cl.ClassicalError):
+        cl.RateMatrix(w_bad)
+    with pytest.raises(cl.ClassicalError):
+        cl.RateMatrix(np.zeros((2, 2)), (w_bad,))
+    with pytest.raises(cl.ClassicalError):
+        cl.schnakenberg(cl.RateMatrix(w), [bad, 0.5])
+    with pytest.raises(rs.ResourceError):
+        rs.EnergyPopulations(np.array([0.0, 1.0]), np.array([bad, 0.5]))
 
 
 OU_SPRING, OU_TEMP = 1.0, 0.7

@@ -137,9 +137,8 @@ def test_continuous_limit_detailed_balance():
     rho_a = thermal_state(H_QUBIT, beta)
     g = 0.8
     v = g * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-    pieces = cm.continuous_limit(v, rho_a, 0.01,
-                                 pairs=[(SIGMA_MINUS, SIGMA_MINUS, g)],
-                                 h_ancilla=H_QUBIT, beta=beta)
+    pieces = cm.continuous_limit(v, rho_a, pairs=[(SIGMA_MINUS, SIGMA_MINUS, g)],
+                                 beta=beta)
     gamma_minus, gamma_plus = pieces.rates[0]
     f = 1.0 / (math.exp(beta * OMEGA) + 1.0)
     assert abs(gamma_minus - g ** 2 * (1 - f)) < 1e-12
@@ -152,8 +151,7 @@ def test_continuous_limit_maximally_mixed_rates_equal():
     rho_a = DensityOperator.from_matrix(np.eye(2) / 2)
     g = 0.5
     v = g * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-    pieces = cm.continuous_limit(v, rho_a, 0.01,
-                                 pairs=[(SIGMA_MINUS, SIGMA_MINUS, g)])
+    pieces = cm.continuous_limit(v, rho_a, pairs=[(SIGMA_MINUS, SIGMA_MINUS, g)])
     gamma_minus, gamma_plus = pieces.rates[0]
     assert abs(gamma_minus - gamma_plus) < 1e-12
 
@@ -163,7 +161,7 @@ def test_continuous_limit_matches_finite_collision():
     rho_a = thermal_state(H_QUBIT, beta)
     g = 0.7
     v = g * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-    pieces = cm.continuous_limit(v, rho_a, 0.01)
+    pieces = cm.continuous_limit(v, rho_a)
     rho = random_density(2, RNG)
 
     def one_collision(tau):
@@ -183,7 +181,7 @@ def test_continuous_limit_rejects_lamb_shift():
     v = np.kron(PAULI_Z, PAULI_Z)  # Tr_A(V rho_A) nonzero for biased ancilla
     rho_a = DensityOperator.from_matrix(np.diag([0.8, 0.2]))
     with pytest.raises(cm.CollisionalError):
-        cm.continuous_limit(v, rho_a, 0.01)
+        cm.continuous_limit(v, rho_a)
 
 
 def test_preferred_basis_diagonal_state_classical_only():
