@@ -182,8 +182,8 @@ def multibath_sigma(rates: RateMatrix, p):
     for part in rates.reservoirs:
         _, _, jj, xx = _edge_terms(part, p)
         sigma_correct += float(np.sum(jj * xx))
-    sigma_lumped = schnakenberg(RateMatrix(rates.w), p).sigma_rate
-    return sigma_correct, sigma_lumped
+    _, _, jj, xx = _edge_terms(rates.w, p)
+    return sigma_correct, float(np.sum(jj * xx))
 
 
 def kl_divergence_rate(rates: RateMatrix, p, p_stationary, dt=1e-6):
@@ -403,8 +403,8 @@ def _chang_cooper_generator(x, force, diffusion):
             + np.diag(-c_k1, 1) + np.diag(c_k, -1))
 
 
-def fokker_planck_1d(potential, temperature: float, x_grid, p0, t: float,
-                     n_steps: int = 400) -> FokkerPlanckResult:
+def fokker_planck_1d(potential, temperature: float, x_grid, p0,
+                     t: float) -> FokkerPlanckResult:
     """Overdamped diffusion dx = -V'(x) dt + sqrt(2T) dW on a uniform grid.
 
     Returns the evolved density plus the two entropy production rates at

@@ -265,19 +265,21 @@ class DissipatorPieces:
 
 
 def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None,
-                     beta=None, lamb_tol: float = 1e-9) -> DissipatorPieces:
+                     lamb_tol: float = 1e-9) -> DissipatorPieces:
     """Dissipator of the tau -> 0 collision limit with the V/sqrt(tau)
     scaling:  D(rho) = -1/2 Tr_A [V, [V, rho x rho_A]].
 
     For Hermitian V this is sum_{mu nu} D[sqrt(q_nu) V_{mu nu}] with
     V_{mu nu} = <mu|V|nu> in the eigenbasis of rho_A = sum q_nu |nu><nu|,
     which is how the superoperator is assembled.  Requires a vanishing
-    induced shift Tr_A(V rho_A); a violation beyond lamb_tol is an error.  When `pairs` = [(L_k, A_k, g_k), ...] describes
+    induced shift Tr_A(V rho_A); a violation beyond lamb_tol is an error.
+    When `pairs` = [(L_k, A_k, g_k), ...] describes
     V = sum_k g_k (L_k^dag A_k + L_k A_k^dag), the familiar two-rate form
     D = sum_k gamma_k^- D[L_k] + gamma_k^+ D[L_k^dag] applies with the
     emission rate gamma_k^- = g_k^2 <A_k A_k^dag> and the absorption rate
-    gamma_k^+ = g_k^2 <A_k^dag A_k>; for a thermal ancilla and eigenoperator
-    A_k the reported ratio gamma^+/gamma^- equals e^{-beta omega_k}.
+    gamma_k^+ = g_k^2 <A_k^dag A_k>, and `detailed_balance` reports the
+    ratio gamma^+/gamma^- per pair; for a thermal ancilla and eigenoperator
+    A_k it equals e^{-beta omega_k}.
     """
     v = _mat(v_int)
     if np.abs(v - v.conj().T).max() > HERMITICITY_TOL * max(1.0, np.abs(v).max()):
@@ -294,8 +296,7 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None,
     superop = np.zeros((d * d, d * d), dtype=complex)
     for k in ancilla_kraus(v, rho_ancilla):
         add_lindblad_term(superop, k, k)
-    rates = None
-    db = None
+    rates = db = None
     if pairs is not None:
         rates = []
         for (_, a_k, g_k) in pairs:
@@ -304,8 +305,7 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None,
             gamma_plus = g_k ** 2 * float(np.real(np.trace(a.conj().T @ a @ ra)))
             rates.append((gamma_minus, gamma_plus))
         rates = tuple(rates)
-        if beta is not None:
-            db = tuple(gp / gm if gm > 0 else math.inf for gm, gp in rates)
+        db = tuple(gp / gm if gm > 0 else math.inf for gm, gp in rates)
     return DissipatorPieces(superop, shift_norm, rates, db)
 
 

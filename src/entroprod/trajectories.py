@@ -2,9 +2,10 @@
 
 A forward trajectory of an episode is gamma = (n, nu, m, mu): measure S and
 E in the eigenbases of their initial states, evolve with U, measure again
-in a final product basis.  The backward process re-initializes the joint
-system in a reference state rho_tilde and runs U^dag; its choice fixes
-which information counts as lost, and hence what <sigma> means:
+in a final product basis.  A `PathEnsemble` holds all of them as arrays
+over the outcome grid [m, mu, n, nu].  The backward process re-initializes
+the joint system in a reference state rho_tilde and runs U^dag; its choice
+fixes which information counts as lost, and hence what <sigma> means:
 
     bath reset            rho_S' x rho_E     ->  I(S:E) + S(rho_E'||rho_E)
     correlations destroyed rho_S' x rho_E'   ->  I(S:E)
@@ -16,34 +17,32 @@ diagonalizes the backward reference state, so each choice fixes its own
 final basis (see `backward_ensemble`).  The module also hosts the
 work-protocol statistics (Crooks/Jarzynski), cumulant generating
 functions, infinitesimal-quench expansions, correlated and augmented
-exchange ensembles, measurement-driven trajectories, and the finite-width
-work-weight convolution.
+exchange ensembles (on grids of their own), measurement-driven
+trajectories (sampled beyond a cap with the random stream of one
+rng.choice per sample and step), and the finite-width work-weight
+convolution.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CoreError,
     DensityOperator,
     HermitianOperator,
-    HilbertDims,
-    UnitaryOperator,
     _clamp_probs,
     _mat,
-    hermitian_function,
     partial_trace,
     relative_entropy,
     shannon_entropy,
     tensor,
     thermal_state,
     trace_distance,
-    von_neumann_entropy,
 )
 from .episodes import Episode, evolve, is_strict_energy_conserving
 
@@ -62,47 +61,50 @@ class BackwardChoice(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    outcome: tuple
-    p_forward: float
-    p_backward: float | None = None
-    sigma: float | None = None
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
-    trajectories: tuple[Trajectory, ...]
+    """An exhaustive ensemble as arrays over its outcome grid.
+
+    For an episode the grid is [m, mu, n, nu]: final outcomes (m, mu) of S
+    and E first, initial outcomes (n, nu) last, so `.ravel()` lists the
+    paths in that order.  sigma is 0 where p_forward vanishes and +inf
+    where only p_backward does.  An ensemble without a backward process
+    leaves p_backward and sigma as None.
+    """
+
+    p_forward: np.ndarray
+    p_backward: np.ndarray | None = None
+    sigma: np.ndarray | None = None
     choice: BackwardChoice | None = None
 
     def forward_probabilities(self):
-        return np.array([t.p_forward for t in self.trajectories])
+        return self.p_forward.ravel()
 
     def sigmas(self):
-        return np.array([t.sigma for t in self.trajectories])
+        return self.sigma.ravel()
 
     def average_sigma(self) -> float:
-        tot = 0.0
-        for t in self.trajectories:
-            if t.p_forward <= 0.0:
-                continue
-            if not math.isfinite(t.sigma):
-                return math.inf
-            tot += t.p_forward * t.sigma
-        return tot
+        """<sigma>; +inf if any populated path has an infinite sigma."""
+        live = self.p_forward > 0.0
+        sig = self.sigma[live]
+        if not np.isfinite(sig).all():
+            return math.inf
+        return float(np.dot(self.p_forward[live], sig))
 
     def integral_ft(self) -> float:
         """<e^{-sigma}> over the forward ensemble (1 when supports match)."""
-        return float(sum(t.p_forward * math.exp(-t.sigma)
-                         for t in self.trajectories
-                         if t.p_forward > 0.0 and math.isfinite(t.sigma)))
+        live = (self.p_forward > 0.0) & np.isfinite(self.sigma)
+        return float(np.dot(self.p_forward[live], np.exp(-self.sigma[live])))
 
     def sigma_distribution(self) -> "ScalarDistribution":
-        vals, probs = [], []
-        for t in self.trajectories:
-            if t.p_forward > 0:
-                vals.append(t.sigma)
-                probs.append(t.p_forward)
-        return ScalarDistribution.from_samples(np.array(vals), np.array(probs))
+        live = self.p_forward > 0.0
+        return ScalarDistribution.from_samples(self.sigma[live], self.p_forward[live])
+
+
+def _write_csv(path, header, *columns):
+    lines = [header] + [",".join(format(x, ".17g") for x in row) for row in zip(*columns)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 @dataclass(frozen=True)
@@ -173,12 +175,7 @@ class ScalarDistribution:
         return ScalarDistribution.from_samples(vals, probs)
 
     def to_csv(self, path):
-        lines = ["value,probability"]
-        lines += [f"{format(v, '.17g')},{format(p, '.17g')}"
-                  for v, p in zip(self.values, self.probabilities)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return path
+        return _write_csv(path, "value,probability", self.values, self.probabilities)
 
     def to_json(self) -> dict:
         return {"values": self.values.tolist(),
@@ -194,40 +191,22 @@ def _eig_state(rho) -> tuple[np.ndarray, np.ndarray]:
     return _clamp_probs(vals), vecs
 
 
-def _joint_amplitudes(u, basis_s_final, basis_e_final, basis_s_init, basis_e_init):
-    """|<m,mu| U |n,nu>|^2 as array [m, mu, n, nu]."""
-    final = np.kron(basis_s_final, basis_e_final)
-    init = np.kron(basis_s_init, basis_e_init)
-    amp = final.conj().T @ u @ init
-    ds_f = basis_s_final.shape[1]
-    de_f = basis_e_final.shape[1]
-    ds_i = basis_s_init.shape[1]
-    de_i = basis_e_init.shape[1]
-    return (np.abs(amp) ** 2).reshape(ds_f, de_f, ds_i, de_i)
+def _log_ratio(num, den, p_forward, p_backward):
+    """ln num/den on the grid of p_forward: 0 where p_forward vanishes, +inf
+    where only the backward weight p_backward does."""
+    live = p_forward > 0.0
+    out = np.where(live, math.inf, 0.0)
+    ok = live & (p_backward > 0.0)
+    out[ok] = np.log(np.broadcast_to(num, out.shape)[ok]
+                     / np.broadcast_to(den, out.shape)[ok])
+    return out
 
 
 def tpm_ensemble(ep: Episode) -> PathEnsemble:
     """Exhaustive forward ensemble with the default final bases, the
     eigenbases of rho_S' and rho_E' (no measurement backaction on the
-    local ensembles)."""
-    if ep.unitary.dim > ENSEMBLE_DIM_CAP:
-        raise TrajectoryError(f"joint dimension {ep.unitary.dim} exceeds the "
-                              f"exhaustive cap {ENSEMBLE_DIM_CAP}")
-    ev = evolve(ep)
-    p_init, vs_init = _eig_state(ep.rho_system)
-    q_init, ve_init = _eig_state(ep.rho_env)
-    _, vs_fin = _eig_state(ev.rho_system)
-    _, ve_fin = _eig_state(ev.rho_env)
-    w = _joint_amplitudes(ep.unitary.matrix, vs_fin, ve_fin, vs_init, ve_init)
-    trajs = []
-    ds, de = ep.rho_system.dim, ep.rho_env.dim
-    for m in range(ds):
-        for mu in range(de):
-            for n in range(ds):
-                for nu in range(de):
-                    pf = w[m, mu, n, nu] * p_init[n] * q_init[nu]
-                    trajs.append(Trajectory((n, nu, m, mu), float(pf)))
-    return PathEnsemble(tuple(trajs))
+    local ensembles); its backward process is CORRELATIONS_DESTROYED."""
+    return backward_ensemble(ep, BackwardChoice.CORRELATIONS_DESTROYED)
 
 
 def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
@@ -243,75 +222,55 @@ def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
                              rho_SE' in that very basis)
       BOTH_RESET             |n> x |nu>        (initial eigenbases)
 
-    The per-trajectory sigma = ln p_n q_nu / rho_tilde_{m mu}; a vanishing
+    The arrays live on the grid [m, mu, n, nu] with
+    w = |<m,mu|U|n,nu>|^2 = |<n,nu|U^dag|m,mu>|^2,
+    p_forward = w p_n q_nu and p_backward = w rho_tilde_{m mu}.  The
+    per-trajectory sigma = ln p_n q_nu / rho_tilde_{m mu}; a vanishing
     reference weight on a populated forward trajectory yields +inf.
     """
     if ep.unitary.dim > ENSEMBLE_DIM_CAP:
         raise TrajectoryError(f"joint dimension {ep.unitary.dim} exceeds the "
                               f"exhaustive cap {ENSEMBLE_DIM_CAP}")
     ev = evolve(ep)
+    ds, de = ep.rho_system.dim, ep.rho_env.dim
     p_init, vs_init = _eig_state(ep.rho_system)
     q_init, ve_init = _eig_state(ep.rho_env)
     ps_fin, vs_fin = _eig_state(ev.rho_system)
     qe_fin, ve_fin = _eig_state(ev.rho_env)
 
     if choice is BackwardChoice.BATH_RESET:
-        basis_s, basis_e = vs_fin, ve_init
-        ref_s, ref_e = ps_fin, q_init
-        ref_weight = np.outer(ref_s, ref_e)
+        basis_s, basis_e, ref = vs_fin, ve_init, np.outer(ps_fin, q_init)
     elif choice is BackwardChoice.CORRELATIONS_DESTROYED:
-        basis_s, basis_e = vs_fin, ve_fin
-        ref_weight = np.outer(ps_fin, qe_fin)
+        basis_s, basis_e, ref = vs_fin, ve_fin, np.outer(ps_fin, qe_fin)
     elif choice is BackwardChoice.POST_MEASUREMENT_STATE:
         basis_s, basis_e = vs_fin, ve_fin
         final = np.kron(basis_s, basis_e)
         diag = np.real(np.einsum("im,ij,jm->m", final.conj(),
                                  ev.rho_joint.matrix, final))
-        ref_weight = _clamp_probs(diag).reshape(ep.rho_system.dim, ep.rho_env.dim)
+        ref = _clamp_probs(diag).reshape(ds, de)
     elif choice is BackwardChoice.BOTH_RESET:
-        basis_s, basis_e = vs_init, ve_init
-        ref_weight = np.outer(p_init, q_init)
+        basis_s, basis_e, ref = vs_init, ve_init, np.outer(p_init, q_init)
     else:
         raise TrajectoryError(f"unknown backward choice {choice}")
 
-    w = _joint_amplitudes(ep.unitary.matrix, basis_s, basis_e, vs_init, ve_init)
-    trajs = []
-    ds, de = ep.rho_system.dim, ep.rho_env.dim
-    for m in range(ds):
-        for mu in range(de):
-            for n in range(ds):
-                for nu in range(de):
-                    # |<n,nu|U^dag|m,mu>|^2 = |<m,mu|U|n,nu>|^2
-                    pf = float(w[m, mu, n, nu] * p_init[n] * q_init[nu])
-                    pb = float(w[m, mu, n, nu] * ref_weight[m, mu])
-                    if pf <= 0.0:
-                        sigma = 0.0
-                    elif pb <= 0.0:
-                        sigma = math.inf
-                    else:
-                        sigma = math.log(p_init[n] * q_init[nu] / ref_weight[m, mu])
-                    trajs.append(Trajectory((n, nu, m, mu), pf, pb, sigma))
-    return PathEnsemble(tuple(trajs), choice)
+    amp = np.kron(basis_s, basis_e).conj().T @ ep.unitary.matrix @ np.kron(vs_init, ve_init)
+    w = (np.abs(amp) ** 2).reshape(ds, de, ds, de)
+    ref = ref[:, :, None, None]
+    pf, pb = w * p_init[:, None] * q_init, w * ref
+    return PathEnsemble(pf, pb, _log_ratio(np.outer(p_init, q_init), ref, pf, pb), choice)
 
 
 def stochastic_sigma(forward: PathEnsemble, backward: PathEnsemble | None = None):
-    """Per-trajectory sigma = ln P_F / P_B for matched ensembles."""
+    """Per-trajectory sigma = ln P_F / P_B for matched ensembles, in the
+    flat grid order."""
     if backward is None:
-        if any(t.sigma is None for t in forward.trajectories):
+        if forward.sigma is None:
             raise TrajectoryError("ensemble carries no backward probabilities")
         return forward.sigmas()
-    out = []
-    for tf, tb in zip(forward.trajectories, backward.trajectories):
-        if tf.outcome != tb.outcome:
-            raise TrajectoryError("ensembles are not matched trajectory by trajectory")
-        pb = tb.p_backward if tb.p_backward is not None else tb.p_forward
-        if tf.p_forward <= 0:
-            out.append(0.0)
-        elif pb <= 0:
-            out.append(math.inf)
-        else:
-            out.append(math.log(tf.p_forward / pb))
-    return np.array(out)
+    if forward.p_forward.shape != backward.p_forward.shape:
+        raise TrajectoryError("ensembles are not matched trajectory by trajectory")
+    pb = backward.p_forward if backward.p_backward is None else backward.p_backward
+    return _log_ratio(forward.p_forward, pb, forward.p_forward, pb).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +363,7 @@ class CgfCurve:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
     def to_csv(self, path):
-        lines = ["lambda,K"]
-        lines += [f"{format(l, '.17g')},{format(k, '.17g')}"
-                  for l, k in zip(self.lam, self.values)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return path
+        return _write_csv(path, "lambda,K", self.lam, self.values)
 
 
 def work_cgf(h_initial, h_final, protocol_unitary, beta: float, lam_grid) -> CgfCurve:
@@ -425,20 +379,22 @@ def work_cgf(h_initial, h_final, protocol_unitary, beta: float, lam_grid) -> Cgf
     v = _mat(protocol_unitary)
     rho_i = thermal_state(HermitianOperator.from_matrix(hi), beta).matrix
     rho_f = thermal_state(HermitianOperator.from_matrix(hf), beta).matrix
-    ei, vi = np.linalg.eigh(rho_i)
-    ef, vf = np.linalg.eigh(rho_f)
-    ei = _clamp_probs(ei)
-    ef = _clamp_probs(ef)
+    ei, vi = _eig_state(rho_i)
+    ef, vf = _eig_state(rho_f)
     lam_grid = np.asarray(lam_grid, dtype=float)
     out = np.empty_like(lam_grid)
     for k, lam in enumerate(lam_grid):
         pow_f = (vf * ef ** lam) @ vf.conj().T
         pow_i = (vi * ei ** (1.0 - lam)) @ vi.conj().T
         out[k] = math.log(float(np.real(np.trace(v.conj().T @ pow_f @ v @ pow_i))))
+    return CgfCurve(lam_grid, out, tuple(_work_sigma(hi, hf, v, beta).cumulants(4)))
+
+
+def _work_sigma(hi, hf, v, beta) -> ScalarDistribution:
+    """The distribution of sigma = beta (W - dF) of a work protocol."""
     stats = work_distribution(hi, hf, v, beta)
-    sig = ScalarDistribution(beta * (stats.forward.values - stats.delta_f),
-                             stats.forward.probabilities)
-    return CgfCurve(lam_grid, out, tuple(sig.cumulants(4)))
+    return ScalarDistribution(beta * (stats.forward.values - stats.delta_f),
+                              stats.forward.probabilities)
 
 
 # ---------------------------------------------------------------------------
@@ -449,42 +405,36 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _gl_map(a, b):
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    w = 0.5 * (b - a) * _GL_WEIGHTS
-    return x, w
+    half = 0.5 * (b - a)
+    return half * _GL_NODES + 0.5 * (a + b), half * _GL_WEIGHTS
 
 
-def _y_covariance(rho_vals, rho_vecs, op, y) -> float:
-    """cov^y(A, A) = Tr[A rho^y A rho^(1-y)] - <A>^2 for one y."""
-    a = rho_vecs.conj().T @ _mat(op) @ rho_vecs
-    mean = float(np.real(np.sum(np.diag(a).real * rho_vals)))
-    py = rho_vals ** y
-    p1y = rho_vals ** (1.0 - y)
-    corr = float(np.real(np.einsum("ij,j,ji,i->", a, p1y, a, py)))
-    return corr - mean ** 2
+def _y_correlation(rho, op, ys):
+    """Tr[A rho^y A rho^(1-y)] at every y of the array ys, with <A> and
+    <A^2> in rho."""
+    vals, vecs = _eig_state(rho)
+    a = vecs.conj().T @ _mat(op) @ vecs
+    y = np.asarray(ys)[..., None]
+    corr = np.real(np.einsum("ij,...j,ji,...i->...", a, vals ** (1.0 - y), a, vals ** y))
+    mean = float(np.sum(np.diag(a).real * vals))
+    second = float(np.sum(np.diag(a @ a).real * vals))
+    return corr, mean, second
 
 
 def y_covariance_integral(rho, op) -> float:
-    """int_0^1 cov^y(A, A) dy by 32-node Gauss-Legendre."""
-    vals, vecs = _eig_state(rho)
+    """int_0^1 cov^y(A, A) dy by 32-node Gauss-Legendre, where
+    cov^y(A, A) = Tr[A rho^y A rho^(1-y)] - <A>^2."""
     x, w = _gl_map(0.0, 1.0)
-    return float(np.sum(w * [_y_covariance(vals, vecs, op, y) for y in x]))
+    corr, mean, _ = _y_correlation(rho, op, x)
+    return float(np.sum(w * (corr - mean ** 2)))
 
 
 def skew_information_integral(rho, op) -> float:
-    """int_0^1 I_y(rho, A) dy with I_y = -1/2 Tr{[rho^y, A][rho^(1-y), A]}."""
-    vals, vecs = _eig_state(rho)
-    a = vecs.conj().T @ _mat(op) @ vecs
-    asq = a @ a
-    var_part = float(np.real(np.sum(np.diag(asq).real * vals)))
+    """int_0^1 I_y(rho, A) dy with I_y = -1/2 Tr{[rho^y, A][rho^(1-y), A]}
+    = <A^2> - Tr[A rho^y A rho^(1-y)]."""
     x, w = _gl_map(0.0, 1.0)
-    out = 0.0
-    for y, wi in zip(x, w):
-        py = vals ** y
-        p1y = vals ** (1.0 - y)
-        corr = float(np.real(np.einsum("ij,j,ji,i->", a, p1y, a, py)))
-        out += wi * (var_part - corr)
-    return out
+    corr, _, second = _y_correlation(rho, op, x)
+    return float(np.sum(w * (second - corr)))
 
 
 @dataclass(frozen=True)
@@ -526,9 +476,7 @@ def quench_report(h_of_lambda, lam0: float, dlam: float, beta: float,
     commuting = float(np.abs(hi @ hf - hf @ hi).max()) < 1e-12 * max(
         1.0, float(np.abs(hi).max() * np.abs(hf).max()))
     # exhaustive sigma distribution (V = identity quench)
-    stats = work_distribution(hi, hf, np.eye(hi.shape[0]), beta)
-    sig = ScalarDistribution(beta * (stats.forward.values - stats.delta_f),
-                             stats.forward.probabilities)
+    sig = _work_sigma(hi, hf, np.eye(hi.shape[0]), beta)
     kappa = sig.cumulants(4)
     fdr_residual = kappa[0] - (0.5 * kappa[1] - skew)
     expansion_ok = abs(sigma_exact - sigma_2) <= rel_tol * max(sigma_exact, 1e-300)
@@ -555,22 +503,14 @@ def quench_cgf(h_initial, h_final, beta: float, lam_grid) -> CgfCurve:
     hi = _mat(h_initial)
     hf = _mat(h_final)
     rho_i = thermal_state(HermitianOperator.from_matrix(hi), beta)
-    dh = hf - hi
-    vals, vecs = _eig_state(rho_i)
-
-    def inner(x):
-        ys, ws = _gl_map(x, 1.0 - x)
-        return float(np.sum(ws * [_y_covariance(vals, vecs, dh, y) for y in ys]))
-
     lam_grid = np.asarray(lam_grid, dtype=float)
-    out = np.empty_like(lam_grid)
-    for k, lam in enumerate(lam_grid):
-        xs, wx = _gl_map(0.0, lam)
-        out[k] = -0.5 * beta ** 2 * float(np.sum(wx * [inner(x) for x in xs]))
-    stats = work_distribution(hi, hf, np.eye(hi.shape[0]), beta)
-    sig = ScalarDistribution(beta * (stats.forward.values - stats.delta_f),
-                             stats.forward.probabilities)
-    return CgfCurve(lam_grid, out, tuple(sig.cumulants(4)))
+    xs, wx = _gl_map(0.0, lam_grid[:, None])                  # [lam, x]
+    ys, wy = _gl_map(xs[..., None], 1.0 - xs[..., None])      # [lam, x, y]
+    corr, mean, _ = _y_correlation(rho_i, hf - hi, ys)
+    inner = np.sum(wy * (corr - mean ** 2), axis=-1)
+    out = -0.5 * beta ** 2 * np.sum(wx * inner, axis=-1)
+    return CgfCurve(lam_grid, out, tuple(_work_sigma(hi, hf, np.eye(hi.shape[0]),
+                                                     beta).cumulants(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +519,7 @@ def quench_cgf(h_initial, h_final, beta: float, lam_grid) -> CgfCurve:
 
 @dataclass(frozen=True)
 class CorrelatedExchange:
-    ensemble: tuple              # (nA, nB, mA, mB, P, q_B, dI)
+    ensemble: PathEnsemble       # grid [mA, mB, nA, nB]
     mean_heat_dephased: float    # the TPM (measured) average heat
     mean_heat_unitary: float     # Tr{H_B (U rho U' - rho)}, no measurement
     integral_ft: float           # <e^{-[(bB-bA) q_B - dI]}> = 1
@@ -598,7 +538,9 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     unitary-only value whenever the correlations live in coherences.  The
     trajectory functional sigma = (beta_B - beta_A) q_B - dI satisfies the
     integral fluctuation theorem and Jensen gives
-    (beta_B - beta_A) <q_B> >= <dI>.
+    (beta_B - beta_A) <q_B> >= <dI>.  The ensemble lives on the grid
+    [mA, mB, nA, nB]; its backward process starts from the same dephased
+    state on the final outcomes and runs U^dag.
     """
     if trace_distance(partial_trace(rho_ab, [0]), thermal_state(h_a, beta_a)) > tol:
         raise TrajectoryError("marginal of A is not thermal at beta_a")
@@ -614,43 +556,27 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     da, db = len(ea), len(eb)
     p_joint = np.real(np.einsum("im,ij,jm->m", basis.conj(), rho_ab.matrix, basis))
     p_joint = _clamp_probs(p_joint).reshape(da, db)
-    pa = p_joint.sum(axis=1)
-    pb = p_joint.sum(axis=0)
-    w = np.abs(basis.conj().T @ u @ basis) ** 2   # [(mA mB), (nA nB)]
-    w = w.reshape(da, db, da, db)
-
-    def stoch_mi(i, j):
-        if p_joint[i, j] <= 0:
-            return -math.inf
-        return math.log(p_joint[i, j] / (pa[i] * pb[j]))
-
-    recs = []
-    ft = 0.0
-    mean_q = 0.0
-    mean_di = 0.0
-    for na in range(da):
-        for nb in range(db):
-            p0 = p_joint[na, nb]
-            if p0 <= 0:
-                continue
-            for ma in range(da):
-                for mb in range(db):
-                    p = float(w[ma, mb, na, nb] * p0)
-                    if p <= 0:
-                        continue
-                    q_b = float(eb[mb] - eb[nb])
-                    di = stoch_mi(ma, mb) - stoch_mi(na, nb)
-                    recs.append((na, nb, ma, mb, p, q_b, di))
-                    ft += p * math.exp(-((beta_b - beta_a) * q_b - di))
-                    mean_q += p * q_b
-                    mean_di += p * di
+    w = (np.abs(basis.conj().T @ u @ basis) ** 2).reshape(da, db, da, db)
+    p = w * p_joint
+    live = p > 0.0
+    q_b = np.broadcast_to((eb[:, None] - eb)[None, :, None, :], p.shape)   # [mB, nB]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the stochastic mutual information, -inf where p_joint vanishes
+        mi = np.where(p_joint > 0.0,
+                      np.log(p_joint / np.outer(p_joint.sum(axis=1), p_joint.sum(axis=0))),
+                      -math.inf)
+        di = mi[:, :, None, None] - mi
+        sigma = np.where(live, (beta_b - beta_a) * q_b - di, 0.0)
+    ft = float(np.dot(p[live], np.exp(-sigma[live])))
+    mean_q = float(np.dot(p[live], q_b[live]))
+    mean_di = float(np.dot(p[live], di[live]))
     # unitary-only (backaction-free) average heat for comparison
     hb_full = tensor([np.eye(da), h_b])
     after = u @ rho_ab.matrix @ u.conj().T
     mean_unitary = float(np.real(np.trace(hb_full @ (after - rho_ab.matrix))))
     lhs = (beta_b - beta_a) * mean_q
     return CorrelatedExchange(
-        ensemble=tuple(recs),
+        ensemble=PathEnsemble(p, w * p_joint[:, :, None, None], sigma),
         mean_heat_dephased=mean_q,
         mean_heat_unitary=mean_unitary,
         integral_ft=ft,
@@ -662,7 +588,7 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
 
 @dataclass(frozen=True)
 class AugmentedExchange:
-    ensemble: tuple          # (s, nA, nB, mA, mB, P, q_B)
+    ensemble: PathEnsemble   # grid [s, (nA nB), (mA mB)], no backward process
     mean_heat: float         # equals the unitary (backaction-free) heat
     normalization: float
 
@@ -673,37 +599,21 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     The first measurement is made in the eigenbasis |s> of rho_AB itself
     and the trajectory is augmented with the conditional energy outcome
     p(nA nB | s) = |<nA nB|s>|^2, so the mean heat recovers the unitary
-    value Tr{H_B (U rho_AB U^dag - rho_AB)} exactly.
+    value Tr{H_B (U rho_AB U^dag - rho_AB)} exactly.  The ensemble is
+    p[s, n, m] = p_s |<n|s>|^2 |<m|U|s>|^2 over the joint energy indices.
     """
     ps, vs = _eig_state(rho_ab)
     ea, va = np.linalg.eigh(_mat(h_a))
     eb, vb = np.linalg.eigh(_mat(h_b))
     basis = np.kron(va, vb)
-    u = _mat(unitary)
-    da, db = len(ea), len(eb)
-    amp_m = np.abs(basis.conj().T @ u @ vs) ** 2   # [(mA mB), s]
-    amp_n = np.abs(basis.conj().T @ vs) ** 2       # [(nA nB), s]
-    recs = []
-    mean_q = 0.0
-    norm = 0.0
-    for s in range(len(ps)):
-        if ps[s] <= 0:
-            continue
-        for idx_n in range(da * db):
-            pn = amp_n[idx_n, s]
-            if pn <= 0:
-                continue
-            na, nb = divmod(idx_n, db)
-            for idx_m in range(da * db):
-                p = float(ps[s] * pn * amp_m[idx_m, s])
-                if p <= 0:
-                    continue
-                ma, mb = divmod(idx_m, db)
-                q_b = float(eb[mb] - eb[nb])
-                recs.append((s, na, nb, ma, mb, p, q_b))
-                mean_q += p * q_b
-                norm += p
-    return AugmentedExchange(tuple(recs), mean_q, norm)
+    amp_m = np.abs(basis.conj().T @ _mat(unitary) @ vs) ** 2   # [(mA mB), s]
+    amp_n = np.abs(basis.conj().T @ vs) ** 2                   # [(nA nB), s]
+    p = ps[:, None, None] * amp_n.T[:, :, None] * amp_m.T[:, None, :]
+    e_b = np.tile(eb, len(ea))                                 # E_B of a joint index
+    live = p > 0.0
+    q_b = np.broadcast_to(e_b - e_b[:, None], p.shape)[live]
+    return AugmentedExchange(PathEnsemble(p), float(np.dot(p[live], q_b)),
+                             float(np.sum(p[live])))
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +633,24 @@ class MeasurementTrajectories:
     seed: int | None
 
 
+def _unitary(m, d, what) -> np.ndarray:
+    m = _mat(m)
+    if m.shape != (d, d):
+        raise TrajectoryError(f"{what} has shape {m.shape}, not ({d}, {d})")
+    if not np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-9:
+        raise TrajectoryError(f"{what} is not unitary")
+    return m
+
+
+def _draw(columns, k, u):
+    """Per sample, an outcome of column k[i] of a column-stochastic matrix
+    for the uniform u[i]: the cdf / cdf[-1] inverse with a side="right"
+    search, which is how rng.choice(d, p=column) maps its one uniform."""
+    cdf = np.cumsum(columns, axis=0)
+    cdf /= cdf[-1]
+    return np.sum(cdf[:, k] <= u, axis=0)
+
+
 def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
                              n_samples=200_000, seed=2024):
     """Trajectories of a repeatedly measured pure state.
@@ -732,74 +660,58 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
     entropy production of a record (k_0 ... k_n) is ln p(k_0) - ln p(k_n),
     averaging to the Shannon-entropy gain S(p_n) - S(p_0) >= 0, since the
     compound transition matrix is doubly stochastic.
+
+    Since sigma depends on (k_0, k_n) only, up to max_exhaustive records
+    are summed exactly as the joint matrix compound[k_n, k_0] p(k_0).
+    Beyond it n_samples records are drawn from the seed: one uniform per
+    sample and record, in the order and with the inverse-CDF map of one
+    rng.choice(d, p=...) per sample and step, so a seed gives the same
+    records as that loop.  Both merge sigma values equal to 12 decimals.
     """
-    bases = [np.asarray(b, dtype=complex) for b in bases]
-    for b in bases:
-        if np.abs(b.conj().T @ b - np.eye(b.shape[0])).max() > 1e-9:
-            raise TrajectoryError("measurement basis is not orthonormal")
+    psi = np.asarray(psi0, dtype=complex).ravel()
+    norm = np.linalg.norm(psi)
+    if not 0.0 < norm < math.inf:
+        raise TrajectoryError("psi0 must be finite and nonzero")
+    psi = psi / norm
+    d = len(psi)
+    bases = [_unitary(b, d, f"measurement basis {i}") for i, b in enumerate(bases)]
     if len(unitaries) != len(bases) - 1:
         raise TrajectoryError("need exactly one unitary between consecutive bases")
-    psi = np.asarray(psi0, dtype=complex).ravel()
-    psi = psi / np.linalg.norm(psi)
-    d = len(psi)
+    unitaries = [_unitary(u, d, f"unitary {i}") for i, u in enumerate(unitaries)]
     p0 = np.abs(bases[0].conj().T @ psi) ** 2
-    steps = []
-    for b_prev, u, b_next in zip(bases[:-1], unitaries, bases[1:]):
-        steps.append(np.abs(b_next.conj().T @ _mat(u) @ b_prev) ** 2)  # [k', k]
+    steps = [np.abs(b_next.conj().T @ u @ b_prev) ** 2           # [k', k]
+             for b_prev, u, b_next in zip(bases[:-1], unitaries, bases[1:])]
     # final-record marginal and the compound transition matrix
-    compound = np.eye(d)
-    for t in steps:
-        compound = t @ compound
+    compound = functools.reduce(lambda acc, t: t @ acc, steps, np.eye(d))
     p_final = compound @ p0
-    row = np.abs(compound.sum(axis=0) - 1.0).max()
-    col = np.abs(compound.sum(axis=1) - 1.0).max()
-    doubly = bool(max(row, col) < 1e-9)
+    sums = np.concatenate([compound.sum(axis=0), compound.sum(axis=1)])
+    doubly = bool(np.abs(sums - 1.0).max() < 1e-9)
 
-    n_traj = d ** (len(bases))
-    if n_traj <= max_exhaustive:
-        sig_map = {}
-        stack = [(k0, p0[k0], k0) for k0 in range(d) if p0[k0] > 0]
-        for depth, t in enumerate(steps):
-            new = []
-            for k0, p, k in stack:
-                for k2 in range(d):
-                    pp = p * t[k2, k]
-                    if pp > 0:
-                        new.append((k0, pp, k2))
-            stack = new
-        for k0, p, kn in stack:
-            sig = math.log(p0[k0]) - math.log(p_final[kn])
-            key = round(sig, 12)
-            sig_map[key] = sig_map.get(key, 0.0) + p
-        values = np.array(sorted(sig_map))
-        probs = np.array([sig_map[k] for k in sorted(sig_map)])
-        sampled = False
-        used_seed = None
+    sampled = d ** len(bases) > max_exhaustive
+    if sampled:
+        u = np.random.default_rng(seed).random((n_samples, len(bases)))
+        k0 = k = _draw(p0[:, None], np.zeros(n_samples, dtype=int), u[:, 0])
+        for j, t in enumerate(steps, 1):
+            k = _draw(t, k, u[:, j])
+        sigma, weights = np.log(p0[k0]) - np.log(p_final[k]), None
     else:
-        rng = np.random.default_rng(seed)
-        values_list = []
-        for _ in range(n_samples):
-            k = rng.choice(d, p=p0)
-            k0 = k
-            for t in steps:
-                k = rng.choice(d, p=t[:, k])
-            values_list.append(math.log(p0[k0]) - math.log(p_final[k]))
-        values, counts = np.unique(np.round(values_list, 12), return_counts=True)
-        probs = counts / counts.sum()
-        sampled = True
-        used_seed = seed
-    avg = float(np.sum(values * probs))
-    ft = float(np.sum(probs * np.exp(-values)))
+        joint = compound * p0                                     # [k_n, k_0]
+        kn, k0 = np.nonzero(joint > 0.0)
+        sigma, weights = np.log(p0[k0]) - np.log(p_final[kn]), joint[kn, k0]
+    values, inverse = np.unique(np.round(sigma, 12), return_inverse=True)
+    probs = np.bincount(inverse, weights=weights)
+    if sampled:
+        probs = probs / probs.sum()
     return MeasurementTrajectories(
         sigma_values=values,
         probabilities=probs,
-        average_sigma=avg,
+        average_sigma=float(np.sum(values * probs)),
         shannon_initial=shannon_entropy(p0),
         shannon_final=shannon_entropy(p_final),
-        integral_ft=ft,
+        integral_ft=float(np.sum(probs * np.exp(-values))),
         doubly_stochastic=doubly,
         sampled=sampled,
-        seed=used_seed,
+        seed=seed if sampled else None,
     )
 
 
@@ -827,8 +739,8 @@ def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None,
     (reported for the supplied gap list).  The ideal Crooks relation does
     not survive the convolution.
     """
-    if delta <= 0:
-        raise TrajectoryError("weight spread delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise TrajectoryError("weight spread delta must be positive and finite")
     lo = float(ideal.values.min() - 6.0 * delta)
     hi = float(ideal.values.max() + 6.0 * delta)
     grid = np.linspace(lo, hi, n_grid)

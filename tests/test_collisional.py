@@ -137,8 +137,7 @@ def test_continuous_limit_detailed_balance():
     rho_a = thermal_state(H_QUBIT, beta)
     g = 0.8
     v = g * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-    pieces = cm.continuous_limit(v, rho_a, pairs=[(SIGMA_MINUS, SIGMA_MINUS, g)],
-                                 beta=beta)
+    pieces = cm.continuous_limit(v, rho_a, pairs=[(SIGMA_MINUS, SIGMA_MINUS, g)])
     gamma_minus, gamma_plus = pieces.rates[0]
     f = 1.0 / (math.exp(beta * OMEGA) + 1.0)
     assert abs(gamma_minus - g ** 2 * (1 - f)) < 1e-12

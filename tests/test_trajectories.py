@@ -43,17 +43,13 @@ def test_tpm_ensemble_identity_pure_inputs():
 def test_tpm_ensemble_normalized_and_marginals():
     ep = random_episode(RNG)
     ens = tj.tpm_ensemble(ep)
-    assert len(ens.trajectories) == 16
+    assert ens.p_forward.size == 16
     assert abs(ens.forward_probabilities().sum() - 1.0) < 1e-12
     # marginal over the final outcomes reproduces the initial eigenvalues
     p, _ = np.linalg.eigh(ep.rho_system.matrix)
     q, _ = np.linalg.eigh(ep.rho_env.matrix)
-    marg = {}
-    for t in ens.trajectories:
-        n, nu, _, _ = t.outcome
-        marg[(n, nu)] = marg.get((n, nu), 0.0) + t.p_forward
-    for (n, nu), val in marg.items():
-        assert abs(val - p[n] * q[nu]) < 1e-12
+    marg = ens.p_forward.sum(axis=(0, 1))        # grid [m, mu, n, nu]
+    assert np.abs(marg - np.outer(p, q)).max() < 1e-12
 
 
 def test_tpm_ensemble_dimension_cap():
@@ -106,6 +102,75 @@ def test_stochastic_sigma_matches_ensemble():
     ens = tj.backward_ensemble(ep, tj.BackwardChoice.BATH_RESET)
     sig = tj.stochastic_sigma(ens)
     assert np.allclose(sig, ens.sigmas())
+
+
+def test_stochastic_sigma_of_two_ensembles():
+    # ln P_F / P_B with P_B read from the second ensemble's backward grid
+    rng = np.random.default_rng(12)
+    h2 = HermitianOperator.from_matrix(PAULI_Z)
+    h3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0]))
+    ep = eps.Episode(h2, h3, random_unitary(6, rng, dims=(2, 3)),
+                     DensityOperator.pure([1, 0]), random_density(3, rng))
+    ens = tj.backward_ensemble(ep, tj.BackwardChoice.BOTH_RESET)
+    sig = tj.stochastic_sigma(ens, ens)
+    assert np.array_equal(np.isinf(sig), np.isinf(ens.sigmas()))
+    assert np.isinf(sig).any()
+    assert np.allclose(sig[np.isfinite(sig)], ens.sigmas()[np.isfinite(sig)], atol=1e-12)
+    with pytest.raises(tj.TrajectoryError):
+        tj.stochastic_sigma(ens, tj.backward_ensemble(random_episode(rng),
+                                                      tj.BackwardChoice.BOTH_RESET))
+
+
+def _trajectory_loop(ep, choice):
+    """p_forward, p_backward and sigma path by path, on the grid [m, mu, n, nu]."""
+    ev = eps.evolve(ep)
+    p, vs = tj._eig_state(ep.rho_system)
+    q, ve = tj._eig_state(ep.rho_env)
+    ps, vs_f = tj._eig_state(ev.rho_system)
+    qe, ve_f = tj._eig_state(ev.rho_env)
+    ds, de = len(p), len(q)
+    if choice is tj.BackwardChoice.BATH_RESET:
+        bs, be, ref = vs_f, ve, np.outer(ps, q)
+    elif choice is tj.BackwardChoice.CORRELATIONS_DESTROYED:
+        bs, be, ref = vs_f, ve_f, np.outer(ps, qe)
+    elif choice is tj.BackwardChoice.POST_MEASUREMENT_STATE:
+        final = np.kron(vs_f, ve_f)
+        diag = np.real(np.einsum("im,ij,jm->m", final.conj(), ev.rho_joint.matrix, final))
+        bs, be, ref = vs_f, ve_f, np.clip(diag, 0.0, None).reshape(ds, de)
+    else:
+        bs, be, ref = vs, ve, np.outer(p, q)
+    out = np.zeros((3, ds, de, ds, de))
+    for m, mu, n, nu in np.ndindex(ds, de, ds, de):
+        amp = np.kron(bs[:, m], be[:, mu]).conj() @ ep.unitary.matrix @ np.kron(vs[:, n], ve[:, nu])
+        w = abs(amp) ** 2
+        pf, pb = w * p[n] * q[nu], w * ref[m, mu]
+        sigma = 0.0 if pf <= 0 else math.inf if pb <= 0 else math.log(p[n] * q[nu] / ref[m, mu])
+        out[:, m, mu, n, nu] = pf, pb, sigma
+    return out
+
+
+@pytest.mark.parametrize("choice", list(tj.BackwardChoice))
+def test_backward_ensemble_matches_trajectory_loop(choice):
+    rng = np.random.default_rng(31)
+    hs = HermitianOperator.from_matrix(np.diag([0.0, 1.3]))
+    he = HermitianOperator.from_matrix(np.diag([0.0, 0.7, 1.9]))
+    u = random_unitary(6, rng, dims=(2, 3))
+    mixed = eps.Episode(hs, he, u, random_density(2, rng), random_density(3, rng))
+    # pure diagonal inputs have exact zero weights, so sigma = +inf occurs
+    pure = eps.Episode(hs, he, u, DensityOperator.pure([1, 0]),
+                       DensityOperator.pure([0, 0, 1]))
+    for ep in (mixed, pure):
+        ens = tj.backward_ensemble(ep, choice)
+        for got, ref in zip((ens.p_forward, ens.p_backward, ens.sigma),
+                            _trajectory_loop(ep, choice)):
+            assert got.shape == (2, 3, 2, 3)
+            inf = np.isinf(ref)
+            assert np.array_equal(np.isinf(got), inf)
+            assert np.array_equal(got[inf], ref[inf])
+            assert np.abs(got[~inf] - ref[~inf]).max() < 1e-14
+    if choice in (tj.BackwardChoice.BATH_RESET, tj.BackwardChoice.BOTH_RESET):
+        assert np.isinf(ens.sigma).any()
+        assert ens.average_sigma() == math.inf
 
 
 def test_work_distribution_trivial():
@@ -363,6 +428,53 @@ def test_measurement_trajectories_sampled_mode():
                - (out.shannon_final - out.shannon_initial)) < 0.05
 
 
+HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("max_exhaustive", [10 ** 6, 1])
+@pytest.mark.parametrize("psi0, bases, unitaries", [
+    ([1, 0], [np.eye(2), HADAMARD], [[[1, 0.5], [0, 1]]]),      # not unitary
+    ([0, 0], [np.eye(2), HADAMARD], [np.eye(2)]),
+    ([math.nan, 1], [np.eye(2), HADAMARD], [np.eye(2)]),
+    ([1, 0], [np.eye(2), [[math.nan, 0], [0, 1]]], [np.eye(2)]),
+    ([1, 0], [np.eye(2), HADAMARD], [[[math.nan, 0], [0, 1]]]),
+    ([1, 0], [np.eye(2), np.eye(3)], [np.eye(2)]),               # wrong size
+    ([1, 0], [np.eye(2), HADAMARD], [np.eye(2)[:, :1]]),        # not square
+], ids=["non-unitary", "zero-psi0", "nan-psi0", "nan-basis", "nan-unitary",
+        "basis-size", "non-square"])
+def test_measurement_trajectories_rejects_invalid(psi0, bases, unitaries, max_exhaustive):
+    with pytest.raises(tj.TrajectoryError):
+        tj.measurement_trajectories(psi0, bases, unitaries,
+                                    max_exhaustive=max_exhaustive, n_samples=100)
+
+
+def test_measurement_sampler_stream_matches_choice_loop():
+    # the sampler draws the records one rng.choice per sample and step
+    # would draw for the same seed, bit for bit
+    rng = np.random.default_rng(4)
+    d, steps, n = 3, 4, 3000
+    bases = [random_unitary(d, rng).matrix for _ in range(steps + 1)]
+    unitaries = [random_unitary(d, rng).matrix for _ in range(steps)]
+    psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    out = tj.measurement_trajectories(psi0, bases, unitaries, max_exhaustive=1,
+                                      n_samples=n, seed=5)
+    p0 = np.abs(bases[0].conj().T @ psi0 / np.linalg.norm(psi0)) ** 2
+    moves = [np.abs(b.conj().T @ u @ a) ** 2
+             for a, u, b in zip(bases[:-1], unitaries, bases[1:])]
+    p_final = np.linalg.multi_dot(moves[::-1]) @ p0
+    loop = np.random.default_rng(5)
+    sigma = []
+    for _ in range(n):
+        k0 = k = loop.choice(d, p=p0)
+        for t in moves:
+            k = loop.choice(d, p=t[:, k])
+        sigma.append(math.log(p0[k0]) - math.log(p_final[k]))
+    values, counts = np.unique(np.round(sigma, 12), return_counts=True)
+    assert out.sampled
+    assert np.array_equal(out.sigma_values, values)
+    assert np.array_equal(out.probabilities, counts / counts.sum())
+
+
 def test_weight_convolve_moments():
     ideal = tj.ScalarDistribution(np.array([-1.0, 0.5, 2.0]),
                                   np.array([0.25, 0.5, 0.25]))
@@ -413,8 +525,9 @@ def test_weight_convolve_attenuations_and_crooks_failure():
 
 
 def test_weight_convolve_rejects_bad_delta():
-    with pytest.raises(tj.TrajectoryError):
-        tj.weight_convolve(tj.ScalarDistribution.delta(0.0), 0.0)
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(tj.TrajectoryError):
+            tj.weight_convolve(tj.ScalarDistribution.delta(0.0), delta)
 
 
 def test_ensemble_integral_ft_all_choices_property():
