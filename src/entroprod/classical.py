@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import classical_kl
+from .core import bordered_null_vector, classical_kl
 
 
 class ClassicalError(ValueError):
@@ -108,10 +108,16 @@ def evolve(rates: RateMatrix, p0, t: float):
 
 
 def stationary_distribution(rates: RateMatrix) -> np.ndarray:
-    vals, vecs = np.linalg.eig(rates.w)
-    idx = int(np.argmin(np.abs(vals)))
-    p = np.real(vecs[:, idx])
-    p = p / p.sum()
+    """The unique p with W p = 0 and sum p = 1, from one LU solve of the
+    bordered generator W - u 1^T (u the first state), as in
+    `lindblad.steady_state`.  A generator whose stationary distribution is
+    not unique (more than one closed class) makes the bordered matrix
+    singular, and its reciprocal condition estimate below 1e-8 is an error.
+    """
+    p = bordered_null_vector(rates.w, slice(None))
+    if p is None:
+        raise ClassicalError(
+            "stationary distribution not unique (bordered generator singular within 1e-8)")
     if p.min() < -1e-10:
         raise ClassicalError("stationary vector has negative entries")
     return np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()

@@ -5,7 +5,9 @@ is measured in nats (natural logarithm).  Operators live on a tensor
 product of finite-dimensional factors and carry their factor dimensions,
 so partial traces, bipartite splits and dephasings are unambiguous.
 
-All values are immutable; functions never mutate their arguments.
+All values are immutable; functions never mutate their arguments, except
+the superoperator builders `add_sided_term`, `add_lindblad_term` and
+`real_superop`, which work in place on the array they are given.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 # Validation tolerances for constructed operators.
 HERMITICITY_TOL = 1e-9
@@ -312,22 +315,120 @@ def unvec(vector) -> np.ndarray:
     return v.reshape(d, d, order="F")
 
 
+# A superoperator that maps Hermitian matrices to Hermitian matrices is real
+# in the orthonormal Hermitian basis |i><i|, (|i><j| + |j><i|)/sqrt2 and
+# i(|i><j| - |j><i|)/sqrt2 (i < j), and has the same eigenvalues there.  The
+# basis keeps the slot layout of `vec`: the symmetric element of a pair sits
+# in the slot of |i><j| (j*d + i), the antisymmetric one in that of |j><i|.
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def hermitian_coords(matrix) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix in the Hermitian basis, in
+    `vec` order: rho_ii, sqrt2 Re rho_ij in slot (i, j) and sqrt2 Im rho_ij
+    in slot (j, i), i < j."""
+    m = np.asarray(matrix)
+    coords = math.sqrt(2.0) * (np.triu(m.real, 1) - np.tril(m.imag, -1))
+    np.fill_diagonal(coords, m.real.diagonal())
+    return vec(coords)
+
+
+def from_hermitian_coords(coords) -> np.ndarray:
+    """Inverse of `hermitian_coords`: the Hermitian matrix of a coordinate vector."""
+    c = unvec(np.asarray(coords, dtype=float))
+    upper = _SQRT_HALF * (np.triu(c, 1) + 1j * np.tril(c, -1).T)
+    return upper + upper.conj().T + np.diag(c.diagonal())
+
+
+def real_superop(superop) -> np.ndarray:
+    """Real matrix T^dag S T of a Hermiticity-preserving superoperator S, T
+    holding the Hermitian basis in `vec` order; same eigenvalues as S.
+
+    Overwrites `superop` (a C-ordered complex array, as `lindblad.build`
+    returns) with T^dag S T by rotating its row and column pairs
+    (j*d + i, i*d + j) in place, and returns the real part as a new array.
+    """
+    n = superop.shape[0]
+    d = math.isqrt(n)
+    blocks = _blocks(superop, d)
+    cols = blocks.reshape(n, d, d)      # cols[:, j, i] is the column of |i><j|
+    rows = blocks.reshape(d, d, n)      # rows[j, i, :] is the row of |i><j|
+    for i in range(d - 1):
+        _rotate_pair(cols[:, i + 1:, i], cols[:, i, i + 1:], 1j)
+        _rotate_pair(rows[i + 1:, i, :], rows[i, i + 1:, :], -1j)
+    return np.ascontiguousarray(superop.real)
+
+
+def _rotate_pair(sym, anti, phase):
+    """(sym, anti) <- (sym + anti, phase (sym - anti)) / sqrt2, in place."""
+    diff = sym - anti
+    sym += anti
+    sym *= _SQRT_HALF
+    np.multiply(diff, phase * _SQRT_HALF, out=anti)
+
+
+def bordered_null_vector(gen, trace, null_tol=1e-8):
+    """Null vector x of a real generator with t^T gen = 0, normalized to
+    t^T x = 1, where t is 1 on the slots `trace` (which include slot 0).
+
+    B = gen - u t^T with u the unit vector of slot 0 has the spectrum of
+    gen with one zero replaced by -1, so it is singular exactly when the
+    null space of gen is degenerate, and x solves B x = -u.  One LU
+    factorization of B gives both: None is returned when LAPACK's estimate
+    of B's reciprocal condition number (infinity norm) is below `null_tol`.
+    """
+    border = np.array(gen, dtype=float)
+    border[0, trace] -= 1.0
+    anorm = float(np.abs(border).sum(axis=1).max())
+    # B^T is Fortran-ordered, so it is factored in place; trans=1 solves with B.
+    lu, piv, info = dgetrf(border.T, overwrite_a=True)
+    if info > 0:
+        return None
+    rcond, _ = dgecon(lu, anorm)
+    if not rcond >= null_tol:
+        return None
+    rhs = np.zeros(border.shape[0])
+    rhs[0] = -1.0
+    x, _ = dgetrs(lu, piv, rhs, trans=1)
+    return x
+
+
 def kraus_superop(kraus) -> np.ndarray:
     """Matrix of rho -> sum_k K_k rho K_k^dag, i.e. sum_k conj(K_k) kron K_k."""
     return sum(np.kron(k.conj(), k) for k in kraus)
+
+
+def add_sided_term(superop, left, right):
+    """Add rho -> left rho + rho right, i.e. 1 kron left + right^T kron 1,
+    to `superop` in place, one diagonal block at a time."""
+    blocks = _blocks(superop, left.shape[0])
+    for j in range(left.shape[0]):
+        blocks[j, :, j, :] += left
+        blocks[:, j, :, j] += right.T
 
 
 def add_lindblad_term(superop, a, b, rate=1.0):
     """Add rate * (a rho b^dag - 1/2 {b^dag a, rho}) to `superop` in place.
 
     a = b = L gives the dissipator D[L]; a != b gives one cross term of a
-    Kossakowski matrix.
+    Kossakowski matrix.  The conj(b) kron a part is added one block row at
+    a time, so no d^2 x d^2 temporary is made.
     """
-    eye = np.eye(a.shape[0])
-    bda = b.conj().T @ a
-    superop += rate * np.kron(b.conj(), a)
-    superop -= (0.5 * rate) * np.kron(eye, bda)
-    superop -= (0.5 * rate) * np.kron(bda.T, eye)
+    blocks = _blocks(superop, a.shape[0])
+    rate_b = rate * b.conj()
+    for j in range(a.shape[0]):
+        blocks[j] += rate_b[j][None, :, None] * a[:, None, :]
+    half = (-0.5 * rate) * (b.conj().T @ a)
+    add_sided_term(superop, half, half)
+
+
+def _blocks(superop, d):
+    """View blocks[j, i, l, k] = superop[j*d + i, l*d + k] of a C-ordered
+    complex superoperator, the entry taking |k><l| to |i><j|."""
+    if not (superop.flags.c_contiguous and np.iscomplexobj(superop)):
+        raise CoreError("superoperators are built in place on C-ordered complex arrays")
+    return superop.reshape(d, d, d, d)
 
 
 def ancilla_kraus(op, rho_ancilla) -> np.ndarray:

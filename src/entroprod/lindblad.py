@@ -1,13 +1,22 @@
 """Continuous-time master equations and Liouvillian spectral analysis.
 
-Generators are built in vectorized form from the Lindblad terms of
-`core.add_lindblad_term`, in the column-stacking convention that `core`
-fixes for every superoperator (`core.vec`, `core.unvec`); the trace
-functional is then the left null vector vec(1)^dag, which every generator
-here satisfies by construction.  Besides the generic builder, the module
-carries the driven-dissipative Kerr model, the dissipative macrospin, the
-squeezed thermal bath, a fixed-step RK4 integrator, steady states,
-spectral gaps and the Spohn heat/work/entropy rates.
+Generators are built in vectorized form from the terms of
+`core.add_sided_term` and `core.add_lindblad_term`, in the column-stacking
+convention that `core` fixes for every superoperator (`core.vec`,
+`core.unvec`); the trace functional is then the left null vector
+vec(1)^dag, which every generator here satisfies by construction.
+Besides the generic builder, the module carries the driven-dissipative
+Kerr model, the dissipative macrospin, the squeezed thermal bath, a
+fixed-step RK4 integrator, steady states, spectral gaps and the Spohn
+heat/work/entropy rates.
+
+Steady states and spectra are taken from the real form of the generator
+(`core.real_superop`, the generator in an orthonormal Hermitian basis),
+which has the eigenvalues of the complex one: the steady state from one LU
+factorization of that form bordered by the trace functional
+(`core.bordered_null_vector`, the "direct" method of Johansson, Nation &
+Nori, Comput. Phys. Commun. 183, 1760 (2012)), the spectrum and the gap
+from one real nonsymmetric eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -22,14 +31,22 @@ from .core import (
     HermitianOperator,
     _mat,
     add_lindblad_term,
+    add_sided_term,
+    bordered_null_vector,
+    from_hermitian_coords,
+    hermitian_coords,
     logm_psd,
+    real_superop,
     relative_entropy,
     thermal_state,
     unvec,
     vec,
 )
 
-DIM_CAP = 128
+# Largest d whose complex generator (16 d^4 bytes) and real form (8 d^4)
+# fit the byte budget; see `LindbladModel`.
+GENERATOR_BYTES = 2 ** 30
+DIM_CAP = math.isqrt(math.isqrt(GENERATOR_BYTES // 24))
 
 
 class LindbladError(ValueError):
@@ -48,6 +65,10 @@ class LindbladModel:
     general form sum_kl c_kl (F_k rho F_l^dag - 1/2 {F_l^dag F_k, rho})
     with a Hermitian coefficient matrix c; it hosts the anomalous terms of
     squeezed baths.
+
+    The dimension d is capped at DIM_CAP = 81, checked before anything is
+    allocated: the dense generator and its real form take 24 d^4 bytes,
+    within the budget GENERATOR_BYTES = 1 GiB.
     """
 
     hamiltonian: np.ndarray
@@ -59,7 +80,9 @@ class LindbladModel:
         if h.shape[0] != h.shape[1]:
             raise LindbladError("Hamiltonian must be square")
         if h.shape[0] > DIM_CAP:
-            raise LindbladError(f"dimension {h.shape[0]} exceeds cap {DIM_CAP}")
+            raise LindbladError(
+                f"dimension {h.shape[0]} exceeds cap {DIM_CAP} (24 d^4 bytes of "
+                f"dense generators against a budget of {GENERATOR_BYTES} bytes)")
         object.__setattr__(self, "hamiltonian", h)
         jumps = tuple((np.asarray(op, dtype=complex), float(rate))
                       for op, rate in self.jumps)
@@ -111,9 +134,8 @@ class LindbladModel:
 def build(model: LindbladModel) -> np.ndarray:
     """Vectorized generator; the identity is a left null vector to 1e-12."""
     d = model.dim
-    h = model.hamiltonian
-    eye = np.eye(d)
-    superop = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    superop = np.zeros((d * d, d * d), dtype=complex)
+    add_sided_term(superop, -1j * model.hamiltonian, 1j * model.hamiltonian)
     for l_op, rate in model.jumps:
         add_lindblad_term(superop, l_op, l_op, rate)
     if model.cross is not None:
@@ -156,7 +178,7 @@ def integrate(model: LindbladModel, rho0: DensityOperator, t_grid,
               max_step: float | None = None) -> IntegrationResult:
     """Fixed-step RK4 on the vectorized equation.
 
-    Step is capped at 0.1/||L||_F; the trace is renormalized after every
+    Step is capped at 0.05/||L||_F; the trace is renormalized after every
     step with the accumulated drift logged, and the most negative
     eigenvalue seen is reported as positivity drift (> 1e-8 is an error).
     """
@@ -205,36 +227,34 @@ def integrate(model: LindbladModel, rho0: DensityOperator, t_grid,
 # Steady states and gaps
 # ---------------------------------------------------------------------------
 
-def _spectrum(superop):
-    vals, vecs = np.linalg.eig(superop)
-    return vals, vecs
-
-
 def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperator:
     """Normalized Hermitian PSD null vector of the generator.
 
-    A null space of dimension > 1 (within null_tol) is an error: at finite
-    size a dissipative-transition coexistence region is gapped, so exact
-    degeneracy signals a modeling mistake rather than physics.
+    One LU factorization of the real form L_r bordered by the trace,
+    B = L_r - u t^T (u the (0, 0) coordinate, t the trace functional):
+    rho solves B x = -u, and B is singular exactly when the steady space is
+    degenerate.  `null_tol` bounds LAPACK's estimate of the reciprocal
+    condition number of B (infinity norm) from below; a smaller one counts
+    as a null space of dimension > 1, which is an error: at finite size a
+    dissipative-transition coexistence region is gapped, so exact
+    degeneracy signals a modeling mistake rather than physics.  The state
+    is projected onto the PSD cone (a candidate with an eigenvalue below
+    -1e-7 is an error) and must leave a residual of at most 1e-8 in the
+    max-norm of its real coordinates, which bounds that of vec.
     """
-    superop = build(model)
-    vals, vecs = _spectrum(superop)
-    scale = max(1.0, float(np.abs(vals).max()))
-    null = np.abs(vals) <= null_tol * scale
-    if null.sum() == 0:
-        raise LindbladError("no null vector found")
-    if null.sum() > 1:
-        raise LindbladError(f"degenerate steady space (dim {int(null.sum())})")
-    idx = int(np.argmin(np.abs(vals)))
-    m = unvec(vecs[:, idx])
-    m = (m + m.conj().T) / 2.0
-    m = m / np.trace(m)
+    gen = real_superop(build(model))
+    d = model.dim
+    x = bordered_null_vector(gen, np.arange(d) * (d + 1), null_tol)
+    if x is None:
+        raise LindbladError(
+            f"degenerate steady space (bordered generator singular within {null_tol:g})")
+    m = from_hermitian_coords(x)
     low = float(np.linalg.eigvalsh(m).min())
     if low < -1e-7:
         raise LindbladError(f"steady-state candidate not PSD ({low:.3e})")
     m = _project_psd(m)
     rho = DensityOperator.from_matrix(m)
-    resid = float(np.abs(superop @ vec(rho.matrix)).max())
+    resid = float(np.abs(gen @ hermitian_coords(rho.matrix)).max())
     if resid > 1e-8:
         raise LindbladError(f"steady-state residual {resid:.3e}")
     return rho
@@ -248,10 +268,10 @@ def _project_psd(m):
 
 
 def gap(model: LindbladModel, null_tol: float = 1e-8) -> float:
-    """min over nonzero eigenvalues of -Re(lambda); closes at dissipative
-    transitions in the appropriate scaling limit."""
-    superop = build(model)
-    vals = np.linalg.eigvals(superop)
+    """min over nonzero eigenvalues of -Re(lambda), an eigenvalue counting
+    as zero when |lambda| <= null_tol * max(1, max |lambda|); closes at
+    dissipative transitions in the appropriate scaling limit."""
+    vals = spectrum(model)
     scale = max(1.0, float(np.abs(vals).max()))
     nonzero = vals[np.abs(vals) > null_tol * scale]
     if len(nonzero) == 0:
@@ -260,7 +280,9 @@ def gap(model: LindbladModel, null_tol: float = 1e-8) -> float:
 
 
 def spectrum(model: LindbladModel) -> np.ndarray:
-    return np.linalg.eigvals(build(model))
+    """All d^2 eigenvalues of the generator, from real LAPACK `dgeev` on its
+    real form."""
+    return np.linalg.eigvals(real_superop(build(model)))
 
 
 # ---------------------------------------------------------------------------

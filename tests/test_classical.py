@@ -48,6 +48,23 @@ def test_evolve_long_time_reaches_null_vector():
     assert np.abs(p_inf - cl.stationary_distribution(w)).max() < 1e-10
 
 
+def test_stationary_distribution_matches_eig_null_vector():
+    rng = np.random.default_rng(404)
+    for n in range(3, 9):
+        w = cl.RateMatrix.from_offdiagonal(rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+                                           + np.diag(np.ones(n - 1), 1)
+                                           + np.diag(np.ones(n - 1), -1))
+        vals, vecs = np.linalg.eig(w.w)
+        p = np.real(vecs[:, int(np.argmin(np.abs(vals)))])
+        assert np.abs(cl.stationary_distribution(w) - p / p.sum()).max() < 1e-12
+
+
+def test_stationary_distribution_reducible_error():
+    w = cl.RateMatrix([[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -2, 1], [0, 0, 2, -1]])
+    with pytest.raises(cl.ClassicalError):
+        cl.stationary_distribution(w)
+
+
 def test_schnakenberg_zero_at_detailed_balance():
     w, energies = detailed_balanced_rates(RNG, 4)
     p_star = cl.stationary_distribution(w)

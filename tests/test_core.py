@@ -294,6 +294,51 @@ def test_vec_is_column_stacking():
     assert np.array_equal(core.vec(x), x.T.ravel())
 
 
+def test_superop_terms_match_kron_formulas():
+    rng = np.random.default_rng(12)
+    d = 3
+    a, b, left, right = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+    eye = np.eye(d)
+    rate = 0.4 - 0.3j
+    bda = b.conj().T @ a
+    superop = np.zeros((d * d, d * d), dtype=complex)
+    core.add_lindblad_term(superop, a, b, rate)
+    expected = rate * (np.kron(b.conj(), a) - 0.5 * np.kron(eye, bda) - 0.5 * np.kron(bda.T, eye))
+    assert np.abs(superop - expected).max() < 1e-14
+    core.add_sided_term(superop, left, right)
+    expected += np.kron(eye, left) + np.kron(right.T, eye)
+    assert np.abs(superop - expected).max() < 1e-14
+    with pytest.raises(CoreError):
+        core.add_sided_term(np.zeros((d * d, d * d), dtype=complex).T, left, right)
+
+
+def test_hermitian_coords_roundtrip_and_real_superop():
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 3, 5):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = a + a.conj().T
+        a /= np.abs(a).max()
+        x = core.hermitian_coords(a)
+        assert x.dtype == float
+        assert np.abs(core.from_hermitian_coords(x) - a).max() < 1e-15
+        # columns of T: the Hermitian basis elements, vec-ordered
+        eye = np.eye(d * d)
+        t = np.stack([core.vec(core.from_hermitian_coords(e)) for e in eye], axis=1)
+        assert np.abs(t.conj().T @ t - eye).max() < 1e-15
+        assert np.abs(t @ x - core.vec(a)).max() < 1e-15
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        superop = -1j * (np.kron(np.eye(d), h + h.conj().T)
+                         - np.kron((h + h.conj().T).T, np.eye(d)))
+        core.add_lindblad_term(superop, op, op, 0.7)
+        expected = t.conj().T @ superop @ t
+        real = core.real_superop(superop)
+        assert real.dtype == float
+        assert np.abs(real - expected).max() < 1e-13 * max(1.0, np.abs(expected).max())
+    with pytest.raises(CoreError):
+        core.real_superop(np.zeros((4, 4)))
+
+
 def test_json_roundtrip():
     rho = random_density(4, RNG, dims=(2, 2))
     blob = json.dumps(rho.to_json())

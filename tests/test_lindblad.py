@@ -53,6 +53,48 @@ def test_build_dimension_cap():
         lb.LindbladModel(np.zeros((200, 200)), ())
 
 
+def test_dimension_cap_from_byte_budget():
+    assert 24 * lb.DIM_CAP ** 4 <= lb.GENERATOR_BYTES < 24 * (lb.DIM_CAP + 1) ** 4
+    assert lb.DIM_CAP >= 40
+    lb.LindbladModel(np.zeros((lb.DIM_CAP, lb.DIM_CAP)), ())
+    with pytest.raises(lb.LindbladError):
+        lb.LindbladModel(np.zeros((lb.DIM_CAP + 1, lb.DIM_CAP + 1)), ())
+
+
+def _random_model(rng, d):
+    def cmat():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = cmat()
+    jumps = tuple((cmat(), float(rng.random() + 0.1))
+                  for _ in range(int(rng.integers(1, 4))))
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return lb.LindbladModel(h + h.conj().T, jumps, ((cmat(), cmat()), 0.3 * g @ g.conj().T))
+
+
+def test_steady_state_spectrum_gap_match_complex_eig():
+    # the old route: one complex eig of the vectorized generator
+    rng = np.random.default_rng(77)
+    from scipy.optimize import linear_sum_assignment
+    for k in range(20):
+        model = _random_model(rng, 2 + k % 5)
+        vals, vecs = np.linalg.eig(lb.build(model))
+        scale = max(1.0, float(np.abs(vals).max()))
+        m = core.unvec(vecs[:, int(np.argmin(np.abs(vals)))])
+        m = (m + m.conj().T) / 2.0
+        assert np.abs(lb.steady_state(model).matrix - m / np.trace(m)).max() < 1e-12
+        new = lb.spectrum(model)
+        rows, cols = linear_sum_assignment(np.abs(vals[:, None] - new[None, :]))
+        assert np.abs(vals[rows] - new[cols]).max() < 1e-10 * scale
+        old_gap = np.min(-np.real(vals[np.abs(vals) > 1e-8 * scale]))
+        assert abs(lb.gap(model) - old_gap) < 1e-10 * old_gap
+
+
+def test_steady_state_degeneracy_threshold():
+    lb.steady_state(lb.thermal_qubit_model(1.0, 1e-6, 1.0))
+    with pytest.raises(lb.LindbladError):
+        lb.steady_state(lb.thermal_qubit_model(1.0, 1e-10, 1.0))
+
+
 def test_integrate_zero_generator_constant():
     model = lb.LindbladModel(np.zeros((2, 2)), ())
     rho0 = random_density(2, RNG)
