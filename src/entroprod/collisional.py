@@ -149,11 +149,17 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
 
     Tier-2 sigma is reported when the ancilla carries a beta; tier-3 when in
-    addition the stroke unitary is strictly energy conserving (validated
-    per stroke).
+    addition the stroke unitary is strictly energy conserving; the verdict
+    and the Gibbs state are evaluated once per alphabet entry.
     """
     if n_strokes < 1:
         raise CollisionalError("n_strokes must be >= 1")
+    gibbs_of = []     # per alphabet entry: the tier-3 reference, or None
+    for k in range(min(n_strokes, len(spec.alphabet))):
+        stroke, h = spec.stroke(k), spec.h_at(k)
+        ok = stroke.beta is not None and is_strict_energy_conserving(
+            stroke.unitary, h, stroke.hamiltonian, conserving_tol)[0]
+        gibbs_of.append(thermal_state(h, stroke.beta) if ok else None)
     states = [rho0]
     records = []
     rho = rho0
@@ -181,12 +187,9 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         sigma_f = None
         if stroke.beta is not None:
             sigma_t = bal.d_entropy_system + stroke.beta * q_a
-            ok, _ = is_strict_energy_conserving(
-                stroke.unitary, h_now, stroke.hamiltonian, conserving_tol)
-            if ok:
-                gibbs = thermal_state(h_now, stroke.beta)
-                sigma_f = (relative_entropy(rho, gibbs)
-                           - relative_entropy(rho_mid, gibbs))
+        gibbs = gibbs_of[n % len(gibbs_of)]
+        if gibbs is not None:
+            sigma_f = relative_entropy(rho, gibbs) - relative_entropy(rho_mid, gibbs)
         records.append(StrokeRecord(
             q_ancilla=q_a,
             d_h_system=dh,
@@ -351,30 +354,33 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
                                        "instantaneous (identity) work strokes")
     # common eigenbasis from the first Hamiltonian
     evals0, basis = np.linalg.eigh(hs[0].matrix)
-    rho = rho0
-    records = []
-    for n in range(n_strokes):
-        stroke = spec.stroke(n)
-        h_now = spec.h_at(n)
+    # the chain of each alphabet entry: M_n, coherence factors, p_th
+    chains = []
+    for k in range(min(n_strokes, len(spec.alphabet))):
+        stroke, h = spec.stroke(k), spec.h_at(k)
         if stroke.beta is None:
             raise CollisionalError("preferred basis needs thermal ancillas")
         ok, res = is_strict_energy_conserving(
-            stroke.unitary, h_now, stroke.hamiltonian, conserving_tol)
+            stroke.unitary, h, stroke.hamiltonian, conserving_tol)
         if not ok:
             raise CollisionalError(
-                f"stroke {n} is not a thermal operation (residual {res:.3e})")
-        e_sys = np.real(np.diag(basis.conj().T @ h_now.matrix @ basis))
+                f"stroke {k} is not a thermal operation (residual {res:.3e})")
+        e_sys = np.real(np.diag(basis.conj().T @ h.matrix @ basis))
         # Kraus operators sqrt(q_nu) <mu|U|nu> in the system eigenbasis
         kraus = basis.conj().T @ ancilla_kraus(stroke.unitary, stroke.rho) @ basis
         m_n = np.sum(np.abs(kraus) ** 2, axis=0)
         # coherence multipliers: rho'_ij = c_ij rho_ij for i != j
         c = np.einsum("kii,kjj->ij", kraus, kraus.conj())
+        p_th = np.exp(-stroke.beta * (e_sys - e_sys.min()))
+        chains.append((m_n, c, p_th / p_th.sum()))
+    rho = rho0
+    records = []
+    for n in range(n_strokes):
+        m_n, c, p_th = chains[n % len(chains)]
         p_before = np.real(np.diag(basis.conj().T @ rho.matrix @ basis))
-        ep, ev = _apply_collision(rho, stroke, h_now)
+        ep, ev = _apply_collision(rho, spec.stroke(n), spec.h_at(n))
         rho_next = ev.rho_system
         p_after = np.real(np.diag(basis.conj().T @ rho_next.matrix @ basis))
-        p_th = np.exp(-stroke.beta * (e_sys - e_sys.min()))
-        p_th = p_th / p_th.sum()
         sigma_cl = classical_kl(p_before, p_th) - classical_kl(p_after, p_th)
         coh_before = shannon_entropy(p_before) - von_neumann_entropy(rho)
         coh_after = shannon_entropy(p_after) - von_neumann_entropy(rho_next)

@@ -5,15 +5,17 @@ is measured in nats (natural logarithm).  Operators live on a tensor
 product of finite-dimensional factors and carry their factor dimensions,
 so partial traces, bipartite splits and dephasings are unambiguous.
 
-All values are immutable; functions never mutate their arguments, except
-the superoperator builders `add_sided_term`, `add_lindblad_term` and
+All values are immutable, including the spectrum a `DensityOperator`
+keeps from its validation, which every entropy, divergence and eigenbasis
+of the state reads (`_spectrum`).  Functions never mutate their arguments,
+except the superoperator builders `add_sided_term`, `add_lindblad_term` and
 `real_superop`, which work in place on the array they are given.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
@@ -129,10 +131,15 @@ class HermitianOperator:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Positive unit-trace Hermitian matrix: the universal state type."""
+    """Positive unit-trace Hermitian matrix: the universal state type.
+
+    Validation takes one `eigh` of the matrix; its clamped eigenvalues and
+    eigenvectors are kept read-only (not compared, not in the repr).
+    """
 
     matrix: np.ndarray
     dims: HilbertDims
+    _eig: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _frozen_matrix(self.matrix)
@@ -144,9 +151,13 @@ class DensityOperator:
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise CoreError(f"density matrix trace {tr} differs from 1")
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+        evals, evecs = np.linalg.eigh(m)
         if evals.min() < -EIG_FLOOR:
             raise CoreError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+        evals = _clamp_probs(evals)
+        for arr in (evals, evecs):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_eig", (evals, evecs))
 
     @classmethod
     def from_matrix(cls, matrix, dims=None):
@@ -170,9 +181,10 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def eig(self):
-        """Eigenvalues (clamped to [0, 1]) and eigenvectors, ascending."""
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return _clamp_probs(vals), vecs
+        """Eigenvalues (ascending, negative round-off clamped to 0) and
+        eigenvectors as columns, from the validating decomposition; both
+        arrays are read-only."""
+        return self._eig
 
     def to_json(self) -> dict:
         return matrix_to_json(self.matrix, self.dims)
@@ -246,6 +258,15 @@ def _clamp_probs(vals: np.ndarray) -> np.ndarray:
     if vals.min() < -EIG_FLOOR:
         raise CoreError(f"eigenvalue {vals.min():.3e} below the clamping floor")
     return np.where(vals < 0.0, 0.0, vals)
+
+
+def _spectrum(state) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped eigenvalues and eigenvectors of a state: those a
+    `DensityOperator` keeps, or one `eigh` of a bare matrix."""
+    if isinstance(state, DensityOperator):
+        return state.eig()
+    vals, vecs = np.linalg.eigh(_mat(state))
+    return _clamp_probs(vals), vecs
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +459,7 @@ def ancilla_kraus(op, rho_ancilla) -> np.ndarray:
     For a unitary U they are the Kraus operators of Tr_A[U (. x rho_A) U^dag].
     """
     x = _mat(op)
-    q, basis = np.linalg.eigh(_mat(rho_ancilla))
-    q = _clamp_probs(q)
+    q, basis = _spectrum(rho_ancilla)
     da = q.size
     ds = x.shape[0] // da
     full = np.kron(np.eye(ds), basis)
@@ -462,11 +482,12 @@ def shannon_entropy(p) -> float:
 
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho over the eigenvalues, in nats."""
-    m = _mat(rho)
-    herm_err = np.abs(m - m.conj().T).max()
-    if herm_err > HERMITICITY_TOL * max(1.0, np.abs(m).max()):
-        raise CoreError("von Neumann entropy of a non-Hermitian matrix")
-    return shannon_entropy(np.linalg.eigvalsh(m))
+    if not isinstance(rho, DensityOperator):
+        m = _mat(rho)
+        herm_err = np.abs(m - m.conj().T).max()
+        if herm_err > HERMITICITY_TOL * max(1.0, np.abs(m).max()):
+            raise CoreError("von Neumann entropy of a non-Hermitian matrix")
+    return shannon_entropy(_spectrum(rho)[0])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -475,10 +496,8 @@ def relative_entropy(rho, sigma) -> float:
     s = _mat(sigma)
     if r.shape != s.shape:
         raise CoreError(f"dimension mismatch {r.shape} vs {s.shape}")
-    p, pv = np.linalg.eigh(r)
-    p = _clamp_probs(p)
-    q, qv = np.linalg.eigh(s)
-    q = _clamp_probs(q)
+    p, _ = _spectrum(rho)
+    q, qv = _spectrum(sigma)
     # rho expressed in sigma's eigenbasis
     r_in_q = qv.conj().T @ r @ qv
     diag = np.real(np.diag(r_in_q))
@@ -508,7 +527,7 @@ def relative_entropy_spectral(rho, sigma_vals, sigma_vecs) -> float:
     null = w <= 0.0
     if np.sum(diag[null]) > SUPPORT_OVERLAP_TOL:
         return math.inf
-    p = _clamp_probs(np.linalg.eigvalsh(r))
+    p, _ = _spectrum(rho)
     nz = p[p > 0.0]
     term1 = float(np.sum(nz * np.log(nz)))
     ok = ~null
@@ -558,11 +577,9 @@ def renyi_divergence(rho, sigma, alpha) -> float:
     if r.shape != s.shape:
         raise CoreError(f"dimension mismatch {r.shape} vs {s.shape}")
     if alpha == 1.0:
-        return relative_entropy(r, s)
-    p, pv = np.linalg.eigh(r)
-    p = _clamp_probs(p)
-    q, qv = np.linalg.eigh(s)
-    q = _clamp_probs(q)
+        return relative_entropy(rho, sigma)
+    p, pv = _spectrum(rho)
+    q, qv = _spectrum(sigma)
     if alpha == 0.0:
         proj = _support_projector(p, pv)
         val = float(np.real(np.trace(proj @ s)))
@@ -667,9 +684,8 @@ def dephase(rho, hamiltonian, degeneracy_tol=1e-9):
 
 def relative_entropy_of_coherence(rho, hamiltonian, degeneracy_tol=1e-9) -> float:
     """C(rho) = S(Delta_H(rho)) - S(rho) >= 0, zero iff already block-diagonal."""
-    r = _mat(rho)
-    deph = _mat(dephase(r, hamiltonian, degeneracy_tol))
-    return von_neumann_entropy(deph) - von_neumann_entropy(r)
+    deph = dephase(rho, hamiltonian, degeneracy_tol)
+    return von_neumann_entropy(deph) - von_neumann_entropy(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +701,7 @@ def hermitian_function(matrix, fn):
 
 def logm_psd(matrix):
     """Matrix logarithm of a PSD matrix on its support (pseudo-log)."""
-    m = _mat(matrix)
-    vals, vecs = np.linalg.eigh(m)
-    vals = _clamp_probs(vals)
+    vals, vecs = _spectrum(matrix)
     logs = np.where(vals > SUPPORT_EIG_CUT, np.log(np.where(vals > 0, vals, 1.0)), 0.0)
     return (vecs * logs) @ vecs.conj().T
 

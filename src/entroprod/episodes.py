@@ -187,10 +187,11 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     the mutual information, flux trace formula and heats stay finite.
     """
     ev = evolved or evolve(ep)
-    mi = mutual_information(ev.rho_joint, ep.system_factors)
+    s_sys, s_env = von_neumann_entropy(ev.rho_system), von_neumann_entropy(ev.rho_env)
+    mi = s_sys + s_env - von_neumann_entropy(ev.rho_joint)
     d_env = relative_entropy(ev.rho_env, ep.rho_env)
-    ds_s = von_neumann_entropy(ev.rho_system) - von_neumann_entropy(ep.rho_system)
-    ds_e = von_neumann_entropy(ev.rho_env) - von_neumann_entropy(ep.rho_env)
+    ds_s = s_sys - von_neumann_entropy(ep.rho_system)
+    ds_e = s_env - von_neumann_entropy(ep.rho_env)
     # unitarity: the mutual information must equal dS_S + dS_E
     if math.isfinite(mi) and abs(mi - (ds_s + ds_e)) > 1e-8:
         raise EpisodeError("joint entropy not conserved; unitary is inconsistent")
@@ -576,7 +577,7 @@ def heat_distribution(ep: Episode, beta: float | None = None, tol: float = 1e-10
     beta is supplied, <e^{-beta Q}> equals Tr[M rho_S] identically.
     """
     evals_e, evecs_e = np.linalg.eigh(ep.h_env.matrix)
-    lam, svecs = np.linalg.eigh(ep.rho_system.matrix)
+    lam, svecs = ep.rho_system.eig()
     u = ep.unitary.matrix
     ds, de = ep.rho_system.dim, ep.rho_env.dim
     # environment populations in the H_E eigenbasis

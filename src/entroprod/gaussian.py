@@ -378,17 +378,20 @@ def _squeeze_operator(z: complex, n: int) -> np.ndarray:
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
+def _thermal_fock_weights(nbar: float, n: int) -> np.ndarray:
+    """Thermal Fock populations at mean occupation nbar, truncated to n
+    levels and renormalized (the vacuum for nbar <= 0)."""
+    if nbar <= 0:
+        return np.eye(n)[0]
+    x = nbar / (1.0 + nbar)
+    w = (1 - x) * x ** np.arange(n)
+    return w / w.sum()
+
+
 def squeezed_thermal_state(nbar_beta: float, omega: float, r: float,
                            theta: float, n: int) -> DensityOperator:
     """S(z) rho_th S(z)^dag on a truncated Fock space, z = r e^{i theta}."""
-    if nbar_beta <= 0:
-        w = np.zeros(n)
-        w[0] = 1.0
-    else:
-        x = nbar_beta / (1.0 + nbar_beta)
-        w = (1 - x) * x ** np.arange(n)
-        w = w / w.sum()
-    rho = np.diag(w).astype(complex)
+    rho = np.diag(_thermal_fock_weights(nbar_beta, n)).astype(complex)
     s = _squeeze_operator(r * np.exp(1j * theta), n)
     return DensityOperator.from_matrix(s @ rho @ s.conj().T)
 
@@ -423,16 +426,18 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     dynamically (moment conservation along the evolution).
     """
     n = spec.fock_cut
-    a = np.kron(destroy(n), np.eye(n))
-    b = np.kron(np.eye(n), destroy(n))
-    v = 1j * spec.g * (a.conj().T @ b - b.conj().T @ a)
-    # structural conservation checks on the untruncated-safe subspace
-    n_tot = a.conj().T @ a + b.conj().T @ b
-    asym_tot = a @ a + b @ b
-    proj = _total_quanta_projector(n, n - 2)
+    # two-mode operators as Kronecker products of one-mode products,
+    # kron(A, B) kron(C, D) = kron(AC, BD), with a = a1 x 1 and b = 1 x a1
+    a1, eye = destroy(n), np.eye(n)
+    v = 1j * spec.g * (np.kron(a1.conj().T, a1) - np.kron(a1, a1.conj().T))
+    n_tot = np.kron(a1.conj().T @ a1, eye) + np.kron(eye, a1.conj().T @ a1)
+    asym_tot = np.kron(a1 @ a1, eye) + np.kron(eye, a1 @ a1)
+    # structural conservation checks on the untruncated-safe subspace,
+    # total quanta i + j <= n - 2 of the joint index i*n + j
+    safe = (np.arange(n)[:, None] + np.arange(n) <= n - 2).ravel()
     for label, op in (("quanta", n_tot), ("asymmetry", asym_tot)):
-        comm = v @ op - op @ v
-        resid = float(np.abs(proj @ comm @ proj).max())
+        comm = v[safe] @ op[:, safe] - op[safe] @ v[:, safe]
+        resid = float(np.abs(comm).max())
         if resid > 1e-10:
             raise GaussianError(f"interaction does not conserve {label} "
                                 f"(residual {resid:.3e})")
@@ -450,7 +455,7 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     rho_s0 = rho_system.matrix
     rho_s1 = _partial_first(joint1, n)
 
-    ds = von_neumann_entropy(rho_s1) - von_neumann_entropy(rho_s0)
+    ds = von_neumann_entropy(rho_s1) - von_neumann_entropy(rho_system)
     dh = float(np.real(np.trace(h_sys @ (rho_s1 - rho_s0))))
     da = float(np.real(np.trace(a_sys @ (rho_s1 - rho_s0))))
     ch, sh = math.cosh(2 * spec.r), math.sinh(2 * spec.r)
@@ -460,15 +465,9 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     # whose spectral data is exact (thermal weights, squeezed Fock basis);
     # independent of the affinity algebra, so agreement genuinely tests
     # that the GGE is the global fixed point of the conserving exchange.
-    if nbar <= 0:
-        w = np.zeros(n)
-        w[0] = 1.0
-    else:
-        x = nbar / (1.0 + nbar)
-        w = (1 - x) * x ** np.arange(n)
-        w = w / w.sum()
+    w = _thermal_fock_weights(nbar, n)
     squeeze = _squeeze_operator(spec.r * np.exp(1j * spec.theta), n)
-    sigma_rel = (relative_entropy_spectral(rho_s0, w, squeeze)
+    sigma_rel = (relative_entropy_spectral(rho_system, w, squeeze)
                  - relative_entropy_spectral(rho_s1, w, squeeze))
 
     d_quanta = float(np.real(np.trace(n_tot @ (joint1 - joint0))))
@@ -482,15 +481,6 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
         d_h_system=dh,
         d_a_system=da,
     )
-
-
-def _total_quanta_projector(n: int, max_total: int) -> np.ndarray:
-    diag = np.zeros(n * n)
-    for i in range(n):
-        for j in range(n):
-            if i + j <= max_total:
-                diag[i * n + j] = 1.0
-    return np.diag(diag)
 
 
 def _partial_first(joint, n):

@@ -174,8 +174,8 @@ class IntegrationResult:
     positivity_drift: float
 
 
-def integrate(model: LindbladModel, rho0: DensityOperator, t_grid,
-              max_step: float | None = None) -> IntegrationResult:
+def integrate(model: LindbladModel, rho0: DensityOperator,
+              t_grid) -> IntegrationResult:
     """Fixed-step RK4 on the vectorized equation.
 
     Step is capped at 0.05/||L||_F; the trace is renormalized after every
@@ -186,8 +186,6 @@ def integrate(model: LindbladModel, rho0: DensityOperator, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     norm = float(np.linalg.norm(superop, "fro"))
     cap = 0.05 / max(norm, 1e-12)
-    if max_step is not None:
-        cap = min(cap, max_step)
     v = vec(rho0.matrix)
     states = [rho0]
     drift = 0.0
@@ -248,23 +246,15 @@ def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperato
     if x is None:
         raise LindbladError(
             f"degenerate steady space (bordered generator singular within {null_tol:g})")
-    m = from_hermitian_coords(x)
-    low = float(np.linalg.eigvalsh(m).min())
-    if low < -1e-7:
-        raise LindbladError(f"steady-state candidate not PSD ({low:.3e})")
-    m = _project_psd(m)
-    rho = DensityOperator.from_matrix(m)
+    vals, vecs = np.linalg.eigh(from_hermitian_coords(x))
+    if vals.min() < -1e-7:
+        raise LindbladError(f"steady-state candidate not PSD ({vals.min():.3e})")
+    m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    rho = DensityOperator.from_matrix(m / np.trace(m))
     resid = float(np.abs(gen @ hermitian_coords(rho.matrix)).max())
     if resid > 1e-8:
         raise LindbladError(f"steady-state residual {resid:.3e}")
     return rho
-
-
-def _project_psd(m):
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    m = (vecs * vals) @ vecs.conj().T
-    return m / np.trace(m)
 
 
 def gap(model: LindbladModel, null_tol: float = 1e-8) -> float:
@@ -446,7 +436,7 @@ def spohn_rates(model_of_t, trajectory, beta: float,
         drho_full = apply_superop(full, rho.matrix)
         drho_diss = apply_superop(diss, rho.matrix)
         heat.append(-float(np.real(np.trace(h @ drho_diss))))
-        log_rho = logm_psd(rho.matrix)
+        log_rho = logm_psd(rho)
         entropy_rate.append(-float(np.real(np.trace(drho_full @ log_rho))))
         relents.append(relative_entropy(rho, gibbs))
     # dH/dt via central differences of the schedule

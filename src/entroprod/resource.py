@@ -280,10 +280,12 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID,
     not increase for any alpha in the grid.  Never merged with the
     population battery (except at alpha = 1 they combine into the plain
     data-processing statement)."""
+    dephased1 = dephase(rho1, hamiltonian)
+    dephased2 = dephase(rho2, hamiltonian)
     sig = []
     for a in alphas:
-        c1 = renyi_divergence(_mat(rho1), _mat(dephase(rho1, hamiltonian)), a)
-        c2 = renyi_divergence(_mat(rho2), _mat(dephase(rho2, hamiltonian)), a)
+        c1 = renyi_divergence(rho1, dephased1, a)
+        c2 = renyi_divergence(rho2, dephased2, a)
         if math.isinf(c1) and math.isinf(c2):
             sig.append(0.0)
         else:
@@ -320,10 +322,10 @@ def interconversion_rate(rho1, rho2, beta: float, hamiltonian) -> float:
     S(rho1 || rho_th) / S(rho2 || rho_th): interconversion is governed by
     the entropy of full thermalization."""
     gibbs = thermal_state(hamiltonian, beta)
-    denom = relative_entropy(_mat(rho2), gibbs.matrix)
+    denom = relative_entropy(rho2, gibbs)
     if denom <= SUPPORT_THRESHOLD:
         raise ResourceError("target state is thermal; interconversion rate undefined")
-    return relative_entropy(_mat(rho1), gibbs.matrix) / denom
+    return relative_entropy(rho1, gibbs) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,6 @@ def work_bounds(h_final, beta: float, rho_final, mean_work: float,
     Phi_eta = -(eta/beta) S_{1-eta/beta}(rho' || rho'_th) - eta dF_eq.
     """
     hf = _mat(h_final)
-    rho_p = _mat(rho_final)
     gibbs = thermal_state(HermitianOperator.from_matrix(hf), beta)
     eta_grid = np.asarray(eta_grid, dtype=float)
     phi = np.empty_like(eta_grid)
@@ -359,11 +360,11 @@ def work_bounds(h_final, beta: float, rho_final, mean_work: float,
         alpha = 1.0 - eta / beta
         if alpha < 0:
             raise ResourceError("eta beyond beta: negative Renyi order")
-        div = renyi_divergence(rho_p, gibbs.matrix, alpha)
+        div = renyi_divergence(rho_final, gibbs, alpha)
         phi[k] = -(eta / beta) * div - eta * delta_f_eq
     w_irr = mean_work - delta_f_eq
-    w_ext = renyi_divergence(rho_p, gibbs.matrix, 0.0) / beta
-    w_form = renyi_divergence(rho_p, gibbs.matrix, math.inf) / beta
+    w_ext = renyi_divergence(rho_final, gibbs, 0.0) / beta
+    w_form = renyi_divergence(rho_final, gibbs, math.inf) / beta
     ok = (w_ext <= w_irr + 1e-10) and (w_irr <= w_form + 1e-10)
     return WorkBoundsReport(eta_grid, phi, w_irr, w_ext, w_form, ok)
 

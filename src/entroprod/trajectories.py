@@ -37,6 +37,7 @@ from .core import (
     HermitianOperator,
     _clamp_probs,
     _mat,
+    _spectrum,
     partial_trace,
     relative_entropy,
     shannon_entropy,
@@ -186,11 +187,6 @@ class ScalarDistribution:
 # TPM ensembles for episodes
 # ---------------------------------------------------------------------------
 
-def _eig_state(rho) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(_mat(rho))
-    return _clamp_probs(vals), vecs
-
-
 def _log_ratio(num, den, p_forward, p_backward):
     """ln num/den on the grid of p_forward: 0 where p_forward vanishes, +inf
     where only the backward weight p_backward does."""
@@ -233,10 +229,10 @@ def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
                               f"exhaustive cap {ENSEMBLE_DIM_CAP}")
     ev = evolve(ep)
     ds, de = ep.rho_system.dim, ep.rho_env.dim
-    p_init, vs_init = _eig_state(ep.rho_system)
-    q_init, ve_init = _eig_state(ep.rho_env)
-    ps_fin, vs_fin = _eig_state(ev.rho_system)
-    qe_fin, ve_fin = _eig_state(ev.rho_env)
+    p_init, vs_init = _spectrum(ep.rho_system)
+    q_init, ve_init = _spectrum(ep.rho_env)
+    ps_fin, vs_fin = _spectrum(ev.rho_system)
+    qe_fin, ve_fin = _spectrum(ev.rho_env)
 
     if choice is BackwardChoice.BATH_RESET:
         basis_s, basis_e, ref = vs_fin, ve_init, np.outer(ps_fin, q_init)
@@ -377,10 +373,10 @@ def work_cgf(h_initial, h_final, protocol_unitary, beta: float, lam_grid) -> Cgf
     hi = _mat(h_initial)
     hf = _mat(h_final)
     v = _mat(protocol_unitary)
-    rho_i = thermal_state(HermitianOperator.from_matrix(hi), beta).matrix
-    rho_f = thermal_state(HermitianOperator.from_matrix(hf), beta).matrix
-    ei, vi = _eig_state(rho_i)
-    ef, vf = _eig_state(rho_f)
+    rho_i = thermal_state(HermitianOperator.from_matrix(hi), beta)
+    rho_f = thermal_state(HermitianOperator.from_matrix(hf), beta)
+    ei, vi = _spectrum(rho_i)
+    ef, vf = _spectrum(rho_f)
     lam_grid = np.asarray(lam_grid, dtype=float)
     out = np.empty_like(lam_grid)
     for k, lam in enumerate(lam_grid):
@@ -412,7 +408,7 @@ def _gl_map(a, b):
 def _y_correlation(rho, op, ys):
     """Tr[A rho^y A rho^(1-y)] at every y of the array ys, with <A> and
     <A^2> in rho."""
-    vals, vecs = _eig_state(rho)
+    vals, vecs = _spectrum(rho)
     a = vecs.conj().T @ _mat(op) @ vecs
     y = np.asarray(ys)[..., None]
     corr = np.real(np.einsum("ij,...j,ji,...i->...", a, vals ** (1.0 - y), a, vals ** y))
@@ -602,7 +598,7 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     value Tr{H_B (U rho_AB U^dag - rho_AB)} exactly.  The ensemble is
     p[s, n, m] = p_s |<n|s>|^2 |<m|U|s>|^2 over the joint energy indices.
     """
-    ps, vs = _eig_state(rho_ab)
+    ps, vs = _spectrum(rho_ab)
     ea, va = np.linalg.eigh(_mat(h_a))
     eb, vb = np.linalg.eigh(_mat(h_b))
     basis = np.kron(va, vb)

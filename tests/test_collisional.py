@@ -68,6 +68,23 @@ def test_run_converges_to_gibbs_monotonically():
     assert dists[-1] < 1e-3
 
 
+def test_run_verdict_once_per_alphabet_entry(monkeypatch):
+    beta = 0.9
+    rng = np.random.default_rng(11)
+    scrambled = cm.AncillaStroke(thermal_state(H_QUBIT, beta), H_QUBIT,
+                                 random_unitary(4, rng, dims=(2, 2)), beta=beta)
+    spec = cm.CollisionSpec((thermal_stroke(beta), scrambled), (H_QUBIT, H_QUBIT))
+    verdicts = []
+    check = cm.is_strict_energy_conserving
+    monkeypatch.setattr(cm, "is_strict_energy_conserving",
+                        lambda *a: verdicts.append(1) or check(*a))
+    _, recs = cm.run(spec, random_density(2, rng), 7)
+    assert len(verdicts) == 2
+    tier3 = [r.sigma_fixed_point is not None for r in recs]
+    assert tier3 == [n % 2 == 0 for n in range(7)]
+    assert all(r.sigma_thermal is not None for r in recs)
+
+
 def test_run_detuned_strokes_lose_tier3():
     beta = 1.0
     h_det = HermitianOperator.from_matrix(1.4 * np.diag([0.0, 1.0]))

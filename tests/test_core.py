@@ -189,6 +189,52 @@ def test_renyi_divergence_negative_alpha():
         core.renyi_divergence(rho, rho, -0.5)
 
 
+def _spectrum_test_states(rng):
+    """Random states, d = 1-6: full rank, pure and rank-deficient."""
+    for d in range(1, 7):
+        for rank in sorted({d, 1, max(1, d - 1)}):
+            yield random_density(d, rng, rank=rank)
+
+
+def test_density_operator_keeps_its_spectrum(monkeypatch):
+    rng = np.random.default_rng(77)
+    states = list(_spectrum_test_states(rng))
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1))
+    for rho in states:
+        vals, vecs = rho.eig()
+        assert vals.min() >= 0.0 and np.all(np.diff(vals) >= 0.0)
+        assert np.abs((vecs * vals) @ vecs.conj().T - rho.matrix).max() < 1e-14
+        for arr in (vals, vecs):
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert rho.eig()[0] is vals
+    assert calls == []
+
+
+def test_entropies_same_for_state_and_bare_matrix():
+    rng = np.random.default_rng(78)
+    states = list(_spectrum_test_states(rng))
+    for rho in states:
+        sigma = random_density(rho.dim, rng, rank=max(1, rho.dim - 1))
+        pairs = [
+            (core.von_neumann_entropy, (rho,)),
+            (core.logm_psd, (rho,)),
+            (core.relative_entropy, (rho, sigma)),
+            (core.relative_entropy, (sigma, rho)),
+            (core.relative_entropy_spectral, (rho,) + sigma.eig()),
+        ] + [(core.renyi_divergence, (x, y, a)) for x, y in ((rho, sigma), (sigma, rho))
+             for a in (0.0, 0.5, 1.0, 2.0, math.inf)]
+        for fn, args in pairs:
+            got = np.asarray(fn(*args))
+            bare = np.asarray(fn(*(a.matrix if isinstance(a, DensityOperator) else a
+                                   for a in args)))
+            assert np.array_equal(np.isinf(got), np.isinf(bare)), fn.__name__
+            fin = np.isfinite(got)
+            assert np.array_equal(got[~fin], bare[~fin])
+            assert np.abs(got[fin] - bare[fin]).max(initial=0.0) < 1e-14, fn.__name__
+
+
 def test_thermal_state_limits():
     h = random_hermitian(4, RNG)
     uniform = core.thermal_state(h, 0.0)

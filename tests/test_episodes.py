@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entroprod import core, episodes as eps
+from entroprod import core, episodes as eps, trajectories as tj
 from entroprod.core import (
     DensityOperator,
     HermitianOperator,
@@ -266,6 +266,29 @@ def test_fixed_point_sigma_differs_without_fixed_point():
     assert not eps.has_global_fixed_point(ep, gibbs)
     fp = eps.fixed_point_sigma(rho, ev.rho_system, gibbs)
     assert abs(fp - bal.sigma) > 1e-3
+
+
+def test_decompositions_per_state(monkeypatch):
+    """Every state is diagonalized once, when it is built: thermal_balance
+    decomposes H_E and its Gibbs state, the thermality distance and the
+    three evolved states; balance on given states decomposes nothing."""
+    ep = random_episode(np.random.default_rng(8))
+    ev = eps.evolve(ep)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+
+    def count(call):
+        calls.clear()
+        call()
+        return len(calls)
+
+    assert count(lambda: eps.thermal_balance(ep, 1.2)) <= 6
+    assert count(lambda: eps.thermal_balance(ep, 1.2, evolved=ev)) <= 3
+    assert count(lambda: eps.balance(ep, ev)) == 0
+    assert count(lambda: tj.backward_ensemble(ep, tj.BackwardChoice.BOTH_RESET)) <= 3
 
 
 def test_conditional_balance_trivial_measurement():

@@ -124,10 +124,10 @@ def test_stochastic_sigma_of_two_ensembles():
 def _trajectory_loop(ep, choice):
     """p_forward, p_backward and sigma path by path, on the grid [m, mu, n, nu]."""
     ev = eps.evolve(ep)
-    p, vs = tj._eig_state(ep.rho_system)
-    q, ve = tj._eig_state(ep.rho_env)
-    ps, vs_f = tj._eig_state(ev.rho_system)
-    qe, ve_f = tj._eig_state(ev.rho_env)
+    p, vs = ep.rho_system.eig()
+    q, ve = ep.rho_env.eig()
+    ps, vs_f = ev.rho_system.eig()
+    qe, ve_f = ev.rho_env.eig()
     ds, de = len(p), len(q)
     if choice is tj.BackwardChoice.BATH_RESET:
         bs, be, ref = vs_f, ve, np.outer(ps, q)
