@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import bordered_null_vector, classical_kl
+from .core import bordered_solve
 
 
 class ClassicalError(ValueError):
@@ -114,7 +114,7 @@ def stationary_distribution(rates: RateMatrix) -> np.ndarray:
     not unique (more than one closed class) makes the bordered matrix
     singular, and its reciprocal condition estimate below 1e-8 is an error.
     """
-    p = bordered_null_vector(rates.w, slice(None))
+    p = bordered_solve(rates.w, slice(None))
     if p is None:
         raise ClassicalError(
             "stationary distribution not unique (bordered generator singular within 1e-8)")
@@ -192,15 +192,24 @@ def multibath_sigma(rates: RateMatrix, p):
     return sigma_correct, float(np.sum(jj * xx))
 
 
-def kl_divergence_rate(rates: RateMatrix, p, p_stationary, dt=1e-6):
-    """-d/dt S(p || p*) by a one-sided second-order stencil; equals the
-    Schnakenberg rate under detailed balance (and differs otherwise)."""
-    p_plus = evolve(rates, p, dt)
-    p_2plus = evolve(rates, p, 2 * dt)
-    k0 = classical_kl(p, p_stationary)
-    k1 = classical_kl(p_plus, p_stationary)
-    k2 = classical_kl(p_2plus, p_stationary)
-    return -(-3 * k0 + 4 * k1 - k2) / (2 * dt)
+def kl_divergence_rate(rates: RateMatrix, p, p_stationary):
+    """-d/dt S(p || p*) = -sum_i (W p)_i ln(p_i / p*_i), exact; equals the
+    Schnakenberg rate under detailed balance (and differs otherwise).
+
+    A state with p_i = 0 adds +inf where (W p)_i > 0 and 0 where
+    (W p)_i = 0.  p*_i = 0 where p_i or (W p)_i is not is an error:
+    S(p || p*) is or becomes infinite.
+    """
+    p = _check_probability(p)
+    q = _check_probability(p_stationary)
+    flow = rates.w @ p
+    if ((q == 0.0) & ((p > 0.0) | (flow != 0.0))).any():
+        raise ClassicalError("relative entropy to p* is infinite: p* vanishes "
+                             "where p or dp/dt does not")
+    if ((p == 0.0) & (flow > 0.0)).any():
+        return math.inf
+    live = p > 0.0
+    return -float(flow[live] @ np.log(p[live] / q[live]))
 
 
 def is_detailed_balanced(rates: RateMatrix, p_stationary, tol=1e-10) -> bool:
@@ -212,63 +221,65 @@ def is_detailed_balanced(rates: RateMatrix, p_stationary, tol=1e-10) -> bool:
 # Full counting statistics
 # ---------------------------------------------------------------------------
 
+def _counted_parts(rates: RateMatrix, counted):
+    """Pairs (part, n) of each generator part and the net count n[i, j]
+    that its transition j -> i adds to the counted current; the tilted
+    generator is sum part * e^{n chi}."""
+    parts = (rates.w,) if rates.reservoirs is None else rates.reservoirs
+    counts = np.zeros((len(parts),) + rates.w.shape)
+    for i, j, alpha in counted:
+        k = alpha if rates.reservoirs is not None else 0 if alpha is None else -1
+        if not (isinstance(k, int) and 0 <= k < len(parts)):
+            raise ClassicalError(f"unknown reservoir {alpha}")
+        counts[k, i, j] += 1.0
+        counts[k, j, i] -= 1.0
+    return list(zip(parts, counts))
+
+
 def tilted_generator(rates: RateMatrix, counted, chi: float) -> np.ndarray:
     """Tilt the counted off-diagonals by e^{+-chi}.
 
     counted: list of (i, j, alpha) edges; the alpha-reservoir transition
     j -> i gains e^{+chi} and its reverse e^{-chi}.  alpha is the index
     into the reservoir decomposition, or None to count on the bare
-    generator (only allowed when no decomposition is attached).
+    generator (only allowed when no decomposition is attached).  The
+    dominant eigenvalue is the scaled cumulant generating function.
     """
-    if rates.reservoirs is None:
-        tilted_parts = [rates.w.copy()]
-        lookup = lambda alpha: 0 if alpha is None else None  # noqa: E731
-    else:
-        tilted_parts = [p.copy() for p in rates.reservoirs]
-        lookup = lambda alpha: alpha if isinstance(alpha, int) and \
-            0 <= alpha < len(tilted_parts) else None  # noqa: E731
-    for (i, j, alpha) in counted:
-        k = lookup(alpha)
-        if k is None:
-            raise ClassicalError(f"unknown reservoir {alpha}")
-        part = tilted_parts[k]
-        part[i, j] = part[i, j] * math.exp(chi)
-        part[j, i] = part[j, i] * math.exp(-chi)
-    return sum(tilted_parts)
+    return sum(part * np.exp(n * chi) for part, n in _counted_parts(rates, counted))
 
 
-def scaled_cumulants(rates: RateMatrix, counted, h: float = 1e-4):
-    """Long-time mean and variance of the counted net current from the
-    dominant eigenvalue of the tilted generator; derivatives by central
-    differences with one Richardson refinement, eigenvalue tracked by
-    continuity from chi = 0 (largest real part)."""
+def _current_cumulants(rates: RateMatrix, counted, p):
+    """(J, lambda''(0)) of the counted current at the stationary p."""
+    pairs = _counted_parts(rates, counted)
+    w1 = sum(part * n for part, n in pairs)
+    w2 = sum(part * n * n for part, n in pairs)
+    j = float(np.sum(w1 @ p))
+    x = bordered_solve(rates.w, slice(None), j * p - w1 @ p)
+    if x is None:
+        raise ClassicalError("stationary distribution not unique")
+    return j, float(np.sum(w2 @ p) + 2.0 * np.sum(w1 @ x))
 
-    def lead(chi):
-        vals = np.linalg.eigvals(tilted_generator(rates, counted, chi))
-        order = np.argsort(-np.real(vals))
-        top = vals[order[0]]
-        if len(vals) > 1 and abs(np.real(vals[order[0]]) - np.real(vals[order[1]])) < 1e-12:
-            raise ClassicalError("non-unique dominant eigenvalue")
-        return float(np.real(top))
 
-    def d1(step):
-        return (lead(step) - lead(-step)) / (2 * step)
+def scaled_cumulants(rates: RateMatrix, counted):
+    """Long-time mean J = lambda'(0) and variance lambda''(0) of the counted
+    net current, lambda(chi) = lim ln <e^{chi N}> / t being the dominant
+    eigenvalue of `tilted_generator`.
 
-    def d2(step):
-        return (lead(step) - 2 * lead(0.0) + lead(-step)) / step ** 2
-
-    mean = (4 * d1(h / 2) - d1(h)) / 3.0
-    var = (4 * d2(h / 2) - d2(h)) / 3.0
-    # counting convention: lambda(chi) = ln <e^{+chi N}> rate, so
-    # mean = lambda'(0), variance = lambda''(0)
-    return mean, var
+    Exact, from the first two chi-derivatives W1, W2 of the tilted
+    generator at the stationary p (Landi, Kewming, Mitchison & Potts, PRX
+    Quantum 5, 020201 (2024)): J = 1^T W1 p and lambda''(0) = 1^T W2 p
+    + 2 1^T W1 x, where W x = (J - W1) p and 1^T x = 0, solved with the
+    bordered generator of `stationary_distribution`.
+    """
+    return _current_cumulants(rates, counted, stationary_distribution(rates))
 
 
 def tur_check(rates: RateMatrix, counted, p_stationary=None):
     """Thermodynamic uncertainty relation var/J^2 >= 2/Sigma_rate at the
     steady state; returns (lhs, rhs, satisfied)."""
-    p_ss = stationary_distribution(rates) if p_stationary is None else p_stationary
-    j, var = scaled_cumulants(rates, counted)
+    p_ss = stationary_distribution(rates) if p_stationary is None \
+        else _check_probability(p_stationary)
+    j, var = _current_cumulants(rates, counted, p_ss)
     sigma, _ = multibath_sigma(rates, p_ss) if rates.reservoirs is not None \
         else (schnakenberg(rates, p_ss).sigma_rate, None)
     if j == 0:
@@ -396,12 +407,10 @@ def _chang_cooper_faces(force, dx, diffusion):
     return f_face, np.where(small, 0.5, 1.0 / w - 1.0 / np.expm1(w))
 
 
-def _chang_cooper_generator(x, force, diffusion):
+def _chang_cooper_generator(f_face, delta, dx, diffusion):
     """Flux-form discrete generator with the exponential-fitting weights
     that make the discrete Boltzmann distribution exactly stationary;
     reflecting boundaries."""
-    dx = x[1] - x[0]
-    f_face, delta = _chang_cooper_faces(force, dx, diffusion)
     # through face k, cell k loses and cell k + 1 gains c_k P_k + c_k1 P_(k+1)
     c_k = (f_face * (1.0 - delta) + diffusion / dx) / dx
     c_k1 = (f_face * delta - diffusion / dx) / dx
@@ -413,10 +422,13 @@ def fokker_planck_1d(potential, temperature: float, x_grid, p0,
                      t: float) -> FokkerPlanckResult:
     """Overdamped diffusion dx = -V'(x) dt + sqrt(2T) dW on a uniform grid.
 
-    Returns the evolved density plus the two entropy production rates at
-    the final time: the current form (1/D) int J^2/P dx and the
-    relative-entropy form -d/dt S(P || P_th); they agree within the
-    discretization budget.  Mass is conserved by the flux form exactly.
+    Returns the density at time t, propagated by one matrix exponential of
+    the discrete generator G, plus the two entropy production rates at
+    time t: the current form (1/D) int J^2/P dx and the relative-entropy
+    form -d/dt S(P || P_th) = -int (G P) ln(P / P_th) dx, as in
+    `kl_divergence_rate`; they agree within the discretization budget.
+    Cells with P below 1e-280 are left out of both.  Mass is conserved by
+    the flux form exactly.
     """
     x = np.asarray(x_grid, dtype=float)
     dx = x[1] - x[0]
@@ -424,40 +436,21 @@ def fokker_planck_1d(potential, temperature: float, x_grid, p0,
         raise ClassicalError("grid must be uniform")
     diffusion = temperature
     v = np.array([potential(xi) for xi in x])
-    force = -np.gradient(v, x)
-    gen = _chang_cooper_generator(x, force, diffusion)
-    p = np.asarray(p0, dtype=float).copy()
-    p = np.clip(p, 1e-300, None)
-    p = p / (p.sum() * dx)
-    prop = expm(gen * t)
-    p_t = prop @ p
-    p_t = np.clip(p_t, 1e-300, None)
-
+    f_face, delta = _chang_cooper_faces(-np.gradient(v, x), dx, diffusion)
+    gen = _chang_cooper_generator(f_face, delta, dx, diffusion)
+    p = np.clip(np.asarray(p0, dtype=float), 1e-300, None)
+    p_t = np.clip(expm(gen * t) @ (p / (p.sum() * dx)), 1e-300, None)
     p_th = np.exp(-(v - v.min()) / temperature)
     p_th = p_th / (p_th.sum() * dx)
 
-    f_face, delta = _chang_cooper_faces(force, dx, diffusion)
-
-    def sigma_current(pp):
-        p_face = delta * pp[1:] + (1.0 - delta) * pp[:-1]
-        j = f_face * p_face - diffusion * ((pp[1:] - pp[:-1]) / dx)
-        keep = p_face > 1e-280
-        return float(np.sum(j[keep] * j[keep] / p_face[keep] * dx)) / diffusion
-
-    def kl(pp):
-        mask = pp > 1e-280
-        return float(np.sum(pp[mask] * np.log(pp[mask] / p_th[mask])) * dx)
-
-    # central difference around t + dt, with sigma_current at the midpoint
-    dt = min(1e-4, t * 1e-3) if t > 0 else 1e-4
-    step = expm(gen * dt)
-    p_mid = np.clip(step @ p_t, 1e-300, None)
-    p_2dt = np.clip(step @ p_mid, 1e-300, None)
-    sigma_kl = (kl(p_t) - kl(p_2dt)) / (2 * dt)
+    p_face = delta * p_t[1:] + (1.0 - delta) * p_t[:-1]
+    j = f_face * p_face - diffusion * (np.diff(p_t) / dx)
+    keep = p_face > 1e-280
+    live = p_t > 1e-280
     return FokkerPlanckResult(
         x=x,
         p=p_t,
-        sigma_rate_current=sigma_current(p_mid),
-        sigma_rate_kl=sigma_kl,
+        sigma_rate_current=float(np.sum(j[keep] ** 2 / p_face[keep]) * dx) / diffusion,
+        sigma_rate_kl=-float((gen @ p_t)[live] @ np.log(p_t[live] / p_th[live])) * dx,
         mass=float(p_t.sum() * dx),
     )

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 # Validation tolerances for constructed operators.
@@ -277,7 +278,7 @@ def tensor(ops):
     """Kronecker product of a list of operators, in the order given.
 
     Accepts wrapped operators or bare arrays and always returns the bare
-    ndarray; `tensor_dims` gives the matching factor bookkeeping.
+    ndarray.
     """
     ops = list(ops)
     if not ops:
@@ -286,13 +287,6 @@ def tensor(ops):
     for op in ops[1:]:
         out = np.kron(out, _mat(op))
     return out
-
-
-def tensor_dims(ops) -> HilbertDims:
-    dims = []
-    for op in ops:
-        dims.extend(_dims_of(op).factors)
-    return HilbertDims(tuple(dims))
 
 
 def _ptrace_matrix(mat, factors, keep):
@@ -389,15 +383,18 @@ def _rotate_pair(sym, anti, phase):
     np.multiply(diff, phase * _SQRT_HALF, out=anti)
 
 
-def bordered_null_vector(gen, trace, null_tol=1e-8):
-    """Null vector x of a real generator with t^T gen = 0, normalized to
-    t^T x = 1, where t is 1 on the slots `trace` (which include slot 0).
+def bordered_solve(gen, trace, rhs=None, null_tol=1e-8):
+    """x with B x = rhs for a real generator with t^T gen = 0 bordered as
+    B = gen - u t^T, where t is 1 on the slots `trace` (which include
+    slot 0) and u is the unit vector of slot 0.
 
-    B = gen - u t^T with u the unit vector of slot 0 has the spectrum of
-    gen with one zero replaced by -1, so it is singular exactly when the
-    null space of gen is degenerate, and x solves B x = -u.  One LU
-    factorization of B gives both: None is returned when LAPACK's estimate
-    of B's reciprocal condition number (infinity norm) is below `null_tol`.
+    B has the spectrum of gen with one zero replaced by -1, so it is
+    singular exactly when the null space of gen is degenerate.  The default
+    rhs = -u gives the null vector normalized to t^T x = 1; an rhs with
+    t^T rhs = 0 gives the x with gen x = rhs and t^T x = 0 (the Drazin
+    inverse of gen applied to rhs).  One LU factorization of B gives both:
+    None is returned when LAPACK's estimate of B's reciprocal condition
+    number (infinity norm) is below `null_tol`.
     """
     border = np.array(gen, dtype=float)
     border[0, trace] -= 1.0
@@ -409,10 +406,32 @@ def bordered_null_vector(gen, trace, null_tol=1e-8):
     rcond, _ = dgecon(lu, anorm)
     if not rcond >= null_tol:
         return None
-    rhs = np.zeros(border.shape[0])
-    rhs[0] = -1.0
+    if rhs is None:
+        rhs = np.zeros(border.shape[0])
+        rhs[0] = -1.0
     x, _ = dgetrs(lu, piv, rhs, trans=1)
     return x
+
+
+def propagate(gen, t_grid, x0, error):
+    """The time grid as an array and the rows x(t_k) of the solution of
+    dx/dt = gen x, x(t_0) = x0, exact at every step.  One propagator
+    expm(gen dt) is held at a time, recomputed where the step changes: the
+    peak, gen included, is about 9 matrices of gen's size.  A grid that is
+    not a finite, nondecreasing, non-empty 1-d sequence raises the
+    exception class `error`."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size == 0 or not np.isfinite(t).all() or (np.diff(t) < 0).any():
+        raise error("time grid must be a finite, nondecreasing 1-d sequence")
+    xs = np.empty((t.size, len(x0)))
+    xs[0] = x0
+    step = prop = None
+    for k, dt in enumerate(np.diff(t).tolist()):
+        if dt != step:
+            step, prop = dt, None  # freed before expm allocates
+            prop = expm(gen * dt)
+        xs[k + 1] = prop @ xs[k]
+    return t, xs
 
 
 def kraus_superop(kraus) -> np.ndarray:

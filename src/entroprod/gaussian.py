@@ -19,10 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_continuous_lyapunov
 
 from .core import (
     DensityOperator,
     hermitian_function,
+    propagate,
     relative_entropy_spectral,
     von_neumann_entropy,
 )
@@ -57,14 +59,16 @@ class GaussianModel:
             raise GaussianError("drift and diffusion must be equal square matrices")
         if a.shape[0] % 2:
             raise GaussianError("phase space dimension must be even")
-        if np.abs(d - d.T).max() > 1e-12:
-            raise GaussianError("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(d).min() < -1e-12:
-            raise GaussianError("diffusion matrix must be PSD")
         par = self.parity
         if par is None:
             par = default_parity(a.shape[0] // 2)
         par = np.asarray(par, dtype=float)
+        if not all(np.isfinite(m).all() for m in (a, d, par)):
+            raise GaussianError("drift, diffusion and parity must be finite")
+        if np.abs(d - d.T).max() > 1e-12:
+            raise GaussianError("diffusion matrix must be symmetric")
+        if np.linalg.eigvalsh(d).min() < -1e-12:
+            raise GaussianError("diffusion matrix must be PSD")
         if np.abs(par @ par - np.eye(a.shape[0])).max() > 1e-12:
             raise GaussianError("parity matrix must square to the identity")
         object.__setattr__(self, "drift", a)
@@ -98,6 +102,8 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (len(mean), len(mean)):
             raise GaussianError("covariance shape does not match the mean")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise GaussianError("mean and covariance must be finite")
         if np.abs(cov - cov.T).max() > 1e-10:
             raise GaussianError("covariance must be symmetric")
         if self.quantum:
@@ -129,16 +135,14 @@ class GaussianState:
 # ---------------------------------------------------------------------------
 
 def lyapunov_steady(drift, diffusion) -> np.ndarray:
-    """Unique symmetric solution of A Theta + Theta A^T = 2 D for stable A,
-    by the vectorized linear solve; residual below 1e-10 enforced."""
+    """Unique symmetric solution of A Theta + Theta A^T = 2 D for stable A
+    (Bartels-Stewart, `scipy.linalg.solve_continuous_lyapunov`); an
+    unstable A or a residual beyond 1e-10 max(1, max |D|) is an error."""
     a = np.asarray(drift, dtype=float)
     d = np.asarray(diffusion, dtype=float)
     if np.real(np.linalg.eigvals(a)).min() <= 0:
         raise GaussianError("drift matrix is not stable; steady covariance undefined")
-    n = a.shape[0]
-    eye = np.eye(n)
-    coeff = np.kron(eye, a) + np.kron(a, eye)
-    theta = np.linalg.solve(coeff, (2.0 * d).flatten(order="F")).reshape(n, n, order="F")
+    theta = solve_continuous_lyapunov(a, 2.0 * d)
     theta = 0.5 * (theta + theta.T)
     resid = float(np.abs(a @ theta + theta @ a.T - 2.0 * d).max())
     if resid > 1e-10 * max(1.0, np.abs(d).max()):
@@ -147,39 +151,28 @@ def lyapunov_steady(drift, diffusion) -> np.ndarray:
 
 
 def integrate_lyapunov(model: GaussianModel, state: GaussianState, t_grid):
-    """Evolve (mean, Theta) under dTheta/dt = -(A Theta + Theta A^T) + 2D."""
+    """States on a finite, nondecreasing time grid of dx/dt = -A x + noise,
+    dTheta/dt = -(A Theta + Theta A^T) + 2D, exact at every step: the vector
+    (mean, vec Theta, 1) is carried by the exponential of its generator
+    [[-A, 0, 0], [0, -(1 x A + A x 1), vec 2D], [0, 0, 0]] (`core.propagate`).
+    Unlike Van Loan's block form this has no growing block: it is bounded
+    for stable A at any step length, and exact for unstable A too.
+    """
     a = model.drift
-    d = model.diffusion
-    t_grid = np.asarray(t_grid, dtype=float)
+    n = a.shape[0]
+    if len(state.mean) != n:
+        raise GaussianError(f"state dimension {len(state.mean)} does not match the model's {n}")
+    gen = np.zeros((n + n * n + 1,) * 2)
+    gen[:n, :n] = -a
+    gen[n:-1, n:-1] = -(np.kron(np.eye(n), a) + np.kron(a, np.eye(n)))
+    gen[n:-1, -1] = 2.0 * model.diffusion.ravel()
+    x0 = np.concatenate([state.mean, state.cov.ravel(), [1.0]])
     states = [state]
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    scale = max(np.abs(a).max(), 1e-12)
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        span = t1 - t0
-        n_sub = max(1, int(math.ceil(span * scale / 0.05)))
-        h = span / n_sub
-        for _ in range(n_sub):
-            def rhs(c):
-                return -(a @ c + c @ a.T) + 2.0 * d
-            k1 = rhs(cov)
-            k2 = rhs(cov + 0.5 * h * k1)
-            k3 = rhs(cov + 0.5 * h * k2)
-            k4 = rhs(cov + h * k3)
-            cov = cov + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            m1 = -a @ mean
-            m2 = -a @ (mean + 0.5 * h * m1)
-            m3 = -a @ (mean + 0.5 * h * m2)
-            m4 = -a @ (mean + h * m3)
-            mean = mean + (h / 6.0) * (m1 + 2 * m2 + 2 * m3 + m4)
-        states.append(GaussianState(mean.copy(), 0.5 * (cov + cov.T),
-                                    quantum=state.quantum))
+    for x in propagate(gen, t_grid, x0, GaussianError)[1][1:]:
+        cov = x[n:-1].reshape(n, n)
+        states.append(GaussianState(x[:n], 0.5 * (cov + cov.T), quantum=state.quantum))
     return states
 
-
-# ---------------------------------------------------------------------------
-# Entropy production and flux for linear dynamics
-# ---------------------------------------------------------------------------
 
 def pi_phi(model: GaussianModel, state: GaussianState):
     """Entropy production and flux rates of a Gaussian state under linear

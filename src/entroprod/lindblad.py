@@ -6,15 +6,16 @@ convention that `core` fixes for every superoperator (`core.vec`,
 `core.unvec`); the trace functional is then the left null vector
 vec(1)^dag, which every generator here satisfies by construction.
 Besides the generic builder, the module carries the driven-dissipative
-Kerr model, the dissipative macrospin, the squeezed thermal bath, a
-fixed-step RK4 integrator, steady states, spectral gaps and the Spohn
+Kerr model, the dissipative macrospin, the squeezed thermal bath, exact
+time propagation, steady states, spectral gaps and the Spohn
 heat/work/entropy rates.
 
-Steady states and spectra are taken from the real form of the generator
-(`core.real_superop`, the generator in an orthonormal Hermitian basis),
-which has the eigenvalues of the complex one: the steady state from one LU
+Propagators, steady states and spectra are taken from the real form of
+the generator (`core.real_superop`, the generator in an orthonormal
+Hermitian basis), which has the eigenvalues of the complex one: time
+evolution from its matrix exponential, the steady state from one LU
 factorization of that form bordered by the trace functional
-(`core.bordered_null_vector`, the "direct" method of Johansson, Nation &
+(`core.bordered_solve`, the "direct" method of Johansson, Nation &
 Nori, Comput. Phys. Commun. 183, 1760 (2012)), the spectrum and the gap
 from one real nonsymmetric eigenvalue problem.
 """
@@ -32,10 +33,11 @@ from .core import (
     _mat,
     add_lindblad_term,
     add_sided_term,
-    bordered_null_vector,
+    bordered_solve,
     from_hermitian_coords,
     hermitian_coords,
     logm_psd,
+    propagate,
     real_superop,
     relative_entropy,
     thermal_state,
@@ -44,9 +46,11 @@ from .core import (
 )
 
 # Largest d whose complex generator (16 d^4 bytes) and real form (8 d^4)
-# fit the byte budget; see `LindbladModel`.
+# fit the byte budget; see `LindbladModel`.  `integrate` holds the real
+# form and one matrix exponential's workspace (80 d^4 bytes together).
 GENERATOR_BYTES = 2 ** 30
 DIM_CAP = math.isqrt(math.isqrt(GENERATOR_BYTES // 24))
+INTEGRATE_DIM_CAP = math.isqrt(math.isqrt(GENERATOR_BYTES // 80))
 
 
 class LindbladError(ValueError):
@@ -83,20 +87,25 @@ class LindbladModel:
             raise LindbladError(
                 f"dimension {h.shape[0]} exceeds cap {DIM_CAP} (24 d^4 bytes of "
                 f"dense generators against a budget of {GENERATOR_BYTES} bytes)")
-        object.__setattr__(self, "hamiltonian", h)
         jumps = tuple((np.asarray(op, dtype=complex), float(rate))
                       for op, rate in self.jumps)
-        for _, rate in jumps:
-            if rate < 0:
-                raise LindbladError(f"negative jump rate {rate}")
+        rates = [rate for _, rate in jumps]
+        entries = [h, rates, *(op for op, _ in jumps)]
+        cross = self.cross
+        if cross is not None:
+            cross = (tuple(np.asarray(o, dtype=complex) for o in cross[0]),
+                     np.asarray(cross[1], dtype=complex))
+            entries += [cross[1], *cross[0]]
+        if not all(np.isfinite(e).all() for e in entries):
+            raise LindbladError("Hamiltonian, jump operators, rates and cross "
+                                "terms must be finite")
+        if min(rates, default=0.0) < 0:
+            raise LindbladError(f"negative jump rate {min(rates)}")
+        if cross is not None and np.abs(cross[1] - cross[1].conj().T).max() > 1e-12:
+            raise LindbladError("cross-term coefficient matrix must be Hermitian")
+        object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", jumps)
-        if self.cross is not None:
-            ops, c = self.cross
-            c = np.asarray(c, dtype=complex)
-            if np.abs(c - c.conj().T).max() > 1e-12:
-                raise LindbladError("cross-term coefficient matrix must be Hermitian")
-            object.__setattr__(self, "cross",
-                               (tuple(np.asarray(o, dtype=complex) for o in ops), c))
+        object.__setattr__(self, "cross", cross)
 
     @property
     def dim(self) -> int:
@@ -176,48 +185,32 @@ class IntegrationResult:
 
 def integrate(model: LindbladModel, rho0: DensityOperator,
               t_grid) -> IntegrationResult:
-    """Fixed-step RK4 on the vectorized equation.
-
-    Step is capped at 0.05/||L||_F; the trace is renormalized after every
-    step with the accumulated drift logged, and the most negative
-    eigenvalue seen is reported as positivity drift (> 1e-8 is an error).
+    """States on a finite, nondecreasing time grid from the exact
+    propagator of the real-form generator (`core.propagate`) applied to the
+    Hermitian coordinates of rho0.  Each state is renormalized to unit
+    trace; the largest |tr - 1| before that is the trace drift, the most
+    negative eigenvalue the positivity drift (below -1e-8 is an error),
+    both round-off only.  d is capped at INTEGRATE_DIM_CAP = 60 before
+    anything is allocated: generator and exponential take 80 d^4 bytes.
     """
-    superop = build(model)
-    t_grid = np.asarray(t_grid, dtype=float)
-    norm = float(np.linalg.norm(superop, "fro"))
-    cap = 0.05 / max(norm, 1e-12)
-    v = vec(rho0.matrix)
+    if model.dim > INTEGRATE_DIM_CAP:
+        raise LindbladError(f"dimension {model.dim} exceeds integration cap "
+                            f"{INTEGRATE_DIM_CAP} (80 d^4 bytes against {GENERATOR_BYTES})")
+    t_grid, coords = propagate(real_superop(build(model)), t_grid,
+                               hermitian_coords(rho0.matrix), LindbladError)
     states = [rho0]
     drift = 0.0
     neg = 0.0
-
-    def rhs(v):
-        return superop @ v
-
-    for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
-        span = t1 - t0
-        n_sub = max(1, int(math.ceil(span / cap)))
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * h * k1)
-            k3 = rhs(v + 0.5 * h * k2)
-            k4 = rhs(v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            tr = float(np.real(np.trace(unvec(v))))
-            drift = max(drift, abs(tr - 1.0))
-            v = v / tr
-            if np.abs(v).max() > 1e6:
-                raise LindbladError("integration blew up: step instability")
-        m = unvec(v)
-        m = (m + m.conj().T) / 2.0
+    for x in coords[1:]:
+        m = from_hermitian_coords(x)
+        tr = float(np.trace(m).real)
+        drift = max(drift, abs(tr - 1.0))
+        m = m / tr
         low = float(np.linalg.eigvalsh(m).min())
         neg = min(neg, low)
         if low < -1e-8:
             raise LindbladError(f"positivity drift {low:.3e} beyond 1e-8")
-        states.append(DensityOperator.from_matrix(
-            m / np.trace(m), rho0.dims))
-        v = vec(states[-1].matrix)
+        states.append(DensityOperator.from_matrix(m, rho0.dims))
     return IntegrationResult(t_grid, tuple(states), drift, -neg)
 
 
@@ -242,7 +235,7 @@ def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperato
     """
     gen = real_superop(build(model))
     d = model.dim
-    x = bordered_null_vector(gen, np.arange(d) * (d + 1), null_tol)
+    x = bordered_solve(gen, np.arange(d) * (d + 1), null_tol=null_tol)
     if x is None:
         raise LindbladError(
             f"degenerate steady space (bordered generator singular within {null_tol:g})")

@@ -303,7 +303,7 @@ def quench_suite(tol=1e-9):
                 and rep_n.incompatibility > 0,
                 f"|delta| = {fdr_n:.2e}, Q = {rep_n.incompatibility:.2e}"),
         _record("quench kappa3, kappa4 > 0", kappa_pos,
-                f"k3 = {rep_n.cumulants[2]:.2e}, k4 = {rep_n.cumulants[3]:.2e}"),
+                f"kappa3 = {rep_n.cumulants[2]:.2e}, kappa4 = {rep_n.cumulants[3]:.2e}"),
         _record("quench Gallavotti-Cohen K(l) = K(1-l)", gc < tol,
                 f"max |delta| = {gc:.2e}"),
     ]

@@ -79,7 +79,22 @@ def test_schnakenberg_kl_rate_under_detailed_balance():
     p = random_probability(5, RNG)
     out = cl.schnakenberg(w, p)
     kl_rate = cl.kl_divergence_rate(w, p, p_star)
-    assert abs(out.sigma_rate - kl_rate) < 1e-9
+    assert abs(out.sigma_rate - kl_rate) < 1e-12
+
+
+def test_kl_divergence_rate_edges():
+    w, _ = detailed_balanced_rates(RNG, 3)
+    p_star = cl.stationary_distribution(w)
+    # an empty state with inflow makes the rate +inf; empty with no inflow adds 0
+    assert cl.kl_divergence_rate(w, [0.5, 0.5, 0.0], p_star) == math.inf
+    chain = cl.RateMatrix.from_offdiagonal([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    p_chain = cl.stationary_distribution(chain)
+    rate = cl.kl_divergence_rate(chain, [1.0, 0.0, 0.0], p_chain)
+    assert rate == math.inf
+    assert cl.kl_divergence_rate(chain, p_chain, p_chain) == 0.0
+    # p* vanishing where p does not leaves S(p || p*) infinite
+    with pytest.raises(cl.ClassicalError):
+        cl.kl_divergence_rate(chain, [0.5, 0.5, 0.0], [0.0, 0.5, 0.5])
 
 
 def test_schnakenberg_thermal_flux_is_heat():
@@ -197,8 +212,41 @@ def test_fcs_mean_matches_steady_current():
     p_ss = cl.stationary_distribution(w)
     g_c = w.reservoirs[1]
     j_direct = g_c[0, 1] * p_ss[1] - g_c[1, 0] * p_ss[0]
-    j_fcs, _ = cl.scaled_cumulants(w, [(0, 1, 1)])
+    j_fcs, var = cl.scaled_cumulants(w, [(0, 1, 1)])
     assert abs(j_fcs - j_direct) < 1e-8
+    # the SCGF is the dominant root (-S + sqrt(g))/2 of the 2x2 characteristic
+    # polynomial, g(chi) = S^2 + 4 u (e^chi - 1) + 4 v (e^-chi - 1) with
+    # u = h10 c01, v = c10 h01 (h: uncounted bath, c: counted bath)
+    g_h = w.reservoirs[0]
+    s = w.w[0, 1] + w.w[1, 0]
+    u, v = g_h[1, 0] * g_c[0, 1], g_c[1, 0] * g_h[0, 1]
+    mean = (u - v) / s
+    second = (u + v) / s - 2.0 * (u - v) ** 2 / s ** 3
+    assert abs(j_fcs - mean) < 1e-10 * abs(mean)
+    assert abs(var - second) < 1e-10 * abs(second)
+
+
+def test_fcs_cumulants_match_scgf_differences():
+    rng = np.random.default_rng(31)
+    parts = tuple(rng.random((4, 4)) for _ in range(2))
+    w = cl.RateMatrix.from_offdiagonal(parts[0] + parts[1], reservoirs=parts)
+    counted = [(0, 1, 1), (2, 3, 0), (0, 1, 1), (3, 1, 1)]
+
+    def lead(chi):
+        return np.real(np.linalg.eigvals(cl.tilted_generator(w, counted, chi))).max()
+
+    h = 1e-3
+    mean, var = cl.scaled_cumulants(w, counted)
+    assert abs(mean - (lead(h) - lead(-h)) / (2 * h)) < 1e-5 * abs(mean)
+    assert abs(var - (lead(h) - 2 * lead(0.0) + lead(-h)) / h ** 2) < 1e-5 * abs(var)
+
+
+def test_fcs_reducible_generator_error():
+    w = cl.RateMatrix([[-1, 1, 0, 0], [1, -1, 0, 0], [0, 0, -2, 1], [0, 0, 2, -1]])
+    with pytest.raises(cl.ClassicalError):
+        cl.scaled_cumulants(w, [(0, 1, None)])
+    with pytest.raises(cl.ClassicalError):
+        cl.tur_check(w, [(0, 1, None)], p_stationary=[0.25, 0.25, 0.25, 0.25])
 
 
 def test_fcs_tur_two_and_three_level():

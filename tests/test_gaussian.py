@@ -42,6 +42,58 @@ def test_lyapunov_dynamical_oracle():
     assert resid < 1e-10
 
 
+@pytest.mark.parametrize("gamma", [0.7, -0.4])
+def test_integrate_lyapunov_closed_form(gamma):
+    # A = (gamma/2) 1, D = (gamma/2)(nbar + 1/2) 1: Theta(t) = Theta_ss
+    # + (Theta_0 - Theta_ss) e^{-gamma t} and mean(t) = e^{-gamma t/2}
+    # mean(0), for a damped (gamma > 0) and an amplified (gamma < 0) mode
+    nbar, theta0 = 1.4, 0.5 * np.eye(2)
+    model = gs.GaussianModel(0.5 * gamma * np.eye(2), 0.5 * abs(gamma) * (nbar + 0.5) * np.eye(2))
+    theta_ss = np.sign(gamma) * (nbar + 0.5) * np.eye(2)
+    mean0 = np.array([0.3, -1.1])
+    times = [0.0, 0.1, 0.35, 0.6, 2.0, 2.01]
+    states = gs.integrate_lyapunov(model, gs.GaussianState(mean0, theta0), times)
+    assert len(states) == len(times)
+    for t, state in zip(times, states):
+        want = theta_ss + (theta0 - theta_ss) * math.exp(-gamma * t)
+        assert np.abs(state.cov - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(state.mean - math.exp(-0.5 * gamma * t) * mean0).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["random", "damped", "stiff-two-mode"])
+def test_integrate_lyapunov_one_long_step(case):
+    # one step of many relaxation times lands on the steady state, also
+    # where the damping rates differ widely or rate * step overflows e^x
+    times = 50.0
+    if case == "random":
+        a, d = stable_random_model(np.random.default_rng(7))
+        model = gs.GaussianModel(a, d)
+    elif case == "damped":
+        model, times = gs.thermal_damping_model(1.0, 0.6), 2000.0
+    else:
+        model = gs.two_mode_drift_diffusion(gs.TwoModeNessSpec(1.0, 1.3, 0.2, 5.0, 0.2, 0.8))
+    n = model.drift.shape[0]
+    gap = np.real(np.linalg.eigvals(model.drift)).min()
+    state0 = gs.GaussianState(np.ones(n), np.eye(n), quantum=False)
+    states = gs.integrate_lyapunov(model, state0, [0.0, times / gap])
+    theta_ss = gs.lyapunov_steady(model.drift, model.diffusion)
+    assert np.abs(states[-1].cov - theta_ss).max() < 1e-10 * np.abs(theta_ss).max()
+    assert np.abs(states[-1].mean).max() < 1e-10
+
+
+def test_integrate_lyapunov_rejects_mismatched_state():
+    with pytest.raises(gs.GaussianError, match="state dimension 4"):
+        gs.integrate_lyapunov(gs.thermal_damping_model(0.6, 0.8),
+                              gs.GaussianState(np.zeros(4), np.eye(4)), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [0.0, math.nan], [0.0, math.inf], []])
+def test_integrate_lyapunov_rejects_bad_time_grid(grid):
+    with pytest.raises(gs.GaussianError):
+        gs.integrate_lyapunov(gs.thermal_damping_model(0.6, 0.8),
+                              gs.GaussianState.thermal(1.0), grid)
+
+
 def test_lyapunov_unstable_rejected():
     with pytest.raises(gs.GaussianError):
         gs.lyapunov_steady(-np.eye(2), np.eye(2))
@@ -230,3 +282,21 @@ def test_gaussian_state_validation():
     gs.GaussianState(np.zeros(2), 0.1 * np.eye(2), quantum=False)
     with pytest.raises(gs.GaussianError):
         gs.GaussianModel(np.eye(2), -np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["drift", "diffusion", "parity"])
+def test_gaussian_model_rejects_nonfinite(entry, bad):
+    mats = {"drift": np.eye(2), "diffusion": np.eye(2), "parity": np.diag([1.0, -1.0])}
+    mats[entry][0, 1] = bad
+    with pytest.raises(gs.GaussianError):
+        gs.GaussianModel(mats["drift"], mats["diffusion"], mats["parity"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["mean", "cov"])
+def test_gaussian_state_rejects_nonfinite(entry, bad):
+    mean, cov = np.zeros(2), np.eye(2)
+    {"mean": mean, "cov": cov}[entry][0] = bad
+    with pytest.raises(gs.GaussianError):
+        gs.GaussianState(mean, cov)

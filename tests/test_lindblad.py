@@ -61,6 +61,15 @@ def test_dimension_cap_from_byte_budget():
         lb.LindbladModel(np.zeros((lb.DIM_CAP + 1, lb.DIM_CAP + 1)), ())
 
 
+def test_integrate_dimension_cap_from_byte_budget():
+    # checked before the generator is built: nothing large is allocated
+    assert 80 * lb.INTEGRATE_DIM_CAP ** 4 <= lb.GENERATOR_BYTES < 80 * (lb.INTEGRATE_DIM_CAP + 1) ** 4
+    d = lb.INTEGRATE_DIM_CAP + 1
+    with pytest.raises(lb.LindbladError, match=f"dimension {d} exceeds integration cap"):
+        lb.integrate(lb.LindbladModel(np.zeros((d, d)), ()),
+                     DensityOperator.maximally_mixed([d]), [0.0, 1.0])
+
+
 def _random_model(rng, d):
     def cmat():
         return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -120,13 +129,44 @@ def test_integrate_thermal_relaxation_rate():
 
 
 def test_integrate_matches_matrix_exponential():
-    model = lb.thermal_qubit_model(0.8, 0.4, 1.0)
-    rho0 = random_density(2, RNG)
-    out = lb.integrate(model, rho0, [0.0, 1.0])
     from scipy.linalg import expm
-    prop = expm(lb.build(model) * 1.0)
-    direct = (prop @ rho0.matrix.flatten(order="F")).reshape(2, 2, order="F")
-    assert np.abs(out.states[-1].matrix - direct).max() < 1e-8
+    cases = ((lb.thermal_qubit_model(0.8, 0.4, 1.0), [0.0, 1.0]),
+             (lb.kerr_model(-2.0, 1.0, 0.7, 0.5, fock_cut=8), [0.0, 0.05, 0.3, 0.31, 1.2]))
+    for model, grid in cases:
+        d = model.dim
+        rho0 = random_density(d, RNG)
+        out = lb.integrate(model, rho0, grid)
+        assert len(out.states) == len(grid)
+        for t, state in zip(grid, out.states):
+            direct = core.unvec(expm(lb.build(model) * t) @ core.vec(rho0.matrix))
+            assert np.abs(state.matrix - direct).max() < 1e-12
+        assert out.trace_drift < 1e-12
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 0.5], [0.0, math.nan], [0.0, math.inf], [], [[0.0, 1.0]]])
+def test_integrate_rejects_bad_time_grid(grid):
+    with pytest.raises(lb.LindbladError):
+        lb.integrate(lb.thermal_qubit_model(1.0, 0.5, 1.0), random_density(2, RNG), grid)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["hamiltonian", "jump", "rate", "cross_op", "cross_coefficient"])
+def test_model_rejects_nonfinite(entry, bad):
+    a = lb.destroy(3)
+    h, jump, rate = np.diag([0.0, 1.0, 2.0]).astype(complex), a.copy(), 0.5
+    cross_op, coeff = a.conj().T, np.array([[1.0, 0.2], [0.2, 0.5]], dtype=complex)
+    if entry == "hamiltonian":
+        h[1, 1] = bad
+    elif entry == "jump":
+        jump[0, 1] = bad
+    elif entry == "rate":
+        rate = bad
+    elif entry == "cross_op":
+        cross_op[1, 0] = bad
+    else:
+        coeff[0, 0] = bad
+    with pytest.raises(lb.LindbladError):
+        lb.LindbladModel(h, ((jump, rate),), cross=((a, cross_op), coeff))
 
 
 def test_steady_state_thermal_dissipator():
