@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,12 @@ class EpisodeError(ValueError):
 
 @dataclass(frozen=True)
 class Episode:
-    """One system+environment unitary interaction record."""
+    """One system+environment unitary interaction record.
+
+    Its evolution (`evolve`) is computed on first use and kept on the
+    instance, not compared and not in the repr; a `dataclasses.replace`
+    copy evolves afresh.
+    """
 
     h_system: HermitianOperator
     h_env: HermitianOperator
@@ -104,6 +110,17 @@ class Episode:
             DensityOperator.from_json(obj["rho_E"]),
         )
 
+    @cached_property
+    def _evolved(self) -> EvolvedStates:
+        u = self.unitary.matrix
+        joint = u @ tensor([self.rho_system, self.rho_env]) @ u.conj().T
+        rho_se = DensityOperator(joint, self.dims)
+        return EvolvedStates(
+            rho_joint=rho_se,
+            rho_system=partial_trace(rho_se, self.system_factors),
+            rho_env=partial_trace(rho_se, self.env_factors),
+        )
+
 
 @dataclass(frozen=True)
 class EvolvedStates:
@@ -113,16 +130,18 @@ class EvolvedStates:
 
 
 def evolve(ep: Episode) -> EvolvedStates:
-    """rho_SE' = U (rho_S x rho_E) U^dag and its marginals."""
-    joint0 = tensor([ep.rho_system, ep.rho_env])
-    u = ep.unitary.matrix
-    joint = u @ joint0 @ u.conj().T
-    rho_se = DensityOperator(joint, ep.dims)
-    return EvolvedStates(
-        rho_joint=rho_se,
-        rho_system=partial_trace(rho_se, ep.system_factors),
-        rho_env=partial_trace(rho_se, ep.env_factors),
-    )
+    """rho_SE' = U (rho_S x rho_E) U^dag and its marginals: the episode's
+    one evolution, computed on its first use and shared by every route."""
+    return ep._evolved
+
+
+def _own_evolution(ep: Episode, evolved: EvolvedStates | None) -> EvolvedStates:
+    """The episode's evolution; a given `evolved` must hold its joint state."""
+    ev = evolve(ep)
+    if (evolved is not None and evolved.rho_joint is not ev.rho_joint
+            and not np.array_equal(evolved.rho_joint.matrix, ev.rho_joint.matrix)):
+        raise EpisodeError("evolved states do not belong to this episode")
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +205,7 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     support of rho_E; the displacement term and sigma are then +inf while
     the mutual information, flux trace formula and heats stay finite.
     """
-    ev = evolved or evolve(ep)
+    ev = _own_evolution(ep, evolved)
     s_sys, s_env = von_neumann_entropy(ev.rho_system), von_neumann_entropy(ev.rho_env)
     mi = s_sys + s_env - von_neumann_entropy(ev.rho_joint)
     d_env = relative_entropy(ev.rho_env, ep.rho_env)
@@ -241,7 +260,7 @@ def thermal_balance(ep: Episode, beta: float, tol: float = THERMALITY_TOL,
     temperature.  Agrees with the information-theoretic balance exactly.
     """
     _require_thermal_env(ep, beta, tol)
-    ev = evolved or evolve(ep)
+    ev = _own_evolution(ep, evolved)
     base = balance(ep, ev)
     sigma = base.d_entropy_system + beta * base.heat_env
     d_free = None
@@ -296,7 +315,7 @@ def multibath_balance(ep: Episode, parts, tol: float = THERMALITY_TOL,
     if trace_distance(product, ep.rho_env) > max(tol, 1e-8):
         raise EpisodeError("environment state is not a product over the bath parts")
 
-    ev = evolved or evolve(ep)
+    ev = _own_evolution(ep, evolved)
     base = balance(ep, ev)
     heats = []
     displacement_sum = 0.0
@@ -393,7 +412,7 @@ def conditional_balance(ep: Episode, kraus_env, tol: float = 1e-8,
     comp = sum(m.conj().T @ m for m in kraus)
     if np.abs(comp - np.eye(de)).max() > 1e-9:
         raise EpisodeError("Kraus operators do not resolve the identity on E")
-    ev = evolved or evolve(ep)
+    ev = _own_evolution(ep, evolved)
     base = balance(ep, ev)
     ds = ep.rho_system.dim
     eye_s = np.eye(ds)
@@ -534,8 +553,7 @@ def landauer_report(ep: Episode, beta: float, heat_capacity=None,
     if beta <= 0:
         raise EpisodeError("landauer_report needs beta > 0")
     temperature = 1.0 / beta
-    ev = evolve(ep)
-    b = balance(ep, ev)
+    b = balance(ep)
     ds = b.d_entropy_system
     q = b.heat_env
     basic = -temperature * ds

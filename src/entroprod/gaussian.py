@@ -139,9 +139,13 @@ def lyapunov_steady(drift, diffusion) -> np.ndarray:
     (Bartels-Stewart, `scipy.linalg.solve_continuous_lyapunov`); an
     unstable A or a residual beyond 1e-10 max(1, max |D|) is an error."""
     a = np.asarray(drift, dtype=float)
-    d = np.asarray(diffusion, dtype=float)
     if np.real(np.linalg.eigvals(a)).min() <= 0:
         raise GaussianError("drift matrix is not stable; steady covariance undefined")
+    return _lyapunov_solve(a, np.asarray(diffusion, dtype=float))
+
+
+def _lyapunov_solve(a, d) -> np.ndarray:
+    """`lyapunov_steady` for a drift already known to be stable."""
     theta = solve_continuous_lyapunov(a, 2.0 * d)
     theta = 0.5 * (theta + theta.T)
     resid = float(np.abs(a @ theta + theta @ a.T - 2.0 * d).max())
@@ -335,7 +339,7 @@ def two_mode_ness(spec: TwoModeNessSpec) -> TwoModeNessResult:
         raise GaussianError(
             f"unstable drift at g_ab = {spec.g_ab}; "
             f"critical coupling {critical_coupling(spec):.6g}")
-    theta = lyapunov_steady(model.drift, model.diffusion)
+    theta = _lyapunov_solve(model.drift, model.diffusion)
     state = GaussianState(np.zeros(4), theta)
     n_a = state.occupation(0)
     n_b = state.occupation(1)

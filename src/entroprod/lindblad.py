@@ -81,7 +81,7 @@ class LindbladModel:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.shape[0] != h.shape[1]:
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise LindbladError("Hamiltonian must be square")
         if h.shape[0] > DIM_CAP:
             raise LindbladError(
@@ -90,19 +90,28 @@ class LindbladModel:
         jumps = tuple((np.asarray(op, dtype=complex), float(rate))
                       for op, rate in self.jumps)
         rates = [rate for _, rate in jumps]
-        entries = [h, rates, *(op for op, _ in jumps)]
+        ops = [op for op, _ in jumps]
+        entries = [h, rates]
         cross = self.cross
         if cross is not None:
             cross = (tuple(np.asarray(o, dtype=complex) for o in cross[0]),
                      np.asarray(cross[1], dtype=complex))
-            entries += [cross[1], *cross[0]]
-        if not all(np.isfinite(e).all() for e in entries):
+            ops += cross[0]
+            entries.append(cross[1])
+        if not all(np.isfinite(e).all() for e in entries + ops):
             raise LindbladError("Hamiltonian, jump operators, rates and cross "
                                 "terms must be finite")
+        if any(op.shape != h.shape for op in ops):
+            raise LindbladError(
+                f"jump and cross operators must have the Hamiltonian's shape {h.shape}")
         if min(rates, default=0.0) < 0:
             raise LindbladError(f"negative jump rate {min(rates)}")
-        if cross is not None and np.abs(cross[1] - cross[1].conj().T).max() > 1e-12:
-            raise LindbladError("cross-term coefficient matrix must be Hermitian")
+        if cross is not None:
+            k = len(cross[0])
+            if cross[1].shape != (k, k):
+                raise LindbladError(f"cross-term coefficient matrix must be {k} x {k}")
+            if np.abs(cross[1] - cross[1].conj().T).max() > 1e-12:
+                raise LindbladError("cross-term coefficient matrix must be Hermitian")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "cross", cross)

@@ -240,7 +240,7 @@ def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
         basis_s, basis_e, ref = vs_fin, ve_fin, np.outer(ps_fin, qe_fin)
     elif choice is BackwardChoice.POST_MEASUREMENT_STATE:
         basis_s, basis_e = vs_fin, ve_fin
-        final = np.kron(basis_s, basis_e)
+        final = tensor([basis_s, basis_e])
         diag = np.real(np.einsum("im,ij,jm->m", final.conj(),
                                  ev.rho_joint.matrix, final))
         ref = _clamp_probs(diag).reshape(ds, de)
@@ -249,7 +249,7 @@ def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
     else:
         raise TrajectoryError(f"unknown backward choice {choice}")
 
-    amp = np.kron(basis_s, basis_e).conj().T @ ep.unitary.matrix @ np.kron(vs_init, ve_init)
+    amp = tensor([basis_s, basis_e]).conj().T @ ep.unitary.matrix @ tensor([vs_init, ve_init])
     w = (np.abs(amp) ** 2).reshape(ds, de, ds, de)
     ref = ref[:, :, None, None]
     pf, pb = w * p_init[:, None] * q_init, w * ref
@@ -547,7 +547,7 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
         raise TrajectoryError(f"unitary is not strictly energy conserving ({res:.3e})")
     ea, va = np.linalg.eigh(_mat(h_a))
     eb, vb = np.linalg.eigh(_mat(h_b))
-    basis = np.kron(va, vb)
+    basis = tensor([va, vb])
     u = _mat(unitary)
     da, db = len(ea), len(eb)
     p_joint = np.real(np.einsum("im,ij,jm->m", basis.conj(), rho_ab.matrix, basis))
@@ -601,7 +601,7 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     ps, vs = _spectrum(rho_ab)
     ea, va = np.linalg.eigh(_mat(h_a))
     eb, vb = np.linalg.eigh(_mat(h_b))
-    basis = np.kron(va, vb)
+    basis = tensor([va, vb])
     amp_m = np.abs(basis.conj().T @ _mat(unitary) @ vs) ** 2   # [(mA mB), s]
     amp_n = np.abs(basis.conj().T @ vs) ** 2                   # [(nA nB), s]
     p = ps[:, None, None] * amp_n.T[:, :, None] * amp_m.T[:, None, :]

@@ -27,6 +27,7 @@ from .core import (
     hermitian_function,
     relative_entropy,
     shannon_entropy,
+    tensor,
     thermal_state,
     von_neumann_entropy,
 )
@@ -59,7 +60,7 @@ def ft_table_suite(n_episodes=25, seed=101, tol=1e-10):
         targets = {}
         targets[tj.BackwardChoice.BATH_RESET] = bal.sigma
         targets[tj.BackwardChoice.CORRELATIONS_DESTROYED] = bal.mutual_info
-        basis = np.kron(ev.rho_system.eig()[1], ev.rho_env.eig()[1])
+        basis = tensor([ev.rho_system.eig()[1], ev.rho_env.eig()[1]])
         diag = np.real(np.einsum("im,ij,jm->m", basis.conj(),
                                  ev.rho_joint.matrix, basis))
         targets[tj.BackwardChoice.POST_MEASUREMENT_STATE] = (

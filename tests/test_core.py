@@ -36,9 +36,40 @@ def test_tensor_vector_action():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def _wrapped(k, m):
+    """Square factors alternate between a Hamiltonian and a state."""
+    if m.shape[0] != m.shape[1]:
+        return m
+    if k % 2:
+        g = m @ m.conj().T
+        return DensityOperator.from_matrix(g / np.trace(g))
+    return HermitianOperator.from_matrix(m + m.conj().T)
+
+
+@pytest.mark.parametrize("shapes", [[(3, 3)], [(2, 2), (3, 3)], [(3, 2), (2, 4)],
+                                    [(2, 2), (1, 3), (4, 2)], [(2, 2), (2, 2), (2, 2)]])
+@pytest.mark.parametrize("kind", ["real", "complex", "wrapped"])
+def test_tensor_equals_kron(shapes, kind):
+    """Bit for bit a chain of np.kron, for square and rectangular factors."""
+    rng = np.random.default_rng(5)
+    mats = [rng.normal(size=s) for s in shapes]
+    if kind != "real":
+        mats = [m + 1j * rng.normal(size=m.shape) for m in mats]
+    ops = mats
+    if kind == "wrapped":
+        ops = [_wrapped(k, m) for k, m in enumerate(mats)]
+        mats = [core._mat(op) for op in ops]
+    want = mats[0]
+    for m in mats[1:]:
+        want = np.kron(want, m)
+    assert np.array_equal(core.tensor(ops), want)
+
+
 def test_tensor_empty_errors():
     with pytest.raises(CoreError):
         core.tensor([])
+    with pytest.raises(CoreError):
+        core.tensor([np.ones(2), np.eye(2)])
 
 
 def test_partial_trace_product_state():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -289,6 +290,47 @@ def test_decompositions_per_state(monkeypatch):
     assert count(lambda: eps.thermal_balance(ep, 1.2, evolved=ev)) <= 3
     assert count(lambda: eps.balance(ep, ev)) == 0
     assert count(lambda: tj.backward_ensemble(ep, tj.BackwardChoice.BOTH_RESET)) <= 3
+    # the episode keeps its evolution: only the thermality check is left
+    assert count(lambda: eps.thermal_balance(ep, 1.2)) <= 3
+    assert count(lambda: eps.balance(ep)) == 0
+    for choice in tj.BackwardChoice:
+        assert count(lambda: tj.backward_ensemble(ep, choice)) == 0
+    fresh = random_episode(np.random.default_rng(8))
+    assert count(lambda: [tj.backward_ensemble(fresh, c) for c in tj.BackwardChoice]) == 3
+
+
+def test_episode_keeps_one_evolution():
+    ep = random_episode(np.random.default_rng(9))
+    twin = random_episode(np.random.default_rng(9))
+    before, copy = repr(ep), dataclasses.replace(ep)
+    ev = eps.evolve(ep)
+    assert eps.evolve(ep) is ev
+    # the kept evolution is neither shown nor compared
+    assert repr(ep) == before == repr(twin)
+    assert ep == copy and copy == ep
+    assert eps.evolve(copy) is not ev
+    assert np.array_equal(eps.evolve(copy).rho_joint.matrix, ev.rho_joint.matrix)
+    u = ep.unitary.matrix
+    want = u @ np.kron(ep.rho_system.matrix, ep.rho_env.matrix) @ u.conj().T
+    assert np.array_equal(ev.rho_joint.matrix, want)
+
+
+def test_balances_reject_foreign_evolved_states():
+    qubit = random_episode(np.random.default_rng(10))
+    heat, parts = three_qubit_heat_episode()
+    routes = [
+        (qubit, lambda ep, ev: eps.balance(ep, ev).sigma),
+        (qubit, lambda ep, ev: eps.thermal_balance(ep, 1.2, evolved=ev).sigma),
+        (qubit, lambda ep, ev: eps.conditional_balance(ep, [np.eye(2)], evolved=ev)
+         .sigma_conditional),
+        (heat, lambda ep, ev: eps.multibath_balance(ep, parts, evolved=ev).sigma),
+    ]
+    for ep, route in routes:
+        other = dataclasses.replace(ep, rho_system=DensityOperator.pure([1.0, 0.0]))
+        with pytest.raises(eps.EpisodeError, match="do not belong"):
+            route(ep, eps.evolve(other))
+        # an equal episode's evolution holds the same joint state
+        assert route(ep, eps.evolve(dataclasses.replace(ep))) == route(ep, None)
 
 
 def test_conditional_balance_trivial_measurement():

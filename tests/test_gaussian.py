@@ -230,6 +230,20 @@ def test_two_mode_ness_critical_divergence():
         gs.two_mode_ness(gs.TwoModeNessSpec(1.0, 1.5, 1.01 * g_cr, 0.4, 0.2, 0.6))
 
 
+def test_two_mode_ness_one_stability_check(monkeypatch):
+    calls = []
+    fn = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **k: calls.append(1) or fn(*a, **k))
+    base = gs.TwoModeNessSpec(1.0, 1.5, 0.1, 0.4, 0.2, 0.6)
+    gs.two_mode_ness(base)
+    assert len(calls) == 1
+    calls.clear()
+    unstable = gs.TwoModeNessSpec(1.0, 1.5, 1.01 * gs.critical_coupling(base), 0.4, 0.2, 0.6)
+    with pytest.raises(gs.GaussianError, match="unstable drift"):
+        gs.two_mode_ness(unstable)
+    assert len(calls) == 1
+
+
 def padded_system_state(rng, cut, levels=3):
     small = random_density(levels, rng)
     pad = np.zeros((cut, cut), dtype=complex)

@@ -169,6 +169,22 @@ def test_model_rejects_nonfinite(entry, bad):
         lb.LindbladModel(h, ((jump, rate),), cross=((a, cross_op), coeff))
 
 
+@pytest.mark.parametrize("entry", ["jump", "cross_op", "cross_coefficient"])
+def test_model_rejects_wrong_shapes(entry):
+    """Operators of another size than H, or a coefficient matrix that does
+    not match the cross operators, fail when the model is built."""
+    h, a = np.diag([0.0, 1.0]).astype(complex), lb.destroy(2)
+    jump, cross_op, coeff = a, a.conj().T, np.eye(2)
+    if entry == "jump":
+        jump = np.eye(3)
+    elif entry == "cross_op":
+        cross_op = np.eye(3)
+    else:
+        coeff = np.eye(3)
+    with pytest.raises(lb.LindbladError):
+        lb.LindbladModel(h, ((jump, 1.0),), cross=((a, cross_op), coeff))
+
+
 def test_steady_state_thermal_dissipator():
     model = lb.thermal_qubit_model(1.0, 0.3, 1.4)
     rho_ss = lb.steady_state(model)
