@@ -38,7 +38,7 @@ class ClassicalError(ValueError):
 # Rate matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Generator W (columns sum to zero) with an optional per-reservoir
     decomposition sum_alpha W^alpha = W."""
@@ -149,7 +149,7 @@ def _edge_terms(w, p):
     return i, j, x - y, forces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchnakenbergRates:
     sigma_rate: float
     flux_rate: float
@@ -386,7 +386,7 @@ def checkerboard_mu(n_sites: int, mu: float):
 # 1-d Fokker-Planck
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FokkerPlanckResult:
     x: np.ndarray
     p: np.ndarray

@@ -18,6 +18,12 @@ Three tiers of entropy production per stroke:
   thermal      dS_S + beta Q_A                     thermal ancilla
   fixed point  S(rho||rho_th) - S(rho'||rho_th)    thermal operation
 
+`run` steps the chain of states once, as matrices (`_chain`), and then
+takes every stroke's balance from stacks: one stacked eigendecomposition
+per state kind (joint, system before and after, ancilla after) and
+alphabet entry feeds `episodes.balance_rows`, the formulas of
+`episodes.balance` row by row.  `preferred_basis` reads the same chain.
+
 Limit cycles are read from the channel Phi of one full cycle, built from
 the strokes' Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`):
 the state is the null vector of Phi - 1.  A unit-modulus eigenvalue of Phi
@@ -28,7 +34,7 @@ degenerate eigenvalue 1 (a steady space of dimension > 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,8 +43,10 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     UnitaryOperator,
+    _density_spectra,
     _mat,
     _ptrace_matrix,
+    _relative_entropy_rows,
     add_lindblad_term,
     ancilla_kraus,
     classical_kl,
@@ -52,7 +60,14 @@ from .core import (
     vec,
     von_neumann_entropy,
 )
-from .episodes import Episode, balance, evolve, is_strict_energy_conserving
+from .episodes import (
+    Episode,
+    _trace_rows,
+    balance,
+    balance_rows,
+    evolve,
+    is_strict_energy_conserving,
+)
 
 # One more cycle may move a fixed point by less than this (trace distance).
 FIXED_POINT_TOL = 1e-12
@@ -97,9 +112,13 @@ class CollisionSpec:
         if len(self.h_system) != len(self.alphabet):
             raise CollisionalError("need one system Hamiltonian per alphabet entry")
         ds = self.h_system[0].dim
+        if any(h.dim != ds for h in self.h_system):
+            raise CollisionalError("system Hamiltonians differ in dimension")
         for stroke in self.alphabet:
             if stroke.unitary.dim != ds * stroke.rho.dim:
                 raise CollisionalError("stroke unitary does not match S x A dims")
+            if stroke.hamiltonian.dim != stroke.rho.dim:
+                raise CollisionalError("ancilla Hamiltonian does not match its state")
         if self.system_unitaries is not None and \
                 len(self.system_unitaries) != len(self.alphabet):
             raise CollisionalError("need one system unitary per alphabet entry")
@@ -138,71 +157,90 @@ class StrokeRecord:
                 float("nan") if self.sigma_fixed_point is None else self.sigma_fixed_point)
 
 
-def _apply_collision(rho_s, stroke: AncillaStroke, h_sys):
-    ep = Episode(h_sys, stroke.hamiltonian, stroke.unitary, rho_s, stroke.rho)
-    ev = evolve(ep)
-    return ep, ev
+def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
+    """Step the state chain once, as matrices: per stroke the joint state
+    rho_SE' = U (rho_n x rho_A) U^dag, its system marginal rho_n' and,
+    after a system unitary, the next state.  Returns the states rho_0 ..
+    rho_n, validated as one stack (`from_stack`), the stack of the rho_n'
+    (the states' own matrices when the schedule has no system unitaries),
+    and per alphabet entry the stacks of its strokes' joint and ancilla
+    states.
+    """
+    ds = spec.dim_system
+    if rho0.dim != ds:
+        raise CollisionalError(f"initial state dim {rho0.dim} != system dim {ds}")
+    letters = len(spec.alphabet)
+    joints = [np.empty((len(range(k, n_strokes, letters)),) + (ds * stroke.rho.dim,) * 2,
+                       dtype=complex) for k, stroke in enumerate(spec.alphabet[:n_strokes])]
+    mids = np.empty((n_strokes, ds, ds), dtype=complex)
+    nexts = mids if spec.system_unitaries is None else np.empty_like(mids)
+    m = rho0.matrix
+    for n in range(n_strokes):
+        stroke = spec.alphabet[n % letters]
+        u = stroke.unitary.matrix
+        joint = joints[n % letters][n // letters]
+        joint[...] = u @ tensor([m, stroke.rho]) @ u.conj().T
+        m = mids[n] = np.trace(joint.reshape(ds, stroke.rho.dim, ds, -1), axis1=1, axis2=3)
+        u_sys = spec.u_at(n)
+        if u_sys is not None:
+            m = nexts[n] = u_sys.matrix @ m @ u_sys.matrix.conj().T
+    ancillas = [np.trace(j.reshape(len(j), ds, j.shape[1] // ds, ds, -1), axis1=1, axis2=3)
+                for j in joints]
+    return (rho0,) + DensityOperator.from_stack(nexts, rho0.dims), mids, joints, ancillas
+
+
+def _stacks(states):
+    """(matrices, clamped eigenvalues) of states, as two stacks."""
+    return np.array([s.matrix for s in states]), np.array([s.eig()[0] for s in states])
 
 
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         conserving_tol: float = 1e-9):
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
 
+    The chain of states is stepped once (`_chain`); every stroke's balance
+    then comes from stacks, per alphabet entry: `episodes.balance_rows` on
+    the eigenvalues of one stacked decomposition each of the joint, system
+    and ancilla states, the formulas of `episodes.balance` row by row.
     Tier-2 sigma is reported when the ancilla carries a beta; tier-3 when in
     addition the stroke unitary is strictly energy conserving; the verdict
     and the Gibbs state are evaluated once per alphabet entry.
     """
     if n_strokes < 1:
         raise CollisionalError("n_strokes must be >= 1")
-    gibbs_of = []     # per alphabet entry: the tier-3 reference, or None
-    for k in range(min(n_strokes, len(spec.alphabet))):
-        stroke, h = spec.stroke(k), spec.h_at(k)
-        ok = stroke.beta is not None and is_strict_energy_conserving(
-            stroke.unitary, h, stroke.hamiltonian, conserving_tol)[0]
-        gibbs_of.append(thermal_state(h, stroke.beta) if ok else None)
-    states = [rho0]
-    records = []
-    rho = rho0
-    for n in range(n_strokes):
-        stroke = spec.stroke(n)
-        h_now = spec.h_at(n)
-        h_next = spec.h_at(n + 1)
-        ep, ev = _apply_collision(rho, stroke, h_now)
-        bal = balance(ep, ev)
-        rho_mid = ev.rho_system
-        u_sys = spec.u_at(n)
-        if u_sys is None:
-            rho_next = rho_mid
-        else:
-            m = u_sys.matrix @ rho_mid.matrix @ u_sys.matrix.conj().T
-            rho_next = DensityOperator(m, rho_mid.dims)
-        q_a = bal.heat_env
-        e_now = float(np.real(np.trace(h_now.matrix @ rho.matrix)))
-        e_mid = float(np.real(np.trace(h_now.matrix @ rho_mid.matrix)))
-        e_next = float(np.real(np.trace(h_next.matrix @ rho_next.matrix)))
-        w_onoff = (e_mid - e_now) + q_a
+    states, m_mid, joints, ancillas = _chain(spec, rho0, n_strokes)
+    m_all, p_all = _stacks(states)
+    p_mid = p_all[1:] if spec.system_unitaries is None else _density_spectra(m_mid)[0]
+    letters = len(spec.alphabet)
+    records = [None] * n_strokes
+    for k in range(len(joints)):
+        stroke, h_now, h_next = spec.alphabet[k], spec.h_at(k), spec.h_at(k + 1)
+        rows = slice(k, n_strokes, letters)
+        before, mid = (m_all[:-1][rows], p_all[:-1][rows]), (m_mid[rows], p_mid[rows])
+        sigma, _, ds_s, _, _, q_a, w_onoff = balance_rows(
+            h_now.matrix, stroke.hamiltonian.matrix, stroke.rho, before, mid,
+            (ancillas[k], _density_spectra(ancillas[k])[0]),
+            _density_spectra(joints[k])[0])
+        e_now = _trace_rows(h_now.matrix, before[0])
+        e_mid = _trace_rows(h_now.matrix, mid[0])
+        e_next = _trace_rows(h_next.matrix, m_all[1:][rows])
         w_u = e_next - e_mid
         dh = e_next - e_now
-        sigma_t = None
-        sigma_f = None
+        sigma_t = sigma_f = [None] * len(q_a)
         if stroke.beta is not None:
-            sigma_t = bal.d_entropy_system + stroke.beta * q_a
-        gibbs = gibbs_of[n % len(gibbs_of)]
-        if gibbs is not None:
-            sigma_f = relative_entropy(rho, gibbs) - relative_entropy(rho_mid, gibbs)
-        records.append(StrokeRecord(
-            q_ancilla=q_a,
-            d_h_system=dh,
-            w_onoff=w_onoff,
-            w_unitary=w_u,
-            sigma_general=bal.sigma,
-            sigma_thermal=sigma_t,
-            sigma_fixed_point=sigma_f,
-            first_law_residual=dh - (w_u + w_onoff - q_a),
-        ))
-        states.append(rho_next)
-        rho = rho_next
-    return states, records
+            sigma_t = (ds_s + stroke.beta * q_a).tolist()
+            ok = is_strict_energy_conserving(stroke.unitary, h_now, stroke.hamiltonian,
+                                             conserving_tol)[0]
+            if ok:
+                q, qv = thermal_state(h_now, stroke.beta).eig()
+                sigma_f = (_relative_entropy_rows(before[1], before[0], q, qv)
+                           - _relative_entropy_rows(mid[1], mid[0], q, qv)).tolist()
+        residual = dh - (w_u + w_onoff - q_a)
+        for n, *row in zip(range(k, n_strokes, letters), q_a.tolist(), dh.tolist(),
+                           w_onoff.tolist(), w_u.tolist(), sigma.tolist(), sigma_t,
+                           sigma_f, residual.tolist()):
+            records[n] = StrokeRecord(*row)
+    return list(states), records
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +297,7 @@ def limit_cycle(spec: CollisionSpec) -> DensityOperator:
 # Continuous-time limit of one collision
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DissipatorPieces:
     superop: np.ndarray                  # d^2 x d^2 on vectorized rho_S
     lamb_shift_norm: float
@@ -316,7 +354,7 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None,
 # Preferred basis / classical limit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreferredBasisRecord:
     transition_matrix: np.ndarray     # M_n(i|j), column stochastic
     coherence_factors: np.ndarray     # multiplier per (i, j) pair, |.| <= 1
@@ -339,7 +377,8 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         Sigma_n = [S(p^n || p_th) - S(p^(n+1) || p_th)]  (classical)
                 + [C(rho^n) - C(rho^(n+1))]              (quantum),
 
-    both pieces separately non-negative.
+    both pieces separately non-negative.  The states come from the chain
+    `run` steps (`_chain`), without the identity work strokes.
     """
     hs = [spec.h_at(n) for n in range(len(spec.alphabet))]
     for a in hs:
@@ -373,14 +412,13 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         c = np.einsum("kii,kjj->ij", kraus, kraus.conj())
         p_th = np.exp(-stroke.beta * (e_sys - e_sys.min()))
         chains.append((m_n, c, p_th / p_th.sum()))
-    rho = rho0
+    states = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)[0]
+    pops = np.real(np.diagonal(basis.conj().T @ _stacks(states)[0] @ basis, axis1=1, axis2=2))
+    pops.setflags(write=False)      # rows shared by consecutive records
     records = []
     for n in range(n_strokes):
         m_n, c, p_th = chains[n % len(chains)]
-        p_before = np.real(np.diag(basis.conj().T @ rho.matrix @ basis))
-        ep, ev = _apply_collision(rho, spec.stroke(n), spec.h_at(n))
-        rho_next = ev.rho_system
-        p_after = np.real(np.diag(basis.conj().T @ rho_next.matrix @ basis))
+        (p_before, p_after), (rho, rho_next) = pops[n:n + 2], states[n:n + 2]
         sigma_cl = classical_kl(p_before, p_th) - classical_kl(p_after, p_th)
         coh_before = shannon_entropy(p_before) - von_neumann_entropy(rho)
         coh_after = shannon_entropy(p_after) - von_neumann_entropy(rho_next)
@@ -392,7 +430,6 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
             populations_before=p_before,
             populations_after=p_after,
         ))
-        rho = rho_next
     return records
 
 

@@ -85,9 +85,10 @@ def _as_dims(dims, size) -> HilbertDims:
     return d
 
 
-def _frozen_matrix(matrix) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _frozen_stack(matrices) -> np.ndarray:
+    """Read-only complex copy of one square matrix or a stack (..., d, d)."""
+    m = np.array(matrices, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise CoreError(f"expected a square matrix, got shape {m.shape}")
     # Every later check has the form `err > tol`, which is False for NaN.
     if not np.isfinite(m).all():
@@ -96,7 +97,43 @@ def _frozen_matrix(matrix) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+def _frozen_matrix(matrix) -> np.ndarray:
+    m = _frozen_stack(matrix)
+    if m.ndim != 2:
+        raise CoreError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def _density_spectra(m):
+    """The density-matrix validation, of one matrix or of a stack
+    (..., d, d) by one stacked `eigh`: Hermitian within HERMITICITY_TOL,
+    unit trace within TRACE_TOL and no eigenvalue below -EIG_FLOOR.
+    Returns the eigenvalues (ascending, negative round-off clamped to 0)
+    and eigenvectors as columns, both read-only."""
+    herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    _fail_first(herm_err > HERMITICITY_TOL, herm_err,
+                "density matrix not Hermitian (residual {:.3e})")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    _fail_first(abs(tr - 1.0) > TRACE_TOL, tr, "density matrix trace {} differs from 1")
+    evals, evecs = np.linalg.eigh(m)
+    low = evals[..., 0]
+    _fail_first(low < -EIG_FLOOR, low, "density matrix has negative eigenvalue {:.3e}")
+    evals = np.where(evals < 0.0, 0.0, evals)
+    for arr in (evals, evecs):
+        arr.setflags(write=False)
+    return evals, evecs
+
+
+def _fail_first(bad, values, message):
+    """CoreError for the first matrix flagged in `bad`, its value
+    formatted into `message`; in a stack it is named by its index."""
+    if bad.any() if bad.ndim else bad:
+        k = int(np.flatnonzero(bad)[0])
+        where = f"matrix {k} of the stack: " if bad.ndim else ""
+        raise CoreError(where + message.format(values.flat[k]))
+
+
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A Hermitian matrix (Hamiltonian, observable) with factor dims."""
 
@@ -130,35 +167,44 @@ class HermitianOperator:
         return cls(m, dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive unit-trace Hermitian matrix: the universal state type.
 
-    Validation takes one `eigh` of the matrix; its clamped eigenvalues and
-    eigenvectors are kept read-only (not compared, not in the repr).
+    Validation (`_density_spectra`) takes one `eigh` of the matrix; its
+    clamped eigenvalues and eigenvectors are kept read-only (not in the
+    repr).  `from_stack` validates a whole stack of states by one stacked
+    `eigh` through the same checks, and each state keeps its slice of that
+    decomposition.  Equality is identity: states hold arrays.
     """
 
     matrix: np.ndarray
     dims: HilbertDims
-    _eig: tuple = field(init=False, repr=False, compare=False)
+    _eig: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
-        herm_err = np.abs(m - m.conj().T).max()
-        if herm_err > HERMITICITY_TOL:
-            raise CoreError(f"density matrix not Hermitian (residual {herm_err:.3e})")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise CoreError(f"density matrix trace {tr} differs from 1")
-        evals, evecs = np.linalg.eigh(m)
-        if evals.min() < -EIG_FLOOR:
-            raise CoreError(f"density matrix has negative eigenvalue {evals.min():.3e}")
-        evals = _clamp_probs(evals)
-        for arr in (evals, evecs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_eig", (evals, evecs))
+        object.__setattr__(self, "_eig", _density_spectra(m))
+
+    @classmethod
+    def from_stack(cls, matrices, dims=None) -> tuple:
+        """Validated states of an (n, d, d) stack, all with factor dims
+        `dims`, from one stacked `eigh`; each state's `eig()` is its slice
+        of that decomposition, the same bits as validating it alone."""
+        ms = _frozen_stack(matrices)
+        if ms.ndim != 3:
+            raise CoreError(f"expected an (n, d, d) stack, got shape {ms.shape}")
+        d = _as_dims(dims, ms.shape[-1])
+        evals, evecs = _density_spectra(ms)
+        states = []
+        for m, w, v in zip(ms, evals, evecs):
+            rho = object.__new__(cls)
+            for name, value in (("matrix", m), ("dims", d), ("_eig", (w, v))):
+                object.__setattr__(rho, name, value)
+            states.append(rho)
+        return tuple(states)
 
     @classmethod
     def from_matrix(cls, matrix, dims=None):
@@ -196,7 +242,7 @@ class DensityOperator:
         return cls(m, dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     """A unitary matrix with factor dims; U^dag U = 1 within tolerance."""
 
@@ -500,9 +546,13 @@ def ancilla_kraus(op, rho_ancilla) -> np.ndarray:
 
 def shannon_entropy(p) -> float:
     """-sum p ln p with the 0 ln 0 := 0 convention."""
-    p = _clamp_probs(np.asarray(p, dtype=float))
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(_entropy_rows(_clamp_probs(np.asarray(p, dtype=float))))
+
+
+def _entropy_rows(p):
+    """-sum p ln p over the last axis of clamped probabilities (0 ln 0 := 0),
+    so over every row of a stack."""
+    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -521,19 +571,19 @@ def relative_entropy(rho, sigma) -> float:
     s = _mat(sigma)
     if r.shape != s.shape:
         raise CoreError(f"dimension mismatch {r.shape} vs {s.shape}")
-    p, _ = _spectrum(rho)
-    q, qv = _spectrum(sigma)
+    return float(_relative_entropy_rows(_spectrum(rho)[0], r, *_spectrum(sigma)))
+
+
+def _relative_entropy_rows(p, r, q, qv):
+    """`relative_entropy` over leading axes: states with clamped eigenvalues
+    p and matrices r against references with clamped eigenvalues q and
+    eigenvectors qv (either side a stack or one state)."""
     # rho expressed in sigma's eigenbasis
-    r_in_q = qv.conj().T @ r @ qv
-    diag = np.real(np.diag(r_in_q))
+    diag = np.real(np.diagonal(qv.conj().swapaxes(-1, -2) @ r @ qv, axis1=-2, axis2=-1))
     null = q <= SUPPORT_EIG_CUT
-    if np.sum(diag[null]) > SUPPORT_OVERLAP_TOL:
-        return math.inf
-    nz_p = p[p > 0.0]
-    term1 = float(np.sum(nz_p * np.log(nz_p)))
-    ok = ~null
-    term2 = float(np.sum(diag[ok] * np.log(q[ok])))
-    return term1 - term2
+    outside = np.sum(np.where(null, diag, 0.0), axis=-1)
+    cross = np.sum(diag * np.log(np.where(null, 1.0, q)), axis=-1)     # 0 off the support
+    return np.where(outside > SUPPORT_OVERLAP_TOL, np.inf, -_entropy_rows(p) - cross)
 
 
 def relative_entropy_spectral(rho, sigma_vals, sigma_vecs) -> float:

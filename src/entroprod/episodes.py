@@ -31,8 +31,10 @@ from .core import (
     HermitianOperator,
     HilbertDims,
     UnitaryOperator,
+    _entropy_rows,
     _mat,
     _ptrace_matrix,
+    _relative_entropy_rows,
     hermitian_function,
     logm_psd,
     mutual_information,
@@ -195,7 +197,12 @@ class EntropyBalance:
 
 
 def _energy(h, rho) -> float:
-    return float(np.real(np.trace(_mat(h) @ _mat(rho))))
+    return float(_trace_rows(_mat(h), _mat(rho)))
+
+
+def _trace_rows(a, b):
+    """Re Tr(a b) over the leading axes of either side."""
+    return np.real(np.trace(a @ b, axis1=-2, axis2=-1))
 
 
 def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance:
@@ -204,36 +211,46 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     A pure (or rank-deficient) initial environment pushes rho_E' out of the
     support of rho_E; the displacement term and sigma are then +inf while
     the mutual information, flux trace formula and heats stay finite.
+    This is the one-row case of `balance_rows`.
     """
     ev = _own_evolution(ep, evolved)
-    s_sys, s_env = von_neumann_entropy(ev.rho_system), von_neumann_entropy(ev.rho_env)
-    mi = s_sys + s_env - von_neumann_entropy(ev.rho_joint)
-    d_env = relative_entropy(ev.rho_env, ep.rho_env)
-    ds_s = s_sys - von_neumann_entropy(ep.rho_system)
-    ds_e = s_env - von_neumann_entropy(ep.rho_env)
+    rows = balance_rows(ep.h_system.matrix, ep.h_env.matrix, ep.rho_env,
+                        _with_spectrum(ep.rho_system), _with_spectrum(ev.rho_system),
+                        _with_spectrum(ev.rho_env), ev.rho_joint.eig()[0])
+    return EntropyBalance(*(float(x) for x in rows))
+
+
+def _with_spectrum(rho: DensityOperator):
+    return rho.matrix, rho.eig()[0]
+
+
+def balance_rows(h_system, h_env, rho_env: DensityOperator, before, after,
+                 env_after, joint_vals):
+    """The formulas of `balance` over leading axes, for episodes that share
+    H_S, H_E and rho_E: `before`, `after` and `env_after` are (matrices,
+    clamped eigenvalues) of rho_S, rho_S' and rho_E', `joint_vals` the
+    clamped eigenvalues of rho_SE' (stacks, or one state without the
+    leading axis).  Returns the arrays sigma, flux, dS_S, I(S:E),
+    S(rho_E' || rho_E), Q_E and W, in `EntropyBalance` order; raises when
+    any row's joint entropy is not conserved (1e-8).
+    """
+    (m_before, p_before), (m_after, p_after), (m_env, p_env) = before, after, env_after
+    q, qv = rho_env.eig()
+    s_sys, s_env = _entropy_rows(p_after), _entropy_rows(p_env)
+    mi = s_sys + s_env - _entropy_rows(joint_vals)
+    d_env = _relative_entropy_rows(p_env, m_env, q, qv)
+    ds_s = s_sys - _entropy_rows(p_before)
+    ds_e = s_env - _entropy_rows(q)
     # unitarity: the mutual information must equal dS_S + dS_E
-    if math.isfinite(mi) and abs(mi - (ds_s + ds_e)) > 1e-8:
+    if (np.isfinite(mi) & (abs(mi - (ds_s + ds_e)) > 1e-8)).any():
         raise EpisodeError("joint entropy not conserved; unitary is inconsistent")
-    sigma = mi + d_env
-    if math.isinf(d_env):
-        # rho_E' escaped the support of rho_E (pure environment): the flux
-        # diverges together with sigma; reported, not fatal.
-        flux = math.inf
-    else:
-        log_env = logm_psd(ep.rho_env)
-        flux = float(np.real(
-            np.trace((ep.rho_env.matrix - ev.rho_env.matrix) @ log_env)))
-    q_env = _energy(ep.h_env, ev.rho_env) - _energy(ep.h_env, ep.rho_env)
-    dh_s = _energy(ep.h_system, ev.rho_system) - _energy(ep.h_system, ep.rho_system)
-    return EntropyBalance(
-        sigma=sigma,
-        flux=flux,
-        d_entropy_system=ds_s,
-        mutual_info=mi,
-        env_displacement=d_env,
-        heat_env=q_env,
-        work=dh_s + q_env,
-    )
+    # rho_E' escaped the support of rho_E (pure environment): the flux
+    # diverges together with sigma; reported, not fatal.
+    flux = np.where(np.isinf(d_env), np.inf,
+                    _trace_rows(rho_env.matrix - m_env, logm_psd(rho_env)))
+    q_env = _trace_rows(h_env, m_env) - _trace_rows(h_env, rho_env.matrix)
+    work = _trace_rows(h_system, m_after) - _trace_rows(h_system, m_before) + q_env
+    return mi + d_env, flux, ds_s, mi, d_env, q_env, work
 
 
 def _require_thermal_env(ep: Episode, beta: float, tol: float):

@@ -44,7 +44,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), j)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianModel:
     """Drift A, diffusion D and the parity matrix defining the split."""
 
@@ -91,7 +91,7 @@ class GaussianModel:
         return bool(np.real(np.linalg.eigvals(self.drift)).min() > 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     mean: np.ndarray
     cov: np.ndarray
@@ -314,7 +314,7 @@ def critical_coupling(spec: TwoModeNessSpec) -> float:
                      / (4.0 * spec.omega_a * spec.omega_b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeNessResult:
     cov: np.ndarray
     n_a: float

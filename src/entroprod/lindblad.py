@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CoreError,
     DensityOperator,
     HermitianOperator,
     _mat,
@@ -61,7 +62,7 @@ class LindbladError(ValueError):
 # Models and superoperators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladModel:
     """drho/dt = -i[H, rho] + sum_k gamma_k D[L_k] (+ optional cross terms).
 
@@ -184,7 +185,7 @@ def trace_preservation_residual(superop) -> float:
 # Integration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationResult:
     times: np.ndarray
     states: tuple
@@ -197,30 +198,37 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
     """States on a finite, nondecreasing time grid from the exact
     propagator of the real-form generator (`core.propagate`) applied to the
     Hermitian coordinates of rho0.  Each state is renormalized to unit
-    trace; the largest |tr - 1| before that is the trace drift, the most
-    negative eigenvalue the positivity drift (below -1e-8 is an error),
-    both round-off only.  d is capped at INTEGRATE_DIM_CAP = 60 before
-    anything is allocated: generator and exponential take 80 d^4 bytes.
+    trace; the largest |tr - 1| before that is the trace drift.  The states
+    are validated as one stack (`DensityOperator.from_stack`), so an
+    eigenvalue below -EIG_FLOOR is an error naming its time; the most
+    negative eigenvalue, as v^dag rho v on the kept eigenvectors, is the
+    positivity drift.  Both drifts are round-off only.  d is capped at
+    INTEGRATE_DIM_CAP = 60 before anything is allocated: generator and
+    exponential take 80 d^4 bytes.
     """
     if model.dim > INTEGRATE_DIM_CAP:
         raise LindbladError(f"dimension {model.dim} exceeds integration cap "
                             f"{INTEGRATE_DIM_CAP} (80 d^4 bytes against {GENERATOR_BYTES})")
     t_grid, coords = propagate(real_superop(build(model)), t_grid,
                                hermitian_coords(rho0.matrix), LindbladError)
-    states = [rho0]
-    drift = 0.0
-    neg = 0.0
-    for x in coords[1:]:
-        m = from_hermitian_coords(x)
-        tr = float(np.trace(m).real)
-        drift = max(drift, abs(tr - 1.0))
-        m = m / tr
-        low = float(np.linalg.eigvalsh(m).min())
-        neg = min(neg, low)
-        if low < -1e-8:
-            raise LindbladError(f"positivity drift {low:.3e} beyond 1e-8")
-        states.append(DensityOperator.from_matrix(m, rho0.dims))
-    return IntegrationResult(t_grid, tuple(states), drift, -neg)
+    d = rho0.dim
+    ms = np.array([from_hermitian_coords(x) for x in coords[1:]]).reshape(-1, d, d)
+    tr = np.trace(ms, axis1=1, axis2=2).real
+    ms = ms / tr[:, None, None]
+    try:
+        states = DensityOperator.from_stack(ms, rho0.dims)
+    except CoreError:
+        # the same validation, one state at a time, finds the first bad time
+        for t, m in zip(t_grid[1:], ms):
+            try:
+                DensityOperator(m, rho0.dims)
+            except CoreError as exc:
+                raise LindbladError(f"state at t = {t:g}: {exc}") from None
+        raise
+    vecs = np.array([s.eig()[1] for s in states]).reshape(-1, d, d)
+    low = np.diagonal(vecs.conj().swapaxes(1, 2) @ ms @ vecs, axis1=1, axis2=2).real
+    return IntegrationResult(t_grid, (rho0,) + states, float(np.abs(tr - 1.0).max(initial=0.0)),
+                             max(0.0, -float(low.min(initial=0.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +402,7 @@ def thermal_qubit_model(omega: float, gamma: float, beta: float) -> LindbladMode
 # Spohn rates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpohnRates:
     times: np.ndarray
     heat_rate: np.ndarray        # dQ/dt into the bath

@@ -45,7 +45,7 @@ class ResourceError(ValueError):
 # Populations and curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyPopulations:
     """Diagonal state: (energy, probability) per level."""
 
@@ -89,7 +89,7 @@ def beta_order(pop: EnergyPopulations, beta: float) -> np.ndarray:
     return np.array(order, dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoMajCurve:
     """Concave piecewise-linear curve through (sum e^{-beta E}, sum p)
     in beta-order, prefixed with (0, 0)."""
@@ -332,7 +332,7 @@ def interconversion_rate(rho1, rho2, beta: float, hamiltonian) -> float:
 # Reconciliation with the stochastic approach
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkBoundsReport:
     eta_grid: np.ndarray
     phi_eta: np.ndarray

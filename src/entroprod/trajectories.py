@@ -61,7 +61,7 @@ class BackwardChoice(enum.Enum):
     BOTH_RESET = "both_reset"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """An exhaustive ensemble as arrays over its outcome grid.
 
@@ -108,7 +108,7 @@ def _write_csv(path, header, *columns):
     return path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarDistribution:
     """Discrete distribution over real values (merged support)."""
 
@@ -348,7 +348,7 @@ def crooks_check(stats: WorkStatistics, beta: float, tol=1e-10):
     return dev, count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CgfCurve:
     lam: np.ndarray
     values: np.ndarray
@@ -616,7 +616,7 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
 # Measurement-driven ("quantum heat") trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementTrajectories:
     sigma_values: np.ndarray
     probabilities: np.ndarray
@@ -715,7 +715,7 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
 # Finite-width work weight
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvolvedWork:
     grid: np.ndarray
     density: np.ndarray          # probability mass per grid cell, sums to 1

@@ -367,3 +367,40 @@ def test_stroke_record_csv_row():
     _, recs = cm.run(spec, random_density(2, RNG), 1)
     row = recs[0].as_row()
     assert len(row) == 6
+
+
+def two_letter_spec(rng):
+    scrambled = cm.AncillaStroke(thermal_state(H_QUBIT, 0.7), H_QUBIT,
+                                 random_unitary(4, rng, dims=(2, 2)), beta=0.7)
+    return cm.CollisionSpec((thermal_stroke(1.2), scrambled), (H_QUBIT, H_QUBIT),
+                            (random_unitary(2, rng), random_unitary(2, rng)))
+
+
+def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
+    # every stroke's balance comes from stacked decompositions per state kind
+    rng = np.random.default_rng(21)
+    spec, rho0 = two_letter_spec(rng), random_density(2, rng)
+    counts = []
+    for n_strokes in (10, 200):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        cm.run(spec, rho0, n_strokes)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 12
+
+
+def test_run_rejects_mismatched_dims():
+    # the dims each Episode used to check: initial state, system schedule, ancilla
+    spec = cm.CollisionSpec((thermal_stroke(1.0),), (H_QUBIT,))
+    with pytest.raises(cm.CollisionalError, match="initial state"):
+        cm.run(spec, random_density(3, RNG), 2)
+    h3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0]))
+    with pytest.raises(cm.CollisionalError, match="differ in dimension"):
+        cm.CollisionSpec((thermal_stroke(1.0),) * 2, (H_QUBIT, h3))
+    with pytest.raises(cm.CollisionalError, match="ancilla Hamiltonian"):
+        cm.CollisionSpec((cm.AncillaStroke(thermal_state(H_QUBIT, 1.0), h3,
+                                           exchange_unitary(0.3)),), (H_QUBIT,))

@@ -424,3 +424,64 @@ def test_json_roundtrip():
     assert back.dims.factors == (2, 2)
     with pytest.raises(CoreError):
         core.matrix_from_json({"dims": [2], "re": [[0, 0]], "im": [[0, 0]]})
+
+
+def test_from_stack_is_the_validation_of_each_state():
+    rng = np.random.default_rng(77)
+    mats = np.array([random_density(3, rng).matrix for _ in range(5)])
+    states = DensityOperator.from_stack(mats, (3,))
+    for m, state in zip(mats, states):
+        alone = DensityOperator(m, (3,))
+        assert np.array_equal(state.matrix, alone.matrix)
+        for kept, own in zip(state.eig(), alone.eig()):
+            assert np.array_equal(kept, own) and not kept.flags.writeable
+    bad = mats.copy()
+    bad[3] = np.diag([1.0 + 5e-9, -5e-9, 0.0])
+    with pytest.raises(CoreError, match="matrix 3 of the stack: .*negative eigenvalue"):
+        DensityOperator.from_stack(bad)
+    with pytest.raises(CoreError, match="negative eigenvalue"):
+        DensityOperator.from_matrix(bad[3])
+    bad[1, 0, 0] += 0.1
+    with pytest.raises(CoreError, match="matrix 1 of the stack: .*trace"):
+        DensityOperator.from_stack(bad)
+    with pytest.raises(CoreError, match="stack"):
+        DensityOperator.from_stack(mats[0])
+
+
+def test_equality_never_raises_on_array_holders():
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    import entroprod
+    from entroprod import episodes as eps
+
+    holders = []
+    for info in pkgutil.iter_modules(entroprod.__path__):
+        module = importlib.import_module(f"entroprod.{info.name}")
+        for obj in vars(module).values():
+            if (dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+                    and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))):
+                holders.append(obj)
+    assert {core.DensityOperator, core.HermitianOperator, core.UnitaryOperator} <= set(holders)
+    assert len(holders) >= 20
+    for cls in holders:
+        twins = []
+        for _ in range(2):
+            obj = object.__new__(cls)
+            for f in dataclasses.fields(cls):
+                object.__setattr__(obj, f.name, np.zeros(2))
+            twins.append(obj)
+        a, b = twins
+        assert (a == b) is False and (a == a) is True and (a != b) is True, cls
+    assert (DensityOperator.maximally_mixed(2) == DensityOperator.maximally_mixed(2)) is False
+    # an Episode compares its operators by identity; its evolution stays out
+    rng = np.random.default_rng(5)
+    h = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+    parts = (h, h, random_unitary(4, rng, dims=(2, 2)), random_density(2, rng),
+             random_density(2, rng))
+    ep = eps.Episode(*parts)
+    eps.evolve(ep)
+    assert (ep == dataclasses.replace(ep)) is True
+    twin = eps.Episode(*(type(p).from_matrix(p.matrix, p.dims) for p in parts))
+    assert (ep == twin) is False

@@ -359,3 +359,21 @@ def test_spohn_rates_rejects_unfixed_dissipator():
     with pytest.raises(lb.LindbladError):
         lb.spohn_rates(lambda t: model, [(0.0, gibbs), (0.1, gibbs), (0.2, gibbs)],
                        beta)
+
+
+@pytest.mark.parametrize("low", [-5e-9, -5e-10])
+def test_integrate_positivity_floor_is_the_state_floor(monkeypatch, low):
+    # one rule: a grid state below -EIG_FLOOR is an error naming its time,
+    # one above it is clamped and reported as the positivity drift
+    model = lb.thermal_qubit_model(1.0, 0.5, 1.0)
+    rho0 = DensityOperator.from_matrix(np.diag([0.5, 0.5]))
+    drifted = core.hermitian_coords(np.diag([1.0 - low, low]))
+    monkeypatch.setattr(lb, "propagate", lambda gen, t, x0, error: (
+        np.array([0.0, 0.25, 0.5]), np.array([x0, x0, drifted])))
+    if low < -core.EIG_FLOOR:
+        with pytest.raises(lb.LindbladError, match=r"t = 0\.5: .*negative eigenvalue -5\.000e-09"):
+            lb.integrate(model, rho0, [0.0, 0.25, 0.5])
+    else:
+        out = lb.integrate(model, rho0, [0.0, 0.25, 0.5])
+        assert out.positivity_drift == pytest.approx(-low, rel=1e-6)
+        assert out.states[-1].eig()[0].min() == 0.0

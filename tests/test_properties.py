@@ -1,0 +1,115 @@
+"""Property tests on generated inputs (hypothesis, derandomized, no example
+database): the invariants hold on drawn instances, not only on seeds."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from entroprod import collisional as cm, episodes as eps
+from entroprod.core import DensityOperator, HermitianOperator, UnitaryOperator, thermal_state
+from entroprod.rand import random_density, random_unitary
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+letter = st.fixed_dictionaries({
+    "dim": st.integers(2, 3),
+    "state": st.sampled_from(["thermal", "mixed", "pure"]),
+    "exchange": st.booleans(),
+})
+collision = st.fixed_dictionaries({
+    "dim_system": st.integers(2, 3),
+    "letters": st.lists(letter, min_size=1, max_size=3),
+    "system_unitaries": st.booleans(),
+    "n_strokes": st.integers(1, 9),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def build(draw):
+    """A collision spec and initial state from a drawn description.  A
+    letter with equal dimensions may use the partial swap, S and A with the
+    same Hamiltonian, which turns on the tier-3 fixed-point sigma."""
+    rng = np.random.default_rng(draw["seed"])
+    ds = draw["dim_system"]
+    strokes, hs = [], []
+    for spec in draw["letters"]:
+        da = spec["dim"]
+        gaps = np.sort(rng.uniform(0.0, 2.0, max(ds, da)))
+        h_a = HermitianOperator.from_matrix(np.diag(gaps[:da]))
+        h_s = HermitianOperator.from_matrix(np.diag(gaps[:ds]))
+        beta = float(rng.uniform(0.2, 2.0))
+        if spec["state"] == "thermal":
+            rho_a = thermal_state(h_a, beta)
+        elif spec["state"] == "mixed":
+            rho_a = random_density(da, rng)
+        else:
+            rho_a = DensityOperator.pure(rng.normal(size=da) + 1j * rng.normal(size=da))
+            beta = None
+        if spec["exchange"] and ds == da:
+            # exp(-i g SWAP) conserves H x 1 + 1 x H
+            swap = np.eye(ds * ds)[[j * ds + i for i in range(ds) for j in range(ds)]]
+            g = rng.uniform(0.1, 1.5)
+            u = UnitaryOperator.from_matrix(math.cos(g) * np.eye(ds * ds)
+                                            - 1j * math.sin(g) * swap, (ds, ds))
+        else:
+            u = random_unitary(ds * da, rng, dims=(ds, da))
+        strokes.append(cm.AncillaStroke(rho_a, h_a, u, beta))
+        hs.append(h_s)
+    us = None
+    if draw["system_unitaries"]:
+        us = tuple(random_unitary(ds, rng) for _ in strokes)
+    spec = cm.CollisionSpec(tuple(strokes), tuple(hs), us)
+    return spec, random_density(ds, rng)
+
+
+def stroke_by_stroke(spec, rho0, n_strokes):
+    """The chain as one Episode and one `episodes.balance` per stroke."""
+    rho, states, rows = rho0, [rho0], []
+    for n in range(n_strokes):
+        stroke, h_now, h_next = spec.stroke(n), spec.h_at(n), spec.h_at(n + 1)
+        ep = eps.Episode(h_now, stroke.hamiltonian, stroke.unitary, rho, stroke.rho)
+        bal = eps.balance(ep)
+        mid = eps.evolve(ep).rho_system
+        u = spec.u_at(n)
+        nxt = mid if u is None else DensityOperator(
+            u.matrix @ mid.matrix @ u.matrix.conj().T, mid.dims)
+        e_now, e_mid, e_next = (float(np.real(np.trace(h.matrix @ r.matrix)))
+                                for h, r in ((h_now, rho), (h_now, mid), (h_next, nxt)))
+        sigma_t = None if stroke.beta is None else bal.d_entropy_system + stroke.beta * bal.heat_env
+        sigma_f = None
+        if stroke.beta is not None and eps.is_strict_energy_conserving(
+                stroke.unitary, h_now, stroke.hamiltonian)[0]:
+            sigma_f = eps.fixed_point_sigma(rho, mid, thermal_state(h_now, stroke.beta))
+        rows.append((bal.heat_env, e_next - e_now, bal.work, e_next - e_mid, bal.sigma,
+                     sigma_t, sigma_f))
+        states.append(nxt)
+        rho = nxt
+    return states, rows
+
+
+def same(a, b, tol):
+    if a is None or b is None:
+        return a is b
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= tol
+
+
+@PROPERTY
+@given(collision)
+def test_stacked_run_is_the_stroke_by_stroke_balance(draw):
+    spec, rho0 = build(draw)
+    n = draw["n_strokes"]
+    states, records = cm.run(spec, rho0, n)
+    want_states, want_rows = stroke_by_stroke(spec, rho0, n)
+    assert len(states) == n + 1 and len(records) == n
+    for got, want in zip(states, want_states):
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-12
+        assert np.abs(got.eig()[0] - want.eig()[0]).max() <= 1e-12
+    for rec, want in zip(records, want_rows):
+        got = (rec.q_ancilla, rec.d_h_system, rec.w_onoff, rec.w_unitary,
+               rec.sigma_general, rec.sigma_thermal, rec.sigma_fixed_point)
+        assert all(same(x, y, 1e-12) for x, y in zip(got, want)), (got, want)
+        assert abs(rec.first_law_residual) <= 1e-12
+        assert rec.sigma_general >= -1e-12
