@@ -6,6 +6,8 @@
 Config schema (version "v1"): {"schema": "v1", "kind": <scenario>,
 "parameters": {...}, "sweep": {"parameter": name, "grid": [...]},
 "seed": int, "output": {"path": ..., "format": "csv"|"json"}}.
+Each kind reads the parameter keys listed for it in SCENARIOS; any other
+key is a validation error.
 Runs are deterministic given the seed; every CSV carries a header row and
 a provenance comment with the config hash and seed.  Exit codes: 0 ok,
 2 validation error, 3 numerical failure.
@@ -157,14 +159,18 @@ def _scenario_resource(params, rng):
               verdict.value, err]])
 
 
+# Each scenario with the parameter keys it reads; a config naming any other
+# key, in "parameters" or as the sweep parameter, is a validation error.
 SCENARIOS = {
-    "collisional": _scenario_collisional,
-    "episode": _scenario_episode,
-    "trajectories": _scenario_trajectories,
-    "lindblad": _scenario_lindblad,
-    "gaussian": _scenario_gaussian,
-    "classical": _scenario_classical,
-    "resource": _scenario_resource,
+    "collisional": (_scenario_collisional, ("t_a", "t_b", "eps_a", "ratio")),
+    "episode": (_scenario_episode, ("beta", "omega", "g")),
+    "trajectories": (_scenario_trajectories, ("beta", "dlam")),
+    "lindblad": (_scenario_lindblad,
+                 ("drive", "delta", "kerr", "kappa", "n_scale", "fock_cut")),
+    "gaussian": (_scenario_gaussian,
+                 ("g_ab", "omega_a", "omega_b", "kappa_a", "gamma_b", "n_tb")),
+    "classical": (_scenario_classical, ("temperature", "mu", "n_sites", "coupling")),
+    "resource": (_scenario_resource, ("beta", "gap", "denominator")),
 }
 
 
@@ -198,12 +204,18 @@ def load_config(path: Path) -> dict:
             raise ConfigError("'sweep' needs 'parameter' and 'grid'")
         if not isinstance(sweep["grid"], list) or len(sweep["grid"]) == 0:
             raise ConfigError("sweep grid must be a non-empty list")
+    keys = SCENARIOS[kind][1]
+    unknown = [k for k in list(params) + ([] if sweep is None else [sweep["parameter"]])
+               if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown parameter(s) {unknown} for kind '{kind}'; "
+                          f"it reads {list(keys)}")
     return cfg
 
 
 def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
     kind = cfg["kind"]
-    scenario = SCENARIOS[kind]
+    scenario = SCENARIOS[kind][0]
     seed = int(cfg.get("seed", 0))
     params = dict(cfg.get("parameters", {}))
     sweep = cfg.get("sweep")

@@ -45,8 +45,8 @@ from .core import (
     UnitaryOperator,
     _density_spectra,
     _mat,
+    _petz_renyi,
     _ptrace_matrix,
-    _relative_entropy_rows,
     add_lindblad_term,
     ancilla_kraus,
     classical_kl,
@@ -180,18 +180,17 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
         u = stroke.unitary.matrix
         joint = joints[n % letters][n // letters]
         joint[...] = u @ tensor([m, stroke.rho]) @ u.conj().T
-        m = mids[n] = np.trace(joint.reshape(ds, stroke.rho.dim, ds, -1), axis1=1, axis2=3)
+        m = mids[n] = _ptrace_matrix(joint, (ds, stroke.rho.dim), [0])
         u_sys = spec.u_at(n)
         if u_sys is not None:
             m = nexts[n] = u_sys.matrix @ m @ u_sys.matrix.conj().T
-    ancillas = [np.trace(j.reshape(len(j), ds, j.shape[1] // ds, ds, -1), axis1=1, axis2=3)
-                for j in joints]
+    ancillas = [_ptrace_matrix(j, (ds, j.shape[-1] // ds), [1]) for j in joints]
     return (rho0,) + DensityOperator.from_stack(nexts, rho0.dims), mids, joints, ancillas
 
 
 def _stacks(states):
-    """(matrices, clamped eigenvalues) of states, as two stacks."""
-    return np.array([s.matrix for s in states]), np.array([s.eig()[0] for s in states])
+    """(matrices, weights, eigenvectors) of states, as three stacks."""
+    return tuple(np.array(x) for x in zip(*((s.matrix,) + s.eig() for s in states)))
 
 
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
@@ -209,17 +208,19 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
     if n_strokes < 1:
         raise CollisionalError("n_strokes must be >= 1")
     states, m_mid, joints, ancillas = _chain(spec, rho0, n_strokes)
-    m_all, p_all = _stacks(states)
-    p_mid = p_all[1:] if spec.system_unitaries is None else _density_spectra(m_mid)[0]
+    m_all, p_all, v_all = _stacks(states)
+    p_mid, v_mid = ((p_all[1:], v_all[1:]) if spec.system_unitaries is None
+                    else _density_spectra(m_mid))
     letters = len(spec.alphabet)
     records = [None] * n_strokes
     for k in range(len(joints)):
         stroke, h_now, h_next = spec.alphabet[k], spec.h_at(k), spec.h_at(k + 1)
         rows = slice(k, n_strokes, letters)
-        before, mid = (m_all[:-1][rows], p_all[:-1][rows]), (m_mid[rows], p_mid[rows])
+        before = m_all[:-1][rows], p_all[:-1][rows], v_all[:-1][rows]
+        mid = m_mid[rows], p_mid[rows], v_mid[rows]
         sigma, _, ds_s, _, _, q_a, w_onoff = balance_rows(
             h_now.matrix, stroke.hamiltonian.matrix, stroke.rho, before, mid,
-            (ancillas[k], _density_spectra(ancillas[k])[0]),
+            (ancillas[k],) + _density_spectra(ancillas[k]),
             _density_spectra(joints[k])[0])
         e_now = _trace_rows(h_now.matrix, before[0])
         e_mid = _trace_rows(h_now.matrix, mid[0])
@@ -233,8 +234,8 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
                                              conserving_tol)[0]
             if ok:
                 q, qv = thermal_state(h_now, stroke.beta).eig()
-                sigma_f = (_relative_entropy_rows(before[1], before[0], q, qv)
-                           - _relative_entropy_rows(mid[1], mid[0], q, qv)).tolist()
+                sigma_f = (_petz_renyi(1.0, before[1], q, qv.conj().T @ before[2])
+                           - _petz_renyi(1.0, mid[1], q, qv.conj().T @ mid[2])).tolist()
         residual = dh - (w_u + w_onoff - q_a)
         for n, *row in zip(range(k, n_strokes, letters), q_a.tolist(), dh.tolist(),
                            w_onoff.tolist(), w_u.tolist(), sigma.tolist(), sigma_t,
@@ -413,7 +414,8 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         p_th = np.exp(-stroke.beta * (e_sys - e_sys.min()))
         chains.append((m_n, c, p_th / p_th.sum()))
     states = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)[0]
-    pops = np.real(np.diagonal(basis.conj().T @ _stacks(states)[0] @ basis, axis1=1, axis2=2))
+    pops = np.real(np.diagonal(basis.conj().T @ np.array([s.matrix for s in states]) @ basis,
+                               axis1=1, axis2=2))
     pops.setflags(write=False)      # rows shared by consecutive records
     records = []
     for n in range(n_strokes):

@@ -10,6 +10,16 @@ keeps from its validation, which every entropy, divergence and eigenbasis
 of the state reads (`_spectrum`).  Functions never mutate their arguments,
 except the superoperator builders `add_sided_term`, `add_lindblad_term` and
 `real_superop`, which work in place on the array they are given.
+
+Every entropy and divergence uses one support rule.  Where a spectrum is
+made (`_spectral_weights`, called by the state validation and by
+`_spectrum`), eigenvalues <= SPECTRAL_NOISE * d, times max(1, lambda_max)
+for a bare matrix, are eigensolver round-off and are set to exactly 0,
+once.  Downstream a level is in the support iff its weight is > 0, and rho
+leaves sigma's support iff its mass on sigma's zero levels exceeds
+SUPPORT_OVERLAP_TOL.  Probability vectors are read as given, under the same
+downstream rule: the classical divergences are the diagonal case of the
+one Petz-Renyi kernel (`_petz_renyi`).
 """
 
 from __future__ import annotations
@@ -30,10 +40,9 @@ UNITARITY_TOL = 1e-9
 # rejected (matches the constructor tolerance so validated states never
 # fail downstream).
 EIG_FLOOR = 1e-9
-# A sigma-eigenvalue below this counts as "outside the support" of sigma.
-SUPPORT_EIG_CUT = 1e-12
-# Probability mass of rho on the null space of sigma beyond this triggers
-# an infinite relative entropy.
+# The support rule (module docstring): eigensolver round-off per dimension,
+# and the mass off sigma's support that still counts as inside it.
+SPECTRAL_NOISE = 8 * np.finfo(float).eps
 SUPPORT_OVERLAP_TOL = 1e-8
 
 
@@ -108,8 +117,8 @@ def _density_spectra(m):
     """The density-matrix validation, of one matrix or of a stack
     (..., d, d) by one stacked `eigh`: Hermitian within HERMITICITY_TOL,
     unit trace within TRACE_TOL and no eigenvalue below -EIG_FLOOR.
-    Returns the eigenvalues (ascending, negative round-off clamped to 0)
-    and eigenvectors as columns, both read-only."""
+    Returns the eigenvalues (ascending, round-off zeroed by
+    `_spectral_weights`) and eigenvectors as columns, both read-only."""
     herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     _fail_first(herm_err > HERMITICITY_TOL, herm_err,
                 "density matrix not Hermitian (residual {:.3e})")
@@ -118,7 +127,7 @@ def _density_spectra(m):
     evals, evecs = np.linalg.eigh(m)
     low = evals[..., 0]
     _fail_first(low < -EIG_FLOOR, low, "density matrix has negative eigenvalue {:.3e}")
-    evals = np.where(evals < 0.0, 0.0, evals)
+    evals = _spectral_weights(evals)
     for arr in (evals, evecs):
         arr.setflags(write=False)
     return evals, evecs
@@ -133,21 +142,9 @@ def _fail_first(bad, values, message):
         raise CoreError(where + message.format(values.flat[k]))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """A Hermitian matrix (Hamiltonian, observable) with factor dims."""
-
-    matrix: np.ndarray
-    dims: HilbertDims
-
-    def __post_init__(self):
-        m = _frozen_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
-        herm_err = np.abs(m - m.conj().T).max()
-        scale = max(1.0, np.abs(m).max())
-        if herm_err > HERMITICITY_TOL * scale:
-            raise CoreError(f"matrix is not Hermitian (residual {herm_err:.3e})")
+class _Operator:
+    """What the operator types share: construction from a bare matrix,
+    the dimension and the JSON matrix schema."""
 
     @classmethod
     def from_matrix(cls, matrix, dims=None):
@@ -163,17 +160,33 @@ class HermitianOperator:
 
     @classmethod
     def from_json(cls, obj):
-        m, dims = matrix_from_json(obj)
-        return cls(m, dims)
+        return cls(*matrix_from_json(obj))
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
+class HermitianOperator(_Operator):
+    """A Hermitian matrix (Hamiltonian, observable) with factor dims."""
+
+    matrix: np.ndarray
+    dims: HilbertDims
+
+    def __post_init__(self):
+        m = _frozen_matrix(self.matrix)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
+        herm_err = np.abs(m - m.conj().T).max()
+        scale = max(1.0, np.abs(m).max())
+        if herm_err > HERMITICITY_TOL * scale:
+            raise CoreError(f"matrix is not Hermitian (residual {herm_err:.3e})")
+
+
+@dataclass(frozen=True, eq=False)
+class DensityOperator(_Operator):
     """Positive unit-trace Hermitian matrix: the universal state type.
 
     Validation (`_density_spectra`) takes one `eigh` of the matrix; its
-    clamped eigenvalues and eigenvectors are kept read-only (not in the
-    repr).  `from_stack` validates a whole stack of states by one stacked
+    eigenvalues (round-off zeroed) and eigenvectors are kept read-only (not
+    in the repr).  `from_stack` validates a whole stack of states by one stacked
     `eigh` through the same checks, and each state keeps its slice of that
     decomposition.  Equality is identity: states hold arrays.
     """
@@ -207,11 +220,6 @@ class DensityOperator:
         return tuple(states)
 
     @classmethod
-    def from_matrix(cls, matrix, dims=None):
-        m = np.asarray(matrix, dtype=complex)
-        return cls(m, _as_dims(dims, m.shape[0]))
-
-    @classmethod
     def pure(cls, vector, dims=None):
         v = np.asarray(vector, dtype=complex).ravel()
         v = v / np.linalg.norm(v)
@@ -223,27 +231,15 @@ class DensityOperator:
         n = d.total
         return cls(np.eye(n) / n, d)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def eig(self):
-        """Eigenvalues (ascending, negative round-off clamped to 0) and
-        eigenvectors as columns, from the validating decomposition; both
-        arrays are read-only."""
+        """Eigenvalues (ascending, round-off zeroed) and eigenvectors as
+        columns, from the validating decomposition; both arrays are
+        read-only."""
         return self._eig
-
-    def to_json(self) -> dict:
-        return matrix_to_json(self.matrix, self.dims)
-
-    @classmethod
-    def from_json(cls, obj):
-        m, dims = matrix_from_json(obj)
-        return cls(m, dims)
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryOperator:
+class UnitaryOperator(_Operator):
     """A unitary matrix with factor dims; U^dag U = 1 within tolerance."""
 
     matrix: np.ndarray
@@ -256,23 +252,6 @@ class UnitaryOperator:
         err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
         if err > UNITARITY_TOL:
             raise CoreError(f"matrix is not unitary (residual {err:.3e})")
-
-    @classmethod
-    def from_matrix(cls, matrix, dims=None):
-        m = np.asarray(matrix, dtype=complex)
-        return cls(m, _as_dims(dims, m.shape[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def to_json(self) -> dict:
-        return matrix_to_json(self.matrix, self.dims)
-
-    @classmethod
-    def from_json(cls, obj):
-        m, dims = matrix_from_json(obj)
-        return cls(m, dims)
 
 
 # Frequently used single-qubit operators.  Basis ordering (|g>, |e>) with
@@ -287,13 +266,13 @@ SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 def _mat(op) -> np.ndarray:
     """Accept a wrapped operator or a bare array."""
-    if isinstance(op, (DensityOperator, HermitianOperator, UnitaryOperator)):
+    if isinstance(op, _Operator):
         return op.matrix
     return np.asarray(op, dtype=complex)
 
 
 def _dims_of(op, size=None) -> HilbertDims:
-    if isinstance(op, (DensityOperator, HermitianOperator, UnitaryOperator)):
+    if isinstance(op, _Operator):
         return op.dims
     m = np.asarray(op)
     return HilbertDims((m.shape[0] if size is None else size,))
@@ -304,16 +283,24 @@ def _clamp_probs(vals: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
     if vals.min() < -EIG_FLOOR:
         raise CoreError(f"eigenvalue {vals.min():.3e} below the clamping floor")
-    return np.where(vals < 0.0, 0.0, vals)
+    return np.maximum(vals, 0.0)
+
+
+def _spectral_weights(vals, scale=1.0):
+    """Eigenvalues as weights: every value <= SPECTRAL_NOISE * d * scale (d
+    the length of the last axis) is eigensolver round-off, set to exactly 0.
+    The one place the package cuts a support."""
+    return np.where(vals <= SPECTRAL_NOISE * vals.shape[-1] * scale, 0.0, vals)
 
 
 def _spectrum(state) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped eigenvalues and eigenvectors of a state: those a
-    `DensityOperator` keeps, or one `eigh` of a bare matrix."""
+    """Weights (round-off zeroed) and eigenvectors of a state: those a
+    `DensityOperator` keeps, or one `eigh` of a bare PSD matrix."""
     if isinstance(state, DensityOperator):
         return state.eig()
     vals, vecs = np.linalg.eigh(_mat(state))
-    return _clamp_probs(vals), vecs
+    vals = _clamp_probs(vals)
+    return _spectral_weights(vals, max(1.0, vals[-1])), vecs
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +329,24 @@ def tensor(ops):
 
 
 def _ptrace_matrix(mat, factors, keep):
-    """Partial trace of `mat` over the factors not listed in `keep`."""
-    factors = tuple(int(f) for f in factors)
+    """Partial trace over the factors not listed in `keep`, of one matrix
+    or of a stack (..., D, D): the reshape to (..., factors, factors) and
+    one `trace` per traced factor, the last first."""
+    factors = tuple(map(int, factors))
     n = len(factors)
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(map(int, keep)))
     if not keep:
         raise CoreError("keep set must be non-empty")
     if keep[0] < 0 or keep[-1] >= n:
         raise CoreError(f"keep indices {keep} out of range for {n} factors")
-    t = np.asarray(mat, dtype=complex).reshape(factors + factors)
-    row = list(range(n))
-    col = [n + k if k in keep else k for k in range(n)]
-    out = [k for k in keep] + [n + k for k in keep]
-    reduced = np.einsum(t, row + col, out)
-    d = math.prod(factors[k] for k in keep)
-    return reduced.reshape(d, d)
+    m = np.asarray(mat, dtype=complex)
+    b, d = m.ndim - 2, m.shape[-1]
+    t = m.reshape(m.shape[:-2] + factors + factors)
+    for k in reversed(range(n)):
+        if k not in keep:
+            t = t.trace(axis1=b + k, axis2=b + n + k)
+            n, d = n - 1, d // factors[k]
+    return t.reshape(m.shape[:-2] + (d, d))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -552,7 +542,7 @@ def shannon_entropy(p) -> float:
 def _entropy_rows(p):
     """-sum p ln p over the last axis of clamped probabilities (0 ln 0 := 0),
     so over every row of a stack."""
-    return -np.sum(p * np.log(np.where(p > 0.0, p, 1.0)), axis=-1)
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(-1)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -565,25 +555,70 @@ def von_neumann_entropy(rho) -> float:
     return shannon_entropy(_spectrum(rho)[0])
 
 
+def _petz_renyi(alpha, p, q, amp=None):
+    """Petz-Renyi divergence D_alpha(rho || sigma) = ln Tr rho^a sigma^(1-a)
+    / (a - 1) from the weights p of rho and q of sigma and the overlaps
+    amp[..., j, i] = <sigma_j|rho_i> of their eigenvectors; amp None is the
+    diagonal case, p and q weights on one basis (probability vectors).
+
+    Powers act on the supports, the weights > 0.  alpha = 1 is the relative
+    entropy Tr rho (ln rho - ln sigma), the one order taken over leading
+    axes; alpha = 0 is the support limit -ln Tr Pi_rho sigma and alpha = inf
+    the max-ratio limit ln max spec sigma^-1/2 rho sigma^-1/2.  Orders
+    alpha >= 1 are +inf when rho leaves sigma's support.
+    """
+    if alpha < 0:
+        raise CoreError(f"negative Renyi order {alpha}")
+    w = None if amp is None else np.abs(amp) ** 2
+
+    def on_sigma(x):
+        """sum_i |<sigma_j|rho_i>|^2 x_i: a function of rho's levels read
+        on sigma's."""
+        return x if w is None else (w @ x[..., None])[..., 0]
+
+    on = q > 0.0
+    if alpha >= 1.0:
+        r = on_sigma(p)                                 # <sigma_j|rho|sigma_j>
+        leaves = np.where(on, 0.0, r).sum(-1) > SUPPORT_OVERLAP_TOL
+        if alpha == 1.0:
+            cross = (r * np.log(np.where(on, q, 1.0))).sum(-1)
+            return np.where(leaves, np.inf, -_entropy_rows(p) - cross)
+        if leaves:
+            return math.inf
+    if alpha == math.inf:
+        if w is None:
+            return math.log(np.max(p[on] / q[on]))
+        half = amp[on] * np.sqrt(p) / np.sqrt(q[on])[:, None]    # sigma^-1/2 rho^1/2
+        return math.log(np.linalg.eigvalsh(half @ half.conj().T)[-1])
+    tr = _power(q, 1.0 - alpha) @ on_sigma(_power(p, alpha))
+    return math.inf if tr <= 0.0 else math.log(tr) / (alpha - 1.0)
+
+
+def _power(x, a):
+    """x^a on the support x > 0, and 0 off it (so x^0 is its indicator)."""
+    on = x > 0.0
+    return np.where(on, x, 1.0) ** a * on
+
+
+def _state_pair(rho, sigma):
+    """Weights p of rho and q of sigma and the overlaps <sigma_j|rho_i>."""
+    if _mat(rho).shape != _mat(sigma).shape:
+        raise CoreError(f"dimension mismatch {_mat(rho).shape} vs {_mat(sigma).shape}")
+    p, pv = _spectrum(rho)
+    q, qv = _spectrum(sigma)
+    return p, q, qv.conj().T @ pv
+
+
+def _probability_pair(p, q):
+    p, q = _clamp_probs(p), _clamp_probs(q)
+    if p.shape != q.shape:
+        raise CoreError("divergences need equally sized probability vectors")
+    return p, q
+
+
 def relative_entropy(rho, sigma) -> float:
     """Tr{rho ln rho - rho ln sigma}; +inf when rho leaves sigma's support."""
-    r = _mat(rho)
-    s = _mat(sigma)
-    if r.shape != s.shape:
-        raise CoreError(f"dimension mismatch {r.shape} vs {s.shape}")
-    return float(_relative_entropy_rows(_spectrum(rho)[0], r, *_spectrum(sigma)))
-
-
-def _relative_entropy_rows(p, r, q, qv):
-    """`relative_entropy` over leading axes: states with clamped eigenvalues
-    p and matrices r against references with clamped eigenvalues q and
-    eigenvectors qv (either side a stack or one state)."""
-    # rho expressed in sigma's eigenbasis
-    diag = np.real(np.diagonal(qv.conj().swapaxes(-1, -2) @ r @ qv, axis1=-2, axis2=-1))
-    null = q <= SUPPORT_EIG_CUT
-    outside = np.sum(np.where(null, diag, 0.0), axis=-1)
-    cross = np.sum(diag * np.log(np.where(null, 1.0, q)), axis=-1)     # 0 off the support
-    return np.where(outside > SUPPORT_OVERLAP_TOL, np.inf, -_entropy_rows(p) - cross)
+    return float(_petz_renyi(1.0, *_state_pair(rho, sigma)))
 
 
 def relative_entropy_spectral(rho, sigma_vals, sigma_vecs) -> float:
@@ -591,23 +626,25 @@ def relative_entropy_spectral(rho, sigma_vals, sigma_vecs) -> float:
     data (e.g. a Gibbs state built from its Hamiltonian).
 
     Avoids re-diagonalizing the reference, so exponentially small but
-    genuine weights keep accurate logarithms instead of being clipped to
-    the numerical null space.
+    genuine weights keep accurate logarithms instead of being zeroed as
+    eigensolver round-off.
     """
-    r = _mat(rho)
-    w = np.asarray(sigma_vals, dtype=float)
-    v = np.asarray(sigma_vecs, dtype=complex)
-    diag = np.real(np.einsum("ik,ij,jk->k", v.conj(), r, v))
-    diag = np.clip(diag, 0.0, None)
-    null = w <= 0.0
-    if np.sum(diag[null]) > SUPPORT_OVERLAP_TOL:
-        return math.inf
-    p, _ = _spectrum(rho)
-    nz = p[p > 0.0]
-    term1 = float(np.sum(nz * np.log(nz)))
-    ok = ~null
-    term2 = float(np.sum(diag[ok] * np.log(w[ok])))
-    return term1 - term2
+    p, pv = _spectrum(rho)
+    amp = np.asarray(sigma_vecs, dtype=complex).conj().T @ pv
+    return float(_petz_renyi(1.0, p, np.asarray(sigma_vals, dtype=float), amp))
+
+
+def renyi_divergence(rho, sigma, alpha) -> float:
+    """Petz-Renyi divergence (alpha-1)^-1 ln Tr rho^a sigma^(1-a), with the
+    relative entropy at alpha = 1, the support limit at alpha = 0 and the
+    max-ratio limit at alpha = inf (`_petz_renyi`)."""
+    return float(_petz_renyi(alpha, *_state_pair(rho, sigma)))
+
+
+def classical_kl(p, q) -> float:
+    """Kullback-Leibler divergence sum p ln(p/q) of probability vectors:
+    the diagonal case of the relative entropy."""
+    return float(_petz_renyi(1.0, *_probability_pair(p, q)))
 
 
 def mutual_information(rho: DensityOperator, part_a) -> float:
@@ -623,77 +660,6 @@ def mutual_information(rho: DensityOperator, part_a) -> float:
     rho_b = partial_trace(rho, part_b)
     return (von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
             - von_neumann_entropy(rho))
-
-
-def _psd_power(vals, vecs, power):
-    # zero eigenvalues stay zero: a pseudo-power on the support
-    nz = vals > SUPPORT_EIG_CUT
-    pw = np.zeros_like(vals)
-    pw[nz] = vals[nz] ** power
-    return (vecs * pw) @ vecs.conj().T
-
-
-def _support_projector(vals, vecs, cut=SUPPORT_EIG_CUT):
-    nz = vals > cut
-    v = vecs[:, nz]
-    return v @ v.conj().T
-
-
-def renyi_divergence(rho, sigma, alpha) -> float:
-    """Petz-Renyi divergence (alpha-1)^-1 ln Tr rho^a sigma^(1-a).
-
-    alpha -> 1 delegates to the relative entropy; alpha = 0 uses the
-    support-projector limit and alpha = inf the max-ratio limit.
-    """
-    if alpha < 0:
-        raise CoreError(f"negative Renyi order {alpha}")
-    r = _mat(rho)
-    s = _mat(sigma)
-    if r.shape != s.shape:
-        raise CoreError(f"dimension mismatch {r.shape} vs {s.shape}")
-    if alpha == 1.0:
-        return relative_entropy(rho, sigma)
-    p, pv = _spectrum(rho)
-    q, qv = _spectrum(sigma)
-    if alpha == 0.0:
-        proj = _support_projector(p, pv)
-        val = float(np.real(np.trace(proj @ s)))
-        if val <= 0.0:
-            return math.inf
-        return -math.log(val)
-    # support condition whenever a negative power of sigma is involved
-    r_in_q = qv.conj().T @ r @ qv
-    mass_outside = float(np.sum(np.real(np.diag(r_in_q))[q <= SUPPORT_EIG_CUT]))
-    if alpha == math.inf:
-        if mass_outside > SUPPORT_OVERLAP_TOL:
-            return math.inf
-        s_inv_half = _psd_power(q, qv, -0.5)
-        m = s_inv_half @ r @ s_inv_half
-        top = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).max())
-        if top <= 0.0:
-            return math.inf
-        return math.log(top)
-    if alpha > 1.0 and mass_outside > SUPPORT_OVERLAP_TOL:
-        return math.inf
-    ra = _psd_power(p, pv, alpha)
-    sa = _psd_power(q, qv, 1.0 - alpha)
-    tr = float(np.real(np.trace(ra @ sa)))
-    if tr <= 0.0:
-        return math.inf if alpha > 1.0 else -math.inf
-    return math.log(tr) / (alpha - 1.0)
-
-
-def classical_kl(p, q) -> float:
-    """Kullback-Leibler divergence sum p ln(p/q) for probability vectors."""
-    p = _clamp_probs(np.asarray(p, dtype=float))
-    q = _clamp_probs(np.asarray(q, dtype=float))
-    if p.shape != q.shape:
-        raise CoreError("KL divergence needs equally sized vectors")
-    supp = p > 0.0
-    p, q = p[supp], q[supp]
-    if (q <= 0.0).any():
-        return math.inf
-    return float(p @ np.log(p / q))
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
@@ -777,7 +743,7 @@ def hermitian_function(matrix, fn):
 def logm_psd(matrix):
     """Matrix logarithm of a PSD matrix on its support (pseudo-log)."""
     vals, vecs = _spectrum(matrix)
-    logs = np.where(vals > SUPPORT_EIG_CUT, np.log(np.where(vals > 0, vals, 1.0)), 0.0)
+    logs = np.log(np.where(vals > 0.0, vals, 1.0))          # 0 off the support
     return (vecs * logs) @ vecs.conj().T
 
 

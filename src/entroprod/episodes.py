@@ -33,8 +33,8 @@ from .core import (
     UnitaryOperator,
     _entropy_rows,
     _mat,
+    _petz_renyi,
     _ptrace_matrix,
-    _relative_entropy_rows,
     hermitian_function,
     logm_psd,
     mutual_information,
@@ -221,24 +221,25 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
 
 
 def _with_spectrum(rho: DensityOperator):
-    return rho.matrix, rho.eig()[0]
+    return (rho.matrix,) + rho.eig()
 
 
 def balance_rows(h_system, h_env, rho_env: DensityOperator, before, after,
                  env_after, joint_vals):
     """The formulas of `balance` over leading axes, for episodes that share
     H_S, H_E and rho_E: `before`, `after` and `env_after` are (matrices,
-    clamped eigenvalues) of rho_S, rho_S' and rho_E', `joint_vals` the
-    clamped eigenvalues of rho_SE' (stacks, or one state without the
-    leading axis).  Returns the arrays sigma, flux, dS_S, I(S:E),
-    S(rho_E' || rho_E), Q_E and W, in `EntropyBalance` order; raises when
-    any row's joint entropy is not conserved (1e-8).
+    weights, eigenvectors) of rho_S, rho_S' and rho_E', `joint_vals` the
+    weights of rho_SE' (stacks, or one state without the leading axis).
+    Returns the arrays sigma, flux, dS_S, I(S:E), S(rho_E' || rho_E), Q_E
+    and W, in `EntropyBalance` order; raises when any row's joint entropy
+    is not conserved (1e-8).
     """
-    (m_before, p_before), (m_after, p_after), (m_env, p_env) = before, after, env_after
+    (m_before, p_before, _), (m_after, p_after, _), (m_env, p_env, v_env) = \
+        before, after, env_after
     q, qv = rho_env.eig()
     s_sys, s_env = _entropy_rows(p_after), _entropy_rows(p_env)
     mi = s_sys + s_env - _entropy_rows(joint_vals)
-    d_env = _relative_entropy_rows(p_env, m_env, q, qv)
+    d_env = _petz_renyi(1.0, p_env, q, qv.conj().T @ v_env)
     ds_s = s_sys - _entropy_rows(p_before)
     ds_e = s_env - _entropy_rows(q)
     # unitarity: the mutual information must equal dS_S + dS_E

@@ -23,6 +23,8 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from .core import (
     DensityOperator,
+    _ptrace_matrix,
+    _spectral_weights,
     hermitian_function,
     propagate,
     relative_entropy_spectral,
@@ -195,7 +197,7 @@ def pi_phi(model: GaussianModel, state: GaussianState):
     theta = state.cov
     xbar = state.mean
     vals, vecs = np.linalg.eigh(d)
-    nz = vals > 1e-12 * max(1.0, vals.max())
+    nz = _spectral_weights(vals, max(1.0, vals.max())) > 0.0
     if not np.all(nz):
         # pseudo-inverse: A_irr must act within the range of D
         proj = vecs[:, ~nz]
@@ -450,7 +452,7 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     joint0 = np.kron(rho_system.matrix, rho_env.matrix)
     joint1 = u @ joint0 @ u.conj().T
     rho_s0 = rho_system.matrix
-    rho_s1 = _partial_first(joint1, n)
+    rho_s1 = _ptrace_matrix(joint1, (n, n), [0])
 
     ds = von_neumann_entropy(rho_s1) - von_neumann_entropy(rho_system)
     dh = float(np.real(np.trace(h_sys @ (rho_s1 - rho_s0))))
@@ -478,8 +480,3 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
         d_h_system=dh,
         d_a_system=da,
     )
-
-
-def _partial_first(joint, n):
-    t = joint.reshape(n, n, n, n)
-    return np.einsum("ikjk->ij", t)

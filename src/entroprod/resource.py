@@ -24,17 +24,18 @@ from .core import (
     CoreError,
     DensityOperator,
     HermitianOperator,
-    _clamp_probs,
     _mat,
-    classical_kl,
+    _petz_renyi,
+    _probability_pair,
     dephase,
     relative_entropy,
     renyi_divergence,
     thermal_state,
 )
 
-SUPPORT_THRESHOLD = 1e-12
 CURVE_TOL = 1e-12
+# S(rho || rho_th) at or below this is round-off: rho is the thermal state.
+THERMAL_TOL = 1e-12
 
 
 class ResourceError(ValueError):
@@ -204,28 +205,12 @@ DEFAULT_ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 
 
 def classical_renyi_divergence(p, q, alpha: float) -> float:
-    """S_alpha(p || q) for probability vectors, with the 0- and inf-order
-    limits handled through supports and max-ratios."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    q = np.clip(np.asarray(q, dtype=float), 0.0, None)
+    """S_alpha(p || q) for probability vectors: the diagonal case of the
+    Petz-Renyi family (`core._petz_renyi`), with the support limit at
+    alpha = 0 and the max-ratio limit at alpha = inf."""
     if alpha < 0:
         raise ResourceError(f"negative Renyi order {alpha}")
-    supp = p > SUPPORT_THRESHOLD
-    if alpha == 0.0:
-        val = q[supp].sum()
-        return -math.log(val) if val > 0 else math.inf
-    if alpha == 1.0:
-        return classical_kl(p, q)
-    if alpha > 1 and ((q <= 0) & (p > 0)).any():
-        return math.inf
-    if alpha == math.inf:
-        pos = q > 0
-        return math.log((p[pos] / q[pos]).max())
-    both = (p > 0) & (q > 0)
-    total = float(p[both] ** alpha @ q[both] ** (1.0 - alpha))
-    if total <= 0:
-        return math.inf
-    return math.log(total) / (alpha - 1.0)
+    return float(_petz_renyi(alpha, *_probability_pair(p, q)))
 
 
 @dataclass(frozen=True)
@@ -253,16 +238,19 @@ def renyi_second_laws(pop1: EnergyPopulations, pop2: EnergyPopulations,
     if not required.issubset(set(alphas)):
         raise ResourceError("alpha grid must include {0, 1/2, 1, 2, inf}")
     gibbs = pop1.thermal_weights(beta)
+    return _battery(alphas, tol,
+                    lambda a: classical_renyi_divergence(pop1.probabilities, gibbs, a),
+                    lambda a: classical_renyi_divergence(pop2.probabilities, gibbs, a))
+
+
+def _battery(alphas, tol, first, second) -> SecondLawsVerdict:
+    """Sigma_alpha = first(alpha) - second(alpha) on the grid, 0 where both
+    are infinite; allowed when none is below -tol."""
     sig = []
     for a in alphas:
-        s1 = classical_renyi_divergence(pop1.probabilities, gibbs, a)
-        s2 = classical_renyi_divergence(pop2.probabilities, gibbs, a)
-        if math.isinf(s1) and math.isinf(s2):
-            sig.append(0.0)
-        else:
-            sig.append(s1 - s2)
-    allowed = all(s >= -tol for s in sig)
-    return SecondLawsVerdict(tuple(alphas), tuple(sig), allowed)
+        s1, s2 = first(a), second(a)
+        sig.append(0.0 if math.isinf(s1) and math.isinf(s2) else s1 - s2)
+    return SecondLawsVerdict(tuple(alphas), tuple(sig), all(s >= -tol for s in sig))
 
 
 def free_energy_alpha(pop: EnergyPopulations, beta: float, alpha: float) -> float:
@@ -280,18 +268,9 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID,
     not increase for any alpha in the grid.  Never merged with the
     population battery (except at alpha = 1 they combine into the plain
     data-processing statement)."""
-    dephased1 = dephase(rho1, hamiltonian)
-    dephased2 = dephase(rho2, hamiltonian)
-    sig = []
-    for a in alphas:
-        c1 = renyi_divergence(rho1, dephased1, a)
-        c2 = renyi_divergence(rho2, dephased2, a)
-        if math.isinf(c1) and math.isinf(c2):
-            sig.append(0.0)
-        else:
-            sig.append(c1 - c2)
-    allowed = all(s >= -tol for s in sig)
-    return SecondLawsVerdict(tuple(alphas), tuple(sig), allowed)
+    dephased1, dephased2 = dephase(rho1, hamiltonian), dephase(rho2, hamiltonian)
+    return _battery(alphas, tol, lambda a: renyi_divergence(rho1, dephased1, a),
+                    lambda a: renyi_divergence(rho2, dephased2, a))
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +278,15 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID,
 # ---------------------------------------------------------------------------
 
 def work_extraction(pop: EnergyPopulations, beta: float) -> float:
-    """W_ext = T S_0(p || p_th) = -T ln sum_{p_i != 0} p_i^th.
+    """W_ext = T S_0(p || p_th) = -T ln sum_{p_i > 0} p_i^th.
 
     Discontinuous in the support: any strictly positive population on a
-    level, however tiny (threshold 1e-12), removes that level's thermal
-    weight from nothing -- i.e. filling a single empty level collapses the
-    extractable work toward zero.
+    level, however tiny, adds that level's thermal weight to the sum --
+    i.e. filling a single empty level collapses the extractable work toward
+    zero.
     """
     gibbs = pop.thermal_weights(beta)
-    supp = pop.probabilities > SUPPORT_THRESHOLD
-    return -math.log(float(gibbs[supp].sum())) / beta
+    return classical_renyi_divergence(pop.probabilities, gibbs, 0.0) / beta
 
 
 def work_of_formation(pop: EnergyPopulations, beta: float) -> float:
@@ -323,7 +301,7 @@ def interconversion_rate(rho1, rho2, beta: float, hamiltonian) -> float:
     the entropy of full thermalization."""
     gibbs = thermal_state(hamiltonian, beta)
     denom = relative_entropy(rho2, gibbs)
-    if denom <= SUPPORT_THRESHOLD:
+    if denom <= THERMAL_TOL:
         raise ResourceError("target state is thermal; interconversion rate undefined")
     return relative_entropy(rho1, gibbs) / denom
 

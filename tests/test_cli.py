@@ -145,3 +145,35 @@ def test_verify_named_suites_listed():
     from entroprod import verify
     assert set(verify.SUITES) == {"ft-table", "landauer", "gaussian-ness",
                                   "majorization", "quench"}
+
+
+def test_run_unknown_parameter_exit_2(tmp_path, capsys):
+    cfg = {"schema": "v1", "kind": "resource", "parameters": {"beta": 1.0, "betta": 2.0},
+           "output": {"path": "x.csv"}}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "betta" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_unknown_sweep_parameter_exit_2(tmp_path, capsys):
+    cfg = {"schema": "v1", "kind": "gaussian", "parameters": {},
+           "sweep": {"parameter": "g_abb", "grid": [0.1, 0.2]},
+           "output": {"path": "ness.csv"}}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert "g_abb" in capsys.readouterr().err
+    assert not (tmp_path / "ness.csv").exists()
+
+
+def test_run_lindblad_reads_every_kerr_key(tmp_path):
+    cfg = {"schema": "v1", "kind": "lindblad",
+           "parameters": {"delta": -2.0, "kerr": 1.0, "kappa": 0.5, "n_scale": 1,
+                          "fock_cut": 10, "drive": 0.2},
+           "sweep": {"parameter": "drive", "grid": [0.1, 0.2]},
+           "output": {"path": "kerr.csv"}}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "kerr.csv").read_text().strip().splitlines()
+    assert lines[1] == "parameter,gap,order_parameter,n_a"
+    assert len(lines) == 4

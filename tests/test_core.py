@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from entroprod import core
+from entroprod import core, resource as rs
 from entroprod.core import (
     CoreError,
     DensityOperator,
@@ -485,3 +486,46 @@ def test_equality_never_raises_on_array_holders():
     assert (ep == dataclasses.replace(ep)) is True
     twin = eps.Episode(*(type(p).from_matrix(p.matrix, p.dims) for p in parts))
     assert (ep == twin) is False
+
+
+def _einsum_partial_trace(mat, factors, keep):
+    n = len(factors)
+    t = np.asarray(mat, dtype=complex).reshape(tuple(factors) * 2)
+    col = [n + k if k in keep else k for k in range(n)]
+    d = math.prod(factors[k] for k in keep)
+    return np.einsum(t, list(range(n)) + col, list(keep) + [n + k for k in keep]).reshape(d, d)
+
+
+def test_partial_trace_is_the_einsum():
+    # the trace route gives the einsum's bits on one and two factors, for
+    # one matrix and a stack; on three factors the einsum adds the traced
+    # entries in another order, so the two agree to round-off
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        for factors in itertools.product((2, 3, 5) if n < 3 else (2, 3), repeat=n):
+            size = math.prod(factors)
+            for r in range(1, n + 1):
+                for keep in itertools.combinations(range(n), r):
+                    stack = rng.normal(size=(3, size, size)) + 1j * rng.normal(size=(3, size, size))
+                    got = core._ptrace_matrix(stack, factors, keep)
+                    for m, g in zip(stack, got):
+                        want = _einsum_partial_trace(m, factors, keep)
+                        assert np.array_equal(core._ptrace_matrix(m, factors, keep), g)
+                        if n < 3:
+                            assert np.array_equal(g, want), (factors, keep)
+                        else:
+                            assert np.abs(g - want).max() <= 1e-14, (factors, keep)
+
+
+def test_tiny_mass_off_the_support_is_finite_classically_too():
+    # the classical divergences read probability vectors under the quantum
+    # support rule: mass <= SUPPORT_OVERLAP_TOL on q's zero levels is finite
+    p, q = [1.0 - 1e-10, 1e-10], [1.0, 0.0]
+    quantum = core.relative_entropy(np.diag(p), np.diag(q))
+    assert math.isfinite(quantum)
+    assert abs(core.classical_kl(p, q) - quantum) <= 1e-15
+    for alpha in (0.5, 1.0, 2.0, math.inf):
+        classical = rs.classical_renyi_divergence(p, q, alpha)
+        assert math.isfinite(classical)
+        assert abs(classical - core.renyi_divergence(np.diag(p), np.diag(q), alpha)) <= 1e-15
+    assert math.isinf(core.classical_kl([0.9, 0.1], q))

@@ -6,8 +6,10 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from entroprod import collisional as cm, episodes as eps
-from entroprod.core import DensityOperator, HermitianOperator, UnitaryOperator, thermal_state
+from entroprod import collisional as cm, episodes as eps, trajectories as tj
+from entroprod.core import (DensityOperator, HermitianOperator, UnitaryOperator, classical_kl,
+                            renyi_divergence, thermal_state)
+from entroprod.resource import classical_renyi_divergence
 from entroprod.rand import random_density, random_unitary
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -113,3 +115,59 @@ def test_stacked_run_is_the_stroke_by_stroke_balance(draw):
         assert all(same(x, y, 1e-12) for x, y in zip(got, want)), (got, want)
         assert abs(rec.first_law_residual) <= 1e-12
         assert rec.sigma_general >= -1e-12
+
+
+weights = st.lists(st.integers(0, 4), min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(st.data(), weights)
+def test_classical_divergences_are_the_diagonal_case(data, raw_p):
+    # probability vectors with zeros, against diagonal density matrices
+    raw_q = data.draw(st.lists(st.integers(0, 4), min_size=len(raw_p), max_size=len(raw_p)))
+    raw_p[0] += sum(raw_p) == 0             # at least one positive weight each
+    raw_q[-1] += sum(raw_q) == 0
+    p, q = np.array(raw_p) / sum(raw_p), np.array(raw_q) / sum(raw_q)
+    for alpha in (0.0, 0.5, 1.0, 2.0, 7.0, math.inf):
+        want = renyi_divergence(np.diag(p), np.diag(q), alpha)
+        got = [classical_renyi_divergence(p, q, alpha)]
+        if alpha == 1.0:
+            got.append(classical_kl(p, q))
+        for value in got:
+            assert math.isinf(value) == math.isinf(want), (alpha, value, want)
+            assert same(value, want, 1e-12), (alpha, value, want)
+
+
+episode = st.fixed_dictionaries({
+    "dim_system": st.integers(2, 3),
+    "dim_env": st.integers(2, 3),
+    "deficient": st.sampled_from(["system", "env"]),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@PROPERTY
+@given(episode)
+def test_ensemble_verdict_survives_round_off(draw):
+    # a zero eigenvalue of rho_S or rho_E that comes out as +-1e-17 must not
+    # turn <sigma> between +inf and a finite value
+    rng = np.random.default_rng(draw["seed"])
+    ds, de = draw["dim_system"], draw["dim_env"]
+    d = ds if draw["deficient"] == "system" else de
+    states = [random_density(ds, rng), random_density(de, rng)]
+    states[draw["deficient"] == "env"] = random_density(d, rng, rank=rng.integers(1, d))
+    u = random_unitary(ds * de, rng, dims=(ds, de))
+    hs, he = (HermitianOperator.from_matrix(np.diag(rng.uniform(0.0, 2.0, n))) for n in (ds, de))
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    z = z + z.conj().T
+    z = 1e-17 * (z - np.trace(z).real / d * np.eye(d)) / np.abs(z).max()
+    episodes = []
+    for sign in (0.0, 1.0, -1.0):
+        pair = list(states)
+        k = draw["deficient"] == "env"
+        pair[k] = DensityOperator(pair[k].matrix + sign * z, pair[k].dims)
+        episodes.append(eps.Episode(hs, he, u, *pair))
+    for choice in tj.BackwardChoice:
+        verdicts = {math.isinf(tj.backward_ensemble(ep, choice).average_sigma())
+                    for ep in episodes}
+        assert len(verdicts) == 1, choice
