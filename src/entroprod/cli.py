@@ -10,7 +10,8 @@ Each kind reads the parameter keys listed for it in SCENARIOS; any other
 key is a validation error.
 Runs are deterministic given the seed; every CSV carries a header row and
 a provenance comment with the config hash and seed.  Exit codes: 0 ok,
-2 validation error, 3 numerical failure.
+2 validation error, 3 numerical failure; in a sweep the failure names its
+point index and the swept parameter's value.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ EXIT_NUMERICAL = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class SweepPointError(ValueError):
+    """A numerical failure at one point of a sweep, named by its index and
+    the swept parameter's value; the original error is its cause."""
 
 
 def _fmt(x) -> str:
@@ -238,7 +244,16 @@ def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
     def run_point(idx_point):
         idx, point = idx_point
         rng = np.random.default_rng(seed + idx)
-        return scenario(point, rng)
+        try:
+            return scenario(point, rng)
+        except ConfigError:
+            raise
+        except (ValueError, ArithmeticError) as exc:
+            if sweep is None:
+                raise
+            name = sweep["parameter"]
+            raise SweepPointError(
+                f"sweep point {idx} ({name} = {point[name]!r}): {exc}") from exc
 
     if jobs > 1 and len(points) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -740,6 +740,66 @@ def hermitian_function(matrix, fn):
     return (vecs * fn(vals)) @ vecs.conj().T
 
 
+class ChargeSectors:
+    """A basis split by an integer charge per basis index.  A sector holds
+    the basis indices of one charge (ascending); sectors come in ascending
+    charge.  An operator that moves every charge q to q + shift is one
+    block per sector, so a function of a charge-conserving Hermitian
+    operator and conjugation by the unitary it makes cost sum_q d_q^3,
+    not d^3, and never form the dense d x d operator."""
+
+    def __init__(self, charges):
+        q = np.asarray(charges)
+        if q.ndim != 1 or not np.issubdtype(q.dtype, np.integer):
+            raise CoreError("charges must be a 1-d integer array")
+        self.charges = q
+        self.sector_charge, self.sector, sizes = np.unique(
+            q, return_inverse=True, return_counts=True)
+        starts = np.cumsum(sizes) - sizes
+        order = np.argsort(q, kind="stable")
+        self.index = np.split(order, starts[1:])
+        # place of each basis index within its sector
+        self.position = np.empty_like(order)
+        self.position[order] = np.arange(len(q)) - np.repeat(starts, sizes)
+
+    def split(self, rows, cols, vals, shift=0):
+        """Blocks of the operator sum_k vals[k] |rows[k]><cols[k]|, block s
+        mapping sector s to the sector of charge q_s + shift (with no rows
+        where there is none), and the largest |vals[k]| of an entry that
+        moves the charge by anything else, which no block holds."""
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        vals = np.asarray(vals, dtype=complex)
+        fits = self.charges[rows] - self.charges[cols] == shift
+        leak = float(np.abs(vals[~fits]).max(initial=0.0))
+        rows, cols, vals = rows[fits], cols[fits], vals[fits]
+        source = self.sector[cols]
+        size_of = dict(zip(self.sector_charge.tolist(), map(len, self.index)))
+        blocks = []
+        for s, idx in enumerate(self.index):
+            height = size_of.get(int(self.sector_charge[s]) + shift, 0)
+            block = np.zeros((height, len(idx)), dtype=complex)
+            k = source == s
+            np.add.at(block, (self.position[rows[k]], self.position[cols[k]]), vals[k])
+            blocks.append(block)
+        return blocks, leak
+
+    def function(self, blocks, fn):
+        """`hermitian_function` of a charge-conserving Hermitian operator,
+        given as its blocks: one `eigh` per sector."""
+        return [hermitian_function(b, fn) for b in blocks]
+
+    def conjugate(self, blocks, rho):
+        """U rho U^dag on a dense rho, for the block-diagonal U with these
+        blocks: one row block, then one column block per sector.  Returns
+        a new array."""
+        out = np.array(rho, dtype=complex)
+        for idx, u in zip(self.index, blocks):
+            out[idx] = u @ out[idx]
+        for idx, u in zip(self.index, blocks):
+            out[:, idx] = out[:, idx] @ u.conj().T
+        return out
+
+
 def logm_psd(matrix):
     """Matrix logarithm of a PSD matrix on its support (pseudo-log)."""
     vals, vecs = _spectrum(matrix)

@@ -61,9 +61,10 @@ class EpisodeError(ValueError):
 class Episode:
     """One system+environment unitary interaction record.
 
-    Its evolution (`evolve`) is computed on first use and kept on the
-    instance, not compared and not in the repr; a `dataclasses.replace`
-    copy evolves afresh.
+    Its evolution (`evolve`) and the distance of rho_E from the Gibbs
+    state of H_E at each beta a thermal balance asks for are computed on
+    first use and kept on the instance, not compared and not in the repr;
+    a `dataclasses.replace` copy computes them afresh.
     """
 
     h_system: HermitianOperator
@@ -122,6 +123,11 @@ class Episode:
             rho_system=partial_trace(rho_se, self.system_factors),
             rho_env=partial_trace(rho_se, self.env_factors),
         )
+
+    @cached_property
+    def _gibbs_distance(self) -> dict:
+        """Trace distance of rho_E from the Gibbs state of H_E, per beta."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -255,8 +261,10 @@ def balance_rows(h_system, h_env, rho_env: DensityOperator, before, after,
 
 
 def _require_thermal_env(ep: Episode, beta: float, tol: float):
-    target = thermal_state(ep.h_env, beta)
-    dist = trace_distance(ep.rho_env, target)
+    known = ep._gibbs_distance
+    if beta not in known:
+        known[beta] = trace_distance(ep.rho_env, thermal_state(ep.h_env, beta))
+    dist = known[beta]
     if dist > tol:
         raise EpisodeError(
             f"environment is not thermal at beta={beta} (trace distance {dist:.3e})")

@@ -22,12 +22,13 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .core import (
+    ChargeSectors,
     DensityOperator,
     _ptrace_matrix,
     _spectral_weights,
-    hermitian_function,
     propagate,
     relative_entropy_spectral,
+    tensor,
     von_neumann_entropy,
 )
 from .lindblad import destroy
@@ -412,6 +413,43 @@ class SqueezedSigmaResult:
     d_a_system: float
 
 
+def _kron_entries(*terms):
+    """Nonzero entries (rows, cols, vals) of sum_k kron(a_k, b_k), made by
+    index arithmetic from the nonzeros of the factors: no dense product."""
+    parts = []
+    for a, b in terms:
+        ra, ca = np.nonzero(a)
+        rb, cb = np.nonzero(b)
+        n = b.shape[0]
+        parts.append(((ra[:, None] * n + rb).ravel(), (ca[:, None] * n + cb).ravel(),
+                      (a[ra, ca][:, None] * b[rb, cb]).ravel()))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _exchange_blocks(entries, n):
+    """Blocks of a two-mode exchange generator V, given by its entries
+    (`_kron_entries`), on the total-quanta sectors of the n x n Fock grid
+    (joint index i*n + j, charge i + j), after its structural checks at
+    1e-10: no entry of V between sectors (quanta), and [V, A] = 0 for the
+    total asymmetry A = a a x 1 + 1 x b b on the sectors the truncation
+    leaves whole, total quanta <= n - 2 (asymmetry).  A maps sector N to
+    N - 2, so the commutator is V_{N-2} A_N - A_N V_N, block by block."""
+    i, j = np.divmod(np.arange(n * n), n)
+    sectors = ChargeSectors(i + j)           # sector N holds charge N
+    v, leak = sectors.split(*entries)
+    a2, eye = destroy(n) @ destroy(n), np.eye(n)
+    asym, _ = sectors.split(*_kron_entries((a2, eye), (eye, a2)), shift=-2)
+    comm = max((float(np.abs(v[q - 2] @ asym[q] - asym[q] @ v[q]).max())
+                for q in range(2, n - 1)), default=0.0)
+    for label, resid in (("quanta", leak), ("asymmetry", comm)):
+        if resid > 1e-10:
+            raise GaussianError(f"interaction does not conserve {label} "
+                                f"(residual {resid:.3e})")
+    if max(float(np.abs(b - b.conj().T).max()) for b in v) > 1e-10:
+        raise GaussianError("exchange generator must be Hermitian")
+    return sectors, v
+
+
 def squeezed_sigma(spec: SqueezedExchangeSpec,
                    rho_system: DensityOperator) -> SqueezedSigmaResult:
     """Entropy production against a squeezed thermal bath, two routes.
@@ -421,36 +459,23 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     route: Sigma = S(rho_S || rho*) - S(rho_S' || rho*) with rho* the
     system GGE e^{-beta (cosh 2r H + sinh 2r A)}/Z.  The two agree when
     the interaction conserves both total quanta and total asymmetry,
-    which is validated structurally (projected commutators) and
-    dynamically (moment conservation along the evolution).
+    which is validated structurally (`_exchange_blocks`) and dynamically
+    (moment conservation along the evolution).  V conserves the total
+    quanta, so U = exp(-i t V) is built and applied sector by sector.
     """
     n = spec.fock_cut
-    # two-mode operators as Kronecker products of one-mode products,
-    # kron(A, B) kron(C, D) = kron(AC, BD), with a = a1 x 1 and b = 1 x a1
-    a1, eye = destroy(n), np.eye(n)
-    v = 1j * spec.g * (np.kron(a1.conj().T, a1) - np.kron(a1, a1.conj().T))
-    n_tot = np.kron(a1.conj().T @ a1, eye) + np.kron(eye, a1.conj().T @ a1)
-    asym_tot = np.kron(a1 @ a1, eye) + np.kron(eye, a1 @ a1)
-    # structural conservation checks on the untruncated-safe subspace,
-    # total quanta i + j <= n - 2 of the joint index i*n + j
-    safe = (np.arange(n)[:, None] + np.arange(n) <= n - 2).ravel()
-    for label, op in (("quanta", n_tot), ("asymmetry", asym_tot)):
-        comm = v[safe] @ op[:, safe] - op[safe] @ v[:, safe]
-        resid = float(np.abs(comm).max())
-        if resid > 1e-10:
-            raise GaussianError(f"interaction does not conserve {label} "
-                                f"(residual {resid:.3e})")
-    if np.abs(v - v.conj().T).max() > 1e-10:
-        raise GaussianError("exchange generator must be Hermitian")
-    u = hermitian_function(v, lambda x: np.exp(-1j * spec.t * x))
+    a1 = destroy(n)
+    ig = 1j * spec.g
+    sectors, v = _exchange_blocks(
+        _kron_entries((ig * a1.conj().T, a1), (-ig * a1, a1.conj().T)), n)
+    u = sectors.function(v, lambda x: np.exp(-1j * spec.t * x))
 
     nbar = 1.0 / (math.exp(spec.beta * spec.omega) - 1.0)
     rho_env = squeezed_thermal_state(nbar, spec.omega, spec.r, spec.theta, n)
-    h_sys = spec.omega * (destroy(n).conj().T @ destroy(n))
+    h_sys = spec.omega * (a1.conj().T @ a1)
     a_sys = asymmetry_operator(spec.omega, spec.theta, n)
 
-    joint0 = np.kron(rho_system.matrix, rho_env.matrix)
-    joint1 = u @ joint0 @ u.conj().T
+    joint1 = sectors.conjugate(u, tensor([rho_system, rho_env]))
     rho_s0 = rho_system.matrix
     rho_s1 = _ptrace_matrix(joint1, (n, n), [0])
 
@@ -469,8 +494,11 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     sigma_rel = (relative_entropy_spectral(rho_system, w, squeeze)
                  - relative_entropy_spectral(rho_s1, w, squeeze))
 
-    d_quanta = float(np.real(np.trace(n_tot @ (joint1 - joint0))))
-    d_asym = abs(complex(np.trace(asym_tot @ (joint1 - joint0))))
+    # tr((x (x) 1 + 1 (x) x)(rho' - rho)) = tr(x (dS + dE)) for the quanta
+    # x = a^dag a and the asymmetry x = a a, from the two marginals
+    moved = (rho_s1 - rho_s0) + (_ptrace_matrix(joint1, (n, n), [1]) - rho_env.matrix)
+    d_quanta = float(np.real(np.trace(a1.conj().T @ a1 @ moved)))
+    d_asym = abs(complex(np.trace(a1 @ a1 @ moved)))
     return SqueezedSigmaResult(
         sigma_affinity=sigma_aff,
         sigma_relative_entropy=sigma_rel,

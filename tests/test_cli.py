@@ -177,3 +177,18 @@ def test_run_lindblad_reads_every_kerr_key(tmp_path):
     lines = (tmp_path / "kerr.csv").read_text().strip().splitlines()
     assert lines[1] == "parameter,gap,order_parameter,n_a"
     assert len(lines) == 4
+
+
+def test_run_sweep_failure_names_its_point(tmp_path, capsys):
+    # drive 3.0 at Fock cut 10 leaves the truncation (validate_kerr_truncation)
+    cfg = {"schema": "v1", "kind": "lindblad",
+           "parameters": {"fock_cut": 10},
+           "sweep": {"parameter": "drive", "grid": [0.1, 0.2, 3.0]},
+           "output": {"path": "kerr.csv"}}
+    path = write_config(tmp_path, cfg)
+    for jobs in ("1", "2"):
+        assert cli.main(["run", str(path), "--out", str(tmp_path), "--jobs", jobs]) == 3
+        err = capsys.readouterr().err
+        assert "sweep point 2 (drive = 3.0)" in err
+        assert "beyond" in err
+    assert not (tmp_path / "kerr.csv").exists()

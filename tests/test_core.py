@@ -529,3 +529,49 @@ def test_tiny_mass_off_the_support_is_finite_classically_too():
         assert math.isfinite(classical)
         assert abs(classical - core.renyi_divergence(np.diag(p), np.diag(q), alpha)) <= 1e-15
     assert math.isinf(core.classical_kl([0.9, 0.1], q))
+
+
+def test_charge_sectors_match_the_dense_function():
+    # random block-diagonal Hermitian matrices under shuffled integer
+    # charges: the sector route equals hermitian_function and the dense
+    # conjugation U rho U^dag
+    rng = np.random.default_rng(23)
+    for d in (1, 5, 12, 30):
+        charges = rng.permutation(rng.integers(-3, 4, size=d))
+        same = charges[:, None] == charges[None, :]
+        h = random_hermitian(d, rng).matrix * same
+        sectors = core.ChargeSectors(charges)
+        assert sorted(np.concatenate(sectors.index)) == list(range(d))
+        rows, cols = np.nonzero(h)
+        blocks, leak = sectors.split(rows, cols, h[rows, cols])
+        assert leak == 0.0
+        fn = lambda x: np.exp(-0.7j * x)
+        u = sectors.function(blocks, fn)
+        dense = core.hermitian_function(h, fn)
+        for idx, b in zip(sectors.index, u):
+            assert np.abs(dense[np.ix_(idx, idx)] - b).max() <= 1e-12
+        rho = random_density(d, rng).matrix
+        got = sectors.conjugate(u, rho)
+        assert np.abs(got - dense @ rho @ dense.conj().T).max() <= 1e-12
+        # one entry between sectors is left out of the blocks and reported
+        if len(sectors.index) > 1:
+            r, c = sectors.index[0][0], sectors.index[1][0]
+            _, leak = sectors.split(np.append(rows, r), np.append(cols, c),
+                                    np.append(h[rows, cols], 3e-4))
+            assert leak == 3e-4
+
+
+def test_charge_sectors_shifted_blocks():
+    # a^2 on one mode lowers the charge n by 2: block q maps sector q to q - 2
+    n = 6
+    a2 = np.diag(np.sqrt(np.arange(1, n)), 1) @ np.diag(np.sqrt(np.arange(1, n)), 1)
+    sectors = core.ChargeSectors(np.arange(n))
+    rows, cols = np.nonzero(a2)
+    blocks, leak = sectors.split(rows, cols, a2[rows, cols], shift=-2)
+    assert leak == 0.0
+    assert [b.shape for b in blocks] == [(0, 1), (0, 1)] + [(1, 1)] * (n - 2)
+    assert [b[0, 0] for b in blocks[2:]] == list(a2[np.arange(n - 2), np.arange(2, n)])
+    _, leak = sectors.split(rows, cols, a2[rows, cols])
+    assert leak == a2.max()
+    with pytest.raises(CoreError):
+        core.ChargeSectors(np.arange(n) * 0.5)

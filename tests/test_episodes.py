@@ -299,6 +299,35 @@ def test_decompositions_per_state(monkeypatch):
     assert count(lambda: [tj.backward_ensemble(fresh, c) for c in tj.BackwardChoice]) == 3
 
 
+def test_thermality_checked_once_per_episode_and_beta(monkeypatch):
+    ep = random_episode(np.random.default_rng(8))
+    eps.thermal_balance(ep, 1.2)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    again = eps.thermal_balance(ep, 1.2)
+    eps.landauer_report(ep, 1.2)
+    assert calls == []
+    assert again.sigma == eps.thermal_balance(dataclasses.replace(ep), 1.2).sigma
+    # another beta is a new check, and fails here: rho_E is Gibbs at 1.2
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(eps.EpisodeError, match="not thermal at beta=0.5"):
+            eps.thermal_balance(ep, 0.5)
+    assert calls == []
+    # a non-thermal rho_E raises on every call; the kept distance is
+    # compared with each call's own tolerance
+    hot = random_episode(np.random.default_rng(3), thermal_env=False)
+    for _ in range(3):
+        with pytest.raises(eps.EpisodeError, match="not thermal"):
+            eps.thermal_balance(hot, 1.2)
+    eps.thermal_balance(hot, 1.2, tol=1.0)
+    with pytest.raises(eps.EpisodeError, match="not thermal"):
+        eps.landauer_report(hot, 1.2)
+
+
 def test_episode_keeps_one_evolution():
     ep = random_episode(np.random.default_rng(9))
     twin = random_episode(np.random.default_rng(9))

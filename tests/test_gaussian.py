@@ -314,3 +314,65 @@ def test_gaussian_state_rejects_nonfinite(entry, bad):
     {"mean": mean, "cov": cov}[entry][0] = bad
     with pytest.raises(gs.GaussianError):
         gs.GaussianState(mean, cov)
+
+
+def _dense_squeezed_sigma(spec, rho_system):
+    # the dense route: two-mode operators as Kronecker products and U as
+    # the matrix exponential of the full n^2 x n^2 generator
+    from scipy.linalg import expm
+    n = spec.fock_cut
+    a1, eye = gs.destroy(n), np.eye(n)
+    v = 1j * spec.g * (np.kron(a1.conj().T, a1) - np.kron(a1, a1.conj().T))
+    n_tot = np.kron(a1.conj().T @ a1, eye) + np.kron(eye, a1.conj().T @ a1)
+    asym_tot = np.kron(a1 @ a1, eye) + np.kron(eye, a1 @ a1)
+    u = expm(-1j * spec.t * v)
+    nbar = 1.0 / (math.exp(spec.beta * spec.omega) - 1.0)
+    rho_env = gs.squeezed_thermal_state(nbar, spec.omega, spec.r, spec.theta, n)
+    joint0 = np.kron(rho_system.matrix, rho_env.matrix)
+    joint1 = u @ joint0 @ u.conj().T
+    rho_s1 = np.einsum("ikjk->ij", joint1.reshape(n, n, n, n))
+    h_sys = spec.omega * (a1.conj().T @ a1)
+    a_sys = gs.asymmetry_operator(spec.omega, spec.theta, n)
+    ds = core.von_neumann_entropy(rho_s1) - core.von_neumann_entropy(rho_system)
+    dh = float(np.real(np.trace(h_sys @ (rho_s1 - rho_system.matrix))))
+    da = float(np.real(np.trace(a_sys @ (rho_s1 - rho_system.matrix))))
+    w = gs._thermal_fock_weights(nbar, n)
+    squeeze = gs._squeeze_operator(spec.r * np.exp(1j * spec.theta), n)
+    return gs.SqueezedSigmaResult(
+        sigma_affinity=ds - spec.beta * (math.cosh(2 * spec.r) * dh
+                                         + math.sinh(2 * spec.r) * da),
+        sigma_relative_entropy=(core.relative_entropy_spectral(rho_system, w, squeeze)
+                                - core.relative_entropy_spectral(rho_s1, w, squeeze)),
+        d_quanta=float(np.real(np.trace(n_tot @ (joint1 - joint0)))),
+        d_asymmetry=abs(complex(np.trace(asym_tot @ (joint1 - joint0)))),
+        d_entropy_system=ds, d_h_system=dh, d_a_system=da)
+
+
+@pytest.mark.parametrize("cut", [16, 20])
+def test_squeezed_sigma_matches_the_dense_route(cut):
+    rng = np.random.default_rng(cut)
+    spec = gs.SqueezedExchangeSpec(omega=1.0, g=0.9, t=0.8, r=0.22, theta=1.1,
+                                   beta=2.6, fock_cut=cut)
+    rho = padded_system_state(rng, cut)
+    got, want = gs.squeezed_sigma(spec, rho), _dense_squeezed_sigma(spec, rho)
+    for name in gs.SqueezedSigmaResult.__dataclass_fields__:
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+
+
+def test_exchange_checks_raise():
+    n = 8
+    a1, eye = gs.destroy(n), np.eye(n)
+    exchange = gs._kron_entries((1j * a1.conj().T, a1), (-1j * a1, a1.conj().T))
+    sectors, v = gs._exchange_blocks(exchange, n)
+    assert [b.shape[0] for b in v] == [len(idx) for idx in sectors.index]
+    # one Hermitian pair of entries between the sectors N = 1 and N = 2
+    rows, cols, vals = exchange
+    bad = (np.append(rows, [1, 2]), np.append(cols, [2, 1]), np.append(vals, [1e-9, 1e-9]))
+    with pytest.raises(gs.GaussianError, match="conserve quanta"):
+        gs._exchange_blocks(bad, n)
+    # g a^dag a x 1 conserves the total quanta but not the asymmetry
+    with pytest.raises(gs.GaussianError, match="conserve asymmetry"):
+        gs._exchange_blocks(gs._kron_entries((0.3 * a1.conj().T @ a1, eye)), n)
+    # a^dag b - a b^dag conserves both but is anti-Hermitian
+    with pytest.raises(gs.GaussianError, match="Hermitian"):
+        gs._exchange_blocks(gs._kron_entries((a1.conj().T, a1), (-a1, a1.conj().T)), n)
