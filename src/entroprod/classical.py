@@ -101,6 +101,8 @@ def _check_probability(p):
 def evolve(rates: RateMatrix, p0, t: float):
     """Propagate dp/dt = W p over time t via the matrix exponential."""
     p0 = _check_probability(p0)
+    if p0.shape != (rates.w.shape[0],) or not 0.0 <= t < math.inf:
+        raise ClassicalError(f"need one probability per state and a finite t >= 0, got t = {t}")
     p = expm(rates.w * t) @ p0
     if p.min() < -1e-12:
         raise ClassicalError(f"propagation produced negative probability {p.min():.3e}")
@@ -431,14 +433,22 @@ def fokker_planck_1d(potential, temperature: float, x_grid, p0,
     the flux form exactly.
     """
     x = np.asarray(x_grid, dtype=float)
-    dx = x[1] - x[0]
-    if np.abs(np.diff(x) - dx).max() > 1e-9 * dx:
-        raise ClassicalError("grid must be uniform")
+    dx = x[1] - x[0] if x.ndim == 1 and x.size > 1 else math.nan
+    if not (dx > 0 and np.abs(np.diff(x) - dx).max() <= 1e-9 * dx):
+        raise ClassicalError("grid must be uniform, increasing and of at least 2 points")
+    if not (0.0 < temperature < math.inf and 0.0 <= t < math.inf):
+        raise ClassicalError(f"need a finite temperature > 0 and a finite t >= 0, "
+                             f"got T = {temperature}, t = {t}")
     diffusion = temperature
-    v = np.array([potential(xi) for xi in x])
+    v = np.array([potential(xi) for xi in x], dtype=float)
+    p = np.asarray(p0, dtype=float)
+    if not np.isfinite(v).all():
+        raise ClassicalError("potential must be finite on the grid")
+    if p.shape != x.shape or not (np.isfinite(p).all() and p.min() >= 0.0 and p.sum() > 0.0):
+        raise ClassicalError("p0 must be finite, >= 0, not all zero and one value per grid point")
     f_face, delta = _chang_cooper_faces(-np.gradient(v, x), dx, diffusion)
     gen = _chang_cooper_generator(f_face, delta, dx, diffusion)
-    p = np.clip(np.asarray(p0, dtype=float), 1e-300, None)
+    p = np.clip(p, 1e-300, None)
     p_t = np.clip(expm(gen * t) @ (p / (p.sum() * dx)), 1e-300, None)
     p_th = np.exp(-(v - v.min()) / temperature)
     p_th = p_th / (p_th.sum() * dx)

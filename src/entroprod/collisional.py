@@ -44,6 +44,7 @@ from .core import (
     HermitianOperator,
     UnitaryOperator,
     _density_spectra,
+    _gibbs,
     _mat,
     _petz_renyi,
     _ptrace_matrix,
@@ -411,8 +412,7 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         m_n = np.sum(np.abs(kraus) ** 2, axis=0)
         # coherence multipliers: rho'_ij = c_ij rho_ij for i != j
         c = np.einsum("kii,kjj->ij", kraus, kraus.conj())
-        p_th = np.exp(-stroke.beta * (e_sys - e_sys.min()))
-        chains.append((m_n, c, p_th / p_th.sum()))
+        chains.append((m_n, c, _gibbs(e_sys, stroke.beta)[0]))
     states = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)[0]
     pops = np.real(np.diagonal(basis.conj().T @ np.array([s.matrix for s in states]) @ basis,
                                axis1=1, axis2=2))
@@ -519,10 +519,7 @@ def swap_engine_simulation(spec: SwapEngineSpec):
     rho_a = thermal_state(HermitianOperator.from_matrix(h_a), beta_a)
     rho_b = thermal_state(HermitianOperator.from_matrix(h_b), beta_b)
     joint = tensor([rho_a, rho_b])
-    swap = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            swap[j * 2 + i, i * 2 + j] = 1.0
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]       # |i j> -> |j i>
     after = swap @ joint @ swap.conj().T
     h_tot = tensor([h_a, np.eye(2)]) + tensor([np.eye(2), h_b])
     work = float(np.real(np.trace(h_tot @ (after - joint))))

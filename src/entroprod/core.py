@@ -20,6 +20,11 @@ leaves sigma's support iff its mass on sigma's zero levels exceeds
 SUPPORT_OVERLAP_TOL.  Probability vectors are read as given, under the same
 downstream rule: the classical divergences are the diagonal case of the
 one Petz-Renyi kernel (`_petz_renyi`).
+
+Equal values have one rule too, `_equal_runs`: in sorted values a new run
+starts where the gap to the previous value exceeds the tolerance, and an
+infinity joins only an equal infinity.  Degenerate eigenspaces and every
+merged support (`trajectories.ScalarDistribution.from_samples`) are runs.
 """
 
 from __future__ import annotations
@@ -662,15 +667,19 @@ def mutual_information(rho: DensityOperator, part_a) -> float:
             - von_neumann_entropy(rho))
 
 
+def _gibbs(energies, beta):
+    """Thermal weights of the levels and ln Z, shifted by the lowest level."""
+    x = np.exp(-beta * (energies - energies.min()))
+    return x / x.sum(), float(-beta * energies.min() + np.log(x.sum()))
+
+
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
     """Gibbs state e^{-beta H}/Z, computed with a max-shift for safety."""
     if not np.isfinite(beta) or beta < 0:
         raise CoreError(f"inverse temperature must be finite and >= 0, got {beta}")
     h = _mat(hamiltonian)
     vals, vecs = np.linalg.eigh(h)
-    w = np.exp(-beta * (vals - vals.min()))
-    w = w / w.sum()
-    m = (vecs * w) @ vecs.conj().T
+    m = (vecs * _gibbs(vals, beta)[0]) @ vecs.conj().T
     return DensityOperator(m, _dims_of(hamiltonian, h.shape[0]))
 
 
@@ -685,8 +694,21 @@ def trace_distance(rho1, rho2) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Dephasing and coherence
+# Equal values, dephasing and coherence
 # ---------------------------------------------------------------------------
+
+def _equal_runs(sorted_values, tol) -> np.ndarray:
+    """Start index of each run of equal values in an ascending array: a new
+    run starts where the gap to the previous value exceeds tol (a scalar, or
+    one per value, read at the later value of each gap).  An infinity never
+    joins a finite value, whatever the tolerance; equal infinities join."""
+    v = np.asarray(sorted_values, dtype=float)
+    with np.errstate(invalid="ignore"):           # inf - inf: caught by v == v
+        gap = np.diff(v)
+    tol = np.broadcast_to(tol, v.shape)[1:]
+    same = ((gap <= tol) & np.isfinite(gap)) | (v[1:] == v[:-1])
+    return np.flatnonzero(np.concatenate(([v.size > 0], ~same)))
+
 
 def eigenspace_projectors(hamiltonian, degeneracy_tol=1e-9):
     """Projectors onto the eigenspaces of H, grouping near-degenerate levels.
@@ -698,26 +720,17 @@ def eigenspace_projectors(hamiltonian, degeneracy_tol=1e-9):
     h = _mat(hamiltonian)
     vals, vecs = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
-    tol = degeneracy_tol * scale
-    projectors = []
-    energies = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > tol:
-            block = vecs[:, start:i]
-            projectors.append(block @ block.conj().T)
-            energies.append(float(vals[start:i].mean()))
-            start = i
-    return energies, projectors
+    bounds = np.append(_equal_runs(vals, degeneracy_tol * scale), len(vals))
+    blocks = [vecs[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    energies = [float(vals[a:b].mean()) for a, b in zip(bounds[:-1], bounds[1:])]
+    return energies, [b @ b.conj().T for b in blocks]
 
 
 def dephase(rho, hamiltonian, degeneracy_tol=1e-9):
     """Remove all coherences between distinct eigenspaces of H."""
     r = _mat(rho)
     _, projs = eigenspace_projectors(hamiltonian, degeneracy_tol)
-    out = np.zeros_like(r)
-    for p in projs:
-        out += p @ r @ p
+    out = sum(p @ r @ p for p in projs)
     if isinstance(rho, DensityOperator):
         return DensityOperator(out, rho.dims)
     return out

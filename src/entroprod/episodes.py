@@ -615,40 +615,29 @@ def heat_distribution(ep: Episode, beta: float | None = None, tol: float = 1e-10
     """Two-point-measurement heat distribution of the environment.
 
     Interprets the episode as a channel on E with Kraus operators built
-    from the eigendecomposition of rho_S; the support is the set of
-    environment energy differences.  Returns (values, probabilities) merged
-    on equal heats, plus a diagnostics dict: the mean equals Q_E and, when
-    beta is supplied, <e^{-beta Q}> equals Tr[M rho_S] identically.
+    from the eigendecomposition of rho_S: the transition (j, m) -> (k, n)
+    between eigenvectors |s_j> of rho_S and |m> of H_E has the weight
+    lam_j |<s_k n|U|s_j m>|^2 p_m and the heat Q = E_n - E_m.  Weights
+    below 1e-16 are round-off and are dropped; the rest merge on heats
+    equal by the rule of `trajectories.ScalarDistribution.from_samples`
+    with merge_tol = tol.  Returns (values, probabilities) plus a
+    diagnostics dict: the mean equals Q_E and, when beta is supplied,
+    <e^{-beta Q}> equals Tr[M rho_S] identically.
     """
+    from .trajectories import ScalarDistribution   # trajectories imports this module
+
     evals_e, evecs_e = np.linalg.eigh(ep.h_env.matrix)
     lam, svecs = ep.rho_system.eig()
-    u = ep.unitary.matrix
     ds, de = ep.rho_system.dim, ep.rho_env.dim
     # environment populations in the H_E eigenbasis
     rho_e_diag = np.real(np.diag(evecs_e.conj().T @ ep.rho_env.matrix @ evecs_e))
-    # Kraus operators on E: A_{jk} = sqrt(lam_j) <s_k| U |s_j>
-    u_t = u.reshape(ds, de, ds, de)
-    support = {}
-    for j in range(ds):
-        if lam[j] <= 0:
-            continue
-        for k in range(ds):
-            # <s_k| U |s_j> as a d_E x d_E matrix, then into the H_E basis
-            block = np.einsum("a,aibj,b->ij", svecs[:, k].conj(), u_t, svecs[:, j])
-            a_kj = math.sqrt(max(lam[j], 0.0)) * (evecs_e.conj().T @ block @ evecs_e)
-            w = (np.abs(a_kj) ** 2) * rho_e_diag[None, :]
-            for n in range(de):
-                for m in range(de):
-                    if w[n, m] < 1e-16:
-                        continue
-                    q = evals_e[n] - evals_e[m]
-                    # merge heats equal within tolerance
-                    key = round(q / max(tol, 1e-12))
-                    support[key] = (q, support.get(key, (q, 0.0))[1] + w[n, m])
-    values = np.array([v for v, _ in support.values()])
-    probs = np.array([p for _, p in support.values()])
-    order = np.argsort(values)
-    values, probs = values[order], probs[order]
+    basis = tensor([svecs, evecs_e])
+    amp = (basis.conj().T @ ep.unitary.matrix @ basis).reshape(ds, de, ds, de)  # [k, n, j, m]
+    w = np.abs(amp) ** 2 * (lam[:, None] * rho_e_diag)
+    q = np.broadcast_to(evals_e[:, None, None] - evals_e, w.shape)            # E_n - E_m
+    live = w >= 1e-16
+    dist = ScalarDistribution.from_samples(q[live], w[live], merge_tol=tol)
+    values, probs = dist.values, dist.probabilities
     diag = {"mean": float(np.sum(values * probs)), "norm": float(np.sum(probs))}
     if beta is not None:
         diag["exp_avg"] = float(np.sum(probs * np.exp(-beta * values)))

@@ -388,12 +388,17 @@ def _thermal_fock_weights(nbar: float, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _squeezed(weights, squeeze) -> DensityOperator:
+    """S diag(weights) S^dag for the squeeze operator S."""
+    rho = np.diag(weights).astype(complex)
+    return DensityOperator.from_matrix(squeeze @ rho @ squeeze.conj().T)
+
+
 def squeezed_thermal_state(nbar_beta: float, omega: float, r: float,
                            theta: float, n: int) -> DensityOperator:
     """S(z) rho_th S(z)^dag on a truncated Fock space, z = r e^{i theta}."""
-    rho = np.diag(_thermal_fock_weights(nbar_beta, n)).astype(complex)
-    s = _squeeze_operator(r * np.exp(1j * theta), n)
-    return DensityOperator.from_matrix(s @ rho @ s.conj().T)
+    return _squeezed(_thermal_fock_weights(nbar_beta, n),
+                     _squeeze_operator(r * np.exp(1j * theta), n))
 
 
 def asymmetry_operator(omega: float, theta: float, n: int) -> np.ndarray:
@@ -471,7 +476,9 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     u = sectors.function(v, lambda x: np.exp(-1j * spec.t * x))
 
     nbar = 1.0 / (math.exp(spec.beta * spec.omega) - 1.0)
-    rho_env = squeezed_thermal_state(nbar, spec.omega, spec.r, spec.theta, n)
+    w = _thermal_fock_weights(nbar, n)
+    squeeze = _squeeze_operator(spec.r * np.exp(1j * spec.theta), n)
+    rho_env = _squeezed(w, squeeze)
     h_sys = spec.omega * (a1.conj().T @ a1)
     a_sys = asymmetry_operator(spec.omega, spec.theta, n)
 
@@ -489,8 +496,6 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     # whose spectral data is exact (thermal weights, squeezed Fock basis);
     # independent of the affinity algebra, so agreement genuinely tests
     # that the GGE is the global fixed point of the conserving exchange.
-    w = _thermal_fock_weights(nbar, n)
-    squeeze = _squeeze_operator(spec.r * np.exp(1j * spec.theta), n)
     sigma_rel = (relative_entropy_spectral(rho_system, w, squeeze)
                  - relative_entropy_spectral(rho_s1, w, squeeze))
 

@@ -337,10 +337,7 @@ def spin_operators(s: float):
     m = s - np.arange(dim)
     sz = np.diag(m).astype(complex)
     # S_- |s, m> = sqrt(s(s+1) - m(m-1)) |s, m-1>
-    lower = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim - 1):
-        mm = m[k]
-        lower[k + 1, k] = math.sqrt(s * (s + 1) - mm * (mm - 1))
+    lower = np.diag(np.sqrt(s * (s + 1) - m[:-1] * (m[:-1] - 1)), -1).astype(complex)
     sp = lower.conj().T
     sx = (sp + lower) / 2.0
     sy = (sp - lower) / (2.0 * 1j)
@@ -449,16 +446,10 @@ def spohn_rates(model_of_t, trajectory, beta: float,
         log_rho = logm_psd(rho)
         entropy_rate.append(-float(np.real(np.trace(drho_full @ log_rho))))
         relents.append(relative_entropy(rho, gibbs))
-    # dH/dt via central differences of the schedule
-    dh_dt = []
-    for k in range(len(times)):
-        if k == 0:
-            dh = (h_list[1] - h_list[0]) / (times[1] - times[0])
-        elif k == len(times) - 1:
-            dh = (h_list[-1] - h_list[-2]) / (times[-1] - times[-2])
-        else:
-            dh = (h_list[k + 1] - h_list[k - 1]) / (times[k + 1] - times[k - 1])
-        dh_dt.append(dh)
+    # dH/dt via central differences of the schedule, one-sided at the ends
+    k, hs = np.arange(len(times)), np.array(h_list)
+    up, down = np.minimum(k + 1, k[-1]), np.maximum(k - 1, 0)
+    dh_dt = (hs[up] - hs[down]) / (times[up] - times[down])[:, None, None]
     work = [float(np.real(np.trace(dh @ rho.matrix)))
             for dh, rho in zip(dh_dt, states)]
     sigma = np.array(entropy_rate) + beta * np.array(heat)

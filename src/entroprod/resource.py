@@ -24,6 +24,7 @@ from .core import (
     CoreError,
     DensityOperator,
     HermitianOperator,
+    _gibbs,
     _mat,
     _petz_renyi,
     _probability_pair,
@@ -74,8 +75,7 @@ class EnergyPopulations:
         return len(self.energies)
 
     def thermal_weights(self, beta: float) -> np.ndarray:
-        w = np.exp(-beta * (self.energies - self.energies.min()))
-        return w / w.sum()
+        return _gibbs(self.energies, beta)[0]
 
 
 def beta_order(pop: EnergyPopulations, beta: float) -> np.ndarray:
@@ -85,9 +85,7 @@ def beta_order(pop: EnergyPopulations, beta: float) -> np.ndarray:
     ordering is deterministic; curves are invariant under the tie rule.
     """
     keys = pop.probabilities * np.exp(beta * (pop.energies - pop.energies.max()))
-    order = sorted(range(pop.dim),
-                   key=lambda i: (-keys[i], pop.energies[i], i))
-    return np.array(order, dtype=int)
+    return np.lexsort((np.arange(pop.dim), pop.energies, -keys))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +158,9 @@ def _largest_remainder_rounding(weights, denominator: int) -> np.ndarray:
     raw = np.asarray(weights, dtype=float) * denominator
     floor = np.floor(raw).astype(int)
     remainder = denominator - floor.sum()
-    order = np.argsort(-(raw - floor))
+    # the remainder, at most one unit per weight, goes to the largest fractions
     counts = floor.copy()
-    for k in range(remainder):
-        counts[order[k % len(counts)]] += 1
+    counts[np.argsort(-(raw - floor))[:remainder]] += 1
     return counts
 
 

@@ -21,6 +21,11 @@ exchange ensembles (on grids of their own), measurement-driven
 trajectories (sampled beyond a cap with the random stream of one
 rng.choice per sample and step), and the finite-width work-weight
 convolution.
+
+Every distribution merges equal values by one rule, that of
+`ScalarDistribution.from_samples` (`core._equal_runs`): sorted values
+within MERGE_TOL * max(1, |v|) of their neighbour are one value, and an
+infinite sigma never joins a finite one.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .core import (
     DensityOperator,
     HermitianOperator,
     _clamp_probs,
+    _equal_runs,
+    _gibbs,
     _mat,
     _spectrum,
     partial_trace,
@@ -48,6 +55,8 @@ from .core import (
 from .episodes import Episode, evolve, is_strict_energy_conserving
 
 ENSEMBLE_DIM_CAP = 64
+# Sorted samples within MERGE_TOL * max(1, |v|) of their neighbour are one value.
+MERGE_TOL = 1e-10
 
 
 class TrajectoryError(ValueError):
@@ -110,7 +119,8 @@ def _write_csv(path, header, *columns):
 
 @dataclass(frozen=True, eq=False)
 class ScalarDistribution:
-    """Discrete distribution over real values (merged support)."""
+    """Discrete distribution over real values (merged support).  Values may
+    be +-inf (sigma can be), never NaN; probabilities are finite."""
 
     values: np.ndarray
     probabilities: np.ndarray
@@ -118,28 +128,29 @@ class ScalarDistribution:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         p = np.asarray(self.probabilities, dtype=float)
-        if v.shape != p.shape or v.ndim != 1:
-            raise TrajectoryError("values/probabilities must be matching 1-d arrays")
+        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
+            raise TrajectoryError("values/probabilities must be matching non-empty 1-d arrays")
+        if np.isnan(v).any() or not np.isfinite(p).all():
+            raise TrajectoryError("values must not be NaN and probabilities must be finite")
         if p.min() < -1e-12:
             raise TrajectoryError(f"negative probability {p.min():.3e}")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probabilities", p)
 
     @classmethod
-    def from_samples(cls, values, probabilities, merge_tol=1e-10):
-        order = np.argsort(values)
-        values = np.asarray(values, dtype=float)[order]
-        probabilities = np.asarray(probabilities, dtype=float)[order]
-        merged_v, merged_p = [], []
-        for v, p in zip(values, probabilities):
-            if p <= 0.0:
-                continue
-            if merged_v and abs(v - merged_v[-1]) <= merge_tol * max(1.0, abs(v)):
-                merged_p[-1] += p
-            else:
-                merged_v.append(v)
-                merged_p.append(p)
-        return cls(np.array(merged_v), np.array(merged_p))
+    def from_samples(cls, values, probabilities, merge_tol=MERGE_TOL):
+        """Weighted samples as a distribution: samples with p <= 0 are
+        dropped, and the sorted values fall into runs within merge_tol *
+        max(1, |v|) of their neighbour (`core._equal_runs`).  A run is one
+        support point, its smallest value, with the run's summed weight."""
+        samples = cls(values, probabilities)
+        keep = samples.probabilities > 0.0
+        if not keep.any():
+            raise TrajectoryError("no sample carries positive probability")
+        order = np.argsort(samples.values[keep])
+        v, p = samples.values[keep][order], samples.probabilities[keep][order]
+        starts = _equal_runs(v, merge_tol * np.maximum(1.0, np.abs(v)))
+        return cls(v[starts], np.add.reduceat(p, starts))
 
     @classmethod
     def delta(cls, value):
@@ -284,12 +295,6 @@ class WorkStatistics:
     lag: float                # S(rho' || thermal(H_f))
 
 
-def _log_partition(h, beta) -> float:
-    vals = np.linalg.eigvalsh(_mat(h))
-    m = vals.min()
-    return float(-beta * m + np.log(np.sum(np.exp(-beta * (vals - m)))))
-
-
 def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> WorkStatistics:
     """TPM work statistics for a thermal initial state.
 
@@ -298,24 +303,14 @@ def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> Work
     of H_f and runs V^dag, so the pair satisfies the Crooks relation
     P_F(W) = P_B(-W) e^{beta (W - dF)} pointwise on the shared support.
     """
-    hi = _mat(h_initial)
-    hf = _mat(h_final)
     v = _mat(protocol_unitary)
-    ei, vi = np.linalg.eigh(hi)
-    ef, vf = np.linalg.eigh(hf)
-    pi = np.exp(-beta * (ei - ei.min()))
-    pi = pi / pi.sum()
-    pf_th = np.exp(-beta * (ef - ef.min()))
-    pf_th = pf_th / pf_th.sum()
-    trans = np.abs(vf.conj().T @ v @ vi) ** 2          # [m, n]
-    vals_f = (ef[:, None] - ei[None, :]).ravel()
-    probs_f = (trans * pi[None, :]).ravel()
-    fwd = ScalarDistribution.from_samples(vals_f, probs_f)
-    trans_b = np.abs(vi.conj().T @ v.conj().T @ vf) ** 2   # [n, m]
-    vals_b = (ei[:, None] - ef[None, :]).ravel()
-    probs_b = (trans_b * pf_th[None, :]).ravel()
-    bwd = ScalarDistribution.from_samples(vals_b, probs_b)
-    delta_f = (-_log_partition(hf, beta) + _log_partition(hi, beta)) / beta
+    ei, vi = np.linalg.eigh(_mat(h_initial))
+    ef, vf = np.linalg.eigh(_mat(h_final))
+    (pi, log_zi), (pf_th, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
+    trans = np.abs(vf.conj().T @ v @ vi) ** 2          # [m, n], backward [n, m] = trans.T
+    fwd = ScalarDistribution.from_samples((ef[:, None] - ei).ravel(), (trans * pi).ravel())
+    bwd = ScalarDistribution.from_samples((ei[:, None] - ef).ravel(), (trans.T * pf_th).ravel())
+    delta_f = (log_zi - log_zf) / beta
     mean_w = fwd.mean()
     jarz = fwd.exp_average(-beta) * math.exp(beta * delta_f)
     rho_prime = v @ ((vi * pi) @ vi.conj().T) @ v.conj().T
@@ -334,18 +329,23 @@ def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> Work
 def crooks_check(stats: WorkStatistics, beta: float, tol=1e-10):
     """Pointwise P_F(W) / P_B(-W) = e^{beta (W - dF)} on the shared support.
 
-    Returns (max deviation, number of compared points).
+    W of P_F and -W of P_B are paired when they fall in one run of the
+    merge rule (`ScalarDistribution.from_samples`); a pair is compared when
+    both weights exceed tol.  Returns (max deviation, number of compared
+    points).
     """
-    dev, count = 0.0, 0
-    bvals = {round(v, 12): p for v, p in zip(stats.backward.values,
-                                             stats.backward.probabilities)}
-    for w, p in zip(stats.forward.values, stats.forward.probabilities):
-        q = bvals.get(round(-w, 12))
-        if q is None or q <= tol or p <= tol:
-            continue
-        dev = max(dev, abs(p / q - math.exp(beta * (w - stats.delta_f))))
-        count += 1
-    return dev, count
+    fwd, bwd = stats.forward, stats.backward
+    w = np.concatenate([fwd.values, -bwd.values])
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    p = np.concatenate([fwd.probabilities, bwd.probabilities])[order]
+    is_f = order < len(fwd.values)
+    starts = _equal_runs(w, MERGE_TOL * np.maximum(1.0, np.abs(w)))
+    p_f, p_b, w_f, n_f = (np.add.reduceat(x, starts) for x in (
+        np.where(is_f, p, 0.0), np.where(is_f, 0.0, p), np.where(is_f, w, 0.0), is_f * 1.0))
+    pair = (p_f > tol) & (p_b > tol)
+    ratio = np.exp(beta * (w_f[pair] / n_f[pair] - stats.delta_f))
+    return float(np.max(np.abs(p_f[pair] / p_b[pair] - ratio), initial=0.0)), int(pair.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,7 +662,8 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
     Beyond it n_samples records are drawn from the seed: one uniform per
     sample and record, in the order and with the inverse-CDF map of one
     rng.choice(d, p=...) per sample and step, so a seed gives the same
-    records as that loop.  Both merge sigma values equal to 12 decimals.
+    records as that loop.  Both merge equal sigma values by the rule of
+    `ScalarDistribution.from_samples`.
     """
     psi = np.asarray(psi0, dtype=complex).ravel()
     norm = np.linalg.norm(psi)
@@ -689,13 +690,13 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
         k0 = k = _draw(p0[:, None], np.zeros(n_samples, dtype=int), u[:, 0])
         for j, t in enumerate(steps, 1):
             k = _draw(t, k, u[:, j])
-        sigma, weights = np.log(p0[k0]) - np.log(p_final[k]), None
+        sigma, weights = np.log(p0[k0]) - np.log(p_final[k]), np.ones(n_samples)
     else:
         joint = compound * p0                                     # [k_n, k_0]
         kn, k0 = np.nonzero(joint > 0.0)
         sigma, weights = np.log(p0[k0]) - np.log(p_final[kn]), joint[kn, k0]
-    values, inverse = np.unique(np.round(sigma, 12), return_inverse=True)
-    probs = np.bincount(inverse, weights=weights)
+    dist = ScalarDistribution.from_samples(sigma, weights)
+    values, probs = dist.values, dist.probabilities
     if sampled:
         probs = probs / probs.sum()
     return MeasurementTrajectories(
@@ -740,17 +741,10 @@ def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None,
     lo = float(ideal.values.min() - 6.0 * delta)
     hi = float(ideal.values.max() + 6.0 * delta)
     grid = np.linspace(lo, hi, n_grid)
-    dw = grid[1] - grid[0]
-    dens = np.zeros_like(grid)
-    norm = 1.0 / math.sqrt(2.0 * math.pi * delta ** 2)
-    for w_j, p_j in zip(ideal.values, ideal.probabilities):
-        dens += p_j * norm * np.exp(-((grid - w_j) ** 2) / (2.0 * delta ** 2))
-    mass = dens * dw
+    # the Gaussian at every grid point and support value, normalized on the grid
+    mass = np.exp(-((grid[:, None] - ideal.values) / delta) ** 2 / 2.0) @ ideal.probabilities
     mass = mass / mass.sum()
     mean = float(np.sum(grid * mass))
     var = float(np.sum((grid - mean) ** 2 * mass))
-    att = None
-    if gaps is not None:
-        gaps = np.asarray(gaps, dtype=float)
-        att = np.exp(-(gaps ** 2) / (8.0 * delta ** 2))
+    att = None if gaps is None else np.exp(-np.asarray(gaps, float) ** 2 / (8.0 * delta ** 2))
     return ConvolvedWork(grid, mass, mean, var, att)

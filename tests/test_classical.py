@@ -442,3 +442,37 @@ def test_rate_matrix_validation():
     with pytest.raises(cl.ClassicalError):
         cl.RateMatrix.from_offdiagonal(np.zeros((2, 2)),
                                        reservoirs=(np.ones((2, 2)),))
+
+
+def _fp_args(**change):
+    x = np.linspace(-4, 4, 64)
+    args = {"potential": ou_potential, "temperature": OU_TEMP, "x_grid": x,
+            "p0": np.exp(-x ** 2), "t": 0.5}
+    return {**args, **change}
+
+
+@pytest.mark.parametrize("change", [
+    {"t": math.nan}, {"t": math.inf}, {"t": -0.5},
+    {"temperature": math.nan}, {"temperature": math.inf}, {"temperature": 0.0},
+    {"temperature": -0.7},
+    {"potential": lambda x: math.inf if x > 3 else 0.0},
+    {"potential": lambda x: math.nan},
+    {"p0": np.append(-1e-3, np.ones(63))}, {"p0": np.append(math.nan, np.ones(63))},
+    {"p0": np.ones(63)}, {"p0": np.zeros(64)},
+    {"x_grid": np.linspace(4, -4, 64)}, {"x_grid": np.array([0.0])},
+], ids=["t-nan", "t-inf", "t-negative", "T-nan", "T-inf", "T-zero", "T-negative",
+        "V-inf", "V-nan", "p0-negative", "p0-nan", "p0-length", "p0-zero",
+        "grid-decreasing", "grid-one-point"])
+def test_fokker_planck_rejects_invalid(change):
+    with pytest.raises(cl.ClassicalError):
+        cl.fokker_planck_1d(**_fp_args(**change))
+
+
+@pytest.mark.parametrize("t, p0", [
+    (math.nan, [0.5, 0.5]), (math.inf, [0.5, 0.5]), (-1.0, [0.5, 0.5]),
+    (1.0, [0.5, 0.25, 0.25]),
+], ids=["t-nan", "t-inf", "t-negative", "p0-length"])
+def test_evolve_rejects_invalid(t, p0):
+    w = cl.RateMatrix.from_offdiagonal(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(cl.ClassicalError):
+        cl.evolve(w, p0, t)

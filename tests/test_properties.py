@@ -4,6 +4,7 @@ database): the invariants hold on drawn instances, not only on seeds."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroprod import collisional as cm, episodes as eps, trajectories as tj
@@ -171,3 +172,94 @@ def test_ensemble_verdict_survives_round_off(draw):
         verdicts = {math.isinf(tj.backward_ensemble(ep, choice).average_sigma())
                     for ep in episodes}
         assert len(verdicts) == 1, choice
+
+
+# clusters on a lattice 0.37 apart, members within 1e-13 max(1, |c|) of the
+# centre, so no run can reach from one cluster to the next; +-inf join as is
+cluster = st.tuples(st.one_of(st.integers(-20, 20).map(lambda k: 0.37 * k),
+                              st.sampled_from([-math.inf, math.inf])),
+                    st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 4)),
+                             min_size=1, max_size=4))
+
+
+@PROPERTY
+@given(st.lists(cluster, min_size=1, max_size=8))
+def test_merged_support_is_one_value_per_run(clusters):
+    values, weights = [], []
+    for centre, members in clusters:
+        for jitter, weight in members:
+            spread = 1e-13 * max(1.0, abs(centre)) if math.isfinite(centre) else 0.0
+            values.append(centre + jitter * spread)
+            weights.append(float(weight))
+    weights[0] += sum(weights) == 0
+    v, p = np.array(values), np.array(weights) / sum(weights)
+    dist = tj.ScalarDistribution.from_samples(v, p)
+    x, q = dist.values, dist.probabilities
+    assert (q > 0).all() and abs(q.sum() - 1.0) <= 1e-12
+    gap = np.diff(x[np.isfinite(x)])
+    assert (gap > 1e-10 * np.maximum(1.0, np.abs(x[np.isfinite(x)][1:]))).all()
+    assert len(set(x[~np.isfinite(x)])) == (~np.isfinite(x)).sum()
+    for inf in (-math.inf, math.inf):                 # no infinity joins a finite value
+        assert q[x == inf].sum() == pytest.approx(p[v == inf].sum(), abs=1e-15)
+    fin, live = np.isfinite(x), np.isfinite(v) & (p > 0)
+    assert abs(np.dot(x[fin], q[fin]) - np.dot(v[live], p[live])) <= 1e-12
+
+
+def heat_distribution_loop(ep, tol=1e-10):
+    """The four-deep transition loop with round(q / tol) buckets."""
+    evals_e, evecs_e = np.linalg.eigh(ep.h_env.matrix)
+    lam, svecs = ep.rho_system.eig()
+    ds, de = ep.rho_system.dim, ep.rho_env.dim
+    rho_e_diag = np.real(np.diag(evecs_e.conj().T @ ep.rho_env.matrix @ evecs_e))
+    u_t = ep.unitary.matrix.reshape(ds, de, ds, de)
+    support = {}
+    for j in range(ds):
+        for k in range(ds):
+            block = np.einsum("a,aibj,b->ij", svecs[:, k].conj(), u_t, svecs[:, j])
+            a_kj = math.sqrt(lam[j]) * (evecs_e.conj().T @ block @ evecs_e)
+            w = np.abs(a_kj) ** 2 * rho_e_diag[None, :]
+            for n in range(de):
+                for m in range(de):
+                    if w[n, m] < 1e-16:
+                        continue
+                    q = evals_e[n] - evals_e[m]
+                    key = round(q / tol)
+                    support[key] = (q, support.get(key, (q, 0.0))[1] + w[n, m])
+    values, probs = (np.array(x) for x in zip(*sorted(support.values())))
+    return values, probs
+
+
+@PROPERTY
+@given(episode)
+def test_heat_distribution_is_the_transition_loop(draw):
+    # degenerate environment levels make equal heats from distinct transitions
+    rng = np.random.default_rng(draw["seed"])
+    ds, de = draw["dim_system"], draw["dim_env"]
+    rank = rng.integers(1, ds + 1) if draw["deficient"] == "system" else None
+    he = HermitianOperator.from_matrix(np.diag(0.5 * rng.integers(0, 3, de)))
+    ep = eps.Episode(HermitianOperator.from_matrix(np.diag(rng.uniform(0.0, 2.0, ds))), he,
+                     random_unitary(ds * de, rng, dims=(ds, de)),
+                     random_density(ds, rng, rank=rank), random_density(de, rng))
+    values, probs, _ = eps.heat_distribution(ep)
+    want_v, want_p = heat_distribution_loop(ep)
+    assert values.shape == want_v.shape
+    assert np.abs(values - want_v).max() <= 1e-12
+    assert np.abs(probs - want_p).max() <= 1e-13
+
+
+@PROPERTY
+@given(episode)
+def test_pure_environment_bath_reset_keeps_infinite_sigma(draw):
+    # paths into the empty levels of a pure rho_E have sigma = +inf under
+    # BATH_RESET; merging must not fold them into a finite value
+    rng = np.random.default_rng(draw["seed"])
+    ds, de = draw["dim_system"], draw["dim_env"]
+    hs, he = (HermitianOperator.from_matrix(np.diag(rng.uniform(0.0, 2.0, n))) for n in (ds, de))
+    ep = eps.Episode(hs, he, random_unitary(ds * de, rng, dims=(ds, de)),
+                     random_density(ds, rng), random_density(de, rng, rank=1))
+    ens = tj.backward_ensemble(ep, tj.BackwardChoice.BATH_RESET)
+    dist = ens.sigma_distribution()
+    assert ens.average_sigma() == math.inf
+    assert dist.mean() == math.inf
+    assert dist.probabilities[dist.values == math.inf].sum() == pytest.approx(
+        ens.p_forward[ens.sigma == math.inf].sum(), abs=1e-15)

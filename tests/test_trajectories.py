@@ -458,18 +458,29 @@ def test_measurement_sampler_stream_matches_choice_loop():
     psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
     out = tj.measurement_trajectories(psi0, bases, unitaries, max_exhaustive=1,
                                       n_samples=n, seed=5)
-    p0 = np.abs(bases[0].conj().T @ psi0 / np.linalg.norm(psi0)) ** 2
+    # p0, p_final and sigma in the sampler's own arithmetic, so the merged
+    # values can be compared bit for bit
+    p0 = np.abs(bases[0].conj().T @ (psi0 / np.linalg.norm(psi0))) ** 2
     moves = [np.abs(b.conj().T @ u @ a) ** 2
              for a, u, b in zip(bases[:-1], unitaries, bases[1:])]
-    p_final = np.linalg.multi_dot(moves[::-1]) @ p0
+    compound = np.eye(d)
+    for t in moves:
+        compound = t @ compound
+    p_final = compound @ p0
     loop = np.random.default_rng(5)
-    sigma = []
+    records = []
     for _ in range(n):
         k0 = k = loop.choice(d, p=p0)
         for t in moves:
             k = loop.choice(d, p=t[:, k])
-        sigma.append(math.log(p0[k0]) - math.log(p_final[k]))
-    values, counts = np.unique(np.round(sigma, 12), return_counts=True)
+        records.append((k0, k))
+    k0, k = np.array(records).T
+    # merged by the one rule: sorted values within 1e-10 max(1, |v|) of
+    # their neighbour are one value, the run's smallest
+    sigma = np.sort(np.log(p0[k0]) - np.log(p_final[k]))
+    same = np.diff(sigma) <= 1e-10 * np.maximum(1.0, np.abs(sigma[1:]))
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    values, counts = sigma[starts], np.diff(np.append(starts, n))
     assert out.sampled
     assert np.array_equal(out.sigma_values, values)
     assert np.array_equal(out.probabilities, counts / counts.sum())
@@ -538,3 +549,34 @@ def test_ensemble_integral_ft_all_choices_property():
             ens = tj.backward_ensemble(ep, choice)
             assert abs(ens.integral_ft() - 1.0) < 1e-10
             assert ens.average_sigma() >= -1e-10
+
+
+BAD_SAMPLES = {
+    "empty": ([], []),
+    "nan-value": ([0.0, math.nan], [0.5, 0.5]),
+    "nan-probability": ([0.0, 1.0], [0.5, math.nan]),
+    "inf-probability": ([0.0, 1.0], [0.5, math.inf]),
+    "-inf-probability": ([0.0, 1.0], [-math.inf, 1.0]),
+    "shape": ([0.0, 1.0], [1.0]),
+}
+
+
+@pytest.mark.parametrize("make", [tj.ScalarDistribution, tj.ScalarDistribution.from_samples],
+                         ids=["direct", "from_samples"])
+@pytest.mark.parametrize("case", BAD_SAMPLES)
+def test_scalar_distribution_rejects_invalid(make, case):
+    values, probabilities = BAD_SAMPLES[case]
+    with pytest.raises(tj.TrajectoryError):
+        make(np.array(values), np.array(probabilities))
+
+
+def test_from_samples_rejects_samples_without_weight():
+    with pytest.raises(tj.TrajectoryError):
+        tj.ScalarDistribution.from_samples([0.0, 1.0], [0.0, 0.0])
+
+
+def test_scalar_distribution_keeps_infinite_values():
+    dist = tj.ScalarDistribution.from_samples([math.inf, 2.0, math.inf, -math.inf],
+                                              [0.25, 0.25, 0.25, 0.25])
+    assert dist.values.tolist() == [-math.inf, 2.0, math.inf]
+    assert dist.probabilities.tolist() == [0.25, 0.25, 0.5]
