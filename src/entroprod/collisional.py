@@ -18,21 +18,23 @@ Three tiers of entropy production per stroke:
   thermal      dS_S + beta Q_A                     thermal ancilla
   fixed point  S(rho||rho_th) - S(rho'||rho_th)    thermal operation
 
-`run` steps the chain of states once, as matrices (`_chain`), and then
-takes every stroke's balance from stacks: one stacked eigendecomposition
-per state kind (joint, system before and after, ancilla after) and
-alphabet entry feeds `episodes.balance_rows`, the formulas of
-`episodes.balance` row by row.  `preferred_basis` reads the same chain.
-
-Limit cycles are read from the channel Phi of one full cycle, built from
-the strokes' Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`):
-the state is the null vector of Phi - 1.  A unit-modulus eigenvalue of Phi
-other than 1 (no contraction) is an error, and so is, in `limit_cycle`, a
-degenerate eigenvalue 1 (a steady space of dimension > 1).
+Every stroke is also a channel on rho_S alone, built once per alphabet
+entry from the Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`)
+with the system unitary folded in (`_stroke_channel`).  `run` steps the
+states by these channels, one d^2-vector product per stroke (`_chain`),
+forms every joint state U (rho_n x rho_A) U^dag per alphabet entry at once
+(`_joints`), and takes every balance from one stacked eigendecomposition
+per state kind and alphabet entry (`episodes.balance_rows`).
+`preferred_basis` reads the same states.  A limit cycle is the null
+vector of Phi - 1, Phi the product of the stroke channels of one cycle.
+A unit-modulus eigenvalue of Phi other than 1 (no contraction) is an
+error, and so is, in `limit_cycle`, a degenerate eigenvalue 1 (a steady
+space of dimension > 1).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -158,35 +160,49 @@ class StrokeRecord:
                 float("nan") if self.sigma_fixed_point is None else self.sigma_fixed_point)
 
 
-def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
-    """Step the state chain once, as matrices: per stroke the joint state
-    rho_SE' = U (rho_n x rho_A) U^dag, its system marginal rho_n' and,
-    after a system unitary, the next state.  Returns the states rho_0 ..
-    rho_n, validated as one stack (`from_stack`), the stack of the rho_n'
-    (the states' own matrices when the schedule has no system unitaries),
-    and per alphabet entry the stacks of its strokes' joint and ancilla
-    states.
-    """
+def _stroke_channel(unitary, rho_ancilla, after=None, before=None) -> np.ndarray:
+    """Superoperator of rho -> after Tr_A[U (before rho before^dag x rho_A)
+    U^dag] after^dag, either system unitary optional."""
+    kraus = ancilla_kraus(unitary, rho_ancilla)
+    kraus = kraus if after is None else _mat(after) @ kraus
+    return kraus_superop(kraus if before is None else kraus @ _mat(before))
+
+
+def _stroke_channels(spec: CollisionSpec) -> list:
+    """One stroke channel per alphabet entry, its system unitary folded in."""
+    return [_stroke_channel(s.unitary, s.rho, spec.u_at(k)) for k, s in enumerate(spec.alphabet)]
+
+
+def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
+    """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n),
+    validated as one stack (`from_stack`)."""
     ds = spec.dim_system
     if rho0.dim != ds:
         raise CollisionalError(f"initial state dim {rho0.dim} != system dim {ds}")
-    letters = len(spec.alphabet)
-    joints = [np.empty((len(range(k, n_strokes, letters)),) + (ds * stroke.rho.dim,) * 2,
-                       dtype=complex) for k, stroke in enumerate(spec.alphabet[:n_strokes])]
-    mids = np.empty((n_strokes, ds, ds), dtype=complex)
-    nexts = mids if spec.system_unitaries is None else np.empty_like(mids)
-    m = rho0.matrix
+    channels = _stroke_channels(spec)
+    vecs = np.empty((n_strokes + 1, ds * ds), dtype=complex)
+    vecs[0] = vec(rho0.matrix)
     for n in range(n_strokes):
-        stroke = spec.alphabet[n % letters]
-        u = stroke.unitary.matrix
-        joint = joints[n % letters][n // letters]
-        joint[...] = u @ tensor([m, stroke.rho]) @ u.conj().T
-        m = mids[n] = _ptrace_matrix(joint, (ds, stroke.rho.dim), [0])
-        u_sys = spec.u_at(n)
-        if u_sys is not None:
-            m = nexts[n] = u_sys.matrix @ m @ u_sys.matrix.conj().T
-    ancillas = [_ptrace_matrix(j, (ds, j.shape[-1] // ds), [1]) for j in joints]
-    return (rho0,) + DensityOperator.from_stack(nexts, rho0.dims), mids, joints, ancillas
+        np.matmul(channels[n % len(channels)], vecs[n], out=vecs[n + 1])
+    # `unvec` of every row: a C-order reshape, transposed.  The channels keep
+    # the trace only to round-off, which the chain would sum stroke by stroke.
+    nexts = vecs[1:].reshape(n_strokes, ds, ds).transpose(0, 2, 1)
+    nexts = nexts / np.trace(nexts, axis1=1, axis2=2)[:, None, None]
+    return (rho0,) + DensityOperator.from_stack(nexts, rho0.dims)
+
+
+def _joints(spec: CollisionSpec, before: np.ndarray):
+    """Every stroke's joint state U (rho_n x rho_A) U^dag, one stacked
+    product and conjugation per alphabet entry: per entry the stacks of
+    joint and ancilla states, and in stroke order the rho_n'."""
+    ds, letters = spec.dim_system, len(spec.alphabet)
+    joints, ancillas, mids = [], [], np.empty_like(before)
+    for k, stroke in enumerate(spec.alphabet[:len(before)]):
+        u, factors = stroke.unitary.matrix, (ds, stroke.rho.dim)
+        joints.append(u @ tensor([before[k::letters], stroke.rho]) @ u.conj().T)
+        mids[k::letters] = _ptrace_matrix(joints[-1], factors, [0])
+        ancillas.append(_ptrace_matrix(joints[-1], factors, [1]))
+    return joints, ancillas, mids
 
 
 def _stacks(states):
@@ -198,20 +214,20 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         conserving_tol: float = 1e-9):
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
 
-    The chain of states is stepped once (`_chain`); every stroke's balance
-    then comes from stacks, per alphabet entry: `episodes.balance_rows` on
-    the eigenvalues of one stacked decomposition each of the joint, system
-    and ancilla states, the formulas of `episodes.balance` row by row.
+    The states are stepped by the stroke channels (`_chain`) and the joint
+    states formed (`_joints`); every stroke's balance then comes from stacks:
+    `episodes.balance_rows` on the eigenvalues of one stacked decomposition
+    each of the joint, system and ancilla states, row by row.
     Tier-2 sigma is reported when the ancilla carries a beta; tier-3 when in
     addition the stroke unitary is strictly energy conserving; the verdict
     and the Gibbs state are evaluated once per alphabet entry.
     """
     if n_strokes < 1:
         raise CollisionalError("n_strokes must be >= 1")
-    states, m_mid, joints, ancillas = _chain(spec, rho0, n_strokes)
+    states = _chain(spec, rho0, n_strokes)
     m_all, p_all, v_all = _stacks(states)
-    p_mid, v_mid = ((p_all[1:], v_all[1:]) if spec.system_unitaries is None
-                    else _density_spectra(m_mid))
+    joints, ancillas, m_mid = _joints(spec, m_all[:-1])
+    p_mid, v_mid = _density_spectra(m_mid)
     letters = len(spec.alphabet)
     records = [None] * n_strokes
     for k in range(len(joints)):
@@ -249,19 +265,6 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
 # Limit cycles
 # ---------------------------------------------------------------------------
 
-def _cycle_channel(spec: CollisionSpec) -> np.ndarray:
-    """Superoperator of one full alphabet pass (column stacking)."""
-    d = spec.dim_system
-    chan = np.eye(d * d, dtype=complex)
-    for n, stroke in enumerate(spec.alphabet):
-        kraus = ancilla_kraus(stroke.unitary, stroke.rho)
-        u_sys = spec.u_at(n)
-        if u_sys is not None:
-            kraus = u_sys.matrix @ kraus
-        chan = kraus_superop(kraus) @ chan
-    return chan
-
-
 def _fixed_point(chan: np.ndarray, rho0: DensityOperator,
                  unique: bool) -> DensityOperator:
     """Projection of rho0 onto ker(chan - 1) along range(chan - 1), i.e.
@@ -291,8 +294,8 @@ def limit_cycle(spec: CollisionSpec) -> DensityOperator:
     """Fixed point of the full-alphabet composite map, read from the null
     space of its channel (see the module docstring for the errors), and
     checked to move by less than FIXED_POINT_TOL under one more pass."""
-    d = spec.dim_system
-    return _fixed_point(_cycle_channel(spec), DensityOperator.maximally_mixed(d), unique=True)
+    chan = functools.reduce(lambda chan, stroke: stroke @ chan, _stroke_channels(spec))
+    return _fixed_point(chan, DensityOperator.maximally_mixed(spec.dim_system), unique=True)
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +410,12 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
             raise CollisionalError(
                 f"stroke {k} is not a thermal operation (residual {res:.3e})")
         e_sys = np.real(np.diag(basis.conj().T @ h.matrix @ basis))
-        # Kraus operators sqrt(q_nu) <mu|U|nu> in the system eigenbasis
-        kraus = basis.conj().T @ ancilla_kraus(stroke.unitary, stroke.rho) @ basis
-        m_n = np.sum(np.abs(kraus) ** 2, axis=0)
-        # coherence multipliers: rho'_ij = c_ij rho_ij for i != j
-        c = np.einsum("kii,kjj->ij", kraus, kraus.conj())
-        chains.append((m_n, c, _gibbs(e_sys, stroke.beta)[0]))
-    states = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)[0]
+        # the stroke channel in the eigenbasis: M_n(i|j) is its |i><i|, |j><j|
+        # entry, and its diagonal the coherence multipliers, rho'_ij = c_ij rho_ij
+        chan = _stroke_channel(stroke.unitary, stroke.rho, basis.conj().T, basis)
+        pop = slice(None, None, len(e_sys) + 1)
+        chains.append((chan[pop, pop].real, unvec(chan.diagonal()), _gibbs(e_sys, stroke.beta)[0]))
+    states = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)
     pops = np.real(np.diagonal(basis.conj().T @ np.array([s.matrix for s in states]) @ basis,
                                axis1=1, axis2=2))
     pops.setflags(write=False)      # rows shared by consecutive records
@@ -572,20 +574,16 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
     h_c = h_cold or HermitianOperator.from_matrix(np.zeros_like(rho_cold.matrix), rho_cold.dims)
     rho = rho0 or DensityOperator.maximally_mixed(h_system.dims)
     if at_limit_cycle:
-        kraus_h = ancilla_kraus(u_sh, rho_hot) @ _mat(v1)
-        kraus_c = ancilla_kraus(u_sc, rho_cold) @ _mat(v2)
-        chan = kraus_superop(kraus_c) @ kraus_superop(kraus_h)
+        chan = (_stroke_channel(u_sc, rho_cold, before=v2)
+                @ _stroke_channel(u_sh, rho_hot, before=v1))
         rho = _fixed_point(chan, rho, unique=False)
 
     m1 = _mat(v1) @ rho.matrix @ _mat(v1).conj().T
     ep_h = Episode(h_system, h_h, u_sh, DensityOperator(m1, rho.dims), rho_hot)
-    ev_h = evolve(ep_h)
-    bal_h = balance(ep_h, ev_h)
-    m2 = _mat(v2) @ ev_h.rho_system.matrix @ _mat(v2).conj().T
+    m2 = _mat(v2) @ evolve(ep_h).rho_system.matrix @ _mat(v2).conj().T
     ep_c = Episode(h_system, h_c, u_sc, DensityOperator(m2, rho.dims), rho_cold)
-    ev_c = evolve(ep_c)
-    bal_c = balance(ep_c, ev_c)
-    ds = von_neumann_entropy(ev_c.rho_system) - von_neumann_entropy(rho)
+    bal_h, bal_c = balance(ep_h), balance(ep_c)
+    ds = von_neumann_entropy(evolve(ep_c).rho_system) - von_neumann_entropy(rho)
     return FourStrokeResult(
         limit_cycle=rho,
         sigma_hot=bal_h.sigma,

@@ -316,9 +316,10 @@ def tensor(ops):
     """Kronecker product of a list of operators, in the order given.
 
     Accepts wrapped operators or bare arrays (square or rectangular, taken
-    as complex) and always returns the bare ndarray.  Each product is one
-    broadcast multiply and a reshape: the same products as `np.kron`, so
-    the same bits, without its per-call overhead on small matrices.
+    as complex; stacks (..., r, c) broadcast over the leading axes) and
+    always returns the bare ndarray.  Each product is one broadcast multiply
+    and a reshape: the same products as `np.kron`, so the same bits,
+    without its per-call overhead on small matrices.
     """
     ops = list(ops)
     if not ops:
@@ -326,10 +327,11 @@ def tensor(ops):
     out = _mat(ops[0])
     for op in ops[1:]:
         b = _mat(op)
-        if out.ndim != 2 or b.ndim != 2:
-            raise CoreError("tensor() takes 2-d operands")
-        (ra, ca), (rb, cb) = out.shape, b.shape
-        out = (out[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+        if out.ndim < 2 or b.ndim < 2:
+            raise CoreError("tensor() takes operands of at least 2 dimensions")
+        (ra, ca), (rb, cb) = out.shape[-2:], b.shape[-2:]
+        prod = out[..., :, None, :, None] * b[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (ra * rb, ca * cb))
     return out
 
 

@@ -160,8 +160,17 @@ class ScalarDistribution:
         return float(np.sum(self.values * self.probabilities))
 
     def moment(self, n, central=False) -> float:
+        if central:
+            self._require_finite(f"central moment {n}")
         x = self.values - (self.mean() if central else 0.0)
         return float(np.sum(x ** n * self.probabilities))
+
+    def _require_finite(self, what):
+        """TrajectoryError naming the first infinite value and its mass."""
+        inf = np.isinf(self.values)
+        if inf.any():
+            raise TrajectoryError(f"{what} is undefined: value {self.values[inf][0]} "
+                                  f"carries probability {self.probabilities[inf][0]:.6g}")
 
     def variance(self) -> float:
         return self.moment(2, central=True)
@@ -738,6 +747,7 @@ def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None,
     """
     if not 0.0 < delta < math.inf:
         raise TrajectoryError("weight spread delta must be positive and finite")
+    ideal._require_finite("a weight convolution")
     lo = float(ideal.values.min() - 6.0 * delta)
     hi = float(ideal.values.max() + 6.0 * delta)
     grid = np.linspace(lo, hi, n_grid)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entroprod import collisional as cm, core
+from entroprod import collisional as cm, core, episodes as eps
 from entroprod.core import (
     DensityOperator,
     HermitianOperator,
@@ -133,20 +133,22 @@ def test_limit_cycle_weak_coupling_is_gibbs():
 
 @pytest.mark.parametrize("ancilla", [DensityOperator.pure([0, 1]),
                                      thermal_state(H_QUBIT, 0.7)])
-def test_stroke_channel_matches_run(ancilla):
-    # the Kraus-built channel against one `run` step (partial traces) on
-    # d^2 random states, which span the operators of a qutrit
+def test_stroke_channel_matches_the_episode(ancilla):
+    # the Kraus-built channel, system unitaries on both sides, against the
+    # joint evolution and partial trace of an Episode on d^2 random states,
+    # which span the operators of a qutrit
     rng = np.random.default_rng(11)
     h3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.5]))
-    stroke = cm.AncillaStroke(ancilla, H_QUBIT, random_unitary(6, rng, dims=(3, 2)))
-    spec = cm.CollisionSpec((stroke,), (h3,), (random_unitary(3, rng),))
-    chan = cm._cycle_channel(spec)
+    u = random_unitary(6, rng, dims=(3, 2))
+    after, before = random_unitary(3, rng), random_unitary(3, rng)
+    chan = cm._stroke_channel(u, ancilla, after, before)
     starts = [random_density(3, rng) for _ in range(9)]
     assert np.linalg.matrix_rank(np.array([core.vec(r.matrix) for r in starts])) == 9
     for rho in starts:
-        states, _ = cm.run(spec, rho, 1)
+        turned = DensityOperator(before.matrix @ rho.matrix @ before.matrix.conj().T, rho.dims)
+        mid = eps.evolve(eps.Episode(h3, H_QUBIT, u, turned, ancilla)).rho_system.matrix
         assert np.abs(core.unvec(chan @ core.vec(rho.matrix))
-                      - states[-1].matrix).max() < 1e-12
+                      - after.matrix @ mid @ after.matrix.conj().T).max() < 1e-12
 
 
 def test_continuous_limit_detailed_balance():
@@ -377,20 +379,27 @@ def two_letter_spec(rng):
 
 
 def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
-    # every stroke's balance comes from stacked decompositions per state kind
+    # every stroke's balance comes from stacked decompositions per state kind,
+    # and the chain takes no per-stroke Kronecker product, partial trace or
+    # channel: the states are stepped by one channel per alphabet entry
     rng = np.random.default_rng(21)
     spec, rho0 = two_letter_spec(rng), random_density(2, rng)
+    counted = {np.linalg: ("eigh", "eigvalsh"),
+               cm: ("tensor", "_ptrace_matrix", "ancilla_kraus", "kraus_superop")}
     counts = []
     for n_strokes in (10, 200):
         calls = []
-        for name in ("eigh", "eigvalsh"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        for module, names in counted.items():
+            for name in names:
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k:
+                                    calls.append(_name) or _fn(*a, **k))
         cm.run(spec, rho0, n_strokes)
         monkeypatch.undo()
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 12
+        counts.append({name: calls.count(name) for name in set(calls)})
+    assert counts[0] == counts[1]
+    assert counts[0]["eigh"] + counts[0].get("eigvalsh", 0) <= 12
+    assert counts[0]["ancilla_kraus"] == counts[0]["kraus_superop"] == 2
 
 
 def test_run_rejects_mismatched_dims():

@@ -66,6 +66,16 @@ def test_tensor_equals_kron(shapes, kind):
     assert np.array_equal(core.tensor(ops), want)
 
 
+def test_tensor_of_stacks_is_the_kron_of_each_element():
+    # leading axes broadcast: a stack of states against one ancilla state
+    rng = np.random.default_rng(6)
+    stack = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    b = rng.normal(size=(3, 3))
+    want = np.array([np.kron(m, b) for m in stack])
+    assert np.array_equal(core.tensor([stack, b]), want)
+    assert core.tensor([stack[:, None], stack]).shape == (5, 5, 4, 4)
+
+
 def test_tensor_empty_errors():
     with pytest.raises(CoreError):
         core.tensor([])

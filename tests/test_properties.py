@@ -99,11 +99,7 @@ def same(a, b, tol):
     return abs(a - b) <= tol
 
 
-@PROPERTY
-@given(collision)
-def test_stacked_run_is_the_stroke_by_stroke_balance(draw):
-    spec, rho0 = build(draw)
-    n = draw["n_strokes"]
+def assert_run_is_stroke_by_stroke(spec, rho0, n):
     states, records = cm.run(spec, rho0, n)
     want_states, want_rows = stroke_by_stroke(spec, rho0, n)
     assert len(states) == n + 1 and len(records) == n
@@ -116,6 +112,30 @@ def test_stacked_run_is_the_stroke_by_stroke_balance(draw):
         assert all(same(x, y, 1e-12) for x, y in zip(got, want)), (got, want)
         assert abs(rec.first_law_residual) <= 1e-12
         assert rec.sigma_general >= -1e-12
+
+
+@PROPERTY
+@given(collision)
+def test_stacked_run_is_the_stroke_by_stroke_balance(draw):
+    assert_run_is_stroke_by_stroke(*build(draw), draw["n_strokes"])
+
+
+def test_long_chain_is_the_stroke_by_stroke_balance():
+    # 200 strokes stepped by the stroke channels: a pure qutrit ancilla
+    # (whose zero weights `ancilla_kraus` drops) and a thermal partial swap,
+    # each followed by a system unitary
+    letters = [{"dim": 3, "state": "pure", "exchange": False},
+               {"dim": 2, "state": "thermal", "exchange": True}]
+    draw = {"dim_system": 2, "letters": letters, "system_unitaries": True, "seed": 3}
+    assert_run_is_stroke_by_stroke(*build(draw), 200)
+
+
+def test_one_letter_chain_reaches_the_limit_cycle():
+    letters = [{"dim": 2, "state": "mixed", "exchange": False}]
+    spec, rho0 = build({"dim_system": 2, "letters": letters, "system_unitaries": True,
+                        "seed": 3})
+    states, _ = cm.run(spec, rho0, 200)
+    assert np.abs(states[-1].matrix - cm.limit_cycle(spec).matrix).max() <= 1e-10
 
 
 weights = st.lists(st.integers(0, 4), min_size=1, max_size=5)
@@ -263,3 +283,5 @@ def test_pure_environment_bath_reset_keeps_infinite_sigma(draw):
     assert dist.mean() == math.inf
     assert dist.probabilities[dist.values == math.inf].sum() == pytest.approx(
         ens.p_forward[ens.sigma == math.inf].sum(), abs=1e-15)
+    with pytest.raises(tj.TrajectoryError, match="value inf carries probability"):
+        dist.cumulants()

@@ -541,6 +541,12 @@ def test_weight_convolve_rejects_bad_delta():
             tj.weight_convolve(tj.ScalarDistribution.delta(0.0), delta)
 
 
+def test_weight_convolve_rejects_infinite_support():
+    ideal = tj.ScalarDistribution.from_samples([0.0, 1.0, math.inf], [0.3, 0.3, 0.4])
+    with pytest.raises(tj.TrajectoryError, match="value inf carries probability 0.4"):
+        tj.weight_convolve(ideal, 0.2)
+
+
 def test_ensemble_integral_ft_all_choices_property():
     rng = np.random.default_rng(555)
     for _ in range(8):
@@ -580,3 +586,13 @@ def test_scalar_distribution_keeps_infinite_values():
                                               [0.25, 0.25, 0.25, 0.25])
     assert dist.values.tolist() == [-math.inf, 2.0, math.inf]
     assert dist.probabilities.tolist() == [0.25, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_central_moments_of_infinite_support_raise(value):
+    # the mean is +-inf; a central moment would be inf - inf
+    dist = tj.ScalarDistribution.from_samples([0.0, 1.0, value], [0.3, 0.3, 0.4])
+    assert dist.mean() == value
+    for central in (dist.variance, dist.cumulants, lambda: dist.moment(3, central=True)):
+        with pytest.raises(tj.TrajectoryError, match=f"value {value} carries probability 0.4"):
+            central()
