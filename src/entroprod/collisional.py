@@ -46,6 +46,7 @@ from .core import (
     HermitianOperator,
     UnitaryOperator,
     _density_spectra,
+    _density_stack,
     _gibbs,
     _mat,
     _petz_renyi,
@@ -175,7 +176,8 @@ def _stroke_channels(spec: CollisionSpec) -> list:
 
 def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
     """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n),
-    validated as one stack (`from_stack`)."""
+    validated as one stack (`_density_stack`): the states, and their
+    (matrices, weights, eigenvectors) as three stacks."""
     ds = spec.dim_system
     if rho0.dim != ds:
         raise CollisionalError(f"initial state dim {rho0.dim} != system dim {ds}")
@@ -188,7 +190,10 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
     # the trace only to round-off, which the chain would sum stroke by stroke.
     nexts = vecs[1:].reshape(n_strokes, ds, ds).transpose(0, 2, 1)
     nexts = nexts / np.trace(nexts, axis1=1, axis2=2)[:, None, None]
-    return (rho0,) + DensityOperator.from_stack(nexts, rho0.dims)
+    stack = _density_stack(nexts)
+    states = (rho0,) + DensityOperator._rows(stack, rho0.dims)
+    return states, tuple(np.concatenate([x[None], xs]) for x, xs in
+                         zip((rho0.matrix,) + rho0.eig(), stack))
 
 
 def _joints(spec: CollisionSpec, before: np.ndarray):
@@ -205,11 +210,6 @@ def _joints(spec: CollisionSpec, before: np.ndarray):
     return joints, ancillas, mids
 
 
-def _stacks(states):
-    """(matrices, weights, eigenvectors) of states, as three stacks."""
-    return tuple(np.array(x) for x in zip(*((s.matrix,) + s.eig() for s in states)))
-
-
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         conserving_tol: float = 1e-9):
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
@@ -224,8 +224,7 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
     """
     if n_strokes < 1:
         raise CollisionalError("n_strokes must be >= 1")
-    states = _chain(spec, rho0, n_strokes)
-    m_all, p_all, v_all = _stacks(states)
+    states, (m_all, p_all, v_all) = _chain(spec, rho0, n_strokes)
     joints, ancillas, m_mid = _joints(spec, m_all[:-1])
     p_mid, v_mid = _density_spectra(m_mid)
     letters = len(spec.alphabet)
@@ -236,8 +235,8 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         before = m_all[:-1][rows], p_all[:-1][rows], v_all[:-1][rows]
         mid = m_mid[rows], p_mid[rows], v_mid[rows]
         sigma, _, ds_s, _, _, q_a, w_onoff = balance_rows(
-            h_now.matrix, stroke.hamiltonian.matrix, stroke.rho, before, mid,
-            (ancillas[k],) + _density_spectra(ancillas[k]),
+            h_now.matrix, stroke.hamiltonian.matrix, (stroke.rho.matrix,) + stroke.rho.eig(),
+            before, mid, (ancillas[k],) + _density_spectra(ancillas[k]),
             _density_spectra(joints[k])[0])
         e_now = _trace_rows(h_now.matrix, before[0])
         e_mid = _trace_rows(h_now.matrix, mid[0])
@@ -415,9 +414,8 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         chan = _stroke_channel(stroke.unitary, stroke.rho, basis.conj().T, basis)
         pop = slice(None, None, len(e_sys) + 1)
         chains.append((chan[pop, pop].real, unvec(chan.diagonal()), _gibbs(e_sys, stroke.beta)[0]))
-    states = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)
-    pops = np.real(np.diagonal(basis.conj().T @ np.array([s.matrix for s in states]) @ basis,
-                               axis1=1, axis2=2))
+    states, (matrices, _, _) = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)
+    pops = np.real(np.diagonal(basis.conj().T @ matrices @ basis, axis1=1, axis2=2))
     pops.setflags(write=False)      # rows shared by consecutive records
     records = []
     for n in range(n_strokes):

@@ -138,6 +138,15 @@ def _density_spectra(m):
     return evals, evecs
 
 
+def _density_stack(matrices):
+    """(matrices, weights, eigenvectors) of an (n, d, d) stack of states,
+    all read-only, validated by `_density_spectra` (one stacked `eigh`)."""
+    ms = _frozen_stack(matrices)
+    if ms.ndim != 3:
+        raise CoreError(f"expected an (n, d, d) stack, got shape {ms.shape}")
+    return (ms,) + _density_spectra(ms)
+
+
 def _fail_first(bad, values, message):
     """CoreError for the first matrix flagged in `bad`, its value
     formatted into `message`; in a stack it is named by its index."""
@@ -179,10 +188,16 @@ class HermitianOperator(_Operator):
         m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
-        herm_err = np.abs(m - m.conj().T).max()
-        scale = max(1.0, np.abs(m).max())
-        if herm_err > HERMITICITY_TOL * scale:
-            raise CoreError(f"matrix is not Hermitian (residual {herm_err:.3e})")
+        _check_hermitian(m)
+
+
+def _check_hermitian(m):
+    """The `HermitianOperator` check of one matrix or of a stack (..., d, d):
+    residual within HERMITICITY_TOL * max(1, max |m_ij|)."""
+    herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    _fail_first(herm_err > HERMITICITY_TOL * scale, herm_err,
+                "matrix is not Hermitian (residual {:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,20 +224,24 @@ class DensityOperator(_Operator):
     @classmethod
     def from_stack(cls, matrices, dims=None) -> tuple:
         """Validated states of an (n, d, d) stack, all with factor dims
-        `dims`, from one stacked `eigh`; each state's `eig()` is its slice
-        of that decomposition, the same bits as validating it alone."""
-        ms = _frozen_stack(matrices)
-        if ms.ndim != 3:
-            raise CoreError(f"expected an (n, d, d) stack, got shape {ms.shape}")
-        d = _as_dims(dims, ms.shape[-1])
-        evals, evecs = _density_spectra(ms)
-        states = []
-        for m, w, v in zip(ms, evals, evecs):
-            rho = object.__new__(cls)
-            for name, value in (("matrix", m), ("dims", d), ("_eig", (w, v))):
-                object.__setattr__(rho, name, value)
-            states.append(rho)
-        return tuple(states)
+        `dims`, from one stacked `eigh` (`_density_stack`); each state's
+        `eig()` is its slice of that decomposition, the same bits as
+        validating it alone."""
+        stack = _density_stack(matrices)
+        return cls._rows(stack, _as_dims(dims, stack[0].shape[-1]))
+
+    @classmethod
+    def _rows(cls, stack, dims) -> tuple:
+        """The states of a validated (matrices, weights, eigenvectors) stack."""
+        return tuple(cls._validated(m, dims, (w, v)) for m, w, v in zip(*stack))
+
+    @classmethod
+    def _validated(cls, matrix, dims, eig):
+        """A state from a read-only matrix validated elsewhere, keeping `eig`."""
+        rho = object.__new__(cls)
+        for name, value in (("matrix", matrix), ("dims", dims), ("_eig", eig)):
+            object.__setattr__(rho, name, value)
+        return rho
 
     @classmethod
     def pure(cls, vector, dims=None):
@@ -254,9 +273,14 @@ class UnitaryOperator(_Operator):
         m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
-        err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-        if err > UNITARITY_TOL:
-            raise CoreError(f"matrix is not unitary (residual {err:.3e})")
+        _check_unitary(m)
+
+
+def _check_unitary(m):
+    """The `UnitaryOperator` check of one matrix or of a stack (..., d, d):
+    max |U^dag U - 1| within UNITARITY_TOL."""
+    err = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    _fail_first(err > UNITARITY_TOL, err, "matrix is not unitary (residual {:.3e})")
 
 
 # Frequently used single-qubit operators.  Basis ordering (|g>, |e>) with
@@ -670,9 +694,21 @@ def mutual_information(rho: DensityOperator, part_a) -> float:
 
 
 def _gibbs(energies, beta):
-    """Thermal weights of the levels and ln Z, shifted by the lowest level."""
-    x = np.exp(-beta * (energies - energies.min()))
-    return x / x.sum(), float(-beta * energies.min() + np.log(x.sum()))
+    """Thermal weights of the levels and ln Z, shifted by the lowest level;
+    over the rows of a stack of level sets, with one beta per row."""
+    beta = np.asarray(beta)[..., None]
+    low = energies.min(-1, keepdims=True)
+    x = np.exp(-beta * (energies - low))
+    total = x.sum(-1, keepdims=True)
+    return x / total, (-beta * low + np.log(total))[..., 0]
+
+
+def _gibbs_states(h, beta):
+    """Gibbs matrices e^{-beta H}/Z of one Hamiltonian or of a stack (one
+    beta per row), from one (stacked) `eigh`, and the levels of H."""
+    vals, vecs = np.linalg.eigh(h)
+    weights = _gibbs(vals, beta)[0][..., None, :]
+    return (vecs * weights) @ vecs.conj().swapaxes(-1, -2), vals
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
@@ -680,9 +716,7 @@ def thermal_state(hamiltonian, beta: float) -> DensityOperator:
     if not np.isfinite(beta) or beta < 0:
         raise CoreError(f"inverse temperature must be finite and >= 0, got {beta}")
     h = _mat(hamiltonian)
-    vals, vecs = np.linalg.eigh(h)
-    m = (vecs * _gibbs(vals, beta)[0]) @ vecs.conj().T
-    return DensityOperator(m, _dims_of(hamiltonian, h.shape[0]))
+    return DensityOperator(_gibbs_states(h, beta)[0], _dims_of(hamiltonian, h.shape[0]))
 
 
 def trace_distance(rho1, rho2) -> float:
@@ -691,8 +725,13 @@ def trace_distance(rho1, rho2) -> float:
     b = _mat(rho2)
     if a.shape != b.shape:
         raise CoreError(f"dimension mismatch {a.shape} vs {b.shape}")
-    diff = (a - b + (a - b).conj().T) / 2.0
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    return float(_trace_distance_rows(a, b))
+
+
+def _trace_distance_rows(a, b):
+    """`trace_distance` of matrices or stacks, over their leading axes."""
+    diff = (a - b + (a - b).conj().swapaxes(-1, -2)) / 2.0
+    return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +788,10 @@ def relative_entropy_of_coherence(rho, hamiltonian, degeneracy_tol=1e-9) -> floa
 # ---------------------------------------------------------------------------
 
 def hermitian_function(matrix, fn):
-    """Apply a scalar function to a Hermitian matrix via eigendecomposition."""
-    m = _mat(matrix)
-    vals, vecs = np.linalg.eigh(m)
-    return (vecs * fn(vals)) @ vecs.conj().T
+    """Apply a scalar function to a Hermitian matrix (or a stack of them)
+    via eigendecomposition."""
+    vals, vecs = np.linalg.eigh(_mat(matrix))
+    return (vecs * fn(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 class ChargeSectors:
@@ -817,9 +856,13 @@ class ChargeSectors:
 
 def logm_psd(matrix):
     """Matrix logarithm of a PSD matrix on its support (pseudo-log)."""
-    vals, vecs = _spectrum(matrix)
+    return _log_of(*_spectrum(matrix))
+
+
+def _log_of(vals, vecs):
+    """ln on the support from weights and eigenvectors, over leading axes."""
     logs = np.log(np.where(vals > 0.0, vals, 1.0))          # 0 off the support
-    return (vecs * logs) @ vecs.conj().T
+    return (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ for maps with a global fixed point.  The module also hosts the erasure
 bounds, measured-environment (conditional) balances, correlated heat flow,
 mean-force strong coupling and the non-Markovianity witnesses.
 
+N episodes of one shape form an `EpisodeStack`, and the balances and
+bounds have row forms over a stack (`balance_rows`, `*_rows`); each
+one-episode function is row 0 of its row form on the episode's own
+one-row stack.
+
 Sign conventions: Q_E > 0 means energy entered the environment, W > 0
 means work entered the system.
 """
@@ -21,7 +26,7 @@ means work entered the system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -31,10 +36,20 @@ from .core import (
     HermitianOperator,
     HilbertDims,
     UnitaryOperator,
+    _as_dims,
+    _check_hermitian,
+    _check_unitary,
+    _density_stack,
     _entropy_rows,
+    _frozen_stack,
+    _gibbs,
+    _gibbs_states,
+    _log_of,
     _mat,
     _petz_renyi,
     _ptrace_matrix,
+    _spectrum,
+    _trace_distance_rows,
     hermitian_function,
     logm_psd,
     mutual_information,
@@ -57,14 +72,22 @@ class EpisodeError(ValueError):
 # Episode and its derived states
 # ---------------------------------------------------------------------------
 
+def _check_dims(ds, de, dh_system, dh_env, du):
+    if dh_system != ds or dh_env != de:
+        raise EpisodeError("Hamiltonian dims do not match the states")
+    if du != ds * de:
+        raise EpisodeError(f"unitary dim {du} != dim(S)*dim(E) = {ds * de}")
+
+
 @dataclass(frozen=True)
 class Episode:
     """One system+environment unitary interaction record.
 
-    Its evolution (`evolve`) and the distance of rho_E from the Gibbs
-    state of H_E at each beta a thermal balance asks for are computed on
-    first use and kept on the instance, not compared and not in the repr;
-    a `dataclasses.replace` copy computes them afresh.
+    Every balance of an episode is row 0 of its row form on the episode's
+    one-row `EpisodeStack` (`_row`), which shares the validated arrays.
+    That stack, with the evolution (`evolve`) and the Gibbs distances it
+    keeps, is made on first use and kept on the instance, not compared and
+    not in the repr; a `dataclasses.replace` copy makes it afresh.
     """
 
     h_system: HermitianOperator
@@ -74,12 +97,8 @@ class Episode:
     rho_env: DensityOperator
 
     def __post_init__(self):
-        ds, de = self.rho_system.dim, self.rho_env.dim
-        if self.h_system.dim != ds or self.h_env.dim != de:
-            raise EpisodeError("Hamiltonian dims do not match the states")
-        if self.unitary.dim != ds * de:
-            raise EpisodeError(
-                f"unitary dim {self.unitary.dim} != dim(S)*dim(E) = {ds * de}")
+        _check_dims(self.rho_system.dim, self.rho_env.dim, self.h_system.dim,
+                    self.h_env.dim, self.unitary.dim)
 
     @property
     def dims(self) -> HilbertDims:
@@ -114,19 +133,89 @@ class Episode:
         )
 
     @cached_property
+    def _row(self) -> EpisodeStack:
+        rows = [(rho.matrix[None],) + tuple(x[None] for x in rho.eig())
+                for rho in (self.rho_system, self.rho_env)]
+        return EpisodeStack(self.h_system.matrix[None], self.h_env.matrix[None],
+                            self.unitary.matrix[None], *rows,
+                            self.rho_system.dims, self.rho_env.dims)
+
+    @cached_property
     def _evolved(self) -> EvolvedStates:
-        u = self.unitary.matrix
-        joint = u @ tensor([self.rho_system, self.rho_env]) @ u.conj().T
-        rho_se = DensityOperator(joint, self.dims)
-        return EvolvedStates(
-            rho_joint=rho_se,
-            rho_system=partial_trace(rho_se, self.system_factors),
-            rho_env=partial_trace(rho_se, self.env_factors),
-        )
+        dims = (self.dims, self.rho_system.dims, self.rho_env.dims)
+        return EvolvedStates(*(DensityOperator._validated(m[0], d, (w[0], v[0]))
+                               for (m, w, v), d in zip(self._row.evolved, dims)))
+
+
+@dataclass(frozen=True, eq=False)
+class EpisodeStack:
+    """N episodes of one shape: H_S, H_E and U as (N, d, d) stacks, rho_S
+    and rho_E as the (matrices, weights, eigenvectors) stacks of
+    `core._density_stack`.
+
+    `of` validates each operator kind once for the whole stack; an
+    episode's own one-row stack (`Episode._row`) reuses its validation.
+    The evolution (`evolved`), the information balance (`balance`) and the
+    distances of rho_E from the Gibbs states of H_E are made on first use
+    and kept.  The row forms `thermal_balance_rows`, `multibath_balance_rows`,
+    `landauer_rows` and `trajectories.backward_ensemble_rows` take a stack.
+    """
+
+    h_system: np.ndarray
+    h_env: np.ndarray
+    unitary: np.ndarray
+    rho_system: tuple
+    rho_env: tuple
+    system_dims: HilbertDims
+    env_dims: HilbertDims
+
+    @classmethod
+    def of(cls, h_system, h_env, unitary, rho_system, rho_env,
+           system_dims=None, env_dims=None) -> "EpisodeStack":
+        """A validated stack from (N, d, d) arrays: the Hamiltonians and the
+        unitaries by the stacked checks of `HermitianOperator` and
+        `UnitaryOperator`, the states by `_density_stack`."""
+        hs, he, u = (_frozen_stack(m) for m in (h_system, h_env, unitary))
+        _check_hermitian(hs)
+        _check_hermitian(he)
+        _check_unitary(u)
+        rs, re = _density_stack(rho_system), _density_stack(rho_env)
+        ds, de = rs[0].shape[-1], re[0].shape[-1]
+        _check_dims(ds, de, hs.shape[-1], he.shape[-1], u.shape[-1])
+        if len({m.shape[:-2] for m in (hs, he, u, rs[0], re[0])}) != 1:
+            raise EpisodeError("every operator kind needs one (N, d, d) stack of equal N")
+        return cls(hs, he, u, rs, re, _as_dims(system_dims, ds), _as_dims(env_dims, de))
+
+    def __len__(self):
+        return len(self.unitary)
+
+    @property
+    def dims(self) -> HilbertDims:
+        return self.system_dims.concat(self.env_dims)
+
+    @cached_property
+    def evolved(self) -> tuple:
+        """rho_SE' = U (rho_S x rho_E) U^dag of every row and its marginals
+        rho_S' and rho_E', each as (matrices, weights, eigenvectors): one
+        stacked conjugation and partial trace, and one stacked `eigh` per
+        state kind."""
+        u, ns, factors = self.unitary, len(self.system_dims), self.dims.factors
+        joint = u @ tensor([self.rho_system[0], self.rho_env[0]]) @ u.conj().swapaxes(-1, -2)
+        parts = (_ptrace_matrix(joint, factors, keep)
+                 for keep in (range(ns), range(ns, len(factors))))
+        return tuple(map(_density_stack, (joint, *parts)))
+
+    @cached_property
+    def balance(self) -> EntropyBalance:
+        """The information balance of every row (`balance_rows`), one
+        array per field."""
+        (_, joint_vals, _), after, env_after = self.evolved
+        return EntropyBalance(*balance_rows(self.h_system, self.h_env, self.rho_env,
+                                            self.rho_system, after, env_after, joint_vals))
 
     @cached_property
     def _gibbs_distance(self) -> dict:
-        """Trace distance of rho_E from the Gibbs state of H_E, per beta."""
+        """Trace distances of rho_E from the Gibbs states of H_E, per beta row."""
         return {}
 
 
@@ -152,13 +241,30 @@ def _own_evolution(ep: Episode, evolved: EvolvedStates | None) -> EvolvedStates:
     return ev
 
 
+def _require_rows(bad, message):
+    """EpisodeError `message(k)` for the first row k flagged in `bad`,
+    named by its index in a stack of more than one."""
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise EpisodeError((f"episode {k} of the stack: " if bad.size > 1 else "") + message(k))
+
+
+def _betas(stack: EpisodeStack, beta):
+    """beta (a scalar or one per row) as one float per row of the stack."""
+    b = np.broadcast_to(np.asarray(beta, dtype=float), (len(stack),))
+    if not (np.isfinite(b) & (b >= 0)).all():
+        raise EpisodeError(f"inverse temperature must be finite and >= 0, got {beta}")
+    return b
+
+
 # ---------------------------------------------------------------------------
 # Entropy balances
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EntropyBalance:
-    """All entropic/energetic bookkeeping of one episode.
+    """All entropic/energetic bookkeeping of one episode (of a stack, as
+    row forms return it: one array per field, per-bath heats (N, parts)).
 
     sigma                entropy production (non-negative; +inf for pure envs)
     flux                 entropy flux to the environment
@@ -202,8 +308,10 @@ class EntropyBalance:
         return out
 
 
-def _energy(h, rho) -> float:
-    return float(_trace_rows(_mat(h), _mat(rho)))
+def _first_row(rows: EntropyBalance) -> EntropyBalance:
+    """Row 0 of a row form's balance, as floats and a per-bath tuple."""
+    return EntropyBalance(**{k: v if v is None else tuple(v[0].tolist()) if v.ndim == 2
+                             else float(v[0]) for k, v in vars(rows).items()})
 
 
 def _trace_rows(a, b):
@@ -217,35 +325,26 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     A pure (or rank-deficient) initial environment pushes rho_E' out of the
     support of rho_E; the displacement term and sigma are then +inf while
     the mutual information, flux trace formula and heats stay finite.
-    This is the one-row case of `balance_rows`.
+    This is row 0 of the episode's one-row stack (`EpisodeStack.balance`).
     """
-    ev = _own_evolution(ep, evolved)
-    rows = balance_rows(ep.h_system.matrix, ep.h_env.matrix, ep.rho_env,
-                        _with_spectrum(ep.rho_system), _with_spectrum(ev.rho_system),
-                        _with_spectrum(ev.rho_env), ev.rho_joint.eig()[0])
-    return EntropyBalance(*(float(x) for x in rows))
+    _own_evolution(ep, evolved)
+    return _first_row(ep._row.balance)
 
 
-def _with_spectrum(rho: DensityOperator):
-    return (rho.matrix,) + rho.eig()
-
-
-def balance_rows(h_system, h_env, rho_env: DensityOperator, before, after,
-                 env_after, joint_vals):
-    """The formulas of `balance` over leading axes, for episodes that share
-    H_S, H_E and rho_E: `before`, `after` and `env_after` are (matrices,
-    weights, eigenvectors) of rho_S, rho_S' and rho_E', `joint_vals` the
-    weights of rho_SE' (stacks, or one state without the leading axis).
-    Returns the arrays sigma, flux, dS_S, I(S:E), S(rho_E' || rho_E), Q_E
-    and W, in `EntropyBalance` order; raises when any row's joint entropy
-    is not conserved (1e-8).
+def balance_rows(h_system, h_env, env_before, before, after, env_after, joint_vals):
+    """The formulas of `balance` over leading axes: `env_before`, `before`,
+    `after` and `env_after` are (matrices, weights, eigenvectors) of rho_E,
+    rho_S, rho_S' and rho_E', `joint_vals` the weights of rho_SE' (stacks,
+    or one state without the leading axis, which broadcasts as a shared
+    row).  Returns the arrays sigma, flux, dS_S, I(S:E), S(rho_E' || rho_E),
+    Q_E and W, in `EntropyBalance` order; raises when any row's joint
+    entropy is not conserved (1e-8).
     """
-    (m_before, p_before, _), (m_after, p_after, _), (m_env, p_env, v_env) = \
-        before, after, env_after
-    q, qv = rho_env.eig()
+    (m_env0, q, qv), (m_before, p_before, _), (m_after, p_after, _), (m_env, p_env, v_env) = \
+        env_before, before, after, env_after
     s_sys, s_env = _entropy_rows(p_after), _entropy_rows(p_env)
     mi = s_sys + s_env - _entropy_rows(joint_vals)
-    d_env = _petz_renyi(1.0, p_env, q, qv.conj().T @ v_env)
+    d_env = _petz_renyi(1.0, p_env, q, qv.conj().swapaxes(-1, -2) @ v_env)
     ds_s = s_sys - _entropy_rows(p_before)
     ds_e = s_env - _entropy_rows(q)
     # unitarity: the mutual information must equal dS_S + dS_E
@@ -253,28 +352,24 @@ def balance_rows(h_system, h_env, rho_env: DensityOperator, before, after,
         raise EpisodeError("joint entropy not conserved; unitary is inconsistent")
     # rho_E' escaped the support of rho_E (pure environment): the flux
     # diverges together with sigma; reported, not fatal.
-    flux = np.where(np.isinf(d_env), np.inf,
-                    _trace_rows(rho_env.matrix - m_env, logm_psd(rho_env)))
-    q_env = _trace_rows(h_env, m_env) - _trace_rows(h_env, rho_env.matrix)
+    flux = np.where(np.isinf(d_env), np.inf, _trace_rows(m_env0 - m_env, _log_of(q, qv)))
+    q_env = _trace_rows(h_env, m_env) - _trace_rows(h_env, m_env0)
     work = _trace_rows(h_system, m_after) - _trace_rows(h_system, m_before) + q_env
     return mi + d_env, flux, ds_s, mi, d_env, q_env, work
 
 
-def _require_thermal_env(ep: Episode, beta: float, tol: float):
-    known = ep._gibbs_distance
-    if beta not in known:
-        known[beta] = trace_distance(ep.rho_env, thermal_state(ep.h_env, beta))
-    dist = known[beta]
-    if dist > tol:
-        raise EpisodeError(
-            f"environment is not thermal at beta={beta} (trace distance {dist:.3e})")
-
-
-def free_energy(rho, hamiltonian, beta: float) -> float:
-    """Non-equilibrium free energy F(rho) = Tr(H rho) - S(rho)/beta."""
-    if beta <= 0:
-        raise EpisodeError("free energy needs beta > 0")
-    return _energy(hamiltonian, rho) - von_neumann_entropy(rho) / beta
+def _require_thermal_rows(stack: EpisodeStack, beta, tol: float):
+    """beta per row, once every rho_E is within tol (trace distance) of the
+    Gibbs state of its H_E; the distances are kept on the stack per beta."""
+    beta = _betas(stack, beta)
+    known = stack._gibbs_distance
+    key = beta.tobytes()
+    if key not in known:
+        known[key] = _trace_distance_rows(stack.rho_env[0], _gibbs_states(stack.h_env, beta)[0])
+    dist = known[key]
+    _require_rows(dist > tol, lambda k: f"environment is not thermal at beta={beta[k]} "
+                                        f"(trace distance {dist[k]:.3e})")
+    return beta
 
 
 def thermal_balance(ep: Episode, beta: float, tol: float = THERMALITY_TOL,
@@ -284,25 +379,25 @@ def thermal_balance(ep: Episode, beta: float, tol: float = THERMALITY_TOL,
     Sigma = dS_S + beta*Q_E = beta*(W - dF), with W := dH_S + Q_E and dF the
     change in the non-equilibrium free energy of the system at the bath
     temperature.  Agrees with the information-theoretic balance exactly.
+    Row 0 of `thermal_balance_rows`.
     """
-    _require_thermal_env(ep, beta, tol)
-    ev = _own_evolution(ep, evolved)
-    base = balance(ep, ev)
-    sigma = base.d_entropy_system + beta * base.heat_env
+    rows = thermal_balance_rows(ep._row, beta, tol)
+    _own_evolution(ep, evolved)
+    return _first_row(rows)
+
+
+def thermal_balance_rows(stack: EpisodeStack, beta, tol: float = THERMALITY_TOL):
+    """`thermal_balance` of every row of a stack, beta a scalar or one per
+    row; d_free_energy is None unless every beta > 0."""
+    beta = _require_thermal_rows(stack, beta, tol)
+    base = stack.balance
     d_free = None
-    if beta > 0:
-        d_free = (free_energy(ev.rho_system, ep.h_system, beta)
-                  - free_energy(ep.rho_system, ep.h_system, beta))
-    return EntropyBalance(
-        sigma=sigma,
-        flux=beta * base.heat_env,
-        d_entropy_system=base.d_entropy_system,
-        mutual_info=base.mutual_info,
-        env_displacement=base.env_displacement,
-        heat_env=base.heat_env,
-        work=base.work,
-        d_free_energy=d_free,
-    )
+    if (beta > 0).all():
+        h, (m0, p0, _), (m1, p1, _) = stack.h_system, stack.rho_system, stack.evolved[1]
+        d_free = ((_trace_rows(h, m1) - _entropy_rows(p1) / beta)
+                  - (_trace_rows(h, m0) - _entropy_rows(p0) / beta))
+    return replace(base, sigma=base.d_entropy_system + beta * base.heat_env,
+                   flux=beta * base.heat_env, d_free_energy=d_free)
 
 
 @dataclass(frozen=True)
@@ -320,53 +415,50 @@ def multibath_balance(ep: Episode, parts, tol: float = THERMALITY_TOL,
 
     Also reports the total correlations T = S(rho_S') + sum_i S(rho_Ei')
     - S(rho_SE'), which satisfy Sigma = T + sum_i S(rho_Ei' || rho_Ei).
+    Row 0 of `multibath_balance_rows`.
     """
+    rows = multibath_balance_rows(ep._row, parts, tol)
+    _own_evolution(ep, evolved)
+    return _first_row(rows)
+
+
+def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_TOL):
+    """`multibath_balance` of every row of a stack; a part's Hamiltonian
+    and beta are shared by the rows, or given per row as (N, d, d) and (N,)."""
     parts = list(parts)
-    ns = len(ep.rho_system.dims)
-    ne = len(ep.rho_env.dims)
+    ns, ne = len(stack.system_dims), len(stack.env_dims)
     covered = sorted(i for p in parts for i in p.env_factors)
     if covered != list(range(ne)):
         raise EpisodeError(f"bath partition {covered} must cover all {ne} E factors")
     # validate the product-of-thermals structure
     marginals = []
     for p in parts:
-        marg = partial_trace(ep.rho_env, p.env_factors)
-        target = thermal_state(p.hamiltonian, p.beta)
-        if trace_distance(marg, target) > tol:
-            raise EpisodeError(
-                f"bath part {p.env_factors} is not thermal at beta={p.beta}")
+        marg = _density_stack(_ptrace_matrix(stack.rho_env[0], stack.env_dims.factors,
+                                             p.env_factors))
+        gibbs = _gibbs_states(_mat(p.hamiltonian), _betas(stack, p.beta))[0]
+        _require_rows(_trace_distance_rows(marg[0], gibbs) > tol, lambda k:
+                      f"bath part {p.env_factors} is not thermal at beta={p.beta}")
         marginals.append(marg)
     order = np.argsort([p.env_factors[0] for p in parts])
-    product = tensor([marginals[i] for i in order])
-    if trace_distance(product, ep.rho_env) > max(tol, 1e-8):
-        raise EpisodeError("environment state is not a product over the bath parts")
+    product = tensor([marginals[i][0] for i in order])
+    _require_rows(_trace_distance_rows(product, stack.rho_env[0]) > max(tol, 1e-8),
+                  lambda k: "environment state is not a product over the bath parts")
 
-    ev = _own_evolution(ep, evolved)
-    base = balance(ep, ev)
-    heats = []
-    displacement_sum = 0.0
-    marg_entropy_sum = 0.0
-    for p, marg in zip(parts, marginals):
-        joint_factors = [ns + i for i in p.env_factors]
-        marg_after = partial_trace(ev.rho_joint, joint_factors)
-        heats.append(_energy(p.hamiltonian, marg_after) - _energy(p.hamiltonian, marg))
-        displacement_sum += relative_entropy(marg_after, marg)
-        marg_entropy_sum += von_neumann_entropy(marg_after)
-    sigma = base.d_entropy_system + float(
-        np.sum([p.beta * q for p, q in zip(parts, heats)]))
-    total_corr = (von_neumann_entropy(ev.rho_system) + marg_entropy_sum
-                  - von_neumann_entropy(ev.rho_joint))
-    return EntropyBalance(
-        sigma=sigma,
-        flux=sigma - base.d_entropy_system,
-        d_entropy_system=base.d_entropy_system,
-        mutual_info=base.mutual_info,
-        env_displacement=displacement_sum,
-        heat_env=float(np.sum(heats)),
-        work=base.work,
-        total_correlations=total_corr,
-        heat_per_bath=tuple(heats),
-    )
+    base, joint = stack.balance, stack.evolved[0][0]
+    heats, displacement_sum, marg_entropy_sum = [], 0.0, 0.0
+    for p, (m, q, qv) in zip(parts, marginals):
+        m_after, p_after, v_after = _density_stack(_ptrace_matrix(
+            joint, stack.dims.factors, [ns + i for i in p.env_factors]))
+        h = _mat(p.hamiltonian)
+        heats.append(_trace_rows(h, m_after) - _trace_rows(h, m))
+        displacement_sum += _petz_renyi(1.0, p_after, q, qv.conj().swapaxes(-1, -2) @ v_after)
+        marg_entropy_sum += _entropy_rows(p_after)
+    sigma = base.d_entropy_system + sum(np.asarray(p.beta) * q for p, q in zip(parts, heats))
+    s_sys, s_joint = (_entropy_rows(stack.evolved[k][1]) for k in (1, 0))
+    return replace(base, sigma=sigma, flux=sigma - base.d_entropy_system,
+                   env_displacement=displacement_sum, heat_env=sum(heats),
+                   total_correlations=s_sys + marg_entropy_sum - s_joint,
+                   heat_per_bath=np.stack(heats, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +483,18 @@ def is_strict_energy_conserving(unitary, h_system, h_env, tol: float = 1e-9):
 
 def fixed_point_sigma(rho_before, rho_after, fixed_point) -> float:
     """S(rho || rho*) - S(rho' || rho*): entropy production for maps whose
-    global fixed point is rho*; a pure contraction of distinguishability."""
-    a = relative_entropy(rho_before, fixed_point)
-    b = relative_entropy(rho_after, fixed_point)
-    if math.isinf(a):
-        return math.inf
-    return a - b
+    global fixed point is rho*; a pure contraction of distinguishability.
+    The one-row case of `fixed_point_sigma_rows`."""
+    return float(fixed_point_sigma_rows(*map(_spectrum, (rho_before, rho_after, fixed_point))))
+
+
+def fixed_point_sigma_rows(before, after, fixed_point):
+    """`fixed_point_sigma` over leading axes, each argument the (weights,
+    eigenvectors) of its states; +inf where rho leaves rho*'s support."""
+    (p, pv), (r, rv), (q, qv) = before, after, fixed_point
+    a = _petz_renyi(1.0, p, q, qv.conj().swapaxes(-1, -2) @ pv)
+    b = _petz_renyi(1.0, r, q, qv.conj().swapaxes(-1, -2) @ rv)
+    return np.where(np.isinf(a), math.inf, a - np.where(np.isinf(a), 0.0, b))
 
 
 def has_global_fixed_point(ep: Episode, candidate, tol: float = 1e-9) -> bool:
@@ -483,11 +581,11 @@ def conditional_balance(ep: Episode, kraus_env, tol: float = 1e-8,
 # Erasure (Landauer) bounds
 # ---------------------------------------------------------------------------
 
-def finite_dimension_bound(d_entropy_system: float, temperature: float,
-                           dim_env: int) -> float:
+def finite_dimension_bound(d_entropy_system, temperature, dim_env: int):
     """Finite-environment tightening of the erasure bound, valid for
-    dS_S < 0:  Q_E >= -T dS + 2 T dS^2 / (4 + ln^2(d_E - 1))."""
-    if d_entropy_system >= 0:
+    dS_S < 0:  Q_E >= -T dS + 2 T dS^2 / (4 + ln^2(d_E - 1)); over arrays
+    of dS_S and T as well."""
+    if np.any(np.asarray(d_entropy_system) >= 0):
         raise EpisodeError("finite-dimension correction applies only to dS_S < 0")
     if dim_env < 2:
         raise EpisodeError("environment dimension must be at least 2")
@@ -526,39 +624,75 @@ def heat_capacity_bound(d_entropy_system: float, temperature: float,
     """Erasure bound from the environment heat capacity.
 
     With Q(T') = int_T^T' C_E and S(T') = int_T^T' C_E/tau, the bound is
-    Q_E >= Q(S^{-1}(-dS_S)).  S is inverted by bisection to 1e-10.
+    Q_E >= Q(S^{-1}(-dS_S)).  S is inverted by bisection to 1e-10
+    (`_invert_entropy`), each step a quadrature of C_E/tau.
     Requires dS_S < 0 (erasure) so the target temperature lies above T.
     """
     if d_entropy_system >= 0:
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
-    target = -d_entropy_system
+    t_prime = _invert_entropy(lambda tp: _adaptive_simpson(
+        lambda x: heat_capacity(x) / x, temperature, float(tp)), -d_entropy_system,
+        temperature, t_max_factor)
+    return _adaptive_simpson(heat_capacity, temperature, float(t_prime))
 
-    def entropy_integral(tp):
-        return _adaptive_simpson(lambda x: heat_capacity(x) / x, temperature, tp)
 
-    hi = temperature * 2.0
-    while entropy_integral(hi) < target:
-        hi *= 2.0
-        if hi > temperature * t_max_factor:
+def gibbs_erasure_bound(d_entropy_system, temperature, energies,
+                        t_max_factor: float = 1e6):
+    """`heat_capacity_bound` of a Gibbs environment with the levels
+    `energies`, where S(T') and Q(T') are closed forms: S = <E>/T' + ln Z
+    and Q(T') = <E>_T' - <E>_T (Timpanaro, Santos & Landi, PRL 124, 240601
+    (2020)).  Over rows: dS_S, T and one level set per row."""
+    ds, temp = np.broadcast_arrays(np.asarray(d_entropy_system, float),
+                                   np.asarray(temperature, float))
+    if np.any(ds >= 0):
+        raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
+    levels = np.asarray(energies, dtype=float)
+    levels = levels - levels.min(-1, keepdims=True)
+
+    def entropy_and_energy(tp):
+        weights, log_z = _gibbs(levels, 1.0 / tp)
+        mean = (weights * levels).sum(-1)
+        return mean / tp + log_z, mean
+
+    s0, e0 = entropy_and_energy(temp)
+    t_prime = _invert_entropy(lambda tp: entropy_and_energy(tp)[0] - s0, -ds, temp,
+                              t_max_factor)
+    return entropy_and_energy(t_prime)[1] - e0
+
+
+def _invert_entropy(entropy, target, temperature, t_max_factor):
+    """T' > T with entropy(T') = target, entropy increasing from 0 at T: the
+    upper end doubled from 2T, then bisection to 1e-10 * max(1, T).  Over
+    rows of arrays as well, each row stepped as if alone."""
+    hi = 2.0 * temperature
+    low = entropy(hi) < target
+    while np.any(low):
+        hi = np.where(low, 2.0 * hi, hi)
+        if np.any(hi > temperature * t_max_factor):
             raise EpisodeError("heat capacity too small to reach the requested entropy")
-    lo = temperature
+        low = entropy(hi) < target
+    lo, live = temperature, np.ones(np.shape(temperature), dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if entropy_integral(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-10 * max(1.0, temperature):
+        below = entropy(mid) < target
+        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
+        live &= ~(hi - lo < 1e-10 * np.maximum(1.0, temperature))
+        if not live.any():
             break
-    t_prime = 0.5 * (lo + hi)
-    return _adaptive_simpson(heat_capacity, temperature, t_prime)
+    return 0.5 * (lo + hi)
 
 
 def environment_response_operator(ep: Episode) -> np.ndarray:
     """M = Tr_E[U^dag (1 x rho_E) U]; Tr[M rho_S] = <e^{-beta Q}> exactly."""
-    u = ep.unitary.matrix
-    big = u.conj().T @ tensor([np.eye(ep.rho_system.dim), ep.rho_env]) @ u
-    return _ptrace_matrix(big, ep.dims.factors, ep.system_factors)
+    return _response_rows(ep._row)[0]
+
+
+def _response_rows(stack: EpisodeStack) -> np.ndarray:
+    """`environment_response_operator` of every row of a stack."""
+    u, ns = stack.unitary, len(stack.system_dims)
+    big = u.conj().swapaxes(-1, -2) @ tensor([np.eye(stack.system_dims.total),
+                                              stack.rho_env[0]]) @ u
+    return _ptrace_matrix(big, stack.dims.factors, range(ns))
 
 
 @dataclass(frozen=True)
@@ -574,41 +708,48 @@ class LandauerReport:
 
 def landauer_report(ep: Episode, beta: float, heat_capacity=None,
                     tol: float = THERMALITY_TOL) -> LandauerReport:
-    """All erasure bounds that apply to one thermal-environment episode."""
-    _require_thermal_env(ep, beta, tol)
-    if beta <= 0:
+    """All erasure bounds that apply to one thermal-environment episode:
+    row 0 of `landauer_rows`, with None for a bound that does not apply."""
+    rows = landauer_rows(ep._row, beta, heat_capacity, tol)
+    bounds = {k: None if v is None or np.isnan(v[0]) else float(v[0])
+              for k, v in vars(rows).items() if k != "satisfied"}
+    return LandauerReport(**bounds, satisfied={k: bool(v[0]) for k, v in rows.satisfied.items()
+                                               if bounds["bound_" + k] is not None})
+
+
+def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None,
+                  tol: float = THERMALITY_TOL) -> LandauerReport:
+    """The erasure bounds of every row of a thermal-environment stack, beta a
+    scalar or one per row.  The finite-dimension and heat-capacity bounds
+    apply where dS_S < 0 and are NaN elsewhere; a check is True where its
+    bound does not apply.  heat_capacity is None, a callable C_E(T)
+    (`heat_capacity_bound`, row by row), or "gibbs": the closed form of the
+    Gibbs environment (`gibbs_erasure_bound` on the levels of every H_E, one
+    stacked `eigvalsh`)."""
+    beta = _require_thermal_rows(stack, beta, tol)
+    if not (beta > 0).all():
         raise EpisodeError("landauer_report needs beta > 0")
     temperature = 1.0 / beta
-    b = balance(ep)
-    ds = b.d_entropy_system
-    q = b.heat_env
-    basic = -temperature * ds
-    finite = None
+    base = stack.balance
+    ds, q = base.d_entropy_system, base.heat_env
+    erasure = ds < 0
+    finite = np.full(len(stack), np.nan)
+    finite[erasure] = finite_dimension_bound(ds[erasure], temperature[erasure],
+                                             stack.env_dims.total)
     capacity = None
-    if ds < 0:
-        finite = finite_dimension_bound(ds, temperature, ep.rho_env.dim)
-        if heat_capacity is not None:
-            capacity = heat_capacity_bound(ds, temperature, heat_capacity)
-    m_op = environment_response_operator(ep)
-    expo = float(np.real(np.trace(m_op @ ep.rho_system.matrix)))
-    bound_exp = -temperature * math.log(expo)
-    satisfied = {
-        "basic": q >= basic - 1e-10,
-        "exponential": q >= bound_exp - 1e-10,
-    }
-    if finite is not None:
-        satisfied["finite_dim"] = q >= finite - 1e-10
-    if capacity is not None:
-        satisfied["heat_capacity"] = q >= capacity - 1e-10
-    return LandauerReport(
-        heat_env=q,
-        d_entropy_system=ds,
-        bound_basic=basic,
-        bound_finite_dim=finite,
-        bound_heat_capacity=capacity,
-        bound_exponential=bound_exp,
-        satisfied=satisfied,
-    )
+    if heat_capacity is not None:
+        capacity = np.full(len(stack), np.nan)
+        if heat_capacity == "gibbs":
+            capacity[erasure] = gibbs_erasure_bound(
+                ds[erasure], temperature[erasure], np.linalg.eigvalsh(stack.h_env[erasure]))
+        else:
+            capacity[erasure] = [heat_capacity_bound(d, t, heat_capacity)
+                                 for d, t in zip(ds[erasure], temperature[erasure])]
+    expo = _trace_rows(_response_rows(stack), stack.rho_system[0])
+    bounds = {"basic": -temperature * ds, "finite_dim": finite,
+              "heat_capacity": capacity, "exponential": -temperature * np.log(expo)}
+    return LandauerReport(q, ds, bounds["basic"], finite, capacity, bounds["exponential"],
+                          {k: ~(q < b - 1e-10) for k, b in bounds.items() if b is not None})
 
 
 def heat_distribution(ep: Episode, beta: float | None = None, tol: float = 1e-10):

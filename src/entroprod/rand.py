@@ -13,30 +13,39 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def ginibre(rng, rows: int, cols: int) -> np.ndarray:
+    """A complex Ginibre matrix: the real parts drawn first, then the imaginary."""
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def haar_unitaries(z) -> np.ndarray:
+    """Haar-random unitaries from the QR decompositions of Ginibre matrices
+    (one or a stack), phases fixed by diag(R) so a draw is deterministic."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def density_matrices(g) -> np.ndarray:
+    """States g g^dag / Tr(g g^dag) of Ginibre factors (one or a stack)."""
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+
+
 def random_unitary(dim: int, rng, dims=None) -> UnitaryOperator:
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    rng = rng_from(rng)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    # fix the phase ambiguity so the draw is deterministic given the seed
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return UnitaryOperator.from_matrix(q, dims)
+    return UnitaryOperator.from_matrix(haar_unitaries(ginibre(rng_from(rng), dim, dim)), dims)
 
 
 def random_hermitian(dim: int, rng, scale=1.0, dims=None) -> HermitianOperator:
-    rng = rng_from(rng)
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z = ginibre(rng_from(rng), dim, dim)
     return HermitianOperator.from_matrix(scale * (z + z.conj().T) / 2.0, dims)
 
 
 def random_density(dim: int, rng, rank=None, dims=None) -> DensityOperator:
     """Random full-rank (or rank-limited) state from a Ginibre factor."""
-    rng = rng_from(rng)
     rank = dim if rank is None else int(rank)
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    m = g @ g.conj().T
-    m = m / np.trace(m)
-    return DensityOperator.from_matrix(m, dims)
+    return DensityOperator.from_matrix(density_matrices(ginibre(rng_from(rng), dim, rank)), dims)
 
 
 def random_probability(dim: int, rng) -> np.ndarray:

@@ -52,7 +52,7 @@ from .core import (
     thermal_state,
     trace_distance,
 )
-from .episodes import Episode, evolve, is_strict_energy_conserving
+from .episodes import Episode, EpisodeStack, is_strict_energy_conserving
 
 ENSEMBLE_DIM_CAP = 64
 # Sorted samples within MERGE_TOL * max(1, |v|) of their neighbour are one value.
@@ -78,13 +78,17 @@ class PathEnsemble:
     and E first, initial outcomes (n, nu) last, so `.ravel()` lists the
     paths in that order.  sigma is 0 where p_forward vanishes and +inf
     where only p_backward does.  An ensemble without a backward process
-    leaves p_backward and sigma as None.
+    leaves p_backward and sigma as None.  The ensembles of an episode
+    stack (`backward_ensemble_rows`) are one PathEnsemble with the row
+    axis first (rows = 1): its averages are arrays, and `row(k)` is the
+    ensemble of one row.
     """
 
     p_forward: np.ndarray
     p_backward: np.ndarray | None = None
     sigma: np.ndarray | None = None
     choice: BackwardChoice | None = None
+    rows: int = 0
 
     def forward_probabilities(self):
         return self.p_forward.ravel()
@@ -92,18 +96,30 @@ class PathEnsemble:
     def sigmas(self):
         return self.sigma.ravel()
 
-    def average_sigma(self) -> float:
-        """<sigma>; +inf if any populated path has an infinite sigma."""
-        live = self.p_forward > 0.0
-        sig = self.sigma[live]
-        if not np.isfinite(sig).all():
-            return math.inf
-        return float(np.dot(self.p_forward[live], sig))
+    def row(self, k) -> "PathEnsemble":
+        """The ensemble of row k of a stack's ensembles."""
+        return PathEnsemble(*(None if x is None else x[k] for x in
+                              (self.p_forward, self.p_backward, self.sigma)), self.choice)
 
-    def integral_ft(self) -> float:
+    def _paths(self):
+        """p_forward and sigma, 0 where p_forward vanishes, one row of paths
+        per ensemble."""
+        p = self.p_forward.reshape(self.p_forward.shape[:self.rows] + (-1,))
+        return p, np.where(p > 0.0, self.sigma.reshape(p.shape), 0.0)
+
+    def average_sigma(self):
+        """<sigma>; +inf if any populated path has an infinite sigma."""
+        p, sig = self._paths()
+        finite = np.isfinite(sig)
+        out = np.where(finite.all(-1), (p * np.where(finite, sig, 0.0)).sum(-1), math.inf)
+        return out if self.rows else float(out)
+
+    def integral_ft(self):
         """<e^{-sigma}> over the forward ensemble (1 when supports match)."""
-        live = (self.p_forward > 0.0) & np.isfinite(self.sigma)
-        return float(np.dot(self.p_forward[live], np.exp(-self.sigma[live])))
+        p, sig = self._paths()
+        finite = np.isfinite(sig)
+        out = (p * np.where(finite, np.exp(-np.where(finite, sig, 0.0)), 0.0)).sum(-1)
+        return out if self.rows else float(out)
 
     def sigma_distribution(self) -> "ScalarDistribution":
         live = self.p_forward > 0.0
@@ -157,7 +173,11 @@ class ScalarDistribution:
         return cls(np.array([float(value)]), np.array([1.0]))
 
     def mean(self) -> float:
-        return float(np.sum(self.values * self.probabilities))
+        """<x>: +-inf when mass sits at one infinity, undefined at both."""
+        live = self.probabilities > 0.0
+        if np.isposinf(self.values[live]).any() and np.isneginf(self.values[live]).any():
+            raise TrajectoryError("mean is undefined: mass sits at both +inf and -inf")
+        return float(np.sum(self.values[live] * self.probabilities[live]))
 
     def moment(self, n, central=False) -> float:
         if central:
@@ -243,37 +263,50 @@ def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
     p_forward = w p_n q_nu and p_backward = w rho_tilde_{m mu}.  The
     per-trajectory sigma = ln p_n q_nu / rho_tilde_{m mu}; a vanishing
     reference weight on a populated forward trajectory yields +inf.
+    Row 0 of `backward_ensemble_rows`.
     """
-    if ep.unitary.dim > ENSEMBLE_DIM_CAP:
-        raise TrajectoryError(f"joint dimension {ep.unitary.dim} exceeds the "
+    return backward_ensemble_rows(ep._row, choice).row(0)
+
+
+def backward_ensemble_rows(stack: EpisodeStack, choice: BackwardChoice) -> PathEnsemble:
+    """`backward_ensemble` of every row of an episode stack, as one
+    PathEnsemble on the grid [row, m, mu, n, nu]."""
+    ds, de = stack.system_dims.total, stack.env_dims.total
+    if ds * de > ENSEMBLE_DIM_CAP:
+        raise TrajectoryError(f"joint dimension {ds * de} exceeds the "
                               f"exhaustive cap {ENSEMBLE_DIM_CAP}")
-    ev = evolve(ep)
-    ds, de = ep.rho_system.dim, ep.rho_env.dim
-    p_init, vs_init = _spectrum(ep.rho_system)
-    q_init, ve_init = _spectrum(ep.rho_env)
-    ps_fin, vs_fin = _spectrum(ev.rho_system)
-    qe_fin, ve_fin = _spectrum(ev.rho_env)
+    (joint, _, _), (_, ps_fin, vs_fin), (_, qe_fin, ve_fin) = stack.evolved
+    (_, p_init, vs_init), (_, q_init, ve_init) = stack.rho_system, stack.rho_env
 
     if choice is BackwardChoice.BATH_RESET:
-        basis_s, basis_e, ref = vs_fin, ve_init, np.outer(ps_fin, q_init)
+        basis_s, basis_e, ref = vs_fin, ve_init, _outer(ps_fin, q_init)
     elif choice is BackwardChoice.CORRELATIONS_DESTROYED:
-        basis_s, basis_e, ref = vs_fin, ve_fin, np.outer(ps_fin, qe_fin)
+        basis_s, basis_e, ref = vs_fin, ve_fin, _outer(ps_fin, qe_fin)
     elif choice is BackwardChoice.POST_MEASUREMENT_STATE:
         basis_s, basis_e = vs_fin, ve_fin
-        final = tensor([basis_s, basis_e])
-        diag = np.real(np.einsum("im,ij,jm->m", final.conj(),
-                                 ev.rho_joint.matrix, final))
-        ref = _clamp_probs(diag).reshape(ds, de)
+        ref = _clamp_probs(populations(joint, tensor([basis_s, basis_e]))).reshape(-1, ds, de)
     elif choice is BackwardChoice.BOTH_RESET:
-        basis_s, basis_e, ref = vs_init, ve_init, np.outer(p_init, q_init)
+        basis_s, basis_e, ref = vs_init, ve_init, _outer(p_init, q_init)
     else:
         raise TrajectoryError(f"unknown backward choice {choice}")
 
-    amp = tensor([basis_s, basis_e]).conj().T @ ep.unitary.matrix @ tensor([vs_init, ve_init])
-    w = (np.abs(amp) ** 2).reshape(ds, de, ds, de)
-    ref = ref[:, :, None, None]
-    pf, pb = w * p_init[:, None] * q_init, w * ref
-    return PathEnsemble(pf, pb, _log_ratio(np.outer(p_init, q_init), ref, pf, pb), choice)
+    final = tensor([basis_s, basis_e]).conj().swapaxes(-1, -2)
+    w = (np.abs(final @ stack.unitary @ tensor([vs_init, ve_init])) ** 2).reshape(-1, ds, de, ds, de)
+    ref = ref[..., None, None]
+    pf, pb = w * p_init[:, None, None, :, None] * q_init[:, None, None, None, :], w * ref
+    return PathEnsemble(pf, pb, _log_ratio(_outer(p_init, q_init)[:, None, None], ref, pf, pb),
+                        choice, rows=1)
+
+
+def _outer(a, b):
+    """np.outer of the last axes, over the leading ones."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def populations(rho, basis):
+    """Re <b_m|rho|b_m> for every column b_m of `basis`, over leading axes:
+    the weights of rho dephased in that basis."""
+    return np.real(np.einsum("...im,...ij,...jm->...m", basis.conj(), _mat(rho), basis))
 
 
 def stochastic_sigma(forward: PathEnsemble, backward: PathEnsemble | None = None):
@@ -319,7 +352,7 @@ def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> Work
     trans = np.abs(vf.conj().T @ v @ vi) ** 2          # [m, n], backward [n, m] = trans.T
     fwd = ScalarDistribution.from_samples((ef[:, None] - ei).ravel(), (trans * pi).ravel())
     bwd = ScalarDistribution.from_samples((ei[:, None] - ef).ravel(), (trans.T * pf_th).ravel())
-    delta_f = (log_zi - log_zf) / beta
+    delta_f = float(log_zi - log_zf) / beta
     mean_w = fwd.mean()
     jarz = fwd.exp_average(-beta) * math.exp(beta * delta_f)
     rho_prime = v @ ((vi * pi) @ vi.conj().T) @ v.conj().T

@@ -23,55 +23,84 @@ from .core import (
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    UnitaryOperator,
+    _clamp_probs,
+    _entropy_rows,
+    _gibbs_states,
+    _petz_renyi,
     hermitian_function,
-    relative_entropy,
-    shannon_entropy,
     tensor,
     thermal_state,
-    von_neumann_entropy,
 )
-from .rand import random_density, random_probability, random_unitary
+from .rand import density_matrices, ginibre, haar_unitaries, random_density, random_probability
 
 
 def _record(name, passed, detail=""):
     return (name, bool(passed), detail)
 
 
-def _random_qubit_episode(rng, thermal_env=True, beta=None):
-    beta = beta if beta is not None else 0.5 + 1.5 * rng.random()
-    hs = HermitianOperator.from_matrix(
-        rng.normal() * PAULI_Z + rng.normal() * PAULI_X)
-    he = HermitianOperator.from_matrix((0.5 + rng.random()) * PAULI_Z)
-    rho_e = thermal_state(he, beta) if thermal_env else random_density(2, rng)
-    return eps.Episode(hs, he, random_unitary(4, rng, dims=(2, 2)),
-                       random_density(2, rng), rho_e), beta
+def _draw_qubit_episode(rng, thermal_env):
+    """The raw draws of one random qubit-qubit episode, in the order its
+    operators are made from them: beta, the H_S and H_E coefficients, the
+    Ginibre factor of a non-thermal rho_E, then those of U and rho_S."""
+    beta, hs, he = 0.5 + 1.5 * rng.random(), (rng.normal(), rng.normal()), 0.5 + rng.random()
+    env = None if thermal_env else ginibre(rng, 2, 2)
+    return beta, hs, he, env, ginibre(rng, 4, 4), ginibre(rng, 2, 2)
+
+
+def _qubit_stack(draws, thermal_env):
+    """One validated stack of the drawn episodes, H_S = a Z + b X and
+    H_E = c Z, and the betas; a thermal rho_E is Gibbs at its beta."""
+    beta, hs, he, env, z, g = zip(*draws)
+    beta, hs = np.array(beta), np.array(hs)[:, :, None, None]
+    h_env = np.array(he)[:, None, None] * PAULI_Z
+    rho_env = _gibbs_states(h_env, beta)[0] if thermal_env else density_matrices(np.array(env))
+    return eps.EpisodeStack.of(hs[:, 0] * PAULI_Z + hs[:, 1] * PAULI_X, h_env,
+                               haar_unitaries(np.array(z)), density_matrices(np.array(g)),
+                               rho_env), beta
+
+
+_EXCHANGE = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
+
+
+def _qubit_levels(omega):
+    """omega |e><e| per entry of omega, complex as a `HermitianOperator` holds it."""
+    return omega[:, None, None] * np.diag([0.0, 1.0]).astype(complex)
+
+
+def _exchange_stack(omega, g, rho_system, beta_env):
+    """Resonant exchanges exp(-i g (s+ s- + s- s+)) of two qubits with
+    H_S = H_E = omega |e><e|, E Gibbs at beta_env: one stack, a row per
+    entry of omega, g, rho_system and beta_env."""
+    h = _qubit_levels(omega)
+    u = hermitian_function(g[:, None, None] * _EXCHANGE, lambda x: np.exp(-1j * x))
+    return eps.EpisodeStack.of(h, h, u, rho_system, _gibbs_states(h, beta_env)[0])
+
+
+def _worst(deltas):
+    return np.max(np.abs(deltas), initial=0.0)
 
 
 def ft_table_suite(n_episodes=25, seed=101, tol=1e-10):
     """Exhaustive trajectory averages against the four backward choices."""
     rng = np.random.default_rng(seed)
-    worst = {c: 0.0 for c in tj.BackwardChoice}
-    worst_ft = 0.0
-    for _ in range(n_episodes):
-        ep, _ = _random_qubit_episode(rng, thermal_env=False)
-        ev = eps.evolve(ep)
-        bal = eps.balance(ep, ev)
-        targets = {}
-        targets[tj.BackwardChoice.BATH_RESET] = bal.sigma
-        targets[tj.BackwardChoice.CORRELATIONS_DESTROYED] = bal.mutual_info
-        basis = tensor([ev.rho_system.eig()[1], ev.rho_env.eig()[1]])
-        diag = np.real(np.einsum("im,ij,jm->m", basis.conj(),
-                                 ev.rho_joint.matrix, basis))
-        targets[tj.BackwardChoice.POST_MEASUREMENT_STATE] = (
-            shannon_entropy(diag) - von_neumann_entropy(ev.rho_joint))
-        targets[tj.BackwardChoice.BOTH_RESET] = (
-            bal.mutual_info + relative_entropy(ev.rho_system, ep.rho_system)
-            + bal.env_displacement)
-        for choice, target in targets.items():
-            ens = tj.backward_ensemble(ep, choice)
-            worst[choice] = max(worst[choice], abs(ens.average_sigma() - target))
-            worst_ft = max(worst_ft, abs(ens.integral_ft() - 1.0))
+    stack, _ = _qubit_stack([_draw_qubit_episode(rng, False) for _ in range(n_episodes)], False)
+    bal, ((joint, p_joint, _), (_, p_after, v_after), (_, _, v_env)) = stack.balance, stack.evolved
+    _, p_before, v_before = stack.rho_system
+    dephased = tj.populations(joint, tensor([v_after, v_env]))
+    targets = {
+        tj.BackwardChoice.BATH_RESET: bal.sigma,
+        tj.BackwardChoice.CORRELATIONS_DESTROYED: bal.mutual_info,
+        tj.BackwardChoice.POST_MEASUREMENT_STATE:
+            _entropy_rows(_clamp_probs(dephased)) - _entropy_rows(p_joint),
+        tj.BackwardChoice.BOTH_RESET: bal.mutual_info + _petz_renyi(
+            1.0, p_after, p_before, v_before.conj().swapaxes(-1, -2) @ v_after)
+            + bal.env_displacement,
+    }
+    worst, ft = {}, []
+    for choice, target in targets.items():
+        ens = tj.backward_ensemble_rows(stack, choice)
+        worst[choice] = _worst(ens.average_sigma() - target)
+        ft.append(_worst(ens.integral_ft() - 1.0))
     records = [
         _record(f"ft-table {c.value} average", worst[c] < tol,
                 f"max |delta| = {worst[c]:.2e}")
@@ -79,22 +108,15 @@ def ft_table_suite(n_episodes=25, seed=101, tol=1e-10):
     ]
     # both-reset with thermal system and strict conservation
     rng2 = np.random.default_rng(seed + 1)
-    worst_jw = 0.0
-    for _ in range(5):
-        omega = 0.5 + rng2.random()
-        beta_s = 0.3 + rng2.random()
-        beta_e = 0.3 + rng2.random()
-        h = HermitianOperator.from_matrix(omega * np.diag([0.0, 1.0]))
-        g = 0.3 + rng2.random()
-        v = g * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-        u = UnitaryOperator.from_matrix(
-            hermitian_function(v, lambda x: np.exp(-1j * x)), (2, 2))
-        ep = eps.Episode(h, h, u, thermal_state(h, beta_s), thermal_state(h, beta_e))
-        ens = tj.backward_ensemble(ep, tj.BackwardChoice.BOTH_RESET)
-        q_env = eps.balance(ep).heat_env
-        worst_jw = max(worst_jw, abs(ens.average_sigma() - (beta_e - beta_s) * q_env))
+    omega, beta_s, beta_e, g = np.array([[0.5 + rng2.random(), 0.3 + rng2.random(),
+                                          0.3 + rng2.random(), 0.3 + rng2.random()]
+                                         for _ in range(5)]).T
+    pairs = _exchange_stack(omega, g, _gibbs_states(_qubit_levels(omega), beta_s)[0], beta_e)
+    ens = tj.backward_ensemble_rows(pairs, tj.BackwardChoice.BOTH_RESET)
+    worst_jw = _worst(ens.average_sigma() - (beta_e - beta_s) * pairs.balance.heat_env)
     records.append(_record("ft-table exchange form (both reset, conserving)",
                            worst_jw < tol, f"max |delta| = {worst_jw:.2e}"))
+    worst_ft = max(ft)
     records.append(_record("ft-table integral FT <e^-sigma> = 1",
                            worst_ft < tol, f"max |delta| = {worst_ft:.2e}"))
     return records
@@ -103,28 +125,19 @@ def ft_table_suite(n_episodes=25, seed=101, tol=1e-10):
 def route_equality_suite(n_episodes=25, seed=202, tol=1e-10):
     """Information, Clausius, free-energy and fixed-point routes agree."""
     rng = np.random.default_rng(seed)
-    worst_clausius = worst_free = worst_fixed = 0.0
-    for k in range(n_episodes):
-        ep, beta = _random_qubit_episode(rng, thermal_env=True)
-        ev = eps.evolve(ep)
-        bal = eps.balance(ep, ev)
-        tb = eps.thermal_balance(ep, beta, evolved=ev)
-        worst_clausius = max(worst_clausius, abs(tb.sigma - bal.sigma))
-        worst_free = max(worst_free, abs(
-            beta * (tb.work - tb.d_free_energy) - bal.sigma))
+    draws, exchanges = [], []
+    for _ in range(n_episodes):
+        draws.append(_draw_qubit_episode(rng, thermal_env=True))
         # thermal operation: resonant exchange
-        omega = 0.5 + rng.random()
-        h = HermitianOperator.from_matrix(omega * np.diag([0.0, 1.0]))
-        g = 0.2 + rng.random()
-        v = g * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
-        u = UnitaryOperator.from_matrix(
-            hermitian_function(v, lambda x: np.exp(-1j * x)), (2, 2))
-        ep2 = eps.Episode(h, h, u, random_density(2, rng), thermal_state(h, beta))
-        ev2 = eps.evolve(ep2)
-        bal2 = eps.balance(ep2, ev2)
-        fp = eps.fixed_point_sigma(ep2.rho_system, ev2.rho_system,
-                                   thermal_state(h, beta))
-        worst_fixed = max(worst_fixed, abs(bal2.sigma - fp))
+        exchanges.append((0.5 + rng.random(), 0.2 + rng.random(), ginibre(rng, 2, 2)))
+    stack, beta = _qubit_stack(draws, thermal_env=True)
+    bal, tb = stack.balance, eps.thermal_balance_rows(stack, beta)
+    omega, g, factors = (np.array(x) for x in zip(*exchanges))
+    ops = _exchange_stack(omega, g, density_matrices(factors), beta)
+    fp = eps.fixed_point_sigma_rows(ops.rho_system[1:], ops.evolved[1][1:], ops.rho_env[1:])
+    worst_clausius = _worst(tb.sigma - bal.sigma)
+    worst_free = _worst(beta * (tb.work - tb.d_free_energy) - bal.sigma)
+    worst_fixed = _worst(ops.balance.sigma - fp)
     return [
         _record("route dS + beta Q == I + D", worst_clausius < tol,
                 f"max |delta| = {worst_clausius:.2e}"),
@@ -161,30 +174,18 @@ def swap_engine_suite(n_points=50, tol=1e-12):
 
 
 def landauer_suite(n_episodes=100, seed=303, tol=1e-10):
-    """Erasure bounds on random qubit-bath episodes."""
+    """Erasure bounds on random qubit-bath episodes, the heat-capacity bound
+    in the closed form of the Gibbs bath (`eps.gibbs_erasure_bound`)."""
     rng = np.random.default_rng(seed)
-    basic_ok = finite_ok = expo_ok = chain_ok = True
-    erasures = 0
-    for _ in range(n_episodes):
-        ep, beta = _random_qubit_episode(rng, thermal_env=True)
-        rep = eps.landauer_report(ep, beta)
-        t_env = 1.0 / beta
-        basic_ok &= rep.heat_env >= rep.bound_basic - 1e-10
-        expo_ok &= rep.heat_env >= rep.bound_exponential - 1e-10
-        if rep.d_entropy_system < 0:
-            erasures += 1
-            finite_ok &= rep.bound_finite_dim >= rep.bound_basic - 1e-12
-            finite_ok &= rep.heat_env >= rep.bound_finite_dim - 1e-10
-            # qubit-bath heat capacity: exact two-level Schottky form
-            gap_e = float(np.ptp(np.linalg.eigvalsh(ep.h_env.matrix)))
-
-            def schottky(temp, gap=gap_e):
-                x = gap / temp
-                return x * x * math.exp(x) / (math.exp(x) + 1.0) ** 2
-
-            hc = eps.heat_capacity_bound(rep.d_entropy_system, t_env, schottky)
-            chain_ok &= rep.heat_env >= hc - 1e-8
-            chain_ok &= hc >= rep.bound_finite_dim - 1e-8
+    stack, beta = _qubit_stack([_draw_qubit_episode(rng, True) for _ in range(n_episodes)], True)
+    rep = eps.landauer_rows(stack, beta, heat_capacity="gibbs")
+    erasure = rep.d_entropy_system < 0
+    q, basic = rep.heat_env[erasure], rep.bound_basic[erasure]
+    finite, hc = rep.bound_finite_dim[erasure], rep.bound_heat_capacity[erasure]
+    basic_ok = np.all(rep.heat_env >= rep.bound_basic - 1e-10)
+    expo_ok = np.all(rep.heat_env >= rep.bound_exponential - 1e-10)
+    finite_ok = np.all((finite >= basic - 1e-12) & (q >= finite - 1e-10))
+    chain_ok = np.all((q >= hc - 1e-8) & (hc >= finite - 1e-8))
     # analytic linear-capacity case
     ds, temp, a_coef = -0.4, 0.8, 1.7
     hc_lin = eps.heat_capacity_bound(ds, temp, lambda t: a_coef * t)
@@ -192,7 +193,7 @@ def landauer_suite(n_episodes=100, seed=303, tol=1e-10):
     return [
         _record("landauer Q >= -T dS", basic_ok, f"{n_episodes} episodes"),
         _record("landauer finite-d bound tighter and satisfied", finite_ok,
-                f"{erasures} erasure episodes"),
+                f"{int(erasure.sum())} erasure episodes"),
         _record("landauer exponential bound B_Q <= Q", expo_ok, ""),
         _record("landauer heat-capacity bound dominates", chain_ok, ""),
         _record("landauer linear capacity closed form",

@@ -420,6 +420,60 @@ def test_landauer_linear_heat_capacity_closed_form():
     assert abs(bound - (-temp * ds + ds ** 2 / (2 * a))) < 1e-10
 
 
+def schottky(gap):
+    """Heat capacity of a two-level Gibbs state with this gap."""
+    def capacity(temp):
+        x = gap / temp
+        return x * x * math.exp(x) / (math.exp(x) + 1.0) ** 2
+    return capacity
+
+
+def gibbs_capacity(levels):
+    """Heat capacity Var(E) / T^2 of the Gibbs state of these levels."""
+    def capacity(temp):
+        w = np.exp(-(levels - levels.min()) / temp)
+        w = w / w.sum()
+        return float(w @ levels ** 2 - (w @ levels) ** 2) / temp ** 2
+    return capacity
+
+
+@pytest.mark.parametrize("levels, capacity", [
+    ([0.0, 1.3], schottky(1.3)),
+    ([0.0, 0.6, 1.7], gibbs_capacity(np.array([0.0, 0.6, 1.7]))),
+], ids=["qubit-schottky", "qutrit"])
+def test_gibbs_erasure_bound_is_the_capacity_quadrature(levels, capacity):
+    # the closed-form entropy and heat of the Gibbs bath against the nested
+    # quadrature of its heat capacity, one erasure at a time and as rows
+    cases = [(-0.05, 0.4), (-0.25, 0.7), (-0.4, 0.3), (-0.05, 1.5)]
+    rows = eps.gibbs_erasure_bound(*np.array(cases).T, np.tile(levels, (len(cases), 1)))
+    for (ds, temp), row in zip(cases, rows):
+        one = eps.gibbs_erasure_bound(ds, temp, levels)
+        assert abs(one - eps.heat_capacity_bound(ds, temp, capacity)) <= 1e-8
+        assert one == row
+        assert one >= -temp * ds
+    with pytest.raises(eps.EpisodeError, match="only to dS_S < 0"):
+        eps.gibbs_erasure_bound([-0.1, 0.1], 1.0, levels)
+    with pytest.raises(eps.EpisodeError, match="too small"):
+        eps.gibbs_erasure_bound(-math.log(len(levels)), 1.0, levels)
+
+
+def test_landauer_report_gibbs_route_is_the_schottky_route():
+    rng = np.random.default_rng(33)
+    erasures = 0
+    for _ in range(40):
+        beta = 0.5 + 1.5 * rng.random()
+        ep = random_episode(rng, beta=beta)
+        gap = float(np.ptp(np.linalg.eigvalsh(ep.h_env.matrix)))
+        rep = eps.landauer_report(ep, beta, heat_capacity="gibbs")
+        quad = eps.landauer_report(ep, beta, heat_capacity=schottky(gap))
+        assert (rep.bound_heat_capacity is None) == (rep.d_entropy_system >= 0)
+        if rep.bound_heat_capacity is not None:
+            erasures += 1
+            assert abs(rep.bound_heat_capacity - quad.bound_heat_capacity) <= 1e-8
+            assert rep.satisfied["heat_capacity"]
+    assert erasures > 0
+
+
 def test_heat_distribution_identity_and_swap_support():
     beta = 1.0
     h = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))

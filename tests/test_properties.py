@@ -285,3 +285,95 @@ def test_pure_environment_bath_reset_keeps_infinite_sigma(draw):
         ens.p_forward[ens.sigma == math.inf].sum(), abs=1e-15)
     with pytest.raises(tj.TrajectoryError, match="value inf carries probability"):
         dist.cumulants()
+
+
+stack_draw = st.fixed_dictionaries({
+    "env": st.sampled_from([(2,), (3,), (2, 2)]),
+    "thermal": st.booleans(),
+    "rows": st.integers(1, 4),
+    "deficient": st.integers(0, 3),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def build_stack(draw):
+    """Episodes of one shape, S a qubit and E of factor dims draw["env"], with
+    per-row Hamiltonians, betas and (for a thermal E) bath parts, one bath per
+    E factor; a non-thermal E has a pure row, row draw["deficient"] if any.
+    Returns the episodes, the same episodes as one validated stack, the betas
+    and the bath parts of each row."""
+    rng = np.random.default_rng(draw["seed"])
+    env = draw["env"]
+    de = math.prod(env)
+    episodes, betas, parts = [], [], []
+    for k in range(draw["rows"]):
+        beta = float(rng.uniform(0.3, 2.0))
+        h_parts = [np.diag(np.sort(rng.uniform(0.0, 2.0, d))) for d in env]
+        h_env = sum(np.kron(np.kron(np.eye(math.prod(env[:i])), h), np.eye(math.prod(env[i + 1:])))
+                    for i, h in enumerate(h_parts))
+        if draw["thermal"]:
+            rho_env = thermal_state(HermitianOperator.from_matrix(h_env, env), beta)
+        else:
+            rho_env = random_density(de, rng, rank=1 if k == draw["deficient"] else None, dims=env)
+        h_s = HermitianOperator.from_matrix(rng.normal() * np.diag([1.0, -1.0])
+                                            + rng.normal() * np.array([[0, 1], [1, 0]]))
+        episodes.append(eps.Episode(h_s, HermitianOperator.from_matrix(h_env, env),
+                                    random_unitary(2 * de, rng, dims=(2,) + env),
+                                    random_density(2, rng), rho_env))
+        betas.append(beta)
+        parts.append([eps.BathPart((i,), HermitianOperator.from_matrix(h), beta)
+                      for i, h in enumerate(h_parts)])
+    stack = eps.EpisodeStack.of(*(np.array([getattr(ep, name).matrix for ep in episodes])
+                                  for name in ("h_system", "h_env", "unitary", "rho_system",
+                                               "rho_env")), env_dims=env)
+    return episodes, stack, np.array(betas), parts
+
+
+def assert_rows(rows, ones):
+    """Row k of a row form's record is the one-episode record k, bit for bit."""
+    for k, one in enumerate(ones):
+        for name, value in vars(one).items():
+            row = getattr(rows, name)
+            if isinstance(value, dict):
+                assert value == {key: bool(v[k]) for key, v in row.items() if key in value}
+            elif value is None or (isinstance(row, np.ndarray) and np.isnan(row[k]).all()):
+                assert value is None and (row is None or np.isnan(row[k]).all()), name
+            else:
+                assert np.array_equal(row[k], value), (name, row[k], value)
+
+
+@PROPERTY
+@given(stack_draw)
+def test_row_forms_are_the_one_episode_calls(draw):
+    # every row form on a stack equals the one-episode call on each row:
+    # sigma, flux and heats, the Landauer bounds and each backward choice
+    episodes, stack, betas, parts = build_stack(draw)
+    assert_rows(stack.balance, [eps.balance(ep) for ep in episodes])
+    for choice in tj.BackwardChoice:
+        rows = tj.backward_ensemble_rows(stack, choice)
+        ones = [tj.backward_ensemble(ep, choice) for ep in episodes]
+        assert np.array_equal(rows.average_sigma(), [e.average_sigma() for e in ones])
+        assert np.array_equal(rows.integral_ft(), [e.integral_ft() for e in ones])
+    if not draw["thermal"]:
+        pure = [k for k, ep in enumerate(episodes) if ep.rho_env.eig()[0][-2] == 0.0]
+        assert pure == ([draw["deficient"]] if draw["deficient"] < draw["rows"] else [])
+        assert (stack.balance.sigma[pure] == math.inf).all()
+        with pytest.raises(eps.EpisodeError, match="not thermal"):
+            eps.thermal_balance_rows(stack, betas)
+        return
+    assert_rows(eps.thermal_balance_rows(stack, betas),
+                [eps.thermal_balance(ep, b) for ep, b in zip(episodes, betas)])
+    bath_rows = [eps.BathPart((i,), np.array([p[i].hamiltonian.matrix for p in parts]), betas)
+                 for i in range(len(draw["env"]))]
+    assert_rows(eps.multibath_balance_rows(stack, bath_rows),
+                [eps.multibath_balance(ep, p) for ep, p in zip(episodes, parts)])
+    for capacity in (None, "gibbs"):
+        assert_rows(eps.landauer_rows(stack, betas, capacity),
+                    [eps.landauer_report(ep, b, capacity) for ep, b in zip(episodes, betas)])
+    gibbs = DensityOperator.from_stack(
+        [thermal_state(ep.h_system, b).matrix for ep, b in zip(episodes, betas)])
+    fixed = eps.fixed_point_sigma_rows(stack.rho_system[1:], stack.evolved[1][1:],
+                                       (np.array([g.eig()[0] for g in gibbs]),
+                                        np.array([g.eig()[1] for g in gibbs])))
+    assert np.array_equal(fixed, [eps.fixed_point_sigma(ep.rho_system, eps.evolve(ep).rho_system, g)
+                                  for ep, g in zip(episodes, gibbs)])

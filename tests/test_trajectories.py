@@ -547,6 +547,16 @@ def test_weight_convolve_rejects_infinite_support():
         tj.weight_convolve(ideal, 0.2)
 
 
+def test_mean_undefined_with_mass_at_both_infinities():
+    dist = tj.ScalarDistribution([math.inf, -math.inf], [0.5, 0.5])
+    with pytest.raises(tj.TrajectoryError, match="both \\+inf and -inf"):
+        dist.mean()
+    # mass at one infinity: the mean is that infinity; an empty level is no mass
+    assert tj.ScalarDistribution([1.0, math.inf], [0.5, 0.5]).mean() == math.inf
+    assert tj.ScalarDistribution([-math.inf, 1.0], [0.5, 0.5]).mean() == -math.inf
+    assert tj.ScalarDistribution([-math.inf, 2.0, math.inf], [0.0, 0.5, 0.5]).mean() == math.inf
+
+
 def test_ensemble_integral_ft_all_choices_property():
     rng = np.random.default_rng(555)
     for _ in range(8):
