@@ -592,14 +592,18 @@ def _petz_renyi(alpha, p, q, amp=None):
     amp[..., j, i] = <sigma_j|rho_i> of their eigenvectors; amp None is the
     diagonal case, p and q weights on one basis (probability vectors).
 
-    Powers act on the supports, the weights > 0.  alpha = 1 is the relative
-    entropy Tr rho (ln rho - ln sigma), the one order taken over leading
-    axes; alpha = 0 is the support limit -ln Tr Pi_rho sigma and alpha = inf
-    the max-ratio limit ln max spec sigma^-1/2 rho sigma^-1/2.  Orders
-    alpha >= 1 are +inf when rho leaves sigma's support.
+    Every order is taken over leading axes: alpha, one order or an array of
+    them, broadcasts against the leading axes of p, q and amp, and each
+    entry takes the branch of its order, each branch evaluated once for the
+    whole stack.  Powers act on the supports, the weights > 0.  alpha = 1 is
+    the relative entropy Tr rho (ln rho - ln sigma); alpha = 0 is the support
+    limit -ln Tr Pi_rho sigma and alpha = inf the max-ratio limit
+    ln max spec sigma^-1/2 rho sigma^-1/2 (one stacked `eigvalsh` with
+    overlaps).  Orders alpha >= 1 are +inf when rho leaves sigma's support.
     """
-    if alpha < 0:
-        raise CoreError(f"negative Renyi order {alpha}")
+    alpha = np.asarray(alpha, dtype=float)
+    if not (alpha >= 0.0).all():
+        raise CoreError(f"Renyi order must be a number >= 0, got {alpha}")
     w = None if amp is None else np.abs(amp) ** 2
 
     def on_sigma(x):
@@ -608,27 +612,45 @@ def _petz_renyi(alpha, p, q, amp=None):
         return x if w is None else (w @ x[..., None])[..., 0]
 
     on = q > 0.0
-    if alpha >= 1.0:
-        r = on_sigma(p)                                 # <sigma_j|rho|sigma_j>
-        leaves = np.where(on, 0.0, r).sum(-1) > SUPPORT_OVERLAP_TOL
-        if alpha == 1.0:
-            cross = (r * np.log(np.where(on, q, 1.0))).sum(-1)
-            return np.where(leaves, np.inf, -_entropy_rows(p) - cross)
-        if leaves:
-            return math.inf
-    if alpha == math.inf:
+    one, top = alpha == 1.0, alpha == math.inf
+    finite = ~(one | top)
+    value = np.zeros(())
+    if finite.any():
+        a = np.where(finite, alpha, 0.0)[..., None]
+        tr = (_power(q, 1.0 - a) * on_sigma(_power(p, a))).sum(-1)
+        positive = tr > 0.0
+        value = np.where(positive, np.log(np.where(positive, tr, 1.0)) / (a[..., 0] - 1.0),
+                         math.inf)
+    if top.any():
+        # ln max spec sigma^-1/2 rho sigma^-1/2: the largest ratio p/q, or the
+        # top eigenvalue with sigma's zero levels as zero rows; a row wholly
+        # off sigma's support reads 0 here and +inf below
         if w is None:
-            return math.log(np.max(p[on] / q[on]))
-        half = amp[on] * np.sqrt(p) / np.sqrt(q[on])[:, None]    # sigma^-1/2 rho^1/2
-        return math.log(np.linalg.eigvalsh(half @ half.conj().T)[-1])
-    tr = _power(q, 1.0 - alpha) @ on_sigma(_power(p, alpha))
-    return math.inf if tr <= 0.0 else math.log(tr) / (alpha - 1.0)
+            top_value = (np.where(on, p, 0.0) / np.where(on, q, 1.0)).max(-1)
+        else:
+            half = amp * np.sqrt(p)[..., None, :] / np.sqrt(np.where(on, q, 1.0))[..., :, None]
+            half = np.where(on[..., :, None], half, 0.0)      # sigma^-1/2 rho^1/2
+            top_value = np.linalg.eigvalsh(half @ half.conj().swapaxes(-1, -2))[..., -1]
+        value = np.where(top, np.log(np.where(top_value > 0.0, top_value, 1.0)), value)
+    if (alpha >= 1.0).any():
+        r = on_sigma(p)                                 # <sigma_j|rho|sigma_j>
+        if one.any():
+            cross = (r * np.log(np.where(on, q, 1.0))).sum(-1)
+            value = np.where(one, -_entropy_rows(p) - cross, value)
+        leaves = np.where(on, 0.0, r).sum(-1) > SUPPORT_OVERLAP_TOL
+        value = np.where(leaves & (alpha >= 1.0), math.inf, value)
+    return value
 
 
 def _power(x, a):
-    """x^a on the support x > 0, and 0 off it (so x^0 is its indicator)."""
+    """x^a on the support x > 0, and 0 off it (so x^0 is its indicator).
+    The orders a are spread to the full shape first: numpy takes a shortcut
+    (sqrt, square, reciprocal) for a broadcast order of 0.5, 2 or -1, which
+    can differ in the last bit, so an entry would otherwise round one way in
+    a one-order call and another in an order grid."""
     on = x > 0.0
-    return np.where(on, x, 1.0) ** a * on
+    base = np.where(on, x, 1.0)
+    return base ** (a + np.zeros_like(base)) * on
 
 
 def _state_pair(rho, sigma):

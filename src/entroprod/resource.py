@@ -10,33 +10,46 @@ thermal state becomes uniform.  Catalytic operations refine the order to
 the full family of Renyi divergences, giving the second laws
 S_alpha(p || p_th) monotone for all alpha >= 0, with coherence adding its
 own independent family of constraints.
+
+The comparisons come in row forms: `thermo_majorizes_rows`,
+`gibbs_stochastic_feasible_2d_rows` and `classical_renyi_rows` take a stack
+of probability rows on one level set (and an order grid), `work_bounds_rows`
+a stack of quenches, each validated once per stack; every one-pair function
+is row 0 of its row form.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CoreError,
-    DensityOperator,
-    HermitianOperator,
+    _check_hermitian,
+    _density_spectra,
+    _frozen_stack,
     _gibbs,
+    _gibbs_states,
     _mat,
     _petz_renyi,
     _probability_pair,
+    _state_pair,
     dephase,
     relative_entropy,
-    renyi_divergence,
     thermal_state,
 )
 
 CURVE_TOL = 1e-12
 # S(rho || rho_th) at or below this is round-off: rho is the thermal state.
 THERMAL_TOL = 1e-12
+# Two level sets are one when their sorted energies agree within this,
+# relative to the largest |E|.
+LEVEL_TOL = 1e-9
+# The largest gamma-embedding: 10^7 float64 entries are 80 MB.
+MAX_DENOMINATOR = 10 ** 7
 
 
 class ResourceError(ValueError):
@@ -44,8 +57,56 @@ class ResourceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Populations and curves
+# Populations and curves; the row forms validate once per stack
 # ---------------------------------------------------------------------------
+
+def _beta(beta, positive=False):
+    """beta (one or an array of them) as floats, each finite and >= 0, or
+    > 0 where the result divides by it."""
+    b = np.asarray(beta, dtype=float)
+    if not (np.isfinite(b) & ((b > 0.0) if positive else (b >= 0.0))).all():
+        raise ResourceError(f"inverse temperature must be finite and "
+                            f"{'>' if positive else '>='} 0, got {beta}")
+    return b
+
+
+def _probabilities(p):
+    """Probability rows (the last axis of p), clipped at 0 after the checks:
+    finite, none below -1e-12, each row summing to 1 within 1e-9."""
+    p = np.asarray(p, dtype=float)
+    total = p.sum(-1)
+    worst = np.abs(total - 1.0)
+    if not (p.min() >= -1e-12 and worst.max() <= 1e-9):     # NaN fails too
+        if not np.isfinite(p).all():
+            raise ResourceError("probabilities must be finite")
+        if p.min() < -1e-12:
+            raise ResourceError(f"negative probability {p.min():.3e}")
+        raise ResourceError(f"probabilities sum to {total.flat[np.argmax(worst)]}")
+    return np.maximum(p, 0.0)
+
+
+def _energies(energies):
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1:
+        raise ResourceError("energies must be a 1-d array")
+    if not np.isfinite(e).all():
+        raise ResourceError("energies must be finite")
+    return e
+
+
+def _pair_rows(energies, p1, p2, beta):
+    """The validated inputs of a row form: one level set, two stacks of
+    probability rows on it of one shape and beta (one, or one per row)."""
+    e = _energies(energies)
+    p1, p2 = _probabilities(p1), _probabilities(p2)
+    if p1.shape != p2.shape or p1.shape[-1:] != e.shape:
+        raise ResourceError(f"population stacks of shapes {p1.shape} and {p2.shape} "
+                            f"on {len(e)} levels")
+    beta = _beta(beta)
+    if beta.ndim and beta.shape != p1.shape[:-1]:
+        raise ResourceError(f"{beta.shape} betas for population rows {p1.shape[:-1]}")
+    return e, p1, p2, beta
+
 
 @dataclass(frozen=True, eq=False)
 class EnergyPopulations:
@@ -59,23 +120,40 @@ class EnergyPopulations:
         p = np.asarray(self.probabilities, dtype=float)
         if e.shape != p.shape or e.ndim != 1:
             raise ResourceError("energies/probabilities must be matching 1-d arrays")
-        if not np.all(np.isfinite(p)):
-            raise ResourceError("probabilities must be finite")
-        if p.min() < -1e-12:
-            raise ResourceError(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ResourceError(f"probabilities sum to {p.sum()}")
-        if not np.all(np.isfinite(e)):
-            raise ResourceError("energies must be finite")
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "probabilities", np.clip(p, 0.0, None))
+        object.__setattr__(self, "probabilities", _probabilities(p))
+        object.__setattr__(self, "energies", _energies(e))
 
     @property
     def dim(self) -> int:
         return len(self.energies)
 
     def thermal_weights(self, beta: float) -> np.ndarray:
-        return _gibbs(self.energies, beta)[0]
+        return _gibbs(self.energies, _beta(beta))[0]
+
+
+def _shared_levels(pop1: EnergyPopulations, pop2: EnergyPopulations) -> np.ndarray:
+    """pop2's probabilities on pop1's levels.  The two must share the level
+    set: equal sorted energies within LEVEL_TOL."""
+    if pop2.energies is pop1.energies:
+        return pop2.probabilities
+    o1, o2 = np.argsort(pop1.energies, kind="stable"), np.argsort(pop2.energies, kind="stable")
+    e1, e2 = pop1.energies[o1], pop2.energies[o2]
+    if e1.shape != e2.shape or np.abs(e1 - e2).max() > LEVEL_TOL * max(1.0, np.abs(e1).max()):
+        raise ResourceError("states must share the energy-level set, got "
+                            f"{pop1.energies} and {pop2.energies}")
+    p2 = np.empty_like(pop2.probabilities)
+    p2[o1] = pop2.probabilities[o2]
+    return p2
+
+
+def _beta_order(energies, p, beta):
+    """Per row of p, the permutation sorting levels by p_i e^{beta E_i}
+    descending, ties by ascending energy, then by index: a stable sort of
+    the levels taken in energy order."""
+    by_energy = np.argsort(energies, kind="stable")
+    keys = p[..., by_energy] * np.exp(np.asarray(beta)[..., None]
+                                      * (energies[by_energy] - energies.max()))
+    return by_energy[np.argsort(-keys, axis=-1, kind="stable")]
 
 
 def beta_order(pop: EnergyPopulations, beta: float) -> np.ndarray:
@@ -84,8 +162,7 @@ def beta_order(pop: EnergyPopulations, beta: float) -> np.ndarray:
     Ties are broken by ascending energy, then by original index, so the
     ordering is deterministic; curves are invariant under the tie rule.
     """
-    keys = pop.probabilities * np.exp(beta * (pop.energies - pop.energies.max()))
-    return np.lexsort((np.arange(pop.dim), pop.energies, -keys))
+    return _beta_order(pop.energies, pop.probabilities, _beta(beta))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +176,6 @@ class ThermoMajCurve:
     def evaluate(self, points) -> np.ndarray:
         return np.interp(points, self.x, self.y)
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.x[-1])
-
     def to_csv(self, path):
         lines = ["x,y"] + [f"{format(x, '.17g')},{format(y, '.17g')}"
                            for x, y in zip(self.x, self.y)]
@@ -111,12 +184,34 @@ class ThermoMajCurve:
         return path
 
 
+def _curves(energies, p, beta):
+    """The curve of every row of p as one array (2, ..., d + 1): the
+    breakpoints x, then y."""
+    order = _beta_order(energies, p, beta)
+    d = order.shape[-1]
+    rows = np.arange(0, order.size, d).reshape(order.shape[:-1] + (1,))
+    xy = np.zeros((2,) + order.shape[:-1] + (d + 1,))
+    np.cumsum(np.exp(-np.asarray(beta)[..., None] * energies[order]), -1, out=xy[0, ..., 1:])
+    np.cumsum(p.reshape(-1)[order + rows], -1, out=xy[1, ..., 1:])
+    return xy
+
+
 def curve(pop: EnergyPopulations, beta: float) -> ThermoMajCurve:
-    order = beta_order(pop, beta)
-    gibbs = np.exp(-beta * pop.energies[order])
-    x = np.concatenate([[0.0], np.cumsum(gibbs)])
-    y = np.concatenate([[0.0], np.cumsum(pop.probabilities[order])])
-    return ThermoMajCurve(x, y)
+    return ThermoMajCurve(*_curves(pop.energies, pop.probabilities, _beta(beta)))
+
+
+def _interp_rows(points, xy):
+    """`np.interp(points, x, y)` of every row of the curves xy = (x, y), by
+    its formula: y_j at a breakpoint x_j or beyond the last, else the chord
+    from x_j to x_{j+1}, x_j the last breakpoint at or left of the point.
+    x and y do not decrease, so (x_j, y_j) is the largest pair at or left of
+    the point and (x_{j+1}, y_{j+1}) the smallest right of it."""
+    left = xy[0, ..., None, :] <= points[..., :, None]
+    xj, yj = np.where(left, xy[..., None, :], -np.inf).max(-1)
+    xk, yk = np.where(left, np.inf, xy[..., None, :]).min(-1)
+    exact = (xj == points) | (xk == np.inf)
+    slope = np.where(exact, 0.0, yk - yj) / np.where(exact, 1.0, xk - xj)
+    return np.where(exact, yj, slope * (points - xj) + yj)
 
 
 class MajorizationVerdict(enum.Enum):
@@ -126,28 +221,34 @@ class MajorizationVerdict(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
+# indexed by 2 * (first lies nowhere below) + (second lies nowhere below)
+_VERDICTS = np.array([MajorizationVerdict.INCOMPARABLE, MajorizationVerdict.DOMINATED,
+                      MajorizationVerdict.YES, MajorizationVerdict.EQUIVALENT], dtype=object)
+CONVERTIBLE = (MajorizationVerdict.YES, MajorizationVerdict.EQUIVALENT)
+
+
+def thermo_majorizes_rows(energies, p1, p2, beta, tol: float = CURVE_TOL) -> np.ndarray:
+    """The `thermo_majorizes` verdict of every row pair of p1 and p2,
+    (..., d) probability rows on one level set, as an array of verdicts:
+    the curves of all rows at once, each pair compared at the breakpoints
+    of both (concavity makes breakpoint checking sufficient)."""
+    e, p1, p2, beta = _pair_rows(energies, p1, p2, beta)
+    xy = _curves(e, np.array([p1, p2]), beta)
+    y1, y2 = xy[1]
+    v1, v2 = _interp_rows(xy[0, ::-1], xy)      # each curve at the other's breakpoints
+    first = np.concatenate([y1, v1], -1)
+    second = np.concatenate([v2, y2], -1)
+    slack = tol * np.maximum(1.0, np.abs(first).max(-1, keepdims=True))
+    return _VERDICTS[2 * (first >= second - slack).all(-1) + (second >= first - slack).all(-1)]
+
+
 def thermo_majorizes(pop1: EnergyPopulations, pop2: EnergyPopulations,
                      beta: float, tol: float = CURVE_TOL) -> MajorizationVerdict:
-    """Compare the two curves at the union of their breakpoints (concavity
-    makes breakpoint checking sufficient)."""
-    c1 = curve(pop1, beta)
-    c2 = curve(pop2, beta)
-    if abs(c1.total_weight - c2.total_weight) > 1e-9 * max(1.0, c1.total_weight):
-        raise ResourceError("curves end at different total Gibbs weights; "
-                            "states must share the energy-level set")
-    grid = np.union1d(c1.x, c2.x)
-    v1 = c1.evaluate(grid)
-    v2 = c2.evaluate(grid)
-    scale = max(1.0, float(np.abs(v1).max()))
-    first_above = bool(np.all(v1 >= v2 - tol * scale))
-    second_above = bool(np.all(v2 >= v1 - tol * scale))
-    if first_above and second_above:
-        return MajorizationVerdict.EQUIVALENT
-    if first_above:
-        return MajorizationVerdict.YES
-    if second_above:
-        return MajorizationVerdict.DOMINATED
-    return MajorizationVerdict.INCOMPARABLE
+    """Compare the two curves at the union of their breakpoints; the states
+    must share the energy-level set."""
+    p2 = _shared_levels(pop1, pop2)
+    return thermo_majorizes_rows(pop1.energies, pop1.probabilities[None], p2[None],
+                                 beta, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +272,35 @@ def gamma_embed(pop: EnergyPopulations, beta: float, denominator: int = 10_000):
 
     The thermal state embeds into the uniform vector, turning
     thermo-majorization into plain majorization up to the rounding error,
-    which is returned alongside the vector.
+    which is returned alongside the vector.  D is an integer from 1 to
+    MAX_DENOMINATOR, checked before anything is allocated.
     """
+    if not (isinstance(denominator, numbers.Integral)
+            and 1 <= denominator <= MAX_DENOMINATOR):
+        raise ResourceError(f"embedding denominator must be an integer from 1 to "
+                            f"{MAX_DENOMINATOR}, got {denominator!r}")
     gibbs = pop.thermal_weights(beta)
-    counts = _largest_remainder_rounding(gibbs, denominator)
+    counts = _largest_remainder_rounding(gibbs, int(denominator))
     if counts.min() < 1:
         raise ResourceError(
             f"denominator {denominator} too small to resolve the thermal weights")
     rounding_error = float(np.abs(counts / denominator - gibbs).max())
-    out = np.concatenate([
-        np.full(k, p / k) for p, k in zip(pop.probabilities, counts)
-    ])
-    return out, rounding_error
+    return np.repeat(pop.probabilities / counts, counts), rounding_error
+
+
+def majorization_verdict(gamma1, gamma2, tol: float = 1e-12) -> MajorizationVerdict:
+    """Plain majorization both ways from one sort of each vector: YES when
+    the descending partial sums of gamma1 dominate those of gamma2,
+    DOMINATED when the reverse holds, EQUIVALENT when both do."""
+    a, b = (np.cumsum(np.sort(np.asarray(g, dtype=float))[::-1]) for g in (gamma1, gamma2))
+    if a.shape != b.shape:
+        raise ResourceError("majorization needs equal-length vectors")
+    return _VERDICTS[2 * np.all(a >= b - tol) + np.all(b >= a - tol)]
 
 
 def majorizes(gamma1, gamma2, tol: float = 1e-12) -> bool:
     """Plain majorization: descending partial sums of gamma1 dominate."""
-    a = np.sort(np.asarray(gamma1, dtype=float))[::-1]
-    b = np.sort(np.asarray(gamma2, dtype=float))[::-1]
-    if a.shape != b.shape:
-        raise ResourceError("majorization needs equal-length vectors")
-    return bool(np.all(np.cumsum(a) >= np.cumsum(b) - tol))
+    return majorization_verdict(gamma1, gamma2, tol) in CONVERTIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +310,25 @@ def majorizes(gamma1, gamma2, tol: float = 1e-12) -> bool:
 DEFAULT_ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 
 
+def classical_renyi_rows(p, q, alphas) -> np.ndarray:
+    """S_alpha(p || q) of every row pair of p and q (probability vectors on
+    the last axis, broadcast against each other) at every order of the 1-d
+    grid alphas: an array (..., len(alphas)) from one `core._petz_renyi`."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or not (alphas >= 0.0).all():
+        raise ResourceError(f"Renyi orders must be numbers >= 0, got {alphas}")
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if p.shape[-1:] != q.shape[-1:]:
+        raise ResourceError("divergences need equally sized probability vectors")
+    p, q = _probability_pair(*np.broadcast_arrays(p, q))
+    return _petz_renyi(alphas, p[..., None, :], q[..., None, :])
+
+
 def classical_renyi_divergence(p, q, alpha: float) -> float:
     """S_alpha(p || q) for probability vectors: the diagonal case of the
     Petz-Renyi family (`core._petz_renyi`), with the support limit at
     alpha = 0 and the max-ratio limit at alpha = inf."""
-    if alpha < 0:
-        raise ResourceError(f"negative Renyi order {alpha}")
-    return float(_petz_renyi(alpha, *_probability_pair(p, q)))
+    return float(classical_renyi_rows(p, q, [alpha])[0])
 
 
 @dataclass(frozen=True)
@@ -230,29 +351,29 @@ def renyi_second_laws(pop1: EnergyPopulations, pop2: EnergyPopulations,
                       tol: float = 1e-12) -> SecondLawsVerdict:
     """Catalytic-convertibility battery: Sigma_alpha = S_alpha(p1 || p_th)
     - S_alpha(p2 || p_th) must be >= 0 on the whole grid (which must
-    include 0, 1/2, 1, 2 and inf)."""
+    include 0, 1/2, 1, 2 and inf); both states share the level set, and both
+    take every order in one stacked call."""
     required = {0.0, 0.5, 1.0, 2.0, math.inf}
     if not required.issubset(set(alphas)):
         raise ResourceError("alpha grid must include {0, 1/2, 1, 2, inf}")
-    gibbs = pop1.thermal_weights(beta)
-    return _battery(alphas, tol,
-                    lambda a: classical_renyi_divergence(pop1.probabilities, gibbs, a),
-                    lambda a: classical_renyi_divergence(pop2.probabilities, gibbs, a))
+    e, p1, p2, beta = _pair_rows(pop1.energies, pop1.probabilities,
+                                 _shared_levels(pop1, pop2), beta)
+    s1, s2 = classical_renyi_rows(np.stack([p1, p2]), _gibbs(e, beta)[0], alphas)
+    return _battery(alphas, s1, s2, tol)
 
 
-def _battery(alphas, tol, first, second) -> SecondLawsVerdict:
-    """Sigma_alpha = first(alpha) - second(alpha) on the grid, 0 where both
-    are infinite; allowed when none is below -tol."""
-    sig = []
-    for a in alphas:
-        s1, s2 = first(a), second(a)
-        sig.append(0.0 if math.isinf(s1) and math.isinf(s2) else s1 - s2)
-    return SecondLawsVerdict(tuple(alphas), tuple(sig), all(s >= -tol for s in sig))
+def _battery(alphas, s1, s2, tol) -> SecondLawsVerdict:
+    """Sigma_alpha = s1 - s2 on the grid, 0 where both are infinite;
+    allowed when none is below -tol."""
+    both = np.isinf(s1) & np.isinf(s2)
+    sig = np.where(both, 0.0, s1) - np.where(both, 0.0, s2)
+    return SecondLawsVerdict(tuple(alphas), tuple(sig.tolist()), bool((sig >= -tol).all()))
 
 
 def free_energy_alpha(pop: EnergyPopulations, beta: float, alpha: float) -> float:
     """F_alpha = F_th + T S_alpha(p || p_th), the Renyi generalization of
     the non-equilibrium free energy."""
+    beta = float(_beta(beta, positive=True))
     gibbs = pop.thermal_weights(beta)
     z = float(np.sum(np.exp(-beta * pop.energies)))
     f_th = -math.log(z) / beta
@@ -264,10 +385,12 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID,
     """Independent coherence constraints: S_alpha(rho || Delta_H(rho)) must
     not increase for any alpha in the grid.  Never merged with the
     population battery (except at alpha = 1 they combine into the plain
-    data-processing statement)."""
-    dephased1, dephased2 = dephase(rho1, hamiltonian), dephase(rho2, hamiltonian)
-    return _battery(alphas, tol, lambda a: renyi_divergence(rho1, dephased1, a),
-                    lambda a: renyi_divergence(rho2, dephased2, a))
+    data-processing statement).  Both states take every order in one
+    stacked call."""
+    pairs = [_state_pair(rho, dephase(rho, hamiltonian)) for rho in (rho1, rho2)]
+    p, q, amp = (np.stack(x)[:, None] for x in zip(*pairs))
+    s1, s2 = _petz_renyi(np.asarray(alphas, dtype=float), p, q, amp)
+    return _battery(alphas, s1, s2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +405,14 @@ def work_extraction(pop: EnergyPopulations, beta: float) -> float:
     i.e. filling a single empty level collapses the extractable work toward
     zero.
     """
+    beta = float(_beta(beta, positive=True))
     gibbs = pop.thermal_weights(beta)
     return classical_renyi_divergence(pop.probabilities, gibbs, 0.0) / beta
 
 
 def work_of_formation(pop: EnergyPopulations, beta: float) -> float:
     """W_form = T S_inf(p || p_th) = T ln max_i p_i / p_i^th (0/0 skipped)."""
+    beta = float(_beta(beta, positive=True))
     gibbs = pop.thermal_weights(beta)
     return classical_renyi_divergence(pop.probabilities, gibbs, math.inf) / beta
 
@@ -316,6 +441,42 @@ class WorkBoundsReport:
     w_form_final: float
     sandwich_ok: bool
 
+    def row(self, k) -> "WorkBoundsReport":
+        """The report of quench k of a stack's report."""
+        return WorkBoundsReport(self.eta_grid[k], self.phi_eta[k], float(self.w_irr[k]),
+                                float(self.w_ext_final[k]), float(self.w_form_final[k]),
+                                bool(self.sandwich_ok[k]))
+
+
+def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
+                     eta_grid) -> WorkBoundsReport:
+    """`work_bounds` of a stack of quenches, a row per Hamiltonian of
+    h_final (n, d, d) and state of rho_final; beta, mean_work and delta_f_eq
+    one per row (or shared) and eta_grid (n, m) per row or (m,) shared.
+    One stacked Gibbs state, one validated spectrum per state kind and one
+    `core._petz_renyi` over every order of every row; the report's fields
+    carry the row axis (`WorkBoundsReport.row` gives one quench)."""
+    beta = _beta(beta, positive=True)
+    hf, rho = _frozen_stack(h_final), _frozen_stack(rho_final)
+    if hf.ndim != 3 or rho.shape != hf.shape:
+        raise ResourceError(f"expected (n, d, d) stacks of one shape, got {hf.shape} "
+                            f"and {rho.shape}")
+    _check_hermitian(hf)
+    ones = np.ones((len(hf), 1))
+    eta, b = np.asarray(eta_grid, dtype=float) * ones, beta[..., None]
+    alpha = 1.0 - eta / b
+    if not (alpha >= 0.0).all():
+        raise ResourceError("eta beyond beta (or not a number): negative Renyi order")
+    p, pv = _density_spectra(rho)
+    q, qv = _density_spectra(_gibbs_states(hf, beta)[0])
+    div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1), p[:, None],
+                      q[:, None], (qv.conj().swapaxes(-1, -2) @ pv)[:, None])
+    phi = -(eta / b) * div[:, :-2] - eta * np.asarray(delta_f_eq)[..., None]
+    w_irr = (np.asarray(mean_work) - delta_f_eq) * ones[:, 0]
+    w_ext, w_form = div[:, -2] / beta, div[:, -1] / beta
+    ok = (w_ext <= w_irr + 1e-10) & (w_irr <= w_form + 1e-10)
+    return WorkBoundsReport(eta, phi, w_irr, w_ext, w_form, ok)
+
 
 def work_bounds(h_final, beta: float, rho_final, mean_work: float,
                 delta_f_eq: float, eta_grid) -> WorkBoundsReport:
@@ -327,26 +488,33 @@ def work_bounds(h_final, beta: float, rho_final, mean_work: float,
     through the cumulant generating function identity
     Phi_eta = -(eta/beta) S_{1-eta/beta}(rho' || rho'_th) - eta dF_eq.
     """
-    hf = _mat(h_final)
-    gibbs = thermal_state(HermitianOperator.from_matrix(hf), beta)
-    eta_grid = np.asarray(eta_grid, dtype=float)
-    phi = np.empty_like(eta_grid)
-    for k, eta in enumerate(eta_grid):
-        alpha = 1.0 - eta / beta
-        if alpha < 0:
-            raise ResourceError("eta beyond beta: negative Renyi order")
-        div = renyi_divergence(rho_final, gibbs, alpha)
-        phi[k] = -(eta / beta) * div - eta * delta_f_eq
-    w_irr = mean_work - delta_f_eq
-    w_ext = renyi_divergence(rho_final, gibbs, 0.0) / beta
-    w_form = renyi_divergence(rho_final, gibbs, math.inf) / beta
-    ok = (w_ext <= w_irr + 1e-10) and (w_irr <= w_form + 1e-10)
-    return WorkBoundsReport(eta_grid, phi, w_irr, w_ext, w_form, ok)
+    return work_bounds_rows(_mat(h_final)[None], beta, _mat(rho_final)[None], mean_work,
+                            delta_f_eq, np.asarray(eta_grid, dtype=float)[None]).row(0)
 
 
 # ---------------------------------------------------------------------------
 # d = 2 Gibbs-stochastic feasibility oracle
 # ---------------------------------------------------------------------------
+
+def gibbs_stochastic_feasible_2d_rows(energies, p1, p2, beta, tol: float = 1e-10) -> np.ndarray:
+    """`gibbs_stochastic_feasible_2d` of every row pair of p1 and p2, (..., 2)
+    probability rows on one two-level set: an array of booleans."""
+    e, p, q, beta = _pair_rows(energies, p1, p2, beta)
+    if e.shape != (2,):
+        raise ResourceError("closed-form oracle is for two-level systems")
+    g_th = _gibbs(e, beta)[0]
+    g0, g1 = g_th[..., 0], g_th[..., 1]
+    # G = [[1-a, b], [a, 1-b]] with columns summing to 1; fixing the Gibbs
+    # state forces b g1 = a g0, and G p1 = p2 then reads
+    # q0 - p0 = a (p1 g0/g1 - p0).
+    slope = p[..., 1] * g0 / g1 - p[..., 0]
+    # p1 (numerically) thermal: only the thermal target is reachable
+    thermal = np.abs(slope) < tol
+    a = (q[..., 0] - p[..., 0]) / np.where(thermal, 1.0, slope)
+    b = a * g0 / g1
+    inside = (-tol <= a) & (a <= 1 + tol) & (-tol <= b) & (b <= 1 + tol)
+    return np.where(thermal, np.abs(q[..., 0] - p[..., 0]) < math.sqrt(tol), inside)
+
 
 def gibbs_stochastic_feasible_2d(pop1: EnergyPopulations,
                                  pop2: EnergyPopulations,
@@ -354,18 +522,6 @@ def gibbs_stochastic_feasible_2d(pop1: EnergyPopulations,
     """Closed-form feasibility of a 2x2 stochastic matrix G with
     G p_th = p_th and G p1 = p2: the classical shadow of a thermal
     operation exists iff both defining rates land in [0, 1]."""
-    if pop1.dim != 2 or pop2.dim != 2:
-        raise ResourceError("closed-form oracle is for two-level systems")
-    g_th = pop1.thermal_weights(beta)
-    p = pop1.probabilities
-    q = pop2.probabilities
-    # G = [[1-a, b], [a, 1-b]] with columns summing to 1; fixing the Gibbs
-    # state forces b g1 = a g0, and G p1 = p2 then reads
-    # q0 - p0 = a (p1 g0/g1 - p0).
-    slope = p[1] * g_th[0] / g_th[1] - p[0]
-    if abs(slope) < tol:
-        # p1 is (numerically) thermal: only the thermal target is reachable
-        return bool(abs(q[0] - p[0]) < math.sqrt(tol))
-    a = (q[0] - p[0]) / slope
-    b = a * g_th[0] / g_th[1]
-    return bool(-tol <= a <= 1 + tol and -tol <= b <= 1 + tol)
+    p2 = _shared_levels(pop1, pop2)
+    return bool(gibbs_stochastic_feasible_2d_rows(pop1.energies, pop1.probabilities[None],
+                                                  p2[None], beta, tol)[0])

@@ -18,7 +18,6 @@ from . import resource as rs
 from . import trajectories as tj
 from .core import (
     DensityOperator,
-    HermitianOperator,
     PAULI_X,
     PAULI_Z,
     SIGMA_MINUS,
@@ -29,7 +28,6 @@ from .core import (
     _petz_renyi,
     hermitian_function,
     tensor,
-    thermal_state,
 )
 from .rand import density_matrices, ginibre, haar_unitaries, random_density, random_probability
 
@@ -311,63 +309,64 @@ def quench_suite(tol=1e-9):
     ]
 
 
-def majorization_suite(seed=505):
+def _probability_pairs(rng, n):
+    """n pairs of 2-level probability vectors from the draws of n pairs of
+    `random_probability(2, rng)` calls: (n, 2) rows per side."""
+    raw = rng.random((n, 2, 2))
+    p = raw / raw.sum(-1, keepdims=True)
+    return p[:, 0], p[:, 1]
+
+
+def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100, seed=505):
+    """Thermo-majorization curves against the gamma-embedding and the 2x2
+    Gibbs-stochastic oracle, Renyi monotonicity in alpha and the work
+    sandwich on sudden qubit quenches.  Every raw input is drawn first, in
+    one rng order, then each block is evaluated as one stack (the Renyi
+    pairs one per dimension).  The embedding stays per pair: stacked, its
+    (n_pairs, 10 000) arrays would be the suite's largest allocation."""
     rng = np.random.default_rng(seed)
-    e2 = np.array([0.0, 1.0])
-    beta = 1.0
-    agree = 0
-    for _ in range(50):
-        pa = rs.EnergyPopulations(e2, random_probability(2, rng))
-        pb = rs.EnergyPopulations(e2, random_probability(2, rng))
-        v_curve = rs.thermo_majorizes(pa, pb, beta)
-        ga, _ = rs.gamma_embed(pa, beta, 10_000)
-        gb, _ = rs.gamma_embed(pb, beta, 10_000)
-        fwd = rs.majorizes(ga, gb, tol=1e-9)
-        bwd = rs.majorizes(gb, ga, tol=1e-9)
-        if fwd and bwd:
-            v_emb = rs.MajorizationVerdict.EQUIVALENT
-        elif fwd:
-            v_emb = rs.MajorizationVerdict.YES
-        elif bwd:
-            v_emb = rs.MajorizationVerdict.DOMINATED
-        else:
-            v_emb = rs.MajorizationVerdict.INCOMPARABLE
-        agree += (v_emb == v_curve)
-    mono = True
-    grid = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf)
-    for _ in range(100):
+    e2, beta = np.array([0.0, 1.0]), 1.0
+    emb_a, emb_b = _probability_pairs(rng, n_pairs)
+    renyi = {}
+    for _ in range(n_renyi):
         d = int(rng.integers(2, 6))
-        p = random_probability(d, rng)
-        q = random_probability(d, rng)
-        vals = [rs.classical_renyi_divergence(p, q, a) for a in grid]
-        mono &= all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
-    # work sandwich on sudden qubit quenches
-    sandwich = True
-    for _ in range(20):
+        renyi.setdefault(d, []).append((random_probability(d, rng), random_probability(d, rng)))
+    quenches = []
+    for _ in range(n_quenches):
         beta_q = 0.5 + rng.random()
         h_i = rng.normal() * PAULI_Z
         h_f = h_i + (0.2 + 0.5 * rng.random()) * PAULI_X + 0.2 * rng.normal() * PAULI_Z
-        stats = tj.work_distribution(h_i, h_f, np.eye(2), beta_q)
-        rho_p = thermal_state(HermitianOperator.from_matrix(h_i), beta_q).matrix
-        rep = rs.work_bounds(h_f, beta_q, rho_p, stats.mean_work, stats.delta_f,
-                             np.linspace(0.0, beta_q, 5))
-        sandwich &= rep.sandwich_ok
-    oracle = 0
-    for _ in range(100):
-        pa = rs.EnergyPopulations(e2, random_probability(2, rng))
-        pb = rs.EnergyPopulations(e2, random_probability(2, rng))
-        v = rs.thermo_majorizes(pa, pb, beta)
-        feas = rs.gibbs_stochastic_feasible_2d(pa, pb, beta)
-        oracle += (feas == (v in (rs.MajorizationVerdict.YES,
-                                  rs.MajorizationVerdict.EQUIVALENT)))
+        quenches.append((beta_q, h_i, h_f))
+    orc_a, orc_b = _probability_pairs(rng, n_oracle)
+
+    v_curve = rs.thermo_majorizes_rows(e2, emb_a, emb_b, beta)
+    agree = 0
+    for pa, pb, v in zip(emb_a, emb_b, v_curve):
+        ga, _ = rs.gamma_embed(rs.EnergyPopulations(e2, pa), beta, 10_000)
+        gb, _ = rs.gamma_embed(rs.EnergyPopulations(e2, pb), beta, 10_000)
+        agree += rs.majorization_verdict(ga, gb, tol=1e-9) == v
+    grid = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf)
+    mono = True
+    for pairs in renyi.values():
+        vals = rs.classical_renyi_rows(*(np.array(x) for x in zip(*pairs)), grid)
+        mono &= bool((vals[:, :-1] <= vals[:, 1:] + 1e-12).all())
+    stats = [tj.work_distribution(h_i, h_f, np.eye(2), b) for b, h_i, h_f in quenches]
+    beta_q, h_i, h_f = (np.array(x) for x in zip(*quenches))
+    rep = rs.work_bounds_rows(h_f, beta_q, _gibbs_states(h_i, beta_q)[0],
+                              np.array([s.mean_work for s in stats]),
+                              np.array([s.delta_f for s in stats]),
+                              np.linspace(0.0, beta_q, 5, axis=-1))
+    v = rs.thermo_majorizes_rows(e2, orc_a, orc_b, beta)
+    feas = rs.gibbs_stochastic_feasible_2d_rows(e2, orc_a, orc_b, beta)
+    oracle = int((feas == np.isin(v, rs.CONVERTIBLE)).sum())
     return [
-        _record("majorization curve == embedding verdict", agree == 50,
-                f"{agree}/50"),
-        _record("S_alpha monotone in alpha", mono, "100 pairs"),
-        _record("work sandwich W_ext <= W_irr <= W_form", sandwich,
-                "20 sudden quenches"),
+        _record("majorization curve == embedding verdict", agree == n_pairs,
+                f"{agree}/{n_pairs}"),
+        _record("S_alpha monotone in alpha", mono, f"{n_renyi} pairs"),
+        _record("work sandwich W_ext <= W_irr <= W_form", rep.sandwich_ok.all(),
+                f"{n_quenches} sudden quenches"),
         _record("Theorem-2 soundness against 2x2 Gibbs-stochastic oracle",
-                oracle == 100, f"{oracle}/100"),
+                oracle == n_oracle, f"{oracle}/{n_oracle}"),
     ]
 
 

@@ -192,3 +192,15 @@ def test_run_sweep_failure_names_its_point(tmp_path, capsys):
         assert "sweep point 2 (drive = 3.0)" in err
         assert "beyond" in err
     assert not (tmp_path / "kerr.csv").exists()
+
+
+def test_run_resource_denominator_bounded(tmp_path, capsys):
+    # 10^12 would ask for an 8 TB embedding; 0 divided by zero
+    for denominator in (10 ** 12, 0):
+        cfg = {"schema": "v1", "kind": "resource",
+               "parameters": {"beta": 1.0, "denominator": denominator},
+               "output": {"path": "x.csv"}}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) in (2, 3)
+        assert "denominator" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()

@@ -5,13 +5,15 @@ import math
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
-from entroprod import collisional as cm, episodes as eps, trajectories as tj
-from entroprod.core import (DensityOperator, HermitianOperator, UnitaryOperator, classical_kl,
-                            renyi_divergence, thermal_state)
+from entroprod import collisional as cm, episodes as eps, resource as rs, trajectories as tj
+from entroprod.core import (DensityOperator, HermitianOperator, UnitaryOperator, _petz_renyi,
+                            classical_kl, renyi_divergence, thermal_state)
 from entroprod.resource import classical_renyi_divergence
-from entroprod.rand import random_density, random_unitary
+from entroprod.rand import (density_matrices, ginibre, haar_unitaries, random_density,
+                            random_unitary)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -377,3 +379,128 @@ def test_row_forms_are_the_one_episode_calls(draw):
                                         np.array([g.eig()[1] for g in gibbs])))
     assert np.array_equal(fixed, [eps.fixed_point_sigma(ep.rho_system, eps.evolve(ep).rho_system, g)
                                   for ep, g in zip(episodes, gibbs)])
+
+
+# the orders of the majorization suite's grid
+SUITE_ORDERS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf)
+
+
+@st.composite
+def weight_rows(draw, dim=None):
+    """Two (n, d) stacks of probability rows with zero weights, so that
+    some rows leave the other's support."""
+    d = draw(st.integers(2, 4)) if dim is None else dim
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    p, q = (np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float) for _ in "pq")
+    p[p.sum(-1) == 0, 0] = 1.0
+    q[q.sum(-1) == 0, -1] = 1.0
+    return p / p.sum(-1, keepdims=True), q / q.sum(-1, keepdims=True)
+
+
+@PROPERTY
+@given(weight_rows(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_petz_renyi_is_the_one_order_loop(rows, quantum, seed):
+    # every order of the grid over a stack, diagonal or with overlaps, is
+    # the one-order call on each row, bit for bit
+    p, q = rows
+    n, d = p.shape
+    amp = None
+    if quantum:
+        rng = np.random.default_rng(seed)
+        amp = haar_unitaries(np.array([ginibre(rng, d, d) for _ in range(n)]))
+    got = _petz_renyi(np.array(SUITE_ORDERS), p[:, None], q[:, None],
+                      None if amp is None else amp[:, None])
+    assert got.shape == (n, len(SUITE_ORDERS))
+    for k in range(n):
+        want = [_petz_renyi(a, p[k], q[k], None if amp is None else amp[k])
+                for a in SUITE_ORDERS]
+        assert np.array_equal(got[k], want), (k, got[k], want)
+        if amp is None:
+            assert np.array_equal(rs.classical_renyi_rows(p[k], q[k], SUITE_ORDERS), want)
+            assert [classical_renyi_divergence(p[k], q[k], a) for a in SUITE_ORDERS] == want
+    # alpha >= 1 is +inf exactly where a row leaves the support
+    leaves = ((q == 0.0) & (p > 0.0)).any(-1)
+    if amp is None:
+        assert np.array_equal(np.isinf(got[:, 3:]).all(-1), leaves)
+
+
+def reference_verdict(e, p1, p2, beta):
+    """The curve verdict by the textbook route: beta-order by np.lexsort,
+    both curves read by np.interp on the union of their breakpoints."""
+    curves = []
+    for p in (p1, p2):
+        order = np.lexsort((np.arange(len(e)), e, -p * np.exp(beta * (e - e.max()))))
+        curves.append((np.concatenate([[0.0], np.cumsum(np.exp(-beta * e[order]))]),
+                       np.concatenate([[0.0], np.cumsum(p[order])])))
+    grid = np.union1d(curves[0][0], curves[1][0])
+    v1, v2 = (np.interp(grid, x, y) for x, y in curves)
+    scale = max(1.0, float(np.abs(v1).max()))
+    first = bool(np.all(v1 >= v2 - rs.CURVE_TOL * scale))
+    second = bool(np.all(v2 >= v1 - rs.CURVE_TOL * scale))
+    return {(True, True): rs.MajorizationVerdict.EQUIVALENT,
+            (True, False): rs.MajorizationVerdict.YES,
+            (False, True): rs.MajorizationVerdict.DOMINATED,
+            (False, False): rs.MajorizationVerdict.INCOMPARABLE}[first, second]
+
+
+levels = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=4)
+betas = st.sampled_from([0.0, 0.3, 1.0, 2.5])
+
+
+@PROPERTY
+@given(st.data(), levels, betas)
+def test_row_forms_are_the_one_pair_calls(data, energies, beta):
+    # the thermo-majorization verdict (also against np.interp on the
+    # breakpoint union) and, on two levels, the Gibbs-stochastic oracle
+    e = np.array(energies)
+    p1, p2 = data.draw(weight_rows(len(e)))
+    pops = [(rs.EnergyPopulations(e, a), rs.EnergyPopulations(e, b)) for a, b in zip(p1, p2)]
+    rows = rs.thermo_majorizes_rows(e, p1, p2, beta)
+    assert list(rows) == [rs.thermo_majorizes(a, b, beta) for a, b in pops]
+    assert list(rows) == [reference_verdict(e, a, b, beta) for a, b in zip(p1, p2)]
+    if len(e) == 2:
+        feasible = rs.gibbs_stochastic_feasible_2d_rows(e, p1, p2, beta)
+        assert list(feasible) == [rs.gibbs_stochastic_feasible_2d(a, b, beta) for a, b in pops]
+
+
+quench = st.fixed_dictionaries({
+    "rows": st.integers(1, 4),
+    "dim": st.integers(2, 3),
+    "pure": st.booleans(),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@PROPERTY
+@given(quench)
+def test_work_bounds_rows_are_the_one_quench_calls(draw):
+    rng = np.random.default_rng(draw["seed"])
+    n, d = draw["rows"], draw["dim"]
+    g = np.array([ginibre(rng, d, d) for _ in range(n)])
+    h_f = g + g.conj().swapaxes(-1, -2)
+    rho = density_matrices(np.array([ginibre(rng, d, 1 if draw["pure"] else d)
+                                     for _ in range(n)]))
+    beta = rng.uniform(0.3, 2.0, n)
+    mean_work, delta_f = rng.normal(size=n), rng.normal(size=n)
+    eta = np.linspace(0.0, beta, 5, axis=-1)
+    rows = rs.work_bounds_rows(h_f, beta, rho, mean_work, delta_f, eta)
+    for k in range(n):
+        one = rs.work_bounds(h_f[k], beta[k], rho[k], mean_work[k], delta_f[k], eta[k])
+        row = rows.row(k)
+        for name, value in vars(one).items():
+            assert np.array_equal(getattr(row, name), value), (name, getattr(row, name), value)
+
+
+@PROPERTY
+@given(st.integers(0, 64), st.integers(0, 64), betas, st.sampled_from([0.5, 1.0, 3.0]))
+def test_curve_verdict_is_the_embedding_verdict(k1, k2, beta, gap):
+    # qubit pairs on a grid of 1/64; the embedding rounds the thermal weights
+    # to 1e-4, so states within 1e-3 of the thermal state are left out
+    e = np.array([0.0, gap])
+    ground = rs.EnergyPopulations(e, [1.0, 0.0]).thermal_weights(beta)[0]
+    hypothesis.assume(all(abs(k / 64 - ground) > 1e-3 for k in (k1, k2)))
+    pops = [rs.EnergyPopulations(e, [k / 64, 1.0 - k / 64]) for k in (k1, k2)]
+    embedded = [rs.gamma_embed(pop, beta, 10_000)[0] for pop in pops]
+    assert (rs.majorization_verdict(*embedded, tol=1e-9)
+            is rs.thermo_majorizes(*pops, beta))

@@ -326,3 +326,87 @@ def test_populations_validation():
         pop_from([0.0, 1.0], [0.6, 0.6])
     with pytest.raises(rs.ResourceError):
         pop_from([0.0, math.inf], [0.5, 0.5])
+
+
+QUBIT = np.array([0.0, 1.0])
+
+
+@pytest.mark.parametrize("beta", [math.nan, -1.0, math.inf])
+def test_beta_validated_at_the_boundary(beta):
+    # each of these gave a verdict, zeros or a misleading error before
+    p1, p2 = pop_from(QUBIT, [0.7, 0.3]), pop_from(QUBIT, [0.4, 0.6])
+    calls = [
+        lambda: rs.thermo_majorizes(p1, p2, beta),
+        lambda: rs.thermo_majorizes_rows(QUBIT, [[0.7, 0.3]] * 2, [[0.4, 0.6]] * 2, [1.0, beta]),
+        lambda: rs.renyi_second_laws(p1, p2, beta),
+        lambda: rs.gamma_embed(p1, beta, 100),
+        lambda: rs.curve(p1, beta),
+        lambda: rs.beta_order(p1, beta),
+        lambda: rs.gibbs_stochastic_feasible_2d(p1, p2, beta),
+        lambda: rs.work_extraction(p1, beta),
+        lambda: rs.work_bounds(np.diag(QUBIT), beta, np.eye(2) / 2, 0.0, 0.0, [0.0]),
+    ]
+    for call in calls:
+        with pytest.raises(rs.ResourceError, match="inverse temperature"):
+            call()
+
+
+def test_beta_zero_allowed_where_nothing_divides_by_it():
+    p1, p2 = pop_from(QUBIT, [0.7, 0.3]), pop_from(QUBIT, [0.4, 0.6])
+    assert rs.thermo_majorizes(p1, p2, 0.0) is rs.MajorizationVerdict.YES
+    assert rs.renyi_second_laws(p1, p2, 0.0).allowed
+    for divides in (rs.work_extraction, rs.work_of_formation):
+        with pytest.raises(rs.ResourceError, match="> 0"):
+            divides(p1, 0.0)
+
+
+def test_mismatched_level_sets_rejected():
+    # energies [0, 1] against [0, 5] gave allowed=True and a feasible map
+    p1, p2 = pop_from(QUBIT, [0.7, 0.3]), pop_from([0.0, 5.0], [0.4, 0.6])
+    three = pop_from([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
+    for other in (p2, three):
+        for compare in (rs.thermo_majorizes, rs.renyi_second_laws,
+                        rs.gibbs_stochastic_feasible_2d):
+            with pytest.raises(rs.ResourceError, match="level set"):
+                compare(p1, other, BETA)
+
+
+def test_permuted_level_set_is_the_same_state():
+    p1 = pop_from([0.0, 0.4, 1.0], [0.5, 0.3, 0.2])
+    p2 = pop_from([0.0, 0.4, 1.0], [0.2, 0.3, 0.5])
+    swapped = pop_from([1.0, 0.0, 0.4], [0.5, 0.2, 0.3])
+    assert rs.thermo_majorizes(p1, swapped, BETA) is rs.thermo_majorizes(p1, p2, BETA)
+    assert rs.renyi_second_laws(p1, swapped, BETA) == rs.renyi_second_laws(p1, p2, BETA)
+
+
+def test_nan_renyi_order_rejected():
+    p, q = np.array([0.3, 0.7]), np.array([0.5, 0.5])
+    with pytest.raises(rs.ResourceError):
+        rs.classical_renyi_divergence(p, q, math.nan)
+    with pytest.raises(core.CoreError):
+        core._petz_renyi(math.nan, p, q)
+    with pytest.raises(core.CoreError):
+        core.renyi_divergence(np.diag(p), np.diag(q), math.nan)
+    with pytest.raises(rs.ResourceError):
+        rs.work_bounds(np.diag(QUBIT), BETA, np.eye(2) / 2, 0.0, 0.0, [math.nan])
+
+
+@pytest.mark.parametrize("denominator", [0, -3, rs.MAX_DENOMINATOR + 1, 10 ** 12, 2.5])
+def test_gamma_embed_denominator_bounded_before_allocation(monkeypatch, denominator):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(rs, "_largest_remainder_rounding", no_allocation)
+    monkeypatch.setattr(rs.np, "repeat", no_allocation)
+    with pytest.raises(rs.ResourceError, match="denominator"):
+        rs.gamma_embed(pop_from(QUBIT, [0.7, 0.3]), BETA, denominator)
+
+
+def test_majorization_verdict_reads_both_directions():
+    a, b = np.array([0.6, 0.3, 0.1]), np.array([0.4, 0.35, 0.25])
+    assert rs.majorization_verdict(a, b) is rs.MajorizationVerdict.YES
+    assert rs.majorization_verdict(b, a) is rs.MajorizationVerdict.DOMINATED
+    assert rs.majorization_verdict(a, a[::-1]) is rs.MajorizationVerdict.EQUIVALENT
+    assert rs.majorization_verdict([0.5, 0.5, 0.0], [0.6, 0.2, 0.2]) is \
+        rs.MajorizationVerdict.INCOMPARABLE
+    assert rs.majorizes(a, b) and not rs.majorizes(b, a)
