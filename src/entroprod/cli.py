@@ -66,6 +66,17 @@ def _require(params: dict, name: str, kind=float):
         raise ConfigError(f"parameter '{name}' is not a valid {kind.__name__}") from exc
 
 
+def _integer(params: dict, name: str, default: int) -> int:
+    """An integral parameter: an int, or a float that is a whole number;
+    anything else (2.7, "3", true) is a ConfigError, not silently truncated."""
+    value = params.get(name, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"parameter '{name}' must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Scenario table builders: each returns (header, rows)
 # ---------------------------------------------------------------------------
@@ -114,8 +125,8 @@ def _scenario_trajectories(params, rng):
 def _scenario_lindblad(params, rng):
     """Liouvillian gap and steady occupation of the driven Kerr model."""
     drive = _require(params, "drive")
-    n_scale = int(params.get("n_scale", 1))
-    fock_cut = int(params.get("fock_cut", 20))
+    n_scale = _integer(params, "n_scale", 1)
+    fock_cut = _integer(params, "fock_cut", 20)
     model = lb.kerr_model(float(params.get("delta", -2.0)),
                           float(params.get("kerr", 1.0)),
                           drive, float(params.get("kappa", 0.5)),
@@ -143,7 +154,7 @@ def _scenario_classical(params, rng):
     """Competing-reservoir Ising lattice entropy production."""
     temperature = _require(params, "temperature")
     mu = float(params.get("mu", 0.8))
-    n_sites = int(params.get("n_sites", 4))
+    n_sites = _integer(params, "n_sites", 4)
     w = cl.glauber_ising_competing(n_sites, float(params.get("coupling", 1.0)),
                                    temperature, mu, -mu,
                                    cl.ring_adjacency(n_sites))
@@ -159,7 +170,7 @@ def _scenario_resource(params, rng):
     pop1 = rs.EnergyPopulations(e2, random_probability(2, rng))
     pop2 = rs.EnergyPopulations(e2, random_probability(2, rng))
     verdict = rs.thermo_majorizes(pop1, pop2, beta)
-    g1, err = rs.gamma_embed(pop1, beta, int(params.get("denominator", 10_000)))
+    g1, err = rs.gamma_embed(pop1, beta, _integer(params, "denominator", 10_000))
     return (["beta", "p1_ground", "p2_ground", "verdict", "embedding_error"],
             [[beta, pop1.probabilities[0], pop2.probabilities[0],
               verdict.value, err]])

@@ -155,9 +155,10 @@ class EpisodeStack:
 
     `of` validates each operator kind once for the whole stack; an
     episode's own one-row stack (`Episode._row`) reuses its validation.
-    The evolution (`evolved`), the information balance (`balance`) and the
-    distances of rho_E from the Gibbs states of H_E are made on first use
-    and kept.  The row forms `thermal_balance_rows`, `multibath_balance_rows`,
+    The evolution (`evolved`), the information balance (`balance`), the
+    marginals of rho_E and rho_E' on sets of E factors (`env_marginal`) and
+    their distances from Gibbs states are made on first use and kept.  The
+    row forms `thermal_balance_rows`, `multibath_balance_rows`,
     `landauer_rows` and `trajectories.backward_ensemble_rows` take a stack.
     """
 
@@ -213,9 +214,27 @@ class EpisodeStack:
         return EntropyBalance(*balance_rows(self.h_system, self.h_env, self.rho_env,
                                             self.rho_system, after, env_after, joint_vals))
 
+    def env_marginal(self, factors, after: bool = False) -> tuple:
+        """The marginal of every rho_E (rho_E' when `after`) on the E factors
+        `factors`, as (matrices, weights, eigenvectors): one stacked partial
+        trace and `eigh`, kept per factor set.  On all E factors it is
+        `rho_env` (`evolved[2]`) itself."""
+        keep = tuple(sorted(set(factors)))
+        known = self._env_marginals
+        if (keep, after) not in known:
+            whole = self.evolved[2] if after else self.rho_env
+            known[keep, after] = whole if len(keep) == len(self.env_dims) else _density_stack(
+                _ptrace_matrix(whole[0], self.env_dims.factors, keep))
+        return known[keep, after]
+
+    @cached_property
+    def _env_marginals(self) -> dict:
+        return {}
+
     @cached_property
     def _gibbs_distance(self) -> dict:
-        """Trace distances of rho_E from the Gibbs states of H_E, per beta row."""
+        """Trace distances of E marginals from Gibbs states, per (factor set,
+        Hamiltonian, beta row)."""
         return {}
 
 
@@ -358,18 +377,29 @@ def balance_rows(h_system, h_env, env_before, before, after, env_after, joint_va
     return mi + d_env, flux, ds_s, mi, d_env, q_env, work
 
 
-def _require_thermal_rows(stack: EpisodeStack, beta, tol: float):
-    """beta per row, once every rho_E is within tol (trace distance) of the
-    Gibbs state of its H_E; the distances are kept on the stack per beta."""
+def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, tol: float, message):
+    """beta per row, once the marginal of every rho_E on the E factors
+    `factors` is within tol (trace distance) of the Gibbs state of h at its
+    beta; else EpisodeError message(beta, distance) of the first row that is
+    not.  The distances are kept on the stack per (factor set, h, beta), so
+    `thermal_balance_rows` and a one-part `multibath_balance_rows` of one
+    bath share one check."""
     beta = _betas(stack, beta)
     known = stack._gibbs_distance
-    key = beta.tobytes()
+    key = (tuple(sorted(set(factors))), h.tobytes(), beta.tobytes())
     if key not in known:
-        known[key] = _trace_distance_rows(stack.rho_env[0], _gibbs_states(stack.h_env, beta)[0])
+        known[key] = _trace_distance_rows(stack.env_marginal(factors)[0],
+                                          _gibbs_states(h, beta)[0])
     dist = known[key]
-    _require_rows(dist > tol, lambda k: f"environment is not thermal at beta={beta[k]} "
-                                        f"(trace distance {dist[k]:.3e})")
+    _require_rows(dist > tol, lambda k: message(beta[k], dist[k]))
     return beta
+
+
+def _require_thermal_rows(stack: EpisodeStack, beta, tol: float):
+    """beta per row, once every rho_E is within tol of the Gibbs state of its H_E."""
+    return _require_gibbs_rows(stack, range(len(stack.env_dims)), stack.h_env, beta, tol,
+                               lambda b, d: f"environment is not thermal at beta={b} "
+                                            f"(trace distance {d:.3e})")
 
 
 def thermal_balance(ep: Episode, beta: float, tol: float = THERMALITY_TOL,
@@ -396,8 +426,10 @@ def thermal_balance_rows(stack: EpisodeStack, beta, tol: float = THERMALITY_TOL)
         h, (m0, p0, _), (m1, p1, _) = stack.h_system, stack.rho_system, stack.evolved[1]
         d_free = ((_trace_rows(h, m1) - _entropy_rows(p1) / beta)
                   - (_trace_rows(h, m0) - _entropy_rows(p0) / beta))
-    return replace(base, sigma=base.d_entropy_system + beta * base.heat_env,
-                   flux=beta * base.heat_env, d_free_energy=d_free)
+    # flux = Sigma - dS_S, as in `multibath_balance_rows`: one bath over all
+    # of E gives the same bits by either row form
+    sigma = base.d_entropy_system + beta * base.heat_env
+    return replace(base, sigma=sigma, flux=sigma - base.d_entropy_system, d_free_energy=d_free)
 
 
 @dataclass(frozen=True)
@@ -424,32 +456,35 @@ def multibath_balance(ep: Episode, parts, tol: float = THERMALITY_TOL,
 
 def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_TOL):
     """`multibath_balance` of every row of a stack; a part's Hamiltonian
-    and beta are shared by the rows, or given per row as (N, d, d) and (N,)."""
+    and beta are shared by the rows, or given per row as (N, d, d) and (N,).
+    Each part reads the kept marginals of its factor set (`env_marginal`)
+    and its kept Gibbs check, so one part over all of E takes no
+    decomposition after `thermal_balance_rows` of the same bath."""
     parts = list(parts)
-    ns, ne = len(stack.system_dims), len(stack.env_dims)
     covered = sorted(i for p in parts for i in p.env_factors)
-    if covered != list(range(ne)):
-        raise EpisodeError(f"bath partition {covered} must cover all {ne} E factors")
+    if covered != list(range(len(stack.env_dims))):
+        raise EpisodeError(f"bath partition {covered} must cover all "
+                           f"{len(stack.env_dims)} E factors")
     # validate the product-of-thermals structure
-    marginals = []
-    for p in parts:
-        marg = _density_stack(_ptrace_matrix(stack.rho_env[0], stack.env_dims.factors,
-                                             p.env_factors))
-        gibbs = _gibbs_states(_mat(p.hamiltonian), _betas(stack, p.beta))[0]
-        _require_rows(_trace_distance_rows(marg[0], gibbs) > tol, lambda k:
-                      f"bath part {p.env_factors} is not thermal at beta={p.beta}")
-        marginals.append(marg)
-    order = np.argsort([p.env_factors[0] for p in parts])
-    product = tensor([marginals[i][0] for i in order])
-    _require_rows(_trace_distance_rows(product, stack.rho_env[0]) > max(tol, 1e-8),
-                  lambda k: "environment state is not a product over the bath parts")
+    hams = [_mat(p.hamiltonian) for p in parts]
+    for p, h in zip(parts, hams):
+        d = stack.env_dims.subdims(p.env_factors).total
+        if h.shape[-2:] != (d, d):
+            raise EpisodeError(f"bath part {p.env_factors}: Hamiltonian of shape "
+                               f"{h.shape[-2:]} does not match its marginal of dim {d}")
+        _require_gibbs_rows(stack, p.env_factors, h, p.beta, tol,
+                            lambda b, _: f"bath part {p.env_factors} is not thermal at beta={b}")
+    if len(parts) > 1:
+        order = np.argsort([p.env_factors[0] for p in parts])
+        product = tensor([stack.env_marginal(parts[i].env_factors)[0] for i in order])
+        _require_rows(_trace_distance_rows(product, stack.rho_env[0]) > max(tol, 1e-8),
+                      lambda k: "environment state is not a product over the bath parts")
 
-    base, joint = stack.balance, stack.evolved[0][0]
+    base = stack.balance
     heats, displacement_sum, marg_entropy_sum = [], 0.0, 0.0
-    for p, (m, q, qv) in zip(parts, marginals):
-        m_after, p_after, v_after = _density_stack(_ptrace_matrix(
-            joint, stack.dims.factors, [ns + i for i in p.env_factors]))
-        h = _mat(p.hamiltonian)
+    for p, h in zip(parts, hams):
+        (m, q, qv), (m_after, p_after, v_after) = (stack.env_marginal(p.env_factors, after)
+                                                   for after in (False, True))
         heats.append(_trace_rows(h, m_after) - _trace_rows(h, m))
         displacement_sum += _petz_renyi(1.0, p_after, q, qv.conj().swapaxes(-1, -2) @ v_after)
         marg_entropy_sum += _entropy_rows(p_after)

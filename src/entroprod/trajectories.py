@@ -39,14 +39,13 @@ import numpy as np
 
 from .core import (
     DensityOperator,
-    HermitianOperator,
     _clamp_probs,
     _equal_runs,
     _gibbs,
     _mat,
+    _petz_renyi,
     _spectrum,
     partial_trace,
-    relative_entropy,
     shannon_entropy,
     tensor,
     thermal_state,
@@ -337,6 +336,47 @@ class WorkStatistics:
     lag: float                # S(rho' || thermal(H_f))
 
 
+@dataclass(frozen=True, eq=False)
+class WorkRows:
+    """What the TPM statistics of a stack of quenches read from their
+    spectra, one row per quench.
+
+    initial, final   (levels, Gibbs weights, eigenvectors) of H_i and H_f
+    transitions      |<f_m|V|i_n>|^2 on the grid [..., m, n]
+    delta_f          dF = (ln Z_i - ln Z_f) / beta
+    mean_work        <W> = sum_mn |<f_m|V|i_n>|^2 p_n (E_m - E_n)
+    lag              S(V rho_i^th V^dag || rho_f^th)
+    """
+
+    initial: tuple
+    final: tuple
+    transitions: np.ndarray
+    delta_f: np.ndarray
+    mean_work: np.ndarray
+    lag: np.ndarray
+
+
+def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
+    """`WorkRows` of quenches from thermal states, over the leading axes of
+    the (n, d, d) stacks of H_i, H_f and V (or one of each, shared), beta
+    one per row or shared: one stacked `eigh` per Hamiltonian kind and no
+    other decomposition.  rho' = V rho_i^th V^dag has the weights p_n of
+    rho_i^th on the eigenvectors V|i_n>, so the lag reads the overlaps
+    <f_m|V|i_n> with the eigenvectors of rho_f^th, whose weights are the
+    Gibbs weights of H_f."""
+    beta = np.asarray(beta, dtype=float)
+    if not (np.isfinite(beta) & (beta > 0.0)).all():
+        raise TrajectoryError(f"inverse temperature must be finite and > 0, got {beta}")
+    ei, vi = np.linalg.eigh(_mat(h_initial))
+    ef, vf = np.linalg.eigh(_mat(h_final))
+    (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
+    amp = vf.conj().swapaxes(-1, -2) @ _mat(protocol_unitary) @ vi
+    trans = np.abs(amp) ** 2
+    mean_w = (trans * pi[..., None, :] * (ef[..., :, None] - ei[..., None, :])).sum((-2, -1))
+    return WorkRows((ei, pi, vi), (ef, pf, vf), trans, (log_zi - log_zf) / beta, mean_w,
+                    _petz_renyi(1.0, pi, pf, amp))
+
+
 def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> WorkStatistics:
     """TPM work statistics for a thermal initial state.
 
@@ -344,27 +384,30 @@ def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> Work
     W = E_f - E_i.  The backward distribution starts from the thermal state
     of H_f and runs V^dag, so the pair satisfies the Crooks relation
     P_F(W) = P_B(-W) e^{beta (W - dF)} pointwise on the shared support.
+    Row 0 of `work_rows`, whose spectra also give both distributions.
     """
-    v = _mat(protocol_unitary)
-    ei, vi = np.linalg.eigh(_mat(h_initial))
-    ef, vf = np.linalg.eigh(_mat(h_final))
-    (pi, log_zi), (pf_th, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
-    trans = np.abs(vf.conj().T @ v @ vi) ** 2          # [m, n], backward [n, m] = trans.T
+    return _work_statistics(_one_quench(h_initial, h_final, protocol_unitary, beta), beta)
+
+
+def _one_quench(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
+    return work_rows(*(_mat(m)[None] for m in (h_initial, h_final, protocol_unitary)), beta)
+
+
+def _work_statistics(rows: WorkRows, beta: float) -> WorkStatistics:
+    """The `WorkStatistics` of row 0 of `rows`."""
+    (ei, pi, _), (ef, pf_th, _) = ([x[0] for x in s] for s in (rows.initial, rows.final))
+    trans = rows.transitions[0]                          # [m, n], backward [n, m] = trans.T
     fwd = ScalarDistribution.from_samples((ef[:, None] - ei).ravel(), (trans * pi).ravel())
     bwd = ScalarDistribution.from_samples((ei[:, None] - ef).ravel(), (trans.T * pf_th).ravel())
-    delta_f = float(log_zi - log_zf) / beta
-    mean_w = fwd.mean()
-    jarz = fwd.exp_average(-beta) * math.exp(beta * delta_f)
-    rho_prime = v @ ((vi * pi) @ vi.conj().T) @ v.conj().T
-    lag = relative_entropy(rho_prime, (vf * pf_th) @ vf.conj().T)
+    delta_f, mean_w = float(rows.delta_f[0]), float(rows.mean_work[0])
     return WorkStatistics(
         forward=fwd,
         backward=bwd,
         delta_f=delta_f,
         mean_work=mean_w,
-        jarzynski=jarz,
+        jarzynski=fwd.exp_average(-beta) * math.exp(beta * delta_f),
         sigma_mean=beta * (mean_w - delta_f),
-        lag=lag,
+        lag=float(rows.lag[0]),
     )
 
 
@@ -408,29 +451,21 @@ def work_cgf(h_initial, h_final, protocol_unitary, beta: float, lam_grid) -> Cgf
     """K(lambda) = ln <e^{-lambda sigma}> for the work protocol.
 
     Evaluated through the trace formula
-    K = ln Tr{ V^dag rho_f^lam V rho_i^(1-lam) } (thermal states as matrix
-    powers) which equals the ensemble sum exactly; cumulants come from the
-    exact sigma distribution.
+    K = ln Tr{ V^dag rho_f^lam V rho_i^(1-lam) }
+      = ln sum_mn |<f_m|V|i_n>|^2 q_m^lam p_n^(1-lam)
+    on the Gibbs weights and transitions of `work_rows`, which equals the
+    ensemble sum exactly; cumulants come from the exact sigma distribution.
     """
-    hi = _mat(h_initial)
-    hf = _mat(h_final)
-    v = _mat(protocol_unitary)
-    rho_i = thermal_state(HermitianOperator.from_matrix(hi), beta)
-    rho_f = thermal_state(HermitianOperator.from_matrix(hf), beta)
-    ei, vi = _spectrum(rho_i)
-    ef, vf = _spectrum(rho_f)
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    out = np.empty_like(lam_grid)
-    for k, lam in enumerate(lam_grid):
-        pow_f = (vf * ef ** lam) @ vf.conj().T
-        pow_i = (vi * ei ** (1.0 - lam)) @ vi.conj().T
-        out[k] = math.log(float(np.real(np.trace(v.conj().T @ pow_f @ v @ pow_i))))
-    return CgfCurve(lam_grid, out, tuple(_work_sigma(hi, hf, v, beta).cumulants(4)))
+    rows = _one_quench(h_initial, h_final, protocol_unitary, beta)
+    lam = np.asarray(lam_grid, dtype=float)
+    p, q = rows.initial[1][0], rows.final[1][0]
+    powers = q[:, None] ** lam[:, None, None] * p ** (1.0 - lam[:, None, None])
+    return CgfCurve(lam, np.log((rows.transitions[0] * powers).sum((-2, -1))),
+                    tuple(_work_sigma(_work_statistics(rows, beta), beta).cumulants(4)))
 
 
-def _work_sigma(hi, hf, v, beta) -> ScalarDistribution:
+def _work_sigma(stats: WorkStatistics, beta: float) -> ScalarDistribution:
     """The distribution of sigma = beta (W - dF) of a work protocol."""
-    stats = work_distribution(hi, hf, v, beta)
     return ScalarDistribution(beta * (stats.forward.values - stats.delta_f),
                               stats.forward.probabilities)
 
@@ -439,40 +474,76 @@ def _work_sigma(hi, hf, v, beta) -> ScalarDistribution:
 # Infinitesimal quenches
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-def _gl_map(a, b):
-    half = 0.5 * (b - a)
-    return half * _GL_NODES + 0.5 * (a + b), half * _GL_WEIGHTS
-
-
-def _y_correlation(rho, op, ys):
-    """Tr[A rho^y A rho^(1-y)] at every y of the array ys, with <A> and
-    <A^2> in rho."""
-    vals, vecs = _spectrum(rho)
-    a = vecs.conj().T @ _mat(op) @ vecs
-    y = np.asarray(ys)[..., None]
-    corr = np.real(np.einsum("ij,...j,ji,...i->...", a, vals ** (1.0 - y), a, vals ** y))
+def _level_pairs(spectrum, op):
+    """The terms of Tr[A rho^y A rho^(1-y)] = sum_ij c_ij l_i^y l_j^(1-y)
+    for rho of the (weights, eigenvectors) `spectrum`: c_ij = Re a_ij a_ji
+    with a = A in rho's eigenbasis, and <A> and <A^2> in rho."""
+    vals, vecs = spectrum
+    a = vecs.conj().T @ op @ vecs
     mean = float(np.sum(np.diag(a).real * vals))
     second = float(np.sum(np.diag(a @ a).real * vals))
-    return corr, mean, second
+    return np.real(a * a.T), mean, second
+
+
+def _larger_and_log_ratio(vals):
+    """For every pair of levels [i, j]: the larger weight b and s = ln(a/b)
+    <= 0 of the smaller a; b = 0 where either weight is 0, as the
+    integrals below of a level of zero weight vanish."""
+    lo, hi = np.minimum.outer(vals, vals), np.maximum.outer(vals, vals)
+    live = lo > 0.0
+    s = np.log(np.where(live, lo, 1.0)) - np.log(np.where(live, hi, 1.0))
+    return np.where(live, hi, 0.0), s
+
+
+def _expm1_ratio(t, s):
+    """expm1(t s) / s, and its limit t at s = 0."""
+    zero = s == 0.0
+    return np.where(zero, t, np.expm1(t * s) / np.where(zero, 1.0, s))
+
+
+def _log_mean(vals):
+    """int_0^1 l_i^y l_j^(1-y) dy for every pair of levels [i, j]: the
+    logarithmic mean (a - b) / ln(a/b), as b expm1(s) / s with b the larger
+    weight and s = ln(a/b) <= 0 (the integral is symmetric in i, j); b at
+    a = b and 0 for a level of zero weight."""
+    b, s = _larger_and_log_ratio(vals)
+    return b * _expm1_ratio(1.0, s)
+
+
+def _xy_integral(vals, lam):
+    """int_0^lam dx int_x^(1-x) dy l_i^y l_j^(1-y) for every pair of levels
+    [..., i, j] and every lam of the leading axes.  The inner integral is
+    b r^x expm1((1 - 2x) ln r) / ln r with r = a/b <= 1 as in `_log_mean`,
+    and the outer one b expm1(lam ln r) expm1((1 - lam) ln r) / ln^2 r:
+    b lam (1 - lam) at r = 1, 0 for a level of zero weight, and symmetric
+    under lam -> 1 - lam term by term."""
+    b, s = _larger_and_log_ratio(vals)
+    lam = np.asarray(lam, dtype=float)[..., None, None]
+    return b * _expm1_ratio(lam, s) * _expm1_ratio(1.0 - lam, s)
 
 
 def y_covariance_integral(rho, op) -> float:
-    """int_0^1 cov^y(A, A) dy by 32-node Gauss-Legendre, where
+    """int_0^1 cov^y(A, A) dy in closed form (`_log_mean`), where
     cov^y(A, A) = Tr[A rho^y A rho^(1-y)] - <A>^2."""
-    x, w = _gl_map(0.0, 1.0)
-    corr, mean, _ = _y_correlation(rho, op, x)
-    return float(np.sum(w * (corr - mean ** 2)))
+    spectrum = _spectrum(rho)
+    pairs, mean, _ = _level_pairs(spectrum, _mat(op))
+    return float(np.sum(pairs * _log_mean(spectrum[0])) - mean ** 2)
 
 
 def skew_information_integral(rho, op) -> float:
     """int_0^1 I_y(rho, A) dy with I_y = -1/2 Tr{[rho^y, A][rho^(1-y), A]}
-    = <A^2> - Tr[A rho^y A rho^(1-y)]."""
-    x, w = _gl_map(0.0, 1.0)
-    corr, _, second = _y_correlation(rho, op, x)
-    return float(np.sum(w * (second - corr)))
+    = <A^2> - Tr[A rho^y A rho^(1-y)], in closed form (`_log_mean`)."""
+    spectrum = _spectrum(rho)
+    pairs, _, second = _level_pairs(spectrum, _mat(op))
+    return float(second - np.sum(pairs * _log_mean(spectrum[0])))
+
+
+def _identity_quench(hi, hf, beta):
+    """The `work_rows` of the sudden quench H_i -> H_f (V = 1), the Gibbs
+    weights of rho_i^th and the `_level_pairs` of dH = H_f - H_i in it."""
+    rows = _one_quench(hi, hf, np.eye(hi.shape[0]), beta)
+    _, weights, vecs = (x[0] for x in rows.initial)
+    return rows, weights, _level_pairs((weights, vecs), hf - hi)
 
 
 @dataclass(frozen=True)
@@ -498,32 +569,31 @@ def quench_report(h_of_lambda, lam0: float, dlam: float, beta: float,
     the integrated skew information of dH in rho_i^th.  A commuting quench
     has Q = 0 and satisfies the fluctuation-dissipation relation
     <sigma> = var(sigma)/2 up to O(dlam^3); coherence breaks it by exactly
-    Q at second order.
+    Q at second order.  Everything is read from the spectra of the
+    identity quench's `work_rows`: Sigma_exact is its lag.
     """
     hi = _mat(h_of_lambda(lam0))
     hf = _mat(h_of_lambda(lam0 + dlam))
-    rho_i = thermal_state(HermitianOperator.from_matrix(hi), beta)
-    rho_f = thermal_state(HermitianOperator.from_matrix(hf), beta)
-    sigma_exact = relative_entropy(rho_i, rho_f)
-    dh = hf - hi
-    ycov = y_covariance_integral(rho_i, dh)
+    rows, weights, (pairs, mean_dh, second) = _identity_quench(hi, hf, beta)
+    stats = _work_statistics(rows, beta)
+    window = np.sum(pairs * _log_mean(weights))
+    ycov = float(window - mean_dh ** 2)
     sigma_2 = 0.5 * beta ** 2 * ycov
-    skew = 0.5 * beta ** 2 * skew_information_integral(rho_i, dh)
-    mean_dh = float(np.real(np.trace(dh @ rho_i.matrix)))
-    var_dh = float(np.real(np.trace(dh @ dh @ rho_i.matrix))) - mean_dh ** 2
+    skew = 0.5 * beta ** 2 * float(second - window)
     commuting = float(np.abs(hi @ hf - hf @ hi).max()) < 1e-12 * max(
         1.0, float(np.abs(hi).max() * np.abs(hf).max()))
     # exhaustive sigma distribution (V = identity quench)
-    sig = _work_sigma(hi, hf, np.eye(hi.shape[0]), beta)
+    sig = _work_sigma(stats, beta)
     kappa = sig.cumulants(4)
     fdr_residual = kappa[0] - (0.5 * kappa[1] - skew)
+    sigma_exact = stats.lag
     expansion_ok = abs(sigma_exact - sigma_2) <= rel_tol * max(sigma_exact, 1e-300)
     return QuenchReport(
         sigma_exact=sigma_exact,
         sigma_second_order=sigma_2,
         y_cov_integral=ycov,
         incompatibility=skew,
-        variance_dh=var_dh,
+        variance_dh=second - mean_dh ** 2,
         sigma_distribution=sig,
         cumulants=tuple(kappa),
         fdr_residual=fdr_residual,
@@ -535,20 +605,14 @@ def quench_report(h_of_lambda, lam0: float, dlam: float, beta: float,
 def quench_cgf(h_initial, h_final, beta: float, lam_grid) -> CgfCurve:
     """Second-order quench CGF
     K(lam) = -(beta^2/2) int_0^lam dx int_x^(1-x) dy cov^y(dH, dH),
-    evaluated with nested 32-node Gauss-Legendre rules.  Satisfies the
-    Gallavotti-Cohen symmetry K(lam) = K(1 - lam) identically.
+    in closed form on the spectrum of rho_i^th (`_xy_integral`).  Satisfies
+    the Gallavotti-Cohen symmetry K(lam) = K(1 - lam) identically.
     """
-    hi = _mat(h_initial)
-    hf = _mat(h_final)
-    rho_i = thermal_state(HermitianOperator.from_matrix(hi), beta)
-    lam_grid = np.asarray(lam_grid, dtype=float)
-    xs, wx = _gl_map(0.0, lam_grid[:, None])                  # [lam, x]
-    ys, wy = _gl_map(xs[..., None], 1.0 - xs[..., None])      # [lam, x, y]
-    corr, mean, _ = _y_correlation(rho_i, hf - hi, ys)
-    inner = np.sum(wy * (corr - mean ** 2), axis=-1)
-    out = -0.5 * beta ** 2 * np.sum(wx * inner, axis=-1)
-    return CgfCurve(lam_grid, out, tuple(_work_sigma(hi, hf, np.eye(hi.shape[0]),
-                                                     beta).cumulants(4)))
+    rows, weights, (pairs, mean, _) = _identity_quench(_mat(h_initial), _mat(h_final), beta)
+    lam = np.asarray(lam_grid, dtype=float)
+    inner = np.sum(pairs * _xy_integral(weights, lam), axis=(-2, -1)) - mean ** 2 * lam * (1.0 - lam)
+    return CgfCurve(lam, -0.5 * beta ** 2 * inner,
+                    tuple(_work_sigma(_work_statistics(rows, beta), beta).cumulants(4)))
 
 
 # ---------------------------------------------------------------------------

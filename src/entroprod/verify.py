@@ -350,12 +350,10 @@ def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100, see
     for pairs in renyi.values():
         vals = rs.classical_renyi_rows(*(np.array(x) for x in zip(*pairs)), grid)
         mono &= bool((vals[:, :-1] <= vals[:, 1:] + 1e-12).all())
-    stats = [tj.work_distribution(h_i, h_f, np.eye(2), b) for b, h_i, h_f in quenches]
     beta_q, h_i, h_f = (np.array(x) for x in zip(*quenches))
-    rep = rs.work_bounds_rows(h_f, beta_q, _gibbs_states(h_i, beta_q)[0],
-                              np.array([s.mean_work for s in stats]),
-                              np.array([s.delta_f for s in stats]),
-                              np.linspace(0.0, beta_q, 5, axis=-1))
+    work = tj.work_rows(h_i, h_f, np.eye(2), beta_q)
+    rep = rs.work_bounds_rows(h_f, beta_q, _gibbs_states(h_i, beta_q)[0], work.mean_work,
+                              work.delta_f, np.linspace(0.0, beta_q, 5, axis=-1))
     v = rs.thermo_majorizes_rows(e2, orc_a, orc_b, beta)
     feas = rs.gibbs_stochastic_feasible_2d_rows(e2, orc_a, orc_b, beta)
     oracle = int((feas == np.isin(v, rs.CONVERTIBLE)).sum())

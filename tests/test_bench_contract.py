@@ -1,9 +1,10 @@
 """Guards on what the benchmark's tooling relies on in the package (read
 from `bench/`, which is not edited here): every traced name resolves, the
 episode verify suites take a number of eigendecompositions that does not
-grow with their number of episodes, and the majorization suite one of
+grow with their number of episodes, the majorization suite one of
 eigendecompositions and Renyi kernel calls that does not grow with its
-number of pairs."""
+number of pairs or of quenches, and a one-bath multibath balance reads
+the decompositions its thermal balance made."""
 
 import importlib
 import importlib.util
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from entroprod import verify
+from entroprod.core import DensityOperator, HermitianOperator, UnitaryOperator
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -49,25 +51,79 @@ def test_episode_suites_decompose_once_per_stack(monkeypatch, suite):
     assert counts[0] == counts[1]
 
 
+def count_decompositions(monkeypatch, call):
+    """The eigh, eigvalsh and `_petz_renyi` calls that call() makes."""
+    from entroprod import core, resource, trajectories
+    petz_renyi, calls = core._petz_renyi, []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    for module in (m for m in (core, resource, trajectories) if hasattr(m, "_petz_renyi")):
+        monkeypatch.setattr(module, "_petz_renyi", lambda *a, **k:
+                            calls.append("_petz_renyi") or petz_renyi(*a, **k))
+    try:
+        result = call()
+    finally:
+        monkeypatch.undo()
+    return result, {name: calls.count(name) for name in set(calls)}
+
+
+def majorization_counts(monkeypatch, sizes):
+    """The decomposition counts of the majorization suite at each of `sizes`,
+    every record passing."""
+    counts = []
+    for kwargs in sizes:
+        records, count = count_decompositions(
+            monkeypatch, lambda: verify.majorization_suite(**kwargs))
+        assert all(passed for _, passed, _ in records), records
+        counts.append(count)
+    return counts
+
+
 def test_majorization_suite_counts_do_not_grow_with_its_pairs(monkeypatch):
     # the pair blocks (curve against embedding, Renyi grid, oracle) are one
     # stack each; the quenches are held fixed
-    from entroprod import core, resource
-    petz_renyi, counts = core._petz_renyi, []
-    for n in (10, 40):
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k:
-                                calls.append(_name) or _fn(*a, **k))
-        for module in (core, resource):
-            monkeypatch.setattr(module, "_petz_renyi", lambda *a, **k:
-                                calls.append("_petz_renyi") or petz_renyi(*a, **k))
-        records = verify.majorization_suite(n_pairs=n, n_renyi=n, n_quenches=5, n_oracle=n)
-        monkeypatch.undo()
-        assert all(passed for _, passed, _ in records), records
-        counts.append({name: calls.count(name) for name in set(calls)})
+    counts = majorization_counts(monkeypatch, [
+        {"n_pairs": n, "n_renyi": n, "n_oracle": n, "n_quenches": 5} for n in (10, 40)])
     assert counts[0] == counts[1]
-    # one per dimension of the Renyi pairs, one for work_bounds_rows and the
-    # relative entropy of each quench's work statistics
-    assert counts[0]["_petz_renyi"] == 4 + 1 + 5
+    # one per dimension of the Renyi pairs, one for work_bounds_rows and one
+    # for the lags of the quenches' work rows
+    assert counts[0]["_petz_renyi"] == 4 + 1 + 1
+
+
+def test_majorization_suite_counts_do_not_grow_with_its_quenches(monkeypatch):
+    # the quenches are one stack (`trajectories.work_rows`): one eigh per
+    # Hamiltonian kind, where the parent took four per quench
+    counts = majorization_counts(monkeypatch, [{"n_quenches": n} for n in (10, 40)])
+    assert counts[0] == counts[1]
+
+
+def test_one_bath_multibath_takes_no_decomposition_after_thermal(monkeypatch):
+    # the benchmark's thermal 2x3 episode: the one bath part covers all of E,
+    # so its marginals are rho_E and rho_E' and its Gibbs check is the
+    # thermal balance's own
+    from entroprod import episodes as eps
+    from entroprod.core import _gibbs_states
+    from entroprod.rand import ginibre, haar_unitaries, random_density
+    rng = np.random.default_rng(18)
+    beta, omega = 0.8, 1.2
+    h_s = np.diag([0.0, omega]).astype(complex)
+    h_e = np.diag(omega * np.arange(3.0)).astype(complex)
+    total = np.add.outer(np.arange(2), np.arange(3)).ravel()
+    u = np.zeros((6, 6), dtype=complex)
+    for level in np.unique(total):                # Haar inside each energy shell
+        idx = np.flatnonzero(total == level)
+        u[np.ix_(idx, idx)] = haar_unitaries(ginibre(rng, len(idx), len(idx)))
+    ep = eps.Episode(HermitianOperator.from_matrix(h_s), HermitianOperator.from_matrix(h_e),
+                     UnitaryOperator.from_matrix(u, (2, 3)), random_density(2, rng),
+                     DensityOperator.from_matrix(_gibbs_states(h_e, beta)[0]))
+    part = eps.BathPart((0,), HermitianOperator.from_matrix(h_e), beta)
+    ev = eps.evolve(ep)
+    eps.balance(ep, ev)
+    thermal = eps.thermal_balance(ep, beta)
+    multibath, count = count_decompositions(
+        monkeypatch, lambda: eps.multibath_balance(ep, [part], evolved=ev))
+    assert count.get("eigh", 0) == count.get("eigvalsh", 0) == 0, count
+    assert multibath.sigma == thermal.sigma
+    assert multibath.env_displacement == thermal.env_displacement

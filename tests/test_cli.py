@@ -204,3 +204,16 @@ def test_run_resource_denominator_bounded(tmp_path, capsys):
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) in (2, 3)
         assert "denominator" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_integer_parameters_must_be_whole(tmp_path, capsys):
+    # 2.7 used to run as 2; a whole float such as 10000.0 is accepted
+    for denominator, code in ((2.7, 2), ("100", 2), (True, 2), (10000.0, 0), (500, 0)):
+        cfg = {"schema": "v1", "kind": "resource",
+               "parameters": {"beta": 1.0, "denominator": denominator},
+               "output": {"path": "x.csv"}}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == code, denominator
+        assert ("must be an integer" in capsys.readouterr().err) == (code == 2)
+        assert (tmp_path / "x.csv").exists() == (code == 0)
+        (tmp_path / "x.csv").unlink(missing_ok=True)

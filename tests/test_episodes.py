@@ -215,6 +215,14 @@ def test_multibath_rejects_nonproduct():
         eps.multibath_balance(bad, parts)
 
 
+def test_multibath_rejects_a_part_hamiltonian_of_the_wrong_size():
+    # a 3x3 H on a qubit bath used to fail inside numpy broadcasting
+    ep, parts = three_qubit_heat_episode()
+    wrong = eps.BathPart((1,), HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0])), 1.6)
+    with pytest.raises(eps.EpisodeError, match=r"bath part \(1,\): Hamiltonian of shape"):
+        eps.multibath_balance(ep, [parts[0], wrong])
+
+
 def test_strict_energy_conservation_checks():
     h = HermitianOperator.from_matrix(0.8 * PAULI_Z)
     h_tot = core.tensor([h, np.eye(2)]) + core.tensor([np.eye(2), h.matrix])

@@ -8,9 +8,12 @@ import pytest
 import hypothesis
 from hypothesis import given, settings, strategies as st
 
+import scipy.linalg
+
 from entroprod import collisional as cm, episodes as eps, resource as rs, trajectories as tj
 from entroprod.core import (DensityOperator, HermitianOperator, UnitaryOperator, _petz_renyi,
-                            classical_kl, renyi_divergence, thermal_state)
+                            classical_kl, partial_trace, relative_entropy, renyi_divergence,
+                            thermal_state, von_neumann_entropy)
 from entroprod.resource import classical_renyi_divergence
 from entroprod.rand import (density_matrices, ginibre, haar_unitaries, random_density,
                             random_unitary)
@@ -504,3 +507,125 @@ def test_curve_verdict_is_the_embedding_verdict(k1, k2, beta, gap):
     embedded = [rs.gamma_embed(pop, beta, 10_000)[0] for pop in pops]
     assert (rs.majorization_verdict(*embedded, tol=1e-9)
             is rs.thermo_majorizes(*pops, beta))
+
+
+thermal_stack = st.fixed_dictionaries({
+    "env": st.sampled_from([(2,), (3,), (2, 2), (2, 3)]),
+    "thermal": st.just(True),
+    "rows": st.integers(1, 4),
+    "deficient": st.just(0),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@PROPERTY
+@given(thermal_stack)
+def test_multibath_reads_the_kept_marginals(draw):
+    # one part over all of E is the thermal balance bit for bit; a part per
+    # factor matches a partial trace of each episode's own states
+    episodes, stack, betas, parts = build_stack(draw)
+    thermal = eps.thermal_balance_rows(stack, betas)
+    whole = eps.multibath_balance_rows(
+        stack, [eps.BathPart(tuple(range(len(draw["env"]))), stack.h_env, betas)])
+    for name in ("sigma", "heat_env", "flux", "env_displacement"):
+        assert np.array_equal(getattr(whole, name), getattr(thermal, name)), name
+    if len(draw["env"]) == 1:
+        return
+    rows = eps.multibath_balance_rows(stack, [
+        eps.BathPart((i,), np.array([p[i].hamiltonian.matrix for p in parts]), betas)
+        for i in range(len(draw["env"]))])
+    for k, ep in enumerate(episodes):
+        joint = eps.evolve(ep).rho_joint
+        heats, displacement, entropies = [], 0.0, 0.0
+        for i, part in enumerate(parts[k]):
+            before, after = partial_trace(ep.rho_env, [i]), partial_trace(joint, [1 + i])
+            heats.append(float(np.real(np.trace(part.hamiltonian.matrix
+                                                 @ (after.matrix - before.matrix)))))
+            displacement += relative_entropy(after, before)
+            entropies += von_neumann_entropy(after)
+        sigma = thermal.d_entropy_system[k] + betas[k] * sum(heats)
+        correlations = (von_neumann_entropy(partial_trace(joint, [0])) + entropies
+                        - von_neumann_entropy(joint))
+        for got, want in ((rows.heat_per_bath[k], heats), (rows.sigma[k], sigma),
+                          (rows.env_displacement[k], displacement),
+                          (rows.total_correlations[k], correlations)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def hamiltonians(rng, d, levels):
+    """H = W diag(levels) W^dag for a Haar-random W: repeated levels are
+    degenerate eigenspaces in a random basis."""
+    w = random_unitary(d, rng).matrix
+    return (w * np.asarray(levels, dtype=float)) @ w.conj().T
+
+
+work_quench = st.fixed_dictionaries({
+    "initial": st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=4),
+    "final": st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.5]), min_size=4, max_size=4),
+    "beta": st.sampled_from([0.3, 1.0, 2.5]),
+    "protocol": st.booleans(),
+    "rows": st.integers(1, 3),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@PROPERTY
+@given(work_quench)
+def test_work_rows_match_the_decomposed_states(draw):
+    # lag, <W> and dF from the spectra the quench already holds, against
+    # Gibbs matrices by expm and the relative entropy of their eigh; row k
+    # of a stack is the one-quench work_distribution
+    rng = np.random.default_rng(draw["seed"])
+    d, beta, n = len(draw["initial"]), draw["beta"], draw["rows"]
+    h_i = np.array([hamiltonians(rng, d, draw["initial"]) for _ in range(n)])
+    h_f = np.array([hamiltonians(rng, d, draw["final"][:d]) for _ in range(n)])
+    v = np.array([random_unitary(d, rng).matrix if draw["protocol"] else np.eye(d)
+                  for _ in range(n)])
+    rows = tj.work_rows(h_i, h_f, v, beta)
+    for k in range(n):
+        rho_i, rho_f = (scipy.linalg.expm(-beta * h) for h in (h_i[k], h_f[k]))
+        z_i, z_f = (float(np.real(np.trace(r))) for r in (rho_i, rho_f))
+        rho_i, rho_f = rho_i / z_i, rho_f / z_f
+        evolved = v[k] @ rho_i @ v[k].conj().T
+        want = {"lag": relative_entropy(evolved, rho_f),
+                "mean_work": float(np.real(np.trace(h_f[k] @ evolved) - np.trace(h_i[k] @ rho_i))),
+                "delta_f": (math.log(z_i) - math.log(z_f)) / beta}
+        one = tj.work_distribution(h_i[k], h_f[k], v[k], beta)
+        for name, value in want.items():
+            assert abs(getattr(rows, name)[k] - value) <= 1e-13, (name, getattr(rows, name)[k], value)
+            assert getattr(one, name) == getattr(rows, name)[k], name
+
+
+_GL64 = np.polynomial.legendre.leggauss(64)
+
+
+def gauss_legendre(fn, a, b):
+    """The 64-node Gauss-Legendre rule of fn on [a, b]."""
+    nodes, weights = _GL64
+    half = 0.5 * (b - a)
+    return half * np.sum(weights * fn(half * nodes + 0.5 * (a + b)))
+
+
+level_pair = st.tuples(
+    st.sampled_from(["equal", "near", "zero", "free"]),
+    st.floats(1e-6, 1.0), st.floats(1e-6, 1.0), st.floats(-1e-8, 1e-8))
+
+
+@PROPERTY
+@given(level_pair, st.floats(0.0, 1.0))
+def test_closed_form_y_integrals_are_the_quadrature(pair, lam):
+    # int_x^(1-x) a^y b^(1-y) dy over [0, 1] (the logarithmic mean) and over
+    # x in [0, lam] against nested 64-node rules: at r = a/b = 1, at
+    # |ln r| < 1e-8 and with a zero weight
+    kind, a, b, tiny = pair
+    a = {"equal": b, "near": b * math.exp(tiny), "zero": 0.0, "free": a}[kind]
+    vals = np.array([a, b])
+
+    def inner(x):
+        return np.array([gauss_legendre(lambda y: a ** y * b ** (1.0 - y), t, 1.0 - t)
+                         for t in np.atleast_1d(x)])
+
+    for closed, want in ((tj._log_mean(vals), inner(0.0)[0]),
+                         (tj._xy_integral(vals, lam), gauss_legendre(inner, 0.0, lam))):
+        assert abs(closed[0, 1] - want) <= 1e-13 and closed[0, 1] == closed[1, 0], (closed, want)
+    assert np.array_equal(np.diag(tj._log_mean(vals)), vals)
