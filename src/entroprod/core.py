@@ -123,15 +123,20 @@ def _density_spectra(m):
     (..., d, d) by one stacked `eigh`: Hermitian within HERMITICITY_TOL,
     unit trace within TRACE_TOL and no eigenvalue below -EIG_FLOOR.
     Returns the eigenvalues (ascending, round-off zeroed by
-    `_spectral_weights`) and eigenvectors as columns, both read-only."""
+    `_spectral_weights`) and eigenvectors as columns, both read-only.
+    The three flags are tested together; when one fires, the first failed
+    check in that order raises."""
     herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    _fail_first(herm_err > HERMITICITY_TOL, herm_err,
-                "density matrix not Hermitian (residual {:.3e})")
     tr = np.trace(m, axis1=-2, axis2=-1)
-    _fail_first(abs(tr - 1.0) > TRACE_TOL, tr, "density matrix trace {} differs from 1")
     evals, evecs = np.linalg.eigh(m)
     low = evals[..., 0]
-    _fail_first(low < -EIG_FLOOR, low, "density matrix has negative eigenvalue {:.3e}")
+    checks = ((herm_err > HERMITICITY_TOL, herm_err,
+               "density matrix not Hermitian (residual {:.3e})"),
+              (abs(tr - 1.0) > TRACE_TOL, tr, "density matrix trace {} differs from 1"),
+              (low < -EIG_FLOOR, low, "density matrix has negative eigenvalue {:.3e}"))
+    if (checks[0][0] | checks[1][0] | checks[2][0]).any():
+        for bad, values, message in checks:
+            _fail_first(bad, values, message)
     evals = _spectral_weights(evals)
     for arr in (evals, evecs):
         arr.setflags(write=False)
@@ -508,8 +513,12 @@ def propagate(gen, t_grid, x0, error):
 
 
 def kraus_superop(kraus) -> np.ndarray:
-    """Matrix of rho -> sum_k K_k rho K_k^dag, i.e. sum_k conj(K_k) kron K_k."""
-    return sum(np.kron(k.conj(), k) for k in kraus)
+    """Matrix of rho -> sum_k K_k rho K_k^dag, i.e. sum_k conj(K_k) kron K_k:
+    one stacked `tensor` of the (n, d, d) Kraus stack, summed over k.  For
+    d >= 2 numpy adds the n terms in order, so the bits are those of a sum
+    of `np.kron` terms."""
+    k = np.asarray(kraus)
+    return tensor([k.conj(), k]).sum(0)
 
 
 def add_sided_term(superop, left, right):
@@ -593,11 +602,15 @@ def _petz_renyi(alpha, p, q, amp=None):
     diagonal case, p and q weights on one basis (probability vectors).
 
     Every order is taken over leading axes: alpha, one order or an array of
-    them, broadcasts against the leading axes of p, q and amp, and each
-    entry takes the branch of its order, each branch evaluated once for the
-    whole stack.  Powers act on the supports, the weights > 0.  alpha = 1 is
-    the relative entropy Tr rho (ln rho - ln sigma); alpha = 0 is the support
-    limit -ln Tr Pi_rho sigma and alpha = inf the max-ratio limit
+    them, broadcasts against the leading axes of p, q and amp.  One order
+    (also as a grid of one) runs only its own branch; an array of orders
+    runs each branch that one of its orders takes, once for the whole
+    stack.  alpha = 1 and alpha = inf do not depend on the order, so they
+    run once per row of p, q and amp; the finite orders run over the
+    broadcast, the other entries at the stand-in order 0.  Powers act on
+    the supports, the weights > 0.  alpha = 1 is the relative entropy
+    Tr rho (ln rho - ln sigma); alpha = 0 is the support limit
+    -ln Tr Pi_rho sigma and alpha = inf the max-ratio limit
     ln max spec sigma^-1/2 rho sigma^-1/2 (one stacked `eigvalsh` with
     overlaps).  Orders alpha >= 1 are +inf when rho leaves sigma's support.
     """
@@ -611,34 +624,44 @@ def _petz_renyi(alpha, p, q, amp=None):
         on sigma's."""
         return x if w is None else (w @ x[..., None])[..., 0]
 
-    on = q > 0.0
-    one, top = alpha == 1.0, alpha == math.inf
-    finite = ~(one | top)
-    value = np.zeros(())
-    if finite.any():
-        a = np.where(finite, alpha, 0.0)[..., None]
-        tr = (_power(q, 1.0 - a) * on_sigma(_power(p, a))).sum(-1)
-        positive = tr > 0.0
-        value = np.where(positive, np.log(np.where(positive, tr, 1.0)) / (a[..., 0] - 1.0),
-                         math.inf)
-    if top.any():
+    on, above = q > 0.0, alpha >= 1.0
+    r = on_sigma(p) if above.any() else None            # <sigma_j|rho|sigma_j>
+
+    def branch(a):
+        """The formula of one branch: a = 1 or a = inf (floats), or an array
+        of finite orders other than 1."""
+        if isinstance(a, np.ndarray):
+            tr = (_power(q, 1.0 - a[..., None]) * on_sigma(_power(p, a[..., None]))).sum(-1)
+            positive = tr > 0.0
+            return np.where(positive, np.log(np.where(positive, tr, 1.0)) / (a - 1.0),
+                            math.inf)
+        if a == 1.0:
+            return -_entropy_rows(p) - (r * np.log(np.where(on, q, 1.0))).sum(-1)
         # ln max spec sigma^-1/2 rho sigma^-1/2: the largest ratio p/q, or the
         # top eigenvalue with sigma's zero levels as zero rows; a row wholly
         # off sigma's support reads 0 here and +inf below
         if w is None:
-            top_value = (np.where(on, p, 0.0) / np.where(on, q, 1.0)).max(-1)
+            top = (np.where(on, p, 0.0) / np.where(on, q, 1.0)).max(-1)
         else:
             half = amp * np.sqrt(p)[..., None, :] / np.sqrt(np.where(on, q, 1.0))[..., :, None]
             half = np.where(on[..., :, None], half, 0.0)      # sigma^-1/2 rho^1/2
-            top_value = np.linalg.eigvalsh(half @ half.conj().swapaxes(-1, -2))[..., -1]
-        value = np.where(top, np.log(np.where(top_value > 0.0, top_value, 1.0)), value)
-    if (alpha >= 1.0).any():
-        r = on_sigma(p)                                 # <sigma_j|rho|sigma_j>
-        if one.any():
-            cross = (r * np.log(np.where(on, q, 1.0))).sum(-1)
-            value = np.where(one, -_entropy_rows(p) - cross, value)
+            top = np.linalg.eigvalsh(half @ half.conj().swapaxes(-1, -2))[..., -1]
+        return np.log(np.where(top > 0.0, top, 1.0))
+
+    if alpha.size == 1:
+        order = alpha.item()
+        value = branch(order if order in (1.0, math.inf) else alpha)
+    else:
+        one, top = alpha == 1.0, alpha == math.inf
+        finite = ~(one | top)
+        value = np.zeros(())
+        for orders, a in ((finite, None), (top, math.inf), (one, 1.0)):
+            if orders.any():
+                value = np.where(orders, branch(np.where(finite, alpha, 0.0) if a is None else a),
+                                 value)
+    if r is not None:
         leaves = np.where(on, 0.0, r).sum(-1) > SUPPORT_OVERLAP_TOL
-        value = np.where(leaves & (alpha >= 1.0), math.inf, value)
+        value = np.where(leaves & above, math.inf, value)
     return value
 
 

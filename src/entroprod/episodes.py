@@ -155,11 +155,14 @@ class EpisodeStack:
 
     `of` validates each operator kind once for the whole stack; an
     episode's own one-row stack (`Episode._row`) reuses its validation.
-    The evolution (`evolved`), the information balance (`balance`), the
-    marginals of rho_E and rho_E' on sets of E factors (`env_marginal`) and
-    their distances from Gibbs states are made on first use and kept.  The
-    row forms `thermal_balance_rows`, `multibath_balance_rows`,
-    `landauer_rows` and `trajectories.backward_ensemble_rows` take a stack.
+    The evolution (`evolved`), the entropies of the five states
+    (`entropies`), the information balance (`balance`), the marginals of
+    rho_E and rho_E' on sets of E factors (`env_marginal`), their distances
+    from Gibbs states, the initial weights (`initial_weights`) and the
+    transition probabilities per final basis (`transitions`) are made on
+    first use and kept.  The row forms `thermal_balance_rows`,
+    `multibath_balance_rows`, `landauer_rows` and
+    `trajectories.backward_ensemble_rows` take a stack.
     """
 
     h_system: np.ndarray
@@ -207,12 +210,45 @@ class EpisodeStack:
         return tuple(map(_density_stack, (joint, *parts)))
 
     @cached_property
+    def entropies(self) -> tuple:
+        """S(rho_S), S(rho_E), S(rho_S'), S(rho_E') and S(rho_SE') of every
+        row, in that order."""
+        states = (self.rho_system, self.rho_env, self.evolved[1], self.evolved[2], self.evolved[0])
+        return tuple(_entropy_rows(weights) for _, weights, _ in states)
+
+    @cached_property
     def balance(self) -> EntropyBalance:
         """The information balance of every row (`balance_rows`), one
-        array per field."""
-        (_, joint_vals, _), after, env_after = self.evolved
-        return EntropyBalance(*balance_rows(self.h_system, self.h_env, self.rho_env,
-                                            self.rho_system, after, env_after, joint_vals))
+        array per field, from the kept entropies."""
+        _, after, env_after = self.evolved
+        return EntropyBalance(*_balance_rows(self.h_system, self.h_env, self.rho_env,
+                                             self.rho_system, after, env_after, self.entropies))
+
+    @cached_property
+    def initial_weights(self) -> np.ndarray:
+        """p_n q_nu of every row on [row, n, nu], the weights of rho_S and rho_E."""
+        return self.rho_system[1][..., :, None] * self.rho_env[1][..., None, :]
+
+    @cached_property
+    def _initial_columns(self) -> np.ndarray:
+        """U (V_S x V_E): its columns are U|n nu> for the eigenvectors of
+        rho_S and rho_E."""
+        return self.unitary @ tensor([self.rho_system[2], self.rho_env[2]])
+
+    def transitions(self, final_system: bool, final_env: bool) -> np.ndarray:
+        """|<m mu|U|n nu>|^2 of every row on the grid [row, m, mu, n, nu]:
+        (n, nu) the eigenvectors of rho_S and rho_E, m those of rho_S'
+        (of rho_S unless `final_system`) and mu those of rho_E' (of rho_E
+        unless `final_env`).  Kept per final basis, so the backward choices
+        that share one (`trajectories.backward_ensemble_rows`) build it once."""
+        known, key = self._transitions, (final_system, final_env)
+        if key not in known:
+            known[key] = _transition_tensor(self, *key)
+        return known[key]
+
+    @cached_property
+    def _transitions(self) -> dict:
+        return {}
 
     def env_marginal(self, factors, after: bool = False) -> tuple:
         """The marginal of every rho_E (rho_E' when `after`) on the E factors
@@ -233,9 +269,19 @@ class EpisodeStack:
 
     @cached_property
     def _gibbs_distance(self) -> dict:
-        """Trace distances of E marginals from Gibbs states, per (factor set,
-        Hamiltonian, beta row)."""
+        """Trace distances of E marginals from Gibbs states and the levels of
+        their Hamiltonians, per (factor set, Hamiltonian, beta row)."""
         return {}
+
+
+def _transition_tensor(stack: EpisodeStack, final_system: bool, final_env: bool):
+    """`EpisodeStack.transitions` of one final basis, read against the kept
+    columns U (V_S x V_E)."""
+    basis_s = (stack.evolved[1] if final_system else stack.rho_system)[2]
+    basis_e = (stack.evolved[2] if final_env else stack.rho_env)[2]
+    final = tensor([basis_s, basis_e]).conj().swapaxes(-1, -2)
+    ds, de = basis_s.shape[-1], basis_e.shape[-1]
+    return (np.abs(final @ stack._initial_columns) ** 2).reshape(-1, ds, de, ds, de)
 
 
 @dataclass(frozen=True)
@@ -270,10 +316,10 @@ def _require_rows(bad, message):
 
 def _betas(stack: EpisodeStack, beta):
     """beta (a scalar or one per row) as one float per row of the stack."""
-    b = np.broadcast_to(np.asarray(beta, dtype=float), (len(stack),))
+    b = np.asarray(beta, dtype=float)
     if not (np.isfinite(b) & (b >= 0)).all():
         raise EpisodeError(f"inverse temperature must be finite and >= 0, got {beta}")
-    return b
+    return np.full(len(stack), b) if b.ndim == 0 else np.broadcast_to(b, (len(stack),))
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +380,9 @@ def _first_row(rows: EntropyBalance) -> EntropyBalance:
 
 
 def _trace_rows(a, b):
-    """Re Tr(a b) over the leading axes of either side."""
-    return np.real(np.trace(a @ b, axis1=-2, axis2=-1))
+    """Re Tr(a b) over the leading axes of either side, as one contraction
+    sum_ij a_ij b_ji, with no product matrix."""
+    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance:
@@ -359,13 +406,21 @@ def balance_rows(h_system, h_env, env_before, before, after, env_after, joint_va
     Q_E and W, in `EntropyBalance` order; raises when any row's joint
     entropy is not conserved (1e-8).
     """
-    (m_env0, q, qv), (m_before, p_before, _), (m_after, p_after, _), (m_env, p_env, v_env) = \
+    entropies = [_entropy_rows(state[1]) for state in (before, env_before, after, env_after)]
+    return _balance_rows(h_system, h_env, env_before, before, after, env_after,
+                         entropies + [_entropy_rows(joint_vals)])
+
+
+def _balance_rows(h_system, h_env, env_before, before, after, env_after, entropies):
+    """`balance_rows` from the entropies of rho_S, rho_E, rho_S', rho_E'
+    and rho_SE', in that order (`EpisodeStack.entropies`)."""
+    (m_env0, q, qv), (m_before, _, _), (m_after, _, _), (m_env, p_env, v_env) = \
         env_before, before, after, env_after
-    s_sys, s_env = _entropy_rows(p_after), _entropy_rows(p_env)
-    mi = s_sys + s_env - _entropy_rows(joint_vals)
+    s_before, s_env0, s_sys, s_env, s_joint = entropies
+    mi = s_sys + s_env - s_joint
     d_env = _petz_renyi(1.0, p_env, q, qv.conj().swapaxes(-1, -2) @ v_env)
-    ds_s = s_sys - _entropy_rows(p_before)
-    ds_e = s_env - _entropy_rows(q)
+    ds_s = s_sys - s_before
+    ds_e = s_env - s_env0
     # unitarity: the mutual information must equal dS_S + dS_E
     if (np.isfinite(mi) & (abs(mi - (ds_s + ds_e)) > 1e-8)).any():
         raise EpisodeError("joint entropy not conserved; unitary is inconsistent")
@@ -378,25 +433,27 @@ def balance_rows(h_system, h_env, env_before, before, after, env_after, joint_va
 
 
 def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, tol: float, message):
-    """beta per row, once the marginal of every rho_E on the E factors
-    `factors` is within tol (trace distance) of the Gibbs state of h at its
-    beta; else EpisodeError message(beta, distance) of the first row that is
-    not.  The distances are kept on the stack per (factor set, h, beta), so
-    `thermal_balance_rows` and a one-part `multibath_balance_rows` of one
-    bath share one check."""
+    """beta per row and the levels of h, once the marginal of every rho_E
+    on the E factors `factors` is within tol (trace distance) of the Gibbs
+    state of h at its beta; else EpisodeError message(beta, distance) of the
+    first row that is not.  The distances and levels are kept on the stack
+    per (factor set, h, beta), so `thermal_balance_rows`, a one-part
+    `multibath_balance_rows` of one bath and `landauer_rows` share one
+    check."""
     beta = _betas(stack, beta)
     known = stack._gibbs_distance
     key = (tuple(sorted(set(factors))), h.tobytes(), beta.tobytes())
     if key not in known:
-        known[key] = _trace_distance_rows(stack.env_marginal(factors)[0],
-                                          _gibbs_states(h, beta)[0])
-    dist = known[key]
+        gibbs, levels = _gibbs_states(h, beta)
+        known[key] = _trace_distance_rows(stack.env_marginal(factors)[0], gibbs), levels
+    dist, levels = known[key]
     _require_rows(dist > tol, lambda k: message(beta[k], dist[k]))
-    return beta
+    return beta, levels
 
 
 def _require_thermal_rows(stack: EpisodeStack, beta, tol: float):
-    """beta per row, once every rho_E is within tol of the Gibbs state of its H_E."""
+    """beta per row and the levels of every H_E, once every rho_E is within
+    tol of the Gibbs state of its H_E."""
     return _require_gibbs_rows(stack, range(len(stack.env_dims)), stack.h_env, beta, tol,
                                lambda b, d: f"environment is not thermal at beta={b} "
                                             f"(trace distance {d:.3e})")
@@ -419,13 +476,13 @@ def thermal_balance(ep: Episode, beta: float, tol: float = THERMALITY_TOL,
 def thermal_balance_rows(stack: EpisodeStack, beta, tol: float = THERMALITY_TOL):
     """`thermal_balance` of every row of a stack, beta a scalar or one per
     row; d_free_energy is None unless every beta > 0."""
-    beta = _require_thermal_rows(stack, beta, tol)
+    beta, _ = _require_thermal_rows(stack, beta, tol)
     base = stack.balance
     d_free = None
     if (beta > 0).all():
-        h, (m0, p0, _), (m1, p1, _) = stack.h_system, stack.rho_system, stack.evolved[1]
-        d_free = ((_trace_rows(h, m1) - _entropy_rows(p1) / beta)
-                  - (_trace_rows(h, m0) - _entropy_rows(p0) / beta))
+        h, m0, m1 = stack.h_system, stack.rho_system[0], stack.evolved[1][0]
+        s0, _, s1, _, _ = stack.entropies
+        d_free = (_trace_rows(h, m1) - s1 / beta) - (_trace_rows(h, m0) - s0 / beta)
     # flux = Sigma - dS_S, as in `multibath_balance_rows`: one bath over all
     # of E gives the same bits by either row form
     sigma = base.d_entropy_system + beta * base.heat_env
@@ -461,35 +518,46 @@ def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_T
     and its kept Gibbs check, so one part over all of E takes no
     decomposition after `thermal_balance_rows` of the same bath."""
     parts = list(parts)
+    factors = stack.env_dims.factors
     covered = sorted(i for p in parts for i in p.env_factors)
-    if covered != list(range(len(stack.env_dims))):
+    if covered != list(range(len(factors))):
         raise EpisodeError(f"bath partition {covered} must cover all "
-                           f"{len(stack.env_dims)} E factors")
+                           f"{len(factors)} E factors")
     # validate the product-of-thermals structure
     hams = [_mat(p.hamiltonian) for p in parts]
     for p, h in zip(parts, hams):
-        d = stack.env_dims.subdims(p.env_factors).total
+        d = math.prod(factors[i] for i in p.env_factors)
         if h.shape[-2:] != (d, d):
             raise EpisodeError(f"bath part {p.env_factors}: Hamiltonian of shape "
                                f"{h.shape[-2:]} does not match its marginal of dim {d}")
         _require_gibbs_rows(stack, p.env_factors, h, p.beta, tol,
                             lambda b, _: f"bath part {p.env_factors} is not thermal at beta={b}")
     if len(parts) > 1:
-        order = np.argsort([p.env_factors[0] for p in parts])
-        product = tensor([stack.env_marginal(parts[i].env_factors)[0] for i in order])
-        _require_rows(_trace_distance_rows(product, stack.rho_env[0]) > max(tol, 1e-8),
+        # the product of the part marginals, in the order of the parts, against
+        # rho_E with its factors taken in that order
+        order = [i for p in parts for i in sorted(p.env_factors)]
+        rho_env = stack.rho_env[0].reshape((-1,) + factors * 2).transpose(
+            [0] + [1 + i for i in order] + [1 + len(factors) + i for i in order])
+        product = tensor([stack.env_marginal(p.env_factors)[0] for p in parts])
+        _require_rows(_trace_distance_rows(product, rho_env.reshape(product.shape))
+                      > max(tol, 1e-8),
                       lambda k: "environment state is not a product over the bath parts")
 
     base = stack.balance
+    s_sys, s_env, s_joint = (stack.entropies[k] for k in (2, 3, 4))
     heats, displacement_sum, marg_entropy_sum = [], 0.0, 0.0
     for p, h in zip(parts, hams):
         (m, q, qv), (m_after, p_after, v_after) = (stack.env_marginal(p.env_factors, after)
                                                    for after in (False, True))
         heats.append(_trace_rows(h, m_after) - _trace_rows(h, m))
-        displacement_sum += _petz_renyi(1.0, p_after, q, qv.conj().swapaxes(-1, -2) @ v_after)
-        marg_entropy_sum += _entropy_rows(p_after)
+        if len(p.env_factors) == len(factors):    # all of E: the balance's own terms
+            displacement_sum += base.env_displacement
+            marg_entropy_sum += s_env
+        else:
+            displacement_sum += _petz_renyi(1.0, p_after, q,
+                                            qv.conj().swapaxes(-1, -2) @ v_after)
+            marg_entropy_sum += _entropy_rows(p_after)
     sigma = base.d_entropy_system + sum(np.asarray(p.beta) * q for p, q in zip(parts, heats))
-    s_sys, s_joint = (_entropy_rows(stack.evolved[k][1]) for k in (1, 0))
     return replace(base, sigma=sigma, flux=sigma - base.d_entropy_system,
                    env_displacement=displacement_sum, heat_env=sum(heats),
                    total_correlations=s_sys + marg_entropy_sum - s_joint,
@@ -525,10 +593,10 @@ def fixed_point_sigma(rho_before, rho_after, fixed_point) -> float:
 
 def fixed_point_sigma_rows(before, after, fixed_point):
     """`fixed_point_sigma` over leading axes, each argument the (weights,
-    eigenvectors) of its states; +inf where rho leaves rho*'s support."""
+    eigenvectors) of its states, rho and rho' of one shape; +inf where rho
+    leaves rho*'s support.  Both divergences are one kernel call."""
     (p, pv), (r, rv), (q, qv) = before, after, fixed_point
-    a = _petz_renyi(1.0, p, q, qv.conj().swapaxes(-1, -2) @ pv)
-    b = _petz_renyi(1.0, r, q, qv.conj().swapaxes(-1, -2) @ rv)
+    a, b = _petz_renyi(1.0, np.stack([p, r]), q, qv.conj().swapaxes(-1, -2) @ np.stack([pv, rv]))
     return np.where(np.isinf(a), math.inf, a - np.where(np.isinf(a), 0.0, b))
 
 
@@ -759,9 +827,9 @@ def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None,
     apply where dS_S < 0 and are NaN elsewhere; a check is True where its
     bound does not apply.  heat_capacity is None, a callable C_E(T)
     (`heat_capacity_bound`, row by row), or "gibbs": the closed form of the
-    Gibbs environment (`gibbs_erasure_bound` on the levels of every H_E, one
-    stacked `eigvalsh`)."""
-    beta = _require_thermal_rows(stack, beta, tol)
+    Gibbs environment (`gibbs_erasure_bound` on the levels of every H_E that
+    its thermality check keeps)."""
+    beta, levels = _require_thermal_rows(stack, beta, tol)
     if not (beta > 0).all():
         raise EpisodeError("landauer_report needs beta > 0")
     temperature = 1.0 / beta
@@ -776,7 +844,7 @@ def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None,
         capacity = np.full(len(stack), np.nan)
         if heat_capacity == "gibbs":
             capacity[erasure] = gibbs_erasure_bound(
-                ds[erasure], temperature[erasure], np.linalg.eigvalsh(stack.h_env[erasure]))
+                ds[erasure], temperature[erasure], levels[erasure])
         else:
             capacity[erasure] = [heat_capacity_bound(d, t, heat_capacity)
                                  for d, t in zip(ds[erasure], temperature[erasure])]

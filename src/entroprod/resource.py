@@ -102,26 +102,35 @@ def _pair_rows(energies, p1, p2, beta):
     if p1.shape != p2.shape or p1.shape[-1:] != e.shape:
         raise ResourceError(f"population stacks of shapes {p1.shape} and {p2.shape} "
                             f"on {len(e)} levels")
+    return e, p1, p2, _row_betas(beta, p1.shape[:-1])
+
+
+def _row_betas(beta, rows):
+    """beta, one or one per population row of the leading shape `rows`."""
     beta = _beta(beta)
-    if beta.ndim and beta.shape != p1.shape[:-1]:
-        raise ResourceError(f"{beta.shape} betas for population rows {p1.shape[:-1]}")
-    return e, p1, p2, beta
+    if beta.ndim and beta.shape != rows:
+        raise ResourceError(f"{beta.shape} betas for population rows {rows}")
+    return beta
 
 
 @dataclass(frozen=True, eq=False)
 class EnergyPopulations:
-    """Diagonal state: (energy, probability) per level."""
+    """Diagonal state: (energy, probability) per level.  Both arrays are
+    read-only copies, validated once here, so the one-pair functions read
+    them without validating again."""
 
     energies: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
+        e = np.array(self.energies, dtype=float)
         p = np.asarray(self.probabilities, dtype=float)
         if e.shape != p.shape or e.ndim != 1:
             raise ResourceError("energies/probabilities must be matching 1-d arrays")
-        object.__setattr__(self, "probabilities", _probabilities(p))
-        object.__setattr__(self, "energies", _energies(e))
+        p, e = _probabilities(p), _energies(e)
+        for name, value in (("probabilities", p), ("energies", e)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -134,7 +143,7 @@ class EnergyPopulations:
 def _shared_levels(pop1: EnergyPopulations, pop2: EnergyPopulations) -> np.ndarray:
     """pop2's probabilities on pop1's levels.  The two must share the level
     set: equal sorted energies within LEVEL_TOL."""
-    if pop2.energies is pop1.energies:
+    if pop2.energies.tobytes() == pop1.energies.tobytes():
         return pop2.probabilities
     o1, o2 = np.argsort(pop1.energies, kind="stable"), np.argsort(pop2.energies, kind="stable")
     e1, e2 = pop1.energies[o1], pop2.energies[o2]
@@ -232,7 +241,11 @@ def thermo_majorizes_rows(energies, p1, p2, beta, tol: float = CURVE_TOL) -> np.
     (..., d) probability rows on one level set, as an array of verdicts:
     the curves of all rows at once, each pair compared at the breakpoints
     of both (concavity makes breakpoint checking sufficient)."""
-    e, p1, p2, beta = _pair_rows(energies, p1, p2, beta)
+    return _thermo_verdicts(*_pair_rows(energies, p1, p2, beta), tol)
+
+
+def _thermo_verdicts(e, p1, p2, beta, tol):
+    """`thermo_majorizes_rows` of validated inputs."""
     xy = _curves(e, np.array([p1, p2]), beta)
     y1, y2 = xy[1]
     v1, v2 = _interp_rows(xy[0, ::-1], xy)      # each curve at the other's breakpoints
@@ -246,9 +259,8 @@ def thermo_majorizes(pop1: EnergyPopulations, pop2: EnergyPopulations,
                      beta: float, tol: float = CURVE_TOL) -> MajorizationVerdict:
     """Compare the two curves at the union of their breakpoints; the states
     must share the energy-level set."""
-    p2 = _shared_levels(pop1, pop2)
-    return thermo_majorizes_rows(pop1.energies, pop1.probabilities[None], p2[None],
-                                 beta, tol)[0]
+    return _thermo_verdicts(pop1.energies, pop1.probabilities[None],
+                            _shared_levels(pop1, pop2)[None], _row_betas(beta, (1,)), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +301,17 @@ def gamma_embed(pop: EnergyPopulations, beta: float, denominator: int = 10_000):
 
 
 def majorization_verdict(gamma1, gamma2, tol: float = 1e-12) -> MajorizationVerdict:
-    """Plain majorization both ways from one sort of each vector: YES when
-    the descending partial sums of gamma1 dominate those of gamma2,
-    DOMINATED when the reverse holds, EQUIVALENT when both do."""
-    a, b = (np.cumsum(np.sort(np.asarray(g, dtype=float))[::-1]) for g in (gamma1, gamma2))
+    """Plain majorization both ways from one sort of each vector and one
+    partial sum of their difference: YES when the descending partial sums
+    of gamma1 dominate those of gamma2 (no partial sum of the difference
+    below -tol), DOMINATED when the reverse holds (none above tol),
+    EQUIVALENT when both do."""
+    a, b = (np.sort(np.asarray(g, dtype=float)) for g in (gamma1, gamma2))
     if a.shape != b.shape:
         raise ResourceError("majorization needs equal-length vectors")
-    return _VERDICTS[2 * np.all(a >= b - tol) + np.all(b >= a - tol)]
+    gap = np.cumsum(a[::-1] - b[::-1])
+    return _VERDICTS[2 * (gap.min(initial=math.inf) >= -tol)
+                     + (gap.max(initial=-math.inf) <= tol)]
 
 
 def majorizes(gamma1, gamma2, tol: float = 1e-12) -> bool:
@@ -310,13 +326,19 @@ def majorizes(gamma1, gamma2, tol: float = 1e-12) -> bool:
 DEFAULT_ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 
 
+def _orders(alphas):
+    """A 1-d grid of Renyi orders, each a number >= 0."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or not (alphas >= 0.0).all():
+        raise ResourceError(f"Renyi orders must be numbers >= 0, got {alphas}")
+    return alphas
+
+
 def classical_renyi_rows(p, q, alphas) -> np.ndarray:
     """S_alpha(p || q) of every row pair of p and q (probability vectors on
     the last axis, broadcast against each other) at every order of the 1-d
     grid alphas: an array (..., len(alphas)) from one `core._petz_renyi`."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or not (alphas >= 0.0).all():
-        raise ResourceError(f"Renyi orders must be numbers >= 0, got {alphas}")
+    alphas = _orders(alphas)
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.shape[-1:] != q.shape[-1:]:
         raise ResourceError("divergences need equally sized probability vectors")
@@ -352,13 +374,14 @@ def renyi_second_laws(pop1: EnergyPopulations, pop2: EnergyPopulations,
     """Catalytic-convertibility battery: Sigma_alpha = S_alpha(p1 || p_th)
     - S_alpha(p2 || p_th) must be >= 0 on the whole grid (which must
     include 0, 1/2, 1, 2 and inf); both states share the level set, and both
-    take every order in one stacked call."""
+    take every order in one stacked call, reading the populations as their
+    `EnergyPopulations` validated them."""
     required = {0.0, 0.5, 1.0, 2.0, math.inf}
     if not required.issubset(set(alphas)):
         raise ResourceError("alpha grid must include {0, 1/2, 1, 2, inf}")
-    e, p1, p2, beta = _pair_rows(pop1.energies, pop1.probabilities,
-                                 _shared_levels(pop1, pop2), beta)
-    s1, s2 = classical_renyi_rows(np.stack([p1, p2]), _gibbs(e, beta)[0], alphas)
+    beta = _row_betas(beta, ())
+    p = np.stack([pop1.probabilities, _shared_levels(pop1, pop2)])[:, None]
+    s1, s2 = _petz_renyi(_orders(alphas), p, _gibbs(pop1.energies, beta)[0][None])
     return _battery(alphas, s1, s2, tol)
 
 

@@ -230,11 +230,9 @@ def _log_ratio(num, den, p_forward, p_backward):
     """ln num/den on the grid of p_forward: 0 where p_forward vanishes, +inf
     where only the backward weight p_backward does."""
     live = p_forward > 0.0
-    out = np.where(live, math.inf, 0.0)
     ok = live & (p_backward > 0.0)
-    out[ok] = np.log(np.broadcast_to(num, out.shape)[ok]
-                     / np.broadcast_to(den, out.shape)[ok])
-    return out
+    out = np.where(live, math.inf, 0.0)
+    return np.log(np.divide(num, den, out=np.ones(out.shape), where=ok), out=out, where=ok)
 
 
 def tpm_ensemble(ep: Episode) -> PathEnsemble:
@@ -269,32 +267,33 @@ def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
 
 def backward_ensemble_rows(stack: EpisodeStack, choice: BackwardChoice) -> PathEnsemble:
     """`backward_ensemble` of every row of an episode stack, as one
-    PathEnsemble on the grid [row, m, mu, n, nu]."""
+    PathEnsemble on the grid [row, m, mu, n, nu].  The transition
+    probabilities are the stack's, kept per final basis
+    (`EpisodeStack.transitions`): CORRELATIONS_DESTROYED and
+    POST_MEASUREMENT_STATE read one tensor."""
     ds, de = stack.system_dims.total, stack.env_dims.total
     if ds * de > ENSEMBLE_DIM_CAP:
         raise TrajectoryError(f"joint dimension {ds * de} exceeds the "
                               f"exhaustive cap {ENSEMBLE_DIM_CAP}")
     (joint, _, _), (_, ps_fin, vs_fin), (_, qe_fin, ve_fin) = stack.evolved
-    (_, p_init, vs_init), (_, q_init, ve_init) = stack.rho_system, stack.rho_env
+    initial = stack.initial_weights
 
     if choice is BackwardChoice.BATH_RESET:
-        basis_s, basis_e, ref = vs_fin, ve_init, _outer(ps_fin, q_init)
+        final, ref = (True, False), _outer(ps_fin, stack.rho_env[1])
     elif choice is BackwardChoice.CORRELATIONS_DESTROYED:
-        basis_s, basis_e, ref = vs_fin, ve_fin, _outer(ps_fin, qe_fin)
+        final, ref = (True, True), _outer(ps_fin, qe_fin)
     elif choice is BackwardChoice.POST_MEASUREMENT_STATE:
-        basis_s, basis_e = vs_fin, ve_fin
-        ref = _clamp_probs(populations(joint, tensor([basis_s, basis_e]))).reshape(-1, ds, de)
+        final = (True, True)
+        ref = _clamp_probs(populations(joint, tensor([vs_fin, ve_fin]))).reshape(-1, ds, de)
     elif choice is BackwardChoice.BOTH_RESET:
-        basis_s, basis_e, ref = vs_init, ve_init, _outer(p_init, q_init)
+        final, ref = (False, False), initial
     else:
         raise TrajectoryError(f"unknown backward choice {choice}")
 
-    final = tensor([basis_s, basis_e]).conj().swapaxes(-1, -2)
-    w = (np.abs(final @ stack.unitary @ tensor([vs_init, ve_init])) ** 2).reshape(-1, ds, de, ds, de)
-    ref = ref[..., None, None]
-    pf, pb = w * p_init[:, None, None, :, None] * q_init[:, None, None, None, :], w * ref
-    return PathEnsemble(pf, pb, _log_ratio(_outer(p_init, q_init)[:, None, None], ref, pf, pb),
-                        choice, rows=1)
+    w = stack.transitions(*final)
+    initial, ref = initial[:, None, None], ref[..., None, None]
+    pf, pb = w * initial, w * ref
+    return PathEnsemble(pf, pb, _log_ratio(initial, ref, pf, pb), choice, rows=1)
 
 
 def _outer(a, b):

@@ -3,8 +3,10 @@ from `bench/`, which is not edited here): every traced name resolves, the
 episode verify suites take a number of eigendecompositions that does not
 grow with their number of episodes, the majorization suite one of
 eigendecompositions and Renyi kernel calls that does not grow with its
-number of pairs or of quenches, and a one-bath multibath balance reads
-the decompositions its thermal balance made."""
+number of pairs or of quenches, a one-bath multibath balance reads the
+decompositions its thermal balance made, the landauer suite reads the
+levels of its thermality check, and an episode's four backward ensembles
+share the transitions of one final basis."""
 
 import importlib
 import importlib.util
@@ -49,6 +51,10 @@ def test_episode_suites_decompose_once_per_stack(monkeypatch, suite):
         assert all(passed for _, passed, _ in records), records
         counts.append({name: calls.count(name) for name in set(calls)})
     assert counts[0] == counts[1]
+    if suite is verify.landauer_suite:
+        # the one eigvalsh is the thermality check's trace distance; the
+        # heat-capacity bound reads the levels that check keeps
+        assert counts[0] == {"eigh": 7, "eigvalsh": 1}, counts[0]
 
 
 def count_decompositions(monkeypatch, call):
@@ -127,3 +133,23 @@ def test_one_bath_multibath_takes_no_decomposition_after_thermal(monkeypatch):
     assert count.get("eigh", 0) == count.get("eigvalsh", 0) == 0, count
     assert multibath.sigma == thermal.sigma
     assert multibath.env_displacement == thermal.env_displacement
+
+
+def test_four_backward_choices_build_three_transition_tensors(monkeypatch):
+    # CORRELATIONS_DESTROYED and POST_MEASUREMENT_STATE share the final basis
+    # of rho_S' and rho_E', so one episode's four choices build three
+    # tensors, and asking again builds none
+    from entroprod import episodes as eps, trajectories as tj
+    from entroprod.rand import random_density, random_unitary
+    rng = np.random.default_rng(19)
+    h = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+    ep = eps.Episode(h, HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0])),
+                     random_unitary(6, rng, dims=(2, 3)), random_density(2, rng),
+                     random_density(3, rng))
+    build, calls = eps._transition_tensor, []
+    monkeypatch.setattr(eps, "_transition_tensor",
+                        lambda *a: calls.append(a[1:]) or build(*a))
+    for _ in range(2):
+        for choice in tj.BackwardChoice:
+            tj.backward_ensemble(ep, choice)
+    assert sorted(calls) == [(False, False), (True, False), (True, True)]

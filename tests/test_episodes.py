@@ -215,6 +215,44 @@ def test_multibath_rejects_nonproduct():
         eps.multibath_balance(bad, parts)
 
 
+def test_multibath_accepts_parts_of_non_contiguous_factors():
+    # parts (0, 2) and (1,) of th(0.5) x th(1.0) x th(0.5): a product over
+    # the parts, though not in the order of the E factors
+    h1 = np.diag([0.0, 1.0])
+    th = {b: thermal_state(HermitianOperator.from_matrix(h1), b).matrix for b in (0.5, 1.0)}
+    h_outer = core.tensor([h1, np.eye(2)]) + core.tensor([np.eye(2), h1])
+    h_env = core.tensor([h_outer, np.eye(2)]).reshape((2,) * 6).transpose(
+        0, 2, 1, 3, 5, 4).reshape(8, 8) + core.tensor([np.eye(2), h1, np.eye(2)])
+    rho_env = core.tensor([th[0.5], th[1.0], th[0.5]])
+    parts = [eps.BathPart((0, 2), HermitianOperator.from_matrix(h_outer), 0.5),
+             eps.BathPart((1,), HermitianOperator.from_matrix(h1), 1.0)]
+    rng = np.random.default_rng(19)
+    for u in (np.eye(16), random_unitary(16, rng).matrix):
+        ep = eps.Episode(HermitianOperator.from_matrix(h1),
+                         HermitianOperator.from_matrix(h_env, (2, 2, 2)),
+                         UnitaryOperator.from_matrix(u, (2, 2, 2, 2)), random_density(2, rng),
+                         DensityOperator.from_matrix(rho_env, (2, 2, 2)))
+        mb = eps.multibath_balance(ep, parts)
+        joint = eps.evolve(ep).rho_joint
+        heats = [float(np.real(np.trace(part.hamiltonian.matrix @ (
+            core.partial_trace(joint, [1 + i for i in part.env_factors]).matrix
+            - core.partial_trace(ep.rho_env, part.env_factors).matrix)))) for part in parts]
+        sigma = mb.d_entropy_system + 0.5 * heats[0] + 1.0 * heats[1]
+        np.testing.assert_allclose(mb.heat_per_bath, heats, rtol=0, atol=1e-12)
+        assert abs(mb.sigma - sigma) <= 1e-12
+        assert abs(mb.sigma - eps.balance(ep).sigma) <= 1e-10
+    # correlations between factors 0 and 1 keep every part's marginal thermal
+    flip = np.zeros((4, 4))
+    flip[1, 2] = flip[2, 1] = 0.05
+    correlated = core.tensor([core.tensor([th[0.5], th[1.0]]) + flip, th[0.5]])
+    ep = eps.Episode(HermitianOperator.from_matrix(h1),
+                     HermitianOperator.from_matrix(h_env, (2, 2, 2)),
+                     UnitaryOperator.from_matrix(np.eye(16), (2, 2, 2, 2)),
+                     random_density(2, rng), DensityOperator.from_matrix(correlated, (2, 2, 2)))
+    with pytest.raises(eps.EpisodeError, match="not a product over the bath parts"):
+        eps.multibath_balance(ep, parts)
+
+
 def test_multibath_rejects_a_part_hamiltonian_of_the_wrong_size():
     # a 3x3 H on a qubit bath used to fail inside numpy broadcasting
     ep, parts = three_qubit_heat_episode()

@@ -12,8 +12,8 @@ import scipy.linalg
 
 from entroprod import collisional as cm, episodes as eps, resource as rs, trajectories as tj
 from entroprod.core import (DensityOperator, HermitianOperator, UnitaryOperator, _petz_renyi,
-                            classical_kl, partial_trace, relative_entropy, renyi_divergence,
-                            thermal_state, von_neumann_entropy)
+                            classical_kl, kraus_superop, partial_trace, relative_entropy,
+                            renyi_divergence, tensor, thermal_state, von_neumann_entropy)
 from entroprod.resource import classical_renyi_divergence
 from entroprod.rand import (density_matrices, ginibre, haar_unitaries, random_density,
                             random_unitary)
@@ -629,3 +629,137 @@ def test_closed_form_y_integrals_are_the_quadrature(pair, lam):
                          (tj._xy_integral(vals, lam), gauss_legendre(inner, 0.0, lam))):
         assert abs(closed[0, 1] - want) <= 1e-13 and closed[0, 1] == closed[1, 0], (closed, want)
     assert np.array_equal(np.diag(tj._log_mean(vals)), vals)
+
+
+@st.composite
+def trace_pair(draw):
+    """Two complex stacks (n, d, d), one of them (d, d) when `broadcast`."""
+    d, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = (np.array([ginibre(rng, d, d) for _ in range(n)]) * 10.0 ** rng.integers(-3, 4)
+            for _ in "ab")
+    return (a[0] if draw(st.booleans()) else a), b
+
+
+@PROPERTY
+@given(trace_pair())
+def test_trace_rows_is_the_trace_of_the_product(pair):
+    # Re Tr(ab) as one contraction, against the trace of the product matrix,
+    # within 4 ulp of the scale sum_ij |a_ij b_ji|
+    a, b = pair
+    got = eps._trace_rows(a, b)
+    want = np.real(np.trace(a @ b, axis1=-2, axis2=-1))
+    scale = np.einsum("...ij,...ji->...", np.abs(a), np.abs(b))
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 4 * np.finfo(float).eps * scale).all()
+
+
+def head_backward_ensemble(stack, choice):
+    """The ensemble by one fresh transition build per call, each choice
+    from its own final basis: (p_forward, p_backward, sigma)."""
+    ds, de = stack.system_dims.total, stack.env_dims.total
+    (joint, _, _), (_, ps_fin, vs_fin), (_, qe_fin, ve_fin) = stack.evolved
+    (_, p_init, vs_init), (_, q_init, ve_init) = stack.rho_system, stack.rho_env
+    outer = lambda a, b: a[..., :, None] * b[..., None, :]
+    basis_s, basis_e, ref = {
+        tj.BackwardChoice.BATH_RESET: (vs_fin, ve_init, outer(ps_fin, q_init)),
+        tj.BackwardChoice.CORRELATIONS_DESTROYED: (vs_fin, ve_fin, outer(ps_fin, qe_fin)),
+        tj.BackwardChoice.POST_MEASUREMENT_STATE: (vs_fin, ve_fin, np.maximum(tj.populations(
+            joint, tensor([vs_fin, ve_fin])), 0.0).reshape(-1, ds, de)),
+        tj.BackwardChoice.BOTH_RESET: (vs_init, ve_init, outer(p_init, q_init)),
+    }[choice]
+    final = tensor([basis_s, basis_e]).conj().swapaxes(-1, -2)
+    w = np.abs(final @ stack.unitary @ tensor([vs_init, ve_init])) ** 2
+    w = w.reshape(-1, ds, de, ds, de)
+    ref = ref[..., None, None]
+    pf, pb = w * p_init[:, None, None, :, None] * q_init[:, None, None, None, :], w * ref
+    with np.errstate(divide="ignore"):
+        sigma = np.where(pf > 0.0, np.where(pb > 0.0, np.log(
+            outer(p_init, q_init)[:, None, None] / np.where(pb > 0.0, ref, 1.0)), math.inf), 0.0)
+    return pf, pb, sigma
+
+
+def kind_of_state(rng, d, kind):
+    """A mixed, maximally mixed (degenerate) or rank-one state of dimension d."""
+    return {"mixed": lambda: random_density(d, rng).matrix,
+            "degenerate": lambda: np.eye(d) / d,
+            "rank-one": lambda: random_density(d, rng, rank=1).matrix}[kind]()
+
+
+state_kind = st.sampled_from(["mixed", "degenerate", "rank-one"])
+
+
+@PROPERTY
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.lists(st.tuples(state_kind, state_kind),
+                                                            min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_kept_transitions_are_the_per_choice_build(dims, kinds, seed):
+    # every choice's ensemble from the transitions kept per final basis
+    # equals one fresh build per choice within 1e-15, degenerate and
+    # rank-deficient rho_S and rho_E included
+    rng = np.random.default_rng(seed)
+    ds, de = dims
+    n = len(kinds)
+    stack = eps.EpisodeStack.of(
+        np.array([np.diag(rng.uniform(0, 2, ds)) for _ in range(n)]),
+        np.array([np.diag(rng.uniform(0, 2, de)) for _ in range(n)]),
+        np.array([random_unitary(ds * de, rng).matrix for _ in range(n)]),
+        np.array([kind_of_state(rng, ds, s) for s, _ in kinds]),
+        np.array([kind_of_state(rng, de, e) for _, e in kinds]))
+    for choice in tj.BackwardChoice:
+        got = tj.backward_ensemble_rows(stack, choice)
+        for new, old in zip((got.p_forward, got.p_backward, got.sigma),
+                            head_backward_ensemble(stack, choice)):
+            assert np.array_equal(np.isinf(new), np.isinf(old)), choice
+            finite = np.isfinite(old)
+            assert np.abs(new[finite] - old[finite]).max() <= 1e-15, choice
+
+
+def two_cumsum_verdict(gamma1, gamma2, tol):
+    """Plain majorization from the two descending partial sums."""
+    a, b = (np.cumsum(np.sort(g)[::-1]) for g in (gamma1, gamma2))
+    return {(True, True): rs.MajorizationVerdict.EQUIVALENT,
+            (True, False): rs.MajorizationVerdict.YES,
+            (False, True): rs.MajorizationVerdict.DOMINATED,
+            (False, False): rs.MajorizationVerdict.INCOMPARABLE}[
+        bool(np.all(a >= b - tol)), bool(np.all(b >= a - tol))]
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.sampled_from([0.0, 1e-12, 1e-9]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_one_cumsum_verdict_is_the_two_cumsum_verdict(d, tol, equal, seed):
+    # the partial sums of the sorted difference give the verdict of the two
+    # partial sums wherever no partial-sum gap lies within 1e-13 of +-tol
+    rng = np.random.default_rng(seed)
+    g1 = rng.dirichlet(np.ones(d))
+    g2 = rng.permutation(g1) if equal else rng.dirichlet(np.ones(d) * rng.uniform(0.2, 5.0))
+    gap = np.cumsum(np.sort(g1)[::-1]) - np.cumsum(np.sort(g2)[::-1])
+    hypothesis.assume(np.abs(np.abs(gap) - tol).min() > 1e-13 or equal)
+    assert rs.majorization_verdict(g1, g2, tol) is two_cumsum_verdict(g1, g2, tol)
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
+def test_energy_populations_are_read_only_copies(weights, seed):
+    rng = np.random.default_rng(seed)
+    p = np.array(weights) + 1e-3
+    p /= p.sum()
+    e = rng.uniform(-1.0, 1.0, len(p))
+    pop = rs.EnergyPopulations(e, p)
+    for name in ("probabilities", "energies"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pop, name)[0] = 0.5
+    p[0], e[0] = 7.0, 7.0                 # the caller's arrays are not the kept ones
+    assert pop.probabilities[0] != 7.0 and pop.energies[0] != 7.0
+
+
+@PROPERTY
+@given(st.integers(2, 4), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_kraus_superop_is_the_kron_sum(d, n, seed):
+    # one stacked tensor summed over the Kraus axis gives the bits of the
+    # Python sum of np.kron terms
+    rng = np.random.default_rng(seed)
+    kraus = np.array([ginibre(rng, d, d) for _ in range(n)])
+    want = sum(np.kron(k.conj(), k) for k in kraus)
+    assert np.array_equal(kraus_superop(kraus), want)
