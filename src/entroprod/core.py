@@ -123,20 +123,18 @@ def _density_spectra(m):
     (..., d, d) by one stacked `eigh`: Hermitian within HERMITICITY_TOL,
     unit trace within TRACE_TOL and no eigenvalue below -EIG_FLOOR.
     Returns the eigenvalues (ascending, round-off zeroed by
-    `_spectral_weights`) and eigenvectors as columns, both read-only.
-    The three flags are tested together; when one fires, the first failed
-    check in that order raises."""
+    `_spectral_weights`) and eigenvectors as columns, both read-only."""
     herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     tr = np.trace(m, axis1=-2, axis2=-1)
     evals, evecs = np.linalg.eigh(m)
     low = evals[..., 0]
-    checks = ((herm_err > HERMITICITY_TOL, herm_err,
-               "density matrix not Hermitian (residual {:.3e})"),
-              (abs(tr - 1.0) > TRACE_TOL, tr, "density matrix trace {} differs from 1"),
-              (low < -EIG_FLOOR, low, "density matrix has negative eigenvalue {:.3e}"))
-    if (checks[0][0] | checks[1][0] | checks[2][0]).any():
-        for bad, values, message in checks:
-            _fail_first(bad, values, message)
+    bad = herm_err > HERMITICITY_TOL, abs(tr - 1.0) > TRACE_TOL, low < -EIG_FLOOR
+    # one test for the three flags (each _fail_first is its own reduction);
+    # eigh of a finite matrix does not fail, so the first failed check raises
+    if (bad[0] | bad[1] | bad[2]).any():
+        _fail_first(bad[0], herm_err, "density matrix not Hermitian (residual {:.3e})")
+        _fail_first(bad[1], tr, "density matrix trace {} differs from 1")
+        _fail_first(bad[2], low, "density matrix has negative eigenvalue {:.3e}")
     evals = _spectral_weights(evals)
     for arr in (evals, evecs):
         arr.setflags(write=False)

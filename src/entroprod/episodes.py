@@ -319,6 +319,7 @@ def _betas(stack: EpisodeStack, beta):
     b = np.asarray(beta, dtype=float)
     if not (np.isfinite(b) & (b >= 0)).all():
         raise EpisodeError(f"inverse temperature must be finite and >= 0, got {beta}")
+    # np.full: a scalar beta skips broadcast_to's Python wrapper
     return np.full(len(stack), b) if b.ndim == 0 else np.broadcast_to(b, (len(stack),))
 
 
@@ -439,7 +440,9 @@ def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, tol: float, messa
     first row that is not.  The distances and levels are kept on the stack
     per (factor set, h, beta), so `thermal_balance_rows`, a one-part
     `multibath_balance_rows` of one bath and `landauer_rows` share one
-    check."""
+    check.  The key holds the bytes of h, not its shape: on a one-row
+    stack an h of shape (d, d) and one of shape (1, d, d) share it, and
+    the levels are those of whichever came first, (d,) or (1, d)."""
     beta = _betas(stack, beta)
     known = stack._gibbs_distance
     key = (tuple(sorted(set(factors))), h.tobytes(), beta.tobytes())
@@ -526,7 +529,7 @@ def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_T
     # validate the product-of-thermals structure
     hams = [_mat(p.hamiltonian) for p in parts]
     for p, h in zip(parts, hams):
-        d = math.prod(factors[i] for i in p.env_factors)
+        d = stack.env_dims.subdims(p.env_factors).total
         if h.shape[-2:] != (d, d):
             raise EpisodeError(f"bath part {p.env_factors}: Hamiltonian of shape "
                                f"{h.shape[-2:]} does not match its marginal of dim {d}")
@@ -593,9 +596,12 @@ def fixed_point_sigma(rho_before, rho_after, fixed_point) -> float:
 
 def fixed_point_sigma_rows(before, after, fixed_point):
     """`fixed_point_sigma` over leading axes, each argument the (weights,
-    eigenvectors) of its states, rho and rho' of one shape; +inf where rho
-    leaves rho*'s support.  Both divergences are one kernel call."""
+    eigenvectors) of its states, rho and rho' broadcast against each other;
+    +inf where rho leaves rho*'s support.  Both divergences are one kernel
+    call."""
     (p, pv), (r, rv), (q, qv) = before, after, fixed_point
+    if p.shape != r.shape or pv.shape != rv.shape:
+        (p, r), (pv, rv) = np.broadcast_arrays(p, r), np.broadcast_arrays(pv, rv)
     a, b = _petz_renyi(1.0, np.stack([p, r]), q, qv.conj().swapaxes(-1, -2) @ np.stack([pv, rv]))
     return np.where(np.isinf(a), math.inf, a - np.where(np.isinf(a), 0.0, b))
 
@@ -843,6 +849,8 @@ def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None,
     if heat_capacity is not None:
         capacity = np.full(len(stack), np.nan)
         if heat_capacity == "gibbs":
+            # the kept levels may be one Hamiltonian's (`_require_gibbs_rows`)
+            levels = np.broadcast_to(levels, (len(stack), levels.shape[-1]))
             capacity[erasure] = gibbs_erasure_bound(
                 ds[erasure], temperature[erasure], levels[erasure])
         else:

@@ -520,6 +520,35 @@ def test_landauer_report_gibbs_route_is_the_schottky_route():
     assert erasures > 0
 
 
+def test_landauer_gibbs_levels_after_a_multibath_check_of_all_of_e():
+    # a part over all of E given as one (d, d) Hamiltonian shares its kept
+    # Gibbs check with the episode's own thermality check
+    rng = np.random.default_rng(34)
+    erasures = 0
+    for _ in range(20):
+        beta = 0.5 + 1.5 * rng.random()
+        ep = random_episode(rng, beta=beta)
+        fresh = eps.Episode(ep.h_system, ep.h_env, ep.unitary, ep.rho_system, ep.rho_env)
+        eps.multibath_balance(ep, [eps.BathPart((0,), ep.h_env, beta)])
+        rep = eps.landauer_report(ep, beta, heat_capacity="gibbs")
+        assert rep == eps.landauer_report(fresh, beta, heat_capacity="gibbs")
+        erasures += rep.bound_heat_capacity is not None
+    assert erasures > 0
+
+
+def test_fixed_point_sigma_rows_broadcasts_one_initial_state():
+    rng = np.random.default_rng(35)
+    h = HermitianOperator.from_matrix(PAULI_Z + 0.3 * PAULI_X)
+    gibbs = thermal_state(h, 0.8)
+    before = random_density(2, rng)
+    afters = [random_density(2, rng) for _ in range(3)]
+    rows = eps.fixed_point_sigma_rows(before.eig(), (np.array([a.eig()[0] for a in afters]),
+                                                     np.array([a.eig()[1] for a in afters])),
+                                      gibbs.eig())
+    assert rows.shape == (3,)
+    assert np.array_equal(rows, [eps.fixed_point_sigma(before, a, gibbs) for a in afters])
+
+
 def test_heat_distribution_identity_and_swap_support():
     beta = 1.0
     h = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
