@@ -22,14 +22,14 @@ Every stroke is also a channel on rho_S alone, built once per alphabet
 entry from the Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`)
 with the system unitary folded in (`_stroke_channel`).  `run` steps the
 states by these channels, one d^2-vector product per stroke (`_chain`),
-forms every joint state U (rho_n x rho_A) U^dag per alphabet entry at once
-(`_joints`), and takes every balance from one stacked eigendecomposition
-per state kind and alphabet entry (`episodes.balance_rows`).
-`preferred_basis` reads the same states.  A limit cycle is the null
-vector of Phi - 1, Phi the product of the stroke channels of one cycle.
-A unit-modulus eigenvalue of Phi other than 1 (no contraction) is an
-error, and so is, in `limit_cycle`, a degenerate eigenvalue 1 (a steady
-space of dimension > 1).
+and makes the strokes of each alphabet entry the rows of one
+`episodes.EpisodeStack` (`_letter_stack`), whose joint states, rho_n' and
+balances are those of every other product-state unitary episode.
+`preferred_basis` reads the same states and their spectra.  A limit
+cycle is the null vector of Phi - 1, Phi the product of the stroke
+channels of one cycle.  A unit-modulus eigenvalue of Phi other than 1
+(no contraction) is an error, and so is, in `limit_cycle`, a degenerate
+eigenvalue 1 (a steady space of dimension > 1).
 """
 
 from __future__ import annotations
@@ -44,19 +44,19 @@ from .core import (
     HERMITICITY_TOL,
     DensityOperator,
     HermitianOperator,
+    HilbertDims,
     UnitaryOperator,
-    _density_spectra,
+    _clamp_probs,
     _density_stack,
+    _entropy_rows,
     _gibbs,
     _mat,
     _petz_renyi,
     _ptrace_matrix,
     add_lindblad_term,
     ancilla_kraus,
-    classical_kl,
     kraus_superop,
     relative_entropy,
-    shannon_entropy,
     tensor,
     thermal_state,
     trace_distance,
@@ -66,10 +66,11 @@ from .core import (
 )
 from .episodes import (
     Episode,
+    EpisodeStack,
     _trace_rows,
     balance,
-    balance_rows,
     evolve,
+    fixed_point_sigma_rows,
     is_strict_energy_conserving,
 )
 
@@ -196,65 +197,57 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
                          zip((rho0.matrix,) + rho0.eig(), stack))
 
 
-def _joints(spec: CollisionSpec, before: np.ndarray):
-    """Every stroke's joint state U (rho_n x rho_A) U^dag, one stacked
-    product and conjugation per alphabet entry: per entry the stacks of
-    joint and ancilla states, and in stroke order the rho_n'."""
-    ds, letters = spec.dim_system, len(spec.alphabet)
-    joints, ancillas, mids = [], [], np.empty_like(before)
-    for k, stroke in enumerate(spec.alphabet[:len(before)]):
-        u, factors = stroke.unitary.matrix, (ds, stroke.rho.dim)
-        joints.append(u @ tensor([before[k::letters], stroke.rho]) @ u.conj().T)
-        mids[k::letters] = _ptrace_matrix(joints[-1], factors, [0])
-        ancillas.append(_ptrace_matrix(joints[-1], factors, [1]))
-    return joints, ancillas, mids
+def _letter_stack(h_system: HermitianOperator, stroke: AncillaStroke, before) -> EpisodeStack:
+    """The strokes of one alphabet entry as the rows of one `EpisodeStack`,
+    validating nothing again: `before` holds the chain's (matrices, weights,
+    eigenvectors) of their rho_n, and H_S, H_A, U and rho_A are shared rows.
+    S and A are one factor each, so each partial trace is one trace."""
+    def shared(x):
+        return np.broadcast_to(x, (len(before[0]),) + x.shape)
+    return EpisodeStack(shared(h_system.matrix), shared(stroke.hamiltonian.matrix),
+                        shared(stroke.unitary.matrix), before,
+                        tuple(map(shared, (stroke.rho.matrix,) + stroke.rho.eig())),
+                        HilbertDims((h_system.dim,)), HilbertDims((stroke.rho.dim,)))
 
 
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         conserving_tol: float = 1e-9):
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
 
-    The states are stepped by the stroke channels (`_chain`) and the joint
-    states formed (`_joints`); every stroke's balance then comes from stacks:
-    `episodes.balance_rows` on the eigenvalues of one stacked decomposition
-    each of the joint, system and ancilla states, row by row.
+    The states are stepped by the stroke channels (`_chain`), and the
+    strokes of each alphabet entry are the rows of one `EpisodeStack`
+    (`_letter_stack`): its evolution gives every rho_n' and its balance
+    every Q_A, W_onoff, Sigma and dS_S.  dH_S is read off the chain, so the
+    first-law residual is a check, not an identity.
     Tier-2 sigma is reported when the ancilla carries a beta; tier-3 when in
     addition the stroke unitary is strictly energy conserving; the verdict
     and the Gibbs state are evaluated once per alphabet entry.
     """
     if n_strokes < 1:
         raise CollisionalError("n_strokes must be >= 1")
-    states, (m_all, p_all, v_all) = _chain(spec, rho0, n_strokes)
-    joints, ancillas, m_mid = _joints(spec, m_all[:-1])
-    p_mid, v_mid = _density_spectra(m_mid)
+    states, chain = _chain(spec, rho0, n_strokes)
     letters = len(spec.alphabet)
     records = [None] * n_strokes
-    for k in range(len(joints)):
-        stroke, h_now, h_next = spec.alphabet[k], spec.h_at(k), spec.h_at(k + 1)
+    for k, stroke in enumerate(spec.alphabet[:n_strokes]):
+        h_now, h_next = spec.h_at(k), spec.h_at(k + 1)
         rows = slice(k, n_strokes, letters)
-        before = m_all[:-1][rows], p_all[:-1][rows], v_all[:-1][rows]
-        mid = m_mid[rows], p_mid[rows], v_mid[rows]
-        sigma, _, ds_s, _, _, q_a, w_onoff = balance_rows(
-            h_now.matrix, stroke.hamiltonian.matrix, (stroke.rho.matrix,) + stroke.rho.eig(),
-            before, mid, (ancillas[k],) + _density_spectra(ancillas[k]),
-            _density_spectra(joints[k])[0])
+        before = tuple(x[:-1][rows] for x in chain)
+        stack = _letter_stack(h_now, stroke, before)
+        mid, bal = stack.evolved[1], stack.balance
         e_now = _trace_rows(h_now.matrix, before[0])
         e_mid = _trace_rows(h_now.matrix, mid[0])
-        e_next = _trace_rows(h_next.matrix, m_all[1:][rows])
-        w_u = e_next - e_mid
-        dh = e_next - e_now
-        sigma_t = sigma_f = [None] * len(q_a)
+        e_next = _trace_rows(h_next.matrix, chain[0][1:][rows])
+        sigma_t = sigma_f = [None] * len(stack)
         if stroke.beta is not None:
-            sigma_t = (ds_s + stroke.beta * q_a).tolist()
-            ok = is_strict_energy_conserving(stroke.unitary, h_now, stroke.hamiltonian,
-                                             conserving_tol)[0]
-            if ok:
-                q, qv = thermal_state(h_now, stroke.beta).eig()
-                sigma_f = (_petz_renyi(1.0, before[1], q, qv.conj().T @ before[2])
-                           - _petz_renyi(1.0, mid[1], q, qv.conj().T @ mid[2])).tolist()
-        residual = dh - (w_u + w_onoff - q_a)
-        for n, *row in zip(range(k, n_strokes, letters), q_a.tolist(), dh.tolist(),
-                           w_onoff.tolist(), w_u.tolist(), sigma.tolist(), sigma_t,
+            sigma_t = (bal.d_entropy_system + stroke.beta * bal.heat_env).tolist()
+            if is_strict_energy_conserving(stroke.unitary, h_now, stroke.hamiltonian,
+                                           conserving_tol)[0]:
+                sigma_f = fixed_point_sigma_rows(before[1:], mid[1:],
+                                                 thermal_state(h_now, stroke.beta).eig()).tolist()
+        dh, w_u = e_next - e_now, e_next - e_mid
+        residual = dh - (w_u + bal.work - bal.heat_env)
+        for n, *row in zip(range(k, n_strokes, letters), bal.heat_env.tolist(), dh.tolist(),
+                           bal.work.tolist(), w_u.tolist(), bal.sigma.tolist(), sigma_t,
                            sigma_f, residual.tolist()):
             records[n] = StrokeRecord(*row)
     return list(states), records
@@ -414,23 +407,26 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         chan = _stroke_channel(stroke.unitary, stroke.rho, basis.conj().T, basis)
         pop = slice(None, None, len(e_sys) + 1)
         chains.append((chan[pop, pop].real, unvec(chan.diagonal()), _gibbs(e_sys, stroke.beta)[0]))
-    states, (matrices, _, _) = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)
+    _, (matrices, weights, _) = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)
     pops = np.real(np.diagonal(basis.conj().T @ matrices @ basis, axis1=1, axis2=2))
     pops.setflags(write=False)      # rows shared by consecutive records
+    # the entropies and divergences of every state at once: C(rho) = S(p) - S(rho),
+    # and S(p^n || p_th) and S(p^(n+1) || p_th) against the p_th of stroke n
+    probs = _clamp_probs(pops)
+    coherence = _entropy_rows(probs) - _entropy_rows(weights)
+    p_th = np.array([chains[n % len(chains)][2] for n in range(n_strokes)])
+    kl = _petz_renyi(1.0, np.stack([probs[:-1], probs[1:]]), p_th)
+    sigma_cl, sigma_q = (kl[0] - kl[1]).tolist(), (coherence[:-1] - coherence[1:]).tolist()
     records = []
     for n in range(n_strokes):
-        m_n, c, p_th = chains[n % len(chains)]
-        (p_before, p_after), (rho, rho_next) = pops[n:n + 2], states[n:n + 2]
-        sigma_cl = classical_kl(p_before, p_th) - classical_kl(p_after, p_th)
-        coh_before = shannon_entropy(p_before) - von_neumann_entropy(rho)
-        coh_after = shannon_entropy(p_after) - von_neumann_entropy(rho_next)
+        m_n, c, _ = chains[n % len(chains)]
         records.append(PreferredBasisRecord(
             transition_matrix=m_n,
             coherence_factors=c,
-            sigma_classical=sigma_cl,
-            sigma_quantum=coh_before - coh_after,
-            populations_before=p_before,
-            populations_after=p_after,
+            sigma_classical=sigma_cl[n],
+            sigma_quantum=sigma_q[n],
+            populations_before=pops[n],
+            populations_after=pops[n + 1],
         ))
     return records
 

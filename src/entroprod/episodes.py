@@ -15,9 +15,10 @@ bounds, measured-environment (conditional) balances, correlated heat flow,
 mean-force strong coupling and the non-Markovianity witnesses.
 
 N episodes of one shape form an `EpisodeStack`, and the balances and
-bounds have row forms over a stack (`balance_rows`, `*_rows`); each
-one-episode function is row 0 of its row form on the episode's own
-one-row stack.
+bounds have row forms over a stack (`EpisodeStack.balance`, `*_rows`);
+each one-episode function is row 0 of its row form on the episode's own
+one-row stack, and `collisional.run` makes the strokes of each alphabet
+entry the rows of one stack.
 
 Sign conventions: Q_E > 0 means energy entered the environment, W > 0
 means work entered the system.
@@ -218,11 +219,25 @@ class EpisodeStack:
 
     @cached_property
     def balance(self) -> EntropyBalance:
-        """The information balance of every row (`balance_rows`), one
-        array per field, from the kept entropies."""
-        _, after, env_after = self.evolved
-        return EntropyBalance(*_balance_rows(self.h_system, self.h_env, self.rho_env,
-                                             self.rho_system, after, env_after, self.entropies))
+        """The information balance of every row, one array per field, from
+        the kept entropies; raises when any row's joint entropy is not
+        conserved (1e-8)."""
+        (m_env0, q, qv), (m_before, _, _) = self.rho_env, self.rho_system
+        _, (m_after, _, _), (m_env, p_env, v_env) = self.evolved
+        s_before, s_env0, s_sys, s_env, s_joint = self.entropies
+        mi = s_sys + s_env - s_joint
+        d_env = _petz_renyi(1.0, p_env, q, qv.conj().swapaxes(-1, -2) @ v_env)
+        ds_s = s_sys - s_before
+        ds_e = s_env - s_env0
+        # unitarity: the mutual information must equal dS_S + dS_E
+        if (np.isfinite(mi) & (abs(mi - (ds_s + ds_e)) > 1e-8)).any():
+            raise EpisodeError("joint entropy not conserved; unitary is inconsistent")
+        # rho_E' escaped the support of rho_E (pure environment): the flux
+        # diverges together with sigma; reported, not fatal.
+        flux = np.where(np.isinf(d_env), np.inf, _trace_rows(m_env0 - m_env, _log_of(q, qv)))
+        q_env = _trace_rows(self.h_env, m_env) - _trace_rows(self.h_env, m_env0)
+        work = _trace_rows(self.h_system, m_after) - _trace_rows(self.h_system, m_before) + q_env
+        return EntropyBalance(mi + d_env, flux, ds_s, mi, d_env, q_env, work)
 
     @cached_property
     def initial_weights(self) -> np.ndarray:
@@ -396,41 +411,6 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     """
     _own_evolution(ep, evolved)
     return _first_row(ep._row.balance)
-
-
-def balance_rows(h_system, h_env, env_before, before, after, env_after, joint_vals):
-    """The formulas of `balance` over leading axes: `env_before`, `before`,
-    `after` and `env_after` are (matrices, weights, eigenvectors) of rho_E,
-    rho_S, rho_S' and rho_E', `joint_vals` the weights of rho_SE' (stacks,
-    or one state without the leading axis, which broadcasts as a shared
-    row).  Returns the arrays sigma, flux, dS_S, I(S:E), S(rho_E' || rho_E),
-    Q_E and W, in `EntropyBalance` order; raises when any row's joint
-    entropy is not conserved (1e-8).
-    """
-    entropies = [_entropy_rows(state[1]) for state in (before, env_before, after, env_after)]
-    return _balance_rows(h_system, h_env, env_before, before, after, env_after,
-                         entropies + [_entropy_rows(joint_vals)])
-
-
-def _balance_rows(h_system, h_env, env_before, before, after, env_after, entropies):
-    """`balance_rows` from the entropies of rho_S, rho_E, rho_S', rho_E'
-    and rho_SE', in that order (`EpisodeStack.entropies`)."""
-    (m_env0, q, qv), (m_before, _, _), (m_after, _, _), (m_env, p_env, v_env) = \
-        env_before, before, after, env_after
-    s_before, s_env0, s_sys, s_env, s_joint = entropies
-    mi = s_sys + s_env - s_joint
-    d_env = _petz_renyi(1.0, p_env, q, qv.conj().swapaxes(-1, -2) @ v_env)
-    ds_s = s_sys - s_before
-    ds_e = s_env - s_env0
-    # unitarity: the mutual information must equal dS_S + dS_E
-    if (np.isfinite(mi) & (abs(mi - (ds_s + ds_e)) > 1e-8)).any():
-        raise EpisodeError("joint entropy not conserved; unitary is inconsistent")
-    # rho_E' escaped the support of rho_E (pure environment): the flux
-    # diverges together with sigma; reported, not fatal.
-    flux = np.where(np.isinf(d_env), np.inf, _trace_rows(m_env0 - m_env, _log_of(q, qv)))
-    q_env = _trace_rows(h_env, m_env) - _trace_rows(h_env, m_env0)
-    work = _trace_rows(h_system, m_after) - _trace_rows(h_system, m_before) + q_env
-    return mi + d_env, flux, ds_s, mi, d_env, q_env, work
 
 
 def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, tol: float, message):
@@ -917,19 +897,8 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
     """Second law with initial correlations:
     (beta_B - beta_A) Q_B >= dI(A:B); consuming correlations can revert
     the heat flow."""
-    rho_a = partial_trace(rho_ab, [0])
-    rho_b = partial_trace(rho_ab, [1])
-    if trace_distance(rho_a, thermal_state(h_a, beta_a)) > tol:
-        raise EpisodeError("marginal of A is not thermal at beta_a")
-    if trace_distance(rho_b, thermal_state(h_b, beta_b)) > tol:
-        raise EpisodeError("marginal of B is not thermal at beta_b")
-    ok, res = is_strict_energy_conserving(unitary, h_a, h_b)
-    if not ok:
-        raise EpisodeError(f"unitary violates strict energy conservation ({res:.3e})")
-    u = _mat(unitary)
-    after = DensityOperator(u @ rho_ab.matrix @ u.conj().T, rho_ab.dims)
-    hb_full = tensor([np.eye(_mat(h_a).shape[0]), h_b])
-    q_b = float(np.real(np.trace(hb_full @ (after.matrix - rho_ab.matrix))))
+    after, q_b = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, tol, EpisodeError)
+    after = DensityOperator(after, rho_ab.dims)
     d_mi = mutual_information(after, [0]) - mutual_information(rho_ab, [0])
     lhs = (beta_b - beta_a) * q_b
     return CorrelatedHeatFlow(
@@ -939,6 +908,23 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
         rhs=d_mi,
         bound_satisfied=lhs >= d_mi - 1e-10,
     )
+
+
+def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b, tol, error):
+    """rho_AB' = U rho_AB U^dag and the unitary heat Q_B = Tr{(1 x H_B)
+    (rho_AB' - rho_AB)}, once the marginals of A and B are within tol
+    (trace distance) of their Gibbs states and U strictly conserves
+    H_A + H_B; else an `error`."""
+    for keep, h, beta, name in (([0], h_a, beta_a, "a"), ([1], h_b, beta_b, "b")):
+        if trace_distance(partial_trace(rho_ab, keep), thermal_state(h, beta)) > tol:
+            raise error(f"marginal of {name.upper()} is not thermal at beta_{name}")
+    ok, res = is_strict_energy_conserving(unitary, h_a, h_b)
+    if not ok:
+        raise error(f"unitary violates strict energy conservation ({res:.3e})")
+    u = _mat(unitary)
+    after = u @ rho_ab.matrix @ u.conj().T
+    hb_full = tensor([np.eye(_mat(h_a).shape[0]), h_b])
+    return after, float(np.real(np.trace(hb_full @ (after - rho_ab.matrix))))
 
 
 def two_qubit_exchange_scenario(alpha, theta, phi, g, t, beta_a, beta_b, omega=1.0):

@@ -45,13 +45,10 @@ from .core import (
     _mat,
     _petz_renyi,
     _spectrum,
-    partial_trace,
     shannon_entropy,
     tensor,
-    thermal_state,
-    trace_distance,
 )
-from .episodes import Episode, EpisodeStack, is_strict_energy_conserving
+from .episodes import Episode, EpisodeStack, _thermal_exchange
 
 ENSEMBLE_DIM_CAP = 64
 # Sorted samples within MERGE_TOL * max(1, |v|) of their neighbour are one value.
@@ -521,22 +518,6 @@ def _xy_integral(vals, lam):
     return b * _expm1_ratio(lam, s) * _expm1_ratio(1.0 - lam, s)
 
 
-def y_covariance_integral(rho, op) -> float:
-    """int_0^1 cov^y(A, A) dy in closed form (`_log_mean`), where
-    cov^y(A, A) = Tr[A rho^y A rho^(1-y)] - <A>^2."""
-    spectrum = _spectrum(rho)
-    pairs, mean, _ = _level_pairs(spectrum, _mat(op))
-    return float(np.sum(pairs * _log_mean(spectrum[0])) - mean ** 2)
-
-
-def skew_information_integral(rho, op) -> float:
-    """int_0^1 I_y(rho, A) dy with I_y = -1/2 Tr{[rho^y, A][rho^(1-y), A]}
-    = <A^2> - Tr[A rho^y A rho^(1-y)], in closed form (`_log_mean`)."""
-    spectrum = _spectrum(rho)
-    pairs, _, second = _level_pairs(spectrum, _mat(op))
-    return float(second - np.sum(pairs * _log_mean(spectrum[0])))
-
-
 def _identity_quench(hi, hf, beta):
     """The `work_rows` of the sudden quench H_i -> H_f (V = 1), the Gibbs
     weights of rho_i^th and the `_level_pairs` of dH = H_f - H_i in it."""
@@ -643,13 +624,8 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     [mA, mB, nA, nB]; its backward process starts from the same dephased
     state on the final outcomes and runs U^dag.
     """
-    if trace_distance(partial_trace(rho_ab, [0]), thermal_state(h_a, beta_a)) > tol:
-        raise TrajectoryError("marginal of A is not thermal at beta_a")
-    if trace_distance(partial_trace(rho_ab, [1]), thermal_state(h_b, beta_b)) > tol:
-        raise TrajectoryError("marginal of B is not thermal at beta_b")
-    ok, res = is_strict_energy_conserving(unitary, h_a, h_b)
-    if not ok:
-        raise TrajectoryError(f"unitary is not strictly energy conserving ({res:.3e})")
+    _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, tol,
+                                        TrajectoryError)
     ea, va = np.linalg.eigh(_mat(h_a))
     eb, vb = np.linalg.eigh(_mat(h_b))
     basis = tensor([va, vb])
@@ -671,10 +647,6 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     ft = float(np.dot(p[live], np.exp(-sigma[live])))
     mean_q = float(np.dot(p[live], q_b[live]))
     mean_di = float(np.dot(p[live], di[live]))
-    # unitary-only (backaction-free) average heat for comparison
-    hb_full = tensor([np.eye(da), h_b])
-    after = u @ rho_ab.matrix @ u.conj().T
-    mean_unitary = float(np.real(np.trace(hb_full @ (after - rho_ab.matrix))))
     lhs = (beta_b - beta_a) * mean_q
     return CorrelatedExchange(
         ensemble=PathEnsemble(p, w * p_joint[:, :, None, None], sigma),

@@ -242,6 +242,22 @@ def test_preferred_basis_populations_match_full_evolution():
         assert np.abs(np.sort(p) - np.sort(direct)).max() < 1e-10
 
 
+def test_preferred_basis_split_sums_to_the_run_sigma():
+    # Sigma_n = sigma_classical + sigma_quantum, against both the fixed-point
+    # and the information-theoretic sigma of `run`, from a state with coherences
+    spec = cm.CollisionSpec((thermal_stroke(0.6, g=0.4), thermal_stroke(1.9, g=0.9)),
+                            (H_QUBIT, H_QUBIT))
+    rho0 = random_density(2, np.random.default_rng(17))
+    assert abs(rho0.matrix[0, 1]) > 0.05
+    recs = cm.preferred_basis(spec, rho0, 12)
+    _, strokes = cm.run(spec, rho0, 12)
+    assert recs[0].sigma_quantum > 1e-6
+    for r, s in zip(recs, strokes, strict=True):
+        split = r.sigma_classical + r.sigma_quantum
+        assert abs(split - s.sigma_fixed_point) <= 1e-12
+        assert abs(split - s.sigma_general) <= 1e-12
+
+
 def test_preferred_basis_rejects_noncommuting_schedule():
     h2 = HermitianOperator.from_matrix(0.6 * PAULI_X)
     spec = cm.CollisionSpec((thermal_stroke(1.0), thermal_stroke(1.0)),
@@ -379,27 +395,34 @@ def two_letter_spec(rng):
 
 
 def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
-    # every stroke's balance comes from stacked decompositions per state kind,
-    # and the chain takes no per-stroke Kronecker product, partial trace or
-    # channel: the states are stepped by one channel per alphabet entry
+    # the strokes of each alphabet entry are the rows of one EpisodeStack, so
+    # the joint states, their partial traces and every balance are stacked per
+    # alphabet entry: one Kronecker product and two partial traces each (in
+    # `episodes`, none in `run` itself) and one `eigh` per state kind (joint,
+    # rho_n', ancilla); one more `eigh` validates the chain's states and two
+    # build the Gibbs state of the conserving entry.  The chain takes no
+    # per-stroke channel
     rng = np.random.default_rng(21)
     spec, rho0 = two_letter_spec(rng), random_density(2, rng)
     counted = {np.linalg: ("eigh", "eigvalsh"),
-               cm: ("tensor", "_ptrace_matrix", "ancilla_kraus", "kraus_superop")}
+               cm: ("tensor", "_ptrace_matrix", "ancilla_kraus", "kraus_superop"),
+               eps: ("tensor", "_ptrace_matrix")}
     counts = []
     for n_strokes in (10, 200):
         calls = []
         for module, names in counted.items():
             for name in names:
-                fn = getattr(module, name)
-                monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k:
-                                    calls.append(_name) or _fn(*a, **k))
+                fn, key = getattr(module, name), f"{module.__name__.split('.')[-1]}.{name}"
+                monkeypatch.setattr(module, name, lambda *a, _fn=fn, _key=key, **k:
+                                    calls.append(_key) or _fn(*a, **k))
         cm.run(spec, rho0, n_strokes)
         monkeypatch.undo()
-        counts.append({name: calls.count(name) for name in set(calls)})
-    assert counts[0] == counts[1]
-    assert counts[0]["eigh"] + counts[0].get("eigvalsh", 0) <= 12
-    assert counts[0]["ancilla_kraus"] == counts[0]["kraus_superop"] == 2
+        counts.append({key: calls.count(key) for key in set(calls)})
+    # episodes.tensor: the joint state of each entry, and the two of each
+    # thermal entry's strict-energy-conservation check
+    assert counts[0] == counts[1] == {
+        "linalg.eigh": 9, "episodes.tensor": 6, "episodes._ptrace_matrix": 4,
+        "collisional.ancilla_kraus": 2, "collisional.kraus_superop": 2}
 
 
 def test_run_rejects_mismatched_dims():
