@@ -27,7 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .core import bordered_solve
+from .core import NULL_RCOND_TOL, _check_probabilities, bordered_solve
+
+# A detailed-balance flow asymmetry |W_ij p_j - W_ji p_i| at most this is zero.
+DETAILED_BALANCE_TOL = 1e-10
 
 
 class ClassicalError(ValueError):
@@ -87,20 +90,9 @@ def _fill_diagonal(m):
     return m
 
 
-def _check_probability(p):
-    p = np.asarray(p, dtype=float)
-    if not np.isfinite(p).all():
-        raise ClassicalError("probabilities must be finite")
-    if p.min() < -1e-12:
-        raise ClassicalError(f"negative probability {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ClassicalError(f"probabilities sum to {p.sum()}")
-    return np.clip(p, 0.0, None)
-
-
 def evolve(rates: RateMatrix, p0, t: float):
     """Propagate dp/dt = W p over time t via the matrix exponential."""
-    p0 = _check_probability(p0)
+    p0 = _check_probabilities(p0, ClassicalError)
     if p0.shape != (rates.w.shape[0],) or not 0.0 <= t < math.inf:
         raise ClassicalError(f"need one probability per state and a finite t >= 0, got t = {t}")
     p = expm(rates.w * t) @ p0
@@ -114,12 +106,13 @@ def stationary_distribution(rates: RateMatrix) -> np.ndarray:
     bordered generator W - u 1^T (u the first state), as in
     `lindblad.steady_state`.  A generator whose stationary distribution is
     not unique (more than one closed class) makes the bordered matrix
-    singular, and its reciprocal condition estimate below 1e-8 is an error.
+    singular, and its reciprocal condition estimate below NULL_RCOND_TOL is an error.
     """
     p = bordered_solve(rates.w, slice(None))
     if p is None:
         raise ClassicalError(
-            "stationary distribution not unique (bordered generator singular within 1e-8)")
+            "stationary distribution not unique "
+            f"(bordered generator singular within {NULL_RCOND_TOL:g})")
     if p.min() < -1e-10:
         raise ClassicalError("stationary vector has negative entries")
     return np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()
@@ -163,7 +156,7 @@ class SchnakenbergRates:
 def schnakenberg(rates: RateMatrix, p) -> SchnakenbergRates:
     """Single-generator split: Sigma_rate = 1/2 sum J_ij X_ij >= 0 and the
     flux is linear in p; dS/dt = Sigma_rate - Phi_rate exactly."""
-    p = _check_probability(p)
+    p = _check_probabilities(p, ClassicalError)
     w = rates.w
     i, j, jj, xx = _edge_terms(w, p)
     currents, forces = np.zeros((2,) + w.shape)
@@ -185,7 +178,7 @@ def multibath_sigma(rates: RateMatrix, p):
     """
     if rates.reservoirs is None:
         raise ClassicalError("rate matrix carries no reservoir decomposition")
-    p = _check_probability(p)
+    p = _check_probabilities(p, ClassicalError)
     sigma_correct = 0.0
     for part in rates.reservoirs:
         _, _, jj, xx = _edge_terms(part, p)
@@ -202,8 +195,8 @@ def kl_divergence_rate(rates: RateMatrix, p, p_stationary):
     (W p)_i = 0.  p*_i = 0 where p_i or (W p)_i is not is an error:
     S(p || p*) is or becomes infinite.
     """
-    p = _check_probability(p)
-    q = _check_probability(p_stationary)
+    p = _check_probabilities(p, ClassicalError)
+    q = _check_probabilities(p_stationary, ClassicalError)
     flow = rates.w @ p
     if ((q == 0.0) & ((p > 0.0) | (flow != 0.0))).any():
         raise ClassicalError("relative entropy to p* is infinite: p* vanishes "
@@ -214,9 +207,9 @@ def kl_divergence_rate(rates: RateMatrix, p, p_stationary):
     return -float(flow[live] @ np.log(p[live] / q[live]))
 
 
-def is_detailed_balanced(rates: RateMatrix, p_stationary, tol=1e-10) -> bool:
+def is_detailed_balanced(rates: RateMatrix, p_stationary) -> bool:
     flow = rates.w * np.asarray(p_stationary, dtype=float)
-    return bool(np.all(np.abs(flow - flow.T) <= tol))
+    return bool(np.all(np.abs(flow - flow.T) <= DETAILED_BALANCE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +273,7 @@ def tur_check(rates: RateMatrix, counted, p_stationary=None):
     """Thermodynamic uncertainty relation var/J^2 >= 2/Sigma_rate at the
     steady state; returns (lhs, rhs, satisfied)."""
     p_ss = stationary_distribution(rates) if p_stationary is None \
-        else _check_probability(p_stationary)
+        else _check_probabilities(p_stationary, ClassicalError)
     j, var = _current_cumulants(rates, counted, p_ss)
     sigma, _ = multibath_sigma(rates, p_ss) if rates.reservoirs is not None \
         else (schnakenberg(rates, p_ss).sigma_rate, None)

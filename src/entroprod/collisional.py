@@ -79,6 +79,8 @@ FIXED_POINT_TOL = 1e-12
 # Eigenvalues of a cycle channel this close to 1 count as 1, and any other
 # eigenvalue this close to the unit circle means the cycle does not contract.
 UNIT_CIRCLE_TOL = 1e-9
+# The collision limit needs an induced shift Tr_A(V rho_A) within this (max entry).
+LAMB_SHIFT_TOL = 1e-9
 
 
 class CollisionalError(ValueError):
@@ -210,8 +212,7 @@ def _letter_stack(h_system: HermitianOperator, stroke: AncillaStroke, before) ->
                         HilbertDims((h_system.dim,)), HilbertDims((stroke.rho.dim,)))
 
 
-def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
-        conserving_tol: float = 1e-9):
+def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
 
     The states are stepped by the stroke channels (`_chain`), and the
@@ -240,8 +241,7 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         sigma_t = sigma_f = [None] * len(stack)
         if stroke.beta is not None:
             sigma_t = (bal.d_entropy_system + stroke.beta * bal.heat_env).tolist()
-            if is_strict_energy_conserving(stroke.unitary, h_now, stroke.hamiltonian,
-                                           conserving_tol)[0]:
+            if is_strict_energy_conserving(stroke.unitary, h_now, stroke.hamiltonian)[0]:
                 sigma_f = fixed_point_sigma_rows(before[1:], mid[1:],
                                                  thermal_state(h_now, stroke.beta).eig()).tolist()
         dh, w_u = e_next - e_now, e_next - e_mid
@@ -302,15 +302,14 @@ class DissipatorPieces:
     detailed_balance: tuple | None       # gamma+/gamma- ratios per pair
 
 
-def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None,
-                     lamb_tol: float = 1e-9) -> DissipatorPieces:
+def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None) -> DissipatorPieces:
     """Dissipator of the tau -> 0 collision limit with the V/sqrt(tau)
     scaling:  D(rho) = -1/2 Tr_A [V, [V, rho x rho_A]].
 
     For Hermitian V this is sum_{mu nu} D[sqrt(q_nu) V_{mu nu}] with
     V_{mu nu} = <mu|V|nu> in the eigenbasis of rho_A = sum q_nu |nu><nu|,
     which is how the superoperator is assembled.  Requires a vanishing
-    induced shift Tr_A(V rho_A); a violation beyond lamb_tol is an error.
+    induced shift Tr_A(V rho_A); a violation beyond LAMB_SHIFT_TOL is an error.
     When `pairs` = [(L_k, A_k, g_k), ...] describes
     V = sum_k g_k (L_k^dag A_k + L_k A_k^dag), the familiar two-rate form
     D = sum_k gamma_k^- D[L_k] + gamma_k^+ D[L_k^dag] applies with the
@@ -327,7 +326,7 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None,
     d = v.shape[0] // da
     shift = _ptrace_matrix(v @ tensor([np.eye(d), ra]), (d, da), [0])
     shift_norm = float(np.abs(shift - np.trace(shift) / d * np.eye(d)).max())
-    if shift_norm > lamb_tol:
+    if shift_norm > LAMB_SHIFT_TOL:
         raise CollisionalError(
             f"ancilla-induced shift Tr_A(V rho_A) = {shift_norm:.3e} is not zero")
 
@@ -361,8 +360,7 @@ class PreferredBasisRecord:
     populations_after: np.ndarray
 
 
-def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
-                    conserving_tol: float = 1e-9):
+def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     """Population/coherence split of a thermal-operation collisional model.
 
     Requires a fixed system eigenbasis ([H_S^n, H_S^m] = 0 for all strokes)
@@ -396,8 +394,7 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int,
         stroke, h = spec.stroke(k), spec.h_at(k)
         if stroke.beta is None:
             raise CollisionalError("preferred basis needs thermal ancillas")
-        ok, res = is_strict_energy_conserving(
-            stroke.unitary, h, stroke.hamiltonian, conserving_tol)
+        ok, res = is_strict_energy_conserving(stroke.unitary, h, stroke.hamiltonian)
         if not ok:
             raise CollisionalError(
                 f"stroke {k} is not a thermal operation (residual {res:.3e})")

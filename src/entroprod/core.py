@@ -49,6 +49,10 @@ EIG_FLOOR = 1e-9
 # and the mass off sigma's support that still counts as inside it.
 SPECTRAL_NOISE = 8 * np.finfo(float).eps
 SUPPORT_OVERLAP_TOL = 1e-8
+# A bordered generator with a reciprocal condition estimate below this is singular.
+NULL_RCOND_TOL = 1e-8
+# Eigenvalues within this, times max(1, ||H||), share one eigenspace.
+DEGENERACY_TOL = 1e-9
 
 
 class CoreError(ValueError):
@@ -459,7 +463,7 @@ def _rotate_pair(sym, anti, phase):
     np.multiply(diff, phase * _SQRT_HALF, out=anti)
 
 
-def bordered_solve(gen, trace, rhs=None, null_tol=1e-8):
+def bordered_solve(gen, trace, rhs=None):
     """x with B x = rhs for a real generator with t^T gen = 0 bordered as
     B = gen - u t^T, where t is 1 on the slots `trace` (which include
     slot 0) and u is the unit vector of slot 0.
@@ -470,7 +474,7 @@ def bordered_solve(gen, trace, rhs=None, null_tol=1e-8):
     t^T rhs = 0 gives the x with gen x = rhs and t^T x = 0 (the Drazin
     inverse of gen applied to rhs).  One LU factorization of B gives both:
     None is returned when LAPACK's estimate of B's reciprocal condition
-    number (infinity norm) is below `null_tol`.
+    number (infinity norm) is below NULL_RCOND_TOL.
     """
     border = np.array(gen, dtype=float)
     border[0, trace] -= 1.0
@@ -480,7 +484,7 @@ def bordered_solve(gen, trace, rhs=None, null_tol=1e-8):
     if info > 0:
         return None
     rcond, _ = dgecon(lu, anorm)
-    if not rcond >= null_tol:
+    if not rcond >= NULL_RCOND_TOL:
         return None
     if rhs is None:
         rhs = np.zeros(border.shape[0])
@@ -683,6 +687,22 @@ def _state_pair(rho, sigma):
     return p, q, qv.conj().T @ pv
 
 
+def _check_probabilities(p, error):
+    """Probability rows (the last axis of p), clipped at 0 after the checks:
+    finite, none below -1e-12, each row summing to 1 within 1e-9; else the
+    exception class `error`."""
+    p = np.asarray(p, dtype=float)
+    total = p.sum(-1)
+    worst = np.abs(total - 1.0)
+    if not (p.min() >= -1e-12 and worst.max() <= 1e-9):     # NaN fails too
+        if not np.isfinite(p).all():
+            raise error("probabilities must be finite")
+        if p.min() < -1e-12:
+            raise error(f"negative probability {p.min():.3e}")
+        raise error(f"probabilities sum to {total.flat[np.argmax(worst)]}")
+    return np.maximum(p, 0.0)
+
+
 def _probability_pair(p, q):
     p, q = _clamp_probs(p), _clamp_probs(q)
     if p.shape != q.shape:
@@ -754,10 +774,19 @@ def _gibbs_states(h, beta):
     return (vecs * weights) @ vecs.conj().swapaxes(-1, -2), vals
 
 
+def _check_beta(beta, error, positive=False):
+    """beta (one or an array of them) as floats, each finite and >= 0, or
+    > 0 where the caller divides by it; else the exception class `error`."""
+    b = np.asarray(beta, dtype=float)
+    if not (np.isfinite(b) & ((b > 0.0) if positive else (b >= 0.0))).all():
+        raise error(f"inverse temperature must be finite and "
+                    f"{'>' if positive else '>='} 0, got {beta}")
+    return b
+
+
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
     """Gibbs state e^{-beta H}/Z, computed with a max-shift for safety."""
-    if not np.isfinite(beta) or beta < 0:
-        raise CoreError(f"inverse temperature must be finite and >= 0, got {beta}")
+    _check_beta(beta, CoreError)
     h = _mat(hamiltonian)
     return DensityOperator(_gibbs_states(h, beta)[0], _dims_of(hamiltonian, h.shape[0]))
 
@@ -794,35 +823,35 @@ def _equal_runs(sorted_values, tol) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([v.size > 0], ~same)))
 
 
-def eigenspace_projectors(hamiltonian, degeneracy_tol=1e-9):
+def eigenspace_projectors(hamiltonian):
     """Projectors onto the eigenspaces of H, grouping near-degenerate levels.
 
-    Eigenvalues within degeneracy_tol * max(1, ||H||) of each other share a
+    Eigenvalues within DEGENERACY_TOL * max(1, ||H||) of each other share a
     block, so the projection is block-diagonal and never resolves an
     accidental degeneracy into an arbitrary basis.
     """
     h = _mat(hamiltonian)
     vals, vecs = np.linalg.eigh(h)
     scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
-    bounds = np.append(_equal_runs(vals, degeneracy_tol * scale), len(vals))
+    bounds = np.append(_equal_runs(vals, DEGENERACY_TOL * scale), len(vals))
     blocks = [vecs[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     energies = [float(vals[a:b].mean()) for a, b in zip(bounds[:-1], bounds[1:])]
     return energies, [b @ b.conj().T for b in blocks]
 
 
-def dephase(rho, hamiltonian, degeneracy_tol=1e-9):
+def dephase(rho, hamiltonian):
     """Remove all coherences between distinct eigenspaces of H."""
     r = _mat(rho)
-    _, projs = eigenspace_projectors(hamiltonian, degeneracy_tol)
+    _, projs = eigenspace_projectors(hamiltonian)
     out = sum(p @ r @ p for p in projs)
     if isinstance(rho, DensityOperator):
         return DensityOperator(out, rho.dims)
     return out
 
 
-def relative_entropy_of_coherence(rho, hamiltonian, degeneracy_tol=1e-9) -> float:
+def relative_entropy_of_coherence(rho, hamiltonian) -> float:
     """C(rho) = S(Delta_H(rho)) - S(rho) >= 0, zero iff already block-diagonal."""
-    deph = dephase(rho, hamiltonian, degeneracy_tol)
+    deph = dephase(rho, hamiltonian)
     return von_neumann_entropy(deph) - von_neumann_entropy(rho)
 
 
@@ -909,8 +938,15 @@ def _log_of(vals, vecs):
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization: {"dims": [...], "re": [[...]], "im": [[...]]}
+# Serialization: JSON {"dims": [...], "re": [[...]], "im": [[...]]} and CSV
 # ---------------------------------------------------------------------------
+
+def _write_csv(path, header, *columns):
+    lines = [header] + [",".join(format(x, ".17g") for x in row) for row in zip(*columns)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
 
 def matrix_to_json(matrix, dims=None) -> dict:
     m = np.asarray(matrix, dtype=complex)

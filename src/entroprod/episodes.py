@@ -38,6 +38,7 @@ from .core import (
     HilbertDims,
     UnitaryOperator,
     _as_dims,
+    _check_beta,
     _check_hermitian,
     _check_unitary,
     _density_stack,
@@ -62,7 +63,20 @@ from .core import (
     von_neumann_entropy,
 )
 
+# A marginal within this trace distance of its Gibbs state is thermal.
 THERMALITY_TOL = 1e-9
+# rho_E within this trace distance of its bath-part marginals' product is a product.
+PRODUCT_TOL = 1e-8
+# [U, H_S + H_E] within this, times ||H_S|| + ||H_E||, is strict energy conservation.
+CONSERVATION_TOL = 1e-9
+# U (rho* x rho_E) U^dag within this (max entry) of rho* x rho_E is a global fixed point.
+GLOBAL_FIXED_POINT_TOL = 1e-9
+# A measurement whose average rho_E moves by at most this (max entry) is backaction-free.
+BACKACTION_TOL = 1e-8
+# The erasure bounds give up when the target temperature passes this times T.
+T_MAX_FACTOR = 1e6
+# A BLP trace-distance slope above this witnesses non-Markovianity.
+BLP_SLOPE_TOL = 1e-8
 
 
 class EpisodeError(ValueError):
@@ -331,9 +345,7 @@ def _require_rows(bad, message):
 
 def _betas(stack: EpisodeStack, beta):
     """beta (a scalar or one per row) as one float per row of the stack."""
-    b = np.asarray(beta, dtype=float)
-    if not (np.isfinite(b) & (b >= 0)).all():
-        raise EpisodeError(f"inverse temperature must be finite and >= 0, got {beta}")
+    b = _check_beta(beta, EpisodeError)
     # np.full: a scalar beta skips broadcast_to's Python wrapper
     return np.full(len(stack), b) if b.ndim == 0 else np.broadcast_to(b, (len(stack),))
 
@@ -413,9 +425,9 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     return _first_row(ep._row.balance)
 
 
-def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, tol: float, message):
+def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, message):
     """beta per row and the levels of h, once the marginal of every rho_E
-    on the E factors `factors` is within tol (trace distance) of the Gibbs
+    on the E factors `factors` is within THERMALITY_TOL (trace distance) of the Gibbs
     state of h at its beta; else EpisodeError message(beta, distance) of the
     first row that is not.  The distances and levels are kept on the stack
     per (factor set, h, beta), so `thermal_balance_rows`, a one-part
@@ -430,19 +442,19 @@ def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, tol: float, messa
         gibbs, levels = _gibbs_states(h, beta)
         known[key] = _trace_distance_rows(stack.env_marginal(factors)[0], gibbs), levels
     dist, levels = known[key]
-    _require_rows(dist > tol, lambda k: message(beta[k], dist[k]))
+    _require_rows(dist > THERMALITY_TOL, lambda k: message(beta[k], dist[k]))
     return beta, levels
 
 
-def _require_thermal_rows(stack: EpisodeStack, beta, tol: float):
+def _require_thermal_rows(stack: EpisodeStack, beta):
     """beta per row and the levels of every H_E, once every rho_E is within
-    tol of the Gibbs state of its H_E."""
-    return _require_gibbs_rows(stack, range(len(stack.env_dims)), stack.h_env, beta, tol,
+    THERMALITY_TOL of the Gibbs state of its H_E."""
+    return _require_gibbs_rows(stack, range(len(stack.env_dims)), stack.h_env, beta,
                                lambda b, d: f"environment is not thermal at beta={b} "
                                             f"(trace distance {d:.3e})")
 
 
-def thermal_balance(ep: Episode, beta: float, tol: float = THERMALITY_TOL,
+def thermal_balance(ep: Episode, beta: float,
                     evolved: EvolvedStates | None = None) -> EntropyBalance:
     """Clausius form for a thermal environment.
 
@@ -451,15 +463,15 @@ def thermal_balance(ep: Episode, beta: float, tol: float = THERMALITY_TOL,
     temperature.  Agrees with the information-theoretic balance exactly.
     Row 0 of `thermal_balance_rows`.
     """
-    rows = thermal_balance_rows(ep._row, beta, tol)
+    rows = thermal_balance_rows(ep._row, beta)
     _own_evolution(ep, evolved)
     return _first_row(rows)
 
 
-def thermal_balance_rows(stack: EpisodeStack, beta, tol: float = THERMALITY_TOL):
+def thermal_balance_rows(stack: EpisodeStack, beta):
     """`thermal_balance` of every row of a stack, beta a scalar or one per
     row; d_free_energy is None unless every beta > 0."""
-    beta, _ = _require_thermal_rows(stack, beta, tol)
+    beta, _ = _require_thermal_rows(stack, beta)
     base = stack.balance
     d_free = None
     if (beta > 0).all():
@@ -481,20 +493,19 @@ class BathPart:
     beta: float
 
 
-def multibath_balance(ep: Episode, parts, tol: float = THERMALITY_TOL,
-                      evolved: EvolvedStates | None = None) -> EntropyBalance:
+def multibath_balance(ep: Episode, parts, evolved: EvolvedStates | None = None) -> EntropyBalance:
     """Sigma = dS_S + sum_i beta_i Q_i for a product of thermal baths.
 
     Also reports the total correlations T = S(rho_S') + sum_i S(rho_Ei')
     - S(rho_SE'), which satisfy Sigma = T + sum_i S(rho_Ei' || rho_Ei).
     Row 0 of `multibath_balance_rows`.
     """
-    rows = multibath_balance_rows(ep._row, parts, tol)
+    rows = multibath_balance_rows(ep._row, parts)
     _own_evolution(ep, evolved)
     return _first_row(rows)
 
 
-def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_TOL):
+def multibath_balance_rows(stack: EpisodeStack, parts):
     """`multibath_balance` of every row of a stack; a part's Hamiltonian
     and beta are shared by the rows, or given per row as (N, d, d) and (N,).
     Each part reads the kept marginals of its factor set (`env_marginal`)
@@ -513,7 +524,7 @@ def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_T
         if h.shape[-2:] != (d, d):
             raise EpisodeError(f"bath part {p.env_factors}: Hamiltonian of shape "
                                f"{h.shape[-2:]} does not match its marginal of dim {d}")
-        _require_gibbs_rows(stack, p.env_factors, h, p.beta, tol,
+        _require_gibbs_rows(stack, p.env_factors, h, p.beta,
                             lambda b, _: f"bath part {p.env_factors} is not thermal at beta={b}")
     if len(parts) > 1:
         # the product of the part marginals, in the order of the parts, against
@@ -523,7 +534,7 @@ def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_T
             [0] + [1 + i for i in order] + [1 + len(factors) + i for i in order])
         product = tensor([stack.env_marginal(p.env_factors)[0] for p in parts])
         _require_rows(_trace_distance_rows(product, rho_env.reshape(product.shape))
-                      > max(tol, 1e-8),
+                      > PRODUCT_TOL,
                       lambda k: "environment state is not a product over the bath parts")
 
     base = stack.balance
@@ -551,8 +562,8 @@ def multibath_balance_rows(stack: EpisodeStack, parts, tol: float = THERMALITY_T
 # Strict energy conservation and fixed points
 # ---------------------------------------------------------------------------
 
-def is_strict_energy_conserving(unitary, h_system, h_env, tol: float = 1e-9):
-    """Check [U, H_S x 1 + 1 x H_E] = 0 within tol*(||H_S|| + ||H_E||).
+def is_strict_energy_conserving(unitary, h_system, h_env):
+    """Check [U, H_S x 1 + 1 x H_E] = 0 within CONSERVATION_TOL*(||H_S|| + ||H_E||).
 
     Returns (flag, residual) with residual the spectral norm of the
     commutator.
@@ -564,7 +575,7 @@ def is_strict_energy_conserving(unitary, h_system, h_env, tol: float = 1e-9):
     comm = u @ h_tot - h_tot @ u
     residual = float(np.linalg.norm(comm, 2))
     scale = float(np.linalg.norm(hs, 2) + np.linalg.norm(he, 2))
-    return residual <= tol * max(scale, 1e-300), residual
+    return residual <= CONSERVATION_TOL * max(scale, 1e-300), residual
 
 
 def fixed_point_sigma(rho_before, rho_after, fixed_point) -> float:
@@ -586,11 +597,11 @@ def fixed_point_sigma_rows(before, after, fixed_point):
     return np.where(np.isinf(a), math.inf, a - np.where(np.isinf(a), 0.0, b))
 
 
-def has_global_fixed_point(ep: Episode, candidate, tol: float = 1e-9) -> bool:
-    """True when U (rho* x rho_E) U^dag = rho* x rho_E within tol."""
+def has_global_fixed_point(ep: Episode, candidate) -> bool:
+    """True when U (rho* x rho_E) U^dag = rho* x rho_E within GLOBAL_FIXED_POINT_TOL."""
     joint = tensor([candidate, ep.rho_env])
     u = ep.unitary.matrix
-    return float(np.abs(u @ joint @ u.conj().T - joint).max()) <= tol
+    return float(np.abs(u @ joint @ u.conj().T - joint).max()) <= GLOBAL_FIXED_POINT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +620,7 @@ class ConditionalBalance:
     env_displacement: float
 
 
-def conditional_balance(ep: Episode, kraus_env, tol: float = 1e-8,
+def conditional_balance(ep: Episode, kraus_env,
                         evolved: EvolvedStates | None = None) -> ConditionalBalance:
     """Entropy production conditioned on a measurement of the environment.
 
@@ -648,7 +659,7 @@ def conditional_balance(ep: Episode, kraus_env, tol: float = 1e-8,
 
     holevo = von_neumann_entropy(ev.rho_system) - cond_entropy
     sigma_c = base.sigma - holevo
-    backaction_free = float(np.abs(avg_env - ev.rho_env.matrix).max()) <= tol
+    backaction_free = float(np.abs(avg_env - ev.rho_env.matrix).max()) <= BACKACTION_TOL
     if backaction_free:
         flux_c = base.flux
     else:
@@ -708,8 +719,7 @@ def _adaptive_simpson(fn, a, b, rel_tol=1e-8):
     return recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, a, b), 0)
 
 
-def heat_capacity_bound(d_entropy_system: float, temperature: float,
-                        heat_capacity, t_max_factor: float = 1e6) -> float:
+def heat_capacity_bound(d_entropy_system: float, temperature: float, heat_capacity) -> float:
     """Erasure bound from the environment heat capacity.
 
     With Q(T') = int_T^T' C_E and S(T') = int_T^T' C_E/tau, the bound is
@@ -721,12 +731,11 @@ def heat_capacity_bound(d_entropy_system: float, temperature: float,
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
     t_prime = _invert_entropy(lambda tp: _adaptive_simpson(
         lambda x: heat_capacity(x) / x, temperature, float(tp)), -d_entropy_system,
-        temperature, t_max_factor)
+        temperature)
     return _adaptive_simpson(heat_capacity, temperature, float(t_prime))
 
 
-def gibbs_erasure_bound(d_entropy_system, temperature, energies,
-                        t_max_factor: float = 1e6):
+def gibbs_erasure_bound(d_entropy_system, temperature, energies):
     """`heat_capacity_bound` of a Gibbs environment with the levels
     `energies`, where S(T') and Q(T') are closed forms: S = <E>/T' + ln Z
     and Q(T') = <E>_T' - <E>_T (Timpanaro, Santos & Landi, PRL 124, 240601
@@ -744,12 +753,11 @@ def gibbs_erasure_bound(d_entropy_system, temperature, energies,
         return mean / tp + log_z, mean
 
     s0, e0 = entropy_and_energy(temp)
-    t_prime = _invert_entropy(lambda tp: entropy_and_energy(tp)[0] - s0, -ds, temp,
-                              t_max_factor)
+    t_prime = _invert_entropy(lambda tp: entropy_and_energy(tp)[0] - s0, -ds, temp)
     return entropy_and_energy(t_prime)[1] - e0
 
 
-def _invert_entropy(entropy, target, temperature, t_max_factor):
+def _invert_entropy(entropy, target, temperature):
     """T' > T with entropy(T') = target, entropy increasing from 0 at T: the
     upper end doubled from 2T, then bisection to 1e-10 * max(1, T).  Over
     rows of arrays as well, each row stepped as if alone."""
@@ -757,7 +765,7 @@ def _invert_entropy(entropy, target, temperature, t_max_factor):
     low = entropy(hi) < target
     while np.any(low):
         hi = np.where(low, 2.0 * hi, hi)
-        if np.any(hi > temperature * t_max_factor):
+        if np.any(hi > temperature * T_MAX_FACTOR):
             raise EpisodeError("heat capacity too small to reach the requested entropy")
         low = entropy(hi) < target
     lo, live = temperature, np.ones(np.shape(temperature), dtype=bool)
@@ -795,19 +803,17 @@ class LandauerReport:
     satisfied: dict
 
 
-def landauer_report(ep: Episode, beta: float, heat_capacity=None,
-                    tol: float = THERMALITY_TOL) -> LandauerReport:
+def landauer_report(ep: Episode, beta: float, heat_capacity=None) -> LandauerReport:
     """All erasure bounds that apply to one thermal-environment episode:
     row 0 of `landauer_rows`, with None for a bound that does not apply."""
-    rows = landauer_rows(ep._row, beta, heat_capacity, tol)
+    rows = landauer_rows(ep._row, beta, heat_capacity)
     bounds = {k: None if v is None or np.isnan(v[0]) else float(v[0])
               for k, v in vars(rows).items() if k != "satisfied"}
     return LandauerReport(**bounds, satisfied={k: bool(v[0]) for k, v in rows.satisfied.items()
                                                if bounds["bound_" + k] is not None})
 
 
-def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None,
-                  tol: float = THERMALITY_TOL) -> LandauerReport:
+def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None) -> LandauerReport:
     """The erasure bounds of every row of a thermal-environment stack, beta a
     scalar or one per row.  The finite-dimension and heat-capacity bounds
     apply where dS_S < 0 and are NaN elsewhere; a check is True where its
@@ -815,7 +821,7 @@ def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None,
     (`heat_capacity_bound`, row by row), or "gibbs": the closed form of the
     Gibbs environment (`gibbs_erasure_bound` on the levels of every H_E that
     its thermality check keeps)."""
-    beta, levels = _require_thermal_rows(stack, beta, tol)
+    beta, levels = _require_thermal_rows(stack, beta)
     if not (beta > 0).all():
         raise EpisodeError("landauer_report needs beta > 0")
     temperature = 1.0 / beta
@@ -843,7 +849,7 @@ def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None,
                           {k: ~(q < b - 1e-10) for k, b in bounds.items() if b is not None})
 
 
-def heat_distribution(ep: Episode, beta: float | None = None, tol: float = 1e-10):
+def heat_distribution(ep: Episode, beta: float | None = None):
     """Two-point-measurement heat distribution of the environment.
 
     Interprets the episode as a channel on E with Kraus operators built
@@ -851,10 +857,10 @@ def heat_distribution(ep: Episode, beta: float | None = None, tol: float = 1e-10
     between eigenvectors |s_j> of rho_S and |m> of H_E has the weight
     lam_j |<s_k n|U|s_j m>|^2 p_m and the heat Q = E_n - E_m.  Weights
     below 1e-16 are round-off and are dropped; the rest merge on heats
-    equal by the rule of `trajectories.ScalarDistribution.from_samples`
-    with merge_tol = tol.  Returns (values, probabilities) plus a
-    diagnostics dict: the mean equals Q_E and, when beta is supplied,
-    <e^{-beta Q}> equals Tr[M rho_S] identically.
+    equal by the rule of `trajectories.ScalarDistribution.from_samples`.
+    Returns (values, probabilities) plus a diagnostics dict: the mean
+    equals Q_E and, when beta is supplied, <e^{-beta Q}> equals Tr[M rho_S]
+    identically.
     """
     from .trajectories import ScalarDistribution   # trajectories imports this module
 
@@ -868,7 +874,7 @@ def heat_distribution(ep: Episode, beta: float | None = None, tol: float = 1e-10
     w = np.abs(amp) ** 2 * (lam[:, None] * rho_e_diag)
     q = np.broadcast_to(evals_e[:, None, None] - evals_e, w.shape)            # E_n - E_m
     live = w >= 1e-16
-    dist = ScalarDistribution.from_samples(q[live], w[live], merge_tol=tol)
+    dist = ScalarDistribution.from_samples(q[live], w[live])
     values, probs = dist.values, dist.probabilities
     diag = {"mean": float(np.sum(values * probs)), "norm": float(np.sum(probs))}
     if beta is not None:
@@ -892,12 +898,11 @@ class CorrelatedHeatFlow:
 
 
 def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
-                         beta_a: float, beta_b: float,
-                         tol: float = THERMALITY_TOL) -> CorrelatedHeatFlow:
+                         beta_a: float, beta_b: float) -> CorrelatedHeatFlow:
     """Second law with initial correlations:
     (beta_B - beta_A) Q_B >= dI(A:B); consuming correlations can revert
     the heat flow."""
-    after, q_b = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, tol, EpisodeError)
+    after, q_b = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, EpisodeError)
     after = DensityOperator(after, rho_ab.dims)
     d_mi = mutual_information(after, [0]) - mutual_information(rho_ab, [0])
     lhs = (beta_b - beta_a) * q_b
@@ -910,13 +915,13 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
     )
 
 
-def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b, tol, error):
+def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b, error):
     """rho_AB' = U rho_AB U^dag and the unitary heat Q_B = Tr{(1 x H_B)
-    (rho_AB' - rho_AB)}, once the marginals of A and B are within tol
+    (rho_AB' - rho_AB)}, once the marginals of A and B are within THERMALITY_TOL
     (trace distance) of their Gibbs states and U strictly conserves
     H_A + H_B; else an `error`."""
     for keep, h, beta, name in (([0], h_a, beta_a, "a"), ([1], h_b, beta_b, "b")):
-        if trace_distance(partial_trace(rho_ab, keep), thermal_state(h, beta)) > tol:
+        if trace_distance(partial_trace(rho_ab, keep), thermal_state(h, beta)) > THERMALITY_TOL:
             raise error(f"marginal of {name.upper()} is not thermal at beta_{name}")
     ok, res = is_strict_energy_conserving(unitary, h_a, h_b)
     if not ok:
@@ -962,22 +967,21 @@ def two_qubit_exchange_scenario(alpha, theta, phi, g, t, beta_a, beta_b, omega=1
 # ---------------------------------------------------------------------------
 
 def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperator:
-    """H_mf = -(1/beta) ln( Tr_E e^{-beta H_tot} / Z_E ).
+    """H_mf = -(1/beta) ln( Tr_E e^{-beta H_tot} / Z_E ), with H_tot shifted
+    by its lowest level and ln Z_E from `core._gibbs`, so nothing overflows.
 
     dims is the (dim_S, dim_E) pair or a HilbertDims whose first factor is
     the system; h_env fixes the bath partition function Z_E.
     """
-    if isinstance(dims, HilbertDims):
-        factors = dims.factors
-    else:
-        factors = tuple(dims)
-    exp_tot = hermitian_function(h_total, lambda x: np.exp(-beta * x))
+    factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
+    levels, vecs = np.linalg.eigh(_mat(h_total))
+    exp_tot = (vecs * np.exp(-beta * (levels - levels[0]))) @ vecs.conj().T
     reduced = _ptrace_matrix(exp_tot, factors, [0])
-    z_env = float(np.real(np.trace(hermitian_function(h_env, lambda x: np.exp(-beta * x)))))
+    log_z_env = _gibbs(np.linalg.eigvalsh(_mat(h_env)), beta)[1]
     vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
     if vals.min() <= 0:
         raise EpisodeError("reduced exponential is singular")
-    logm = (vecs * np.log(vals / z_env)) @ vecs.conj().T
+    logm = (vecs * (np.log(vals) - log_z_env - beta * levels[0])) @ vecs.conj().T
     return HermitianOperator.from_matrix(-logm / beta, (factors[0],))
 
 
@@ -990,15 +994,11 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
     the joint and reduced relative entropies to the instantaneous
     mean-force Gibbs states.
     """
-    if isinstance(dims, HilbertDims):
-        factors = dims.factors
-    else:
-        factors = tuple(dims)
+    factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
     times, sig_work, sig_rel = [], [], []
-    t0, rho0, lam0 = trajectory[0]
+    _, rho0, lam0 = trajectory[0]
     h0 = _mat(h_total_of(lam0))
     e0 = float(np.real(np.trace(h0 @ _mat(rho0))))
-    z_env = float(np.real(np.trace(hermitian_function(h_env, lambda x: np.exp(-beta * x)))))
 
     def records(rho_se, lam):
         h_tot = _mat(h_total_of(lam))
@@ -1037,7 +1037,7 @@ def _central_diff(times, values):
     return np.gradient(values, times)
 
 
-def blp_witness(times, states_1, states_2, atol: float = 1e-8):
+def blp_witness(times, states_1, states_2):
     """Trace-distance witness: any interval with d/dt D > 0 is non-Markovian.
 
     states_1/states_2 are synchronized lists of system states.  Derivatives
@@ -1050,7 +1050,7 @@ def blp_witness(times, states_1, states_2, atol: float = 1e-8):
         "trace_distance": dist,
         "slope": slope,
         "max_slope": max_slope,
-        "is_nonmarkovian": max_slope > atol,
+        "is_nonmarkovian": max_slope > BLP_SLOPE_TOL,
     }
 
 
@@ -1067,10 +1067,7 @@ def correlation_witness_terms(times, joint_1, joint_2, h_total, dims):
     derivative of D and a per-interior-point check with a 10*dt error
     budget for the finite-difference derivative.
     """
-    if isinstance(dims, HilbertDims):
-        factors = dims.factors
-    else:
-        factors = tuple(dims)
+    factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
     h = _mat(h_total)
     d_list, e_list, c_list = [], [], []
     for r1, r2 in zip(joint_1, joint_2):

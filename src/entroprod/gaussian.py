@@ -219,12 +219,9 @@ def pi_phi(model: GaussianModel, state: GaussianState):
 
 def wigner_entropy(state: GaussianState) -> float:
     """Shannon entropy of the Gaussian phase-space distribution:
-    (1/2) ln det Theta + n ln(2 pi e)."""
-    sign, logdet = np.linalg.slogdet(state.cov)
-    if sign <= 0:
-        raise GaussianError("covariance must be positive definite")
+    (1/2) ln det Theta + n ln(2 pi e), the Renyi-2 entropy plus a constant."""
     n = len(state.mean) // 2
-    return 0.5 * logdet + n * math.log(2.0 * math.pi * math.e)
+    return renyi2_entropy(state) + n * math.log(2.0 * math.pi * math.e)
 
 
 def renyi2_entropy(state: GaussianState) -> float:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    NULL_RCOND_TOL,
     CoreError,
     DensityOperator,
     HermitianOperator,
@@ -52,6 +53,14 @@ from .core import (
 GENERATOR_BYTES = 2 ** 30
 DIM_CAP = math.isqrt(math.isqrt(GENERATOR_BYTES // 24))
 INTEGRATE_DIM_CAP = math.isqrt(math.isqrt(GENERATOR_BYTES // 80))
+# A generator eigenvalue within this, times max(1, max |lambda|), of 0 is zero.
+ZERO_EIGENVALUE_TOL = 1e-8
+# `fock_tail_mass` sums the populations of this many top Fock levels.
+FOCK_TAIL_LEVELS = 5
+# A Kerr truncation whose Fock tail mass exceeds this is an error.
+FOCK_TAIL_TOL = 1e-8
+# A dissipator with D(rho_th) within this (max entry) fixes the Gibbs state.
+GIBBS_FIXED_POINT_TOL = 1e-8
 
 
 class LindbladError(ValueError):
@@ -235,13 +244,13 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
 # Steady states and gaps
 # ---------------------------------------------------------------------------
 
-def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperator:
+def steady_state(model: LindbladModel) -> DensityOperator:
     """Normalized Hermitian PSD null vector of the generator.
 
     One LU factorization of the real form L_r bordered by the trace,
     B = L_r - u t^T (u the (0, 0) coordinate, t the trace functional):
     rho solves B x = -u, and B is singular exactly when the steady space is
-    degenerate.  `null_tol` bounds LAPACK's estimate of the reciprocal
+    degenerate.  NULL_RCOND_TOL bounds LAPACK's estimate of the reciprocal
     condition number of B (infinity norm) from below; a smaller one counts
     as a null space of dimension > 1, which is an error: at finite size a
     dissipative-transition coexistence region is gapped, so exact
@@ -252,10 +261,10 @@ def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperato
     """
     gen = real_superop(build(model))
     d = model.dim
-    x = bordered_solve(gen, np.arange(d) * (d + 1), null_tol=null_tol)
+    x = bordered_solve(gen, np.arange(d) * (d + 1))
     if x is None:
         raise LindbladError(
-            f"degenerate steady space (bordered generator singular within {null_tol:g})")
+            f"degenerate steady space (bordered generator singular within {NULL_RCOND_TOL:g})")
     vals, vecs = np.linalg.eigh(from_hermitian_coords(x))
     if vals.min() < -1e-7:
         raise LindbladError(f"steady-state candidate not PSD ({vals.min():.3e})")
@@ -267,13 +276,13 @@ def steady_state(model: LindbladModel, null_tol: float = 1e-8) -> DensityOperato
     return rho
 
 
-def gap(model: LindbladModel, null_tol: float = 1e-8) -> float:
+def gap(model: LindbladModel) -> float:
     """min over nonzero eigenvalues of -Re(lambda), an eigenvalue counting
-    as zero when |lambda| <= null_tol * max(1, max |lambda|); closes at
+    as zero when |lambda| <= ZERO_EIGENVALUE_TOL * max(1, max |lambda|); closes at
     dissipative transitions in the appropriate scaling limit."""
     vals = spectrum(model)
     scale = max(1.0, float(np.abs(vals).max()))
-    nonzero = vals[np.abs(vals) > null_tol * scale]
+    nonzero = vals[np.abs(vals) > ZERO_EIGENVALUE_TOL * scale]
     if len(nonzero) == 0:
         raise LindbladError("generator has no nonzero eigenvalues")
     return float(np.min(-np.real(nonzero)))
@@ -293,9 +302,9 @@ def destroy(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n, dtype=float)), 1).astype(complex)
 
 
-def fock_tail_mass(rho: DensityOperator, margin: int = 5) -> float:
+def fock_tail_mass(rho: DensityOperator) -> float:
     p = np.real(np.diag(rho.matrix))
-    return float(np.sum(p[-margin:]))
+    return float(np.sum(p[-FOCK_TAIL_LEVELS:]))
 
 
 def kerr_model(delta: float, u_kerr: float, drive: float, kappa: float,
@@ -316,15 +325,14 @@ def kerr_model(delta: float, u_kerr: float, drive: float, kappa: float,
     return LindbladModel(h, ((a, kappa),))
 
 
-def validate_kerr_truncation(model: LindbladModel, rho_ss: DensityOperator,
-                             tail_tol: float = 1e-8):
+def validate_kerr_truncation(model: LindbladModel, rho_ss: DensityOperator):
     a = destroy(model.dim)
     n_mean = float(np.real(np.trace(a.conj().T @ a @ rho_ss.matrix)))
     tail = fock_tail_mass(rho_ss)
     if n_mean > model.dim / 2:
         raise LindbladError(f"<n> = {n_mean:.2f} beyond half the Fock cut")
-    if tail > tail_tol:
-        raise LindbladError(f"Fock tail mass {tail:.3e} beyond {tail_tol}")
+    if tail > FOCK_TAIL_TOL:
+        raise LindbladError(f"Fock tail mass {tail:.3e} beyond {FOCK_TAIL_TOL}")
     return n_mean, tail
 
 
@@ -408,8 +416,7 @@ class SpohnRates:
     sigma_rate_relent: np.ndarray
 
 
-def spohn_rates(model_of_t, trajectory, beta: float,
-                fixed_point_tol: float = 1e-8) -> SpohnRates:
+def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
     """Heat/work/entropy rates along a trajectory, for dissipators whose
     instantaneous fixed point is the Gibbs state of the instantaneous
     Hamiltonian (validated; this requires fine-tuned engineering whenever
@@ -435,7 +442,7 @@ def spohn_rates(model_of_t, trajectory, beta: float,
         diss = dissipator_only(model)
         gibbs = thermal_state(HermitianOperator.from_matrix(h), beta)
         resid = float(np.abs(apply_superop(diss, gibbs.matrix)).max())
-        if resid > fixed_point_tol:
+        if resid > GIBBS_FIXED_POINT_TOL:
             raise LindbladError(
                 f"dissipator does not fix the instantaneous Gibbs state "
                 f"(residual {resid:.3e})")

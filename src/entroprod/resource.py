@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _check_beta,
     _check_hermitian,
+    _check_probabilities,
     _density_spectra,
     _frozen_stack,
     _gibbs,
@@ -37,12 +39,18 @@ from .core import (
     _petz_renyi,
     _probability_pair,
     _state_pair,
+    _write_csv,
     dephase,
     relative_entropy,
     thermal_state,
 )
 
+# A curve lies nowhere below another within this, times max(1, its largest ordinate).
 CURVE_TOL = 1e-12
+# A Renyi second-law difference Sigma_alpha at or above -this counts as >= 0.
+SECOND_LAW_TOL = 1e-12
+# The d = 2 oracle's rates may leave [0, 1] by this; a smaller slope means p1 is thermal.
+FEASIBLE_TOL = 1e-10
 # S(rho || rho_th) at or below this is round-off: rho is the thermal state.
 THERMAL_TOL = 1e-12
 # Two level sets are one when their sorted energies agree within this,
@@ -60,31 +68,6 @@ class ResourceError(ValueError):
 # Populations and curves; the row forms validate once per stack
 # ---------------------------------------------------------------------------
 
-def _beta(beta, positive=False):
-    """beta (one or an array of them) as floats, each finite and >= 0, or
-    > 0 where the result divides by it."""
-    b = np.asarray(beta, dtype=float)
-    if not (np.isfinite(b) & ((b > 0.0) if positive else (b >= 0.0))).all():
-        raise ResourceError(f"inverse temperature must be finite and "
-                            f"{'>' if positive else '>='} 0, got {beta}")
-    return b
-
-
-def _probabilities(p):
-    """Probability rows (the last axis of p), clipped at 0 after the checks:
-    finite, none below -1e-12, each row summing to 1 within 1e-9."""
-    p = np.asarray(p, dtype=float)
-    total = p.sum(-1)
-    worst = np.abs(total - 1.0)
-    if not (p.min() >= -1e-12 and worst.max() <= 1e-9):     # NaN fails too
-        if not np.isfinite(p).all():
-            raise ResourceError("probabilities must be finite")
-        if p.min() < -1e-12:
-            raise ResourceError(f"negative probability {p.min():.3e}")
-        raise ResourceError(f"probabilities sum to {total.flat[np.argmax(worst)]}")
-    return np.maximum(p, 0.0)
-
-
 def _energies(energies):
     e = np.asarray(energies, dtype=float)
     if e.ndim != 1:
@@ -98,7 +81,7 @@ def _pair_rows(energies, p1, p2, beta):
     """The validated inputs of a row form: one level set, two stacks of
     probability rows on it of one shape and beta (one, or one per row)."""
     e = _energies(energies)
-    p1, p2 = _probabilities(p1), _probabilities(p2)
+    p1, p2 = _check_probabilities(p1, ResourceError), _check_probabilities(p2, ResourceError)
     if p1.shape != p2.shape or p1.shape[-1:] != e.shape:
         raise ResourceError(f"population stacks of shapes {p1.shape} and {p2.shape} "
                             f"on {len(e)} levels")
@@ -107,7 +90,7 @@ def _pair_rows(energies, p1, p2, beta):
 
 def _row_betas(beta, rows):
     """beta, one or one per population row of the leading shape `rows`."""
-    beta = _beta(beta)
+    beta = _check_beta(beta, ResourceError)
     if beta.ndim and beta.shape != rows:
         raise ResourceError(f"{beta.shape} betas for population rows {rows}")
     return beta
@@ -127,7 +110,7 @@ class EnergyPopulations:
         p = np.asarray(self.probabilities, dtype=float)
         if e.shape != p.shape or e.ndim != 1:
             raise ResourceError("energies/probabilities must be matching 1-d arrays")
-        p, e = _probabilities(p), _energies(e)
+        p, e = _check_probabilities(p, ResourceError), _energies(e)
         for name, value in (("probabilities", p), ("energies", e)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -137,7 +120,7 @@ class EnergyPopulations:
         return len(self.energies)
 
     def thermal_weights(self, beta: float) -> np.ndarray:
-        return _gibbs(self.energies, _beta(beta))[0]
+        return _gibbs(self.energies, _check_beta(beta, ResourceError))[0]
 
 
 def _shared_levels(pop1: EnergyPopulations, pop2: EnergyPopulations) -> np.ndarray:
@@ -171,7 +154,7 @@ def beta_order(pop: EnergyPopulations, beta: float) -> np.ndarray:
     Ties are broken by ascending energy, then by original index, so the
     ordering is deterministic; curves are invariant under the tie rule.
     """
-    return _beta_order(pop.energies, pop.probabilities, _beta(beta))
+    return _beta_order(pop.energies, pop.probabilities, _check_beta(beta, ResourceError))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +169,7 @@ class ThermoMajCurve:
         return np.interp(points, self.x, self.y)
 
     def to_csv(self, path):
-        lines = ["x,y"] + [f"{format(x, '.17g')},{format(y, '.17g')}"
-                           for x, y in zip(self.x, self.y)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        return path
+        return _write_csv(path, "x,y", self.x, self.y)
 
 
 def _curves(energies, p, beta):
@@ -206,7 +185,8 @@ def _curves(energies, p, beta):
 
 
 def curve(pop: EnergyPopulations, beta: float) -> ThermoMajCurve:
-    return ThermoMajCurve(*_curves(pop.energies, pop.probabilities, _beta(beta)))
+    beta = _check_beta(beta, ResourceError)
+    return ThermoMajCurve(*_curves(pop.energies, pop.probabilities, beta))
 
 
 def _interp_rows(points, xy):
@@ -236,31 +216,31 @@ _VERDICTS = np.array([MajorizationVerdict.INCOMPARABLE, MajorizationVerdict.DOMI
 CONVERTIBLE = (MajorizationVerdict.YES, MajorizationVerdict.EQUIVALENT)
 
 
-def thermo_majorizes_rows(energies, p1, p2, beta, tol: float = CURVE_TOL) -> np.ndarray:
+def thermo_majorizes_rows(energies, p1, p2, beta) -> np.ndarray:
     """The `thermo_majorizes` verdict of every row pair of p1 and p2,
     (..., d) probability rows on one level set, as an array of verdicts:
     the curves of all rows at once, each pair compared at the breakpoints
     of both (concavity makes breakpoint checking sufficient)."""
-    return _thermo_verdicts(*_pair_rows(energies, p1, p2, beta), tol)
+    return _thermo_verdicts(*_pair_rows(energies, p1, p2, beta))
 
 
-def _thermo_verdicts(e, p1, p2, beta, tol):
+def _thermo_verdicts(e, p1, p2, beta):
     """`thermo_majorizes_rows` of validated inputs."""
     xy = _curves(e, np.array([p1, p2]), beta)
     y1, y2 = xy[1]
     v1, v2 = _interp_rows(xy[0, ::-1], xy)      # each curve at the other's breakpoints
     first = np.concatenate([y1, v1], -1)
     second = np.concatenate([v2, y2], -1)
-    slack = tol * np.maximum(1.0, np.abs(first).max(-1, keepdims=True))
+    slack = CURVE_TOL * np.maximum(1.0, np.abs(first).max(-1, keepdims=True))
     return _VERDICTS[2 * (first >= second - slack).all(-1) + (second >= first - slack).all(-1)]
 
 
 def thermo_majorizes(pop1: EnergyPopulations, pop2: EnergyPopulations,
-                     beta: float, tol: float = CURVE_TOL) -> MajorizationVerdict:
+                     beta: float) -> MajorizationVerdict:
     """Compare the two curves at the union of their breakpoints; the states
     must share the energy-level set."""
     return _thermo_verdicts(pop1.energies, pop1.probabilities[None],
-                            _shared_levels(pop1, pop2)[None], _row_betas(beta, (1,)), tol)[0]
+                            _shared_levels(pop1, pop2)[None], _row_betas(beta, (1,)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +349,7 @@ class SecondLawsVerdict:
 
 
 def renyi_second_laws(pop1: EnergyPopulations, pop2: EnergyPopulations,
-                      beta: float, alphas=DEFAULT_ALPHA_GRID,
-                      tol: float = 1e-12) -> SecondLawsVerdict:
+                      beta: float, alphas=DEFAULT_ALPHA_GRID) -> SecondLawsVerdict:
     """Catalytic-convertibility battery: Sigma_alpha = S_alpha(p1 || p_th)
     - S_alpha(p2 || p_th) must be >= 0 on the whole grid (which must
     include 0, 1/2, 1, 2 and inf); both states share the level set, and both
@@ -382,29 +361,27 @@ def renyi_second_laws(pop1: EnergyPopulations, pop2: EnergyPopulations,
     beta = _row_betas(beta, ())
     p = np.stack([pop1.probabilities, _shared_levels(pop1, pop2)])[:, None]
     s1, s2 = _petz_renyi(_orders(alphas), p, _gibbs(pop1.energies, beta)[0][None])
-    return _battery(alphas, s1, s2, tol)
+    return _battery(alphas, s1, s2)
 
 
-def _battery(alphas, s1, s2, tol) -> SecondLawsVerdict:
+def _battery(alphas, s1, s2) -> SecondLawsVerdict:
     """Sigma_alpha = s1 - s2 on the grid, 0 where both are infinite;
-    allowed when none is below -tol."""
+    allowed when none is below -SECOND_LAW_TOL."""
     both = np.isinf(s1) & np.isinf(s2)
     sig = np.where(both, 0.0, s1) - np.where(both, 0.0, s2)
-    return SecondLawsVerdict(tuple(alphas), tuple(sig.tolist()), bool((sig >= -tol).all()))
+    return SecondLawsVerdict(tuple(alphas), tuple(sig.tolist()),
+                             bool((sig >= -SECOND_LAW_TOL).all()))
 
 
 def free_energy_alpha(pop: EnergyPopulations, beta: float, alpha: float) -> float:
     """F_alpha = F_th + T S_alpha(p || p_th), the Renyi generalization of
-    the non-equilibrium free energy."""
-    beta = float(_beta(beta, positive=True))
-    gibbs = pop.thermal_weights(beta)
-    z = float(np.sum(np.exp(-beta * pop.energies)))
-    f_th = -math.log(z) / beta
-    return f_th + classical_renyi_divergence(pop.probabilities, gibbs, alpha) / beta
+    the non-equilibrium free energy, with ln Z from `core._gibbs`."""
+    beta = float(_check_beta(beta, ResourceError, positive=True))
+    gibbs, log_z = _gibbs(pop.energies, beta)
+    return (classical_renyi_divergence(pop.probabilities, gibbs, alpha) - float(log_z)) / beta
 
 
-def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID,
-                          tol: float = 1e-12) -> SecondLawsVerdict:
+def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID) -> SecondLawsVerdict:
     """Independent coherence constraints: S_alpha(rho || Delta_H(rho)) must
     not increase for any alpha in the grid.  Never merged with the
     population battery (except at alpha = 1 they combine into the plain
@@ -413,7 +390,7 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID,
     pairs = [_state_pair(rho, dephase(rho, hamiltonian)) for rho in (rho1, rho2)]
     p, q, amp = (np.stack(x)[:, None] for x in zip(*pairs))
     s1, s2 = _petz_renyi(np.asarray(alphas, dtype=float), p, q, amp)
-    return _battery(alphas, s1, s2, tol)
+    return _battery(alphas, s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +405,14 @@ def work_extraction(pop: EnergyPopulations, beta: float) -> float:
     i.e. filling a single empty level collapses the extractable work toward
     zero.
     """
-    beta = float(_beta(beta, positive=True))
+    beta = float(_check_beta(beta, ResourceError, positive=True))
     gibbs = pop.thermal_weights(beta)
     return classical_renyi_divergence(pop.probabilities, gibbs, 0.0) / beta
 
 
 def work_of_formation(pop: EnergyPopulations, beta: float) -> float:
     """W_form = T S_inf(p || p_th) = T ln max_i p_i / p_i^th (0/0 skipped)."""
-    beta = float(_beta(beta, positive=True))
+    beta = float(_check_beta(beta, ResourceError, positive=True))
     gibbs = pop.thermal_weights(beta)
     return classical_renyi_divergence(pop.probabilities, gibbs, math.inf) / beta
 
@@ -479,7 +456,7 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     One stacked Gibbs state, one validated spectrum per state kind and one
     `core._petz_renyi` over every order of every row; the report's fields
     carry the row axis (`WorkBoundsReport.row` gives one quench)."""
-    beta = _beta(beta, positive=True)
+    beta = _check_beta(beta, ResourceError, positive=True)
     hf, rho = _frozen_stack(h_final), _frozen_stack(rho_final)
     if hf.ndim != 3 or rho.shape != hf.shape:
         raise ResourceError(f"expected (n, d, d) stacks of one shape, got {hf.shape} "
@@ -519,7 +496,7 @@ def work_bounds(h_final, beta: float, rho_final, mean_work: float,
 # d = 2 Gibbs-stochastic feasibility oracle
 # ---------------------------------------------------------------------------
 
-def gibbs_stochastic_feasible_2d_rows(energies, p1, p2, beta, tol: float = 1e-10) -> np.ndarray:
+def gibbs_stochastic_feasible_2d_rows(energies, p1, p2, beta) -> np.ndarray:
     """`gibbs_stochastic_feasible_2d` of every row pair of p1 and p2, (..., 2)
     probability rows on one two-level set: an array of booleans."""
     e, p, q, beta = _pair_rows(energies, p1, p2, beta)
@@ -532,19 +509,19 @@ def gibbs_stochastic_feasible_2d_rows(energies, p1, p2, beta, tol: float = 1e-10
     # q0 - p0 = a (p1 g0/g1 - p0).
     slope = p[..., 1] * g0 / g1 - p[..., 0]
     # p1 (numerically) thermal: only the thermal target is reachable
-    thermal = np.abs(slope) < tol
+    thermal = np.abs(slope) < FEASIBLE_TOL
     a = (q[..., 0] - p[..., 0]) / np.where(thermal, 1.0, slope)
     b = a * g0 / g1
-    inside = (-tol <= a) & (a <= 1 + tol) & (-tol <= b) & (b <= 1 + tol)
-    return np.where(thermal, np.abs(q[..., 0] - p[..., 0]) < math.sqrt(tol), inside)
+    inside = (np.minimum(a, b) >= -FEASIBLE_TOL) & (np.maximum(a, b) <= 1 + FEASIBLE_TOL)
+    return np.where(thermal, np.abs(q[..., 0] - p[..., 0]) < math.sqrt(FEASIBLE_TOL), inside)
 
 
 def gibbs_stochastic_feasible_2d(pop1: EnergyPopulations,
                                  pop2: EnergyPopulations,
-                                 beta: float, tol: float = 1e-10) -> bool:
+                                 beta: float) -> bool:
     """Closed-form feasibility of a 2x2 stochastic matrix G with
     G p_th = p_th and G p1 = p2: the classical shadow of a thermal
     operation exists iff both defining rates land in [0, 1]."""
     p2 = _shared_levels(pop1, pop2)
     return bool(gibbs_stochastic_feasible_2d_rows(pop1.energies, pop1.probabilities[None],
-                                                  p2[None], beta, tol)[0])
+                                                  p2[None], beta)[0])

@@ -39,12 +39,14 @@ import numpy as np
 
 from .core import (
     DensityOperator,
+    _check_beta,
     _clamp_probs,
     _equal_runs,
     _gibbs,
     _mat,
     _petz_renyi,
     _spectrum,
+    _write_csv,
     shannon_entropy,
     tensor,
 )
@@ -53,6 +55,12 @@ from .episodes import Episode, EpisodeStack, _thermal_exchange
 ENSEMBLE_DIM_CAP = 64
 # Sorted samples within MERGE_TOL * max(1, |v|) of their neighbour are one value.
 MERGE_TOL = 1e-10
+# Crooks pairs are compared where both weights exceed this.
+CROOKS_WEIGHT_TOL = 1e-10
+# The second-order quench expansion holds when within this of Sigma, relatively.
+EXPANSION_REL_TOL = 0.05
+# Grid points of a finite-width work-weight convolution.
+CONVOLVE_GRID = 2 ** 12
 
 
 class TrajectoryError(ValueError):
@@ -122,13 +130,6 @@ class PathEnsemble:
         return ScalarDistribution.from_samples(self.sigma[live], self.p_forward[live])
 
 
-def _write_csv(path, header, *columns):
-    lines = [header] + [",".join(format(x, ".17g") for x in row) for row in zip(*columns)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarDistribution:
     """Discrete distribution over real values (merged support).  Values may
@@ -150,9 +151,9 @@ class ScalarDistribution:
         object.__setattr__(self, "probabilities", p)
 
     @classmethod
-    def from_samples(cls, values, probabilities, merge_tol=MERGE_TOL):
+    def from_samples(cls, values, probabilities):
         """Weighted samples as a distribution: samples with p <= 0 are
-        dropped, and the sorted values fall into runs within merge_tol *
+        dropped, and the sorted values fall into runs within MERGE_TOL *
         max(1, |v|) of their neighbour (`core._equal_runs`).  A run is one
         support point, its smallest value, with the run's summed weight."""
         samples = cls(values, probabilities)
@@ -161,7 +162,7 @@ class ScalarDistribution:
             raise TrajectoryError("no sample carries positive probability")
         order = np.argsort(samples.values[keep])
         v, p = samples.values[keep][order], samples.probabilities[keep][order]
-        starts = _equal_runs(v, merge_tol * np.maximum(1.0, np.abs(v)))
+        starts = _equal_runs(v, MERGE_TOL * np.maximum(1.0, np.abs(v)))
         return cls(v[starts], np.add.reduceat(p, starts))
 
     @classmethod
@@ -360,9 +361,7 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     rho_i^th on the eigenvectors V|i_n>, so the lag reads the overlaps
     <f_m|V|i_n> with the eigenvectors of rho_f^th, whose weights are the
     Gibbs weights of H_f."""
-    beta = np.asarray(beta, dtype=float)
-    if not (np.isfinite(beta) & (beta > 0.0)).all():
-        raise TrajectoryError(f"inverse temperature must be finite and > 0, got {beta}")
+    beta = _check_beta(beta, TrajectoryError, positive=True)
     ei, vi = np.linalg.eigh(_mat(h_initial))
     ef, vf = np.linalg.eigh(_mat(h_final))
     (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
@@ -407,12 +406,12 @@ def _work_statistics(rows: WorkRows, beta: float) -> WorkStatistics:
     )
 
 
-def crooks_check(stats: WorkStatistics, beta: float, tol=1e-10):
+def crooks_check(stats: WorkStatistics, beta: float):
     """Pointwise P_F(W) / P_B(-W) = e^{beta (W - dF)} on the shared support.
 
     W of P_F and -W of P_B are paired when they fall in one run of the
     merge rule (`ScalarDistribution.from_samples`); a pair is compared when
-    both weights exceed tol.  Returns (max deviation, number of compared
+    both weights exceed CROOKS_WEIGHT_TOL.  Returns (max deviation, number of compared
     points).
     """
     fwd, bwd = stats.forward, stats.backward
@@ -424,7 +423,7 @@ def crooks_check(stats: WorkStatistics, beta: float, tol=1e-10):
     starts = _equal_runs(w, MERGE_TOL * np.maximum(1.0, np.abs(w)))
     p_f, p_b, w_f, n_f = (np.add.reduceat(x, starts) for x in (
         np.where(is_f, p, 0.0), np.where(is_f, 0.0, p), np.where(is_f, w, 0.0), is_f * 1.0))
-    pair = (p_f > tol) & (p_b > tol)
+    pair = (p_f > CROOKS_WEIGHT_TOL) & (p_b > CROOKS_WEIGHT_TOL)
     ratio = np.exp(beta * (w_f[pair] / n_f[pair] - stats.delta_f))
     return float(np.max(np.abs(p_f[pair] / p_b[pair] - ratio), initial=0.0)), int(pair.sum())
 
@@ -540,8 +539,7 @@ class QuenchReport:
     expansion_ok: bool
 
 
-def quench_report(h_of_lambda, lam0: float, dlam: float, beta: float,
-                  rel_tol: float = 0.05) -> QuenchReport:
+def quench_report(h_of_lambda, lam0: float, dlam: float, beta: float) -> QuenchReport:
     """Sudden quench H(lam0) -> H(lam0 + dlam) from a thermal state.
 
     Sigma_exact = S(rho_i^th || rho_f^th); the second-order expansion is
@@ -567,7 +565,7 @@ def quench_report(h_of_lambda, lam0: float, dlam: float, beta: float,
     kappa = sig.cumulants(4)
     fdr_residual = kappa[0] - (0.5 * kappa[1] - skew)
     sigma_exact = stats.lag
-    expansion_ok = abs(sigma_exact - sigma_2) <= rel_tol * max(sigma_exact, 1e-300)
+    expansion_ok = abs(sigma_exact - sigma_2) <= EXPANSION_REL_TOL * max(sigma_exact, 1e-300)
     return QuenchReport(
         sigma_exact=sigma_exact,
         sigma_second_order=sigma_2,
@@ -611,8 +609,7 @@ class CorrelatedExchange:
 
 
 def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
-                   beta_a: float, beta_b: float,
-                   tol: float = 1e-9) -> CorrelatedExchange:
+                   beta_a: float, beta_b: float) -> CorrelatedExchange:
     """Local-energy-basis TPM for two correlated thermal-marginal systems.
 
     The first measurement dephases rho_AB in |n_A n_B>, so the measured
@@ -624,8 +621,7 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     [mA, mB, nA, nB]; its backward process starts from the same dephased
     state on the final outcomes and runs U^dag.
     """
-    _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, tol,
-                                        TrajectoryError)
+    _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, TrajectoryError)
     ea, va = np.linalg.eigh(_mat(h_a))
     eb, vb = np.linalg.eigh(_mat(h_b))
     basis = tensor([va, vb])
@@ -802,8 +798,7 @@ class ConvolvedWork:
     attenuations: np.ndarray | None
 
 
-def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None,
-                    n_grid: int = 2 ** 12) -> ConvolvedWork:
+def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None) -> ConvolvedWork:
     """Convolve an ideal work distribution with a Gaussian weight of spread
     delta: P_F(w) = sum_j p_j q(w - w_j), q = N(0, delta^2).
 
@@ -818,7 +813,7 @@ def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None,
     ideal._require_finite("a weight convolution")
     lo = float(ideal.values.min() - 6.0 * delta)
     hi = float(ideal.values.max() + 6.0 * delta)
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, CONVOLVE_GRID)
     # the Gaussian at every grid point and support value, normalized on the grid
     mass = np.exp(-((grid[:, None] - ideal.values) / delta) ** 2 / 2.0) @ ideal.probabilities
     mass = mass / mass.sum()

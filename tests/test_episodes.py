@@ -363,13 +363,11 @@ def test_thermality_checked_once_per_episode_and_beta(monkeypatch):
         with pytest.raises(eps.EpisodeError, match="not thermal at beta=0.5"):
             eps.thermal_balance(ep, 0.5)
     assert calls == []
-    # a non-thermal rho_E raises on every call; the kept distance is
-    # compared with each call's own tolerance
+    # a non-thermal rho_E raises on every call
     hot = random_episode(np.random.default_rng(3), thermal_env=False)
     for _ in range(3):
         with pytest.raises(eps.EpisodeError, match="not thermal"):
             eps.thermal_balance(hot, 1.2)
-    eps.thermal_balance(hot, 1.2, tol=1.0)
     with pytest.raises(eps.EpisodeError, match="not thermal"):
         eps.landauer_report(hot, 1.2)
 
@@ -618,6 +616,17 @@ def test_mean_force_free_case():
     h_tot = core.tensor([hs, np.eye(3)]) + core.tensor([np.eye(2), he])
     mf = eps.mean_force_hamiltonian(h_tot, (2, 3), beta, he)
     assert np.abs(mf.matrix - hs.matrix).max() < 1e-10
+
+
+def test_mean_force_shifts_with_the_total_hamiltonian():
+    # H_tot - c 1 gives H_mf - c 1; e^{-beta H_tot} itself overflows at c = 800
+    beta, c, rng = 1.0, 800.0, np.random.default_rng(800)
+    hs, he = random_hermitian(2, rng), random_hermitian(3, rng)
+    v = 0.4 * core.tensor([random_hermitian(2, rng), random_hermitian(3, rng)])
+    h_tot = core.tensor([hs, np.eye(3)]) + core.tensor([np.eye(2), he]) + v
+    mf = eps.mean_force_hamiltonian(h_tot, (2, 3), beta, he).matrix
+    shifted = eps.mean_force_hamiltonian(h_tot - c * np.eye(6), (2, 3), beta, he).matrix
+    assert np.abs(shifted - (mf - c * np.eye(2))).max() < 1e-10
 
 
 def test_strong_coupling_sigma_gibbs_start():

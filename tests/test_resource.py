@@ -185,6 +185,17 @@ def test_free_energy_alpha_thermal_floor():
     assert rs.free_energy_alpha(p, BETA, 1.0) >= -math.log(z) - 1e-12
 
 
+def test_free_energy_alpha_shifts_with_the_levels():
+    # F_alpha(E - c) = F_alpha(E) - c; summed unshifted, Z overflows at c = 800
+    # (the second state sits on the level whose Gibbs weight does not underflow)
+    c, rng = 800.0, np.random.default_rng(800)
+    for e, p in (([0.0, 0.8, 1.9], random_probability(3, rng)), ([800.0, 0.0], [0.0, 1.0])):
+        e = np.asarray(e)
+        for alpha in (0.0, 0.5, 1.0, 2.0, math.inf):
+            f = rs.free_energy_alpha(pop_from(e, p), BETA, alpha)
+            assert abs(rs.free_energy_alpha(pop_from(e - c, p), BETA, alpha) - (f - c)) < 1e-10
+
+
 def test_coherence_second_laws_incoherent_pass():
     h = np.diag([0.0, 1.0])
     rho1 = DensityOperator.from_matrix(np.diag([0.7, 0.3]))
