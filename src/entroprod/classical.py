@@ -71,10 +71,6 @@ class RateMatrix:
                 raise ClassicalError("reservoir parts do not sum to the full generator")
             object.__setattr__(self, "reservoirs", parts)
 
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
     @classmethod
     def from_offdiagonal(cls, rates, reservoirs=None):
         """Build from off-diagonal rates (diagonal filled automatically)."""

@@ -57,13 +57,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _require(params: dict, name: str, kind=float):
+def _real(params: dict, name: str, default: float | None = None) -> float:
+    """A real parameter, required when it has no default: a finite int or
+    float; anything else (true, "1.5", null, NaN, Infinity) is a ConfigError,
+    not silently converted."""
     if name not in params:
-        raise ConfigError(f"missing required parameter '{name}'")
-    try:
-        return kind(params[name])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"parameter '{name}' is not a valid {kind.__name__}") from exc
+        if default is None:
+            raise ConfigError(f"missing required parameter '{name}'")
+        return default
+    value = params[name]
+    # the bound is False for NaN and infinities, and exact for ints past a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"parameter '{name}' must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _integer(params: dict, name: str, default: int) -> int:
@@ -83,10 +90,10 @@ def _integer(params: dict, name: str, default: int) -> int:
 
 def _scenario_collisional(params, rng):
     """SWAP engine sweep over the gap ratio."""
-    t_a = _require(params, "t_a")
-    t_b = _require(params, "t_b")
-    eps_a = _require(params, "eps_a")
-    ratio = float(params.get("ratio", 0.5))
+    t_a = _real(params, "t_a")
+    t_b = _real(params, "t_b")
+    eps_a = _real(params, "eps_a")
+    ratio = _real(params, "ratio", 0.5)
     spec = cm.SwapEngineSpec(eps_a, ratio * eps_a, t_a, t_b)
     res = cm.swap_engine(spec)
     return (["ratio", "W", "Qa", "Qb", "Sigma", "regime"],
@@ -95,9 +102,9 @@ def _scenario_collisional(params, rng):
 
 def _scenario_episode(params, rng):
     """Random (seeded) resonant-qubit thermal episode balance."""
-    beta = _require(params, "beta")
-    omega = float(params.get("omega", 1.0))
-    g = float(params.get("g", 0.7))
+    beta = _real(params, "beta")
+    omega = _real(params, "omega", 1.0)
+    g = _real(params, "g", 0.7)
     from .core import SIGMA_MINUS, SIGMA_PLUS, UnitaryOperator, hermitian_function, thermal_state
     from .rand import random_density
     h = HermitianOperator.from_matrix(omega * np.diag([0.0, 1.0]))
@@ -112,8 +119,8 @@ def _scenario_episode(params, rng):
 
 def _scenario_trajectories(params, rng):
     """Qubit sudden-quench work distribution."""
-    beta = _require(params, "beta")
-    dlam = float(params.get("dlam", 0.3))
+    beta = _real(params, "beta")
+    dlam = _real(params, "dlam", 0.3)
     h_i = PAULI_Z
     h_f = PAULI_Z + dlam * PAULI_X
     stats = tj.work_distribution(h_i, h_f, np.eye(2), beta)
@@ -124,12 +131,12 @@ def _scenario_trajectories(params, rng):
 
 def _scenario_lindblad(params, rng):
     """Liouvillian gap and steady occupation of the driven Kerr model."""
-    drive = _require(params, "drive")
+    drive = _real(params, "drive")
     n_scale = _integer(params, "n_scale", 1)
     fock_cut = _integer(params, "fock_cut", 20)
-    model = lb.kerr_model(float(params.get("delta", -2.0)),
-                          float(params.get("kerr", 1.0)),
-                          drive, float(params.get("kappa", 0.5)),
+    model = lb.kerr_model(_real(params, "delta", -2.0),
+                          _real(params, "kerr", 1.0),
+                          drive, _real(params, "kappa", 0.5),
                           n_scale=n_scale, fock_cut=fock_cut)
     gap_val = lb.gap(model)
     rho_ss = lb.steady_state(model)
@@ -140,11 +147,11 @@ def _scenario_lindblad(params, rng):
 
 def _scenario_gaussian(params, rng):
     """Two-mode NESS sweep row."""
-    g_ab = _require(params, "g_ab")
+    g_ab = _real(params, "g_ab")
     spec = gs.TwoModeNessSpec(
-        float(params.get("omega_a", 1.0)), float(params.get("omega_b", 1.5)),
-        g_ab, float(params.get("kappa_a", 0.4)),
-        float(params.get("gamma_b", 0.2)), float(params.get("n_tb", 0.6)))
+        _real(params, "omega_a", 1.0), _real(params, "omega_b", 1.5),
+        g_ab, _real(params, "kappa_a", 0.4),
+        _real(params, "gamma_b", 0.2), _real(params, "n_tb", 0.6))
     res = gs.two_mode_ness(spec)
     return (["g_ab", "n_a", "n_b", "Pi", "mu_a", "mu_b"],
             [[g_ab, res.n_a, res.n_b, res.entropy_rate, res.mu_a, res.mu_b]])
@@ -152,10 +159,10 @@ def _scenario_gaussian(params, rng):
 
 def _scenario_classical(params, rng):
     """Competing-reservoir Ising lattice entropy production."""
-    temperature = _require(params, "temperature")
-    mu = float(params.get("mu", 0.8))
+    temperature = _real(params, "temperature")
+    mu = _real(params, "mu", 0.8)
     n_sites = _integer(params, "n_sites", 4)
-    w = cl.glauber_ising_competing(n_sites, float(params.get("coupling", 1.0)),
+    w = cl.glauber_ising_competing(n_sites, _real(params, "coupling", 1.0),
                                    temperature, mu, -mu,
                                    cl.ring_adjacency(n_sites))
     p_ss = cl.stationary_distribution(w)
@@ -165,8 +172,8 @@ def _scenario_classical(params, rng):
 
 def _scenario_resource(params, rng):
     """Thermo-majorization verdict for a random (seeded) qubit pair."""
-    beta = _require(params, "beta")
-    e2 = np.array([0.0, float(params.get("gap", 1.0))])
+    beta = _real(params, "beta")
+    e2 = np.array([0.0, _real(params, "gap", 1.0)])
     pop1 = rs.EnergyPopulations(e2, random_probability(2, rng))
     pop2 = rs.EnergyPopulations(e2, random_probability(2, rng))
     verdict = rs.thermo_majorizes(pop1, pop2, beta)

@@ -938,21 +938,13 @@ def _log_of(vals, vecs):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON {"dims": [...], "re": [[...]], "im": [[...]]} and CSV
+# Serialization: JSON {"dims": [...], "re": [[...]], "im": [[...]]}
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, *columns):
-    lines = [header] + [",".join(format(x, ".17g") for x in row) for row in zip(*columns)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
-def matrix_to_json(matrix, dims=None) -> dict:
+def matrix_to_json(matrix, dims: HilbertDims) -> dict:
     m = np.asarray(matrix, dtype=complex)
-    d = dims.factors if isinstance(dims, HilbertDims) else (dims or [m.shape[0]])
     return {
-        "dims": [int(x) for x in d],
+        "dims": [int(x) for x in dims.factors],
         "re": np.real(m).tolist(),
         "im": np.imag(m).tolist(),
     }

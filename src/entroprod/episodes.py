@@ -77,6 +77,8 @@ BACKACTION_TOL = 1e-8
 T_MAX_FACTOR = 1e6
 # A BLP trace-distance slope above this witnesses non-Markovianity.
 BLP_SLOPE_TOL = 1e-8
+# The heat-capacity bound's quadratures stop at this relative error.
+SIMPSON_REL_TOL = 1e-8
 
 
 class EpisodeError(ValueError):
@@ -693,8 +695,8 @@ def finite_dimension_bound(d_entropy_system, temperature, dim_env: int):
     return -temperature * d_entropy_system + corr
 
 
-def _adaptive_simpson(fn, a, b, rel_tol=1e-8):
-    """Adaptive Simpson quadrature with a relative tolerance."""
+def _adaptive_simpson(fn, a, b):
+    """Adaptive Simpson quadrature to the relative tolerance SIMPSON_REL_TOL."""
     def simpson(fa, fm, fb, a, b):
         return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -708,7 +710,7 @@ def _adaptive_simpson(fn, a, b, rel_tol=1e-8):
         right = simpson(fm, frm, fb, m, b)
         if depth > 48:
             return left + right
-        if abs(left + right - whole) <= 15.0 * rel_tol * (abs(left + right) + 1e-300):
+        if abs(left + right - whole) <= 15.0 * SIMPSON_REL_TOL * (abs(left + right) + 1e-300):
             return left + right + (left + right - whole) / 15.0
         return (recurse(a, m, fa, flm, fm, left, depth + 1)
                 + recurse(m, b, fm, frm, fb, right, depth + 1))

@@ -79,16 +79,8 @@ class GaussianModel:
         object.__setattr__(self, "parity", par)
 
     @property
-    def n_modes(self) -> int:
-        return self.drift.shape[0] // 2
-
-    @property
     def irreversible(self) -> np.ndarray:
         return 0.5 * (self.drift + self.parity @ self.drift @ self.parity)
-
-    @property
-    def reversible(self) -> np.ndarray:
-        return self.drift - self.irreversible
 
     def is_stable(self) -> bool:
         return bool(np.real(np.linalg.eigvals(self.drift)).min() > 0)

@@ -130,34 +130,6 @@ class LindbladModel:
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    def to_json(self) -> dict:
-        from .core import matrix_to_json
-        out = {
-            "H": matrix_to_json(self.hamiltonian),
-            "jumps": [{"L": matrix_to_json(op), "rate": rate}
-                      for op, rate in self.jumps],
-        }
-        if self.cross is not None:
-            ops, c = self.cross
-            out["cross"] = {
-                "ops": [matrix_to_json(o) for o in ops],
-                "coefficients": matrix_to_json(c),
-            }
-        return out
-
-    @classmethod
-    def from_json(cls, obj) -> "LindbladModel":
-        from .core import matrix_from_json
-        h, _ = matrix_from_json(obj["H"])
-        jumps = tuple((matrix_from_json(j["L"])[0], float(j["rate"]))
-                      for j in obj.get("jumps", []))
-        cross = None
-        if "cross" in obj:
-            ops = tuple(matrix_from_json(o)[0] for o in obj["cross"]["ops"])
-            c, _ = matrix_from_json(obj["cross"]["coefficients"])
-            cross = (ops, c)
-        return cls(h, jumps, cross)
-
 
 def build(model: LindbladModel) -> np.ndarray:
     """Vectorized generator; the identity is a left null vector to 1e-12."""

@@ -39,7 +39,6 @@ from .core import (
     _petz_renyi,
     _probability_pair,
     _state_pair,
-    _write_csv,
     dephase,
     relative_entropy,
     thermal_state,
@@ -115,10 +114,6 @@ class EnergyPopulations:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @property
-    def dim(self) -> int:
-        return len(self.energies)
-
     def thermal_weights(self, beta: float) -> np.ndarray:
         return _gibbs(self.energies, _check_beta(beta, ResourceError))[0]
 
@@ -167,9 +162,6 @@ class ThermoMajCurve:
 
     def evaluate(self, points) -> np.ndarray:
         return np.interp(points, self.x, self.y)
-
-    def to_csv(self, path):
-        return _write_csv(path, "x,y", self.x, self.y)
 
 
 def _curves(energies, p, beta):
@@ -338,14 +330,6 @@ class SecondLawsVerdict:
     alphas: tuple
     sigma_alpha: tuple
     allowed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "alphas": ["inf" if math.isinf(a) else float(a) for a in self.alphas],
-            "sigma_alpha": ["inf" if math.isinf(s) else float(s)
-                            for s in self.sigma_alpha],
-            "allowed": bool(self.allowed),
-        }
 
 
 def renyi_second_laws(pop1: EnergyPopulations, pop2: EnergyPopulations,

@@ -46,7 +46,6 @@ from .core import (
     _mat,
     _petz_renyi,
     _spectrum,
-    _write_csv,
     shannon_entropy,
     tensor,
 )
@@ -211,13 +210,6 @@ class ScalarDistribution:
         vals = (self.values[:, None] + other.values[None, :]).ravel()
         probs = (self.probabilities[:, None] * other.probabilities[None, :]).ravel()
         return ScalarDistribution.from_samples(vals, probs)
-
-    def to_csv(self, path):
-        return _write_csv(path, "value,probability", self.values, self.probabilities)
-
-    def to_json(self) -> dict:
-        return {"values": self.values.tolist(),
-                "probabilities": self.probabilities.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +429,6 @@ class CgfCurve:
     def __post_init__(self):
         object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def to_csv(self, path):
-        return _write_csv(path, "lambda,K", self.lam, self.values)
 
 
 def work_cgf(h_initial, h_final, protocol_unitary, beta: float, lam_grid) -> CgfCurve:

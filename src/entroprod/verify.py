@@ -78,9 +78,9 @@ def _worst(deltas):
     return np.max(np.abs(deltas), initial=0.0)
 
 
-def ft_table_suite(n_episodes=25, seed=101, tol=1e-10):
+def ft_table_suite(n_episodes=25, tol=1e-10):
     """Exhaustive trajectory averages against the four backward choices."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(101)
     stack, _ = _qubit_stack([_draw_qubit_episode(rng, False) for _ in range(n_episodes)], False)
     bal, ((joint, p_joint, _), (_, p_after, v_after), (_, _, v_env)) = stack.balance, stack.evolved
     _, p_before, v_before = stack.rho_system
@@ -105,7 +105,7 @@ def ft_table_suite(n_episodes=25, seed=101, tol=1e-10):
         for c in tj.BackwardChoice
     ]
     # both-reset with thermal system and strict conservation
-    rng2 = np.random.default_rng(seed + 1)
+    rng2 = np.random.default_rng(102)
     omega, beta_s, beta_e, g = np.array([[0.5 + rng2.random(), 0.3 + rng2.random(),
                                           0.3 + rng2.random(), 0.3 + rng2.random()]
                                          for _ in range(5)]).T
@@ -120,9 +120,9 @@ def ft_table_suite(n_episodes=25, seed=101, tol=1e-10):
     return records
 
 
-def route_equality_suite(n_episodes=25, seed=202, tol=1e-10):
+def route_equality_suite(n_episodes=25, tol=1e-10):
     """Information, Clausius, free-energy and fixed-point routes agree."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(202)
     draws, exchanges = [], []
     for _ in range(n_episodes):
         draws.append(_draw_qubit_episode(rng, thermal_env=True))
@@ -171,10 +171,10 @@ def swap_engine_suite(n_points=50, tol=1e-12):
     ]
 
 
-def landauer_suite(n_episodes=100, seed=303, tol=1e-10):
+def landauer_suite(n_episodes=100, tol=1e-10):
     """Erasure bounds on random qubit-bath episodes, the heat-capacity bound
     in the closed form of the Gibbs bath (`eps.gibbs_erasure_bound`)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(303)
     stack, beta = _qubit_stack([_draw_qubit_episode(rng, True) for _ in range(n_episodes)], True)
     rep = eps.landauer_rows(stack, beta, heat_capacity="gibbs")
     erasure = rep.d_entropy_system < 0
@@ -228,8 +228,8 @@ def gaussian_ness_suite(tol=1e-8):
     ]
 
 
-def classical_suite(seed=404):
-    rng = np.random.default_rng(seed)
+def classical_suite():
+    rng = np.random.default_rng(404)
     nonneg = True
     balance = 0.0
     for _ in range(200):
@@ -317,14 +317,14 @@ def _probability_pairs(rng, n):
     return p[:, 0], p[:, 1]
 
 
-def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100, seed=505):
+def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100):
     """Thermo-majorization curves against the gamma-embedding and the 2x2
     Gibbs-stochastic oracle, Renyi monotonicity in alpha and the work
     sandwich on sudden qubit quenches.  Every raw input is drawn first, in
     one rng order, then each block is evaluated as one stack (the Renyi
     pairs one per dimension).  The embedding stays per pair: stacked, its
     (n_pairs, 10 000) arrays would be the suite's largest allocation."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(505)
     e2, beta = np.array([0.0, 1.0]), 1.0
     emb_a, emb_b = _probability_pairs(rng, n_pairs)
     renyi = {}
@@ -368,8 +368,8 @@ def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100, see
     ]
 
 
-def squeezed_suite(seed=606, tol=1e-8):
-    rng = np.random.default_rng(seed)
+def squeezed_suite(tol=1e-8):
+    rng = np.random.default_rng(606)
     worst = 0.0
     cons = 0.0
     for i in range(10):

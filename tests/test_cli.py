@@ -1,7 +1,29 @@
 import json
 
+import numpy as np
+import pytest
+
 from entroprod import cli
+from entroprod.classical import (
+    glauber_ising_competing,
+    multibath_sigma,
+    ring_adjacency,
+    stationary_distribution,
+)
 from entroprod.collisional import SwapEngineSpec, swap_engine
+from entroprod.core import (
+    PAULI_X,
+    PAULI_Z,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    HermitianOperator,
+    UnitaryOperator,
+    hermitian_function,
+    thermal_state,
+)
+from entroprod.episodes import Episode, thermal_balance
+from entroprod.rand import random_density
+from entroprod.trajectories import work_distribution
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -217,3 +239,96 @@ def test_run_integer_parameters_must_be_whole(tmp_path, capsys):
         assert ("must be an integer" in capsys.readouterr().err) == (code == 2)
         assert (tmp_path / "x.csv").exists() == (code == 0)
         (tmp_path / "x.csv").unlink(missing_ok=True)
+
+
+FLOAT_CASES = {
+    "string": ("omega", "abc"),
+    "null": ("g", None),
+    "bool": ("beta", True),
+    "numeric string": ("beta", "1.5"),
+    "NaN": ("omega", float("nan")),
+    "Infinity": ("g", float("inf")),
+    "beyond a float": ("omega", 10 ** 400),
+}
+
+
+@pytest.mark.parametrize("in_sweep", [False, True], ids=["parameters", "sweep"])
+@pytest.mark.parametrize("name, value", FLOAT_CASES.values(), ids=FLOAT_CASES.keys())
+def test_run_float_parameters_must_be_finite_numbers(tmp_path, capsys, name, value, in_sweep):
+    # "abc" used to exit 3, null to end in a TypeError, true and "1.5" to run
+    cfg = {"schema": "v1", "kind": "episode", "parameters": {"beta": 1.0},
+           "output": {"path": "x.csv"}}
+    if in_sweep:
+        cfg["sweep"] = {"parameter": name, "grid": [0.5, value]}
+    else:
+        cfg["parameters"][name] = value
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parameter '{name}' must be a finite number, got ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_float_parameters_take_ints_as_floats(tmp_path):
+    rows = []
+    for beta, g in ((2, 1), (2.0, 1.0)):
+        cfg = {"schema": "v1", "kind": "episode", "parameters": {"beta": beta, "g": g},
+               "seed": 4, "output": {"path": "x.csv"}}
+        assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+        rows.append((tmp_path / "x.csv").read_text().splitlines()[1:])
+    assert rows[0] == rows[1]
+
+
+def read_rows(path):
+    """The data rows of a CLI output CSV as floats."""
+    return [[float(x) for x in line.split(",")]
+            for line in path.read_text().strip().splitlines()[2:]]
+
+
+def test_run_episode_rows_are_the_api_on_each_points_draw(tmp_path):
+    cfg = {"schema": "v1", "kind": "episode", "parameters": {"beta": 1.3, "omega": 0.8},
+           "sweep": {"parameter": "g", "grid": [0.3, 0.9]}, "seed": 11,
+           "output": {"path": "ep.csv"}}
+    assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    h = HermitianOperator.from_matrix(0.8 * np.diag([0.0, 1.0]))
+    for idx, (g, row) in enumerate(zip((0.3, 0.9), read_rows(tmp_path / "ep.csv"))):
+        v = g * (np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS))
+        u = UnitaryOperator.from_matrix(hermitian_function(v, lambda x: np.exp(-1j * x)), (2, 2))
+        rho = random_density(2, np.random.default_rng(11 + idx))
+        bal = thermal_balance(Episode(h, h, u, rho, thermal_state(h, 1.3)), 1.3)
+        assert row == [g, bal.sigma, bal.flux, bal.d_entropy_system, bal.mutual_info,
+                       bal.env_displacement, bal.heat_env, bal.work]
+
+
+def test_run_trajectories_rows_are_the_work_distribution(tmp_path):
+    cfg = {"schema": "v1", "kind": "trajectories", "parameters": {"beta": 0.7, "dlam": 0.4},
+           "output": {"path": "w.csv"}}
+    assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "w.csv").read_text().splitlines()
+    assert lines[1] == "value,probability"
+    forward = work_distribution(PAULI_Z, PAULI_Z + 0.4 * PAULI_X, np.eye(2), 0.7).forward
+    assert read_rows(tmp_path / "w.csv") == [[v, p] for v, p in zip(forward.values,
+                                                                    forward.probabilities)]
+
+
+def test_run_classical_rows_are_the_lattice_sigma(tmp_path):
+    cfg = {"schema": "v1", "kind": "classical",
+           "parameters": {"mu": 0.6, "n_sites": 3, "coupling": 0.9},
+           "sweep": {"parameter": "temperature", "grid": [0.8, 1.6]},
+           "output": {"path": "cl.csv"}}
+    assert cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(tmp_path)]) == 0
+    for temperature, row in zip((0.8, 1.6), read_rows(tmp_path / "cl.csv")):
+        w = glauber_ising_competing(3, 0.9, temperature, 0.6, -0.6, ring_adjacency(3))
+        assert row == [temperature, *multibath_sigma(w, stationary_distribution(w))]
+
+
+def test_verify_all_runs_the_standard_suites_in_order(monkeypatch):
+    from entroprod import verify
+    ran = []
+    for table in (verify.SUITES, verify.EXTRA_SUITES):
+        for name in table:
+            monkeypatch.setitem(table, name,
+                                lambda name=name: ran.append(name) or [(name, True, "")])
+    records = verify.run_suite("all")
+    assert ran == ["ft-table", "landauer", "gaussian-ness", "majorization", "quench"]
+    assert [name for name, _, _ in records] == ran

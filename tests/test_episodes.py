@@ -739,3 +739,21 @@ def test_episode_json_roundtrip():
     bal = eps.balance(ep)
     blob = bal.to_json()
     assert "sigma" in blob and "flux" in blob
+
+
+def test_conditional_balance_with_backaction_uses_the_measured_environment():
+    # sigma_x projectors on E, whose evolved state is not diagonal in that basis
+    ep = random_episode(np.random.default_rng(808))
+    rho_env_after = eps.evolve(ep).rho_env.matrix
+    kraus = [0.5 * (np.eye(2) + s * PAULI_X) for s in (1.0, -1.0)]
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    assert abs(plus @ rho_env_after @ minus) > 1e-3
+    cond = eps.conditional_balance(ep, kraus)
+    assert not cond.backaction_free
+    vals, vecs = np.linalg.eigh(ep.rho_env.matrix)
+    log_env = (vecs * np.log(vals)) @ vecs.conj().T
+    measured = sum(m @ rho_env_after @ m.conj().T for m in kraus)
+    flux = np.real(np.trace((ep.rho_env.matrix - measured) @ log_env))
+    assert abs(cond.flux_conditional - flux) < 1e-12
+    assert abs(flux - eps.balance(ep).flux) > 1e-2

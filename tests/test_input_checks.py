@@ -1,0 +1,264 @@
+"""Invalid input fails at the validation boundary with a typed error: one
+row per input check that the other tests do not reach, each with the call,
+the error class and a fragment of its message."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from entroprod import classical as cl
+from entroprod import cli
+from entroprod import collisional as cm
+from entroprod import core
+from entroprod import episodes as eps
+from entroprod import gaussian as gs
+from entroprod import lindblad as lb
+from entroprod import resource as rs
+from entroprod import trajectories as tj
+from entroprod.core import (
+    PAULI_X,
+    DensityOperator,
+    HermitianOperator,
+    UnitaryOperator,
+    thermal_state,
+)
+
+H2 = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+H3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0]))
+RHO2 = thermal_state(H2, 1.0)
+MIXED2 = DensityOperator.from_matrix(np.eye(2) / 2)
+ID4 = UnitaryOperator.from_matrix(np.eye(4), (2, 2))
+FLIP = UnitaryOperator.from_matrix(PAULI_X)
+HALF = [0.5, 0.5]
+
+
+def _episode(**changes):
+    parts = dict(h_system=H2, h_env=H2, unitary=ID4, rho_system=RHO2, rho_env=RHO2)
+    return eps.Episode(**{**parts, **changes})
+
+
+def _stroke(unitary=ID4, beta=1.0):
+    return cm.AncillaStroke(RHO2, H2, unitary, beta=beta)
+
+
+def _stack(n_env):
+    """Qubit stacks: one row of everything but n_env rows of H_E."""
+    one = np.eye(2)[None] / 2
+    return eps.EpisodeStack.of(one, np.repeat(one, n_env, 0), np.eye(4)[None], one, one)
+
+
+def _load(text):
+    Path("config.json").write_text(text, encoding="utf-8")
+    return cli.load_config(Path("config.json"))
+
+
+def _config(**fields):
+    return json.dumps({"kind": "resource", "parameters": {"beta": 1.0}, **fields})
+
+
+CASES = {
+    # core
+    "core.HilbertDims zero factor": (
+        lambda: core.HilbertDims((2, 0)), core.CoreError, "factor dimensions must be positive"),
+    "core dims against the matrix size": (
+        lambda: HermitianOperator.from_matrix(np.eye(2), (3,)), core.CoreError,
+        "do not match matrix size"),
+    "core non-square matrix": (
+        lambda: HermitianOperator.from_matrix(np.ones((2, 3))), core.CoreError,
+        "expected a square matrix"),
+    "core.classical_kl sizes": (
+        lambda: core.classical_kl(HALF, [0.2, 0.3, 0.5]), core.CoreError,
+        "equally sized probability vectors"),
+    "core.trace_distance sizes": (
+        lambda: core.trace_distance(np.eye(2) / 2, np.eye(3) / 3), core.CoreError,
+        "dimension mismatch"),
+    "core.matrix_from_json parts": (
+        lambda: core.matrix_from_json({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, 0]]}),
+        core.CoreError, "matching 2-d arrays"),
+    # classical
+    "classical.RateMatrix non-square": (
+        lambda: cl.RateMatrix(np.zeros((2, 3))), cl.ClassicalError, "rate matrix must be square"),
+    "classical.tilted_generator reservoir": (
+        lambda: cl.tilted_generator(cl.RateMatrix.from_offdiagonal(np.ones((2, 2))),
+                                    [(0, 1, 3)], 0.1),
+        cl.ClassicalError, "unknown reservoir 3"),
+    "classical.onsager_sigma non-square": (
+        lambda: cl.onsager_sigma(np.ones((2, 3)), [1.0, 1.0]), cl.ClassicalError,
+        "Onsager matrix must be square"),
+    "classical.glauber_ising adjacency": (
+        lambda: cl.glauber_ising(3, 1.0, 1.0, 0.0, [[1], [0]]), cl.ClassicalError,
+        "cover every site"),
+    # collisional
+    "collisional empty alphabet": (
+        lambda: cm.CollisionSpec((), ()), cm.CollisionalError, "alphabet must be non-empty"),
+    "collisional Hamiltonian schedule": (
+        lambda: cm.CollisionSpec((_stroke(),), (H2, H2)), cm.CollisionalError,
+        "one system Hamiltonian per alphabet entry"),
+    "collisional stroke unitary dims": (
+        lambda: cm.CollisionSpec((_stroke(FLIP),), (H2,)), cm.CollisionalError,
+        "does not match S x A dims"),
+    "collisional unitary schedule": (
+        lambda: cm.CollisionSpec((_stroke(),), (H2,), (FLIP, FLIP)), cm.CollisionalError,
+        "one system unitary per alphabet entry"),
+    "collisional.run stroke count": (
+        lambda: cm.run(cm.CollisionSpec((_stroke(),), (H2,)), RHO2, 0),
+        cm.CollisionalError, "n_strokes must be >= 1"),
+    "collisional.continuous_limit non-Hermitian V": (
+        lambda: cm.continuous_limit(np.kron(core.SIGMA_PLUS, np.eye(2)), RHO2),
+        cm.CollisionalError, "interaction V must be Hermitian"),
+    "collisional.preferred_basis work strokes": (
+        lambda: cm.preferred_basis(cm.CollisionSpec((_stroke(),), (H2,), (FLIP,)), RHO2, 2),
+        cm.CollisionalError, "instantaneous (identity) work strokes"),
+    "collisional.preferred_basis ancilla temperature": (
+        lambda: cm.preferred_basis(cm.CollisionSpec((_stroke(beta=None),), (H2,)), RHO2, 2),
+        cm.CollisionalError, "needs thermal ancillas"),
+    "collisional.preferred_basis thermal operation": (
+        lambda: cm.preferred_basis(cm.CollisionSpec(
+            (_stroke(UnitaryOperator.from_matrix(np.kron(PAULI_X, PAULI_X), (2, 2))),),
+            (H2,)), RHO2, 2),
+        cm.CollisionalError, "is not a thermal operation"),
+    "collisional.SwapEngineSpec gap": (
+        lambda: cm.SwapEngineSpec(0.0, 1.0, 1.0, 1.0), cm.CollisionalError,
+        "SWAP engine parameters must be positive"),
+    # episodes
+    "episodes Hamiltonian dims": (
+        lambda: _episode(h_system=H3), eps.EpisodeError, "Hamiltonian dims do not match"),
+    "episodes unitary dims": (
+        lambda: _episode(unitary=FLIP), eps.EpisodeError, "unitary dim 2"),
+    "episodes.EpisodeStack.of row counts": (
+        lambda: _stack(2), eps.EpisodeError, "one (N, d, d) stack of equal N"),
+    "episodes.multibath_balance partition": (
+        lambda: eps.multibath_balance(_episode(), [eps.BathPart((1,), H2, 1.0)]),
+        eps.EpisodeError, "must cover all"),
+    "episodes.finite_dimension_bound dimension": (
+        lambda: eps.finite_dimension_bound(-0.1, 1.0, 1), eps.EpisodeError,
+        "environment dimension must be at least 2"),
+    "episodes.heat_capacity_bound erasure": (
+        lambda: eps.heat_capacity_bound(0.1, 1.0, lambda t: t), eps.EpisodeError,
+        "heat-capacity bound applies only to dS_S < 0"),
+    "episodes.landauer_report temperature": (
+        lambda: eps.landauer_report(_episode(rho_env=MIXED2), 0.0), eps.EpisodeError,
+        "needs beta > 0"),
+    "episodes.blp_witness time points": (
+        lambda: eps.blp_witness([0.0, 1.0], [RHO2, RHO2], [MIXED2, MIXED2]),
+        eps.EpisodeError, "at least 3 time points"),
+    # gaussian
+    "gaussian drift and diffusion shapes": (
+        lambda: gs.GaussianModel(np.eye(2), np.eye(4)), gs.GaussianError,
+        "equal square matrices"),
+    "gaussian odd phase space": (
+        lambda: gs.GaussianModel(np.eye(3), np.eye(3)), gs.GaussianError,
+        "dimension must be even"),
+    "gaussian asymmetric diffusion": (
+        lambda: gs.GaussianModel(np.eye(2), [[1.0, 1.0], [0.0, 1.0]]), gs.GaussianError,
+        "diffusion matrix must be symmetric"),
+    "gaussian parity": (
+        lambda: gs.GaussianModel(np.eye(2), np.eye(2), 2.0 * np.eye(2)), gs.GaussianError,
+        "square to the identity"),
+    "gaussian covariance shape": (
+        lambda: gs.GaussianState(np.zeros(2), np.eye(3)), gs.GaussianError,
+        "does not match the mean"),
+    "gaussian asymmetric covariance": (
+        lambda: gs.GaussianState(np.zeros(2), [[1.0, 1.0], [0.0, 1.0]]), gs.GaussianError,
+        "covariance must be symmetric"),
+    "gaussian classical covariance": (
+        lambda: gs.GaussianState(np.zeros(2), -np.eye(2), quantum=False), gs.GaussianError,
+        "classical covariance must be PSD"),
+    "gaussian.single_mode_rates modes": (
+        lambda: gs.single_mode_rates(0.3, 0.5, gs.GaussianState.thermal(0.5, 2)),
+        gs.GaussianError, "expects one mode"),
+    "gaussian.TwoModeNessSpec rates": (
+        lambda: gs.TwoModeNessSpec(0.0, 1.5, 0.3, 0.4, 0.2, 0.6), gs.GaussianError,
+        "frequencies and rates must be positive"),
+    "gaussian.TwoModeNessSpec occupation": (
+        lambda: gs.TwoModeNessSpec(1.0, 1.5, 0.3, 0.4, 0.2, -0.1), gs.GaussianError,
+        "bath occupation must be non-negative"),
+    # lindblad
+    "lindblad non-square Hamiltonian": (
+        lambda: lb.LindbladModel(np.ones((2, 3)), ()), lb.LindbladError,
+        "Hamiltonian must be square"),
+    "lindblad negative rate": (
+        lambda: lb.LindbladModel(np.eye(2), ((np.eye(2), -1.0),)), lb.LindbladError,
+        "negative jump rate"),
+    "lindblad non-Hermitian cross terms": (
+        lambda: lb.LindbladModel(np.eye(2), (), ((np.eye(2), np.eye(2)),
+                                                 [[1.0, 1j], [1j, 1.0]])),
+        lb.LindbladError, "coefficient matrix must be Hermitian"),
+    "lindblad.validate_kerr_truncation occupation": (
+        lambda: lb.validate_kerr_truncation(lb.LindbladModel(np.zeros((4, 4)), ()),
+                                            DensityOperator.pure([0, 0, 0, 1])),
+        lb.LindbladError, "beyond half the Fock cut"),
+    # resource
+    "resource energies rank": (
+        lambda: rs.thermo_majorizes_rows(np.zeros((1, 2)), [HALF], [HALF], 1.0),
+        rs.ResourceError, "energies must be a 1-d array"),
+    "resource population stack shapes": (
+        lambda: rs.thermo_majorizes_rows([0.0, 1.0], [HALF], [HALF, HALF], 1.0),
+        rs.ResourceError, "population stacks of shapes"),
+    "resource betas per row": (
+        lambda: rs.thermo_majorizes_rows([0.0, 1.0], [HALF, HALF], [HALF, HALF],
+                                         [1.0, 1.0, 1.0]),
+        rs.ResourceError, "betas for population rows"),
+    "resource.EnergyPopulations shapes": (
+        lambda: rs.EnergyPopulations([0.0, 1.0], [1.0]), rs.ResourceError,
+        "matching 1-d arrays"),
+    "resource.majorization_verdict lengths": (
+        lambda: rs.majorization_verdict([1.0, 0.0], [1.0, 0.0, 0.0]), rs.ResourceError,
+        "equal-length vectors"),
+    "resource.classical_renyi_rows sizes": (
+        lambda: rs.classical_renyi_rows(HALF, [0.2, 0.3, 0.5], [1.0]), rs.ResourceError,
+        "equally sized probability vectors"),
+    "resource.work_bounds_rows stacks": (
+        lambda: rs.work_bounds_rows(np.eye(2), 1.0, np.eye(2) / 2, 0.0, 0.0, [0.5]),
+        rs.ResourceError, "expected (n, d, d) stacks"),
+    "resource.gibbs_stochastic_feasible_2d_rows levels": (
+        lambda: rs.gibbs_stochastic_feasible_2d_rows([0.0, 1.0, 2.0], [[0.2, 0.3, 0.5]],
+                                                     [[0.2, 0.3, 0.5]], 1.0),
+        rs.ResourceError, "two-level systems"),
+    # trajectories
+    "trajectories.ScalarDistribution negative weight": (
+        lambda: tj.ScalarDistribution([0.0, 1.0], [1.5, -0.5]), tj.TrajectoryError,
+        "negative probability"),
+    "trajectories.stochastic_sigma backward process": (
+        lambda: tj.stochastic_sigma(tj.PathEnsemble(np.array([1.0]))), tj.TrajectoryError,
+        "no backward probabilities"),
+    "trajectories.measurement_trajectories unitaries": (
+        lambda: tj.measurement_trajectories([1.0, 0.0], [np.eye(2), np.eye(2)], []),
+        tj.TrajectoryError, "exactly one unitary between consecutive bases"),
+    # the CLI loader
+    "cli unreadable config": (
+        lambda: cli.load_config(Path("missing.json")), cli.ConfigError, "cannot read config"),
+    "cli malformed JSON": (
+        lambda: _load("{not json"), cli.ConfigError, "not valid JSON"),
+    "cli config not an object": (
+        lambda: _load("[1, 2]"), cli.ConfigError, "must be a JSON object"),
+    "cli schema": (
+        lambda: _load(_config(schema="v0")), cli.ConfigError, "unsupported schema 'v0'"),
+    "cli kind": (
+        lambda: _load(json.dumps({"kind": "nope"})), cli.ConfigError, "unknown kind 'nope'"),
+    "cli parameters not an object": (
+        lambda: _load(_config(parameters=[1.0])), cli.ConfigError,
+        "'parameters' must be an object"),
+    "cli sweep keys": (
+        lambda: _load(_config(sweep={"parameter": "beta"})), cli.ConfigError,
+        "needs 'parameter' and 'grid'"),
+    "cli empty sweep grid": (
+        lambda: _load(_config(sweep={"parameter": "beta", "grid": []})), cli.ConfigError,
+        "non-empty list"),
+    "cli unknown parameter": (
+        lambda: _load(_config(parameters={"betta": 1.0})), cli.ConfigError,
+        "unknown parameter(s) ['betta']"),
+    "cli output format": (
+        lambda: cli.run_config(_load(_config(output={"format": "xml"})), Path(".")),
+        cli.ConfigError, "unknown output format 'xml'"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", CASES.values(), ids=CASES.keys())
+def test_invalid_input_raises_a_typed_error(call, error, fragment, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
