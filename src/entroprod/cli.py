@@ -74,13 +74,13 @@ def _real(params: dict, name: str, default: float | None = None) -> float:
 
 
 def _integer(params: dict, name: str, default: int) -> int:
-    """An integral parameter: an int, or a float that is a whole number;
-    anything else (2.7, "3", true) is a ConfigError, not silently truncated."""
+    """An integral parameter or seed: an int, or a float that is a whole
+    number; anything else (2.7, "3", true) is a ConfigError, not truncated."""
     value = params.get(name, default)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"parameter '{name}' must be an integer, got {value!r}")
+        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
     return value
 
 
@@ -240,10 +240,12 @@ def load_config(path: Path) -> dict:
 def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
     kind = cfg["kind"]
     scenario = SCENARIOS[kind][0]
-    seed = int(cfg.get("seed", 0))
+    seed = _integer(cfg, "seed", 0)
     params = dict(cfg.get("parameters", {}))
     sweep = cfg.get("sweep")
     output = cfg.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("'output' must be an object")
     out_path = Path(output.get("path", f"{kind}.csv"))
     if out_dir is not None:
         out_path = out_dir / out_path.name

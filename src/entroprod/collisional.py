@@ -46,7 +46,7 @@ from .core import (
     HermitianOperator,
     HilbertDims,
     UnitaryOperator,
-    _clamp_probs,
+    _check_beta,
     _density_stack,
     _entropy_rows,
     _gibbs,
@@ -67,6 +67,7 @@ from .core import (
 from .episodes import (
     Episode,
     EpisodeStack,
+    _thermality,
     _trace_rows,
     balance,
     evolve,
@@ -93,10 +94,20 @@ class CollisionalError(ValueError):
 
 @dataclass(frozen=True)
 class AncillaStroke:
+    """An ancilla state and Hamiltonian, and the stroke unitary on S (x) A.  A declared
+    beta is checked: rho within THERMALITY_TOL of its Gibbs state (`_thermality`)."""
+
     rho: DensityOperator
     hamiltonian: HermitianOperator
     unitary: UnitaryOperator          # acts on S (x) A
     beta: float | None = None         # declared temperature (enables tier 2)
+
+    def __post_init__(self):
+        if self.hamiltonian.dim != self.rho.dim:
+            raise CollisionalError("ancilla Hamiltonian does not match its state")
+        if self.beta is not None and _thermality(self.rho.matrix, self.hamiltonian.matrix,
+                                                 _check_beta(self.beta, CollisionalError))[0]:
+            raise CollisionalError(f"ancilla is not thermal at beta={self.beta}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +135,6 @@ class CollisionSpec:
         for stroke in self.alphabet:
             if stroke.unitary.dim != ds * stroke.rho.dim:
                 raise CollisionalError("stroke unitary does not match S x A dims")
-            if stroke.hamiltonian.dim != stroke.rho.dim:
-                raise CollisionalError("ancilla Hamiltonian does not match its state")
         if self.system_unitaries is not None and \
                 len(self.system_unitaries) != len(self.alphabet):
             raise CollisionalError("need one system unitary per alphabet entry")
@@ -220,7 +229,7 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     (`_letter_stack`): its evolution gives every rho_n' and its balance
     every Q_A, W_onoff, Sigma and dS_S.  dH_S is read off the chain, so the
     first-law residual is a check, not an identity.
-    Tier-2 sigma is reported when the ancilla carries a beta; tier-3 when in
+    Tier-2 sigma is reported when the ancilla carries a (checked) beta; tier-3 when in
     addition the stroke unitary is strictly energy conserving; the verdict
     and the Gibbs state are evaluated once per alphabet entry.
     """
@@ -409,7 +418,7 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     pops.setflags(write=False)      # rows shared by consecutive records
     # the entropies and divergences of every state at once: C(rho) = S(p) - S(rho),
     # and S(p^n || p_th) and S(p^(n+1) || p_th) against the p_th of stroke n
-    probs = _clamp_probs(pops)
+    probs = np.maximum(pops, 0.0)
     coherence = _entropy_rows(probs) - _entropy_rows(weights)
     p_th = np.array([chains[n % len(chains)][2] for n in range(n_strokes)])
     kl = _petz_renyi(1.0, np.stack([probs[:-1], probs[1:]]), p_th)
@@ -509,8 +518,7 @@ def swap_engine_simulation(spec: SwapEngineSpec):
     beta_a, beta_b = 1.0 / spec.t_a, 1.0 / spec.t_b
     h_a = np.diag([0.0, spec.eps_a]).astype(complex)
     h_b = np.diag([0.0, spec.eps_b]).astype(complex)
-    rho_a = thermal_state(HermitianOperator.from_matrix(h_a), beta_a)
-    rho_b = thermal_state(HermitianOperator.from_matrix(h_b), beta_b)
+    rho_a, rho_b = thermal_state(h_a, beta_a), thermal_state(h_b, beta_b)
     joint = tensor([rho_a, rho_b])
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]       # |i j> -> |j i>
     after = swap @ joint @ swap.conj().T

@@ -7,19 +7,21 @@ so partial traces, bipartite splits and dephasings are unambiguous.
 
 All values are immutable, including the spectrum a `DensityOperator`
 keeps from its validation, which every entropy, divergence and eigenbasis
-of the state reads (`_spectrum`).  Functions never mutate their arguments,
-except the superoperator builders `add_sided_term`, `add_lindblad_term` and
-`real_superop`, which work in place on the array they are given.
+of the state reads (`_spectrum`, which validates a bare matrix as a state).
+Functions never mutate their arguments, except the superoperator builders
+`add_sided_term`, `add_lindblad_term` and `real_superop`, which work in
+place on the array they are given.  A bare Hamiltonian is read by
+`_hermitian`, the `HermitianOperator` check with the caller's error.
 
 Every entropy and divergence uses one support rule.  Where a spectrum is
-made (`_spectral_weights`, called by the state validation and by
-`_spectrum`), eigenvalues <= SPECTRAL_NOISE * d, times max(1, lambda_max)
-for a bare matrix, are eigensolver round-off and are set to exactly 0,
+made (`_spectral_weights`, called by the state validation), eigenvalues
+<= SPECTRAL_NOISE * d are eigensolver round-off and are set to exactly 0,
 once.  Downstream a level is in the support iff its weight is > 0, and rho
 leaves sigma's support iff its mass on sigma's zero levels exceeds
-SUPPORT_OVERLAP_TOL.  Probability vectors are read as given, under the same
-downstream rule: the classical divergences are the diagonal case of the
-one Petz-Renyi kernel (`_petz_renyi`).
+SUPPORT_OVERLAP_TOL.  Probability vectors, validated by
+`_check_probabilities` with the caller's error, follow the same downstream
+rule: the classical divergences are the diagonal case of the one
+Petz-Renyi kernel (`_petz_renyi`).
 
 Equal values have one rule too, `_equal_runs`: in sorted values a new run
 starts where the gap to the previous value exceeds the tolerance, and an
@@ -154,13 +156,13 @@ def _density_stack(matrices):
     return (ms,) + _density_spectra(ms)
 
 
-def _fail_first(bad, values, message):
-    """CoreError for the first matrix flagged in `bad`, its value
-    formatted into `message`; in a stack it is named by its index."""
+def _fail_first(bad, values, message, error=CoreError):
+    """The exception class `error` for the first matrix flagged in `bad`,
+    its value formatted into `message`; in a stack it is named by its index."""
     if bad.any() if bad.ndim else bad:
         k = int(np.flatnonzero(bad)[0])
         where = f"matrix {k} of the stack: " if bad.ndim else ""
-        raise CoreError(where + message.format(values.flat[k]))
+        raise error(where + message.format(values.flat[k]))
 
 
 class _Operator:
@@ -198,13 +200,23 @@ class HermitianOperator(_Operator):
         _check_hermitian(m)
 
 
-def _check_hermitian(m):
+def _check_hermitian(m, error=CoreError):
     """The `HermitianOperator` check of one matrix or of a stack (..., d, d):
-    residual within HERMITICITY_TOL * max(1, max |m_ij|)."""
+    residual within HERMITICITY_TOL * max(1, max |m_ij|), else `error`."""
     herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     _fail_first(herm_err > HERMITICITY_TOL * scale, herm_err,
-                "matrix is not Hermitian (residual {:.3e})")
+                "matrix is not Hermitian (residual {:.3e})", error)
+
+
+def _hermitian(op, error=CoreError) -> np.ndarray:
+    """The matrix of a `HermitianOperator`, or a read-only copy of a bare
+    matrix or stack (..., d, d) that passes `_check_hermitian`."""
+    if isinstance(op, HermitianOperator):
+        return op.matrix
+    m = _frozen_stack(_mat(op))
+    _check_hermitian(m, error)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,21 +319,6 @@ def _mat(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
-def _dims_of(op, size=None) -> HilbertDims:
-    if isinstance(op, _Operator):
-        return op.dims
-    m = np.asarray(op)
-    return HilbertDims((m.shape[0] if size is None else size,))
-
-
-def _clamp_probs(vals: np.ndarray) -> np.ndarray:
-    """Clamp numerical PSD noise; reject genuinely negative eigenvalues."""
-    vals = np.asarray(vals, dtype=float)
-    if vals.min() < -EIG_FLOOR:
-        raise CoreError(f"eigenvalue {vals.min():.3e} below the clamping floor")
-    return np.maximum(vals, 0.0)
-
-
 def _spectral_weights(vals, scale=1.0):
     """Eigenvalues as weights: every value <= SPECTRAL_NOISE * d * scale (d
     the length of the last axis) is eigensolver round-off, set to exactly 0.
@@ -331,12 +328,10 @@ def _spectral_weights(vals, scale=1.0):
 
 def _spectrum(state) -> tuple[np.ndarray, np.ndarray]:
     """Weights (round-off zeroed) and eigenvectors of a state: those a
-    `DensityOperator` keeps, or one `eigh` of a bare PSD matrix."""
+    `DensityOperator` keeps, or those a bare matrix is validated with."""
     if isinstance(state, DensityOperator):
         return state.eig()
-    vals, vecs = np.linalg.eigh(_mat(state))
-    vals = _clamp_probs(vals)
-    return _spectral_weights(vals, max(1.0, vals[-1])), vecs
+    return _density_spectra(_frozen_matrix(_mat(state)))
 
 
 # ---------------------------------------------------------------------------
@@ -577,24 +572,20 @@ def ancilla_kraus(op, rho_ancilla) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def shannon_entropy(p) -> float:
-    """-sum p ln p with the 0 ln 0 := 0 convention."""
-    return float(_entropy_rows(_clamp_probs(np.asarray(p, dtype=float))))
+    """-sum p ln p (0 ln 0 := 0) of p validated by `_check_probabilities`."""
+    return float(_entropy_rows(_check_probabilities(p, CoreError)))
 
 
 def _entropy_rows(p):
-    """-sum p ln p over the last axis of clamped probabilities (0 ln 0 := 0),
-    so over every row of a stack."""
+    """-sum p ln p over the last axis of weights >= 0 (0 ln 0 := 0), so
+    over every row of a stack."""
     return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(-1)
 
 
 def von_neumann_entropy(rho) -> float:
-    """-Tr rho ln rho over the eigenvalues, in nats."""
-    if not isinstance(rho, DensityOperator):
-        m = _mat(rho)
-        herm_err = np.abs(m - m.conj().T).max()
-        if herm_err > HERMITICITY_TOL * max(1.0, np.abs(m).max()):
-            raise CoreError("von Neumann entropy of a non-Hermitian matrix")
-    return shannon_entropy(_spectrum(rho)[0])
+    """-Tr rho ln rho over the eigenvalues, in nats; a bare matrix is
+    validated as a state (`_spectrum`)."""
+    return float(_entropy_rows(_spectrum(rho)[0]))
 
 
 def _petz_renyi(alpha, p, q, amp=None):
@@ -680,10 +671,9 @@ def _power(x, a):
 
 def _state_pair(rho, sigma):
     """Weights p of rho and q of sigma and the overlaps <sigma_j|rho_i>."""
-    if _mat(rho).shape != _mat(sigma).shape:
-        raise CoreError(f"dimension mismatch {_mat(rho).shape} vs {_mat(sigma).shape}")
-    p, pv = _spectrum(rho)
-    q, qv = _spectrum(sigma)
+    (p, pv), (q, qv) = _spectrum(rho), _spectrum(sigma)
+    if p.shape != q.shape:
+        raise CoreError(f"dimension mismatch {p.shape} vs {q.shape}")
     return p, q, qv.conj().T @ pv
 
 
@@ -703,15 +693,8 @@ def _check_probabilities(p, error):
     return np.maximum(p, 0.0)
 
 
-def _probability_pair(p, q):
-    p, q = _clamp_probs(p), _clamp_probs(q)
-    if p.shape != q.shape:
-        raise CoreError("divergences need equally sized probability vectors")
-    return p, q
-
-
 def relative_entropy(rho, sigma) -> float:
-    """Tr{rho ln rho - rho ln sigma}; +inf when rho leaves sigma's support."""
+    """Tr rho (ln rho - ln sigma), +inf off sigma's support; bare matrices validated as states."""
     return float(_petz_renyi(1.0, *_state_pair(rho, sigma)))
 
 
@@ -721,7 +704,7 @@ def relative_entropy_spectral(rho, sigma_vals, sigma_vecs) -> float:
 
     Avoids re-diagonalizing the reference, so exponentially small but
     genuine weights keep accurate logarithms instead of being zeroed as
-    eigensolver round-off.
+    eigensolver round-off.  A bare rho is validated as a state.
     """
     p, pv = _spectrum(rho)
     amp = np.asarray(sigma_vecs, dtype=complex).conj().T @ pv
@@ -731,14 +714,18 @@ def relative_entropy_spectral(rho, sigma_vals, sigma_vecs) -> float:
 def renyi_divergence(rho, sigma, alpha) -> float:
     """Petz-Renyi divergence (alpha-1)^-1 ln Tr rho^a sigma^(1-a), with the
     relative entropy at alpha = 1, the support limit at alpha = 0 and the
-    max-ratio limit at alpha = inf (`_petz_renyi`)."""
+    max-ratio limit at alpha = inf (`_petz_renyi`).  Bare matrices are
+    validated as states."""
     return float(_petz_renyi(alpha, *_state_pair(rho, sigma)))
 
 
 def classical_kl(p, q) -> float:
-    """Kullback-Leibler divergence sum p ln(p/q) of probability vectors:
-    the diagonal case of the relative entropy."""
-    return float(_petz_renyi(1.0, *_probability_pair(p, q)))
+    """Kullback-Leibler divergence sum p ln(p/q) of probability vectors
+    (`_check_probabilities`): the diagonal case of the relative entropy."""
+    p, q = _check_probabilities(p, CoreError), _check_probabilities(q, CoreError)
+    if p.shape != q.shape:
+        raise CoreError("divergences need equally sized probability vectors")
+    return float(_petz_renyi(1.0, p, q))
 
 
 def mutual_information(rho: DensityOperator, part_a) -> float:
@@ -785,10 +772,10 @@ def _check_beta(beta, error, positive=False):
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
-    """Gibbs state e^{-beta H}/Z, computed with a max-shift for safety."""
+    """Gibbs state e^{-beta H}/Z with a max-shift; a bare H is read by `_hermitian`."""
     _check_beta(beta, CoreError)
-    h = _mat(hamiltonian)
-    return DensityOperator(_gibbs_states(h, beta)[0], _dims_of(hamiltonian, h.shape[0]))
+    dims = hamiltonian.dims if isinstance(hamiltonian, _Operator) else None
+    return DensityOperator(_gibbs_states(_hermitian(hamiltonian), beta)[0], dims)
 
 
 def trace_distance(rho1, rho2) -> float:
@@ -828,10 +815,9 @@ def eigenspace_projectors(hamiltonian):
 
     Eigenvalues within DEGENERACY_TOL * max(1, ||H||) of each other share a
     block, so the projection is block-diagonal and never resolves an
-    accidental degeneracy into an arbitrary basis.
+    accidental degeneracy into an arbitrary basis (H read by `_hermitian`).
     """
-    h = _mat(hamiltonian)
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(_hermitian(hamiltonian))
     scale = max(1.0, float(np.abs(vals).max()) if vals.size else 1.0)
     bounds = np.append(_equal_runs(vals, DEGENERACY_TOL * scale), len(vals))
     blocks = [vecs[:, a:b] for a, b in zip(bounds[:-1], bounds[1:])]
@@ -860,9 +846,9 @@ def relative_entropy_of_coherence(rho, hamiltonian) -> float:
 # ---------------------------------------------------------------------------
 
 def hermitian_function(matrix, fn):
-    """Apply a scalar function to a Hermitian matrix (or a stack of them)
-    via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(_mat(matrix))
+    """Apply a scalar function to a Hermitian matrix (or a stack of them,
+    read by `_hermitian`) via eigendecomposition."""
+    vals, vecs = np.linalg.eigh(_hermitian(matrix))
     return (vecs * fn(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
@@ -927,7 +913,7 @@ class ChargeSectors:
 
 
 def logm_psd(matrix):
-    """Matrix logarithm of a PSD matrix on its support (pseudo-log)."""
+    """Matrix logarithm of a state on its support; a bare matrix is validated as one."""
     return _log_of(*_spectrum(matrix))
 
 

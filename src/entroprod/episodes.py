@@ -39,13 +39,13 @@ from .core import (
     UnitaryOperator,
     _as_dims,
     _check_beta,
-    _check_hermitian,
     _check_unitary,
     _density_stack,
     _entropy_rows,
     _frozen_stack,
     _gibbs,
     _gibbs_states,
+    _hermitian,
     _log_of,
     _mat,
     _petz_renyi,
@@ -55,7 +55,6 @@ from .core import (
     hermitian_function,
     logm_psd,
     mutual_information,
-    partial_trace,
     relative_entropy,
     tensor,
     thermal_state,
@@ -196,9 +195,7 @@ class EpisodeStack:
         """A validated stack from (N, d, d) arrays: the Hamiltonians and the
         unitaries by the stacked checks of `HermitianOperator` and
         `UnitaryOperator`, the states by `_density_stack`."""
-        hs, he, u = (_frozen_stack(m) for m in (h_system, h_env, unitary))
-        _check_hermitian(hs)
-        _check_hermitian(he)
+        hs, he, u = _hermitian(h_system), _hermitian(h_env), _frozen_stack(unitary)
         _check_unitary(u)
         rs, re = _density_stack(rho_system), _density_stack(rho_env)
         ds, de = rs[0].shape[-1], re[0].shape[-1]
@@ -427,24 +424,31 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     return _first_row(ep._row.balance)
 
 
+def _thermality(states, h, beta):
+    """The thermality rule: flags of the states (a matrix or a stack) farther than THERMALITY_TOL
+    in trace distance from the Gibbs states of h at beta, the distances and the levels of h."""
+    gibbs, levels = _gibbs_states(h, beta)
+    dist = _trace_distance_rows(states, gibbs)
+    return dist > THERMALITY_TOL, dist, levels
+
+
 def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, message):
     """beta per row and the levels of h, once the marginal of every rho_E
-    on the E factors `factors` is within THERMALITY_TOL (trace distance) of the Gibbs
-    state of h at its beta; else EpisodeError message(beta, distance) of the
-    first row that is not.  The distances and levels are kept on the stack
-    per (factor set, h, beta), so `thermal_balance_rows`, a one-part
-    `multibath_balance_rows` of one bath and `landauer_rows` share one
-    check.  The key holds the bytes of h, not its shape: on a one-row
-    stack an h of shape (d, d) and one of shape (1, d, d) share it, and
-    the levels are those of whichever came first, (d,) or (1, d)."""
+    on the E factors `factors` is thermal at its beta (`_thermality`);
+    else EpisodeError message(beta, distance) of the first row that is not.
+    The distances and levels are kept on the stack per (factor set, h,
+    beta), so `thermal_balance_rows`, a one-part `multibath_balance_rows`
+    of one bath and `landauer_rows` share one check.  The key holds the
+    bytes of h, not its shape: on a one-row stack an h of shape (d, d) and
+    one of shape (1, d, d) share it, and the levels are those of whichever
+    came first, (d,) or (1, d)."""
     beta = _betas(stack, beta)
     known = stack._gibbs_distance
     key = (tuple(sorted(set(factors))), h.tobytes(), beta.tobytes())
     if key not in known:
-        gibbs, levels = _gibbs_states(h, beta)
-        known[key] = _trace_distance_rows(stack.env_marginal(factors)[0], gibbs), levels
-    dist, levels = known[key]
-    _require_rows(dist > THERMALITY_TOL, lambda k: message(beta[k], dist[k]))
+        known[key] = _thermality(stack.env_marginal(factors)[0], h, beta)
+    far, dist, levels = known[key]
+    _require_rows(far, lambda k: message(beta[k], dist[k]))
     return beta, levels
 
 
@@ -520,7 +524,7 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
         raise EpisodeError(f"bath partition {covered} must cover all "
                            f"{len(factors)} E factors")
     # validate the product-of-thermals structure
-    hams = [_mat(p.hamiltonian) for p in parts]
+    hams = [_hermitian(p.hamiltonian, EpisodeError) for p in parts]
     for p, h in zip(parts, hams):
         d = stack.env_dims.subdims(p.env_factors).total
         if h.shape[-2:] != (d, d):
@@ -918,19 +922,22 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
 
 
 def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b, error):
-    """rho_AB' = U rho_AB U^dag and the unitary heat Q_B = Tr{(1 x H_B)
-    (rho_AB' - rho_AB)}, once the marginals of A and B are within THERMALITY_TOL
-    (trace distance) of their Gibbs states and U strictly conserves
-    H_A + H_B; else an `error`."""
+    """rho_AB' = U rho_AB U^dag and the unitary heat Q_B = Tr{(1 x H_B) (rho_AB' - rho_AB)},
+    once H_A and H_B (`core._hermitian`) match the factors of rho_AB, its marginals are
+    thermal (`_thermality`) and U strictly conserves H_A + H_B; else an `error`."""
+    h_a, h_b, factors = _hermitian(h_a, error), _hermitian(h_b, error), rho_ab.dims.factors
+    if (len(h_a), len(h_b)) != factors:
+        raise error(f"H_A and H_B do not match rho_AB of dims {factors}")
     for keep, h, beta, name in (([0], h_a, beta_a, "a"), ([1], h_b, beta_b, "b")):
-        if trace_distance(partial_trace(rho_ab, keep), thermal_state(h, beta)) > THERMALITY_TOL:
+        marginal = _ptrace_matrix(rho_ab.matrix, factors, keep)
+        if _thermality(marginal, h, _check_beta(beta, error))[0]:
             raise error(f"marginal of {name.upper()} is not thermal at beta_{name}")
     ok, res = is_strict_energy_conserving(unitary, h_a, h_b)
     if not ok:
         raise error(f"unitary violates strict energy conservation ({res:.3e})")
     u = _mat(unitary)
     after = u @ rho_ab.matrix @ u.conj().T
-    hb_full = tensor([np.eye(_mat(h_a).shape[0]), h_b])
+    hb_full = tensor([np.eye(len(h_a)), h_b])
     return after, float(np.real(np.trace(hb_full @ (after - rho_ab.matrix))))
 
 
@@ -976,10 +983,10 @@ def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperat
     the system; h_env fixes the bath partition function Z_E.
     """
     factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
-    levels, vecs = np.linalg.eigh(_mat(h_total))
+    levels, vecs = np.linalg.eigh(_hermitian(h_total, EpisodeError))
     exp_tot = (vecs * np.exp(-beta * (levels - levels[0]))) @ vecs.conj().T
     reduced = _ptrace_matrix(exp_tot, factors, [0])
-    log_z_env = _gibbs(np.linalg.eigvalsh(_mat(h_env)), beta)[1]
+    log_z_env = _gibbs(np.linalg.eigvalsh(_hermitian(h_env, EpisodeError)), beta)[1]
     vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
     if vals.min() <= 0:
         raise EpisodeError("reduced exponential is singular")

@@ -472,12 +472,12 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     a_sys = asymmetry_operator(spec.omega, spec.theta, n)
 
     joint1 = sectors.conjugate(u, tensor([rho_system, rho_env]))
-    rho_s0 = rho_system.matrix
-    rho_s1 = _ptrace_matrix(joint1, (n, n), [0])
+    rho_s1 = DensityOperator(_ptrace_matrix(joint1, (n, n), [0]), rho_system.dims)
+    moved_s = rho_s1.matrix - rho_system.matrix
 
     ds = von_neumann_entropy(rho_s1) - von_neumann_entropy(rho_system)
-    dh = float(np.real(np.trace(h_sys @ (rho_s1 - rho_s0))))
-    da = float(np.real(np.trace(a_sys @ (rho_s1 - rho_s0))))
+    dh = float(np.real(np.trace(h_sys @ moved_s)))
+    da = float(np.real(np.trace(a_sys @ moved_s)))
     ch, sh = math.cosh(2 * spec.r), math.sinh(2 * spec.r)
     sigma_aff = ds - spec.beta * (ch * dh + sh * da)
 
@@ -490,7 +490,7 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
 
     # tr((x (x) 1 + 1 (x) x)(rho' - rho)) = tr(x (dS + dE)) for the quanta
     # x = a^dag a and the asymmetry x = a a, from the two marginals
-    moved = (rho_s1 - rho_s0) + (_ptrace_matrix(joint1, (n, n), [1]) - rho_env.matrix)
+    moved = moved_s + (_ptrace_matrix(joint1, (n, n), [1]) - rho_env.matrix)
     d_quanta = float(np.real(np.trace(a1.conj().T @ a1 @ moved)))
     d_asym = abs(complex(np.trace(a1 @ a1 @ moved)))
     return SqueezedSigmaResult(

@@ -31,7 +31,7 @@ from .core import (
     NULL_RCOND_TOL,
     CoreError,
     DensityOperator,
-    HermitianOperator,
+    _check_hermitian,
     _mat,
     add_lindblad_term,
     add_sided_term,
@@ -75,10 +75,10 @@ class LindbladError(ValueError):
 class LindbladModel:
     """drho/dt = -i[H, rho] + sum_k gamma_k D[L_k] (+ optional cross terms).
 
-    `jumps` holds (operator, rate >= 0) pairs.  `cross` = (ops, c) adds the
-    general form sum_kl c_kl (F_k rho F_l^dag - 1/2 {F_l^dag F_k, rho})
-    with a Hermitian coefficient matrix c; it hosts the anomalous terms of
-    squeezed baths.
+    H is Hermitian within HERMITICITY_TOL; `jumps` holds (operator,
+    rate >= 0) pairs.  `cross` = (ops, c) adds the general form sum_kl c_kl
+    (F_k rho F_l^dag - 1/2 {F_l^dag F_k, rho}) with a Hermitian coefficient
+    matrix c; it hosts the anomalous terms of squeezed baths.
 
     The dimension d is capped at DIM_CAP = 81, checked before anything is
     allocated: the dense generator and its real form take 24 d^4 bytes,
@@ -111,6 +111,7 @@ class LindbladModel:
         if not all(np.isfinite(e).all() for e in entries + ops):
             raise LindbladError("Hamiltonian, jump operators, rates and cross "
                                 "terms must be finite")
+        _check_hermitian(h, LindbladError)
         if any(op.shape != h.shape for op in ops):
             raise LindbladError(
                 f"jump and cross operators must have the Hamiltonian's shape {h.shape}")
@@ -412,7 +413,7 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
         h = model.hamiltonian
         h_list.append(h)
         diss = dissipator_only(model)
-        gibbs = thermal_state(HermitianOperator.from_matrix(h), beta)
+        gibbs = thermal_state(h, beta)
         resid = float(np.abs(apply_superop(diss, gibbs.matrix)).max())
         if resid > GIBBS_FIXED_POINT_TOL:
             raise LindbladError(

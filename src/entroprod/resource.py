@@ -29,15 +29,14 @@ import numpy as np
 
 from .core import (
     _check_beta,
-    _check_hermitian,
     _check_probabilities,
     _density_spectra,
     _frozen_stack,
     _gibbs,
     _gibbs_states,
+    _hermitian,
     _mat,
     _petz_renyi,
-    _probability_pair,
     _state_pair,
     dephase,
     relative_entropy,
@@ -307,15 +306,15 @@ def _orders(alphas):
 
 
 def classical_renyi_rows(p, q, alphas) -> np.ndarray:
-    """S_alpha(p || q) of every row pair of p and q (probability vectors on
-    the last axis, broadcast against each other) at every order of the 1-d
-    grid alphas: an array (..., len(alphas)) from one `core._petz_renyi`."""
+    """S_alpha(p || q) of every row pair of p and q (probability rows on the
+    last axis, validated by `core._check_probabilities`, broadcast against
+    each other) at every order of the 1-d grid alphas: an array (...,
+    len(alphas)) from one `core._petz_renyi`."""
     alphas = _orders(alphas)
-    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    p, q = _check_probabilities(p, ResourceError), _check_probabilities(q, ResourceError)
     if p.shape[-1:] != q.shape[-1:]:
         raise ResourceError("divergences need equally sized probability vectors")
-    p, q = _probability_pair(*np.broadcast_arrays(p, q))
-    return _petz_renyi(alphas, p[..., None, :], q[..., None, :])
+    return _petz_renyi(alphas, *(x[..., None, :] for x in np.broadcast_arrays(p, q)))
 
 
 def classical_renyi_divergence(p, q, alpha: float) -> float:
@@ -441,11 +440,10 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     `core._petz_renyi` over every order of every row; the report's fields
     carry the row axis (`WorkBoundsReport.row` gives one quench)."""
     beta = _check_beta(beta, ResourceError, positive=True)
-    hf, rho = _frozen_stack(h_final), _frozen_stack(rho_final)
+    hf, rho = _hermitian(h_final, ResourceError), _frozen_stack(rho_final)
     if hf.ndim != 3 or rho.shape != hf.shape:
         raise ResourceError(f"expected (n, d, d) stacks of one shape, got {hf.shape} "
                             f"and {rho.shape}")
-    _check_hermitian(hf)
     ones = np.ones((len(hf), 1))
     eta, b = np.asarray(eta_grid, dtype=float) * ones, beta[..., None]
     alpha = 1.0 - eta / b

@@ -40,13 +40,13 @@ import numpy as np
 from .core import (
     DensityOperator,
     _check_beta,
-    _clamp_probs,
+    _entropy_rows,
     _equal_runs,
     _gibbs,
+    _hermitian,
     _mat,
     _petz_renyi,
     _spectrum,
-    shannon_entropy,
     tensor,
 )
 from .episodes import Episode, EpisodeStack, _thermal_exchange
@@ -274,7 +274,7 @@ def backward_ensemble_rows(stack: EpisodeStack, choice: BackwardChoice) -> PathE
         final, ref = (True, True), _outer(ps_fin, qe_fin)
     elif choice is BackwardChoice.POST_MEASUREMENT_STATE:
         final = (True, True)
-        ref = _clamp_probs(populations(joint, tensor([vs_fin, ve_fin]))).reshape(-1, ds, de)
+        ref = np.maximum(populations(joint, tensor([vs_fin, ve_fin])), 0.0).reshape(-1, ds, de)
     elif choice is BackwardChoice.BOTH_RESET:
         final, ref = (False, False), initial
     else:
@@ -352,10 +352,10 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     other decomposition.  rho' = V rho_i^th V^dag has the weights p_n of
     rho_i^th on the eigenvectors V|i_n>, so the lag reads the overlaps
     <f_m|V|i_n> with the eigenvectors of rho_f^th, whose weights are the
-    Gibbs weights of H_f."""
+    Gibbs weights of H_f.  Bare Hamiltonians are read by `core._hermitian`."""
     beta = _check_beta(beta, TrajectoryError, positive=True)
-    ei, vi = np.linalg.eigh(_mat(h_initial))
-    ef, vf = np.linalg.eigh(_mat(h_final))
+    ei, vi = np.linalg.eigh(_hermitian(h_initial, TrajectoryError))
+    ef, vf = np.linalg.eigh(_hermitian(h_final, TrajectoryError))
     (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
     amp = vf.conj().swapaxes(-1, -2) @ _mat(protocol_unitary) @ vi
     trans = np.abs(amp) ** 2
@@ -611,13 +611,12 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     state on the final outcomes and runs U^dag.
     """
     _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, TrajectoryError)
-    ea, va = np.linalg.eigh(_mat(h_a))
-    eb, vb = np.linalg.eigh(_mat(h_b))
+    ea, va = np.linalg.eigh(_hermitian(h_a, TrajectoryError))
+    eb, vb = np.linalg.eigh(_hermitian(h_b, TrajectoryError))
     basis = tensor([va, vb])
     u = _mat(unitary)
     da, db = len(ea), len(eb)
-    p_joint = np.real(np.einsum("im,ij,jm->m", basis.conj(), rho_ab.matrix, basis))
-    p_joint = _clamp_probs(p_joint).reshape(da, db)
+    p_joint = np.maximum(populations(rho_ab, basis), 0.0).reshape(da, db)
     w = (np.abs(basis.conj().T @ u @ basis) ** 2).reshape(da, db, da, db)
     p = w * p_joint
     live = p > 0.0
@@ -661,8 +660,8 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     p[s, n, m] = p_s |<n|s>|^2 |<m|U|s>|^2 over the joint energy indices.
     """
     ps, vs = _spectrum(rho_ab)
-    ea, va = np.linalg.eigh(_mat(h_a))
-    eb, vb = np.linalg.eigh(_mat(h_b))
+    ea, va = np.linalg.eigh(_hermitian(h_a, TrajectoryError))
+    eb, vb = np.linalg.eigh(_hermitian(h_b, TrajectoryError))
     basis = tensor([va, vb])
     amp_m = np.abs(basis.conj().T @ _mat(unitary) @ vs) ** 2   # [(mA mB), s]
     amp_n = np.abs(basis.conj().T @ vs) ** 2                   # [(nA nB), s]
@@ -765,8 +764,8 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
         sigma_values=values,
         probabilities=probs,
         average_sigma=float(np.sum(values * probs)),
-        shannon_initial=shannon_entropy(p0),
-        shannon_final=shannon_entropy(p_final),
+        shannon_initial=float(_entropy_rows(p0)),
+        shannon_final=float(_entropy_rows(p_final)),
         integral_ft=float(np.sum(probs * np.exp(-values))),
         doubly_stochastic=doubly,
         sampled=sampled,

@@ -22,7 +22,6 @@ from .core import (
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    _clamp_probs,
     _entropy_rows,
     _gibbs_states,
     _petz_renyi,
@@ -89,7 +88,7 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
         tj.BackwardChoice.BATH_RESET: bal.sigma,
         tj.BackwardChoice.CORRELATIONS_DESTROYED: bal.mutual_info,
         tj.BackwardChoice.POST_MEASUREMENT_STATE:
-            _entropy_rows(_clamp_probs(dephased)) - _entropy_rows(p_joint),
+            _entropy_rows(np.maximum(dephased, 0.0)) - _entropy_rows(p_joint),
         tj.BackwardChoice.BOTH_RESET: bal.mutual_info + _petz_renyi(
             1.0, p_after, p_before, v_before.conj().swapaxes(-1, -2) @ v_after)
             + bal.env_displacement,

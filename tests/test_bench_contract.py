@@ -5,11 +5,14 @@ grow with their number of episodes, the majorization suite one of
 eigendecompositions and Renyi kernel calls that does not grow with its
 number of pairs or of quenches, a one-bath multibath balance reads the
 decompositions its thermal balance made, the landauer suite reads the
-levels of its thermality check, and an episode's four backward ensembles
-share the transitions of one final basis."""
+levels of its thermality check, an episode's four backward ensembles
+share the transitions of one final basis, and every call the workloads
+make binds to the signature of what it calls."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from entroprod import verify
 from entroprod.core import DensityOperator, HermitianOperator, UnitaryOperator
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+WORKLOADS = TRACER.with_name("workloads.py")
 
 
 def test_every_traced_name_resolves():
@@ -153,3 +157,44 @@ def test_four_backward_choices_build_three_transition_tensors(monkeypatch):
         for choice in tj.BackwardChoice:
             tj.backward_ensemble(ep, choice)
     assert sorted(calls) == [(False, False), (True, False), (True, True)]
+
+
+def test_every_workload_call_binds_to_its_signature():
+    # each call of a package name in the workloads (alias.f(...) or
+    # Type.method(...)) binds its positional count and keywords, so a
+    # dropped or renamed keyword fails here rather than in a benchmark run
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "entroprod":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name, None) \
+                    or importlib.import_module(f"{node.module}.{alias.name}")
+
+    def resolve(func):
+        if isinstance(func, ast.Name):
+            return names.get(func.id)
+        if isinstance(func, ast.Attribute):
+            owner = resolve(func.value)
+            return None if owner is None else getattr(owner, func.attr)
+        return None
+
+    bound = 0
+    for node in ast.walk(tree):
+        target = resolve(node.func) if isinstance(node, ast.Call) else None
+        if target is None or inspect.ismodule(target):
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = [k.arg for k in node.keywords if k.arg is not None]
+        signature = inspect.signature(target)
+        where = f"line {node.lineno}: {ast.unparse(node.func)}"
+        if starred:                       # *args: the keywords alone must exist
+            assert all(k in signature.parameters for k in keywords), where
+        else:
+            try:
+                signature.bind(*node.args, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                pytest.fail(f"{where}: {exc}")
+        bound += 1
+    assert bound, "no package call found in the workloads"

@@ -241,6 +241,26 @@ def test_run_integer_parameters_must_be_whole(tmp_path, capsys):
         (tmp_path / "x.csv").unlink(missing_ok=True)
 
 
+CONFIG_CASES = {
+    "string seed": ({"seed": "abc"}, "'seed' must be an integer, got 'abc'"),
+    "fractional seed": ({"seed": 2.7}, "'seed' must be an integer, got 2.7"),
+    "bool seed": ({"seed": True}, "'seed' must be an integer, got True"),
+    "output not an object": ({"output": "x.csv"}, "'output' must be an object"),
+}
+
+
+@pytest.mark.parametrize("fields, message", CONFIG_CASES.values(), ids=CONFIG_CASES.keys())
+def test_run_seed_and_output_are_read_strictly(tmp_path, capsys, fields, message):
+    # "abc" used to exit 3, 2.7 and true to run as seeds 2 and 1, and a
+    # string output to end in an AttributeError traceback
+    cfg = {"schema": "v1", "kind": "episode", "parameters": {"beta": 1.0},
+           "output": {"path": "x.csv"}, **fields}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 FLOAT_CASES = {
     "string": ("omega", "abc"),
     "null": ("g", None),

@@ -280,6 +280,19 @@ def test_squeezed_sigma_dual_route_partial_exchange():
     assert out.d_asymmetry < 1e-7
 
 
+def test_squeezed_sigma_decomposes_each_state_once(monkeypatch):
+    # the eigh calls on states (unit trace): rho_E when it is made and
+    # rho_S' when it is made, which both routes then read
+    spec = gs.SqueezedExchangeSpec(omega=1.0, g=1.0, t=0.5, r=0.2, theta=0.3,
+                                   beta=2.5, fock_cut=12)
+    rho = padded_system_state(RNG, 12)
+    traces, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k:
+                        traces.append(np.trace(a)) or eigh(a, *r, **k))
+    gs.squeezed_sigma(spec, rho)
+    assert sum(abs(t - 1.0) < 1e-6 for t in traces) == 2
+
+
 def test_squeezed_sigma_asymmetry_flow_without_heat():
     # squeezing makes entropy production possible through the asymmetry
     # current even when the quanta exchange is weak

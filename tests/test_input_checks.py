@@ -1,6 +1,8 @@
 """Invalid input fails at the validation boundary with a typed error: one
 row per input check that the other tests do not reach, each with the call,
-the error class and a fragment of its message."""
+the error class and a fragment of its message.  A bare matrix given as a
+state, a probability vector, a bare Hamiltonian and a declared bath
+temperature each pass their type's one check."""
 
 import json
 from pathlib import Path
@@ -19,6 +21,8 @@ from entroprod import resource as rs
 from entroprod import trajectories as tj
 from entroprod.core import (
     PAULI_X,
+    PAULI_Z,
+    SIGMA_MINUS,
     DensityOperator,
     HermitianOperator,
     UnitaryOperator,
@@ -32,6 +36,8 @@ MIXED2 = DensityOperator.from_matrix(np.eye(2) / 2)
 ID4 = UnitaryOperator.from_matrix(np.eye(4), (2, 2))
 FLIP = UnitaryOperator.from_matrix(PAULI_X)
 HALF = [0.5, 0.5]
+NAN = float("nan")
+NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
 
 
 def _episode(**changes):
@@ -74,6 +80,25 @@ CASES = {
     "core.trace_distance sizes": (
         lambda: core.trace_distance(np.eye(2) / 2, np.eye(3) / 3), core.CoreError,
         "dimension mismatch"),
+    "core.von_neumann_entropy bare matrix of trace 6": (
+        lambda: core.von_neumann_entropy(3 * np.eye(2)), core.CoreError, "differs from 1"),
+    "core.von_neumann_entropy bare matrix with NaN": (
+        lambda: core.von_neumann_entropy([[NAN, 0.0], [0.0, 1.0]]), core.CoreError,
+        "NaN or infinite entries"),
+    "core.relative_entropy bare matrix of trace 2": (
+        lambda: core.relative_entropy(np.diag([0.6, 1.4]), np.eye(2) / 2), core.CoreError,
+        "differs from 1"),
+    "core.shannon_entropy NaN": (
+        lambda: core.shannon_entropy([NAN, 1.0]), core.CoreError, "must be finite"),
+    "core.classical_kl unnormalized": (
+        lambda: core.classical_kl([0.5, 0.7], HALF), core.CoreError, "sum to 1.2"),
+    "core.thermal_state non-Hermitian H": (
+        lambda: thermal_state(NOT_HERMITIAN, 1.0), core.CoreError, "not Hermitian"),
+    "core.dephase non-Hermitian H": (
+        lambda: core.dephase(np.eye(2) / 2, NOT_HERMITIAN), core.CoreError, "not Hermitian"),
+    "core.hermitian_function non-Hermitian matrix": (
+        lambda: core.hermitian_function(NOT_HERMITIAN, np.exp), core.CoreError,
+        "not Hermitian"),
     "core.matrix_from_json parts": (
         lambda: core.matrix_from_json({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, 0]]}),
         core.CoreError, "matching 2-d arrays"),
@@ -119,6 +144,14 @@ CASES = {
             (_stroke(UnitaryOperator.from_matrix(np.kron(PAULI_X, PAULI_X), (2, 2))),),
             (H2,)), RHO2, 2),
         cm.CollisionalError, "is not a thermal operation"),
+    "collisional.AncillaStroke declared beta of a non-thermal ancilla": (
+        lambda: cm.AncillaStroke(
+            DensityOperator.from_matrix(np.diag([0.3, 0.7])), H2,
+            UnitaryOperator.from_matrix(core.hermitian_function(
+                0.5 * (np.kron(core.SIGMA_PLUS, SIGMA_MINUS)
+                       + np.kron(SIGMA_MINUS, core.SIGMA_PLUS)),
+                lambda x: np.exp(-1j * x)), (2, 2)), beta=1.0),
+        cm.CollisionalError, "ancilla is not thermal at beta=1.0"),
     "collisional.SwapEngineSpec gap": (
         lambda: cm.SwapEngineSpec(0.0, 1.0, 1.0, 1.0), cm.CollisionalError,
         "SWAP engine parameters must be positive"),
@@ -141,6 +174,14 @@ CASES = {
     "episodes.landauer_report temperature": (
         lambda: eps.landauer_report(_episode(rho_env=MIXED2), 0.0), eps.EpisodeError,
         "needs beta > 0"),
+    "episodes.mean_force_hamiltonian non-Hermitian H": (
+        lambda: eps.mean_force_hamiltonian(np.kron(NOT_HERMITIAN, np.eye(2)), (2, 2), 1.0,
+                                           np.eye(2)),
+        eps.EpisodeError, "not Hermitian"),
+    "episodes.correlated_heat_flow non-Hermitian H": (
+        lambda: eps.correlated_heat_flow(DensityOperator.from_matrix(np.eye(4) / 4, (2, 2)),
+                                         NOT_HERMITIAN, H2, ID4, 1.0, 1.0),
+        eps.EpisodeError, "not Hermitian"),
     "episodes.blp_witness time points": (
         lambda: eps.blp_witness([0.0, 1.0], [RHO2, RHO2], [MIXED2, MIXED2]),
         eps.EpisodeError, "at least 3 time points"),
@@ -186,6 +227,9 @@ CASES = {
         lambda: lb.LindbladModel(np.eye(2), (), ((np.eye(2), np.eye(2)),
                                                  [[1.0, 1j], [1j, 1.0]])),
         lb.LindbladError, "coefficient matrix must be Hermitian"),
+    "lindblad non-Hermitian Hamiltonian": (
+        lambda: lb.LindbladModel(NOT_HERMITIAN, ((SIGMA_MINUS, 1.0),)), lb.LindbladError,
+        "not Hermitian"),
     "lindblad.validate_kerr_truncation occupation": (
         lambda: lb.validate_kerr_truncation(lb.LindbladModel(np.zeros((4, 4)), ()),
                                             DensityOperator.pure([0, 0, 0, 1])),
@@ -210,6 +254,12 @@ CASES = {
     "resource.classical_renyi_rows sizes": (
         lambda: rs.classical_renyi_rows(HALF, [0.2, 0.3, 0.5], [1.0]), rs.ResourceError,
         "equally sized probability vectors"),
+    "resource.classical_renyi_divergence NaN": (
+        lambda: rs.classical_renyi_divergence([NAN, 1.0], HALF, 0.5), rs.ResourceError,
+        "must be finite"),
+    "resource.classical_renyi_divergence unnormalized": (
+        lambda: rs.classical_renyi_divergence([2.0, 3.0], [1.0, 1.0], 2.0), rs.ResourceError,
+        "sum to 5.0"),
     "resource.work_bounds_rows stacks": (
         lambda: rs.work_bounds_rows(np.eye(2), 1.0, np.eye(2) / 2, 0.0, 0.0, [0.5]),
         rs.ResourceError, "expected (n, d, d) stacks"),
@@ -224,6 +274,13 @@ CASES = {
     "trajectories.stochastic_sigma backward process": (
         lambda: tj.stochastic_sigma(tj.PathEnsemble(np.array([1.0]))), tj.TrajectoryError,
         "no backward probabilities"),
+    "trajectories.work_distribution non-Hermitian H": (
+        lambda: tj.work_distribution([[0.0, 1.0], [0.0, 1.0]], PAULI_Z, np.eye(2), 1.0),
+        tj.TrajectoryError, "not Hermitian"),
+    "trajectories.augmented_tpm non-Hermitian H": (
+        lambda: tj.augmented_tpm(DensityOperator.from_matrix(np.eye(4) / 4, (2, 2)), ID4,
+                                 NOT_HERMITIAN, H2),
+        tj.TrajectoryError, "not Hermitian"),
     "trajectories.measurement_trajectories unitaries": (
         lambda: tj.measurement_trajectories([1.0, 0.0], [np.eye(2), np.eye(2)], []),
         tj.TrajectoryError, "exactly one unitary between consecutive bases"),

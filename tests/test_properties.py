@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import scipy.linalg
 
-from entroprod import collisional as cm, episodes as eps, resource as rs, trajectories as tj
+from entroprod import (collisional as cm, episodes as eps, lindblad as lb, resource as rs,
+                       trajectories as tj)
 from entroprod.core import (DensityOperator, HermitianOperator, UnitaryOperator, _petz_renyi,
                             classical_kl, kraus_superop, partial_trace, relative_entropy,
                             renyi_divergence, tensor, thermal_state, von_neumann_entropy)
@@ -37,7 +38,8 @@ collision = st.fixed_dictionaries({
 def build(draw):
     """A collision spec and initial state from a drawn description.  A
     letter with equal dimensions may use the partial swap, S and A with the
-    same Hamiltonian, which turns on the tier-3 fixed-point sigma."""
+    same Hamiltonian, which turns on the tier-3 fixed-point sigma.  A mixed
+    ancilla carries no beta."""
     rng = np.random.default_rng(draw["seed"])
     ds = draw["dim_system"]
     strokes, hs = [], []
@@ -62,6 +64,11 @@ def build(draw):
                                             - 1j * math.sin(g) * swap, (ds, ds))
         else:
             u = random_unitary(ds * da, rng, dims=(ds, da))
+        if spec["state"] == "mixed":
+            # a drawn state is not Gibbs: declaring its beta is an error
+            with pytest.raises(cm.CollisionalError, match="ancilla is not thermal"):
+                cm.AncillaStroke(rho_a, h_a, u, beta)
+            beta = None
         strokes.append(cm.AncillaStroke(rho_a, h_a, u, beta))
         hs.append(h_s)
     us = None
@@ -763,3 +770,31 @@ def test_kraus_superop_is_the_kron_sum(d, n, seed):
     kraus = np.array([ginibre(rng, d, d) for _ in range(n)])
     want = sum(np.kron(k.conj(), k) for k in kraus)
     assert np.array_equal(kraus_superop(kraus), want)
+
+
+lindblad_model = st.fixed_dictionaries({
+    "dim": st.integers(2, 4),
+    "n_jumps": st.integers(1, 3),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@settings(PROPERTY, max_examples=40)
+@given(lindblad_model)
+def test_drawn_lindblad_models_keep_the_trace_and_reach_a_steady_state(draw):
+    # a random Hermitian H and 1-3 Ginibre jumps with random rates; the 40
+    # derandomized examples take about 0.2 s
+    rng = np.random.default_rng(draw["seed"])
+    d = draw["dim"]
+    h = ginibre(rng, d, d)
+    h = h + h.conj().T
+    jumps = tuple((ginibre(rng, d, d), float(rng.uniform(0.1, 2.0)))
+                  for _ in range(draw["n_jumps"]))
+    gen = lb.build(lb.LindbladModel(h, jumps))
+    assert lb.trace_preservation_residual(gen) <= 1e-12
+    rho = lb.steady_state(lb.LindbladModel(h, jumps))
+    assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
+    assert np.abs(lb.apply_superop(gen, rho)).max() <= 1e-8
+    h[0, -1] += 1.0                       # the same H, no longer Hermitian
+    with pytest.raises(lb.LindbladError, match="not Hermitian"):
+        lb.LindbladModel(h, jumps)
