@@ -241,12 +241,17 @@ def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
     kind = cfg["kind"]
     scenario = SCENARIOS[kind][0]
     seed = _integer(cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
     params = dict(cfg.get("parameters", {}))
     sweep = cfg.get("sweep")
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("'output' must be an object")
-    out_path = Path(output.get("path", f"{kind}.csv"))
+    path = output.get("path", f"{kind}.csv")
+    if not isinstance(path, str):
+        raise ConfigError(f"'output.path' must be a string, got {path!r}")
+    out_path = Path(path)
     if out_dir is not None:
         out_path = out_dir / out_path.name
     fmt = output.get("format", "csv")

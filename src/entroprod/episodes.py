@@ -980,8 +980,9 @@ def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperat
     by its lowest level and ln Z_E from `core._gibbs`, so nothing overflows.
 
     dims is the (dim_S, dim_E) pair or a HilbertDims whose first factor is
-    the system; h_env fixes the bath partition function Z_E.
+    the system; h_env fixes the bath partition function Z_E; beta > 0.
     """
+    _check_beta(beta, EpisodeError, positive=True)
     factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
     levels, vecs = np.linalg.eigh(_hermitian(h_total, EpisodeError))
     exp_tot = (vecs * np.exp(-beta * (levels - levels[0]))) @ vecs.conj().T

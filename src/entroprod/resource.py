@@ -12,10 +12,10 @@ S_alpha(p || p_th) monotone for all alpha >= 0, with coherence adding its
 own independent family of constraints.
 
 The comparisons come in row forms: `thermo_majorizes_rows`,
-`gibbs_stochastic_feasible_2d_rows` and `classical_renyi_rows` take a stack
-of probability rows on one level set (and an order grid), `work_bounds_rows`
-a stack of quenches, each validated once per stack; every one-pair function
-is row 0 of its row form.
+`embedding_verdict_rows`, `gibbs_stochastic_feasible_2d_rows` and
+`classical_renyi_rows` take a stack of probability rows on one level set
+(and an order grid), `work_bounds_rows` a stack of quenches, each
+validated once per stack; every one-pair function is row 0 of its row form.
 """
 
 from __future__ import annotations
@@ -54,6 +54,8 @@ THERMAL_TOL = 1e-12
 # Two level sets are one when their sorted energies agree within this,
 # relative to the largest |E|.
 LEVEL_TOL = 1e-9
+# Plain majorization: a partial-sum gap of the two vectors within this is zero.
+MAJORIZATION_TOL = 1e-12
 # The largest gamma-embedding: 10^7 float64 entries are 80 MB.
 MAX_DENOMINATOR = 10 ** 7
 
@@ -241,37 +243,77 @@ def thermo_majorizes(pop1: EnergyPopulations, pop2: EnergyPopulations,
 def _largest_remainder_rounding(weights, denominator: int) -> np.ndarray:
     raw = np.asarray(weights, dtype=float) * denominator
     floor = np.floor(raw).astype(int)
-    remainder = denominator - floor.sum()
+    remainder = denominator - floor.sum(-1, keepdims=True)
     # the remainder, at most one unit per weight, goes to the largest fractions
-    counts = floor.copy()
-    counts[np.argsort(-(raw - floor))[:remainder]] += 1
-    return counts
+    rank = np.argsort(np.argsort(-(raw - floor), -1), -1)
+    return floor + (rank < remainder)
+
+
+def _embed_rows(energies, p, beta, denominator):
+    """The gamma-embedding of every row of p as runs: value p_i/k_i repeated
+    k_i times, k_i/D the largest-remainder rounding of the thermal weights
+    of the row's beta; then the counts k and the rounding error per row.  D
+    is an integer from 1 to MAX_DENOMINATOR, checked before anything is
+    allocated, and gives every level at least one entry."""
+    if not (isinstance(denominator, numbers.Integral)
+            and 1 <= denominator <= MAX_DENOMINATOR):
+        raise ResourceError(f"embedding denominator must be an integer from 1 to "
+                            f"{MAX_DENOMINATOR}, got {denominator!r}")
+    gibbs = _gibbs(energies, beta)[0]
+    counts = _largest_remainder_rounding(gibbs, int(denominator))
+    if counts.min() < 1:
+        raise ResourceError(
+            f"denominator {denominator} too small to resolve the thermal weights")
+    return p / counts, counts, np.abs(counts / denominator - gibbs).max(-1)
 
 
 def gamma_embed(pop: EnergyPopulations, beta: float, denominator: int = 10_000):
     """Embed a d-level diagonal state into a D-dimensional probability
     vector by repeating p_i/k_i exactly k_i times, where k_i/D approximates
-    the thermal weights (largest-remainder rounding).
+    the thermal weights (largest-remainder rounding): `_embed_rows` written out.
 
     The thermal state embeds into the uniform vector, turning
     thermo-majorization into plain majorization up to the rounding error,
-    which is returned alongside the vector.  D is an integer from 1 to
-    MAX_DENOMINATOR, checked before anything is allocated.
+    which is returned alongside the vector.
     """
-    if not (isinstance(denominator, numbers.Integral)
-            and 1 <= denominator <= MAX_DENOMINATOR):
-        raise ResourceError(f"embedding denominator must be an integer from 1 to "
-                            f"{MAX_DENOMINATOR}, got {denominator!r}")
-    gibbs = pop.thermal_weights(beta)
-    counts = _largest_remainder_rounding(gibbs, int(denominator))
-    if counts.min() < 1:
-        raise ResourceError(
-            f"denominator {denominator} too small to resolve the thermal weights")
-    rounding_error = float(np.abs(counts / denominator - gibbs).max())
-    return np.repeat(pop.probabilities / counts, counts), rounding_error
+    values, counts, error = _embed_rows(pop.energies, pop.probabilities,
+                                        _check_beta(beta, ResourceError), denominator)
+    return np.repeat(values, counts), float(error)
 
 
-def majorization_verdict(gamma1, gamma2, tol: float = 1e-12) -> MajorizationVerdict:
+def _run_verdicts(values, counts, tol):
+    """Plain majorization of each row pair of vectors given as runs: values
+    (2, rows, n) repeated counts times.  The sum S(m) of the m largest
+    entries is linear within a run (runs by value, descending), so S_1 - S_2
+    takes its extremes at the run ends K of either side; an end m of one
+    side lies in run j of the other, where S(m) = S(K_j) - v_j (K_j - m)."""
+    v, k = np.broadcast_arrays(values, counts)
+    order = np.argsort(-v, -1)
+    v, k = np.take_along_axis(v, order, -1), np.take_along_axis(k, order, -1)
+    s = np.cumsum(v * k, -1)
+    # row r's ends shifted by r (D + 1): one ascending list per side
+    ends = np.cumsum(k, -1) + np.arange(k.shape[1])[:, None] * (k.sum(-1).max() + 1)
+    gap = []
+    for x, y in ((1, 0), (0, 1)):           # side x at the ends of side y
+        j = np.searchsorted(ends[x].ravel(), ends[y].ravel())
+        at = s[x].ravel()[j] - v[x].ravel()[j] * (ends[x].ravel()[j] - ends[y].ravel())
+        gap.append((s[y].ravel() - at).reshape(s[y].shape) * (1 - 2 * y))
+    gap = np.concatenate(gap, -1)
+    return _VERDICTS[2 * (gap.min(-1, initial=math.inf) >= -tol)
+                     + (gap.max(-1, initial=-math.inf) <= tol)]
+
+
+def embedding_verdict_rows(energies, p1, p2, beta, denominator: int = 10_000) -> np.ndarray:
+    """`majorization_verdict(gamma_embed(...), gamma_embed(...))` of every
+    row pair of p1 and p2, validated as `thermo_majorizes_rows` validates
+    them: each embedding is read as its d runs, so nothing of the
+    denominator's length is made."""
+    e, p1, p2, beta = _pair_rows(energies, p1, p2, beta)
+    values, counts, _ = _embed_rows(e, np.array([p1, p2]), beta, denominator)
+    return _run_verdicts(values, counts, MAJORIZATION_TOL)
+
+
+def majorization_verdict(gamma1, gamma2, tol: float = MAJORIZATION_TOL) -> MajorizationVerdict:
     """Plain majorization both ways from one sort of each vector and one
     partial sum of their difference: YES when the descending partial sums
     of gamma1 dominate those of gamma2 (no partial sum of the difference
@@ -285,7 +327,7 @@ def majorization_verdict(gamma1, gamma2, tol: float = 1e-12) -> MajorizationVerd
                      + (gap.max(initial=-math.inf) <= tol)]
 
 
-def majorizes(gamma1, gamma2, tol: float = 1e-12) -> bool:
+def majorizes(gamma1, gamma2, tol: float = MAJORIZATION_TOL) -> bool:
     """Plain majorization: descending partial sums of gamma1 dominate."""
     return majorization_verdict(gamma1, gamma2, tol) in CONVERTIBLE
 

@@ -321,8 +321,9 @@ def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100):
     Gibbs-stochastic oracle, Renyi monotonicity in alpha and the work
     sandwich on sudden qubit quenches.  Every raw input is drawn first, in
     one rng order, then each block is evaluated as one stack (the Renyi
-    pairs one per dimension).  The embedding stays per pair: stacked, its
-    (n_pairs, 10 000) arrays would be the suite's largest allocation."""
+    pairs one per dimension).  The embedded pairs are one
+    `embedding_verdict_rows` call, which reads each 10 000-entry embedding
+    as its two runs."""
     rng = np.random.default_rng(505)
     e2, beta = np.array([0.0, 1.0]), 1.0
     emb_a, emb_b = _probability_pairs(rng, n_pairs)
@@ -338,12 +339,8 @@ def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100):
         quenches.append((beta_q, h_i, h_f))
     orc_a, orc_b = _probability_pairs(rng, n_oracle)
 
-    v_curve = rs.thermo_majorizes_rows(e2, emb_a, emb_b, beta)
-    agree = 0
-    for pa, pb, v in zip(emb_a, emb_b, v_curve):
-        ga, _ = rs.gamma_embed(rs.EnergyPopulations(e2, pa), beta, 10_000)
-        gb, _ = rs.gamma_embed(rs.EnergyPopulations(e2, pb), beta, 10_000)
-        agree += rs.majorization_verdict(ga, gb, tol=1e-9) == v
+    agree = int((rs.thermo_majorizes_rows(e2, emb_a, emb_b, beta)
+                 == rs.embedding_verdict_rows(e2, emb_a, emb_b, beta)).sum())
     grid = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf)
     mono = True
     for pairs in renyi.values():

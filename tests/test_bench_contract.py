@@ -3,11 +3,12 @@ from `bench/`, which is not edited here): every traced name resolves, the
 episode verify suites take a number of eigendecompositions that does not
 grow with their number of episodes, the majorization suite one of
 eigendecompositions and Renyi kernel calls that does not grow with its
-number of pairs or of quenches, a one-bath multibath balance reads the
-decompositions its thermal balance made, the landauer suite reads the
-levels of its thermality check, an episode's four backward ensembles
-share the transitions of one final basis, and every call the workloads
-make binds to the signature of what it calls."""
+number of pairs or of quenches, its embedded pairs take one run-encoded
+call and no written-out embedding with its records unchanged, a one-bath
+multibath balance reads the decompositions its thermal balance made, the
+landauer suite reads the levels of its thermality check, an episode's
+four backward ensembles share the transitions of one final basis, and
+every call the workloads make binds to the signature of what it calls."""
 
 import ast
 import importlib
@@ -107,6 +108,26 @@ def test_majorization_suite_counts_do_not_grow_with_its_quenches(monkeypatch):
     # Hamiltonian kind, where the parent took four per quench
     counts = majorization_counts(monkeypatch, [{"n_quenches": n} for n in (10, 40)])
     assert counts[0] == counts[1]
+
+
+def test_majorization_suite_embeds_its_pairs_as_runs(monkeypatch):
+    # one call for the 50 embedded pairs, not 100 gamma_embed calls of
+    # 10 000 entries each and 50 majorization_verdict calls; the records
+    # are those of the per-pair loop
+    from entroprod import resource
+    calls = []
+    for name in ("gamma_embed", "embedding_verdict_rows", "majorization_verdict"):
+        fn = getattr(resource, name)
+        monkeypatch.setattr(resource, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    records = verify.majorization_suite()
+    assert calls == ["embedding_verdict_rows"]
+    assert records == [
+        ("majorization curve == embedding verdict", True, "50/50"),
+        ("S_alpha monotone in alpha", True, "100 pairs"),
+        ("work sandwich W_ext <= W_irr <= W_form", True, "20 sudden quenches"),
+        ("Theorem-2 soundness against 2x2 Gibbs-stochastic oracle", True, "100/100"),
+    ]
 
 
 def test_one_bath_multibath_takes_no_decomposition_after_thermal(monkeypatch):

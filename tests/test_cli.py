@@ -245,14 +245,17 @@ CONFIG_CASES = {
     "string seed": ({"seed": "abc"}, "'seed' must be an integer, got 'abc'"),
     "fractional seed": ({"seed": 2.7}, "'seed' must be an integer, got 2.7"),
     "bool seed": ({"seed": True}, "'seed' must be an integer, got True"),
+    "negative seed": ({"seed": -1}, "'seed' must be an integer >= 0, got -1"),
     "output not an object": ({"output": "x.csv"}, "'output' must be an object"),
+    "output path not a string": ({"output": {"path": 5}}, "'output.path' must be a string, got 5"),
 }
 
 
 @pytest.mark.parametrize("fields, message", CONFIG_CASES.values(), ids=CONFIG_CASES.keys())
 def test_run_seed_and_output_are_read_strictly(tmp_path, capsys, fields, message):
-    # "abc" used to exit 3, 2.7 and true to run as seeds 2 and 1, and a
-    # string output to end in an AttributeError traceback
+    # "abc" and -1 used to exit 3, 2.7 and true to run as seeds 2 and 1, a
+    # string output to end in an AttributeError traceback and a numeric
+    # output path in a TypeError one
     cfg = {"schema": "v1", "kind": "episode", "parameters": {"beta": 1.0},
            "output": {"path": "x.csv"}, **fields}
     path = write_config(tmp_path, cfg)

@@ -319,3 +319,19 @@ def test_invalid_input_raises_a_typed_error(call, error, fragment, tmp_path, mon
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0, NAN])
+def test_mean_force_hamiltonian_needs_a_positive_beta(beta):
+    # -1 gave a Hamiltonian without notice, 0 and NaN a RuntimeWarning and
+    # then a CoreError about NaN entries; the strong-coupling balance builds
+    # its mean-force Hamiltonians with the same check
+    h_total = np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.0]))
+    calls = [
+        lambda: eps.mean_force_hamiltonian(h_total, (2, 2), beta, H2),
+        lambda: eps.strong_coupling_sigma([(0.0, np.eye(4) / 4, 0.0)], lambda lam: h_total,
+                                          beta, H2, (2, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(eps.EpisodeError, match="inverse temperature must be finite and > 0"):
+            call()

@@ -746,6 +746,49 @@ def test_one_cumsum_verdict_is_the_two_cumsum_verdict(d, tol, equal, seed):
     assert rs.majorization_verdict(g1, g2, tol) is two_cumsum_verdict(g1, g2, tol)
 
 
+def largest_remainders(weights, denominators):
+    """Counts k with k/D near the weights (..., d), one row per entry of
+    denominators (..., 1): the floors of D w, plus one each for the
+    largest fractions until they sum to D."""
+    raw = weights * denominators
+    counts = np.floor(raw).astype(int)
+    order = np.argsort(-(raw - counts), -1)
+    extra = np.arange(raw.shape[-1]) < denominators - counts.sum(-1, keepdims=True)
+    np.put_along_axis(counts, order, np.take_along_axis(counts, order, -1) + extra, -1)
+    return counts
+
+
+@PROPERTY
+@given(st.data(), st.integers(2, 5), st.booleans())
+def test_embedding_rows_are_the_materialized_verdicts(data, d, equal):
+    # every row pair written out as its D entries, sorted, and compared by
+    # its two partial sums, from the smallest D that gives every level an
+    # entry up to 10 000; draws with a partial-sum gap within 1e-13 of
+    # +-MAJORIZATION_TOL are left out
+    tol = rs.MAJORIZATION_TOL
+    e = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                    min_size=d, max_size=d)))
+    p1, p2 = data.draw(weight_rows(d))
+    p2 = p1 if equal else p2
+    beta = np.array(data.draw(st.lists(betas, min_size=len(p1), max_size=len(p1))))
+    gibbs = np.exp(-beta[:, None] * (e - e.min()))
+    gibbs /= gibbs.sum(-1, keepdims=True)
+    every = np.arange(1, 10_001)[:, None, None]
+    resolved = (largest_remainders(gibbs, every) >= 1).all((-2, -1))
+    denominator = data.draw(st.integers(int(every[resolved.argmax(), 0, 0]), 10_000))
+    counts = largest_remainders(gibbs, denominator)
+    if counts.min() < 1:                  # largest remainders need not resolve a larger D
+        with pytest.raises(rs.ResourceError, match="too small"):
+            rs.embedding_verdict_rows(e, p1, p2, beta, denominator)
+        return
+    embedded = [[np.repeat(p / k, k) for p, k in zip(rows, counts)] for rows in (p1, p2)]
+    for g1, g2 in zip(*embedded):
+        gap = np.cumsum(np.sort(g1)[::-1]) - np.cumsum(np.sort(g2)[::-1])
+        hypothesis.assume(np.abs(np.abs(gap) - tol).min() > 1e-13 or equal)
+    assert list(rs.embedding_verdict_rows(e, p1, p2, beta, denominator)) == \
+        [two_cumsum_verdict(g1, g2, tol) for g1, g2 in zip(*embedded)]
+
+
 @PROPERTY
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5), st.integers(0, 2**32 - 1))
 def test_energy_populations_are_read_only_copies(weights, seed):

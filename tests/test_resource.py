@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,19 @@ def test_gamma_embed_identity_for_equal_weights():
     gamma, err = rs.gamma_embed(pop, 1.0, 2)
     assert err < 1e-12
     assert np.allclose(np.sort(gamma), [0.3, 0.7])
+
+
+def test_gamma_embed_error_is_the_largest_level_deviation():
+    # three levels at D = 10 take 7, 2 and 1 entries, whose deviations
+    # |k/D - w| differ by more than a factor of two
+    e, p = np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.3, 0.2])
+    w = np.exp(-e) / np.exp(-e).sum()
+    counts = np.array([7, 2, 1])
+    deviation = np.abs(counts / 10 - w)
+    assert deviation.max() > 2 * deviation.min()
+    gamma, err = rs.gamma_embed(pop_from(e, p), 1.0, 10)
+    assert np.array_equal(gamma, np.repeat(p / counts, counts))
+    assert err == pytest.approx(deviation.max(), rel=1e-12)
 
 
 def test_gamma_embed_matches_curve_verdict():
@@ -411,6 +425,21 @@ def test_gamma_embed_denominator_bounded_before_allocation(monkeypatch, denomina
     monkeypatch.setattr(rs.np, "repeat", no_allocation)
     with pytest.raises(rs.ResourceError, match="denominator"):
         rs.gamma_embed(pop_from(QUBIT, [0.7, 0.3]), BETA, denominator)
+
+
+def test_embedding_rows_write_out_no_embedding():
+    # at the largest denominator one written-out embedding is 80 MB; the
+    # runs of two rows of three levels take a few hundred bytes
+    p1, p2 = [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]], [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]
+    tracemalloc.start()
+    try:
+        verdicts = rs.embedding_verdict_rows([0.0, 0.5, 1.0], p1, p2, BETA,
+                                             rs.MAX_DENOMINATOR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert list(verdicts) == list(rs.thermo_majorizes_rows([0.0, 0.5, 1.0], p1, p2, BETA))
 
 
 def test_majorization_verdict_reads_both_directions():

@@ -13,8 +13,8 @@ KNOB = re.compile(r"tol|^t_max_factor$|^n_grid$|^margin$")
 
 # The parameters that stay, each with the reason.
 ALLOWED = {
-    # the majorization suite compares 10 000-entry gamma-embeddings, whose
-    # partial sums carry more round-off, with 1e-9 against the default 1e-12
+    # written-out 10 000-entry gamma-embeddings, whose partial sums carry
+    # more round-off, are compared with 1e-9 against MAJORIZATION_TOL
     "entroprod.resource.majorization_verdict": "it sets the comparison window per caller",
     "entroprod.resource.majorizes": "it passes the window on to majorization_verdict",
     # the acceptance tests pin each suite's tolerance at the call
