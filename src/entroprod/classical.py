@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .core import NULL_RCOND_TOL, _check_probabilities, bordered_solve
+from .core import NULL_RCOND_TOL, _check_probabilities, bordered_solve, propagate
 
 # A detailed-balance flow asymmetry |W_ij p_j - W_ji p_i| at most this is zero.
 DETAILED_BALANCE_TOL = 1e-10
@@ -87,11 +86,11 @@ def _fill_diagonal(m):
 
 
 def evolve(rates: RateMatrix, p0, t: float):
-    """Propagate dp/dt = W p over time t via the matrix exponential."""
+    """Propagate dp/dt = W p over time t: `core.propagate` on the grid [0, t]."""
     p0 = _check_probabilities(p0, ClassicalError)
     if p0.shape != (rates.w.shape[0],) or not 0.0 <= t < math.inf:
         raise ClassicalError(f"need one probability per state and a finite t >= 0, got t = {t}")
-    p = expm(rates.w * t) @ p0
+    p = propagate(rates.w, [0.0, t], p0, ClassicalError)[1][1]
     if p.min() < -1e-12:
         raise ClassicalError(f"propagation produced negative probability {p.min():.3e}")
     return np.clip(p, 0.0, None) / p.sum()
@@ -438,7 +437,8 @@ def fokker_planck_1d(potential, temperature: float, x_grid, p0,
     f_face, delta = _chang_cooper_faces(-np.gradient(v, x), dx, diffusion)
     gen = _chang_cooper_generator(f_face, delta, dx, diffusion)
     p = np.clip(p, 1e-300, None)
-    p_t = np.clip(expm(gen * t) @ (p / (p.sum() * dx)), 1e-300, None)
+    p_t = np.clip(propagate(gen, [0.0, t], p / (p.sum() * dx), ClassicalError)[1][1],
+                  1e-300, None)
     p_th = np.exp(-(v - v.min()) / temperature)
     p_th = p_th / (p_th.sum() * dx)
 

@@ -41,7 +41,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    HERMITICITY_TOL,
     DensityOperator,
     HermitianOperator,
     HilbertDims,
@@ -50,9 +49,11 @@ from .core import (
     _density_stack,
     _entropy_rows,
     _gibbs,
+    _hermitian,
     _mat,
     _petz_renyi,
     _ptrace_matrix,
+    _unitary,
     add_lindblad_term,
     ancilla_kraus,
     kraus_superop,
@@ -327,9 +328,7 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None) -> Dissipa
     ratio gamma^+/gamma^- per pair; for a thermal ancilla and eigenoperator
     A_k it equals e^{-beta omega_k}.
     """
-    v = _mat(v_int)
-    if np.abs(v - v.conj().T).max() > HERMITICITY_TOL * max(1.0, np.abs(v).max()):
-        raise CollisionalError("interaction V must be Hermitian")
+    v = _hermitian(v_int, CollisionalError)
     ra = rho_ancilla.matrix
     da = rho_ancilla.dim
     d = v.shape[0] // da
@@ -449,7 +448,7 @@ class SwapEngineSpec:
     t_b: float
 
     def __post_init__(self):
-        if min(self.eps_a, self.eps_b, self.t_a, self.t_b) <= 0:
+        if not all(x > 0 for x in (self.eps_a, self.eps_b, self.t_a, self.t_b)):
             raise CollisionalError("SWAP engine parameters must be positive")
 
 
@@ -567,8 +566,9 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
     maximally mixed), or with at_limit_cycle on the limit cycle rho0 flows
     to: its projection onto the fixed points of the cycle's channel, so an
     all-identity cycle keeps rho0.  A cycle that never settles raises
-    CollisionalError (see the module docstring).
+    CollisionalError (see the module docstring), as do v1, v2 failing `core._unitary`.
     """
+    v1, v2 = _unitary(v1, CollisionalError), _unitary(v2, CollisionalError)
     h_h = h_hot or HermitianOperator.from_matrix(np.zeros_like(rho_hot.matrix), rho_hot.dims)
     h_c = h_cold or HermitianOperator.from_matrix(np.zeros_like(rho_cold.matrix), rho_cold.dims)
     rho = rho0 or DensityOperator.maximally_mixed(h_system.dims)
@@ -577,9 +577,9 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
                 @ _stroke_channel(u_sh, rho_hot, before=v1))
         rho = _fixed_point(chan, rho, unique=False)
 
-    m1 = _mat(v1) @ rho.matrix @ _mat(v1).conj().T
+    m1 = v1 @ rho.matrix @ v1.conj().T
     ep_h = Episode(h_system, h_h, u_sh, DensityOperator(m1, rho.dims), rho_hot)
-    m2 = _mat(v2) @ evolve(ep_h).rho_system.matrix @ _mat(v2).conj().T
+    m2 = v2 @ evolve(ep_h).rho_system.matrix @ v2.conj().T
     ep_c = Episode(h_system, h_c, u_sc, DensityOperator(m2, rho.dims), rho_cold)
     bal_h, bal_c = balance(ep_h), balance(ep_c)
     ds = von_neumann_entropy(evolve(ep_c).rho_system) - von_neumann_entropy(rho)

@@ -11,7 +11,8 @@ of the state reads (`_spectrum`, which validates a bare matrix as a state).
 Functions never mutate their arguments, except the superoperator builders
 `add_sided_term`, `add_lindblad_term` and `real_superop`, which work in
 place on the array they are given.  A bare Hamiltonian is read by
-`_hermitian`, the `HermitianOperator` check with the caller's error.
+`_hermitian`, the `HermitianOperator` check with the caller's error, and a
+bare unitary by `_unitary`, the `UnitaryOperator` check with it.
 
 Every entropy and divergence uses one support rule.  Where a spectrum is
 made (`_spectral_weights`, called by the state validation), eigenvalues
@@ -105,14 +106,14 @@ def _as_dims(dims, size) -> HilbertDims:
     return d
 
 
-def _frozen_stack(matrices) -> np.ndarray:
-    """Read-only complex copy of one square matrix or a stack (..., d, d)."""
+def _frozen_stack(matrices, error=CoreError) -> np.ndarray:
+    """Read-only complex copy of one square matrix or stack (..., d, d), else `error`."""
     m = np.array(matrices, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise CoreError(f"expected a square matrix, got shape {m.shape}")
+        raise error(f"expected a square matrix, got shape {m.shape}")
     # Every later check has the form `err > tol`, which is False for NaN.
     if not np.isfinite(m).all():
-        raise CoreError("matrix has NaN or infinite entries")
+        raise error("matrix has NaN or infinite entries")
     m.setflags(write=False)
     return m
 
@@ -214,7 +215,7 @@ def _hermitian(op, error=CoreError) -> np.ndarray:
     matrix or stack (..., d, d) that passes `_check_hermitian`."""
     if isinstance(op, HermitianOperator):
         return op.matrix
-    m = _frozen_stack(_mat(op))
+    m = _frozen_stack(_mat(op), error)
     _check_hermitian(m, error)
     return m
 
@@ -295,11 +296,20 @@ class UnitaryOperator(_Operator):
         _check_unitary(m)
 
 
-def _check_unitary(m):
+def _check_unitary(m, error=CoreError):
     """The `UnitaryOperator` check of one matrix or of a stack (..., d, d):
-    max |U^dag U - 1| within UNITARITY_TOL."""
+    max |U^dag U - 1| within UNITARITY_TOL, else `error`."""
     err = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-    _fail_first(err > UNITARITY_TOL, err, "matrix is not unitary (residual {:.3e})")
+    _fail_first(err > UNITARITY_TOL, err, "matrix is not unitary (residual {:.3e})", error)
+
+
+def _unitary(op, error=CoreError) -> np.ndarray:
+    """`_hermitian` for a `UnitaryOperator` and `_check_unitary`."""
+    if isinstance(op, UnitaryOperator):
+        return op.matrix
+    m = _frozen_stack(_mat(op), error)
+    _check_unitary(m, error)
+    return m
 
 
 # Frequently used single-qubit operators.  Basis ordering (|g>, |e>) with
@@ -761,12 +771,12 @@ def _gibbs_states(h, beta):
     return (vecs * weights) @ vecs.conj().swapaxes(-1, -2), vals
 
 
-def _check_beta(beta, error, positive=False):
-    """beta (one or an array of them) as floats, each finite and >= 0, or
-    > 0 where the caller divides by it; else the exception class `error`."""
+def _check_beta(beta, error, positive=False, name="inverse temperature"):
+    """beta, or the `name`d value (one or an array), as floats: each finite and
+    >= 0, or > 0 where the caller divides by it; else the exception class `error`."""
     b = np.asarray(beta, dtype=float)
     if not (np.isfinite(b) & ((b > 0.0) if positive else (b >= 0.0))).all():
-        raise error(f"inverse temperature must be finite and "
+        raise error(f"{name} must be finite and "
                     f"{'>' if positive else '>='} 0, got {beta}")
     return b
 

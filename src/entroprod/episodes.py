@@ -39,10 +39,8 @@ from .core import (
     UnitaryOperator,
     _as_dims,
     _check_beta,
-    _check_unitary,
     _density_stack,
     _entropy_rows,
-    _frozen_stack,
     _gibbs,
     _gibbs_states,
     _hermitian,
@@ -52,6 +50,7 @@ from .core import (
     _ptrace_matrix,
     _spectrum,
     _trace_distance_rows,
+    _unitary,
     hermitian_function,
     logm_psd,
     mutual_information,
@@ -195,8 +194,7 @@ class EpisodeStack:
         """A validated stack from (N, d, d) arrays: the Hamiltonians and the
         unitaries by the stacked checks of `HermitianOperator` and
         `UnitaryOperator`, the states by `_density_stack`."""
-        hs, he, u = _hermitian(h_system), _hermitian(h_env), _frozen_stack(unitary)
-        _check_unitary(u)
+        hs, he, u = _hermitian(h_system), _hermitian(h_env), _unitary(unitary)
         rs, re = _density_stack(rho_system), _density_stack(rho_env)
         ds, de = rs[0].shape[-1], re[0].shape[-1]
         _check_dims(ds, de, hs.shape[-1], he.shape[-1], u.shape[-1])
@@ -572,11 +570,14 @@ def is_strict_energy_conserving(unitary, h_system, h_env):
     """Check [U, H_S x 1 + 1 x H_E] = 0 within CONSERVATION_TOL*(||H_S|| + ||H_E||).
 
     Returns (flag, residual) with residual the spectral norm of the
-    commutator.
+    commutator; bare U and H are read by `core._unitary` and `core._hermitian`.
     """
-    u = _mat(unitary)
-    hs = _mat(h_system)
-    he = _mat(h_env)
+    return _conservation(_unitary(unitary, EpisodeError), _hermitian(h_system, EpisodeError),
+                         _hermitian(h_env, EpisodeError))
+
+
+def _conservation(u, hs, he):
+    """`is_strict_energy_conserving` of read matrices."""
     h_tot = tensor([hs, np.eye(he.shape[0])]) + tensor([np.eye(hs.shape[0]), he])
     comm = u @ h_tot - h_tot @ u
     residual = float(np.linalg.norm(comm, 2))
@@ -691,7 +692,8 @@ def finite_dimension_bound(d_entropy_system, temperature, dim_env: int):
     """Finite-environment tightening of the erasure bound, valid for
     dS_S < 0:  Q_E >= -T dS + 2 T dS^2 / (4 + ln^2(d_E - 1)); over arrays
     of dS_S and T as well."""
-    if np.any(np.asarray(d_entropy_system) >= 0):
+    _check_beta(temperature, EpisodeError, positive=True, name="temperature")
+    if not np.all(np.asarray(d_entropy_system) < 0):
         raise EpisodeError("finite-dimension correction applies only to dS_S < 0")
     if dim_env < 2:
         raise EpisodeError("environment dimension must be at least 2")
@@ -700,7 +702,8 @@ def finite_dimension_bound(d_entropy_system, temperature, dim_env: int):
 
 
 def _adaptive_simpson(fn, a, b):
-    """Adaptive Simpson quadrature to the relative tolerance SIMPSON_REL_TOL."""
+    """Adaptive Simpson quadrature to the relative tolerance SIMPSON_REL_TOL;
+    a non-finite value, which no refinement resolves, is an error."""
     def simpson(fa, fm, fb, a, b):
         return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
@@ -712,6 +715,8 @@ def _adaptive_simpson(fn, a, b):
         frm = fn(rm)
         left = simpson(fa, flm, fm, a, m)
         right = simpson(fm, frm, fb, m, b)
+        if not math.isfinite(left + right):
+            raise EpisodeError(f"quadrature of a non-finite integrand on [{a}, {b}]")
         if depth > 48:
             return left + right
         if abs(left + right - whole) <= 15.0 * SIMPSON_REL_TOL * (abs(left + right) + 1e-300):
@@ -733,7 +738,8 @@ def heat_capacity_bound(d_entropy_system: float, temperature: float, heat_capaci
     (`_invert_entropy`), each step a quadrature of C_E/tau.
     Requires dS_S < 0 (erasure) so the target temperature lies above T.
     """
-    if d_entropy_system >= 0:
+    _check_beta(temperature, EpisodeError, positive=True, name="temperature")
+    if not d_entropy_system < 0:
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
     t_prime = _invert_entropy(lambda tp: _adaptive_simpson(
         lambda x: heat_capacity(x) / x, temperature, float(tp)), -d_entropy_system,
@@ -746,9 +752,9 @@ def gibbs_erasure_bound(d_entropy_system, temperature, energies):
     `energies`, where S(T') and Q(T') are closed forms: S = <E>/T' + ln Z
     and Q(T') = <E>_T' - <E>_T (Timpanaro, Santos & Landi, PRL 124, 240601
     (2020)).  Over rows: dS_S, T and one level set per row."""
-    ds, temp = np.broadcast_arrays(np.asarray(d_entropy_system, float),
-                                   np.asarray(temperature, float))
-    if np.any(ds >= 0):
+    ds, temp = np.broadcast_arrays(np.asarray(d_entropy_system, float), _check_beta(
+        temperature, EpisodeError, positive=True, name="temperature"))
+    if not np.all(ds < 0):
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
     levels = np.asarray(energies, dtype=float)
     levels = levels - levels.min(-1, keepdims=True)
@@ -908,7 +914,7 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
     """Second law with initial correlations:
     (beta_B - beta_A) Q_B >= dI(A:B); consuming correlations can revert
     the heat flow."""
-    after, q_b = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, EpisodeError)
+    _, after, q_b = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, EpisodeError)
     after = DensityOperator(after, rho_ab.dims)
     d_mi = mutual_information(after, [0]) - mutual_information(rho_ab, [0])
     lhs = (beta_b - beta_a) * q_b
@@ -922,9 +928,9 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
 
 
 def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b, error):
-    """rho_AB' = U rho_AB U^dag and the unitary heat Q_B = Tr{(1 x H_B) (rho_AB' - rho_AB)},
-    once H_A and H_B (`core._hermitian`) match the factors of rho_AB, its marginals are
-    thermal (`_thermality`) and U strictly conserves H_A + H_B; else an `error`."""
+    """(H_A, H_B, U) as read, rho_AB' = U rho_AB U^dag and Q_B = Tr{(1 x H_B) (rho_AB' - rho_AB)},
+    once H_A and H_B (`core._hermitian`) match the factors of rho_AB, its marginals are thermal
+    (`_thermality`) and U (`core._unitary`) strictly conserves H_A + H_B; else an `error`."""
     h_a, h_b, factors = _hermitian(h_a, error), _hermitian(h_b, error), rho_ab.dims.factors
     if (len(h_a), len(h_b)) != factors:
         raise error(f"H_A and H_B do not match rho_AB of dims {factors}")
@@ -932,13 +938,13 @@ def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b
         marginal = _ptrace_matrix(rho_ab.matrix, factors, keep)
         if _thermality(marginal, h, _check_beta(beta, error))[0]:
             raise error(f"marginal of {name.upper()} is not thermal at beta_{name}")
-    ok, res = is_strict_energy_conserving(unitary, h_a, h_b)
+    u = _unitary(unitary, error)
+    ok, res = _conservation(u, h_a, h_b)
     if not ok:
         raise error(f"unitary violates strict energy conservation ({res:.3e})")
-    u = _mat(unitary)
     after = u @ rho_ab.matrix @ u.conj().T
     hb_full = tensor([np.eye(len(h_a)), h_b])
-    return after, float(np.real(np.trace(hb_full @ (after - rho_ab.matrix))))
+    return (h_a, h_b, u), after, float(np.real(np.trace(hb_full @ (after - rho_ab.matrix))))
 
 
 def two_qubit_exchange_scenario(alpha, theta, phi, g, t, beta_a, beta_b, omega=1.0):

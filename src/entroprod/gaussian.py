@@ -24,6 +24,7 @@ from scipy.linalg import solve_continuous_lyapunov
 from .core import (
     ChargeSectors,
     DensityOperator,
+    _check_beta,
     _ptrace_matrix,
     _spectral_weights,
     propagate,
@@ -271,9 +272,9 @@ class TwoModeNessSpec:
     n_tb: float
 
     def __post_init__(self):
-        if min(self.omega_a, self.omega_b, self.kappa_a, self.gamma_b) <= 0:
+        if not all(x > 0 for x in (self.omega_a, self.omega_b, self.kappa_a, self.gamma_b)):
             raise GaussianError("frequencies and rates must be positive")
-        if self.n_tb < 0:
+        if not self.n_tb >= 0:
             raise GaussianError("bath occupation must be non-negative")
 
 
@@ -455,8 +456,9 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     the interaction conserves both total quanta and total asymmetry,
     which is validated structurally (`_exchange_blocks`) and dynamically
     (moment conservation along the evolution).  V conserves the total
-    quanta, so U = exp(-i t V) is built and applied sector by sector.
+    quanta, so U = exp(-i t V) is built and applied sector by sector; beta > 0.
     """
+    _check_beta(spec.beta, GaussianError, positive=True)
     n = spec.fock_cut
     a1 = destroy(n)
     ig = 1j * spec.g

@@ -31,6 +31,7 @@ from .core import (
     NULL_RCOND_TOL,
     CoreError,
     DensityOperator,
+    _check_beta,
     _check_hermitian,
     _mat,
     add_lindblad_term,
@@ -368,7 +369,8 @@ def squeezed_dissipator(gamma: float, nbar: float, r: float, theta: float,
 
 
 def thermal_qubit_model(omega: float, gamma: float, beta: float) -> LindbladModel:
-    """Two-level amplitude damping with detailed-balanced rates."""
+    """Two-level amplitude damping with detailed-balanced rates; beta > 0."""
+    _check_beta(beta, LindbladError, positive=True)
     h = omega * np.diag([0.0, 1.0]).astype(complex)
     lower = np.array([[0, 1], [0, 0]], dtype=complex)   # |g><e|
     nb = 1.0 / (math.exp(beta * omega) - 1.0)

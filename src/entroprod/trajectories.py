@@ -47,6 +47,7 @@ from .core import (
     _mat,
     _petz_renyi,
     _spectrum,
+    _unitary,
     tensor,
 )
 from .episodes import Episode, EpisodeStack, _thermal_exchange
@@ -352,12 +353,12 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     other decomposition.  rho' = V rho_i^th V^dag has the weights p_n of
     rho_i^th on the eigenvectors V|i_n>, so the lag reads the overlaps
     <f_m|V|i_n> with the eigenvectors of rho_f^th, whose weights are the
-    Gibbs weights of H_f.  Bare Hamiltonians are read by `core._hermitian`."""
+    Gibbs weights of H_f.  Bare H and V are read by `core._hermitian` and `core._unitary`."""
     beta = _check_beta(beta, TrajectoryError, positive=True)
     ei, vi = np.linalg.eigh(_hermitian(h_initial, TrajectoryError))
     ef, vf = np.linalg.eigh(_hermitian(h_final, TrajectoryError))
     (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
-    amp = vf.conj().swapaxes(-1, -2) @ _mat(protocol_unitary) @ vi
+    amp = vf.conj().swapaxes(-1, -2) @ _unitary(protocol_unitary, TrajectoryError) @ vi
     trans = np.abs(amp) ** 2
     mean_w = (trans * pi[..., None, :] * (ef[..., :, None] - ei[..., None, :])).sum((-2, -1))
     return WorkRows((ei, pi, vi), (ef, pf, vf), trans, (log_zi - log_zf) / beta, mean_w,
@@ -610,11 +611,10 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     [mA, mB, nA, nB]; its backward process starts from the same dephased
     state on the final outcomes and runs U^dag.
     """
-    _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, TrajectoryError)
-    ea, va = np.linalg.eigh(_hermitian(h_a, TrajectoryError))
-    eb, vb = np.linalg.eigh(_hermitian(h_b, TrajectoryError))
+    (h_a, h_b, u), _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a,
+                                                       beta_b, TrajectoryError)
+    (ea, va), (eb, vb) = np.linalg.eigh(h_a), np.linalg.eigh(h_b)
     basis = tensor([va, vb])
-    u = _mat(unitary)
     da, db = len(ea), len(eb)
     p_joint = np.maximum(populations(rho_ab, basis), 0.0).reshape(da, db)
     w = (np.abs(basis.conj().T @ u @ basis) ** 2).reshape(da, db, da, db)
@@ -662,8 +662,8 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     ps, vs = _spectrum(rho_ab)
     ea, va = np.linalg.eigh(_hermitian(h_a, TrajectoryError))
     eb, vb = np.linalg.eigh(_hermitian(h_b, TrajectoryError))
-    basis = tensor([va, vb])
-    amp_m = np.abs(basis.conj().T @ _mat(unitary) @ vs) ** 2   # [(mA mB), s]
+    basis, u = tensor([va, vb]), _unitary(unitary, TrajectoryError)
+    amp_m = np.abs(basis.conj().T @ u @ vs) ** 2               # [(mA mB), s]
     amp_n = np.abs(basis.conj().T @ vs) ** 2                   # [(nA nB), s]
     p = ps[:, None, None] * amp_n.T[:, :, None] * amp_m.T[:, None, :]
     e_b = np.tile(eb, len(ea))                                 # E_B of a joint index
@@ -690,13 +690,17 @@ class MeasurementTrajectories:
     seed: int | None
 
 
-def _unitary(m, d, what) -> np.ndarray:
-    m = _mat(m)
-    if m.shape != (d, d):
-        raise TrajectoryError(f"{what} has shape {m.shape}, not ({d}, {d})")
-    if not np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-9:
-        raise TrajectoryError(f"{what} is not unitary")
-    return m
+def _unitary_stack(matrices, d, what) -> np.ndarray:
+    """The (n, d, d) stack of `matrices`, each checked for shape (d, d) and
+    then all read by one `core._unitary`, whose message is prefixed by `what`."""
+    ms = [_mat(m) for m in matrices]
+    for i, m in enumerate(ms):
+        if m.shape != (d, d):
+            raise TrajectoryError(f"{what} {i} has shape {m.shape}, not ({d}, {d})")
+    try:
+        return _unitary(np.reshape(ms, (-1, d, d)), TrajectoryError)
+    except TrajectoryError as err:
+        raise TrajectoryError(f"{what} {err}") from None
 
 
 def _draw(columns, k, u):
@@ -732,10 +736,10 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
         raise TrajectoryError("psi0 must be finite and nonzero")
     psi = psi / norm
     d = len(psi)
-    bases = [_unitary(b, d, f"measurement basis {i}") for i, b in enumerate(bases)]
+    bases = _unitary_stack(bases, d, "measurement basis")
     if len(unitaries) != len(bases) - 1:
         raise TrajectoryError("need exactly one unitary between consecutive bases")
-    unitaries = [_unitary(u, d, f"unitary {i}") for i, u in enumerate(unitaries)]
+    unitaries = _unitary_stack(unitaries, d, "unitary")
     p0 = np.abs(bases[0].conj().T @ psi) ** 2
     steps = [np.abs(b_next.conj().T @ u @ b_prev) ** 2           # [k', k]
              for b_prev, u, b_next in zip(bases[:-1], unitaries, bases[1:])]

@@ -1,8 +1,8 @@
 """Invalid input fails at the validation boundary with a typed error: one
 row per input check that the other tests do not reach, each with the call,
 the error class and a fragment of its message.  A bare matrix given as a
-state, a probability vector, a bare Hamiltonian and a declared bath
-temperature each pass their type's one check."""
+state, a probability vector, a bare Hamiltonian, a bare unitary and a
+declared bath temperature each pass their type's one check."""
 
 import json
 from pathlib import Path
@@ -28,6 +28,7 @@ from entroprod.core import (
     UnitaryOperator,
     thermal_state,
 )
+from entroprod.rand import ginibre, haar_unitaries
 
 H2 = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
 H3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0]))
@@ -38,6 +39,7 @@ FLIP = UnitaryOperator.from_matrix(PAULI_X)
 HALF = [0.5, 0.5]
 NAN = float("nan")
 NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
+THERMAL_AB = DensityOperator.from_matrix(np.kron(RHO2.matrix, RHO2.matrix), (2, 2))
 
 
 def _episode(**changes):
@@ -132,7 +134,7 @@ CASES = {
         cm.CollisionalError, "n_strokes must be >= 1"),
     "collisional.continuous_limit non-Hermitian V": (
         lambda: cm.continuous_limit(np.kron(core.SIGMA_PLUS, np.eye(2)), RHO2),
-        cm.CollisionalError, "interaction V must be Hermitian"),
+        cm.CollisionalError, "not Hermitian"),
     "collisional.preferred_basis work strokes": (
         lambda: cm.preferred_basis(cm.CollisionSpec((_stroke(),), (H2,), (FLIP,)), RHO2, 2),
         cm.CollisionalError, "instantaneous (identity) work strokes"),
@@ -155,6 +157,9 @@ CASES = {
     "collisional.SwapEngineSpec gap": (
         lambda: cm.SwapEngineSpec(0.0, 1.0, 1.0, 1.0), cm.CollisionalError,
         "SWAP engine parameters must be positive"),
+    "collisional.SwapEngineSpec NaN gap": (
+        lambda: cm.swap_engine(cm.SwapEngineSpec(1.0, NAN, 1.0, 0.5)), cm.CollisionalError,
+        "SWAP engine parameters must be positive"),
     # episodes
     "episodes Hamiltonian dims": (
         lambda: _episode(h_system=H3), eps.EpisodeError, "Hamiltonian dims do not match"),
@@ -168,6 +173,21 @@ CASES = {
     "episodes.finite_dimension_bound dimension": (
         lambda: eps.finite_dimension_bound(-0.1, 1.0, 1), eps.EpisodeError,
         "environment dimension must be at least 2"),
+    "episodes.finite_dimension_bound temperature": (
+        lambda: eps.finite_dimension_bound(-0.1, -1.0, 4), eps.EpisodeError,
+        "temperature must be finite and > 0"),
+    "episodes.gibbs_erasure_bound NaN temperature": (
+        lambda: eps.gibbs_erasure_bound(-0.1, NAN, [0.0, 1.0]), eps.EpisodeError,
+        "temperature must be finite and > 0"),
+    "episodes.finite_dimension_bound NaN dS_S": (
+        lambda: eps.finite_dimension_bound(NAN, 1.0, 4), eps.EpisodeError,
+        "applies only to dS_S < 0"),
+    "episodes.heat_capacity_bound NaN dS_S": (
+        lambda: eps.heat_capacity_bound(NAN, 1.0, lambda t: t), eps.EpisodeError,
+        "applies only to dS_S < 0"),
+    "episodes.gibbs_erasure_bound NaN dS_S": (
+        lambda: eps.gibbs_erasure_bound([-0.1, NAN], 1.0, [0.0, 1.0]), eps.EpisodeError,
+        "applies only to dS_S < 0"),
     "episodes.heat_capacity_bound erasure": (
         lambda: eps.heat_capacity_bound(0.1, 1.0, lambda t: t), eps.EpisodeError,
         "heat-capacity bound applies only to dS_S < 0"),
@@ -216,6 +236,17 @@ CASES = {
     "gaussian.TwoModeNessSpec occupation": (
         lambda: gs.TwoModeNessSpec(1.0, 1.5, 0.3, 0.4, 0.2, -0.1), gs.GaussianError,
         "bath occupation must be non-negative"),
+    "gaussian.TwoModeNessSpec NaN occupation": (
+        lambda: gs.TwoModeNessSpec(1.0, 1.5, 0.3, 0.4, 0.2, NAN), gs.GaussianError,
+        "bath occupation must be non-negative"),
+    "gaussian.squeezed_sigma zero beta": (
+        lambda: gs.squeezed_sigma(gs.SqueezedExchangeSpec(1.0, 1.0, 0.5, 0.2, 0.3, 0.0, 4),
+                                  DensityOperator.maximally_mixed(4)),
+        gs.GaussianError, "inverse temperature must be finite and > 0"),
+    "gaussian.squeezed_sigma NaN beta": (
+        lambda: gs.squeezed_sigma(gs.SqueezedExchangeSpec(1.0, 1.0, 0.5, 0.2, 0.3, NAN, 4),
+                                  DensityOperator.maximally_mixed(4)),
+        gs.GaussianError, "inverse temperature must be finite and > 0"),
     # lindblad
     "lindblad non-square Hamiltonian": (
         lambda: lb.LindbladModel(np.ones((2, 3)), ()), lb.LindbladError,
@@ -230,6 +261,12 @@ CASES = {
     "lindblad non-Hermitian Hamiltonian": (
         lambda: lb.LindbladModel(NOT_HERMITIAN, ((SIGMA_MINUS, 1.0),)), lb.LindbladError,
         "not Hermitian"),
+    "lindblad.thermal_qubit_model zero beta": (
+        lambda: lb.thermal_qubit_model(1.0, 1.0, 0.0), lb.LindbladError,
+        "inverse temperature must be finite and > 0"),
+    "lindblad.thermal_qubit_model negative beta": (
+        lambda: lb.thermal_qubit_model(1.0, 1.0, -1.0), lb.LindbladError,
+        "inverse temperature must be finite and > 0"),
     "lindblad.validate_kerr_truncation occupation": (
         lambda: lb.validate_kerr_truncation(lb.LindbladModel(np.zeros((4, 4)), ()),
                                             DensityOperator.pure([0, 0, 0, 1])),
@@ -335,3 +372,115 @@ def test_mean_force_hamiltonian_needs_a_positive_beta(beta):
     for call in calls:
         with pytest.raises(eps.EpisodeError, match="inverse temperature must be finite and > 0"):
             call()
+
+
+# A bare unitary passes the `UnitaryOperator` check (`core._unitary`) with the
+# module's error: 2 I, a Haar unitary scaled by 1 + 1e-6, a NaN entry and a
+# non-square matrix, each as a function of the dimension.
+BAD_UNITARIES = {
+    "2I": (lambda d: 2.0 * np.eye(d), "matrix is not unitary (residual"),
+    "Haar x (1 + 1e-6)": (
+        lambda d: (1.0 + 1e-6) * haar_unitaries(ginibre(np.random.default_rng(d), d, d)),
+        "matrix is not unitary (residual"),
+    "NaN": (lambda d: np.diag([NAN] + [1.0] * (d - 1)), "NaN or infinite entries"),
+    "non-square": (lambda d: np.eye(d)[:, :-1], "expected a square matrix"),
+}
+UNITARY_READERS = {
+    # entry point: (its call on a bare U, the dimension of U, the error)
+    "episodes.is_strict_energy_conserving": (
+        lambda u: eps.is_strict_energy_conserving(u, H2, H2), 4, eps.EpisodeError),
+    "episodes.correlated_heat_flow": (
+        lambda u: eps.correlated_heat_flow(THERMAL_AB, H2, H2, u, 1.0, 1.0), 4,
+        eps.EpisodeError),
+    "trajectories.correlated_tpm": (
+        lambda u: tj.correlated_tpm(THERMAL_AB, H2, H2, u, 1.0, 1.0), 4, tj.TrajectoryError),
+    "trajectories.work_distribution": (
+        lambda u: tj.work_distribution(PAULI_Z, PAULI_Z + PAULI_X, u, 1.0), 2,
+        tj.TrajectoryError),
+    "trajectories.work_cgf": (
+        lambda u: tj.work_cgf(PAULI_Z, PAULI_Z + PAULI_X, u, 1.0, [0.0, 0.5]), 2,
+        tj.TrajectoryError),
+    "trajectories.augmented_tpm": (
+        lambda u: tj.augmented_tpm(THERMAL_AB, u, H2, H2), 4, tj.TrajectoryError),
+    "trajectories.measurement_trajectories": (
+        lambda u: tj.measurement_trajectories([1.0, 0.0], [np.eye(2), np.eye(2)], [u]), 2,
+        tj.TrajectoryError),
+    "collisional.four_stroke v1": (
+        lambda u: cm.four_stroke(u, np.eye(2), ID4, ID4, RHO2, RHO2, H2), 2,
+        cm.CollisionalError),
+    "collisional.four_stroke v2": (
+        lambda u: cm.four_stroke(np.eye(2), u, ID4, ID4, RHO2, RHO2, H2, at_limit_cycle=False),
+        2, cm.CollisionalError),
+}
+# measurement_trajectories names a matrix of the wrong shape by its index first
+UNITARY_CASES = [(reader, bad) for reader in UNITARY_READERS for bad in BAD_UNITARIES
+                 if (reader, bad) != ("trajectories.measurement_trajectories", "non-square")]
+
+
+@pytest.mark.parametrize("reader, bad", UNITARY_CASES,
+                         ids=[f"{reader} {bad}" for reader, bad in UNITARY_CASES])
+def test_bare_unitaries_raise_the_module_error(reader, bad):
+    call, d, error = UNITARY_READERS[reader]
+    make, fragment = BAD_UNITARIES[bad]
+    with pytest.raises(error) as info:
+        call(make(d))
+    assert fragment in str(info.value)
+
+
+BAD_HAMILTONIANS = {
+    "NaN": ([[NAN, 0.0], [0.0, 1.0]], "NaN or infinite entries"),
+    "non-square": (np.ones((2, 3)), "expected a square matrix"),
+}
+HAMILTONIAN_READERS = {
+    # entry point: (its call on a bare 2 x 2 H, the error)
+    "episodes.is_strict_energy_conserving": (
+        lambda h: eps.is_strict_energy_conserving(np.eye(4), h, H2), eps.EpisodeError),
+    "episodes.correlated_heat_flow": (
+        lambda h: eps.correlated_heat_flow(THERMAL_AB, h, H2, ID4, 1.0, 1.0), eps.EpisodeError),
+    "episodes.mean_force_hamiltonian": (
+        lambda h: eps.mean_force_hamiltonian(np.eye(4), (2, 2), 1.0, h), eps.EpisodeError),
+    "trajectories.work_distribution": (
+        lambda h: tj.work_distribution(h, PAULI_Z, np.eye(2), 1.0), tj.TrajectoryError),
+    "trajectories.augmented_tpm": (
+        lambda h: tj.augmented_tpm(THERMAL_AB, ID4, h, H2), tj.TrajectoryError),
+    "resource.work_bounds_rows": (
+        lambda h: rs.work_bounds_rows(np.asarray(h)[None], 1.0, (np.eye(2) / 2)[None],
+                                      0.0, 0.0, [0.5]),
+        rs.ResourceError),
+    "collisional.continuous_limit": (
+        lambda h: cm.continuous_limit(h, RHO2), cm.CollisionalError),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_HAMILTONIANS)
+@pytest.mark.parametrize("reader", HAMILTONIAN_READERS)
+def test_bare_hamiltonians_raise_the_module_error(reader, bad):
+    call, error = HAMILTONIAN_READERS[reader]
+    h, fragment = BAD_HAMILTONIANS[bad]
+    with pytest.raises(error) as info:
+        call(h)
+    assert fragment in str(info.value)
+
+
+def _capacity(value):
+    """A heat capacity C(T) = value(T) that fails the test past 10 000 calls,
+    so a quadrature that cannot stop shows as a failure, not a hang."""
+    calls = []
+
+    def capacity(t):
+        calls.append(t)
+        assert len(calls) <= 10_000, "heat capacity evaluated more than 10 000 times"
+        return value(t)
+    return capacity
+
+
+@pytest.mark.parametrize("temperature, value", [
+    (NAN, lambda t: t),                  # the quadrature's limits are NaN
+    (1.0, lambda t: NAN),                # the integrand is NaN
+    (1.0, lambda t: float("inf") * t),   # the integrand is infinite
+    (-1.0, lambda t: t),
+], ids=["NaN temperature", "NaN capacity", "infinite capacity", "negative temperature"])
+def test_heat_capacity_bound_rejects_what_no_quadrature_resolves(temperature, value):
+    # at 2^49 possible evaluations, each of these ran past a 10 s limit
+    with pytest.raises(eps.EpisodeError, match="^temperature must be finite|non-finite integrand"):
+        eps.heat_capacity_bound(-0.1, temperature, _capacity(value))

@@ -12,9 +12,10 @@ import scipy.linalg
 
 from entroprod import (collisional as cm, episodes as eps, lindblad as lb, resource as rs,
                        trajectories as tj)
-from entroprod.core import (DensityOperator, HermitianOperator, UnitaryOperator, _petz_renyi,
-                            classical_kl, kraus_superop, partial_trace, relative_entropy,
-                            renyi_divergence, tensor, thermal_state, von_neumann_entropy)
+from entroprod.core import (CoreError, DensityOperator, HermitianOperator, UnitaryOperator,
+                            _petz_renyi, _unitary, classical_kl, kraus_superop, partial_trace,
+                            relative_entropy, renyi_divergence, tensor, thermal_state,
+                            von_neumann_entropy)
 from entroprod.resource import classical_renyi_divergence
 from entroprod.rand import (density_matrices, ginibre, haar_unitaries, random_density,
                             random_unitary)
@@ -841,3 +842,42 @@ def test_drawn_lindblad_models_keep_the_trace_and_reach_a_steady_state(draw):
     h[0, -1] += 1.0                       # the same H, no longer Hermitian
     with pytest.raises(lb.LindbladError, match="not Hermitian"):
         lb.LindbladModel(h, jumps)
+
+
+class _Rejected(ValueError):
+    """The caller's error class handed to `core._unitary`."""
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.integers(1, 4), st.lists(st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6]),
+                                   min_size=1, max_size=3),
+       st.sampled_from(["none", "nan", "non-square"]), st.integers(0, 2**32 - 1))
+def test_bare_unitaries_pass_exactly_the_unitary_operator_check(d, scales, defect, seed):
+    # a stack of Haar unitaries, each scaled by 1 + eps, maybe with a NaN
+    # entry or a column too many: core._unitary raises the caller's error
+    # exactly when UnitaryOperator rejects some matrix of the stack, else it
+    # returns the stack as a read-only copy; 50 examples, about 0.2 s
+    rng = np.random.default_rng(seed)
+    stack = haar_unitaries(np.array([ginibre(rng, d, d) for _ in scales]))
+    stack = stack * (1.0 + np.array(scales))[:, None, None]
+    if defect == "nan":
+        stack[tuple(rng.integers(n) for n in stack.shape)] = math.nan
+    elif defect == "non-square":
+        stack = np.concatenate([stack, stack[..., :1]], axis=-1)
+
+    def accepted(m):
+        try:
+            UnitaryOperator.from_matrix(m)
+        except CoreError:
+            return False
+        return True
+
+    for m, ok in [(stack, all(map(accepted, stack)))] + [(m, accepted(m)) for m in stack]:
+        if ok:
+            got = _unitary(m, _Rejected)
+            assert np.array_equal(got, m) and not got.flags.writeable
+        else:
+            with pytest.raises(_Rejected):
+                _unitary(m, _Rejected)
+    op = UnitaryOperator.from_matrix(haar_unitaries(ginibre(rng, d, d)))
+    assert _unitary(op, _Rejected) is op.matrix
