@@ -49,24 +49,15 @@ class RateMatrix:
     reservoirs: tuple | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.shape[0] != w.shape[1]:
-            raise ClassicalError("rate matrix must be square")
-        if not np.isfinite(w).all():
-            raise ClassicalError("rates must be finite")
-        off = w - np.diag(np.diag(w))
-        if off.min() < -1e-12:
-            raise ClassicalError(f"negative off-diagonal rate {off.min():.3e}")
-        col = np.abs(w.sum(axis=0)).max()
-        if col > 1e-9 * max(1.0, np.abs(w).max()):
-            raise ClassicalError(f"columns must sum to zero (residual {col:.3e})")
+        w = _check_generator(self.w, "rate matrix")
         object.__setattr__(self, "w", w)
         if self.reservoirs is not None:
-            parts = tuple(np.asarray(p, dtype=float) for p in self.reservoirs)
-            if not all(np.isfinite(p).all() for p in parts):
-                raise ClassicalError("reservoir rates must be finite")
-            total = sum(parts)
-            if np.abs(total - w).max() > 1e-9 * max(1.0, np.abs(w).max()):
+            parts = tuple(_check_generator(p, f"reservoir part {k}", w.shape)
+                          for k, p in enumerate(self.reservoirs))
+            rest = w.copy()
+            for part in parts:
+                rest -= part
+            if max(rest.max(), -rest.min()) > 1e-9 * max(1.0, w.max(), -w.min()):
                 raise ClassicalError("reservoir parts do not sum to the full generator")
             object.__setattr__(self, "reservoirs", parts)
 
@@ -78,6 +69,30 @@ class RateMatrix:
         return cls(_fill_diagonal(np.array(rates, dtype=float)), parts)
 
 
+def _check_generator(m, name, shape=None):
+    """m as a float generator, the rule for a rate matrix and for each of
+    its reservoir parts: non-empty, square (of `shape` when given), finite,
+    no off-diagonal rate below -1e-12 and columns summing to zero within
+    1e-9 of the largest rate; else ClassicalError naming m."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ClassicalError(f"{name} must be square and non-empty, got shape {m.shape}")
+    n = m.shape[0]
+    if shape is not None and m.shape != shape:
+        raise ClassicalError(f"{name} is {n}x{n}, the rate matrix {shape[0]}x{shape[1]}")
+    low, high = m.min(), m.max()
+    if not math.isfinite(low) or not math.isfinite(high):     # NaN fails too
+        raise ClassicalError(f"{name}: rates must be finite")
+    # the off-diagonal entries as a strided view: row r holds m[r, r+1 ..] and m[r+1, .. r]
+    off = m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].min(initial=0.0)
+    if off < -1e-12:
+        raise ClassicalError(f"{name}: negative off-diagonal rate {off:.3e}")
+    col = np.abs(m.sum(axis=0)).max()
+    if col > 1e-9 * max(1.0, high, -low):
+        raise ClassicalError(f"{name}: columns must sum to zero (residual {col:.3e})")
+    return m
+
+
 def _fill_diagonal(m):
     """Set the diagonal of m in place so that its columns sum to zero."""
     np.fill_diagonal(m, 0.0)
@@ -85,11 +100,22 @@ def _fill_diagonal(m):
     return m
 
 
+def _probabilities(rates: RateMatrix, p, name="p"):
+    """p as one probability per state of `rates` (`_check_probabilities`),
+    else ClassicalError naming both sizes."""
+    p = _check_probabilities(p, ClassicalError)
+    n = rates.w.shape[0]
+    if p.shape != (n,):
+        raise ClassicalError(f"{name} has shape {p.shape}, not ({n},) for the {n} states "
+                             "of the rate matrix")
+    return p
+
+
 def evolve(rates: RateMatrix, p0, t: float):
     """Propagate dp/dt = W p over time t: `core.propagate` on the grid [0, t]."""
-    p0 = _check_probabilities(p0, ClassicalError)
-    if p0.shape != (rates.w.shape[0],) or not 0.0 <= t < math.inf:
-        raise ClassicalError(f"need one probability per state and a finite t >= 0, got t = {t}")
+    p0 = _probabilities(rates, p0, "p0")
+    if not 0.0 <= t < math.inf:
+        raise ClassicalError(f"need a finite t >= 0, got t = {t}")
     p = propagate(rates.w, [0.0, t], p0, ClassicalError)[1][1]
     if p.min() < -1e-12:
         raise ClassicalError(f"propagation produced negative probability {p.min():.3e}")
@@ -151,7 +177,7 @@ class SchnakenbergRates:
 def schnakenberg(rates: RateMatrix, p) -> SchnakenbergRates:
     """Single-generator split: Sigma_rate = 1/2 sum J_ij X_ij >= 0 and the
     flux is linear in p; dS/dt = Sigma_rate - Phi_rate exactly."""
-    p = _check_probabilities(p, ClassicalError)
+    p = _probabilities(rates, p)
     w = rates.w
     i, j, jj, xx = _edge_terms(w, p)
     currents, forces = np.zeros((2,) + w.shape)
@@ -173,7 +199,7 @@ def multibath_sigma(rates: RateMatrix, p):
     """
     if rates.reservoirs is None:
         raise ClassicalError("rate matrix carries no reservoir decomposition")
-    p = _check_probabilities(p, ClassicalError)
+    p = _probabilities(rates, p)
     sigma_correct = 0.0
     for part in rates.reservoirs:
         _, _, jj, xx = _edge_terms(part, p)
@@ -190,8 +216,7 @@ def kl_divergence_rate(rates: RateMatrix, p, p_stationary):
     (W p)_i = 0.  p*_i = 0 where p_i or (W p)_i is not is an error:
     S(p || p*) is or becomes infinite.
     """
-    p = _check_probabilities(p, ClassicalError)
-    q = _check_probabilities(p_stationary, ClassicalError)
+    p, q = _probabilities(rates, p), _probabilities(rates, p_stationary, "p_stationary")
     flow = rates.w @ p
     if ((q == 0.0) & ((p > 0.0) | (flow != 0.0))).any():
         raise ClassicalError("relative entropy to p* is infinite: p* vanishes "
@@ -203,7 +228,7 @@ def kl_divergence_rate(rates: RateMatrix, p, p_stationary):
 
 
 def is_detailed_balanced(rates: RateMatrix, p_stationary) -> bool:
-    flow = rates.w * np.asarray(p_stationary, dtype=float)
+    flow = rates.w * _probabilities(rates, p_stationary, "p_stationary")
     return bool(np.all(np.abs(flow - flow.T) <= DETAILED_BALANCE_TOL))
 
 
@@ -268,12 +293,13 @@ def tur_check(rates: RateMatrix, counted, p_stationary=None):
     """Thermodynamic uncertainty relation var/J^2 >= 2/Sigma_rate at the
     steady state; returns (lhs, rhs, satisfied)."""
     p_ss = stationary_distribution(rates) if p_stationary is None \
-        else _check_probabilities(p_stationary, ClassicalError)
+        else _probabilities(rates, p_stationary, "p_stationary")
     j, var = _current_cumulants(rates, counted, p_ss)
+    # a current within DETAILED_BALANCE_TOL of 0 is round-off of a vanishing one
+    if abs(j) <= DETAILED_BALANCE_TOL:
+        raise ClassicalError(f"counted current vanishes (J = {j:.1e}); TUR check undefined")
     sigma, _ = multibath_sigma(rates, p_ss) if rates.reservoirs is not None \
         else (schnakenberg(rates, p_ss).sigma_rate, None)
-    if j == 0:
-        raise ClassicalError("counted current vanishes; TUR check undefined")
     lhs = var / j ** 2
     rhs = 2.0 / sigma
     return lhs, rhs, lhs >= rhs - 1e-8
@@ -324,6 +350,15 @@ def _flip_generator(rates, sites):
     return _fill_diagonal(part)
 
 
+def _summed(parts) -> RateMatrix:
+    """The rate matrix of the reservoir parts, their sum made in place in one
+    copy of the first (each part is a dense 2^N x 2^N array)."""
+    w = parts[0].copy()
+    for part in parts[1:]:
+        w += part
+    return RateMatrix(w, parts)
+
+
 def glauber_ising(n_sites: int, coupling: float, temperature, mu,
                   adjacency) -> RateMatrix:
     """Single-spin-flip lattice with per-site reservoirs.
@@ -341,7 +376,7 @@ def glauber_ising(n_sites: int, coupling: float, temperature, mu,
     parts = tuple(
         _flip_generator(rates, [site for site, k in enumerate(keys) if k == key])
         for key in sorted(set(keys)))
-    return RateMatrix(sum(parts), parts)
+    return _summed(parts)
 
 
 def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
@@ -360,7 +395,7 @@ def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
         _flip_generator(_flip_rates(n_sites, coupling, adjacency, 1.0 / temperature, mu),
                         range(n_sites))
         for mu in (mu_a, mu_b))
-    return RateMatrix(sum(parts), parts)
+    return _summed(parts)
 
 
 def ring_adjacency(n_sites: int):

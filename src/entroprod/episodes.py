@@ -734,24 +734,30 @@ def heat_capacity_bound(d_entropy_system: float, temperature: float, heat_capaci
     """Erasure bound from the environment heat capacity.
 
     With Q(T') = int_T^T' C_E and S(T') = int_T^T' C_E/tau, the bound is
-    Q_E >= Q(S^{-1}(-dS_S)).  S is inverted by bisection to 1e-10
-    (`_invert_entropy`), each step a quadrature of C_E/tau.
+    Q_E >= Q(S^{-1}(-dS_S)).  S is inverted by a safeguarded Newton solve
+    to 1e-10 (`_invert_entropy`), each step a quadrature of C_E/tau and
+    the slope C_E(T')/T'.
     Requires dS_S < 0 (erasure) so the target temperature lies above T.
     """
     _check_beta(temperature, EpisodeError, positive=True, name="temperature")
     if not d_entropy_system < 0:
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
-    t_prime = _invert_entropy(lambda tp: _adaptive_simpson(
-        lambda x: heat_capacity(x) / x, temperature, float(tp)), -d_entropy_system,
-        temperature)
+
+    def entropy(tp):
+        tp = float(tp)
+        return (_adaptive_simpson(lambda x: heat_capacity(x) / x, temperature, tp),
+                heat_capacity(tp) / tp)
+
+    t_prime = _invert_entropy(entropy, -d_entropy_system, temperature)
     return _adaptive_simpson(heat_capacity, temperature, float(t_prime))
 
 
 def gibbs_erasure_bound(d_entropy_system, temperature, energies):
     """`heat_capacity_bound` of a Gibbs environment with the levels
-    `energies`, where S(T') and Q(T') are closed forms: S = <E>/T' + ln Z
-    and Q(T') = <E>_T' - <E>_T (Timpanaro, Santos & Landi, PRL 124, 240601
-    (2020)).  Over rows: dS_S, T and one level set per row."""
+    `energies`, where S(T'), its slope Var_T'(E)/T'^3 and Q(T') are closed
+    forms: S = <E>/T' + ln Z and Q(T') = <E>_T' - <E>_T (Timpanaro, Santos
+    & Landi, PRL 124, 240601 (2020)).  Over rows: dS_S, T and one level set
+    per row."""
     ds, temp = np.broadcast_arrays(np.asarray(d_entropy_system, float), _check_beta(
         temperature, EpisodeError, positive=True, name="temperature"))
     if not np.all(ds < 0):
@@ -759,36 +765,49 @@ def gibbs_erasure_bound(d_entropy_system, temperature, energies):
     levels = np.asarray(energies, dtype=float)
     levels = levels - levels.min(-1, keepdims=True)
 
-    def entropy_and_energy(tp):
+    def moments(tp):
+        """S, <E> and Var(E) at T' = tp."""
         weights, log_z = _gibbs(levels, 1.0 / tp)
         mean = (weights * levels).sum(-1)
-        return mean / tp + log_z, mean
+        return mean / tp + log_z, mean, (weights * (levels - mean[..., None]) ** 2).sum(-1)
 
-    s0, e0 = entropy_and_energy(temp)
-    t_prime = _invert_entropy(lambda tp: entropy_and_energy(tp)[0] - s0, -ds, temp)
-    return entropy_and_energy(t_prime)[1] - e0
+    s0, e0, _ = moments(temp)
+
+    def entropy(tp):
+        s, _, var = moments(tp)
+        return s - s0, var / tp ** 3
+
+    return moments(_invert_entropy(entropy, -ds, temp))[1] - e0
 
 
 def _invert_entropy(entropy, target, temperature):
-    """T' > T with entropy(T') = target, entropy increasing from 0 at T: the
-    upper end doubled from 2T, then bisection to 1e-10 * max(1, T).  Over
-    rows of arrays as well, each row stepped as if alone."""
+    """T' > T with S(T') = target, for entropy(T') = (S(T'), dS/dT') and S
+    increasing from 0 at T: the upper end doubled from 2T, then Newton steps
+    in the bracket [lo, hi], a step that would leave it taken as a bisection,
+    until the step or the bracket is below 1e-10 * max(1, T).  Over rows of
+    arrays as well, each row stepped as if alone."""
     hi = 2.0 * temperature
-    low = entropy(hi) < target
-    while np.any(low):
-        hi = np.where(low, 2.0 * hi, hi)
+    s, slope = entropy(hi)
+    while np.any(s < target):
+        hi = np.where(s < target, 2.0 * hi, hi)
         if np.any(hi > temperature * T_MAX_FACTOR):
             raise EpisodeError("heat capacity too small to reach the requested entropy")
-        low = entropy(hi) < target
-    lo, live = temperature, np.ones(np.shape(temperature), dtype=bool)
+        s, slope = entropy(hi)
+    lo, t, live = temperature, hi, np.ones(np.shape(s), dtype=bool)
+    tol = 1e-10 * np.maximum(1.0, temperature)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = entropy(mid) < target
-        lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
-        live &= ~(hi - lo < 1e-10 * np.maximum(1.0, temperature))
+        below = s < target
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = t - (s - target) / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = (np.abs(step - t) < tol) | (hi - lo < tol)
+        t = np.where(live, step, t)
+        live &= ~done
         if not live.any():
             break
-    return 0.5 * (lo + hi)
+        s, slope = entropy(t)
+    return t
 
 
 def environment_response_operator(ep: Episode) -> np.ndarray:

@@ -15,7 +15,13 @@ def rng_from(seed) -> np.random.Generator:
 
 def ginibre(rng, rows: int, cols: int) -> np.ndarray:
     """A complex Ginibre matrix: the real parts drawn first, then the imaginary."""
-    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    return _ginibre(rng, (rows, cols))
+
+
+def _ginibre(rng, shape) -> np.ndarray:
+    """Complex Ginibre entries of `shape`, e.g. a stack of matrices in one
+    draw: the real parts of all drawn first, then the imaginary."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def haar_unitaries(z) -> np.ndarray:

@@ -28,32 +28,25 @@ from .core import (
     hermitian_function,
     tensor,
 )
-from .rand import density_matrices, ginibre, haar_unitaries, random_density, random_probability
+from .rand import _ginibre, density_matrices, haar_unitaries, random_density, random_probability
 
 
 def _record(name, passed, detail=""):
     return (name, bool(passed), detail)
 
 
-def _draw_qubit_episode(rng, thermal_env):
-    """The raw draws of one random qubit-qubit episode, in the order its
-    operators are made from them: beta, the H_S and H_E coefficients, the
-    Ginibre factor of a non-thermal rho_E, then those of U and rho_S."""
-    beta, hs, he = 0.5 + 1.5 * rng.random(), (rng.normal(), rng.normal()), 0.5 + rng.random()
-    env = None if thermal_env else ginibre(rng, 2, 2)
-    return beta, hs, he, env, ginibre(rng, 4, 4), ginibre(rng, 2, 2)
-
-
-def _qubit_stack(draws, thermal_env):
-    """One validated stack of the drawn episodes, H_S = a Z + b X and
-    H_E = c Z, and the betas; a thermal rho_E is Gibbs at its beta."""
-    beta, hs, he, env, z, g = zip(*draws)
-    beta, hs = np.array(beta), np.array(hs)[:, :, None, None]
-    h_env = np.array(he)[:, None, None] * PAULI_Z
-    rho_env = _gibbs_states(h_env, beta)[0] if thermal_env else density_matrices(np.array(env))
+def _qubit_stack(rng, n, thermal_env):
+    """One validated stack of n random qubit-qubit episodes and their betas,
+    each kind of input one draw for all n: beta, the H_S = a Z + b X and
+    H_E = c Z coefficients, the Ginibre factors of a non-thermal rho_E, then
+    those of U and rho_S.  A thermal rho_E is Gibbs at its beta."""
+    beta, hs, he = 0.5 + 1.5 * rng.random(n), rng.normal(size=(n, 2, 1, 1)), 0.5 + rng.random(n)
+    h_env = he[:, None, None] * PAULI_Z
+    rho_env = (_gibbs_states(h_env, beta)[0] if thermal_env
+               else density_matrices(_ginibre(rng, (n, 2, 2))))
     return eps.EpisodeStack.of(hs[:, 0] * PAULI_Z + hs[:, 1] * PAULI_X, h_env,
-                               haar_unitaries(np.array(z)), density_matrices(np.array(g)),
-                               rho_env), beta
+                               haar_unitaries(_ginibre(rng, (n, 4, 4))),
+                               density_matrices(_ginibre(rng, (n, 2, 2))), rho_env), beta
 
 
 _EXCHANGE = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
@@ -80,7 +73,7 @@ def _worst(deltas):
 def ft_table_suite(n_episodes=25, tol=1e-10):
     """Exhaustive trajectory averages against the four backward choices."""
     rng = np.random.default_rng(101)
-    stack, _ = _qubit_stack([_draw_qubit_episode(rng, False) for _ in range(n_episodes)], False)
+    stack, _ = _qubit_stack(rng, n_episodes, thermal_env=False)
     bal, ((joint, p_joint, _), (_, p_after, v_after), (_, _, v_env)) = stack.balance, stack.evolved
     _, p_before, v_before = stack.rho_system
     dephased = tj.populations(joint, tensor([v_after, v_env]))
@@ -105,9 +98,7 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
     ]
     # both-reset with thermal system and strict conservation
     rng2 = np.random.default_rng(102)
-    omega, beta_s, beta_e, g = np.array([[0.5 + rng2.random(), 0.3 + rng2.random(),
-                                          0.3 + rng2.random(), 0.3 + rng2.random()]
-                                         for _ in range(5)]).T
+    omega, beta_s, beta_e, g = np.array([[0.5], [0.3], [0.3], [0.3]]) + rng2.random((4, 5))
     pairs = _exchange_stack(omega, g, _gibbs_states(_qubit_levels(omega), beta_s)[0], beta_e)
     ens = tj.backward_ensemble_rows(pairs, tj.BackwardChoice.BOTH_RESET)
     worst_jw = _worst(ens.average_sigma() - (beta_e - beta_s) * pairs.balance.heat_env)
@@ -122,19 +113,17 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
 def route_equality_suite(n_episodes=25, tol=1e-10):
     """Information, Clausius, free-energy and fixed-point routes agree."""
     rng = np.random.default_rng(202)
-    draws, exchanges = [], []
-    for _ in range(n_episodes):
-        draws.append(_draw_qubit_episode(rng, thermal_env=True))
-        # thermal operation: resonant exchange
-        exchanges.append((0.5 + rng.random(), 0.2 + rng.random(), ginibre(rng, 2, 2)))
-    stack, beta = _qubit_stack(draws, thermal_env=True)
+    stack, beta = _qubit_stack(rng, n_episodes, thermal_env=True)
+    # thermal operations: resonant exchanges
+    omega, g = np.array([[0.5], [0.2]]) + rng.random((2, n_episodes))
+    ops = _exchange_stack(omega, g, density_matrices(_ginibre(rng, (n_episodes, 2, 2))), beta)
     bal, tb = stack.balance, eps.thermal_balance_rows(stack, beta)
-    omega, g, factors = (np.array(x) for x in zip(*exchanges))
-    ops = _exchange_stack(omega, g, density_matrices(factors), beta)
     fp = eps.fixed_point_sigma_rows(ops.rho_system[1:], ops.evolved[1][1:], ops.rho_env[1:])
     worst_clausius = _worst(tb.sigma - bal.sigma)
     worst_free = _worst(beta * (tb.work - tb.d_free_energy) - bal.sigma)
     worst_fixed = _worst(ops.balance.sigma - fp)
+    # the flux from its trace formula Tr{(rho_E - rho_E') ln rho_E}, not from Sigma - dS_S
+    worst_flux = _worst(bal.flux - beta * bal.heat_env)
     return [
         _record("route dS + beta Q == I + D", worst_clausius < tol,
                 f"max |delta| = {worst_clausius:.2e}"),
@@ -142,6 +131,7 @@ def route_equality_suite(n_episodes=25, tol=1e-10):
                 f"max |delta| = {worst_free:.2e}"),
         _record("route fixed-point == I + D (thermal ops)", worst_fixed < tol,
                 f"max |delta| = {worst_fixed:.2e}"),
+        _record("route flux == beta Q_E", worst_flux < tol, f"max |delta| = {worst_flux:.2e}"),
     ]
 
 
@@ -174,7 +164,7 @@ def landauer_suite(n_episodes=100, tol=1e-10):
     """Erasure bounds on random qubit-bath episodes, the heat-capacity bound
     in the closed form of the Gibbs bath (`eps.gibbs_erasure_bound`)."""
     rng = np.random.default_rng(303)
-    stack, beta = _qubit_stack([_draw_qubit_episode(rng, True) for _ in range(n_episodes)], True)
+    stack, beta = _qubit_stack(rng, n_episodes, thermal_env=True)
     rep = eps.landauer_rows(stack, beta, heat_capacity="gibbs")
     erasure = rep.d_entropy_system < 0
     q, basic = rep.heat_env[erasure], rep.bound_basic[erasure]
@@ -308,10 +298,9 @@ def quench_suite(tol=1e-9):
     ]
 
 
-def _probability_pairs(rng, n):
-    """n pairs of 2-level probability vectors from the draws of n pairs of
-    `random_probability(2, rng)` calls: (n, 2) rows per side."""
-    raw = rng.random((n, 2, 2))
+def _probability_pairs(rng, n, d=2):
+    """n pairs of d-level probability vectors from one draw: (n, d) rows per side."""
+    raw = rng.random((n, 2, d))
     p = raw / raw.sum(-1, keepdims=True)
     return p[:, 0], p[:, 1]
 
@@ -319,34 +308,28 @@ def _probability_pairs(rng, n):
 def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100):
     """Thermo-majorization curves against the gamma-embedding and the 2x2
     Gibbs-stochastic oracle, Renyi monotonicity in alpha and the work
-    sandwich on sudden qubit quenches.  Every raw input is drawn first, in
-    one rng order, then each block is evaluated as one stack (the Renyi
-    pairs one per dimension).  The embedded pairs are one
+    sandwich on sudden qubit quenches.  Every raw input is drawn first,
+    each kind as one array (the Renyi pairs one per dimension), then each
+    block is evaluated as one stack.  The embedded pairs are one
     `embedding_verdict_rows` call, which reads each 10 000-entry embedding
     as its two runs."""
     rng = np.random.default_rng(505)
     e2, beta = np.array([0.0, 1.0]), 1.0
     emb_a, emb_b = _probability_pairs(rng, n_pairs)
-    renyi = {}
-    for _ in range(n_renyi):
-        d = int(rng.integers(2, 6))
-        renyi.setdefault(d, []).append((random_probability(d, rng), random_probability(d, rng)))
-    quenches = []
-    for _ in range(n_quenches):
-        beta_q = 0.5 + rng.random()
-        h_i = rng.normal() * PAULI_Z
-        h_f = h_i + (0.2 + 0.5 * rng.random()) * PAULI_X + 0.2 * rng.normal() * PAULI_Z
-        quenches.append((beta_q, h_i, h_f))
+    dims = rng.integers(2, 6, size=n_renyi)
+    renyi = [_probability_pairs(rng, int((dims == d).sum()), d) for d in np.unique(dims)]
+    u, z = rng.random((2, n_quenches)), rng.normal(size=(2, n_quenches, 1, 1))
+    beta_q, h_i = 0.5 + u[0], z[0] * PAULI_Z
+    h_f = h_i + (0.2 + 0.5 * u[1])[:, None, None] * PAULI_X + 0.2 * z[1] * PAULI_Z
     orc_a, orc_b = _probability_pairs(rng, n_oracle)
 
     agree = int((rs.thermo_majorizes_rows(e2, emb_a, emb_b, beta)
                  == rs.embedding_verdict_rows(e2, emb_a, emb_b, beta)).sum())
     grid = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, math.inf)
     mono = True
-    for pairs in renyi.values():
-        vals = rs.classical_renyi_rows(*(np.array(x) for x in zip(*pairs)), grid)
+    for pairs in renyi:
+        vals = rs.classical_renyi_rows(*pairs, grid)
         mono &= bool((vals[:, :-1] <= vals[:, 1:] + 1e-12).all())
-    beta_q, h_i, h_f = (np.array(x) for x in zip(*quenches))
     work = tj.work_rows(h_i, h_f, np.eye(2), beta_q)
     rep = rs.work_bounds_rows(h_f, beta_q, _gibbs_states(h_i, beta_q)[0], work.mean_work,
                               work.delta_f, np.linspace(0.0, beta_q, 5, axis=-1))

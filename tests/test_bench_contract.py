@@ -6,18 +6,23 @@ eigendecompositions and Renyi kernel calls that does not grow with its
 number of pairs or of quenches, its embedded pairs take one run-encoded
 call and no written-out embedding with its records unchanged, a one-bath
 multibath balance reads the decompositions its thermal balance made, the
-landauer suite reads the levels of its thermality check, an episode's
-four backward ensembles share the transitions of one final basis, and
-every call the workloads make binds to the signature of what it calls."""
+landauer suite reads the levels of its thermality check, the exact-route
+suites make a number of rng calls that does not grow with their size, the
+landauer suite's erasure inversions take few entropy evaluations and match
+a bisection, an episode's four backward ensembles share the transitions of
+one final basis, and every call the workloads make binds to the signature
+of what it calls."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroprod import verify
 from entroprod.core import DensityOperator, HermitianOperator, UnitaryOperator
@@ -60,6 +65,92 @@ def test_episode_suites_decompose_once_per_stack(monkeypatch, suite):
         # the one eigvalsh is the thermality check's trace distance; the
         # heat-capacity bound reads the levels that check keeps
         assert counts[0] == {"eigh": 7, "eigvalsh": 1}, counts[0]
+
+
+class CountingRng:
+    """A `Generator` that records the name of each method called on it."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+        return lambda *a, **k: self._calls.append(name) or method(*a, **k)
+
+
+@pytest.mark.parametrize("suite, size", [
+    (verify.ft_table_suite, "n_episodes"), (verify.route_equality_suite, "n_episodes"),
+    (verify.landauer_suite, "n_episodes"), (verify.majorization_suite, "n_quenches")])
+def test_suites_draw_each_kind_of_input_at_once(monkeypatch, suite, size):
+    # one draw per kind of input for the whole suite: no rng call per episode
+    counts = []
+    for n in (10, 40):
+        calls, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: CountingRng(default_rng(seed), calls))
+        records = suite(**{size: n})
+        monkeypatch.undo()
+        assert all(passed for _, passed, _ in records), records
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0, counts
+
+
+def test_landauer_inversions_take_few_entropy_evaluations(monkeypatch):
+    # Newton steps after the doubling: the bisection took 34 per inversion
+    from entroprod import episodes as eps
+    invert, counts = eps._invert_entropy, []
+
+    def counted(entropy, target, temperature):
+        calls = []
+        t_prime = invert(lambda t: calls.append(t) or entropy(t), target, temperature)
+        counts.append(len(calls))
+        return t_prime
+    monkeypatch.setattr(eps, "_invert_entropy", counted)
+    verify.landauer_suite()
+    assert len(counts) == 2 and max(counts) <= 10, counts
+
+
+def bisected(entropy, target, temperature):
+    """T' with entropy(T') = target by plain bisection, to the last bit."""
+    lo, hi = temperature, 2.0 * temperature
+    while entropy(hi) < target:
+        hi *= 2.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if entropy(mid) < target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(levels=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=5),
+       temperature=st.floats(0.2, 3.0), fraction=st.floats(0.05, 0.95),
+       slope=st.floats(0.3, 3.0), quadratic=st.booleans())
+def test_erasure_bounds_match_a_bisection(levels, temperature, fraction, slope, quadratic):
+    from entroprod import episodes as eps
+    levels = np.array(levels) - min(levels)
+    if levels.max() < 0.1:
+        levels[-1] = 0.1                  # a bath with room for entropy
+
+    def gibbs(t):
+        """S and <E> of the levels at temperature t."""
+        w = np.exp(-levels / t)
+        mean = (w * levels).sum() / w.sum()
+        return mean / t + math.log(w.sum()), mean
+
+    (s0, e0), s_max = gibbs(temperature), math.log(len(levels))
+    d_s = -fraction * (s_max - s0)
+    t_prime = bisected(lambda t: gibbs(t)[0] - s0, -d_s, temperature)
+    want = gibbs(t_prime)[1] - e0
+    assert abs(eps.gibbs_erasure_bound(d_s, temperature, levels) - want) < 1e-9
+
+    def capacity(t):
+        return slope * t * t + 0.5 if quadratic else slope * t
+
+    d_s = -fraction * 2.0
+    t_prime = bisected(lambda t: eps._adaptive_simpson(lambda x: capacity(x) / x,
+                                                       temperature, t), -d_s, temperature)
+    want = eps._adaptive_simpson(capacity, temperature, t_prime)
+    assert abs(eps.heat_capacity_bound(d_s, temperature, capacity) - want) < 1e-9
 
 
 def count_decompositions(monkeypatch, call):

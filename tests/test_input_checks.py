@@ -40,6 +40,8 @@ HALF = [0.5, 0.5]
 NAN = float("nan")
 NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
 THERMAL_AB = DensityOperator.from_matrix(np.kron(RHO2.matrix, RHO2.matrix), (2, 2))
+W3 = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])   # symmetric 3-state
+RATES3 = cl.RateMatrix(W3, (W3 / 2, W3 / 2))
 
 
 def _episode(**changes):
@@ -107,6 +109,34 @@ CASES = {
     # classical
     "classical.RateMatrix non-square": (
         lambda: cl.RateMatrix(np.zeros((2, 3))), cl.ClassicalError, "rate matrix must be square"),
+    "classical.RateMatrix 1-d": (
+        lambda: cl.RateMatrix(np.zeros(3)), cl.ClassicalError, "rate matrix must be square"),
+    "classical.RateMatrix 3-d": (
+        lambda: cl.RateMatrix(np.zeros((2, 2, 2))), cl.ClassicalError,
+        "rate matrix must be square"),
+    "classical.RateMatrix 0 x 0": (
+        lambda: cl.RateMatrix(np.zeros((0, 0))), cl.ClassicalError, "non-empty"),
+    "classical.RateMatrix part shape": (
+        lambda: cl.RateMatrix(W3, (np.zeros((2, 2)),)), cl.ClassicalError,
+        "reservoir part 0 is 2x2, the rate matrix 3x3"),
+    "classical.RateMatrix part negative rate": (
+        lambda: cl.RateMatrix(W3, (2 * W3, -W3)), cl.ClassicalError,
+        "reservoir part 1: negative off-diagonal rate"),
+    "classical.tur_check vanishing current": (
+        lambda: cl.tur_check(RATES3, [(0, 1, 0)]), cl.ClassicalError, "current vanishes"),
+    "classical.schnakenberg p length": (
+        lambda: cl.schnakenberg(RATES3, HALF), cl.ClassicalError, "not (3,) for the 3 states"),
+    "classical.multibath_sigma p length": (
+        lambda: cl.multibath_sigma(RATES3, HALF), cl.ClassicalError, "not (3,) for the 3 states"),
+    "classical.kl_divergence_rate p length": (
+        lambda: cl.kl_divergence_rate(RATES3, HALF, np.ones(3) / 3), cl.ClassicalError,
+        "not (3,) for the 3 states"),
+    "classical.tur_check p_stationary length": (
+        lambda: cl.tur_check(RATES3, [(0, 1, 0)], HALF), cl.ClassicalError,
+        "not (3,) for the 3 states"),
+    "classical.is_detailed_balanced p length": (
+        lambda: cl.is_detailed_balanced(RATES3, HALF), cl.ClassicalError,
+        "not (3,) for the 3 states"),
     "classical.tilted_generator reservoir": (
         lambda: cl.tilted_generator(cl.RateMatrix.from_offdiagonal(np.ones((2, 2))),
                                     [(0, 1, 3)], 0.1),

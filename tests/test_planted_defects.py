@@ -1,7 +1,9 @@
-"""Planted defects: each case breaks one step of one route of the
-majorization suite and the record "majorization curve == embedding verdict"
-must then fail, so the cross-check between the thermo-majorization curves
-and the gamma-embedding is shown to see a fault in either route."""
+"""Planted defects: each case breaks one step of one route and a named
+record of a `verify` suite must then fail.  Four break the
+thermo-majorization curves or the gamma-embedding, which the record
+"majorization curve == embedding verdict" compares; one flips the sign of
+the entropy flux in `EpisodeStack.balance`, which the route-equality record
+"route flux == beta Q_E" compares with beta times the heat."""
 
 import inspect
 import textwrap
@@ -9,14 +11,15 @@ import textwrap
 import numpy as np
 import pytest
 
-from entroprod import resource as rs, verify
+from entroprod import episodes as eps, resource as rs, verify
 
-RECORD = "majorization curve == embedding verdict"
+EMBEDDING = "majorization", "majorization curve == embedding verdict"
+FLUX = "route-equality", "route flux == beta Q_E"
 
 
-def embedding_record():
-    (record,) = [r for r in verify.majorization_suite() if r[0] == RECORD]
-    return record
+def record(suite, name):
+    (found,) = [r for r in verify.run_suite(suite) if r[0] == name]
+    return found
 
 
 def mutant(fn, old, new):
@@ -52,20 +55,30 @@ def ascending_runs(monkeypatch):
                         mutant(rs._run_verdicts, "np.argsort(-v,", "np.argsort(v,"))
 
 
+def flipped_flux(monkeypatch):
+    # Tr{(rho_E' - rho_E) ln rho_E} in place of Tr{(rho_E - rho_E') ln rho_E}
+    balance = mutant(eps.EpisodeStack.balance.func, "_trace_rows(m_env0 - m_env,",
+                     "_trace_rows(m_env - m_env0,")
+    balance.__set_name__(eps.EpisodeStack, "balance")
+    monkeypatch.setattr(eps.EpisodeStack, "balance", balance)
+
+
 DEFECTS = {
-    "curve: beta -> -beta in the beta-order": negated_beta,
-    "curve: interpolation without the chord": step_curves,
-    "embedding: rounding of reversed weights": reversed_weights,
-    "embedding: runs in ascending order": ascending_runs,
+    "curve: beta -> -beta in the beta-order": (negated_beta, EMBEDDING),
+    "curve: interpolation without the chord": (step_curves, EMBEDDING),
+    "embedding: rounding of reversed weights": (reversed_weights, EMBEDDING),
+    "embedding: runs in ascending order": (ascending_runs, EMBEDDING),
+    "flux sign flipped in EpisodeStack.balance": (flipped_flux, FLUX),
 }
 
 
 def test_the_record_passes_without_a_defect():
-    assert embedding_record() == (RECORD, True, "50/50")
+    assert record(*EMBEDDING) == (EMBEDDING[1], True, "50/50")
+    assert record(*FLUX)[1]
 
 
-@pytest.mark.parametrize("plant", DEFECTS.values(), ids=DEFECTS.keys())
-def test_each_planted_defect_fails_the_record(monkeypatch, plant):
+@pytest.mark.parametrize("plant, suite_record", DEFECTS.values(), ids=DEFECTS.keys())
+def test_each_planted_defect_fails_the_record(monkeypatch, plant, suite_record):
     plant(monkeypatch)
-    _, passed, detail = embedding_record()
+    _, passed, detail = record(*suite_record)
     assert not passed, detail
