@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NULL_RCOND_TOL, _check_probabilities, bordered_solve, propagate
+from .core import NULL_RCOND_TOL, _check_probabilities, _real_array, bordered_solve, propagate
 
 # A detailed-balance flow asymmetry |W_ij p_j - W_ji p_i| at most this is zero.
 DETAILED_BALANCE_TOL = 1e-10
@@ -65,8 +65,8 @@ class RateMatrix:
     def from_offdiagonal(cls, rates, reservoirs=None):
         """Build from off-diagonal rates (diagonal filled automatically)."""
         parts = None if reservoirs is None else tuple(
-            _fill_diagonal(np.array(p, dtype=float)) for p in reservoirs)
-        return cls(_fill_diagonal(np.array(rates, dtype=float)), parts)
+            _fill_diagonal(_real_array(p, ClassicalError, "rates").copy()) for p in reservoirs)
+        return cls(_fill_diagonal(_real_array(rates, ClassicalError, "rates").copy()), parts)
 
 
 def _check_generator(m, name, shape=None):
@@ -74,7 +74,7 @@ def _check_generator(m, name, shape=None):
     its reservoir parts: non-empty, square (of `shape` when given), finite,
     no off-diagonal rate below -1e-12 and columns summing to zero within
     1e-9 of the largest rate; else ClassicalError naming m."""
-    m = np.asarray(m, dtype=float)
+    m = _real_array(m, ClassicalError, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ClassicalError(f"{name} must be square and non-empty, got shape {m.shape}")
     n = m.shape[0]

@@ -46,13 +46,16 @@ from .core import (
     HilbertDims,
     UnitaryOperator,
     _check_beta,
+    _check_size,
     _density_stack,
     _entropy_rows,
     _gibbs,
     _hermitian,
     _mat,
+    _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
+    _spectrum,
     _unitary,
     add_lindblad_term,
     ancilla_kraus,
@@ -104,8 +107,8 @@ class AncillaStroke:
     beta: float | None = None         # declared temperature (enables tier 2)
 
     def __post_init__(self):
-        if self.hamiltonian.dim != self.rho.dim:
-            raise CollisionalError("ancilla Hamiltonian does not match its state")
+        _operator_fields(self, CollisionalError)
+        _hermitian(self.hamiltonian, CollisionalError, self.rho.dim)
         if self.beta is not None and _thermality(self.rho.matrix, self.hamiltonian.matrix,
                                                  _check_beta(self.beta, CollisionalError))[0]:
             raise CollisionalError(f"ancilla is not thermal at beta={self.beta}")
@@ -131,14 +134,15 @@ class CollisionSpec:
         if len(self.h_system) != len(self.alphabet):
             raise CollisionalError("need one system Hamiltonian per alphabet entry")
         ds = self.h_system[0].dim
-        if any(h.dim != ds for h in self.h_system):
-            raise CollisionalError("system Hamiltonians differ in dimension")
+        for h in self.h_system:
+            _hermitian(h, CollisionalError, ds)
         for stroke in self.alphabet:
-            if stroke.unitary.dim != ds * stroke.rho.dim:
-                raise CollisionalError("stroke unitary does not match S x A dims")
+            _unitary(stroke.unitary, CollisionalError, ds * stroke.rho.dim)
         if self.system_unitaries is not None and \
                 len(self.system_unitaries) != len(self.alphabet):
             raise CollisionalError("need one system unitary per alphabet entry")
+        for u in self.system_unitaries or ():
+            _unitary(u, CollisionalError, ds)
 
     @property
     def dim_system(self) -> int:
@@ -192,8 +196,7 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
     validated as one stack (`_density_stack`): the states, and their
     (matrices, weights, eigenvectors) as three stacks."""
     ds = spec.dim_system
-    if rho0.dim != ds:
-        raise CollisionalError(f"initial state dim {rho0.dim} != system dim {ds}")
+    _spectrum(rho0, CollisionalError, ds)
     channels = _stroke_channels(spec)
     vecs = np.empty((n_strokes + 1, ds * ds), dtype=complex)
     vecs[0] = vec(rho0.matrix)
@@ -331,7 +334,8 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None) -> Dissipa
     v = _hermitian(v_int, CollisionalError)
     ra = rho_ancilla.matrix
     da = rho_ancilla.dim
-    d = v.shape[0] // da
+    d = max(1, len(v) // da)
+    _check_size(len(v), d * da, CollisionalError)
     shift = _ptrace_matrix(v @ tensor([np.eye(d), ra]), (d, da), [0])
     shift_norm = float(np.abs(shift - np.trace(shift) / d * np.eye(d)).max())
     if shift_norm > LAMB_SHIFT_TOL:
@@ -566,12 +570,18 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
     maximally mixed), or with at_limit_cycle on the limit cycle rho0 flows
     to: its projection onto the fixed points of the cycle's channel, so an
     all-identity cycle keeps rho0.  A cycle that never settles raises
-    CollisionalError (see the module docstring), as do v1, v2 failing `core._unitary`.
+    CollisionalError (see the module docstring), as do v1, v2 failing `core._unitary`
+    and an operator of another size than H_S (on S) and its bath (on A, S x A).
     """
-    v1, v2 = _unitary(v1, CollisionalError), _unitary(v2, CollisionalError)
+    ds = h_system.dim
+    v1, v2 = (_unitary(v, CollisionalError, ds) for v in (v1, v2))
     h_h = h_hot or HermitianOperator.from_matrix(np.zeros_like(rho_hot.matrix), rho_hot.dims)
     h_c = h_cold or HermitianOperator.from_matrix(np.zeros_like(rho_cold.matrix), rho_cold.dims)
     rho = rho0 or DensityOperator.maximally_mixed(h_system.dims)
+    _spectrum(rho, CollisionalError, ds)
+    for u, bath, h in ((u_sh, rho_hot, h_h), (u_sc, rho_cold, h_c)):
+        _unitary(u, CollisionalError, ds * bath.dim)
+        _hermitian(h, CollisionalError, bath.dim)
     if at_limit_cycle:
         chan = (_stroke_channel(u_sc, rho_cold, before=v2)
                 @ _stroke_channel(u_sh, rho_hot, before=v1))

@@ -12,7 +12,9 @@ Functions never mutate their arguments, except the superoperator builders
 `add_sided_term`, `add_lindblad_term` and `real_superop`, which work in
 place on the array they are given.  A bare Hamiltonian is read by
 `_hermitian`, the `HermitianOperator` check with the caller's error, and a
-bare unitary by `_unitary`, the `UnitaryOperator` check with it.
+bare unitary by `_unitary`, the `UnitaryOperator` check with it.  These
+readers and the state reader `_spectrum` take the size the caller expects,
+which the one size rule `_check_size` enforces on bare and typed operands.
 
 Every entropy and divergence uses one support rule.  Where a spectrum is
 made (`_spectral_weights`, called by the state validation), eigenvalues
@@ -94,7 +96,7 @@ class HilbertDims:
         return HilbertDims(self.factors + other.factors)
 
 
-def _as_dims(dims, size) -> HilbertDims:
+def _as_dims(dims, size, error=CoreError) -> HilbertDims:
     if dims is None:
         return HilbertDims((size,))
     if isinstance(dims, HilbertDims):
@@ -102,15 +104,33 @@ def _as_dims(dims, size) -> HilbertDims:
     else:
         d = HilbertDims(tuple(dims))
     if d.total != size:
-        raise CoreError(f"dims {d.factors} do not match matrix size {size}")
+        raise error(f"dims {d.factors} do not match matrix size {size}")
     return d
 
 
-def _frozen_stack(matrices, error=CoreError) -> np.ndarray:
-    """Read-only complex copy of one square matrix or stack (..., d, d), else `error`."""
-    m = np.array(matrices, dtype=complex)
+def _check_size(n, dim, error):
+    """The one size rule: `error` naming both sizes when an n x n matrix is
+    not the dim x dim one its caller expects (dim None: any size)."""
+    if dim is not None and n != dim:
+        raise error(f"matrix is {n}x{n}, expected {dim}x{dim}")
+
+
+def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
+    """Read-only complex copy of one square matrix or stack (..., d, d), of
+    size `dim` when given (`_check_size`), else `error`; a ragged list is
+    named by its first entry not of the shape of entry 0 (or of dim x dim)."""
+    try:
+        m = np.array(matrices.matrix if isinstance(matrices, _Operator) else matrices,
+                     dtype=complex)
+    except (TypeError, ValueError):
+        shapes = [np.shape(x) for x in matrices] if isinstance(matrices, (list, tuple)) else []
+        want = shapes[:1] if dim is None else [(dim, dim)]
+        k = next((k for k, s in enumerate(shapes) if [s] != want), None)
+        raise error("matrix entries must be numbers" if k is None else
+                    f"matrix {k} of the stack: shape {shapes[k]}, expected {want[0]}") from None
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise error(f"expected a square matrix, got shape {m.shape}")
+    _check_size(m.shape[-1], dim, error)
     # Every later check has the form `err > tol`, which is False for NaN.
     if not np.isfinite(m).all():
         raise error("matrix has NaN or infinite entries")
@@ -118,10 +138,10 @@ def _frozen_stack(matrices, error=CoreError) -> np.ndarray:
     return m
 
 
-def _frozen_matrix(matrix) -> np.ndarray:
-    m = _frozen_stack(matrix)
+def _frozen_matrix(matrix, error=CoreError, dim=None) -> np.ndarray:
+    m = _frozen_stack(matrix, error, dim)
     if m.ndim != 2:
-        raise CoreError(f"expected a square matrix, got shape {m.shape}")
+        raise error(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -210,12 +230,14 @@ def _check_hermitian(m, error=CoreError):
                 "matrix is not Hermitian (residual {:.3e})", error)
 
 
-def _hermitian(op, error=CoreError) -> np.ndarray:
+def _hermitian(op, error=CoreError, dim=None) -> np.ndarray:
     """The matrix of a `HermitianOperator`, or a read-only copy of a bare
-    matrix or stack (..., d, d) that passes `_check_hermitian`."""
+    matrix or stack (..., d, d) that passes `_check_hermitian`; either of
+    size `dim` when given (`_check_size`), else `error`."""
     if isinstance(op, HermitianOperator):
+        _check_size(op.dim, dim, error)
         return op.matrix
-    m = _frozen_stack(_mat(op), error)
+    m = _frozen_stack(op, error, dim)
     _check_hermitian(m, error)
     return m
 
@@ -303,13 +325,26 @@ def _check_unitary(m, error=CoreError):
     _fail_first(err > UNITARITY_TOL, err, "matrix is not unitary (residual {:.3e})", error)
 
 
-def _unitary(op, error=CoreError) -> np.ndarray:
+def _unitary(op, error=CoreError, dim=None) -> np.ndarray:
     """`_hermitian` for a `UnitaryOperator` and `_check_unitary`."""
     if isinstance(op, UnitaryOperator):
+        _check_size(op.dim, dim, error)
         return op.matrix
-    m = _frozen_stack(_mat(op), error)
+    m = _frozen_stack(op, error, dim)
     _check_unitary(m, error)
     return m
+
+
+_OPERATOR_TYPES = {k.__name__: k for k in (HermitianOperator, DensityOperator, UnitaryOperator)}
+
+
+def _operator_fields(obj, error):
+    """`error` naming the first field of the dataclass `obj` annotated with
+    an operator type (`_OPERATOR_TYPES`) whose value is not of that type."""
+    for f in obj.__dataclass_fields__.values():
+        kind, value = _OPERATOR_TYPES.get(f.type), getattr(obj, f.name)
+        if kind is not None and not isinstance(value, kind):
+            raise error(f"{f.name} must be a {f.type}, got {type(value).__name__}")
 
 
 # Frequently used single-qubit operators.  Basis ordering (|g>, |e>) with
@@ -336,12 +371,14 @@ def _spectral_weights(vals, scale=1.0):
     return np.where(vals <= SPECTRAL_NOISE * vals.shape[-1] * scale, 0.0, vals)
 
 
-def _spectrum(state) -> tuple[np.ndarray, np.ndarray]:
+def _spectrum(state, error=CoreError, dim=None) -> tuple[np.ndarray, np.ndarray]:
     """Weights (round-off zeroed) and eigenvectors of a state: those a
-    `DensityOperator` keeps, or those a bare matrix is validated with."""
+    `DensityOperator` keeps, or those a bare matrix is validated with;
+    either of size `dim` when given (`_check_size`), else `error`."""
     if isinstance(state, DensityOperator):
+        _check_size(state.dim, dim, error)
         return state.eig()
-    return _density_spectra(_frozen_matrix(_mat(state)))
+    return _density_spectra(_frozen_matrix(state, error, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +606,8 @@ def ancilla_kraus(op, rho_ancilla) -> np.ndarray:
     x = _mat(op)
     q, basis = _spectrum(rho_ancilla)
     da = q.size
-    ds = x.shape[0] // da
+    ds = max(1, len(x) // da)
+    _check_size(len(x), ds * da, CoreError)
     full = np.kron(np.eye(ds), basis)
     amp = (full.conj().T @ x @ full).reshape(ds, da, ds, da)     # [i, mu, j, nu]
     keep = q > 0.0
@@ -680,18 +718,17 @@ def _power(x, a):
 
 
 def _state_pair(rho, sigma):
-    """Weights p of rho and q of sigma and the overlaps <sigma_j|rho_i>."""
-    (p, pv), (q, qv) = _spectrum(rho), _spectrum(sigma)
-    if p.shape != q.shape:
-        raise CoreError(f"dimension mismatch {p.shape} vs {q.shape}")
+    """Weights p of rho and q of sigma, read at rho's size, and the overlaps <sigma_j|rho_i>."""
+    p, pv = _spectrum(rho)
+    q, qv = _spectrum(sigma, CoreError, len(p))
     return p, q, qv.conj().T @ pv
 
 
 def _check_probabilities(p, error):
     """Probability rows (the last axis of p), clipped at 0 after the checks:
-    finite, none below -1e-12, each row summing to 1 within 1e-9; else the
-    exception class `error`."""
-    p = np.asarray(p, dtype=float)
+    real (`_real_array`), finite, none below -1e-12, each row summing to 1
+    within 1e-9; else the exception class `error`."""
+    p = _real_array(p, error, "probabilities")
     total = p.sum(-1)
     worst = np.abs(total - 1.0)
     if not (p.min() >= -1e-12 and worst.max() <= 1e-9):     # NaN fails too
@@ -701,6 +738,19 @@ def _check_probabilities(p, error):
             raise error(f"negative probability {p.min():.3e}")
         raise error(f"probabilities sum to {total.flat[np.argmax(worst)]}")
     return np.maximum(p, 0.0)
+
+
+def _real_array(x, error, name) -> np.ndarray:
+    """x as a float array (x itself when it is one), else `error` naming x:
+    entries that are not numbers or have a nonzero imaginary part."""
+    try:
+        a = np.asarray(x)
+        real = a.real.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be real numbers") from None
+    if a.dtype.kind == "c" and (a.imag != 0.0).any():
+        raise error(f"{name} must be real, got a nonzero imaginary part")
+    return real
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -789,12 +839,10 @@ def thermal_state(hamiltonian, beta: float) -> DensityOperator:
 
 
 def trace_distance(rho1, rho2) -> float:
-    """Half the trace norm of the difference; in [0, 1] for states."""
+    """Half the trace norm of the difference; in [0, 1] for states.  rho2
+    is read at rho1's size (`_frozen_matrix`)."""
     a = _mat(rho1)
-    b = _mat(rho2)
-    if a.shape != b.shape:
-        raise CoreError(f"dimension mismatch {a.shape} vs {b.shape}")
-    return float(_trace_distance_rows(a, b))
+    return float(_trace_distance_rows(a, _frozen_matrix(rho2, CoreError, len(a))))
 
 
 def _trace_distance_rows(a, b):
@@ -836,9 +884,9 @@ def eigenspace_projectors(hamiltonian):
 
 
 def dephase(rho, hamiltonian):
-    """Remove all coherences between distinct eigenspaces of H."""
+    """Remove all coherences between distinct eigenspaces of H, read at rho's size."""
     r = _mat(rho)
-    _, projs = eigenspace_projectors(hamiltonian)
+    _, projs = eigenspace_projectors(_hermitian(hamiltonian, CoreError, len(r)))
     out = sum(p @ r @ p for p in projs)
     if isinstance(rho, DensityOperator):
         return DensityOperator(out, rho.dims)
@@ -955,7 +1003,4 @@ def matrix_from_json(obj):
         raise CoreError(f"malformed matrix object: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise CoreError("re/im parts must be matching 2-d arrays")
-    m = re + 1j * im
-    if m.shape[0] != m.shape[1] or m.shape[0] != dims.total:
-        raise CoreError(f"matrix shape {m.shape} inconsistent with dims {dims.factors}")
-    return m, dims
+    return _frozen_matrix(re + 1j * im, CoreError, dims.total), dims

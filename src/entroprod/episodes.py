@@ -41,11 +41,14 @@ from .core import (
     _check_beta,
     _density_stack,
     _entropy_rows,
+    _frozen_matrix,
+    _frozen_stack,
     _gibbs,
     _gibbs_states,
     _hermitian,
     _log_of,
     _mat,
+    _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
     _spectrum,
@@ -87,13 +90,6 @@ class EpisodeError(ValueError):
 # Episode and its derived states
 # ---------------------------------------------------------------------------
 
-def _check_dims(ds, de, dh_system, dh_env, du):
-    if dh_system != ds or dh_env != de:
-        raise EpisodeError("Hamiltonian dims do not match the states")
-    if du != ds * de:
-        raise EpisodeError(f"unitary dim {du} != dim(S)*dim(E) = {ds * de}")
-
-
 @dataclass(frozen=True)
 class Episode:
     """One system+environment unitary interaction record.
@@ -112,8 +108,11 @@ class Episode:
     rho_env: DensityOperator
 
     def __post_init__(self):
-        _check_dims(self.rho_system.dim, self.rho_env.dim, self.h_system.dim,
-                    self.h_env.dim, self.unitary.dim)
+        _operator_fields(self, EpisodeError)
+        ds, de = self.rho_system.dim, self.rho_env.dim
+        _hermitian(self.h_system, EpisodeError, ds)
+        _hermitian(self.h_env, EpisodeError, de)
+        _unitary(self.unitary, EpisodeError, ds * de)
 
     @property
     def dims(self) -> HilbertDims:
@@ -193,11 +192,12 @@ class EpisodeStack:
            system_dims=None, env_dims=None) -> "EpisodeStack":
         """A validated stack from (N, d, d) arrays: the Hamiltonians and the
         unitaries by the stacked checks of `HermitianOperator` and
-        `UnitaryOperator`, the states by `_density_stack`."""
-        hs, he, u = _hermitian(h_system), _hermitian(h_env), _unitary(unitary)
+        `UnitaryOperator` at the sizes of the states, the states by
+        `_density_stack`."""
         rs, re = _density_stack(rho_system), _density_stack(rho_env)
         ds, de = rs[0].shape[-1], re[0].shape[-1]
-        _check_dims(ds, de, hs.shape[-1], he.shape[-1], u.shape[-1])
+        hs, he = _hermitian(h_system, EpisodeError, ds), _hermitian(h_env, EpisodeError, de)
+        u = _unitary(unitary, EpisodeError, ds * de)
         if len({m.shape[:-2] for m in (hs, he, u, rs[0], re[0])}) != 1:
             raise EpisodeError("every operator kind needs one (N, d, d) stack of equal N")
         return cls(hs, he, u, rs, re, _as_dims(system_dims, ds), _as_dims(env_dims, de))
@@ -522,12 +522,9 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
         raise EpisodeError(f"bath partition {covered} must cover all "
                            f"{len(factors)} E factors")
     # validate the product-of-thermals structure
-    hams = [_hermitian(p.hamiltonian, EpisodeError) for p in parts]
+    hams = [_hermitian(p.hamiltonian, EpisodeError, stack.env_dims.subdims(p.env_factors).total)
+            for p in parts]
     for p, h in zip(parts, hams):
-        d = stack.env_dims.subdims(p.env_factors).total
-        if h.shape[-2:] != (d, d):
-            raise EpisodeError(f"bath part {p.env_factors}: Hamiltonian of shape "
-                               f"{h.shape[-2:]} does not match its marginal of dim {d}")
         _require_gibbs_rows(stack, p.env_factors, h, p.beta,
                             lambda b, _: f"bath part {p.env_factors} is not thermal at beta={b}")
     if len(parts) > 1:
@@ -570,10 +567,11 @@ def is_strict_energy_conserving(unitary, h_system, h_env):
     """Check [U, H_S x 1 + 1 x H_E] = 0 within CONSERVATION_TOL*(||H_S|| + ||H_E||).
 
     Returns (flag, residual) with residual the spectral norm of the
-    commutator; bare U and H are read by `core._unitary` and `core._hermitian`.
+    commutator; bare H are read by `core._hermitian` and U by `core._unitary`
+    at the size of H_S x H_E.
     """
-    return _conservation(_unitary(unitary, EpisodeError), _hermitian(h_system, EpisodeError),
-                         _hermitian(h_env, EpisodeError))
+    hs, he = _hermitian(h_system, EpisodeError), _hermitian(h_env, EpisodeError)
+    return _conservation(_unitary(unitary, EpisodeError, len(hs) * len(he)), hs, he)
 
 
 def _conservation(u, hs, he):
@@ -588,8 +586,10 @@ def _conservation(u, hs, he):
 def fixed_point_sigma(rho_before, rho_after, fixed_point) -> float:
     """S(rho || rho*) - S(rho' || rho*): entropy production for maps whose
     global fixed point is rho*; a pure contraction of distinguishability.
-    The one-row case of `fixed_point_sigma_rows`."""
-    return float(fixed_point_sigma_rows(*map(_spectrum, (rho_before, rho_after, fixed_point))))
+    The one-row case of `fixed_point_sigma_rows`, rho' and rho* read at rho's size."""
+    before = _spectrum(rho_before, EpisodeError)
+    return float(fixed_point_sigma_rows(before, *(_spectrum(r, EpisodeError, len(before[0]))
+                                                  for r in (rho_after, fixed_point))))
 
 
 def fixed_point_sigma_rows(before, after, fixed_point):
@@ -605,8 +605,9 @@ def fixed_point_sigma_rows(before, after, fixed_point):
 
 
 def has_global_fixed_point(ep: Episode, candidate) -> bool:
-    """True when U (rho* x rho_E) U^dag = rho* x rho_E within GLOBAL_FIXED_POINT_TOL."""
-    joint = tensor([candidate, ep.rho_env])
+    """True when U (rho* x rho_E) U^dag = rho* x rho_E within GLOBAL_FIXED_POINT_TOL,
+    rho* read at rho_S's size."""
+    joint = tensor([_frozen_matrix(candidate, EpisodeError, ep.rho_system.dim), ep.rho_env])
     u = ep.unitary.matrix
     return float(np.abs(u @ joint @ u.conj().T - joint).max()) <= GLOBAL_FIXED_POINT_TOL
 
@@ -638,8 +639,8 @@ def conditional_balance(ep: Episode, kraus_env,
     back-act on the local state of E; otherwise it is computed from the
     general trace formula with the post-measurement average state.
     """
-    kraus = [np.asarray(m, dtype=complex) for m in kraus_env]
     de = ep.rho_env.dim
+    kraus = _frozen_stack(list(kraus_env), EpisodeError, de)
     comp = sum(m.conj().T @ m for m in kraus)
     if np.abs(comp - np.eye(de)).max() > 1e-9:
         raise EpisodeError("Kraus operators do not resolve the identity on E")
@@ -948,16 +949,16 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
 
 def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b, error):
     """(H_A, H_B, U) as read, rho_AB' = U rho_AB U^dag and Q_B = Tr{(1 x H_B) (rho_AB' - rho_AB)},
-    once H_A and H_B (`core._hermitian`) match the factors of rho_AB, its marginals are thermal
-    (`_thermality`) and U (`core._unitary`) strictly conserves H_A + H_B; else an `error`."""
-    h_a, h_b, factors = _hermitian(h_a, error), _hermitian(h_b, error), rho_ab.dims.factors
-    if (len(h_a), len(h_b)) != factors:
-        raise error(f"H_A and H_B do not match rho_AB of dims {factors}")
+    once H_A, H_B (`core._hermitian`) and U (`core._unitary`) have the sizes of A (the first
+    factor of rho_AB), B (the rest) and AB, the marginals are thermal (`_thermality`) and U
+    strictly conserves H_A + H_B; else an `error`."""
+    da = rho_ab.dims.factors[0]
+    h_a, h_b = _hermitian(h_a, error, da), _hermitian(h_b, error, rho_ab.dim // da)
     for keep, h, beta, name in (([0], h_a, beta_a, "a"), ([1], h_b, beta_b, "b")):
-        marginal = _ptrace_matrix(rho_ab.matrix, factors, keep)
+        marginal = _ptrace_matrix(rho_ab.matrix, (da, len(h_b)), keep)
         if _thermality(marginal, h, _check_beta(beta, error))[0]:
             raise error(f"marginal of {name.upper()} is not thermal at beta_{name}")
-    u = _unitary(unitary, error)
+    u = _unitary(unitary, error, rho_ab.dim)
     ok, res = _conservation(u, h_a, h_b)
     if not ok:
         raise error(f"unitary violates strict energy conservation ({res:.3e})")
@@ -1006,13 +1007,16 @@ def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperat
 
     dims is the (dim_S, dim_E) pair or a HilbertDims whose first factor is
     the system; h_env fixes the bath partition function Z_E; beta > 0.
+    H_tot is read against dims and H_E against the E factors.
     """
     _check_beta(beta, EpisodeError, positive=True)
-    factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
-    levels, vecs = np.linalg.eigh(_hermitian(h_total, EpisodeError))
+    h = _hermitian(h_total, EpisodeError)
+    factors = _as_dims(dims, len(h), EpisodeError).factors
+    levels, vecs = np.linalg.eigh(h)
     exp_tot = (vecs * np.exp(-beta * (levels - levels[0]))) @ vecs.conj().T
     reduced = _ptrace_matrix(exp_tot, factors, [0])
-    log_z_env = _gibbs(np.linalg.eigvalsh(_hermitian(h_env, EpisodeError)), beta)[1]
+    h_env = _hermitian(h_env, EpisodeError, len(h) // factors[0])
+    log_z_env = _gibbs(np.linalg.eigvalsh(h_env), beta)[1]
     vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
     if vals.min() <= 0:
         raise EpisodeError("reduced exponential is singular")
@@ -1027,26 +1031,25 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
     Hamiltonian.  Returns dict with times and the two equivalent routes:
     beta*(W(t) - dF(t)) and deltaS(t) - deltaS(0), where deltaS compares
     the joint and reduced relative entropies to the instantaneous
-    mean-force Gibbs states.
+    mean-force Gibbs states.  Each H_tot is read against dims and each
+    rho_SE at its size.
     """
-    factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
     times, sig_work, sig_rel = [], [], []
-    _, rho0, lam0 = trajectory[0]
-    h0 = _mat(h_total_of(lam0))
-    e0 = float(np.real(np.trace(h0 @ _mat(rho0))))
 
     def records(rho_se, lam):
         h_tot = _mat(h_total_of(lam))
-        rho_s = _ptrace_matrix(_mat(rho_se), factors, [0])
+        factors = _as_dims(dims, len(h_tot), EpisodeError).factors
+        m = _frozen_matrix(rho_se, EpisodeError, len(h_tot))
+        rho_s = _ptrace_matrix(m, factors, [0])
         h_mf = mean_force_hamiltonian(h_tot, factors, beta, h_env).matrix
         f_neq = float(np.real(np.trace(h_mf @ rho_s))) - von_neumann_entropy(rho_s) / beta
         pi_se = thermal_state(HermitianOperator.from_matrix(h_tot, factors), beta)
         pi_s = _ptrace_matrix(pi_se.matrix, factors, [0])
         delta_s = (relative_entropy(rho_se, pi_se) - relative_entropy(rho_s, pi_s))
-        energy = float(np.real(np.trace(h_tot @ _mat(rho_se))))
+        energy = float(np.real(np.trace(h_tot @ m)))
         return f_neq, delta_s, energy
 
-    f0, ds0, _ = records(rho0, lam0)
+    f0, ds0, e0 = records(*trajectory[0][1:])
     for t, rho_se, lam in trajectory:
         f_t, ds_t, e_t = records(rho_se, lam)
         work = e_t - e0
@@ -1102,11 +1105,11 @@ def correlation_witness_terms(times, joint_1, joint_2, h_total, dims):
     derivative of D and a per-interior-point check with a 10*dt error
     budget for the finite-difference derivative.
     """
-    factors = dims.factors if isinstance(dims, HilbertDims) else tuple(dims)
     h = _mat(h_total)
+    factors = _as_dims(dims, len(h), EpisodeError).factors
     d_list, e_list, c_list = [], [], []
     for r1, r2 in zip(joint_1, joint_2):
-        m1, m2 = _mat(r1), _mat(r2)
+        m1, m2 = (_frozen_matrix(r, EpisodeError, len(h)) for r in (r1, r2))
         s1 = _ptrace_matrix(m1, factors, [0])
         s2 = _ptrace_matrix(m2, factors, [0])
         e1 = _ptrace_matrix(m1, factors, [1])

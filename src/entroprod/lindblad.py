@@ -33,7 +33,9 @@ from .core import (
     DensityOperator,
     _check_beta,
     _check_hermitian,
-    _mat,
+    _frozen_matrix,
+    _frozen_stack,
+    _spectrum,
     add_lindblad_term,
     add_sided_term,
     bordered_solve,
@@ -79,10 +81,11 @@ class LindbladModel:
     H is Hermitian within HERMITICITY_TOL; `jumps` holds (operator,
     rate >= 0) pairs.  `cross` = (ops, c) adds the general form sum_kl c_kl
     (F_k rho F_l^dag - 1/2 {F_l^dag F_k, rho}) with a Hermitian coefficient
-    matrix c; it hosts the anomalous terms of squeezed baths.
+    matrix c; it hosts the anomalous terms of squeezed baths.  Every jump
+    and cross operator is read at the size of H.
 
-    The dimension d is capped at DIM_CAP = 81, checked before anything is
-    allocated: the dense generator and its real form take 24 d^4 bytes,
+    The dimension d is capped at DIM_CAP = 81, checked before any generator
+    is allocated: the dense generator and its real form take 24 d^4 bytes,
     within the budget GENERATOR_BYTES = 1 GiB.
     """
 
@@ -91,42 +94,29 @@ class LindbladModel:
     cross: tuple | None = None
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise LindbladError("Hamiltonian must be square")
+        h = _frozen_matrix(self.hamiltonian, LindbladError)
         if h.shape[0] > DIM_CAP:
             raise LindbladError(
                 f"dimension {h.shape[0]} exceeds cap {DIM_CAP} (24 d^4 bytes of "
                 f"dense generators against a budget of {GENERATOR_BYTES} bytes)")
-        jumps = tuple((np.asarray(op, dtype=complex), float(rate))
-                      for op, rate in self.jumps)
-        rates = [rate for _, rate in jumps]
-        ops = [op for op, _ in jumps]
-        entries = [h, rates]
-        cross = self.cross
-        if cross is not None:
-            cross = (tuple(np.asarray(o, dtype=complex) for o in cross[0]),
-                     np.asarray(cross[1], dtype=complex))
-            ops += cross[0]
-            entries.append(cross[1])
-        if not all(np.isfinite(e).all() for e in entries + ops):
-            raise LindbladError("Hamiltonian, jump operators, rates and cross "
-                                "terms must be finite")
         _check_hermitian(h, LindbladError)
-        if any(op.shape != h.shape for op in ops):
-            raise LindbladError(
-                f"jump and cross operators must have the Hamiltonian's shape {h.shape}")
+        rates = [float(rate) for _, rate in self.jumps]
+        c = None if self.cross is None else np.asarray(self.cross[1], dtype=complex)
+        ops = [op for op, _ in self.jumps] + ([] if c is None else list(self.cross[0]))
+        ops = _frozen_stack(ops or np.zeros((0,) + h.shape), LindbladError, len(h))
+        if not (np.isfinite(rates).all() and (c is None or np.isfinite(c).all())):
+            raise LindbladError("jump rates and cross-term coefficients must be finite")
         if min(rates, default=0.0) < 0:
             raise LindbladError(f"negative jump rate {min(rates)}")
-        if cross is not None:
-            k = len(cross[0])
-            if cross[1].shape != (k, k):
+        if c is not None:
+            k = len(ops) - len(rates)
+            if c.shape != (k, k):
                 raise LindbladError(f"cross-term coefficient matrix must be {k} x {k}")
-            if np.abs(cross[1] - cross[1].conj().T).max() > 1e-12:
+            if np.abs(c - c.conj().T).max() > 1e-12:
                 raise LindbladError("cross-term coefficient matrix must be Hermitian")
         object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "cross", cross)
+        object.__setattr__(self, "jumps", tuple(zip(ops, rates)))
+        object.__setattr__(self, "cross", c if c is None else (tuple(ops[len(rates):]), c))
 
     @property
     def dim(self) -> int:
@@ -155,7 +145,8 @@ def dissipator_only(model: LindbladModel) -> np.ndarray:
 
 
 def apply_superop(superop, rho) -> np.ndarray:
-    return unvec(superop @ vec(_mat(rho)))
+    """The superoperator applied to rho, read at its size."""
+    return unvec(superop @ vec(_frozen_matrix(rho, LindbladError, math.isqrt(len(superop)))))
 
 
 def trace_preservation_residual(superop) -> float:
@@ -192,6 +183,7 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
     if model.dim > INTEGRATE_DIM_CAP:
         raise LindbladError(f"dimension {model.dim} exceeds integration cap "
                             f"{INTEGRATE_DIM_CAP} (80 d^4 bytes against {GENERATOR_BYTES})")
+    _spectrum(rho0, LindbladError, model.dim)
     t_grid, coords = propagate(real_superop(build(model)), t_grid,
                                hermitian_coords(rho0.matrix), LindbladError)
     d = rho0.dim

@@ -37,6 +37,8 @@ from .core import (
     _hermitian,
     _mat,
     _petz_renyi,
+    _real_array,
+    _spectrum,
     _state_pair,
     dephase,
     relative_entropy,
@@ -69,7 +71,7 @@ class ResourceError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _energies(energies):
-    e = np.asarray(energies, dtype=float)
+    e = _real_array(energies, ResourceError, "energies")
     if e.ndim != 1:
         raise ResourceError("energies must be a 1-d array")
     if not np.isfinite(e).all():
@@ -106,8 +108,8 @@ class EnergyPopulations:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        e = np.array(self.energies, dtype=float)
-        p = np.asarray(self.probabilities, dtype=float)
+        e = np.array(_real_array(self.energies, ResourceError, "energies"))
+        p = _real_array(self.probabilities, ResourceError, "probabilities")
         if e.shape != p.shape or e.ndim != 1:
             raise ResourceError("energies/probabilities must be matching 1-d arrays")
         p, e = _check_probabilities(p, ResourceError), _energies(e)
@@ -411,8 +413,11 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID) ->
     not increase for any alpha in the grid.  Never merged with the
     population battery (except at alpha = 1 they combine into the plain
     data-processing statement).  Both states take every order in one
-    stacked call."""
-    pairs = [_state_pair(rho, dephase(rho, hamiltonian)) for rho in (rho1, rho2)]
+    stacked call.  rho2 and H are read at rho1's size."""
+    d = len(_spectrum(rho1, ResourceError)[0])
+    _spectrum(rho2, ResourceError, d)
+    h = _hermitian(hamiltonian, ResourceError, d)
+    pairs = [_state_pair(rho, dephase(rho, h)) for rho in (rho1, rho2)]
     p, q, amp = (np.stack(x)[:, None] for x in zip(*pairs))
     s1, s2 = _petz_renyi(np.asarray(alphas, dtype=float), p, q, amp)
     return _battery(alphas, s1, s2)
@@ -445,8 +450,10 @@ def work_of_formation(pop: EnergyPopulations, beta: float) -> float:
 def interconversion_rate(rho1, rho2, beta: float, hamiltonian) -> float:
     """Optimal asymptotic rate R(rho1 -> rho2) =
     S(rho1 || rho_th) / S(rho2 || rho_th): interconversion is governed by
-    the entropy of full thermalization."""
-    gibbs = thermal_state(hamiltonian, beta)
+    the entropy of full thermalization.  rho2 and H are read at rho1's size."""
+    d = len(_spectrum(rho1, ResourceError)[0])
+    _spectrum(rho2, ResourceError, d)
+    gibbs = thermal_state(_hermitian(hamiltonian, ResourceError, d), beta)
     denom = relative_entropy(rho2, gibbs)
     if denom <= THERMAL_TOL:
         raise ResourceError("target state is thermal; interconversion rate undefined")
@@ -482,7 +489,8 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     `core._petz_renyi` over every order of every row; the report's fields
     carry the row axis (`WorkBoundsReport.row` gives one quench)."""
     beta = _check_beta(beta, ResourceError, positive=True)
-    hf, rho = _hermitian(h_final, ResourceError), _frozen_stack(rho_final)
+    hf = _hermitian(h_final, ResourceError)
+    rho = _frozen_stack(rho_final, ResourceError, hf.shape[-1])
     if hf.ndim != 3 or rho.shape != hf.shape:
         raise ResourceError(f"expected (n, d, d) stacks of one shape, got {hf.shape} "
                             f"and {rho.shape}")

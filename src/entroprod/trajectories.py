@@ -42,6 +42,7 @@ from .core import (
     _check_beta,
     _entropy_rows,
     _equal_runs,
+    _frozen_stack,
     _gibbs,
     _hermitian,
     _mat,
@@ -294,8 +295,9 @@ def _outer(a, b):
 
 def populations(rho, basis):
     """Re <b_m|rho|b_m> for every column b_m of `basis`, over leading axes:
-    the weights of rho dephased in that basis."""
-    return np.real(np.einsum("...im,...ij,...jm->...m", basis.conj(), _mat(rho), basis))
+    the weights of rho dephased in that basis; rho is read at the basis' size."""
+    r = _frozen_stack(rho, TrajectoryError, basis.shape[-2])
+    return np.real(np.einsum("...im,...ij,...jm->...m", basis.conj(), r, basis))
 
 
 def stochastic_sigma(forward: PathEnsemble, backward: PathEnsemble | None = None):
@@ -353,12 +355,14 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     other decomposition.  rho' = V rho_i^th V^dag has the weights p_n of
     rho_i^th on the eigenvectors V|i_n>, so the lag reads the overlaps
     <f_m|V|i_n> with the eigenvectors of rho_f^th, whose weights are the
-    Gibbs weights of H_f.  Bare H and V are read by `core._hermitian` and `core._unitary`."""
+    Gibbs weights of H_f.  Bare H and V are read by `core._hermitian` and `core._unitary`,
+    H_f and V at the size of H_i."""
     beta = _check_beta(beta, TrajectoryError, positive=True)
     ei, vi = np.linalg.eigh(_hermitian(h_initial, TrajectoryError))
-    ef, vf = np.linalg.eigh(_hermitian(h_final, TrajectoryError))
+    ef, vf = np.linalg.eigh(_hermitian(h_final, TrajectoryError, ei.shape[-1]))
     (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
-    amp = vf.conj().swapaxes(-1, -2) @ _unitary(protocol_unitary, TrajectoryError) @ vi
+    v = _unitary(protocol_unitary, TrajectoryError, ei.shape[-1])
+    amp = vf.conj().swapaxes(-1, -2) @ v @ vi
     trans = np.abs(amp) ** 2
     mean_w = (trans * pi[..., None, :] * (ef[..., :, None] - ei[..., None, :])).sum((-2, -1))
     return WorkRows((ei, pi, vi), (ef, pf, vf), trans, (log_zi - log_zf) / beta, mean_w,
@@ -659,10 +663,10 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     value Tr{H_B (U rho_AB U^dag - rho_AB)} exactly.  The ensemble is
     p[s, n, m] = p_s |<n|s>|^2 |<m|U|s>|^2 over the joint energy indices.
     """
-    ps, vs = _spectrum(rho_ab)
     ea, va = np.linalg.eigh(_hermitian(h_a, TrajectoryError))
     eb, vb = np.linalg.eigh(_hermitian(h_b, TrajectoryError))
-    basis, u = tensor([va, vb]), _unitary(unitary, TrajectoryError)
+    ps, vs = _spectrum(rho_ab, TrajectoryError, len(ea) * len(eb))
+    basis, u = tensor([va, vb]), _unitary(unitary, TrajectoryError, len(ps))
     amp_m = np.abs(basis.conj().T @ u @ vs) ** 2               # [(mA mB), s]
     amp_n = np.abs(basis.conj().T @ vs) ** 2                   # [(nA nB), s]
     p = ps[:, None, None] * amp_n.T[:, :, None] * amp_m.T[:, None, :]
@@ -688,19 +692,6 @@ class MeasurementTrajectories:
     doubly_stochastic: bool
     sampled: bool
     seed: int | None
-
-
-def _unitary_stack(matrices, d, what) -> np.ndarray:
-    """The (n, d, d) stack of `matrices`, each checked for shape (d, d) and
-    then all read by one `core._unitary`, whose message is prefixed by `what`."""
-    ms = [_mat(m) for m in matrices]
-    for i, m in enumerate(ms):
-        if m.shape != (d, d):
-            raise TrajectoryError(f"{what} {i} has shape {m.shape}, not ({d}, {d})")
-    try:
-        return _unitary(np.reshape(ms, (-1, d, d)), TrajectoryError)
-    except TrajectoryError as err:
-        raise TrajectoryError(f"{what} {err}") from None
 
 
 def _draw(columns, k, u):
@@ -736,10 +727,10 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
         raise TrajectoryError("psi0 must be finite and nonzero")
     psi = psi / norm
     d = len(psi)
-    bases = _unitary_stack(bases, d, "measurement basis")
+    bases = _unitary([_mat(b) for b in bases], TrajectoryError, d)
     if len(unitaries) != len(bases) - 1:
         raise TrajectoryError("need exactly one unitary between consecutive bases")
-    unitaries = _unitary_stack(unitaries, d, "unitary")
+    unitaries = _unitary([_mat(u) for u in unitaries] or np.zeros((0, d, d)), TrajectoryError, d)
     p0 = np.abs(bases[0].conj().T @ psi) ** 2
     steps = [np.abs(b_next.conj().T @ u @ b_prev) ** 2           # [k', k]
              for b_prev, u, b_next in zip(bases[:-1], unitaries, bases[1:])]

@@ -428,11 +428,11 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
 def test_run_rejects_mismatched_dims():
     # the dims each Episode used to check: initial state, system schedule, ancilla
     spec = cm.CollisionSpec((thermal_stroke(1.0),), (H_QUBIT,))
-    with pytest.raises(cm.CollisionalError, match="initial state"):
+    with pytest.raises(cm.CollisionalError, match="matrix is 3x3, expected 2x2"):
         cm.run(spec, random_density(3, RNG), 2)
     h3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0]))
-    with pytest.raises(cm.CollisionalError, match="differ in dimension"):
+    with pytest.raises(cm.CollisionalError, match="matrix is 3x3, expected 2x2"):
         cm.CollisionSpec((thermal_stroke(1.0),) * 2, (H_QUBIT, h3))
-    with pytest.raises(cm.CollisionalError, match="ancilla Hamiltonian"):
+    with pytest.raises(cm.CollisionalError, match="matrix is 3x3, expected 2x2"):
         cm.CollisionSpec((cm.AncillaStroke(thermal_state(H_QUBIT, 1.0), h3,
                                            exchange_unitary(0.3)),), (H_QUBIT,))

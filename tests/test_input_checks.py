@@ -2,7 +2,8 @@
 row per input check that the other tests do not reach, each with the call,
 the error class and a fragment of its message.  A bare matrix given as a
 state, a probability vector, a bare Hamiltonian, a bare unitary and a
-declared bath temperature each pass their type's one check."""
+declared bath temperature each pass their type's one check, and every
+operand of a multi-operator entry point passes the one size rule."""
 
 import json
 from pathlib import Path
@@ -29,6 +30,7 @@ from entroprod.core import (
     thermal_state,
 )
 from entroprod.rand import ginibre, haar_unitaries
+from test_tolerances import _parameters, _public_callables
 
 H2 = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
 H3 = HermitianOperator.from_matrix(np.diag([0.0, 1.0, 2.0]))
@@ -42,6 +44,7 @@ NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
 THERMAL_AB = DensityOperator.from_matrix(np.kron(RHO2.matrix, RHO2.matrix), (2, 2))
 W3 = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])   # symmetric 3-state
 RATES3 = cl.RateMatrix(W3, (W3 / 2, W3 / 2))
+MIXED3 = DensityOperator.maximally_mixed(3)
 
 
 def _episode(**changes):
@@ -83,7 +86,7 @@ CASES = {
         "equally sized probability vectors"),
     "core.trace_distance sizes": (
         lambda: core.trace_distance(np.eye(2) / 2, np.eye(3) / 3), core.CoreError,
-        "dimension mismatch"),
+        "matrix is 3x3, expected 2x2"),
     "core.von_neumann_entropy bare matrix of trace 6": (
         lambda: core.von_neumann_entropy(3 * np.eye(2)), core.CoreError, "differs from 1"),
     "core.von_neumann_entropy bare matrix with NaN": (
@@ -103,6 +106,18 @@ CASES = {
     "core.hermitian_function non-Hermitian matrix": (
         lambda: core.hermitian_function(NOT_HERMITIAN, np.exp), core.CoreError,
         "not Hermitian"),
+    "core.shannon_entropy complex": (
+        lambda: core.shannon_entropy(np.array([0.5 + 0.3j, 0.5 - 0.3j])), core.CoreError,
+        "probabilities must be real, got a nonzero imaginary part"),
+    "core.classical_kl list with a complex entry": (
+        lambda: core.classical_kl([0.5, 0.5j], HALF), core.CoreError,
+        "probabilities must be real, got a nonzero imaginary part"),
+    "core.shannon_entropy non-numeric": (
+        lambda: core.shannon_entropy(["a", "b"]), core.CoreError,
+        "probabilities must be real numbers"),
+    "core ragged stack": (
+        lambda: core.hermitian_function([np.eye(2), np.eye(3)], np.exp), core.CoreError,
+        "matrix 1 of the stack: shape (3, 3), expected (2, 2)"),
     "core.matrix_from_json parts": (
         lambda: core.matrix_from_json({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, 0]]}),
         core.CoreError, "matching 2-d arrays"),
@@ -122,6 +137,9 @@ CASES = {
     "classical.RateMatrix part negative rate": (
         lambda: cl.RateMatrix(W3, (2 * W3, -W3)), cl.ClassicalError,
         "reservoir part 1: negative off-diagonal rate"),
+    "classical.RateMatrix complex rate": (
+        lambda: cl.RateMatrix(np.array([[-1.0, 1 + 2j], [1.0, -1 - 2j]])), cl.ClassicalError,
+        "rate matrix must be real, got a nonzero imaginary part"),
     "classical.tur_check vanishing current": (
         lambda: cl.tur_check(RATES3, [(0, 1, 0)]), cl.ClassicalError, "current vanishes"),
     "classical.schnakenberg p length": (
@@ -155,7 +173,7 @@ CASES = {
         "one system Hamiltonian per alphabet entry"),
     "collisional stroke unitary dims": (
         lambda: cm.CollisionSpec((_stroke(FLIP),), (H2,)), cm.CollisionalError,
-        "does not match S x A dims"),
+        "matrix is 2x2, expected 4x4"),
     "collisional unitary schedule": (
         lambda: cm.CollisionSpec((_stroke(),), (H2,), (FLIP, FLIP)), cm.CollisionalError,
         "one system unitary per alphabet entry"),
@@ -184,6 +202,9 @@ CASES = {
                        + np.kron(SIGMA_MINUS, core.SIGMA_PLUS)),
                 lambda x: np.exp(-1j * x)), (2, 2)), beta=1.0),
         cm.CollisionalError, "ancilla is not thermal at beta=1.0"),
+    "collisional.AncillaStroke bare Hamiltonian": (
+        lambda: cm.AncillaStroke(RHO2, np.diag([0.0, 1.0]), ID4), cm.CollisionalError,
+        "hamiltonian must be a HermitianOperator, got ndarray"),
     "collisional.SwapEngineSpec gap": (
         lambda: cm.SwapEngineSpec(0.0, 1.0, 1.0, 1.0), cm.CollisionalError,
         "SWAP engine parameters must be positive"),
@@ -192,9 +213,15 @@ CASES = {
         "SWAP engine parameters must be positive"),
     # episodes
     "episodes Hamiltonian dims": (
-        lambda: _episode(h_system=H3), eps.EpisodeError, "Hamiltonian dims do not match"),
+        lambda: _episode(h_system=H3), eps.EpisodeError, "matrix is 3x3, expected 2x2"),
     "episodes unitary dims": (
-        lambda: _episode(unitary=FLIP), eps.EpisodeError, "unitary dim 2"),
+        lambda: _episode(unitary=FLIP), eps.EpisodeError, "matrix is 2x2, expected 4x4"),
+    "episodes.Episode bare state": (
+        lambda: eps.Episode(H2, H2, ID4, np.eye(2) / 2, RHO2), eps.EpisodeError,
+        "rho_system must be a DensityOperator, got ndarray"),
+    "episodes.mean_force_hamiltonian H_tot against dims": (
+        lambda: eps.mean_force_hamiltonian(np.eye(5), (2, 2), 1.0, H2), eps.EpisodeError,
+        "dims (2, 2) do not match matrix size 5"),
     "episodes.EpisodeStack.of row counts": (
         lambda: _stack(2), eps.EpisodeError, "one (N, d, d) stack of equal N"),
     "episodes.multibath_balance partition": (
@@ -280,7 +307,7 @@ CASES = {
     # lindblad
     "lindblad non-square Hamiltonian": (
         lambda: lb.LindbladModel(np.ones((2, 3)), ()), lb.LindbladError,
-        "Hamiltonian must be square"),
+        "expected a square matrix, got shape (2, 3)"),
     "lindblad negative rate": (
         lambda: lb.LindbladModel(np.eye(2), ((np.eye(2), -1.0),)), lb.LindbladError,
         "negative jump rate"),
@@ -315,6 +342,9 @@ CASES = {
     "resource.EnergyPopulations shapes": (
         lambda: rs.EnergyPopulations([0.0, 1.0], [1.0]), rs.ResourceError,
         "matching 1-d arrays"),
+    "resource.EnergyPopulations complex levels": (
+        lambda: rs.EnergyPopulations(np.array([0.0, 1 + 1j]), HALF), rs.ResourceError,
+        "energies must be real, got a nonzero imaginary part"),
     "resource.majorization_verdict lengths": (
         lambda: rs.majorization_verdict([1.0, 0.0], [1.0, 0.0, 0.0]), rs.ResourceError,
         "equal-length vectors"),
@@ -442,9 +472,7 @@ UNITARY_READERS = {
         lambda u: cm.four_stroke(np.eye(2), u, ID4, ID4, RHO2, RHO2, H2, at_limit_cycle=False),
         2, cm.CollisionalError),
 }
-# measurement_trajectories names a matrix of the wrong shape by its index first
-UNITARY_CASES = [(reader, bad) for reader in UNITARY_READERS for bad in BAD_UNITARIES
-                 if (reader, bad) != ("trajectories.measurement_trajectories", "non-square")]
+UNITARY_CASES = [(reader, bad) for reader in UNITARY_READERS for bad in BAD_UNITARIES]
 
 
 @pytest.mark.parametrize("reader, bad", UNITARY_CASES,
@@ -514,3 +542,157 @@ def test_heat_capacity_bound_rejects_what_no_quadrature_resolves(temperature, va
     # at 2^49 possible evaluations, each of these ran past a 10 s limit
     with pytest.raises(eps.EpisodeError, match="^temperature must be finite|non-finite integrand"):
         eps.heat_capacity_bound(-0.1, temperature, _capacity(value))
+
+
+# One size rule (`core._check_size`): an operand of another size than the one
+# its entry point derives from the operands read before it raises the
+# module's error naming both sizes.  One row per entry point; the contract
+# below keeps a row for every public callable that takes two or more
+# operators.
+THREE_LEVELS = [0.0, 1.0, 2.0]
+H4 = np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.0]))
+QUBIT_MODEL = lb.thermal_qubit_model(1.0, 1.0, 1.0)
+MISMATCHED = {
+    # entry point: (its call with one operand of the wrong size, the error, the sizes)
+    "entroprod.core.relative_entropy": (
+        lambda: core.relative_entropy(RHO2, np.eye(3) / 3), core.CoreError, "3x3, expected 2x2"),
+    "entroprod.core.renyi_divergence": (
+        lambda: core.renyi_divergence(RHO2, MIXED3, 2.0), core.CoreError, "3x3, expected 2x2"),
+    "entroprod.core.trace_distance": (
+        lambda: core.trace_distance(RHO2, ID4), core.CoreError, "4x4, expected 2x2"),
+    "entroprod.core.dephase": (
+        lambda: core.dephase(np.eye(2) / 2, H3), core.CoreError, "3x3, expected 2x2"),
+    "entroprod.core.relative_entropy_of_coherence": (
+        lambda: core.relative_entropy_of_coherence(RHO2, H3), core.CoreError,
+        "3x3, expected 2x2"),
+    "entroprod.core.ancilla_kraus": (
+        lambda: core.ancilla_kraus(ID4, MIXED3), core.CoreError, "4x4, expected 3x3"),
+    "entroprod.episodes.Episode": (
+        lambda: _episode(h_env=H3), eps.EpisodeError, "3x3, expected 2x2"),
+    "entroprod.episodes.EpisodeStack.of": (
+        lambda: eps.EpisodeStack.of(*[(np.eye(2) / 2)[None]] * 2, np.eye(2)[None],
+                                    *[(np.eye(2) / 2)[None]] * 2),
+        eps.EpisodeError, "2x2, expected 4x4"),
+    "entroprod.episodes.is_strict_energy_conserving": (
+        lambda: eps.is_strict_energy_conserving(np.eye(2), H2, H2), eps.EpisodeError,
+        "2x2, expected 4x4"),
+    "entroprod.episodes.fixed_point_sigma": (
+        lambda: eps.fixed_point_sigma(RHO2, RHO2, np.eye(3) / 3), eps.EpisodeError,
+        "3x3, expected 2x2"),
+    "entroprod.episodes.has_global_fixed_point": (
+        lambda: eps.has_global_fixed_point(_episode(), MIXED3), eps.EpisodeError,
+        "3x3, expected 2x2"),
+    "entroprod.episodes.conditional_balance": (
+        lambda: eps.conditional_balance(_episode(), [np.eye(3)]), eps.EpisodeError,
+        "3x3, expected 2x2"),
+    "entroprod.episodes.correlated_heat_flow": (
+        lambda: eps.correlated_heat_flow(THERMAL_AB, H2, H2, FLIP, 1.0, 1.0), eps.EpisodeError,
+        "2x2, expected 4x4"),
+    "entroprod.episodes.mean_force_hamiltonian": (
+        # an H_E of the wrong size used to return H_mf shifted by (ln Z_3 - ln Z_2) / beta
+        lambda: eps.mean_force_hamiltonian(np.eye(4), (2, 2), 1.0, np.diag(THREE_LEVELS)),
+        eps.EpisodeError, "3x3, expected 2x2"),
+    "entroprod.episodes.strong_coupling_sigma": (
+        lambda: eps.strong_coupling_sigma([(0.0, np.eye(4) / 4, 0.0)], lambda lam: H4, 1.0,
+                                          np.diag(THREE_LEVELS), (2, 2)),
+        eps.EpisodeError, "3x3, expected 2x2"),
+    "entroprod.episodes.correlation_witness_terms": (
+        lambda: eps.correlation_witness_terms([0.0, 1.0, 2.0], [np.eye(4) / 4] * 3,
+                                              [np.eye(2) / 2] * 3, H4, (2, 2)),
+        eps.EpisodeError, "2x2, expected 4x4"),
+    "entroprod.trajectories.work_rows": (
+        lambda: tj.work_rows(H2.matrix[None], H3.matrix[None], np.eye(2)[None], 1.0),
+        tj.TrajectoryError, "3x3, expected 2x2"),
+    "entroprod.trajectories.work_distribution": (
+        lambda: tj.work_distribution(PAULI_Z, PAULI_Z, np.eye(3), 1.0), tj.TrajectoryError,
+        "3x3, expected 2x2"),
+    "entroprod.trajectories.work_cgf": (
+        lambda: tj.work_cgf(PAULI_Z, PAULI_Z, np.eye(3), 1.0, [0.0, 0.5]), tj.TrajectoryError,
+        "3x3, expected 2x2"),
+    "entroprod.trajectories.quench_cgf": (
+        lambda: tj.quench_cgf(PAULI_Z, np.diag(THREE_LEVELS), 1.0, [0.0, 0.5]), tj.TrajectoryError,
+        "3x3, expected 2x2"),
+    "entroprod.trajectories.correlated_tpm": (
+        lambda: tj.correlated_tpm(THERMAL_AB, H2, H2, FLIP, 1.0, 1.0), tj.TrajectoryError,
+        "2x2, expected 4x4"),
+    "entroprod.trajectories.augmented_tpm": (
+        lambda: tj.augmented_tpm(THERMAL_AB, FLIP, H2, H2), tj.TrajectoryError,
+        "2x2, expected 4x4"),
+    "entroprod.trajectories.populations": (
+        lambda: tj.populations(np.eye(3) / 3, np.eye(2)), tj.TrajectoryError,
+        "3x3, expected 2x2"),
+    "entroprod.trajectories.measurement_trajectories": (
+        lambda: tj.measurement_trajectories([1.0, 0.0], [np.eye(2), np.eye(3)], [np.eye(2)]),
+        tj.TrajectoryError, "matrix 1 of the stack: shape (3, 3), expected (2, 2)"),
+    "entroprod.collisional.AncillaStroke": (
+        lambda: cm.AncillaStroke(RHO2, H3, ID4), cm.CollisionalError, "3x3, expected 2x2"),
+    "entroprod.collisional.CollisionSpec": (
+        lambda: cm.CollisionSpec((_stroke(),), (H2,), (UnitaryOperator.from_matrix(np.eye(3)),)),
+        cm.CollisionalError, "3x3, expected 2x2"),
+    "entroprod.collisional.run": (
+        lambda: cm.run(cm.CollisionSpec((_stroke(),), (H2,)), MIXED3, 2), cm.CollisionalError,
+        "3x3, expected 2x2"),
+    "entroprod.collisional.continuous_limit": (
+        lambda: cm.continuous_limit(np.kron(PAULI_X, PAULI_X), MIXED3), cm.CollisionalError,
+        "4x4, expected 3x3"),
+    "entroprod.collisional.four_stroke": (
+        lambda: cm.four_stroke(np.eye(2), np.eye(2), ID4, ID4, RHO2, MIXED3, H2),
+        cm.CollisionalError, "4x4, expected 6x6"),
+    "entroprod.resource.coherence_second_laws": (
+        lambda: rs.coherence_second_laws(RHO2, RHO2, H3), rs.ResourceError, "3x3, expected 2x2"),
+    "entroprod.resource.interconversion_rate": (
+        lambda: rs.interconversion_rate(RHO2, MIXED3, 1.0, H2), rs.ResourceError,
+        "3x3, expected 2x2"),
+    "entroprod.resource.work_bounds_rows": (
+        lambda: rs.work_bounds_rows(np.eye(2)[None], 1.0, (np.eye(3) / 3)[None], 0.0, 0.0,
+                                    [0.5]),
+        rs.ResourceError, "3x3, expected 2x2"),
+    "entroprod.resource.work_bounds": (
+        lambda: rs.work_bounds(np.eye(2), 1.0, np.eye(3) / 3, 0.0, 0.0, [0.5]), rs.ResourceError,
+        "3x3, expected 2x2"),
+    "entroprod.lindblad.apply_superop": (
+        lambda: lb.apply_superop(lb.build(QUBIT_MODEL), np.eye(3) / 3), lb.LindbladError,
+        "3x3, expected 2x2"),
+    "entroprod.lindblad.integrate": (
+        lambda: lb.integrate(QUBIT_MODEL, MIXED3, [0.0, 1.0]), lb.LindbladError,
+        "3x3, expected 2x2"),
+}
+
+
+@pytest.mark.parametrize("call, error, sizes", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_a_mismatched_operand_raises_the_module_error(call, error, sizes):
+    with pytest.raises(error) as info:
+        call()
+    assert sizes in str(info.value)
+
+
+# The parameter names that hold an operator on a Hilbert space (a state, a
+# Hamiltonian, a unitary or a superoperator, bare or typed, one or a list).
+OPERATORS = {
+    "rho", "sigma", "rho1", "rho2", "rho0", "rho_ab", "rho_before", "rho_after", "fixed_point",
+    "candidate", "rho_system", "rho_env", "rho_ancilla", "rho_final", "rho_hot", "rho_cold",
+    "hamiltonian", "h_system", "h_env", "h_initial", "h_final", "h_a", "h_b", "h_total", "h_hot",
+    "h_cold", "unitary", "protocol_unitary", "system_unitaries", "v1", "v2", "u_sh", "u_sc",
+    "v_int", "op", "superop", "basis", "bases", "unitaries", "kraus_env", "joint_1", "joint_2",
+}
+# Multi-operator callables that read no operand themselves, each with the reason.
+EXEMPT = {
+    "entroprod.episodes.EpisodeStack": "its fields are validated by `EpisodeStack.of`",
+    "entroprod.episodes.EvolvedStates": "a record of the states `evolve` made",
+}
+
+
+def _multi_operator_callables():
+    return sorted(name for name, obj in _public_callables()
+                  if len(OPERATORS.intersection(_parameters(obj))) >= 2)
+
+
+def test_every_multi_operator_callable_has_a_mismatched_operand_row():
+    assert [name for name in _multi_operator_callables()
+            if name not in MISMATCHED and name not in EXEMPT] == []
+
+
+def test_every_size_row_and_exemption_names_a_public_callable():
+    names = {name for name, _ in _public_callables()}
+    assert sorted(set(MISMATCHED) - names) == []
+    assert sorted(set(EXEMPT).difference(_multi_operator_callables())) == []
