@@ -312,10 +312,12 @@ def tur_check(rates: RateMatrix, counted, p_stationary=None):
 def onsager_sigma(l_matrix, affinities):
     """Entropy production x^T L x of linear response, with L symmetrized;
     reports whether the symmetric part is PSD."""
-    l = np.asarray(l_matrix, dtype=float)
-    if l.shape[0] != l.shape[1]:
-        raise ClassicalError("Onsager matrix must be square")
-    x = np.asarray(affinities, dtype=float).ravel()
+    l = _real_array(l_matrix, ClassicalError, "Onsager matrix")
+    if l.ndim != 2 or l.shape[0] != l.shape[1]:
+        raise ClassicalError(f"Onsager matrix must be square, got shape {l.shape}")
+    x = _real_array(affinities, ClassicalError, "affinities").ravel()
+    if x.size != len(l):
+        raise ClassicalError(f"{x.size} affinities for the {len(l)}x{len(l)} Onsager matrix")
     sym = 0.5 * (l + l.T)
     value = float(x @ sym @ x)
     psd = bool(np.linalg.eigvalsh(sym).min() >= -1e-12)

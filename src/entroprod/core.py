@@ -16,15 +16,18 @@ bare unitary by `_unitary`, the `UnitaryOperator` check with it.  These
 readers and the state reader `_spectrum` take the size the caller expects,
 which the one size rule `_check_size` enforces on bare and typed operands.
 
-Every entropy and divergence uses one support rule.  Where a spectrum is
-made (`_spectral_weights`, called by the state validation), eigenvalues
-<= SPECTRAL_NOISE * d are eigensolver round-off and are set to exactly 0,
-once.  Downstream a level is in the support iff its weight is > 0, and rho
-leaves sigma's support iff its mass on sigma's zero levels exceeds
-SUPPORT_OVERLAP_TOL.  Probability vectors, validated by
-`_check_probabilities` with the caller's error, follow the same downstream
-rule: the classical divergences are the diagonal case of the one
-Petz-Renyi kernel (`_petz_renyi`).
+Every entropy and divergence uses one support rule.  A spectrum read from
+an eigensolver (`_spectral_weights`, called by the state validation) has
+its eigenvalues <= SPECTRAL_NOISE * d, round-off, set to exactly 0, once;
+one known exactly (Gibbs, squeezed thermal and maximally mixed states,
+`_exact_spectra`) is kept uncut, save that Petz-Renyi orders above 1 cut an
+exact weight that rho meets only within SUPPORT_OVERLAP_TOL.  A bare Gibbs
+matrix is read by `eigh` and cut.  Downstream a level is in the support iff
+its weight is > 0, and rho leaves sigma's support iff its mass on sigma's
+zero levels exceeds SUPPORT_OVERLAP_TOL.  Probability vectors, validated
+by `_check_probabilities` with the caller's error, follow the same
+downstream rule: the classical divergences are the diagonal case of the
+one Petz-Renyi kernel (`_petz_renyi`).
 
 Equal values have one rule too, `_equal_runs`: in sorted values a new run
 starts where the gap to the previous value exceeds the tolerance, and an
@@ -116,14 +119,16 @@ def _check_size(n, dim, error):
 
 
 def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
-    """Read-only complex copy of one square matrix or stack (..., d, d), of
-    size `dim` when given (`_check_size`), else `error`; a ragged list is
-    named by its first entry not of the shape of entry 0 (or of dim x dim)."""
+    """Read-only complex copy of one square matrix or stack (..., d, d), or
+    operators, of size `dim` when given (`_check_size`), else `error`; a ragged
+    list is named by its first entry not of the shape of entry 0 (or of dim x dim)."""
+    if isinstance(matrices, (list, tuple)):
+        matrices = [x.matrix if isinstance(x, _Operator) else x for x in matrices]
     try:
         m = np.array(matrices.matrix if isinstance(matrices, _Operator) else matrices,
                      dtype=complex)
     except (TypeError, ValueError):
-        shapes = [np.shape(x) for x in matrices] if isinstance(matrices, (list, tuple)) else []
+        shapes = [np.asarray(x, object).shape for x in matrices] if type(matrices) is list else []
         want = shapes[:1] if dim is None else [(dim, dim)]
         k = next((k for k, s in enumerate(shapes) if [s] != want), None)
         raise error("matrix entries must be numbers" if k is None else
@@ -168,6 +173,22 @@ def _density_spectra(m):
     return evals, evecs
 
 
+def _exact_spectra(matrix, weights, vecs):
+    """(matrix, weights, eigenvectors), read-only, of one state made from its spectrum:
+    `matrix` V diag(w) V^dag (made here when None), the weights, kept uncut (an
+    eigensolver's are cut first, `_spectral_weights`) and passing `_check_probabilities`
+    with CoreError, sorted ascending with their eigenvector columns."""
+    w, v = _check_probabilities(weights, CoreError), np.asarray(vecs, dtype=complex)
+    m = (v * w) @ v.conj().T if matrix is None else matrix
+    if m.ndim != 2:
+        raise CoreError(f"expected a square matrix, got shape {m.shape}")
+    order = np.argsort(w, kind="stable")
+    w, v = w[order], v[:, order]
+    for arr in (m, w, v):
+        arr.setflags(write=False)
+    return m, w, v
+
+
 def _density_stack(matrices):
     """(matrices, weights, eigenvectors) of an (n, d, d) stack of states,
     all read-only, validated by `_density_spectra` (one stacked `eigh`)."""
@@ -186,9 +207,31 @@ def _fail_first(bad, values, message, error=CoreError):
         raise error(where + message.format(values.flat[k]))
 
 
+def _check_hermitian(m, error=CoreError):
+    """The `HermitianOperator` check of one matrix or of a stack (..., d, d):
+    residual within HERMITICITY_TOL * max(1, max |m_ij|), else `error`."""
+    herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    _fail_first(herm_err > HERMITICITY_TOL * scale, herm_err,
+                "matrix is not Hermitian (residual {:.3e})", error)
+
+
+def _check_unitary(m, error=CoreError):
+    """The `UnitaryOperator` check of one matrix or of a stack (..., d, d):
+    max |U^dag U - 1| within UNITARITY_TOL, else `error`."""
+    err = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+    _fail_first(err > UNITARITY_TOL, err, "matrix is not unitary (residual {:.3e})", error)
+
+
 class _Operator:
-    """What the operator types share: construction from a bare matrix,
-    the dimension and the JSON matrix schema."""
+    """What the operator types share: construction (the matrix frozen, its dims read at
+    its size, the type's `_check` passed), the dimension and the JSON matrix schema."""
+
+    def __post_init__(self):
+        m = _frozen_matrix(self.matrix)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
+        self._check(m)
 
     @classmethod
     def from_matrix(cls, matrix, dims=None):
@@ -213,33 +256,7 @@ class HermitianOperator(_Operator):
 
     matrix: np.ndarray
     dims: HilbertDims
-
-    def __post_init__(self):
-        m = _frozen_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
-        _check_hermitian(m)
-
-
-def _check_hermitian(m, error=CoreError):
-    """The `HermitianOperator` check of one matrix or of a stack (..., d, d):
-    residual within HERMITICITY_TOL * max(1, max |m_ij|), else `error`."""
-    herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    _fail_first(herm_err > HERMITICITY_TOL * scale, herm_err,
-                "matrix is not Hermitian (residual {:.3e})", error)
-
-
-def _hermitian(op, error=CoreError, dim=None) -> np.ndarray:
-    """The matrix of a `HermitianOperator`, or a read-only copy of a bare
-    matrix or stack (..., d, d) that passes `_check_hermitian`; either of
-    size `dim` when given (`_check_size`), else `error`."""
-    if isinstance(op, HermitianOperator):
-        _check_size(op.dim, dim, error)
-        return op.matrix
-    m = _frozen_stack(op, error, dim)
-    _check_hermitian(m, error)
-    return m
+    _check = staticmethod(_check_hermitian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +267,8 @@ class DensityOperator(_Operator):
     eigenvalues (round-off zeroed) and eigenvectors are kept read-only (not
     in the repr).  `from_stack` validates a whole stack of states by one stacked
     `eigh` through the same checks, and each state keeps its slice of that
-    decomposition.  Equality is identity: states hold arrays.
+    decomposition.  A state made from its known spectrum (`_exact_spectra`)
+    is never decomposed.  Equality is identity: states hold arrays.
     """
 
     matrix: np.ndarray
@@ -269,19 +287,22 @@ class DensityOperator(_Operator):
         `dims`, from one stacked `eigh` (`_density_stack`); each state's
         `eig()` is its slice of that decomposition, the same bits as
         validating it alone."""
-        stack = _density_stack(matrices)
-        return cls._rows(stack, _as_dims(dims, stack[0].shape[-1]))
+        return cls._rows(_density_stack(matrices), dims)
 
     @classmethod
-    def _rows(cls, stack, dims) -> tuple:
+    def _rows(cls, stack, dims=None) -> tuple:
         """The states of a validated (matrices, weights, eigenvectors) stack."""
-        return tuple(cls._validated(m, dims, (w, v)) for m, w, v in zip(*stack))
+        dims = _as_dims(dims, stack[0].shape[-1])
+        return tuple(cls._validated(row, dims) for row in zip(*stack))
 
     @classmethod
-    def _validated(cls, matrix, dims, eig):
-        """A state from a read-only matrix validated elsewhere, keeping `eig`."""
+    def _validated(cls, spectra, dims=None):
+        """A state from one read-only (matrix, weights, eigenvectors) made by
+        `_density_stack` or `_exact_spectra`, keeping that spectrum; dims None: one factor."""
+        m, w, v = spectra
+        dims = HilbertDims((len(w),)) if dims is None else dims
         rho = object.__new__(cls)
-        for name, value in (("matrix", matrix), ("dims", dims), ("_eig", eig)):
+        for name, value in (("matrix", m), ("dims", dims), ("_eig", (w, v))):
             object.__setattr__(rho, name, value)
         return rho
 
@@ -295,7 +316,7 @@ class DensityOperator(_Operator):
     def maximally_mixed(cls, dims):
         d = dims if isinstance(dims, HilbertDims) else HilbertDims(tuple(np.atleast_1d(dims)))
         n = d.total
-        return cls(np.eye(n) / n, d)
+        return cls._validated(_exact_spectra(None, np.full(n, 1.0 / n), np.eye(n)), d)
 
     def eig(self):
         """Eigenvalues (ascending, round-off zeroed) and eigenvectors as
@@ -310,29 +331,25 @@ class UnitaryOperator(_Operator):
 
     matrix: np.ndarray
     dims: HilbertDims
-
-    def __post_init__(self):
-        m = _frozen_matrix(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", _as_dims(self.dims, m.shape[0]))
-        _check_unitary(m)
+    _check = staticmethod(_check_unitary)
 
 
-def _check_unitary(m, error=CoreError):
-    """The `UnitaryOperator` check of one matrix or of a stack (..., d, d):
-    max |U^dag U - 1| within UNITARITY_TOL, else `error`."""
-    err = np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
-    _fail_first(err > UNITARITY_TOL, err, "matrix is not unitary (residual {:.3e})", error)
+def _reader(kind):
+    """The reader of the operator type `kind`: the matrix of a `kind`, or a
+    read-only copy of a bare matrix or stack (..., d, d) that passes
+    `kind._check`; either of size `dim` when given (`_check_size`), else `error`."""
+
+    def read(op, error=CoreError, dim=None) -> np.ndarray:
+        if isinstance(op, kind):
+            _check_size(op.dim, dim, error)
+            return op.matrix
+        m = _frozen_stack(op, error, dim)
+        kind._check(m, error)
+        return m
+    return read
 
 
-def _unitary(op, error=CoreError, dim=None) -> np.ndarray:
-    """`_hermitian` for a `UnitaryOperator` and `_check_unitary`."""
-    if isinstance(op, UnitaryOperator):
-        _check_size(op.dim, dim, error)
-        return op.matrix
-    m = _frozen_stack(op, error, dim)
-    _check_unitary(m, error)
-    return m
+_hermitian, _unitary = _reader(HermitianOperator), _reader(UnitaryOperator)
 
 
 _OPERATOR_TYPES = {k.__name__: k for k in (HermitianOperator, DensityOperator, UnitaryOperator)}
@@ -667,12 +684,20 @@ def _petz_renyi(alpha, p, q, amp=None):
 
     on, above = q > 0.0, alpha >= 1.0
     r = on_sigma(p) if above.any() else None            # <sigma_j|rho|sigma_j>
+    # orders above 1 divide by sigma's weights, so a weight kept exact (as a
+    # Gibbs one) that rho meets only within SUPPORT_OVERLAP_TOL is cut as
+    # eigensolver output is: through overlaps its ratio is round-off over weight
+    q_cut = q
+    if w is not None and (alpha > 1.0).any():
+        q_cut = np.where(r <= SUPPORT_OVERLAP_TOL, _spectral_weights(q), q)
+    on_cut = q_cut > 0.0
 
     def branch(a):
         """The formula of one branch: a = 1 or a = inf (floats), or an array
         of finite orders other than 1."""
         if isinstance(a, np.ndarray):
-            tr = (_power(q, 1.0 - a[..., None]) * on_sigma(_power(p, a[..., None]))).sum(-1)
+            sigma = np.where(a[..., None] > 1.0, q_cut, q)
+            tr = (_power(sigma, 1.0 - a[..., None]) * on_sigma(_power(p, a[..., None]))).sum(-1)
             positive = tr > 0.0
             return np.where(positive, np.log(np.where(positive, tr, 1.0)) / (a - 1.0),
                             math.inf)
@@ -682,10 +707,11 @@ def _petz_renyi(alpha, p, q, amp=None):
         # top eigenvalue with sigma's zero levels as zero rows; a row wholly
         # off sigma's support reads 0 here and +inf below
         if w is None:
-            top = (np.where(on, p, 0.0) / np.where(on, q, 1.0)).max(-1)
+            top = (np.where(on_cut, p, 0.0) / np.where(on_cut, q_cut, 1.0)).max(-1)
         else:
-            half = amp * np.sqrt(p)[..., None, :] / np.sqrt(np.where(on, q, 1.0))[..., :, None]
-            half = np.where(on[..., :, None], half, 0.0)      # sigma^-1/2 rho^1/2
+            half = (amp * np.sqrt(p)[..., None, :]
+                    / np.sqrt(np.where(on_cut, q_cut, 1.0))[..., :, None])
+            half = np.where(on_cut[..., :, None], half, 0.0)  # sigma^-1/2 rho^1/2
             top = np.linalg.eigvalsh(half @ half.conj().swapaxes(-1, -2))[..., -1]
         return np.log(np.where(top > 0.0, top, 1.0))
 
@@ -758,19 +784,6 @@ def relative_entropy(rho, sigma) -> float:
     return float(_petz_renyi(1.0, *_state_pair(rho, sigma)))
 
 
-def relative_entropy_spectral(rho, sigma_vals, sigma_vecs) -> float:
-    """Relative entropy against a reference given by its exact spectral
-    data (e.g. a Gibbs state built from its Hamiltonian).
-
-    Avoids re-diagonalizing the reference, so exponentially small but
-    genuine weights keep accurate logarithms instead of being zeroed as
-    eigensolver round-off.  A bare rho is validated as a state.
-    """
-    p, pv = _spectrum(rho)
-    amp = np.asarray(sigma_vecs, dtype=complex).conj().T @ pv
-    return float(_petz_renyi(1.0, p, np.asarray(sigma_vals, dtype=float), amp))
-
-
 def renyi_divergence(rho, sigma, alpha) -> float:
     """Petz-Renyi divergence (alpha-1)^-1 ln Tr rho^a sigma^(1-a), with the
     relative entropy at alpha = 1, the support limit at alpha = 0 and the
@@ -814,11 +827,11 @@ def _gibbs(energies, beta):
 
 
 def _gibbs_states(h, beta):
-    """Gibbs matrices e^{-beta H}/Z of one Hamiltonian or of a stack (one
-    beta per row), from one (stacked) `eigh`, and the levels of H."""
+    """Gibbs matrices e^{-beta H}/Z of one H or of a stack (one beta per row) from one
+    (stacked) `eigh`, their weights and eigenvectors in the order of the levels, and the levels."""
     vals, vecs = np.linalg.eigh(h)
-    weights = _gibbs(vals, beta)[0][..., None, :]
-    return (vecs * weights) @ vecs.conj().swapaxes(-1, -2), vals
+    weights = _gibbs(vals, beta)[0]
+    return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2), weights, vecs, vals
 
 
 def _check_beta(beta, error, positive=False, name="inverse temperature"):
@@ -832,10 +845,11 @@ def _check_beta(beta, error, positive=False, name="inverse temperature"):
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
-    """Gibbs state e^{-beta H}/Z with a max-shift; a bare H is read by `_hermitian`."""
+    """Gibbs state e^{-beta H}/Z (`_gibbs_states`); a bare H is read by `_hermitian`."""
     _check_beta(beta, CoreError)
     dims = hamiltonian.dims if isinstance(hamiltonian, _Operator) else None
-    return DensityOperator(_gibbs_states(_hermitian(hamiltonian), beta)[0], dims)
+    m, w, v, _ = _gibbs_states(_hermitian(hamiltonian), beta)
+    return DensityOperator._validated(_exact_spectra(m, w, v), dims)
 
 
 def trace_distance(rho1, rho2) -> float:

@@ -51,6 +51,7 @@ from .core import (
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
+    _real_array,
     _spectrum,
     _trace_distance_rows,
     _unitary,
@@ -60,7 +61,6 @@ from .core import (
     relative_entropy,
     tensor,
     thermal_state,
-    trace_distance,
     von_neumann_entropy,
 )
 
@@ -157,8 +157,8 @@ class Episode:
     @cached_property
     def _evolved(self) -> EvolvedStates:
         dims = (self.dims, self.rho_system.dims, self.rho_env.dims)
-        return EvolvedStates(*(DensityOperator._validated(m[0], d, (w[0], v[0]))
-                               for (m, w, v), d in zip(self._row.evolved, dims)))
+        return EvolvedStates(*(DensityOperator._validated([x[0] for x in s], d)
+                               for s, d in zip(self._row.evolved, dims)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +425,7 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
 def _thermality(states, h, beta):
     """The thermality rule: flags of the states (a matrix or a stack) farther than THERMALITY_TOL
     in trace distance from the Gibbs states of h at beta, the distances and the levels of h."""
-    gibbs, levels = _gibbs_states(h, beta)
+    gibbs, _, _, levels = _gibbs_states(h, beta)
     dist = _trace_distance_rows(states, gibbs)
     return dist > THERMALITY_TOL, dist, levels
 
@@ -763,7 +763,7 @@ def gibbs_erasure_bound(d_entropy_system, temperature, energies):
         temperature, EpisodeError, positive=True, name="temperature"))
     if not np.all(ds < 0):
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
-    levels = np.asarray(energies, dtype=float)
+    levels = _real_array(energies, EpisodeError, "energies")
     levels = levels - levels.min(-1, keepdims=True)
 
     def moments(tp):
@@ -1069,19 +1069,26 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
 
 def _central_diff(times, values):
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if len(times) < 3:
         raise EpisodeError("need at least 3 time points for a derivative")
     return np.gradient(values, times)
 
 
+def _state_lists(times, first, second, dim=None):
+    """Two lists of states, one per time point, as stacks of one size, else EpisodeError."""
+    if not len(first) == len(second) == len(times):
+        raise EpisodeError(f"{len(first)} and {len(second)} states for {len(times)} times")
+    a = _frozen_stack(first, EpisodeError, dim)
+    return a, _frozen_stack(second, EpisodeError, a.shape[-1])
+
+
 def blp_witness(times, states_1, states_2):
     """Trace-distance witness: any interval with d/dt D > 0 is non-Markovian.
 
-    states_1/states_2 are synchronized lists of system states.  Derivatives
-    use central differences (one-sided at the ends).
+    states_1/states_2 are synchronized lists of system states (`_state_lists`).
+    Derivatives use central differences (one-sided at the ends).
     """
-    dist = np.array([trace_distance(a, b) for a, b in zip(states_1, states_2)])
+    dist = _trace_distance_rows(*_state_lists(times, states_1, states_2))
     slope = _central_diff(times, dist)
     max_slope = float(slope.max())
     return {
@@ -1092,10 +1099,6 @@ def blp_witness(times, states_1, states_2):
     }
 
 
-def _trace_norm(m):
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
 def correlation_witness_terms(times, joint_1, joint_2, h_total, dims):
     """Bound d/dt D(rho_S^1, rho_S^2) <= (E(t) + C(t))/2.
 
@@ -1103,40 +1106,31 @@ def correlation_witness_terms(times, joint_1, joint_2, h_total, dims):
     and C(t) the system-environment correlation matrices; both vanish for
     a factorized, static environment.  Returns the terms, the numerical
     derivative of D and a per-interior-point check with a 10*dt error
-    budget for the finite-difference derivative.
+    budget for the finite-difference derivative.  The joint states are
+    lists, one per time point (`_state_lists`), read as stacks.
     """
     h = _mat(h_total)
     factors = _as_dims(dims, len(h), EpisodeError).factors
-    d_list, e_list, c_list = [], [], []
-    for r1, r2 in zip(joint_1, joint_2):
-        m1, m2 = (_frozen_matrix(r, EpisodeError, len(h)) for r in (r1, r2))
-        s1 = _ptrace_matrix(m1, factors, [0])
-        s2 = _ptrace_matrix(m2, factors, [0])
-        e1 = _ptrace_matrix(m1, factors, [1])
-        e2 = _ptrace_matrix(m2, factors, [1])
-        chi1 = m1 - tensor([s1, e1])
-        chi2 = m2 - tensor([s2, e2])
-        d_env = e1 - e2
-        cand = []
-        for s in (s1, s2):
-            block = tensor([s, d_env])
-            cand.append(_trace_norm(_ptrace_matrix(h @ block - block @ h, factors, [0])))
-        e_term = min(cand)
-        dchi = chi1 - chi2
-        c_term = _trace_norm(_ptrace_matrix(h @ dchi - dchi @ h, factors, [0]))
-        d_list.append(trace_distance(s1, s2))
-        e_list.append(e_term)
-        c_list.append(c_term)
+    m1, m2 = _state_lists(times, joint_1, joint_2, len(h))
+    (s1, s2), (e1, e2) = ([_ptrace_matrix(m, factors, [k]) for m in (m1, m2)] for k in (0, 1))
+
+    def commutator_norm(x):
+        """The trace norm of Tr_E [H, x], of every time point."""
+        return np.linalg.svd(_ptrace_matrix(h @ x - x @ h, factors, [0]), compute_uv=False).sum(-1)
+
+    e_term = np.minimum(*(commutator_norm(tensor([s, e1 - e2])) for s in (s1, s2)))
+    c_term = commutator_norm((m1 - tensor([s1, e1])) - (m2 - tensor([s2, e2])))
+    dist = _trace_distance_rows(s1, s2)
     times = np.asarray(times, dtype=float)
-    slope = _central_diff(times, d_list)
+    slope = _central_diff(times, dist)
     dt = float(np.diff(times).max())
     interior = slice(1, len(times) - 1)
-    bound = (np.array(e_list) + np.array(c_list)) / 2.0
+    bound = (e_term + c_term) / 2.0
     ok = bool(np.all(slope[interior] <= bound[interior] + 10.0 * dt))
     return {
-        "trace_distance": np.array(d_list),
+        "trace_distance": dist,
         "slope": slope,
-        "env_term": np.array(e_list),
-        "correlation_term": np.array(c_list),
+        "env_term": e_term,
+        "correlation_term": c_term,
         "bound_satisfied": ok,
     }

@@ -25,10 +25,13 @@ from .core import (
     ChargeSectors,
     DensityOperator,
     _check_beta,
+    _exact_spectra,
     _ptrace_matrix,
+    _real_array,
     _spectral_weights,
+    hermitian_function,
     propagate,
-    relative_entropy_spectral,
+    relative_entropy,
     tensor,
     von_neumann_entropy,
 )
@@ -57,8 +60,8 @@ class GaussianModel:
     parity: np.ndarray | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.drift, dtype=float)
-        d = np.asarray(self.diffusion, dtype=float)
+        a = _real_array(self.drift, GaussianError, "drift")
+        d = _real_array(self.diffusion, GaussianError, "diffusion")
         if a.shape != d.shape or a.shape[0] != a.shape[1]:
             raise GaussianError("drift and diffusion must be equal square matrices")
         if a.shape[0] % 2:
@@ -66,7 +69,7 @@ class GaussianModel:
         par = self.parity
         if par is None:
             par = default_parity(a.shape[0] // 2)
-        par = np.asarray(par, dtype=float)
+        par = _real_array(par, GaussianError, "parity")
         if not all(np.isfinite(m).all() for m in (a, d, par)):
             raise GaussianError("drift, diffusion and parity must be finite")
         if np.abs(d - d.T).max() > 1e-12:
@@ -94,8 +97,8 @@ class GaussianState:
     quantum: bool = True
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).ravel()
-        cov = np.asarray(self.cov, dtype=float)
+        mean = _real_array(self.mean, GaussianError, "mean").ravel()
+        cov = _real_array(self.cov, GaussianError, "covariance")
         if cov.shape != (len(mean), len(mean)):
             raise GaussianError("covariance shape does not match the mean")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
@@ -361,34 +364,18 @@ class SqueezedExchangeSpec:
     fock_cut: int = 20
 
 
-def _squeeze_operator(z: complex, n: int) -> np.ndarray:
-    a = destroy(n)
-    gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.conj().T @ a.conj().T))
-    vals, vecs = np.linalg.eigh(1j * gen)   # gen is anti-Hermitian
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
-
-
-def _thermal_fock_weights(nbar: float, n: int) -> np.ndarray:
-    """Thermal Fock populations at mean occupation nbar, truncated to n
-    levels and renormalized (the vacuum for nbar <= 0)."""
-    if nbar <= 0:
-        return np.eye(n)[0]
-    x = nbar / (1.0 + nbar)
-    w = (1 - x) * x ** np.arange(n)
-    return w / w.sum()
-
-
-def _squeezed(weights, squeeze) -> DensityOperator:
-    """S diag(weights) S^dag for the squeeze operator S."""
-    rho = np.diag(weights).astype(complex)
-    return DensityOperator.from_matrix(squeeze @ rho @ squeeze.conj().T)
-
-
 def squeezed_thermal_state(nbar_beta: float, omega: float, r: float,
                            theta: float, n: int) -> DensityOperator:
-    """S(z) rho_th S(z)^dag on a truncated Fock space, z = r e^{i theta}."""
-    return _squeezed(_thermal_fock_weights(nbar_beta, n),
-                     _squeeze_operator(r * np.exp(1j * theta), n))
+    """S(z) rho_th S(z)^dag on a truncated Fock space, z = r e^{i theta},
+    keeping its exact spectrum: the thermal Fock populations at mean
+    occupation nbar_beta, truncated to n levels and renormalized (the
+    vacuum for nbar_beta <= 0), on the columns of S(z)."""
+    a, z = destroy(n), r * np.exp(1j * theta)
+    gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.conj().T @ a.conj().T))   # anti-Hermitian
+    x = nbar_beta / (1.0 + nbar_beta) if nbar_beta > 0 else 0.0
+    w = (1 - x) * x ** np.arange(n)
+    return DensityOperator._validated(_exact_spectra(
+        None, w / w.sum(), hermitian_function(1j * gen, lambda y: np.exp(-1j * y))))
 
 
 def asymmetry_operator(omega: float, theta: float, n: int) -> np.ndarray:
@@ -467,9 +454,7 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     u = sectors.function(v, lambda x: np.exp(-1j * spec.t * x))
 
     nbar = 1.0 / (math.exp(spec.beta * spec.omega) - 1.0)
-    w = _thermal_fock_weights(nbar, n)
-    squeeze = _squeeze_operator(spec.r * np.exp(1j * spec.theta), n)
-    rho_env = _squeezed(w, squeeze)
+    rho_env = squeezed_thermal_state(nbar, spec.omega, spec.r, spec.theta, n)
     h_sys = spec.omega * (a1.conj().T @ a1)
     a_sys = asymmetry_operator(spec.omega, spec.theta, n)
 
@@ -483,12 +468,11 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     ch, sh = math.cosh(2 * spec.r), math.sinh(2 * spec.r)
     sigma_aff = ds - spec.beta * (ch * dh + sh * da)
 
-    # fixed-point route: rho* built as the squeeze of the thermal state,
-    # whose spectral data is exact (thermal weights, squeezed Fock basis);
+    # fixed-point route: rho* is rho_E, the squeeze of the thermal state,
+    # which keeps its exact spectrum (thermal weights, squeezed Fock basis);
     # independent of the affinity algebra, so agreement genuinely tests
     # that the GGE is the global fixed point of the conserving exchange.
-    sigma_rel = (relative_entropy_spectral(rho_system, w, squeeze)
-                 - relative_entropy_spectral(rho_s1, w, squeeze))
+    sigma_rel = relative_entropy(rho_system, rho_env) - relative_entropy(rho_s1, rho_env)
 
     # tr((x (x) 1 + 1 (x) x)(rho' - rho)) = tr(x (dS + dE)) for the quanta
     # x = a^dag a and the asymmetry x = a a, from the two marginals

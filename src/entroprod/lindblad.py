@@ -33,8 +33,10 @@ from .core import (
     DensityOperator,
     _check_beta,
     _check_hermitian,
+    _exact_spectra,
     _frozen_matrix,
     _frozen_stack,
+    _spectral_weights,
     _spectrum,
     add_lindblad_term,
     add_sided_term,
@@ -222,8 +224,9 @@ def steady_state(model: LindbladModel) -> DensityOperator:
     dissipative-transition coexistence region is gapped, so exact
     degeneracy signals a modeling mistake rather than physics.  The state
     is projected onto the PSD cone (a candidate with an eigenvalue below
-    -1e-7 is an error) and must leave a residual of at most 1e-8 in the
-    max-norm of its real coordinates, which bounds that of vec.
+    -1e-7 is an error) and keeps the spectrum of that projection, round-off
+    cut (`core._spectral_weights`).  It must leave a residual of at most
+    1e-8 in the max-norm of its real coordinates, which bounds that of vec.
     """
     gen = real_superop(build(model))
     d = model.dim
@@ -234,8 +237,8 @@ def steady_state(model: LindbladModel) -> DensityOperator:
     vals, vecs = np.linalg.eigh(from_hermitian_coords(x))
     if vals.min() < -1e-7:
         raise LindbladError(f"steady-state candidate not PSD ({vals.min():.3e})")
-    m = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    rho = DensityOperator.from_matrix(m / np.trace(m))
+    w = np.clip(vals, 0.0, None)
+    rho = DensityOperator._validated(_exact_spectra(None, _spectral_weights(w / w.sum()), vecs))
     resid = float(np.abs(gen @ hermitian_coords(rho.matrix)).max())
     if resid > 1e-8:
         raise LindbladError(f"steady-state residual {resid:.3e}")

@@ -500,7 +500,7 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     if not (alpha >= 0.0).all():
         raise ResourceError("eta beyond beta (or not a number): negative Renyi order")
     p, pv = _density_spectra(rho)
-    q, qv = _density_spectra(_gibbs_states(hf, beta)[0])
+    _, q, qv, _ = _gibbs_states(hf, beta)
     div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1), p[:, None],
                       q[:, None], (qv.conj().swapaxes(-1, -2) @ pv)[:, None])
     phi = -(eta / b) * div[:, :-2] - eta * np.asarray(delta_f_eq)[..., None]

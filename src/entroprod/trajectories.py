@@ -47,6 +47,7 @@ from .core import (
     _hermitian,
     _mat,
     _petz_renyi,
+    _real_array,
     _spectrum,
     _unitary,
     tensor,
@@ -140,8 +141,8 @@ class ScalarDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        p = np.asarray(self.probabilities, dtype=float)
+        v = _real_array(self.values, TrajectoryError, "values")
+        p = _real_array(self.probabilities, TrajectoryError, "probabilities")
         if v.shape != p.shape or v.ndim != 1 or v.size == 0:
             raise TrajectoryError("values/probabilities must be matching non-empty 1-d arrays")
         if np.isnan(v).any() or not np.isfinite(p).all():
@@ -727,10 +728,10 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
         raise TrajectoryError("psi0 must be finite and nonzero")
     psi = psi / norm
     d = len(psi)
-    bases = _unitary([_mat(b) for b in bases], TrajectoryError, d)
+    bases = _unitary(list(bases), TrajectoryError, d)
     if len(unitaries) != len(bases) - 1:
         raise TrajectoryError("need exactly one unitary between consecutive bases")
-    unitaries = _unitary([_mat(u) for u in unitaries] or np.zeros((0, d, d)), TrajectoryError, d)
+    unitaries = _unitary(list(unitaries) or np.zeros((0, d, d)), TrajectoryError, d)
     p0 = np.abs(bases[0].conj().T @ psi) ** 2
     steps = [np.abs(b_next.conj().T @ u @ b_prev) ** 2           # [k', k]
              for b_prev, u, b_next in zip(bases[:-1], unitaries, bases[1:])]

@@ -399,9 +399,9 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
     # the joint states, their partial traces and every balance are stacked per
     # alphabet entry: one Kronecker product and two partial traces each (in
     # `episodes`, none in `run` itself) and one `eigh` per state kind (joint,
-    # rho_n', ancilla); one more `eigh` validates the chain's states and two
-    # build the Gibbs state of the conserving entry.  The chain takes no
-    # per-stroke channel
+    # rho_n', ancilla); one more `eigh` validates the chain's states and one,
+    # of H, builds the Gibbs state of the conserving entry.  The chain takes
+    # no per-stroke channel
     rng = np.random.default_rng(21)
     spec, rho0 = two_letter_spec(rng), random_density(2, rng)
     counted = {np.linalg: ("eigh", "eigvalsh"),
@@ -421,7 +421,7 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
     # episodes.tensor: the joint state of each entry, and the two of each
     # thermal entry's strict-energy-conservation check
     assert counts[0] == counts[1] == {
-        "linalg.eigh": 9, "episodes.tensor": 6, "episodes._ptrace_matrix": 4,
+        "linalg.eigh": 8, "episodes.tensor": 6, "episodes._ptrace_matrix": 4,
         "collisional.ancilla_kraus": 2, "collisional.kraus_superop": 2}
 
 

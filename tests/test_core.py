@@ -264,7 +264,6 @@ def test_entropies_same_for_state_and_bare_matrix():
             (core.logm_psd, (rho,)),
             (core.relative_entropy, (rho, sigma)),
             (core.relative_entropy, (sigma, rho)),
-            (core.relative_entropy_spectral, (rho,) + sigma.eig()),
         ] + [(core.renyi_divergence, (x, y, a)) for x, y in ((rho, sigma), (sigma, rho))
              for a in (0.0, 0.5, 1.0, 2.0, math.inf)]
         for fn, args in pairs:
@@ -286,6 +285,68 @@ def test_thermal_state_limits():
     qubit = core.thermal_state(np.diag([0.0, eps_gap]), 2.0)
     f = 1.0 / (math.exp(2.0 * eps_gap) + 1.0)
     assert abs(qubit.matrix[1, 1].real - f) < 1e-12
+
+
+@pytest.mark.parametrize("spread", [1.0, 30.0, 34.0, 100.0, 700.0])
+def test_relative_entropy_to_a_cold_gibbs_state(spread):
+    # S(rho || e^{-beta H}/Z) = -S(rho) + beta Tr(H rho) + ln Z, with
+    # beta (E_max - E_min) = spread: the Gibbs weights are kept as made, so
+    # e^{-spread} below the eigensolver round-off cut keeps its logarithm
+    rng = np.random.default_rng(int(spread))
+    h = random_hermitian(3, rng)
+    levels = np.linalg.eigvalsh(h.matrix)
+    beta = spread / (levels[-1] - levels[0])
+    rho = random_density(3, rng)
+    energy = np.trace((h.matrix - levels[0] * np.eye(3)) @ rho.matrix).real
+    want = (-core.von_neumann_entropy(rho) + beta * energy
+            + math.log(np.exp(-beta * (levels - levels[0])).sum()))
+    got = core.relative_entropy(rho, core.thermal_state(h, beta))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cold_gibbs_state_is_at_zero_divergence_from_itself(seed):
+    # beta (E_max - E_min) = 100 on a non-diagonal qutrit H: the kept Gibbs
+    # weights reach e^-100, far below the round-off cut, where the overlaps
+    # of the state with itself carry ~1e-16 of round-off; orders above 1
+    # must not read that round-off over e^-50 as a ratio
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(3, rng)
+    levels = np.linalg.eigvalsh(h.matrix)
+    sigma = core.thermal_state(h, 100.0 / (levels[-1] - levels[0]))
+    for alpha in (0.5, 1.0, 2.0, math.inf):
+        assert abs(core.renyi_divergence(sigma, sigma, alpha)) < 1e-7
+
+
+def test_gibbs_states_are_decomposed_once(monkeypatch):
+    # thermal_state and the stacked _gibbs_states take one eigh of H and keep
+    # the Gibbs weights on its eigenvectors; maximally_mixed takes none
+    h = random_hermitian(3, RNG)
+    stack = np.stack([random_hermitian(3, RNG).matrix for _ in range(4)])
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    rho = core.thermal_state(h, 0.8)
+    assert len(calls) == 1
+    m, w, v, _ = core._gibbs_states(stack, np.linspace(0.5, 2.0, 4))
+    assert len(calls) == 2
+    mixed = DensityOperator.maximally_mixed((2, 3))
+    cold = core.thermal_state(np.diag([0.0, 1.0]), 40.0)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    for matrix, (weights, vecs) in [(rho.matrix, rho.eig()), (mixed.matrix, mixed.eig()),
+                                    *zip(m, zip(w, v))]:
+        assert abs(weights.sum() - 1.0) < 1e-14
+        assert np.abs((vecs * weights) @ vecs.conj().T - matrix).max() < 1e-14
+    for state in (rho, mixed, cold):
+        assert np.all(np.diff(state.eig()[0]) >= 0.0)
+    assert np.array_equal(mixed.matrix, np.eye(6) / 6)
+    assert cold.eig()[0][0] == pytest.approx(math.exp(-40.0) / (1.0 + math.exp(-40.0)),
+                                             rel=1e-14)
+    for weights in (np.array([0.5, 0.6]), np.array([1.2, -0.2]), np.array([math.nan, 1.0])):
+        with pytest.raises(CoreError):
+            core._exact_spectra(None, weights, np.eye(2))
+    with pytest.raises(CoreError, match="expected a square matrix"):
+        core.thermal_state(stack, 1.0)
 
 
 def test_thermal_state_energy_monotone_in_beta():

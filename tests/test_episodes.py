@@ -458,6 +458,14 @@ def test_landauer_finite_dim_requires_erasure():
     assert abs(val - (0.6 + 2 * 2.0 * 0.09 / 4.0)) < 1e-12
 
 
+def test_finite_dimension_bound_at_three_levels():
+    # d_E = 3, T = 0.7, dS = -0.3: ln(d_E - 1) = ln 2 is not 0, so the sign
+    # of its square in 4 + ln^2(d_E - 1) is read
+    want = 0.21 + 0.126 / (4.0 + math.log(2.0) ** 2)
+    assert abs(want - 0.2381221563) < 1e-10
+    assert eps.finite_dimension_bound(-0.3, 0.7, 3) == pytest.approx(want, rel=1e-14)
+
+
 def test_landauer_linear_heat_capacity_closed_form():
     ds, temp, a = -0.7, 1.3, 2.1
     bound = eps.heat_capacity_bound(ds, temp, lambda t: a * t)

@@ -281,8 +281,8 @@ def test_squeezed_sigma_dual_route_partial_exchange():
 
 
 def test_squeezed_sigma_decomposes_each_state_once(monkeypatch):
-    # the eigh calls on states (unit trace): rho_E when it is made and
-    # rho_S' when it is made, which both routes then read
+    # the eigh calls on states (unit trace): rho_S' when it is made, which
+    # both routes then read; rho_E is made from its exact spectrum
     spec = gs.SqueezedExchangeSpec(omega=1.0, g=1.0, t=0.5, r=0.2, theta=0.3,
                                    beta=2.5, fock_cut=12)
     rho = padded_system_state(RNG, 12)
@@ -290,7 +290,7 @@ def test_squeezed_sigma_decomposes_each_state_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k:
                         traces.append(np.trace(a)) or eigh(a, *r, **k))
     gs.squeezed_sigma(spec, rho)
-    assert sum(abs(t - 1.0) < 1e-6 for t in traces) == 2
+    assert sum(abs(t - 1.0) < 1e-6 for t in traces) == 1
 
 
 def test_squeezed_sigma_asymmetry_flow_without_heat():
@@ -349,13 +349,11 @@ def _dense_squeezed_sigma(spec, rho_system):
     ds = core.von_neumann_entropy(rho_s1) - core.von_neumann_entropy(rho_system)
     dh = float(np.real(np.trace(h_sys @ (rho_s1 - rho_system.matrix))))
     da = float(np.real(np.trace(a_sys @ (rho_s1 - rho_system.matrix))))
-    w = gs._thermal_fock_weights(nbar, n)
-    squeeze = gs._squeeze_operator(spec.r * np.exp(1j * spec.theta), n)
     return gs.SqueezedSigmaResult(
         sigma_affinity=ds - spec.beta * (math.cosh(2 * spec.r) * dh
                                          + math.sinh(2 * spec.r) * da),
-        sigma_relative_entropy=(core.relative_entropy_spectral(rho_system, w, squeeze)
-                                - core.relative_entropy_spectral(rho_s1, w, squeeze)),
+        sigma_relative_entropy=(core.relative_entropy(rho_system, rho_env)
+                                - core.relative_entropy(rho_s1, rho_env)),
         d_quanta=float(np.real(np.trace(n_tot @ (joint1 - joint0)))),
         d_asymmetry=abs(complex(np.trace(asym_tot @ (joint1 - joint0)))),
         d_entropy_system=ds, d_h_system=dh, d_a_system=da)

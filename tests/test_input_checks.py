@@ -162,6 +162,15 @@ CASES = {
     "classical.onsager_sigma non-square": (
         lambda: cl.onsager_sigma(np.ones((2, 3)), [1.0, 1.0]), cl.ClassicalError,
         "Onsager matrix must be square"),
+    "classical.onsager_sigma complex": (
+        lambda: cl.onsager_sigma(np.array([[1.0, 0.5j], [-0.5j, 1.0]]), [1.0, 1.0]),
+        cl.ClassicalError, "Onsager matrix must be real, got a nonzero imaginary part"),
+    "classical.onsager_sigma 1-d": (
+        lambda: cl.onsager_sigma([1.0, 2.0], [1.0, 1.0]), cl.ClassicalError,
+        "Onsager matrix must be square, got shape (2,)"),
+    "classical.onsager_sigma affinities length": (
+        lambda: cl.onsager_sigma(np.eye(2), [1.0, 1.0, 1.0]), cl.ClassicalError,
+        "3 affinities for the 2x2 Onsager matrix"),
     "classical.glauber_ising adjacency": (
         lambda: cl.glauber_ising(3, 1.0, 1.0, 0.0, [[1], [0]]), cl.ClassicalError,
         "cover every site"),
@@ -262,7 +271,33 @@ CASES = {
     "episodes.blp_witness time points": (
         lambda: eps.blp_witness([0.0, 1.0], [RHO2, RHO2], [MIXED2, MIXED2]),
         eps.EpisodeError, "at least 3 time points"),
+    "episodes.blp_witness state sizes": (
+        lambda: eps.blp_witness([0.0, 1.0, 2.0], [RHO2] * 3, [MIXED3] * 3), eps.EpisodeError,
+        "matrix is 3x3, expected 2x2"),
+    "episodes.blp_witness fewer states than times": (
+        lambda: eps.blp_witness([0.0, 1.0, 2.0], [RHO2] * 3, [MIXED2] * 2), eps.EpisodeError,
+        "3 and 2 states for 3 times"),
+    "episodes.blp_witness more times than states": (
+        lambda: eps.blp_witness([0.0, 1.0, 2.0, 3.0], [RHO2] * 3, [MIXED2] * 3),
+        eps.EpisodeError, "3 and 3 states for 4 times"),
+    "episodes.correlation_witness_terms fewer joint states than times": (
+        lambda: eps.correlation_witness_terms([0.0, 1.0, 2.0, 3.0], [np.eye(4) / 4] * 3,
+                                              [np.eye(4) / 4] * 3, H4, (2, 2)),
+        eps.EpisodeError, "3 and 3 states for 4 times"),
+    "episodes.correlation_witness_terms ragged joint state": (
+        lambda: eps.correlation_witness_terms([0.0, 1.0, 2.0], [[[1, 2], [3]]] * 3,
+                                              [np.eye(4) / 4] * 3, H4, (2, 2)),
+        eps.EpisodeError, "matrix 0 of the stack: shape (2,), expected (4, 4)"),
+    "episodes.gibbs_erasure_bound complex levels": (
+        lambda: eps.gibbs_erasure_bound(-0.1, 1.0, np.array([0.0, 1.0 + 1j])), eps.EpisodeError,
+        "energies must be real, got a nonzero imaginary part"),
     # gaussian
+    "gaussian complex drift": (
+        lambda: gs.GaussianModel(np.array([[-1.0, 1j], [0.0, -1.0]]), np.eye(2)),
+        gs.GaussianError, "drift must be real, got a nonzero imaginary part"),
+    "gaussian complex covariance": (
+        lambda: gs.GaussianState(np.zeros(2), np.array([[1.0, 0.1j], [-0.1j, 1.0]])),
+        gs.GaussianError, "covariance must be real, got a nonzero imaginary part"),
     "gaussian drift and diffusion shapes": (
         lambda: gs.GaussianModel(np.eye(2), np.eye(4)), gs.GaussianError,
         "equal square matrices"),
@@ -368,6 +403,9 @@ CASES = {
     "trajectories.ScalarDistribution negative weight": (
         lambda: tj.ScalarDistribution([0.0, 1.0], [1.5, -0.5]), tj.TrajectoryError,
         "negative probability"),
+    "trajectories.ScalarDistribution complex value": (
+        lambda: tj.ScalarDistribution(np.array([0.0, 1.0 + 1j]), HALF), tj.TrajectoryError,
+        "values must be real, got a nonzero imaginary part"),
     "trajectories.stochastic_sigma backward process": (
         lambda: tj.stochastic_sigma(tj.PathEnsemble(np.array([1.0]))), tj.TrajectoryError,
         "no backward probabilities"),
@@ -381,6 +419,9 @@ CASES = {
     "trajectories.measurement_trajectories unitaries": (
         lambda: tj.measurement_trajectories([1.0, 0.0], [np.eye(2), np.eye(2)], []),
         tj.TrajectoryError, "exactly one unitary between consecutive bases"),
+    "trajectories.measurement_trajectories ragged basis": (
+        lambda: tj.measurement_trajectories([1.0, 0.0], [[[1, 0], [0]], np.eye(2)], [np.eye(2)]),
+        tj.TrajectoryError, "matrix 0 of the stack: shape (2,), expected (2, 2)"),
     # the CLI loader
     "cli unreadable config": (
         lambda: cli.load_config(Path("missing.json")), cli.ConfigError, "cannot read config"),

@@ -98,6 +98,20 @@ def test_steady_state_spectrum_gap_match_complex_eig():
         assert abs(lb.gap(model) - old_gap) < 1e-10 * old_gap
 
 
+def test_steady_state_decomposes_its_candidate_once(monkeypatch):
+    # the PSD projection's spectrum is the state's: one d x d eigh
+    model = lb.squeezed_dissipator(0.4, 0.3, 0.3, 0.5, fock_cut=10)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k:
+                        shapes.append(np.shape(a)) or eigh(a, *r, **k))
+    rho = lb.steady_state(model)
+    monkeypatch.undo()
+    assert shapes.count((10, 10)) == 1
+    vals, vecs = rho.eig()
+    assert np.all(np.diff(vals) >= 0.0) and vals[0] >= 0.0
+    assert np.abs((vecs * vals) @ vecs.conj().T - rho.matrix).max() < 1e-15
+
+
 def test_steady_state_degeneracy_threshold():
     lb.steady_state(lb.thermal_qubit_model(1.0, 1e-6, 1.0))
     with pytest.raises(lb.LindbladError):

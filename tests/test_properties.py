@@ -208,6 +208,20 @@ def test_ensemble_verdict_survives_round_off(draw):
         assert len(verdicts) == 1, choice
 
 
+@PROPERTY
+@given(st.floats(math.log(0.1), math.log(700.0)), st.integers(0, 2**32 - 1))
+def test_information_balance_is_clausius_against_a_cold_gibbs_bath(log_beta, seed):
+    # Sigma = I + S(rho_E' || rho_E) is dS_S + beta Q_E for rho_E thermal
+    # (ln rho_E = -beta H_E - ln Z): a qubit and a thermal qubit (omega = 1)
+    # under a Haar U, beta omega drawn on a log scale in [0.1, 700], past where a
+    # Gibbs weight e^{-beta omega} falls below the eigensolver round-off cut
+    rng = np.random.default_rng(seed)
+    beta, h = math.exp(log_beta), HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+    ep = eps.Episode(h, h, random_unitary(4, rng, dims=(2, 2)), random_density(2, rng),
+                     thermal_state(h, beta))
+    assert eps.balance(ep).sigma == pytest.approx(eps.thermal_balance(ep, beta).sigma, rel=1e-10)
+
+
 # clusters on a lattice 0.37 apart, members within 1e-13 max(1, |c|) of the
 # centre, so no run can reach from one cluster to the next; +-inf join as is
 cluster = st.tuples(st.one_of(st.integers(-20, 20).map(lambda k: 0.37 * k),

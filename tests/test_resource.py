@@ -12,7 +12,7 @@ from entroprod.core import (
     PAULI_Z,
     thermal_state,
 )
-from entroprod.rand import random_density, random_probability
+from entroprod.rand import random_density, random_probability, random_unitary
 
 RNG = np.random.default_rng(606)
 BETA = 1.0
@@ -300,6 +300,28 @@ def test_work_bounds_reversible_protocol_zero():
     assert abs(rep.w_ext_final) < 1e-10
     assert abs(rep.w_form_final) < 1e-8
     assert rep.sandwich_ok
+
+
+def test_work_bounds_keep_the_exact_gibbs_weights():
+    # q_e = e^-40 / (1 + e^-40) is far below the eigensolver round-off cut;
+    # the Gibbs reference keeps it, so W_form = ln max(p / q) / beta is finite
+    q_e = math.exp(-40.0) / (1.0 + math.exp(-40.0))
+    rep = rs.work_bounds(np.diag([0.0, 1.0]), 40.0, np.diag([0.7, 0.3]), 0.5, 0.0, [0.0, 1.0])
+    assert rep.w_form_final == pytest.approx((math.log(0.3) - math.log(q_e)) / 40.0, rel=1e-13)
+    assert abs(rep.w_form_final - 0.96990) < 1e-5
+    assert np.isfinite(rep.phi_eta).all()
+
+
+def test_work_bounds_at_a_cold_gibbs_final_state():
+    # rho' the Gibbs state of a non-diagonal H_f at beta dE = 100: W_form
+    # = D_inf(rho' || rho'_th) / beta is 0, though the reference keeps the
+    # weights e^-50 and e^-100 and rho' is read from its matrix
+    rng = np.random.default_rng(8)
+    v = random_unitary(3, rng).matrix
+    h_f = v @ np.diag([0.0, 1.0, 2.0]) @ v.conj().T
+    rep = rs.work_bounds(h_f, 50.0, core.thermal_state(h_f, 50.0).matrix, 0.5, 0.0, [0.0, 1.0])
+    assert abs(rep.w_form_final) < 1e-12
+    assert np.isfinite(rep.phi_eta).all()
 
 
 def test_work_bounds_strict_sandwich():
