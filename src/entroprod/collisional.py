@@ -22,9 +22,10 @@ Every stroke is also a channel on rho_S alone, built once per alphabet
 entry from the Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`)
 with the system unitary folded in (`_stroke_channel`).  `run` steps the
 states by these channels, one d^2-vector product per stroke (`_chain`),
-and makes the strokes of each alphabet entry the rows of one
-`episodes.EpisodeStack` (`_letter_stack`), whose joint states, rho_n' and
-balances are those of every other product-state unitary episode.
+and makes the strokes whose ancillas share a size the rows of one
+`episodes.EpisodeStack` (stroke n takes alphabet entry n mod L), whose
+joint states, rho_n' and balances are those of every other product-state
+unitary episode.
 `preferred_basis` reads the same states and their spectra.  A limit
 cycle is the null vector of Phi - 1, Phi the product of the stroke
 channels of one cycle.  A unit-modulus eigenvalue of Phi other than 1
@@ -212,56 +213,57 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
                          zip((rho0.matrix,) + rho0.eig(), stack))
 
 
-def _letter_stack(h_system: HermitianOperator, stroke: AncillaStroke, before) -> EpisodeStack:
-    """The strokes of one alphabet entry as the rows of one `EpisodeStack`,
-    validating nothing again: `before` holds the chain's (matrices, weights,
-    eigenvectors) of their rho_n, and H_S, H_A, U and rho_A are shared rows.
-    S and A are one factor each, so each partial trace is one trace."""
-    def shared(x):
-        return np.broadcast_to(x, (len(before[0]),) + x.shape)
-    return EpisodeStack(shared(h_system.matrix), shared(stroke.hamiltonian.matrix),
-                        shared(stroke.unitary.matrix), before,
-                        tuple(map(shared, (stroke.rho.matrix,) + stroke.rho.eig())),
-                        HilbertDims((h_system.dim,)), HilbertDims((stroke.rho.dim,)))
-
-
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
 
-    The states are stepped by the stroke channels (`_chain`), and the
-    strokes of each alphabet entry are the rows of one `EpisodeStack`
-    (`_letter_stack`): its evolution gives every rho_n' and its balance
-    every Q_A, W_onoff, Sigma and dS_S.  dH_S is read off the chain, so the
-    first-law residual is a check, not an identity.
+    The states are stepped by the stroke channels (`_chain`), and stroke n
+    takes alphabet entry n mod L.  The strokes whose ancillas share a size
+    are the rows of one `EpisodeStack`, validating nothing again: rho_n are
+    the chain's (matrices, weights, eigenvectors), H_S, H_A, U and rho_A the
+    rows of their entries, and S and A one factor each, so each partial trace
+    is one trace.  Its evolution gives every rho_n' and its balance every Q_A,
+    W_onoff, Sigma and dS_S.  dH_S is read off the chain, so the first-law
+    residual is a check, not an identity.
     Tier-2 sigma is reported when the ancilla carries a (checked) beta; tier-3 when in
     addition the stroke unitary is strictly energy conserving; the verdict
-    and the Gibbs state are evaluated once per alphabet entry.
+    and the Gibbs state are evaluated once per alphabet entry, for its rows.
     """
     if n_strokes < 1:
         raise CollisionalError("n_strokes must be >= 1")
     states, chain = _chain(spec, rho0, n_strokes)
-    letters = len(spec.alphabet)
+    alphabet, h_sys = spec.alphabet, np.stack([h.matrix for h in spec.h_system])
+    letters = np.arange(n_strokes) % len(alphabet)
+    size = np.array([s.rho.dim for s in alphabet])[letters]
     records = [None] * n_strokes
-    for k, stroke in enumerate(spec.alphabet[:n_strokes]):
-        h_now, h_next = spec.h_at(k), spec.h_at(k + 1)
-        rows = slice(k, n_strokes, letters)
-        before = tuple(x[:-1][rows] for x in chain)
-        stack = _letter_stack(h_now, stroke, before)
+    for dim in np.unique(size):
+        rows = np.flatnonzero(size == dim)
+        letter, before = letters[rows], tuple(x[rows] for x in chain)
+        entries = np.unique(letter)
+        local = np.searchsorted(entries, letter)
+        h_a, u, *rho_a = (np.stack(x)[local] for x in zip(*(
+            (s.hamiltonian.matrix, s.unitary.matrix, s.rho.matrix) + s.rho.eig()
+            for s in (alphabet[k] for k in entries))))
+        stack = EpisodeStack(h_sys[letter], h_a, u, before, tuple(rho_a),
+                             HilbertDims((spec.dim_system,)), HilbertDims((int(dim),)))
         mid, bal = stack.evolved[1], stack.balance
-        e_now = _trace_rows(h_now.matrix, before[0])
-        e_mid = _trace_rows(h_now.matrix, mid[0])
-        e_next = _trace_rows(h_next.matrix, chain[0][1:][rows])
-        sigma_t = sigma_f = [None] * len(stack)
-        if stroke.beta is not None:
-            sigma_t = (bal.d_entropy_system + stroke.beta * bal.heat_env).tolist()
-            if is_strict_energy_conserving(stroke.unitary, h_now, stroke.hamiltonian)[0]:
-                sigma_f = fixed_point_sigma_rows(before[1:], mid[1:],
-                                                 thermal_state(h_now, stroke.beta).eig()).tolist()
+        e_now = _trace_rows(stack.h_system, before[0])
+        e_mid = _trace_rows(stack.h_system, mid[0])
+        e_next = _trace_rows(h_sys[(letter + 1) % len(alphabet)], chain[0][rows + 1])
+        sigma_t, sigma_f = np.full((2, len(rows)), None, dtype=object)
+        for k in entries:
+            stroke, at, h = alphabet[k], letter == k, spec.h_at(k)
+            if stroke.beta is None:
+                continue
+            sigma_t[at] = bal.d_entropy_system[at] + stroke.beta * bal.heat_env[at]
+            if is_strict_energy_conserving(stroke.unitary, h, stroke.hamiltonian)[0]:
+                sigma_f[at] = fixed_point_sigma_rows(tuple(x[at] for x in before[1:]),
+                                                     tuple(x[at] for x in mid[1:]),
+                                                     thermal_state(h, stroke.beta).eig())
         dh, w_u = e_next - e_now, e_next - e_mid
         residual = dh - (w_u + bal.work - bal.heat_env)
-        for n, *row in zip(range(k, n_strokes, letters), bal.heat_env.tolist(), dh.tolist(),
-                           bal.work.tolist(), w_u.tolist(), bal.sigma.tolist(), sigma_t,
-                           sigma_f, residual.tolist()):
+        for n, *row in zip(rows.tolist(), bal.heat_env.tolist(), dh.tolist(), bal.work.tolist(),
+                           w_u.tolist(), bal.sigma.tolist(), sigma_t.tolist(), sigma_f.tolist(),
+                           residual.tolist()):
             records[n] = StrokeRecord(*row)
     return list(states), records
 

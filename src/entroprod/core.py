@@ -20,14 +20,16 @@ Every entropy and divergence uses one support rule.  A spectrum read from
 an eigensolver (`_spectral_weights`, called by the state validation) has
 its eigenvalues <= SPECTRAL_NOISE * d, round-off, set to exactly 0, once;
 one known exactly (Gibbs, squeezed thermal and maximally mixed states,
-`_exact_spectra`) is kept uncut, save that Petz-Renyi orders above 1 cut an
-exact weight that rho meets only within SUPPORT_OVERLAP_TOL.  A bare Gibbs
-matrix is read by `eigh` and cut.  Downstream a level is in the support iff
-its weight is > 0, and rho leaves sigma's support iff its mass on sigma's
-zero levels exceeds SUPPORT_OVERLAP_TOL.  Probability vectors, validated
-by `_check_probabilities` with the caller's error, follow the same
-downstream rule: the classical divergences are the diagonal case of the
-one Petz-Renyi kernel (`_petz_renyi`).
+`_exact_spectra`, and an episode's joint state, the products of its
+factors' weights, `episodes.EpisodeStack.evolved`) is kept uncut, save that
+Petz-Renyi orders above 1 cut an exact weight that rho meets only within
+SUPPORT_OVERLAP_TOL.  A bare Gibbs matrix is read by `eigh` and cut.
+Downstream a level is in the support iff its weight is > 0, and rho leaves
+sigma's support iff its mass on sigma's zero levels exceeds
+SUPPORT_OVERLAP_TOL.  Probability vectors, validated by
+`_check_probabilities` with the caller's error, follow the same downstream
+rule: the classical divergences are the diagonal case of the one
+Petz-Renyi kernel (`_petz_renyi`).
 
 Equal values have one rule too, `_equal_runs`: in sorted values a new run
 starts where the gap to the previous value exceeds the tolerance, and an
@@ -177,16 +179,25 @@ def _exact_spectra(matrix, weights, vecs):
     """(matrix, weights, eigenvectors), read-only, of one state made from its spectrum:
     `matrix` V diag(w) V^dag (made here when None), the weights, kept uncut (an
     eigensolver's are cut first, `_spectral_weights`) and passing `_check_probabilities`
-    with CoreError, sorted ascending with their eigenvector columns."""
+    with CoreError, sorted ascending with their eigenvector columns (`_ascending`)."""
     w, v = _check_probabilities(weights, CoreError), np.asarray(vecs, dtype=complex)
     m = (v * w) @ v.conj().T if matrix is None else matrix
     if m.ndim != 2:
         raise CoreError(f"expected a square matrix, got shape {m.shape}")
-    order = np.argsort(w, kind="stable")
-    w, v = w[order], v[:, order]
-    for arr in (m, w, v):
+    m.setflags(write=False)
+    return (m,) + tuple(x[0] for x in _ascending(w[None], v[None]))
+
+
+def _ascending(weights, vecs):
+    """Weights (n, d), each row sorted ascending (a stable sort), and their eigenvector
+    columns (n, d, d), both read-only: the order of every spectrum made from known
+    weights (`_exact_spectra`, `episodes.EpisodeStack.evolved`)."""
+    order, rows = np.argsort(weights, kind="stable"), np.arange(len(weights))[:, None]
+    w = weights[rows, order]
+    v = vecs[rows[..., None], np.arange(order.shape[-1])[:, None], order[:, None, :]]
+    for arr in (w, v):
         arr.setflags(write=False)
-    return m, w, v
+    return w, v
 
 
 def _density_stack(matrices):
@@ -835,9 +846,9 @@ def _gibbs_states(h, beta):
 
 
 def _check_beta(beta, error, positive=False, name="inverse temperature"):
-    """beta, or the `name`d value (one or an array), as floats: each finite and
-    >= 0, or > 0 where the caller divides by it; else the exception class `error`."""
-    b = np.asarray(beta, dtype=float)
+    """beta, or the `name`d value (one or an array), as floats (`_real_array`): each
+    finite and >= 0, or > 0 where the caller divides by it; else the exception class `error`."""
+    b = _real_array(beta, error, name)
     if not (np.isfinite(b) & ((b > 0.0) if positive else (b >= 0.0))).all():
         raise error(f"{name} must be finite and "
                     f"{'>' if positive else '>='} 0, got {beta}")

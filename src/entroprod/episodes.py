@@ -17,8 +17,8 @@ mean-force strong coupling and the non-Markovianity witnesses.
 N episodes of one shape form an `EpisodeStack`, and the balances and
 bounds have row forms over a stack (`EpisodeStack.balance`, `*_rows`);
 each one-episode function is row 0 of its row form on the episode's own
-one-row stack, and `collisional.run` makes the strokes of each alphabet
-entry the rows of one stack.
+one-row stack, and `collisional.run` makes the strokes whose ancillas share
+a size the rows of one stack.
 
 Sign conventions: Q_E > 0 means energy entered the environment, W > 0
 means work entered the system.
@@ -38,6 +38,7 @@ from .core import (
     HilbertDims,
     UnitaryOperator,
     _as_dims,
+    _ascending,
     _check_beta,
     _density_stack,
     _entropy_rows,
@@ -169,12 +170,13 @@ class EpisodeStack:
 
     `of` validates each operator kind once for the whole stack; an
     episode's own one-row stack (`Episode._row`) reuses its validation.
-    The evolution (`evolved`), the entropies of the five states
-    (`entropies`), the information balance (`balance`), the marginals of
-    rho_E and rho_E' on sets of E factors (`env_marginal`), their distances
-    from Gibbs states, the initial weights (`initial_weights`) and the
-    transition probabilities per final basis (`transitions`) are made on
-    first use and kept.  The row forms `thermal_balance_rows`,
+    rho_SE' is made from its product spectrum and never decomposed; only
+    rho_S' and rho_E' are.  The evolution (`evolved`), the entropies of the
+    five states (`entropies`), the information balance (`balance`), the
+    marginals of rho_E and rho_E' on sets of E factors (`env_marginal`),
+    their distances from Gibbs states, the initial weights
+    (`initial_weights`) and the transition probabilities per final basis
+    (`transitions`) are made on first use and kept.  The row forms `thermal_balance_rows`,
     `multibath_balance_rows`, `landauer_rows` and
     `trajectories.backward_ensemble_rows` take a stack.
     """
@@ -212,14 +214,18 @@ class EpisodeStack:
     @cached_property
     def evolved(self) -> tuple:
         """rho_SE' = U (rho_S x rho_E) U^dag of every row and its marginals
-        rho_S' and rho_E', each as (matrices, weights, eigenvectors): one
-        stacked conjugation and partial trace, and one stacked `eigh` per
-        state kind."""
+        rho_S' and rho_E', each as (matrices, weights, eigenvectors).  rho_SE'
+        is made from its product spectrum, never decomposed: the weights
+        p_n q_nu (`initial_weights`) on the columns U (V_S x V_E), sorted by
+        `core._ascending`.  One stacked conjugation and partial trace, and one
+        stacked `eigh` per marginal."""
         u, ns, factors = self.unitary, len(self.system_dims), self.dims.factors
         joint = u @ tensor([self.rho_system[0], self.rho_env[0]]) @ u.conj().swapaxes(-1, -2)
+        joint.setflags(write=False)
+        spectrum = _ascending(self.initial_weights.reshape(len(self), -1), self._initial_columns)
         parts = (_ptrace_matrix(joint, factors, keep)
                  for keep in (range(ns), range(ns, len(factors))))
-        return tuple(map(_density_stack, (joint, *parts)))
+        return ((joint,) + spectrum, *map(_density_stack, parts))
 
     @cached_property
     def entropies(self) -> tuple:
@@ -231,18 +237,14 @@ class EpisodeStack:
     @cached_property
     def balance(self) -> EntropyBalance:
         """The information balance of every row, one array per field, from
-        the kept entropies; raises when any row's joint entropy is not
-        conserved (1e-8)."""
+        the kept entropies.  S(rho_SE') is S(rho_S) + S(rho_E) by construction
+        (`evolved`): unitarity is checked once, where U enters (`core._unitary`)."""
         (m_env0, q, qv), (m_before, _, _) = self.rho_env, self.rho_system
         _, (m_after, _, _), (m_env, p_env, v_env) = self.evolved
         s_before, s_env0, s_sys, s_env, s_joint = self.entropies
         mi = s_sys + s_env - s_joint
         d_env = _petz_renyi(1.0, p_env, q, qv.conj().swapaxes(-1, -2) @ v_env)
         ds_s = s_sys - s_before
-        ds_e = s_env - s_env0
-        # unitarity: the mutual information must equal dS_S + dS_E
-        if (np.isfinite(mi) & (abs(mi - (ds_s + ds_e)) > 1e-8)).any():
-            raise EpisodeError("joint entropy not conserved; unitary is inconsistent")
         # rho_E' escaped the support of rho_E (pure environment): the flux
         # diverges together with sigma; reported, not fatal.
         flux = np.where(np.isinf(d_env), np.inf, _trace_rows(m_env0 - m_env, _log_of(q, qv)))

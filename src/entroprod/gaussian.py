@@ -136,11 +136,13 @@ class GaussianState:
 def lyapunov_steady(drift, diffusion) -> np.ndarray:
     """Unique symmetric solution of A Theta + Theta A^T = 2 D for stable A
     (Bartels-Stewart, `scipy.linalg.solve_continuous_lyapunov`); an
-    unstable A or a residual beyond 1e-10 max(1, max |D|) is an error."""
-    a = np.asarray(drift, dtype=float)
+    unstable A or a residual beyond 1e-10 max(1, max |D|) is an error, and so
+    is a drift or diffusion that is not real (`core._real_array`)."""
+    a = _real_array(drift, GaussianError, "drift")
+    d = _real_array(diffusion, GaussianError, "diffusion")
     if np.real(np.linalg.eigvals(a)).min() <= 0:
         raise GaussianError("drift matrix is not stable; steady covariance undefined")
-    return _lyapunov_solve(a, np.asarray(diffusion, dtype=float))
+    return _lyapunov_solve(a, d)
 
 
 def _lyapunov_solve(a, d) -> np.ndarray:

@@ -64,7 +64,7 @@ def test_episode_suites_decompose_once_per_stack(monkeypatch, suite):
     if suite is verify.landauer_suite:
         # the one eigvalsh is the thermality check's trace distance; the
         # heat-capacity bound reads the levels that check keeps
-        assert counts[0] == {"eigh": 7, "eigvalsh": 1}, counts[0]
+        assert counts[0] == {"eigh": 6, "eigvalsh": 1}, counts[0]
 
 
 class CountingRng:

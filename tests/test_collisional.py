@@ -395,13 +395,13 @@ def two_letter_spec(rng):
 
 
 def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
-    # the strokes of each alphabet entry are the rows of one EpisodeStack, so
-    # the joint states, their partial traces and every balance are stacked per
-    # alphabet entry: one Kronecker product and two partial traces each (in
-    # `episodes`, none in `run` itself) and one `eigh` per state kind (joint,
-    # rho_n', ancilla); one more `eigh` validates the chain's states and one,
-    # of H, builds the Gibbs state of the conserving entry.  The chain takes
-    # no per-stroke channel
+    # the strokes of both alphabet entries (qubit ancillas) are the rows of one
+    # EpisodeStack, so the joint states, their partial traces and every balance
+    # are one stack: two partial traces (in `episodes`, none in `run` itself)
+    # and one `eigh` per marginal kind (rho_n', ancilla), the joint state being
+    # made from its product spectrum; one more `eigh` validates the chain's
+    # states and one, of H, builds the Gibbs state of the conserving entry.
+    # The chain takes no per-stroke channel
     rng = np.random.default_rng(21)
     spec, rho0 = two_letter_spec(rng), random_density(2, rng)
     counted = {np.linalg: ("eigh", "eigvalsh"),
@@ -418,10 +418,10 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
         cm.run(spec, rho0, n_strokes)
         monkeypatch.undo()
         counts.append({key: calls.count(key) for key in set(calls)})
-    # episodes.tensor: the joint state of each entry, and the two of each
-    # thermal entry's strict-energy-conservation check
+    # episodes.tensor: the joint states and their eigenvectors U (V_S x V_A),
+    # and the two of each thermal entry's strict-energy-conservation check
     assert counts[0] == counts[1] == {
-        "linalg.eigh": 8, "episodes.tensor": 6, "episodes._ptrace_matrix": 4,
+        "linalg.eigh": 4, "episodes.tensor": 6, "episodes._ptrace_matrix": 2,
         "collisional.ancilla_kraus": 2, "collisional.kraus_superop": 2}
 
 

@@ -318,7 +318,8 @@ def test_fixed_point_sigma_differs_without_fixed_point():
 def test_decompositions_per_state(monkeypatch):
     """Every state is diagonalized once, when it is built: thermal_balance
     decomposes H_E and its Gibbs state, the thermality distance and the
-    three evolved states; balance on given states decomposes nothing."""
+    two evolved marginals (rho_SE' is made from its product spectrum);
+    balance on given states decomposes nothing."""
     ep = random_episode(np.random.default_rng(8))
     ev = eps.evolve(ep)
     calls = []
@@ -342,7 +343,7 @@ def test_decompositions_per_state(monkeypatch):
     for choice in tj.BackwardChoice:
         assert count(lambda: tj.backward_ensemble(ep, choice)) == 0
     fresh = random_episode(np.random.default_rng(8))
-    assert count(lambda: [tj.backward_ensemble(fresh, c) for c in tj.BackwardChoice]) == 3
+    assert count(lambda: [tj.backward_ensemble(fresh, c) for c in tj.BackwardChoice]) == 2
 
 
 def test_thermality_checked_once_per_episode_and_beta(monkeypatch):

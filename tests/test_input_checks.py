@@ -101,6 +101,9 @@ CASES = {
         lambda: core.classical_kl([0.5, 0.7], HALF), core.CoreError, "sum to 1.2"),
     "core.thermal_state non-Hermitian H": (
         lambda: thermal_state(NOT_HERMITIAN, 1.0), core.CoreError, "not Hermitian"),
+    "core.thermal_state complex beta": (
+        lambda: thermal_state(H2, 1 + 1j), core.CoreError,
+        "inverse temperature must be real, got a nonzero imaginary part"),
     "core.dephase non-Hermitian H": (
         lambda: core.dephase(np.eye(2) / 2, NOT_HERMITIAN), core.CoreError, "not Hermitian"),
     "core.hermitian_function non-Hermitian matrix": (
@@ -231,6 +234,9 @@ CASES = {
     "episodes.mean_force_hamiltonian H_tot against dims": (
         lambda: eps.mean_force_hamiltonian(np.eye(5), (2, 2), 1.0, H2), eps.EpisodeError,
         "dims (2, 2) do not match matrix size 5"),
+    "episodes.thermal_balance_rows complex beta": (
+        lambda: eps.thermal_balance_rows(_stack(1), 1 + 1j), eps.EpisodeError,
+        "inverse temperature must be real, got a nonzero imaginary part"),
     "episodes.EpisodeStack.of row counts": (
         lambda: _stack(2), eps.EpisodeError, "one (N, d, d) stack of equal N"),
     "episodes.multibath_balance partition": (
@@ -298,6 +304,12 @@ CASES = {
     "gaussian complex covariance": (
         lambda: gs.GaussianState(np.zeros(2), np.array([[1.0, 0.1j], [-0.1j, 1.0]])),
         gs.GaussianError, "covariance must be real, got a nonzero imaginary part"),
+    "gaussian.lyapunov_steady complex drift": (
+        lambda: gs.lyapunov_steady(np.eye(2) * (1 + 1j), np.eye(2)), gs.GaussianError,
+        "drift must be real, got a nonzero imaginary part"),
+    "gaussian.lyapunov_steady complex diffusion": (
+        lambda: gs.lyapunov_steady(np.eye(2), np.eye(2) * (1 + 1j)), gs.GaussianError,
+        "diffusion must be real, got a nonzero imaginary part"),
     "gaussian drift and diffusion shapes": (
         lambda: gs.GaussianModel(np.eye(2), np.eye(4)), gs.GaussianError,
         "equal square matrices"),
@@ -488,6 +500,9 @@ BAD_UNITARIES = {
 }
 UNITARY_READERS = {
     # entry point: (its call on a bare U, the dimension of U, the error)
+    "episodes.EpisodeStack.of": (
+        lambda u: eps.EpisodeStack.of(*[np.eye(2)[None] / 2] * 2, np.asarray(u)[None],
+                                      *[np.eye(2)[None] / 2] * 2), 4, eps.EpisodeError),
     "episodes.is_strict_energy_conserving": (
         lambda u: eps.is_strict_energy_conserving(u, H2, H2), 4, eps.EpisodeError),
     "episodes.correlated_heat_flow": (

@@ -3,7 +3,10 @@ record of a `verify` suite must then fail.  Four break the
 thermo-majorization curves or the gamma-embedding, which the record
 "majorization curve == embedding verdict" compares; one flips the sign of
 the entropy flux in `EpisodeStack.balance`, which the route-equality record
-"route flux == beta Q_E" compares with beta times the heat."""
+"route flux == beta Q_E" compares with beta times the heat; one gives the
+joint state made in `EpisodeStack.evolved` the weights p_n p_n for p_n q_nu,
+which the route-equality record "route dS + beta Q == I + D" compares with
+the Clausius form."""
 
 import inspect
 import textwrap
@@ -15,6 +18,7 @@ from entroprod import episodes as eps, resource as rs, verify
 
 EMBEDDING = "majorization", "majorization curve == embedding verdict"
 FLUX = "route-equality", "route flux == beta Q_E"
+CLAUSIUS = "route-equality", "route dS + beta Q == I + D"
 
 
 def record(suite, name):
@@ -63,18 +67,29 @@ def flipped_flux(monkeypatch):
     monkeypatch.setattr(eps.EpisodeStack, "balance", balance)
 
 
+def system_weights_twice(monkeypatch):
+    # rho_SE' made with the weights p_n p_n in place of p_n q_nu
+    evolved = mutant(eps.EpisodeStack.evolved.func, "self.initial_weights.reshape(",
+                     "(self.rho_system[1][..., :, None] * self.rho_system[1][..., None, :])"
+                     ".reshape(")
+    evolved.__set_name__(eps.EpisodeStack, "evolved")
+    monkeypatch.setattr(eps.EpisodeStack, "evolved", evolved)
+
+
 DEFECTS = {
     "curve: beta -> -beta in the beta-order": (negated_beta, EMBEDDING),
     "curve: interpolation without the chord": (step_curves, EMBEDDING),
     "embedding: rounding of reversed weights": (reversed_weights, EMBEDDING),
     "embedding: runs in ascending order": (ascending_runs, EMBEDDING),
     "flux sign flipped in EpisodeStack.balance": (flipped_flux, FLUX),
+    "joint weights p_n p_n in EpisodeStack.evolved": (system_weights_twice, CLAUSIUS),
 }
 
 
 def test_the_record_passes_without_a_defect():
     assert record(*EMBEDDING) == (EMBEDDING[1], True, "50/50")
     assert record(*FLUX)[1]
+    assert record(*CLAUSIUS)[1]
 
 
 @pytest.mark.parametrize("plant, suite_record", DEFECTS.values(), ids=DEFECTS.keys())

@@ -222,6 +222,29 @@ def test_information_balance_is_clausius_against_a_cold_gibbs_bath(log_beta, see
     assert eps.balance(ep).sigma == pytest.approx(eps.thermal_balance(ep, beta).sigma, rel=1e-10)
 
 
+@PROPERTY
+@given(st.sampled_from([(2,), (3,), (2, 2)]), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_joint_state_is_made_from_its_product_spectrum(env_dims, rank, seed):
+    # rho_SE' = U (rho_S x rho_E) U^dag is never decomposed: its kept spectrum,
+    # the weights p_n q_nu on the columns U (V_S x V_E), is ascending, rebuilds
+    # the matrix, is its eigvalsh spectrum and keeps S(rho_SE') = S(rho_S) + S(rho_E);
+    # rho_E complex and non-diagonal, rho_S of rank 1 or 2
+    rng = np.random.default_rng(seed)
+    de = math.prod(env_dims)
+    rho_s = random_density(2, rng, rank=rank)
+    rho_e = random_density(de, rng, dims=env_dims)
+    hs, he = (HermitianOperator.from_matrix(np.diag(rng.uniform(0.0, 2.0, d)), dims)
+              for d, dims in ((2, (2,)), (de, env_dims)))
+    ep = eps.Episode(hs, he, random_unitary(2 * de, rng, dims=(2,) + env_dims), rho_s, rho_e)
+    joint = eps.evolve(ep).rho_joint
+    w, v = joint.eig()
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.abs((v * w) @ v.conj().T - joint.matrix).max() <= 1e-12
+    assert np.abs(w - np.linalg.eigvalsh(joint.matrix)).max() <= 1e-12
+    assert von_neumann_entropy(joint) == pytest.approx(
+        von_neumann_entropy(rho_s) + von_neumann_entropy(rho_e), abs=1e-12)
+
+
 # clusters on a lattice 0.37 apart, members within 1e-13 max(1, |c|) of the
 # centre, so no run can reach from one cluster to the next; +-inf join as is
 cluster = st.tuples(st.one_of(st.integers(-20, 20).map(lambda k: 0.37 * k),
