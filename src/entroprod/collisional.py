@@ -193,9 +193,9 @@ def _stroke_channels(spec: CollisionSpec) -> list:
 
 
 def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
-    """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n),
-    validated as one stack (`_density_stack`): the states, and their
-    (matrices, weights, eigenvectors) as three stacks."""
+    """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n): the states, and
+    their (matrices, weights, eigenvectors) as three stacks, rho_0's one-row stack (cheaper
+    than restacking the states) joined to rho_1 .. rho_n validated as one (`_density_stack`)."""
     ds = spec.dim_system
     _spectrum(rho0, CollisionalError, ds)
     channels = _stroke_channels(spec)
@@ -208,9 +208,8 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
     nexts = vecs[1:].reshape(n_strokes, ds, ds).transpose(0, 2, 1)
     nexts = nexts / np.trace(nexts, axis1=1, axis2=2)[:, None, None]
     stack = _density_stack(nexts)
-    states = (rho0,) + DensityOperator._rows(stack, rho0.dims)
-    return states, tuple(np.concatenate([x[None], xs]) for x, xs in
-                         zip((rho0.matrix,) + rho0.eig(), stack))
+    return ((rho0,) + DensityOperator._rows(stack, rho0.dims),
+            tuple(map(np.concatenate, zip(_density_stack((rho0,)), stack))))
 
 
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
@@ -240,10 +239,10 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
         letter, before = letters[rows], tuple(x[rows] for x in chain)
         entries = np.unique(letter)
         local = np.searchsorted(entries, letter)
-        h_a, u, *rho_a = (np.stack(x)[local] for x in zip(*(
-            (s.hamiltonian.matrix, s.unitary.matrix, s.rho.matrix) + s.rho.eig()
-            for s in (alphabet[k] for k in entries))))
-        stack = EpisodeStack(h_sys[letter], h_a, u, before, tuple(rho_a),
+        h_a, u = (np.stack([getattr(alphabet[k], name).matrix for k in entries])[local]
+                  for name in ("hamiltonian", "unitary"))
+        rho_a = tuple(x[local] for x in _density_stack([alphabet[k].rho for k in entries]))
+        stack = EpisodeStack(h_sys[letter], h_a, u, before, rho_a,
                              HilbertDims((spec.dim_system,)), HilbertDims((int(dim),)))
         mid, bal = stack.evolved[1], stack.balance
         e_now = _trace_rows(stack.h_system, before[0])

@@ -23,7 +23,7 @@ one known exactly (Gibbs, squeezed thermal and maximally mixed states,
 `_exact_spectra`, and an episode's joint state, the products of its
 factors' weights, `episodes.EpisodeStack.evolved`) is kept uncut, save that
 Petz-Renyi orders above 1 cut an exact weight that rho meets only within
-SUPPORT_OVERLAP_TOL.  A bare Gibbs matrix is read by `eigh` and cut.
+SUPPORT_OVERLAP_TOL; a stack of such states keeps their spectra (`_density_stack`).
 Downstream a level is in the support iff its weight is > 0, and rho leaves
 sigma's support iff its mass on sigma's zero levels exceeds
 SUPPORT_OVERLAP_TOL.  Probability vectors, validated by
@@ -141,8 +141,7 @@ def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
     # Every later check has the form `err > tol`, which is False for NaN.
     if not np.isfinite(m).all():
         raise error("matrix has NaN or infinite entries")
-    m.setflags(write=False)
-    return m
+    return _read_only(m)[0]
 
 
 def _frozen_matrix(matrix, error=CoreError, dim=None) -> np.ndarray:
@@ -150,6 +149,13 @@ def _frozen_matrix(matrix, error=CoreError, dim=None) -> np.ndarray:
     if m.ndim != 2:
         raise error(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def _density_spectra(m):
@@ -169,23 +175,17 @@ def _density_spectra(m):
         _fail_first(bad[0], herm_err, "density matrix not Hermitian (residual {:.3e})")
         _fail_first(bad[1], tr, "density matrix trace {} differs from 1")
         _fail_first(bad[2], low, "density matrix has negative eigenvalue {:.3e}")
-    evals = _spectral_weights(evals)
-    for arr in (evals, evecs):
-        arr.setflags(write=False)
-    return evals, evecs
+    return _read_only(_spectral_weights(evals), evecs)
 
 
 def _exact_spectra(matrix, weights, vecs):
-    """(matrix, weights, eigenvectors), read-only, of one state made from its spectrum:
-    `matrix` V diag(w) V^dag (made here when None), the weights, kept uncut (an
-    eigensolver's are cut first, `_spectral_weights`) and passing `_check_probabilities`
-    with CoreError, sorted ascending with their eigenvector columns (`_ascending`)."""
+    """(matrices, weights, eigenvectors), read-only, of one state or a stack (..., d, d) made from
+    its spectrum: `matrix` V diag(w) V^dag (made here when None), the weights kept uncut, passing
+    `_check_probabilities` with CoreError, sorted ascending with their vectors (`_ascending`)."""
     w, v = _check_probabilities(weights, CoreError), np.asarray(vecs, dtype=complex)
-    m = (v * w) @ v.conj().T if matrix is None else matrix
-    if m.ndim != 2:
-        raise CoreError(f"expected a square matrix, got shape {m.shape}")
-    m.setflags(write=False)
-    return (m,) + tuple(x[0] for x in _ascending(w[None], v[None]))
+    m = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) if matrix is None else matrix
+    w, v = _ascending(w.reshape(-1, w.shape[-1]), v.reshape(-1, *v.shape[-2:]))
+    return _read_only(m, w.reshape(m.shape[:-1]), v.reshape(m.shape))
 
 
 def _ascending(weights, vecs):
@@ -193,19 +193,23 @@ def _ascending(weights, vecs):
     columns (n, d, d), both read-only: the order of every spectrum made from known
     weights (`_exact_spectra`, `episodes.EpisodeStack.evolved`)."""
     order, rows = np.argsort(weights, kind="stable"), np.arange(len(weights))[:, None]
-    w = weights[rows, order]
-    v = vecs[rows[..., None], np.arange(order.shape[-1])[:, None], order[:, None, :]]
-    for arr in (w, v):
-        arr.setflags(write=False)
-    return w, v
+    return _read_only(weights[rows, order],
+                      vecs[rows[..., None], np.arange(order.shape[-1])[:, None], order[:, None, :]])
 
 
-def _density_stack(matrices):
-    """(matrices, weights, eigenvectors) of an (n, d, d) stack of states,
-    all read-only, validated by `_density_spectra` (one stacked `eigh`)."""
-    ms = _frozen_stack(matrices)
+def _density_stack(states, error=CoreError, dim=None):
+    """The one reader of a stack of states: (matrices, weights, eigenvectors), read-only, (n, d, d).
+    `DensityOperator`s of one size (`dim` when given) are read by the spectra they keep, neither
+    decomposed nor checked again (one by views); anything else by `_frozen_stack` with `error`
+    (which names a state of another size) and `_density_spectra` (one stacked `eigh`)."""
+    if isinstance(states, (list, tuple)) and states and all(
+            isinstance(s, DensityOperator) and s.dim == (dim or states[0].dim) for s in states):
+        kept = [(s.matrix,) + s.eig() for s in states]
+        return (tuple(x[None] for x in kept[0]) if len(kept) == 1
+                else _read_only(*map(np.array, zip(*kept))))
+    ms = _frozen_stack(states, error, dim)
     if ms.ndim != 3:
-        raise CoreError(f"expected an (n, d, d) stack, got shape {ms.shape}")
+        raise error(f"expected (n, d, d) stacks of states, got shape {ms.shape}")
     return (ms,) + _density_spectra(ms)
 
 
@@ -275,11 +279,11 @@ class DensityOperator(_Operator):
     """Positive unit-trace Hermitian matrix: the universal state type.
 
     Validation (`_density_spectra`) takes one `eigh` of the matrix; its
-    eigenvalues (round-off zeroed) and eigenvectors are kept read-only (not
-    in the repr).  `from_stack` validates a whole stack of states by one stacked
-    `eigh` through the same checks, and each state keeps its slice of that
-    decomposition.  A state made from its known spectrum (`_exact_spectra`)
-    is never decomposed.  Equality is identity: states hold arrays.
+    eigenvalues (round-off zeroed) and eigenvectors are kept read-only (not in the repr).
+    `from_stack` validates a whole stack of states by one stacked `eigh` through the same
+    checks, and each state keeps its slice of that decomposition.  A state made from its
+    known spectrum (`_exact_spectra`) is never decomposed, nor when it enters a stack
+    (`_density_stack`).  Equality is identity: states hold arrays.
     """
 
     matrix: np.ndarray
@@ -294,10 +298,9 @@ class DensityOperator(_Operator):
 
     @classmethod
     def from_stack(cls, matrices, dims=None) -> tuple:
-        """Validated states of an (n, d, d) stack, all with factor dims
-        `dims`, from one stacked `eigh` (`_density_stack`); each state's
-        `eig()` is its slice of that decomposition, the same bits as
-        validating it alone."""
+        """The states of an (n, d, d) stack, all with factor dims `dims`, by one stacked
+        `eigh` (`_density_stack`); each state's `eig()` is its slice of that
+        decomposition, the same bits as validating it alone."""
         return cls._rows(_density_stack(matrices), dims)
 
     @classmethod
@@ -856,11 +859,14 @@ def _check_beta(beta, error, positive=False, name="inverse temperature"):
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
-    """Gibbs state e^{-beta H}/Z (`_gibbs_states`); a bare H is read by `_hermitian`."""
-    _check_beta(beta, CoreError)
-    dims = hamiltonian.dims if isinstance(hamiltonian, _Operator) else None
-    m, w, v, _ = _gibbs_states(_hermitian(hamiltonian), beta)
-    return DensityOperator._validated(_exact_spectra(m, w, v), dims)
+    """Gibbs state e^{-beta H}/Z (`_gibbs_states`); a bare H is read by `_hermitian`.  Of an
+    (n, d, d) stack of H and one beta per row: n states, from one stacked `eigh`."""
+    b, h = _check_beta(beta, CoreError), _hermitian(hamiltonian)
+    if h.ndim > 3 or b.shape != h.shape[:-2]:
+        raise CoreError(f"expected one beta per Hamiltonian, got {b.shape} for {h.shape}")
+    spectra, dims = _exact_spectra(*_gibbs_states(h, b)[:3]), getattr(hamiltonian, "dims", None)
+    return (DensityOperator._validated(spectra, dims) if h.ndim == 2
+            else DensityOperator._rows(spectra, dims))
 
 
 def trace_distance(rho1, rho2) -> float:

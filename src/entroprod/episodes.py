@@ -149,8 +149,7 @@ class Episode:
 
     @cached_property
     def _row(self) -> EpisodeStack:
-        rows = [(rho.matrix[None],) + tuple(x[None] for x in rho.eig())
-                for rho in (self.rho_system, self.rho_env)]
+        rows = [_density_stack((rho,)) for rho in (self.rho_system, self.rho_env)]
         return EpisodeStack(self.h_system.matrix[None], self.h_env.matrix[None],
                             self.unitary.matrix[None], *rows,
                             self.rho_system.dims, self.rho_env.dims)
@@ -166,7 +165,7 @@ class Episode:
 class EpisodeStack:
     """N episodes of one shape: H_S, H_E and U as (N, d, d) stacks, rho_S
     and rho_E as the (matrices, weights, eigenvectors) stacks of
-    `core._density_stack`.
+    `core._density_stack`, the one reader of a stack of states.
 
     `of` validates each operator kind once for the whole stack; an
     episode's own one-row stack (`Episode._row`) reuses its validation.
@@ -195,8 +194,8 @@ class EpisodeStack:
         """A validated stack from (N, d, d) arrays: the Hamiltonians and the
         unitaries by the stacked checks of `HermitianOperator` and
         `UnitaryOperator` at the sizes of the states, the states by
-        `_density_stack`."""
-        rs, re = _density_stack(rho_system), _density_stack(rho_env)
+        `_density_stack`, so N `DensityOperator`s keep their spectra."""
+        rs, re = _density_stack(rho_system, EpisodeError), _density_stack(rho_env, EpisodeError)
         ds, de = rs[0].shape[-1], re[0].shape[-1]
         hs, he = _hermitian(h_system, EpisodeError, ds), _hermitian(h_env, EpisodeError, de)
         u = _unitary(unitary, EpisodeError, ds * de)
@@ -217,12 +216,13 @@ class EpisodeStack:
         rho_S' and rho_E', each as (matrices, weights, eigenvectors).  rho_SE'
         is made from its product spectrum, never decomposed: the weights
         p_n q_nu (`initial_weights`) on the columns U (V_S x V_E), sorted by
-        `core._ascending`.  One stacked conjugation and partial trace, and one
-        stacked `eigh` per marginal."""
+        `core._ascending`, the one copy of those columns.  One stacked
+        conjugation and partial trace, and one stacked `eigh` per marginal."""
         u, ns, factors = self.unitary, len(self.system_dims), self.dims.factors
         joint = u @ tensor([self.rho_system[0], self.rho_env[0]]) @ u.conj().swapaxes(-1, -2)
         joint.setflags(write=False)
-        spectrum = _ascending(self.initial_weights.reshape(len(self), -1), self._initial_columns)
+        spectrum = _ascending(self.initial_weights.reshape(len(self), -1),
+                              u @ tensor([self.rho_system[2], self.rho_env[2]]))
         parts = (_ptrace_matrix(joint, factors, keep)
                  for keep in (range(ns), range(ns, len(factors))))
         return ((joint,) + spectrum, *map(_density_stack, parts))
@@ -256,12 +256,6 @@ class EpisodeStack:
     def initial_weights(self) -> np.ndarray:
         """p_n q_nu of every row on [row, n, nu], the weights of rho_S and rho_E."""
         return self.rho_system[1][..., :, None] * self.rho_env[1][..., None, :]
-
-    @cached_property
-    def _initial_columns(self) -> np.ndarray:
-        """U (V_S x V_E): its columns are U|n nu> for the eigenvectors of
-        rho_S and rho_E."""
-        return self.unitary @ tensor([self.rho_system[2], self.rho_env[2]])
 
     def transitions(self, final_system: bool, final_env: bool) -> np.ndarray:
         """|<m mu|U|n nu>|^2 of every row on the grid [row, m, mu, n, nu]:
@@ -303,13 +297,15 @@ class EpisodeStack:
 
 
 def _transition_tensor(stack: EpisodeStack, final_system: bool, final_env: bool):
-    """`EpisodeStack.transitions` of one final basis, read against the kept
-    columns U (V_S x V_E)."""
+    """`EpisodeStack.transitions` of one final basis, read against the columns U (V_S x V_E)
+    that `evolved` keeps sorted, put back in (n, nu) order by the inverse permutation."""
     basis_s = (stack.evolved[1] if final_system else stack.rho_system)[2]
     basis_e = (stack.evolved[2] if final_env else stack.rho_env)[2]
     final = tensor([basis_s, basis_e]).conj().swapaxes(-1, -2)
     ds, de = basis_s.shape[-1], basis_e.shape[-1]
-    return (np.abs(final @ stack._initial_columns) ** 2).reshape(-1, ds, de, ds, de)
+    order = np.argsort(np.argsort(stack.initial_weights.reshape(len(stack), -1), kind="stable"))
+    columns = np.take_along_axis(stack.evolved[0][2], order[:, None, :], -1)
+    return (np.abs(final @ columns) ** 2).reshape(-1, ds, de, ds, de)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .core import (
     DensityOperator,
     _check_beta,
     _check_hermitian,
+    _density_stack,
     _exact_spectra,
     _frozen_matrix,
     _frozen_stack,
@@ -175,9 +176,9 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
     propagator of the real-form generator (`core.propagate`) applied to the
     Hermitian coordinates of rho0.  Each state is renormalized to unit
     trace; the largest |tr - 1| before that is the trace drift.  The states
-    are validated as one stack (`DensityOperator.from_stack`), so an
-    eigenvalue below -EIG_FLOOR is an error naming its time; the most
-    negative eigenvalue, as v^dag rho v on the kept eigenvectors, is the
+    are validated as one stack (`core._density_stack`), so an eigenvalue
+    below -EIG_FLOOR is an error naming its time; the most negative
+    eigenvalue, as v^dag rho v on that stack's eigenvectors, is the
     positivity drift.  Both drifts are round-off only.  d is capped at
     INTEGRATE_DIM_CAP = 60 before anything is allocated: generator and
     exponential take 80 d^4 bytes.
@@ -188,12 +189,11 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
     _spectrum(rho0, LindbladError, model.dim)
     t_grid, coords = propagate(real_superop(build(model)), t_grid,
                                hermitian_coords(rho0.matrix), LindbladError)
-    d = rho0.dim
-    ms = np.array([from_hermitian_coords(x) for x in coords[1:]]).reshape(-1, d, d)
+    ms = np.array([from_hermitian_coords(x) for x in coords[1:]]).reshape(-1, rho0.dim, rho0.dim)
     tr = np.trace(ms, axis1=1, axis2=2).real
     ms = ms / tr[:, None, None]
     try:
-        states = DensityOperator.from_stack(ms, rho0.dims)
+        stack = _density_stack(ms)
     except CoreError:
         # the same validation, one state at a time, finds the first bad time
         for t, m in zip(t_grid[1:], ms):
@@ -202,10 +202,9 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
             except CoreError as exc:
                 raise LindbladError(f"state at t = {t:g}: {exc}") from None
         raise
-    vecs = np.array([s.eig()[1] for s in states]).reshape(-1, d, d)
-    low = np.diagonal(vecs.conj().swapaxes(1, 2) @ ms @ vecs, axis1=1, axis2=2).real
-    return IntegrationResult(t_grid, (rho0,) + states, float(np.abs(tr - 1.0).max(initial=0.0)),
-                             max(0.0, -float(low.min(initial=0.0))))
+    low = np.diagonal(stack[2].conj().swapaxes(1, 2) @ ms @ stack[2], axis1=1, axis2=2).real
+    drifts = float(np.abs(tr - 1.0).max(initial=0.0)), max(0.0, -float(low.min(initial=0.0)))
+    return IntegrationResult(t_grid, (rho0,) + DensityOperator._rows(stack, rho0.dims), *drifts)
 
 
 # ---------------------------------------------------------------------------

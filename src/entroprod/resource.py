@@ -30,8 +30,7 @@ import numpy as np
 from .core import (
     _check_beta,
     _check_probabilities,
-    _density_spectra,
-    _frozen_stack,
+    _density_stack,
     _gibbs,
     _gibbs_states,
     _hermitian,
@@ -483,15 +482,15 @@ class WorkBoundsReport:
 def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
                      eta_grid) -> WorkBoundsReport:
     """`work_bounds` of a stack of quenches, a row per Hamiltonian of
-    h_final (n, d, d) and state of rho_final; beta, mean_work and delta_f_eq
-    one per row (or shared) and eta_grid (n, m) per row or (m,) shared.
-    One stacked Gibbs state, one validated spectrum per state kind and one
-    `core._petz_renyi` over every order of every row; the report's fields
-    carry the row axis (`WorkBoundsReport.row` gives one quench)."""
+    h_final (n, d, d) and state of rho_final (`core._density_stack`); beta,
+    mean_work and delta_f_eq one per row (or shared) and eta_grid (n, m) per
+    row or (m,) shared.  One stacked Gibbs state, one spectrum per state kind
+    and one `core._petz_renyi` over every order of every row; the report's
+    fields carry the row axis (`WorkBoundsReport.row` gives one quench)."""
     beta = _check_beta(beta, ResourceError, positive=True)
     hf = _hermitian(h_final, ResourceError)
-    rho = _frozen_stack(rho_final, ResourceError, hf.shape[-1])
-    if hf.ndim != 3 or rho.shape != hf.shape:
+    rho, p, pv = _density_stack(rho_final, ResourceError, hf.shape[-1])
+    if rho.shape != hf.shape:
         raise ResourceError(f"expected (n, d, d) stacks of one shape, got {hf.shape} "
                             f"and {rho.shape}")
     ones = np.ones((len(hf), 1))
@@ -499,7 +498,6 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     alpha = 1.0 - eta / b
     if not (alpha >= 0.0).all():
         raise ResourceError("eta beyond beta (or not a number): negative Renyi order")
-    p, pv = _density_spectra(rho)
     _, q, qv, _ = _gibbs_states(hf, beta)
     div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1), p[:, None],
                       q[:, None], (qv.conj().swapaxes(-1, -2) @ pv)[:, None])
@@ -520,7 +518,7 @@ def work_bounds(h_final, beta: float, rho_final, mean_work: float,
     through the cumulant generating function identity
     Phi_eta = -(eta/beta) S_{1-eta/beta}(rho' || rho'_th) - eta dF_eq.
     """
-    return work_bounds_rows(_mat(h_final)[None], beta, _mat(rho_final)[None], mean_work,
+    return work_bounds_rows(_mat(h_final)[None], beta, (rho_final,), mean_work,
                             delta_f_eq, np.asarray(eta_grid, dtype=float)[None]).row(0)
 
 

@@ -23,10 +23,10 @@ from .core import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     _entropy_rows,
-    _gibbs_states,
     _petz_renyi,
     hermitian_function,
     tensor,
+    thermal_state,
 )
 from .rand import _ginibre, density_matrices, haar_unitaries, random_density, random_probability
 
@@ -35,14 +35,16 @@ def _record(name, passed, detail=""):
     return (name, bool(passed), detail)
 
 
-def _qubit_stack(rng, n, thermal_env):
-    """One validated stack of n random qubit-qubit episodes and their betas,
-    each kind of input one draw for all n: beta, the H_S = a Z + b X and
-    H_E = c Z coefficients, the Ginibre factors of a non-thermal rho_E, then
-    those of U and rho_S.  A thermal rho_E is Gibbs at its beta."""
-    beta, hs, he = 0.5 + 1.5 * rng.random(n), rng.normal(size=(n, 2, 1, 1)), 0.5 + rng.random(n)
+def _qubit_stack(rng, n, thermal_env, beta_omega=None):
+    """One validated stack of n random qubit-qubit episodes and their betas, each kind of
+    input one draw for all n: beta (uniform in [0.5, 2], or beta omega_E log-uniform on
+    beta_omega), the H_S = a Z + b X and H_E = c Z coefficients, the Ginibre factors of a
+    non-thermal rho_E, then those of U and rho_S.  A thermal rho_E is Gibbs at its beta."""
+    u, hs, he = rng.random(n), rng.normal(size=(n, 2, 1, 1)), 0.5 + rng.random(n)
+    beta = (0.5 + 1.5 * u if beta_omega is None
+            else beta_omega[0] * (beta_omega[1] / beta_omega[0]) ** u / (2.0 * he))
     h_env = he[:, None, None] * PAULI_Z
-    rho_env = (_gibbs_states(h_env, beta)[0] if thermal_env
+    rho_env = (thermal_state(h_env, beta) if thermal_env
                else density_matrices(_ginibre(rng, (n, 2, 2))))
     return eps.EpisodeStack.of(hs[:, 0] * PAULI_Z + hs[:, 1] * PAULI_X, h_env,
                                haar_unitaries(_ginibre(rng, (n, 4, 4))),
@@ -63,7 +65,7 @@ def _exchange_stack(omega, g, rho_system, beta_env):
     entry of omega, g, rho_system and beta_env."""
     h = _qubit_levels(omega)
     u = hermitian_function(g[:, None, None] * _EXCHANGE, lambda x: np.exp(-1j * x))
-    return eps.EpisodeStack.of(h, h, u, rho_system, _gibbs_states(h, beta_env)[0])
+    return eps.EpisodeStack.of(h, h, u, rho_system, thermal_state(h, beta_env))
 
 
 def _worst(deltas):
@@ -99,7 +101,7 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
     # both-reset with thermal system and strict conservation
     rng2 = np.random.default_rng(102)
     omega, beta_s, beta_e, g = np.array([[0.5], [0.3], [0.3], [0.3]]) + rng2.random((4, 5))
-    pairs = _exchange_stack(omega, g, _gibbs_states(_qubit_levels(omega), beta_s)[0], beta_e)
+    pairs = _exchange_stack(omega, g, thermal_state(_qubit_levels(omega), beta_s), beta_e)
     ens = tj.backward_ensemble_rows(pairs, tj.BackwardChoice.BOTH_RESET)
     worst_jw = _worst(ens.average_sigma() - (beta_e - beta_s) * pairs.balance.heat_env)
     records.append(_record("ft-table exchange form (both reset, conserving)",
@@ -111,9 +113,9 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
 
 
 def route_equality_suite(n_episodes=25, tol=1e-10):
-    """Information, Clausius, free-energy and fixed-point routes agree."""
+    """Information, Clausius, free-energy and fixed-point routes agree, to e^-300 weights."""
     rng = np.random.default_rng(202)
-    stack, beta = _qubit_stack(rng, n_episodes, thermal_env=True)
+    stack, beta = _qubit_stack(rng, n_episodes, thermal_env=True, beta_omega=(0.05, 300.0))
     # thermal operations: resonant exchanges
     omega, g = np.array([[0.5], [0.2]]) + rng.random((2, n_episodes))
     ops = _exchange_stack(omega, g, density_matrices(_ginibre(rng, (n_episodes, 2, 2))), beta)
@@ -331,7 +333,7 @@ def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100):
         vals = rs.classical_renyi_rows(*pairs, grid)
         mono &= bool((vals[:, :-1] <= vals[:, 1:] + 1e-12).all())
     work = tj.work_rows(h_i, h_f, np.eye(2), beta_q)
-    rep = rs.work_bounds_rows(h_f, beta_q, _gibbs_states(h_i, beta_q)[0], work.mean_work,
+    rep = rs.work_bounds_rows(h_f, beta_q, thermal_state(h_i, beta_q), work.mean_work,
                               work.delta_f, np.linspace(0.0, beta_q, 5, axis=-1))
     v = rs.thermo_majorizes_rows(e2, orc_a, orc_b, beta)
     feas = rs.gibbs_stochastic_feasible_2d_rows(e2, orc_a, orc_b, beta)

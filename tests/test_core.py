@@ -345,8 +345,52 @@ def test_gibbs_states_are_decomposed_once(monkeypatch):
     for weights in (np.array([0.5, 0.6]), np.array([1.2, -0.2]), np.array([math.nan, 1.0])):
         with pytest.raises(CoreError):
             core._exact_spectra(None, weights, np.eye(2))
-    with pytest.raises(CoreError, match="expected a square matrix"):
-        core.thermal_state(stack, 1.0)
+
+
+def test_thermal_state_of_a_stack_is_each_row(monkeypatch):
+    # one stacked eigh for n Hamiltonians; each state is the one-row call, bit
+    # for bit, and a beta per row must be one per Hamiltonian
+    stack = np.stack([random_hermitian(3, RNG).matrix for _ in range(4)])
+    betas = np.array([0.5, 1.0, 40.0, 300.0])
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    states = core.thermal_state(stack, betas)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert len(states) == 4 and all(s.dims == HilbertDims((3,)) for s in states)
+    for h, beta, state in zip(stack, betas, states):
+        alone = core.thermal_state(h, beta)
+        for kept, own in zip((state.matrix,) + state.eig(), (alone.matrix,) + alone.eig()):
+            assert np.array_equal(kept, own) and not kept.flags.writeable
+    for beta in (betas[:3], np.ones((4, 1)), 1.0):
+        with pytest.raises(CoreError, match="one beta per Hamiltonian"):
+            core.thermal_state(stack, beta)
+    with pytest.raises(CoreError, match="one beta per Hamiltonian"):
+        core.thermal_state(stack[0], betas[:1])
+
+
+def test_a_stack_of_states_is_read_by_the_spectra_they_keep(monkeypatch):
+    # a sequence of states is neither decomposed nor checked again: one state
+    # by views, n by one copy per array; a bare stack by one stacked eigh
+    states = [core.thermal_state(np.diag([0.0, 1.0]), b) for b in (0.5, 40.0, 700.0)]
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    one, three = core._density_stack(states[:1]), core._density_stack(tuple(states))
+    assert calls == []
+    bare = core._density_stack(np.stack([s.matrix for s in states]))
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert all(np.shares_memory(x, y) for x, y in zip(one, (states[0].matrix,) + states[0].eig()))
+    for k, state in enumerate(states):
+        for kept, own in zip(three, (state.matrix,) + state.eig()):
+            assert np.array_equal(kept[k], own) and not kept.flags.writeable
+    assert three[1][2, 0] == math.exp(-700.0) / (1.0 + math.exp(-700.0)) > 0.0
+    assert bare[1][2, 0] == 0.0                 # eigensolver output: cut
+    mixed = [states[0], DensityOperator.maximally_mixed(3)]
+    with pytest.raises(CoreError, match=r"matrix 1 of the stack: shape \(3, 3\), expected \(2"):
+        core._density_stack(mixed)
+    with pytest.raises(CoreError, match="matrix is 2x2, expected 3x3"):
+        core._density_stack(states, dim=3)
 
 
 def test_thermal_state_energy_monotone_in_beta():

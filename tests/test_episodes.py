@@ -112,6 +112,26 @@ def test_balance_pure_environment_reports_infinity():
     assert math.isfinite(bal.mutual_info)
 
 
+def test_a_cold_swap_reads_one_sigma_through_both_apis(monkeypatch):
+    # I/2 swapped with a qubit Gibbs at beta omega = 40, whose weight e^-40 is
+    # below the eigensolver round-off cut: Sigma = dS_S + beta Q_E =
+    # 20 - ln 2 + ln(1 + e^-40).  The states enter the stack with the spectra
+    # they keep, so the stack takes no eigh for them and reads no cut weight.
+    h, beta = np.diag([0.0, 1.0]), 40.0
+    rho_s, rho_e = DensityOperator.maximally_mixed(2), thermal_state(h, beta)
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    stack = eps.EpisodeStack.of(h[None], h[None], SWAP4[None], [rho_s], [rho_e])
+    assert calls == []
+    monkeypatch.undo()
+    one = eps.Episode(*[HermitianOperator.from_matrix(h)] * 2,
+                      UnitaryOperator.from_matrix(SWAP4, (2, 2)), rho_s, rho_e)
+    exact = 20.0 - math.log(2.0) + math.log1p(math.exp(-beta))
+    for sigma in (stack.balance.sigma[0], eps.thermal_balance_rows(stack, beta).sigma[0],
+                  eps.balance(one).sigma, eps.thermal_balance(one, beta).sigma):
+        assert sigma == pytest.approx(exact, rel=1e-13)
+
+
 def test_thermal_balance_routes():
     beta = 1.2
     ep = random_episode(RNG, beta=beta)

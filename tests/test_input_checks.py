@@ -239,6 +239,10 @@ CASES = {
         "inverse temperature must be real, got a nonzero imaginary part"),
     "episodes.EpisodeStack.of row counts": (
         lambda: _stack(2), eps.EpisodeError, "one (N, d, d) stack of equal N"),
+    "episodes.EpisodeStack.of states of two sizes": (
+        lambda: eps.EpisodeStack.of(*[np.eye(2)[None]] * 2, np.eye(4)[None], [MIXED2],
+                                    [RHO2, MIXED3]),
+        eps.EpisodeError, "matrix 1 of the stack: shape (3, 3), expected (2, 2)"),
     "episodes.multibath_balance partition": (
         lambda: eps.multibath_balance(_episode(), [eps.BathPart((1,), H2, 1.0)]),
         eps.EpisodeError, "must cover all"),

@@ -6,7 +6,10 @@ the entropy flux in `EpisodeStack.balance`, which the route-equality record
 "route flux == beta Q_E" compares with beta times the heat; one gives the
 joint state made in `EpisodeStack.evolved` the weights p_n p_n for p_n q_nu,
 which the route-equality record "route dS + beta Q == I + D" compares with
-the Clausius form."""
+the Clausius form; one leaves the eigenvectors of a state made from its
+known spectrum (`core._exact_spectra`, so every `thermal_state`) in the order
+of its levels while its weights are sorted, which a stack of such states then
+reads as kept, and the same record compares with the Clausius form."""
 
 import inspect
 import textwrap
@@ -14,7 +17,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from entroprod import episodes as eps, resource as rs, verify
+from entroprod import core, episodes as eps, resource as rs, verify
 
 EMBEDDING = "majorization", "majorization curve == embedding verdict"
 FLUX = "route-equality", "route flux == beta Q_E"
@@ -76,6 +79,12 @@ def system_weights_twice(monkeypatch):
     monkeypatch.setattr(eps.EpisodeStack, "evolved", evolved)
 
 
+def unpermuted_vectors(monkeypatch):
+    # the sorted weights of a known spectrum paired with its unsorted eigenvectors
+    sorted_vecs = "vecs[rows[..., None], np.arange(order.shape[-1])[:, None], order[:, None, :]]"
+    monkeypatch.setattr(core, "_ascending", mutant(core._ascending, sorted_vecs, "vecs"))
+
+
 DEFECTS = {
     "curve: beta -> -beta in the beta-order": (negated_beta, EMBEDDING),
     "curve: interpolation without the chord": (step_curves, EMBEDDING),
@@ -83,6 +92,7 @@ DEFECTS = {
     "embedding: runs in ascending order": (ascending_runs, EMBEDDING),
     "flux sign flipped in EpisodeStack.balance": (flipped_flux, FLUX),
     "joint weights p_n p_n in EpisodeStack.evolved": (system_weights_twice, CLAUSIUS),
+    "known weights sorted without their eigenvectors": (unpermuted_vectors, CLAUSIUS),
 }
 
 

@@ -223,6 +223,24 @@ def test_information_balance_is_clausius_against_a_cold_gibbs_bath(log_beta, see
 
 
 @PROPERTY
+@given(st.lists(st.floats(math.log(0.1), math.log(700.0)), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_a_stack_of_cold_gibbs_baths_reads_clausius(log_beta_omega, seed):
+    # the stack form of the property above: rows of H_E = omega |e><e| with
+    # omega drawn in [0.5, 2], beta omega drawn on a log scale in [0.1, 700],
+    # and rho_E the thermal_state rows of one stacked call
+    rng = np.random.default_rng(seed)
+    n = len(log_beta_omega)
+    omega = rng.uniform(0.5, 2.0, n)
+    beta, h = np.exp(log_beta_omega) / omega, omega[:, None, None] * np.diag([0.0, 1.0])
+    z4, z2 = (rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d)) for d in (4, 2))
+    stack = eps.EpisodeStack.of(h, h, haar_unitaries(z4), density_matrices(z2),
+                                thermal_state(h, beta))
+    assert stack.balance.sigma == pytest.approx(eps.thermal_balance_rows(stack, beta).sigma,
+                                                rel=1e-10)
+
+
+@PROPERTY
 @given(st.sampled_from([(2,), (3,), (2, 2)]), st.integers(1, 2), st.integers(0, 2**32 - 1))
 def test_joint_state_is_made_from_its_product_spectrum(env_dims, rank, seed):
     # rho_SE' = U (rho_S x rho_E) U^dag is never decomposed: its kept spectrum,

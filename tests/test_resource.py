@@ -12,7 +12,7 @@ from entroprod.core import (
     PAULI_Z,
     thermal_state,
 )
-from entroprod.rand import random_density, random_probability, random_unitary
+from entroprod.rand import random_density, random_hermitian, random_probability, random_unitary
 
 RNG = np.random.default_rng(606)
 BETA = 1.0
@@ -322,6 +322,20 @@ def test_work_bounds_at_a_cold_gibbs_final_state():
     rep = rs.work_bounds(h_f, 50.0, core.thermal_state(h_f, 50.0).matrix, 0.5, 0.0, [0.0, 1.0])
     assert abs(rep.w_form_final) < 1e-12
     assert np.isfinite(rep.phi_eta).all()
+
+
+def test_work_bounds_of_a_cold_gibbs_state_keep_its_spectrum():
+    # rho' = thermal_state(H_f, beta) of a random qutrit at beta dE = 100 enters
+    # with the weights it keeps (1.4e-13 and e^-100, not eigh of its matrix,
+    # which read beta W_form = 1.9e-4 here).  W_form = D_inf(rho' || rho') / beta
+    # is 0 up to the overlap round-off over the kept weight 1.4e-13
+    rng = np.random.default_rng(4)
+    h_f = random_hermitian(3, rng)
+    levels = np.linalg.eigvalsh(h_f.matrix)
+    beta = 100.0 / (levels[-1] - levels[0])
+    rep = rs.work_bounds(h_f, beta, core.thermal_state(h_f, beta), 0.5, 0.0, [0.0, 1.0])
+    assert abs(beta * rep.w_form_final) < 1e-8
+    assert abs(beta * rep.w_ext_final) < 1e-14
 
 
 def test_work_bounds_strict_sandwich():
