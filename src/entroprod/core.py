@@ -213,6 +213,15 @@ def _density_stack(states, error=CoreError, dim=None):
     return (ms,) + _density_spectra(ms)
 
 
+def _stack_dims(states, size, error=CoreError, dims=None) -> HilbertDims:
+    """A stack's factor dims (the one rule): those its states and `dims` share, else one factor."""
+    every = list(dict.fromkeys(([] if dims is None else [_as_dims(dims, size, error)])
+                               + [s.dims for s in states if isinstance(s, DensityOperator)]))
+    if len(every) > 1:
+        raise error(f"factor dims {every[0].factors} and {every[1].factors} in one stack")
+    return every[0] if every else HilbertDims((size,))
+
+
 def _fail_first(bad, values, message, error=CoreError):
     """The exception class `error` for the first matrix flagged in `bad`,
     its value formatted into `message`; in a stack it is named by its index."""
@@ -298,15 +307,15 @@ class DensityOperator(_Operator):
 
     @classmethod
     def from_stack(cls, matrices, dims=None) -> tuple:
-        """The states of an (n, d, d) stack, all with factor dims `dims`, by one stacked
-        `eigh` (`_density_stack`); each state's `eig()` is its slice of that
-        decomposition, the same bits as validating it alone."""
-        return cls._rows(_density_stack(matrices), dims)
+        """The states of an (n, d, d) stack by one stacked `eigh` (`_density_stack`), each `eig()`
+        its slice, the same bits as validating it alone; bare matrices take the factor dims
+        `dims`, states keep their own, which `dims` may not contradict (`_stack_dims`)."""
+        stack = _density_stack(matrices)
+        return cls._rows(stack, _stack_dims(matrices, stack[0].shape[-1], CoreError, dims))
 
     @classmethod
     def _rows(cls, stack, dims=None) -> tuple:
-        """The states of a validated (matrices, weights, eigenvectors) stack."""
-        dims = _as_dims(dims, stack[0].shape[-1])
+        """The states of a validated (matrices, weights, eigenvectors) stack of dims `dims`."""
         return tuple(cls._validated(row, dims) for row in zip(*stack))
 
     @classmethod
@@ -323,7 +332,10 @@ class DensityOperator(_Operator):
     @classmethod
     def pure(cls, vector, dims=None):
         v = np.asarray(vector, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v) if np.isfinite(v).all() else 0.0
+        if not 0.0 < norm < np.inf:
+            raise CoreError(f"a pure state needs a finite nonzero vector, got {vector}")
+        v = v / norm
         return cls.from_matrix(np.outer(v, v.conj()), dims)
 
     @classmethod

@@ -54,6 +54,7 @@ from .core import (
     _ptrace_matrix,
     _real_array,
     _spectrum,
+    _stack_dims,
     _trace_distance_rows,
     _unitary,
     hermitian_function,
@@ -149,10 +150,10 @@ class Episode:
 
     @cached_property
     def _row(self) -> EpisodeStack:
-        rows = [_density_stack((rho,)) for rho in (self.rho_system, self.rho_env)]
+        rows = [(rho,) for rho in (self.rho_system, self.rho_env)]
         return EpisodeStack(self.h_system.matrix[None], self.h_env.matrix[None],
-                            self.unitary.matrix[None], *rows,
-                            self.rho_system.dims, self.rho_env.dims)
+                            self.unitary.matrix[None], *map(_density_stack, rows),
+                            *(_stack_dims(r, r[0].dim) for r in rows))
 
     @cached_property
     def _evolved(self) -> EvolvedStates:
@@ -189,19 +190,19 @@ class EpisodeStack:
     env_dims: HilbertDims
 
     @classmethod
-    def of(cls, h_system, h_env, unitary, rho_system, rho_env,
-           system_dims=None, env_dims=None) -> "EpisodeStack":
-        """A validated stack from (N, d, d) arrays: the Hamiltonians and the
-        unitaries by the stacked checks of `HermitianOperator` and
-        `UnitaryOperator` at the sizes of the states, the states by
-        `_density_stack`, so N `DensityOperator`s keep their spectra."""
+    def of(cls, h_system, h_env, unitary, rho_system, rho_env) -> "EpisodeStack":
+        """A validated stack from (N, d, d) arrays: the Hamiltonians and the unitaries by the
+        stacked checks of `HermitianOperator` and `UnitaryOperator` at the sizes of the states,
+        the states by `_density_stack` and `_stack_dims`, so N `DensityOperator`s keep their
+        spectra and their factor dims (one factor for a bare array)."""
         rs, re = _density_stack(rho_system, EpisodeError), _density_stack(rho_env, EpisodeError)
         ds, de = rs[0].shape[-1], re[0].shape[-1]
         hs, he = _hermitian(h_system, EpisodeError, ds), _hermitian(h_env, EpisodeError, de)
         u = _unitary(unitary, EpisodeError, ds * de)
         if len({m.shape[:-2] for m in (hs, he, u, rs[0], re[0])}) != 1:
             raise EpisodeError("every operator kind needs one (N, d, d) stack of equal N")
-        return cls(hs, he, u, rs, re, _as_dims(system_dims, ds), _as_dims(env_dims, de))
+        return cls(hs, he, u, rs, re, _stack_dims(rho_system, ds, EpisodeError),
+                   _stack_dims(rho_env, de, EpisodeError))
 
     def __len__(self):
         return len(self.unitary)

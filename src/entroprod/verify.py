@@ -18,10 +18,13 @@ from . import resource as rs
 from . import trajectories as tj
 from .core import (
     DensityOperator,
+    HilbertDims,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    _density_stack,
     _entropy_rows,
     _petz_renyi,
     hermitian_function,
@@ -52,20 +55,22 @@ def _qubit_stack(rng, n, thermal_env, beta_omega=None):
 
 
 _EXCHANGE = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
 
-def _qubit_levels(omega):
-    """omega |e><e| per entry of omega, complex as a `HermitianOperator` holds it."""
-    return omega[:, None, None] * np.diag([0.0, 1.0]).astype(complex)
+def _qubit_levels(omega, v):
+    """V omega |e><e| V^dag per entry of omega, for one qubit unitary V."""
+    return v @ (omega[:, None, None] * np.diag([0.0, 1.0])) @ v.conj().T
 
 
-def _exchange_stack(omega, g, rho_system, beta_env):
+def _exchange_stack(omega, g, v, rho_system, beta_env):
     """Resonant exchanges exp(-i g (s+ s- + s- s+)) of two qubits with
-    H_S = H_E = omega |e><e|, E Gibbs at beta_env: one stack, a row per
-    entry of omega, g, rho_system and beta_env."""
-    h = _qubit_levels(omega)
-    u = hermitian_function(g[:, None, None] * _EXCHANGE, lambda x: np.exp(-1j * x))
-    return eps.EpisodeStack.of(h, h, u, rho_system, thermal_state(h, beta_env))
+    H_S = H_E = omega |e><e|, all rotated by V x V (so the eigenvectors are
+    complex), E Gibbs at beta_env: one stack, a row per entry of omega, g,
+    rho_system and beta_env."""
+    h, vv = _qubit_levels(omega, v), np.kron(v, v)
+    u = vv @ hermitian_function(g[:, None, None] * _EXCHANGE, lambda x: np.exp(-1j * x))
+    return eps.EpisodeStack.of(h, h, u @ vv.conj().T, rho_system, thermal_state(h, beta_env))
 
 
 def _worst(deltas):
@@ -101,7 +106,8 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
     # both-reset with thermal system and strict conservation
     rng2 = np.random.default_rng(102)
     omega, beta_s, beta_e, g = np.array([[0.5], [0.3], [0.3], [0.3]]) + rng2.random((4, 5))
-    pairs = _exchange_stack(omega, g, thermal_state(_qubit_levels(omega), beta_s), beta_e)
+    v = haar_unitaries(_ginibre(rng2, (2, 2)))
+    pairs = _exchange_stack(omega, g, v, thermal_state(_qubit_levels(omega, v), beta_s), beta_e)
     ens = tj.backward_ensemble_rows(pairs, tj.BackwardChoice.BOTH_RESET)
     worst_jw = _worst(ens.average_sigma() - (beta_e - beta_s) * pairs.balance.heat_env)
     records.append(_record("ft-table exchange form (both reset, conserving)",
@@ -113,12 +119,14 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
 
 
 def route_equality_suite(n_episodes=25, tol=1e-10):
-    """Information, Clausius, free-energy and fixed-point routes agree, to e^-300 weights."""
+    """Information, Clausius, free-energy and fixed-point routes agree, to e^-300 weights,
+    and so do the information and multibath routes for a bath of two thermal qubits."""
     rng = np.random.default_rng(202)
     stack, beta = _qubit_stack(rng, n_episodes, thermal_env=True, beta_omega=(0.05, 300.0))
-    # thermal operations: resonant exchanges
+    # thermal operations: resonant exchanges in a rotated basis
     omega, g = np.array([[0.5], [0.2]]) + rng.random((2, n_episodes))
-    ops = _exchange_stack(omega, g, density_matrices(_ginibre(rng, (n_episodes, 2, 2))), beta)
+    v = haar_unitaries(_ginibre(rng, (2, 2)))
+    ops = _exchange_stack(omega, g, v, density_matrices(_ginibre(rng, (n_episodes, 2, 2))), beta)
     bal, tb = stack.balance, eps.thermal_balance_rows(stack, beta)
     fp = eps.fixed_point_sigma_rows(ops.rho_system[1:], ops.evolved[1][1:], ops.rho_env[1:])
     worst_clausius = _worst(tb.sigma - bal.sigma)
@@ -126,6 +134,24 @@ def route_equality_suite(n_episodes=25, tol=1e-10):
     worst_fixed = _worst(ops.balance.sigma - fp)
     # the flux from its trace formula Tr{(rho_E - rho_E') ln rho_E}, not from Sigma - dS_S
     worst_flux = _worst(bal.flux - beta * bal.heat_env)
+    # a qubit against two thermal qubits at their own beta: H_S, H_1, H_2 with X, Y and Z
+    # parts and a Haar U on 8 dims; rho_E = g_1 x g_2, the Gibbs state of
+    # beta_1 H_1 x 1 + beta_2 1 x H_2 at beta = 1, keeps that spectrum and takes dims (2, 2)
+    # (its matrices through `from_stack` would be decomposed again, which reads weights
+    # near 1e-9 to a relative 1e-8 and the flux to 6e-10)
+    hs, h1, h2 = (rng.normal(size=(3, n_episodes, 3, 1, 1)) * _PAULIS).sum(2)
+    betas = 0.5 + 1.5 * rng.random((2, n_episodes))
+    h_env = tensor([h1, np.eye(2)]), tensor([np.eye(2), h2])
+    gibbs = thermal_state(sum(b[:, None, None] * h for b, h in zip(betas, h_env)),
+                          np.ones(n_episodes))
+    bath = eps.EpisodeStack.of(hs, sum(h_env), haar_unitaries(_ginibre(rng, (n_episodes, 8, 8))),
+                               density_matrices(_ginibre(rng, (n_episodes, 2, 2))),
+                               DensityOperator._rows(_density_stack(gibbs), HilbertDims((2, 2))))
+    mb = eps.multibath_balance_rows(bath, [eps.BathPart((k,), h, b) for k, (h, b)
+                                           in enumerate(zip((h1, h2), betas))])
+    worst_info = _worst(mb.sigma - bath.balance.sigma)
+    worst_parts = _worst(mb.sigma - (mb.total_correlations + mb.env_displacement))
+    worst_baths = _worst(bath.balance.flux - (betas.T * mb.heat_per_bath).sum(-1))
     return [
         _record("route dS + beta Q == I + D", worst_clausius < tol,
                 f"max |delta| = {worst_clausius:.2e}"),
@@ -134,6 +160,11 @@ def route_equality_suite(n_episodes=25, tol=1e-10):
         _record("route fixed-point == I + D (thermal ops)", worst_fixed < tol,
                 f"max |delta| = {worst_fixed:.2e}"),
         _record("route flux == beta Q_E", worst_flux < tol, f"max |delta| = {worst_flux:.2e}"),
+        _record("multibath Sigma == I + D", worst_info < tol, f"max |delta| = {worst_info:.2e}"),
+        _record("multibath Sigma == T + sum_k D(rho_Ek' || rho_Ek)", worst_parts < tol,
+                f"max |delta| = {worst_parts:.2e}"),
+        _record("multibath flux == sum_k beta_k Q_k", worst_baths < tol,
+                f"max |delta| = {worst_baths:.2e}"),
     ]
 
 

@@ -50,7 +50,9 @@ def test_every_traced_name_resolves():
     # the Gibbs states enter their stacks with the spectra they keep: one eigh
     # of the Hamiltonians, none of the states
     (verify.ft_table_suite, {"eigh": 9}),
-    (verify.route_equality_suite, {"eigh": 10, "eigvalsh": 1}),
+    # the multibath records add ten: the product rho_E's levels, rho_S, and per bath
+    # qubit its Gibbs check, its marginals before and after; and three trace distances
+    (verify.route_equality_suite, {"eigh": 20, "eigvalsh": 4}),
     # the one eigvalsh is the thermality check's trace distance; the
     # heat-capacity bound reads the levels that check keeps
     (verify.landauer_suite, {"eigh": 5, "eigvalsh": 1})])

@@ -436,3 +436,15 @@ def test_run_rejects_mismatched_dims():
     with pytest.raises(cm.CollisionalError, match="matrix is 3x3, expected 2x2"):
         cm.CollisionSpec((cm.AncillaStroke(thermal_state(H_QUBIT, 1.0), h3,
                                            exchange_unitary(0.3)),), (H_QUBIT,))
+
+
+def test_run_reads_ancillas_of_one_size_and_other_dims_as_one_stack():
+    # a (4,) and a (2, 2) ancilla of one size: `run` makes its own one-factor
+    # stack of them, so their factor dims do not meet
+    h4 = np.diag([0.0, 1.0, 1.0, 2.0])
+    u = random_unitary(8, RNG, dims=(2, 4))
+    alphabet = tuple(cm.AncillaStroke(thermal_state(HermitianOperator.from_matrix(h4, dims), 1.0),
+                                      HermitianOperator.from_matrix(h4), u)
+                     for dims in ((4,), (2, 2)))
+    _, recs = cm.run(cm.CollisionSpec(alphabet, (H_QUBIT,) * 2), random_density(2, RNG), 4)
+    assert len(recs) == 4 and all(np.isfinite(r.sigma_general) for r in recs)

@@ -562,6 +562,20 @@ def test_from_stack_is_the_validation_of_each_state():
         DensityOperator.from_stack(mats[0])
 
 
+def test_a_stack_of_states_keeps_their_factor_dims():
+    # the states' dims travel with them; `dims` puts dims on bare matrices
+    rho = random_density(4, RNG, dims=(2, 2))
+    for states in (DensityOperator.from_stack([rho, rho]),
+                   DensityOperator.from_stack([rho, rho], HilbertDims((2, 2))),
+                   DensityOperator.from_stack(np.array([rho.matrix] * 2), (2, 2))):
+        assert [s.dims.factors for s in states] == [(2, 2)] * 2
+    assert DensityOperator.from_stack([rho.matrix] * 2)[0].dims.factors == (4,)
+    with pytest.raises(CoreError, match=r"factor dims \(4,\) and \(2, 2\) in one stack"):
+        DensityOperator.from_stack([rho, rho], (4,))
+    with pytest.raises(CoreError, match=r"factor dims \(2, 2\) and \(4,\) in one stack"):
+        DensityOperator.from_stack([rho, DensityOperator.from_matrix(rho.matrix)])
+
+
 def test_equality_never_raises_on_array_holders():
     import dataclasses
     import importlib

@@ -132,6 +132,25 @@ def test_a_cold_swap_reads_one_sigma_through_both_apis(monkeypatch):
         assert sigma == pytest.approx(exact, rel=1e-13)
 
 
+def test_a_stack_reads_the_factor_dims_of_its_states():
+    # thermal rows of a (2, 2)-dims H_E bring their dims into the stack: the
+    # marginal on E qubit 0 is that qubit's 2x2 state, and a bath of two
+    # parts covers the two E factors
+    h1, h2 = np.diag([0.0, 1.0]), 0.7 * PAULI_X + 0.3 * PAULI_Z
+    h_e = np.kron(h1, np.eye(2)) + np.kron(np.eye(2), h2)
+    betas = np.array([0.5, 2.0])
+    rho_e = [thermal_state(HermitianOperator.from_matrix(h_e, (2, 2)), b) for b in betas]
+    u, rho_s = random_unitary(8, RNG).matrix, random_density(2, RNG)
+    stack = eps.EpisodeStack.of([h1, h1], [h_e, h_e], [u, u], [rho_s, rho_s], rho_e)
+    assert stack.system_dims.factors == (2,) and stack.env_dims.factors == (2, 2)
+    marginal = stack.env_marginal([0])[0]
+    assert marginal.shape == (2, 2, 2)
+    assert np.allclose(marginal, [core.partial_trace(r, [0]).matrix for r in rho_e], atol=1e-15)
+    parts = [eps.BathPart((0,), h1, betas), eps.BathPart((1,), h2, betas)]
+    rows = eps.multibath_balance_rows(stack, parts)
+    assert rows.sigma == pytest.approx(stack.balance.sigma, abs=1e-12)
+
+
 def test_thermal_balance_routes():
     beta = 1.2
     ep = random_episode(RNG, beta=beta)

@@ -243,6 +243,17 @@ CASES = {
         lambda: eps.EpisodeStack.of(*[np.eye(2)[None]] * 2, np.eye(4)[None], [MIXED2],
                                     [RHO2, MIXED3]),
         eps.EpisodeError, "matrix 1 of the stack: shape (3, 3), expected (2, 2)"),
+    "episodes.EpisodeStack.of states of two factor dims": (
+        lambda: eps.EpisodeStack.of([np.eye(2)] * 2, [np.eye(4)] * 2, [np.eye(8)] * 2,
+                                    [MIXED2] * 2, [DensityOperator.maximally_mixed(4), THERMAL_AB]),
+        eps.EpisodeError, "factor dims (4,) and (2, 2) in one stack"),
+    "core.DensityOperator.pure zero vector": (
+        lambda: DensityOperator.pure([0, 0]), core.CoreError, "finite nonzero vector, got [0, 0]"),
+    "core.DensityOperator.pure NaN vector": (
+        lambda: DensityOperator.pure([NAN, 1.0]), core.CoreError, "finite nonzero vector"),
+    "core.DensityOperator.pure infinite vector": (
+        lambda: DensityOperator.pure(np.array([np.inf, 0.0])), core.CoreError,
+        "finite nonzero vector"),
     "episodes.multibath_balance partition": (
         lambda: eps.multibath_balance(_episode(), [eps.BathPart((1,), H2, 1.0)]),
         eps.EpisodeError, "must cover all"),

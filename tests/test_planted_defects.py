@@ -9,7 +9,14 @@ which the route-equality record "route dS + beta Q == I + D" compares with
 the Clausius form; one leaves the eigenvectors of a state made from its
 known spectrum (`core._exact_spectra`, so every `thermal_state`) in the order
 of its levels while its weights are sorted, which a stack of such states then
-reads as kept, and the same record compares with the Clausius form."""
+reads as kept, and the same record compares with the Clausius form.  Three
+read the complex eigenvectors and Hamiltonians of the route-equality suite:
+the divergence of a bath part's marginal in `multibath_balance_rows` and both
+divergences of `fixed_point_sigma_rows` without the `.conj()` of the
+reference eigenvectors, which the multibath record "Sigma == T + sum_k D"
+and the fixed-point record compare with the information route, and
+`_trace_rows` as Tr(a b^T), which the complex bath Hamiltonians H_k of the
+multibath record "Sigma == I + D" expose in the heats."""
 
 import inspect
 import textwrap
@@ -22,6 +29,9 @@ from entroprod import core, episodes as eps, resource as rs, verify
 EMBEDDING = "majorization", "majorization curve == embedding verdict"
 FLUX = "route-equality", "route flux == beta Q_E"
 CLAUSIUS = "route-equality", "route dS + beta Q == I + D"
+FIXED_POINT = "route-equality", "route fixed-point == I + D (thermal ops)"
+MULTIBATH = "route-equality", "multibath Sigma == I + D"
+MULTIBATH_PARTS = "route-equality", "multibath Sigma == T + sum_k D(rho_Ek' || rho_Ek)"
 
 
 def record(suite, name):
@@ -85,6 +95,24 @@ def unpermuted_vectors(monkeypatch):
     monkeypatch.setattr(core, "_ascending", mutant(core._ascending, sorted_vecs, "vecs"))
 
 
+def part_divergence_unconjugated(monkeypatch):
+    # D(rho_Ek' || rho_Ek) against V_k^T, not V_k^dag, in multibath_balance_rows
+    monkeypatch.setattr(eps, "multibath_balance_rows",
+                        mutant(eps.multibath_balance_rows, "qv.conj().swapaxes", "qv.swapaxes"))
+
+
+def fixed_point_unconjugated(monkeypatch):
+    # both divergences from rho* against V*^T, not V*^dag, in fixed_point_sigma_rows
+    monkeypatch.setattr(eps, "fixed_point_sigma_rows",
+                        mutant(eps.fixed_point_sigma_rows, "qv.conj().swapaxes", "qv.swapaxes"))
+
+
+def transposed_trace(monkeypatch):
+    # Re Tr(a b^T) in place of Re Tr(a b)
+    monkeypatch.setattr(eps, "_trace_rows",
+                        mutant(eps._trace_rows, '"...ij,...ji->..."', '"...ij,...ij->..."'))
+
+
 DEFECTS = {
     "curve: beta -> -beta in the beta-order": (negated_beta, EMBEDDING),
     "curve: interpolation without the chord": (step_curves, EMBEDDING),
@@ -93,6 +121,10 @@ DEFECTS = {
     "flux sign flipped in EpisodeStack.balance": (flipped_flux, FLUX),
     "joint weights p_n p_n in EpisodeStack.evolved": (system_weights_twice, CLAUSIUS),
     "known weights sorted without their eigenvectors": (unpermuted_vectors, CLAUSIUS),
+    "bath part divergence without .conj() in multibath_balance_rows":
+        (part_divergence_unconjugated, MULTIBATH_PARTS),
+    "fixed-point divergences without .conj()": (fixed_point_unconjugated, FIXED_POINT),
+    "_trace_rows as Tr(a b^T)": (transposed_trace, MULTIBATH),
 }
 
 
@@ -100,6 +132,8 @@ def test_the_record_passes_without_a_defect():
     assert record(*EMBEDDING) == (EMBEDDING[1], True, "50/50")
     assert record(*FLUX)[1]
     assert record(*CLAUSIUS)[1]
+    for name in (FIXED_POINT, MULTIBATH, MULTIBATH_PARTS):
+        assert record(*name)[1]
 
 
 @pytest.mark.parametrize("plant, suite_record", DEFECTS.values(), ids=DEFECTS.keys())

@@ -393,8 +393,9 @@ def build_stack(draw):
         parts.append([eps.BathPart((i,), HermitianOperator.from_matrix(h), beta)
                       for i, h in enumerate(h_parts)])
     stack = eps.EpisodeStack.of(*(np.array([getattr(ep, name).matrix for ep in episodes])
-                                  for name in ("h_system", "h_env", "unitary", "rho_system",
-                                               "rho_env")), env_dims=env)
+                                  for name in ("h_system", "h_env", "unitary", "rho_system")),
+                                DensityOperator.from_stack(
+                                    np.array([ep.rho_env.matrix for ep in episodes]), env))
     return episodes, stack, np.array(betas), parts
 
 
