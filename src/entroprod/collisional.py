@@ -50,9 +50,9 @@ from .core import (
     _check_size,
     _density_stack,
     _entropy_rows,
+    _frozen_matrix,
     _gibbs,
     _hermitian,
-    _mat,
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
@@ -183,8 +183,8 @@ def _stroke_channel(unitary, rho_ancilla, after=None, before=None) -> np.ndarray
     """Superoperator of rho -> after Tr_A[U (before rho before^dag x rho_A)
     U^dag] after^dag, either system unitary optional."""
     kraus = ancilla_kraus(unitary, rho_ancilla)
-    kraus = kraus if after is None else _mat(after) @ kraus
-    return kraus_superop(kraus if before is None else kraus @ _mat(before))
+    kraus = kraus if after is None else _unitary(after, CollisionalError) @ kraus
+    return kraus_superop(kraus if before is None else kraus @ _unitary(before, CollisionalError))
 
 
 def _stroke_channels(spec: CollisionSpec) -> list:
@@ -350,7 +350,7 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None) -> Dissipa
     if pairs is not None:
         rates = []
         for (_, a_k, g_k) in pairs:
-            a = _mat(a_k)
+            a = _frozen_matrix(a_k, CollisionalError, da)
             gamma_minus = g_k ** 2 * float(np.real(np.trace(a @ a.conj().T @ ra)))
             gamma_plus = g_k ** 2 * float(np.real(np.trace(a.conj().T @ a @ ra)))
             rates.append((gamma_minus, gamma_plus))

@@ -11,10 +11,13 @@ of the state reads (`_spectrum`, which validates a bare matrix as a state).
 Functions never mutate their arguments, except the superoperator builders
 `add_sided_term`, `add_lindblad_term` and `real_superop`, which work in
 place on the array they are given.  A bare Hamiltonian is read by
-`_hermitian`, the `HermitianOperator` check with the caller's error, and a
-bare unitary by `_unitary`, the `UnitaryOperator` check with it.  These
-readers and the state reader `_spectrum` take the size the caller expects,
-which the one size rule `_check_size` enforces on bare and typed operands.
+`_hermitian`, the `HermitianOperator` check with the caller's error, a
+bare unitary by `_unitary`, the `UnitaryOperator` check with it, and any
+other operator by `_frozen_matrix` (square and finite).  These readers and
+the state reader `_spectrum` take the size the caller expects, which the
+one size rule `_check_size` enforces on bare and typed operands.  scipy is
+imported only by the generator kernels that need it (`propagate`,
+`bordered_solve`, `gaussian._lyapunov_solve`), not by `import entroprod`.
 
 Every entropy and divergence uses one support rule.  A spectrum read from
 an eigensolver (`_spectral_weights`, called by the state validation) has
@@ -43,8 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 # Validation tolerances for constructed operators.
 HERMITICITY_TOL = 1e-9
@@ -123,12 +124,15 @@ def _check_size(n, dim, error):
 def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
     """Read-only complex copy of one square matrix or stack (..., d, d), or
     operators, of size `dim` when given (`_check_size`), else `error`; a ragged
-    list is named by its first entry not of the shape of entry 0 (or of dim x dim)."""
+    list is named by its first entry not of the shape of entry 0 (or of dim x dim).
+    An operator's own matrix, frozen when it was made, is returned as it is."""
+    if isinstance(matrices, _Operator):
+        _check_size(matrices.dim, dim, error)
+        return matrices.matrix
     if isinstance(matrices, (list, tuple)):
         matrices = [x.matrix if isinstance(x, _Operator) else x for x in matrices]
     try:
-        m = np.array(matrices.matrix if isinstance(matrices, _Operator) else matrices,
-                     dtype=complex)
+        m = np.array(matrices, dtype=complex)
     except (TypeError, ValueError):
         shapes = [np.asarray(x, object).shape for x in matrices] if type(matrices) is list else []
         want = shapes[:1] if dim is None else [(dim, dim)]
@@ -332,10 +336,12 @@ class DensityOperator(_Operator):
     @classmethod
     def pure(cls, vector, dims=None):
         v = np.asarray(vector, dtype=complex).ravel()
-        norm = np.linalg.norm(v) if np.isfinite(v).all() else 0.0
-        if not 0.0 < norm < np.inf:
+        # scaled by its largest |v_i| first, so the norm neither overflows nor underflows
+        scale = np.abs(v).max(initial=0.0) if np.isfinite(v).all() else 0.0
+        if not 0.0 < scale < np.inf:
             raise CoreError(f"a pure state needs a finite nonzero vector, got {vector}")
-        v = v / norm
+        v = v / scale
+        v = v / np.linalg.norm(v)
         return cls.from_matrix(np.outer(v, v.conj()), dims)
 
     @classmethod
@@ -366,11 +372,9 @@ def _reader(kind):
     `kind._check`; either of size `dim` when given (`_check_size`), else `error`."""
 
     def read(op, error=CoreError, dim=None) -> np.ndarray:
-        if isinstance(op, kind):
-            _check_size(op.dim, dim, error)
-            return op.matrix
         m = _frozen_stack(op, error, dim)
-        kind._check(m, error)
+        if not isinstance(op, kind):
+            kind._check(m, error)
         return m
     return read
 
@@ -398,13 +402,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
-
-
-def _mat(op) -> np.ndarray:
-    """Accept a wrapped operator or a bare array."""
-    if isinstance(op, _Operator):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
 
 
 def _spectral_weights(vals, scale=1.0):
@@ -437,12 +434,11 @@ def tensor(ops):
     and a reshape: the same products as `np.kron`, so the same bits,
     without its per-call overhead on small matrices.
     """
-    ops = list(ops)
+    ops = [op.matrix if isinstance(op, _Operator) else np.asarray(op, dtype=complex) for op in ops]
     if not ops:
         raise CoreError("tensor() needs at least one operand")
-    out = _mat(ops[0])
-    for op in ops[1:]:
-        b = _mat(op)
+    out = ops[0]
+    for b in ops[1:]:
         if out.ndim < 2 or b.ndim < 2:
             raise CoreError("tensor() takes operands of at least 2 dimensions")
         (ra, ca), (rb, cb) = out.shape[-2:], b.shape[-2:]
@@ -561,6 +557,7 @@ def bordered_solve(gen, trace, rhs=None):
     None is returned when LAPACK's estimate of B's reciprocal condition
     number (infinity norm) is below NULL_RCOND_TOL.
     """
+    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
     border = np.array(gen, dtype=float)
     border[0, trace] -= 1.0
     anorm = float(np.abs(border).sum(axis=1).max())
@@ -585,6 +582,7 @@ def propagate(gen, t_grid, x0, error):
     peak, gen included, is about 9 matrices of gen's size.  A grid that is
     not a finite, nondecreasing, non-empty 1-d sequence raises the
     exception class `error`."""
+    from scipy.linalg import expm
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0 or not np.isfinite(t).all() or (np.diff(t) < 0).any():
         raise error("time grid must be a finite, nondecreasing 1-d sequence")
@@ -646,7 +644,7 @@ def ancilla_kraus(op, rho_ancilla) -> np.ndarray:
 
     For a unitary U they are the Kraus operators of Tr_A[U (. x rho_A) U^dag].
     """
-    x = _mat(op)
+    x = _frozen_matrix(op)
     q, basis = _spectrum(rho_ancilla)
     da = q.size
     ds = max(1, len(x) // da)
@@ -883,8 +881,8 @@ def thermal_state(hamiltonian, beta: float) -> DensityOperator:
 
 def trace_distance(rho1, rho2) -> float:
     """Half the trace norm of the difference; in [0, 1] for states.  rho2
-    is read at rho1's size (`_frozen_matrix`)."""
-    a = _mat(rho1)
+    is read at rho1's size, both by `_frozen_matrix`."""
+    a = _frozen_matrix(rho1)
     return float(_trace_distance_rows(a, _frozen_matrix(rho2, CoreError, len(a))))
 
 
@@ -928,7 +926,7 @@ def eigenspace_projectors(hamiltonian):
 
 def dephase(rho, hamiltonian):
     """Remove all coherences between distinct eigenspaces of H, read at rho's size."""
-    r = _mat(rho)
+    r = _frozen_matrix(rho)
     _, projs = eigenspace_projectors(_hermitian(hamiltonian, CoreError, len(r)))
     out = sum(p @ r @ p for p in projs)
     if isinstance(rho, DensityOperator):

@@ -48,7 +48,6 @@ from .core import (
     _gibbs_states,
     _hermitian,
     _log_of,
-    _mat,
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
@@ -1036,7 +1035,7 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
     times, sig_work, sig_rel = [], [], []
 
     def records(rho_se, lam):
-        h_tot = _mat(h_total_of(lam))
+        h_tot = _hermitian(h_total_of(lam), EpisodeError)
         factors = _as_dims(dims, len(h_tot), EpisodeError).factors
         m = _frozen_matrix(rho_se, EpisodeError, len(h_tot))
         rho_s = _ptrace_matrix(m, factors, [0])
@@ -1108,7 +1107,7 @@ def correlation_witness_terms(times, joint_1, joint_2, h_total, dims):
     budget for the finite-difference derivative.  The joint states are
     lists, one per time point (`_state_lists`), read as stacks.
     """
-    h = _mat(h_total)
+    h = _hermitian(h_total, EpisodeError)
     factors = _as_dims(dims, len(h), EpisodeError).factors
     m1, m2 = _state_lists(times, joint_1, joint_2, len(h))
     (s1, s2), (e1, e2) = ([_ptrace_matrix(m, factors, [k]) for m in (m1, m2)] for k in (0, 1))

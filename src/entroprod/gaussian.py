@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .core import (
     ChargeSectors,
@@ -147,6 +146,7 @@ def lyapunov_steady(drift, diffusion) -> np.ndarray:
 
 def _lyapunov_solve(a, d) -> np.ndarray:
     """`lyapunov_steady` for a drift already known to be stable."""
+    from scipy.linalg import solve_continuous_lyapunov
     theta = solve_continuous_lyapunov(a, 2.0 * d)
     theta = 0.5 * (theta + theta.T)
     resid = float(np.abs(a @ theta + theta @ a.T - 2.0 * d).max())

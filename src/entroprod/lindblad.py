@@ -142,11 +142,6 @@ def build(model: LindbladModel) -> np.ndarray:
     return superop
 
 
-def dissipator_only(model: LindbladModel) -> np.ndarray:
-    return build(LindbladModel(np.zeros_like(model.hamiltonian),
-                               model.jumps, model.cross))
-
-
 def apply_superop(superop, rho) -> np.ndarray:
     """The superoperator applied to rho, read at its size."""
     return unvec(superop @ vec(_frozen_matrix(rho, LindbladError, math.isqrt(len(superop)))))
@@ -408,7 +403,7 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
         model = model_of_t(t)
         h = model.hamiltonian
         h_list.append(h)
-        diss = dissipator_only(model)
+        diss = build(LindbladModel(np.zeros_like(h), model.jumps, model.cross))
         gibbs = thermal_state(h, beta)
         resid = float(np.abs(apply_superop(diss, gibbs.matrix)).max())
         if resid > GIBBS_FIXED_POINT_TOL:

@@ -13,12 +13,7 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def ginibre(rng, rows: int, cols: int) -> np.ndarray:
-    """A complex Ginibre matrix: the real parts drawn first, then the imaginary."""
-    return _ginibre(rng, (rows, cols))
-
-
-def _ginibre(rng, shape) -> np.ndarray:
+def ginibre(rng, shape) -> np.ndarray:
     """Complex Ginibre entries of `shape`, e.g. a stack of matrices in one
     draw: the real parts of all drawn first, then the imaginary."""
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -40,18 +35,18 @@ def density_matrices(g) -> np.ndarray:
 
 def random_unitary(dim: int, rng, dims=None) -> UnitaryOperator:
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    return UnitaryOperator.from_matrix(haar_unitaries(ginibre(rng_from(rng), dim, dim)), dims)
+    return UnitaryOperator.from_matrix(haar_unitaries(ginibre(rng_from(rng), (dim, dim))), dims)
 
 
 def random_hermitian(dim: int, rng, scale=1.0, dims=None) -> HermitianOperator:
-    z = ginibre(rng_from(rng), dim, dim)
+    z = ginibre(rng_from(rng), (dim, dim))
     return HermitianOperator.from_matrix(scale * (z + z.conj().T) / 2.0, dims)
 
 
 def random_density(dim: int, rng, rank=None, dims=None) -> DensityOperator:
     """Random full-rank (or rank-limited) state from a Ginibre factor."""
     rank = dim if rank is None else int(rank)
-    return DensityOperator.from_matrix(density_matrices(ginibre(rng_from(rng), dim, rank)), dims)
+    return DensityOperator.from_matrix(density_matrices(ginibre(rng_from(rng), (dim, rank))), dims)
 
 
 def random_probability(dim: int, rng) -> np.ndarray:

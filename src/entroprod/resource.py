@@ -34,7 +34,6 @@ from .core import (
     _gibbs,
     _gibbs_states,
     _hermitian,
-    _mat,
     _petz_renyi,
     _real_array,
     _spectrum,
@@ -161,9 +160,6 @@ class ThermoMajCurve:
 
     x: np.ndarray
     y: np.ndarray
-
-    def evaluate(self, points) -> np.ndarray:
-        return np.interp(points, self.x, self.y)
 
 
 def _curves(energies, p, beta):
@@ -326,11 +322,6 @@ def majorization_verdict(gamma1, gamma2, tol: float = MAJORIZATION_TOL) -> Major
     gap = np.cumsum(a[::-1] - b[::-1])
     return _VERDICTS[2 * (gap.min(initial=math.inf) >= -tol)
                      + (gap.max(initial=-math.inf) <= tol)]
-
-
-def majorizes(gamma1, gamma2, tol: float = MAJORIZATION_TOL) -> bool:
-    """Plain majorization: descending partial sums of gamma1 dominate."""
-    return majorization_verdict(gamma1, gamma2, tol) in CONVERTIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +509,7 @@ def work_bounds(h_final, beta: float, rho_final, mean_work: float,
     through the cumulant generating function identity
     Phi_eta = -(eta/beta) S_{1-eta/beta}(rho' || rho'_th) - eta dF_eq.
     """
-    return work_bounds_rows(_mat(h_final)[None], beta, (rho_final,), mean_work,
+    return work_bounds_rows((h_final,), beta, (rho_final,), mean_work,
                             delta_f_eq, np.asarray(eta_grid, dtype=float)[None]).row(0)
 
 

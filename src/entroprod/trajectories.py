@@ -45,7 +45,6 @@ from .core import (
     _frozen_stack,
     _gibbs,
     _hermitian,
-    _mat,
     _petz_renyi,
     _real_array,
     _spectrum,
@@ -95,12 +94,6 @@ class PathEnsemble:
     sigma: np.ndarray | None = None
     choice: BackwardChoice | None = None
     rows: int = 0
-
-    def forward_probabilities(self):
-        return self.p_forward.ravel()
-
-    def sigmas(self):
-        return self.sigma.ravel()
 
     def row(self, k) -> "PathEnsemble":
         """The ensemble of row k of a stack's ensembles."""
@@ -167,10 +160,6 @@ class ScalarDistribution:
         starts = _equal_runs(v, MERGE_TOL * np.maximum(1.0, np.abs(v)))
         return cls(v[starts], np.add.reduceat(p, starts))
 
-    @classmethod
-    def delta(cls, value):
-        return cls(np.array([float(value)]), np.array([1.0]))
-
     def mean(self) -> float:
         """<x>: +-inf when mass sits at one infinity, undefined at both."""
         live = self.probabilities > 0.0
@@ -226,13 +215,6 @@ def _log_ratio(num, den, p_forward, p_backward):
     ok = live & (p_backward > 0.0)
     out = np.where(live, math.inf, 0.0)
     return np.log(np.divide(num, den, out=np.ones(out.shape), where=ok), out=out, where=ok)
-
-
-def tpm_ensemble(ep: Episode) -> PathEnsemble:
-    """Exhaustive forward ensemble with the default final bases, the
-    eigenbases of rho_S' and rho_E' (no measurement backaction on the
-    local ensembles); its backward process is CORRELATIONS_DESTROYED."""
-    return backward_ensemble(ep, BackwardChoice.CORRELATIONS_DESTROYED)
 
 
 def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
@@ -307,7 +289,7 @@ def stochastic_sigma(forward: PathEnsemble, backward: PathEnsemble | None = None
     if backward is None:
         if forward.sigma is None:
             raise TrajectoryError("ensemble carries no backward probabilities")
-        return forward.sigmas()
+        return forward.sigma.ravel()
     if forward.p_forward.shape != backward.p_forward.shape:
         raise TrajectoryError("ensembles are not matched trajectory by trajectory")
     pb = backward.p_forward if backward.p_backward is None else backward.p_backward
@@ -383,7 +365,7 @@ def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> Work
 
 
 def _one_quench(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
-    return work_rows(*(_mat(m)[None] for m in (h_initial, h_final, protocol_unitary)), beta)
+    return work_rows(*((m,) for m in (h_initial, h_final, protocol_unitary)), beta)
 
 
 def _work_statistics(rows: WorkRows, beta: float) -> WorkStatistics:
@@ -545,8 +527,8 @@ def quench_report(h_of_lambda, lam0: float, dlam: float, beta: float) -> QuenchR
     Q at second order.  Everything is read from the spectra of the
     identity quench's `work_rows`: Sigma_exact is its lag.
     """
-    hi = _mat(h_of_lambda(lam0))
-    hf = _mat(h_of_lambda(lam0 + dlam))
+    hi = _hermitian(h_of_lambda(lam0), TrajectoryError)
+    hf = _hermitian(h_of_lambda(lam0 + dlam), TrajectoryError, len(hi))
     rows, weights, (pairs, mean_dh, second) = _identity_quench(hi, hf, beta)
     stats = _work_statistics(rows, beta)
     window = np.sum(pairs * _log_mean(weights))
@@ -581,7 +563,9 @@ def quench_cgf(h_initial, h_final, beta: float, lam_grid) -> CgfCurve:
     in closed form on the spectrum of rho_i^th (`_xy_integral`).  Satisfies
     the Gallavotti-Cohen symmetry K(lam) = K(1 - lam) identically.
     """
-    rows, weights, (pairs, mean, _) = _identity_quench(_mat(h_initial), _mat(h_final), beta)
+    hi = _hermitian(h_initial, TrajectoryError)
+    hf = _hermitian(h_final, TrajectoryError, len(hi))
+    rows, weights, (pairs, mean, _) = _identity_quench(hi, hf, beta)
     lam = np.asarray(lam_grid, dtype=float)
     inner = np.sum(pairs * _xy_integral(weights, lam), axis=(-2, -1)) - mean ** 2 * lam * (1.0 - lam)
     return CgfCurve(lam, -0.5 * beta ** 2 * inner,

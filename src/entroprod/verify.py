@@ -31,7 +31,7 @@ from .core import (
     tensor,
     thermal_state,
 )
-from .rand import _ginibre, density_matrices, haar_unitaries, random_density, random_probability
+from .rand import density_matrices, ginibre, haar_unitaries, random_density, random_probability
 
 
 def _record(name, passed, detail=""):
@@ -48,10 +48,10 @@ def _qubit_stack(rng, n, thermal_env, beta_omega=None):
             else beta_omega[0] * (beta_omega[1] / beta_omega[0]) ** u / (2.0 * he))
     h_env = he[:, None, None] * PAULI_Z
     rho_env = (thermal_state(h_env, beta) if thermal_env
-               else density_matrices(_ginibre(rng, (n, 2, 2))))
+               else density_matrices(ginibre(rng, (n, 2, 2))))
     return eps.EpisodeStack.of(hs[:, 0] * PAULI_Z + hs[:, 1] * PAULI_X, h_env,
-                               haar_unitaries(_ginibre(rng, (n, 4, 4))),
-                               density_matrices(_ginibre(rng, (n, 2, 2))), rho_env), beta
+                               haar_unitaries(ginibre(rng, (n, 4, 4))),
+                               density_matrices(ginibre(rng, (n, 2, 2))), rho_env), beta
 
 
 _EXCHANGE = np.kron(SIGMA_PLUS, SIGMA_MINUS) + np.kron(SIGMA_MINUS, SIGMA_PLUS)
@@ -106,7 +106,7 @@ def ft_table_suite(n_episodes=25, tol=1e-10):
     # both-reset with thermal system and strict conservation
     rng2 = np.random.default_rng(102)
     omega, beta_s, beta_e, g = np.array([[0.5], [0.3], [0.3], [0.3]]) + rng2.random((4, 5))
-    v = haar_unitaries(_ginibre(rng2, (2, 2)))
+    v = haar_unitaries(ginibre(rng2, (2, 2)))
     pairs = _exchange_stack(omega, g, v, thermal_state(_qubit_levels(omega, v), beta_s), beta_e)
     ens = tj.backward_ensemble_rows(pairs, tj.BackwardChoice.BOTH_RESET)
     worst_jw = _worst(ens.average_sigma() - (beta_e - beta_s) * pairs.balance.heat_env)
@@ -125,8 +125,8 @@ def route_equality_suite(n_episodes=25, tol=1e-10):
     stack, beta = _qubit_stack(rng, n_episodes, thermal_env=True, beta_omega=(0.05, 300.0))
     # thermal operations: resonant exchanges in a rotated basis
     omega, g = np.array([[0.5], [0.2]]) + rng.random((2, n_episodes))
-    v = haar_unitaries(_ginibre(rng, (2, 2)))
-    ops = _exchange_stack(omega, g, v, density_matrices(_ginibre(rng, (n_episodes, 2, 2))), beta)
+    v = haar_unitaries(ginibre(rng, (2, 2)))
+    ops = _exchange_stack(omega, g, v, density_matrices(ginibre(rng, (n_episodes, 2, 2))), beta)
     bal, tb = stack.balance, eps.thermal_balance_rows(stack, beta)
     fp = eps.fixed_point_sigma_rows(ops.rho_system[1:], ops.evolved[1][1:], ops.rho_env[1:])
     worst_clausius = _worst(tb.sigma - bal.sigma)
@@ -144,8 +144,8 @@ def route_equality_suite(n_episodes=25, tol=1e-10):
     h_env = tensor([h1, np.eye(2)]), tensor([np.eye(2), h2])
     gibbs = thermal_state(sum(b[:, None, None] * h for b, h in zip(betas, h_env)),
                           np.ones(n_episodes))
-    bath = eps.EpisodeStack.of(hs, sum(h_env), haar_unitaries(_ginibre(rng, (n_episodes, 8, 8))),
-                               density_matrices(_ginibre(rng, (n_episodes, 2, 2))),
+    bath = eps.EpisodeStack.of(hs, sum(h_env), haar_unitaries(ginibre(rng, (n_episodes, 8, 8))),
+                               density_matrices(ginibre(rng, (n_episodes, 2, 2))),
                                DensityOperator._rows(_density_stack(gibbs), HilbertDims((2, 2))))
     mb = eps.multibath_balance_rows(bath, [eps.BathPart((k,), h, b) for k, (h, b)
                                            in enumerate(zip((h1, h2), betas))])
@@ -210,6 +210,10 @@ def landauer_suite(n_episodes=100, tol=1e-10):
     ds, temp, a_coef = -0.4, 0.8, 1.7
     hc_lin = eps.heat_capacity_bound(ds, temp, lambda t: a_coef * t)
     lin_exact = -temp * ds + ds ** 2 / (2 * a_coef)
+    # Reeb-Wolf finite-dimension bound, written out, at d_E = 5
+    d_env = 5
+    fd_exact = -temp * ds + 2.0 * temp * ds ** 2 / (4.0 + math.log(d_env - 1) ** 2)
+    fd_delta = abs(eps.finite_dimension_bound(ds, temp, d_env) - fd_exact)
     return [
         _record("landauer Q >= -T dS", basic_ok, f"{n_episodes} episodes"),
         _record("landauer finite-d bound tighter and satisfied", finite_ok,
@@ -219,6 +223,8 @@ def landauer_suite(n_episodes=100, tol=1e-10):
         _record("landauer linear capacity closed form",
                 abs(hc_lin - lin_exact) < tol,
                 f"|delta| = {abs(hc_lin - lin_exact):.2e}"),
+        _record("landauer finite-d bound closed form", fd_delta < tol,
+                f"d_E = {d_env}, |delta| = {fd_delta:.2e}"),
     ]
 
 

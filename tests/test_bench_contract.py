@@ -240,7 +240,7 @@ def test_one_bath_multibath_takes_no_decomposition_after_thermal(monkeypatch):
     u = np.zeros((6, 6), dtype=complex)
     for level in np.unique(total):                # Haar inside each energy shell
         idx = np.flatnonzero(total == level)
-        u[np.ix_(idx, idx)] = haar_unitaries(ginibre(rng, len(idx), len(idx)))
+        u[np.ix_(idx, idx)] = haar_unitaries(ginibre(rng, (len(idx), len(idx))))
     ep = eps.Episode(HermitianOperator.from_matrix(h_s), HermitianOperator.from_matrix(h_e),
                      UnitaryOperator.from_matrix(u, (2, 3)), random_density(2, rng),
                      DensityOperator.from_matrix(_gibbs_states(h_e, beta)[0]))

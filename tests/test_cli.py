@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,3 +359,14 @@ def test_verify_all_runs_the_standard_suites_in_order(monkeypatch):
     records = verify.run_suite("all")
     assert ran == ["ft-table", "landauer", "gaussian-ness", "majorization", "quench"]
     assert [name for name, _, _ in records] == ran
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is imported by the generator kernels that need it, so a `verify`
+    suite that builds no generator does not pay for loading it."""
+    code = ("import sys, entroprod.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

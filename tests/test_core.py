@@ -59,7 +59,7 @@ def test_tensor_equals_kron(shapes, kind):
     ops = mats
     if kind == "wrapped":
         ops = [_wrapped(k, m) for k, m in enumerate(mats)]
-        mats = [core._mat(op) for op in ops]
+        mats = [getattr(op, "matrix", op) for op in ops]
     want = mats[0]
     for m in mats[1:]:
         want = np.kron(want, m)
@@ -124,6 +124,16 @@ def test_von_neumann_entropy_values():
     diag = DensityOperator.from_matrix(np.diag([0.25, 0.75]))
     expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
     assert abs(core.von_neumann_entropy(diag) - expected) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vector, unit", [([1e200, 0.0], [1.0, 0.0]),
+                                          ([1e-200, 0.0], [1.0, 0.0]),
+                                          ([3e-160, 4e-160], [0.6, 0.8])])
+def test_pure_state_of_a_vector_at_an_extreme_scale(vector, unit):
+    """Its norm neither overflows nor underflows: the state is that of the unit vector."""
+    rho = DensityOperator.pure(vector)
+    assert np.abs(rho.matrix - np.outer(unit, unit)).max() < 1e-15
 
 
 def test_von_neumann_entropy_rejects_nonhermitian():

@@ -87,6 +87,15 @@ CASES = {
     "core.trace_distance sizes": (
         lambda: core.trace_distance(np.eye(2) / 2, np.eye(3) / 3), core.CoreError,
         "matrix is 3x3, expected 2x2"),
+    "core.trace_distance NaN rho1": (
+        lambda: core.trace_distance([[NAN, 0.0], [0.0, 1.0]], np.eye(2) / 2), core.CoreError,
+        "NaN or infinite entries"),
+    "core.dephase NaN rho": (
+        lambda: core.dephase([[NAN, 0.0], [0.0, 1.0]], H2), core.CoreError,
+        "NaN or infinite entries"),
+    "core.ancilla_kraus NaN operator": (
+        lambda: core.ancilla_kraus(np.full((4, 4), NAN), RHO2), core.CoreError,
+        "NaN or infinite entries"),
     "core.von_neumann_entropy bare matrix of trace 6": (
         lambda: core.von_neumann_entropy(3 * np.eye(2)), core.CoreError, "differs from 1"),
     "core.von_neumann_entropy bare matrix with NaN": (
@@ -195,6 +204,10 @@ CASES = {
     "collisional.continuous_limit non-Hermitian V": (
         lambda: cm.continuous_limit(np.kron(core.SIGMA_PLUS, np.eye(2)), RHO2),
         cm.CollisionalError, "not Hermitian"),
+    "collisional.continuous_limit NaN pair operator": (
+        lambda: cm.continuous_limit(np.kron(PAULI_X, PAULI_X), RHO2,
+                                    [(SIGMA_MINUS, [[NAN, 0.0], [0.0, 0.0]], 1.0)]),
+        cm.CollisionalError, "NaN or infinite entries"),
     "collisional.preferred_basis work strokes": (
         lambda: cm.preferred_basis(cm.CollisionSpec((_stroke(),), (H2,), (FLIP,)), RHO2, 2),
         cm.CollisionalError, "instantaneous (identity) work strokes"),
@@ -309,6 +322,15 @@ CASES = {
         lambda: eps.correlation_witness_terms([0.0, 1.0, 2.0], [[[1, 2], [3]]] * 3,
                                               [np.eye(4) / 4] * 3, H4, (2, 2)),
         eps.EpisodeError, "matrix 0 of the stack: shape (2,), expected (4, 4)"),
+    "episodes.correlation_witness_terms NaN H": (
+        lambda: eps.correlation_witness_terms([0.0, 1.0, 2.0], [np.eye(4) / 4] * 3,
+                                              [np.eye(4) / 4] * 3, np.full((4, 4), NAN), (2, 2)),
+        eps.EpisodeError, "NaN or infinite entries"),
+    "episodes.correlation_witness_terms non-Hermitian H": (
+        lambda: eps.correlation_witness_terms([0.0, 1.0, 2.0], [np.eye(4) / 4] * 3,
+                                              [np.eye(4) / 4] * 3,
+                                              np.kron(SIGMA_MINUS, np.eye(2)), (2, 2)),
+        eps.EpisodeError, "not Hermitian"),
     "episodes.gibbs_erasure_bound complex levels": (
         lambda: eps.gibbs_erasure_bound(-0.1, 1.0, np.array([0.0, 1.0 + 1j])), eps.EpisodeError,
         "energies must be real, got a nonzero imaginary part"),
@@ -449,6 +471,12 @@ CASES = {
     "trajectories.measurement_trajectories ragged basis": (
         lambda: tj.measurement_trajectories([1.0, 0.0], [[[1, 0], [0]], np.eye(2)], [np.eye(2)]),
         tj.TrajectoryError, "matrix 0 of the stack: shape (2,), expected (2, 2)"),
+    "trajectories.quench_report ragged H": (
+        lambda: tj.quench_report(lambda lam: [[lam, 0.0], [0.0]], 0.0, 0.1, 1.0),
+        tj.TrajectoryError, "shape (1,), expected (2,)"),
+    "trajectories.quench_cgf ragged H": (
+        lambda: tj.quench_cgf([[0.0, 0.0], [0.0]], PAULI_Z, 1.0, [0.5]),
+        tj.TrajectoryError, "shape (1,), expected (2,)"),
     # the CLI loader
     "cli unreadable config": (
         lambda: cli.load_config(Path("missing.json")), cli.ConfigError, "cannot read config"),
@@ -508,7 +536,7 @@ def test_mean_force_hamiltonian_needs_a_positive_beta(beta):
 BAD_UNITARIES = {
     "2I": (lambda d: 2.0 * np.eye(d), "matrix is not unitary (residual"),
     "Haar x (1 + 1e-6)": (
-        lambda d: (1.0 + 1e-6) * haar_unitaries(ginibre(np.random.default_rng(d), d, d)),
+        lambda d: (1.0 + 1e-6) * haar_unitaries(ginibre(np.random.default_rng(d), (d, d))),
         "matrix is not unitary (residual"),
     "NaN": (lambda d: np.diag([NAN] + [1.0] * (d - 1)), "NaN or infinite entries"),
     "non-square": (lambda d: np.eye(d)[:, :-1], "expected a square matrix"),

@@ -16,7 +16,13 @@ divergences of `fixed_point_sigma_rows` without the `.conj()` of the
 reference eigenvectors, which the multibath record "Sigma == T + sum_k D"
 and the fixed-point record compare with the information route, and
 `_trace_rows` as Tr(a b^T), which the complex bath Hamiltonians H_k of the
-multibath record "Sigma == I + D" expose in the heats."""
+multibath record "Sigma == I + D" expose in the heats.  Two break the
+fluctuation-theorem table: `EpisodeStack.evolved` conjugating by U^dag . U
+moves every ensemble average off its table entry, and the transition tensor
+read without the `.conj()` of the final bases breaks the exchange form.  The
+finite-dimension erasure bound with its correction halved satisfies every
+inequality of the landauer suite, so the record "landauer finite-d bound
+closed form" compares it with the Reeb-Wolf bound written out there."""
 
 import inspect
 import textwrap
@@ -32,6 +38,9 @@ CLAUSIUS = "route-equality", "route dS + beta Q == I + D"
 FIXED_POINT = "route-equality", "route fixed-point == I + D (thermal ops)"
 MULTIBATH = "route-equality", "multibath Sigma == I + D"
 MULTIBATH_PARTS = "route-equality", "multibath Sigma == T + sum_k D(rho_Ek' || rho_Ek)"
+FT_AVERAGE = "ft-table", "ft-table correlations_destroyed average"
+FT_EXCHANGE = "ft-table", "ft-table exchange form (both reset, conserving)"
+FINITE_DIM = "landauer", "landauer finite-d bound closed form"
 
 
 def record(suite, name):
@@ -113,6 +122,28 @@ def transposed_trace(monkeypatch):
                         mutant(eps._trace_rows, '"...ij,...ji->..."', '"...ij,...ij->..."'))
 
 
+def inverse_conjugation(monkeypatch):
+    # rho_SE' = U^dag (rho_S x rho_E) U in place of U (rho_S x rho_E) U^dag
+    product = "tensor([self.rho_system[0], self.rho_env[0]])"
+    evolved = mutant(eps.EpisodeStack.evolved.func, f"u @ {product} @ u.conj().swapaxes(-1, -2)",
+                     f"u.conj().swapaxes(-1, -2) @ {product} @ u")
+    evolved.__set_name__(eps.EpisodeStack, "evolved")
+    monkeypatch.setattr(eps.EpisodeStack, "evolved", evolved)
+
+
+def transitions_unconjugated(monkeypatch):
+    # |<m mu|^T U|n nu>|^2, the final bases transposed, not conjugate-transposed
+    monkeypatch.setattr(eps, "_transition_tensor",
+                        mutant(eps._transition_tensor, "tensor([basis_s, basis_e]).conj()",
+                               "tensor([basis_s, basis_e])"))
+
+
+def halved_correction(monkeypatch):
+    # Q_E >= -T dS + T dS^2 / (4 + ln^2(d_E - 1)), half the Reeb-Wolf correction
+    monkeypatch.setattr(eps, "finite_dimension_bound",
+                        mutant(eps.finite_dimension_bound, "corr = 2.0 *", "corr = 1.0 *"))
+
+
 DEFECTS = {
     "curve: beta -> -beta in the beta-order": (negated_beta, EMBEDDING),
     "curve: interpolation without the chord": (step_curves, EMBEDDING),
@@ -125,6 +156,9 @@ DEFECTS = {
         (part_divergence_unconjugated, MULTIBATH_PARTS),
     "fixed-point divergences without .conj()": (fixed_point_unconjugated, FIXED_POINT),
     "_trace_rows as Tr(a b^T)": (transposed_trace, MULTIBATH),
+    "EpisodeStack.evolved conjugating by U^dag . U": (inverse_conjugation, FT_AVERAGE),
+    "transition tensor without .conj()": (transitions_unconjugated, FT_EXCHANGE),
+    "finite-dimension correction halved": (halved_correction, FINITE_DIM),
 }
 
 
@@ -132,7 +166,7 @@ def test_the_record_passes_without_a_defect():
     assert record(*EMBEDDING) == (EMBEDDING[1], True, "50/50")
     assert record(*FLUX)[1]
     assert record(*CLAUSIUS)[1]
-    for name in (FIXED_POINT, MULTIBATH, MULTIBATH_PARTS):
+    for name in (FIXED_POINT, MULTIBATH, MULTIBATH_PARTS, FT_AVERAGE, FT_EXCHANGE, FINITE_DIM):
         assert record(*name)[1]
 
 

@@ -476,7 +476,7 @@ def test_stacked_petz_renyi_is_the_one_order_loop(rows, quantum, seed):
     amp = None
     if quantum:
         rng = np.random.default_rng(seed)
-        amp = haar_unitaries(np.array([ginibre(rng, d, d) for _ in range(n)]))
+        amp = haar_unitaries(np.array([ginibre(rng, (d, d)) for _ in range(n)]))
     got = _petz_renyi(np.array(SUITE_ORDERS), p[:, None], q[:, None],
                       None if amp is None else amp[:, None])
     assert got.shape == (n, len(SUITE_ORDERS))
@@ -545,9 +545,9 @@ quench = st.fixed_dictionaries({
 def test_work_bounds_rows_are_the_one_quench_calls(draw):
     rng = np.random.default_rng(draw["seed"])
     n, d = draw["rows"], draw["dim"]
-    g = np.array([ginibre(rng, d, d) for _ in range(n)])
+    g = np.array([ginibre(rng, (d, d)) for _ in range(n)])
     h_f = g + g.conj().swapaxes(-1, -2)
-    rho = density_matrices(np.array([ginibre(rng, d, 1 if draw["pure"] else d)
+    rho = density_matrices(np.array([ginibre(rng, (d, 1 if draw["pure"] else d))
                                      for _ in range(n)]))
     beta = rng.uniform(0.3, 2.0, n)
     mean_work, delta_f = rng.normal(size=n), rng.normal(size=n)
@@ -701,7 +701,7 @@ def trace_pair(draw):
     """Two complex stacks (n, d, d), one of them (d, d) when `broadcast`."""
     d, n = draw(st.integers(1, 5)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a, b = (np.array([ginibre(rng, d, d) for _ in range(n)]) * 10.0 ** rng.integers(-3, 4)
+    a, b = (np.array([ginibre(rng, (d, d)) for _ in range(n)]) * 10.0 ** rng.integers(-3, 4)
             for _ in "ab")
     return (a[0] if draw(st.booleans()) else a), b
 
@@ -868,7 +868,7 @@ def test_kraus_superop_is_the_kron_sum(d, n, seed):
     # one stacked tensor summed over the Kraus axis gives the bits of the
     # Python sum of np.kron terms
     rng = np.random.default_rng(seed)
-    kraus = np.array([ginibre(rng, d, d) for _ in range(n)])
+    kraus = np.array([ginibre(rng, (d, d)) for _ in range(n)])
     want = sum(np.kron(k.conj(), k) for k in kraus)
     assert np.array_equal(kraus_superop(kraus), want)
 
@@ -887,9 +887,9 @@ def test_drawn_lindblad_models_keep_the_trace_and_reach_a_steady_state(draw):
     # derandomized examples take about 0.2 s
     rng = np.random.default_rng(draw["seed"])
     d = draw["dim"]
-    h = ginibre(rng, d, d)
+    h = ginibre(rng, (d, d))
     h = h + h.conj().T
-    jumps = tuple((ginibre(rng, d, d), float(rng.uniform(0.1, 2.0)))
+    jumps = tuple((ginibre(rng, (d, d)), float(rng.uniform(0.1, 2.0)))
                   for _ in range(draw["n_jumps"]))
     gen = lb.build(lb.LindbladModel(h, jumps))
     assert lb.trace_preservation_residual(gen) <= 1e-12
@@ -915,7 +915,7 @@ def test_bare_unitaries_pass_exactly_the_unitary_operator_check(d, scales, defec
     # exactly when UnitaryOperator rejects some matrix of the stack, else it
     # returns the stack as a read-only copy; 50 examples, about 0.2 s
     rng = np.random.default_rng(seed)
-    stack = haar_unitaries(np.array([ginibre(rng, d, d) for _ in scales]))
+    stack = haar_unitaries(np.array([ginibre(rng, (d, d)) for _ in scales]))
     stack = stack * (1.0 + np.array(scales))[:, None, None]
     if defect == "nan":
         stack[tuple(rng.integers(n) for n in stack.shape)] = math.nan
@@ -936,7 +936,7 @@ def test_bare_unitaries_pass_exactly_the_unitary_operator_check(d, scales, defec
         else:
             with pytest.raises(_Rejected):
                 _unitary(m, _Rejected)
-    op = UnitaryOperator.from_matrix(haar_unitaries(ginibre(rng, d, d)))
+    op = UnitaryOperator.from_matrix(haar_unitaries(ginibre(rng, (d, d))))
     assert _unitary(op, _Rejected) is op.matrix
 
 

@@ -34,17 +34,17 @@ def test_tpm_ensemble_identity_pure_inputs():
     h = HermitianOperator.from_matrix(PAULI_Z)
     ep = eps.Episode(h, h, UnitaryOperator.from_matrix(np.eye(4), (2, 2)),
                      DensityOperator.pure([1, 0]), DensityOperator.pure([0, 1]))
-    ens = tj.tpm_ensemble(ep)
-    probs = ens.forward_probabilities()
+    ens = tj.backward_ensemble(ep, tj.BackwardChoice.CORRELATIONS_DESTROYED)
+    probs = ens.p_forward.ravel()
     assert abs(probs.sum() - 1.0) < 1e-12
     assert (probs > 1e-12).sum() == 1
 
 
 def test_tpm_ensemble_normalized_and_marginals():
     ep = random_episode(RNG)
-    ens = tj.tpm_ensemble(ep)
+    ens = tj.backward_ensemble(ep, tj.BackwardChoice.CORRELATIONS_DESTROYED)
     assert ens.p_forward.size == 16
-    assert abs(ens.forward_probabilities().sum() - 1.0) < 1e-12
+    assert abs(ens.p_forward.ravel().sum() - 1.0) < 1e-12
     # marginal over the final outcomes reproduces the initial eigenvalues
     p, _ = np.linalg.eigh(ep.rho_system.matrix)
     q, _ = np.linalg.eigh(ep.rho_env.matrix)
@@ -58,7 +58,7 @@ def test_tpm_ensemble_dimension_cap():
     ep = eps.Episode(h, h, UnitaryOperator.from_matrix(np.eye(81), (9, 9)),
                      rho, rho)
     with pytest.raises(tj.TrajectoryError):
-        tj.tpm_ensemble(ep)
+        tj.backward_ensemble(ep, tj.BackwardChoice.CORRELATIONS_DESTROYED)
 
 
 @pytest.mark.parametrize("choice", list(tj.BackwardChoice))
@@ -101,7 +101,7 @@ def test_stochastic_sigma_matches_ensemble():
     ep = random_episode(RNG)
     ens = tj.backward_ensemble(ep, tj.BackwardChoice.BATH_RESET)
     sig = tj.stochastic_sigma(ens)
-    assert np.allclose(sig, ens.sigmas())
+    assert np.allclose(sig, ens.sigma.ravel())
 
 
 def test_stochastic_sigma_of_two_ensembles():
@@ -113,9 +113,9 @@ def test_stochastic_sigma_of_two_ensembles():
                      DensityOperator.pure([1, 0]), random_density(3, rng))
     ens = tj.backward_ensemble(ep, tj.BackwardChoice.BOTH_RESET)
     sig = tj.stochastic_sigma(ens, ens)
-    assert np.array_equal(np.isinf(sig), np.isinf(ens.sigmas()))
+    assert np.array_equal(np.isinf(sig), np.isinf(ens.sigma.ravel()))
     assert np.isinf(sig).any()
-    assert np.allclose(sig[np.isfinite(sig)], ens.sigmas()[np.isfinite(sig)], atol=1e-12)
+    assert np.allclose(sig[np.isfinite(sig)], ens.sigma.ravel()[np.isfinite(sig)], atol=1e-12)
     with pytest.raises(tj.TrajectoryError):
         tj.stochastic_sigma(ens, tj.backward_ensemble(random_episode(rng),
                                                       tj.BackwardChoice.BOTH_RESET))
@@ -495,7 +495,7 @@ def test_weight_convolve_moments():
 
 
 def test_weight_convolve_single_delta_gaussian():
-    ideal = tj.ScalarDistribution.delta(1.0)
+    ideal = tj.ScalarDistribution([1.0], [1.0])
     out = tj.weight_convolve(ideal, 0.3)
     # matches the normal density on the grid
     dw = out.grid[1] - out.grid[0]
@@ -538,7 +538,7 @@ def test_weight_convolve_attenuations_and_crooks_failure():
 def test_weight_convolve_rejects_bad_delta():
     for delta in (0.0, math.nan, math.inf):
         with pytest.raises(tj.TrajectoryError):
-            tj.weight_convolve(tj.ScalarDistribution.delta(0.0), delta)
+            tj.weight_convolve(tj.ScalarDistribution([0.0], [1.0]), delta)
 
 
 def test_weight_convolve_rejects_infinite_support():
