@@ -70,12 +70,9 @@ from .core import (
     von_neumann_entropy,
 )
 from .episodes import (
-    Episode,
     EpisodeStack,
     _thermality,
     _trace_rows,
-    balance,
-    evolve,
     fixed_point_sigma_rows,
     is_strict_energy_conserving,
 )
@@ -160,6 +157,12 @@ class CollisionSpec:
             return None
         return self.system_unitaries[n % len(self.system_unitaries)]
 
+    @functools.cached_property
+    def _channels(self) -> list:
+        """One stroke channel per alphabet entry, its system unitary folded in, built once."""
+        return [_stroke_channel(s.unitary, s.rho, self.u_at(k))
+                for k, s in enumerate(self.alphabet)]
+
 
 @dataclass(frozen=True)
 class StrokeRecord:
@@ -187,18 +190,13 @@ def _stroke_channel(unitary, rho_ancilla, after=None, before=None) -> np.ndarray
     return kraus_superop(kraus if before is None else kraus @ _unitary(before, CollisionalError))
 
 
-def _stroke_channels(spec: CollisionSpec) -> list:
-    """One stroke channel per alphabet entry, its system unitary folded in."""
-    return [_stroke_channel(s.unitary, s.rho, spec.u_at(k)) for k, s in enumerate(spec.alphabet)]
-
-
 def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
     """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n): the states, and
     their (matrices, weights, eigenvectors) as three stacks, rho_0's one-row stack (cheaper
     than restacking the states) joined to rho_1 .. rho_n validated as one (`_density_stack`)."""
     ds = spec.dim_system
     _spectrum(rho0, CollisionalError, ds)
-    channels = _stroke_channels(spec)
+    channels = spec._channels
     vecs = np.empty((n_strokes + 1, ds * ds), dtype=complex)
     vecs[0] = vec(rho0.matrix)
     for n in range(n_strokes):
@@ -271,11 +269,12 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
 # Limit cycles
 # ---------------------------------------------------------------------------
 
-def _fixed_point(chan: np.ndarray, rho0: DensityOperator,
-                 unique: bool) -> DensityOperator:
-    """Projection of rho0 onto ker(chan - 1) along range(chan - 1), i.e.
-    the limit of repeated application (eigenvalue 1 of a channel is
-    semisimple), from the singular vectors of chan - 1 at zero."""
+def _fixed_point(spec: CollisionSpec, m0: np.ndarray, dims, unique: bool) -> DensityOperator:
+    """Projection of the state m0 onto ker(chan - 1) along range(chan - 1), chan
+    the spec's cycle channel (its stroke channels, the last leftmost), i.e. the
+    limit of repeated passes (eigenvalue 1 of a channel is semisimple), from
+    the singular vectors of chan - 1 at zero."""
+    chan = functools.reduce(lambda chan, stroke: stroke @ chan, spec._channels)
     vals = np.linalg.eigvals(chan)
     at_one = np.abs(vals - 1.0) <= UNIT_CIRCLE_TOL
     if np.any(~at_one & (np.abs(vals) >= 1.0 - UNIT_CIRCLE_TOL)):
@@ -288,8 +287,8 @@ def _fixed_point(chan: np.ndarray, rho0: DensityOperator,
     u, _, vh = np.linalg.svd(chan - np.eye(chan.shape[0]))
     right = vh[vh.shape[0] - n_fixed:].conj().T
     left = u[:, u.shape[1] - n_fixed:].conj().T
-    m = unvec(right @ np.linalg.solve(left @ right, left @ vec(rho0.matrix)))
-    rho = DensityOperator((m + m.conj().T) / 2.0, rho0.dims)
+    m = unvec(right @ np.linalg.solve(left @ right, left @ vec(m0)))
+    rho = DensityOperator((m + m.conj().T) / 2.0, dims)
     step = trace_distance(unvec(chan @ vec(rho.matrix)), rho)
     if step >= FIXED_POINT_TOL:
         raise CollisionalError(f"one more cycle moves the fixed point by {step:.3e}")
@@ -300,8 +299,8 @@ def limit_cycle(spec: CollisionSpec) -> DensityOperator:
     """Fixed point of the full-alphabet composite map, read from the null
     space of its channel (see the module docstring for the errors), and
     checked to move by less than FIXED_POINT_TOL under one more pass."""
-    chan = functools.reduce(lambda chan, stroke: stroke @ chan, _stroke_channels(spec))
-    return _fixed_point(chan, DensityOperator.maximally_mixed(spec.dim_system), unique=True)
+    ds = spec.dim_system
+    return _fixed_point(spec, np.eye(ds) / ds, (ds,), unique=True)
 
 
 # ---------------------------------------------------------------------------
@@ -559,49 +558,38 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
                 rho_cold: DensityOperator, h_system: HermitianOperator,
                 h_hot: HermitianOperator | None = None,
                 h_cold: HermitianOperator | None = None,
-                rho0: DensityOperator | None = None,
-                at_limit_cycle: bool = True) -> FourStrokeResult:
+                rho0: DensityOperator | None = None) -> FourStrokeResult:
     """Unitary/hot/unitary/cold stroke cycle with arbitrary bath states.
 
     Per cycle Sigma = Sigma_H + Sigma_C = dS_S + Phi_H + Phi_C; at the
     limit cycle dS_S = 0 so the net production equals the net flux even
     though Sigma_i != Phi_i individually.
 
-    The balances are taken on the cycle started from rho0 (default:
-    maximally mixed), or with at_limit_cycle on the limit cycle rho0 flows
-    to: its projection onto the fixed points of the cycle's channel, so an
-    all-identity cycle keeps rho0.  A cycle that never settles raises
-    CollisionalError (see the module docstring), as do v1, v2 failing `core._unitary`
-    and an operator of another size than H_S (on S) and its bath (on A, S x A).
+    The cycle is the `CollisionSpec` hot stroke, v2, cold stroke, v1 (a bath given no H
+    has H = 0), and its balances are two strokes of `run` from the limit cycle: v1 rho0
+    v1^dag (rho0 default maximally mixed) projected onto the cycle channel's fixed points,
+    reported rotated back by v1^dag, so an all-identity cycle keeps rho0.  A cycle that
+    never settles raises CollisionalError (see the module docstring), as do v1, v2, u_sh,
+    u_sc failing `core._unitary` and an operator of another size than H_S (on S) and its
+    bath (on A, S x A).
     """
     ds = h_system.dim
-    v1, v2 = (_unitary(v, CollisionalError, ds) for v in (v1, v2))
-    h_h = h_hot or HermitianOperator.from_matrix(np.zeros_like(rho_hot.matrix), rho_hot.dims)
-    h_c = h_cold or HermitianOperator.from_matrix(np.zeros_like(rho_cold.matrix), rho_cold.dims)
+    v1, v2 = (UnitaryOperator.from_matrix(_unitary(v, CollisionalError, ds)) for v in (v1, v2))
     rho = rho0 or DensityOperator.maximally_mixed(h_system.dims)
     _spectrum(rho, CollisionalError, ds)
-    for u, bath, h in ((u_sh, rho_hot, h_h), (u_sc, rho_cold, h_c)):
-        _unitary(u, CollisionalError, ds * bath.dim)
-        _hermitian(h, CollisionalError, bath.dim)
-    if at_limit_cycle:
-        chan = (_stroke_channel(u_sc, rho_cold, before=v2)
-                @ _stroke_channel(u_sh, rho_hot, before=v1))
-        rho = _fixed_point(chan, rho, unique=False)
-
-    m1 = v1 @ rho.matrix @ v1.conj().T
-    ep_h = Episode(h_system, h_h, u_sh, DensityOperator(m1, rho.dims), rho_hot)
-    m2 = v2 @ evolve(ep_h).rho_system.matrix @ v2.conj().T
-    ep_c = Episode(h_system, h_c, u_sc, DensityOperator(m2, rho.dims), rho_cold)
-    bal_h, bal_c = balance(ep_h), balance(ep_c)
-    ds = von_neumann_entropy(evolve(ep_c).rho_system) - von_neumann_entropy(rho)
+    spec = CollisionSpec(tuple(AncillaStroke(
+        bath, h or HermitianOperator.from_matrix(np.zeros_like(bath.matrix), bath.dims),
+        UnitaryOperator.from_matrix(_unitary(u, CollisionalError, ds * bath.dim)))
+        for bath, h, u in ((rho_hot, h_hot, u_sh), (rho_cold, h_cold, u_sc))),
+        (h_system,) * 2, (v2, v1))
+    start = _fixed_point(spec, v1.matrix @ rho.matrix @ v1.matrix.conj().T, rho.dims,
+                         unique=False)
+    states, (hot, cold) = run(spec, start, 2)
+    s0, s1, s2 = map(von_neumann_entropy, states)
     return FourStrokeResult(
-        limit_cycle=rho,
-        sigma_hot=bal_h.sigma,
-        sigma_cold=bal_c.sigma,
-        sigma_total=bal_h.sigma + bal_c.sigma,
-        flux_hot=bal_h.flux,
-        flux_cold=bal_c.flux,
-        d_entropy_system=ds,
-        q_hot=bal_h.heat_env if h_hot is not None else None,
-        q_cold=bal_c.heat_env if h_cold is not None else None,
-    )
+        limit_cycle=DensityOperator(v1.matrix.conj().T @ start.matrix @ v1.matrix, start.dims),
+        sigma_hot=hot.sigma_general, sigma_cold=cold.sigma_general,
+        sigma_total=hot.sigma_general + cold.sigma_general,
+        flux_hot=hot.sigma_general - (s1 - s0), flux_cold=cold.sigma_general - (s2 - s1),
+        d_entropy_system=s2 - s0, q_hot=hot.q_ancilla if h_hot is not None else None,
+        q_cold=cold.q_ancilla if h_cold is not None else None)

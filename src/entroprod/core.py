@@ -124,7 +124,8 @@ def _check_size(n, dim, error):
 def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
     """Read-only complex copy of one square matrix or stack (..., d, d), or
     operators, of size `dim` when given (`_check_size`), else `error`; a ragged
-    list is named by its first entry not of the shape of entry 0 (or of dim x dim).
+    list is named by its first entry not of the shape of entry 0 (or of dim x dim),
+    as a row when entry 0 is a row of numbers (the list is one matrix).
     An operator's own matrix, frozen when it was made, is returned as it is."""
     if isinstance(matrices, _Operator):
         _check_size(matrices.dim, dim, error)
@@ -135,10 +136,12 @@ def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
         m = np.array(matrices, dtype=complex)
     except (TypeError, ValueError):
         shapes = [np.asarray(x, object).shape for x in matrices] if type(matrices) is list else []
-        want = shapes[:1] if dim is None else [(dim, dim)]
+        rows = len(shapes) > 0 and len(shapes[0]) == 1 and all(map(np.isscalar, matrices[0]))
+        want = shapes[:1] if dim is None else [(dim,) if rows else (dim, dim)]
         k = next((k for k, s in enumerate(shapes) if [s] != want), None)
+        where = "row {} of the matrix" if rows else "matrix {} of the stack"
         raise error("matrix entries must be numbers" if k is None else
-                    f"matrix {k} of the stack: shape {shapes[k]}, expected {want[0]}") from None
+                    where.format(k) + f": shape {shapes[k]}, expected {want[0]}") from None
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise error(f"expected a square matrix, got shape {m.shape}")
     _check_size(m.shape[-1], dim, error)

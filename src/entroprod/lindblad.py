@@ -390,8 +390,9 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
         dSigma/dt = dS/dt + beta dQ/dt = -d/dt S(rho || rho_th(t)).
 
     trajectory: list of (t, DensityOperator); model_of_t(t) -> LindbladModel.
-    sigma_rate is exact at each instant (dS/dt evaluated through the
-    generator, -Tr[L(rho) ln rho]), so it is non-negative to roundoff;
+    sigma_rate is exact at each instant (dS/dt = -Tr[D(rho) ln rho] through
+    the dissipator alone: the Hamiltonian part i Tr(H [rho, ln rho]) is 0, ln rho
+    taken in rho's own eigenbasis), so it is non-negative to roundoff;
     sigma_rate_relent re-derives it from finite differences of the
     relative entropy and carries the discretization error of the grid.
     """
@@ -410,12 +411,9 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
             raise LindbladError(
                 f"dissipator does not fix the instantaneous Gibbs state "
                 f"(residual {resid:.3e})")
-        full = build(model)
-        drho_full = apply_superop(full, rho.matrix)
-        drho_diss = apply_superop(diss, rho.matrix)
-        heat.append(-float(np.real(np.trace(h @ drho_diss))))
-        log_rho = logm_psd(rho)
-        entropy_rate.append(-float(np.real(np.trace(drho_full @ log_rho))))
+        drho = apply_superop(diss, rho.matrix)
+        heat.append(-float(np.real(np.trace(h @ drho))))
+        entropy_rate.append(-float(np.real(np.trace(drho @ logm_psd(rho)))))
         relents.append(relative_entropy(rho, gibbs))
     # dH/dt via central differences of the schedule, one-sided at the ends
     k, hs = np.arange(len(times)), np.array(h_list)

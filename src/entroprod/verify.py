@@ -18,6 +18,7 @@ from . import resource as rs
 from . import trajectories as tj
 from .core import (
     DensityOperator,
+    HermitianOperator,
     HilbertDims,
     PAULI_X,
     PAULI_Y,
@@ -169,15 +170,23 @@ def route_equality_suite(n_episodes=25, tol=1e-10):
 
 
 def swap_engine_suite(n_points=50, tol=1e-12):
-    """Closed forms against the exact 4x4 cycle simulation."""
-    worst = 0.0
+    """Closed forms against the exact 4x4 cycle simulation, and against the
+    limit cycle of `four_stroke` with full SWAP strokes between a system qubit
+    and Gibbs qubits of the two baths (heats into the bath ancillas)."""
+    worst = worst_cycle = 0.0
     t_a, t_b = 1.0, 0.5
+    swap = np.eye(4)[[0, 2, 1, 3]]                      # |i j> -> |j i>
     for ratio in np.linspace(0.05, 1.6, n_points):
         spec = cm.SwapEngineSpec(1.0, float(ratio), t_a, t_b)
         res = cm.swap_engine(spec)
         sim = cm.swap_engine_simulation(spec)
         worst = max(worst, abs(res.work - sim[0]), abs(res.q_a - sim[1]),
                     abs(res.q_b - sim[2]), abs(res.sigma - sim[3]))
+        h_a, h_b = (HermitianOperator.from_matrix(np.diag([0.0, e])) for e in (1.0, ratio))
+        cyc = cm.four_stroke(np.eye(2), np.eye(2), swap, swap, thermal_state(h_a, 1.0 / t_a),
+                             thermal_state(h_b, 1.0 / t_b), h_a, h_hot=h_a, h_cold=h_b)
+        worst_cycle = max(worst_cycle, abs(cyc.sigma_total - res.sigma), abs(cyc.q_hot + res.q_a),
+                          abs(cyc.q_cold + res.q_b), abs(cyc.flux_hot + cyc.flux_cold - res.sigma))
     carnot = cm.swap_engine(cm.SwapEngineSpec(1.0, 0.5, 1.0, 0.5))
     carnot_zero = max(abs(carnot.work), abs(carnot.q_a),
                       abs(carnot.q_b), abs(carnot.sigma))
@@ -185,6 +194,8 @@ def swap_engine_suite(n_points=50, tol=1e-12):
     return [
         _record("swap closed forms == 4x4 simulation", worst < tol,
                 f"max |delta| = {worst:.2e} over {n_points} points"),
+        _record("swap closed forms == four-stroke cycle", worst_cycle < tol,
+                f"max |delta| = {worst_cycle:.2e} over {n_points} points"),
         _record("swap Carnot point all-zero", carnot_zero < tol,
                 f"max |value| = {carnot_zero:.2e}"),
         _record("swap engine regime at Otto efficiency",

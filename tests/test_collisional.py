@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -361,11 +362,34 @@ def test_four_stroke_pure_rotation_errors():
 def test_four_stroke_thermal_clausius_form():
     beta_h, beta_c = 0.5, 2.0
     v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys = four_stroke_setup(beta_h, beta_c)
+    rho0 = random_density(3, RNG)
     out = cm.four_stroke(v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys,
-                         h_hot=H_QUBIT, h_cold=H_QUBIT, at_limit_cycle=False,
-                         rho0=random_density(3, RNG))
+                         h_hot=H_QUBIT, h_cold=H_QUBIT, rho0=rho0)
     clausius = out.d_entropy_system + beta_h * out.q_hot + beta_c * out.q_cold
     assert abs(out.sigma_total - clausius) < 1e-10
+    # one cycle from rho0: the same cycle as a spec whose baths declare their beta
+    spec = cm.CollisionSpec((cm.AncillaStroke(rho_h, H_QUBIT, u_sh, beta=beta_h),
+                             cm.AncillaStroke(rho_c, H_QUBIT, u_sc, beta=beta_c)),
+                            (h_sys, h_sys), (v2, v1))
+    start = DensityOperator.from_matrix(v1.matrix @ rho0.matrix @ v1.matrix.conj().T)
+    states, (hot, cold) = cm.run(spec, start, 2)
+    for rec in (hot, cold):
+        assert abs(rec.sigma_general - rec.sigma_thermal) < 1e-10
+    d_s = core.von_neumann_entropy(states[2]) - core.von_neumann_entropy(states[0])
+    assert abs(d_s) > 1e-3                      # not a limit cycle
+    clausius = d_s + beta_h * hot.q_ancilla + beta_c * cold.q_ancilla
+    assert abs(hot.sigma_general + cold.sigma_general - clausius) < 1e-10
+
+
+def test_four_stroke_reads_bare_unitaries():
+    v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys = four_stroke_setup()
+    typed = cm.four_stroke(v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys, h_hot=H_QUBIT, h_cold=H_QUBIT)
+    bare = cm.four_stroke(v1.matrix, v2.matrix, u_sh.matrix, u_sc.matrix, rho_h, rho_c, h_sys,
+                          h_hot=H_QUBIT, h_cold=H_QUBIT)
+    assert np.array_equal(bare.limit_cycle.matrix, typed.limit_cycle.matrix)
+    fields = ("sigma_hot", "sigma_cold", "flux_hot", "flux_cold", "d_entropy_system", "q_hot",
+              "q_cold")
+    assert [getattr(bare, f) for f in fields] == [getattr(typed, f) for f in fields]
 
 
 def test_four_stroke_limit_cycle_balance():
@@ -401,21 +425,22 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
     # and one `eigh` per marginal kind (rho_n', ancilla), the joint state being
     # made from its product spectrum; one more `eigh` validates the chain's
     # states and one, of H, builds the Gibbs state of the conserving entry.
-    # The chain takes no per-stroke channel
+    # The chain takes no per-stroke channel, and a spec builds its stroke
+    # channels once: a second run of it (the third count) builds none
     rng = np.random.default_rng(21)
     spec, rho0 = two_letter_spec(rng), random_density(2, rng)
     counted = {np.linalg: ("eigh", "eigvalsh"),
                cm: ("tensor", "_ptrace_matrix", "ancilla_kraus", "kraus_superop"),
                eps: ("tensor", "_ptrace_matrix")}
     counts = []
-    for n_strokes in (10, 200):
+    for one, n_strokes in ((spec, 10), (dataclasses.replace(spec), 200), (spec, 200)):
         calls = []
         for module, names in counted.items():
             for name in names:
                 fn, key = getattr(module, name), f"{module.__name__.split('.')[-1]}.{name}"
                 monkeypatch.setattr(module, name, lambda *a, _fn=fn, _key=key, **k:
                                     calls.append(_key) or _fn(*a, **k))
-        cm.run(spec, rho0, n_strokes)
+        cm.run(one, rho0, n_strokes)
         monkeypatch.undo()
         counts.append({key: calls.count(key) for key in set(calls)})
     # episodes.tensor: the joint states and their eigenvectors U (V_S x V_A),
@@ -423,6 +448,7 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch):
     assert counts[0] == counts[1] == {
         "linalg.eigh": 4, "episodes.tensor": 6, "episodes._ptrace_matrix": 2,
         "collisional.ancilla_kraus": 2, "collisional.kraus_superop": 2}
+    assert counts[2] == {"linalg.eigh": 4, "episodes.tensor": 6, "episodes._ptrace_matrix": 2}
 
 
 def test_run_rejects_mismatched_dims():

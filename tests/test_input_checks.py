@@ -130,6 +130,9 @@ CASES = {
     "core ragged stack": (
         lambda: core.hermitian_function([np.eye(2), np.eye(3)], np.exp), core.CoreError,
         "matrix 1 of the stack: shape (3, 3), expected (2, 2)"),
+    "core ragged matrix": (
+        lambda: core.thermal_state([[1.0, 0.0], [0.0]], 1.0), core.CoreError,
+        "row 1 of the matrix: shape (1,), expected (2,)"),
     "core.matrix_from_json parts": (
         lambda: core.matrix_from_json({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, 0]]}),
         core.CoreError, "matching 2-d arrays"),
@@ -568,8 +571,7 @@ UNITARY_READERS = {
         lambda u: cm.four_stroke(u, np.eye(2), ID4, ID4, RHO2, RHO2, H2), 2,
         cm.CollisionalError),
     "collisional.four_stroke v2": (
-        lambda u: cm.four_stroke(np.eye(2), u, ID4, ID4, RHO2, RHO2, H2, at_limit_cycle=False),
-        2, cm.CollisionalError),
+        lambda u: cm.four_stroke(np.eye(2), u, ID4, ID4, RHO2, RHO2, H2), 2, cm.CollisionalError),
 }
 UNITARY_CASES = [(reader, bad) for reader in UNITARY_READERS for bad in BAD_UNITARIES]
 

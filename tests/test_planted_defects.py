@@ -22,7 +22,10 @@ moves every ensemble average off its table entry, and the transition tensor
 read without the `.conj()` of the final bases breaks the exchange form.  The
 finite-dimension erasure bound with its correction halved satisfies every
 inequality of the landauer suite, so the record "landauer finite-d bound
-closed form" compares it with the Reeb-Wolf bound written out there."""
+closed form" compares it with the Reeb-Wolf bound written out there.  The
+hot flux of `four_stroke` taken with the cold stroke's dS_S moves the net
+flux off the net production, which the swap-engine record "swap closed
+forms == four-stroke cycle" compares with the closed-form Sigma."""
 
 import inspect
 import textwrap
@@ -30,7 +33,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from entroprod import core, episodes as eps, resource as rs, verify
+from entroprod import collisional as cm, core, episodes as eps, resource as rs, verify
 
 EMBEDDING = "majorization", "majorization curve == embedding verdict"
 FLUX = "route-equality", "route flux == beta Q_E"
@@ -41,6 +44,7 @@ MULTIBATH_PARTS = "route-equality", "multibath Sigma == T + sum_k D(rho_Ek' || r
 FT_AVERAGE = "ft-table", "ft-table correlations_destroyed average"
 FT_EXCHANGE = "ft-table", "ft-table exchange form (both reset, conserving)"
 FINITE_DIM = "landauer", "landauer finite-d bound closed form"
+FOUR_STROKE = "swap-engine", "swap closed forms == four-stroke cycle"
 
 
 def record(suite, name):
@@ -144,6 +148,12 @@ def halved_correction(monkeypatch):
                         mutant(eps.finite_dimension_bound, "corr = 2.0 *", "corr = 1.0 *"))
 
 
+def flux_of_the_other_stroke(monkeypatch):
+    # Phi_hot = Sigma_hot - dS_S of the cold stroke, not of the hot one, in four_stroke
+    monkeypatch.setattr(cm, "four_stroke", mutant(cm.four_stroke, "hot.sigma_general - (s1 - s0)",
+                                                  "hot.sigma_general - (s2 - s1)"))
+
+
 DEFECTS = {
     "curve: beta -> -beta in the beta-order": (negated_beta, EMBEDDING),
     "curve: interpolation without the chord": (step_curves, EMBEDDING),
@@ -159,6 +169,7 @@ DEFECTS = {
     "EpisodeStack.evolved conjugating by U^dag . U": (inverse_conjugation, FT_AVERAGE),
     "transition tensor without .conj()": (transitions_unconjugated, FT_EXCHANGE),
     "finite-dimension correction halved": (halved_correction, FINITE_DIM),
+    "four-stroke hot flux with the cold stroke's dS_S": (flux_of_the_other_stroke, FOUR_STROKE),
 }
 
 
@@ -166,7 +177,8 @@ def test_the_record_passes_without_a_defect():
     assert record(*EMBEDDING) == (EMBEDDING[1], True, "50/50")
     assert record(*FLUX)[1]
     assert record(*CLAUSIUS)[1]
-    for name in (FIXED_POINT, MULTIBATH, MULTIBATH_PARTS, FT_AVERAGE, FT_EXCHANGE, FINITE_DIM):
+    for name in (FIXED_POINT, MULTIBATH, MULTIBATH_PARTS, FT_AVERAGE, FT_EXCHANGE, FINITE_DIM,
+                 FOUR_STROKE):
         assert record(*name)[1]
 
 
