@@ -84,6 +84,8 @@ FIXED_POINT_TOL = 1e-12
 UNIT_CIRCLE_TOL = 1e-9
 # The collision limit needs an induced shift Tr_A(V rho_A) within this (max entry).
 LAMB_SHIFT_TOL = 1e-9
+# continuous_limit's pairs must sum to V within this (max entry).
+PAIRS_TOL = 1e-9
 
 
 class CollisionalError(ValueError):
@@ -329,7 +331,8 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None) -> Dissipa
     emission rate gamma_k^- = g_k^2 <A_k A_k^dag> and the absorption rate
     gamma_k^+ = g_k^2 <A_k^dag A_k>, and `detailed_balance` reports the
     ratio gamma^+/gamma^- per pair; for a thermal ancilla and eigenoperator
-    A_k it equals e^{-beta omega_k}.
+    A_k it equals e^{-beta omega_k}.  L_k and A_k are read at the system and
+    ancilla sizes, and pairs whose sum misses V by more than PAIRS_TOL are an error.
     """
     v = _hermitian(v_int, CollisionalError)
     ra = rho_ancilla.matrix
@@ -347,13 +350,15 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None) -> Dissipa
         add_lindblad_term(superop, k, k)
     rates = db = None
     if pairs is not None:
-        rates = []
-        for (_, a_k, g_k) in pairs:
-            a = _frozen_matrix(a_k, CollisionalError, da)
-            gamma_minus = g_k ** 2 * float(np.real(np.trace(a @ a.conj().T @ ra)))
-            gamma_plus = g_k ** 2 * float(np.real(np.trace(a.conj().T @ a @ ra)))
-            rates.append((gamma_minus, gamma_plus))
-        rates = tuple(rates)
+        pairs = [(_frozen_matrix(l_k, CollisionalError, d),
+                  _frozen_matrix(a_k, CollisionalError, da), g_k) for l_k, a_k, g_k in pairs]
+        residual = float(np.abs(sum(g * (tensor([l.conj().T, a]) + tensor([l, a.conj().T]))
+                                    for l, a, g in pairs) - v).max())
+        if residual > PAIRS_TOL:
+            raise CollisionalError(f"pairs miss V by {residual:.3e} (max entry)")
+        rates = tuple((g ** 2 * float(np.real(np.trace(a @ a.conj().T @ ra))),
+                       g ** 2 * float(np.real(np.trace(a.conj().T @ a @ ra))))
+                      for _, a, g in pairs)
         db = tuple(gp / gm if gm > 0 else math.inf for gm, gp in rates)
     return DissipatorPieces(superop, shift_norm, rates, db)
 
@@ -554,6 +559,13 @@ class FourStrokeResult:
     q_cold: float | None
 
 
+def _typed(kind, op, reader, dim=None):
+    """op as the operator type `kind` once `reader` (`core._unitary`, `_hermitian` or `_spectrum`)
+    passes it with CollisionalError at size `dim`, if given; a bare matrix is wrapped."""
+    reader(op, CollisionalError, dim)
+    return op if isinstance(op, kind) else kind.from_matrix(op)
+
+
 def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
                 rho_cold: DensityOperator, h_system: HermitianOperator,
                 h_hot: HermitianOperator | None = None,
@@ -569,19 +581,22 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
     has H = 0), and its balances are two strokes of `run` from the limit cycle: v1 rho0
     v1^dag (rho0 default maximally mixed) projected onto the cycle channel's fixed points,
     reported rotated back by v1^dag, so an all-identity cycle keeps rho0.  A cycle that
-    never settles raises CollisionalError (see the module docstring), as do v1, v2, u_sh,
-    u_sc failing `core._unitary` and an operator of another size than H_S (on S) and its
+    never settles raises CollisionalError (see the module docstring), as do an operand
+    failing its reader (`_typed`) and an operator of another size than H_S (on S) and its
     bath (on A, S x A).
     """
+    h_system = _typed(HermitianOperator, h_system, _hermitian)
     ds = h_system.dim
-    v1, v2 = (UnitaryOperator.from_matrix(_unitary(v, CollisionalError, ds)) for v in (v1, v2))
-    rho = rho0 or DensityOperator.maximally_mixed(h_system.dims)
-    _spectrum(rho, CollisionalError, ds)
-    spec = CollisionSpec(tuple(AncillaStroke(
-        bath, h or HermitianOperator.from_matrix(np.zeros_like(bath.matrix), bath.dims),
-        UnitaryOperator.from_matrix(_unitary(u, CollisionalError, ds * bath.dim)))
-        for bath, h, u in ((rho_hot, h_hot, u_sh), (rho_cold, h_cold, u_sc))),
-        (h_system,) * 2, (v2, v1))
+    v1, v2 = (_typed(UnitaryOperator, v, _unitary, ds) for v in (v1, v2))
+    rho = (DensityOperator.maximally_mixed(h_system.dims) if rho0 is None
+           else _typed(DensityOperator, rho0, _spectrum, ds))
+    strokes = []
+    for bath, h, u in ((rho_hot, h_hot, u_sh), (rho_cold, h_cold, u_sc)):
+        bath = _typed(DensityOperator, bath, _spectrum)
+        u = _typed(UnitaryOperator, u, _unitary, ds * bath.dim)
+        h = np.zeros_like(bath.matrix) if h is None else h
+        strokes.append(AncillaStroke(bath, _typed(HermitianOperator, h, _hermitian, bath.dim), u))
+    spec = CollisionSpec(tuple(strokes), (h_system,) * 2, (v2, v1))
     start = _fixed_point(spec, v1.matrix @ rho.matrix @ v1.matrix.conj().T, rho.dims,
                          unique=False)
     states, (hot, cold) = run(spec, start, 2)

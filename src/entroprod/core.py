@@ -165,10 +165,10 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _density_spectra(m):
+def _density_spectra(m, error=CoreError):
     """The density-matrix validation, of one matrix or of a stack
     (..., d, d) by one stacked `eigh`: Hermitian within HERMITICITY_TOL,
-    unit trace within TRACE_TOL and no eigenvalue below -EIG_FLOOR.
+    unit trace within TRACE_TOL and no eigenvalue below -EIG_FLOOR, else `error`.
     Returns the eigenvalues (ascending, round-off zeroed by
     `_spectral_weights`) and eigenvectors as columns, both read-only."""
     herm_err = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -179,9 +179,9 @@ def _density_spectra(m):
     # one test for the three flags (each _fail_first is its own reduction);
     # eigh of a finite matrix does not fail, so the first failed check raises
     if (bad[0] | bad[1] | bad[2]).any():
-        _fail_first(bad[0], herm_err, "density matrix not Hermitian (residual {:.3e})")
-        _fail_first(bad[1], tr, "density matrix trace {} differs from 1")
-        _fail_first(bad[2], low, "density matrix has negative eigenvalue {:.3e}")
+        _fail_first(bad[0], herm_err, "density matrix not Hermitian (residual {:.3e})", error)
+        _fail_first(bad[1], tr, "density matrix trace {} differs from 1", error)
+        _fail_first(bad[2], low, "density matrix has negative eigenvalue {:.3e}", error)
     return _read_only(_spectral_weights(evals), evecs)
 
 
@@ -417,11 +417,12 @@ def _spectral_weights(vals, scale=1.0):
 def _spectrum(state, error=CoreError, dim=None) -> tuple[np.ndarray, np.ndarray]:
     """Weights (round-off zeroed) and eigenvectors of a state: those a
     `DensityOperator` keeps, or those a bare matrix is validated with;
-    either of size `dim` when given (`_check_size`), else `error`."""
+    either of size `dim` when given (`_check_size`), else `error`, as is
+    a bare matrix that is not a state."""
     if isinstance(state, DensityOperator):
         _check_size(state.dim, dim, error)
         return state.eig()
-    return _density_spectra(_frozen_matrix(state, error, dim))
+    return _density_spectra(_frozen_matrix(state, error, dim), error)
 
 
 # ---------------------------------------------------------------------------
@@ -928,9 +929,9 @@ def eigenspace_projectors(hamiltonian):
 
 
 def dephase(rho, hamiltonian):
-    """Remove all coherences between distinct eigenspaces of H, read at rho's size."""
-    r = _frozen_matrix(rho)
-    _, projs = eigenspace_projectors(_hermitian(hamiltonian, CoreError, len(r)))
+    """Remove all coherences between distinct eigenspaces of H, read at rho's (a stack's) size."""
+    r = _frozen_stack(rho)
+    _, projs = eigenspace_projectors(_hermitian(hamiltonian, CoreError, r.shape[-1]))
     out = sum(p @ r @ p for p in projs)
     if isinstance(rho, DensityOperator):
         return DensityOperator(out, rho.dims)

@@ -75,8 +75,10 @@ CONSERVATION_TOL = 1e-9
 GLOBAL_FIXED_POINT_TOL = 1e-9
 # A measurement whose average rho_E moves by at most this (max entry) is backaction-free.
 BACKACTION_TOL = 1e-8
-# The erasure bounds give up when the target temperature passes this times T.
+# The heat-capacity bound of a given C_E gives up when the target temperature passes this times T.
 T_MAX_FACTOR = 1e6
+# -dS_S within this of a Gibbs bath's ln d_E - S(T) is its T' -> inf end (`gibbs_erasure_bound`).
+ERASURE_END_TOL = 1e-12
 # A BLP trace-distance slope above this witnesses non-Markovianity.
 BLP_SLOPE_TOL = 1e-8
 # The heat-capacity bound's quadratures stop at this relative error.
@@ -321,13 +323,12 @@ def evolve(ep: Episode) -> EvolvedStates:
     return ep._evolved
 
 
-def _own_evolution(ep: Episode, evolved: EvolvedStates | None) -> EvolvedStates:
-    """The episode's evolution; a given `evolved` must hold its joint state."""
+def _own_evolution(ep: Episode, evolved: EvolvedStates | None):
+    """EpisodeError unless a given `evolved` holds the episode's joint state."""
     ev = evolve(ep)
     if (evolved is not None and evolved.rho_joint is not ev.rho_joint
             and not np.array_equal(evolved.rho_joint.matrix, ev.rho_joint.matrix)):
         raise EpisodeError("evolved states do not belong to this episode")
-    return ev
 
 
 def _require_rows(bad, message):
@@ -456,8 +457,7 @@ def _require_thermal_rows(stack: EpisodeStack, beta):
                                             f"(trace distance {d:.3e})")
 
 
-def thermal_balance(ep: Episode, beta: float,
-                    evolved: EvolvedStates | None = None) -> EntropyBalance:
+def thermal_balance(ep: Episode, beta: float) -> EntropyBalance:
     """Clausius form for a thermal environment.
 
     Sigma = dS_S + beta*Q_E = beta*(W - dF), with W := dH_S + Q_E and dF the
@@ -465,9 +465,7 @@ def thermal_balance(ep: Episode, beta: float,
     temperature.  Agrees with the information-theoretic balance exactly.
     Row 0 of `thermal_balance_rows`.
     """
-    rows = thermal_balance_rows(ep._row, beta)
-    _own_evolution(ep, evolved)
-    return _first_row(rows)
+    return _first_row(thermal_balance_rows(ep._row, beta))
 
 
 def thermal_balance_rows(stack: EpisodeStack, beta):
@@ -626,8 +624,7 @@ class ConditionalBalance:
     env_displacement: float
 
 
-def conditional_balance(ep: Episode, kraus_env,
-                        evolved: EvolvedStates | None = None) -> ConditionalBalance:
+def conditional_balance(ep: Episode, kraus_env) -> ConditionalBalance:
     """Entropy production conditioned on a measurement of the environment.
 
     Measuring E after the interaction cannot back-act on S, so conditioning
@@ -642,7 +639,7 @@ def conditional_balance(ep: Episode, kraus_env,
     comp = sum(m.conj().T @ m for m in kraus)
     if np.abs(comp - np.eye(de)).max() > 1e-9:
         raise EpisodeError("Kraus operators do not resolve the identity on E")
-    ev = _own_evolution(ep, evolved)
+    ev = evolve(ep)
     base = balance(ep, ev)
     ds = ep.rho_system.dim
     eye_s = np.eye(ds)
@@ -734,8 +731,8 @@ def heat_capacity_bound(d_entropy_system: float, temperature: float, heat_capaci
 
     With Q(T') = int_T^T' C_E and S(T') = int_T^T' C_E/tau, the bound is
     Q_E >= Q(S^{-1}(-dS_S)).  S is inverted by a safeguarded Newton solve
-    to 1e-10 (`_invert_entropy`), each step a quadrature of C_E/tau and
-    the slope C_E(T')/T'.
+    to 1e-10 (`_invert_entropy`) below T' doubled from 2T to at most
+    T_MAX_FACTOR * T, each step a quadrature of C_E/tau and the slope C_E(T')/T'.
     Requires dS_S < 0 (erasure) so the target temperature lies above T.
     """
     _check_beta(temperature, EpisodeError, positive=True, name="temperature")
@@ -747,16 +744,31 @@ def heat_capacity_bound(d_entropy_system: float, temperature: float, heat_capaci
         return (_adaptive_simpson(lambda x: heat_capacity(x) / x, temperature, tp),
                 heat_capacity(tp) / tp)
 
-    t_prime = _invert_entropy(entropy, -d_entropy_system, temperature)
+    hi = 2.0 * temperature
+    while entropy(hi)[0] < -d_entropy_system:
+        hi *= 2.0
+        if hi > temperature * T_MAX_FACTOR:
+            raise EpisodeError("heat capacity too small to reach the requested entropy")
+    t_prime = _invert_entropy(entropy, -d_entropy_system, temperature, hi)
     return _adaptive_simpson(heat_capacity, temperature, float(t_prime))
 
 
 def gibbs_erasure_bound(d_entropy_system, temperature, energies):
-    """`heat_capacity_bound` of a Gibbs environment with the levels
-    `energies`, where S(T'), its slope Var_T'(E)/T'^3 and Q(T') are closed
-    forms: S = <E>/T' + ln Z and Q(T') = <E>_T' - <E>_T (Timpanaro, Santos
-    & Landi, PRL 124, 240601 (2020)).  Over rows: dS_S, T and one level set
-    per row."""
+    """`heat_capacity_bound` of a Gibbs environment with the levels `energies` (shared or
+    one set per row, as dS_S and T), in closed forms of beta' = 1/T': S = beta'<E> + ln Z,
+    its slope -beta' Var(E) and Q = <E>_beta' - <E>_beta (Timpanaro, Santos & Landi, PRL
+    124, 240601 (2020)).  beta' is searched on [0, beta], so every -dS_S up to the T' -> inf
+    end ln d_E - S(T) has a bound, <E>_uniform - <E>_T at the end; within ERASURE_END_TOL of
+    the end (dT'/dS is infinite there) it is the end, beyond it EpisodeError."""
+    bound, room = _gibbs_erasure_rows(d_entropy_system, temperature, energies)
+    if np.any(room < -ERASURE_END_TOL):
+        raise EpisodeError("heat capacity too small to reach the requested entropy")
+    return bound
+
+
+def _gibbs_erasure_rows(d_entropy_system, temperature, energies):
+    """`gibbs_erasure_bound` and the room ln d_E - S(T) + dS_S left to its end, with
+    a row past the end taken as at the end."""
     ds, temp = np.broadcast_arrays(np.asarray(d_entropy_system, float), _check_beta(
         temperature, EpisodeError, positive=True, name="temperature"))
     if not np.all(ds < 0):
@@ -764,36 +776,36 @@ def gibbs_erasure_bound(d_entropy_system, temperature, energies):
     levels = _real_array(energies, EpisodeError, "energies")
     levels = levels - levels.min(-1, keepdims=True)
 
-    def moments(tp):
-        """S, <E> and Var(E) at T' = tp."""
-        weights, log_z = _gibbs(levels, 1.0 / tp)
+    def moments(b):
+        """S, <E> and Var(E) at beta' = b."""
+        weights, log_z = _gibbs(levels, b)
         mean = (weights * levels).sum(-1)
-        return mean / tp + log_z, mean, (weights * (levels - mean[..., None]) ** 2).sum(-1)
+        return b * mean + log_z, mean, (weights * (levels - mean[..., None]) ** 2).sum(-1)
 
-    s0, e0, _ = moments(temp)
+    beta = 1.0 / temp
+    s0, e0, _ = moments(beta)
+    room = math.log(levels.shape[-1]) - s0 + ds
+    inside = room > ERASURE_END_TOL
 
-    def entropy(tp):
-        s, _, var = moments(tp)
-        return s - s0, var / tp ** 3
+    def entropy(b):
+        """S(beta) - S(b), increasing in b, and its slope b Var(E)."""
+        s, _, var = moments(b)
+        return s0 - s, b * var
 
-    return moments(_invert_entropy(entropy, -ds, temp))[1] - e0
+    # a row at the end is solved at beta (target 0) and then read at beta' = 0
+    b_prime = _invert_entropy(entropy, np.where(inside, ds, 0.0), 0.0, beta)
+    return moments(np.where(inside, b_prime, 0.0))[1] - e0, room
 
 
-def _invert_entropy(entropy, target, temperature):
-    """T' > T with S(T') = target, for entropy(T') = (S(T'), dS/dT') and S
-    increasing from 0 at T: the upper end doubled from 2T, then Newton steps
-    in the bracket [lo, hi], a step that would leave it taken as a bisection,
-    until the step or the bracket is below 1e-10 * max(1, T).  Over rows of
-    arrays as well, each row stepped as if alone."""
-    hi = 2.0 * temperature
+def _invert_entropy(entropy, target, lo, hi):
+    """x in [lo, hi] with S(x) = target, for entropy(x) = (S(x), dS/dx) and S
+    increasing with S(lo) <= target <= S(hi): Newton steps from hi in the
+    bracket [lo, hi], a step that would leave it taken as a bisection, until
+    the step or the bracket is below 1e-10 * max(1, lo).  Over rows of arrays
+    as well, each row stepped as if alone."""
     s, slope = entropy(hi)
-    while np.any(s < target):
-        hi = np.where(s < target, 2.0 * hi, hi)
-        if np.any(hi > temperature * T_MAX_FACTOR):
-            raise EpisodeError("heat capacity too small to reach the requested entropy")
-        s, slope = entropy(hi)
-    lo, t, live = temperature, hi, np.ones(np.shape(s), dtype=bool)
-    tol = 1e-10 * np.maximum(1.0, temperature)
+    t, live = hi, np.ones(np.shape(s), dtype=bool)
+    tol = 1e-10 * np.maximum(1.0, lo)
     for _ in range(200):
         below = s < target
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
@@ -833,24 +845,25 @@ class LandauerReport:
     satisfied: dict
 
 
-def landauer_report(ep: Episode, beta: float, heat_capacity=None) -> LandauerReport:
+def landauer_report(ep: Episode, beta: float) -> LandauerReport:
     """All erasure bounds that apply to one thermal-environment episode:
     row 0 of `landauer_rows`, with None for a bound that does not apply."""
-    rows = landauer_rows(ep._row, beta, heat_capacity)
-    bounds = {k: None if v is None or np.isnan(v[0]) else float(v[0])
+    rows = landauer_rows(ep._row, beta)
+    bounds = {k: None if np.isnan(v[0]) else float(v[0])
               for k, v in vars(rows).items() if k != "satisfied"}
     return LandauerReport(**bounds, satisfied={k: bool(v[0]) for k, v in rows.satisfied.items()
                                                if bounds["bound_" + k] is not None})
 
 
-def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None) -> LandauerReport:
+def landauer_rows(stack: EpisodeStack, beta) -> LandauerReport:
     """The erasure bounds of every row of a thermal-environment stack, beta a
     scalar or one per row.  The finite-dimension and heat-capacity bounds
     apply where dS_S < 0 and are NaN elsewhere; a check is True where its
-    bound does not apply.  heat_capacity is None, a callable C_E(T)
-    (`heat_capacity_bound`, row by row), or "gibbs": the closed form of the
-    Gibbs environment (`gibbs_erasure_bound` on the levels of every H_E that
-    its thermality check keeps)."""
+    bound does not apply.  The heat-capacity bound is that of the Gibbs
+    environment, `gibbs_erasure_bound` on the levels of every H_E that its
+    thermality check keeps; a row past the T' -> inf end is at the end, since a
+    rho_E that check passes may sit THERMALITY_TOL from Gibbs and so gain a
+    little more entropy than the Gibbs state could."""
     beta, levels = _require_thermal_rows(stack, beta)
     if not (beta > 0).all():
         raise EpisodeError("landauer_report needs beta > 0")
@@ -858,25 +871,17 @@ def landauer_rows(stack: EpisodeStack, beta, heat_capacity=None) -> LandauerRepo
     base = stack.balance
     ds, q = base.d_entropy_system, base.heat_env
     erasure = ds < 0
-    finite = np.full(len(stack), np.nan)
+    finite, capacity = np.full((2, len(stack)), np.nan)
     finite[erasure] = finite_dimension_bound(ds[erasure], temperature[erasure],
                                              stack.env_dims.total)
-    capacity = None
-    if heat_capacity is not None:
-        capacity = np.full(len(stack), np.nan)
-        if heat_capacity == "gibbs":
-            # the kept levels may be one Hamiltonian's (`_require_gibbs_rows`)
-            levels = np.broadcast_to(levels, (len(stack), levels.shape[-1]))
-            capacity[erasure] = gibbs_erasure_bound(
-                ds[erasure], temperature[erasure], levels[erasure])
-        else:
-            capacity[erasure] = [heat_capacity_bound(d, t, heat_capacity)
-                                 for d, t in zip(ds[erasure], temperature[erasure])]
+    # the kept levels may be one Hamiltonian's (`_require_gibbs_rows`)
+    capacity[erasure], _ = _gibbs_erasure_rows(ds[erasure], temperature[erasure],
+                                               levels if levels.ndim == 1 else levels[erasure])
     expo = _trace_rows(_response_rows(stack), stack.rho_system[0])
     bounds = {"basic": -temperature * ds, "finite_dim": finite,
               "heat_capacity": capacity, "exponential": -temperature * np.log(expo)}
-    return LandauerReport(q, ds, bounds["basic"], finite, capacity, bounds["exponential"],
-                          {k: ~(q < b - 1e-10) for k, b in bounds.items() if b is not None})
+    return LandauerReport(q, ds, *bounds.values(),
+                          {k: ~(q < b - 1e-10) for k, b in bounds.items()})
 
 
 def heat_distribution(ep: Episode, beta: float | None = None):

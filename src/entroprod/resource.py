@@ -30,16 +30,16 @@ import numpy as np
 from .core import (
     _check_beta,
     _check_probabilities,
+    _density_spectra,
     _density_stack,
+    _frozen_stack,
     _gibbs,
     _gibbs_states,
     _hermitian,
     _petz_renyi,
     _real_array,
     _spectrum,
-    _state_pair,
     dephase,
-    relative_entropy,
     thermal_state,
 )
 
@@ -403,11 +403,13 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID) ->
     not increase for any alpha in the grid.  Never merged with the
     population battery (except at alpha = 1 they combine into the plain
     data-processing statement).  Both states take every order in one
-    stacked call.  rho2 and H are read at rho1's size."""
-    d = len(_spectrum(rho1, ResourceError)[0])
-    _spectrum(rho2, ResourceError, d)
-    h = _hermitian(hamiltonian, ResourceError, d)
-    pairs = [_state_pair(rho, dephase(rho, h)) for rho in (rho1, rho2)]
+    stacked call.  rho2 and H are read at rho1's size, and each state, H and
+    the two dephased states (one stacked `eigh`) decomposed once."""
+    first = _spectrum(rho1, ResourceError)
+    spectra = first, _spectrum(rho2, ResourceError, len(first[0]))
+    h = _hermitian(hamiltonian, ResourceError, len(first[0]))
+    dephased = zip(*_density_spectra(dephase(_frozen_stack([rho1, rho2]), h)))
+    pairs = [(p, q, qv.conj().T @ pv) for (p, pv), (q, qv) in zip(spectra, dephased)]
     p, q, amp = (np.stack(x)[:, None] for x in zip(*pairs))
     s1, s2 = _petz_renyi(np.asarray(alphas, dtype=float), p, q, amp)
     return _battery(alphas, s1, s2)
@@ -440,14 +442,15 @@ def work_of_formation(pop: EnergyPopulations, beta: float) -> float:
 def interconversion_rate(rho1, rho2, beta: float, hamiltonian) -> float:
     """Optimal asymptotic rate R(rho1 -> rho2) =
     S(rho1 || rho_th) / S(rho2 || rho_th): interconversion is governed by
-    the entropy of full thermalization.  rho2 and H are read at rho1's size."""
-    d = len(_spectrum(rho1, ResourceError)[0])
-    _spectrum(rho2, ResourceError, d)
-    gibbs = thermal_state(_hermitian(hamiltonian, ResourceError, d), beta)
-    denom = relative_entropy(rho2, gibbs)
+    the entropy of full thermalization.  rho2 and H are read at rho1's size,
+    and each state and H decomposed once."""
+    first = _spectrum(rho1, ResourceError)
+    spectra = first, _spectrum(rho2, ResourceError, len(first[0]))
+    q, qv = thermal_state(_hermitian(hamiltonian, ResourceError, len(first[0])), beta).eig()
+    num, denom = (float(_petz_renyi(1.0, p, q, qv.conj().T @ pv)) for p, pv in spectra)
     if denom <= THERMAL_TOL:
         raise ResourceError("target state is thermal; interconversion rate undefined")
-    return relative_entropy(rho1, gibbs) / denom
+    return num / denom
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def landauer_suite(n_episodes=100, tol=1e-10):
     in the closed form of the Gibbs bath (`eps.gibbs_erasure_bound`)."""
     rng = np.random.default_rng(303)
     stack, beta = _qubit_stack(rng, n_episodes, thermal_env=True)
-    rep = eps.landauer_rows(stack, beta, heat_capacity="gibbs")
+    rep = eps.landauer_rows(stack, beta)
     erasure = rep.d_entropy_system < 0
     q, basic = rep.heat_env[erasure], rep.bound_basic[erasure]
     finite, hc = rep.bound_finite_dim[erasure], rep.bound_heat_capacity[erasure]

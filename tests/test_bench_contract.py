@@ -104,9 +104,9 @@ def test_landauer_inversions_take_few_entropy_evaluations(monkeypatch):
     from entroprod import episodes as eps
     invert, counts = eps._invert_entropy, []
 
-    def counted(entropy, target, temperature):
+    def counted(entropy, target, lo, hi):
         calls = []
-        t_prime = invert(lambda t: calls.append(t) or entropy(t), target, temperature)
+        t_prime = invert(lambda t: calls.append(t) or entropy(t), target, lo, hi)
         counts.append(len(calls))
         return t_prime
     monkeypatch.setattr(eps, "_invert_entropy", counted)

@@ -381,11 +381,13 @@ def test_four_stroke_thermal_clausius_form():
     assert abs(hot.sigma_general + cold.sigma_general - clausius) < 1e-10
 
 
-def test_four_stroke_reads_bare_unitaries():
+def test_four_stroke_reads_bare_operands():
     v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys = four_stroke_setup()
-    typed = cm.four_stroke(v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys, h_hot=H_QUBIT, h_cold=H_QUBIT)
-    bare = cm.four_stroke(v1.matrix, v2.matrix, u_sh.matrix, u_sc.matrix, rho_h, rho_c, h_sys,
-                          h_hot=H_QUBIT, h_cold=H_QUBIT)
+    rho0 = random_density(3, np.random.default_rng(36))
+    typed = cm.four_stroke(v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys, h_hot=H_QUBIT, h_cold=H_QUBIT,
+                           rho0=rho0)
+    bare = cm.four_stroke(*(x.matrix for x in (v1, v2, u_sh, u_sc, rho_h, rho_c, h_sys)),
+                          h_hot=H_QUBIT.matrix, h_cold=H_QUBIT.matrix, rho0=rho0.matrix)
     assert np.array_equal(bare.limit_cycle.matrix, typed.limit_cycle.matrix)
     fields = ("sigma_hot", "sigma_cold", "flux_hot", "flux_cold", "d_entropy_system", "q_hot",
               "q_cold")

@@ -373,7 +373,6 @@ def test_decompositions_per_state(monkeypatch):
         return len(calls)
 
     assert count(lambda: eps.thermal_balance(ep, 1.2)) <= 6
-    assert count(lambda: eps.thermal_balance(ep, 1.2, evolved=ev)) <= 3
     assert count(lambda: eps.balance(ep, ev)) == 0
     assert count(lambda: tj.backward_ensemble(ep, tj.BackwardChoice.BOTH_RESET)) <= 3
     # the episode keeps its evolution: only the thermality check is left
@@ -433,9 +432,6 @@ def test_balances_reject_foreign_evolved_states():
     heat, parts = three_qubit_heat_episode()
     routes = [
         (qubit, lambda ep, ev: eps.balance(ep, ev).sigma),
-        (qubit, lambda ep, ev: eps.thermal_balance(ep, 1.2, evolved=ev).sigma),
-        (qubit, lambda ep, ev: eps.conditional_balance(ep, [np.eye(2)], evolved=ev)
-         .sigma_conditional),
         (heat, lambda ep, ev: eps.multibath_balance(ep, parts, evolved=ev).sigma),
     ]
     for ep, route in routes:
@@ -458,7 +454,7 @@ def test_conditional_balance_projective_in_env_eigenbasis():
     ev = eps.evolve(ep)
     _, vecs = np.linalg.eigh(ev.rho_env.matrix)
     kraus = [np.outer(vecs[:, k], vecs[:, k].conj()) for k in range(2)]
-    cond = eps.conditional_balance(ep, kraus, evolved=ev)
+    cond = eps.conditional_balance(ep, kraus)
     assert cond.backaction_free
     assert cond.holevo <= cond.mutual_info + 1e-10
     assert cond.holevo >= -1e-12
@@ -556,14 +552,60 @@ def test_landauer_report_gibbs_route_is_the_schottky_route():
         beta = 0.5 + 1.5 * rng.random()
         ep = random_episode(rng, beta=beta)
         gap = float(np.ptp(np.linalg.eigvalsh(ep.h_env.matrix)))
-        rep = eps.landauer_report(ep, beta, heat_capacity="gibbs")
-        quad = eps.landauer_report(ep, beta, heat_capacity=schottky(gap))
+        rep = eps.landauer_report(ep, beta)
         assert (rep.bound_heat_capacity is None) == (rep.d_entropy_system >= 0)
         if rep.bound_heat_capacity is not None:
             erasures += 1
-            assert abs(rep.bound_heat_capacity - quad.bound_heat_capacity) <= 1e-8
+            quad = eps.heat_capacity_bound(rep.d_entropy_system, 1.0 / beta, schottky(gap))
+            assert abs(rep.bound_heat_capacity - quad) <= 1e-8
             assert rep.satisfied["heat_capacity"]
     assert erasures > 0
+
+
+def test_a_saturating_swap_reaches_the_infinite_temperature_end():
+    # the full SWAP of a maximally mixed qubit into a Gibbs qubit leaves E
+    # maximally mixed: -dS_S = ln 2 - S(T), and Q_E = <E>_uniform - <E>_T is the bound
+    h = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+    swap = UnitaryOperator.from_matrix(SWAP4, (2, 2))
+    ep = eps.Episode(h, h, swap, DensityOperator.maximally_mixed(2), thermal_state(h, 1.0))
+    rep = eps.landauer_report(ep, 1.0)
+    assert abs(rep.bound_heat_capacity - 0.2310585786300049) <= 1e-10
+    assert abs(rep.heat_env - (0.5 - 1.0 / (1.0 + math.e))) <= 1e-15
+    assert rep.satisfied["heat_capacity"]
+    end = math.log(2.0) - (1.0 / (1.0 + math.e) + math.log(1.0 + math.exp(-1.0)))
+    for ds in (-end, -end - 0.5 * eps.ERASURE_END_TOL, -end + 0.5 * eps.ERASURE_END_TOL):
+        assert eps.gibbs_erasure_bound(ds, 1.0, [0.0, 1.0]) == pytest.approx(
+            0.5 - 1.0 / (1.0 + math.e), abs=1e-15)
+    # just inside the end, beta' is small but not 0
+    below = eps.gibbs_erasure_bound(-end + 1e-6, 1.0, [0.0, 1.0])
+    assert 0.2310585786300049 - 2e-3 < below < 0.2310585786300049
+    with pytest.raises(eps.EpisodeError, match="too small"):
+        eps.gibbs_erasure_bound(-end - 2.0 * eps.ERASURE_END_TOL, 1.0, [0.0, 1.0])
+    with pytest.raises(eps.EpisodeError, match="too small"):
+        eps.gibbs_erasure_bound(-1.0, 1.0, [0, 1])
+
+
+def test_a_thermal_rho_e_past_the_gibbs_end_is_at_the_end():
+    # rho_E passes the thermality check but has S(rho_E) ~5e-10 below S(T): under the
+    # full SWAP -dS_S passes ln 2 - S(T) by that much, and the bound is the end's
+    h = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
+    p = 1.0 / (1.0 + math.exp(-1.0))
+    rho_e = DensityOperator.from_matrix(np.diag([p + 5e-10, 1.0 - p - 5e-10]))
+    ep = eps.Episode(h, h, UnitaryOperator.from_matrix(SWAP4, (2, 2)),
+                     DensityOperator.maximally_mixed(2), rho_e)
+    rep = eps.landauer_report(ep, 1.0)
+    assert abs(rep.bound_heat_capacity - 0.2310585786300049) <= 1e-10
+    assert rep.satisfied["heat_capacity"]
+    with pytest.raises(eps.EpisodeError, match="too small"):
+        eps.gibbs_erasure_bound(rep.d_entropy_system, 1.0, [0.0, 1.0])
+    # one such row in a stack leaves the other rows as they are
+    gibbs = thermal_state(h, 1.0)
+    two = np.stack([h.matrix] * 2)
+    stack = eps.EpisodeStack.of(two, two, np.stack([SWAP4] * 2),
+                                [DensityOperator.maximally_mixed(2)] * 2, [rho_e, gibbs])
+    rows = eps.landauer_rows(stack, 1.0)
+    assert np.allclose(rows.bound_heat_capacity, 0.2310585786300049, rtol=0.0, atol=1e-10)
+    assert rows.satisfied["heat_capacity"].all()
 
 
 def test_landauer_gibbs_levels_after_a_multibath_check_of_all_of_e():
@@ -576,8 +618,8 @@ def test_landauer_gibbs_levels_after_a_multibath_check_of_all_of_e():
         ep = random_episode(rng, beta=beta)
         fresh = eps.Episode(ep.h_system, ep.h_env, ep.unitary, ep.rho_system, ep.rho_env)
         eps.multibath_balance(ep, [eps.BathPart((0,), ep.h_env, beta)])
-        rep = eps.landauer_report(ep, beta, heat_capacity="gibbs")
-        assert rep == eps.landauer_report(fresh, beta, heat_capacity="gibbs")
+        rep = eps.landauer_report(ep, beta)
+        assert rep == eps.landauer_report(fresh, beta)
         erasures += rep.bound_heat_capacity is not None
     assert erasures > 0
 

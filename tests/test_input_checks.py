@@ -211,6 +211,35 @@ CASES = {
         lambda: cm.continuous_limit(np.kron(PAULI_X, PAULI_X), RHO2,
                                     [(SIGMA_MINUS, [[NAN, 0.0], [0.0, 0.0]], 1.0)]),
         cm.CollisionalError, "NaN or infinite entries"),
+    "collisional.continuous_limit pairs that are not V": (
+        lambda: cm.continuous_limit(0.3 * (np.kron(core.SIGMA_PLUS, SIGMA_MINUS)
+                                           + np.kron(SIGMA_MINUS, core.SIGMA_PLUS)), RHO2,
+                                    [(PAULI_Z, SIGMA_MINUS, 1.5)]),
+        cm.CollisionalError, "pairs miss V by 1.500e+00"),
+    "collisional.continuous_limit pair operator on the ancilla size": (
+        lambda: cm.continuous_limit(np.kron(PAULI_X, PAULI_X), RHO2,
+                                    [(np.eye(3), SIGMA_MINUS, 1.0)]),
+        cm.CollisionalError, "3x3, expected 2x2"),
+    "collisional.four_stroke bare h_hot": (
+        lambda: cm.four_stroke(np.eye(2), np.eye(2), ID4, ID4, RHO2, RHO2, H2, h_hot=np.eye(3)),
+        cm.CollisionalError, "3x3, expected 2x2"),
+    "collisional.four_stroke bare h_cold": (
+        lambda: cm.four_stroke(np.eye(2), np.eye(2), ID4, ID4, RHO2, RHO2, H2, h_cold=np.eye(3)),
+        cm.CollisionalError, "3x3, expected 2x2"),
+    "collisional.four_stroke bare rho0": (
+        lambda: cm.four_stroke(np.eye(2), np.eye(2), ID4, ID4, RHO2, RHO2, H2,
+                               rho0=np.eye(3) / 3),
+        cm.CollisionalError, "3x3, expected 2x2"),
+    "collisional.four_stroke bare rho0 that is not a state": (
+        lambda: cm.four_stroke(np.eye(2), np.eye(2), ID4, ID4, RHO2, RHO2, H2,
+                               rho0=np.diag([1.5, -0.5])),
+        cm.CollisionalError, "negative eigenvalue -5.000e-01"),
+    "collisional.four_stroke bare rho_hot": (
+        lambda: cm.four_stroke(np.eye(2), np.eye(2), ID4, ID4, np.eye(3) / 3, RHO2, H2),
+        cm.CollisionalError, "4x4, expected 6x6"),
+    "collisional.four_stroke bare h_system": (
+        lambda: cm.four_stroke(np.eye(2), np.eye(2), ID4, ID4, RHO2, RHO2, np.eye(3)),
+        cm.CollisionalError, "2x2, expected 3x3"),
     "collisional.preferred_basis work strokes": (
         lambda: cm.preferred_basis(cm.CollisionSpec((_stroke(),), (H2,), (FLIP,)), RHO2, 2),
         cm.CollisionalError, "instantaneous (identity) work strokes"),

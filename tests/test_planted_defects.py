@@ -23,9 +23,12 @@ read without the `.conj()` of the final bases breaks the exchange form.  The
 finite-dimension erasure bound with its correction halved satisfies every
 inequality of the landauer suite, so the record "landauer finite-d bound
 closed form" compares it with the Reeb-Wolf bound written out there.  The
-hot flux of `four_stroke` taken with the cold stroke's dS_S moves the net
-flux off the net production, which the swap-engine record "swap closed
-forms == four-stroke cycle" compares with the closed-form Sigma."""
+Gibbs erasure bound read as <E>_T', without subtracting <E>_T, rises above
+the heat of the erasures, which the record "landauer heat-capacity bound
+dominates" compares with it.  The hot flux of `four_stroke` taken with the
+cold stroke's dS_S moves the net flux off the net production, which the
+swap-engine record "swap closed forms == four-stroke cycle" compares with
+the closed-form Sigma."""
 
 import inspect
 import textwrap
@@ -44,6 +47,7 @@ MULTIBATH_PARTS = "route-equality", "multibath Sigma == T + sum_k D(rho_Ek' || r
 FT_AVERAGE = "ft-table", "ft-table correlations_destroyed average"
 FT_EXCHANGE = "ft-table", "ft-table exchange form (both reset, conserving)"
 FINITE_DIM = "landauer", "landauer finite-d bound closed form"
+CAPACITY = "landauer", "landauer heat-capacity bound dominates"
 FOUR_STROKE = "swap-engine", "swap closed forms == four-stroke cycle"
 
 
@@ -148,6 +152,12 @@ def halved_correction(monkeypatch):
                         mutant(eps.finite_dimension_bound, "corr = 2.0 *", "corr = 1.0 *"))
 
 
+def heat_without_the_initial_energy(monkeypatch):
+    # Q(T') = <E>_T' in place of <E>_T' - <E>_T in the Gibbs erasure bound
+    monkeypatch.setattr(eps, "_gibbs_erasure_rows",
+                        mutant(eps._gibbs_erasure_rows, ")[1] - e0", ")[1]"))
+
+
 def flux_of_the_other_stroke(monkeypatch):
     # Phi_hot = Sigma_hot - dS_S of the cold stroke, not of the hot one, in four_stroke
     monkeypatch.setattr(cm, "four_stroke", mutant(cm.four_stroke, "hot.sigma_general - (s1 - s0)",
@@ -169,6 +179,7 @@ DEFECTS = {
     "EpisodeStack.evolved conjugating by U^dag . U": (inverse_conjugation, FT_AVERAGE),
     "transition tensor without .conj()": (transitions_unconjugated, FT_EXCHANGE),
     "finite-dimension correction halved": (halved_correction, FINITE_DIM),
+    "Gibbs erasure heat without <E>_T": (heat_without_the_initial_energy, CAPACITY),
     "four-stroke hot flux with the cold stroke's dS_S": (flux_of_the_other_stroke, FOUR_STROKE),
 }
 
@@ -178,7 +189,7 @@ def test_the_record_passes_without_a_defect():
     assert record(*FLUX)[1]
     assert record(*CLAUSIUS)[1]
     for name in (FIXED_POINT, MULTIBATH, MULTIBATH_PARTS, FT_AVERAGE, FT_EXCHANGE, FINITE_DIM,
-                 FOUR_STROKE):
+                 CAPACITY, FOUR_STROKE):
         assert record(*name)[1]
 
 

@@ -437,9 +437,8 @@ def test_row_forms_are_the_one_episode_calls(draw):
                  for i in range(len(draw["env"]))]
     assert_rows(eps.multibath_balance_rows(stack, bath_rows),
                 [eps.multibath_balance(ep, p) for ep, p in zip(episodes, parts)])
-    for capacity in (None, "gibbs"):
-        assert_rows(eps.landauer_rows(stack, betas, capacity),
-                    [eps.landauer_report(ep, b, capacity) for ep, b in zip(episodes, betas)])
+    assert_rows(eps.landauer_rows(stack, betas),
+                [eps.landauer_report(ep, b) for ep, b in zip(episodes, betas)])
     gibbs = DensityOperator.from_stack(
         [thermal_state(ep.h_system, b).matrix for ep, b in zip(episodes, betas)])
     fixed = eps.fixed_point_sigma_rows(stack.rho_system[1:], stack.evolved[1][1:],

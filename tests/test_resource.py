@@ -278,6 +278,28 @@ def test_interconversion_rate_limits():
         rs.interconversion_rate(rho, gibbs, BETA, h)
 
 
+def test_coherence_laws_and_rates_decompose_each_state_once(monkeypatch):
+    # two bare qutrit states: each state, H and the two dephased states (one
+    # stacked eigh) for the coherence laws, with the one stacked eigvalsh of
+    # the order-inf divergence; each state and H for the rate
+    rng = np.random.default_rng(37)
+    rho1, rho2 = random_density(3, rng), random_density(3, rng)
+    h = random_hermitian(3, rng)
+    want_laws = rs.coherence_second_laws(rho1, rho2, h)
+    gibbs = thermal_state(h, BETA)
+    want_rate = core.relative_entropy(rho1, gibbs) / core.relative_entropy(rho2, gibbs)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    assert rs.coherence_second_laws(rho1.matrix, rho2.matrix, h) == want_laws
+    assert sorted(calls) == ["eigh"] * 4 + ["eigvalsh"]
+    calls.clear()
+    assert rs.interconversion_rate(rho1.matrix, rho2.matrix, BETA, h) == want_rate
+    assert calls == ["eigh"] * 3
+
+
 def test_interconversion_rate_pure_states():
     beta_eps = 1.0
     h = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
