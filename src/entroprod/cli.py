@@ -6,8 +6,10 @@
 Config schema (version "v1"): {"schema": "v1", "kind": <scenario>,
 "parameters": {...}, "sweep": {"parameter": name, "grid": [...]},
 "seed": int, "output": {"path": ..., "format": "csv"|"json"}}.
-Each kind reads the parameter keys listed for it in SCENARIOS; any other
-key is a validation error.
+Each kind declares its parameters once, in SCENARIOS, and one reader
+(`_read`) checks a config against them for `load_config` and `run_config`
+alike, before anything runs: any other key is a validation error, and every
+value, grid values included, passes its parameter's rule.
 Runs are deterministic given the seed; every CSV carries a header row and
 a provenance comment with the config hash and seed.  Exit codes: 0 ok,
 2 validation error, 3 numerical failure; in a sweep the failure names its
@@ -40,6 +42,7 @@ SCHEMA_VERSION = "v1"
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+REQUIRED = None     # the default of a parameter a config must give
 
 
 class ConfigError(ValueError):
@@ -57,15 +60,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _real(params: dict, name: str, default: float | None = None) -> float:
-    """A real parameter, required when it has no default: a finite int or
-    float; anything else (true, "1.5", null, NaN, Infinity) is a ConfigError,
-    not silently converted."""
-    if name not in params:
-        if default is None:
-            raise ConfigError(f"missing required parameter '{name}'")
-        return default
-    value = params[name]
+def _real(name: str, value) -> float:
+    """A real parameter: a finite int or float; anything else (true, "1.5",
+    null, NaN, Infinity) is a ConfigError, not silently converted."""
     # the bound is False for NaN and infinities, and exact for ints past a float
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not abs(value) <= sys.float_info.max:
@@ -73,10 +70,9 @@ def _real(params: dict, name: str, default: float | None = None) -> float:
     return float(value)
 
 
-def _integer(params: dict, name: str, default: int) -> int:
+def _integer(name: str, value) -> int:
     """An integral parameter or seed: an int, or a float that is a whole
     number; anything else (2.7, "3", true) is a ConfigError, not truncated."""
-    value = params.get(name, default)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -85,26 +81,19 @@ def _integer(params: dict, name: str, default: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Scenario table builders: each returns (header, rows)
+# Scenario table builders: each takes the seeded rng and its checked
+# parameters (SCENARIOS) by name, and returns (header, rows)
 # ---------------------------------------------------------------------------
 
-def _scenario_collisional(params, rng):
+def _scenario_collisional(rng, t_a, t_b, eps_a, ratio):
     """SWAP engine sweep over the gap ratio."""
-    t_a = _real(params, "t_a")
-    t_b = _real(params, "t_b")
-    eps_a = _real(params, "eps_a")
-    ratio = _real(params, "ratio", 0.5)
-    spec = cm.SwapEngineSpec(eps_a, ratio * eps_a, t_a, t_b)
-    res = cm.swap_engine(spec)
+    res = cm.swap_engine(cm.SwapEngineSpec(eps_a, ratio * eps_a, t_a, t_b))
     return (["ratio", "W", "Qa", "Qb", "Sigma", "regime"],
             [[ratio, res.work, res.q_a, res.q_b, res.sigma, res.regime]])
 
 
-def _scenario_episode(params, rng):
+def _scenario_episode(rng, beta, omega, g):
     """Random (seeded) resonant-qubit thermal episode balance."""
-    beta = _real(params, "beta")
-    omega = _real(params, "omega", 1.0)
-    g = _real(params, "g", 0.7)
     from .core import SIGMA_MINUS, SIGMA_PLUS, UnitaryOperator, hermitian_function, thermal_state
     from .rand import random_density
     h = HermitianOperator.from_matrix(omega * np.diag([0.0, 1.0]))
@@ -117,27 +106,17 @@ def _scenario_episode(params, rng):
     return (["g", "sigma", "flux", "dS_S", "I_SE", "D_env", "Q_E", "W"], [row])
 
 
-def _scenario_trajectories(params, rng):
+def _scenario_trajectories(rng, beta, dlam):
     """Qubit sudden-quench work distribution."""
-    beta = _real(params, "beta")
-    dlam = _real(params, "dlam", 0.3)
-    h_i = PAULI_Z
-    h_f = PAULI_Z + dlam * PAULI_X
-    stats = tj.work_distribution(h_i, h_f, np.eye(2), beta)
+    stats = tj.work_distribution(PAULI_Z, PAULI_Z + dlam * PAULI_X, np.eye(2), beta)
     rows = [[v, p] for v, p in zip(stats.forward.values,
                                    stats.forward.probabilities)]
     return (["value", "probability"], rows)
 
 
-def _scenario_lindblad(params, rng):
+def _scenario_lindblad(rng, drive, delta, kerr, kappa, n_scale, fock_cut):
     """Liouvillian gap and steady occupation of the driven Kerr model."""
-    drive = _real(params, "drive")
-    n_scale = _integer(params, "n_scale", 1)
-    fock_cut = _integer(params, "fock_cut", 20)
-    model = lb.kerr_model(_real(params, "delta", -2.0),
-                          _real(params, "kerr", 1.0),
-                          drive, _real(params, "kappa", 0.5),
-                          n_scale=n_scale, fock_cut=fock_cut)
+    model = lb.kerr_model(delta, kerr, drive, kappa, n_scale=n_scale, fock_cut=fock_cut)
     gap_val = lb.gap(model)
     rho_ss = lb.steady_state(model)
     n_mean, _ = lb.validate_kerr_truncation(model, rho_ss)
@@ -145,56 +124,49 @@ def _scenario_lindblad(params, rng):
             [[drive, gap_val, n_mean / n_scale, n_mean]])
 
 
-def _scenario_gaussian(params, rng):
+def _scenario_gaussian(rng, g_ab, omega_a, omega_b, kappa_a, gamma_b, n_tb):
     """Two-mode NESS sweep row."""
-    g_ab = _real(params, "g_ab")
-    spec = gs.TwoModeNessSpec(
-        _real(params, "omega_a", 1.0), _real(params, "omega_b", 1.5),
-        g_ab, _real(params, "kappa_a", 0.4),
-        _real(params, "gamma_b", 0.2), _real(params, "n_tb", 0.6))
-    res = gs.two_mode_ness(spec)
+    res = gs.two_mode_ness(gs.TwoModeNessSpec(omega_a, omega_b, g_ab, kappa_a, gamma_b, n_tb))
     return (["g_ab", "n_a", "n_b", "Pi", "mu_a", "mu_b"],
             [[g_ab, res.n_a, res.n_b, res.entropy_rate, res.mu_a, res.mu_b]])
 
 
-def _scenario_classical(params, rng):
+def _scenario_classical(rng, temperature, mu, n_sites, coupling):
     """Competing-reservoir Ising lattice entropy production."""
-    temperature = _real(params, "temperature")
-    mu = _real(params, "mu", 0.8)
-    n_sites = _integer(params, "n_sites", 4)
-    w = cl.glauber_ising_competing(n_sites, _real(params, "coupling", 1.0),
-                                   temperature, mu, -mu,
+    w = cl.glauber_ising_competing(n_sites, coupling, temperature, mu, -mu,
                                    cl.ring_adjacency(n_sites))
-    p_ss = cl.stationary_distribution(w)
-    sigma, lumped = cl.multibath_sigma(w, p_ss)
+    sigma, lumped = cl.multibath_sigma(w, cl.stationary_distribution(w))
     return (["T", "sigma", "sigma_lumped"], [[temperature, sigma, lumped]])
 
 
-def _scenario_resource(params, rng):
+def _scenario_resource(rng, beta, gap, denominator):
     """Thermo-majorization verdict for a random (seeded) qubit pair."""
-    beta = _real(params, "beta")
-    e2 = np.array([0.0, _real(params, "gap", 1.0)])
+    e2 = np.array([0.0, gap])
     pop1 = rs.EnergyPopulations(e2, random_probability(2, rng))
     pop2 = rs.EnergyPopulations(e2, random_probability(2, rng))
     verdict = rs.thermo_majorizes(pop1, pop2, beta)
-    g1, err = rs.gamma_embed(pop1, beta, _integer(params, "denominator", 10_000))
+    g1, err = rs.gamma_embed(pop1, beta, denominator)
     return (["beta", "p1_ground", "p2_ground", "verdict", "embedding_error"],
             [[beta, pop1.probabilities[0], pop2.probabilities[0],
               verdict.value, err]])
 
 
-# Each scenario with the parameter keys it reads; a config naming any other
-# key, in "parameters" or as the sweep parameter, is a validation error.
+# Each scenario with its parameters, each declared once, with its default or
+# REQUIRED: an int default marks an integer (`_integer`), any other a real
+# (`_real`).  A config naming any other key, in "parameters" or as the sweep
+# parameter, is a validation error.
 SCENARIOS = {
-    "collisional": (_scenario_collisional, ("t_a", "t_b", "eps_a", "ratio")),
-    "episode": (_scenario_episode, ("beta", "omega", "g")),
-    "trajectories": (_scenario_trajectories, ("beta", "dlam")),
-    "lindblad": (_scenario_lindblad,
-                 ("drive", "delta", "kerr", "kappa", "n_scale", "fock_cut")),
-    "gaussian": (_scenario_gaussian,
-                 ("g_ab", "omega_a", "omega_b", "kappa_a", "gamma_b", "n_tb")),
-    "classical": (_scenario_classical, ("temperature", "mu", "n_sites", "coupling")),
-    "resource": (_scenario_resource, ("beta", "gap", "denominator")),
+    "collisional": (_scenario_collisional,
+                    {"t_a": REQUIRED, "t_b": REQUIRED, "eps_a": REQUIRED, "ratio": 0.5}),
+    "episode": (_scenario_episode, {"beta": REQUIRED, "omega": 1.0, "g": 0.7}),
+    "trajectories": (_scenario_trajectories, {"beta": REQUIRED, "dlam": 0.3}),
+    "lindblad": (_scenario_lindblad, {"drive": REQUIRED, "delta": -2.0, "kerr": 1.0,
+                                      "kappa": 0.5, "n_scale": 1, "fock_cut": 20}),
+    "gaussian": (_scenario_gaussian, {"g_ab": REQUIRED, "omega_a": 1.0, "omega_b": 1.5,
+                                      "kappa_a": 0.4, "gamma_b": 0.2, "n_tb": 0.6}),
+    "classical": (_scenario_classical, {"temperature": REQUIRED, "mu": 0.8, "n_sites": 4,
+                                        "coupling": 1.0}),
+    "resource": (_scenario_resource, {"beta": REQUIRED, "gap": 1.0, "denominator": 10_000}),
 }
 
 
@@ -202,83 +174,93 @@ SCENARIOS = {
 # Config handling and output
 # ---------------------------------------------------------------------------
 
-def load_config(path: Path) -> dict:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+def _point(declared: dict, given: dict) -> dict:
+    """Every declared parameter, checked by its rule: the given value, else its default."""
+    point = {}
+    for name, default in declared.items():
+        if name not in given:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required parameter '{name}'")
+            point[name] = default
+        else:
+            point[name] = (_integer if type(default) is int else _real)(name, given[name])
+    return point
+
+
+def _read(cfg) -> tuple:
+    """The one config reader: (builder, checked points, swept parameter or None,
+    seed, output path, format) of a config dict, else a ConfigError."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema '{cfg.get('schema')}'")
     kind = cfg.get("kind")
-    if kind not in SCENARIOS:
+    if not isinstance(kind, str) or kind not in SCENARIOS:
         raise ConfigError(f"unknown kind '{kind}'; choose from {sorted(SCENARIOS)}")
+    builder, declared = SCENARIOS[kind]
     params = cfg.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError("'parameters' must be an object")
-    sweep = cfg.get("sweep")
+    sweep, swept = cfg.get("sweep"), None
     if sweep is not None:
         if not isinstance(sweep, dict) or "parameter" not in sweep \
                 or "grid" not in sweep:
             raise ConfigError("'sweep' needs 'parameter' and 'grid'")
         if not isinstance(sweep["grid"], list) or len(sweep["grid"]) == 0:
             raise ConfigError("sweep grid must be a non-empty list")
-    keys = SCENARIOS[kind][1]
-    unknown = [k for k in list(params) + ([] if sweep is None else [sweep["parameter"]])
-               if k not in keys]
+        swept = sweep["parameter"]
+    keys = list(declared)
+    unknown = [k for k in [*params, *([] if sweep is None else [swept])] if k not in keys]
     if unknown:
         raise ConfigError(f"unknown parameter(s) {unknown} for kind '{kind}'; "
-                          f"it reads {list(keys)}")
-    return cfg
-
-
-def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
-    kind = cfg["kind"]
-    scenario = SCENARIOS[kind][0]
-    seed = _integer(cfg, "seed", 0)
+                          f"it reads {keys}")
+    seed = _integer("seed", cfg.get("seed", 0))
     if seed < 0:
         raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
-    params = dict(cfg.get("parameters", {}))
-    sweep = cfg.get("sweep")
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("'output' must be an object")
     path = output.get("path", f"{kind}.csv")
     if not isinstance(path, str):
         raise ConfigError(f"'output.path' must be a string, got {path!r}")
-    out_path = Path(path)
-    if out_dir is not None:
-        out_path = out_dir / out_path.name
+    if not Path(path).name:
+        raise ConfigError(f"'output.path' names no file, got {path!r}")
     fmt = output.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format '{fmt}'")
+    points = [_point(declared, params if sweep is None else {**params, swept: value})
+              for value in ([None] if sweep is None else sweep["grid"])]
+    return builder, points, swept, seed, path, fmt
 
-    points = [params]
-    if sweep is not None:
-        points = []
-        for value in sweep["grid"]:
-            p = dict(params)
-            p[sweep["parameter"]] = value
-            points.append(p)
+
+def load_config(path: Path) -> dict:
+    """The config in the JSON file at `path`, once `_read` passes it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    try:
+        cfg = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    _read(cfg)
+    return cfg
+
+
+def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
+    scenario, points, swept, seed, path, fmt = _read(cfg)
+    out_path = Path(path) if out_dir is None else out_dir / Path(path).name
 
     def run_point(idx_point):
         idx, point = idx_point
         rng = np.random.default_rng(seed + idx)
         try:
-            return scenario(point, rng)
-        except ConfigError:
-            raise
+            return scenario(rng, **point)
         except (ValueError, ArithmeticError) as exc:
-            if sweep is None:
+            if swept is None:
                 raise
-            name = sweep["parameter"]
             raise SweepPointError(
-                f"sweep point {idx} ({name} = {point[name]!r}): {exc}") from exc
+                f"sweep point {idx} ({swept} = {point[swept]!r}): {exc}") from exc
 
     if jobs > 1 and len(points) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -332,10 +314,6 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
             out = run_config(cfg, args.out, max(1, args.jobs))
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -56,7 +56,7 @@ from .core import (
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
-    _spectrum,
+    _typed,
     _unitary,
     add_lindblad_term,
     ancilla_kraus,
@@ -197,7 +197,7 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
     their (matrices, weights, eigenvectors) as three stacks, rho_0's one-row stack (cheaper
     than restacking the states) joined to rho_1 .. rho_n validated as one (`_density_stack`)."""
     ds = spec.dim_system
-    _spectrum(rho0, CollisionalError, ds)
+    rho0 = _typed(DensityOperator, rho0, CollisionalError, ds, spec.h_system[0].dims)
     channels = spec._channels
     vecs = np.empty((n_strokes + 1, ds * ds), dtype=complex)
     vecs[0] = vec(rho0.matrix)
@@ -335,6 +335,7 @@ def continuous_limit(v_int, rho_ancilla: DensityOperator, pairs=None) -> Dissipa
     ancilla sizes, and pairs whose sum misses V by more than PAIRS_TOL are an error.
     """
     v = _hermitian(v_int, CollisionalError)
+    rho_ancilla = _typed(DensityOperator, rho_ancilla, CollisionalError)
     ra = rho_ancilla.matrix
     da = rho_ancilla.dim
     d = max(1, len(v) // da)
@@ -559,13 +560,6 @@ class FourStrokeResult:
     q_cold: float | None
 
 
-def _typed(kind, op, reader, dim=None):
-    """op as the operator type `kind` once `reader` (`core._unitary`, `_hermitian` or `_spectrum`)
-    passes it with CollisionalError at size `dim`, if given; a bare matrix is wrapped."""
-    reader(op, CollisionalError, dim)
-    return op if isinstance(op, kind) else kind.from_matrix(op)
-
-
 def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
                 rho_cold: DensityOperator, h_system: HermitianOperator,
                 h_hot: HermitianOperator | None = None,
@@ -582,20 +576,21 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
     v1^dag (rho0 default maximally mixed) projected onto the cycle channel's fixed points,
     reported rotated back by v1^dag, so an all-identity cycle keeps rho0.  A cycle that
     never settles raises CollisionalError (see the module docstring), as do an operand
-    failing its reader (`_typed`) and an operator of another size than H_S (on S) and its
+    failing its reader (`core._typed`) and an operator of another size than H_S (on S) and its
     bath (on A, S x A).
     """
-    h_system = _typed(HermitianOperator, h_system, _hermitian)
+    h_system = _typed(HermitianOperator, h_system, CollisionalError)
     ds = h_system.dim
-    v1, v2 = (_typed(UnitaryOperator, v, _unitary, ds) for v in (v1, v2))
+    v1, v2 = (_typed(UnitaryOperator, v, CollisionalError, ds) for v in (v1, v2))
     rho = (DensityOperator.maximally_mixed(h_system.dims) if rho0 is None
-           else _typed(DensityOperator, rho0, _spectrum, ds))
+           else _typed(DensityOperator, rho0, CollisionalError, ds, h_system.dims))
     strokes = []
     for bath, h, u in ((rho_hot, h_hot, u_sh), (rho_cold, h_cold, u_sc)):
-        bath = _typed(DensityOperator, bath, _spectrum)
-        u = _typed(UnitaryOperator, u, _unitary, ds * bath.dim)
+        bath = _typed(DensityOperator, bath, CollisionalError)
+        u = _typed(UnitaryOperator, u, CollisionalError, ds * bath.dim)
         h = np.zeros_like(bath.matrix) if h is None else h
-        strokes.append(AncillaStroke(bath, _typed(HermitianOperator, h, _hermitian, bath.dim), u))
+        strokes.append(AncillaStroke(bath, _typed(HermitianOperator, h, CollisionalError,
+                                                  bath.dim), u))
     spec = CollisionSpec(tuple(strokes), (h_system,) * 2, (v2, v1))
     start = _fixed_point(spec, v1.matrix @ rho.matrix @ v1.matrix.conj().T, rho.dims,
                          unique=False)

@@ -13,9 +13,13 @@ Functions never mutate their arguments, except the superoperator builders
 place on the array they are given.  A bare Hamiltonian is read by
 `_hermitian`, the `HermitianOperator` check with the caller's error, a
 bare unitary by `_unitary`, the `UnitaryOperator` check with it, and any
-other operator by `_frozen_matrix` (square and finite).  These readers and
-the state reader `_spectrum` take the size the caller expects, which the
-one size rule `_check_size` enforces on bare and typed operands.  scipy is
+other operator by `_frozen_matrix` (square and finite).  An entry point
+that needs a state, Hamiltonian or unitary as its type reads it by the one
+rule `_typed`: a bare matrix that passes the type's check becomes that
+type, of one factor or of the factor dims the caller infers from its other
+operands.  These readers and the state reader `_spectrum` take the size
+the caller expects, which the one size rule `_check_size` enforces on bare
+and typed operands.  scipy is
 imported only by the generator kernels that need it (`propagate`,
 `bordered_solve`, `gaussian._lyapunov_solve`), not by `import entroprod`.
 
@@ -425,6 +429,23 @@ def _spectrum(state, error=CoreError, dim=None) -> tuple[np.ndarray, np.ndarray]
     return _density_spectra(_frozen_matrix(state, error, dim), error)
 
 
+def _typed(kind, op, error=CoreError, dim=None, dims=None):
+    """The one rule by which an entry point reads a state, Hamiltonian or unitary it needs as
+    one: op as the operator type `kind`, of size `dim` when given (`_check_size`), else `error`.
+    A `kind` is returned as it is, its own dims kept; a bare matrix once it passes the check of
+    `kind` with `error` (a state by one `eigh`, kept), as a `kind` of the factor dims `dims`
+    (one factor when None)."""
+    if isinstance(op, kind):
+        _check_size(op.dim, dim, error)
+        return op
+    m = _frozen_matrix(op, error, dim)
+    dims = _as_dims(dims, len(m), error)
+    if kind is DensityOperator:
+        return kind._validated((m,) + _density_spectra(m, error), dims)
+    kind._check(m, error)
+    return kind(m, dims)
+
+
 # ---------------------------------------------------------------------------
 # Tensor algebra
 # ---------------------------------------------------------------------------
@@ -473,7 +494,8 @@ def _ptrace_matrix(mat, factors, keep):
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Reduced state on the kept factors; trace preserved."""
+    """Reduced state on the kept factors of rho (`_typed`); trace preserved."""
+    rho = _typed(DensityOperator, rho)
     m = _ptrace_matrix(rho.matrix, rho.dims.factors, keep)
     return DensityOperator(m, rho.dims.subdims(keep))
 
@@ -830,14 +852,17 @@ def classical_kl(p, q) -> float:
 
 
 def mutual_information(rho: DensityOperator, part_a) -> float:
-    """S(rho_A) + S(rho_B) - S(rho_AB) for the bipartition (part_a | rest)."""
+    """S(rho_A) + S(rho_B) - S(rho_AB) for the bipartition (part_a | rest) of rho's factors
+    (`_typed`: a bare matrix has one, so it has no bipartition)."""
+    rho = _typed(DensityOperator, rho)
     n = len(rho.dims)
     part_a = sorted(set(int(i) for i in part_a))
     if not part_a or part_a[0] < 0 or part_a[-1] >= n:
-        raise CoreError(f"invalid bipartition {part_a} of {n} factors")
+        raise CoreError(f"invalid bipartition {part_a} of rho's dims {rho.dims.factors}")
     part_b = [i for i in range(n) if i not in part_a]
     if not part_b:
-        raise CoreError("bipartition must leave a non-empty complement")
+        raise CoreError(f"bipartition {part_a} of rho's dims {rho.dims.factors} "
+                        "must leave a non-empty complement")
     rho_a = partial_trace(rho, part_a)
     rho_b = partial_trace(rho, part_b)
     return (von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)

@@ -40,6 +40,7 @@ from .core import (
     _as_dims,
     _ascending,
     _check_beta,
+    _check_size,
     _density_stack,
     _entropy_rows,
     _frozen_matrix,
@@ -55,6 +56,7 @@ from .core import (
     _spectrum,
     _stack_dims,
     _trace_distance_rows,
+    _typed,
     _unitary,
     hermitian_function,
     logm_psd,
@@ -937,7 +939,8 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
     """Second law with initial correlations:
     (beta_B - beta_A) Q_B >= dI(A:B); consuming correlations can revert
     the heat flow."""
-    _, after, q_b = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b, EpisodeError)
+    (rho_ab, *_), after, q_b = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a, beta_b,
+                                                 EpisodeError)
     after = DensityOperator(after, rho_ab.dims)
     d_mi = mutual_information(after, [0]) - mutual_information(rho_ab, [0])
     lhs = (beta_b - beta_a) * q_b
@@ -951,12 +954,16 @@ def correlated_heat_flow(rho_ab: DensityOperator, h_a, h_b, unitary,
 
 
 def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b, error):
-    """(H_A, H_B, U) as read, rho_AB' = U rho_AB U^dag and Q_B = Tr{(1 x H_B) (rho_AB' - rho_AB)},
-    once H_A, H_B (`core._hermitian`) and U (`core._unitary`) have the sizes of A (the first
-    factor of rho_AB), B (the rest) and AB, the marginals are thermal (`_thermality`) and U
-    strictly conserves H_A + H_B; else an `error`."""
+    """(rho_AB, H_A, H_B, U) as read, rho_AB' = U rho_AB U^dag and
+    Q_B = Tr{(1 x H_B) (rho_AB' - rho_AB)}, once rho_AB (`core._typed`: a bare matrix has the
+    factors A x B of H_A and H_B), H_A, H_B (`core._hermitian`) and U (`core._unitary`) have the
+    sizes of A (the first factor of rho_AB), B (the rest) and AB, the marginals are thermal
+    (`_thermality`) and U strictly conserves H_A + H_B; else an `error`."""
+    h_a, h_b = _hermitian(h_a, error), _hermitian(h_b, error)
+    rho_ab = _typed(DensityOperator, rho_ab, error, None, (len(h_a), len(h_b)))
     da = rho_ab.dims.factors[0]
-    h_a, h_b = _hermitian(h_a, error, da), _hermitian(h_b, error, rho_ab.dim // da)
+    _check_size(len(h_a), da, error)
+    _check_size(len(h_b), rho_ab.dim // da, error)
     for keep, h, beta, name in (([0], h_a, beta_a, "a"), ([1], h_b, beta_b, "b")):
         marginal = _ptrace_matrix(rho_ab.matrix, (da, len(h_b)), keep)
         if _thermality(marginal, h, _check_beta(beta, error))[0]:
@@ -966,8 +973,8 @@ def _thermal_exchange(rho_ab: DensityOperator, h_a, h_b, unitary, beta_a, beta_b
     if not ok:
         raise error(f"unitary violates strict energy conservation ({res:.3e})")
     after = u @ rho_ab.matrix @ u.conj().T
-    hb_full = tensor([np.eye(len(h_a)), h_b])
-    return (h_a, h_b, u), after, float(np.real(np.trace(hb_full @ (after - rho_ab.matrix))))
+    q_b = np.real(np.trace(tensor([np.eye(len(h_a)), h_b]) @ (after - rho_ab.matrix)))
+    return (rho_ab, h_a, h_b, u), after, float(q_b)
 
 
 def two_qubit_exchange_scenario(alpha, theta, phi, g, t, beta_a, beta_b, omega=1.0):

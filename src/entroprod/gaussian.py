@@ -28,6 +28,7 @@ from .core import (
     _ptrace_matrix,
     _real_array,
     _spectral_weights,
+    _typed,
     hermitian_function,
     propagate,
     relative_entropy,
@@ -449,6 +450,7 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     """
     _check_beta(spec.beta, GaussianError, positive=True)
     n = spec.fock_cut
+    rho_system = _typed(DensityOperator, rho_system, GaussianError, n)
     a1 = destroy(n)
     ig = 1j * spec.g
     sectors, v = _exchange_blocks(

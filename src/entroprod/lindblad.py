@@ -38,7 +38,7 @@ from .core import (
     _frozen_matrix,
     _frozen_stack,
     _spectral_weights,
-    _spectrum,
+    _typed,
     add_lindblad_term,
     add_sided_term,
     bordered_solve,
@@ -181,7 +181,7 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
     if model.dim > INTEGRATE_DIM_CAP:
         raise LindbladError(f"dimension {model.dim} exceeds integration cap "
                             f"{INTEGRATE_DIM_CAP} (80 d^4 bytes against {GENERATOR_BYTES})")
-    _spectrum(rho0, LindbladError, model.dim)
+    rho0 = _typed(DensityOperator, rho0, LindbladError, model.dim)
     t_grid, coords = propagate(real_superop(build(model)), t_grid,
                                hermitian_coords(rho0.matrix), LindbladError)
     ms = np.array([from_hermitian_coords(x) for x in coords[1:]]).reshape(-1, rho0.dim, rho0.dim)
@@ -266,7 +266,7 @@ def destroy(n: int) -> np.ndarray:
 
 
 def fock_tail_mass(rho: DensityOperator) -> float:
-    p = np.real(np.diag(rho.matrix))
+    p = np.real(np.diag(_typed(DensityOperator, rho, LindbladError).matrix))
     return float(np.sum(p[-FOCK_TAIL_LEVELS:]))
 
 
@@ -289,6 +289,7 @@ def kerr_model(delta: float, u_kerr: float, drive: float, kappa: float,
 
 
 def validate_kerr_truncation(model: LindbladModel, rho_ss: DensityOperator):
+    rho_ss = _typed(DensityOperator, rho_ss, LindbladError, model.dim)
     a = destroy(model.dim)
     n_mean = float(np.real(np.trace(a.conj().T @ a @ rho_ss.matrix)))
     tail = fock_tail_mass(rho_ss)

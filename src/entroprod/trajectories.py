@@ -600,8 +600,8 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     [mA, mB, nA, nB]; its backward process starts from the same dephased
     state on the final outcomes and runs U^dag.
     """
-    (h_a, h_b, u), _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary, beta_a,
-                                                       beta_b, TrajectoryError)
+    (rho_ab, h_a, h_b, u), _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary,
+                                                               beta_a, beta_b, TrajectoryError)
     (ea, va), (eb, vb) = np.linalg.eigh(h_a), np.linalg.eigh(h_b)
     basis = tensor([va, vb])
     da, db = len(ea), len(eb)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -370,3 +371,16 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_each_builder_takes_the_parameters_its_scenario_declares():
+    for kind, (builder, declared) in cli.SCENARIOS.items():
+        assert list(inspect.signature(builder).parameters) == ["rng", *declared], kind
+
+
+def test_readme_lists_each_scenarios_parameters_as_declared():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for kind, (builder, declared) in cli.SCENARIOS.items():
+        params = ", ".join(f"`{n}` (required)" if v is cli.REQUIRED else f"`{n}` = {v!r}"
+                           for n, v in declared.items())
+        assert f"| `{kind}` | {builder.__doc__} | {params} |" in readme, kind

@@ -6,6 +6,7 @@ declared bath temperature each pass their type's one check, and every
 operand of a multi-operator entry point passes the one size rule."""
 
 import json
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,29 @@ def _load(text):
 
 def _config(**fields):
     return json.dumps({"kind": "resource", "parameters": {"beta": 1.0}, **fields})
+
+
+# Invalid configs, each with a fragment of the message `load_config` gives
+# and `run_config` repeats (`test_run_config_reads_a_config_as_load_config_does`).
+INVALID_CONFIGS = {
+    "cli config not an object": ("[1, 2]", "must be a JSON object"),
+    "cli schema": (_config(schema="v0"), "unsupported schema 'v0'"),
+    "cli schema v9": (_config(schema="v9"), "unsupported schema 'v9'"),
+    "cli kind": (json.dumps({"kind": "nope"}), "unknown kind 'nope'"),
+    "cli parameters not an object": (_config(parameters=[1.0]), "'parameters' must be an object"),
+    "cli sweep keys": (_config(sweep={"parameter": "beta"}), "needs 'parameter' and 'grid'"),
+    "cli empty sweep grid": (_config(sweep={"parameter": "beta", "grid": []}), "non-empty list"),
+    "cli unknown parameter": (
+        _config(parameters={"beta": 1.0, "betta": 1.0}), "unknown parameter(s) ['betta']"),
+    "cli undeclared sweep parameter": (
+        _config(sweep={"parameter": "gamma", "grid": [1.0]}), "unknown parameter(s) ['gamma']"),
+    "cli missing parameter": (json.dumps({"kind": "resource"}),
+                              "missing required parameter 'beta'"),
+    "cli sweep grid value": (_config(sweep={"parameter": "gap", "grid": [1.0, "2"]}),
+                             "parameter 'gap' must be a finite number, got '2'"),
+    "cli output path names no file": (_config(output={"path": ""}), "'output.path' names no file"),
+    "cli output format": (_config(output={"format": "xml"}), "unknown output format 'xml'"),
+}
 
 
 CASES = {
@@ -509,32 +533,23 @@ CASES = {
     "trajectories.quench_cgf ragged H": (
         lambda: tj.quench_cgf([[0.0, 0.0], [0.0]], PAULI_Z, 1.0, [0.5]),
         tj.TrajectoryError, "shape (1,), expected (2,)"),
-    # the CLI loader
+    # the CLI loader, then the configs that `_read` rejects (INVALID_CONFIGS)
     "cli unreadable config": (
         lambda: cli.load_config(Path("missing.json")), cli.ConfigError, "cannot read config"),
     "cli malformed JSON": (
         lambda: _load("{not json"), cli.ConfigError, "not valid JSON"),
-    "cli config not an object": (
-        lambda: _load("[1, 2]"), cli.ConfigError, "must be a JSON object"),
-    "cli schema": (
-        lambda: _load(_config(schema="v0")), cli.ConfigError, "unsupported schema 'v0'"),
-    "cli kind": (
-        lambda: _load(json.dumps({"kind": "nope"})), cli.ConfigError, "unknown kind 'nope'"),
-    "cli parameters not an object": (
-        lambda: _load(_config(parameters=[1.0])), cli.ConfigError,
-        "'parameters' must be an object"),
-    "cli sweep keys": (
-        lambda: _load(_config(sweep={"parameter": "beta"})), cli.ConfigError,
-        "needs 'parameter' and 'grid'"),
-    "cli empty sweep grid": (
-        lambda: _load(_config(sweep={"parameter": "beta", "grid": []})), cli.ConfigError,
-        "non-empty list"),
-    "cli unknown parameter": (
-        lambda: _load(_config(parameters={"betta": 1.0})), cli.ConfigError,
-        "unknown parameter(s) ['betta']"),
-    "cli output format": (
-        lambda: cli.run_config(_load(_config(output={"format": "xml"})), Path(".")),
-        cli.ConfigError, "unknown output format 'xml'"),
+    **{name: (lambda text=text: _load(text), cli.ConfigError, fragment)
+       for name, (text, fragment) in INVALID_CONFIGS.items()},
+    # a bare state is read at the size its call expects, and has one factor,
+    # so no bipartition (`core._typed`)
+    "gaussian.squeezed_sigma state size": (
+        lambda: gs.squeezed_sigma(SQUEEZED, np.eye(3) / 3), gs.GaussianError, "3x3, expected 4x4"),
+    "episodes.correlated_heat_flow bare state not A x B": (
+        lambda: eps.correlated_heat_flow(np.eye(6) / 6, H2, H2, np.eye(6), 1.0, 1.0),
+        eps.EpisodeError, "dims (2, 2) do not match matrix size 6"),
+    "core.mutual_information bare state": (
+        lambda: core.mutual_information(np.eye(4) / 4, [0]), core.CoreError,
+        "bipartition [0] of rho's dims (4,) must leave a non-empty complement"),
 }
 
 
@@ -544,6 +559,63 @@ def test_invalid_input_raises_a_typed_error(call, error, fragment, tmp_path, mon
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("text, fragment", INVALID_CONFIGS.values(),
+                         ids=INVALID_CONFIGS.keys())
+def test_run_config_reads_a_config_as_load_config_does(text, fragment, tmp_path, monkeypatch):
+    # run_config used to run an unknown key, an undeclared sweep parameter and
+    # schema "v9" without notice, and to end in a KeyError or TypeError on others
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(cli.ConfigError) as loaded:
+        _load(text)
+    with pytest.raises(cli.ConfigError) as ran:
+        cli.run_config(json.loads(text), tmp_path / "out")
+    assert fragment in str(loaded.value)
+    assert str(ran.value) == str(loaded.value)
+    assert not (tmp_path / "out").exists()
+
+
+# A state that an entry point needs as a `DensityOperator` is read by one rule
+# (`core._typed`): a bare matrix is the state of one factor, or of the factor
+# dims the call infers from its other operands, and gives the numbers of that
+# state.  Each call used to raise AttributeError on a bare matrix.
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+WARM_COLD = np.kron(RHO2.matrix, thermal_state(H2, 2.0).matrix)
+KERR8 = lb.kerr_model(-2.0, 1.0, 0.2, 0.5, fock_cut=8)
+SQUEEZED = gs.SqueezedExchangeSpec(1.0, 0.5, 0.2, 0.1, 0.3, 0.4, fock_cut=4)
+BARE_STATES = {
+    # entry point: (the numbers it gives for a state, the state's matrix, its inferred dims)
+    "collisional.run": (
+        lambda rho: [r.as_row() for r in cm.run(cm.CollisionSpec((_stroke(),), (H2,)), rho, 2)[1]],
+        RHO2.matrix, None),
+    "collisional.continuous_limit": (
+        lambda rho: cm.continuous_limit(np.kron(PAULI_X, PAULI_X), rho).superop,
+        RHO2.matrix, None),
+    "episodes.correlated_heat_flow": (
+        lambda rho: attrgetter("heat_b", "d_mutual_info")(
+            eps.correlated_heat_flow(rho, H2, H2, SWAP, 1.0, 2.0)), WARM_COLD, (2, 2)),
+    "trajectories.correlated_tpm": (
+        lambda rho: attrgetter("mean_heat_dephased", "integral_ft", "rhs")(
+            tj.correlated_tpm(rho, H2, H2, SWAP, 1.0, 2.0)), WARM_COLD, (2, 2)),
+    "lindblad.integrate": (
+        lambda rho: [s.matrix for s in lb.integrate(QUBIT_MODEL, rho, [0.0, 0.5]).states],
+        np.eye(2) / 2, None),
+    "lindblad.fock_tail_mass": (lb.fock_tail_mass, np.diag([0.5, 0.3, 0.2]), None),
+    "lindblad.validate_kerr_truncation": (
+        lambda rho: lb.validate_kerr_truncation(KERR8, rho), np.diag([0.9, 0.1] + [0.0] * 6),
+        None),
+    "gaussian.squeezed_sigma": (
+        lambda rho: attrgetter("sigma_affinity", "sigma_relative_entropy")(
+            gs.squeezed_sigma(SQUEEZED, rho)), np.diag([0.4, 0.3, 0.2, 0.1]), None),
+    "core.partial_trace": (
+        lambda rho: core.partial_trace(rho, [0]).matrix, RHO2.matrix, None),
+}
+
+
+@pytest.mark.parametrize("call, matrix, dims", BARE_STATES.values(), ids=BARE_STATES.keys())
+def test_a_bare_state_gives_the_numbers_of_its_typed_form(call, matrix, dims):
+    np.testing.assert_array_equal(call(matrix), call(DensityOperator.from_matrix(matrix, dims)))
 
 
 @pytest.mark.parametrize("beta", [-1.0, 0.0, NAN])
