@@ -250,6 +250,12 @@ def load_config(path: Path) -> dict:
 def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
     scenario, points, swept, seed, path, fmt = _read(cfg)
     out_path = Path(path) if out_dir is None else out_dir / Path(path).name
+    # before any point runs: the output is no directory, its parent a directory or creatable
+    if out_path.name == ".." or out_path.is_dir():
+        raise ConfigError(f"output '{out_path}' is a directory")
+    above = next(p for p in (out_path.parent, *out_path.parent.parents) if p.exists())
+    if not above.is_dir():
+        raise ConfigError(f"output '{out_path}' is under '{above}', which is not a directory")
 
     def run_point(idx_point):
         idx, point = idx_point

@@ -53,6 +53,7 @@ from .core import (
     _frozen_matrix,
     _gibbs,
     _hermitian,
+    _instance,
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
@@ -263,7 +264,7 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
         for n, *row in zip(rows.tolist(), bal.heat_env.tolist(), dh.tolist(), bal.work.tolist(),
                            w_u.tolist(), bal.sigma.tolist(), sigma_t.tolist(), sigma_f.tolist(),
                            residual.tolist()):
-            records[n] = StrokeRecord(*row)
+            records[n] = _instance(StrokeRecord, zip(StrokeRecord.__dataclass_fields__, row))
     return list(states), records
 
 

@@ -162,6 +162,14 @@ def _frozen_matrix(matrix, error=CoreError, dim=None) -> np.ndarray:
     return m
 
 
+def _instance(cls, fields):
+    """An instance of the frozen dataclass `cls` with its `fields` (a dict or (name, value) pairs)
+    set in one call, neither `__init__` nor `__post_init__` run: for values already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _read_only(*arrays) -> tuple:
     """The arrays, each made read-only."""
     for arr in arrays:
@@ -225,9 +233,9 @@ def _density_stack(states, error=CoreError, dim=None):
 
 
 def _stack_dims(states, size, error=CoreError, dims=None) -> HilbertDims:
-    """A stack's factor dims (the one rule): those its states and `dims` share, else one factor."""
+    """A stack's factor dims (the one rule): those its operators and `dims` share, else 1 factor."""
     every = list(dict.fromkeys(([] if dims is None else [_as_dims(dims, size, error)])
-                               + [s.dims for s in states if isinstance(s, DensityOperator)]))
+                               + [s.dims for s in states if isinstance(s, _Operator)]))
     if len(every) > 1:
         raise error(f"factor dims {every[0].factors} and {every[1].factors} in one stack")
     return every[0] if every else HilbertDims((size,))
@@ -325,8 +333,9 @@ class DensityOperator(_Operator):
         return cls._rows(stack, _stack_dims(matrices, stack[0].shape[-1], CoreError, dims))
 
     @classmethod
-    def _rows(cls, stack, dims=None) -> tuple:
-        """The states of a validated (matrices, weights, eigenvectors) stack of dims `dims`."""
+    def _rows(cls, stack, dims: HilbertDims) -> tuple:
+        """The states of a validated (matrices, weights, eigenvectors) stack, each made of its
+        rows (views) by `_validated`, all sharing the one `HilbertDims` `dims`."""
         return tuple(cls._validated(row, dims) for row in zip(*stack))
 
     @classmethod
@@ -335,10 +344,7 @@ class DensityOperator(_Operator):
         `_density_stack` or `_exact_spectra`, keeping that spectrum; dims None: one factor."""
         m, w, v = spectra
         dims = HilbertDims((len(w),)) if dims is None else dims
-        rho = object.__new__(cls)
-        for name, value in (("matrix", m), ("dims", dims), ("_eig", (w, v))):
-            object.__setattr__(rho, name, value)
-        return rho
+        return _instance(cls, {"matrix": m, "dims": dims, "_eig": (w, v)})
 
     @classmethod
     def pure(cls, vector, dims=None):
@@ -898,14 +904,15 @@ def _check_beta(beta, error, positive=False, name="inverse temperature"):
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
-    """Gibbs state e^{-beta H}/Z (`_gibbs_states`); a bare H is read by `_hermitian`.  Of an
-    (n, d, d) stack of H and one beta per row: n states, from one stacked `eigh`."""
+    """Gibbs state e^{-beta H}/Z (`_gibbs_states`) of H's dims; a bare H is read by `_hermitian`,
+    of one factor.  Of an (n, d, d) stack of H and one beta per row: n states, from one stacked
+    `eigh`, of the factor dims the `HermitianOperator` rows share (`_stack_dims`)."""
     b, h = _check_beta(beta, CoreError), _hermitian(hamiltonian)
     if h.ndim > 3 or b.shape != h.shape[:-2]:
         raise CoreError(f"expected one beta per Hamiltonian, got {b.shape} for {h.shape}")
-    spectra, dims = _exact_spectra(*_gibbs_states(h, b)[:3]), getattr(hamiltonian, "dims", None)
-    return (DensityOperator._validated(spectra, dims) if h.ndim == 2
-            else DensityOperator._rows(spectra, dims))
+    spectra = _exact_spectra(*_gibbs_states(h, b)[:3])
+    return (DensityOperator._validated(spectra, getattr(hamiltonian, "dims", None)) if h.ndim == 2
+            else DensityOperator._rows(spectra, _stack_dims(hamiltonian, h.shape[-1])))
 
 
 def trace_distance(rho1, rho2) -> float:

@@ -682,10 +682,11 @@ class MeasurementTrajectories:
 def _draw(columns, k, u):
     """Per sample, an outcome of column k[i] of a column-stochastic matrix
     for the uniform u[i]: the cdf / cdf[-1] inverse with a side="right"
-    search, which is how rng.choice(d, p=column) maps its one uniform."""
+    search, which is how rng.choice(d, p=column) maps its one uniform,
+    counted one cdf row at a time: the sum of each row's (row[k] <= u)."""
     cdf = np.cumsum(columns, axis=0)
     cdf /= cdf[-1]
-    return np.sum(cdf[:, k] <= u, axis=0)
+    return sum(row[k] <= u for row in cdf)
 
 
 def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,

@@ -19,13 +19,11 @@ from . import trajectories as tj
 from .core import (
     DensityOperator,
     HermitianOperator,
-    HilbertDims,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    _density_stack,
     _entropy_rows,
     _petz_renyi,
     hermitian_function,
@@ -137,17 +135,17 @@ def route_equality_suite(n_episodes=25, tol=1e-10):
     worst_flux = _worst(bal.flux - beta * bal.heat_env)
     # a qubit against two thermal qubits at their own beta: H_S, H_1, H_2 with X, Y and Z
     # parts and a Haar U on 8 dims; rho_E = g_1 x g_2, the Gibbs state of
-    # beta_1 H_1 x 1 + beta_2 1 x H_2 at beta = 1, keeps that spectrum and takes dims (2, 2)
-    # (its matrices through `from_stack` would be decomposed again, which reads weights
-    # near 1e-9 to a relative 1e-8 and the flux to 6e-10)
+    # beta_1 H_1 x 1 + beta_2 1 x H_2 at beta = 1, keeps that spectrum and takes the dims
+    # (2, 2) of its Hamiltonian rows (its matrices through `from_stack` would be decomposed
+    # again, which reads weights near 1e-9 to a relative 1e-8 and the flux to 6e-10)
     hs, h1, h2 = (rng.normal(size=(3, n_episodes, 3, 1, 1)) * _PAULIS).sum(2)
     betas = 0.5 + 1.5 * rng.random((2, n_episodes))
     h_env = tensor([h1, np.eye(2)]), tensor([np.eye(2), h2])
-    gibbs = thermal_state(sum(b[:, None, None] * h for b, h in zip(betas, h_env)),
+    gibbs = thermal_state([HermitianOperator.from_matrix(m, (2, 2)) for m in
+                           sum(b[:, None, None] * h for b, h in zip(betas, h_env))],
                           np.ones(n_episodes))
     bath = eps.EpisodeStack.of(hs, sum(h_env), haar_unitaries(ginibre(rng, (n_episodes, 8, 8))),
-                               density_matrices(ginibre(rng, (n_episodes, 2, 2))),
-                               DensityOperator._rows(_density_stack(gibbs), HilbertDims((2, 2))))
+                               density_matrices(ginibre(rng, (n_episodes, 2, 2))), gibbs)
     mb = eps.multibath_balance_rows(bath, [eps.BathPart((k,), h, b) for k, (h, b)
                                            in enumerate(zip((h1, h2), betas))])
     worst_info = _worst(mb.sigma - bath.balance.sigma)

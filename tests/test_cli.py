@@ -269,6 +269,35 @@ def test_run_seed_and_output_are_read_strictly(tmp_path, capsys, fields, message
     assert list(tmp_path.iterdir()) == [path]
 
 
+OUTPUT_TARGETS = {
+    # (--out under tmp_path or None, output.path): each used to run every point first and
+    # end in a FileExistsError, NotADirectoryError or IsADirectoryError traceback
+    "out is a file": ("F", "x.csv", "output 'F/x.csv' is under 'F', which is not a directory"),
+    "out under a file": ("F/sub", "x.csv",
+                         "output 'F/sub/x.csv' is under 'F', which is not a directory"),
+    "name resolves to a directory": ("d", "x/..", "output 'd/..' is a directory"),
+    "path is a directory": (None, "D", "output 'D' is a directory"),
+}
+
+
+@pytest.mark.parametrize("out, name, message", OUTPUT_TARGETS.values(),
+                         ids=OUTPUT_TARGETS.keys())
+def test_run_checks_the_output_target_before_any_point(tmp_path, capsys, monkeypatch,
+                                                       out, name, message):
+    (tmp_path / "F").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "D").mkdir()
+    ran = []
+    builder, declared = cli.SCENARIOS["collisional"]
+    monkeypatch.setitem(cli.SCENARIOS, "collisional",
+                        (lambda rng, **p: ran.append(p) or builder(rng, **p), declared))
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, swap_config(name))
+    assert cli.main(["run", str(path)] + ([] if out is None else ["--out", out])) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert ran == [] and (tmp_path / "F").read_text(encoding="utf-8") == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "F", "config.json"]
+
+
 FLOAT_CASES = {
     "string": ("omega", "abc"),
     "null": ("g", None),

@@ -413,6 +413,26 @@ def test_stroke_record_csv_row():
     assert len(row) == 6
 
 
+def test_run_states_and_records_behave_as_constructor_built():
+    # `run` sets the fields of its states and records in one call each; they stay
+    # frozen, read-only and equal to what their constructors make of the same values
+    states, recs = cm.run(two_letter_spec(np.random.default_rng(5)), random_density(2, RNG), 6)
+    for obj, name in ((states[3], "matrix"), (states[3], "dims"), (recs[2], "q_ancilla")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    for rho in states[1:]:
+        assert rho.dims == core.HilbertDims((2,))
+        for arr in (rho.matrix,) + rho.eig():
+            assert not arr.flags.writeable
+    for rec in recs:
+        fields = [getattr(rec, f.name) for f in dataclasses.fields(cm.StrokeRecord)]
+        built = cm.StrokeRecord(*fields)
+        assert rec == built and hash(rec) == hash(built) and repr(rec) == repr(built)
+        assert dataclasses.asdict(rec) == dataclasses.asdict(built)
+        assert np.array_equal(rec.as_row(), built.as_row(), equal_nan=True)
+        assert dataclasses.replace(rec, w_onoff=1.5) == dataclasses.replace(built, w_onoff=1.5)
+
+
 def two_letter_spec(rng):
     scrambled = cm.AncillaStroke(thermal_state(H_QUBIT, 0.7), H_QUBIT,
                                  random_unitary(4, rng, dims=(2, 2)), beta=0.7)

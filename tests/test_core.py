@@ -379,6 +379,25 @@ def test_thermal_state_of_a_stack_is_each_row(monkeypatch):
         core.thermal_state(stack[0], betas[:1])
 
 
+def test_thermal_state_of_hamiltonian_rows_keeps_their_factor_dims():
+    # rows that are HermitianOperators give their shared dims to the Gibbs states (the
+    # `_stack_dims` rule), with the exact `_gibbs` weights of the bare stack; mixed dims raise
+    rows = [random_hermitian(4, RNG, dims=(2, 2)) for _ in range(3)]
+    betas = np.array([0.5, 2.0, 300.0])
+    states = core.thermal_state(rows, betas)
+    bare = core.thermal_state(np.stack([h.matrix for h in rows]), betas)
+    weights = np.sort(core._gibbs(np.linalg.eigh(np.stack([h.matrix for h in rows]))[0],
+                                  betas)[0], kind="stable")
+    assert [s.dims.factors for s in states] == [(2, 2)] * 3
+    assert [s.dims.factors for s in bare] == [(4,)] * 3
+    for state, plain, w in zip(states, bare, weights):
+        assert np.array_equal(state.eig()[0], w)
+        for kept, own in zip((state.matrix,) + state.eig(), (plain.matrix,) + plain.eig()):
+            assert np.array_equal(kept, own)
+    with pytest.raises(CoreError, match=r"factor dims \(2, 2\) and \(4,\) in one stack"):
+        core.thermal_state([rows[0], HermitianOperator.from_matrix(rows[1].matrix)], betas[:2])
+
+
 def test_a_stack_of_states_is_read_by_the_spectra_they_keep(monkeypatch):
     # a sequence of states is neither decomposed nor checked again: one state
     # by views, n by one copy per array; a bare stack by one stacked eigh

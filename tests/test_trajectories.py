@@ -486,6 +486,31 @@ def test_measurement_sampler_stream_matches_choice_loop():
     assert np.array_equal(out.probabilities, counts / counts.sum())
 
 
+DRAW_CASES = {
+    # cdf [.25, .5, .75, 1] exactly: uniforms on every entry, 0 and just below 1
+    "u on a cdf entry": (np.full((4, 2), 0.25), [0, 1, 0, 1, 0, 1],
+                         [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0), 0.25]),
+    # zero entries give repeated cdf values, at the start, inside and at the end
+    "zero entries": (np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0],
+                               [0.5, 0.0, 0.0]]), [0, 1, 2, 0, 1, 2, 0],
+                     [0.0, 0.5, 0.5, 0.5, 0.0, 0.999, 0.25]),
+    "d = 1": (np.ones((1, 1)), [0, 0, 0], [0.0, 0.3, np.nextafter(1.0, 0.0)]),
+    "drawn": (np.random.default_rng(3).dirichlet(np.ones(5), 5).T,
+              np.random.default_rng(4).integers(0, 5, 500), np.random.default_rng(5).random(500)),
+}
+
+
+@pytest.mark.parametrize("columns, k, u", DRAW_CASES.values(), ids=DRAW_CASES.keys())
+def test_draw_counts_cdf_rows_as_the_gathered_sum(columns, k, u):
+    # the draw, one cdf row at a time, is the (d, n) gather and boolean sum it replaced
+    k, u = np.asarray(k), np.asarray(u)
+    cdf = np.cumsum(columns, axis=0)
+    cdf /= cdf[-1]
+    want = np.sum(cdf[:, k] <= u, axis=0)
+    got = tj._draw(columns, k, u)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_weight_convolve_moments():
     ideal = tj.ScalarDistribution(np.array([-1.0, 0.5, 2.0]),
                                   np.array([0.25, 0.5, 0.25]))
