@@ -248,6 +248,9 @@ def load_config(path: Path) -> dict:
 
 
 def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
+    jobs = _integer("jobs", jobs)
+    if jobs < 1:
+        raise ConfigError(f"'jobs' must be an integer >= 1, got {jobs!r}")
     scenario, points, swept, seed, path, fmt = _read(cfg)
     out_path = Path(path) if out_dir is None else out_dir / Path(path).name
     # before any point runs: the output is no directory, its parent a directory or creatable
@@ -310,17 +313,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--out", type=Path, default=None)
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("suite",
-                       help="ft-table | landauer | gaussian-ness | "
-                            "majorization | quench | all (plus extras: "
-                            "route-equality, swap-engine, classical, "
-                            "squeezed, liouvillian)")
+    p_ver.add_argument("suite", help=" | ".join([*verify.SUITES, "all"]))
     args = parser.parse_args(argv)
 
     if args.command == "run":
         try:
             cfg = load_config(args.config)
-            out = run_config(cfg, args.out, max(1, args.jobs))
+            out = run_config(cfg, args.out, args.jobs)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
@@ -336,14 +335,11 @@ def main(argv=None) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return EXIT_VALIDATION
-        failures = 0
-        for name, passed, detail in records:
-            tag = "PASS" if passed else "FAIL"
-            suffix = f"  ({detail})" if detail else ""
-            print(f"[{tag}] {name}{suffix}")
-            failures += 0 if passed else 1
-        print(f"{len(records) - failures}/{len(records)} checks passed")
-        return EXIT_OK if failures == 0 else EXIT_NUMERICAL
+        for record in records:
+            print(record)
+        passed = sum(record.passed for record in records)
+        print(f"{passed}/{len(records)} checks passed")
+        return EXIT_OK if passed == len(records) else EXIT_NUMERICAL
 
     return EXIT_VALIDATION
 

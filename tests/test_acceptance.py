@@ -10,46 +10,58 @@ from entroprod import verify
 
 
 def _assert_suite(name, records, budget=None, elapsed=None):
-    all_ok = all(passed for _, passed, _ in records)
-    for rec_name, passed, detail in records:
-        tag = "PASS" if passed else "FAIL"
-        suffix = f" ({detail})" if detail else ""
-        print(f"[{tag}] {rec_name}{suffix}")
+    assert all(isinstance(record, verify.Record) for record in records), records
+    for record in records:
+        print(record)
     if budget is not None:
         tag = "PASS" if elapsed < budget else "FAIL"
         print(f"[{tag}] {name} runtime {elapsed:.1f}s (budget {budget:.0f}s)")
         assert elapsed < budget
-    assert all_ok, f"{name}: " + "; ".join(
-        rec_name for rec_name, passed, _ in records if not passed)
+    assert all(record.passed for record in records), f"{name}: " + "; ".join(
+        record.name for record in records if not record.passed)
+
+
+def _assert_pinned(records, tol, names=None):
+    """The records named (every record when None) compare with the pinned tolerance."""
+    names = [record.name for record in records] if names is None else names
+    assert {r.name: r.bound for r in records if r.name in names} == dict.fromkeys(names, tol)
 
 
 def test_criterion_01_ft_table_identities():
     """25 random 2x2 episodes: all four backward-choice averages at 1e-10
     and the integral fluctuation theorem, within 10 s."""
     start = time.time()
-    records = verify.ft_table_suite(n_episodes=25, tol=1e-10)
+    records = verify.ft_table_suite(n_episodes=25)
     _assert_suite("ft-table", records, budget=10.0, elapsed=time.time() - start)
+    _assert_pinned(records, 1e-10)
 
 
 def test_criterion_02_route_equality():
     """Information, Clausius, free-energy and fixed-point routes agree
     pairwise at 1e-10 on 25 random thermal episodes."""
-    _assert_suite("route-equality", verify.route_equality_suite(n_episodes=25,
-                                                                tol=1e-10))
+    records = verify.route_equality_suite(n_episodes=25)
+    _assert_suite("route-equality", records)
+    _assert_pinned(records, 1e-10)
 
 
 def test_criterion_03_swap_engine():
     """Closed forms vs exact 4x4 simulation at 1e-12 over a 50-point sweep
     at T_b/T_a = 1/2; Carnot point all-zero; Otto efficiency exact."""
-    _assert_suite("swap-engine", verify.swap_engine_suite(n_points=50,
-                                                          tol=1e-12))
+    records = verify.swap_engine_suite()
+    _assert_suite("swap-engine", records)
+    _assert_pinned(records, 1e-12, ["swap closed forms == 4x4 simulation",
+                                    "swap closed forms == four-stroke cycle",
+                                    "swap Carnot point all-zero"])
 
 
 def test_criterion_04_landauer_bounds():
     """100 random qubit-bath episodes: Q >= -T dS, the finite-dimension
     tightening, the exponential-average bound, the heat-capacity chain,
     and the linear-capacity closed form at 1e-10."""
-    _assert_suite("landauer", verify.landauer_suite(n_episodes=100, tol=1e-10))
+    records = verify.landauer_suite(n_episodes=100)
+    _assert_suite("landauer", records)
+    _assert_pinned(records, 1e-10, ["landauer linear capacity closed form",
+                                    "landauer finite-d bound closed form"])
 
 
 def test_criterion_05_gaussian_ness():
@@ -57,7 +69,9 @@ def test_criterion_05_gaussian_ness():
     formula at 1e-8 across a coupling sweep, diverges by > 10x near the
     critical coupling, and the phase-space flux prefactor reaches 1/T
     within 1% at T = 50 omega."""
-    _assert_suite("gaussian-ness", verify.gaussian_ness_suite(tol=1e-8))
+    records = verify.gaussian_ness_suite()
+    _assert_suite("gaussian-ness", records)
+    _assert_pinned(records, 1e-8, ["ness Pi == general linear formula"])
 
 
 def test_criterion_06_classical_suite():
@@ -73,7 +87,11 @@ def test_criterion_07_quench_suite():
     """Qubit sudden quenches: the commuting fluctuation-dissipation
     relation at 1e-9, its coherence-induced breaking with positive higher
     cumulants, and the Gallavotti-Cohen symmetry on a 21-point grid."""
-    _assert_suite("quench", verify.quench_suite(tol=1e-9))
+    records = verify.quench_suite()
+    _assert_suite("quench", records)
+    _assert_pinned(records, 1e-9, ["quench commuting FDR <sigma> = var/2",
+                                   "quench coherent FDR breaking by Q",
+                                   "quench Gallavotti-Cohen K(l) = K(1-l)"])
 
 
 def test_criterion_08_resource_suite():
@@ -88,7 +106,9 @@ def test_criterion_09_squeezed_bath():
     """Affinity and fixed-point routes agree at 1e-8 on 10 conserving
     two-mode episodes at Fock cut 20; r = 0 reduces to the thermal
     route."""
-    _assert_suite("squeezed", verify.squeezed_suite(tol=1e-8))
+    records = verify.squeezed_suite()
+    _assert_suite("squeezed", records)
+    _assert_pinned(records, 1e-8, ["squeezed affinity == fixed-point route"])
 
 
 def test_criterion_10_liouvillian_suite():

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -168,10 +169,32 @@ def test_verify_quench_suite_passes(capsys):
     assert "checks passed" in out
 
 
-def test_verify_named_suites_listed():
+SUITE_NAMES = ["ft-table", "route-equality", "swap-engine", "landauer", "gaussian-ness",
+               "classical", "quench", "majorization", "squeezed", "liouvillian"]
+
+
+def test_verify_named_suites_listed(capsys):
     from entroprod import verify
-    assert set(verify.SUITES) == {"ft-table", "landauer", "gaussian-ness",
-                                  "majorization", "quench"}
+    assert list(verify.SUITES) == SUITE_NAMES
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    # the help may wrap at any space or hyphen
+    assert "|".join([*SUITE_NAMES, "all"]) in "".join(capsys.readouterr().out.split())
+
+
+def test_verify_lines_read_back_as_the_records(capsys):
+    from entroprod import verify
+    assert cli.main(["verify", "quench"]) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    line = re.compile(r"\[(PASS|FAIL)\] (.+)  \((\S+) (<|<=|>|>=|==) (\S+)\)")
+    parsed = [line.fullmatch(text).groups() for text in lines]
+    records = verify.quench_suite()
+    assert [(tag, name, op, float(bound)) for tag, name, _, op, bound in parsed] == [
+        ("PASS" if r.passed else "FAIL", r.name, r.op, r.bound) for r in records]
+    # three significant digits
+    assert [float(value) for _, _, value, _, _ in parsed] == pytest.approx(
+        [r.value for r in records], rel=1e-2, abs=0)
+    assert summary == f"{len(records)}/{len(records)} checks passed"
 
 
 def test_run_unknown_parameter_exit_2(tmp_path, capsys):
@@ -382,13 +405,22 @@ def test_run_classical_rows_are_the_lattice_sigma(tmp_path):
 def test_verify_all_runs_the_standard_suites_in_order(monkeypatch):
     from entroprod import verify
     ran = []
-    for table in (verify.SUITES, verify.EXTRA_SUITES):
-        for name in table:
-            monkeypatch.setitem(table, name,
-                                lambda name=name: ran.append(name) or [(name, True, "")])
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda name=name: ran.append(name)
+                            or [verify.Record(name, 0.0, "<", 1.0)])
     records = verify.run_suite("all")
-    assert ran == ["ft-table", "landauer", "gaussian-ness", "majorization", "quench"]
-    assert [name for name, _, _ in records] == ran
+    assert ran == SUITE_NAMES
+    assert [record.name for record in records] == ran
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_run_jobs_below_one_is_an_input_error(tmp_path, capsys, jobs):
+    path = write_config(tmp_path, swap_config())
+    assert cli.main(["run", str(path), "--out", str(tmp_path), "--jobs", str(jobs)]) == 2
+    assert capsys.readouterr().err == f"error: 'jobs' must be an integer >= 1, got {jobs}\n"
+    with pytest.raises(cli.ConfigError, match="'jobs' must be an integer >= 1"):
+        cli.run_config(swap_config(), tmp_path, jobs=jobs)
+    assert not (tmp_path / "swap.csv").exists()
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

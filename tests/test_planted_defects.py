@@ -52,7 +52,7 @@ FOUR_STROKE = "swap-engine", "swap closed forms == four-stroke cycle"
 
 
 def record(suite, name):
-    (found,) = [r for r in verify.run_suite(suite) if r[0] == name]
+    (found,) = [r for r in verify.run_suite(suite) if r.name == name]
     return found
 
 
@@ -185,16 +185,15 @@ DEFECTS = {
 
 
 def test_the_record_passes_without_a_defect():
-    assert record(*EMBEDDING) == (EMBEDDING[1], True, "50/50")
-    assert record(*FLUX)[1]
-    assert record(*CLAUSIUS)[1]
-    for name in (FIXED_POINT, MULTIBATH, MULTIBATH_PARTS, FT_AVERAGE, FT_EXCHANGE, FINITE_DIM,
-                 CAPACITY, FOUR_STROKE):
-        assert record(*name)[1]
+    found = record(*EMBEDDING)
+    assert (found.passed, found.value, found.op, found.bound) == (True, 50, "==", 50)
+    for name in (FLUX, CLAUSIUS, FIXED_POINT, MULTIBATH, MULTIBATH_PARTS, FT_AVERAGE,
+                 FT_EXCHANGE, FINITE_DIM, CAPACITY, FOUR_STROKE):
+        assert record(*name).passed
 
 
 @pytest.mark.parametrize("plant, suite_record", DEFECTS.values(), ids=DEFECTS.keys())
 def test_each_planted_defect_fails_the_record(monkeypatch, plant, suite_record):
     plant(monkeypatch)
-    _, passed, detail = record(*suite_record)
-    assert not passed, detail
+    found = record(*suite_record)
+    assert not found.passed, found

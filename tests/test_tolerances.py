@@ -16,14 +16,6 @@ ALLOWED = {
     # written-out 10 000-entry gamma-embeddings, whose partial sums carry
     # more round-off, are compared with 1e-9 against MAJORIZATION_TOL
     "entroprod.resource.majorization_verdict": "it sets the comparison window per caller",
-    # the acceptance tests pin each suite's tolerance at the call
-    "entroprod.verify.ft_table_suite": "a verify suite",
-    "entroprod.verify.route_equality_suite": "a verify suite",
-    "entroprod.verify.swap_engine_suite": "a verify suite",
-    "entroprod.verify.landauer_suite": "a verify suite",
-    "entroprod.verify.gaussian_ness_suite": "a verify suite",
-    "entroprod.verify.quench_suite": "a verify suite",
-    "entroprod.verify.squeezed_suite": "a verify suite",
 }
 
 
