@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NULL_RCOND_TOL, _check_probabilities, _real_array, bordered_solve, propagate
+from .core import (NULL_RCOND_TOL, _check_probabilities, _eigvalsh, _real_array, bordered_solve,
+                   propagate)
 
 # A detailed-balance flow asymmetry |W_ij p_j - W_ji p_i| at most this is zero.
 DETAILED_BALANCE_TOL = 1e-10
@@ -320,7 +321,7 @@ def onsager_sigma(l_matrix, affinities):
         raise ClassicalError(f"{x.size} affinities for the {len(l)}x{len(l)} Onsager matrix")
     sym = 0.5 * (l + l.T)
     value = float(x @ sym @ x)
-    psd = bool(np.linalg.eigvalsh(sym).min() >= -1e-12)
+    psd = bool(_eigvalsh(sym).min() >= -1e-12)
     return value, psd
 
 

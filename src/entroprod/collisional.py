@@ -21,11 +21,11 @@ Three tiers of entropy production per stroke:
 Every stroke is also a channel on rho_S alone, built once per alphabet
 entry from the Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`)
 with the system unitary folded in (`_stroke_channel`).  `run` steps the
-states by these channels, one d^2-vector product per stroke (`_chain`),
-and makes the strokes whose ancillas share a size the rows of one
-`episodes.EpisodeStack` (stroke n takes alphabet entry n mod L), whose
-joint states, rho_n' and balances are those of every other product-state
-unitary episode.
+states by these channels, a block of cycle starts at a time by the powers
+of the cycle channel (`_chain`), and makes the strokes whose ancillas
+share a size the rows of one `episodes.EpisodeStack` (stroke n takes
+alphabet entry n mod L), whose joint states, rho_n' and balances are
+those of every other product-state unitary episode.
 `preferred_basis` reads the same states and their spectra.  A limit
 cycle is the null vector of Phi - 1, Phi the product of the stroke
 channels of one cycle.  A unit-modulus eigenvalue of Phi other than 1
@@ -49,6 +49,7 @@ from .core import (
     _check_beta,
     _check_size,
     _density_stack,
+    _eigh,
     _entropy_rows,
     _frozen_matrix,
     _gibbs,
@@ -166,6 +167,11 @@ class CollisionSpec:
         return [_stroke_channel(s.unitary, s.rho, self.u_at(k))
                 for k, s in enumerate(self.alphabet)]
 
+    @functools.cached_property
+    def _cycle(self) -> np.ndarray:
+        """The cycle channel M_{L-1} .. M_0 of the stroke channels, built once."""
+        return functools.reduce(lambda chan, stroke: stroke @ chan, self._channels)
+
 
 @dataclass(frozen=True)
 class StrokeRecord:
@@ -194,18 +200,27 @@ def _stroke_channel(unitary, rho_ancilla, after=None, before=None) -> np.ndarray
 
 
 def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
-    """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n): the states, and
-    their (matrices, weights, eigenvectors) as three stacks, rho_0's one-row stack (cheaper
-    than restacking the states) joined to rho_1 .. rho_n validated as one (`_density_stack`)."""
+    """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n), k = n mod L: the
+    states, and their (matrices, weights, eigenvectors) as three stacks, rho_0's one-row stack
+    (cheaper than restacking the states) joined to rho_1 .. rho_n validated as one
+    (`_density_stack`).  The states are made by doubling a block: the m cycle starts rho_0,
+    rho_L, .., rho_{(m-1)L} times C^m (C = `CollisionSpec._cycle`, one power held at a time)
+    are the next m starts, and L - 1 steps by M_0 .. M_{L-2}, each on every start at once, fill
+    in the letters: about log2(n/L) + L matrix products in place of n matrix-vector ones."""
     ds = spec.dim_system
     rho0 = _typed(DensityOperator, rho0, CollisionalError, ds, spec.h_system[0].dims)
-    channels = spec._channels
-    vecs = np.empty((n_strokes + 1, ds * ds), dtype=complex)
-    vecs[0] = vec(rho0.matrix)
-    for n in range(n_strokes):
-        np.matmul(channels[n % len(channels)], vecs[n], out=vecs[n + 1])
+    n_starts, power = n_strokes // len(spec.alphabet) + 1, spec._cycle
+    starts = vec(rho0.matrix)[None]
+    while len(starts) < n_starts:
+        if len(starts) > 1:
+            power = power @ power                       # C^m, m = len(starts)
+        starts = np.concatenate((starts, starts[:n_starts - len(starts)] @ power.T))
+    letters = [starts]
+    for channel in spec._channels[:-1]:
+        letters.append(letters[-1] @ channel.T)
+    vecs = np.stack(letters, 1).reshape(-1, ds * ds)[:n_strokes + 1]
     # `unvec` of every row: a C-order reshape, transposed.  The channels keep
-    # the trace only to round-off, which the chain would sum stroke by stroke.
+    # the trace only to round-off, which the chain would carry from state to state.
     nexts = vecs[1:].reshape(n_strokes, ds, ds).transpose(0, 2, 1)
     nexts = nexts / np.trace(nexts, axis1=1, axis2=2)[:, None, None]
     stack = _density_stack(nexts)
@@ -216,14 +231,16 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     """Run n_strokes collisions; returns (state list, StrokeRecord list).
 
-    The states are stepped by the stroke channels (`_chain`), and stroke n
-    takes alphabet entry n mod L.  The strokes whose ancillas share a size
-    are the rows of one `EpisodeStack`, validating nothing again: rho_n are
-    the chain's (matrices, weights, eigenvectors), H_S, H_A, U and rho_A the
-    rows of their entries, and S and A one factor each, so each partial trace
-    is one trace.  Its evolution gives every rho_n' and its balance every Q_A,
-    W_onoff, Sigma and dS_S.  dH_S is read off the chain, so the first-law
-    residual is a check, not an identity.
+    The states are stepped by the stroke channels (`_chain`, by powers of the
+    cycle channel), and stroke n takes alphabet entry n mod L.  The strokes
+    whose ancillas share a size are the rows of one `EpisodeStack`, validating
+    nothing again: rho_n are the chain's (matrices, weights, eigenvectors), H_S,
+    H_A, U and rho_A the rows of their entries, and S and A one factor each, so
+    each partial trace is one trace.  Its evolution gives every rho_n' and its
+    balance every Q_A, W_onoff, Sigma and dS_S.  Each kind of spectrum (rho_n,
+    rho_n', rho_A') is one stacked `core._eigh`, in closed form for qubits from
+    30 strokes on.  dH_S is read off the chain, so the first-law residual is a
+    check, not an identity.
     Tier-2 sigma is reported when the ancilla carries a (checked) beta; tier-3 when in
     addition the stroke unitary is strictly energy conserving; the verdict
     and the Gibbs state are evaluated once per alphabet entry, for its rows.
@@ -277,7 +294,7 @@ def _fixed_point(spec: CollisionSpec, m0: np.ndarray, dims, unique: bool) -> Den
     the spec's cycle channel (its stroke channels, the last leftmost), i.e. the
     limit of repeated passes (eigenvalue 1 of a channel is semisimple), from
     the singular vectors of chan - 1 at zero."""
-    chan = functools.reduce(lambda chan, stroke: stroke @ chan, spec._channels)
+    chan = spec._cycle
     vals = np.linalg.eigvals(chan)
     at_one = np.abs(vals - 1.0) <= UNIT_CIRCLE_TOL
     if np.any(~at_one & (np.abs(vals) >= 1.0 - UNIT_CIRCLE_TOL)):
@@ -406,7 +423,7 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
                 raise CollisionalError("preferred-basis analysis assumes "
                                        "instantaneous (identity) work strokes")
     # common eigenbasis from the first Hamiltonian
-    evals0, basis = np.linalg.eigh(hs[0].matrix)
+    evals0, basis = _eigh(hs[0].matrix)
     # the chain of each alphabet entry: M_n, coherence factors, p_th
     chains = []
     for k in range(min(n_strokes, len(spec.alphabet))):

@@ -42,6 +42,8 @@ from .core import (
     _check_beta,
     _check_size,
     _density_stack,
+    _eigh,
+    _eigvalsh,
     _entropy_rows,
     _frozen_matrix,
     _frozen_stack,
@@ -901,7 +903,7 @@ def heat_distribution(ep: Episode, beta: float | None = None):
     """
     from .trajectories import ScalarDistribution   # trajectories imports this module
 
-    evals_e, evecs_e = np.linalg.eigh(ep.h_env.matrix)
+    evals_e, evecs_e = _eigh(ep.h_env.matrix)
     lam, svecs = ep.rho_system.eig()
     ds, de = ep.rho_system.dim, ep.rho_env.dim
     # environment populations in the H_E eigenbasis
@@ -1022,12 +1024,12 @@ def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperat
     _check_beta(beta, EpisodeError, positive=True)
     h = _hermitian(h_total, EpisodeError)
     factors = _as_dims(dims, len(h), EpisodeError).factors
-    levels, vecs = np.linalg.eigh(h)
+    levels, vecs = _eigh(h)
     exp_tot = (vecs * np.exp(-beta * (levels - levels[0]))) @ vecs.conj().T
     reduced = _ptrace_matrix(exp_tot, factors, [0])
     h_env = _hermitian(h_env, EpisodeError, len(h) // factors[0])
-    log_z_env = _gibbs(np.linalg.eigvalsh(h_env), beta)[1]
-    vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
+    log_z_env = _gibbs(_eigvalsh(h_env), beta)[1]
+    vals, vecs = _eigh((reduced + reduced.conj().T) / 2.0)
     if vals.min() <= 0:
         raise EpisodeError("reduced exponential is singular")
     logm = (vecs * (np.log(vals) - log_z_env - beta * levels[0])) @ vecs.conj().T

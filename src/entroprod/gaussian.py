@@ -24,6 +24,8 @@ from .core import (
     ChargeSectors,
     DensityOperator,
     _check_beta,
+    _eigh,
+    _eigvalsh,
     _exact_spectra,
     _ptrace_matrix,
     _real_array,
@@ -74,7 +76,7 @@ class GaussianModel:
             raise GaussianError("drift, diffusion and parity must be finite")
         if np.abs(d - d.T).max() > 1e-12:
             raise GaussianError("diffusion matrix must be symmetric")
-        if np.linalg.eigvalsh(d).min() < -1e-12:
+        if _eigvalsh(d).min() < -1e-12:
             raise GaussianError("diffusion matrix must be PSD")
         if np.abs(par @ par - np.eye(a.shape[0])).max() > 1e-12:
             raise GaussianError("parity matrix must square to the identity")
@@ -108,11 +110,11 @@ class GaussianState:
         if self.quantum:
             omega = symplectic_form(len(mean) // 2)
             test = cov + 0.5j * omega
-            low = float(np.linalg.eigvalsh((test + test.conj().T) / 2.0).min())
+            low = float(_eigvalsh((test + test.conj().T) / 2.0).min())
             if low < -1e-9:
                 raise GaussianError(f"covariance violates the uncertainty bound ({low:.3e})")
         else:
-            if np.linalg.eigvalsh(cov).min() < -1e-12:
+            if _eigvalsh(cov).min() < -1e-12:
                 raise GaussianError("classical covariance must be PSD")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -196,7 +198,7 @@ def pi_phi(model: GaussianModel, state: GaussianState):
     d = model.diffusion
     theta = state.cov
     xbar = state.mean
-    vals, vecs = np.linalg.eigh(d)
+    vals, vecs = _eigh(d)
     nz = _spectral_weights(vals, max(1.0, vals.max())) > 0.0
     if not np.all(nz):
         # pseudo-inverse: A_irr must act within the range of D

@@ -34,6 +34,7 @@ from .core import (
     _check_beta,
     _check_hermitian,
     _density_stack,
+    _eigh,
     _exact_spectra,
     _frozen_matrix,
     _frozen_stack,
@@ -228,7 +229,7 @@ def steady_state(model: LindbladModel) -> DensityOperator:
     if x is None:
         raise LindbladError(
             f"degenerate steady space (bordered generator singular within {NULL_RCOND_TOL:g})")
-    vals, vecs = np.linalg.eigh(from_hermitian_coords(x))
+    vals, vecs = _eigh(from_hermitian_coords(x))
     if vals.min() < -1e-7:
         raise LindbladError(f"steady-state candidate not PSD ({vals.min():.3e})")
     w = np.clip(vals, 0.0, None)

@@ -40,6 +40,7 @@ import numpy as np
 from .core import (
     DensityOperator,
     _check_beta,
+    _eigh,
     _entropy_rows,
     _equal_runs,
     _frozen_stack,
@@ -341,8 +342,8 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     Gibbs weights of H_f.  Bare H and V are read by `core._hermitian` and `core._unitary`,
     H_f and V at the size of H_i."""
     beta = _check_beta(beta, TrajectoryError, positive=True)
-    ei, vi = np.linalg.eigh(_hermitian(h_initial, TrajectoryError))
-    ef, vf = np.linalg.eigh(_hermitian(h_final, TrajectoryError, ei.shape[-1]))
+    ei, vi = _eigh(_hermitian(h_initial, TrajectoryError))
+    ef, vf = _eigh(_hermitian(h_final, TrajectoryError, ei.shape[-1]))
     (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
     v = _unitary(protocol_unitary, TrajectoryError, ei.shape[-1])
     amp = vf.conj().swapaxes(-1, -2) @ v @ vi
@@ -602,7 +603,7 @@ def correlated_tpm(rho_ab: DensityOperator, h_a, h_b, unitary,
     """
     (rho_ab, h_a, h_b, u), _, mean_unitary = _thermal_exchange(rho_ab, h_a, h_b, unitary,
                                                                beta_a, beta_b, TrajectoryError)
-    (ea, va), (eb, vb) = np.linalg.eigh(h_a), np.linalg.eigh(h_b)
+    (ea, va), (eb, vb) = _eigh(h_a), _eigh(h_b)
     basis = tensor([va, vb])
     da, db = len(ea), len(eb)
     p_joint = np.maximum(populations(rho_ab, basis), 0.0).reshape(da, db)
@@ -648,8 +649,8 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     value Tr{H_B (U rho_AB U^dag - rho_AB)} exactly.  The ensemble is
     p[s, n, m] = p_s |<n|s>|^2 |<m|U|s>|^2 over the joint energy indices.
     """
-    ea, va = np.linalg.eigh(_hermitian(h_a, TrajectoryError))
-    eb, vb = np.linalg.eigh(_hermitian(h_b, TrajectoryError))
+    ea, va = _eigh(_hermitian(h_a, TrajectoryError))
+    eb, vb = _eigh(_hermitian(h_b, TrajectoryError))
     ps, vs = _spectrum(rho_ab, TrajectoryError, len(ea) * len(eb))
     basis, u = tensor([va, vb]), _unitary(unitary, TrajectoryError, len(ps))
     amp_m = np.abs(basis.conj().T @ u @ vs) ** 2               # [(mA mB), s]

@@ -1,9 +1,11 @@
 """Tier-1 cannot hang: a test still running after TEST_TIME_LIMIT seconds
 fails with its name.  The limit is a SIGALRM interval timer from the
 standard library (pytest-timeout is not a dependency); where there is no
-`signal.setitimer` there is no limit."""
+`signal.setitimer` there is no limit.  The `count_spectral` fixture counts the
+package's Hermitian eigendecompositions at its one kernel."""
 
 import signal
+import sys
 
 import pytest
 
@@ -27,3 +29,22 @@ def _time_limit(request):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def count_spectral(monkeypatch):
+    """count_spectral(record) patches the package's one Hermitian eigensolver, `core._eigh`
+    and `core._eigvalsh`, under every name a module of entroprod binds it by, so that each
+    call first runs record(kind, matrix), kind "eigh" or "eigvalsh", closed-form and LAPACK
+    decompositions alike; `monkeypatch.undo()` restores it."""
+
+    def patch(record):
+        from entroprod import core
+        kernels = {core._eigh: "eigh", core._eigvalsh: "eigvalsh"}
+        for name, module in list(sys.modules.items()):
+            for attr in ("_eigh", "_eigvalsh") if name.startswith("entroprod") else ():
+                fn = getattr(module, attr, None)
+                if fn in kernels:
+                    monkeypatch.setattr(module, attr, lambda m, _fn=fn, _kind=kernels[fn]:
+                                        record(_kind, m) or _fn(m))
+    return patch

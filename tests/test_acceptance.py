@@ -112,9 +112,10 @@ def test_criterion_09_squeezed_bath():
 
 
 def test_criterion_10_liouvillian_suite():
-    """Kerr gap has a local minimum inside the semiclassical bistable
-    window at N = 3; the macrospin order parameter stays negative below
-    h = 2 kappa with monotone approach; within 60 s."""
+    """Kerr gap has a local minimum off both ends of its drive grid, which
+    lies inside the semiclassical bistable window, at N = 3; the macrospin
+    order parameter stays negative below h = 2 kappa with monotone approach;
+    within 60 s."""
     start = time.time()
     records = verify.liouvillian_suite()
     _assert_suite("liouvillian", records, budget=60.0,

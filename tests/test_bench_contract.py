@@ -56,14 +56,12 @@ def test_every_traced_name_resolves():
     # the one eigvalsh is the thermality check's trace distance; the
     # heat-capacity bound reads the levels that check keeps
     (verify.landauer_suite, {"eigh": 5, "eigvalsh": 1})])
-def test_episode_suites_decompose_once_per_stack(monkeypatch, suite, pinned):
+def test_episode_suites_decompose_once_per_stack(monkeypatch, count_spectral, suite, pinned):
+    # counted at the package's eigensolver, so a closed-form (n, 2, 2) stack counts too
     counts = []
     for n_episodes in (10, 40):
         calls = []
-        for name in ("eigh", "eigvalsh"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k:
-                                calls.append(_name) or _fn(*a, **k))
+        count_spectral(lambda kind, m: calls.append(kind))
         records = suite(n_episodes=n_episodes)
         monkeypatch.undo()
         assert all(passed for _, passed, _ in records), records
@@ -157,14 +155,11 @@ def test_erasure_bounds_match_a_bisection(levels, temperature, fraction, slope, 
     assert abs(eps.heat_capacity_bound(d_s, temperature, capacity) - want) < 1e-9
 
 
-def count_decompositions(monkeypatch, call):
-    """The eigh, eigvalsh and `_petz_renyi` calls that call() makes."""
+def count_decompositions(monkeypatch, count_spectral, call):
+    """The eigh and eigvalsh (`count_spectral`) and `_petz_renyi` calls that call() makes."""
     from entroprod import core, resource, trajectories
     petz_renyi, calls = core._petz_renyi, []
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k:
-                            calls.append(_name) or _fn(*a, **k))
+    count_spectral(lambda kind, m: calls.append(kind))
     for module in (m for m in (core, resource, trajectories) if hasattr(m, "_petz_renyi")):
         monkeypatch.setattr(module, "_petz_renyi", lambda *a, **k:
                             calls.append("_petz_renyi") or petz_renyi(*a, **k))
@@ -175,22 +170,22 @@ def count_decompositions(monkeypatch, call):
     return result, {name: calls.count(name) for name in set(calls)}
 
 
-def majorization_counts(monkeypatch, sizes):
+def majorization_counts(monkeypatch, count_spectral, sizes):
     """The decomposition counts of the majorization suite at each of `sizes`,
     every record passing."""
     counts = []
     for kwargs in sizes:
         records, count = count_decompositions(
-            monkeypatch, lambda: verify.majorization_suite(**kwargs))
+            monkeypatch, count_spectral, lambda: verify.majorization_suite(**kwargs))
         assert all(passed for _, passed, _ in records), records
         counts.append(count)
     return counts
 
 
-def test_majorization_suite_counts_do_not_grow_with_its_pairs(monkeypatch):
+def test_majorization_suite_counts_do_not_grow_with_its_pairs(monkeypatch, count_spectral):
     # the pair blocks (curve against embedding, Renyi grid, oracle) are one
     # stack each; the quenches are held fixed
-    counts = majorization_counts(monkeypatch, [
+    counts = majorization_counts(monkeypatch, count_spectral, [
         {"n_pairs": n, "n_renyi": n, "n_oracle": n, "n_quenches": 5} for n in (10, 40)])
     assert counts[0] == counts[1]
     # one per dimension of the Renyi pairs, one for work_bounds_rows and one
@@ -198,10 +193,10 @@ def test_majorization_suite_counts_do_not_grow_with_its_pairs(monkeypatch):
     assert counts[0]["_petz_renyi"] == 4 + 1 + 1
 
 
-def test_majorization_suite_counts_do_not_grow_with_its_quenches(monkeypatch):
+def test_majorization_suite_counts_do_not_grow_with_its_quenches(monkeypatch, count_spectral):
     # the quenches are one stack (`trajectories.work_rows`): one eigh per
     # Hamiltonian kind, where the parent took four per quench
-    counts = majorization_counts(monkeypatch, [{"n_quenches": n} for n in (10, 40)])
+    counts = majorization_counts(monkeypatch, count_spectral, [{"n_quenches": n} for n in (10, 40)])
     assert counts[0] == counts[1]
 
 
@@ -226,7 +221,7 @@ def test_majorization_suite_embeds_its_pairs_as_runs(monkeypatch):
     assert (records[0].value, records[3].value) == (50, 100)
 
 
-def test_one_bath_multibath_takes_no_decomposition_after_thermal(monkeypatch):
+def test_one_bath_multibath_takes_no_decomposition_after_thermal(monkeypatch, count_spectral):
     # the benchmark's thermal 2x3 episode: the one bath part covers all of E,
     # so its marginals are rho_E and rho_E' and its Gibbs check is the
     # thermal balance's own
@@ -250,7 +245,7 @@ def test_one_bath_multibath_takes_no_decomposition_after_thermal(monkeypatch):
     eps.balance(ep, ev)
     thermal = eps.thermal_balance(ep, beta)
     multibath, count = count_decompositions(
-        monkeypatch, lambda: eps.multibath_balance(ep, [part], evolved=ev))
+        monkeypatch, count_spectral, lambda: eps.multibath_balance(ep, [part], evolved=ev))
     assert count.get("eigh", 0) == count.get("eigvalsh", 0) == 0, count
     assert multibath.sigma == thermal.sigma
     assert multibath.env_displacement == thermal.env_displacement

@@ -248,11 +248,11 @@ def _spectrum_test_states(rng):
             yield random_density(d, rng, rank=rank)
 
 
-def test_density_operator_keeps_its_spectrum(monkeypatch):
+def test_density_operator_keeps_its_spectrum(count_spectral):
     rng = np.random.default_rng(77)
     states = list(_spectrum_test_states(rng))
     calls = []
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1))
+    count_spectral(lambda kind, m: calls.append(kind))
     for rho in states:
         vals, vecs = rho.eig()
         assert vals.min() >= 0.0 and np.all(np.diff(vals) >= 0.0)
@@ -328,13 +328,13 @@ def test_cold_gibbs_state_is_at_zero_divergence_from_itself(seed):
         assert abs(core.renyi_divergence(sigma, sigma, alpha)) < 1e-7
 
 
-def test_gibbs_states_are_decomposed_once(monkeypatch):
+def test_gibbs_states_are_decomposed_once(monkeypatch, count_spectral):
     # thermal_state and the stacked _gibbs_states take one eigh of H and keep
     # the Gibbs weights on its eigenvectors; maximally_mixed takes none
     h = random_hermitian(3, RNG)
     stack = np.stack([random_hermitian(3, RNG).matrix for _ in range(4)])
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = []
+    count_spectral(lambda kind, m: calls.append(kind))
     rho = core.thermal_state(h, 0.8)
     assert len(calls) == 1
     m, w, v, _ = core._gibbs_states(stack, np.linspace(0.5, 2.0, 4))
@@ -357,13 +357,13 @@ def test_gibbs_states_are_decomposed_once(monkeypatch):
             core._exact_spectra(None, weights, np.eye(2))
 
 
-def test_thermal_state_of_a_stack_is_each_row(monkeypatch):
+def test_thermal_state_of_a_stack_is_each_row(monkeypatch, count_spectral):
     # one stacked eigh for n Hamiltonians; each state is the one-row call, bit
     # for bit, and a beta per row must be one per Hamiltonian
     stack = np.stack([random_hermitian(3, RNG).matrix for _ in range(4)])
     betas = np.array([0.5, 1.0, 40.0, 300.0])
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = []
+    count_spectral(lambda kind, m: calls.append(kind))
     states = core.thermal_state(stack, betas)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -398,12 +398,12 @@ def test_thermal_state_of_hamiltonian_rows_keeps_their_factor_dims():
         core.thermal_state([rows[0], HermitianOperator.from_matrix(rows[1].matrix)], betas[:2])
 
 
-def test_a_stack_of_states_is_read_by_the_spectra_they_keep(monkeypatch):
+def test_a_stack_of_states_is_read_by_the_spectra_they_keep(monkeypatch, count_spectral):
     # a sequence of states is neither decomposed nor checked again: one state
     # by views, n by one copy per array; a bare stack by one stacked eigh
     states = [core.thermal_state(np.diag([0.0, 1.0]), b) for b in (0.5, 40.0, 700.0)]
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = []
+    count_spectral(lambda kind, m: calls.append(kind))
     one, three = core._density_stack(states[:1]), core._density_stack(tuple(states))
     assert calls == []
     bare = core._density_stack(np.stack([s.matrix for s in states]))

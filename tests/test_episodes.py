@@ -112,15 +112,15 @@ def test_balance_pure_environment_reports_infinity():
     assert math.isfinite(bal.mutual_info)
 
 
-def test_a_cold_swap_reads_one_sigma_through_both_apis(monkeypatch):
+def test_a_cold_swap_reads_one_sigma_through_both_apis(monkeypatch, count_spectral):
     # I/2 swapped with a qubit Gibbs at beta omega = 40, whose weight e^-40 is
     # below the eigensolver round-off cut: Sigma = dS_S + beta Q_E =
     # 20 - ln 2 + ln(1 + e^-40).  The states enter the stack with the spectra
     # they keep, so the stack takes no eigh for them and reads no cut weight.
     h, beta = np.diag([0.0, 1.0]), 40.0
     rho_s, rho_e = DensityOperator.maximally_mixed(2), thermal_state(h, beta)
-    calls, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    calls = []
+    count_spectral(lambda kind, m: calls.append(kind))
     stack = eps.EpisodeStack.of(h[None], h[None], SWAP4[None], [rho_s], [rho_e])
     assert calls == []
     monkeypatch.undo()
@@ -354,7 +354,7 @@ def test_fixed_point_sigma_differs_without_fixed_point():
     assert abs(fp - bal.sigma) > 1e-3
 
 
-def test_decompositions_per_state(monkeypatch):
+def test_decompositions_per_state(count_spectral):
     """Every state is diagonalized once, when it is built: thermal_balance
     decomposes H_E and its Gibbs state, the thermality distance and the
     two evolved marginals (rho_SE' is made from its product spectrum);
@@ -362,10 +362,7 @@ def test_decompositions_per_state(monkeypatch):
     ep = random_episode(np.random.default_rng(8))
     ev = eps.evolve(ep)
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    count_spectral(lambda kind, m: calls.append(kind))
 
     def count(call):
         calls.clear()
@@ -384,14 +381,11 @@ def test_decompositions_per_state(monkeypatch):
     assert count(lambda: [tj.backward_ensemble(fresh, c) for c in tj.BackwardChoice]) == 2
 
 
-def test_thermality_checked_once_per_episode_and_beta(monkeypatch):
+def test_thermality_checked_once_per_episode_and_beta(count_spectral):
     ep = random_episode(np.random.default_rng(8))
     eps.thermal_balance(ep, 1.2)
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    count_spectral(lambda kind, m: calls.append(kind))
     again = eps.thermal_balance(ep, 1.2)
     eps.landauer_report(ep, 1.2)
     assert calls == []

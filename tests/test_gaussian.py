@@ -280,15 +280,14 @@ def test_squeezed_sigma_dual_route_partial_exchange():
     assert out.d_asymmetry < 1e-7
 
 
-def test_squeezed_sigma_decomposes_each_state_once(monkeypatch):
+def test_squeezed_sigma_decomposes_each_state_once(count_spectral):
     # the eigh calls on states (unit trace): rho_S' when it is made, which
     # both routes then read; rho_E is made from its exact spectrum
     spec = gs.SqueezedExchangeSpec(omega=1.0, g=1.0, t=0.5, r=0.2, theta=0.3,
                                    beta=2.5, fock_cut=12)
     rho = padded_system_state(RNG, 12)
-    traces, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k:
-                        traces.append(np.trace(a)) or eigh(a, *r, **k))
+    traces = []
+    count_spectral(lambda kind, m: kind == "eigh" and traces.append(np.trace(m)))
     gs.squeezed_sigma(spec, rho)
     assert sum(abs(t - 1.0) < 1e-6 for t in traces) == 1
 

@@ -28,7 +28,13 @@ the heat of the erasures, which the record "landauer heat-capacity bound
 dominates" compares with it.  The hot flux of `four_stroke` taken with the
 cold stroke's dS_S moves the net flux off the net production, which the
 swap-engine record "swap closed forms == four-stroke cycle" compares with
-the closed-form Sigma."""
+the closed-form Sigma.  The Kerr drive read without its sqrt(N) scaling
+moves the gap minimum to an end of the drive grid, which the liouvillian
+record "kerr gap local minimum off the drive grid ends" reads.
+
+A defect no record can catch is catalogued in UNCAUGHT with the reason, and
+its test asserts that it breaks its kernel and that every record still
+passes, so a suite that learns to catch it moves it to DEFECTS."""
 
 import inspect
 import textwrap
@@ -36,7 +42,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from entroprod import collisional as cm, core, episodes as eps, resource as rs, verify
+from entroprod import (collisional as cm, core, episodes as eps, lindblad as lb, resource as rs,
+                       verify)
 
 EMBEDDING = "majorization", "majorization curve == embedding verdict"
 FLUX = "route-equality", "route flux == beta Q_E"
@@ -49,6 +56,7 @@ FT_EXCHANGE = "ft-table", "ft-table exchange form (both reset, conserving)"
 FINITE_DIM = "landauer", "landauer finite-d bound closed form"
 CAPACITY = "landauer", "landauer heat-capacity bound dominates"
 FOUR_STROKE = "swap-engine", "swap closed forms == four-stroke cycle"
+KERR = "liouvillian", "kerr gap local minimum off the drive grid ends"
 
 
 def record(suite, name):
@@ -164,6 +172,18 @@ def flux_of_the_other_stroke(monkeypatch):
                                                   "hot.sigma_general - (s2 - s1)"))
 
 
+def unscaled_drive(monkeypatch):
+    # eps in place of eps sqrt(N) in the Kerr model's thermodynamic-limit scaling
+    monkeypatch.setattr(lb, "kerr_model", mutant(lb.kerr_model, "drive * math.sqrt(n_scale)",
+                                                 "drive"))
+
+
+def conjugated_phase(monkeypatch):
+    # the closed-form eigenvectors of a 2 x 2 stack with the phase conj(b)/|b| for b/|b|
+    monkeypatch.setattr(core, "_eigh2", mutant(core._eigh2, "phase.conj() * np.sin",
+                                               "phase * np.sin"))
+
+
 DEFECTS = {
     "curve: beta -> -beta in the beta-order": (negated_beta, EMBEDDING),
     "curve: interpolation without the chord": (step_curves, EMBEDDING),
@@ -181,6 +201,17 @@ DEFECTS = {
     "finite-dimension correction halved": (halved_correction, FINITE_DIM),
     "Gibbs erasure heat without <E>_T": (heat_without_the_initial_energy, CAPACITY),
     "four-stroke hot flux with the cold stroke's dS_S": (flux_of_the_other_stroke, FOUR_STROKE),
+    "Kerr drive without its sqrt(N) scaling": (unscaled_drive, KERR),
+}
+
+UNCAUGHT = {
+    "closed-form eigenvector phase conj(b)/|b|": (
+        conjugated_phase,
+        "no suite reads the eigenvectors of a complex 2 x 2 stack of _CLOSED_FORM_ROWS or "
+        "more rows: the landauer suite's 100-row stacks feed only weights (entropies, the "
+        "thermality distance, real Gibbs levels) and the 25-episode ft-table and "
+        "route-equality stacks stay on LAPACK; Tier-1's "
+        "test_closed_form_is_the_hermitian_decomposition catches it"),
 }
 
 
@@ -188,7 +219,7 @@ def test_the_record_passes_without_a_defect():
     found = record(*EMBEDDING)
     assert (found.passed, found.value, found.op, found.bound) == (True, 50, "==", 50)
     for name in (FLUX, CLAUSIUS, FIXED_POINT, MULTIBATH, MULTIBATH_PARTS, FT_AVERAGE,
-                 FT_EXCHANGE, FINITE_DIM, CAPACITY, FOUR_STROKE):
+                 FT_EXCHANGE, FINITE_DIM, CAPACITY, FOUR_STROKE, KERR):
         assert record(*name).passed
 
 
@@ -197,3 +228,15 @@ def test_each_planted_defect_fails_the_record(monkeypatch, plant, suite_record):
     plant(monkeypatch)
     found = record(*suite_record)
     assert not found.passed, found
+
+
+@pytest.mark.parametrize("plant, reason", UNCAUGHT.values(), ids=UNCAUGHT.keys())
+def test_each_uncaught_defect_breaks_its_kernel_and_no_record(monkeypatch, plant, reason):
+    rng = np.random.default_rng(38)
+    x = rng.normal(size=(core._CLOSED_FORM_ROWS, 2, 2)) * (1.0 + 1.0j)
+    m = x + x.conj().swapaxes(1, 2)
+    plant(monkeypatch)
+    vals, vecs = core._eigh(m)
+    assert np.abs(m @ vecs - vecs * vals[:, None, :]).max() > 1e-3, reason
+    failed = [r for r in verify.run_suite("all") if not r.passed]
+    assert failed == [], reason

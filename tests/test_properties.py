@@ -2,6 +2,7 @@
 database): the invariants hold on drawn instances, not only on seeds."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import scipy.linalg
 
-from entroprod import (classical as cl, collisional as cm, episodes as eps, lindblad as lb,
-                       resource as rs,
-                       trajectories as tj)
+from entroprod import (classical as cl, collisional as cm, core, episodes as eps,
+                       lindblad as lb, resource as rs, trajectories as tj)
 from entroprod.core import (CoreError, DensityOperator, HermitianOperator, UnitaryOperator,
                             _petz_renyi, _unitary, classical_kl, kraus_superop, partial_trace,
                             relative_entropy, renyi_divergence, tensor, thermal_state,
@@ -150,6 +150,104 @@ def test_one_letter_chain_reaches_the_limit_cycle():
                         "seed": 3})
     states, _ = cm.run(spec, rho0, 200)
     assert np.abs(states[-1].matrix - cm.limit_cycle(spec).matrix).max() <= 1e-10
+
+
+@PROPERTY
+@given(collision, st.data())
+def test_doubled_chain_is_the_sequential_loop(draw, data):
+    # rho_0 .. rho_n by powers of the cycle channel against one stroke channel per
+    # state, at the lengths around one cycle and at 200 strokes
+    spec, rho0 = build(draw)
+    length = len(spec.alphabet)
+    n = data.draw(st.sampled_from(sorted({1, length - 1, length, length + 1, 200} - {0})))
+    vecs = [core.vec(rho0.matrix)]
+    for k in range(n):
+        vecs.append(spec._channels[k % length] @ vecs[-1])
+    want = np.array([core.unvec(v) for v in vecs[1:]])
+    want /= np.trace(want, axis1=1, axis2=2)[:, None, None]
+    states, (matrices, weights, _) = cm._chain(spec, rho0, n)
+    assert len(states) == n + 1 and states[0] is rho0
+    assert np.abs(matrices[1:] - want).max() <= 1e-14
+    assert np.abs(weights[1:] - np.linalg.eigvalsh(want)).max() <= 1e-14
+
+
+def exact_levels(m):
+    """The two levels of each Hermitian 2 x 2 matrix (lower triangle), from its float
+    entries in 50-digit decimal arithmetic, rounded once to floats."""
+    out = []
+    with localcontext() as context:
+        context.prec = 50
+        for row in m.reshape(-1, 2, 2).astype(complex):
+            a, d = Decimal(row[0, 0].real), Decimal(row[1, 1].real)
+            b2 = Decimal(row[1, 0].real) ** 2 + Decimal(row[1, 0].imag) ** 2
+            r = (((a - d) / 2) ** 2 + b2).sqrt()
+            out.append([float((a + d) / 2 - r), float((a + d) / 2 + r)])
+    return np.array(out).reshape(m.shape[:-1])
+
+
+qubit_stack = st.fixed_dictionaries({
+    "rows": st.integers(core._CLOSED_FORM_ROWS, 64),
+    "kind": st.sampled_from(["complex", "real", "degenerate", "diagonal", "near-pure",
+                             "scaled"]),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def draw_qubit_stack(draw):
+    """A stack of Hermitian 2 x 2 matrices of one kind: complex or real (float) entries, equal
+    diagonals, diagonal (either order, some equal), states with a weight <= 1e-15, or
+    complex rows scaled by 10^-100 .. 10^100."""
+    rng, n = np.random.default_rng(draw["seed"]), draw["rows"]
+    x = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)) * (draw["kind"] != "real")
+    if draw["kind"] == "near-pure":
+        basis = haar_unitaries(ginibre(rng, (n, 2, 2)))
+        small = 10.0 ** rng.uniform(-18.0, -15.0, n)
+        x = (basis * np.stack([1.0 - small, small], -1)[:, None, :]) @ basis.conj().swapaxes(1, 2)
+    m = (x + x.conj().swapaxes(1, 2)) / 2.0
+    if draw["kind"] == "degenerate":
+        m[:, 1, 1] = m[:, 0, 0]
+    if draw["kind"] == "diagonal":
+        m[:, 1, 0] = m[:, 0, 1] = 0.0
+        m[::3, 1, 1] = m[::3, 0, 0]
+    if draw["kind"] == "scaled":
+        m *= 10.0 ** rng.uniform(-100.0, 100.0, (n, 1, 1))
+    return m.real if draw["kind"] == "real" else m
+
+
+@PROPERTY
+@given(qubit_stack)
+def test_closed_form_is_the_hermitian_decomposition(draw):
+    # the levels within 4 eps max|m| of the exact ones (LAPACK's own differ from those by
+    # up to about 5.5 eps max|m|, so it is held to the sum of both), the eigenvectors an
+    # orthonormal basis of each matrix, and diagonal input read exactly
+    m = draw_qubit_stack(draw)
+    eps, scale = np.finfo(float).eps, np.abs(m).max(axis=(1, 2))
+    vals, vecs = core._eigh(m)
+    assert np.array_equal(core._eigvalsh(m), vals)
+    assert (np.diff(vals, axis=-1) >= 0.0).all()
+    assert (np.abs(vals - exact_levels(m)).max(-1) <= 4 * eps * scale).all()
+    assert (np.abs(vals - np.linalg.eigvalsh(m)).max(-1) <= 10 * eps * scale).all()
+    residual = np.abs(m @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
+    assert (residual <= 4 * eps * scale).all()
+    gram = vecs.conj().swapaxes(1, 2) @ vecs
+    assert np.abs(gram - np.eye(2)).max() <= 4 * eps
+    if draw["kind"] == "diagonal":
+        assert np.array_equal(vals, np.sort(m.real.diagonal(axis1=1, axis2=2), -1))
+        low_first = (m[:, 0, 0].real <= m[:, 1, 1].real)[:, None, None]
+        assert np.array_equal(np.abs(vecs), np.where(low_first, np.eye(2), 1.0 - np.eye(2)))
+        assert np.array_equal(vecs[low_first[:, 0, 0]].real, np.eye(2)[None].repeat(
+            int(low_first.sum()), 0))
+
+
+def test_short_and_single_stacks_stay_on_lapack():
+    # one matrix, a stack below the crossover and every size but 2 x 2: LAPACK's bits
+    rng = np.random.default_rng(38)
+    for shape in [(2, 2), (core._CLOSED_FORM_ROWS - 1, 2, 2), (40, 3, 3), (1, 2, 2)]:
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m = (x + x.conj().swapaxes(-1, -2)) / 2.0
+        for got, want in zip(core._eigh(m), np.linalg.eigh(m)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(core._eigvalsh(m), np.linalg.eigvalsh(m))
 
 
 weights = st.lists(st.integers(0, 4), min_size=1, max_size=5)

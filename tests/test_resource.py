@@ -278,7 +278,7 @@ def test_interconversion_rate_limits():
         rs.interconversion_rate(rho, gibbs, BETA, h)
 
 
-def test_coherence_laws_and_rates_decompose_each_state_once(monkeypatch):
+def test_coherence_laws_and_rates_decompose_each_state_once(count_spectral):
     # two bare qutrit states: each state, H and the two dephased states (one
     # stacked eigh) for the coherence laws, with the one stacked eigvalsh of
     # the order-inf divergence; each state and H for the rate
@@ -289,10 +289,7 @@ def test_coherence_laws_and_rates_decompose_each_state_once(monkeypatch):
     gibbs = thermal_state(h, BETA)
     want_rate = core.relative_entropy(rho1, gibbs) / core.relative_entropy(rho2, gibbs)
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k:
-                            calls.append(_name) or _fn(*a, **k))
+    count_spectral(lambda kind, m: calls.append(kind))
     assert rs.coherence_second_laws(rho1.matrix, rho2.matrix, h) == want_laws
     assert sorted(calls) == ["eigh"] * 4 + ["eigvalsh"]
     calls.clear()
