@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NULL_RCOND_TOL, _check_probabilities, _eigvalsh, _real_array, bordered_solve,
-                   propagate)
+from .core import (NULL_RCOND_TOL, _check_probabilities, _eigvalsh, _integer, _real, _real_array,
+                   bordered_solve, propagate)
 
 # A detailed-balance flow asymmetry |W_ij p_j - W_ji p_i| at most this is zero.
 DETAILED_BALANCE_TOL = 1e-10
@@ -114,9 +114,7 @@ def _probabilities(rates: RateMatrix, p, name="p"):
 
 def evolve(rates: RateMatrix, p0, t: float):
     """Propagate dp/dt = W p over time t: `core.propagate` on the grid [0, t]."""
-    p0 = _probabilities(rates, p0, "p0")
-    if not 0.0 <= t < math.inf:
-        raise ClassicalError(f"need a finite t >= 0, got t = {t}")
+    p0, t = _probabilities(rates, p0, "p0"), _real(t, ClassicalError, "t", low=0.0)
     p = propagate(rates.w, [0.0, t], p0, ClassicalError)[1][1]
     if p.min() < -1e-12:
         raise ClassicalError(f"propagation produced negative probability {p.min():.3e}")
@@ -316,7 +314,7 @@ def onsager_sigma(l_matrix, affinities):
     l = _real_array(l_matrix, ClassicalError, "Onsager matrix")
     if l.ndim != 2 or l.shape[0] != l.shape[1]:
         raise ClassicalError(f"Onsager matrix must be square, got shape {l.shape}")
-    x = _real_array(affinities, ClassicalError, "affinities").ravel()
+    x = np.ravel(_real(affinities, ClassicalError, "affinities"))
     if x.size != len(l):
         raise ClassicalError(f"{x.size} affinities for the {len(l)}x{len(l)} Onsager matrix")
     sym = 0.5 * (l + l.T)
@@ -372,8 +370,9 @@ def glauber_ising(n_sites: int, coupling: float, temperature, mu,
     At most 12 sites: the generator and each reservoir part are dense
     2^N x 2^N arrays.
     """
-    temperature = np.broadcast_to(np.asarray(temperature, dtype=float), (n_sites,))
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (n_sites,))
+    n_sites = _integer(n_sites, ClassicalError, "n_sites", low=1)
+    temperature = _real(temperature, ClassicalError, "temperature", above=0.0, rows=(n_sites,))
+    mu = _real(mu, ClassicalError, "mu", rows=(n_sites,))
     rates = _flip_rates(n_sites, coupling, adjacency, 1.0 / temperature, mu)
     keys = list(zip(temperature.tolist(), mu.tolist()))
     parts = tuple(
@@ -394,6 +393,7 @@ def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
     strictly positive per-reservoir entropy production whenever
     mu_a != mu_b.  At most 12 sites, as for `glauber_ising`.
     """
+    n_sites = _integer(n_sites, ClassicalError, "n_sites", low=1)
     parts = tuple(
         _flip_generator(_flip_rates(n_sites, coupling, adjacency, 1.0 / temperature, mu),
                         range(n_sites))
@@ -458,20 +458,18 @@ def fokker_planck_1d(potential, temperature: float, x_grid, p0,
     Cells with P below 1e-280 are left out of both.  Mass is conserved by
     the flux form exactly.
     """
-    x = np.asarray(x_grid, dtype=float)
+    x = np.asarray(_real(x_grid, ClassicalError, "x grid"))
     dx = x[1] - x[0] if x.ndim == 1 and x.size > 1 else math.nan
     if not (dx > 0 and np.abs(np.diff(x) - dx).max() <= 1e-9 * dx):
         raise ClassicalError("grid must be uniform, increasing and of at least 2 points")
-    if not (0.0 < temperature < math.inf and 0.0 <= t < math.inf):
-        raise ClassicalError(f"need a finite temperature > 0 and a finite t >= 0, "
-                             f"got T = {temperature}, t = {t}")
-    diffusion = temperature
+    diffusion = temperature = _real(temperature, ClassicalError, "temperature", above=0.0)
+    t = _real(t, ClassicalError, "t", low=0.0)
     v = np.array([potential(xi) for xi in x], dtype=float)
-    p = np.asarray(p0, dtype=float)
+    p = np.asarray(_real(p0, ClassicalError, "p0", low=0.0))
     if not np.isfinite(v).all():
         raise ClassicalError("potential must be finite on the grid")
-    if p.shape != x.shape or not (np.isfinite(p).all() and p.min() >= 0.0 and p.sum() > 0.0):
-        raise ClassicalError("p0 must be finite, >= 0, not all zero and one value per grid point")
+    if p.shape != x.shape or not p.sum() > 0.0:
+        raise ClassicalError("p0 must be one value per grid point, not all zero")
     f_face, delta = _chang_cooper_faces(-np.gradient(v, x), dx, diffusion)
     gen = _chang_cooper_generator(f_face, delta, dx, diffusion)
     p = np.clip(p, 1e-300, None)

@@ -35,7 +35,7 @@ from . import lindblad as lb
 from . import resource as rs
 from . import trajectories as tj
 from . import verify
-from .core import CoreError, HermitianOperator, PAULI_X, PAULI_Z
+from .core import CoreError, HermitianOperator, PAULI_X, PAULI_Z, _integer, _real
 from .rand import random_probability
 
 SCHEMA_VERSION = "v1"
@@ -58,26 +58,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
-
-
-def _real(name: str, value) -> float:
-    """A real parameter: a finite int or float; anything else (true, "1.5",
-    null, NaN, Infinity) is a ConfigError, not silently converted."""
-    # the bound is False for NaN and infinities, and exact for ints past a float
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"parameter '{name}' must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(name: str, value) -> int:
-    """An integral parameter or seed: an int, or a float that is a whole
-    number; anything else (2.7, "3", true) is a ConfigError, not truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +132,9 @@ def _scenario_resource(rng, beta, gap, denominator):
 
 
 # Each scenario with its parameters, each declared once, with its default or
-# REQUIRED: an int default marks an integer (`_integer`), any other a real
-# (`_real`).  A config naming any other key, in "parameters" or as the sweep
-# parameter, is a validation error.
+# REQUIRED: an int default marks an integer (`core._integer`), any other one
+# real number (`core._real`), each read with ConfigError.  A config naming any
+# other key, in "parameters" or as the sweep parameter, is a validation error.
 SCENARIOS = {
     "collisional": (_scenario_collisional,
                     {"t_a": REQUIRED, "t_b": REQUIRED, "eps_a": REQUIRED, "ratio": 0.5}),
@@ -183,7 +163,9 @@ def _point(declared: dict, given: dict) -> dict:
                 raise ConfigError(f"missing required parameter '{name}'")
             point[name] = default
         else:
-            point[name] = (_integer if type(default) is int else _real)(name, given[name])
+            label = f"parameter '{name}'"
+            point[name] = (_integer(given[name], ConfigError, label) if type(default) is int
+                           else float(_real(given[name], ConfigError, label, rows=())))
     return point
 
 
@@ -214,9 +196,7 @@ def _read(cfg) -> tuple:
     if unknown:
         raise ConfigError(f"unknown parameter(s) {unknown} for kind '{kind}'; "
                           f"it reads {keys}")
-    seed = _integer("seed", cfg.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
+    seed = _integer(cfg.get("seed", 0), ConfigError, "'seed'", low=0)
     output = cfg.get("output", {})
     if not isinstance(output, dict):
         raise ConfigError("'output' must be an object")
@@ -248,9 +228,7 @@ def load_config(path: Path) -> dict:
 
 
 def run_config(cfg: dict, out_dir: Path | None = None, jobs: int = 1) -> Path:
-    jobs = _integer("jobs", jobs)
-    if jobs < 1:
-        raise ConfigError(f"'jobs' must be an integer >= 1, got {jobs!r}")
+    jobs = _integer(jobs, ConfigError, "'jobs'", low=1)
     scenario, points, swept, seed, path, fmt = _read(cfg)
     out_path = Path(path) if out_dir is None else out_dir / Path(path).name
     # before any point runs: the output is no directory, its parent a directory or creatable

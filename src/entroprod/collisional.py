@@ -55,9 +55,11 @@ from .core import (
     _gibbs,
     _hermitian,
     _instance,
+    _integer,
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
+    _real,
     _typed,
     _unitary,
     add_lindblad_term,
@@ -245,8 +247,7 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     addition the stroke unitary is strictly energy conserving; the verdict
     and the Gibbs state are evaluated once per alphabet entry, for its rows.
     """
-    if n_strokes < 1:
-        raise CollisionalError("n_strokes must be >= 1")
+    n_strokes = _integer(n_strokes, CollisionalError, "n_strokes", low=1)
     states, chain = _chain(spec, rho0, n_strokes)
     alphabet, h_sys = spec.alphabet, np.stack([h.matrix for h in spec.h_system])
     letters = np.arange(n_strokes) % len(alphabet)
@@ -261,7 +262,7 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
                   for name in ("hamiltonian", "unitary"))
         rho_a = tuple(x[local] for x in _density_stack([alphabet[k].rho for k in entries]))
         stack = EpisodeStack(h_sys[letter], h_a, u, before, rho_a,
-                             HilbertDims((spec.dim_system,)), HilbertDims((int(dim),)))
+                             HilbertDims((spec.dim_system,)), HilbertDims((dim,)))
         mid, bal = stack.evolved[1], stack.balance
         e_now = _trace_rows(stack.h_system, before[0])
         e_mid = _trace_rows(stack.h_system, mid[0])
@@ -411,6 +412,7 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     both pieces separately non-negative.  The states come from the chain
     `run` steps (`_chain`), without the identity work strokes.
     """
+    n_strokes = _integer(n_strokes, CollisionalError, "n_strokes", low=1)
     hs = [spec.h_at(n) for n in range(len(spec.alphabet))]
     for a in hs:
         for b in hs:
@@ -476,8 +478,8 @@ class SwapEngineSpec:
     t_b: float
 
     def __post_init__(self):
-        if not all(x > 0 for x in (self.eps_a, self.eps_b, self.t_a, self.t_b)):
-            raise CollisionalError("SWAP engine parameters must be positive")
+        for name in ("eps_a", "eps_b", "t_a", "t_b"):
+            _real(getattr(self, name), CollisionalError, name, above=0.0)
 
 
 @dataclass(frozen=True)

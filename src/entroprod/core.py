@@ -46,6 +46,7 @@ merged support (`trajectories.ScalarDistribution.from_samples`) are runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,11 +86,9 @@ class HilbertDims:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(f) for f in self.factors)
+        factors = tuple(_integer(f, CoreError, "factor dimension", low=1) for f in self.factors)
         if len(factors) == 0:
             raise CoreError("HilbertDims needs at least one factor")
-        if any(f <= 0 for f in factors):
-            raise CoreError(f"factor dimensions must be positive, got {factors}")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -663,12 +662,12 @@ def propagate(gen, t_grid, x0, error):
     dx/dt = gen x, x(t_0) = x0, exact at every step.  One propagator
     expm(gen dt) is held at a time, recomputed where the step changes: the
     peak, gen included, is about 9 matrices of gen's size.  A grid that is
-    not a finite, nondecreasing, non-empty 1-d sequence raises the
+    not a finite (`_real`), nondecreasing, non-empty 1-d sequence raises the
     exception class `error`."""
     from scipy.linalg import expm
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0 or not np.isfinite(t).all() or (np.diff(t) < 0).any():
-        raise error("time grid must be a finite, nondecreasing 1-d sequence")
+    t = np.asarray(_real(t_grid, error, "time grid"))
+    if t.ndim != 1 or t.size == 0 or (np.diff(t) < 0).any():
+        raise error("time grid must be a nondecreasing, non-empty 1-d sequence")
     xs = np.empty((t.size, len(x0)))
     xs[0] = x0
     step = prop = None
@@ -777,11 +776,10 @@ def _petz_renyi(alpha, p, q, amp=None):
     Tr rho (ln rho - ln sigma); alpha = 0 is the support limit
     -ln Tr Pi_rho sigma and alpha = inf the max-ratio limit
     ln max spec sigma^-1/2 rho sigma^-1/2 (one stacked `eigvalsh` with
-    overlaps).  Orders alpha >= 1 are +inf when rho leaves sigma's support.
+    overlaps).  Orders alpha >= 1 are +inf when rho leaves sigma's support; each order is
+    read by `_real` (>= 0, +inf allowed).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if not (alpha >= 0.0).all():
-        raise CoreError(f"Renyi order must be a number >= 0, got {alpha}")
+    alpha = np.asarray(_real(alpha, CoreError, "Renyi order", low=0.0, inf=True))
     w = None if amp is None else np.abs(amp) ** 2
 
     def on_sigma(x):
@@ -873,17 +871,78 @@ def _check_probabilities(p, error):
     return np.maximum(p, 0.0)
 
 
-def _real_array(x, error, name) -> np.ndarray:
-    """x as a float array (x itself when it is one), else `error` naming x:
-    entries that are not numbers or have a nonzero imaginary part."""
+def _real_array(x, error, name, rule="real numbers") -> np.ndarray:
+    """x as a float array (x itself when it is one), else `error` naming x and its `rule`:
+    entries that are not numbers (strings, booleans, objects) or not real."""
     try:
         a = np.asarray(x)
-        real = a.real.astype(float, copy=False)
     except (TypeError, ValueError):
-        raise error(f"{name} must be real numbers") from None
+        a = None
+    if a is None or a.dtype.kind not in "iufc":
+        raise error(f"{name} must be {rule}, got {x!r}")
     if a.dtype.kind == "c" and (a.imag != 0.0).any():
         raise error(f"{name} must be real, got a nonzero imaginary part")
-    return real
+    return a.real.astype(float, copy=False)
+
+
+def _real(x, error, name, low=None, above=None, rows=None, inf=False):
+    """The one reader of real parameters: x (`_real_array`), each finite (or +-inf, where
+    documented: `inf`) and >= low or > above when given, one value as a float; or with
+    `rows`, the leading shape of the stack x meets, shared or one per row (`_shared_or_rows`)
+    and returned one per row.  Else `error` naming `name` and the rule (`_rule`)."""
+    if type(x) is float:        # one Python float, read without numpy
+        if not ((x == x if inf else math.isfinite(x)) and (low is None or x >= low)
+                and (above is None or x > above)):
+            raise error(f"{name} must be {_rule(low, above, inf)}, got {x!r}")
+        b = x
+    else:
+        b = _real_array(x, error, name, _rule(low, above, inf))
+        ok = ~np.isnan(b) if inf else np.isfinite(b)
+        if low is not None:
+            ok &= b >= low
+        if above is not None:
+            ok &= b > above
+        if not ok.all():
+            raise error(f"{name} must be {_rule(low, above, inf)}, got {x!r}")
+        if b.ndim == 0:
+            b = float(b)
+        elif rows is not None:
+            _shared_or_rows(error, rows, (name, b, 0))
+            return b
+    # np.full: a shared value skips broadcast_to's Python wrapper
+    return b if rows is None else np.full(rows, b)
+
+
+@functools.lru_cache(maxsize=32)
+def _rule(low, above, inf):
+    """The rule `_real` reads a value by, as its messages state it."""
+    bound = low if above is None else above
+    return (("a number" if inf else "a finite number") if bound is None else
+            f"{'' if inf else 'finite and '}{'>=' if above is None else '>'} {bound:g}")
+
+
+def _shared_or_rows(error, rows, *named):
+    """The one shape rule: each (name, x, k) of `named`, one value of k axes or a stack of
+    them, is one value shared by the rows or one per row of the leading shape `rows` (None:
+    the longest leading shape of the operands); else `error` naming x and both shapes."""
+    leads = [(name, np.shape(x), np.shape(x)[:np.ndim(x) - k]) for name, x, k in named]
+    rows = max((lead for *_, lead in leads), key=len) if rows is None else rows
+    for name, shape, lead in leads:
+        if lead and lead != rows:
+            raise error(f"{name} has shape {shape}: one value, or one per row of {rows}")
+
+
+def _integer(x, error, name, low=None) -> int:
+    """The one reader of an integer parameter: an int or a whole float, never a bool, and
+    >= low when given, as an int; else `error` naming `name`."""
+    if type(x) is not int:      # a bool is not an int here
+        if not (isinstance(x, np.integer) or isinstance(x, (float, np.floating))
+                and float(x).is_integer()):
+            raise error(f"{name} must be an integer, got {x!r}")
+        x = int(x)
+    if low is not None and x < low:
+        raise error(f"{name} must be an integer >= {low}, got {x!r}")
+    return x
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -944,23 +1003,20 @@ def _gibbs_states(h, beta):
     return (vecs * weights[..., None, :]) @ vecs.conj().swapaxes(-1, -2), weights, vecs, vals
 
 
-def _check_beta(beta, error, positive=False, name="inverse temperature"):
-    """beta, or the `name`d value (one or an array), as floats (`_real_array`): each
-    finite and >= 0, or > 0 where the caller divides by it; else the exception class `error`."""
-    b = _real_array(beta, error, name)
-    if not (np.isfinite(b) & ((b > 0.0) if positive else (b >= 0.0))).all():
-        raise error(f"{name} must be finite and "
-                    f"{'>' if positive else '>='} 0, got {beta}")
-    return b
+def _check_beta(beta, error, positive=False, rows=None):
+    """beta read by `_real` as an inverse temperature: >= 0, or > 0 where the caller divides."""
+    return _real(beta, error, "inverse temperature", None if positive else 0.0,
+                 0.0 if positive else None, rows)
 
 
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
     """Gibbs state e^{-beta H}/Z (`_gibbs_states`) of H's dims; a bare H is read by `_hermitian`,
-    of one factor.  Of an (n, d, d) stack of H and one beta per row: n states, from one stacked
-    `eigh`, of the factor dims the `HermitianOperator` rows share (`_stack_dims`)."""
-    b, h = _check_beta(beta, CoreError), _hermitian(hamiltonian)
-    if h.ndim > 3 or b.shape != h.shape[:-2]:
-        raise CoreError(f"expected one beta per Hamiltonian, got {b.shape} for {h.shape}")
+    of one factor.  Of an (n, d, d) stack of H and beta shared or one per row: n states, from
+    one stacked `eigh`, of the factor dims the `HermitianOperator` rows share (`_stack_dims`)."""
+    h = _hermitian(hamiltonian)
+    if h.ndim > 3:
+        raise CoreError(f"expected one Hamiltonian or an (n, d, d) stack, got shape {h.shape}")
+    b = _check_beta(beta, CoreError, rows=h.shape[:-2])
     spectra = _exact_spectra(*_gibbs_states(h, b)[:3])
     return (DensityOperator._validated(spectra, getattr(hamiltonian, "dims", None)) if h.ndim == 2
             else DensityOperator._rows(spectra, _stack_dims(hamiltonian, h.shape[-1])))
@@ -1116,7 +1172,7 @@ def _log_of(vals, vecs):
 def matrix_to_json(matrix, dims: HilbertDims) -> dict:
     m = np.asarray(matrix, dtype=complex)
     return {
-        "dims": [int(x) for x in dims.factors],
+        "dims": list(dims.factors),
         "re": np.real(m).tolist(),
         "im": np.imag(m).tolist(),
     }
@@ -1124,9 +1180,8 @@ def matrix_to_json(matrix, dims: HilbertDims) -> dict:
 
 def matrix_from_json(obj):
     try:
-        dims = HilbertDims(tuple(int(x) for x in obj["dims"]))
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        dims = HilbertDims(tuple(obj["dims"]))
+        re, im = (np.asarray(_real(obj[k], CoreError, k)) for k in ("re", "im"))
     except (KeyError, TypeError) as exc:
         raise CoreError(f"malformed matrix object: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:

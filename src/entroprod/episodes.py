@@ -50,11 +50,13 @@ from .core import (
     _gibbs,
     _gibbs_states,
     _hermitian,
+    _integer,
     _log_of,
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
-    _real_array,
+    _real,
+    _shared_or_rows,
     _spectrum,
     _stack_dims,
     _trace_distance_rows,
@@ -343,13 +345,6 @@ def _require_rows(bad, message):
         raise EpisodeError((f"episode {k} of the stack: " if bad.size > 1 else "") + message(k))
 
 
-def _betas(stack: EpisodeStack, beta):
-    """beta (a scalar or one per row) as one float per row of the stack."""
-    b = _check_beta(beta, EpisodeError)
-    # np.full: a scalar beta skips broadcast_to's Python wrapper
-    return np.full(len(stack), b) if b.ndim == 0 else np.broadcast_to(b, (len(stack),))
-
-
 # ---------------------------------------------------------------------------
 # Entropy balances
 # ---------------------------------------------------------------------------
@@ -383,22 +378,9 @@ class EntropyBalance:
     heat_per_bath: tuple | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "sigma": self.sigma,
-            "flux": self.flux,
-            "d_entropy_system": self.d_entropy_system,
-            "mutual_info": self.mutual_info,
-            "env_displacement": self.env_displacement,
-            "heat_env": self.heat_env,
-            "work": self.work,
-        }
-        if self.d_free_energy is not None:
-            out["d_free_energy"] = self.d_free_energy
-        if self.total_correlations is not None:
-            out["total_correlations"] = self.total_correlations
-        if self.heat_per_bath is not None:
-            out["heat_per_bath"] = list(self.heat_per_bath)
-        return out
+        """The fields that are set, in field order, the per-bath heats as a list."""
+        return {k: list(v) if k == "heat_per_bath" else v for k, v in vars(self).items()
+                if v is not None}
 
 
 def _first_row(rows: EntropyBalance) -> EntropyBalance:
@@ -443,7 +425,7 @@ def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, message):
     bytes of h, not its shape: on a one-row stack an h of shape (d, d) and
     one of shape (1, d, d) share it, and the levels are those of whichever
     came first, (d,) or (1, d)."""
-    beta = _betas(stack, beta)
+    beta = _check_beta(beta, EpisodeError, rows=(len(stack),))
     known = stack._gibbs_distance
     key = (tuple(sorted(set(factors))), h.tobytes(), beta.tobytes())
     if key not in known:
@@ -524,9 +506,9 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
     # validate the product-of-thermals structure
     hams = [_hermitian(p.hamiltonian, EpisodeError, stack.env_dims.subdims(p.env_factors).total)
             for p in parts]
-    for p, h in zip(parts, hams):
-        _require_gibbs_rows(stack, p.env_factors, h, p.beta,
-                            lambda b, _: f"bath part {p.env_factors} is not thermal at beta={b}")
+    betas = [_require_gibbs_rows(stack, p.env_factors, h, p.beta, lambda b, _:
+                                 f"bath part {p.env_factors} is not thermal at beta={b}")[0]
+             for p, h in zip(parts, hams)]
     if len(parts) > 1:
         # the product of the part marginals, in the order of the parts, against
         # rho_E with its factors taken in that order
@@ -552,7 +534,7 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
             displacement_sum += _petz_renyi(1.0, p_after, q,
                                             qv.conj().swapaxes(-1, -2) @ v_after)
             marg_entropy_sum += _entropy_rows(p_after)
-    sigma = base.d_entropy_system + sum(np.asarray(p.beta) * q for p, q in zip(parts, heats))
+    sigma = base.d_entropy_system + sum(b * q for b, q in zip(betas, heats))
     return replace(base, sigma=sigma, flux=sigma - base.d_entropy_system,
                    env_displacement=displacement_sum, heat_env=sum(heats),
                    total_correlations=s_sys + marg_entropy_sum - s_joint,
@@ -594,10 +576,11 @@ def fixed_point_sigma(rho_before, rho_after, fixed_point) -> float:
 
 def fixed_point_sigma_rows(before, after, fixed_point):
     """`fixed_point_sigma` over leading axes, each argument the (weights,
-    eigenvectors) of its states, rho and rho' broadcast against each other;
+    eigenvectors) of its states, each shared or one per row (`core._shared_or_rows`);
     +inf where rho leaves rho*'s support.  Both divergences are one kernel
     call."""
     (p, pv), (r, rv), (q, qv) = before, after, fixed_point
+    _shared_or_rows(EpisodeError, None, ("rho", p, 1), ("rho'", r, 1), ("rho*", q, 1))
     if p.shape != r.shape or pv.shape != rv.shape:
         (p, r), (pv, rv) = np.broadcast_arrays(p, r), np.broadcast_arrays(pv, rv)
     a, b = _petz_renyi(1.0, np.stack([p, r]), q, qv.conj().swapaxes(-1, -2) @ np.stack([pv, rv]))
@@ -691,14 +674,23 @@ def conditional_balance(ep: Episode, kraus_env) -> ConditionalBalance:
 def finite_dimension_bound(d_entropy_system, temperature, dim_env: int):
     """Finite-environment tightening of the erasure bound, valid for
     dS_S < 0:  Q_E >= -T dS + 2 T dS^2 / (4 + ln^2(d_E - 1)); over arrays
-    of dS_S and T as well."""
-    _check_beta(temperature, EpisodeError, positive=True, name="temperature")
-    if not np.all(np.asarray(d_entropy_system) < 0):
+    of dS_S and T as well, each shared or one per row (`core._shared_or_rows`)."""
+    temperature, ds = _erasure_inputs(d_entropy_system, temperature)
+    if not np.all(ds < 0):
         raise EpisodeError("finite-dimension correction applies only to dS_S < 0")
-    if dim_env < 2:
-        raise EpisodeError("environment dimension must be at least 2")
-    corr = 2.0 * temperature * d_entropy_system ** 2 / (4.0 + math.log(dim_env - 1) ** 2)
-    return -temperature * d_entropy_system + corr
+    dim_env = _integer(dim_env, EpisodeError, "environment dimension", low=2)
+    corr = 2.0 * temperature * ds ** 2 / (4.0 + math.log(dim_env - 1) ** 2)
+    return -temperature * ds + corr
+
+
+def _erasure_inputs(d_entropy_system, temperature, *levels):
+    """T > 0 and dS_S (`core._real`), and the level sets given, the three shared or one per
+    row of the longest (`core._shared_or_rows`)."""
+    read = (_real(temperature, EpisodeError, "temperature", above=0.0),
+            _real(d_entropy_system, EpisodeError, "dS_S"),
+            *(_real(e, EpisodeError, "energies") for e in levels))
+    _shared_or_rows(EpisodeError, None, *zip(("temperature", "dS_S", "energies"), read, (0, 0, 1)))
+    return read
 
 
 def _adaptive_simpson(fn, a, b):
@@ -739,7 +731,7 @@ def heat_capacity_bound(d_entropy_system: float, temperature: float, heat_capaci
     T_MAX_FACTOR * T, each step a quadrature of C_E/tau and the slope C_E(T')/T'.
     Requires dS_S < 0 (erasure) so the target temperature lies above T.
     """
-    _check_beta(temperature, EpisodeError, positive=True, name="temperature")
+    temperature, d_entropy_system = _erasure_inputs(d_entropy_system, temperature)
     if not d_entropy_system < 0:
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
 
@@ -773,11 +765,10 @@ def gibbs_erasure_bound(d_entropy_system, temperature, energies):
 def _gibbs_erasure_rows(d_entropy_system, temperature, energies):
     """`gibbs_erasure_bound` and the room ln d_E - S(T) + dS_S left to its end, with
     a row past the end taken as at the end."""
-    ds, temp = np.broadcast_arrays(np.asarray(d_entropy_system, float), _check_beta(
-        temperature, EpisodeError, positive=True, name="temperature"))
+    temp, ds, levels = _erasure_inputs(d_entropy_system, temperature, energies)
+    ds, temp = np.broadcast_arrays(ds, temp)
     if not np.all(ds < 0):
         raise EpisodeError("heat-capacity bound applies only to dS_S < 0")
-    levels = _real_array(energies, EpisodeError, "energies")
     levels = levels - levels.min(-1, keepdims=True)
 
     def moments(b):
@@ -868,9 +859,7 @@ def landauer_rows(stack: EpisodeStack, beta) -> LandauerReport:
     thermality check keeps; a row past the T' -> inf end is at the end, since a
     rho_E that check passes may sit THERMALITY_TOL from Gibbs and so gain a
     little more entropy than the Gibbs state could."""
-    beta, levels = _require_thermal_rows(stack, beta)
-    if not (beta > 0).all():
-        raise EpisodeError("landauer_report needs beta > 0")
+    beta, levels = _require_thermal_rows(stack, _check_beta(beta, EpisodeError, positive=True))
     temperature = 1.0 / beta
     base = stack.balance
     ds, q = base.d_entropy_system, base.heat_env
@@ -917,6 +906,7 @@ def heat_distribution(ep: Episode, beta: float | None = None):
     values, probs = dist.values, dist.probabilities
     diag = {"mean": float(np.sum(values * probs)), "norm": float(np.sum(probs))}
     if beta is not None:
+        beta = _check_beta(beta, EpisodeError)
         diag["exp_avg"] = float(np.sum(probs * np.exp(-beta * values)))
         m_op = environment_response_operator(ep)
         diag["trace_formula"] = float(np.real(np.trace(m_op @ ep.rho_system.matrix)))
@@ -987,6 +977,10 @@ def two_qubit_exchange_scenario(alpha, theta, phi, g, t, beta_a, beta_b, omega=1
     cos(gt) ] and U is the energy-conserving partial swap
     exp{-i g t (e^{i phi}|ge><eg| + h.c.)}.
     """
+    alpha, theta, phi, g, t, beta_a, beta_b, omega = (
+        _real(x, EpisodeError, name, 0.0 if name.startswith("beta") else None) for name, x in zip(
+            ("alpha", "theta", "phi", "g", "t", "beta_a", "beta_b", "omega"),
+            (alpha, theta, phi, g, t, beta_a, beta_b, omega)))
     f_a = 1.0 / (math.exp(beta_a * omega) + 1.0)
     f_b = 1.0 / (math.exp(beta_b * omega) + 1.0)
     h = omega * np.diag([0.0, 1.0]).astype(complex)  # |e> is the second level
@@ -1021,7 +1015,7 @@ def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperat
     the system; h_env fixes the bath partition function Z_E; beta > 0.
     H_tot is read against dims and H_E against the E factors.
     """
-    _check_beta(beta, EpisodeError, positive=True)
+    beta = _check_beta(beta, EpisodeError, positive=True)
     h = _hermitian(h_total, EpisodeError)
     factors = _as_dims(dims, len(h), EpisodeError).factors
     levels, vecs = _eigh(h)

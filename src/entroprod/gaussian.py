@@ -27,7 +27,9 @@ from .core import (
     _eigh,
     _eigvalsh,
     _exact_spectra,
+    _integer,
     _ptrace_matrix,
+    _real,
     _real_array,
     _spectral_weights,
     _typed,
@@ -62,8 +64,8 @@ class GaussianModel:
     parity: np.ndarray | None = None
 
     def __post_init__(self):
-        a = _real_array(self.drift, GaussianError, "drift")
-        d = _real_array(self.diffusion, GaussianError, "diffusion")
+        a, d = (_real(m, GaussianError, name) for m, name in ((self.drift, "drift"),
+                                                             (self.diffusion, "diffusion")))
         if a.shape != d.shape or a.shape[0] != a.shape[1]:
             raise GaussianError("drift and diffusion must be equal square matrices")
         if a.shape[0] % 2:
@@ -71,9 +73,7 @@ class GaussianModel:
         par = self.parity
         if par is None:
             par = default_parity(a.shape[0] // 2)
-        par = _real_array(par, GaussianError, "parity")
-        if not all(np.isfinite(m).all() for m in (a, d, par)):
-            raise GaussianError("drift, diffusion and parity must be finite")
+        par = _real(par, GaussianError, "parity")
         if np.abs(d - d.T).max() > 1e-12:
             raise GaussianError("diffusion matrix must be symmetric")
         if _eigvalsh(d).min() < -1e-12:
@@ -99,12 +99,10 @@ class GaussianState:
     quantum: bool = True
 
     def __post_init__(self):
-        mean = _real_array(self.mean, GaussianError, "mean").ravel()
-        cov = _real_array(self.cov, GaussianError, "covariance")
-        if cov.shape != (len(mean), len(mean)):
+        mean = np.ravel(_real(self.mean, GaussianError, "mean"))
+        cov = _real(self.cov, GaussianError, "covariance")
+        if np.shape(cov) != (len(mean), len(mean)):
             raise GaussianError("covariance shape does not match the mean")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise GaussianError("mean and covariance must be finite")
         if np.abs(cov - cov.T).max() > 1e-10:
             raise GaussianError("covariance must be symmetric")
         if self.quantum:
@@ -242,6 +240,7 @@ def single_mode_rates(gamma: float, nbar: float, state: GaussianState,
     (nbar + 1/2)); Sigma_W >= 0 vanishes only on the thermal state and
     stays finite for a pure-loss bath (nbar = 0) thanks to the vacuum 1/2.
     """
+    omega = _real(omega, GaussianError, "omega", above=0.0)
     if len(state.mean) != 2:
         raise GaussianError("single_mode_rates expects one mode")
     model = thermal_damping_model(gamma, nbar)
@@ -280,10 +279,10 @@ class TwoModeNessSpec:
     n_tb: float
 
     def __post_init__(self):
-        if not all(x > 0 for x in (self.omega_a, self.omega_b, self.kappa_a, self.gamma_b)):
-            raise GaussianError("frequencies and rates must be positive")
-        if not self.n_tb >= 0:
-            raise GaussianError("bath occupation must be non-negative")
+        for name in ("omega_a", "omega_b", "kappa_a", "gamma_b"):
+            _real(getattr(self, name), GaussianError, name, above=0.0)
+        _real(self.g_ab, GaussianError, "g_ab")
+        _real(self.n_tb, GaussianError, "n_tb", low=0.0)
 
 
 def two_mode_drift_diffusion(spec: TwoModeNessSpec):
@@ -368,6 +367,13 @@ class SqueezedExchangeSpec:
     beta: float
     fock_cut: int = 20
 
+    def __post_init__(self):
+        for name in ("g", "t", "r", "theta"):
+            _real(getattr(self, name), GaussianError, name)
+        _real(self.omega, GaussianError, "omega", above=0.0)
+        _check_beta(self.beta, GaussianError, positive=True)
+        object.__setattr__(self, "fock_cut", _integer(self.fock_cut, GaussianError, "fock_cut", 1))
+
 
 def squeezed_thermal_state(nbar_beta: float, omega: float, r: float,
                            theta: float, n: int) -> DensityOperator:
@@ -448,9 +454,8 @@ def squeezed_sigma(spec: SqueezedExchangeSpec,
     the interaction conserves both total quanta and total asymmetry,
     which is validated structurally (`_exchange_blocks`) and dynamically
     (moment conservation along the evolution).  V conserves the total
-    quanta, so U = exp(-i t V) is built and applied sector by sector; beta > 0.
+    quanta, so U = exp(-i t V) is built and applied sector by sector; omega, beta > 0.
     """
-    _check_beta(spec.beta, GaussianError, positive=True)
     n = spec.fock_cut
     rho_system = _typed(DensityOperator, rho_system, GaussianError, n)
     a1 = destroy(n)

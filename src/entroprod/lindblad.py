@@ -38,6 +38,8 @@ from .core import (
     _exact_spectra,
     _frozen_matrix,
     _frozen_stack,
+    _integer,
+    _real,
     _spectral_weights,
     _typed,
     add_lindblad_term,
@@ -104,14 +106,12 @@ class LindbladModel:
                 f"dimension {h.shape[0]} exceeds cap {DIM_CAP} (24 d^4 bytes of "
                 f"dense generators against a budget of {GENERATOR_BYTES} bytes)")
         _check_hermitian(h, LindbladError)
-        rates = [float(rate) for _, rate in self.jumps]
+        rates = _real([rate for _, rate in self.jumps], LindbladError, "jump rates", 0.0).tolist()
         c = None if self.cross is None else np.asarray(self.cross[1], dtype=complex)
         ops = [op for op, _ in self.jumps] + ([] if c is None else list(self.cross[0]))
         ops = _frozen_stack(ops or np.zeros((0,) + h.shape), LindbladError, len(h))
-        if not (np.isfinite(rates).all() and (c is None or np.isfinite(c).all())):
-            raise LindbladError("jump rates and cross-term coefficients must be finite")
-        if min(rates, default=0.0) < 0:
-            raise LindbladError(f"negative jump rate {min(rates)}")
+        if c is not None and not np.isfinite(c).all():
+            raise LindbladError("cross-term coefficients must be finite")
         if c is not None:
             k = len(ops) - len(rates)
             if c.shape != (k, k):
@@ -280,7 +280,7 @@ def kerr_model(delta: float, u_kerr: float, drive: float, kappa: float,
     Callers should confirm the truncation afterwards (steady <n> below
     fock_cut/2 and a small Fock tail), see `validate_kerr_truncation`.
     """
-    a = destroy(fock_cut)
+    a = destroy(_integer(fock_cut, LindbladError, "fock_cut", low=1))
     num = a.conj().T @ a
     u_eff = u_kerr / n_scale
     eps_eff = drive * math.sqrt(n_scale)
@@ -302,11 +302,9 @@ def validate_kerr_truncation(model: LindbladModel, rho_ss: DensityOperator):
 
 
 def spin_operators(s: float):
-    """Spin-s operators (S_x, S_y, S_z, S_-) in the descending-m basis."""
-    two_s = int(round(2 * s))
-    if abs(two_s - 2 * s) > 1e-12:
-        raise LindbladError("2S must be an integer")
-    dim = two_s + 1
+    """Spin-s operators (S_x, S_y, S_z, S_-) in the descending-m basis; 2S an integer."""
+    s = _real(s, LindbladError, "spin s", low=0.0)
+    dim = _integer(2 * s, LindbladError, "2S") + 1
     m = s - np.arange(dim)
     sz = np.diag(m).astype(complex)
     # S_- |s, m> = sqrt(s(s+1) - m(m-1)) |s, m-1>
@@ -338,7 +336,7 @@ def squeezed_dissipator_from_moments(gamma: float, n_eff: float, m_eff: complex,
     requires |M|^2 <= N(N+1)."""
     if abs(m_eff) ** 2 > n_eff * (n_eff + 1) + 1e-12:
         raise LindbladError("unphysical squeezed bath: |M|^2 > N(N+1)")
-    a = destroy(fock_cut)
+    a = destroy(_integer(fock_cut, LindbladError, "fock_cut", low=1))
     h = omega * (a.conj().T @ a)
     ops = (a, a.conj().T)
     c = gamma * np.array([[n_eff + 1.0, -np.conj(m_eff)],
@@ -398,6 +396,7 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
     sigma_rate_relent re-derives it from finite differences of the
     relative entropy and carries the discretization error of the grid.
     """
+    beta = _check_beta(beta, LindbladError)
     times = np.array([t for t, _ in trajectory], dtype=float)
     states = [rho for _, rho in trajectory]
     heat, entropy_rate, relents = [], [], []

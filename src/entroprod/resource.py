@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,10 @@ from .core import (
     _gibbs,
     _gibbs_states,
     _hermitian,
+    _integer,
     _petz_renyi,
-    _real_array,
+    _real,
+    _shared_or_rows,
     _spectrum,
     dephase,
     thermal_state,
@@ -69,11 +70,9 @@ class ResourceError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _energies(energies):
-    e = _real_array(energies, ResourceError, "energies")
-    if e.ndim != 1:
+    e = _real(energies, ResourceError, "energies")
+    if np.ndim(e) != 1:
         raise ResourceError("energies must be a 1-d array")
-    if not np.isfinite(e).all():
-        raise ResourceError("energies must be finite")
     return e
 
 
@@ -85,15 +84,7 @@ def _pair_rows(energies, p1, p2, beta):
     if p1.shape != p2.shape or p1.shape[-1:] != e.shape:
         raise ResourceError(f"population stacks of shapes {p1.shape} and {p2.shape} "
                             f"on {len(e)} levels")
-    return e, p1, p2, _row_betas(beta, p1.shape[:-1])
-
-
-def _row_betas(beta, rows):
-    """beta, one or one per population row of the leading shape `rows`."""
-    beta = _check_beta(beta, ResourceError)
-    if beta.ndim and beta.shape != rows:
-        raise ResourceError(f"{beta.shape} betas for population rows {rows}")
-    return beta
+    return e, p1, p2, _check_beta(beta, ResourceError, rows=p1.shape[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,11 +97,10 @@ class EnergyPopulations:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        e = np.array(_real_array(self.energies, ResourceError, "energies"))
-        p = _real_array(self.probabilities, ResourceError, "probabilities")
-        if e.shape != p.shape or e.ndim != 1:
+        e = np.array(_energies(self.energies))
+        p = _check_probabilities(self.probabilities, ResourceError)
+        if e.shape != p.shape:
             raise ResourceError("energies/probabilities must be matching 1-d arrays")
-        p, e = _check_probabilities(p, ResourceError), _energies(e)
         for name, value in (("probabilities", p), ("energies", e)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -230,7 +220,8 @@ def thermo_majorizes(pop1: EnergyPopulations, pop2: EnergyPopulations,
     """Compare the two curves at the union of their breakpoints; the states
     must share the energy-level set."""
     return _thermo_verdicts(pop1.energies, pop1.probabilities[None],
-                            _shared_levels(pop1, pop2)[None], _row_betas(beta, (1,)))[0]
+                            _shared_levels(pop1, pop2)[None],
+                            _check_beta(beta, ResourceError, rows=(1,)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +241,14 @@ def _embed_rows(energies, p, beta, denominator):
     """The gamma-embedding of every row of p as runs: value p_i/k_i repeated
     k_i times, k_i/D the largest-remainder rounding of the thermal weights
     of the row's beta; then the counts k and the rounding error per row.  D
-    is an integer from 1 to MAX_DENOMINATOR, checked before anything is
+    is an integer from 1 to MAX_DENOMINATOR (`core._integer`), checked before anything is
     allocated, and gives every level at least one entry."""
-    if not (isinstance(denominator, numbers.Integral)
-            and 1 <= denominator <= MAX_DENOMINATOR):
-        raise ResourceError(f"embedding denominator must be an integer from 1 to "
-                            f"{MAX_DENOMINATOR}, got {denominator!r}")
+    denominator = _integer(denominator, ResourceError, "embedding denominator", low=1)
+    if denominator > MAX_DENOMINATOR:
+        raise ResourceError(f"embedding denominator must be at most {MAX_DENOMINATOR}, "
+                            f"got {denominator}")
     gibbs = _gibbs(energies, beta)[0]
-    counts = _largest_remainder_rounding(gibbs, int(denominator))
+    counts = _largest_remainder_rounding(gibbs, denominator)
     if counts.min() < 1:
         raise ResourceError(
             f"denominator {denominator} too small to resolve the thermal weights")
@@ -316,7 +307,7 @@ def majorization_verdict(gamma1, gamma2, tol: float = MAJORIZATION_TOL) -> Major
     of gamma1 dominate those of gamma2 (no partial sum of the difference
     below -tol), DOMINATED when the reverse holds (none above tol),
     EQUIVALENT when both do."""
-    a, b = (np.sort(np.asarray(g, dtype=float)) for g in (gamma1, gamma2))
+    a, b = (np.sort(_real(g, ResourceError, "gamma")) for g in (gamma1, gamma2))
     if a.shape != b.shape:
         raise ResourceError("majorization needs equal-length vectors")
     gap = np.cumsum(a[::-1] - b[::-1])
@@ -332,22 +323,23 @@ DEFAULT_ALPHA_GRID = (0.0, 0.5, 1.0, 2.0, math.inf)
 
 
 def _orders(alphas):
-    """A 1-d grid of Renyi orders, each a number >= 0."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or not (alphas >= 0.0).all():
-        raise ResourceError(f"Renyi orders must be numbers >= 0, got {alphas}")
+    """A 1-d grid of Renyi orders, each a number >= 0 (`core._real`, +inf allowed)."""
+    alphas = _real(alphas, ResourceError, "Renyi orders", low=0.0, inf=True)
+    if np.ndim(alphas) != 1:
+        raise ResourceError(f"Renyi orders must be a 1-d grid, got {alphas}")
     return alphas
 
 
 def classical_renyi_rows(p, q, alphas) -> np.ndarray:
     """S_alpha(p || q) of every row pair of p and q (probability rows on the
     last axis, validated by `core._check_probabilities`, broadcast against
-    each other) at every order of the 1-d grid alphas: an array (...,
-    len(alphas)) from one `core._petz_renyi`."""
+    each other: each shared or one per row, `core._shared_or_rows`) at every order of the 1-d
+    grid alphas: an array (..., len(alphas)) from one `core._petz_renyi`."""
     alphas = _orders(alphas)
     p, q = _check_probabilities(p, ResourceError), _check_probabilities(q, ResourceError)
     if p.shape[-1:] != q.shape[-1:]:
         raise ResourceError("divergences need equally sized probability vectors")
+    _shared_or_rows(ResourceError, None, ("p", p, 1), ("q", q, 1))
     return _petz_renyi(alphas, *(x[..., None, :] for x in np.broadcast_arrays(p, q)))
 
 
@@ -375,7 +367,7 @@ def renyi_second_laws(pop1: EnergyPopulations, pop2: EnergyPopulations,
     required = {0.0, 0.5, 1.0, 2.0, math.inf}
     if not required.issubset(set(alphas)):
         raise ResourceError("alpha grid must include {0, 1/2, 1, 2, inf}")
-    beta = _row_betas(beta, ())
+    beta = _check_beta(beta, ResourceError)
     p = np.stack([pop1.probabilities, _shared_levels(pop1, pop2)])[:, None]
     s1, s2 = _petz_renyi(_orders(alphas), p, _gibbs(pop1.energies, beta)[0][None])
     return _battery(alphas, s1, s2)
@@ -393,7 +385,7 @@ def _battery(alphas, s1, s2) -> SecondLawsVerdict:
 def free_energy_alpha(pop: EnergyPopulations, beta: float, alpha: float) -> float:
     """F_alpha = F_th + T S_alpha(p || p_th), the Renyi generalization of
     the non-equilibrium free energy, with ln Z from `core._gibbs`."""
-    beta = float(_check_beta(beta, ResourceError, positive=True))
+    beta = _check_beta(beta, ResourceError, positive=True)
     gibbs, log_z = _gibbs(pop.energies, beta)
     return (classical_renyi_divergence(pop.probabilities, gibbs, alpha) - float(log_z)) / beta
 
@@ -411,7 +403,7 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID) ->
     dephased = zip(*_density_spectra(dephase(_frozen_stack([rho1, rho2]), h)))
     pairs = [(p, q, qv.conj().T @ pv) for (p, pv), (q, qv) in zip(spectra, dephased)]
     p, q, amp = (np.stack(x)[:, None] for x in zip(*pairs))
-    s1, s2 = _petz_renyi(np.asarray(alphas, dtype=float), p, q, amp)
+    s1, s2 = _petz_renyi(_orders(alphas), p, q, amp)
     return _battery(alphas, s1, s2)
 
 
@@ -427,14 +419,14 @@ def work_extraction(pop: EnergyPopulations, beta: float) -> float:
     i.e. filling a single empty level collapses the extractable work toward
     zero.
     """
-    beta = float(_check_beta(beta, ResourceError, positive=True))
+    beta = _check_beta(beta, ResourceError, positive=True)
     gibbs = pop.thermal_weights(beta)
     return classical_renyi_divergence(pop.probabilities, gibbs, 0.0) / beta
 
 
 def work_of_formation(pop: EnergyPopulations, beta: float) -> float:
     """W_form = T S_inf(p || p_th) = T ln max_i p_i / p_i^th (0/0 skipped)."""
-    beta = float(_check_beta(beta, ResourceError, positive=True))
+    beta = _check_beta(beta, ResourceError, positive=True)
     gibbs = pop.thermal_weights(beta)
     return classical_renyi_divergence(pop.probabilities, gibbs, math.inf) / beta
 
@@ -444,6 +436,7 @@ def interconversion_rate(rho1, rho2, beta: float, hamiltonian) -> float:
     S(rho1 || rho_th) / S(rho2 || rho_th): interconversion is governed by
     the entropy of full thermalization.  rho2 and H are read at rho1's size,
     and each state and H decomposed once."""
+    beta = _check_beta(beta, ResourceError)
     first = _spectrum(rho1, ResourceError)
     spectra = first, _spectrum(rho2, ResourceError, len(first[0]))
     q, qv = thermal_state(_hermitian(hamiltonian, ResourceError, len(first[0])), beta).eig()
@@ -477,26 +470,31 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
                      eta_grid) -> WorkBoundsReport:
     """`work_bounds` of a stack of quenches, a row per Hamiltonian of
     h_final (n, d, d) and state of rho_final (`core._density_stack`); beta,
-    mean_work and delta_f_eq one per row (or shared) and eta_grid (n, m) per
-    row or (m,) shared.  One stacked Gibbs state, one spectrum per state kind
-    and one `core._petz_renyi` over every order of every row; the report's
-    fields carry the row axis (`WorkBoundsReport.row` gives one quench)."""
-    beta = _check_beta(beta, ResourceError, positive=True)
+    mean_work and delta_f_eq one per row or shared, and eta_grid (n, m) per row
+    or (m,) shared (`core._shared_or_rows`).  One stacked Gibbs state, one spectrum
+    per state kind and one `core._petz_renyi` over every order of every row; the
+    report's fields carry the row axis (`WorkBoundsReport.row` gives one quench)."""
     hf = _hermitian(h_final, ResourceError)
     rho, p, pv = _density_stack(rho_final, ResourceError, hf.shape[-1])
     if rho.shape != hf.shape:
         raise ResourceError(f"expected (n, d, d) stacks of one shape, got {hf.shape} "
                             f"and {rho.shape}")
+    rows = (len(hf),)
+    beta = _check_beta(beta, ResourceError, positive=True, rows=rows)
+    mean_work, delta_f_eq = (_real(x, ResourceError, name, rows=rows) for x, name in
+                             ((mean_work, "mean work"), (delta_f_eq, "delta_f_eq")))
+    eta = _real(eta_grid, ResourceError, "eta grid")
+    _shared_or_rows(ResourceError, rows, ("eta grid", eta, 1))
     ones = np.ones((len(hf), 1))
-    eta, b = np.asarray(eta_grid, dtype=float) * ones, beta[..., None]
+    eta, b = eta * ones, beta[..., None]
     alpha = 1.0 - eta / b
     if not (alpha >= 0.0).all():
-        raise ResourceError("eta beyond beta (or not a number): negative Renyi order")
+        raise ResourceError("eta beyond beta: negative Renyi order")
     _, q, qv, _ = _gibbs_states(hf, beta)
     div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1), p[:, None],
                       q[:, None], (qv.conj().swapaxes(-1, -2) @ pv)[:, None])
-    phi = -(eta / b) * div[:, :-2] - eta * np.asarray(delta_f_eq)[..., None]
-    w_irr = (np.asarray(mean_work) - delta_f_eq) * ones[:, 0]
+    phi = -(eta / b) * div[:, :-2] - eta * delta_f_eq[..., None]
+    w_irr = (mean_work - delta_f_eq) * ones[:, 0]
     w_ext, w_form = div[:, -2] / beta, div[:, -1] / beta
     ok = (w_ext <= w_irr + 1e-10) & (w_irr <= w_form + 1e-10)
     return WorkBoundsReport(eta, phi, w_irr, w_ext, w_form, ok)

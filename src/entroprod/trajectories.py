@@ -47,7 +47,7 @@ from .core import (
     _gibbs,
     _hermitian,
     _petz_renyi,
-    _real_array,
+    _real,
     _spectrum,
     _unitary,
     tensor,
@@ -135,12 +135,10 @@ class ScalarDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        v = _real_array(self.values, TrajectoryError, "values")
-        p = _real_array(self.probabilities, TrajectoryError, "probabilities")
-        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
+        v = _real(self.values, TrajectoryError, "values", inf=True)
+        p = _real(self.probabilities, TrajectoryError, "probabilities")
+        if np.ndim(v) != 1 or v.shape != np.shape(p) or v.size == 0:
             raise TrajectoryError("values/probabilities must be matching non-empty 1-d arrays")
-        if np.isnan(v).any() or not np.isfinite(p).all():
-            raise TrajectoryError("values must not be NaN and probabilities must be finite")
         if p.min() < -1e-12:
             raise TrajectoryError(f"negative probability {p.min():.3e}")
         object.__setattr__(self, "values", v)
@@ -197,7 +195,7 @@ class ScalarDistribution:
 
     def cgf(self, lam) -> float:
         """ln <e^{-lam x}>."""
-        return math.log(self.exp_average(-lam))
+        return math.log(self.exp_average(-_real(lam, TrajectoryError, "lambda")))
 
     def convolve(self, other: "ScalarDistribution") -> "ScalarDistribution":
         vals = (self.values[:, None] + other.values[None, :]).ravel()
@@ -341,11 +339,12 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     <f_m|V|i_n> with the eigenvectors of rho_f^th, whose weights are the
     Gibbs weights of H_f.  Bare H and V are read by `core._hermitian` and `core._unitary`,
     H_f and V at the size of H_i."""
-    beta = _check_beta(beta, TrajectoryError, positive=True)
     ei, vi = _eigh(_hermitian(h_initial, TrajectoryError))
     ef, vf = _eigh(_hermitian(h_final, TrajectoryError, ei.shape[-1]))
-    (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
     v = _unitary(protocol_unitary, TrajectoryError, ei.shape[-1])
+    beta = _check_beta(beta, TrajectoryError, positive=True,
+                       rows=max(ei.shape[:-1], ef.shape[:-1], v.shape[:-2], key=len))
+    (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
     amp = vf.conj().swapaxes(-1, -2) @ v @ vi
     trans = np.abs(amp) ** 2
     mean_w = (trans * pi[..., None, :] * (ef[..., :, None] - ei[..., None, :])).sum((-2, -1))
@@ -395,6 +394,7 @@ def crooks_check(stats: WorkStatistics, beta: float):
     both weights exceed CROOKS_WEIGHT_TOL.  Returns (max deviation, number of compared
     points).
     """
+    beta = _check_beta(beta, TrajectoryError, positive=True)
     fwd, bwd = stats.forward, stats.backward
     w = np.concatenate([fwd.values, -bwd.values])
     order = np.argsort(w, kind="stable")
@@ -430,7 +430,7 @@ def work_cgf(h_initial, h_final, protocol_unitary, beta: float, lam_grid) -> Cgf
     ensemble sum exactly; cumulants come from the exact sigma distribution.
     """
     rows = _one_quench(h_initial, h_final, protocol_unitary, beta)
-    lam = np.asarray(lam_grid, dtype=float)
+    lam = np.asarray(_real(lam_grid, TrajectoryError, "lambda grid"))
     p, q = rows.initial[1][0], rows.final[1][0]
     powers = q[:, None] ** lam[:, None, None] * p ** (1.0 - lam[:, None, None])
     return CgfCurve(lam, np.log((rows.transitions[0] * powers).sum((-2, -1))),
@@ -567,7 +567,7 @@ def quench_cgf(h_initial, h_final, beta: float, lam_grid) -> CgfCurve:
     hi = _hermitian(h_initial, TrajectoryError)
     hf = _hermitian(h_final, TrajectoryError, len(hi))
     rows, weights, (pairs, mean, _) = _identity_quench(hi, hf, beta)
-    lam = np.asarray(lam_grid, dtype=float)
+    lam = np.asarray(_real(lam_grid, TrajectoryError, "lambda grid"))
     inner = np.sum(pairs * _xy_integral(weights, lam), axis=(-2, -1)) - mean ** 2 * lam * (1.0 - lam)
     return CgfCurve(lam, -0.5 * beta ** 2 * inner,
                     tuple(_work_sigma(_work_statistics(rows, beta), beta).cumulants(4)))
@@ -778,8 +778,7 @@ def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None) -> Convo
     (reported for the supplied gap list).  The ideal Crooks relation does
     not survive the convolution.
     """
-    if not 0.0 < delta < math.inf:
-        raise TrajectoryError("weight spread delta must be positive and finite")
+    delta = _real(delta, TrajectoryError, "weight spread delta", above=0.0)
     ideal._require_finite("a weight convolution")
     lo = float(ideal.values.min() - 6.0 * delta)
     hi = float(ideal.values.max() + 6.0 * delta)
@@ -789,5 +788,6 @@ def weight_convolve(ideal: ScalarDistribution, delta: float, gaps=None) -> Convo
     mass = mass / mass.sum()
     mean = float(np.sum(grid * mass))
     var = float(np.sum((grid - mean) ** 2 * mass))
-    att = None if gaps is None else np.exp(-np.asarray(gaps, float) ** 2 / (8.0 * delta ** 2))
+    att = None if gaps is None else np.exp(-np.asarray(_real(gaps, TrajectoryError, "gaps")) ** 2
+                                            / (8.0 * delta ** 2))
     return ConvolvedWork(grid, mass, mean, var, att)

@@ -397,6 +397,13 @@ def majorization_suite(n_pairs=50, n_renyi=100, n_quenches=20, n_oracle=100):
     ]
 
 
+def _padded_state(rng, cut):
+    """A random 3-level state (`random_density`) padded with zeros into the Fock cut."""
+    pad = np.zeros((cut, cut), dtype=complex)
+    pad[:3, :3] = random_density(3, rng).matrix
+    return DensityOperator.from_matrix(pad)
+
+
 def squeezed_suite():
     rng = np.random.default_rng(606)
     deltas, residuals = [], []
@@ -406,21 +413,13 @@ def squeezed_suite():
         spec = gs.SqueezedExchangeSpec(omega=1.0, g=1.0, t=0.3 + 0.1 * i,
                                        r=r, theta=0.5 + 0.2 * i, beta=beta,
                                        fock_cut=20)
-        small = random_density(3, rng)
-        pad = np.zeros((20, 20), dtype=complex)
-        pad[:3, :3] = small.matrix
-        rho_sys = DensityOperator.from_matrix(pad)
-        out = gs.squeezed_sigma(spec, rho_sys)
+        out = gs.squeezed_sigma(spec, _padded_state(rng, 20))
         deltas.append(out.sigma_affinity - out.sigma_relative_entropy)
         residuals += [out.d_quanta, out.d_asymmetry]
     # r = 0 reduces to the thermal balance
     spec0 = gs.SqueezedExchangeSpec(omega=1.0, g=1.0, t=0.7, r=0.0,
                                     theta=0.0, beta=2.0, fock_cut=16)
-    small = random_density(3, rng)
-    pad = np.zeros((16, 16), dtype=complex)
-    pad[:3, :3] = small.matrix
-    rho_sys = DensityOperator.from_matrix(pad)
-    out0 = gs.squeezed_sigma(spec0, rho_sys)
+    out0 = gs.squeezed_sigma(spec0, _padded_state(rng, 16))
     thermal_route = (out0.d_entropy_system - 2.0 * out0.d_h_system)
     return [
         Record("squeezed affinity == fixed-point route", _worst(deltas), "<", SQUEEZED_TOL),

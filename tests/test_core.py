@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,7 +360,7 @@ def test_gibbs_states_are_decomposed_once(monkeypatch, count_spectral):
 
 def test_thermal_state_of_a_stack_is_each_row(monkeypatch, count_spectral):
     # one stacked eigh for n Hamiltonians; each state is the one-row call, bit
-    # for bit, and a beta per row must be one per Hamiltonian
+    # for bit, and beta is shared or one per Hamiltonian (`core._shared_or_rows`)
     stack = np.stack([random_hermitian(3, RNG).matrix for _ in range(4)])
     betas = np.array([0.5, 1.0, 40.0, 300.0])
     calls = []
@@ -372,10 +373,14 @@ def test_thermal_state_of_a_stack_is_each_row(monkeypatch, count_spectral):
         alone = core.thermal_state(h, beta)
         for kept, own in zip((state.matrix,) + state.eig(), (alone.matrix,) + alone.eig()):
             assert np.array_equal(kept, own) and not kept.flags.writeable
-    for beta in (betas[:3], np.ones((4, 1)), 1.0):
-        with pytest.raises(CoreError, match="one beta per Hamiltonian"):
+    shared = core.thermal_state(stack, 1.0)
+    for h, state in zip(stack, shared):
+        assert np.array_equal(state.matrix, core.thermal_state(h, 1.0).matrix)
+    for beta, shapes in ((betas[:3], "(3,): one value, or one per row of (4,)"),
+                         (np.ones((4, 1)), "(4, 1): one value, or one per row of (4,)")):
+        with pytest.raises(CoreError, match=re.escape("inverse temperature has shape " + shapes)):
             core.thermal_state(stack, beta)
-    with pytest.raises(CoreError, match="one beta per Hamiltonian"):
+    with pytest.raises(CoreError, match=re.escape("(1,): one value, or one per row of ()")):
         core.thermal_state(stack[0], betas[:1])
 
 

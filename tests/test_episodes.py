@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -823,6 +824,15 @@ def test_episode_json_roundtrip():
     bal = eps.balance(ep)
     blob = bal.to_json()
     assert "sigma" in blob and "flux" in blob
+    # the optional fields, each written once it is set, and read back as written
+    heat_ep, parts = three_qubit_heat_episode()
+    optional = {"d_free_energy": eps.thermal_balance(ep, 1.2),
+                "total_correlations": eps.multibath_balance(heat_ep, parts)}
+    for name, balance in optional.items():
+        blob = json.loads(json.dumps(balance.to_json()))
+        assert name in blob and blob == {k: list(v) if isinstance(v, tuple) else v
+                                         for k, v in vars(balance).items() if v is not None}
+    assert len(blob["heat_per_bath"]) == 2
 
 
 def test_conditional_balance_with_backaction_uses_the_measured_environment():

@@ -98,7 +98,8 @@ INVALID_CONFIGS = {
 CASES = {
     # core
     "core.HilbertDims zero factor": (
-        lambda: core.HilbertDims((2, 0)), core.CoreError, "factor dimensions must be positive"),
+        lambda: core.HilbertDims((2, 0)), core.CoreError,
+        "factor dimension must be an integer >= 1, got 0"),
     "core dims against the matrix size": (
         lambda: HermitianOperator.from_matrix(np.eye(2), (3,)), core.CoreError,
         "do not match matrix size"),
@@ -157,6 +158,15 @@ CASES = {
     "core ragged matrix": (
         lambda: core.thermal_state([[1.0, 0.0], [0.0]], 1.0), core.CoreError,
         "row 1 of the matrix: shape (1,), expected (2,)"),
+    "core.matrix_from_json missing key": (
+        lambda: core.matrix_from_json({"dims": [2], "re": [[1, 0], [0, 1]]}), core.CoreError,
+        "malformed matrix object: 'im'"),
+    "core stack where one matrix is read": (
+        lambda: eps.has_global_fixed_point(_episode(), (np.eye(2) / 2)[None]), eps.EpisodeError,
+        "expected a square matrix, got shape (1, 2, 2)"),
+    "core.thermal_state stack of stacks": (
+        lambda: thermal_state(np.zeros((2, 2, 2, 2)), 1.0), core.CoreError,
+        "expected one Hamiltonian or an (n, d, d) stack, got shape (2, 2, 2, 2)"),
     "core.matrix_from_json parts": (
         lambda: core.matrix_from_json({"dims": [2], "re": [[1, 0], [0, 1]], "im": [[0, 0]]}),
         core.CoreError, "matching 2-d arrays"),
@@ -227,7 +237,7 @@ CASES = {
         "one system unitary per alphabet entry"),
     "collisional.run stroke count": (
         lambda: cm.run(cm.CollisionSpec((_stroke(),), (H2,)), RHO2, 0),
-        cm.CollisionalError, "n_strokes must be >= 1"),
+        cm.CollisionalError, "n_strokes must be an integer >= 1, got 0"),
     "collisional.continuous_limit non-Hermitian V": (
         lambda: cm.continuous_limit(np.kron(core.SIGMA_PLUS, np.eye(2)), RHO2),
         cm.CollisionalError, "not Hermitian"),
@@ -288,10 +298,10 @@ CASES = {
         "hamiltonian must be a HermitianOperator, got ndarray"),
     "collisional.SwapEngineSpec gap": (
         lambda: cm.SwapEngineSpec(0.0, 1.0, 1.0, 1.0), cm.CollisionalError,
-        "SWAP engine parameters must be positive"),
+        "eps_a must be finite and > 0, got 0.0"),
     "collisional.SwapEngineSpec NaN gap": (
         lambda: cm.swap_engine(cm.SwapEngineSpec(1.0, NAN, 1.0, 0.5)), cm.CollisionalError,
-        "SWAP engine parameters must be positive"),
+        "eps_b must be finite and > 0, got nan"),
     # episodes
     "episodes Hamiltonian dims": (
         lambda: _episode(h_system=H3), eps.EpisodeError, "matrix is 3x3, expected 2x2"),
@@ -328,7 +338,7 @@ CASES = {
         eps.EpisodeError, "must cover all"),
     "episodes.finite_dimension_bound dimension": (
         lambda: eps.finite_dimension_bound(-0.1, 1.0, 1), eps.EpisodeError,
-        "environment dimension must be at least 2"),
+        "environment dimension must be an integer >= 2, got 1"),
     "episodes.finite_dimension_bound temperature": (
         lambda: eps.finite_dimension_bound(-0.1, -1.0, 4), eps.EpisodeError,
         "temperature must be finite and > 0"),
@@ -337,19 +347,29 @@ CASES = {
         "temperature must be finite and > 0"),
     "episodes.finite_dimension_bound NaN dS_S": (
         lambda: eps.finite_dimension_bound(NAN, 1.0, 4), eps.EpisodeError,
-        "applies only to dS_S < 0"),
+        "dS_S must be a finite number, got nan"),
     "episodes.heat_capacity_bound NaN dS_S": (
         lambda: eps.heat_capacity_bound(NAN, 1.0, lambda t: t), eps.EpisodeError,
-        "applies only to dS_S < 0"),
+        "dS_S must be a finite number, got nan"),
     "episodes.gibbs_erasure_bound NaN dS_S": (
         lambda: eps.gibbs_erasure_bound([-0.1, NAN], 1.0, [0.0, 1.0]), eps.EpisodeError,
-        "applies only to dS_S < 0"),
+        "dS_S must be a finite number, got [-0.1, nan]"),
+    "episodes.heat_capacity_bound capacity too small": (
+        lambda: eps.heat_capacity_bound(-0.1, 1.0, lambda t: 0.0), eps.EpisodeError,
+        "heat capacity too small to reach the requested entropy"),
+    "episodes.mean_force_hamiltonian underflowing exponential": (
+        lambda: eps.mean_force_hamiltonian(np.kron(np.diag([0.0, 1.0]), np.eye(2)), (2, 2),
+                                           1000.0, H2),
+        eps.EpisodeError, "reduced exponential is singular"),
+    "episodes.correlated_heat_flow non-conserving U": (
+        lambda: eps.correlated_heat_flow(THERMAL_AB, H2, H2, np.kron(PAULI_X, np.eye(2)), 1.0, 1.0),
+        eps.EpisodeError, "unitary violates strict energy conservation"),
     "episodes.heat_capacity_bound erasure": (
         lambda: eps.heat_capacity_bound(0.1, 1.0, lambda t: t), eps.EpisodeError,
         "heat-capacity bound applies only to dS_S < 0"),
     "episodes.landauer_report temperature": (
         lambda: eps.landauer_report(_episode(rho_env=MIXED2), 0.0), eps.EpisodeError,
-        "needs beta > 0"),
+        "inverse temperature must be finite and > 0, got 0.0"),
     "episodes.mean_force_hamiltonian non-Hermitian H": (
         lambda: eps.mean_force_hamiltonian(np.kron(NOT_HERMITIAN, np.eye(2)), (2, 2), 1.0,
                                            np.eye(2)),
@@ -424,18 +444,21 @@ CASES = {
     "gaussian classical covariance": (
         lambda: gs.GaussianState(np.zeros(2), -np.eye(2), quantum=False), gs.GaussianError,
         "classical covariance must be PSD"),
+    "gaussian.renyi2_entropy singular covariance": (
+        lambda: gs.renyi2_entropy(gs.GaussianState(np.zeros(2), np.zeros((2, 2)), quantum=False)),
+        gs.GaussianError, "covariance must be positive definite"),
     "gaussian.single_mode_rates modes": (
         lambda: gs.single_mode_rates(0.3, 0.5, gs.GaussianState.thermal(0.5, 2)),
         gs.GaussianError, "expects one mode"),
     "gaussian.TwoModeNessSpec rates": (
         lambda: gs.TwoModeNessSpec(0.0, 1.5, 0.3, 0.4, 0.2, 0.6), gs.GaussianError,
-        "frequencies and rates must be positive"),
+        "omega_a must be finite and > 0, got 0.0"),
     "gaussian.TwoModeNessSpec occupation": (
         lambda: gs.TwoModeNessSpec(1.0, 1.5, 0.3, 0.4, 0.2, -0.1), gs.GaussianError,
-        "bath occupation must be non-negative"),
+        "n_tb must be finite and >= 0, got -0.1"),
     "gaussian.TwoModeNessSpec NaN occupation": (
         lambda: gs.TwoModeNessSpec(1.0, 1.5, 0.3, 0.4, 0.2, NAN), gs.GaussianError,
-        "bath occupation must be non-negative"),
+        "n_tb must be finite and >= 0, got nan"),
     "gaussian.squeezed_sigma zero beta": (
         lambda: gs.squeezed_sigma(gs.SqueezedExchangeSpec(1.0, 1.0, 0.5, 0.2, 0.3, 0.0, 4),
                                   DensityOperator.maximally_mixed(4)),
@@ -450,7 +473,7 @@ CASES = {
         "expected a square matrix, got shape (2, 3)"),
     "lindblad negative rate": (
         lambda: lb.LindbladModel(np.eye(2), ((np.eye(2), -1.0),)), lb.LindbladError,
-        "negative jump rate"),
+        "jump rates must be finite and >= 0, got [-1.0]"),
     "lindblad non-Hermitian cross terms": (
         lambda: lb.LindbladModel(np.eye(2), (), ((np.eye(2), np.eye(2)),
                                                  [[1.0, 1j], [1j, 1.0]])),
@@ -478,7 +501,7 @@ CASES = {
     "resource betas per row": (
         lambda: rs.thermo_majorizes_rows([0.0, 1.0], [HALF, HALF], [HALF, HALF],
                                          [1.0, 1.0, 1.0]),
-        rs.ResourceError, "betas for population rows"),
+        rs.ResourceError, "inverse temperature has shape (3,): one value, or one per row of (2,)"),
     "resource.EnergyPopulations shapes": (
         lambda: rs.EnergyPopulations([0.0, 1.0], [1.0]), rs.ResourceError,
         "matching 1-d arrays"),
@@ -491,6 +514,12 @@ CASES = {
     "resource.classical_renyi_rows sizes": (
         lambda: rs.classical_renyi_rows(HALF, [0.2, 0.3, 0.5], [1.0]), rs.ResourceError,
         "equally sized probability vectors"),
+    "resource.classical_renyi_rows order grid": (
+        lambda: rs.classical_renyi_rows(HALF, HALF, [[1.0]]), rs.ResourceError,
+        "Renyi orders must be a 1-d grid"),
+    "resource.work_bounds_rows eta beyond beta": (
+        lambda: rs.work_bounds_rows(np.eye(2)[None], 1.0, (np.eye(2) / 2)[None], 0.0, 0.0, [2.0]),
+        rs.ResourceError, "eta beyond beta: negative Renyi order"),
     "resource.classical_renyi_divergence NaN": (
         lambda: rs.classical_renyi_divergence([NAN, 1.0], HALF, 0.5), rs.ResourceError,
         "must be finite"),
@@ -500,6 +529,9 @@ CASES = {
     "resource.work_bounds_rows stacks": (
         lambda: rs.work_bounds_rows(np.eye(2), 1.0, np.eye(2) / 2, 0.0, 0.0, [0.5]),
         rs.ResourceError, "expected (n, d, d) stacks"),
+    "resource.work_bounds_rows one H for a stack of states": (
+        lambda: rs.work_bounds_rows(np.eye(2), 1.0, (np.eye(2) / 2)[None], 0.0, 0.0, [0.5]),
+        rs.ResourceError, "expected (n, d, d) stacks of one shape, got (2, 2) and (1, 2, 2)"),
     "resource.gibbs_stochastic_feasible_2d_rows levels": (
         lambda: rs.gibbs_stochastic_feasible_2d_rows([0.0, 1.0, 2.0], [[0.2, 0.3, 0.5]],
                                                      [[0.2, 0.3, 0.5]], 1.0),
@@ -511,6 +543,9 @@ CASES = {
     "trajectories.ScalarDistribution complex value": (
         lambda: tj.ScalarDistribution(np.array([0.0, 1.0 + 1j]), HALF), tj.TrajectoryError,
         "values must be real, got a nonzero imaginary part"),
+    "trajectories.backward_ensemble_rows choice": (
+        lambda: tj.backward_ensemble_rows(_stack(1), "bath reset"), tj.TrajectoryError,
+        "unknown backward choice bath reset"),
     "trajectories.stochastic_sigma backward process": (
         lambda: tj.stochastic_sigma(tj.PathEnsemble(np.array([1.0]))), tj.TrajectoryError,
         "no backward probabilities"),
@@ -574,6 +609,133 @@ def test_run_config_reads_a_config_as_load_config_does(text, fragment, tmp_path,
     assert fragment in str(loaded.value)
     assert str(ran.value) == str(loaded.value)
     assert not (tmp_path / "out").exists()
+
+
+# Every real and integer parameter is read by one rule (`core._real`,
+# `core._integer`) with the module's error, whose message begins with the
+# parameter's name: strings and booleans are not numbers, NaN is never a
+# value, a size is a whole number, and a value is shared or one per row of
+# the stack it meets (`core._shared_or_rows`).
+NUMBERS = {
+    # strings and booleans
+    "core.thermal_state string beta": (
+        lambda: thermal_state(H2, "2"), core.CoreError,
+        "inverse temperature must be finite and >= 0, got '2'"),
+    "core.thermal_state bool beta": (
+        lambda: thermal_state(H2, True), core.CoreError,
+        "inverse temperature must be finite and >= 0, got True"),
+    "resource.EnergyPopulations string levels": (
+        lambda: rs.EnergyPopulations(["0", "1"], HALF), rs.ResourceError,
+        "energies must be a finite number, got ['0', '1']"),
+    "classical.RateMatrix.from_offdiagonal string rates": (
+        lambda: cl.RateMatrix.from_offdiagonal([["0", "1"], ["1", "0"]]), cl.ClassicalError,
+        "rates must be real numbers, got [['0', '1'], ['1', '0']]"),
+    "core.shannon_entropy strings": (
+        lambda: core.shannon_entropy(["0.5", "0.5"]), core.CoreError,
+        "probabilities must be real numbers, got ['0.5', '0.5']"),
+    # NaN
+    "episodes.heat_distribution NaN beta": (
+        lambda: eps.heat_distribution(_episode(), NAN), eps.EpisodeError,
+        "inverse temperature must be finite and >= 0, got nan"),
+    "trajectories.crooks_check NaN beta": (
+        lambda: tj.crooks_check(tj.work_distribution(PAULI_Z, PAULI_Z + PAULI_X, np.eye(2), 1.0),
+                                NAN), tj.TrajectoryError,
+        "inverse temperature must be finite and > 0, got nan"),
+    "trajectories.work_cgf NaN lambda": (
+        lambda: tj.work_cgf(PAULI_Z, PAULI_Z + PAULI_X, np.eye(2), 1.0, [0.0, NAN]),
+        tj.TrajectoryError, "lambda grid must be a finite number, got [0.0, nan]"),
+    "trajectories.quench_cgf NaN lambda": (
+        lambda: tj.quench_cgf(PAULI_Z, PAULI_Z + 0.1 * PAULI_X, 1.0, [NAN]), tj.TrajectoryError,
+        "lambda grid must be a finite number, got [nan]"),
+    "trajectories.ScalarDistribution.cgf NaN lambda": (
+        lambda: tj.ScalarDistribution([0.0, 1.0], HALF).cgf(NAN), tj.TrajectoryError,
+        "lambda must be a finite number, got nan"),
+    "trajectories.weight_convolve NaN gap": (
+        lambda: tj.weight_convolve(tj.ScalarDistribution([0.0, 1.0], HALF), 0.5, gaps=[NAN]),
+        tj.TrajectoryError, "gaps must be a finite number, got [nan]"),
+    "classical.onsager_sigma NaN affinity": (
+        lambda: cl.onsager_sigma(np.eye(2), [NAN, 0.0]), cl.ClassicalError,
+        "affinities must be a finite number, got [nan, 0.0]"),
+    "episodes.gibbs_erasure_bound NaN level": (
+        lambda: eps.gibbs_erasure_bound(-0.1, 1.0, [0.0, NAN]), eps.EpisodeError,
+        "energies must be a finite number, got [0.0, nan]"),
+    "gaussian.single_mode_rates NaN omega": (
+        lambda: gs.single_mode_rates(0.3, 0.5, gs.GaussianState.thermal(0.5), omega=NAN),
+        gs.GaussianError, "omega must be finite and > 0, got nan"),
+    "gaussian.squeezed_sigma NaN omega": (
+        lambda: gs.squeezed_sigma(gs.SqueezedExchangeSpec(NAN, 1.0, 0.5, 0.2, 0.3, 0.4, 4),
+                                  DensityOperator.maximally_mixed(4)),
+        gs.GaussianError, "omega must be finite and > 0, got nan"),
+    "gaussian.TwoModeNessSpec NaN coupling": (
+        lambda: gs.TwoModeNessSpec(1.0, 1.5, NAN, 0.4, 0.2, 0.6), gs.GaussianError,
+        "g_ab must be a finite number, got nan"),
+    # fractional sizes
+    "episodes.finite_dimension_bound fractional dimension": (
+        lambda: eps.finite_dimension_bound(-0.1, 1, 2.5), eps.EpisodeError,
+        "environment dimension must be an integer, got 2.5"),
+    "classical.glauber_ising fractional lattice": (
+        lambda: cl.glauber_ising(2.5, 1.0, 1.0, 0.0, [[1], [0]]), cl.ClassicalError,
+        "n_sites must be an integer, got 2.5"),
+    "lindblad.kerr_model fractional Fock cut": (
+        lambda: lb.kerr_model(-2.0, 1.0, 0.2, 0.5, fock_cut=2.5), lb.LindbladError,
+        "fock_cut must be an integer, got 2.5"),
+    # the module's error, not CoreError or a bare ValueError
+    "lindblad.spohn_rates NaN beta": (
+        lambda: lb.spohn_rates(lambda t: QUBIT_MODEL, [(0.0, RHO2)], NAN), lb.LindbladError,
+        "inverse temperature must be finite and >= 0, got nan"),
+    "resource.interconversion_rate NaN beta": (
+        lambda: rs.interconversion_rate(RHO2, MIXED2, NAN, H2), rs.ResourceError,
+        "inverse temperature must be finite and >= 0, got nan"),
+    "episodes.two_qubit_exchange_scenario NaN alpha": (
+        lambda: eps.two_qubit_exchange_scenario(NAN, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0),
+        eps.EpisodeError, "alpha must be a finite number, got nan"),
+    "gaussian.squeezed_sigma NaN time": (
+        lambda: gs.squeezed_sigma(gs.SqueezedExchangeSpec(1.0, 1.0, NAN, 0.2, 0.3, 0.4, 4),
+                                  DensityOperator.maximally_mixed(4)),
+        gs.GaussianError, "t must be a finite number, got nan"),
+    "lindblad.spin_operators NaN spin": (
+        lambda: lb.spin_operators(NAN), lb.LindbladError,
+        "spin s must be finite and >= 0, got nan"),
+    # a per-row operand of another length than the rows
+    "episodes.thermal_balance_rows betas": (
+        lambda: eps.thermal_balance_rows(_stack(1), [1.0, 1.0]), eps.EpisodeError,
+        "inverse temperature has shape (2,): one value, or one per row of (1,)"),
+    "episodes.landauer_rows betas": (
+        lambda: eps.landauer_rows(_stack(1), [1.0, 1.0]), eps.EpisodeError,
+        "inverse temperature has shape (2,): one value, or one per row of (1,)"),
+    "episodes.multibath_balance_rows part betas": (
+        lambda: eps.multibath_balance_rows(_stack(1), [eps.BathPart((0,), np.eye(2), [1.0, 1.0])]),
+        eps.EpisodeError, "inverse temperature has shape (2,): one value, or one per row of (1,)"),
+    "trajectories.work_rows betas": (
+        lambda: tj.work_rows(H2.matrix[None], H2.matrix[None], np.eye(2)[None], [1.0, 1.0]),
+        tj.TrajectoryError,
+        "inverse temperature has shape (2,): one value, or one per row of (1,)"),
+    "resource.work_bounds_rows mean works": (
+        lambda: rs.work_bounds_rows(np.eye(2)[None], 1.0, (np.eye(2) / 2)[None], [0.0, 0.0], 0.0,
+                                    [0.5]),
+        rs.ResourceError, "mean work has shape (2,): one value, or one per row of (1,)"),
+    "episodes.gibbs_erasure_bound dS_S rows": (
+        lambda: eps.gibbs_erasure_bound([-0.1, -0.2], [1.0, 1.0, 1.0], [0.0, 1.0]),
+        eps.EpisodeError, "dS_S has shape (2,): one value, or one per row of (3,)"),
+    "episodes.finite_dimension_bound dS_S rows": (
+        lambda: eps.finite_dimension_bound([-0.1, -0.2], [1.0, 1.0, 1.0], 4), eps.EpisodeError,
+        "dS_S has shape (2,): one value, or one per row of (3,)"),
+    "episodes.fixed_point_sigma_rows rho' rows": (
+        lambda: eps.fixed_point_sigma_rows(*(tuple(np.array([x] * n) for x in RHO2.eig())
+                                             for n in (3, 2)), RHO2.eig()),
+        eps.EpisodeError, "rho' has shape (2, 2): one value, or one per row of (3,)"),
+    "resource.classical_renyi_rows q rows": (
+        lambda: rs.classical_renyi_rows([HALF] * 3, [HALF] * 2, [1.0]), rs.ResourceError,
+        "q has shape (2, 2): one value, or one per row of (3,)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", NUMBERS.values(), ids=NUMBERS.keys())
+def test_a_number_is_read_by_the_one_rule(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
 
 
 # A state that an entry point needs as a `DensityOperator` is read by one rule
