@@ -125,26 +125,28 @@ def _check_size(n, dim, error):
 
 
 def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
-    """Read-only complex copy of one square matrix or stack (..., d, d), or
-    operators, of size `dim` when given (`_check_size`), else `error`; a ragged
-    list is named by its first entry not of the shape of entry 0 (or of dim x dim),
-    as a row when entry 0 is a row of numbers (the list is one matrix).
-    An operator's own matrix, frozen when it was made, is returned as it is."""
+    """Read-only complex copy of one square matrix or stack (..., d, d) of numbers (`_numbers`),
+    or operators, of size `dim` when given (`_check_size`), else `error`; a ragged list is
+    named by its first entry not of the shape of entry 0 (or of dim x dim), as a row when
+    entry 0 is a row of numbers (the list is one matrix).  An operator's own matrix, frozen
+    when it was made, is returned as it is; a list is made an array once."""
     if isinstance(matrices, _Operator):
         _check_size(matrices.dim, dim, error)
         return matrices.matrix
     if isinstance(matrices, (list, tuple)):
         matrices = [x.matrix if isinstance(x, _Operator) else x for x in matrices]
     try:
-        m = np.array(matrices, dtype=complex)
-    except (TypeError, ValueError):
+        m = _numbers(matrices, error, "matrix entries").astype(complex,
+                                                               copy=type(matrices) is not list)
+    except error:
         shapes = [np.asarray(x, object).shape for x in matrices] if type(matrices) is list else []
         rows = len(shapes) > 0 and len(shapes[0]) == 1 and all(map(np.isscalar, matrices[0]))
         want = shapes[:1] if dim is None else [(dim,) if rows else (dim, dim)]
         k = next((k for k, s in enumerate(shapes) if [s] != want), None)
+        if k is None:
+            raise
         where = "row {} of the matrix" if rows else "matrix {} of the stack"
-        raise error("matrix entries must be numbers" if k is None else
-                    where.format(k) + f": shape {shapes[k]}, expected {want[0]}") from None
+        raise error(where.format(k) + f": shape {shapes[k]}, expected {want[0]}") from None
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise error(f"expected a square matrix, got shape {m.shape}")
     _check_size(m.shape[-1], dim, error)
@@ -327,8 +329,7 @@ class _Operator:
 
     @classmethod
     def from_matrix(cls, matrix, dims=None):
-        m = np.asarray(matrix, dtype=complex)
-        return cls(m, _as_dims(dims, m.shape[0]))
+        return cls(matrix, dims)
 
     @property
     def dim(self) -> int:
@@ -398,7 +399,7 @@ class DensityOperator(_Operator):
 
     @classmethod
     def pure(cls, vector, dims=None):
-        v = np.asarray(vector, dtype=complex).ravel()
+        v = _numbers(vector, CoreError, "a pure state's vector").astype(complex).ravel()
         # scaled by its largest |v_i| first, so the norm neither overflows nor underflows
         scale = np.abs(v).max(initial=0.0) if np.isfinite(v).all() else 0.0
         if not 0.0 < scale < np.inf:
@@ -871,15 +872,22 @@ def _check_probabilities(p, error):
     return np.maximum(p, 0.0)
 
 
-def _real_array(x, error, name, rule="real numbers") -> np.ndarray:
-    """x as a float array (x itself when it is one), else `error` naming x and its `rule`:
-    entries that are not numbers (strings, booleans, objects) or not real."""
+def _numbers(x, error, name, rule="numbers") -> np.ndarray:
+    """x as an array (x itself when it is one), else `error` naming x and its `rule`: the one
+    test of every number read, operator entries too, against strings, booleans and objects."""
     try:
         a = np.asarray(x)
     except (TypeError, ValueError):
         a = None
     if a is None or a.dtype.kind not in "iufc":
         raise error(f"{name} must be {rule}, got {x!r}")
+    return a
+
+
+def _real_array(x, error, name, rule="real numbers") -> np.ndarray:
+    """x as a float array (x itself when it is one), else `error` naming x and its `rule`:
+    entries that are not numbers (`_numbers`) or not real."""
+    a = _numbers(x, error, name, rule)
     if a.dtype.kind == "c" and (a.imag != 0.0).any():
         raise error(f"{name} must be real, got a nonzero imaginary part")
     return a.real.astype(float, copy=False)
@@ -958,21 +966,12 @@ def renyi_divergence(rho, sigma, alpha) -> float:
     return float(_petz_renyi(alpha, *_state_pair(rho, sigma)))
 
 
-def classical_kl(p, q) -> float:
-    """Kullback-Leibler divergence sum p ln(p/q) of probability vectors
-    (`_check_probabilities`): the diagonal case of the relative entropy."""
-    p, q = _check_probabilities(p, CoreError), _check_probabilities(q, CoreError)
-    if p.shape != q.shape:
-        raise CoreError("divergences need equally sized probability vectors")
-    return float(_petz_renyi(1.0, p, q))
-
-
 def mutual_information(rho: DensityOperator, part_a) -> float:
     """S(rho_A) + S(rho_B) - S(rho_AB) for the bipartition (part_a | rest) of rho's factors
     (`_typed`: a bare matrix has one, so it has no bipartition)."""
     rho = _typed(DensityOperator, rho)
     n = len(rho.dims)
-    part_a = sorted(set(int(i) for i in part_a))
+    part_a = sorted(set(_integer(i, CoreError, "part index") for i in part_a))
     if not part_a or part_a[0] < 0 or part_a[-1] >= n:
         raise CoreError(f"invalid bipartition {part_a} of rho's dims {rho.dims.factors}")
     part_b = [i for i in range(n) if i not in part_a]

@@ -104,7 +104,8 @@ class Episode:
     """One system+environment unitary interaction record.
 
     Every balance of an episode is row 0 of its row form on the episode's
-    one-row `EpisodeStack` (`_row`), which shares the validated arrays.
+    one-row `EpisodeStack` (`stack`), which shares the validated arrays, so
+    every row form takes one episode as well: `landauer_rows(ep.stack, beta)`.
     That stack, with the evolution (`evolve`) and the Gibbs distances it
     keeps, is made on first use and kept on the instance, not compared and
     not in the repr; a `dataclasses.replace` copy makes it afresh.
@@ -156,7 +157,7 @@ class Episode:
         )
 
     @cached_property
-    def _row(self) -> EpisodeStack:
+    def stack(self) -> EpisodeStack:
         rows = [(rho,) for rho in (self.rho_system, self.rho_env)]
         return EpisodeStack(self.h_system.matrix[None], self.h_env.matrix[None],
                             self.unitary.matrix[None], *map(_density_stack, rows),
@@ -166,7 +167,7 @@ class Episode:
     def _evolved(self) -> EvolvedStates:
         dims = (self.dims, self.rho_system.dims, self.rho_env.dims)
         return EvolvedStates(*(DensityOperator._validated([x[0] for x in s], d)
-                               for s, d in zip(self._row.evolved, dims)))
+                               for s, d in zip(self.stack.evolved, dims)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,7 +177,7 @@ class EpisodeStack:
     `core._density_stack`, the one reader of a stack of states.
 
     `of` validates each operator kind once for the whole stack; an
-    episode's own one-row stack (`Episode._row`) reuses its validation.
+    episode's own one-row stack (`Episode.stack`) reuses its validation.
     rho_SE' is made from its product spectrum and never decomposed; only
     rho_S' and rho_E' are.  The evolution (`evolved`), the entropies of the
     five states (`entropies`), the information balance (`balance`), the
@@ -404,7 +405,7 @@ def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance
     This is row 0 of the episode's one-row stack (`EpisodeStack.balance`).
     """
     _own_evolution(ep, evolved)
-    return _first_row(ep._row.balance)
+    return _first_row(ep.stack.balance)
 
 
 def _thermality(states, h, beta):
@@ -451,7 +452,7 @@ def thermal_balance(ep: Episode, beta: float) -> EntropyBalance:
     temperature.  Agrees with the information-theoretic balance exactly.
     Row 0 of `thermal_balance_rows`.
     """
-    return _first_row(thermal_balance_rows(ep._row, beta))
+    return _first_row(thermal_balance_rows(ep.stack, beta))
 
 
 def thermal_balance_rows(stack: EpisodeStack, beta):
@@ -486,7 +487,7 @@ def multibath_balance(ep: Episode, parts, evolved: EvolvedStates | None = None) 
     - S(rho_SE'), which satisfy Sigma = T + sum_i S(rho_Ei' || rho_Ei).
     Row 0 of `multibath_balance_rows`.
     """
-    rows = multibath_balance_rows(ep._row, parts)
+    rows = multibath_balance_rows(ep.stack, parts)
     _own_evolution(ep, evolved)
     return _first_row(rows)
 
@@ -818,7 +819,7 @@ def _invert_entropy(entropy, target, lo, hi):
 
 def environment_response_operator(ep: Episode) -> np.ndarray:
     """M = Tr_E[U^dag (1 x rho_E) U]; Tr[M rho_S] = <e^{-beta Q}> exactly."""
-    return _response_rows(ep._row)[0]
+    return _response_rows(ep.stack)[0]
 
 
 def _response_rows(stack: EpisodeStack) -> np.ndarray:
@@ -829,36 +830,28 @@ def _response_rows(stack: EpisodeStack) -> np.ndarray:
     return _ptrace_matrix(big, stack.dims.factors, range(ns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandauerReport:
-    heat_env: float
-    d_entropy_system: float
-    bound_basic: float
-    bound_finite_dim: float | None
-    bound_heat_capacity: float | None
-    bound_exponential: float
+    """The erasure bounds of `landauer_rows`, an array entry per row of the stack."""
+
+    heat_env: np.ndarray
+    d_entropy_system: np.ndarray
+    bound_basic: np.ndarray
+    bound_finite_dim: np.ndarray
+    bound_heat_capacity: np.ndarray
+    bound_exponential: np.ndarray
     satisfied: dict
 
 
-def landauer_report(ep: Episode, beta: float) -> LandauerReport:
-    """All erasure bounds that apply to one thermal-environment episode:
-    row 0 of `landauer_rows`, with None for a bound that does not apply."""
-    rows = landauer_rows(ep._row, beta)
-    bounds = {k: None if np.isnan(v[0]) else float(v[0])
-              for k, v in vars(rows).items() if k != "satisfied"}
-    return LandauerReport(**bounds, satisfied={k: bool(v[0]) for k, v in rows.satisfied.items()
-                                               if bounds["bound_" + k] is not None})
-
-
 def landauer_rows(stack: EpisodeStack, beta) -> LandauerReport:
-    """The erasure bounds of every row of a thermal-environment stack, beta a
-    scalar or one per row.  The finite-dimension and heat-capacity bounds
-    apply where dS_S < 0 and are NaN elsewhere; a check is True where its
-    bound does not apply.  The heat-capacity bound is that of the Gibbs
-    environment, `gibbs_erasure_bound` on the levels of every H_E that its
-    thermality check keeps; a row past the T' -> inf end is at the end, since a
-    rho_E that check passes may sit THERMALITY_TOL from Gibbs and so gain a
-    little more entropy than the Gibbs state could."""
+    """The erasure bounds of every row of a thermal-environment stack (of one
+    episode: `ep.stack`), beta a scalar or one per row.  The finite-dimension
+    and heat-capacity bounds apply where dS_S < 0 and are NaN elsewhere; a
+    check is True where its bound does not apply.  The heat-capacity bound is
+    that of the Gibbs environment, `gibbs_erasure_bound` on the levels of every
+    H_E that its thermality check keeps; a row past the T' -> inf end is at the
+    end, since a rho_E that check passes may sit THERMALITY_TOL from Gibbs and
+    so gain a little more entropy than the Gibbs state could."""
     beta, levels = _require_thermal_rows(stack, _check_beta(beta, EpisodeError, positive=True))
     temperature = 1.0 / beta
     base = stack.balance

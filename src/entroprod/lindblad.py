@@ -107,17 +107,12 @@ class LindbladModel:
                 f"dense generators against a budget of {GENERATOR_BYTES} bytes)")
         _check_hermitian(h, LindbladError)
         rates = _real([rate for _, rate in self.jumps], LindbladError, "jump rates", 0.0).tolist()
-        c = None if self.cross is None else np.asarray(self.cross[1], dtype=complex)
-        ops = [op for op, _ in self.jumps] + ([] if c is None else list(self.cross[0]))
+        ops = [op for op, _ in self.jumps] + ([] if self.cross is None else list(self.cross[0]))
         ops = _frozen_stack(ops or np.zeros((0,) + h.shape), LindbladError, len(h))
-        if c is not None and not np.isfinite(c).all():
-            raise LindbladError("cross-term coefficients must be finite")
-        if c is not None:
-            k = len(ops) - len(rates)
-            if c.shape != (k, k):
-                raise LindbladError(f"cross-term coefficient matrix must be {k} x {k}")
-            if np.abs(c - c.conj().T).max() > 1e-12:
-                raise LindbladError("cross-term coefficient matrix must be Hermitian")
+        c = None if self.cross is None else _frozen_matrix(self.cross[1], LindbladError,
+                                                             len(ops) - len(rates))
+        if c is not None and np.abs(c - c.conj().T).max() > 1e-12:
+            raise LindbladError("cross-term coefficient matrix must be Hermitian")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "jumps", tuple(zip(ops, rates)))
         object.__setattr__(self, "cross", c if c is None else (tuple(ops[len(rates):]), c))
@@ -282,6 +277,7 @@ def kerr_model(delta: float, u_kerr: float, drive: float, kappa: float,
     """
     a = destroy(_integer(fock_cut, LindbladError, "fock_cut", low=1))
     num = a.conj().T @ a
+    n_scale = _integer(n_scale, LindbladError, "n_scale", low=1)
     u_eff = u_kerr / n_scale
     eps_eff = drive * math.sqrt(n_scale)
     h = (delta * num + 0.5 * u_eff * (a.conj().T @ a.conj().T @ a @ a)

@@ -468,8 +468,11 @@ class WorkBoundsReport:
 
 def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
                      eta_grid) -> WorkBoundsReport:
-    """`work_bounds` of a stack of quenches, a row per Hamiltonian of
-    h_final (n, d, d) and state of rho_final (`core._density_stack`); beta,
+    """Renyi sandwich W_ext(rho') <= W_irr = <W> - dF_eq <= W_form(rho') on the
+    irreversible work of protocols ending in rho_final at Hamiltonian h_final,
+    through the identity Phi_eta = -(eta/beta) S_{1-eta/beta}(rho' || rho'_th) - eta dF_eq.
+    A row per Hamiltonian of h_final (n, d, d) and state of rho_final
+    (`core._density_stack`; one protocol is `[h], beta, [rho], ...`); beta,
     mean_work and delta_f_eq one per row or shared, and eta_grid (n, m) per row
     or (m,) shared (`core._shared_or_rows`).  One stacked Gibbs state, one spectrum
     per state kind and one `core._petz_renyi` over every order of every row; the
@@ -500,27 +503,15 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     return WorkBoundsReport(eta, phi, w_irr, w_ext, w_form, ok)
 
 
-def work_bounds(h_final, beta: float, rho_final, mean_work: float,
-                delta_f_eq: float, eta_grid) -> WorkBoundsReport:
-    """Renyi sandwich on the irreversible work of a protocol ending in
-    rho_final at Hamiltonian h_final:
-
-      W_ext(rho') <= W_irr = <W> - dF_eq <= W_form(rho'),
-
-    through the cumulant generating function identity
-    Phi_eta = -(eta/beta) S_{1-eta/beta}(rho' || rho'_th) - eta dF_eq.
-    """
-    return work_bounds_rows((h_final,), beta, (rho_final,), mean_work,
-                            delta_f_eq, np.asarray(eta_grid, dtype=float)[None]).row(0)
-
-
 # ---------------------------------------------------------------------------
 # d = 2 Gibbs-stochastic feasibility oracle
 # ---------------------------------------------------------------------------
 
 def gibbs_stochastic_feasible_2d_rows(energies, p1, p2, beta) -> np.ndarray:
-    """`gibbs_stochastic_feasible_2d` of every row pair of p1 and p2, (..., 2)
-    probability rows on one two-level set: an array of booleans."""
+    """Whether a 2x2 stochastic G with G p_th = p_th and G p1 = p2 exists, the
+    classical shadow of a thermal operation: iff both defining rates land in
+    [0, 1].  For every row pair of p1 and p2, (..., 2) probability rows on one
+    two-level set: an array of booleans."""
     e, p, q, beta = _pair_rows(energies, p1, p2, beta)
     if e.shape != (2,):
         raise ResourceError("closed-form oracle is for two-level systems")
@@ -536,14 +527,3 @@ def gibbs_stochastic_feasible_2d_rows(energies, p1, p2, beta) -> np.ndarray:
     b = a * g0 / g1
     inside = (np.minimum(a, b) >= -FEASIBLE_TOL) & (np.maximum(a, b) <= 1 + FEASIBLE_TOL)
     return np.where(thermal, np.abs(q[..., 0] - p[..., 0]) < math.sqrt(FEASIBLE_TOL), inside)
-
-
-def gibbs_stochastic_feasible_2d(pop1: EnergyPopulations,
-                                 pop2: EnergyPopulations,
-                                 beta: float) -> bool:
-    """Closed-form feasibility of a 2x2 stochastic matrix G with
-    G p_th = p_th and G p1 = p2: the classical shadow of a thermal
-    operation exists iff both defining rates land in [0, 1]."""
-    p2 = _shared_levels(pop1, pop2)
-    return bool(gibbs_stochastic_feasible_2d_rows(pop1.energies, pop1.probabilities[None],
-                                                  p2[None], beta)[0])

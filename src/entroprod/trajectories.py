@@ -46,6 +46,7 @@ from .core import (
     _frozen_stack,
     _gibbs,
     _hermitian,
+    _numbers,
     _petz_renyi,
     _real,
     _spectrum,
@@ -236,7 +237,7 @@ def backward_ensemble(ep: Episode, choice: BackwardChoice) -> PathEnsemble:
     reference weight on a populated forward trajectory yields +inf.
     Row 0 of `backward_ensemble_rows`.
     """
-    return backward_ensemble_rows(ep._row, choice).row(0)
+    return backward_ensemble_rows(ep.stack, choice).row(0)
 
 
 def backward_ensemble_rows(stack: EpisodeStack, choice: BackwardChoice) -> PathEnsemble:
@@ -708,7 +709,7 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
     records as that loop.  Both merge equal sigma values by the rule of
     `ScalarDistribution.from_samples`.
     """
-    psi = np.asarray(psi0, dtype=complex).ravel()
+    psi = _numbers(psi0, TrajectoryError, "psi0").astype(complex).ravel()
     norm = np.linalg.norm(psi)
     if not 0.0 < norm < math.inf:
         raise TrajectoryError("psi0 must be finite and nonzero")

@@ -2,10 +2,12 @@
 fails with its name.  The limit is a SIGALRM interval timer from the
 standard library (pytest-timeout is not a dependency); where there is no
 `signal.setitimer` there is no limit.  The `count_spectral` fixture counts the
-package's Hermitian eigendecompositions at its one kernel."""
+package's Hermitian eigendecompositions at its one kernel, and `liouvillian_run`
+runs the liouvillian suite once for the tests that read it with no defect."""
 
 import signal
 import sys
+import time
 
 import pytest
 
@@ -48,3 +50,13 @@ def count_spectral(monkeypatch):
                     monkeypatch.setattr(module, attr, lambda m, _fn=fn, _kind=kernels[fn]:
                                         record(_kind, m) or _fn(m))
     return patch
+
+
+@pytest.fixture(scope="session")
+def liouvillian_run():
+    """The records of one run of the liouvillian suite and that run's own elapsed seconds,
+    shared by acceptance criterion 10 and the planted-defect test without a defect."""
+    from entroprod import verify
+    start = time.time()
+    records = verify.liouvillian_suite()
+    return records, time.time() - start

@@ -111,12 +111,10 @@ def test_criterion_09_squeezed_bath():
     _assert_pinned(records, 1e-8, ["squeezed affinity == fixed-point route"])
 
 
-def test_criterion_10_liouvillian_suite():
+def test_criterion_10_liouvillian_suite(liouvillian_run):
     """Kerr gap has a local minimum off both ends of its drive grid, which
     lies inside the semiclassical bistable window, at N = 3; the macrospin
     order parameter stays negative below h = 2 kappa with monotone approach;
-    within 60 s."""
-    start = time.time()
-    records = verify.liouvillian_suite()
-    _assert_suite("liouvillian", records, budget=60.0,
-                  elapsed=time.time() - start)
+    within 60 s (the run's own time: the run is shared, `conftest.liouvillian_run`)."""
+    records, elapsed = liouvillian_run
+    _assert_suite("liouvillian", records, budget=60.0, elapsed=elapsed)

@@ -106,8 +106,8 @@ CASES = {
     "core non-square matrix": (
         lambda: HermitianOperator.from_matrix(np.ones((2, 3))), core.CoreError,
         "expected a square matrix"),
-    "core.classical_kl sizes": (
-        lambda: core.classical_kl(HALF, [0.2, 0.3, 0.5]), core.CoreError,
+    "resource.classical_renyi_divergence sizes": (
+        lambda: rs.classical_renyi_divergence(HALF, [0.2, 0.3, 0.5], 1.0), rs.ResourceError,
         "equally sized probability vectors"),
     "core.trace_distance sizes": (
         lambda: core.trace_distance(np.eye(2) / 2, np.eye(3) / 3), core.CoreError,
@@ -131,8 +131,9 @@ CASES = {
         "differs from 1"),
     "core.shannon_entropy NaN": (
         lambda: core.shannon_entropy([NAN, 1.0]), core.CoreError, "must be finite"),
-    "core.classical_kl unnormalized": (
-        lambda: core.classical_kl([0.5, 0.7], HALF), core.CoreError, "sum to 1.2"),
+    "resource.classical_renyi_divergence KL unnormalized": (
+        lambda: rs.classical_renyi_divergence([0.5, 0.7], HALF, 1.0), rs.ResourceError,
+        "sum to 1.2"),
     "core.thermal_state non-Hermitian H": (
         lambda: thermal_state(NOT_HERMITIAN, 1.0), core.CoreError, "not Hermitian"),
     "core.thermal_state complex beta": (
@@ -146,8 +147,8 @@ CASES = {
     "core.shannon_entropy complex": (
         lambda: core.shannon_entropy(np.array([0.5 + 0.3j, 0.5 - 0.3j])), core.CoreError,
         "probabilities must be real, got a nonzero imaginary part"),
-    "core.classical_kl list with a complex entry": (
-        lambda: core.classical_kl([0.5, 0.5j], HALF), core.CoreError,
+    "resource.classical_renyi_divergence list with a complex entry": (
+        lambda: rs.classical_renyi_divergence([0.5, 0.5j], HALF, 1.0), rs.ResourceError,
         "probabilities must be real, got a nonzero imaginary part"),
     "core.shannon_entropy non-numeric": (
         lambda: core.shannon_entropy(["a", "b"]), core.CoreError,
@@ -367,8 +368,8 @@ CASES = {
     "episodes.heat_capacity_bound erasure": (
         lambda: eps.heat_capacity_bound(0.1, 1.0, lambda t: t), eps.EpisodeError,
         "heat-capacity bound applies only to dS_S < 0"),
-    "episodes.landauer_report temperature": (
-        lambda: eps.landauer_report(_episode(rho_env=MIXED2), 0.0), eps.EpisodeError,
+    "episodes.landauer_rows one episode temperature": (
+        lambda: eps.landauer_rows(_episode(rho_env=MIXED2).stack, 0.0), eps.EpisodeError,
         "inverse temperature must be finite and > 0, got 0.0"),
     "episodes.mean_force_hamiltonian non-Hermitian H": (
         lambda: eps.mean_force_hamiltonian(np.kron(NOT_HERMITIAN, np.eye(2)), (2, 2), 1.0,
@@ -696,6 +697,45 @@ NUMBERS = {
     "lindblad.spin_operators NaN spin": (
         lambda: lb.spin_operators(NAN), lb.LindbladError,
         "spin s must be finite and >= 0, got nan"),
+    # operator entries: strings and booleans are not numbers (`core._numbers`)
+    "core.HermitianOperator.from_matrix strings": (
+        lambda: HermitianOperator.from_matrix([["1", "0"], ["0", "1"]]), core.CoreError,
+        "matrix entries must be numbers, got [['1', '0'], ['0', '1']]"),
+    "core.HermitianOperator.from_matrix booleans": (
+        lambda: HermitianOperator.from_matrix([[True, False], [False, True]]), core.CoreError,
+        "matrix entries must be numbers, got [[True, False], [False, True]]"),
+    "core.thermal_state string Hamiltonian": (
+        lambda: thermal_state([["1", "0"], ["0", "2"]], 1.0), core.CoreError,
+        "matrix entries must be numbers, got [['1', '0'], ['0', '2']]"),
+    "core.DensityOperator.pure strings": (
+        lambda: DensityOperator.pure(["1", "0"]), core.CoreError,
+        "a pure state's vector must be numbers, got ['1', '0']"),
+    "core.von_neumann_entropy string state": (
+        lambda: core.von_neumann_entropy([["0.5", "0"], ["0", "0.5"]]), core.CoreError,
+        "matrix entries must be numbers, got [['0.5', '0'], ['0', '0.5']]"),
+    "trajectories.measurement_trajectories string psi0": (
+        lambda: tj.measurement_trajectories(["1", "0"], [np.eye(2)], []), tj.TrajectoryError,
+        "psi0 must be numbers, got ['1', '0']"),
+    "lindblad.LindbladModel string cross-term coefficients": (
+        lambda: lb.LindbladModel(np.eye(2), (), ((np.eye(2), np.eye(2)),
+                                                 [["1", "0"], ["0", "1"]])),
+        lb.LindbladError, "matrix entries must be numbers, got [['1', '0'], ['0', '1']]"),
+    # part indices and the Kerr scale are integers (`core._integer`)
+    "core.mutual_information fractional part": (
+        lambda: core.mutual_information(THERMAL_AB, [0.5]), core.CoreError,
+        "part index must be an integer, got 0.5"),
+    "core.mutual_information boolean part": (
+        lambda: core.mutual_information(THERMAL_AB, [True]), core.CoreError,
+        "part index must be an integer, got True"),
+    "lindblad.kerr_model string scale": (
+        lambda: lb.kerr_model(-2.0, 1.0, 0.2, 0.5, n_scale="3", fock_cut=4), lb.LindbladError,
+        "n_scale must be an integer, got '3'"),
+    "lindblad.kerr_model zero scale": (
+        lambda: lb.kerr_model(-2.0, 1.0, 0.2, 0.5, n_scale=0, fock_cut=4), lb.LindbladError,
+        "n_scale must be an integer >= 1, got 0"),
+    "lindblad.kerr_model NaN scale": (
+        lambda: lb.kerr_model(-2.0, 1.0, 0.2, 0.5, n_scale=NAN, fock_cut=4), lb.LindbladError,
+        "n_scale must be an integer, got nan"),
     # a per-row operand of another length than the rows
     "episodes.thermal_balance_rows betas": (
         lambda: eps.thermal_balance_rows(_stack(1), [1.0, 1.0]), eps.EpisodeError,
@@ -1011,9 +1051,6 @@ MISMATCHED = {
         lambda: rs.work_bounds_rows(np.eye(2)[None], 1.0, (np.eye(3) / 3)[None], 0.0, 0.0,
                                     [0.5]),
         rs.ResourceError, "3x3, expected 2x2"),
-    "entroprod.resource.work_bounds": (
-        lambda: rs.work_bounds(np.eye(2), 1.0, np.eye(3) / 3, 0.0, 0.0, [0.5]), rs.ResourceError,
-        "3x3, expected 2x2"),
     "entroprod.lindblad.apply_superop": (
         lambda: lb.apply_superop(lb.build(QUBIT_MODEL), np.eye(3) / 3), lb.LindbladError,
         "3x3, expected 2x2"),

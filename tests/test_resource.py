@@ -313,8 +313,8 @@ def test_interconversion_rate_pure_states():
 def test_work_bounds_reversible_protocol_zero():
     h = np.diag([0.0, 1.0])
     gibbs = thermal_state(HermitianOperator.from_matrix(h), BETA)
-    rep = rs.work_bounds(h, BETA, gibbs.matrix, mean_work=0.0, delta_f_eq=0.0,
-                         eta_grid=[0.0, 0.3, 0.6])
+    rep = rs.work_bounds_rows([h], BETA, [gibbs.matrix], mean_work=0.0, delta_f_eq=0.0,
+                              eta_grid=[0.0, 0.3, 0.6]).row(0)
     assert abs(rep.w_irr) < 1e-12
     assert abs(rep.w_ext_final) < 1e-10
     assert abs(rep.w_form_final) < 1e-8
@@ -325,7 +325,8 @@ def test_work_bounds_keep_the_exact_gibbs_weights():
     # q_e = e^-40 / (1 + e^-40) is far below the eigensolver round-off cut;
     # the Gibbs reference keeps it, so W_form = ln max(p / q) / beta is finite
     q_e = math.exp(-40.0) / (1.0 + math.exp(-40.0))
-    rep = rs.work_bounds(np.diag([0.0, 1.0]), 40.0, np.diag([0.7, 0.3]), 0.5, 0.0, [0.0, 1.0])
+    rep = rs.work_bounds_rows([np.diag([0.0, 1.0])], 40.0, [np.diag([0.7, 0.3])], 0.5, 0.0,
+                              [0.0, 1.0]).row(0)
     assert rep.w_form_final == pytest.approx((math.log(0.3) - math.log(q_e)) / 40.0, rel=1e-13)
     assert abs(rep.w_form_final - 0.96990) < 1e-5
     assert np.isfinite(rep.phi_eta).all()
@@ -338,7 +339,8 @@ def test_work_bounds_at_a_cold_gibbs_final_state():
     rng = np.random.default_rng(8)
     v = random_unitary(3, rng).matrix
     h_f = v @ np.diag([0.0, 1.0, 2.0]) @ v.conj().T
-    rep = rs.work_bounds(h_f, 50.0, core.thermal_state(h_f, 50.0).matrix, 0.5, 0.0, [0.0, 1.0])
+    rep = rs.work_bounds_rows([h_f], 50.0, [core.thermal_state(h_f, 50.0).matrix], 0.5, 0.0,
+                              [0.0, 1.0]).row(0)
     assert abs(rep.w_form_final) < 1e-12
     assert np.isfinite(rep.phi_eta).all()
 
@@ -352,7 +354,8 @@ def test_work_bounds_of_a_cold_gibbs_state_keep_its_spectrum():
     h_f = random_hermitian(3, rng)
     levels = np.linalg.eigvalsh(h_f.matrix)
     beta = 100.0 / (levels[-1] - levels[0])
-    rep = rs.work_bounds(h_f, beta, core.thermal_state(h_f, beta), 0.5, 0.0, [0.0, 1.0])
+    rep = rs.work_bounds_rows([h_f], beta, [core.thermal_state(h_f, beta)], 0.5, 0.0,
+                              [0.0, 1.0]).row(0)
     assert abs(beta * rep.w_form_final) < 1e-8
     assert abs(beta * rep.w_ext_final) < 1e-14
 
@@ -363,14 +366,14 @@ def test_work_bounds_strict_sandwich():
     h_f = 0.7 * PAULI_Z + 0.5 * PAULI_X
     stats = tj.work_distribution(h_i, h_f, np.eye(2), beta)
     rho_p = thermal_state(HermitianOperator.from_matrix(h_i), beta).matrix
-    rep = rs.work_bounds(h_f, beta, rho_p, stats.mean_work, stats.delta_f,
-                         np.linspace(0.0, beta, 6))
+    rep = rs.work_bounds_rows([h_f], beta, [rho_p], stats.mean_work, stats.delta_f,
+                              np.linspace(0.0, beta, 6)).row(0)
     assert rep.sandwich_ok
     assert rep.w_ext_final < rep.w_irr < rep.w_form_final
     # eta -> 0: Phi_eta / eta -> -<W>
     eta_small = 1e-6
-    rep2 = rs.work_bounds(h_f, beta, rho_p, stats.mean_work, stats.delta_f,
-                          [eta_small])
+    rep2 = rs.work_bounds_rows([h_f], beta, [rho_p], stats.mean_work, stats.delta_f,
+                               [eta_small]).row(0)
     assert abs(-rep2.phi_eta[0] / eta_small - stats.mean_work) < 1e-4
 
 
@@ -378,10 +381,9 @@ def test_gibbs_stochastic_oracle_agrees_with_curves():
     rng = np.random.default_rng(301)
     e = np.array([0.0, 1.0])
     for _ in range(100):
-        pa = pop_from(e, random_probability(2, rng))
-        pb = pop_from(e, random_probability(2, rng))
-        verdict = rs.thermo_majorizes(pa, pb, BETA)
-        feasible = rs.gibbs_stochastic_feasible_2d(pa, pb, BETA)
+        pa, pb = random_probability(2, rng), random_probability(2, rng)
+        verdict = rs.thermo_majorizes(pop_from(e, pa), pop_from(e, pb), BETA)
+        feasible = rs.gibbs_stochastic_feasible_2d_rows(e, pa, pb, BETA)
         assert feasible == (verdict in (rs.MajorizationVerdict.YES,
                                         rs.MajorizationVerdict.EQUIVALENT))
 
@@ -422,9 +424,9 @@ def test_beta_validated_at_the_boundary(beta):
         lambda: rs.gamma_embed(p1, beta, 100),
         lambda: rs.curve(p1, beta),
         lambda: rs.beta_order(p1, beta),
-        lambda: rs.gibbs_stochastic_feasible_2d(p1, p2, beta),
+        lambda: rs.gibbs_stochastic_feasible_2d_rows(QUBIT, [0.7, 0.3], [0.4, 0.6], beta),
         lambda: rs.work_extraction(p1, beta),
-        lambda: rs.work_bounds(np.diag(QUBIT), beta, np.eye(2) / 2, 0.0, 0.0, [0.0]),
+        lambda: rs.work_bounds_rows([np.diag(QUBIT)], beta, [np.eye(2) / 2], 0.0, 0.0, [0.0]),
     ]
     for call in calls:
         with pytest.raises(rs.ResourceError, match="inverse temperature"):
@@ -445,10 +447,12 @@ def test_mismatched_level_sets_rejected():
     p1, p2 = pop_from(QUBIT, [0.7, 0.3]), pop_from([0.0, 5.0], [0.4, 0.6])
     three = pop_from([0.0, 1.0, 2.0], [0.2, 0.3, 0.5])
     for other in (p2, three):
-        for compare in (rs.thermo_majorizes, rs.renyi_second_laws,
-                        rs.gibbs_stochastic_feasible_2d):
+        for compare in (rs.thermo_majorizes, rs.renyi_second_laws):
             with pytest.raises(rs.ResourceError, match="level set"):
                 compare(p1, other, BETA)
+    # the Gibbs-stochastic oracle reads both rows on one level set
+    with pytest.raises(rs.ResourceError, match="on 2 levels"):
+        rs.gibbs_stochastic_feasible_2d_rows(QUBIT, p1.probabilities, three.probabilities, BETA)
 
 
 def test_permuted_level_set_is_the_same_state():
@@ -468,7 +472,7 @@ def test_nan_renyi_order_rejected():
     with pytest.raises(core.CoreError):
         core.renyi_divergence(np.diag(p), np.diag(q), math.nan)
     with pytest.raises(rs.ResourceError):
-        rs.work_bounds(np.diag(QUBIT), BETA, np.eye(2) / 2, 0.0, 0.0, [math.nan])
+        rs.work_bounds_rows([np.diag(QUBIT)], BETA, [np.eye(2) / 2], 0.0, 0.0, [math.nan])
 
 
 @pytest.mark.parametrize("denominator", [0, -3, rs.MAX_DENOMINATOR + 1, 10 ** 12, 2.5])
