@@ -329,7 +329,8 @@ def onsager_sigma(l_matrix, affinities):
 
 def _flip_rates(n_sites, coupling, adjacency, beta, mu):
     """(2^N, N) array of w_i(s) = (1/2) {1 - s_i tanh[beta_i (J sum_delta
-    s_(i+delta) + mu_i / 2)]}; bit i of the state index is spin i."""
+    s_(i+delta) + mu_i / 2)]}; bit i of the state index is spin i.  J is read by `_real`."""
+    coupling = _real(coupling, ClassicalError, "coupling")
     if n_sites > 12:
         raise ClassicalError("lattice cap is 12 sites: the dense 2^N x 2^N "
                              "generator is 128 MiB at N = 12, 4 times that per added site")
@@ -394,10 +395,11 @@ def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
     mu_a != mu_b.  At most 12 sites, as for `glauber_ising`.
     """
     n_sites = _integer(n_sites, ClassicalError, "n_sites", low=1)
+    temperature = _real(temperature, ClassicalError, "temperature", above=0.0)
     parts = tuple(
-        _flip_generator(_flip_rates(n_sites, coupling, adjacency, 1.0 / temperature, mu),
-                        range(n_sites))
-        for mu in (mu_a, mu_b))
+        _flip_generator(_flip_rates(n_sites, coupling, adjacency, 1.0 / temperature,
+                                    _real(mu, ClassicalError, name)), range(n_sites))
+        for mu, name in ((mu_a, "mu_a"), (mu_b, "mu_b")))
     return _summed(parts)
 
 

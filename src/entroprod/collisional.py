@@ -60,6 +60,7 @@ from .core import (
     _petz_renyi,
     _ptrace_matrix,
     _real,
+    _trace_rows,
     _typed,
     _unitary,
     add_lindblad_term,
@@ -76,7 +77,6 @@ from .core import (
 from .episodes import (
     EpisodeStack,
     _thermality,
-    _trace_rows,
     fixed_point_sigma_rows,
     is_strict_energy_conserving,
 )

@@ -270,8 +270,8 @@ def _ascending(weights, vecs):
 def _density_stack(states, error=CoreError, dim=None):
     """The one reader of a stack of states: (matrices, weights, eigenvectors), read-only, (n, d, d).
     `DensityOperator`s of one size (`dim` when given) are read by the spectra they keep, neither
-    decomposed nor checked again (one by views); anything else by `_frozen_stack` with `error`
-    (which names a state of another size) and `_density_spectra` (one stacked `eigh`)."""
+    decomposed nor checked again (one by views); anything else by `_frozen_stack` and
+    `_density_spectra` (one stacked `eigh`), both with `error` (naming a state of another size)."""
     if isinstance(states, (list, tuple)) and states and all(
             isinstance(s, DensityOperator) and s.dim == (dim or states[0].dim) for s in states):
         kept = [(s.matrix,) + s.eig() for s in states]
@@ -280,7 +280,7 @@ def _density_stack(states, error=CoreError, dim=None):
     ms = _frozen_stack(states, error, dim)
     if ms.ndim != 3:
         raise error(f"expected (n, d, d) stacks of states, got shape {ms.shape}")
-    return (ms,) + _density_spectra(ms)
+    return (ms,) + _density_spectra(ms, error)
 
 
 def _stack_dims(states, size, error=CoreError, dims=None) -> HilbertDims:
@@ -874,12 +874,14 @@ def _check_probabilities(p, error):
 
 def _numbers(x, error, name, rule="numbers") -> np.ndarray:
     """x as an array (x itself when it is one), else `error` naming x and its `rule`: the one
-    test of every number read, operator entries too, against strings, booleans and objects."""
+    test of every number read, operator entries too, against strings, booleans and objects (a
+    boolean among the numbers of a flat list too, which numpy would read as 0 or 1)."""
     try:
         a = np.asarray(x)
     except (TypeError, ValueError):
         a = None
-    if a is None or a.dtype.kind not in "iufc":
+    if a is None or a.dtype.kind not in "iufc" or a.ndim == 1 and type(x) in (list, tuple) and any(
+            isinstance(v, (bool, np.bool_)) for v in x):
         raise error(f"{name} must be {rule}, got {x!r}")
     return a
 
@@ -951,6 +953,33 @@ def _integer(x, error, name, low=None) -> int:
     if low is not None and x < low:
         raise error(f"{name} must be an integer >= {low}, got {x!r}")
     return x
+
+
+def _times(times, error, least=1):
+    """The one time rule: a 1-d grid of finite reals (`_real`), strictly increasing, of at least
+    `least` points, as a new float array; else `error`, naming the first step that does not rise."""
+    t = np.array(_real(times, error, "times"), dtype=float)
+    if t.ndim != 1 or t.size < least:
+        raise error(f"need at least {least} time points in a 1-d sequence, got shape {t.shape}")
+    for k in np.flatnonzero(np.diff(t) <= 0.0)[:1].tolist():
+        raise error(f"times must increase strictly: t[{k + 1}] = {t[k + 1]:g} after {t[k]:g}")
+    return t
+
+
+def _trajectory(trajectory, names, error, least=1):
+    """The one reader of a trajectory, a list of entries (t, ...) named by `names`: the times by
+    `_times` and each further item as one list; else `error` naming the first other entry."""
+    for k, e in enumerate(trajectory if isinstance(trajectory, (list, tuple)) else [trajectory]):
+        if not isinstance(e, (list, tuple)) or len(e) != len(names):
+            raise error(f"trajectory must be a list of ({', '.join(names)}): entry {k} is not")
+    columns = [list(c) for c in zip(*trajectory)] or [[]] * len(names)
+    return (_times(columns[0], error, least), *columns[1:])
+
+
+def _trace_rows(a, b):
+    """Re Tr(a b) over the leading axes of either side, as one contraction
+    sum_ij a_ij b_ji, with no product matrix."""
+    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def relative_entropy(rho, sigma) -> float:

@@ -41,6 +41,7 @@ from .core import (
     _ascending,
     _check_beta,
     _check_size,
+    _density_spectra,
     _density_stack,
     _eigh,
     _eigvalsh,
@@ -57,17 +58,19 @@ from .core import (
     _ptrace_matrix,
     _real,
     _shared_or_rows,
+    _spectral_weights,
     _spectrum,
     _stack_dims,
+    _times,
     _trace_distance_rows,
+    _trace_rows,
+    _trajectory,
     _typed,
     _unitary,
     hermitian_function,
     logm_psd,
     mutual_information,
-    relative_entropy,
     tensor,
-    thermal_state,
     von_neumann_entropy,
 )
 
@@ -388,12 +391,6 @@ def _first_row(rows: EntropyBalance) -> EntropyBalance:
     """Row 0 of a row form's balance, as floats and a per-bath tuple."""
     return EntropyBalance(**{k: v if v is None else tuple(v[0].tolist()) if v.ndim == 2
                              else float(v[0]) for k, v in vars(rows).items()})
-
-
-def _trace_rows(a, b):
-    """Re Tr(a b) over the leading axes of either side, as one contraction
-    sum_ij a_ij b_ji, with no product matrix."""
-    return np.einsum("...ij,...ji->...", a, b).real
 
 
 def balance(ep: Episode, evolved: EvolvedStates | None = None) -> EntropyBalance:
@@ -1000,9 +997,31 @@ def two_qubit_exchange_scenario(alpha, theta, phi, g, t, beta_a, beta_b, omega=1
 # Strong coupling: Hamiltonian of mean force
 # ---------------------------------------------------------------------------
 
+def _mean_force(h, factors, beta, h_env):
+    """The mean-force data of a stack (n, D, D) of H_tot on `factors`, the system first: the
+    stack H_mf = -(1/beta) ln(R / Z_E) + E_0, the Gibbs weights and eigenvectors of pi_SE and the
+    spectrum (round-off cut) of pi_S = R / Tr R, where R = Tr_E e^{-beta (H_tot - E_0)} with E_0
+    the lowest level, so nothing overflows.  One stacked `eigh` of H_tot and one of R; ln Z_E
+    is `core._gibbs` of H_E, read against the E factors."""
+    levels, vecs = _eigh(h)
+    shifted = np.exp(-beta * (levels - levels[:, :1]))
+    reduced = _ptrace_matrix((vecs * shifted[:, None, :]) @ vecs.conj().swapaxes(-1, -2),
+                             factors, [0])
+    h_env = _hermitian(h_env, EpisodeError, h.shape[-1] // factors[0])
+    log_z_env = _gibbs(_eigvalsh(h_env), beta)[1]
+    vals, vecs_s = _eigh((reduced + reduced.conj().swapaxes(-1, -2)) / 2.0)
+    if vals.min() <= 0:
+        raise EpisodeError("reduced exponential is singular")
+    logs = np.log(vals) - log_z_env - beta * levels[:, :1]
+    logm = (vecs_s * logs[:, None, :]) @ vecs_s.conj().swapaxes(-1, -2)
+    total = shifted.sum(-1, keepdims=True)
+    return -logm / beta, (shifted / total, vecs), (_spectral_weights(vals / total), vecs_s)
+
+
 def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperator:
     """H_mf = -(1/beta) ln( Tr_E e^{-beta H_tot} / Z_E ), with H_tot shifted
-    by its lowest level and ln Z_E from `core._gibbs`, so nothing overflows.
+    by its lowest level and ln Z_E from `core._gibbs`, so nothing overflows:
+    row 0 of `_mean_force`.
 
     dims is the (dim_S, dim_E) pair or a HilbertDims whose first factor is
     the system; h_env fixes the bath partition function Z_E; beta > 0.
@@ -1011,54 +1030,36 @@ def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperat
     beta = _check_beta(beta, EpisodeError, positive=True)
     h = _hermitian(h_total, EpisodeError)
     factors = _as_dims(dims, len(h), EpisodeError).factors
-    levels, vecs = _eigh(h)
-    exp_tot = (vecs * np.exp(-beta * (levels - levels[0]))) @ vecs.conj().T
-    reduced = _ptrace_matrix(exp_tot, factors, [0])
-    h_env = _hermitian(h_env, EpisodeError, len(h) // factors[0])
-    log_z_env = _gibbs(_eigvalsh(h_env), beta)[1]
-    vals, vecs = _eigh((reduced + reduced.conj().T) / 2.0)
-    if vals.min() <= 0:
-        raise EpisodeError("reduced exponential is singular")
-    logm = (vecs * (np.log(vals) - log_z_env - beta * levels[0])) @ vecs.conj().T
-    return HermitianOperator.from_matrix(-logm / beta, (factors[0],))
+    return HermitianOperator.from_matrix(_mean_force(h[None], factors, beta, h_env)[0][0],
+                                         (factors[0],))
 
 
 def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
     """Entropy production along a driven strongly-coupled trajectory.
 
-    trajectory: list of (t, rho_SE, lam); h_total_of(lam) -> joint
-    Hamiltonian.  Returns dict with times and the two equivalent routes:
-    beta*(W(t) - dF(t)) and deltaS(t) - deltaS(0), where deltaS compares
-    the joint and reduced relative entropies to the instantaneous
-    mean-force Gibbs states.  Each H_tot is read against dims and each
-    rho_SE at its size.
+    trajectory: list of (t, rho_SE, lam), read as one stack (`core._trajectory`);
+    h_total_of(lam) -> joint Hamiltonian.  Returns dict with times and the two
+    equivalent routes: beta*(W(t) - dF(t)) and deltaS(t) - deltaS(0), where deltaS compares
+    the joint and reduced relative entropies to the instantaneous mean-force Gibbs states.
+    The H_tot are one stack read against dims (`_mean_force`) and the rho_SE one stack of
+    states at their size; rho_SE and rho_S take one stacked decomposition each.
     """
-    times, sig_work, sig_rel = [], [], []
-
-    def records(rho_se, lam):
-        h_tot = _hermitian(h_total_of(lam), EpisodeError)
-        factors = _as_dims(dims, len(h_tot), EpisodeError).factors
-        m = _frozen_matrix(rho_se, EpisodeError, len(h_tot))
-        rho_s = _ptrace_matrix(m, factors, [0])
-        h_mf = mean_force_hamiltonian(h_tot, factors, beta, h_env).matrix
-        f_neq = float(np.real(np.trace(h_mf @ rho_s))) - von_neumann_entropy(rho_s) / beta
-        pi_se = thermal_state(HermitianOperator.from_matrix(h_tot, factors), beta)
-        pi_s = _ptrace_matrix(pi_se.matrix, factors, [0])
-        delta_s = (relative_entropy(rho_se, pi_se) - relative_entropy(rho_s, pi_s))
-        energy = float(np.real(np.trace(h_tot @ m)))
-        return f_neq, delta_s, energy
-
-    f0, ds0, e0 = records(*trajectory[0][1:])
-    for t, rho_se, lam in trajectory:
-        f_t, ds_t, e_t = records(rho_se, lam)
-        work = e_t - e0
-        times.append(t)
-        sig_work.append(beta * (work - (f_t - f0)))
-        sig_rel.append(ds_t - ds0)
+    beta = _check_beta(beta, EpisodeError, positive=True)
+    times, states, lams = _trajectory(trajectory, ("t", "rho_SE", "lambda"), EpisodeError)
+    h = _hermitian([h_total_of(lam) for lam in lams], EpisodeError)
+    factors = _as_dims(dims, h.shape[-1], EpisodeError).factors
+    m, p, pv = _density_stack(states, EpisodeError, h.shape[-1])
+    h_mf, (q, qv), (qs, qsv) = _mean_force(h, factors, beta, h_env)
+    rho_s = _ptrace_matrix(m, factors, [0])
+    ps, psv = _density_spectra(rho_s, EpisodeError)
+    f_neq = _trace_rows(h_mf, rho_s) - _entropy_rows(ps) / beta
+    delta_s = (_petz_renyi(1.0, p, q, qv.conj().swapaxes(-1, -2) @ pv)
+               - _petz_renyi(1.0, ps, qs, qsv.conj().swapaxes(-1, -2) @ psv))
+    energy = _trace_rows(h, m)
     return {
-        "times": np.array(times),
-        "sigma_work_route": np.array(sig_work),
-        "sigma_relative_entropy_route": np.array(sig_rel),
+        "times": times,
+        "sigma_work_route": beta * ((energy - energy[0]) - (f_neq - f_neq[0])),
+        "sigma_relative_entropy_route": delta_s - delta_s[0],
     }
 
 
@@ -1066,29 +1067,25 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
 # Non-Markovianity witnesses
 # ---------------------------------------------------------------------------
 
-def _central_diff(times, values):
-    times = np.asarray(times, dtype=float)
-    if len(times) < 3:
-        raise EpisodeError("need at least 3 time points for a derivative")
-    return np.gradient(values, times)
-
-
-def _state_lists(times, first, second, dim=None):
-    """Two lists of states, one per time point, as stacks of one size, else EpisodeError."""
-    if not len(first) == len(second) == len(times):
-        raise EpisodeError(f"{len(first)} and {len(second)} states for {len(times)} times")
-    a = _frozen_stack(first, EpisodeError, dim)
-    return a, _frozen_stack(second, EpisodeError, a.shape[-1])
+def _state_lists(n, first, second, dim=None):
+    """Two lists of n states, one per time point, as stacks of one size (`_density_stack`,
+    each a state), else EpisodeError."""
+    if not len(first) == len(second) == n:
+        raise EpisodeError(f"{len(first)} and {len(second)} states for {n} times")
+    a = _density_stack(first, EpisodeError, dim)[0]
+    return a, _density_stack(second, EpisodeError, a.shape[-1])[0]
 
 
 def blp_witness(times, states_1, states_2):
     """Trace-distance witness: any interval with d/dt D > 0 is non-Markovian.
 
-    states_1/states_2 are synchronized lists of system states (`_state_lists`).
-    Derivatives use central differences (one-sided at the ends).
+    times are at least 3 (`core._times`); states_1/states_2 are synchronized
+    lists of system states (`_state_lists`).  Derivatives are `np.gradient`
+    (central differences, one-sided at the ends).
     """
-    dist = _trace_distance_rows(*_state_lists(times, states_1, states_2))
-    slope = _central_diff(times, dist)
+    times = _times(times, EpisodeError, 3)
+    dist = _trace_distance_rows(*_state_lists(len(times), states_1, states_2))
+    slope = np.gradient(dist, times, axis=0)
     max_slope = float(slope.max())
     return {
         "trace_distance": dist,
@@ -1104,13 +1101,14 @@ def correlation_witness_terms(times, joint_1, joint_2, h_total, dims):
     E(t) tracks the difference between the two evolved environment states
     and C(t) the system-environment correlation matrices; both vanish for
     a factorized, static environment.  Returns the terms, the numerical
-    derivative of D and a per-interior-point check with a 10*dt error
-    budget for the finite-difference derivative.  The joint states are
-    lists, one per time point (`_state_lists`), read as stacks.
+    derivative of D (as `blp_witness`) and a per-interior-point check with a
+    10*dt error budget for the finite-difference derivative.  The joint
+    states are lists, one per time point (`_state_lists`), read as stacks.
     """
+    times = _times(times, EpisodeError, 3)
     h = _hermitian(h_total, EpisodeError)
     factors = _as_dims(dims, len(h), EpisodeError).factors
-    m1, m2 = _state_lists(times, joint_1, joint_2, len(h))
+    m1, m2 = _state_lists(len(times), joint_1, joint_2, len(h))
     (s1, s2), (e1, e2) = ([_ptrace_matrix(m, factors, [k]) for m in (m1, m2)] for k in (0, 1))
 
     def commutator_norm(x):
@@ -1120,8 +1118,7 @@ def correlation_witness_terms(times, joint_1, joint_2, h_total, dims):
     e_term = np.minimum(*(commutator_norm(tensor([s, e1 - e2])) for s in (s1, s2)))
     c_term = commutator_norm((m1 - tensor([s1, e1])) - (m2 - tensor([s2, e2])))
     dist = _trace_distance_rows(s1, s2)
-    times = np.asarray(times, dtype=float)
-    slope = _central_diff(times, dist)
+    slope = np.gradient(dist, times, axis=0)
     dt = float(np.diff(times).max())
     interior = slice(1, len(times) - 1)
     bound = (e_term + c_term) / 2.0

@@ -38,20 +38,23 @@ from .core import (
     _exact_spectra,
     _frozen_matrix,
     _frozen_stack,
+    _gibbs_states,
     _integer,
+    _log_of,
+    _numbers,
+    _petz_renyi,
     _real,
     _spectral_weights,
+    _trace_rows,
+    _trajectory,
     _typed,
     add_lindblad_term,
     add_sided_term,
     bordered_solve,
     from_hermitian_coords,
     hermitian_coords,
-    logm_psd,
     propagate,
     real_superop,
-    relative_entropy,
-    thermal_state,
     unvec,
     vec,
 )
@@ -319,7 +322,9 @@ def macrospin_model(field: float, kappa: float, s: float) -> LindbladModel:
 
 
 def squeezed_bath_params(nbar: float, r: float, theta: float):
-    """Second moments imposed by a squeezed thermal bath."""
+    """Second moments imposed by a squeezed thermal bath; nbar >= 0, r and theta real."""
+    nbar = _real(nbar, LindbladError, "nbar", low=0.0)
+    r, theta = _real(r, LindbladError, "r"), _real(theta, LindbladError, "theta")
     n_eff = (nbar + 0.5) * math.cosh(2 * r) - 0.5
     m_eff = (nbar + 0.5) * complex(math.cos(theta), math.sin(theta)) * math.sinh(2 * r)
     return n_eff, m_eff
@@ -329,14 +334,19 @@ def squeezed_dissipator_from_moments(gamma: float, n_eff: float, m_eff: complex,
                                      fock_cut: int = 30,
                                      omega: float = 0.0) -> LindbladModel:
     """Squeezed-bath generator from the raw (N, M) pair; physicality
-    requires |M|^2 <= N(N+1)."""
-    if abs(m_eff) ** 2 > n_eff * (n_eff + 1) + 1e-12:
+    requires |M|^2 <= N(N+1).  gamma, N >= 0 and omega are read by `_real`,
+    M as one finite complex number."""
+    gamma = _real(gamma, LindbladError, "gamma", low=0.0)
+    n_eff = _real(n_eff, LindbladError, "n_eff", low=0.0)
+    m = _numbers(m_eff, LindbladError, "m_eff", "one finite complex number")
+    if m.ndim or not np.isfinite(m):
+        raise LindbladError(f"m_eff must be one finite complex number, got {m_eff!r}")
+    if abs(m) ** 2 > n_eff * (n_eff + 1) + 1e-12:
         raise LindbladError("unphysical squeezed bath: |M|^2 > N(N+1)")
     a = destroy(_integer(fock_cut, LindbladError, "fock_cut", low=1))
-    h = omega * (a.conj().T @ a)
+    h = _real(omega, LindbladError, "omega") * (a.conj().T @ a)
     ops = (a, a.conj().T)
-    c = gamma * np.array([[n_eff + 1.0, -np.conj(m_eff)],
-                          [-m_eff, n_eff]], dtype=complex)
+    c = gamma * np.array([[n_eff + 1.0, -np.conj(m)], [-m, n_eff]], dtype=complex)
     return LindbladModel(h, (), cross=(ops, c))
 
 
@@ -385,39 +395,33 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
         dQ/dt = -Tr{H(t) D(rho)},   dW/dt = Tr{dH/dt rho},
         dSigma/dt = dS/dt + beta dQ/dt = -d/dt S(rho || rho_th(t)).
 
-    trajectory: list of (t, DensityOperator); model_of_t(t) -> LindbladModel.
+    trajectory: list of (t, rho), at least 2, read as one stack (`core._trajectory`,
+    `core._density_stack`); model_of_t(t) -> LindbladModel of the states' size.
     sigma_rate is exact at each instant (dS/dt = -Tr[D(rho) ln rho] through
     the dissipator alone: the Hamiltonian part i Tr(H [rho, ln rho]) is 0, ln rho
     taken in rho's own eigenbasis), so it is non-negative to roundoff;
-    sigma_rate_relent re-derives it from finite differences of the
-    relative entropy and carries the discretization error of the grid.
+    sigma_rate_relent re-derives it from finite differences (`np.gradient`, as
+    dH/dt) of the relative entropy and carries the discretization error of the grid.
     """
     beta = _check_beta(beta, LindbladError)
-    times = np.array([t for t, _ in trajectory], dtype=float)
-    states = [rho for _, rho in trajectory]
-    heat, entropy_rate, relents = [], [], []
-    h_list = []
-    for t, rho in trajectory:
-        model = model_of_t(t)
-        h = model.hamiltonian
-        h_list.append(h)
-        diss = build(LindbladModel(np.zeros_like(h), model.jumps, model.cross))
-        gibbs = thermal_state(h, beta)
-        resid = float(np.abs(apply_superop(diss, gibbs.matrix)).max())
+    times, states = _trajectory(trajectory, ("t", "rho"), LindbladError, least=2)
+    rho, p, v = _density_stack(states, LindbladError)
+    models = [model_of_t(t) for t in times.tolist()]
+    for t, model in zip(times.tolist(), models):
+        if not isinstance(model, LindbladModel) or model.dim != len(rho[0]):
+            raise LindbladError(f"model_of_t({t:g}) is not a LindbladModel of size {len(rho[0])}")
+    h = np.array([model.hamiltonian for model in models])
+    gibbs, q, qv, _ = _gibbs_states(h, beta)
+    drho = np.empty_like(rho)
+    for k, (t, model) in enumerate(zip(times.tolist(), models)):
+        diss = build(LindbladModel(np.zeros_like(model.hamiltonian), model.jumps, model.cross))
+        resid = float(np.abs(diss @ vec(gibbs[k])).max())
         if resid > GIBBS_FIXED_POINT_TOL:
-            raise LindbladError(
-                f"dissipator does not fix the instantaneous Gibbs state "
-                f"(residual {resid:.3e})")
-        drho = apply_superop(diss, rho.matrix)
-        heat.append(-float(np.real(np.trace(h @ drho))))
-        entropy_rate.append(-float(np.real(np.trace(drho @ logm_psd(rho)))))
-        relents.append(relative_entropy(rho, gibbs))
-    # dH/dt via central differences of the schedule, one-sided at the ends
-    k, hs = np.arange(len(times)), np.array(h_list)
-    up, down = np.minimum(k + 1, k[-1]), np.maximum(k - 1, 0)
-    dh_dt = (hs[up] - hs[down]) / (times[up] - times[down])[:, None, None]
-    work = [float(np.real(np.trace(dh @ rho.matrix)))
-            for dh, rho in zip(dh_dt, states)]
-    sigma = np.array(entropy_rate) + beta * np.array(heat)
-    sigma_rel = -np.gradient(np.array(relents), times)
-    return SpohnRates(times, np.array(heat), np.array(work), sigma, sigma_rel)
+            raise LindbladError(f"dissipator does not fix the instantaneous Gibbs state at "
+                                f"t = {t:g} (residual {resid:.3e})")
+        drho[k] = unvec(diss @ vec(rho[k]))
+    heat = -_trace_rows(h, drho)
+    sigma = beta * heat - _trace_rows(drho, _log_of(p, v))
+    relent = _petz_renyi(1.0, p, q, qv.conj().swapaxes(-1, -2) @ v)
+    return SpohnRates(times, heat, _trace_rows(np.gradient(h, times, axis=0), rho), sigma,
+                      -np.gradient(relent, times))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityOperator, HermitianOperator, UnitaryOperator
+from .core import CoreError, DensityOperator, HermitianOperator, UnitaryOperator, _integer
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -44,8 +44,8 @@ def random_hermitian(dim: int, rng, scale=1.0, dims=None) -> HermitianOperator:
 
 
 def random_density(dim: int, rng, rank=None, dims=None) -> DensityOperator:
-    """Random full-rank (or rank-limited) state from a Ginibre factor."""
-    rank = dim if rank is None else int(rank)
+    """Random full-rank (or rank-limited, rank an integer >= 1) state from a Ginibre factor."""
+    rank = dim if rank is None else _integer(rank, CoreError, "rank", low=1)
     return DensityOperator.from_matrix(density_matrices(ginibre(rng_from(rng), (dim, rank))), dims)
 
 

@@ -717,8 +717,9 @@ def test_mean_force_shifts_with_the_total_hamiltonian():
     assert np.abs(shifted - (mf - c * np.eye(2))).max() < 1e-10
 
 
-def test_strong_coupling_sigma_gibbs_start():
-    beta = 1.0
+def gibbs_start(n_points=7):
+    """A driven qubit pair that starts in its Gibbs state at beta = 1: the trajectory
+    (t, rho_SE, lambda) of n_points times in [0, 1.2], H_tot(lambda) and H_E."""
     hs = 0.7 * PAULI_Z
     he = 0.9 * PAULI_Z
     v = 0.4 * core.tensor([PAULI_X, PAULI_X])
@@ -728,18 +729,38 @@ def test_strong_coupling_sigma_gibbs_start():
                 + core.tensor([np.eye(2), he]) + v)
 
     h0 = HermitianOperator.from_matrix(h_total_of(0.0), (2, 2))
-    rho0 = thermal_state(h0, beta)
+    rho0 = thermal_state(h0, 1.0)
     traj = []
-    for t in np.linspace(0.0, 1.2, 7):
+    for t in np.linspace(0.0, 1.2, n_points):
         lam = 0.5 * t
-        h_t = h_total_of(lam)
         u = hermitian_function(h_total_of(0.25 * t), lambda x: np.exp(-1j * t * x))
         rho_t = u @ rho0.matrix @ u.conj().T
         traj.append((t, rho_t, lam))
-    out = eps.strong_coupling_sigma(traj, h_total_of, beta, he, (2, 2))
+    return traj, h_total_of, he
+
+
+def test_strong_coupling_sigma_gibbs_start():
+    traj, h_total_of, he = gibbs_start()
+    out = eps.strong_coupling_sigma(traj, h_total_of, 1.0, he, (2, 2))
     assert np.abs(out["sigma_work_route"]
                   - out["sigma_relative_entropy_route"]).max() < 1e-9
     assert np.all(out["sigma_work_route"] >= -1e-9)
+
+
+def test_strong_coupling_decompositions_do_not_grow_with_the_trajectory(monkeypatch,
+                                                                          count_spectral):
+    # one stacked eigh each of H_tot, the reduced exponential (which also gives
+    # pi_S), rho_SE and rho_S, and one eigvalsh of H_E; one evaluation per point
+    # used to take 7 eigh and 1 eigvalsh, point 0 twice (64 at 7 points, 408 at 50)
+    counts = []
+    for n_points in (7, 50):
+        traj, h_total_of, he = gibbs_start(n_points)
+        calls = []
+        count_spectral(lambda kind, m: calls.append(kind))
+        eps.strong_coupling_sigma(traj, h_total_of, 1.0, he, (2, 2))
+        monkeypatch.undo()
+        counts.append({kind: calls.count(kind) for kind in set(calls)})
+    assert counts[0] == counts[1] == {"eigh": 4, "eigvalsh": 1}
 
 
 def test_blp_witness_identical_trajectories_markovian():
@@ -773,6 +794,22 @@ def test_blp_witness_revival_detected():
     out = eps.blp_witness(times, sys1, sys2)
     assert out["is_nonmarkovian"]
     assert out["max_slope"] > 0.01
+
+
+def test_witness_decompositions_do_not_grow_with_the_trajectory(monkeypatch, count_spectral):
+    # the witnesses validate each list of bare states by one stacked eigh and take
+    # the trace distances by one eigvalsh, at any number of time points
+    counts = []
+    for n_time in (5, 41):
+        times, h_tot, joint1, joint2, sys1, sys2 = jc_pair_trajectories(n_time)
+        for call in (lambda: eps.blp_witness(times, sys1, sys2),
+                     lambda: eps.correlation_witness_terms(times, joint1, joint2, h_tot, (2, 2))):
+            calls = []
+            count_spectral(lambda kind, m: calls.append(kind))
+            call()
+            monkeypatch.undo()
+            counts.append({kind: calls.count(kind) for kind in set(calls)})
+    assert counts[0] == counts[1] == counts[2] == counts[3] == {"eigh": 2, "eigvalsh": 1}
 
 
 def test_correlation_witness_bound_holds():

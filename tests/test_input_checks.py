@@ -30,7 +30,7 @@ from entroprod.core import (
     UnitaryOperator,
     thermal_state,
 )
-from entroprod.rand import ginibre, haar_unitaries
+from entroprod.rand import ginibre, haar_unitaries, random_density
 from test_tolerances import _parameters, _public_callables
 
 H2 = HermitianOperator.from_matrix(np.diag([0.0, 1.0]))
@@ -736,6 +736,52 @@ NUMBERS = {
     "lindblad.kerr_model NaN scale": (
         lambda: lb.kerr_model(-2.0, 1.0, 0.2, 0.5, n_scale=NAN, fock_cut=4), lb.LindbladError,
         "n_scale must be an integer, got nan"),
+    # the Glauber lattices, the squeezed bath and the random state's rank
+    "classical.glauber_ising_competing zero temperature": (
+        lambda: cl.glauber_ising_competing(2, 1.0, 0.0, 0.5, -0.5, cl.ring_adjacency(2)),
+        cl.ClassicalError, "temperature must be finite and > 0, got 0.0"),
+    "classical.glauber_ising_competing negative temperature": (
+        lambda: cl.glauber_ising_competing(2, 1.0, -1.0, 0.5, -0.5, cl.ring_adjacency(2)),
+        cl.ClassicalError, "temperature must be finite and > 0, got -1.0"),
+    "classical.glauber_ising_competing boolean mu_a": (
+        lambda: cl.glauber_ising_competing(2, 1.0, 1.0, True, -0.5, cl.ring_adjacency(2)),
+        cl.ClassicalError, "mu_a must be a finite number, got True"),
+    "classical.glauber_ising_competing infinite mu_a": (
+        lambda: cl.glauber_ising_competing(2, 1.0, 1.0, float("inf"), -0.5, cl.ring_adjacency(2)),
+        cl.ClassicalError, "mu_a must be a finite number, got inf"),
+    "classical.glauber_ising_competing string coupling": (
+        lambda: cl.glauber_ising_competing(2, "1", 1.0, 0.5, -0.5, cl.ring_adjacency(2)),
+        cl.ClassicalError, "coupling must be a finite number, got '1'"),
+    "classical.glauber_ising string coupling": (
+        lambda: cl.glauber_ising(2, "1", 1.0, 0.0, [[1], [0]]), cl.ClassicalError,
+        "coupling must be a finite number, got '1'"),
+    "lindblad.squeezed_dissipator_from_moments string m_eff": (
+        lambda: lb.squeezed_dissipator_from_moments(0.5, 0.2, "0.1", fock_cut=4),
+        lb.LindbladError, "m_eff must be one finite complex number, got '0.1'"),
+    "lindblad.squeezed_dissipator_from_moments boolean m_eff": (
+        lambda: lb.squeezed_dissipator_from_moments(0.5, 0.2, True, fock_cut=4),
+        lb.LindbladError, "m_eff must be one finite complex number, got True"),
+    "lindblad.squeezed_dissipator_from_moments string n_eff": (
+        lambda: lb.squeezed_dissipator_from_moments(0.5, "1", 0.1, fock_cut=4),
+        lb.LindbladError, "n_eff must be finite and >= 0, got '1'"),
+    "lindblad.squeezed_dissipator boolean gamma": (
+        lambda: lb.squeezed_dissipator(True, 0.2, 0.1, 0.3, fock_cut=4), lb.LindbladError,
+        "gamma must be finite and >= 0, got True"),
+    "lindblad.squeezed_dissipator negative nbar": (
+        lambda: lb.squeezed_dissipator(1.0, -1.0, 0.0, 0.3, fock_cut=4), lb.LindbladError,
+        "nbar must be finite and >= 0, got -1.0"),
+    "lindblad.squeezed_dissipator NaN r": (
+        lambda: lb.squeezed_dissipator(1.0, 0.2, NAN, 0.3, fock_cut=4), lb.LindbladError,
+        "r must be a finite number, got nan"),
+    "lindblad.squeezed_dissipator string theta": (
+        lambda: lb.squeezed_dissipator(1.0, 0.2, 0.1, "0.3", fock_cut=4), lb.LindbladError,
+        "theta must be a finite number, got '0.3'"),
+    "lindblad.squeezed_dissipator NaN omega": (
+        lambda: lb.squeezed_dissipator(1.0, 0.2, 0.1, 0.3, fock_cut=4, omega=NAN),
+        lb.LindbladError, "omega must be a finite number, got nan"),
+    "rand.random_density fractional rank": (
+        lambda: random_density(3, np.random.default_rng(0), rank=2.5), core.CoreError,
+        "rank must be an integer, got 2.5"),
     # a per-row operand of another length than the rows
     "episodes.thermal_balance_rows betas": (
         lambda: eps.thermal_balance_rows(_stack(1), [1.0, 1.0]), eps.EpisodeError,
@@ -812,6 +858,10 @@ BARE_STATES = {
             gs.squeezed_sigma(SQUEEZED, rho)), np.diag([0.4, 0.3, 0.2, 0.1]), None),
     "core.partial_trace": (
         lambda rho: core.partial_trace(rho, [0]).matrix, RHO2.matrix, None),
+    "lindblad.spohn_rates": (
+        lambda rho: list(vars(lb.spohn_rates(lambda t: QUBIT_MODEL, [(0.0, rho), (0.5, rho)],
+                                             1.0)).values()),
+        np.array([[0.3, 0.1], [0.1, 0.7]]), None),
 }
 
 
@@ -1097,3 +1147,95 @@ def test_every_size_row_and_exemption_names_a_public_callable():
     names = {name for name, _ in _public_callables()}
     assert sorted(set(MISMATCHED) - names) == []
     assert sorted(set(EXEMPT).difference(_multi_operator_callables())) == []
+
+
+# A time-resolved route reads its times by one rule (`core._times`): finite
+# reals, strictly increasing, at least as many as its derivative needs; a
+# trajectory's entries by `core._trajectory`; and its states by
+# `core._density_stack`, each with the module's error.  Most of these used to
+# return NaN slopes or rates, a Markovian verdict or string times, or to raise
+# IndexError, AttributeError or CoreError.
+def _spohn(times, state=RHO2, model=QUBIT_MODEL):
+    return lb.spohn_rates(lambda t: model, [(t, state) for t in times], 1.0)
+
+
+def _strong(trajectory):
+    return eps.strong_coupling_sigma(trajectory, lambda lam: H4, 1.0, H2, (2, 2))
+
+
+def _blp(times, states=None):
+    return eps.blp_witness(times, states or [RHO2] * len(times), [MIXED2] * len(times))
+
+
+def _correlation(times, joint=None):
+    n = len(times)
+    return eps.correlation_witness_terms(times, [np.eye(4) / 4] * n,
+                                         joint or [np.eye(4) / 4] * n, H4, (2, 2))
+
+
+NOT_A_STATE = np.diag([1.5, -0.5])
+BAD_TIMES = {
+    # bad input: (the times, the message)
+    "NaN time": ([0.0, NAN, 1.0], "times must be a finite number, got [0.0, nan, 1.0]"),
+    "repeated time": ([0.0, 0.0, 1.0], "times must increase strictly: t[1] = 0 after 0"),
+    "decreasing times": ([1.0, 0.5, 0.0], "times must increase strictly: t[1] = 0.5 after 1"),
+    "string time": ([0.0, "0.5", 1.0], "times must be a finite number, got [0.0, '0.5', 1.0]"),
+    "boolean time": ([0.0, True, 2.0], "times must be a finite number, got [0.0, True, 2.0]"),
+}
+TIME_ROUTES = {
+    # route: (its call on a list of times, the error)
+    "lindblad.spohn_rates": (_spohn, lb.LindbladError),
+    "episodes.strong_coupling_sigma": (
+        lambda times: _strong([(t, np.eye(4) / 4, 0.0) for t in times]), eps.EpisodeError),
+    "episodes.blp_witness": (_blp, eps.EpisodeError),
+    "episodes.correlation_witness_terms": (_correlation, eps.EpisodeError),
+}
+TIME_SERIES = {
+    f"{route} {bad}": (lambda call=call, times=times: call(times), error, message)
+    for route, (call, error) in TIME_ROUTES.items()
+    for bad, (times, message) in BAD_TIMES.items()
+} | {
+    "lindblad.spohn_rates one point": (
+        lambda: _spohn([0.0]), lb.LindbladError,
+        "need at least 2 time points in a 1-d sequence, got shape (1,)"),
+    "lindblad.spohn_rates empty trajectory": (
+        lambda: _spohn([]), lb.LindbladError, "need at least 2 time points"),
+    "episodes.strong_coupling_sigma empty trajectory": (
+        lambda: _strong([]), eps.EpisodeError, "need at least 1 time points"),
+    "episodes.blp_witness no times": (
+        lambda: _blp([]), eps.EpisodeError, "need at least 3 time points"),
+    "episodes.correlation_witness_terms no times": (
+        lambda: _correlation([]), eps.EpisodeError, "need at least 3 time points"),
+    "lindblad.spohn_rates entry not (t, rho)": (
+        lambda: lb.spohn_rates(lambda t: QUBIT_MODEL, [(0.0, RHO2), (0.5, RHO2, 0.0)], 1.0),
+        lb.LindbladError, "trajectory must be a list of (t, rho): entry 1 is not"),
+    "episodes.strong_coupling_sigma entry not (t, rho_SE, lambda)": (
+        lambda: _strong([(0.0, np.eye(4) / 4)]), eps.EpisodeError,
+        "trajectory must be a list of (t, rho_SE, lambda): entry 0 is not"),
+    "lindblad.spohn_rates non-state": (
+        lambda: lb.spohn_rates(lambda t: QUBIT_MODEL, [(0.0, RHO2), (0.5, NOT_A_STATE)], 1.0),
+        lb.LindbladError, "matrix 1 of the stack: density matrix has negative eigenvalue"),
+    "episodes.strong_coupling_sigma non-state": (
+        lambda: _strong([(0.0, np.kron(NOT_A_STATE, np.eye(2) / 2), 0.0)]), eps.EpisodeError,
+        "matrix 0 of the stack: density matrix has negative eigenvalue"),
+    "episodes.blp_witness non-state": (
+        lambda: _blp([0.0, 1.0, 2.0], [RHO2, NOT_A_STATE, RHO2]), eps.EpisodeError,
+        "matrix 1 of the stack: density matrix has negative eigenvalue"),
+    "episodes.correlation_witness_terms non-state": (
+        lambda: _correlation([0.0, 1.0, 2.0], [np.kron(NOT_A_STATE, np.eye(2) / 2)] * 3),
+        eps.EpisodeError, "matrix 0 of the stack: density matrix has negative eigenvalue"),
+    "lindblad.spohn_rates model not a LindbladModel": (
+        lambda: lb.spohn_rates(lambda t: np.eye(2), [(0.0, RHO2), (0.5, RHO2)], 1.0),
+        lb.LindbladError, "model_of_t(0) is not a LindbladModel of size 2"),
+    "lindblad.spohn_rates model of another size": (
+        lambda: _spohn([0.0, 0.5], model=lb.LindbladModel(np.diag(THREE_LEVELS), ())),
+        lb.LindbladError, "model_of_t(0) is not a LindbladModel of size 2"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", TIME_SERIES.values(), ids=TIME_SERIES.keys())
+def test_a_trajectory_is_read_by_the_one_rule(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert message in str(info.value)

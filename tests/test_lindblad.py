@@ -341,6 +341,27 @@ def test_spohn_rates_relaxation_integrates_to_lag():
     assert np.abs(out.sigma_rate - out.sigma_rate_relent)[late].max() < 1e-3
 
 
+def test_spohn_rates_decompositions_do_not_grow_with_the_trajectory(monkeypatch, count_spectral):
+    # the Gibbs states of every time from one stacked eigh; states kept as
+    # DensityOperators are read by their spectra, bare ones by one more eigh
+    # (one eigh per time point used to be taken, and bare matrices raised)
+    beta = 1.0
+    model = lb.thermal_qubit_model(1.0, 0.6, beta)
+    rho0 = DensityOperator.from_matrix(np.diag([0.05, 0.95]))
+    counts = []
+    for n_points in (5, 481):
+        times = np.linspace(0.0, 12.0, n_points)
+        states = lb.integrate(model, rho0, times).states
+        for kept in (states, [s.matrix for s in states]):
+            calls = []
+            count_spectral(lambda kind, m: calls.append(kind))
+            lb.spohn_rates(lambda t: model, list(zip(times, kept)), beta)
+            monkeypatch.undo()
+            counts.append(calls)
+    assert counts[0] == counts[2] == ["eigh"]
+    assert counts[1] == counts[3] == ["eigh", "eigh"]
+
+
 def test_spohn_rates_first_law_with_schedule():
     beta, gamma = 1.0, 0.5
 
