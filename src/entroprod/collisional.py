@@ -43,6 +43,7 @@ import numpy as np
 
 from .core import (
     DensityOperator,
+    DensityRows,
     HermitianOperator,
     HilbertDims,
     UnitaryOperator,
@@ -59,7 +60,9 @@ from .core import (
     _operator_fields,
     _petz_renyi,
     _ptrace_matrix,
+    _read_only,
     _real,
+    _RowForm,
     _trace_rows,
     _typed,
     _unitary,
@@ -72,7 +75,6 @@ from .core import (
     trace_distance,
     unvec,
     vec,
-    von_neumann_entropy,
 )
 from .episodes import (
     EpisodeStack,
@@ -174,6 +176,15 @@ class CollisionSpec:
         """The cycle channel M_{L-1} .. M_0 of the stroke channels, built once."""
         return functools.reduce(lambda chan, stroke: stroke @ chan, self._channels)
 
+    @functools.cached_property
+    def _fixed_points(self) -> list:
+        """Per alphabet entry, tier 3's reference, built once: the spectrum of the Gibbs state
+        of H_S at the ancilla's beta when the entry is a thermal operation (a declared beta and
+        a strictly energy-conserving U), else None."""
+        return [thermal_state(self.h_at(k), s.beta).eig() if s.beta is not None
+                and is_strict_energy_conserving(s.unitary, self.h_at(k), s.hamiltonian)[0]
+                else None for k, s in enumerate(self.alphabet)]
+
 
 @dataclass(frozen=True)
 class StrokeRecord:
@@ -193,6 +204,35 @@ class StrokeRecord:
                 float("nan") if self.sigma_fixed_point is None else self.sigma_fixed_point)
 
 
+def _stroke_record(q, dh, w_on, w_u, sigma, sigma_t, sigma_f, residual) -> StrokeRecord:
+    """The `StrokeRecord` of one row of floats, a NaN tier read as None."""
+    return _instance(StrokeRecord, zip(StrokeRecord.__dataclass_fields__, (
+        q, dh, w_on, w_u, sigma, None if sigma_t != sigma_t else sigma_t,
+        None if sigma_f != sigma_f else sigma_f, residual)))
+
+
+@dataclass(frozen=True, eq=False)
+class StrokeRecords(_RowForm):
+    """The records of `run` as one row form: a read-only array per `StrokeRecord` field, NaN
+    where a record reads None (sigma_thermal without a beta, sigma_fixed_point without a
+    thermal operation).  Its rows are `StrokeRecord`s of Python floats."""
+
+    q_ancilla: np.ndarray
+    d_h_system: np.ndarray
+    w_onoff: np.ndarray
+    w_unitary: np.ndarray
+    sigma_general: np.ndarray
+    sigma_thermal: np.ndarray
+    sigma_fixed_point: np.ndarray
+    first_law_residual: np.ndarray
+
+    def __len__(self):
+        return len(self.q_ancilla)
+
+    def _row(self, k) -> StrokeRecord:
+        return _stroke_record(*(column.item(k) for column in vars(self).values()))
+
+
 def _stroke_channel(unitary, rho_ancilla, after=None, before=None) -> np.ndarray:
     """Superoperator of rho -> after Tr_A[U (before rho before^dag x rho_A)
     U^dag] after^dag, either system unitary optional."""
@@ -201,14 +241,14 @@ def _stroke_channel(unitary, rho_ancilla, after=None, before=None) -> np.ndarray
     return kraus_superop(kraus if before is None else kraus @ _unitary(before, CollisionalError))
 
 
-def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
-    """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n), k = n mod L: the
-    states, and their (matrices, weights, eigenvectors) as three stacks, rho_0's one-row stack
-    (cheaper than restacking the states) joined to rho_1 .. rho_n validated as one
-    (`_density_stack`).  The states are made by doubling a block: the m cycle starts rho_0,
-    rho_L, .., rho_{(m-1)L} times C^m (C = `CollisionSpec._cycle`, one power held at a time)
-    are the next m starts, and L - 1 steps by M_0 .. M_{L-2}, each on every start at once, fill
-    in the letters: about log2(n/L) + L matrix products in place of n matrix-vector ones."""
+def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> DensityRows:
+    """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n), k = n mod L, as
+    one row form of rho_0's dims: rho_0's one-row stack (its kept spectrum) joined to rho_1 ..
+    rho_n validated as one (`_density_stack`).  The states are made by doubling a block: the m
+    cycle starts rho_0, rho_L, .., rho_{(m-1)L} times C^m (C = `CollisionSpec._cycle`, one power
+    held at a time) are the next m starts, and L - 1 steps by M_0 .. M_{L-2}, each on every start
+    at once, fill in the letters: about log2(n/L) + L matrix products in place of n
+    matrix-vector ones."""
     ds = spec.dim_system
     rho0 = _typed(DensityOperator, rho0, CollisionalError, ds, spec.h_system[0].dims)
     n_starts, power = n_strokes // len(spec.alphabet) + 1, spec._cycle
@@ -225,13 +265,15 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> tuple:
     # the trace only to round-off, which the chain would carry from state to state.
     nexts = vecs[1:].reshape(n_strokes, ds, ds).transpose(0, 2, 1)
     nexts = nexts / np.trace(nexts, axis1=1, axis2=2)[:, None, None]
-    stack = _density_stack(nexts)
-    return ((rho0,) + DensityOperator._rows(stack, rho0.dims),
-            tuple(map(np.concatenate, zip(_density_stack((rho0,)), stack))))
+    stack = zip(_density_stack((rho0,)), _density_stack(nexts))
+    return DensityRows(*_read_only(*map(np.concatenate, stack)), rho0.dims)
 
 
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
-    """Run n_strokes collisions; returns (state list, StrokeRecord list).
+    """Run n_strokes collisions; returns (states, records) as two row forms: the n + 1 states
+    rho_0 .. rho_n as one `core.DensityRows` stack, rho_0 its row 0, and the n records as one
+    `StrokeRecords`, an array per field.  Each reads as a sequence whose rows are made when
+    read: indexing and iteration give `DensityOperator`s and `StrokeRecord`s.
 
     The states are stepped by the stroke channels (`_chain`, by powers of the
     cycle channel), and stroke n takes alphabet entry n mod L.  The strokes
@@ -245,14 +287,16 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     check, not an identity.
     Tier-2 sigma is reported when the ancilla carries a (checked) beta; tier-3 when in
     addition the stroke unitary is strictly energy conserving; the verdict
-    and the Gibbs state are evaluated once per alphabet entry, for its rows.
+    and the Gibbs state are evaluated once per alphabet entry and kept on the spec.
     """
     n_strokes = _integer(n_strokes, CollisionalError, "n_strokes", low=1)
-    states, chain = _chain(spec, rho0, n_strokes)
+    states = _chain(spec, rho0, n_strokes)
+    chain = states.matrices, states.weights, states.vectors
     alphabet, h_sys = spec.alphabet, np.stack([h.matrix for h in spec.h_system])
     letters = np.arange(n_strokes) % len(alphabet)
     size = np.array([s.rho.dim for s in alphabet])[letters]
-    records = [None] * n_strokes
+    betas = np.array([math.nan if s.beta is None else s.beta for s in alphabet])
+    columns = np.full((len(StrokeRecord.__dataclass_fields__), n_strokes), math.nan)
     for dim in np.unique(size):
         rows = np.flatnonzero(size == dim)
         letter, before = letters[rows], tuple(x[rows] for x in chain)
@@ -267,23 +311,18 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
         e_now = _trace_rows(stack.h_system, before[0])
         e_mid = _trace_rows(stack.h_system, mid[0])
         e_next = _trace_rows(h_sys[(letter + 1) % len(alphabet)], chain[0][rows + 1])
-        sigma_t, sigma_f = np.full((2, len(rows)), None, dtype=object)
+        sigma_f = np.full(len(rows), math.nan)
         for k in entries:
-            stroke, at, h = alphabet[k], letter == k, spec.h_at(k)
-            if stroke.beta is None:
-                continue
-            sigma_t[at] = bal.d_entropy_system[at] + stroke.beta * bal.heat_env[at]
-            if is_strict_energy_conserving(stroke.unitary, h, stroke.hamiltonian)[0]:
+            if spec._fixed_points[k] is not None:
+                at = letter == k
                 sigma_f[at] = fixed_point_sigma_rows(tuple(x[at] for x in before[1:]),
                                                      tuple(x[at] for x in mid[1:]),
-                                                     thermal_state(h, stroke.beta).eig())
+                                                     spec._fixed_points[k])
         dh, w_u = e_next - e_now, e_next - e_mid
-        residual = dh - (w_u + bal.work - bal.heat_env)
-        for n, *row in zip(rows.tolist(), bal.heat_env.tolist(), dh.tolist(), bal.work.tolist(),
-                           w_u.tolist(), bal.sigma.tolist(), sigma_t.tolist(), sigma_f.tolist(),
-                           residual.tolist()):
-            records[n] = _instance(StrokeRecord, zip(StrokeRecord.__dataclass_fields__, row))
-    return list(states), records
+        columns[:, rows] = (bal.heat_env, dh, bal.work, w_u, bal.sigma,
+                            bal.d_entropy_system + betas[letter] * bal.heat_env, sigma_f,
+                            dh - (w_u + bal.work - bal.heat_env))
+    return states, StrokeRecords(*_read_only(columns)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +481,13 @@ def preferred_basis(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
         chan = _stroke_channel(stroke.unitary, stroke.rho, basis.conj().T, basis)
         pop = slice(None, None, len(e_sys) + 1)
         chains.append((chan[pop, pop].real, unvec(chan.diagonal()), _gibbs(e_sys, stroke.beta)[0]))
-    _, (matrices, weights, _) = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)
-    pops = np.real(np.diagonal(basis.conj().T @ matrices @ basis, axis1=1, axis2=2))
+    states = _chain(replace(spec, system_unitaries=None), rho0, n_strokes)
+    pops = np.real(np.diagonal(basis.conj().T @ states.matrices @ basis, axis1=1, axis2=2))
     pops.setflags(write=False)      # rows shared by consecutive records
     # the entropies and divergences of every state at once: C(rho) = S(p) - S(rho),
     # and S(p^n || p_th) and S(p^(n+1) || p_th) against the p_th of stroke n
     probs = np.maximum(pops, 0.0)
-    coherence = _entropy_rows(probs) - _entropy_rows(weights)
+    coherence = _entropy_rows(probs) - _entropy_rows(states.weights)
     p_th = np.array([chains[n % len(chains)][2] for n in range(n_strokes)])
     kl = _petz_renyi(1.0, np.stack([probs[:-1], probs[1:]]), p_th)
     sigma_cl, sigma_q = (kl[0] - kl[1]).tolist(), (coherence[:-1] - coherence[1:]).tolist()
@@ -615,7 +654,7 @@ def four_stroke(v1, v2, u_sh, u_sc, rho_hot: DensityOperator,
     start = _fixed_point(spec, v1.matrix @ rho.matrix @ v1.matrix.conj().T, rho.dims,
                          unique=False)
     states, (hot, cold) = run(spec, start, 2)
-    s0, s1, s2 = map(von_neumann_entropy, states)
+    s0, s1, s2 = _entropy_rows(states.weights).tolist()
     return FourStrokeResult(
         limit_cycle=DensityOperator(v1.matrix.conj().T @ start.matrix @ v1.matrix, start.dims),
         sigma_hot=hot.sigma_general, sigma_cold=cold.sigma_general,

@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,13 +383,8 @@ class DensityOperator(_Operator):
         (then within round-off of it); bare matrices take the factor dims
         `dims`, states keep their own, which `dims` may not contradict (`_stack_dims`)."""
         stack = _density_stack(matrices)
-        return cls._rows(stack, _stack_dims(matrices, stack[0].shape[-1], CoreError, dims))
-
-    @classmethod
-    def _rows(cls, stack, dims: HilbertDims) -> tuple:
-        """The states of a validated (matrices, weights, eigenvectors) stack, each made of its
-        rows (views) by `_validated`, all sharing the one `HilbertDims` `dims`."""
-        return tuple(cls._validated(row, dims) for row in zip(*stack))
+        return tuple(DensityRows(*stack, _stack_dims(matrices, stack[0].shape[-1], CoreError,
+                                                     dims)))
 
     @classmethod
     def _validated(cls, spectra, dims=None):
@@ -419,6 +416,35 @@ class DensityOperator(_Operator):
         columns, from the validating decomposition; both arrays are
         read-only."""
         return self._eig
+
+
+class _RowForm(Sequence):
+    """A row form read as a sequence: `len`, and indexing (by an integer, as a list is) and
+    iteration that make each row its object (`_row`) when it is read; a slice is a list of them."""
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._row(i) for i in range(*k.indices(len(self)))]
+        return self._row(operator.index(k))
+
+
+@dataclass(frozen=True, eq=False)
+class DensityRows(_RowForm):
+    """States as one validated, read-only (matrices, weights, eigenvectors) stack, all of the
+    factor dims `dims`: a row form whose rows are `DensityOperator`s (`_validated`, views keeping
+    their spectra)."""
+
+    matrices: np.ndarray
+    weights: np.ndarray
+    vectors: np.ndarray
+    dims: HilbertDims
+
+    def __len__(self):
+        return len(self.matrices)
+
+    def _row(self, k) -> DensityOperator:
+        return DensityOperator._validated((self.matrices[k], self.weights[k], self.vectors[k]),
+                                          self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -500,7 +526,7 @@ def _typed(kind, op, error=CoreError, dim=None, dims=None):
     if kind is DensityOperator:
         return kind._validated((m,) + _density_spectra(m, error), dims)
     kind._check(m, error)
-    return kind(m, dims)
+    return _instance(kind, {"matrix": m, "dims": dims})
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +558,8 @@ def tensor(ops):
 def _ptrace_matrix(mat, factors, keep):
     """Partial trace over the factors not listed in `keep`, of one matrix
     or of a stack (..., D, D): the reshape to (..., factors, factors) and
-    one `trace` per traced factor, the last first."""
+    one trace per traced factor, the last first, each by `np.einsum` over its
+    two axes (the sums of `trace`, without its strided loop over a stack)."""
     factors = tuple(map(int, factors))
     n = len(factors)
     keep = sorted(set(map(int, keep)))
@@ -545,7 +572,9 @@ def _ptrace_matrix(mat, factors, keep):
     t = m.reshape(m.shape[:-2] + factors + factors)
     for k in reversed(range(n)):
         if k not in keep:
-            t = t.trace(axis1=b + k, axis2=b + n + k)
+            axes = list(range(b + 2 * n))
+            axes[b + n + k] = b + k
+            t = np.einsum(t, axes, axes[:b + k] + axes[b + k + 1:b + n + k] + axes[b + n + k + 1:])
             n, d = n - 1, d // factors[k]
     return t.reshape(m.shape[:-2] + (d, d))
 
@@ -1047,7 +1076,7 @@ def thermal_state(hamiltonian, beta: float) -> DensityOperator:
     b = _check_beta(beta, CoreError, rows=h.shape[:-2])
     spectra = _exact_spectra(*_gibbs_states(h, b)[:3])
     return (DensityOperator._validated(spectra, getattr(hamiltonian, "dims", None)) if h.ndim == 2
-            else DensityOperator._rows(spectra, _stack_dims(hamiltonian, h.shape[-1])))
+            else tuple(DensityRows(*spectra, _stack_dims(hamiltonian, h.shape[-1]))))
 
 
 def trace_distance(rho1, rho2) -> float:

@@ -555,11 +555,12 @@ def is_strict_energy_conserving(unitary, h_system, h_env):
 
 
 def _conservation(u, hs, he):
-    """`is_strict_energy_conserving` of read matrices."""
+    """`is_strict_energy_conserving` of read matrices: the largest singular value of the
+    commutator (the SVD of `np.linalg.norm(., 2)`, without its overhead), and each Hamiltonian's
+    spectral norm as its largest |eigenvalue|."""
     h_tot = tensor([hs, np.eye(he.shape[0])]) + tensor([np.eye(hs.shape[0]), he])
-    comm = u @ h_tot - h_tot @ u
-    residual = float(np.linalg.norm(comm, 2))
-    scale = float(np.linalg.norm(hs, 2) + np.linalg.norm(he, 2))
+    residual = float(np.linalg.svd(u @ h_tot - h_tot @ u, compute_uv=False)[0])
+    scale = float(np.abs(_eigvalsh(hs)).max() + np.abs(_eigvalsh(he)).max())
     return residual <= CONSERVATION_TOL * max(scale, 1e-300), residual
 
 
@@ -1025,10 +1026,10 @@ def mean_force_hamiltonian(h_total, dims, beta: float, h_env) -> HermitianOperat
 
     dims is the (dim_S, dim_E) pair or a HilbertDims whose first factor is
     the system; h_env fixes the bath partition function Z_E; beta > 0.
-    H_tot is read against dims and H_E against the E factors.
+    H_tot is one matrix (`core._typed`) read against dims, and H_E against the E factors.
     """
     beta = _check_beta(beta, EpisodeError, positive=True)
-    h = _hermitian(h_total, EpisodeError)
+    h = _typed(HermitianOperator, h_total, EpisodeError).matrix
     factors = _as_dims(dims, len(h), EpisodeError).factors
     return HermitianOperator.from_matrix(_mean_force(h[None], factors, beta, h_env)[0][0],
                                          (factors[0],))
@@ -1070,10 +1071,11 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
 def _state_lists(n, first, second, dim=None):
     """Two lists of n states, one per time point, as stacks of one size (`_density_stack`,
     each a state), else EpisodeError."""
-    if not len(first) == len(second) == n:
-        raise EpisodeError(f"{len(first)} and {len(second)} states for {n} times")
     a = _density_stack(first, EpisodeError, dim)[0]
-    return a, _density_stack(second, EpisodeError, a.shape[-1])[0]
+    b = _density_stack(second, EpisodeError, a.shape[-1])[0]
+    if not len(a) == len(b) == n:
+        raise EpisodeError(f"{len(a)} and {len(b)} states for {n} times")
+    return a, b
 
 
 def blp_witness(times, states_1, states_2):

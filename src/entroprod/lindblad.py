@@ -31,6 +31,7 @@ from .core import (
     NULL_RCOND_TOL,
     CoreError,
     DensityOperator,
+    DensityRows,
     _check_beta,
     _check_hermitian,
     _density_stack,
@@ -198,7 +199,7 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
         raise
     low = np.diagonal(stack[2].conj().swapaxes(1, 2) @ ms @ stack[2], axis1=1, axis2=2).real
     drifts = float(np.abs(tr - 1.0).max(initial=0.0)), max(0.0, -float(low.min(initial=0.0)))
-    return IntegrationResult(t_grid, (rho0,) + DensityOperator._rows(stack, rho0.dims), *drifts)
+    return IntegrationResult(t_grid, (rho0,) + tuple(DensityRows(*stack, rho0.dims)), *drifts)
 
 
 # ---------------------------------------------------------------------------

@@ -706,7 +706,8 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
     Beyond it n_samples records are drawn from the seed: one uniform per
     sample and record, in the order and with the inverse-CDF map of one
     rng.choice(d, p=...) per sample and step, so a seed gives the same
-    records as that loop.  Both merge equal sigma values by the rule of
+    records as that loop, and each drawn pair (k_0, k_n) is weighted by
+    its count.  Both merge equal sigma values by the rule of
     `ScalarDistribution.from_samples`.
     """
     psi = _numbers(psi0, TrajectoryError, "psi0").astype(complex).ravel()
@@ -734,7 +735,9 @@ def measurement_trajectories(psi0, bases, unitaries, max_exhaustive=10 ** 6,
         k0 = k = _draw(p0[:, None], np.zeros(n_samples, dtype=int), u[:, 0])
         for j, t in enumerate(steps, 1):
             k = _draw(t, k, u[:, j])
-        sigma, weights = np.log(p0[k0]) - np.log(p_final[k]), np.ones(n_samples)
+        counts = np.bincount(k0 * d + k, minlength=d * d).astype(float)
+        k0, kn = divmod(np.flatnonzero(counts), d)
+        sigma, weights = np.log(p0[k0]) - np.log(p_final[kn]), counts[counts > 0.0]
     else:
         joint = compound * p0                                     # [k_n, k_0]
         kn, k0 = np.nonzero(joint > 0.0)

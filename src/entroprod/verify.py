@@ -30,6 +30,7 @@ from .core import (
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    UnitaryOperator,
     _entropy_rows,
     _petz_renyi,
     hermitian_function,
@@ -199,11 +200,28 @@ def route_equality_suite(n_episodes=25):
          bath.balance.flux - (betas.T * mb.heat_per_bath).sum(-1))]]
 
 
+def _stroke_chain_clausius(n_strokes=40):
+    """The largest |Sigma_general - (dS_S + beta Q_A)| of a `collisional.run` whose two thermal
+    qubit ancillas have H_A rotated by Haar V, so the stack of rho_A' takes the closed-form eigh
+    (30 rows or more) and D(rho_A' || rho_A) reads its complex eigenvectors; Haar U on S x A."""
+    rng = np.random.default_rng(204)
+    v, u = haar_unitaries(ginibre(rng, (2, 2, 2))), haar_unitaries(ginibre(rng, (2, 4, 4)))
+    strokes = []
+    for k, (omega, beta) in enumerate(((1.0, 0.7), (1.3, 1.6))):
+        h = HermitianOperator.from_matrix(v[k] @ np.diag([0.0, omega]) @ v[k].conj().T)
+        strokes.append(cm.AncillaStroke(thermal_state(h, beta), h,
+                                        UnitaryOperator.from_matrix(u[k], (2, 2)), beta))
+    spec = cm.CollisionSpec(tuple(strokes), (HermitianOperator.from_matrix(PAULI_Z),) * 2)
+    recs = cm.run(spec, random_density(2, rng), n_strokes)[1]
+    return _worst(recs.sigma_general - recs.sigma_thermal)
+
+
 def swap_engine_suite():
     """Closed forms against the exact 4x4 cycle simulation, and against the
     limit cycle of `four_stroke` with full SWAP strokes between a system qubit
     and Gibbs qubits of the two baths (heats into the bath ancillas), over 50
-    gap ratios."""
+    gap ratios; and the Clausius form of a stroke chain's Sigma
+    (`_stroke_chain_clausius`)."""
     sim_deltas, cycle_deltas = [], []
     t_a, t_b = 1.0, 0.5
     swap = np.eye(4)[[0, 2, 1, 3]]                      # |i j> -> |j i>
@@ -227,6 +245,8 @@ def swap_engine_suite():
         Record("swap Carnot point all-zero",
                _worst([carnot.work, carnot.q_a, carnot.q_b, carnot.sigma]), "<", SWAP_TOL),
         Record("swap engine regime at Otto efficiency", otto, "<", 1e-14),
+        Record("stroke chain Sigma_general == dS_S + beta Q_A", _stroke_chain_clausius(), "<",
+               ROUTE_TOL),
     ]
 
 

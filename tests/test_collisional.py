@@ -433,6 +433,39 @@ def test_run_states_and_records_behave_as_constructor_built():
         assert dataclasses.replace(rec, w_onoff=1.5) == dataclasses.replace(built, w_onoff=1.5)
 
 
+def test_run_returns_row_forms_read_as_sequences():
+    # one array per field and one stack of states, whose rows are made when read:
+    # by index (negative too), slice or iteration alike; a tier that does not
+    # apply is NaN in its column and None in the record
+    spec = cm.CollisionSpec((thermal_stroke(1.2), cm.AncillaStroke(
+        random_density(2, RNG), H_QUBIT, exchange_unitary(0.4))), (H_QUBIT,) * 2)
+    rho0 = random_density(2, RNG)
+    states, recs = cm.run(spec, rho0, 5)
+    assert isinstance(states, core.DensityRows) and isinstance(recs, cm.StrokeRecords)
+    assert len(states) == 6 and len(recs) == 5 and states.dims == rho0.dims
+    for row, kept in zip((states.matrices, states.weights, states.vectors),
+                         (rho0.matrix,) + rho0.eig()):
+        assert np.array_equal(row[0], kept)
+    listed, rhos = list(recs), list(states)
+    assert [recs[k] for k in range(-5, 5)] == listed * 2 and recs[1:4] == listed[1:4]
+    for k in range(-6, 6):
+        assert np.array_equal(states[k].matrix, rhos[k].matrix)
+        assert all(np.array_equal(a, b) for a, b in zip(states[k].eig(), rhos[k].eig()))
+    assert [type(s) for s in states[::2]] == [DensityOperator] * 3
+    with pytest.raises(IndexError):
+        recs[5]
+    with pytest.raises(IndexError):
+        states[6]
+    with pytest.raises(TypeError):
+        states[np.array([0, 1])]
+    odd = [n % 2 == 1 for n in range(5)]
+    for name in ("sigma_thermal", "sigma_fixed_point"):
+        assert [getattr(r, name) is None for r in recs] == odd
+        assert np.isnan(getattr(recs, name)).tolist() == odd
+    assert [r.q_ancilla for r in recs] == recs.q_ancilla.tolist()
+    assert all(not column.flags.writeable for column in vars(recs).values())
+
+
 def two_letter_spec(rng):
     scrambled = cm.AncillaStroke(thermal_state(H_QUBIT, 0.7), H_QUBIT,
                                  random_unitary(4, rng, dims=(2, 2)), beta=0.7)
@@ -448,9 +481,10 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch, count_spectral
     # made from its product spectrum; one more `eigh` validates the chain's
     # states and one, of H, builds the Gibbs state of the conserving entry.
     # The chain takes no per-stroke channel, and a spec builds its stroke
-    # channels once: a second run of it (the third count) builds none.  The
-    # decompositions are counted at the package's eigensolver (`count_spectral`),
-    # so the closed-form (200, 2, 2) stacks count as the LAPACK ones do
+    # channels, conservation verdicts and Gibbs states once: a second run of
+    # it (the third count) builds none of them.  The decompositions are
+    # counted at the package's eigensolver (`count_spectral`), so the
+    # closed-form (200, 2, 2) stacks count as the LAPACK ones do
     rng = np.random.default_rng(21)
     spec, rho0 = two_letter_spec(rng), random_density(2, rng)
     counted = {cm: ("tensor", "_ptrace_matrix", "ancilla_kraus", "kraus_superop"),
@@ -468,11 +502,13 @@ def test_run_decompositions_do_not_grow_with_strokes(monkeypatch, count_spectral
         monkeypatch.undo()
         counts.append({key: calls.count(key) for key in set(calls)})
     # episodes.tensor: the joint states and their eigenvectors U (V_S x V_A),
-    # and the two of each thermal entry's strict-energy-conservation check
+    # and the two of each thermal entry's strict-energy-conservation check,
+    # which also takes the norms of H_S and H_A as their largest |eigenvalue|
     assert counts[0] == counts[1] == {
-        "core._eigh": 4, "episodes.tensor": 6, "episodes._ptrace_matrix": 2,
-        "collisional.ancilla_kraus": 2, "collisional.kraus_superop": 2}
-    assert counts[2] == {"core._eigh": 4, "episodes.tensor": 6, "episodes._ptrace_matrix": 2}
+        "core._eigh": 4, "core._eigvalsh": 4, "episodes.tensor": 6,
+        "episodes._ptrace_matrix": 2, "collisional.ancilla_kraus": 2,
+        "collisional.kraus_superop": 2}
+    assert counts[2] == {"core._eigh": 3, "episodes.tensor": 2, "episodes._ptrace_matrix": 2}
 
 
 def test_run_rejects_mismatched_dims():

@@ -649,6 +649,16 @@ def test_equality_never_raises_on_array_holders():
     assert (ep == twin) is False
 
 
+@pytest.mark.parametrize("kind, matrix", [(UnitaryOperator, PAULI_X), (HermitianOperator, PAULI_Z)])
+def test_a_bare_operator_is_checked_once(monkeypatch, kind, matrix):
+    # `_typed` makes the type's instance of the matrix it checked, checking it no second time
+    checks, check = [], kind._check
+    monkeypatch.setattr(kind, "_check", staticmethod(lambda m, *a: checks.append(1) or check(m, *a)))
+    op = core._typed(kind, matrix, CoreError, 2, (2,))
+    assert checks == [1] and type(op) is kind and op.dims == HilbertDims((2,))
+    assert np.array_equal(op.matrix, matrix) and not op.matrix.flags.writeable
+
+
 def _einsum_partial_trace(mat, factors, keep):
     n = len(factors)
     t = np.asarray(mat, dtype=complex).reshape(tuple(factors) * 2)
@@ -658,9 +668,9 @@ def _einsum_partial_trace(mat, factors, keep):
 
 
 def test_partial_trace_is_the_einsum():
-    # the trace route gives the einsum's bits on one and two factors, for
-    # one matrix and a stack; on three factors the einsum adds the traced
-    # entries in another order, so the two agree to round-off
+    # tracing one factor at a time gives the one-call einsum's bits on one
+    # and two factors, for one matrix and a stack; on three factors the one
+    # call adds the traced entries in another order, so the two agree to round-off
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         for factors in itertools.product((2, 3, 5) if n < 3 else (2, 3), repeat=n):

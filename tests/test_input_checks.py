@@ -388,6 +388,12 @@ CASES = {
     "episodes.blp_witness fewer states than times": (
         lambda: eps.blp_witness([0.0, 1.0, 2.0], [RHO2] * 3, [MIXED2] * 2), eps.EpisodeError,
         "3 and 2 states for 3 times"),
+    "episodes.blp_witness no states": (
+        lambda: eps.blp_witness([0.0, 1.0, 2.0], None, None), eps.EpisodeError,
+        "matrix entries must be numbers, got None"),
+    "episodes.mean_force_hamiltonian stack of H_tot": (
+        lambda: eps.mean_force_hamiltonian(np.stack([np.eye(4)] * 4), (2, 2), 1.0, H2),
+        eps.EpisodeError, "expected a square matrix, got shape (4, 4, 4)"),
     "episodes.blp_witness more times than states": (
         lambda: eps.blp_witness([0.0, 1.0, 2.0, 3.0], [RHO2] * 3, [MIXED2] * 3),
         eps.EpisodeError, "3 and 3 states for 4 times"),

@@ -165,10 +165,13 @@ def test_doubled_chain_is_the_sequential_loop(draw, data):
         vecs.append(spec._channels[k % length] @ vecs[-1])
     want = np.array([core.unvec(v) for v in vecs[1:]])
     want /= np.trace(want, axis1=1, axis2=2)[:, None, None]
-    states, (matrices, weights, _) = cm._chain(spec, rho0, n)
-    assert len(states) == n + 1 and states[0] is rho0
-    assert np.abs(matrices[1:] - want).max() <= 1e-14
-    assert np.abs(weights[1:] - np.linalg.eigvalsh(want)).max() <= 1e-14
+    states = cm._chain(spec, rho0, n)
+    assert len(states) == n + 1 and states.dims == rho0.dims
+    for row, kept in zip((states.matrices, states.weights, states.vectors),
+                         (rho0.matrix,) + rho0.eig()):
+        assert np.array_equal(row[0], kept)
+    assert np.abs(states.matrices[1:] - want).max() <= 1e-14
+    assert np.abs(states.weights[1:] - np.linalg.eigvalsh(want)).max() <= 1e-14
 
 
 def exact_levels(m):
