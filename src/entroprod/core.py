@@ -9,8 +9,10 @@ All values are immutable, including the spectrum a `DensityOperator`
 keeps from its validation, which every entropy, divergence and eigenbasis
 of the state reads (`_spectrum`, which validates a bare matrix as a state).
 Functions never mutate their arguments, except the superoperator builders
-`add_sided_term`, `add_lindblad_term` and `real_superop`, which work in
-place on the array they are given.  A bare Hamiltonian is read by
+`add_sided_term` and `add_lindblad_term`, which work in place on the array
+they are given; the real form of a Lindblad generator in the Hermitian
+basis of `hermitian_coords` is built apart, straight from its model
+(`lindblad.real_generator`).  A bare Hamiltonian is read by
 `_hermitian`, the `HermitianOperator` check with the caller's error, a
 bare unitary by `_unitary`, the `UnitaryOperator` check with it, and any
 other operator by `_frozen_matrix` (square and finite).  An entry point
@@ -613,13 +615,14 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 def hermitian_coords(matrix) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the Hermitian basis, in
-    `vec` order: rho_ii, sqrt2 Re rho_ij in slot (i, j) and sqrt2 Im rho_ij
+    """Real coordinates of a Hermitian matrix, or of each of a stack (..., d, d), in the
+    Hermitian basis, in `vec` order: rho_ii, sqrt2 Re rho_ij in slot (i, j) and sqrt2 Im rho_ij
     in slot (j, i), i < j."""
     m = np.asarray(matrix)
-    coords = math.sqrt(2.0) * (np.triu(m.real, 1) - np.tril(m.imag, -1))
-    np.fill_diagonal(coords, m.real.diagonal())
-    return vec(coords)
+    d = m.shape[-1]
+    coords = math.sqrt(2.0) * np.where(np.tri(d, k=-1, dtype=bool), 0.0 - m.imag, m.real)
+    coords.reshape(m.shape[:-2] + (d * d,))[..., ::d + 1] = m.real.diagonal(0, -2, -1)
+    return coords.swapaxes(-1, -2).reshape(m.shape[:-2] + (d * d,))
 
 
 def from_hermitian_coords(coords) -> np.ndarray:
@@ -627,33 +630,6 @@ def from_hermitian_coords(coords) -> np.ndarray:
     c = unvec(np.asarray(coords, dtype=float))
     upper = _SQRT_HALF * (np.triu(c, 1) + 1j * np.tril(c, -1).T)
     return upper + upper.conj().T + np.diag(c.diagonal())
-
-
-def real_superop(superop) -> np.ndarray:
-    """Real matrix T^dag S T of a Hermiticity-preserving superoperator S, T
-    holding the Hermitian basis in `vec` order; same eigenvalues as S.
-
-    Overwrites `superop` (a C-ordered complex array, as `lindblad.build`
-    returns) with T^dag S T by rotating its row and column pairs
-    (j*d + i, i*d + j) in place, and returns the real part as a new array.
-    """
-    n = superop.shape[0]
-    d = math.isqrt(n)
-    blocks = _blocks(superop, d)
-    cols = blocks.reshape(n, d, d)      # cols[:, j, i] is the column of |i><j|
-    rows = blocks.reshape(d, d, n)      # rows[j, i, :] is the row of |i><j|
-    for i in range(d - 1):
-        _rotate_pair(cols[:, i + 1:, i], cols[:, i, i + 1:], 1j)
-        _rotate_pair(rows[i + 1:, i, :], rows[i, i + 1:, :], -1j)
-    return np.ascontiguousarray(superop.real)
-
-
-def _rotate_pair(sym, anti, phase):
-    """(sym, anti) <- (sym + anti, phase (sym - anti)) / sqrt2, in place."""
-    diff = sym - anti
-    sym += anti
-    sym *= _SQRT_HALF
-    np.multiply(diff, phase * _SQRT_HALF, out=anti)
 
 
 def bordered_solve(gen, trace, rhs=None):
@@ -669,10 +645,11 @@ def bordered_solve(gen, trace, rhs=None):
     None is returned when LAPACK's estimate of B's reciprocal condition
     number (infinity norm) is below NULL_RCOND_TOL.
     """
-    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+    from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
     border = np.array(gen, dtype=float)
     border[0, trace] -= 1.0
-    anorm = float(np.abs(border).sum(axis=1).max())
+    # the 1-norm of B^T (Fortran-ordered, read in place) is the infinity norm of B
+    anorm = dlange("1", border.T)
     # B^T is Fortran-ordered, so it is factored in place; trans=1 solves with B.
     lu, piv, info = dgetrf(border.T, overwrite_a=True)
     if info > 0:
@@ -904,15 +881,25 @@ def _check_probabilities(p, error):
 def _numbers(x, error, name, rule="numbers") -> np.ndarray:
     """x as an array (x itself when it is one), else `error` naming x and its `rule`: the one
     test of every number read, operator entries too, against strings, booleans and objects (a
-    boolean among the numbers of a flat list too, which numpy would read as 0 or 1)."""
+    boolean among the numbers of a list or tuple too, nested or not, which numpy would read as
+    0 or 1)."""
     try:
         a = np.asarray(x)
     except (TypeError, ValueError):
         a = None
-    if a is None or a.dtype.kind not in "iufc" or a.ndim == 1 and type(x) in (list, tuple) and any(
-            isinstance(v, (bool, np.bool_)) for v in x):
+    if a is None or a.dtype.kind not in "iufc" or type(x) in (list, tuple) and _has_bool(x):
         raise error(f"{name} must be {rule}, got {x!r}")
     return a
+
+
+def _has_bool(x) -> bool:
+    """Whether a list or tuple holds a boolean, in it or in a list or tuple nested in it; an
+    array in it is not entered (a boolean array is not numbers), one type test per entry."""
+    for v in x:
+        t = type(v)
+        if t is bool or t is np.bool_ or (t is list or t is tuple) and _has_bool(v):
+            return True
+    return False
 
 
 def _real_array(x, error, name, rule="real numbers") -> np.ndarray:

@@ -547,11 +547,12 @@ def is_strict_energy_conserving(unitary, h_system, h_env):
     """Check [U, H_S x 1 + 1 x H_E] = 0 within CONSERVATION_TOL*(||H_S|| + ||H_E||).
 
     Returns (flag, residual) with residual the spectral norm of the
-    commutator; bare H are read by `core._hermitian` and U by `core._unitary`
-    at the size of H_S x H_E.
+    commutator; H_S, H_E and U are each read as one matrix (`core._typed`),
+    U at the size of H_S x H_E.
     """
-    hs, he = _hermitian(h_system, EpisodeError), _hermitian(h_env, EpisodeError)
-    return _conservation(_unitary(unitary, EpisodeError, len(hs) * len(he)), hs, he)
+    hs, he = (_typed(HermitianOperator, h, EpisodeError).matrix for h in (h_system, h_env))
+    u = _typed(UnitaryOperator, unitary, EpisodeError, len(hs) * len(he))
+    return _conservation(u.matrix, hs, he)
 
 
 def _conservation(u, hs, he):

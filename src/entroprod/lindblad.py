@@ -11,8 +11,10 @@ time propagation, steady states, spectral gaps and the Spohn
 heat/work/entropy rates.
 
 Propagators, steady states and spectra are taken from the real form of
-the generator (`core.real_superop`, the generator in an orthonormal
-Hermitian basis), which has the eigenvalues of the complex one: time
+the generator (`real_generator`, the generator in the orthonormal
+Hermitian basis of `core.hermitian_coords`, built from the model one
+column block at a time without the complex generator `build` returns),
+which has the eigenvalues of the complex one: time
 evolution from its matrix exponential, the steady state from one LU
 factorization of that form bordered by the trace functional
 (`core.bordered_solve`, the "direct" method of Johansson, Nation &
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _SQRT_HALF,
     NULL_RCOND_TOL,
     CoreError,
     DensityOperator,
@@ -55,7 +58,6 @@ from .core import (
     from_hermitian_coords,
     hermitian_coords,
     propagate,
-    real_superop,
     unvec,
     vec,
 )
@@ -95,8 +97,10 @@ class LindbladModel:
     and cross operator is read at the size of H.
 
     The dimension d is capped at DIM_CAP = 81, checked before any generator
-    is allocated: the dense generator and its real form take 24 d^4 bytes,
-    within the budget GENERATOR_BYTES = 1 GiB.
+    is allocated: the complex generator of `build` and the real form take
+    24 d^4 bytes together, within the budget GENERATOR_BYTES = 1 GiB.  A solve
+    (`steady_state`, `gap`, `spectrum`) holds only the real form and LAPACK's
+    copy of it, 16 d^4 bytes.
     """
 
     hamiltonian: np.ndarray
@@ -126,20 +130,55 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
 
+def _terms(model: LindbladModel) -> list:
+    """The (a, b, rate) of each term rate (a rho b^dag - 1/2 {b^dag a, rho}) of the model:
+    (L, L, gamma) per jump, then (F_k, F_l, c_kl) per nonzero cross coefficient."""
+    terms = [(l_op, l_op, rate) for l_op, rate in model.jumps]
+    if model.cross is not None:
+        ops, c = model.cross
+        terms += [(fk, fl, c[k, l]) for k, fk in enumerate(ops) for l, fl in enumerate(ops)
+                  if c[k, l] != 0]
+    return terms
+
+
 def build(model: LindbladModel) -> np.ndarray:
     """Vectorized generator; the identity is a left null vector to 1e-12."""
     d = model.dim
     superop = np.zeros((d * d, d * d), dtype=complex)
     add_sided_term(superop, -1j * model.hamiltonian, 1j * model.hamiltonian)
-    for l_op, rate in model.jumps:
-        add_lindblad_term(superop, l_op, l_op, rate)
-    if model.cross is not None:
-        ops, c = model.cross
-        for k, fk in enumerate(ops):
-            for l, fl in enumerate(ops):
-                if c[k, l] != 0:
-                    add_lindblad_term(superop, fk, fl, c[k, l])
+    for a, b, rate in _terms(model):
+        add_lindblad_term(superop, a, b, rate)
     return superop
+
+
+def real_generator(model: LindbladModel) -> np.ndarray:
+    """The generator's real form T^dag L T (T the Hermitian basis of `core.hermitian_coords`;
+    the eigenvalues of `build`'s), built from the model one column block at a time: the complex
+    generator is never held, only this form (8 d^4 bytes) and O(d^3) per block.
+
+    Block l holds the images of the basis elements in the slots of |k><l|.  With the terms
+    (a, b, r) of `_terms` and K = -iH - 1/2 sum r b^dag a, Y_k = L(|k><l|) is
+    Y_k[i, j] = K[i, k] delta_jl + delta_ik conj(K[j, l]) + sum r a[i, k] conj(b[j, l]); as
+    L(X^dag) = L(X)^dag, the images are (Y_k + Y_k^dag)/sqrt2 for k < l, Y_l and
+    i(Y_k^dag - Y_k)/sqrt2 for k > l, and their Hermitian coordinates the block's columns."""
+    d, terms = model.dim, _terms(model)
+    kk = -1j * model.hamiltonian
+    for a, b, rate in terms:
+        kk = kk + (-0.5 * rate) * (b.conj().T @ a)
+    pairs = [(a.T, rate * b.conj()) for a, b, rate in terms]
+    out = np.empty((d * d, d * d))
+    for l in range(d):
+        y = np.zeros((d, d, d), dtype=complex)     # y[k] = Y_k
+        y[:, :, l] = kk.T
+        y.reshape(d * d, d)[::d + 1] += kk[:, l].conj()      # the rows y[k, k, :]
+        for a_t, rate_b in pairs:
+            y += a_t[:, :, None] * rate_b[:, l]
+        y_dag = y.conj().swapaxes(1, 2)
+        y[:l] += y_dag[:l]
+        y[:l] *= _SQRT_HALF
+        np.multiply(y_dag[l + 1:] - y[l + 1:], 1j * _SQRT_HALF, out=y[l + 1:])
+        out[:, l * d:(l + 1) * d] = hermitian_coords(y).T
+    return out
 
 
 def apply_superop(superop, rho) -> np.ndarray:
@@ -182,7 +221,7 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
         raise LindbladError(f"dimension {model.dim} exceeds integration cap "
                             f"{INTEGRATE_DIM_CAP} (80 d^4 bytes against {GENERATOR_BYTES})")
     rho0 = _typed(DensityOperator, rho0, LindbladError, model.dim)
-    t_grid, coords = propagate(real_superop(build(model)), t_grid,
+    t_grid, coords = propagate(real_generator(model), t_grid,
                                hermitian_coords(rho0.matrix), LindbladError)
     ms = np.array([from_hermitian_coords(x) for x in coords[1:]]).reshape(-1, rho0.dim, rho0.dim)
     tr = np.trace(ms, axis1=1, axis2=2).real
@@ -222,7 +261,7 @@ def steady_state(model: LindbladModel) -> DensityOperator:
     cut (`core._spectral_weights`).  It must leave a residual of at most
     1e-8 in the max-norm of its real coordinates, which bounds that of vec.
     """
-    gen = real_superop(build(model))
+    gen = real_generator(model)
     d = model.dim
     x = bordered_solve(gen, np.arange(d) * (d + 1))
     if x is None:
@@ -254,7 +293,7 @@ def gap(model: LindbladModel) -> float:
 def spectrum(model: LindbladModel) -> np.ndarray:
     """All d^2 eigenvalues of the generator, from real LAPACK `dgeev` on its
     real form."""
-    return np.linalg.eigvals(real_superop(build(model)))
+    return np.linalg.eigvals(real_generator(model))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from entroprod import core, resource as rs
+from entroprod import core, lindblad as lb, resource as rs
 from entroprod.core import (
     CoreError,
     DensityOperator,
@@ -537,7 +537,7 @@ def test_superop_terms_match_kron_formulas():
         core.add_sided_term(np.zeros((d * d, d * d), dtype=complex).T, left, right)
 
 
-def test_hermitian_coords_roundtrip_and_real_superop():
+def test_hermitian_coords_roundtrip_and_real_generator():
     rng = np.random.default_rng(11)
     for d in (1, 2, 3, 5):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -551,17 +551,15 @@ def test_hermitian_coords_roundtrip_and_real_superop():
         t = np.stack([core.vec(core.from_hermitian_coords(e)) for e in eye], axis=1)
         assert np.abs(t.conj().T @ t - eye).max() < 1e-15
         assert np.abs(t @ x - core.vec(a)).max() < 1e-15
+        # a stack of matrices reads as each matrix alone
+        assert np.array_equal(core.hermitian_coords(np.stack([a, 2 * a])), np.stack([x, 2 * x]))
         h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        superop = -1j * (np.kron(np.eye(d), h + h.conj().T)
-                         - np.kron((h + h.conj().T).T, np.eye(d)))
-        core.add_lindblad_term(superop, op, op, 0.7)
-        expected = t.conj().T @ superop @ t
-        real = core.real_superop(superop)
+        model = lb.LindbladModel(h + h.conj().T, ((op, 0.7),))
+        expected = t.conj().T @ lb.build(model) @ t
+        real = lb.real_generator(model)
         assert real.dtype == float
         assert np.abs(real - expected).max() < 1e-13 * max(1.0, np.abs(expected).max())
-    with pytest.raises(CoreError):
-        core.real_superop(np.zeros((4, 4)))
 
 
 def test_json_roundtrip():

@@ -394,6 +394,15 @@ CASES = {
     "episodes.mean_force_hamiltonian stack of H_tot": (
         lambda: eps.mean_force_hamiltonian(np.stack([np.eye(4)] * 4), (2, 2), 1.0, H2),
         eps.EpisodeError, "expected a square matrix, got shape (4, 4, 4)"),
+    "episodes.is_strict_energy_conserving stack of H_S": (
+        lambda: eps.is_strict_energy_conserving(np.eye(4), np.stack([H2.matrix] * 2), H2),
+        eps.EpisodeError, "expected a square matrix, got shape (2, 2, 2)"),
+    "episodes.is_strict_energy_conserving stack of U": (
+        lambda: eps.is_strict_energy_conserving(np.stack([np.eye(4)] * 4), H2, H2),
+        eps.EpisodeError, "expected a square matrix, got shape (4, 4, 4)"),
+    "episodes.is_strict_energy_conserving stack of H_S of U's size": (
+        lambda: eps.is_strict_energy_conserving(np.eye(8), np.stack([H2.matrix] * 4), H2),
+        eps.EpisodeError, "expected a square matrix, got shape (4, 2, 2)"),
     "episodes.blp_witness more times than states": (
         lambda: eps.blp_witness([0.0, 1.0, 2.0, 3.0], [RHO2] * 3, [MIXED2] * 3),
         eps.EpisodeError, "3 and 3 states for 4 times"),
@@ -710,6 +719,9 @@ NUMBERS = {
     "core.HermitianOperator.from_matrix booleans": (
         lambda: HermitianOperator.from_matrix([[True, False], [False, True]]), core.CoreError,
         "matrix entries must be numbers, got [[True, False], [False, True]]"),
+    "core.HermitianOperator.from_matrix booleans among numbers": (
+        lambda: HermitianOperator.from_matrix([[1.0, True], (True, 0.0)]), core.CoreError,
+        "matrix entries must be numbers, got [[1.0, True], (True, 0.0)]"),
     "core.thermal_state string Hamiltonian": (
         lambda: thermal_state([["1", "0"], ["0", "2"]], 1.0), core.CoreError,
         "matrix entries must be numbers, got [['1', '0'], ['0', '2']]"),

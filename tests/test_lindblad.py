@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ def test_steady_state_spectrum_gap_match_complex_eig():
         assert np.abs(vals[rows] - new[cols]).max() < 1e-10 * scale
         old_gap = np.min(-np.real(vals[np.abs(vals) > 1e-8 * scale]))
         assert abs(lb.gap(model) - old_gap) < 1e-10 * old_gap
+
+
+def test_solves_hold_the_real_form_and_not_the_complex_generator():
+    # the real form (8 d^4 bytes) is built without the complex generator (16 d^4), and the
+    # bordered solve takes its norm without an |B| temporary; holding the complex generator
+    # beside the real form would take 24 d^4 traced bytes
+    d = 24
+    model = lb.kerr_model(-2.0, 1.0, 0.8, 0.5, fock_cut=d)
+    lb.steady_state(model)     # scipy's LAPACK wrappers imported before the tracing
+    for solve, bound in ((lb.gap, 16), (lb.steady_state, 20)):
+        tracemalloc.start()
+        try:
+            solve(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * d ** 4, solve.__name__
 
 
 def test_steady_state_decomposes_its_candidate_once(monkeypatch, count_spectral):

@@ -1080,3 +1080,29 @@ def test_entropy_production_splits_into_two_nonnegative_parts(draw):
     assert sigma >= non_adiabatic - tol and non_adiabatic >= -tol
     if balanced:
         assert abs(sigma - non_adiabatic) <= tol
+
+
+lindblad_models = st.fixed_dictionaries({
+    "dim": st.integers(2, 4),
+    "rates": st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@PROPERTY
+@given(lindblad_models)
+def test_real_generator_is_the_rotated_complex_generator(draw):
+    # the real form built from the model, one column block at a time, is T^dag L T of the
+    # complex generator, T the Hermitian basis read column by column from its coordinates
+    d = draw["dim"]
+    rng = np.random.default_rng(draw["seed"])
+
+    def cmat(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h, g = cmat(d, d), cmat(2, 2)
+    model = lb.LindbladModel(h + h.conj().T, tuple((cmat(d, d), r) for r in draw["rates"]),
+                             ((cmat(d, d), cmat(d, d)), g + g.conj().T))
+    t = np.stack([core.vec(core.from_hermitian_coords(e)) for e in np.eye(d * d)], axis=1)
+    real = lb.real_generator(model)
+    assert np.abs(real - (t.conj().T @ lb.build(model) @ t).real).max() <= (
+        1e-15 * np.abs(real).max())
