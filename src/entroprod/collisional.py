@@ -23,7 +23,7 @@ entry from the Kraus operators sqrt(q_nu) <mu|U|nu> (`core.ancilla_kraus`)
 with the system unitary folded in (`_stroke_channel`).  `run` steps the
 states by these channels, a block of cycle starts at a time by the powers
 of the cycle channel (`_chain`), and makes the strokes whose ancillas
-share a size the rows of one `episodes.EpisodeStack` (stroke n takes
+share their factor dims the rows of one `episodes.EpisodeStack` (stroke n takes
 alphabet entry n mod L), whose joint states, rho_n' and balances are
 those of every other product-state unitary episode.
 `preferred_basis` reads the same states and their spectra.  A limit
@@ -45,7 +45,6 @@ from .core import (
     DensityOperator,
     DensityRows,
     HermitianOperator,
-    HilbertDims,
     UnitaryOperator,
     _check_beta,
     _check_size,
@@ -59,6 +58,7 @@ from .core import (
     _integer,
     _operator_fields,
     _petz_renyi,
+    _prepended,
     _ptrace_matrix,
     _read_only,
     _real,
@@ -243,8 +243,8 @@ def _stroke_channel(unitary, rho_ancilla, after=None, before=None) -> np.ndarray
 
 def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> DensityRows:
     """rho_0 .. rho_n by the stroke channels, vec(rho_{n+1}) = M_k vec(rho_n), k = n mod L, as
-    one row form of rho_0's dims: rho_0's one-row stack (its kept spectrum) joined to rho_1 ..
-    rho_n validated as one (`_density_stack`).  The states are made by doubling a block: the m
+    one row form of rho_0's dims: rho_0 by its kept spectrum joined to rho_1 .. rho_n validated
+    as one (`_density_stack`, `_prepended`).  The states are made by doubling a block: the m
     cycle starts rho_0, rho_L, .., rho_{(m-1)L} times C^m (C = `CollisionSpec._cycle`, one power
     held at a time) are the next m starts, and L - 1 steps by M_0 .. M_{L-2}, each on every start
     at once, fill in the letters: about log2(n/L) + L matrix products in place of n
@@ -265,8 +265,7 @@ def _chain(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int) -> Densit
     # the trace only to round-off, which the chain would carry from state to state.
     nexts = vecs[1:].reshape(n_strokes, ds, ds).transpose(0, 2, 1)
     nexts = nexts / np.trace(nexts, axis1=1, axis2=2)[:, None, None]
-    stack = zip(_density_stack((rho0,)), _density_stack(nexts))
-    return DensityRows(*_read_only(*map(np.concatenate, stack)), rho0.dims)
+    return _prepended(rho0, _density_stack(nexts))
 
 
 def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
@@ -275,48 +274,39 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
     `StrokeRecords`, an array per field.  Each reads as a sequence whose rows are made when
     read: indexing and iteration give `DensityOperator`s and `StrokeRecord`s.
 
-    The states are stepped by the stroke channels (`_chain`, by powers of the
-    cycle channel), and stroke n takes alphabet entry n mod L.  The strokes
-    whose ancillas share a size are the rows of one `EpisodeStack`, validating
-    nothing again: rho_n are the chain's (matrices, weights, eigenvectors), H_S,
-    H_A, U and rho_A the rows of their entries, and S and A one factor each, so
-    each partial trace is one trace.  Its evolution gives every rho_n' and its
-    balance every Q_A, W_onoff, Sigma and dS_S.  Each kind of spectrum (rho_n,
-    rho_n', rho_A') is one stacked `core._eigh`, in closed form for qubits from
-    30 strokes on.  dH_S is read off the chain, so the first-law residual is a
-    check, not an identity.
-    Tier-2 sigma is reported when the ancilla carries a (checked) beta; tier-3 when in
-    addition the stroke unitary is strictly energy conserving; the verdict
-    and the Gibbs state are evaluated once per alphabet entry and kept on the spec.
-    """
+    The states are stepped by the stroke channels (`_chain`, by powers of the cycle channel),
+    and stroke n takes alphabet entry n mod L.  The strokes whose ancillas share their factor
+    dims are the rows of one `EpisodeStack`, validating nothing again: rho_n are rows of the
+    chain's `DensityRows`, H_S, H_A, U and rho_A the rows of their entries.  Its evolution
+    gives every rho_n' and its balance every Q_A, W_onoff, Sigma and dS_S.  Each kind of
+    spectrum (rho_n, rho_n', rho_A') is one stacked `core._eigh`, in closed form for qubits
+    from 30 strokes on.  dH_S is read off the chain, so the first-law residual is a check.
+    Tier-2 sigma is reported when the ancilla carries a (checked) beta; tier-3 when in addition
+    the stroke unitary is strictly energy conserving; the verdict and the Gibbs state are
+    evaluated once per alphabet entry and kept on the spec."""
     n_strokes = _integer(n_strokes, CollisionalError, "n_strokes", low=1)
     states = _chain(spec, rho0, n_strokes)
-    chain = states.matrices, states.weights, states.vectors
     alphabet, h_sys = spec.alphabet, np.stack([h.matrix for h in spec.h_system])
     letters = np.arange(n_strokes) % len(alphabet)
-    size = np.array([s.rho.dim for s in alphabet])[letters]
     betas = np.array([math.nan if s.beta is None else s.beta for s in alphabet])
     columns = np.full((len(StrokeRecord.__dataclass_fields__), n_strokes), math.nan)
-    for dim in np.unique(size):
-        rows = np.flatnonzero(size == dim)
-        letter, before = letters[rows], tuple(x[rows] for x in chain)
+    for dims in dict.fromkeys(alphabet[k].rho.dims for k in letters[:len(alphabet)]):
+        rows = np.flatnonzero(np.array([s.rho.dims == dims for s in alphabet])[letters])
+        letter, before = letters[rows], states._take(rows)
         entries = np.unique(letter)
         local = np.searchsorted(entries, letter)
         h_a, u = (np.stack([getattr(alphabet[k], name).matrix for k in entries])[local]
                   for name in ("hamiltonian", "unitary"))
-        rho_a = tuple(x[local] for x in _density_stack([alphabet[k].rho for k in entries]))
-        stack = EpisodeStack(h_sys[letter], h_a, u, before, rho_a,
-                             HilbertDims((spec.dim_system,)), HilbertDims((dim,)))
+        rho_a = _density_stack([alphabet[k].rho for k in entries])._take(local)
+        stack = EpisodeStack(h_sys[letter], h_a, u, before, rho_a)
         mid, bal = stack.evolved[1], stack.balance
-        e_now = _trace_rows(stack.h_system, before[0])
-        e_mid = _trace_rows(stack.h_system, mid[0])
-        e_next = _trace_rows(h_sys[(letter + 1) % len(alphabet)], chain[0][rows + 1])
+        e_now, e_mid = (_trace_rows(stack.h_system, x.matrices) for x in (before, mid))
+        e_next = _trace_rows(h_sys[(letter + 1) % len(alphabet)], states.matrices[rows + 1])
         sigma_f = np.full(len(rows), math.nan)
         for k in entries:
             if spec._fixed_points[k] is not None:
                 at = letter == k
-                sigma_f[at] = fixed_point_sigma_rows(tuple(x[at] for x in before[1:]),
-                                                     tuple(x[at] for x in mid[1:]),
+                sigma_f[at] = fixed_point_sigma_rows(*(x._take(at).eig() for x in (before, mid)),
                                                      spec._fixed_points[k])
         dh, w_u = e_next - e_now, e_next - e_mid
         columns[:, rows] = (bal.heat_env, dh, bal.work, w_u, bal.sigma,

@@ -132,11 +132,12 @@ def _frozen_stack(matrices, error=CoreError, dim=None) -> np.ndarray:
     """Read-only complex copy of one square matrix or stack (..., d, d) of numbers (`_numbers`),
     or operators, of size `dim` when given (`_check_size`), else `error`; a ragged list is
     named by its first entry not of the shape of entry 0 (or of dim x dim), as a row when
-    entry 0 is a row of numbers (the list is one matrix).  An operator's own matrix, frozen
-    when it was made, is returned as it is; a list is made an array once."""
-    if isinstance(matrices, _Operator):
-        _check_size(matrices.dim, dim, error)
-        return matrices.matrix
+    entry 0 is a row of numbers (the list is one matrix).  The matrices of an operator or a
+    `DensityRows`, frozen when made, are returned as they are; a list is made an array once."""
+    if isinstance(matrices, (_Operator, DensityRows)):
+        m = matrices.matrix if isinstance(matrices, _Operator) else matrices.matrices
+        _check_size(m.shape[-1], dim, error)
+        return m
     if isinstance(matrices, (list, tuple)):
         matrices = [x.matrix if isinstance(x, _Operator) else x for x in matrices]
     try:
@@ -271,29 +272,40 @@ def _ascending(weights, vecs):
                       vecs[rows[..., None], np.arange(order.shape[-1])[:, None], order[:, None, :]])
 
 
-def _density_stack(states, error=CoreError, dim=None):
-    """The one reader of a stack of states: (matrices, weights, eigenvectors), read-only, (n, d, d).
-    `DensityOperator`s of one size (`dim` when given) are read by the spectra they keep, neither
-    decomposed nor checked again (one by views); anything else by `_frozen_stack` and
-    `_density_spectra` (one stacked `eigh`), both with `error` (naming a state of another size)."""
-    if isinstance(states, (list, tuple)) and states and all(
+def _density_stack(states, error=CoreError, dim=None, dims=None) -> DensityRows:
+    """The one reader of a stack of states, a `DensityRows` of the factor dims of `_stack_dims`.
+    A `DensityRows`, or `DensityOperator`s of one size (`dim` when given), by the spectra they
+    keep (one state by views), neither decomposed nor checked again; anything else by
+    `_frozen_stack` and `_density_spectra` (one stacked `eigh`), both with `error`."""
+    if isinstance(states, DensityRows):
+        arrays = (_frozen_stack(states, error, dim),) + states.eig()
+    elif isinstance(states, (list, tuple)) and states and all(
             isinstance(s, DensityOperator) and s.dim == (dim or states[0].dim) for s in states):
         kept = [(s.matrix,) + s.eig() for s in states]
-        return (tuple(x[None] for x in kept[0]) if len(kept) == 1
-                else _read_only(*map(np.array, zip(*kept))))
-    ms = _frozen_stack(states, error, dim)
-    if ms.ndim != 3:
-        raise error(f"expected (n, d, d) stacks of states, got shape {ms.shape}")
-    return (ms,) + _density_spectra(ms, error)
+        arrays = (tuple(x[None] for x in kept[0]) if len(kept) == 1
+                  else _read_only(*map(np.array, zip(*kept))))
+    else:
+        ms = _frozen_stack(states, error, dim)
+        if ms.ndim != 3:
+            raise error(f"expected (n, d, d) stacks of states, got shape {ms.shape}")
+        arrays = (ms,) + _density_spectra(ms, error)
+    return DensityRows(*arrays, _stack_dims(states, arrays[0].shape[-1], error, dims))
 
 
 def _stack_dims(states, size, error=CoreError, dims=None) -> HilbertDims:
-    """A stack's factor dims (the one rule): those its operators and `dims` share, else 1 factor."""
+    """A stack's factor dims (one rule): those its operators or rows and `dims` share, else 1."""
+    ops = states if isinstance(states, (list, tuple)) else [states]
     every = list(dict.fromkeys(([] if dims is None else [_as_dims(dims, size, error)])
-                               + [s.dims for s in states if isinstance(s, _Operator)]))
+                               + [s.dims for s in ops if isinstance(s, (_Operator, DensityRows))]))
     if len(every) > 1:
         raise error(f"factor dims {every[0].factors} and {every[1].factors} in one stack")
     return every[0] if every else HilbertDims((size,))
+
+
+def _prepended(rho0, rows) -> DensityRows:
+    """rho0, by the spectrum it keeps, as row 0 before the `DensityRows` rows, of rho0's dims."""
+    pairs = zip((rho0.matrix,) + rho0.eig(), (rows.matrices,) + rows.eig())
+    return DensityRows(*_read_only(*(np.concatenate((a[None], b)) for a, b in pairs)), rho0.dims)
 
 
 def _fail_first(bad, values, message, error=CoreError):
@@ -363,7 +375,7 @@ class DensityOperator(_Operator):
     Validation (`_density_spectra`) takes one `eigh` of the matrix; its
     eigenvalues (round-off zeroed) and eigenvectors are kept read-only (not in the repr).
     `from_stack` validates a whole stack of states by one stacked `eigh` through the same
-    checks, and each state keeps its slice of that decomposition.  A state made from its
+    checks, as one `DensityRows` whose rows keep their slices of it.  A state made from its
     known spectrum (`_exact_spectra`) is never decomposed, nor when it enters a stack
     (`_density_stack`).  Equality is identity: states hold arrays.
     """
@@ -379,14 +391,11 @@ class DensityOperator(_Operator):
         object.__setattr__(self, "_eig", _density_spectra(m))
 
     @classmethod
-    def from_stack(cls, matrices, dims=None) -> tuple:
-        """The states of an (n, d, d) stack by one stacked `_eigh` (`_density_stack`), each `eig()`
-        its slice, the same bits as validating it alone unless the stack takes the closed form
-        (then within round-off of it); bare matrices take the factor dims
-        `dims`, states keep their own, which `dims` may not contradict (`_stack_dims`)."""
-        stack = _density_stack(matrices)
-        return tuple(DensityRows(*stack, _stack_dims(matrices, stack[0].shape[-1], CoreError,
-                                                     dims)))
+    def from_stack(cls, matrices, dims=None) -> DensityRows:
+        """The states of an (n, d, d) stack as one `DensityRows` (`_density_stack`): bare matrices
+        by one stacked `_eigh` (each row as validated alone, or within round-off of it in the
+        closed form), of the factor dims `dims`, which states' own dims must match."""
+        return _density_stack(matrices, CoreError, None, dims)
 
     @classmethod
     def _validated(cls, spectra, dims=None):
@@ -429,12 +438,15 @@ class _RowForm(Sequence):
             return [self._row(i) for i in range(*k.indices(len(self)))]
         return self._row(operator.index(k))
 
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
 
 @dataclass(frozen=True, eq=False)
 class DensityRows(_RowForm):
     """States as one validated, read-only (matrices, weights, eigenvectors) stack, all of the
-    factor dims `dims`: a row form whose rows are `DensityOperator`s (`_validated`, views keeping
-    their spectra)."""
+    factor dims `dims`: the package's one form of several states, taken by every stack reader.
+    A row form whose rows are `DensityOperator`s (`_validated`, views keeping their spectra)."""
 
     matrices: np.ndarray
     weights: np.ndarray
@@ -447,6 +459,12 @@ class DensityRows(_RowForm):
     def _row(self, k) -> DensityOperator:
         return DensityOperator._validated((self.matrices[k], self.weights[k], self.vectors[k]),
                                           self.dims)
+
+    def eig(self):
+        return self.weights, self.vectors
+
+    def _take(self, rows) -> DensityRows:
+        return DensityRows(self.matrices[rows], self.weights[rows], self.vectors[rows], self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1056,14 +1074,14 @@ def _check_beta(beta, error, positive=False, rows=None):
 def thermal_state(hamiltonian, beta: float) -> DensityOperator:
     """Gibbs state e^{-beta H}/Z (`_gibbs_states`) of H's dims; a bare H is read by `_hermitian`,
     of one factor.  Of an (n, d, d) stack of H and beta shared or one per row: n states, from
-    one stacked `eigh`, of the factor dims the `HermitianOperator` rows share (`_stack_dims`)."""
+    one stacked `eigh`, a `DensityRows` of the factor dims its `HermitianOperator` rows share."""
     h = _hermitian(hamiltonian)
     if h.ndim > 3:
         raise CoreError(f"expected one Hamiltonian or an (n, d, d) stack, got shape {h.shape}")
     b = _check_beta(beta, CoreError, rows=h.shape[:-2])
     spectra = _exact_spectra(*_gibbs_states(h, b)[:3])
     return (DensityOperator._validated(spectra, getattr(hamiltonian, "dims", None)) if h.ndim == 2
-            else tuple(DensityRows(*spectra, _stack_dims(hamiltonian, h.shape[-1]))))
+            else DensityRows(*spectra, _stack_dims(hamiltonian, h.shape[-1])))
 
 
 def trace_distance(rho1, rho2) -> float:

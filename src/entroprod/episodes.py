@@ -34,6 +34,7 @@ import numpy as np
 
 from .core import (
     DensityOperator,
+    DensityRows,
     HermitianOperator,
     HilbertDims,
     UnitaryOperator,
@@ -60,7 +61,6 @@ from .core import (
     _shared_or_rows,
     _spectral_weights,
     _spectrum,
-    _stack_dims,
     _times,
     _trace_distance_rows,
     _trace_rows,
@@ -161,98 +161,86 @@ class Episode:
 
     @cached_property
     def stack(self) -> EpisodeStack:
-        rows = [(rho,) for rho in (self.rho_system, self.rho_env)]
-        return EpisodeStack(self.h_system.matrix[None], self.h_env.matrix[None],
-                            self.unitary.matrix[None], *map(_density_stack, rows),
-                            *(_stack_dims(r, r[0].dim) for r in rows))
+        return EpisodeStack(*(op.matrix[None] for op in (self.h_system, self.h_env, self.unitary)),
+                            *(_density_stack((rho,)) for rho in (self.rho_system, self.rho_env)))
 
     @cached_property
     def _evolved(self) -> EvolvedStates:
-        dims = (self.dims, self.rho_system.dims, self.rho_env.dims)
-        return EvolvedStates(*(DensityOperator._validated([x[0] for x in s], d)
-                               for s, d in zip(self.stack.evolved, dims)))
+        return EvolvedStates(*(rows[0] for rows in self.stack.evolved))
 
 
 @dataclass(frozen=True, eq=False)
 class EpisodeStack:
-    """N episodes of one shape: H_S, H_E and U as (N, d, d) stacks, rho_S
-    and rho_E as the (matrices, weights, eigenvectors) stacks of
-    `core._density_stack`, the one reader of a stack of states.
+    """N episodes of one shape: H_S, H_E and U as (N, d, d) stacks, rho_S and rho_E as
+    `core.DensityRows` (`core._density_stack`, the one reader of a stack of states).
 
-    `of` validates each operator kind once for the whole stack; an
-    episode's own one-row stack (`Episode.stack`) reuses its validation.
-    rho_SE' is made from its product spectrum and never decomposed; only
-    rho_S' and rho_E' are.  The evolution (`evolved`), the entropies of the
-    five states (`entropies`), the information balance (`balance`), the
-    marginals of rho_E and rho_E' on sets of E factors (`env_marginal`),
-    their distances from Gibbs states, the initial weights
-    (`initial_weights`) and the transition probabilities per final basis
-    (`transitions`) are made on first use and kept.  The row forms `thermal_balance_rows`,
-    `multibath_balance_rows`, `landauer_rows` and
-    `trajectories.backward_ensemble_rows` take a stack.
+    `of` validates each operator kind once for the whole stack; an episode's own one-row stack
+    (`Episode.stack`) reuses its validation.  rho_SE' is made from its product spectrum and never
+    decomposed; only rho_S' and rho_E' are.  The evolution (`evolved`), the entropies of the five
+    states (`entropies`), the information balance (`balance`), the marginals of rho_E and rho_E'
+    on sets of E factors (`env_marginal`), their distances from Gibbs states, the initial weights
+    (`initial_weights`) and the transition probabilities per final basis (`transitions`) are made
+    on first use and kept.  The row forms `thermal_balance_rows`, `multibath_balance_rows`,
+    `landauer_rows` and `trajectories.backward_ensemble_rows` take a stack.
     """
 
     h_system: np.ndarray
     h_env: np.ndarray
     unitary: np.ndarray
-    rho_system: tuple
-    rho_env: tuple
-    system_dims: HilbertDims
-    env_dims: HilbertDims
+    rho_system: DensityRows
+    rho_env: DensityRows
 
     @classmethod
     def of(cls, h_system, h_env, unitary, rho_system, rho_env) -> "EpisodeStack":
         """A validated stack from (N, d, d) arrays: the Hamiltonians and the unitaries by the
         stacked checks of `HermitianOperator` and `UnitaryOperator` at the sizes of the states,
-        the states by `_density_stack` and `_stack_dims`, so N `DensityOperator`s keep their
+        the states by `_density_stack`, so N `DensityOperator`s or a `DensityRows` keep their
         spectra and their factor dims (one factor for a bare array)."""
         rs, re = _density_stack(rho_system, EpisodeError), _density_stack(rho_env, EpisodeError)
-        ds, de = rs[0].shape[-1], re[0].shape[-1]
+        ds, de = rs.matrices.shape[-1], re.matrices.shape[-1]
         hs, he = _hermitian(h_system, EpisodeError, ds), _hermitian(h_env, EpisodeError, de)
         u = _unitary(unitary, EpisodeError, ds * de)
-        if len({m.shape[:-2] for m in (hs, he, u, rs[0], re[0])}) != 1:
+        if len({m.shape[:-2] for m in (hs, he, u, rs.matrices, re.matrices)}) != 1:
             raise EpisodeError("every operator kind needs one (N, d, d) stack of equal N")
-        return cls(hs, he, u, rs, re, _stack_dims(rho_system, ds, EpisodeError),
-                   _stack_dims(rho_env, de, EpisodeError))
+        return cls(hs, he, u, rs, re)
 
     def __len__(self):
         return len(self.unitary)
 
     @property
     def dims(self) -> HilbertDims:
-        return self.system_dims.concat(self.env_dims)
+        return self.rho_system.dims.concat(self.rho_env.dims)
 
     @cached_property
     def evolved(self) -> tuple:
-        """rho_SE' = U (rho_S x rho_E) U^dag of every row and its marginals
-        rho_S' and rho_E', each as (matrices, weights, eigenvectors).  rho_SE'
-        is made from its product spectrum, never decomposed: the weights
-        p_n q_nu (`initial_weights`) on the columns U (V_S x V_E), sorted by
-        `core._ascending`, the one copy of those columns.  One stacked
-        conjugation and partial trace, and one stacked `eigh` per marginal."""
-        u, ns, factors = self.unitary, len(self.system_dims), self.dims.factors
-        joint = u @ tensor([self.rho_system[0], self.rho_env[0]]) @ u.conj().swapaxes(-1, -2)
+        """rho_SE' = U (rho_S x rho_E) U^dag of every row and its marginals rho_S' and rho_E',
+        each a `DensityRows` of its factor dims.  rho_SE' is made from its product spectrum,
+        never decomposed: the weights p_n q_nu (`initial_weights`) on the columns U (V_S x V_E),
+        sorted by `core._ascending`, the one copy of those columns.  One stacked conjugation and
+        partial trace, and one stacked `eigh` per marginal."""
+        u, rs, re, dims = self.unitary, self.rho_system, self.rho_env, self.dims
+        joint = u @ tensor([rs.matrices, re.matrices]) @ u.conj().swapaxes(-1, -2)
         joint.setflags(write=False)
         spectrum = _ascending(self.initial_weights.reshape(len(self), -1),
-                              u @ tensor([self.rho_system[2], self.rho_env[2]]))
-        parts = (_ptrace_matrix(joint, factors, keep)
-                 for keep in (range(ns), range(ns, len(factors))))
-        return ((joint,) + spectrum, *map(_density_stack, parts))
+                              u @ tensor([rs.vectors, re.vectors]))
+        joint, ns = DensityRows(joint, *spectrum, dims), len(rs.dims)
+        return joint, _marginal(joint, range(ns)), _marginal(joint, range(ns, len(dims)))
 
     @cached_property
     def entropies(self) -> tuple:
         """S(rho_S), S(rho_E), S(rho_S'), S(rho_E') and S(rho_SE') of every
         row, in that order."""
         states = (self.rho_system, self.rho_env, self.evolved[1], self.evolved[2], self.evolved[0])
-        return tuple(_entropy_rows(weights) for _, weights, _ in states)
+        return tuple(_entropy_rows(rows.weights) for rows in states)
 
     @cached_property
     def balance(self) -> EntropyBalance:
         """The information balance of every row, one array per field, from
         the kept entropies.  S(rho_SE') is S(rho_S) + S(rho_E) by construction
         (`evolved`): unitarity is checked once, where U enters (`core._unitary`)."""
-        (m_env0, q, qv), (m_before, _, _) = self.rho_env, self.rho_system
-        _, (m_after, _, _), (m_env, p_env, v_env) = self.evolved
+        (_, after, env), env0 = self.evolved, self.rho_env
+        m_env0, m_env, (q, qv), (p_env, v_env) = env0.matrices, env.matrices, env0.eig(), env.eig()
+        m_before, m_after = self.rho_system.matrices, after.matrices
         s_before, s_env0, s_sys, s_env, s_joint = self.entropies
         mi = s_sys + s_env - s_joint
         d_env = _petz_renyi(1.0, p_env, q, qv.conj().swapaxes(-1, -2) @ v_env)
@@ -267,7 +255,7 @@ class EpisodeStack:
     @cached_property
     def initial_weights(self) -> np.ndarray:
         """p_n q_nu of every row on [row, n, nu], the weights of rho_S and rho_E."""
-        return self.rho_system[1][..., :, None] * self.rho_env[1][..., None, :]
+        return self.rho_system.weights[..., :, None] * self.rho_env.weights[..., None, :]
 
     def transitions(self, final_system: bool, final_env: bool) -> np.ndarray:
         """|<m mu|U|n nu>|^2 of every row on the grid [row, m, mu, n, nu]:
@@ -284,17 +272,14 @@ class EpisodeStack:
     def _transitions(self) -> dict:
         return {}
 
-    def env_marginal(self, factors, after: bool = False) -> tuple:
-        """The marginal of every rho_E (rho_E' when `after`) on the E factors
-        `factors`, as (matrices, weights, eigenvectors): one stacked partial
-        trace and `eigh`, kept per factor set.  On all E factors it is
-        `rho_env` (`evolved[2]`) itself."""
-        keep = tuple(sorted(set(factors)))
-        known = self._env_marginals
+    def env_marginal(self, factors, after: bool = False) -> DensityRows:
+        """The marginal of every rho_E (rho_E' when `after`) on the E factors `factors`, as a
+        `DensityRows` of their dims: one stacked partial trace and `eigh`, kept per factor set.
+        On all E factors it is `rho_env` (`evolved[2]`) itself."""
+        keep, known = tuple(sorted(set(factors))), self._env_marginals
         if (keep, after) not in known:
             whole = self.evolved[2] if after else self.rho_env
-            known[keep, after] = whole if len(keep) == len(self.env_dims) else _density_stack(
-                _ptrace_matrix(whole[0], self.env_dims.factors, keep))
+            known[keep, after] = whole if len(keep) == len(whole.dims) else _marginal(whole, keep)
         return known[keep, after]
 
     @cached_property
@@ -308,15 +293,21 @@ class EpisodeStack:
         return {}
 
 
+def _marginal(rows: DensityRows, keep) -> DensityRows:
+    """The marginals of `rows` on the factors `keep`, of their dims: one stacked partial trace."""
+    return _density_stack(_ptrace_matrix(rows.matrices, rows.dims.factors, keep),
+                          dims=rows.dims.subdims(keep))
+
+
 def _transition_tensor(stack: EpisodeStack, final_system: bool, final_env: bool):
     """`EpisodeStack.transitions` of one final basis, read against the columns U (V_S x V_E)
     that `evolved` keeps sorted, put back in (n, nu) order by the inverse permutation."""
-    basis_s = (stack.evolved[1] if final_system else stack.rho_system)[2]
-    basis_e = (stack.evolved[2] if final_env else stack.rho_env)[2]
+    basis_s = (stack.evolved[1] if final_system else stack.rho_system).vectors
+    basis_e = (stack.evolved[2] if final_env else stack.rho_env).vectors
     final = tensor([basis_s, basis_e]).conj().swapaxes(-1, -2)
     ds, de = basis_s.shape[-1], basis_e.shape[-1]
     order = np.argsort(np.argsort(stack.initial_weights.reshape(len(stack), -1), kind="stable"))
-    columns = np.take_along_axis(stack.evolved[0][2], order[:, None, :], -1)
+    columns = np.take_along_axis(stack.evolved[0].vectors, order[:, None, :], -1)
     return (np.abs(final @ columns) ** 2).reshape(-1, ds, de, ds, de)
 
 
@@ -427,7 +418,7 @@ def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, message):
     known = stack._gibbs_distance
     key = (tuple(sorted(set(factors))), h.tobytes(), beta.tobytes())
     if key not in known:
-        known[key] = _thermality(stack.env_marginal(factors)[0], h, beta)
+        known[key] = _thermality(stack.env_marginal(factors).matrices, h, beta)
     far, dist, levels = known[key]
     _require_rows(far, lambda k: message(beta[k], dist[k]))
     return beta, levels
@@ -436,7 +427,7 @@ def _require_gibbs_rows(stack: EpisodeStack, factors, h, beta, message):
 def _require_thermal_rows(stack: EpisodeStack, beta):
     """beta per row and the levels of every H_E, once every rho_E is within
     THERMALITY_TOL of the Gibbs state of its H_E."""
-    return _require_gibbs_rows(stack, range(len(stack.env_dims)), stack.h_env, beta,
+    return _require_gibbs_rows(stack, range(len(stack.rho_env.dims)), stack.h_env, beta,
                                lambda b, d: f"environment is not thermal at beta={b} "
                                             f"(trace distance {d:.3e})")
 
@@ -459,7 +450,7 @@ def thermal_balance_rows(stack: EpisodeStack, beta):
     base = stack.balance
     d_free = None
     if (beta > 0).all():
-        h, m0, m1 = stack.h_system, stack.rho_system[0], stack.evolved[1][0]
+        h, m0, m1 = stack.h_system, stack.rho_system.matrices, stack.evolved[1].matrices
         s0, _, s1, _, _ = stack.entropies
         d_free = (_trace_rows(h, m1) - s1 / beta) - (_trace_rows(h, m0) - s0 / beta)
     # flux = Sigma - dS_S, as in `multibath_balance_rows`: one bath over all
@@ -496,14 +487,14 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
     and its kept Gibbs check, so one part over all of E takes no
     decomposition after `thermal_balance_rows` of the same bath."""
     parts = list(parts)
-    factors = stack.env_dims.factors
+    factors = stack.rho_env.dims.factors
     covered = sorted(i for p in parts for i in p.env_factors)
     if covered != list(range(len(factors))):
         raise EpisodeError(f"bath partition {covered} must cover all "
                            f"{len(factors)} E factors")
     # validate the product-of-thermals structure
-    hams = [_hermitian(p.hamiltonian, EpisodeError, stack.env_dims.subdims(p.env_factors).total)
-            for p in parts]
+    hams = [_hermitian(p.hamiltonian, EpisodeError,
+                       stack.rho_env.dims.subdims(p.env_factors).total) for p in parts]
     betas = [_require_gibbs_rows(stack, p.env_factors, h, p.beta, lambda b, _:
                                  f"bath part {p.env_factors} is not thermal at beta={b}")[0]
              for p, h in zip(parts, hams)]
@@ -511,9 +502,9 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
         # the product of the part marginals, in the order of the parts, against
         # rho_E with its factors taken in that order
         order = [i for p in parts for i in sorted(p.env_factors)]
-        rho_env = stack.rho_env[0].reshape((-1,) + factors * 2).transpose(
+        rho_env = stack.rho_env.matrices.reshape((-1,) + factors * 2).transpose(
             [0] + [1 + i for i in order] + [1 + len(factors) + i for i in order])
-        product = tensor([stack.env_marginal(p.env_factors)[0] for p in parts])
+        product = tensor([stack.env_marginal(p.env_factors).matrices for p in parts])
         _require_rows(_trace_distance_rows(product, rho_env.reshape(product.shape))
                       > PRODUCT_TOL,
                       lambda k: "environment state is not a product over the bath parts")
@@ -522,9 +513,9 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
     s_sys, s_env, s_joint = (stack.entropies[k] for k in (2, 3, 4))
     heats, displacement_sum, marg_entropy_sum = [], 0.0, 0.0
     for p, h in zip(parts, hams):
-        (m, q, qv), (m_after, p_after, v_after) = (stack.env_marginal(p.env_factors, after)
-                                                   for after in (False, True))
-        heats.append(_trace_rows(h, m_after) - _trace_rows(h, m))
+        before, after = (stack.env_marginal(p.env_factors, a) for a in (False, True))
+        (q, qv), (p_after, v_after) = before.eig(), after.eig()
+        heats.append(_trace_rows(h, after.matrices) - _trace_rows(h, before.matrices))
         if len(p.env_factors) == len(factors):    # all of E: the balance's own terms
             displacement_sum += base.env_displacement
             marg_entropy_sum += s_env
@@ -823,10 +814,9 @@ def environment_response_operator(ep: Episode) -> np.ndarray:
 
 def _response_rows(stack: EpisodeStack) -> np.ndarray:
     """`environment_response_operator` of every row of a stack."""
-    u, ns = stack.unitary, len(stack.system_dims)
-    big = u.conj().swapaxes(-1, -2) @ tensor([np.eye(stack.system_dims.total),
-                                              stack.rho_env[0]]) @ u
-    return _ptrace_matrix(big, stack.dims.factors, range(ns))
+    u, ds = stack.unitary, stack.rho_system.dims
+    big = u.conj().swapaxes(-1, -2) @ tensor([np.eye(ds.total), stack.rho_env.matrices]) @ u
+    return _ptrace_matrix(big, stack.dims.factors, range(len(ds)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -858,11 +848,11 @@ def landauer_rows(stack: EpisodeStack, beta) -> LandauerReport:
     erasure = ds < 0
     finite, capacity = np.full((2, len(stack)), np.nan)
     finite[erasure] = finite_dimension_bound(ds[erasure], temperature[erasure],
-                                             stack.env_dims.total)
+                                             stack.rho_env.dims.total)
     # the kept levels may be one Hamiltonian's (`_require_gibbs_rows`)
     capacity[erasure], _ = _gibbs_erasure_rows(ds[erasure], temperature[erasure],
                                                levels if levels.ndim == 1 else levels[erasure])
-    expo = _trace_rows(_response_rows(stack), stack.rho_system[0])
+    expo = _trace_rows(_response_rows(stack), stack.rho_system.matrices)
     bounds = {"basic": -temperature * ds, "finite_dim": finite,
               "heat_capacity": capacity, "exponential": -temperature * np.log(expo)}
     return LandauerReport(q, ds, *bounds.values(),
@@ -1050,14 +1040,14 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
     times, states, lams = _trajectory(trajectory, ("t", "rho_SE", "lambda"), EpisodeError)
     h = _hermitian([h_total_of(lam) for lam in lams], EpisodeError)
     factors = _as_dims(dims, h.shape[-1], EpisodeError).factors
-    m, p, pv = _density_stack(states, EpisodeError, h.shape[-1])
+    rho = _density_stack(states, EpisodeError, h.shape[-1])
     h_mf, (q, qv), (qs, qsv) = _mean_force(h, factors, beta, h_env)
-    rho_s = _ptrace_matrix(m, factors, [0])
+    rho_s = _ptrace_matrix(rho.matrices, factors, [0])
     ps, psv = _density_spectra(rho_s, EpisodeError)
     f_neq = _trace_rows(h_mf, rho_s) - _entropy_rows(ps) / beta
-    delta_s = (_petz_renyi(1.0, p, q, qv.conj().swapaxes(-1, -2) @ pv)
+    delta_s = (_petz_renyi(1.0, rho.weights, q, qv.conj().swapaxes(-1, -2) @ rho.vectors)
                - _petz_renyi(1.0, ps, qs, qsv.conj().swapaxes(-1, -2) @ psv))
-    energy = _trace_rows(h, m)
+    energy = _trace_rows(h, rho.matrices)
     return {
         "times": times,
         "sigma_work_route": beta * ((energy - energy[0]) - (f_neq - f_neq[0])),
@@ -1072,8 +1062,8 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
 def _state_lists(n, first, second, dim=None):
     """Two lists of n states, one per time point, as stacks of one size (`_density_stack`,
     each a state), else EpisodeError."""
-    a = _density_stack(first, EpisodeError, dim)[0]
-    b = _density_stack(second, EpisodeError, a.shape[-1])[0]
+    a = _density_stack(first, EpisodeError, dim).matrices
+    b = _density_stack(second, EpisodeError, a.shape[-1]).matrices
     if not len(a) == len(b) == n:
         raise EpisodeError(f"{len(a)} and {len(b)} states for {n} times")
     return a, b

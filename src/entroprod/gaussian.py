@@ -37,6 +37,8 @@ from .core import (
     propagate,
     relative_entropy,
     tensor,
+    unvec,
+    vec,
     von_neumann_entropy,
 )
 from .lindblad import destroy
@@ -159,11 +161,11 @@ def _lyapunov_solve(a, d) -> np.ndarray:
 def integrate_lyapunov(model: GaussianModel, state: GaussianState, t_grid):
     """States on a finite, nondecreasing time grid of dx/dt = -A x + noise,
     dTheta/dt = -(A Theta + Theta A^T) + 2D, exact at every step: the vector
-    (mean, vec Theta, 1) is carried by the exponential of its generator
-    [[-A, 0, 0], [0, -(1 x A + A x 1), vec 2D], [0, 0, 0]] (`core.propagate`).
+    (mean, vec Theta, 1), Theta read and written by `core.vec`/`unvec`, is carried by the
+    exponential of its generator [[-A, 0, 0], [0, -(1 x A + A x 1), vec 2D], [0, 0, 0]]
+    (`core.propagate`), the same matrix in row-major stacking, which swaps its two terms.
     Unlike Van Loan's block form this has no growing block: it is bounded
-    for stable A at any step length, and exact for unstable A too.
-    """
+    for stable A at any step length, and exact for unstable A too."""
     a = model.drift
     n = a.shape[0]
     if len(state.mean) != n:
@@ -171,11 +173,11 @@ def integrate_lyapunov(model: GaussianModel, state: GaussianState, t_grid):
     gen = np.zeros((n + n * n + 1,) * 2)
     gen[:n, :n] = -a
     gen[n:-1, n:-1] = -(np.kron(np.eye(n), a) + np.kron(a, np.eye(n)))
-    gen[n:-1, -1] = 2.0 * model.diffusion.ravel()
-    x0 = np.concatenate([state.mean, state.cov.ravel(), [1.0]])
+    gen[n:-1, -1] = 2.0 * vec(model.diffusion)
+    x0 = np.concatenate([state.mean, vec(state.cov), [1.0]])
     states = [state]
     for x in propagate(gen, t_grid, x0, GaussianError)[1][1:]:
-        cov = x[n:-1].reshape(n, n)
+        cov = unvec(x[n:-1])
         states.append(GaussianState(x[:n], 0.5 * (cov + cov.T), quantum=state.quantum))
     return states
 

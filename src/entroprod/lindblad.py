@@ -47,6 +47,7 @@ from .core import (
     _log_of,
     _numbers,
     _petz_renyi,
+    _prepended,
     _real,
     _spectral_weights,
     _trace_rows,
@@ -199,24 +200,22 @@ def trace_preservation_residual(superop) -> float:
 @dataclass(frozen=True, eq=False)
 class IntegrationResult:
     times: np.ndarray
-    states: tuple
+    states: DensityRows
     trace_drift: float
     positivity_drift: float
 
 
 def integrate(model: LindbladModel, rho0: DensityOperator,
               t_grid) -> IntegrationResult:
-    """States on a finite, nondecreasing time grid from the exact
-    propagator of the real-form generator (`core.propagate`) applied to the
-    Hermitian coordinates of rho0.  Each state is renormalized to unit
-    trace; the largest |tr - 1| before that is the trace drift.  The states
-    are validated as one stack (`core._density_stack`), so an eigenvalue
-    below -EIG_FLOOR is an error naming its time; the most negative
-    eigenvalue, as v^dag rho v on that stack's eigenvectors, is the
-    positivity drift.  Both drifts are round-off only.  d is capped at
-    INTEGRATE_DIM_CAP = 60 before anything is allocated: generator and
-    exponential take 80 d^4 bytes.
-    """
+    """States on a finite, nondecreasing time grid, as one `DensityRows` of rho0's dims (rho0 its
+    row 0, by its kept spectrum: `core._prepended`), from the exact propagator of the real-form
+    generator (`core.propagate`) applied to the Hermitian coordinates of rho0.  Each state is
+    renormalized to unit trace; the largest |tr - 1| before that is the trace drift.  The
+    states are validated as one stack (`core._density_stack`), so an eigenvalue below
+    -EIG_FLOOR is an error naming its time; the most negative eigenvalue, as v^dag rho v on
+    that stack's eigenvectors, is the positivity drift.  Both drifts are round-off only.  d is
+    capped at INTEGRATE_DIM_CAP = 60 before anything is allocated: generator and exponential
+    take 80 d^4 bytes."""
     if model.dim > INTEGRATE_DIM_CAP:
         raise LindbladError(f"dimension {model.dim} exceeds integration cap "
                             f"{INTEGRATE_DIM_CAP} (80 d^4 bytes against {GENERATOR_BYTES})")
@@ -236,9 +235,9 @@ def integrate(model: LindbladModel, rho0: DensityOperator,
             except CoreError as exc:
                 raise LindbladError(f"state at t = {t:g}: {exc}") from None
         raise
-    low = np.diagonal(stack[2].conj().swapaxes(1, 2) @ ms @ stack[2], axis1=1, axis2=2).real
+    low = np.diagonal(stack.vectors.conj().swapaxes(1, 2) @ ms @ stack.vectors, 0, 1, 2).real
     drifts = float(np.abs(tr - 1.0).max(initial=0.0)), max(0.0, -float(low.min(initial=0.0)))
-    return IntegrationResult(t_grid, (rho0,) + tuple(DensityRows(*stack, rho0.dims)), *drifts)
+    return IntegrationResult(t_grid, _prepended(rho0, stack), *drifts)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,8 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
     """
     beta = _check_beta(beta, LindbladError)
     times, states = _trajectory(trajectory, ("t", "rho"), LindbladError, least=2)
-    rho, p, v = _density_stack(states, LindbladError)
+    stack = _density_stack(states, LindbladError)
+    rho, (p, v) = stack.matrices, stack.eig()
     models = [model_of_t(t) for t in times.tolist()]
     for t, model in zip(times.tolist(), models):
         if not isinstance(model, LindbladModel) or model.dim != len(rho[0]):

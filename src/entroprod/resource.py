@@ -478,10 +478,10 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     per state kind and one `core._petz_renyi` over every order of every row; the
     report's fields carry the row axis (`WorkBoundsReport.row` gives one quench)."""
     hf = _hermitian(h_final, ResourceError)
-    rho, p, pv = _density_stack(rho_final, ResourceError, hf.shape[-1])
-    if rho.shape != hf.shape:
+    rho = _density_stack(rho_final, ResourceError, hf.shape[-1])
+    if rho.matrices.shape != hf.shape:
         raise ResourceError(f"expected (n, d, d) stacks of one shape, got {hf.shape} "
-                            f"and {rho.shape}")
+                            f"and {rho.matrices.shape}")
     rows = (len(hf),)
     beta = _check_beta(beta, ResourceError, positive=True, rows=rows)
     mean_work, delta_f_eq = (_real(x, ResourceError, name, rows=rows) for x, name in
@@ -494,8 +494,8 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     if not (alpha >= 0.0).all():
         raise ResourceError("eta beyond beta: negative Renyi order")
     _, q, qv, _ = _gibbs_states(hf, beta)
-    div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1), p[:, None],
-                      q[:, None], (qv.conj().swapaxes(-1, -2) @ pv)[:, None])
+    div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1), rho.weights[:, None],
+                      q[:, None], (qv.conj().swapaxes(-1, -2) @ rho.vectors)[:, None])
     phi = -(eta / b) * div[:, :-2] - eta * delta_f_eq[..., None]
     w_irr = (mean_work - delta_f_eq) * ones[:, 0]
     w_ext, w_form = div[:, -2] / beta, div[:, -1] / beta

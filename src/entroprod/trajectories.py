@@ -246,20 +246,19 @@ def backward_ensemble_rows(stack: EpisodeStack, choice: BackwardChoice) -> PathE
     probabilities are the stack's, kept per final basis
     (`EpisodeStack.transitions`): CORRELATIONS_DESTROYED and
     POST_MEASUREMENT_STATE read one tensor."""
-    ds, de = stack.system_dims.total, stack.env_dims.total
+    ds, de = stack.rho_system.dims.total, stack.rho_env.dims.total
     if ds * de > ENSEMBLE_DIM_CAP:
         raise TrajectoryError(f"joint dimension {ds * de} exceeds the "
                               f"exhaustive cap {ENSEMBLE_DIM_CAP}")
-    (joint, _, _), (_, ps_fin, vs_fin), (_, qe_fin, ve_fin) = stack.evolved
-    initial = stack.initial_weights
+    (joint, after, env), initial = stack.evolved, stack.initial_weights
 
     if choice is BackwardChoice.BATH_RESET:
-        final, ref = (True, False), _outer(ps_fin, stack.rho_env[1])
+        final, ref = (True, False), _outer(after.weights, stack.rho_env.weights)
     elif choice is BackwardChoice.CORRELATIONS_DESTROYED:
-        final, ref = (True, True), _outer(ps_fin, qe_fin)
+        final, ref = (True, True), _outer(after.weights, env.weights)
     elif choice is BackwardChoice.POST_MEASUREMENT_STATE:
-        final = (True, True)
-        ref = np.maximum(populations(joint, tensor([vs_fin, ve_fin])), 0.0).reshape(-1, ds, de)
+        final, basis = (True, True), tensor([after.vectors, env.vectors])
+        ref = np.maximum(populations(joint, basis), 0.0).reshape(-1, ds, de)
     elif choice is BackwardChoice.BOTH_RESET:
         final, ref = (False, False), initial
     else:

@@ -129,14 +129,14 @@ def ft_table_suite(n_episodes=25):
     """Exhaustive trajectory averages against the four backward choices."""
     rng = np.random.default_rng(101)
     stack, _ = _qubit_stack(rng, n_episodes, thermal_env=False)
-    bal, ((joint, p_joint, _), (_, p_after, v_after), (_, _, v_env)) = stack.balance, stack.evolved
-    _, p_before, v_before = stack.rho_system
-    dephased = tj.populations(joint, tensor([v_after, v_env]))
+    bal, (joint, after, env) = stack.balance, stack.evolved
+    (p_after, v_after), (p_before, v_before) = after.eig(), stack.rho_system.eig()
+    dephased = tj.populations(joint, tensor([v_after, env.vectors]))
     targets = {
         tj.BackwardChoice.BATH_RESET: bal.sigma,
         tj.BackwardChoice.CORRELATIONS_DESTROYED: bal.mutual_info,
         tj.BackwardChoice.POST_MEASUREMENT_STATE:
-            _entropy_rows(np.maximum(dephased, 0.0)) - _entropy_rows(p_joint),
+            _entropy_rows(np.maximum(dephased, 0.0)) - _entropy_rows(joint.weights),
         tj.BackwardChoice.BOTH_RESET: bal.mutual_info + _petz_renyi(
             1.0, p_after, p_before, v_before.conj().swapaxes(-1, -2) @ v_after)
             + bal.env_displacement,
@@ -171,7 +171,7 @@ def route_equality_suite(n_episodes=25):
     v = haar_unitaries(ginibre(rng, (2, 2)))
     ops = _exchange_stack(omega, g, v, density_matrices(ginibre(rng, (n_episodes, 2, 2))), beta)
     bal, tb = stack.balance, eps.thermal_balance_rows(stack, beta)
-    fp = eps.fixed_point_sigma_rows(ops.rho_system[1:], ops.evolved[1][1:], ops.rho_env[1:])
+    fp = eps.fixed_point_sigma_rows(ops.rho_system.eig(), ops.evolved[1].eig(), ops.rho_env.eig())
     # a qubit against two thermal qubits at their own beta: H_S, H_1, H_2 with X, Y and Z
     # parts and a Haar U on 8 dims; rho_E = g_1 x g_2, the Gibbs state of
     # beta_1 H_1 x 1 + beta_2 1 x H_2 at beta = 1, keeps that spectrum and takes the dims

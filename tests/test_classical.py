@@ -269,6 +269,18 @@ def test_fcs_tur_two_and_three_level():
             assert ok
 
 
+def test_tur_without_reservoirs_reads_the_schnakenberg_rate():
+    # a bare generator has no reservoir parts, so the TUR takes Sigma from
+    # Schnakenberg's edge sum; each edge of this ring belongs to one bath, so
+    # that is the multibath Sigma of the same ring with its parts attached
+    driven = driven_three_state_ring(0.5, 2.0)
+    lhs, rhs, ok = cl.tur_check(cl.RateMatrix(driven.w), [(0, 1, None)])
+    assert ok and lhs >= rhs
+    lhs_parts, rhs_parts, _ = cl.tur_check(driven, [(0, 1, 0)])
+    assert lhs == pytest.approx(lhs_parts, rel=1e-12)
+    assert rhs == pytest.approx(rhs_parts, rel=1e-12)
+
+
 def test_onsager_quadratic_form():
     value, psd = cl.onsager_sigma(np.array([[2.0, 0.5], [0.5, 1.0]]), [0.0, 0.0])
     assert value == 0.0 and psd

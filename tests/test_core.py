@@ -414,12 +414,13 @@ def test_a_stack_of_states_is_read_by_the_spectra_they_keep(monkeypatch, count_s
     bare = core._density_stack(np.stack([s.matrix for s in states]))
     assert len(calls) == 1
     monkeypatch.undo()
-    assert all(np.shares_memory(x, y) for x, y in zip(one, (states[0].matrix,) + states[0].eig()))
+    assert all(np.shares_memory(x, y) for x, y in zip((one.matrices,) + one.eig(),
+                                                      (states[0].matrix,) + states[0].eig()))
     for k, state in enumerate(states):
-        for kept, own in zip(three, (state.matrix,) + state.eig()):
+        for kept, own in zip((three.matrices,) + three.eig(), (state.matrix,) + state.eig()):
             assert np.array_equal(kept[k], own) and not kept.flags.writeable
-    assert three[1][2, 0] == math.exp(-700.0) / (1.0 + math.exp(-700.0)) > 0.0
-    assert bare[1][2, 0] == 0.0                 # eigensolver output: cut
+    assert three.weights[2, 0] == math.exp(-700.0) / (1.0 + math.exp(-700.0)) > 0.0
+    assert bare.weights[2, 0] == 0.0                 # eigensolver output: cut
     mixed = [states[0], DensityOperator.maximally_mixed(3)]
     with pytest.raises(CoreError, match=r"matrix 1 of the stack: shape \(3, 3\), expected \(2"):
         core._density_stack(mixed)

@@ -143,8 +143,8 @@ def test_a_stack_reads_the_factor_dims_of_its_states():
     rho_e = [thermal_state(HermitianOperator.from_matrix(h_e, (2, 2)), b) for b in betas]
     u, rho_s = random_unitary(8, RNG).matrix, random_density(2, RNG)
     stack = eps.EpisodeStack.of([h1, h1], [h_e, h_e], [u, u], [rho_s, rho_s], rho_e)
-    assert stack.system_dims.factors == (2,) and stack.env_dims.factors == (2, 2)
-    marginal = stack.env_marginal([0])[0]
+    assert stack.rho_system.dims.factors == (2,) and stack.rho_env.dims.factors == (2, 2)
+    marginal = stack.env_marginal([0]).matrices
     assert marginal.shape == (2, 2, 2)
     assert np.allclose(marginal, [core.partial_trace(r, [0]).matrix for r in rho_e], atol=1e-15)
     parts = [eps.BathPart((0,), h1, betas), eps.BathPart((1,), h2, betas)]

@@ -779,6 +779,12 @@ NUMBERS = {
     "lindblad.squeezed_dissipator_from_moments boolean m_eff": (
         lambda: lb.squeezed_dissipator_from_moments(0.5, 0.2, True, fock_cut=4),
         lb.LindbladError, "m_eff must be one finite complex number, got True"),
+    "lindblad.squeezed_dissipator_from_moments NaN m_eff": (
+        lambda: lb.squeezed_dissipator_from_moments(0.5, 0.2, np.nan, fock_cut=4),
+        lb.LindbladError, "m_eff must be one finite complex number, got nan"),
+    "lindblad.squeezed_dissipator_from_moments array m_eff": (
+        lambda: lb.squeezed_dissipator_from_moments(0.5, 0.2, np.array([0.1, 0.1]), fock_cut=4),
+        lb.LindbladError, "m_eff must be one finite complex number, got array"),
     "lindblad.squeezed_dissipator_from_moments string n_eff": (
         lambda: lb.squeezed_dissipator_from_moments(0.5, "1", 0.1, fock_cut=4),
         lb.LindbladError, "n_eff must be finite and >= 0, got '1'"),

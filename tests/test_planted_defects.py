@@ -109,8 +109,8 @@ def flipped_flux(monkeypatch):
 def system_weights_twice(monkeypatch):
     # rho_SE' made with the weights p_n p_n in place of p_n q_nu
     evolved = mutant(eps.EpisodeStack.evolved.func, "self.initial_weights.reshape(",
-                     "(self.rho_system[1][..., :, None] * self.rho_system[1][..., None, :])"
-                     ".reshape(")
+                     "(self.rho_system.weights[..., :, None]"
+                     " * self.rho_system.weights[..., None, :]).reshape(")
     evolved.__set_name__(eps.EpisodeStack, "evolved")
     monkeypatch.setattr(eps.EpisodeStack, "evolved", evolved)
 
@@ -141,7 +141,7 @@ def transposed_trace(monkeypatch):
 
 def inverse_conjugation(monkeypatch):
     # rho_SE' = U^dag (rho_S x rho_E) U in place of U (rho_S x rho_E) U^dag
-    product = "tensor([self.rho_system[0], self.rho_env[0]])"
+    product = "tensor([rs.matrices, re.matrices])"
     evolved = mutant(eps.EpisodeStack.evolved.func, f"u @ {product} @ u.conj().swapaxes(-1, -2)",
                      f"u.conj().swapaxes(-1, -2) @ {product} @ u")
     evolved.__set_name__(eps.EpisodeStack, "evolved")

@@ -543,7 +543,7 @@ def test_row_forms_are_the_one_episode_calls(draw):
                     assert np.array_equal(rows[name][k], value[0], equal_nan=True), name
     gibbs = DensityOperator.from_stack(
         [thermal_state(ep.h_system, b).matrix for ep, b in zip(episodes, betas)])
-    fixed = eps.fixed_point_sigma_rows(stack.rho_system[1:], stack.evolved[1][1:],
+    fixed = eps.fixed_point_sigma_rows(stack.rho_system.eig(), stack.evolved[1].eig(),
                                        (np.array([g.eig()[0] for g in gibbs]),
                                         np.array([g.eig()[1] for g in gibbs])))
     assert np.array_equal(fixed, [eps.fixed_point_sigma(ep.rho_system, eps.evolve(ep).rho_system, g)
@@ -825,9 +825,10 @@ def test_trace_rows_is_the_trace_of_the_product(pair):
 def head_backward_ensemble(stack, choice):
     """The ensemble by one fresh transition build per call, each choice
     from its own final basis: (p_forward, p_backward, sigma)."""
-    ds, de = stack.system_dims.total, stack.env_dims.total
-    (joint, _, _), (_, ps_fin, vs_fin), (_, qe_fin, ve_fin) = stack.evolved
-    (_, p_init, vs_init), (_, q_init, ve_init) = stack.rho_system, stack.rho_env
+    ds, de = stack.rho_system.dims.total, stack.rho_env.dims.total
+    joint, (ps_fin, vs_fin), (qe_fin, ve_fin) = (stack.evolved[0].matrices,
+                                                 *(rows.eig() for rows in stack.evolved[1:]))
+    (p_init, vs_init), (q_init, ve_init) = stack.rho_system.eig(), stack.rho_env.eig()
     outer = lambda a, b: a[..., :, None] * b[..., None, :]
     basis_s, basis_e, ref = {
         tj.BackwardChoice.BATH_RESET: (vs_fin, ve_init, outer(ps_fin, q_init)),
