@@ -14,15 +14,20 @@ The module also carries full counting statistics with a tilted generator,
 Onsager quadratic forms, the two-temperature single-flip Ising lattice and
 a 1-d Fokker-Planck solver with a flux-exact discretization.
 
-The Ising generators are dense 2^N x 2^N arrays, so the lattice is capped
-at 12 sites: each such array is then 128 MiB, and building and validating
-one holds about seven of them at once.
+A rate matrix keeps its generator as a dense array and its reservoir parts
+as rates on a shared edge list (`ReservoirEdges`).  The Ising generator is
+2^N x 2^N with N 2^N flip rates per part, so the lattice is capped at 12
+sites, where the dense array is 128 MiB.  Measured with tracemalloc at
+N = 9 and 10, building and validating one peaks at 1.4 and 1.3 times that
+array, and the stationary solve at 2.1 and 2.0 times it, the array and
+LAPACK's LU copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,26 +46,30 @@ class ClassicalError(ValueError):
 # Rate matrices
 # ---------------------------------------------------------------------------
 
+class ReservoirEdges(NamedTuple):
+    """Reservoir parts on one shared list of distinct off-diagonal transitions
+    in row-major order: part k moves j[e] -> i[e] at rate rates[k, e], and
+    its diagonal is minus its column sums."""
+
+    i: np.ndarray
+    j: np.ndarray
+    rates: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
     """Generator W (columns sum to zero) with an optional per-reservoir
-    decomposition sum_alpha W^alpha = W."""
+    decomposition sum_alpha W^alpha = W, kept as `ReservoirEdges`; dense
+    parts are accepted and read onto their edges once."""
 
     w: np.ndarray
-    reservoirs: tuple | None = None
+    reservoirs: ReservoirEdges | None = None
 
     def __post_init__(self):
         w = _check_generator(self.w, "rate matrix")
         object.__setattr__(self, "w", w)
         if self.reservoirs is not None:
-            parts = tuple(_check_generator(p, f"reservoir part {k}", w.shape)
-                          for k, p in enumerate(self.reservoirs))
-            rest = w.copy()
-            for part in parts:
-                rest -= part
-            if max(rest.max(), -rest.min()) > 1e-9 * max(1.0, w.max(), -w.min()):
-                raise ClassicalError("reservoir parts do not sum to the full generator")
-            object.__setattr__(self, "reservoirs", parts)
+            object.__setattr__(self, "reservoirs", _checked_parts(w, self.reservoirs))
 
     @classmethod
     def from_offdiagonal(cls, rates, reservoirs=None):
@@ -68,6 +77,73 @@ class RateMatrix:
         parts = None if reservoirs is None else tuple(
             _fill_diagonal(_real_array(p, ClassicalError, "rates").copy()) for p in reservoirs)
         return cls(_fill_diagonal(_real_array(rates, ClassicalError, "rates").copy()), parts)
+
+    @classmethod
+    def from_edges(cls, n_states, i, j, rates):
+        """Build from reservoir parts on edges (`ReservoirEdges`): W is their
+        sum on each edge and minus the parts' column sums on the diagonal."""
+        n = _integer(n_states, ClassicalError, "n_states", low=1)
+        edges = _edges(n, i, j, rates)
+        w = np.zeros((n, n))
+        w[edges.i, edges.j] = edges.rates.sum(axis=0)
+        np.fill_diagonal(w, -sum(np.bincount(edges.j, r, n) for r in edges.rates))
+        return cls(w, edges)
+
+
+def _edges(n, i, j, rates):
+    """(i, j, rates) as the `ReservoirEdges` of an n-state generator, sorted to
+    row-major order; else ClassicalError: i and j integer arrays of distinct
+    transitions between two of the n states, and one rate per part and edge,
+    finite and >= -1e-12 (`_real`)."""
+    i, j = np.asarray(i), np.asarray(j)
+    rates = np.asarray(_real(rates, ClassicalError, "edge rates", low=-1e-12))
+    if not (rates.ndim == 2 and i.shape == j.shape == rates.shape[1:]
+            and i.dtype.kind in "iu" and j.dtype.kind in "iu"):
+        raise ClassicalError("edges must be integer arrays i, j with one rate per part and "
+                             f"edge, got shapes {i.shape}, {j.shape} and {rates.shape}")
+    order = np.argsort(i * n + j, kind="stable")
+    if not ((i >= 0) & (i < n) & (j >= 0) & (j < n) & (i != j)).all() \
+            or (np.diff((i * n + j)[order]) == 0).any():
+        raise ClassicalError(f"edges must be distinct transitions between two of the {n} states")
+    return ReservoirEdges(i[order], j[order], rates[:, order])
+
+
+def _on_edges(parts, shape):
+    """Dense generator parts as `ReservoirEdges` on the union of their nonzero
+    off-diagonal rates."""
+    live = np.zeros(shape, dtype=bool)
+    for part in parts:
+        live |= part != 0.0
+    np.fill_diagonal(live, False)
+    i, j = np.nonzero(live)
+    rates = np.array([part[i, j] for part in parts]).reshape(len(parts), i.size)
+    return ReservoirEdges(i, j, rates)
+
+
+def _checked_parts(w, parts):
+    """The reservoir parts of w as `ReservoirEdges`, dense parts each passing
+    `_check_generator`; they must sum to w entry by entry within 1e-9 of its
+    largest rate, with w read but never copied: no rate of w above that where
+    no part has one, and the parts' sum on each edge and on the diagonal."""
+    n = w.shape[0]
+    if isinstance(parts, ReservoirEdges):
+        edges = _edges(n, *parts)
+        diagonals = [-np.bincount(edges.j, r, n) for r in edges.rates]
+    else:
+        parts = [_check_generator(p, f"reservoir part {k}", w.shape) for k, p in enumerate(parts)]
+        edges, diagonals = _on_edges(parts, w.shape), [np.diag(p) for p in parts]
+    tol = 1e-9 * max(1.0, w.max(), -w.min())
+    rest = w[np.append(edges.i, range(n)), np.append(edges.j, range(n))]   # edges, diagonal
+    # off the edges the parts are 0, and w is at least -1e-12 > -tol there
+    off = np.count_nonzero(w > tol) - np.count_nonzero(rest > tol)
+    if off:
+        raise ClassicalError(f"rate matrix has rates above {tol:.1e} at {off} entries where "
+                             "no reservoir part has one")
+    for cut in np.hstack([edges.rates, np.reshape(diagonals, (-1, n))]):
+        rest -= cut
+    if np.abs(rest).max() > tol:
+        raise ClassicalError("reservoir parts do not sum to the full generator")
+    return edges
 
 
 def _check_generator(m, name, shape=None):
@@ -142,26 +218,30 @@ def stationary_distribution(rates: RateMatrix) -> np.ndarray:
 # Schnakenberg entropy production
 # ---------------------------------------------------------------------------
 
-def _edge_terms(w, p):
-    """Arrays (i, j, J_ij, X_ij) over the i < j edges of w, with the 0 ln 0
-    conventions: X = 0 when both flows vanish, +-inf when only one does."""
-    nonzero = w != 0.0
-    forward = np.triu(nonzero, 1)
-    one_way = forward != np.triu(nonzero.T, 1)
-    if one_way.any():
-        i, j = np.argwhere(one_way)[0]
+def _edge_terms(i, j, rate, p):
+    """Arrays (f, b, J, X) over the transitions j -> i with i < j and a nonzero
+    rate on the row-major edge list (i, j): f and b the positions of each one
+    and of its reverse, J = rate_f p_j - rate_b p_i and X = ln(rate_f p_j /
+    rate_b p_i), with the 0 ln 0 conventions: X = 0 when both flows vanish,
+    +-inf when only one does."""
+    n = len(p)
+    keys, live = i * n + j, rate != 0.0
+    b = np.searchsorted(keys, j * n + i).clip(max=keys.size - 1)
+    one_way = live & ~((keys[b] == j * n + i) & live[b])
+    for e in np.flatnonzero(one_way)[:1]:
         raise ClassicalError(
-            f"one-way transition between states {j} and {i}: "
+            f"one-way transition between states {j[e]} and {i[e]}: "
             "entropy production is ill-defined")
-    i, j = np.nonzero(forward)
-    x = w[i, j] * p[j]
-    y = w[j, i] * p[i]
+    f = np.flatnonzero(live & (i < j))
+    b = b[f]
+    x = rate[f] * p[j[f]]
+    y = rate[b] * p[i[f]]
     with np.errstate(divide="ignore", invalid="ignore"):
         forces = np.log(x / y)
     # no flow either way carries no force; a zero probability with
     # nonzero inflow keeps its divergent one
     forces[(x == 0.0) & (y == 0.0)] = 0.0
-    return i, j, x - y, forces
+    return f, b, x - y, forces
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,14 +257,14 @@ def schnakenberg(rates: RateMatrix, p) -> SchnakenbergRates:
     """Single-generator split: Sigma_rate = 1/2 sum J_ij X_ij >= 0 and the
     flux is linear in p; dS/dt = Sigma_rate - Phi_rate exactly."""
     p = _probabilities(rates, p)
-    w = rates.w
-    i, j, jj, xx = _edge_terms(w, p)
-    currents, forces = np.zeros((2,) + w.shape)
-    currents[i, j], forces[i, j] = jj, xx
+    i, j, (rate,) = _on_edges([rates.w], rates.w.shape)
+    f, b, jj, xx = _edge_terms(i, j, rate, p)
+    currents, forces = np.zeros((2,) + rates.w.shape)
+    currents[i[f], j[f]], forces[i[f], j[f]] = jj, xx
     currents, forces = currents - currents.T, forces - forces.T
     sigma = float(np.sum(jj * xx))
     finite = np.isfinite(xx)
-    flux = float(np.sum(jj[finite] * np.log(w[i, j] / w[j, i])[finite]))
+    flux = float(np.sum(jj[finite] * np.log(rate[f] / rate[b])[finite]))
     ds = sigma - flux if math.isfinite(sigma) else math.inf
     return SchnakenbergRates(sigma, flux, ds, currents, forces)
 
@@ -199,11 +279,13 @@ def multibath_sigma(rates: RateMatrix, p):
     if rates.reservoirs is None:
         raise ClassicalError("rate matrix carries no reservoir decomposition")
     p = _probabilities(rates, p)
+    i, j, parts = rates.reservoirs
     sigma_correct = 0.0
-    for part in rates.reservoirs:
-        _, _, jj, xx = _edge_terms(part, p)
+    for rate in parts:
+        _, _, jj, xx = _edge_terms(i, j, rate, p)
         sigma_correct += float(np.sum(jj * xx))
-    _, _, jj, xx = _edge_terms(rates.w, p)
+    i, j, (rate,) = _on_edges([rates.w], rates.w.shape)
+    _, _, jj, xx = _edge_terms(i, j, rate, p)
     return sigma_correct, float(np.sum(jj * xx))
 
 
@@ -235,19 +317,23 @@ def is_detailed_balanced(rates: RateMatrix, p_stationary) -> bool:
 # Full counting statistics
 # ---------------------------------------------------------------------------
 
-def _counted_parts(rates: RateMatrix, counted):
-    """Pairs (part, n) of each generator part and the net count n[i, j]
-    that its transition j -> i adds to the counted current; the tilted
-    generator is sum part * e^{n chi}."""
-    parts = (rates.w,) if rates.reservoirs is None else rates.reservoirs
-    counts = np.zeros((len(parts),) + rates.w.shape)
+def _counted_edges(rates: RateMatrix, counted):
+    """(edges, n): the `ReservoirEdges` of `rates` (of w alone without a
+    decomposition) and the net count n[k, e] that part k's transition
+    j[e] -> i[e] adds to the counted current."""
+    d = rates.w.shape[0]
+    edges = _on_edges([rates.w], rates.w.shape) if rates.reservoirs is None else rates.reservoirs
+    counts = np.zeros(edges.rates.shape)
     for i, j, alpha in counted:
         k = alpha if rates.reservoirs is not None else 0 if alpha is None else -1
-        if not (isinstance(k, int) and 0 <= k < len(parts)):
+        if not (isinstance(k, int) and 0 <= k < len(counts)):
             raise ClassicalError(f"unknown reservoir {alpha}")
-        counts[k, i, j] += 1.0
-        counts[k, j, i] -= 1.0
-    return list(zip(parts, counts))
+        i, j = (_integer(s, ClassicalError, "counted state", low=0) for s in (i, j))
+        if max(i, j) >= d:
+            raise ClassicalError(f"counted transition {j} -> {i} is not between the {d} states")
+        counts[k, (edges.i == i) & (edges.j == j)] += 1.0
+        counts[k, (edges.i == j) & (edges.j == i)] -= 1.0
+    return edges, counts
 
 
 def tilted_generator(rates: RateMatrix, counted, chi: float) -> np.ndarray:
@@ -259,14 +345,18 @@ def tilted_generator(rates: RateMatrix, counted, chi: float) -> np.ndarray:
     generator (only allowed when no decomposition is attached).  The
     dominant eigenvalue is the scaled cumulant generating function.
     """
-    return sum(part * np.exp(n * chi) for part, n in _counted_parts(rates, counted))
+    (i, j, parts), counts = _counted_edges(rates, counted)
+    tilted = rates.w.copy()
+    tilted[i, j] = sum(rate * np.exp(n * chi) for rate, n in zip(parts, counts))
+    return tilted
 
 
 def _current_cumulants(rates: RateMatrix, counted, p):
     """(J, lambda''(0)) of the counted current at the stationary p."""
-    pairs = _counted_parts(rates, counted)
-    w1 = sum(part * n for part, n in pairs)
-    w2 = sum(part * n * n for part, n in pairs)
+    edges, counts = _counted_edges(rates, counted)
+    w1, w2 = np.zeros((2,) + rates.w.shape)
+    w1[edges.i, edges.j] = (edges.rates * counts).sum(axis=0)
+    w2[edges.i, edges.j] = (edges.rates * counts * counts).sum(axis=0)
     j = float(np.sum(w1 @ p))
     x = bordered_solve(rates.w, slice(None), j * p - w1 @ p)
     if x is None:
@@ -332,8 +422,9 @@ def _flip_rates(n_sites, coupling, adjacency, beta, mu):
     s_(i+delta) + mu_i / 2)]}; bit i of the state index is spin i.  J is read by `_real`."""
     coupling = _real(coupling, ClassicalError, "coupling")
     if n_sites > 12:
-        raise ClassicalError("lattice cap is 12 sites: the dense 2^N x 2^N "
-                             "generator is 128 MiB at N = 12, 4 times that per added site")
+        raise ClassicalError("lattice cap is 12 sites: the dense 2^N x 2^N generator is "
+                             "128 MiB at N = 12, and its stationary solve holds two, 4 times "
+                             "that per added site")
     adjacency = [list(neigh) for neigh in adjacency]
     if len(adjacency) != n_sites:
         raise ClassicalError("adjacency list must cover every site")
@@ -342,23 +433,13 @@ def _flip_rates(n_sites, coupling, adjacency, beta, mu):
     return 0.5 * (1.0 - spins * np.tanh(beta * (coupling * local + mu / 2.0)))
 
 
-def _flip_generator(rates, sites):
-    """Dense generator of the single flips of `sites`, diagonal filled."""
-    d = rates.shape[0]
-    states = np.arange(d)[:, None]
-    sites = np.asarray(sites, dtype=int)
-    part = np.zeros((d, d))
-    part[states ^ (1 << sites), states] = rates[:, sites]
-    return _fill_diagonal(part)
-
-
-def _summed(parts) -> RateMatrix:
-    """The rate matrix of the reservoir parts, their sum made in place in one
-    copy of the first (each part is a dense 2^N x 2^N array)."""
-    w = parts[0].copy()
-    for part in parts[1:]:
-        w += part
-    return RateMatrix(w, parts)
+def _flip_matrix(parts) -> RateMatrix:
+    """The rate matrix of single spin flips, reservoir k flipping site b of
+    state s at rate parts[k][s, b], on the edges s -> s ^ 2^b."""
+    d, n_sites = parts[0].shape
+    j = np.repeat(np.arange(d), n_sites)
+    return RateMatrix.from_edges(d, j ^ np.tile(1 << np.arange(n_sites), d), j,
+                                 [part.ravel() for part in parts])
 
 
 def glauber_ising(n_sites: int, coupling: float, temperature, mu,
@@ -368,18 +449,15 @@ def glauber_ising(n_sites: int, coupling: float, temperature, mu,
     Rates w_i(s) = (1/2) {1 - s_i tanh[beta_i (J sum_delta s_(i+delta)
     + mu_i / 2)]}; sites sharing (T_i, mu_i) share a reservoir, giving the
     per-reservoir decomposition needed for the physical entropy production.
-    At most 12 sites: the generator and each reservoir part are dense
-    2^N x 2^N arrays.
+    At most 12 sites: the generator is a dense 2^N x 2^N array (each
+    reservoir part is its N 2^N flip rates on the generator's edges).
     """
     n_sites = _integer(n_sites, ClassicalError, "n_sites", low=1)
     temperature = _real(temperature, ClassicalError, "temperature", above=0.0, rows=(n_sites,))
     mu = _real(mu, ClassicalError, "mu", rows=(n_sites,))
     rates = _flip_rates(n_sites, coupling, adjacency, 1.0 / temperature, mu)
     keys = list(zip(temperature.tolist(), mu.tolist()))
-    parts = tuple(
-        _flip_generator(rates, [site for site, k in enumerate(keys) if k == key])
-        for key in sorted(set(keys)))
-    return _summed(parts)
+    return _flip_matrix([rates * [k == key for k in keys] for key in sorted(set(keys))])
 
 
 def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
@@ -396,11 +474,9 @@ def glauber_ising_competing(n_sites: int, coupling: float, temperature: float,
     """
     n_sites = _integer(n_sites, ClassicalError, "n_sites", low=1)
     temperature = _real(temperature, ClassicalError, "temperature", above=0.0)
-    parts = tuple(
-        _flip_generator(_flip_rates(n_sites, coupling, adjacency, 1.0 / temperature,
-                                    _real(mu, ClassicalError, name)), range(n_sites))
-        for mu, name in ((mu_a, "mu_a"), (mu_b, "mu_b")))
-    return _summed(parts)
+    return _flip_matrix([_flip_rates(n_sites, coupling, adjacency, 1.0 / temperature,
+                                     _real(mu, ClassicalError, name))
+                         for mu, name in ((mu_a, "mu_a"), (mu_b, "mu_b"))])
 
 
 def ring_adjacency(n_sites: int):

@@ -45,6 +45,7 @@ NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
 THERMAL_AB = DensityOperator.from_matrix(np.kron(RHO2.matrix, RHO2.matrix), (2, 2))
 W3 = np.array([[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]])   # symmetric 3-state
 RATES3 = cl.RateMatrix(W3, (W3 / 2, W3 / 2))
+W3_I, W3_J = np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1])    # W3's transitions j -> i
 MIXED3 = DensityOperator.maximally_mixed(3)
 
 
@@ -646,6 +647,30 @@ NUMBERS = {
     "classical.RateMatrix.from_offdiagonal string rates": (
         lambda: cl.RateMatrix.from_offdiagonal([["0", "1"], ["1", "0"]]), cl.ClassicalError,
         "rates must be real numbers, got [['0', '1'], ['1', '0']]"),
+    # reservoir parts on edges (W3's four transitions) meet the dense parts' rule: sum to w
+    # entry by entry within 1e-9 of its largest rate, and rates finite and >= -1e-12
+    "classical.RateMatrix edge parts do not sum": (
+        lambda: cl.RateMatrix(W3, cl.ReservoirEdges(W3_I, W3_J, [[0.5] * 4, [0.6, 0.5, 0.5, 0.5]])),
+        cl.ClassicalError, "reservoir parts do not sum to the full generator"),
+    "classical.RateMatrix rate off the part edges": (
+        lambda: cl.RateMatrix(W3, ([[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]],)),
+        cl.ClassicalError,
+        "rate matrix has rates above 2.0e-09 at 2 entries where no reservoir part has one"),
+    "classical.RateMatrix negative edge rate": (
+        lambda: cl.RateMatrix(W3, cl.ReservoirEdges(W3_I, W3_J, [[1.5] + [0.5] * 3,
+                                                                 [-0.5] + [0.5] * 3])),
+        cl.ClassicalError, "edge rates must be finite and >= -1e-12, got"),
+    "classical.RateMatrix edge rates without a part axis": (
+        lambda: cl.RateMatrix(W3, cl.ReservoirEdges(W3_I, W3_J, [1.0] * 4)), cl.ClassicalError,
+        "edges must be integer arrays i, j with one rate per part and edge, got shapes (4,), "
+        "(4,) and (4,)"),
+    "classical.RateMatrix edge index outside": (
+        lambda: cl.RateMatrix(W3, cl.ReservoirEdges(np.array([0, 3]), np.array([1, 0]),
+                                                    [[1.0, 1.0]])),
+        cl.ClassicalError, "edges must be distinct transitions between two of the 3 states"),
+    "classical.scaled_cumulants counted state outside": (
+        lambda: cl.scaled_cumulants(RATES3, [(0, 5, 0)]), cl.ClassicalError,
+        "counted transition 5 -> 0 is not between the 3 states"),
     "core.shannon_entropy strings": (
         lambda: core.shannon_entropy(["0.5", "0.5"]), core.CoreError,
         "probabilities must be real numbers, got ['0.5', '0.5']"),

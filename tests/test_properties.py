@@ -1,6 +1,7 @@
 """Property tests on generated inputs (hypothesis, derandomized, no example
 database): the invariants hold on drawn instances, not only on seeds."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -1081,6 +1082,84 @@ def test_entropy_production_splits_into_two_nonnegative_parts(draw):
     assert sigma >= non_adiabatic - tol and non_adiabatic >= -tol
     if balanced:
         assert abs(sigma - non_adiabatic) <= tol
+
+
+def _dense_schnakenberg(parts, p):
+    """The per-reservoir Schnakenberg sum as it was read from dense parts: the
+    i < j pairs of each part with a nonzero rate, one at a time (p > 0)."""
+    sigma = 0.0
+    for part in parts:
+        for i, j in zip(*np.nonzero(np.triu(part != 0.0, 1))):
+            x, y = part[i, j] * p[j], part[j, i] * p[i]
+            sigma += (x - y) * math.log(x / y)
+    return sigma
+
+
+def _dense_sum_rule(w, parts):
+    """The reservoir-sum rule as it was written for dense parts: w minus the
+    parts within 1e-9 of w's largest rate, entry by entry."""
+    rest = w.copy()
+    for part in parts:
+        rest -= part
+    return max(rest.max(), -rest.min()) <= 1e-9 * max(1.0, w.max(), -w.min())
+
+
+@PROPERTY
+@given(rate_matrices(), st.integers(0, 2**32 - 1))
+def test_edge_parts_are_the_dense_parts(draw, seed):
+    # two reservoirs share the transitions of a drawn generator, each pair of
+    # directions wholly in one part or each direction split between both: the parts given
+    # dense and given on edges make the same sigma, lumped rate and TUR, the
+    # dense per-part loop gives that sigma, and w with rates moved by about the
+    # 1e-9 tolerance is accepted or rejected as the dense rule does;
+    # 80 examples, about 0.3 s
+    rates, p, _ = draw
+    n = len(p)
+    rng = np.random.default_rng(seed)
+    whole = np.triu(rng.integers(0, 3, (n, n)), 1)     # 1, 2: the pair in part 0, 1
+    whole += whole.T
+    share = np.select([whole == 1, whole == 2], [1.0, 0.0], rng.uniform(0.1, 0.9, (n, n)))
+    off = rates.w - np.diag(np.diag(rates.w))
+    parts = [off * share, off * (1.0 - share)]
+    dense = cl.RateMatrix.from_offdiagonal(parts[0] + parts[1], reservoirs=parts)
+    i, j = np.nonzero(parts[0] + parts[1])
+    edges = cl.ReservoirEdges(i, j, [part[i, j] for part in parts])
+    edged = cl.RateMatrix(dense.w, edges)
+    want = cl.multibath_sigma(dense, p)
+    assert cl.multibath_sigma(edged, p) == want
+    assert abs(want[0] - _dense_schnakenberg(parts, p)) <= 1e-14 * want[0]
+    built = cl.RateMatrix.from_edges(n, *edges)
+    assert np.abs(built.w - dense.w).max() <= 1e-14 * np.abs(dense.w).max()
+    assert abs(cl.multibath_sigma(built, p)[0] - want[0]) <= 1e-14 * want[0]
+    counted = [(a, b, 0) for a, b in zip(i, j) if a < b]     # part 0's current
+    try:
+        tur = cl.tur_check(dense, counted)
+    except cl.ClassicalError:           # the counted current vanishes
+        with pytest.raises(cl.ClassicalError):
+            cl.tur_check(edged, counted)
+    else:
+        assert cl.tur_check(edged, counted) == tur
+    # column c of w gains (a, b, d) steps at rows r, q and on the diagonal; the
+    # four patterns isolate each check: the edges, the rates off them and the diagonal
+    filled = [part - np.diag(part.sum(axis=0)) for part in parts]
+    c = rng.integers(n)
+    r, q = rng.choice(np.delete(np.arange(n), c), 2)
+    for (a, b, d), factor in itertools.product(
+            [(1, 0, -1), (1, -1, 0), (0.5, 0.5, -1), (1, -0.5, -0.5)], [0.5, 0.9999, 1.0001, 3]):
+        if b < 0 and (q == r or dense.w[q, c] == 0.0):   # q must be another rate of column c
+            continue
+        w = dense.w.copy()
+        step = factor * 1e-9 * max(1.0, w.max(), -w.min())
+        w[r, c] += a * step
+        w[q, c] += b * step
+        w[c, c] += d * step
+        for reservoirs in (filled, edges):
+            try:
+                cl.RateMatrix(w, reservoirs)
+            except cl.ClassicalError:
+                assert not _dense_sum_rule(w, filled)
+            else:
+                assert _dense_sum_rule(w, filled)
 
 
 lindblad_models = st.fixed_dictionaries({

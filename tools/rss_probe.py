@@ -7,9 +7,11 @@ One round of the named workload is built as a benchmark worker builds it
 not changed, then the workload's warm-up, with the package imported from
 ``src/`` and one BLAS thread.  Each operation then runs once, in order, and
 its line gives the rise of ``ru_maxrss`` (the process's peak resident set)
-across it.  A rise of 0 means the operation stayed under the peak set
-before it, so a memory change is seen at the operation that sets a new
-peak.  The last line is the peak after the round; the benchmark's
+across it.  Each result is kept until the round ends, as the worker keeps
+them for the round's checks, so what one operation leaves resident counts
+under the operations after it.  A rise of 0 means the operation stayed
+under the peak set before it, so a memory change is seen at the operation
+that sets a new peak.  The last line is the peak after the round; the benchmark's
 ``peak_rss_mb`` is the same peak read after a worker's rounds.
 """
 
@@ -47,10 +49,10 @@ def probe(workload: str, seed: int) -> list:
         out_dir.mkdir()
         ops = w.make_round(np.random.default_rng([seed, 0]), out_dir)
         w.warm_up(Path(scratch))
-        rises = []
+        rises, results = [], []
         for op in ops:
             before = _peak_mb()
-            op.call()
+            results.append(op.call())
             rises.append((op.name, _peak_mb() - before))
     return rises
 
