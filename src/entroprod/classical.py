@@ -73,7 +73,11 @@ class RateMatrix:
 
     @classmethod
     def from_offdiagonal(cls, rates, reservoirs=None):
-        """Build from off-diagonal rates (diagonal filled automatically)."""
+        """Build from off-diagonal rates and dense reservoir parts (diagonals filled
+        automatically); `ReservoirEdges` go to `RateMatrix(w, edges)` or `from_edges`."""
+        if isinstance(reservoirs, ReservoirEdges):
+            raise ClassicalError("reservoirs of from_offdiagonal are dense parts; ReservoirEdges "
+                                 "go to RateMatrix(w, edges) or from_edges")
         parts = None if reservoirs is None else tuple(
             _fill_diagonal(_real_array(p, ClassicalError, "rates").copy()) for p in reservoirs)
         return cls(_fill_diagonal(_real_array(rates, ClassicalError, "rates").copy()), parts)

@@ -178,10 +178,10 @@ class CollisionSpec:
 
     @functools.cached_property
     def _fixed_points(self) -> list:
-        """Per alphabet entry, tier 3's reference, built once: the spectrum of the Gibbs state
-        of H_S at the ancilla's beta when the entry is a thermal operation (a declared beta and
-        a strictly energy-conserving U), else None."""
-        return [thermal_state(self.h_at(k), s.beta).eig() if s.beta is not None
+        """Per alphabet entry, tier 3's reference, built once: the Gibbs state of H_S at the
+        ancilla's beta when the entry is a thermal operation (a declared beta and a strictly
+        energy-conserving U), else None."""
+        return [thermal_state(self.h_at(k), s.beta) if s.beta is not None
                 and is_strict_energy_conserving(s.unitary, self.h_at(k), s.hamiltonian)[0]
                 else None for k, s in enumerate(self.alphabet)]
 
@@ -306,7 +306,7 @@ def run(spec: CollisionSpec, rho0: DensityOperator, n_strokes: int):
         for k in entries:
             if spec._fixed_points[k] is not None:
                 at = letter == k
-                sigma_f[at] = fixed_point_sigma_rows(*(x._take(at).eig() for x in (before, mid)),
+                sigma_f[at] = fixed_point_sigma_rows(before._take(at), mid._take(at),
                                                      spec._fixed_points[k])
         dh, w_u = e_next - e_now, e_next - e_mid
         columns[:, rows] = (bal.heat_env, dh, bal.work, w_u, bal.sigma,

@@ -7,7 +7,7 @@ so partial traces, bipartite splits and dephasings are unambiguous.
 
 All values are immutable, including the spectrum a `DensityOperator`
 keeps from its validation, which every entropy, divergence and eigenbasis
-of the state reads (`_spectrum`, which validates a bare matrix as a state).
+of the state reads (`_typed`, which validates a bare matrix as a state).
 Functions never mutate their arguments, except the superoperator builders
 `add_sided_term` and `add_lindblad_term`, which work in place on the array
 they are given; the real form of a Lindblad generator in the Hermitian
@@ -19,11 +19,11 @@ other operator by `_frozen_matrix` (square and finite).  An entry point
 that needs a state, Hamiltonian or unitary as its type reads it by the one
 rule `_typed`: a bare matrix that passes the type's check becomes that
 type, of one factor or of the factor dims the caller infers from its other
-operands.  These readers and the state reader `_spectrum` take the size
-the caller expects, which the one size rule `_check_size` enforces on bare
-and typed operands.  scipy is
-imported only by the generator kernels that need it (`propagate`,
-`bordered_solve`, `gaussian._lyapunov_solve`), not by `import entroprod`.
+operands.  These readers take the size the caller expects (`_states`: the
+size of the first state), which the one size rule `_check_size` enforces
+on bare and typed operands.  scipy is imported only by the generator
+kernels that need it (`propagate`, `bordered_solve`,
+`gaussian._lyapunov_solve`), not by `import entroprod`.
 
 Every entropy and divergence uses one support rule.  A spectrum read from
 an eigensolver (`_spectral_weights`, called by the state validation) has
@@ -38,7 +38,7 @@ sigma's support iff its mass on sigma's zero levels exceeds
 SUPPORT_OVERLAP_TOL.  Probability vectors, validated by
 `_check_probabilities` with the caller's error, follow the same downstream
 rule: the classical divergences are the diagonal case of the one
-Petz-Renyi kernel (`_petz_renyi`).
+Petz-Renyi kernel (`_petz_renyi`), the one place eigenvector overlaps are formed.
 
 Equal values have one rule too, `_equal_runs`: in sorted values a new run
 starts where the gap to the previous value exceeds the tolerance, and an
@@ -521,17 +521,6 @@ def _spectral_weights(vals, scale=1.0):
     return np.where(vals <= SPECTRAL_NOISE * vals.shape[-1] * scale, 0.0, vals)
 
 
-def _spectrum(state, error=CoreError, dim=None) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (round-off zeroed) and eigenvectors of a state: those a
-    `DensityOperator` keeps, or those a bare matrix is validated with;
-    either of size `dim` when given (`_check_size`), else `error`, as is
-    a bare matrix that is not a state."""
-    if isinstance(state, DensityOperator):
-        _check_size(state.dim, dim, error)
-        return state.eig()
-    return _density_spectra(_frozen_matrix(state, error, dim), error)
-
-
 def _typed(kind, op, error=CoreError, dim=None, dims=None):
     """The one rule by which an entry point reads a state, Hamiltonian or unitary it needs as
     one: op as the operator type `kind`, of size `dim` when given (`_check_size`), else `error`.
@@ -547,6 +536,12 @@ def _typed(kind, op, error=CoreError, dim=None, dims=None):
         return kind._validated((m,) + _density_spectra(m, error), dims)
     kind._check(m, error)
     return _instance(kind, {"matrix": m, "dims": dims})
+
+
+def _states(error, first, *others) -> tuple:
+    """States read by `_typed` with `error`, each of the others at the size of the first."""
+    first = _typed(DensityOperator, first, error)
+    return (first,) + tuple(_typed(DensityOperator, x, error, first.dim) for x in others)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +747,7 @@ def ancilla_kraus(op, rho_ancilla) -> np.ndarray:
     For a unitary U they are the Kraus operators of Tr_A[U (. x rho_A) U^dag].
     """
     x = _frozen_matrix(op)
-    q, basis = _spectrum(rho_ancilla)
+    q, basis = _typed(DensityOperator, rho_ancilla).eig()
     da = q.size
     ds = max(1, len(x) // da)
     _check_size(len(x), ds * da, CoreError)
@@ -780,15 +775,15 @@ def _entropy_rows(p):
 
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho over the eigenvalues, in nats; a bare matrix is
-    validated as a state (`_spectrum`)."""
-    return float(_entropy_rows(_spectrum(rho)[0]))
+    validated as a state (`_typed`)."""
+    return float(_entropy_rows(_typed(DensityOperator, rho).eig()[0]))
 
 
-def _petz_renyi(alpha, p, q, amp=None):
+def _petz_renyi(alpha, rho, sigma):
     """Petz-Renyi divergence D_alpha(rho || sigma) = ln Tr rho^a sigma^(1-a)
-    / (a - 1) from the weights p of rho and q of sigma and the overlaps
-    amp[..., j, i] = <sigma_j|rho_i> of their eigenvectors; amp None is the
-    diagonal case, p and q weights on one basis (probability vectors).
+    / (a - 1) from the spectra of rho and sigma, each its (weights, eigenvectors):
+    the overlaps amp[..., j, i] = <sigma_j|rho_i> are formed here, the package's
+    one such contraction.  Weights p and q alone are the diagonal case.
 
     Every order is taken over leading axes: alpha, one order or an array of
     them, broadcasts against the leading axes of p, q and amp.  One order
@@ -805,7 +800,12 @@ def _petz_renyi(alpha, p, q, amp=None):
     read by `_real` (>= 0, +inf allowed).
     """
     alpha = np.asarray(_real(alpha, CoreError, "Renyi order", low=0.0, inf=True))
-    w = None if amp is None else np.abs(amp) ** 2
+    if isinstance(rho, tuple):
+        (p, pv), (q, qv) = rho, sigma
+        amp = qv.conj().swapaxes(-1, -2) @ pv
+        w = np.abs(amp) ** 2
+    else:
+        p, q, amp, w = rho, sigma, None, None
 
     def on_sigma(x):
         """sum_i |<sigma_j|rho_i>|^2 x_i: a function of rho's levels read
@@ -871,13 +871,6 @@ def _power(x, a):
     on = x > 0.0
     base = np.where(on, x, 1.0)
     return base ** (a + np.zeros_like(base)) * on
-
-
-def _state_pair(rho, sigma):
-    """Weights p of rho and q of sigma, read at rho's size, and the overlaps <sigma_j|rho_i>."""
-    p, pv = _spectrum(rho)
-    q, qv = _spectrum(sigma, CoreError, len(p))
-    return p, q, qv.conj().T @ pv
 
 
 def _check_probabilities(p, error):
@@ -1017,16 +1010,17 @@ def _trace_rows(a, b):
 
 
 def relative_entropy(rho, sigma) -> float:
-    """Tr rho (ln rho - ln sigma), +inf off sigma's support; bare matrices validated as states."""
-    return float(_petz_renyi(1.0, *_state_pair(rho, sigma)))
+    """Tr rho (ln rho - ln sigma), +inf off sigma's support; bare matrices validated as states,
+    sigma at rho's size (`_states`)."""
+    return float(_petz_renyi(1.0, *(s.eig() for s in _states(CoreError, rho, sigma))))
 
 
 def renyi_divergence(rho, sigma, alpha) -> float:
     """Petz-Renyi divergence (alpha-1)^-1 ln Tr rho^a sigma^(1-a), with the
     relative entropy at alpha = 1, the support limit at alpha = 0 and the
     max-ratio limit at alpha = inf (`_petz_renyi`).  Bare matrices are
-    validated as states."""
-    return float(_petz_renyi(alpha, *_state_pair(rho, sigma)))
+    validated as states, sigma at rho's size (`_states`)."""
+    return float(_petz_renyi(alpha, *(s.eig() for s in _states(CoreError, rho, sigma))))
 
 
 def mutual_information(rho: DensityOperator, part_a) -> float:
@@ -1217,8 +1211,8 @@ class ChargeSectors:
 
 
 def logm_psd(matrix):
-    """Matrix logarithm of a state on its support; a bare matrix is validated as one."""
-    return _log_of(*_spectrum(matrix))
+    """Matrix logarithm of a state on its support; a bare matrix is validated as one (`_typed`)."""
+    return _log_of(*_typed(DensityOperator, matrix).eig())
 
 
 def _log_of(vals, vecs):

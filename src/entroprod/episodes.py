@@ -60,7 +60,7 @@ from .core import (
     _real,
     _shared_or_rows,
     _spectral_weights,
-    _spectrum,
+    _states,
     _times,
     _trace_distance_rows,
     _trace_rows,
@@ -239,11 +239,11 @@ class EpisodeStack:
         the kept entropies.  S(rho_SE') is S(rho_S) + S(rho_E) by construction
         (`evolved`): unitarity is checked once, where U enters (`core._unitary`)."""
         (_, after, env), env0 = self.evolved, self.rho_env
-        m_env0, m_env, (q, qv), (p_env, v_env) = env0.matrices, env.matrices, env0.eig(), env.eig()
+        m_env0, m_env, (q, qv) = env0.matrices, env.matrices, env0.eig()
         m_before, m_after = self.rho_system.matrices, after.matrices
         s_before, s_env0, s_sys, s_env, s_joint = self.entropies
         mi = s_sys + s_env - s_joint
-        d_env = _petz_renyi(1.0, p_env, q, qv.conj().swapaxes(-1, -2) @ v_env)
+        d_env = _petz_renyi(1.0, env.eig(), (q, qv))
         ds_s = s_sys - s_before
         # rho_E' escaped the support of rho_E (pure environment): the flux
         # diverges together with sigma; reported, not fatal.
@@ -373,9 +373,9 @@ class EntropyBalance:
     heat_per_bath: tuple | None = None
 
     def to_json(self) -> dict:
-        """The fields that are set, in field order, the per-bath heats as a list."""
-        return {k: list(v) if k == "heat_per_bath" else v for k, v in vars(self).items()
-                if v is not None}
+        """The fields that are set, in field order, each as `np.asarray(v).tolist()`: a number,
+        or a (nested) list of a row form's arrays and the per-bath heats."""
+        return {k: np.asarray(v).tolist() for k, v in vars(self).items() if v is not None}
 
 
 def _first_row(rows: EntropyBalance) -> EntropyBalance:
@@ -514,15 +514,13 @@ def multibath_balance_rows(stack: EpisodeStack, parts):
     heats, displacement_sum, marg_entropy_sum = [], 0.0, 0.0
     for p, h in zip(parts, hams):
         before, after = (stack.env_marginal(p.env_factors, a) for a in (False, True))
-        (q, qv), (p_after, v_after) = before.eig(), after.eig()
         heats.append(_trace_rows(h, after.matrices) - _trace_rows(h, before.matrices))
         if len(p.env_factors) == len(factors):    # all of E: the balance's own terms
             displacement_sum += base.env_displacement
             marg_entropy_sum += s_env
         else:
-            displacement_sum += _petz_renyi(1.0, p_after, q,
-                                            qv.conj().swapaxes(-1, -2) @ v_after)
-            marg_entropy_sum += _entropy_rows(p_after)
+            displacement_sum += _petz_renyi(1.0, after.eig(), before.eig())
+            marg_entropy_sum += _entropy_rows(after.weights)
     sigma = base.d_entropy_system + sum(b * q for b, q in zip(betas, heats))
     return replace(base, sigma=sigma, flux=sigma - base.d_entropy_system,
                    env_displacement=displacement_sum, heat_env=sum(heats),
@@ -560,22 +558,30 @@ def fixed_point_sigma(rho_before, rho_after, fixed_point) -> float:
     """S(rho || rho*) - S(rho' || rho*): entropy production for maps whose
     global fixed point is rho*; a pure contraction of distinguishability.
     The one-row case of `fixed_point_sigma_rows`, rho' and rho* read at rho's size."""
-    before = _spectrum(rho_before, EpisodeError)
-    return float(fixed_point_sigma_rows(before, *(_spectrum(r, EpisodeError, len(before[0]))
-                                                  for r in (rho_after, fixed_point))))
+    return float(fixed_point_sigma_rows(*_states(EpisodeError, rho_before, rho_after,
+                                                 fixed_point)))
 
 
 def fixed_point_sigma_rows(before, after, fixed_point):
-    """`fixed_point_sigma` over leading axes, each argument the (weights,
-    eigenvectors) of its states, each shared or one per row (`core._shared_or_rows`);
-    +inf where rho leaves rho*'s support.  Both divergences are one kernel
-    call."""
-    (p, pv), (r, rv), (q, qv) = before, after, fixed_point
+    """`fixed_point_sigma` over leading axes: rho, rho' and rho* each one `DensityOperator` or
+    a stack of states (`core._density_stack`), shared or one per row (`core._shared_or_rows`),
+    rho' and rho* at rho's size; +inf where rho leaves rho*'s support.  Both divergences are
+    one kernel call."""
+    p, pv = _spectra(before)
+    (r, rv), (q, qv) = (_spectra(x, pv.shape[-1]) for x in (after, fixed_point))
     _shared_or_rows(EpisodeError, None, ("rho", p, 1), ("rho'", r, 1), ("rho*", q, 1))
     if p.shape != r.shape or pv.shape != rv.shape:
         (p, r), (pv, rv) = np.broadcast_arrays(p, r), np.broadcast_arrays(pv, rv)
-    a, b = _petz_renyi(1.0, np.stack([p, r]), q, qv.conj().swapaxes(-1, -2) @ np.stack([pv, rv]))
+    a, b = _petz_renyi(1.0, (np.stack([p, r]), np.stack([pv, rv])), (q, qv))
     return np.where(np.isinf(a), math.inf, a - np.where(np.isinf(a), 0.0, b))
+
+
+def _spectra(states, dim=None):
+    """(weights, eigenvectors) of one `DensityOperator` or of a stack of states
+    (`core._density_stack`), of size dim when given; else EpisodeError."""
+    if isinstance(states, DensityOperator):
+        return _typed(DensityOperator, states, EpisodeError, dim).eig()
+    return _density_stack(states, EpisodeError, dim).eig()
 
 
 def has_global_fixed_point(ep: Episode, candidate) -> bool:
@@ -1041,12 +1047,11 @@ def strong_coupling_sigma(trajectory, h_total_of, beta: float, h_env, dims):
     h = _hermitian([h_total_of(lam) for lam in lams], EpisodeError)
     factors = _as_dims(dims, h.shape[-1], EpisodeError).factors
     rho = _density_stack(states, EpisodeError, h.shape[-1])
-    h_mf, (q, qv), (qs, qsv) = _mean_force(h, factors, beta, h_env)
+    h_mf, gibbs, gibbs_s = _mean_force(h, factors, beta, h_env)
     rho_s = _ptrace_matrix(rho.matrices, factors, [0])
-    ps, psv = _density_spectra(rho_s, EpisodeError)
-    f_neq = _trace_rows(h_mf, rho_s) - _entropy_rows(ps) / beta
-    delta_s = (_petz_renyi(1.0, rho.weights, q, qv.conj().swapaxes(-1, -2) @ rho.vectors)
-               - _petz_renyi(1.0, ps, qs, qsv.conj().swapaxes(-1, -2) @ psv))
+    reduced = _density_spectra(rho_s, EpisodeError)
+    f_neq = _trace_rows(h_mf, rho_s) - _entropy_rows(reduced[0]) / beta
+    delta_s = _petz_renyi(1.0, rho.eig(), gibbs) - _petz_renyi(1.0, reduced, gibbs_s)
     energy = _trace_rows(h, rho.matrices)
     return {
         "times": times,

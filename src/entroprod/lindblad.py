@@ -462,6 +462,6 @@ def spohn_rates(model_of_t, trajectory, beta: float) -> SpohnRates:
         drho[k] = unvec(diss @ vec(rho[k]))
     heat = -_trace_rows(h, drho)
     sigma = beta * heat - _trace_rows(drho, _log_of(p, v))
-    relent = _petz_renyi(1.0, p, q, qv.conj().swapaxes(-1, -2) @ v)
+    relent = _petz_renyi(1.0, (p, v), (q, qv))
     return SpohnRates(times, heat, _trace_rows(np.gradient(h, times, axis=0), rho), sigma,
                       -np.gradient(relent, times))

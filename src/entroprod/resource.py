@@ -39,7 +39,7 @@ from .core import (
     _petz_renyi,
     _real,
     _shared_or_rows,
-    _spectrum,
+    _states,
     dephase,
     thermal_state,
 )
@@ -397,13 +397,11 @@ def coherence_second_laws(rho1, rho2, hamiltonian, alphas=DEFAULT_ALPHA_GRID) ->
     data-processing statement).  Both states take every order in one
     stacked call.  rho2 and H are read at rho1's size, and each state, H and
     the two dephased states (one stacked `eigh`) decomposed once."""
-    first = _spectrum(rho1, ResourceError)
-    spectra = first, _spectrum(rho2, ResourceError, len(first[0]))
-    h = _hermitian(hamiltonian, ResourceError, len(first[0]))
-    dephased = zip(*_density_spectra(dephase(_frozen_stack([rho1, rho2]), h)))
-    pairs = [(p, q, qv.conj().T @ pv) for (p, pv), (q, qv) in zip(spectra, dephased)]
-    p, q, amp = (np.stack(x)[:, None] for x in zip(*pairs))
-    s1, s2 = _petz_renyi(_orders(alphas), p, q, amp)
+    states = _states(ResourceError, rho1, rho2)
+    h = _hermitian(hamiltonian, ResourceError, states[0].dim)
+    rho = tuple(np.stack(x)[:, None] for x in zip(*(s.eig() for s in states)))
+    dephased = tuple(x[:, None] for x in _density_spectra(dephase(_frozen_stack(states), h)))
+    s1, s2 = _petz_renyi(_orders(alphas), rho, dephased)
     return _battery(alphas, s1, s2)
 
 
@@ -437,10 +435,9 @@ def interconversion_rate(rho1, rho2, beta: float, hamiltonian) -> float:
     the entropy of full thermalization.  rho2 and H are read at rho1's size,
     and each state and H decomposed once."""
     beta = _check_beta(beta, ResourceError)
-    first = _spectrum(rho1, ResourceError)
-    spectra = first, _spectrum(rho2, ResourceError, len(first[0]))
-    q, qv = thermal_state(_hermitian(hamiltonian, ResourceError, len(first[0])), beta).eig()
-    num, denom = (float(_petz_renyi(1.0, p, q, qv.conj().T @ pv)) for p, pv in spectra)
+    states = _states(ResourceError, rho1, rho2)
+    gibbs = thermal_state(_hermitian(hamiltonian, ResourceError, states[0].dim), beta).eig()
+    num, denom = (float(_petz_renyi(1.0, s.eig(), gibbs)) for s in states)
     if denom <= THERMAL_TOL:
         raise ResourceError("target state is thermal; interconversion rate undefined")
     return num / denom
@@ -494,8 +491,8 @@ def work_bounds_rows(h_final, beta, rho_final, mean_work, delta_f_eq,
     if not (alpha >= 0.0).all():
         raise ResourceError("eta beyond beta: negative Renyi order")
     _, q, qv, _ = _gibbs_states(hf, beta)
-    div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1), rho.weights[:, None],
-                      q[:, None], (qv.conj().swapaxes(-1, -2) @ rho.vectors)[:, None])
+    div = _petz_renyi(np.concatenate([alpha, [0.0, math.inf] * ones], -1),
+                      (rho.weights[:, None], rho.vectors[:, None]), (q[:, None], qv[:, None]))
     phi = -(eta / b) * div[:, :-2] - eta * delta_f_eq[..., None]
     w_irr = (mean_work - delta_f_eq) * ones[:, 0]
     w_ext, w_form = div[:, -2] / beta, div[:, -1] / beta

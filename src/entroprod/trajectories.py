@@ -49,7 +49,7 @@ from .core import (
     _numbers,
     _petz_renyi,
     _real,
-    _spectrum,
+    _typed,
     _unitary,
     tensor,
 )
@@ -123,6 +123,9 @@ class PathEnsemble:
         return out if self.rows else float(out)
 
     def sigma_distribution(self) -> "ScalarDistribution":
+        """sigma's distribution over one ensemble; a stack's rows are each one (`row(k)`)."""
+        if self.rows:
+            raise TrajectoryError("sigma_distribution of a stack's ensembles: take row(k) first")
         live = self.p_forward > 0.0
         return ScalarDistribution.from_samples(self.sigma[live], self.p_forward[live])
 
@@ -335,9 +338,9 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     the (n, d, d) stacks of H_i, H_f and V (or one of each, shared), beta
     one per row or shared: one stacked `eigh` per Hamiltonian kind and no
     other decomposition.  rho' = V rho_i^th V^dag has the weights p_n of
-    rho_i^th on the eigenvectors V|i_n>, so the lag reads the overlaps
-    <f_m|V|i_n> with the eigenvectors of rho_f^th, whose weights are the
-    Gibbs weights of H_f.  Bare H and V are read by `core._hermitian` and `core._unitary`,
+    rho_i^th on the eigenvectors V|i_n>, and rho_f^th the Gibbs weights of
+    H_f on its eigenvectors |f_m>: the lag is the divergence of these two
+    spectra.  Bare H and V are read by `core._hermitian` and `core._unitary`,
     H_f and V at the size of H_i."""
     ei, vi = _eigh(_hermitian(h_initial, TrajectoryError))
     ef, vf = _eigh(_hermitian(h_final, TrajectoryError, ei.shape[-1]))
@@ -345,11 +348,10 @@ def work_rows(h_initial, h_final, protocol_unitary, beta) -> WorkRows:
     beta = _check_beta(beta, TrajectoryError, positive=True,
                        rows=max(ei.shape[:-1], ef.shape[:-1], v.shape[:-2], key=len))
     (pi, log_zi), (pf, log_zf) = _gibbs(ei, beta), _gibbs(ef, beta)
-    amp = vf.conj().swapaxes(-1, -2) @ v @ vi
-    trans = np.abs(amp) ** 2
+    trans = np.abs(vf.conj().swapaxes(-1, -2) @ v @ vi) ** 2
     mean_w = (trans * pi[..., None, :] * (ef[..., :, None] - ei[..., None, :])).sum((-2, -1))
     return WorkRows((ei, pi, vi), (ef, pf, vf), trans, (log_zi - log_zf) / beta, mean_w,
-                    _petz_renyi(1.0, pi, pf, amp))
+                    _petz_renyi(1.0, (pi, v @ vi), (pf, vf)))
 
 
 def work_distribution(h_initial, h_final, protocol_unitary, beta: float) -> WorkStatistics:
@@ -651,7 +653,7 @@ def augmented_tpm(rho_ab: DensityOperator, unitary, h_a, h_b) -> AugmentedExchan
     """
     ea, va = _eigh(_hermitian(h_a, TrajectoryError))
     eb, vb = _eigh(_hermitian(h_b, TrajectoryError))
-    ps, vs = _spectrum(rho_ab, TrajectoryError, len(ea) * len(eb))
+    ps, vs = _typed(DensityOperator, rho_ab, TrajectoryError, len(ea) * len(eb)).eig()
     basis, u = tensor([va, vb]), _unitary(unitary, TrajectoryError, len(ps))
     amp_m = np.abs(basis.conj().T @ u @ vs) ** 2               # [(mA mB), s]
     amp_n = np.abs(basis.conj().T @ vs) ** 2                   # [(nA nB), s]

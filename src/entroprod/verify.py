@@ -130,16 +130,14 @@ def ft_table_suite(n_episodes=25):
     rng = np.random.default_rng(101)
     stack, _ = _qubit_stack(rng, n_episodes, thermal_env=False)
     bal, (joint, after, env) = stack.balance, stack.evolved
-    (p_after, v_after), (p_before, v_before) = after.eig(), stack.rho_system.eig()
-    dephased = tj.populations(joint, tensor([v_after, env.vectors]))
+    dephased = tj.populations(joint, tensor([after.vectors, env.vectors]))
     targets = {
         tj.BackwardChoice.BATH_RESET: bal.sigma,
         tj.BackwardChoice.CORRELATIONS_DESTROYED: bal.mutual_info,
         tj.BackwardChoice.POST_MEASUREMENT_STATE:
             _entropy_rows(np.maximum(dephased, 0.0)) - _entropy_rows(joint.weights),
-        tj.BackwardChoice.BOTH_RESET: bal.mutual_info + _petz_renyi(
-            1.0, p_after, p_before, v_before.conj().swapaxes(-1, -2) @ v_after)
-            + bal.env_displacement,
+        tj.BackwardChoice.BOTH_RESET: bal.mutual_info
+            + _petz_renyi(1.0, after.eig(), stack.rho_system.eig()) + bal.env_displacement,
     }
     worst, ft = {}, []
     for choice, target in targets.items():
@@ -171,7 +169,7 @@ def route_equality_suite(n_episodes=25):
     v = haar_unitaries(ginibre(rng, (2, 2)))
     ops = _exchange_stack(omega, g, v, density_matrices(ginibre(rng, (n_episodes, 2, 2))), beta)
     bal, tb = stack.balance, eps.thermal_balance_rows(stack, beta)
-    fp = eps.fixed_point_sigma_rows(ops.rho_system.eig(), ops.evolved[1].eig(), ops.rho_env.eig())
+    fp = eps.fixed_point_sigma_rows(ops.rho_system, ops.evolved[1], ops.rho_env)
     # a qubit against two thermal qubits at their own beta: H_S, H_1, H_2 with X, Y and Z
     # parts and a Haar U on 8 dims; rho_E = g_1 x g_2, the Gibbs state of
     # beta_1 H_1 x 1 + beta_2 1 x H_2 at beta = 1, keeps that spectrum and takes the dims

@@ -628,11 +628,29 @@ def test_fixed_point_sigma_rows_broadcasts_one_initial_state():
     gibbs = thermal_state(h, 0.8)
     before = random_density(2, rng)
     afters = [random_density(2, rng) for _ in range(3)]
-    rows = eps.fixed_point_sigma_rows(before.eig(), (np.array([a.eig()[0] for a in afters]),
-                                                     np.array([a.eig()[1] for a in afters])),
-                                      gibbs.eig())
+    rows = eps.fixed_point_sigma_rows(before, afters, gibbs)
     assert rows.shape == (3,)
     assert np.array_equal(rows, [eps.fixed_point_sigma(before, a, gibbs) for a in afters])
+    # a DensityRows and a bare stack read as the same states
+    for form in (DensityOperator.from_stack, np.array):
+        got = eps.fixed_point_sigma_rows(form([before.matrix] * 3),
+                                         form([a.matrix for a in afters]), form([gibbs.matrix] * 3))
+        assert np.allclose(got, rows, rtol=0.0, atol=1e-12)
+
+
+def test_fixed_point_sigma_rows_reads_states():
+    # each argument a stack of states: a DensityRows and a shared Gibbs state give the values
+    # of the one-state calls, where a stack's spectra, (weights, eigenvectors), fail typed
+    rows = DensityOperator.from_stack([np.diag([0.7, 0.3]), np.diag([0.2, 0.8]),
+                                       [[0.5, 0.25j], [-0.25j, 0.5]]])
+    gibbs = thermal_state(np.diag([0.0, 1.0]), 1.0)
+    got = eps.fixed_point_sigma_rows(rows, rows, gibbs)
+    assert got.shape == (3,) and np.array_equal(got, np.zeros(3))
+    after = DensityOperator.from_stack([np.diag([0.6, 0.4])] * 3)
+    assert np.array_equal(eps.fixed_point_sigma_rows(rows, after, gibbs),
+                          [eps.fixed_point_sigma(r, after[0], gibbs) for r in rows])
+    with pytest.raises(eps.EpisodeError):
+        eps.fixed_point_sigma_rows(rows.eig(), rows.eig(), gibbs)
 
 
 def test_heat_distribution_identity_and_swap_support():
@@ -873,6 +891,26 @@ def test_episode_json_roundtrip():
         assert name in blob and blob == {k: list(v) if isinstance(v, tuple) else v
                                          for k, v in vars(balance).items() if v is not None}
     assert len(blob["heat_per_bath"]) == 2
+
+
+def test_balance_json_of_one_row_and_of_a_stack():
+    # one row: the bytes of the former rule (floats as they are, the per-bath heats as a
+    # list); a row form: every field one JSON list, read back as its array
+    heat_ep, parts = three_qubit_heat_episode()
+    one = eps.multibath_balance(heat_ep, parts)
+    former = {k: list(v) if k == "heat_per_bath" else v for k, v in vars(one).items()
+              if v is not None}
+    assert json.dumps(one.to_json()) == json.dumps(former)
+    episodes = [random_episode(np.random.default_rng(890 + k)) for k in range(3)]
+    stack = eps.EpisodeStack.of(*(np.array([getattr(ep, name).matrix for ep in episodes])
+                                  for name in ("h_system", "h_env", "unitary", "rho_system",
+                                               "rho_env")))
+    for rows in (stack.balance, eps.thermal_balance_rows(stack, 1.2),
+                 eps.multibath_balance_rows(heat_ep.stack, parts)):
+        blob = json.loads(json.dumps(rows.to_json()))
+        want = {k: v for k, v in vars(rows).items() if v is not None}
+        assert list(blob) == list(want)
+        assert all(np.array_equal(blob[k], v) for k, v in want.items())
 
 
 def test_conditional_balance_with_backaction_uses_the_measured_environment():

@@ -206,6 +206,9 @@ CASES = {
     "classical.is_detailed_balanced p length": (
         lambda: cl.is_detailed_balanced(RATES3, HALF), cl.ClassicalError,
         "not (3,) for the 3 states"),
+    "classical.RateMatrix.from_offdiagonal edge reservoirs": (
+        lambda: cl.RateMatrix.from_offdiagonal(W3, RATES3.reservoirs), cl.ClassicalError,
+        "reservoirs of from_offdiagonal are dense parts"),
     "classical.tilted_generator reservoir": (
         lambda: cl.tilted_generator(cl.RateMatrix.from_offdiagonal(np.ones((2, 2))),
                                     [(0, 1, 3)], 0.1),
@@ -856,8 +859,8 @@ NUMBERS = {
         lambda: eps.finite_dimension_bound([-0.1, -0.2], [1.0, 1.0, 1.0], 4), eps.EpisodeError,
         "dS_S has shape (2,): one value, or one per row of (3,)"),
     "episodes.fixed_point_sigma_rows rho' rows": (
-        lambda: eps.fixed_point_sigma_rows(*(tuple(np.array([x] * n) for x in RHO2.eig())
-                                             for n in (3, 2)), RHO2.eig()),
+        lambda: eps.fixed_point_sigma_rows(*(DensityOperator.from_stack([RHO2.matrix] * n)
+                                             for n in (3, 2)), RHO2),
         eps.EpisodeError, "rho' has shape (2, 2): one value, or one per row of (3,)"),
     "resource.classical_renyi_rows q rows": (
         lambda: rs.classical_renyi_rows([HALF] * 3, [HALF] * 2, [1.0]), rs.ResourceError,

@@ -11,10 +11,11 @@ known spectrum (`core._exact_spectra`, so every `thermal_state`) in the order
 of its levels while its weights are sorted, which a stack of such states then
 reads as kept, and the same record compares with the Clausius form.  Three
 read the complex eigenvectors and Hamiltonians of the route-equality suite:
-the divergence of a bath part's marginal in `multibath_balance_rows` and both
-divergences of `fixed_point_sigma_rows` without the `.conj()` of the
-reference eigenvectors, which the multibath record "Sigma == T + sum_k D"
-and the fixed-point record compare with the information route, and
+the one divergence kernel (`core._petz_renyi`) forming its overlaps without
+the `.conj()` of the reference eigenvectors, which moves the divergence of a
+bath part's marginal in `multibath_balance_rows` and both divergences of
+`fixed_point_sigma_rows`, so the multibath record "Sigma == T + sum_k D" and
+the fixed-point record each compare it with the information route, and
 `_trace_rows` as Tr(a b^T), which the complex bath Hamiltonians H_k of the
 multibath record "Sigma == I + D" expose in the heats.  Two break the
 fluctuation-theorem table: `EpisodeStack.evolved` conjugating by U^dag . U
@@ -43,7 +44,7 @@ import numpy as np
 import pytest
 
 from entroprod import (collisional as cm, core, episodes as eps, lindblad as lb, resource as rs,
-                       verify)
+                       trajectories as tj, verify)
 
 EMBEDDING = "majorization", "majorization curve == embedding verdict"
 FLUX = "route-equality", "route flux == beta Q_E"
@@ -121,16 +122,12 @@ def unpermuted_vectors(monkeypatch):
     monkeypatch.setattr(core, "_ascending", mutant(core._ascending, sorted_vecs, "vecs"))
 
 
-def part_divergence_unconjugated(monkeypatch):
-    # D(rho_Ek' || rho_Ek) against V_k^T, not V_k^dag, in multibath_balance_rows
-    monkeypatch.setattr(eps, "multibath_balance_rows",
-                        mutant(eps.multibath_balance_rows, "qv.conj().swapaxes", "qv.swapaxes"))
-
-
-def fixed_point_unconjugated(monkeypatch):
-    # both divergences from rho* against V*^T, not V*^dag, in fixed_point_sigma_rows
-    monkeypatch.setattr(eps, "fixed_point_sigma_rows",
-                        mutant(eps.fixed_point_sigma_rows, "qv.conj().swapaxes", "qv.swapaxes"))
+def unconjugated_kernel(monkeypatch):
+    # the overlaps <sigma_j|rho_i> against V_sigma^T, not V_sigma^dag, in the one divergence
+    # kernel, as every module that imports it reads it
+    kernel = mutant(core._petz_renyi, "qv.conj().swapaxes", "qv.swapaxes")
+    for module in (core, eps, lb, rs, tj, verify):
+        monkeypatch.setattr(module, "_petz_renyi", kernel)
 
 
 def transposed_trace(monkeypatch):
@@ -194,8 +191,8 @@ DEFECTS = {
     "joint weights p_n p_n in EpisodeStack.evolved": (system_weights_twice, CLAUSIUS),
     "known weights sorted without their eigenvectors": (unpermuted_vectors, CLAUSIUS),
     "bath part divergence without .conj() in multibath_balance_rows":
-        (part_divergence_unconjugated, MULTIBATH_PARTS),
-    "fixed-point divergences without .conj()": (fixed_point_unconjugated, FIXED_POINT),
+        (unconjugated_kernel, MULTIBATH_PARTS),
+    "fixed-point divergences without .conj()": (unconjugated_kernel, FIXED_POINT),
     "_trace_rows as Tr(a b^T)": (transposed_trace, MULTIBATH),
     "EpisodeStack.evolved conjugating by U^dag . U": (inverse_conjugation, FT_AVERAGE),
     "transition tensor without .conj()": (transitions_unconjugated, FT_EXCHANGE),

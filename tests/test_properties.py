@@ -544,9 +544,7 @@ def test_row_forms_are_the_one_episode_calls(draw):
                     assert np.array_equal(rows[name][k], value[0], equal_nan=True), name
     gibbs = DensityOperator.from_stack(
         [thermal_state(ep.h_system, b).matrix for ep, b in zip(episodes, betas)])
-    fixed = eps.fixed_point_sigma_rows(stack.rho_system.eig(), stack.evolved[1].eig(),
-                                       (np.array([g.eig()[0] for g in gibbs]),
-                                        np.array([g.eig()[1] for g in gibbs])))
+    fixed = eps.fixed_point_sigma_rows(stack.rho_system, stack.evolved[1], gibbs)
     assert np.array_equal(fixed, [eps.fixed_point_sigma(ep.rho_system, eps.evolve(ep).rho_system, g)
                                   for ep, g in zip(episodes, gibbs)])
 
@@ -571,27 +569,32 @@ def weight_rows(draw, dim=None):
 @PROPERTY
 @given(weight_rows(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_stacked_petz_renyi_is_the_one_order_loop(rows, quantum, seed):
-    # every order of the grid over a stack, diagonal or with overlaps, is
-    # the one-order call on each row, bit for bit
+    # every order of the grid over a stack, diagonal or with eigenvectors, is
+    # the one-order call on each row, bit for bit; sigma's eigenvectors are the
+    # identity, so the overlaps are rho's Haar-random eigenvectors
     p, q = rows
     n, d = p.shape
-    amp = None
+    rho, sigma = (p,), (q,)
     if quantum:
         rng = np.random.default_rng(seed)
-        amp = haar_unitaries(np.array([ginibre(rng, (d, d)) for _ in range(n)]))
-    got = _petz_renyi(np.array(SUITE_ORDERS), p[:, None], q[:, None],
-                      None if amp is None else amp[:, None])
+        rho += (haar_unitaries(np.array([ginibre(rng, (d, d)) for _ in range(n)])),)
+        sigma += (np.broadcast_to(np.eye(d), (n, d, d)),)
+
+    def spectra(x, at):
+        return tuple(a[at] for a in x) if quantum else x[0][at]
+
+    grid = (slice(None), None)
+    got = _petz_renyi(np.array(SUITE_ORDERS), spectra(rho, grid), spectra(sigma, grid))
     assert got.shape == (n, len(SUITE_ORDERS))
     for k in range(n):
-        want = [_petz_renyi(a, p[k], q[k], None if amp is None else amp[k])
-                for a in SUITE_ORDERS]
+        want = [_petz_renyi(a, spectra(rho, k), spectra(sigma, k)) for a in SUITE_ORDERS]
         assert np.array_equal(got[k], want), (k, got[k], want)
-        if amp is None:
+        if not quantum:
             assert np.array_equal(rs.classical_renyi_rows(p[k], q[k], SUITE_ORDERS), want)
             assert [classical_renyi_divergence(p[k], q[k], a) for a in SUITE_ORDERS] == want
     # alpha >= 1 is +inf exactly where a row leaves the support
     leaves = ((q == 0.0) & (p > 0.0)).any(-1)
-    if amp is None:
+    if not quantum:
         assert np.array_equal(np.isinf(got[:, 3:]).all(-1), leaves)
 
 

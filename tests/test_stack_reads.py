@@ -58,6 +58,8 @@ READERS = {
         TIMES, form(stroke_states(JOINT)), form(stroke_states(JOINT, 1)), H_JOINT, JOINT),
     "episodes.EpisodeStack.of": lambda form: eps.EpisodeStack.of(
         H_ROWS, H_ROWS, U_ROWS, form(stroke_states()), form(stroke_states(seed=1))),
+    "episodes.fixed_point_sigma_rows": lambda form: eps.fixed_point_sigma_rows(
+        form(stroke_states()), form(stroke_states(seed=1)), thermal_state(H_QUBIT, 1.0)),
     "resource.work_bounds_rows": lambda form: rs.work_bounds_rows(
         H_ROWS, 1.0, form(stroke_states()), 0.3, 0.1, [0.25, 0.5]),
     "core.DensityOperator.from_stack": lambda form: DensityOperator.from_stack(
@@ -71,9 +73,9 @@ ALLOWED = {
     "core._frozen_matrix": "one matrix, not a stack: the operator types' reader",
     "core._reader.read": "Hamiltonians and unitaries, checked by their type",
     "episodes._marginal": "its stack is a partial trace of a `DensityRows`' matrices",
+    "episodes._spectra": "reads the states of `fixed_point_sigma_rows`, one or a stack",
     "episodes._state_lists": "reads the stacks of `blp_witness` and `correlation_witness_terms`",
     "episodes.conditional_balance": "Kraus operators on E, not states",
-    "resource.coherence_second_laws": "two single states, each read by `_spectrum` first",
 }
 
 

@@ -97,6 +97,22 @@ def test_backward_ensemble_exchange_ft():
     assert abs(ens.average_sigma() - (beta_e - beta_s) * q_env) < 1e-12
 
 
+def test_a_stack_of_ensembles_has_no_merged_distribution():
+    # the rows' distributions are not one distribution: a stack names row(k)
+    episodes = [random_episode(np.random.default_rng(105 + k)) for k in range(3)]
+    stack = eps.EpisodeStack.of(*(np.array([getattr(ep, name).matrix for ep in episodes])
+                                  for name in ("h_system", "h_env", "unitary", "rho_system",
+                                               "rho_env")))
+    ens = tj.backward_ensemble_rows(stack, tj.BackwardChoice.BOTH_RESET)
+    with pytest.raises(tj.TrajectoryError, match=r"row\(k\)"):
+        ens.sigma_distribution()
+    for k, ep in enumerate(episodes):
+        one = ens.row(k).sigma_distribution()
+        assert abs(one.probabilities.sum() - 1.0) < 1e-12
+        want = tj.backward_ensemble(ep, tj.BackwardChoice.BOTH_RESET).sigma_distribution()
+        assert np.allclose(one.values, want.values, rtol=0.0, atol=1e-12)
+
+
 def test_stochastic_sigma_matches_ensemble():
     ep = random_episode(RNG)
     ens = tj.backward_ensemble(ep, tj.BackwardChoice.BATH_RESET)
