@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (NULL_RCOND_TOL, _check_probabilities, _eigvalsh, _integer, _real, _real_array,
-                   bordered_solve, propagate)
+from .core import (NULL_RCOND_TOL, _check_probabilities, _eigvalsh, _integer, _read_only, _real,
+                   _real_array, bordered_solve, propagate)
 
 # A detailed-balance flow asymmetry |W_ij p_j - W_ji p_i| at most this is zero.
 DETAILED_BALANCE_TOL = 1e-10
@@ -58,15 +58,16 @@ class ReservoirEdges(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class RateMatrix:
-    """Generator W (columns sum to zero) with an optional per-reservoir
-    decomposition sum_alpha W^alpha = W, kept as `ReservoirEdges`; dense
-    parts are accepted and read onto their edges once."""
+    """Generator W (columns sum to zero), kept read-only (a writeable array or a view is copied),
+    with an optional per-reservoir decomposition sum_alpha W^alpha = W, kept as `ReservoirEdges`;
+    dense parts are accepted and read onto their edges once."""
 
     w: np.ndarray
     reservoirs: ReservoirEdges | None = None
 
     def __post_init__(self):
         w = _check_generator(self.w, "rate matrix")
+        w, = _read_only(w.copy() if w.flags.writeable or not w.flags.owndata else w)
         object.__setattr__(self, "w", w)
         if self.reservoirs is not None:
             object.__setattr__(self, "reservoirs", _checked_parts(w, self.reservoirs))
@@ -91,7 +92,7 @@ class RateMatrix:
         w = np.zeros((n, n))
         w[edges.i, edges.j] = edges.rates.sum(axis=0)
         np.fill_diagonal(w, -sum(np.bincount(edges.j, r, n) for r in edges.rates))
-        return cls(w, edges)
+        return cls(*_read_only(w), edges)
 
 
 def _edges(n, i, j, rates):
@@ -208,7 +209,7 @@ def stationary_distribution(rates: RateMatrix) -> np.ndarray:
     not unique (more than one closed class) makes the bordered matrix
     singular, and its reciprocal condition estimate below NULL_RCOND_TOL is an error.
     """
-    p = bordered_solve(rates.w, slice(None))
+    p = bordered_solve(rates.w.copy(), slice(None))
     if p is None:
         raise ClassicalError(
             "stationary distribution not unique "
@@ -362,7 +363,7 @@ def _current_cumulants(rates: RateMatrix, counted, p):
     w1[edges.i, edges.j] = (edges.rates * counts).sum(axis=0)
     w2[edges.i, edges.j] = (edges.rates * counts * counts).sum(axis=0)
     j = float(np.sum(w1 @ p))
-    x = bordered_solve(rates.w, slice(None), j * p - w1 @ p)
+    x = bordered_solve(rates.w.copy(), slice(None), j * p - w1 @ p)
     if x is None:
         raise ClassicalError("stationary distribution not unique")
     return j, float(np.sum(w2 @ p) + 2.0 * np.sum(w1 @ x))

@@ -656,24 +656,25 @@ def bordered_solve(gen, trace, rhs=None):
     t^T rhs = 0 gives the x with gen x = rhs and t^T x = 0 (the Drazin
     inverse of gen applied to rhs).  One LU factorization of B gives both:
     None is returned when LAPACK's estimate of B's reciprocal condition
-    number (infinity norm) is below NULL_RCOND_TOL.
+    number (infinity norm) is below NULL_RCOND_TOL.  gen, a float array, is
+    overwritten: B is formed in it and factored in place (a row-major B as
+    B^T, column-major), so a caller that keeps its generator passes a copy.
     """
     from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
-    border = np.array(gen, dtype=float)
-    border[0, trace] -= 1.0
-    # the 1-norm of B^T (Fortran-ordered, read in place) is the infinity norm of B
-    anorm = dlange("1", border.T)
-    # B^T is Fortran-ordered, so it is factored in place; trans=1 solves with B.
-    lu, piv, info = dgetrf(border.T, overwrite_a=True)
+    gen[0, trace] -= 1.0
+    # B^T's 1-norm is B's infinity norm
+    trans, a, norm = (0, gen, "I") if gen.flags.f_contiguous else (1, gen.T, "1")
+    anorm = dlange(norm, a)
+    lu, piv, info = dgetrf(a, overwrite_a=True)
     if info > 0:
         return None
-    rcond, _ = dgecon(lu, anorm)
+    rcond, _ = dgecon(lu, anorm, norm=norm)
     if not rcond >= NULL_RCOND_TOL:
         return None
     if rhs is None:
-        rhs = np.zeros(border.shape[0])
+        rhs = np.zeros(gen.shape[0])
         rhs[0] = -1.0
-    x, _ = dgetrs(lu, piv, rhs, trans=1)
+    x, _ = dgetrs(lu, piv, rhs, trans=trans)
     return x
 
 
@@ -1199,15 +1200,14 @@ class ChargeSectors:
         return [hermitian_function(b, fn) for b in blocks]
 
     def conjugate(self, blocks, rho):
-        """U rho U^dag on a dense rho, for the block-diagonal U with these
-        blocks: one row block, then one column block per sector.  Returns
-        a new array."""
-        out = np.array(rho, dtype=complex)
+        """U rho U^dag on a dense complex rho, for the block-diagonal U with
+        these blocks: one row block, then one column block per sector.  rho
+        is overwritten with the result, which is returned."""
         for idx, u in zip(self.index, blocks):
-            out[idx] = u @ out[idx]
+            rho[idx] = u @ rho[idx]
         for idx, u in zip(self.index, blocks):
-            out[:, idx] = out[:, idx] @ u.conj().T
-        return out
+            rho[:, idx] = rho[:, idx] @ u.conj().T
+        return rho
 
 
 def logm_psd(matrix):

@@ -63,8 +63,8 @@ from .core import (
     vec,
 )
 
-# Largest d whose complex generator (16 d^4 bytes) and real form (8 d^4)
-# fit the byte budget; see `LindbladModel`.  `integrate` holds the real
+# Largest d whose complex generator (16 d^4 bytes) and real form (8 d^4, all a solve
+# holds) fit the byte budget; see `LindbladModel`.  `integrate` holds the real
 # form and one matrix exponential's workspace (80 d^4 bytes together).
 GENERATOR_BYTES = 2 ** 30
 DIM_CAP = math.isqrt(math.isqrt(GENERATOR_BYTES // 24))
@@ -100,8 +100,8 @@ class LindbladModel:
     The dimension d is capped at DIM_CAP = 81, checked before any generator
     is allocated: the complex generator of `build` and the real form take
     24 d^4 bytes together, within the budget GENERATOR_BYTES = 1 GiB.  A solve
-    (`steady_state`, `gap`, `spectrum`) holds only the real form and LAPACK's
-    copy of it, 16 d^4 bytes.
+    (`steady_state`, `gap`, `spectrum`) holds only the real form, 8 d^4 bytes,
+    which LAPACK overwrites in place.
     """
 
     hamiltonian: np.ndarray
@@ -131,15 +131,18 @@ class LindbladModel:
         return self.hamiltonian.shape[0]
 
 
-def _terms(model: LindbladModel) -> list:
-    """The (a, b, rate) of each term rate (a rho b^dag - 1/2 {b^dag a, rho}) of the model:
-    (L, L, gamma) per jump, then (F_k, F_l, c_kl) per nonzero cross coefficient."""
+def _terms(model: LindbladModel):
+    """K = -iH - 1/2 sum r b^dag a and the (a, b, r) of each term of L(rho) = K rho + rho K^dag
+    + sum r a rho b^dag: (L, L, gamma) per jump, then (F_k, F_l, c_kl) per nonzero c_kl."""
     terms = [(l_op, l_op, rate) for l_op, rate in model.jumps]
     if model.cross is not None:
         ops, c = model.cross
         terms += [(fk, fl, c[k, l]) for k, fk in enumerate(ops) for l, fl in enumerate(ops)
                   if c[k, l] != 0]
-    return terms
+    kk = -1j * model.hamiltonian
+    for a, b, rate in terms:
+        kk = kk + (-0.5 * rate) * (b.conj().T @ a)
+    return kk, terms
 
 
 def build(model: LindbladModel) -> np.ndarray:
@@ -147,14 +150,19 @@ def build(model: LindbladModel) -> np.ndarray:
     d = model.dim
     superop = np.zeros((d * d, d * d), dtype=complex)
     add_sided_term(superop, -1j * model.hamiltonian, 1j * model.hamiltonian)
-    for a, b, rate in _terms(model):
+    for a, b, rate in _terms(model)[1]:
         add_lindblad_term(superop, a, b, rate)
     return superop
 
 
 def real_generator(model: LindbladModel) -> np.ndarray:
     """The generator's real form T^dag L T (T the Hermitian basis of `core.hermitian_coords`;
-    the eigenvalues of `build`'s), built from the model one column block at a time: the complex
+    the eigenvalues of `build`'s), column-major, built from the model (`_real_form`)."""
+    return _real_form(*_terms(model))
+
+
+def _real_form(kk, terms) -> np.ndarray:
+    """`real_generator` from the model's `_terms`, one column block at a time: the complex
     generator is never held, only this form (8 d^4 bytes) and O(d^3) per block.
 
     Block l holds the images of the basis elements in the slots of |k><l|.  With the terms
@@ -162,12 +170,9 @@ def real_generator(model: LindbladModel) -> np.ndarray:
     Y_k[i, j] = K[i, k] delta_jl + delta_ik conj(K[j, l]) + sum r a[i, k] conj(b[j, l]); as
     L(X^dag) = L(X)^dag, the images are (Y_k + Y_k^dag)/sqrt2 for k < l, Y_l and
     i(Y_k^dag - Y_k)/sqrt2 for k > l, and their Hermitian coordinates the block's columns."""
-    d, terms = model.dim, _terms(model)
-    kk = -1j * model.hamiltonian
-    for a, b, rate in terms:
-        kk = kk + (-0.5 * rate) * (b.conj().T @ a)
+    d = len(kk)
     pairs = [(a.T, rate * b.conj()) for a, b, rate in terms]
-    out = np.empty((d * d, d * d))
+    out = np.empty((d * d, d * d), order="F")
     for l in range(d):
         y = np.zeros((d, d, d), dtype=complex)     # y[k] = Y_k
         y[:, :, l] = kk.T
@@ -258,11 +263,11 @@ def steady_state(model: LindbladModel) -> DensityOperator:
     is projected onto the PSD cone (a candidate with an eigenvalue below
     -1e-7 is an error) and keeps the spectrum of that projection, round-off
     cut (`core._spectral_weights`).  It must leave a residual of at most
-    1e-8 in the max-norm of its real coordinates, which bounds that of vec.
+    1e-8 in the max-norm of the real coordinates of L(rho), which bounds that
+    of vec; L(rho) is applied from the model's `_terms` (the solve overwrites the real form).
     """
-    gen = real_generator(model)
-    d = model.dim
-    x = bordered_solve(gen, np.arange(d) * (d + 1))
+    kk, terms = _terms(model)
+    x = bordered_solve(_real_form(kk, terms), slice(None, None, model.dim + 1))
     if x is None:
         raise LindbladError(
             f"degenerate steady space (bordered generator singular within {NULL_RCOND_TOL:g})")
@@ -271,7 +276,9 @@ def steady_state(model: LindbladModel) -> DensityOperator:
         raise LindbladError(f"steady-state candidate not PSD ({vals.min():.3e})")
     w = np.clip(vals, 0.0, None)
     rho = DensityOperator._validated(_exact_spectra(None, _spectral_weights(w / w.sum()), vecs))
-    resid = float(np.abs(gen @ hermitian_coords(rho.matrix)).max())
+    m = rho.matrix
+    image = sum((rate * (a @ m @ b.conj().T) for a, b, rate in terms), kk @ m + m @ kk.conj().T)
+    resid = float(np.abs(hermitian_coords(image)).max())
     if resid > 1e-8:
         raise LindbladError(f"steady-state residual {resid:.3e}")
     return rho
@@ -290,9 +297,10 @@ def gap(model: LindbladModel) -> float:
 
 
 def spectrum(model: LindbladModel) -> np.ndarray:
-    """All d^2 eigenvalues of the generator, from real LAPACK `dgeev` on its
-    real form."""
-    return np.linalg.eigvals(real_generator(model))
+    """All d^2 eigenvalues of the generator, as complex numbers, from real LAPACK
+    `dgeev` on its column-major real form, which it overwrites in place."""
+    from scipy.linalg import eigvals
+    return eigvals(real_generator(model), overwrite_a=True, check_finite=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entroprod import classical as cl, resource as rs
+from entroprod import classical as cl, core, resource as rs
 from entroprod.rand import random_probability
 
 RNG = np.random.default_rng(2021)
@@ -247,6 +247,38 @@ def test_fcs_cumulants_match_scgf_differences():
     mean, var = cl.scaled_cumulants(w, counted)
     assert abs(mean - (lead(h) - lead(-h)) / (2 * h)) < 1e-5 * abs(mean)
     assert abs(var - (lead(h) - 2 * lead(0.0) + lead(-h)) / h ** 2) < 1e-5 * abs(var)
+
+
+def test_solves_leave_the_rate_matrix_untouched():
+    # the bordered solve factors its argument in place, so each caller passes its own copy;
+    # the kept generator is a read-only copy, and a solve handed it fails loudly
+    rng = np.random.default_rng(49)
+    parts = tuple(rng.random((5, 5)) for _ in range(2))
+    given = parts[0] + parts[1]
+    w = cl.RateMatrix.from_offdiagonal(given, reservoirs=parts)
+    kept = w.w.copy()
+    assert not w.w.flags.writeable and cl.RateMatrix(kept).w is not kept
+    assert kept.flags.writeable
+    counted = [(0, 1, 1), (2, 3, 0)]
+    for call in (lambda: cl.stationary_distribution(w), lambda: cl.scaled_cumulants(w, counted),
+                 lambda: cl.tur_check(w, counted)):
+        first = call()
+        assert np.array_equal(w.w, kept)
+        assert np.array_equal(call(), first)     # bit for bit on a repeated call
+    with pytest.raises(ValueError, match="read-only"):
+        core.bordered_solve(w.w, slice(None))
+
+
+def test_bordered_solve_reads_either_layout():
+    # a column-major generator is factored as B, a row-major one as B^T: the same x
+    rng = np.random.default_rng(7)
+    for n in (2, 5, 16):
+        w = cl.RateMatrix.from_offdiagonal(rng.random((n, n))).w
+        rhs = rng.normal(size=n)
+        for b in (None, rhs - rhs.mean()):
+            row = core.bordered_solve(np.array(w, order="C"), slice(None), b)
+            col = core.bordered_solve(np.array(w, order="F"), slice(None), b)
+            assert np.abs(col - row).max() <= 1e-14 * np.abs(row).max()
 
 
 def test_fcs_reducible_generator_error():

@@ -721,7 +721,9 @@ def test_charge_sectors_match_the_dense_function():
         for idx, b in zip(sectors.index, u):
             assert np.abs(dense[np.ix_(idx, idx)] - b).max() <= 1e-12
         rho = random_density(d, rng).matrix
-        got = sectors.conjugate(u, rho)
+        given = rho.copy()
+        got = sectors.conjugate(u, given)
+        assert got is given     # overwritten in place
         assert np.abs(got - dense @ rho @ dense.conj().T).max() <= 1e-12
         # one entry between sectors is left out of the blocks and reported
         if len(sectors.index) > 1:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,22 @@ def test_squeezed_sigma_matches_the_dense_route(cut):
     got, want = gs.squeezed_sigma(spec, rho), _dense_squeezed_sigma(spec, rho)
     for name in gs.SqueezedSigmaResult.__dataclass_fields__:
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+
+
+def test_squeezed_sigma_holds_the_joint_state_once():
+    # the joint state (16 n^4 bytes) is conjugated in place; a copy would add 16 n^4
+    n = 20
+    spec = gs.SqueezedExchangeSpec(omega=1.0, g=1.0, t=0.7, r=0.2, theta=0.4,
+                                   beta=2.6, fock_cut=n)
+    rho = padded_system_state(np.random.default_rng(n), n)
+    gs.squeezed_sigma(spec, rho)
+    tracemalloc.start()
+    try:
+        gs.squeezed_sigma(spec, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n ** 4
 
 
 def test_exchange_checks_raise():

@@ -100,20 +100,57 @@ def test_steady_state_spectrum_gap_match_complex_eig():
 
 
 def test_solves_hold_the_real_form_and_not_the_complex_generator():
-    # the real form (8 d^4 bytes) is built without the complex generator (16 d^4), and the
-    # bordered solve takes its norm without an |B| temporary; holding the complex generator
-    # beside the real form would take 24 d^4 traced bytes
+    # the real form (8 d^4 bytes) is built without the complex generator (16 d^4) and is the
+    # one matrix a solve holds: LAPACK factors it in place (a copy would add 8 d^4), and the
+    # bordered solve takes its norm without an |B| temporary
     d = 24
     model = lb.kerr_model(-2.0, 1.0, 0.8, 0.5, fock_cut=d)
     lb.steady_state(model)     # scipy's LAPACK wrappers imported before the tracing
-    for solve, bound in ((lb.gap, 16), (lb.steady_state, 20)):
+    lb.gap(model)
+    for solve in (lb.gap, lb.steady_state):
         tracemalloc.start()
         try:
             solve(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound * d ** 4, solve.__name__
+        assert peak < 12 * d ** 4, solve.__name__
+
+
+def test_spectrum_is_complex_from_the_column_major_form():
+    model = lb.squeezed_dissipator(0.4, 0.3, 0.3, 0.5, fock_cut=4)
+    form = lb.real_generator(model)
+    assert form.flags.f_contiguous
+    vals = lb.spectrum(model)
+    assert vals.dtype == complex
+    want = np.linalg.eigvals(form)
+    assert np.abs(np.sort_complex(vals) - np.sort_complex(want)).max() < 1e-12
+
+
+def test_steady_state_guards_catch_a_bad_candidate(monkeypatch):
+    # the solve is replaced by one returning a candidate: not PSD, or a PSD state off the
+    # steady state, whose operator-form residual is the real form's matvec residual
+    rng = np.random.default_rng(49)
+    for model in (lb.thermal_qubit_model(1.0, 0.5, 1.0), _random_model(rng, 3)):
+        d = model.dim
+        bad = core.hermitian_coords(np.diag([1.5] + [-0.5] * (d - 1)))
+        monkeypatch.setattr(lb, "bordered_solve", lambda gen, trace: bad)
+        with pytest.raises(lb.LindbladError, match="steady-state candidate not PSD"):
+            lb.steady_state(model)
+        monkeypatch.undo()
+        rho = 0.9 * lb.steady_state(model).matrix + 0.1 * np.eye(d) / d
+        monkeypatch.setattr(lb, "bordered_solve", lambda gen, trace: core.hermitian_coords(rho))
+        with pytest.raises(lb.LindbladError, match="steady-state residual") as err:
+            lb.steady_state(model)
+        monkeypatch.undo()
+        matvec = float(np.abs(lb.real_generator(model) @ core.hermitian_coords(rho)).max())
+        assert matvec > 1e-3
+        assert float(str(err.value).split()[-1]) == pytest.approx(matvec, rel=1e-3)
+
+
+def test_gap_of_a_generator_without_nonzero_eigenvalues():
+    with pytest.raises(lb.LindbladError, match="no nonzero eigenvalues"):
+        lb.gap(lb.LindbladModel(np.zeros((2, 2)), ()))
 
 
 def test_steady_state_decomposes_its_candidate_once(monkeypatch, count_spectral):
